@@ -6,7 +6,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify verify-trace-off verify-fault-matrix verify-churn verify-sanitize verify-workspace lint test bench bench-event bench-smoke bench-json examples clean
+.PHONY: verify verify-trace-off verify-fault-matrix verify-churn verify-sanitize verify-workspace lint test bench bench-event bench-smoke bench-json perf perf-compare examples clean
 
 ## Tier-1: release build + root-crate tests (ROADMAP's check).
 verify:
@@ -66,17 +66,21 @@ lint:
 ## faulting site instead of surfacing as downstream corruption. The
 ## zero_alloc guard runs sanitized too — poisoning is a byte fill and
 ## provenance is `&'static Location`, so even the sanitized pool must
-## circulate without touching the heap.
+## circulate without touching the heap. It runs on one thread: the
+## allocation counter is process-wide, and with the slower sanitized
+## tests libtest's own bookkeeping for a sibling test (thread spawn,
+## result line) lands inside a measured window about one run in two.
 verify-sanitize:
 	$(CARGO) test -q -p uknetdev --features netbuf-sanitizer
 	$(CARGO) test -q -p uknetstack --features netbuf-sanitizer --lib
-	$(CARGO) test -q -p uknetstack --features netbuf-sanitizer --test zero_alloc
+	$(CARGO) test -q -p uknetstack --features netbuf-sanitizer --test zero_alloc -- --test-threads=1
 	$(CARGO) test -q -p uknetstack --features netbuf-sanitizer --test tcp_recovery
 
 ## The full sweep: every workspace crate's unit, integration and prop
 ## tests, the static invariant lint, the sanitized pool suites, plus
-## bench/example compilation and the netpath smoke bench (which
-## asserts 0.000 allocs/frame on the pooled datapath).
+## bench/example compilation, the netpath smoke bench (which asserts
+## 0.000 allocs/frame on the pooled datapath) and the self-tests of
+## the `ukperf` benchmark (its own package, outside the workspace).
 verify-workspace:
 	$(CARGO) build --release --workspace --benches --examples
 	$(CARGO) test -q --workspace
@@ -86,6 +90,7 @@ verify-workspace:
 	$(MAKE) verify-fault-matrix
 	$(MAKE) verify-churn
 	$(MAKE) bench-smoke
+	$(MAKE) -C benchmark check
 
 test:
 	$(CARGO) test -q --workspace
@@ -125,12 +130,32 @@ bench-smoke:
 ## blind recovery on a lossy wire, sack+rack holds ≥ 32% of lossless
 ## at 1/8 drop, reorder-only cells see zero false fast-retransmits,
 ## lossless cells stay 0.000 allocs/frame) — and writes them to
-## BENCH_PR9.json. Since PR 6 each cell also embeds the ukstats
+## BENCH_PR$(N).json (`make bench-json N=13`). Since PR 6 each cell also embeds the ukstats
 ## counter deltas measured inside its timed window and the document
 ## ends with a full registry snapshot; the human tables are suppressed
 ## (leveled logging drops to Warn in --json mode).
 bench-json:
-	$(CARGO) bench -p ukbench --bench netpath -- --test --json $(CURDIR)/BENCH_PR9.json
+	@test -n "$(N)" || { echo "usage: make bench-json N=<PR number>"; exit 2; }
+	$(CARGO) bench -p ukbench --bench netpath -- --test --json $(CURDIR)/BENCH_PR$(N).json
+
+## `ukperf` (benchmark/, see its README): the end-to-end + per-layer
+## benchmark every performance claim is made in. `perf` is one run of
+## one workload (W=tcp-rr SEED=1 SECONDS=18; `make -C benchmark trace`
+## for the per-layer form). `perf-compare` measures this build as a
+## set of RUNS runs per workload and compares it with a set measured
+## earlier, by default the one committed at the seed of the benchmark:
+##   make perf-compare BASE=benchmark/baseline/seed-a.json RUNS=10
+perf:
+	$(MAKE) -C benchmark run
+
+BASE ?= $(CURDIR)/benchmark/baseline/seed-a.json
+RUNS ?= 5
+SECONDS ?= 18
+perf-compare:
+	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+		set --out $(CURDIR)/benchmark/out/set-head.json --runs $(RUNS) --seconds $(SECONDS)
+	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+		compare $(abspath $(BASE)) $(CURDIR)/benchmark/out/set-head.json
 
 examples:
 	$(CARGO) build --release --examples

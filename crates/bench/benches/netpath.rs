@@ -59,7 +59,7 @@
 //! **allocations per frame** (expected: 0.000 on every pooled config,
 //! enforced), round-trips/s and ns/RTT. With `--json <path>` the
 //! ablation table is also written as machine-readable JSON
-//! (`make bench-json` → `BENCH_PR9.json`), so the perf trajectory is
+//! (`make bench-json N=<pr>` → `BENCH_PR<pr>.json`), so the perf trajectory is
 //! diffable across PRs. Since the observability layer landed, each
 //! JSON cell carries the `ukstats` counter deltas measured inside its
 //! timed window (what the datapath *did*, not just how long it took),

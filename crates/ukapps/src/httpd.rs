@@ -548,6 +548,10 @@ mod tests {
             assert!(body.contains("\"netstack.demux_tcp\":"));
             assert!(body.contains("\"netdev.tx_frames\":"));
             assert!(body.contains("\"netstack.pump_ns\":{\"count\":"));
+            // As does the ACK policy's accounting, reason by reason.
+            for name in ["acks_piggybacked", "pure_acks_tx", "delack_fires", "window_updates_tx"] {
+                assert!(body.contains(&format!("\"netstack.tcp.{name}\":")), "{name}: {body}");
+            }
         }
         assert_eq!(httpd.served(), 1);
     }

@@ -216,6 +216,16 @@ pub const CLOSED_LINGER_NS: u64 = 10_000_000;
 /// would stall the whole stack.
 pub const LOW_POOL_BUFS: usize = 16;
 
+/// Wheel entries (and fired-timer slots) a stack starts with: every
+/// timer kind of a dozen connections. More connections grow the slab
+/// geometrically, as before.
+const WHEEL_PREALLOC: usize = 64;
+
+/// `pump` times one sweep in this many for the `netstack.pump_ns`
+/// histogram; the two clock reads cost as much as the rest of an idle
+/// sweep. `netstack.pump_sweeps` counts every sweep.
+const PUMP_NS_SAMPLE_EVERY: u64 = 64;
+
 // Timer-key kinds (bits 63..48 of a wheel key; the low 48 bits carry
 // `generation << 32 | slot`, validated against the slab at dispatch so
 // a timer armed by a dead incarnation fires into nothing).
@@ -315,12 +325,6 @@ pub struct StackConfig {
     /// the peer-window-only ablation — loss recovery (RTO, fast
     /// retransmit, reassembly) works either way.
     pub congestion_control: bool,
-    /// Whether ACKs for received data may be deferred onto the timer
-    /// wheel (fire after ~40 ms or every second full segment, the
-    /// RFC 1122 shape) instead of leaving with the next flush.
-    /// Effective only with a virtual clock installed; delivery is
-    /// property-tested byte-identical with the switch on and off.
-    pub delayed_ack: bool,
     /// Whether idle established connections probe the peer
     /// (keepalive) and tear down after unanswered probes — dead peers
     /// stop pinning TCBs and pooled buffers. Effective only with a
@@ -380,7 +384,6 @@ impl StackConfig {
             gro: true,
             mss: MSS,
             congestion_control: true,
-            delayed_ack: false,
             keepalive: false,
             listen_backlog: 64,
             sack: true,
@@ -569,6 +572,8 @@ pub mod tp {
         tcp_tlp_probe(conn, count),
         tcp_paced_release(conn, count),
         tcp_ooo_shed(conn, count),
+        // TCP ACK policy: a held ACK sat out its whole hold time.
+        tcp_delack_fire(conn, now_ns),
         // TCP connection lifecycle (timer wheel).
         tcp_rst_tx(dst_port, seq),
         tcp_time_wait(conn, port),
@@ -630,6 +635,17 @@ struct StackCounters {
     tcp_paced_releases: ukstats::Counter,
     /// Out-of-order extents shed under netbuf-pool pressure.
     tcp_ooo_shed: ukstats::Counter,
+    /// Pending ACKs that rode a data segment out instead of leaving
+    /// alone.
+    tcp_acks_piggybacked: ukstats::Counter,
+    /// Payload-free ACK segments transmitted (handshake and FIN ACKs,
+    /// duplicate ACKs, window updates, released held ACKs).
+    tcp_pure_acks_tx: ukstats::Counter,
+    /// Held ACKs released by the wheel (no segment carried them within
+    /// `DELACK_NS`).
+    tcp_delack_fires: ukstats::Counter,
+    /// Window updates sent because a drain reopened the receive window.
+    tcp_window_updates_tx: ukstats::Counter,
     /// Last observed RACK reordering window (ns; most recently polled
     /// connection).
     tcp_rack_reorder_window_ns: ukstats::Gauge,
@@ -689,6 +705,10 @@ impl StackCounters {
             tcp_tlp_probes: ukstats::Counter::register("netstack.tcp.tlp_probes"),
             tcp_paced_releases: ukstats::Counter::register("netstack.tcp.paced_releases"),
             tcp_ooo_shed: ukstats::Counter::register("netstack.tcp.ooo_shed"),
+            tcp_acks_piggybacked: ukstats::Counter::register("netstack.tcp.acks_piggybacked"),
+            tcp_pure_acks_tx: ukstats::Counter::register("netstack.tcp.pure_acks_tx"),
+            tcp_delack_fires: ukstats::Counter::register("netstack.tcp.delack_fires"),
+            tcp_window_updates_tx: ukstats::Counter::register("netstack.tcp.window_updates_tx"),
             tcp_rack_reorder_window_ns: ukstats::Gauge::register(
                 "netstack.tcp.rack_reorder_window_ns",
             ),
@@ -739,6 +759,12 @@ pub struct NetStack {
     dirty: Vec<u32>,
     /// Fired-timer scratch for `tcp_timer_tick` (reused).
     fired_scratch: Vec<(u64, u64)>,
+    /// Connections holding an ACK on the wheel right now — what
+    /// [`held_ack_deadline`](Self::held_ack_deadline) checks before it
+    /// scans.
+    held_acks: usize,
+    /// Sweeps `pump` has run (selects the ones it times).
+    sweeps: u64,
     listeners: HashMap<u16, TcpListener>,
     next_handle: usize,
     next_ephemeral: u16,
@@ -871,9 +897,14 @@ impl NetStack {
             conn_slots: Vec::new(),
             conn_free: Vec::new(),
             flow: FlowTable::new(),
-            wheel: TimerWheel::new(),
+            // Sized so the first timers a connection arms — the held
+            // ACK among them, armed and fired mid-transfer — find their
+            // wheel entry and fire slot already there.
+            wheel: TimerWheel::with_capacity(WHEEL_PREALLOC),
             dirty: Vec::new(),
-            fired_scratch: Vec::new(),
+            fired_scratch: Vec::with_capacity(WHEEL_PREALLOC),
+            held_acks: 0,
+            sweeps: 0,
             listeners: HashMap::new(),
             next_handle: 1,
             next_ephemeral: 49152,
@@ -892,7 +923,11 @@ impl NetStack {
             rx_csum_offload,
             guest_tso,
             gro: config.gro,
-            gro_stage: Vec::new(),
+            // Starts at a device burst rather than growing into it: how
+            // many sub-MSS tails one sweep stages shifts with ACK and
+            // window-update timing, and growth would show up
+            // mid-transfer as a datapath allocation.
+            gro_stage: Vec::with_capacity(MAX_BURST),
             gro_cont: None,
             arp_memo: Vec::with_capacity(ARP_MEMO_SIZE),
             arp_retry_scratch: Vec::new(),
@@ -1031,6 +1066,22 @@ impl NetStack {
         self.wheel.len()
     }
 
+    /// The earliest deadline among the ACKs this stack is holding for
+    /// a data segment to carry, if it holds any. A wire with no frame
+    /// in flight is not quiet while this is `Some`: the peer still has
+    /// unacknowledged bytes (and the buffers behind them) that only
+    /// the wheel will release — [`testnet`](crate::testnet) waits it
+    /// out so leak checks do not mistake that tail for a leak.
+    pub fn held_ack_deadline(&self) -> Option<u64> {
+        if self.held_acks == 0 {
+            return None;
+        }
+        self.conn_slots
+            .iter()
+            .filter_map(|cs| cs.conn.as_ref()?.delack_armed_ns)
+            .min()
+    }
+
     /// Puts a connection on the dirty list (idempotent): the next
     /// flush polls its output and reconciles its wheel timers.
     fn mark_dirty_handle(&mut self, h: usize) {
@@ -1105,7 +1156,7 @@ impl NetStack {
         };
         let h = conn_handle(slot, gen);
         self.wheel.cancel(c.rto_tok);
-        self.wheel.cancel(c.delack_tok);
+        self.held_acks -= usize::from(self.wheel.cancel(c.delack_tok));
         self.wheel.cancel(c.life_tok);
         self.wheel.cancel(c.rack_tok);
         self.wheel.cancel(c.pace_tok);
@@ -1519,6 +1570,30 @@ impl NetStack {
         r
     }
 
+    /// Applies the stack's configuration to a fresh TCB and stamps it
+    /// with the current virtual time, which it returns. Whatever needs
+    /// a timer to finish — the full lifecycle, held ACKs, RACK, pacing
+    /// — is gated on a clock driving the wheel: without one TIME_WAIT
+    /// would never be reaped, a held ACK never released, and the
+    /// dup-ACK threshold and burst emission stay in force.
+    fn configure_tcb(&self, tcb: &mut Tcb) -> Option<u64> {
+        let clocked = self.clock.is_some();
+        if self.config.lean_tcbs {
+            tcb.shrink_queues();
+        }
+        tcb.set_mss(self.config.mss);
+        tcb.set_congestion_control(self.config.congestion_control);
+        tcb.set_clocked(clocked);
+        tcb.set_sack(self.config.sack);
+        tcb.set_rack(self.config.rack && clocked);
+        tcb.set_pacing(self.config.pacing && clocked);
+        let now = self.now_ns();
+        if let Some(n) = now {
+            tcb.set_now(n);
+        }
+        now
+    }
+
     /// Starts an active connection; completes after network pumping.
     ///
     /// Ephemeral port selection scans for a port whose `(port, peer)`
@@ -1538,22 +1613,7 @@ impl NetStack {
         self.next_ephemeral = if local_port == 65535 { 49152 } else { local_port + 1 };
         self.iss = self.iss.wrapping_add(64_000);
         let mut tcb = Tcb::connect(local_port, to.port, self.iss);
-        if self.config.lean_tcbs {
-            tcb.shrink_queues();
-        }
-        tcb.set_mss(self.config.mss);
-        tcb.set_congestion_control(self.config.congestion_control);
-        tcb.set_lifecycle_enabled(self.clock.is_some());
-        tcb.set_delayed_ack(self.config.delayed_ack && self.clock.is_some());
-        tcb.set_sack(self.config.sack);
-        // RACK and pacing need a timebase: without a clock the dup-ACK
-        // threshold and burst emission stay in force.
-        tcb.set_rack(self.config.rack && self.clock.is_some());
-        tcb.set_pacing(self.config.pacing && self.clock.is_some());
-        let now = self.now_ns();
-        if let Some(n) = now {
-            tcb.set_now(n);
-        }
+        let now = self.configure_tcb(&mut tcb);
         let h = self.alloc_conn(tcb, to, local_port, now.unwrap_or(0));
         self.flush_tcp()?;
         Ok(SocketHandle(h))
@@ -1624,23 +1684,33 @@ impl NetStack {
     /// Copies buffered received bytes into `out` — the allocation-free
     /// receive *copy* path (the zero-copy path is
     /// [`tcp_recv_netbuf`](Self::tcp_recv_netbuf)). Drained queue
-    /// buffers recycle straight back to the pool. May emit a
-    /// window-update ACK when a previously-zero receive window reopens.
+    /// buffers recycle straight back to the pool. A drain that reopens
+    /// the receive window far enough stages a window-update ACK; output
+    /// is flushed here only when some is actually pending, so an empty
+    /// read costs no output poll and a held ACK stays held for the
+    /// reply.
     pub fn tcp_recv_into(&mut self, conn: SocketHandle, out: &mut [u8]) -> Result<usize> {
         let mut pool = self.pool.take();
         let r = match self.conn_mut(conn.0) {
-            Some(c) => Ok(c.tcb.app_recv_into_with(out, |nb| {
-                if let Some(p) = pool.as_mut() {
-                    p.give_back_chain(nb);
-                }
-            })),
+            Some(c) => {
+                let n = c.tcb.app_recv_into_with(out, |nb| {
+                    if let Some(p) = pool.as_mut() {
+                        p.give_back_chain(nb);
+                    }
+                });
+                Ok((n, c.tcb.has_pending_control()))
+            }
             None => Err(Errno::BadF),
         };
         self.pool = pool;
-        let n = r?;
-        self.mark_dirty_handle(conn.0);
-        self.flush_tcp()?;
-        self.sync_one(conn.0);
+        let (n, pending) = r?;
+        if pending {
+            self.mark_dirty_handle(conn.0);
+            self.flush_tcp()?;
+        }
+        if n > 0 {
+            self.sync_one(conn.0);
+        }
         Ok(n)
     }
 
@@ -1654,8 +1724,8 @@ impl NetStack {
     /// that returns it to the owning pool (buffers from other pools or
     /// the heap are simply dropped there). Holding buffers
     /// indefinitely pins pool capacity. A window-update ACK may be
-    /// staged when a previously-zero receive window reopens; it is
-    /// flushed here only when output is actually pending.
+    /// staged when the drain reopens the receive window far enough; it
+    /// is flushed here only when output is actually pending.
     pub fn tcp_recv_netbuf(&mut self, conn: SocketHandle) -> Option<Netbuf> {
         let c = self.conn_mut(conn.0)?;
         let nb = c.tcb.app_recv_netbuf()?;
@@ -2030,6 +2100,9 @@ impl NetStack {
         let mut super_bytes = 0u64;
         let mut rtx_delta = 0u64;
         let mut sack_rtx_delta = 0u64;
+        let mut pure_acks = 0u64;
+        let mut piggybacked = 0u64;
+        let mut wnd_updates = 0u64;
         let now = self.now_ns();
         // Only dirty connections are polled — at 100 K idle
         // connections the flush touches none of them. The list is
@@ -2061,6 +2134,8 @@ impl NetStack {
             let max_seg = if tso { (gso_max / mss).max(1) * mss } else { mss };
             let rtx0 = c.tcb.retransmits();
             let sack_rtx0 = c.tcb.sack_rtx();
+            let piggy0 = c.tcb.acks_piggybacked();
+            let wnd0 = c.tcb.window_updates();
             // The receiver half's SACK report for this poll: D-SACK
             // plus the reassembly queue's extents, encoded once and
             // attached to the first *pure ACK* the poll emits (the GSO
@@ -2075,6 +2150,8 @@ impl NetStack {
                 // chained for a super-segment, a single moved buffer
                 // otherwise; control segments get a fresh head.
                 let was_data = chain.is_some();
+                let f = header.flags;
+                pure_acks += u64::from(!was_data && f.ack && !(f.syn || f.fin || f.rst));
                 let mut nb = chain.unwrap_or_else(&take_buf);
                 let plen = nb.chain_len();
                 // Options ride only on control segments: SACK-permitted
@@ -2140,6 +2217,8 @@ impl NetStack {
                 sack_rtx_delta += ds;
                 uktrace::trace!(self.trace, tp::tcp_sack_rtx, h, ds);
             }
+            piggybacked += c.tcb.acks_piggybacked() - piggy0;
+            wnd_updates += c.tcb.window_updates() - wnd0;
             self.ustats.tcp_cwnd.set(c.tcb.cwnd() as u64);
             if c.tcb.rack_enabled() {
                 self.ustats.tcp_rack_reorder_window_ns.set(c.tcb.reo_wnd_ns());
@@ -2147,6 +2226,16 @@ impl NetStack {
         }
         self.ustats.tcp_retransmits.add(rtx_delta);
         self.ustats.tcp_sack_rtx.add(sack_rtx_delta);
+        // Most flushes move none of these; skip the atomic when so.
+        for (counter, n) in [
+            (&self.ustats.tcp_pure_acks_tx, pure_acks),
+            (&self.ustats.tcp_acks_piggybacked, piggybacked),
+            (&self.ustats.tcp_window_updates_tx, wnd_updates),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
         self.pool = pool.into_inner();
         self.stats.csum_offloaded += offloaded;
         self.stats.tso_super_frames += supers;
@@ -2155,7 +2244,7 @@ impl NetStack {
         self.ustats.tso_super_frames.add(supers);
         self.ustats.tso_super_bytes.add(super_bytes);
         // Second pass: mirror every polled connection's timer wants
-        // (RTO, delayed ACK, lifecycle) into the wheel.
+        // (RTO, held ACK, lifecycle) into the wheel.
         if let Some(n) = now {
             let mut i = 0;
             while i < self.dirty.len() {
@@ -2231,7 +2320,16 @@ impl NetStack {
                 TK_DELACK => {
                     c.delack_tok = TimerToken::NONE;
                     c.delack_armed_ns = None;
-                    c.tcb.on_delack_timeout();
+                    self.held_acks -= 1;
+                    if c.tcb.on_delack_timeout() {
+                        self.ustats.tcp_delack_fires.inc();
+                        uktrace::trace!(
+                            self.trace,
+                            tp::tcp_delack_fire,
+                            conn_handle(slot, gen),
+                            now
+                        );
+                    }
                     if !c.dirty {
                         c.dirty = true;
                         self.dirty.push(slot);
@@ -2344,12 +2442,11 @@ impl NetStack {
     }
 
     /// Mirrors one connection's timer wants into the wheel: the TCB's
-    /// RTO/persist deadline, its delayed-ACK deadline, and the
+    /// RTO/persist deadline, its held-ACK deadline, and the
     /// lifecycle deadline implied by its state. Re-arms only on
     /// change, so steady-state data flow costs one compare per kind.
     fn sync_conn_timers(&mut self, slot: u32, now: u64) {
         let keepalive = self.config.keepalive;
-        let delayed_ack = self.config.delayed_ack;
         let Some(cs) = self.conn_slots.get_mut(slot as usize) else {
             return;
         };
@@ -2364,13 +2461,14 @@ impl NetStack {
                 c.rto_tok = self.wheel.arm(d, timer_key(TK_RTO, slot, gen));
             }
         }
-        let want = if delayed_ack { c.tcb.ack_deadline() } else { None };
+        let want = c.tcb.ack_deadline();
         if want != c.delack_armed_ns || (want.is_some() && c.delack_tok.is_none()) {
-            self.wheel.cancel(c.delack_tok);
+            self.held_acks -= usize::from(self.wheel.cancel(c.delack_tok));
             c.delack_tok = TimerToken::NONE;
             c.delack_armed_ns = want;
             if let Some(d) = want {
                 c.delack_tok = self.wheel.arm(d, timer_key(TK_DELACK, slot, gen));
+                self.held_acks += 1;
             }
         }
         let want = c.tcb.rack_deadline();
@@ -2490,7 +2588,11 @@ impl NetStack {
     /// `tx_burst` push, one readiness sync. Per-packet overheads
     /// become per-burst overheads.
     pub fn pump(&mut self) -> usize {
-        let sweep_start = std::time::Instant::now();
+        let sweep_start = self
+            .sweeps
+            .is_multiple_of(PUMP_NS_SAMPLE_EVERY)
+            .then(std::time::Instant::now);
+        self.sweeps += 1;
         let mut handled = 0;
         let mut frames = std::mem::take(&mut self.rx_scratch);
         self.arp_memo.clear();
@@ -2524,9 +2626,9 @@ impl NetStack {
         let _ = self.flush_tcp();
         self.sync_readiness();
         self.ustats.pump_sweeps.inc();
-        self.ustats
-            .pump_ns
-            .record(sweep_start.elapsed().as_nanos() as u64);
+        if let Some(t0) = sweep_start {
+            self.ustats.pump_ns.record(t0.elapsed().as_nanos() as u64);
+        }
         if let Some(p) = self.pool.as_ref() {
             self.ustats
                 .pool_inflight_hiwater
@@ -3154,21 +3256,8 @@ impl NetStack {
                     self.reap_conn_slot(v, REAP_SYN_EVICTED);
                 }
                 let mut tcb = Tcb::listen(tcp.dst_port);
-                if self.config.lean_tcbs {
-                    tcb.shrink_queues();
-                }
-                tcb.set_mss(self.config.mss);
-                tcb.set_congestion_control(self.config.congestion_control);
-                tcb.set_lifecycle_enabled(self.clock.is_some());
-                tcb.set_delayed_ack(self.config.delayed_ack && self.clock.is_some());
-                tcb.set_sack(self.config.sack);
-                tcb.set_rack(self.config.rack && self.clock.is_some());
-                tcb.set_pacing(self.config.pacing && self.clock.is_some());
+                let now = self.configure_tcb(&mut tcb);
                 self.iss = self.iss.wrapping_add(64_000);
-                let now = self.now_ns();
-                if let Some(n) = now {
-                    tcb.set_now(n);
-                }
                 if doff > TCP_HDR_LEN {
                     let opts = TcpOptions::parse(&nb.payload()[TCP_HDR_LEN..doff]);
                     tcb.process_options(&tcp, &opts);

@@ -11,9 +11,11 @@
 //! into outgoing frames — as one scatter-gather super-segment of up to
 //! a GSO budget when segmentation is offloaded (sequence/window
 //! accounting once per super-segment), or per-MSS in software when it
-//! is not. Received data is acknowledged with per-poll coalesced ACKs
-//! (delayed-ACK shape), and a big-receive super-segment arriving as a
-//! buffer chain is ingested in one [`Tcb::on_segment_parts`] call.
+//! is not. Received data is acknowledged once per poll, on the reply
+//! when there is one (the ACK policy documented on
+//! [`Tcb::poll_output_chain_with`]), and a big-receive super-segment
+//! arriving as a buffer chain is ingested in one
+//! [`Tcb::on_segment_parts`] call.
 //!
 //! Since the receive-side fast path, the **receive queue is zero-copy
 //! too**: [`Tcb::on_segment_bufs`] *keeps* the RX netbufs the payload
@@ -118,15 +120,12 @@ const OOO_QUEUE_BYTES: usize = RCV_BUF_CAP;
 const OOO_SEQ_HORIZON: u32 = 1 << 17;
 /// Initial congestion window, in segments (RFC 6928's IW10).
 const INITIAL_CWND_SEGS: usize = 10;
-/// Delayed-ACK hold time (RFC 1122 §4.2.3.2 caps it at 500 ms; 40 ms
-/// matches Linux's default quick timeout). Only meaningful with
-/// [`Tcb::set_delayed_ack`] on — which the stack enables solely when a
-/// virtual clock drives the timer wheel.
+/// Longest the ACK of in-order data is held for a data segment to
+/// carry it (RFC 1122 §4.2.3.2 caps the delay at 500 ms; 40 ms matches
+/// Linux's default quick timeout). Only a clocked TCB
+/// ([`Tcb::set_clocked`]) holds ACKs — see the ACK policy on
+/// [`Tcb::poll_output_chain_with`].
 pub const DELACK_NS: u64 = 40_000_000;
-/// Quick-ACK threshold: an ACK is owed immediately once this many
-/// in-order segments are unacknowledged (RFC 1122: at least every
-/// second full-sized segment).
-const DELACK_SEGS: u32 = 2;
 /// Most SACK blocks one option ever carries: 3 regular blocks
 /// (RFC 2018 §3 with a NOP-NOP-prefixed option) plus one leading
 /// D-SACK block (RFC 2883 §4).
@@ -478,7 +477,7 @@ impl TcpOptions {
 /// TCP connection states (subset of RFC 793).
 ///
 /// `FinWait` merges FIN-WAIT-1 and CLOSING; with the connection
-/// lifecycle enabled ([`Tcb::set_lifecycle_enabled`], which the stack
+/// lifecycle enabled ([`Tcb::set_clocked`], which the stack
 /// switches on whenever a virtual clock is installed) an acknowledged
 /// FIN promotes to [`FinWait2`](Self::FinWait2) and the final FIN
 /// lands the TCB in [`TimeWait`](Self::TimeWait) for the stack's 2MSL
@@ -538,8 +537,17 @@ pub struct Tcb {
     snd_una: u32,
     /// Peer's advertised receive window.
     snd_wnd: u32,
+    /// Sequence number of the segment `snd_wnd` was last taken from
+    /// (RFC 793's SND.WL1): a reordered older segment must not bring
+    /// its stale window back.
+    snd_wl1: u32,
     /// Window we advertised in our last segment (zero-window tracking).
     last_adv_wnd: u16,
+    /// Cumulative ACK our last segment carried. `rcv_nxt` minus this
+    /// is the in-order bytes the peer has no acknowledgement for —
+    /// what rule (a) of the ACK policy counts — and together with
+    /// `last_adv_wnd` it is the right edge the peer may send up to.
+    last_ack_sent: u32,
     /// Application data queued for transmission, held as the pooled
     /// buffers it was written into — the zero-copy send queue.
     /// [`app_send`](Self::app_send) writes bytes once (coalescing into
@@ -576,13 +584,21 @@ pub struct Tcb {
     /// Data segments are never queued here: their buffers move out of
     /// `send_q` at `poll_output_chain_with` time.
     out: VecDeque<TcpHeader>,
-    /// Received data awaits acknowledgement (delayed-ACK coalescing):
-    /// instead of one ACK per ingested segment, the next emitted
-    /// segment carries the cumulative ACK, and a pure ACK is emitted
-    /// at `poll_output` time only if nothing else is leaving. A burst
-    /// of 40 MSS segments (one cut super-segment) costs one ACK on the
-    /// return path, not 40.
+    /// Received data awaits acknowledgement: instead of one ACK per
+    /// ingested segment, the next emitted segment carries the
+    /// cumulative ACK, and the ACK policy of
+    /// [`poll_output_chain_with`](Self::poll_output_chain_with) decides
+    /// at poll time whether a pure ACK leaves or waits for one. A
+    /// burst of 40 MSS segments (one cut super-segment) costs one ACK
+    /// on the return path, not 40.
     ack_pending: bool,
+    /// The pending ACK may not wait (rules b–e of the ACK policy): a
+    /// hole was touched, a window update or D-SACK is owed, or the
+    /// hold timer fired.
+    ack_now: bool,
+    /// Draining reopened the receive window far enough to tell the
+    /// peer (rule c); the next poll emits the update.
+    wnd_update_due: bool,
     /// Maximum segment size for software segmentation (and the cut
     /// size a GSO super-segment requests).
     mss: usize,
@@ -658,20 +674,16 @@ pub struct Tcb {
     stat_fast_retransmits: u64,
     /// Cumulative extents queued out of order (observability).
     stat_ooo_queued: u64,
-    /// Whether the full connection lifecycle (FIN_WAIT_2, TIME_WAIT)
-    /// is enabled — the stack switches this on when a virtual clock
-    /// drives its timer wheel; raw TCBs keep the direct-to-Closed
-    /// behavior so clockless setups need no reaper.
-    lifecycle_enabled: bool,
-    /// Whether pure ACKs are held for the delayed-ACK timer instead of
-    /// being emitted at poll time (`StackConfig::delayed_ack`).
-    delack_enabled: bool,
-    /// Armed delayed-ACK deadline (the stack mirrors this onto its
+    /// Whether a virtual clock drives the owning stack's timer wheel.
+    /// Everything that needs a timer to finish is gated on it: the
+    /// full lifecycle (FIN_WAIT_2, TIME_WAIT — reaped after 2MSL) and
+    /// holding ACKs (released at the latest by the wheel). Raw and
+    /// clockless TCBs close straight to `Closed` and acknowledge at
+    /// every poll, so they need neither reaper nor timer.
+    clocked: bool,
+    /// Deadline of the ACK being held (the stack mirrors this onto its
     /// timer wheel).
     ack_deadline_ns: Option<u64>,
-    /// In-order segments ingested since the last emitted ACK — the
-    /// quick-ACK trigger.
-    delack_segs: u32,
     /// Whether this side generates and consumes SACK information
     /// (`StackConfig::sack`); the wire still needs the peer's
     /// SACK-permitted handshake option before anything is emitted.
@@ -725,6 +737,10 @@ pub struct Tcb {
     stat_paced_releases: u64,
     /// Cumulative out-of-order extents shed under pool pressure.
     stat_ooo_shed: u64,
+    /// Cumulative ACKs that left on a data segment instead of alone.
+    stat_acks_piggybacked: u64,
+    /// Cumulative window updates sent after a drain (rule c).
+    stat_window_updates: u64,
 }
 
 impl Tcb {
@@ -753,7 +769,9 @@ impl Tcb {
             rcv_nxt: 0,
             snd_una: iss,
             snd_wnd: RCV_BUF_CAP as u32,
+            snd_wl1: 0,
             last_adv_wnd: RCV_BUF_CAP as u16,
+            last_ack_sent: 0,
             // Pre-sized for their steady-state bulk depth (the
             // zero-alloc tier-1 invariant): a full send buffer is ~32
             // pool-sized extents; the receive queue holds at most a
@@ -769,6 +787,8 @@ impl Tcb {
             dup_acks: 0,
             out: VecDeque::new(),
             ack_pending: false,
+            ack_now: false,
+            wnd_update_due: false,
             mss: MSS,
             closing: false,
             peer_fin: false,
@@ -800,10 +820,8 @@ impl Tcb {
             stat_retransmits: 0,
             stat_fast_retransmits: 0,
             stat_ooo_queued: 0,
-            lifecycle_enabled: false,
-            delack_enabled: false,
+            clocked: false,
             ack_deadline_ns: None,
-            delack_segs: 0,
             sack_enabled: false,
             peer_sack_ok: false,
             sack_recent: None,
@@ -823,6 +841,8 @@ impl Tcb {
             stat_tlp_probes: 0,
             stat_paced_releases: 0,
             stat_ooo_shed: 0,
+            stat_acks_piggybacked: 0,
+            stat_window_updates: 0,
         }
     }
 
@@ -968,16 +988,7 @@ impl Tcb {
                 && !self.in_recovery
                 && (self.dup_ack_rx > 0 || !self.sacked.is_empty())
             {
-                self.stat_fast_retransmits += 1;
-                self.rtx_request = true;
-                self.in_recovery = true;
-                self.recover = self.snd_nxt;
-                self.sack_rtx_mark = self.snd_una;
-                if self.cc_enabled {
-                    let flight = self.bytes_in_flight() as usize;
-                    self.ssthresh = (flight / 2).max(2 * self.mss);
-                    self.cwnd = self.ssthresh + 3 * self.mss;
-                }
+                self.enter_fast_recovery();
             }
         }
         if self.tlp_deadline_ns.is_some_and(|d| d <= now_ns) {
@@ -988,6 +999,40 @@ impl Tcb {
                 self.stat_tlp_probes += 1;
             }
         }
+    }
+
+    /// Opens a loss episode short of a timeout — the 3rd duplicate ACK,
+    /// an expired reordering window, or the scoreboard's own verdict
+    /// ([`sack_says_lost`](Self::sack_says_lost)): the hole at
+    /// `snd_una` is retransmitted at the next poll and partial ACKs
+    /// inside the episode retransmit the next hole directly; cwnd
+    /// surgery on top only when NewReno is on.
+    fn enter_fast_recovery(&mut self) {
+        self.stat_fast_retransmits += 1;
+        self.rtx_request = true;
+        self.in_recovery = true;
+        self.recover = self.snd_nxt;
+        self.sack_rtx_mark = self.snd_una;
+        if self.cc_enabled {
+            let flight = self.bytes_in_flight() as usize;
+            self.ssthresh = (flight / 2).max(2 * self.mss);
+            self.cwnd = self.ssthresh + 3 * self.mss;
+        }
+    }
+
+    /// RFC 6675 §4's `IsLost(snd_una)`: the segment at `snd_una` is
+    /// lost once three discontiguous ranges, or more than two segments'
+    /// worth of bytes, are SACKed above it. The byte form of the
+    /// 3-dup-ACK rule — it still works when the peer answers a whole
+    /// flight with one ACK, as this stack's receiver does (one ACK per
+    /// poll, and fewer still since ACKs ride replies).
+    fn sack_says_lost(&self) -> bool {
+        let sacked: usize = self
+            .sacked
+            .iter()
+            .map(|&(s, e)| e.wrapping_sub(s) as usize)
+            .sum();
+        self.sacked.len() >= 3 || sacked > 2 * self.mss
     }
 
     /// Pacing timer fired: release the next emission quantum.
@@ -1028,40 +1073,32 @@ impl Tcb {
         true
     }
 
-    /// Enables the full connection lifecycle: an orderly close walks
-    /// FIN_WAIT_2 and parks in TIME_WAIT instead of jumping straight
-    /// to `Closed`. The stack turns this on when a virtual clock
-    /// drives its timer wheel (which then reaps TIME_WAIT after 2MSL);
-    /// raw TCBs leave it off so clockless tests need no reaper.
-    pub fn set_lifecycle_enabled(&mut self, enabled: bool) {
-        self.lifecycle_enabled = enabled;
-    }
-
-    /// Enables delayed ACKs (`StackConfig::delayed_ack`): a lone
-    /// in-order segment's pure ACK is held up to [`DELACK_NS`] for a
-    /// chance to ride a data segment or coalesce with a second
-    /// arrival. The stack mirrors [`ack_deadline`](Self::ack_deadline)
-    /// onto its timer wheel; without a clock this must stay off or
-    /// held ACKs would never fire.
-    pub fn set_delayed_ack(&mut self, enabled: bool) {
-        self.delack_enabled = enabled;
-        if !enabled {
+    /// Tells the TCB that a virtual clock drives the owning stack's
+    /// timer wheel, which switches on what only a timer can finish: an
+    /// orderly close walks FIN_WAIT_2 and parks in TIME_WAIT (reaped
+    /// after 2MSL) instead of jumping straight to `Closed`, and the
+    /// ACK of in-order data may be held for a data segment to carry
+    /// (the stack mirrors [`ack_deadline`](Self::ack_deadline) onto
+    /// the wheel, which releases it at the latest). Raw TCBs leave it
+    /// off: no reaper, no timer, an ACK at every poll.
+    pub fn set_clocked(&mut self, clocked: bool) {
+        self.clocked = clocked;
+        if !clocked {
             self.ack_deadline_ns = None;
         }
     }
 
-    /// The armed delayed-ACK deadline, if a pure ACK is being held.
+    /// The deadline of the ACK being held, if one is.
     pub fn ack_deadline(&self) -> Option<u64> {
         self.ack_deadline_ns
     }
 
-    /// Delayed-ACK timer fired: release the held ACK at the next
-    /// output poll.
-    pub fn on_delack_timeout(&mut self) {
-        if self.ack_deadline_ns.is_some() {
-            self.ack_deadline_ns = None;
-            self.delack_segs = DELACK_SEGS; // Force quick-ACK.
-        }
+    /// The hold timer fired (rule e): the held ACK leaves at the next
+    /// output poll. Returns whether an ACK was still being held.
+    pub fn on_delack_timeout(&mut self) -> bool {
+        let held = self.ack_deadline_ns.take().is_some();
+        self.ack_now |= held;
+        held
     }
 
     /// The armed retransmission/persist deadline (the stack mirrors
@@ -1086,8 +1123,7 @@ impl Tcb {
     /// The stack's keepalive timer drives this on idle connections and
     /// tears the connection down when enough probes go unanswered.
     pub fn emit_keepalive_probe(&mut self) {
-        let window = self.rcv_window();
-        self.last_adv_wnd = window;
+        let window = self.advertise();
         self.out.push_back(TcpHeader {
             src_port: self.local_port,
             dst_port: self.remote_port,
@@ -1149,6 +1185,18 @@ impl Tcb {
         self.stat_ooo_shed
     }
 
+    /// Cumulative ACKs that rode a data segment out instead of
+    /// leaving as a pure ACK.
+    pub fn acks_piggybacked(&self) -> u64 {
+        self.stat_acks_piggybacked
+    }
+
+    /// Cumulative window updates sent because a drain reopened the
+    /// receive window (rule c of the ACK policy).
+    pub fn window_updates(&self) -> u64 {
+        self.stat_window_updates
+    }
+
     /// The segment size software segmentation cuts to.
     pub fn mss(&self) -> usize {
         self.mss
@@ -1159,11 +1207,19 @@ impl Tcb {
         (RCV_BUF_CAP - self.recv_q_len.min(RCV_BUF_CAP)) as u16
     }
 
-    /// Builds the header for the next outgoing segment, recording the
-    /// advertised window (zero-window tracking).
-    fn make_header(&mut self, flags: TcpFlags) -> TcpHeader {
+    /// Records what the segment being built tells the peer — our
+    /// cumulative position and window, i.e. the right edge it may send
+    /// up to — and returns the window for the header.
+    fn advertise(&mut self) -> u16 {
         let window = self.rcv_window();
         self.last_adv_wnd = window;
+        self.last_ack_sent = self.rcv_nxt;
+        window
+    }
+
+    /// Builds the header for the next outgoing segment.
+    fn make_header(&mut self, flags: TcpFlags) -> TcpHeader {
+        let window = self.advertise();
         TcpHeader {
             src_port: self.local_port,
             dst_port: self.remote_port,
@@ -1200,8 +1256,9 @@ impl Tcb {
     /// (the Eifel-style response: the network delivered twice, it
     /// didn't lose), every other valid block merges into the
     /// scoreboard. New scoreboard coverage is loss evidence: it arms
-    /// the RACK reordering window and re-requests the hole-walk
-    /// mid-episode.
+    /// the RACK reordering window — or, without RACK, opens the episode
+    /// itself once [`sack_says_lost`](Self::sack_says_lost) holds —
+    /// and re-requests the hole-walk mid-episode.
     pub fn process_options(&mut self, h: &TcpHeader, opts: &TcpOptions) {
         if h.flags.syn {
             self.peer_sack_ok = opts.sack_permitted;
@@ -1234,12 +1291,15 @@ impl Tcb {
             advanced |= self.sack_merge(s, e);
         }
         if advanced {
-            if self.rack_enabled
-                && !self.in_recovery
-                && self.reo_deadline_ns.is_none()
-                && self.snd_una != self.snd_nxt
-            {
-                self.reo_deadline_ns = Some(self.now_ns.saturating_add(self.reo_wnd_ns()));
+            let open = !self.in_recovery && self.snd_una != self.snd_nxt;
+            if self.rack_enabled {
+                if open && self.reo_deadline_ns.is_none() {
+                    self.reo_deadline_ns = Some(self.now_ns.saturating_add(self.reo_wnd_ns()));
+                }
+            } else if open && self.sack_says_lost() {
+                // Without RACK's reordering window the scoreboard is
+                // the loss detector (RFC 6675 §5 step 4.1).
+                self.enter_fast_recovery();
             }
             if self.in_recovery {
                 // Fresh coverage mid-episode exposes newly confirmed
@@ -1295,13 +1355,32 @@ impl Tcb {
 
     /// Processes the acknowledgement and window fields of a segment.
     /// `seg_payload` is the segment's payload byte count — a pure ACK
-    /// (no payload, no SYN/FIN) at `snd_una` with data outstanding is a
-    /// *duplicate ACK* (RFC 5681 §2), the fast-retransmit signal.
+    /// (no payload, no SYN/FIN) at `snd_una` with data outstanding
+    /// that does not open the window is a *duplicate ACK* (RFC 5681
+    /// §2), the fast-retransmit signal. The window clause matters: a
+    /// window update after a drain repeats the cumulative ACK without
+    /// saying anything about loss. (RFC 5681 asks for an *unchanged*
+    /// window; this stack's receiver acknowledges before its
+    /// application drains, so its duplicate ACKs carry a window that
+    /// shrinks as in-order data queues up — only growth is an update.)
     fn process_ack(&mut self, h: &TcpHeader, seg_payload: usize) {
         if !h.flags.ack {
             return;
         }
-        self.snd_wnd = u32::from(h.window);
+        let window = u32::from(h.window);
+        let window_grew = window > self.snd_wnd;
+        // Take the window only from a segment no older than the one
+        // the current window came from (RFC 793 p.72, with Linux's
+        // tie-break): between two pure ACKs at the same position —
+        // an ACK and the window update that followed it, swapped on
+        // the wire — only the larger window can be the later one.
+        if Self::seq_lt(self.snd_una, h.ack)
+            || Self::seq_lt(self.snd_wl1, h.seq)
+            || (self.snd_wl1 == h.seq && window_grew)
+        {
+            self.snd_wnd = window;
+            self.snd_wl1 = h.seq;
+        }
         if Self::seq_lt(self.snd_una, h.ack) && Self::seq_le(h.ack, self.snd_nxt) {
             // New data acknowledged: release covered retransmission
             // extents, take the RTT sample, grow/deflate cwnd, restart
@@ -1375,6 +1454,7 @@ impl Tcb {
             };
         } else if h.ack == self.snd_una
             && seg_payload == 0
+            && !window_grew
             && !h.flags.syn
             && !h.flags.fin
             && self.snd_una != self.snd_nxt
@@ -1396,20 +1476,11 @@ impl Tcb {
                     self.cwnd += self.mss;
                 }
             } else if self.dup_ack_rx == 3 {
-                self.stat_fast_retransmits += 1;
-                self.rtx_request = true;
-                if !self.in_recovery {
-                    // Enter the loss episode (partial ACKs inside it
-                    // retransmit the next hole directly); cwnd surgery
-                    // on top only when NewReno is on.
-                    self.in_recovery = true;
-                    self.recover = self.snd_nxt;
-                    self.sack_rtx_mark = self.snd_una;
-                    if self.cc_enabled {
-                        let flight = self.bytes_in_flight() as usize;
-                        self.ssthresh = (flight / 2).max(2 * self.mss);
-                        self.cwnd = self.ssthresh + 3 * self.mss;
-                    }
+                if self.in_recovery {
+                    self.stat_fast_retransmits += 1;
+                    self.rtx_request = true;
+                } else {
+                    self.enter_fast_recovery();
                 }
             } else if self.dup_ack_rx > 3 && self.cc_enabled && self.in_recovery {
                 // Each further dup-ACK means another segment left the
@@ -1618,8 +1689,7 @@ impl Tcb {
     /// Queues a control segment at an explicit (re)transmission
     /// sequence position — SYN / SYN-ACK / FIN retransmission.
     fn emit_at(&mut self, seq: u32, flags: TcpFlags) {
-        let window = self.rcv_window();
-        self.last_adv_wnd = window;
+        let window = self.advertise();
         self.stat_retransmits += 1;
         self.out.push_back(TcpHeader {
             src_port: self.local_port,
@@ -1742,7 +1812,7 @@ impl Tcb {
                 // With the lifecycle enabled, the ACK covering our FIN
                 // promotes FIN-WAIT-1 → FIN-WAIT-2 (a FIN riding the
                 // same segment then lands in TIME_WAIT below).
-                if self.lifecycle_enabled
+                if self.clocked
                     && self.state == TcpState::FinWait
                     && self.fin_sent
                     && self.snd_una == self.snd_nxt
@@ -1758,6 +1828,7 @@ impl Tcb {
                 let fin_in_order = self.rcv_nxt == seg_end;
                 if h.flags.fin && !fin_in_order {
                     self.ack_pending = true;
+                    self.ack_now = true;
                 } else if h.flags.fin && self.state == TcpState::Established {
                     self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
                     self.peer_fin = true;
@@ -1780,7 +1851,7 @@ impl Tcb {
                     // retransmitted peer FIN still finds us and our
                     // final ACK can be regenerated); without it, the
                     // legacy direct close.
-                    self.state = if self.lifecycle_enabled {
+                    self.state = if self.clocked {
                         TcpState::TimeWait
                     } else {
                         TcpState::Closed
@@ -1903,15 +1974,18 @@ impl Tcb {
             dropped = true;
         }
         if ingested {
+            // Bytes accepted in front of a non-empty reassembly queue
+            // fill all or part of a hole: the sender is in recovery
+            // and needs to hear about it at once (RFC 5681 §4.2).
+            self.ack_now |= !self.ooo_q.is_empty();
             // The accepted bytes may have closed the hole in front of
             // the reassembly queue: drain every now-contiguous extent.
             self.ooo_drain(recycle);
-            // Delayed-ACK coalescing: the acknowledgement rides the
-            // next outgoing segment (or one pure ACK at poll time),
-            // so a burst of segments is answered once per poll, not
-            // once per segment.
+            // ACK coalescing: the acknowledgement rides the next
+            // outgoing segment (or one pure ACK when the poll-time
+            // policy says so), so a burst of segments is answered
+            // once per poll, not once per segment.
             self.ack_pending = true;
-            self.delack_segs = self.delack_segs.saturating_add(1);
         }
         if dropped {
             // Duplicate ACK: dropped or queued-out-of-order data
@@ -1923,6 +1997,7 @@ impl Tcb {
             // one dup-ACK, not N (`ack_pending` still guarantees the
             // cumulative position goes out).
             self.ack_pending = true;
+            self.ack_now = true;
             self.dup_acks += 1;
             self.dup_ack_now = true;
         }
@@ -2149,6 +2224,9 @@ impl Tcb {
         self.recv_q_len = 0;
         self.drain_recovery_queues(&mut recycle);
         self.ack_deadline_ns = None;
+        self.ack_pending = false;
+        self.ack_now = false;
+        self.wnd_update_due = false;
         self.out.clear();
     }
 
@@ -2233,9 +2311,9 @@ impl Tcb {
         }
     }
 
-    /// Reads up to `max` bytes the peer sent. Draining a buffer that had
-    /// advertised a zero window emits a window-update ACK so the peer's
-    /// transmission can resume.
+    /// Reads up to `max` bytes the peer sent. A drain that reopens the
+    /// receive window far enough owes the peer a window-update ACK so
+    /// its transmission can resume (rule c of the ACK policy).
     // ukcheck: allow(alloc) -- allocating convenience API; zero-copy
     // callers use `app_recv_into`/`app_recv_into_with`
     pub fn app_recv(&mut self, max: usize) -> Vec<u8> {
@@ -2297,15 +2375,23 @@ impl Tcb {
         Some(nb)
     }
 
-    /// Emits a window-update ACK when draining reopens a receive
-    /// window that had been advertised as zero.
+    /// Rule (c) of the ACK policy: owes the peer a window update when
+    /// draining moved the right edge it may send up to by at least
+    /// min(`RCV_BUF_CAP`/2, 2·MSS) past the one last advertised
+    /// (RFC 1122 §4.2.3.3's receiver-side SWS avoidance), or reopened
+    /// a window advertised as zero. Without it a sender that filled
+    /// the advertised window waits for an ACK nothing else triggers.
+    /// A flag rather than a queued segment, so a burst of drains is
+    /// answered with one update carrying the final window.
     fn window_update_after_drain(&mut self) {
-        if self.last_adv_wnd == 0 && self.state != TcpState::Closed {
-            self.emit(TcpFlags {
-                ack: true,
-                ..Default::default()
-            });
+        if self.wnd_update_due || self.state == TcpState::Closed {
+            return;
         }
+        let edge = self.rcv_nxt.wrapping_add(u32::from(self.rcv_window()));
+        let advertised = self.last_ack_sent.wrapping_add(u32::from(self.last_adv_wnd));
+        let gain = edge.wrapping_sub(advertised) as usize;
+        self.wnd_update_due =
+            self.last_adv_wnd == 0 || gain >= (RCV_BUF_CAP / 2).min(2 * self.mss);
     }
 
     /// Bytes available to read.
@@ -2313,11 +2399,14 @@ impl Tcb {
         self.recv_q_len
     }
 
-    /// Whether control output (ACKs, handshake segments) is queued —
-    /// the cheap "does a flush have anything to do" probe the netbuf
-    /// receive paths use to avoid a full output poll per buffer.
+    /// Whether control output (ACKs, window updates, handshake
+    /// segments) must leave at the next poll — the cheap "does a flush
+    /// have anything to do" probe the receive paths use to avoid a
+    /// full output poll per read. A held ACK is not pending control:
+    /// flushing on its account would send it ahead of the reply meant
+    /// to carry it.
     pub fn has_pending_control(&self) -> bool {
-        !self.out.is_empty() || self.dup_ack_now
+        !self.out.is_empty() || self.dup_ack_now || self.wnd_update_due
     }
 
     /// Monotonic count of bytes ever received (readiness progress).
@@ -2463,6 +2552,21 @@ impl Tcb {
         head
     }
 
+    /// Whether the pending ACK may be held for a data segment to carry
+    /// — the negation of rules (a)–(e) of the ACK policy (see
+    /// [`poll_output_chain_with`](Self::poll_output_chain_with)) and
+    /// of the clock gate. Duplicate, out-of-window and out-of-order
+    /// arrivals, hole fills, owed window updates and D-SACKs and the
+    /// hold timer all raise `ack_now`; a FIN moves the state off
+    /// `Established`.
+    fn ack_may_wait(&self) -> bool {
+        self.clocked
+            && !self.ack_now
+            && self.state == TcpState::Established
+            && self.ooo_q.is_empty()
+            && self.rcv_nxt.wrapping_sub(self.last_ack_sent) as usize <= self.mss
+    }
+
     /// Streams pending transmission through `emit`: queued control
     /// segments first, then segmentation of queued data (chunks of up
     /// to `max_seg` bytes, capped by the peer's receive window, PSH on
@@ -2482,16 +2586,55 @@ impl Tcb {
     /// super-segment at the window edge exactly like an MSS segment:
     /// the tail stays queued, sequence numbers advance only past
     /// emitted bytes.
+    ///
+    /// # ACK policy
+    ///
+    /// Every segment emitted here carries the cumulative ACK. When
+    /// received data is unacknowledged and nothing else is leaving,
+    /// the one decision below holds the ACK up to [`DELACK_NS`] so the
+    /// next data segment — typically the reply — carries it (RFC 1122
+    /// §4.2.3.2), *unless* ([`ack_may_wait`](Self::ack_may_wait)):
+    ///
+    /// - (a) more than one MSS of in-order bytes is unacknowledged,
+    ///   counted in bytes since the last ACK sent, so a GRO run or a
+    ///   TSO super-frame counts for what it carries (RFC 5681 §4.2's
+    ///   "at least every second full-sized segment");
+    /// - (b) the reassembly queue is non-empty, the data filled all or
+    ///   part of a hole, or the segment was a duplicate or out of
+    ///   window (RFC 5681 §4.2: the sender's loss recovery runs on
+    ///   these ACKs);
+    /// - (c) the application's drain moved the advertised right edge
+    ///   by min(`RCV_BUF_CAP`/2, 2·MSS) or reopened a zero window
+    ///   (RFC 1122 §4.2.3.3) — a window-limited sender waits on it;
+    /// - (d) a FIN arrived, the connection is not `Established`, or a
+    ///   SACK/D-SACK block is owed (those ride pure ACKs only);
+    /// - (e) the hold timer fired
+    ///   ([`on_delack_timeout`](Self::on_delack_timeout)).
+    ///
+    /// Holding needs a timer to bound it, so only a clocked TCB
+    /// ([`set_clocked`](Self::set_clocked)) ever does; an unclocked
+    /// one acknowledges at every poll.
     pub fn poll_output_chain_with<T, F>(&mut self, max_seg: usize, mut take_buf: T, mut emit: F)
     where
         T: FnMut() -> Netbuf,
         F: FnMut(TcpHeader, Option<Netbuf>),
     {
         let mut emitted_ack = false;
+        if self.wnd_update_due {
+            self.wnd_update_due = false;
+            self.stat_window_updates += 1;
+            self.ack_pending = true;
+            self.ack_now = true;
+        }
         while let Some(h) = self.out.pop_front() {
             emitted_ack |= h.flags.ack;
             emit(h, None);
         }
+        // Whether the pending ACK ends up riding payload is read off
+        // these afterwards: every data emission below either advances
+        // `snd_nxt` or counts a retransmission.
+        let bare_ack = emitted_ack || self.dup_ack_now;
+        let (snd_nxt0, rtx0) = (self.snd_nxt, self.stat_retransmits);
         // Owed duplicate ACK: emitted as a *pure* ACK (the peer's
         // dup-ACK counter ignores segments with payload) with the
         // final cumulative position of the sweep, before any data —
@@ -2558,8 +2701,7 @@ impl Tcb {
                     debug_assert!(false, "rtx_q emptied between front() and pop_front()");
                     return;
                 };
-                let window = self.rcv_window();
-                self.last_adv_wnd = window;
+                let window = self.advertise();
                 let header = TcpHeader {
                     src_port: self.local_port,
                     dst_port: self.remote_port,
@@ -2594,8 +2736,7 @@ impl Tcb {
                     | TcpState::LastAck
             ) {
                 if let Some((start, _, nb)) = self.rtx_q.pop_back() {
-                    let window = self.rcv_window();
-                    self.last_adv_wnd = window;
+                    let window = self.advertise();
                     let header = TcpHeader {
                         src_port: self.local_port,
                         dst_port: self.remote_port,
@@ -2695,20 +2836,16 @@ impl Tcb {
                 self.closing = false;
             }
         }
-        // Ingested data still unacknowledged and no segment carried
-        // the cumulative ACK out: emit one pure ACK for the whole
-        // poll's worth of arrivals — unless delayed ACKs are on and
-        // this is a lone in-order segment, in which case the ACK is
-        // held for the delayed-ACK timer (a data segment queued
-        // before the deadline carries it out for free; a second
-        // arrival forces it — quick-ACK; the timer fires it at the
-        // latest).
-        if self.ack_pending && !emitted_ack && self.state != TcpState::Closed {
-            let defer = self.delack_enabled
-                && self.state == TcpState::Established
-                && !self.peer_fin
-                && self.delack_segs < DELACK_SEGS;
-            if defer {
+        // The ACK decision. Ingested data is still unacknowledged and
+        // no segment carried the cumulative ACK out: either the ACK
+        // may wait for a data segment to carry it — the hold timer
+        // bounds the wait — or one pure ACK answers the whole poll's
+        // worth of arrivals now.
+        if self.state == TcpState::Closed {
+            self.ack_pending = false;
+            self.ack_deadline_ns = None;
+        } else if self.ack_pending && !emitted_ack {
+            if self.ack_may_wait() {
                 if self.ack_deadline_ns.is_none() {
                     self.ack_deadline_ns = Some(self.now_ns.saturating_add(DELACK_NS));
                 }
@@ -2720,15 +2857,17 @@ impl Tcb {
                 emit(header, None);
                 emitted_ack = true;
             }
+        } else if self.ack_pending
+            && !bare_ack
+            && (self.snd_nxt != snd_nxt0 || self.stat_retransmits != rtx0)
+        {
+            self.stat_acks_piggybacked += 1;
         }
         if emitted_ack {
-            // The cumulative position went out: any held ACK is
-            // satisfied.
+            // The cumulative position went out: nothing is held.
             self.ack_deadline_ns = None;
-            self.delack_segs = 0;
             self.ack_pending = false;
-        } else if self.ack_deadline_ns.is_none() {
-            self.ack_pending = false;
+            self.ack_now = false;
         }
         // Arm the retransmission/persist timer: anything unacknowledged
         // in the sequence space (data, SYN, FIN) — or queued data
@@ -2744,8 +2883,9 @@ impl Tcb {
         }
         // RACK deadlines: nothing outstanding disarms everything; an
         // outstanding tail with no open episode is backed by the
-        // tail-loss probe (PTO of two SRTTs — well under the RTO
-        // floor, so a dropped last segment is probed, not timed out).
+        // tail-loss probe (PTO of two SRTTs plus the delayed-ACK
+        // allowance — well under the RTO floor, so a dropped last
+        // segment is probed, not timed out).
         if self.state == TcpState::Closed || self.snd_una == self.snd_nxt {
             self.reo_deadline_ns = None;
             self.tlp_deadline_ns = None;
@@ -2762,12 +2902,19 @@ impl Tcb {
                     | TcpState::LastAck
             )
         {
-            let pto = if self.srtt_ns > 0 {
+            let mut pto = if self.srtt_ns > 0 {
                 2 * self.srtt_ns
             } else {
                 RTO_INITIAL_NS / 2
-            };
-            self.tlp_deadline_ns = Some(self.now_ns.saturating_add(pto.max(TLP_MIN_NS)));
+            }
+            .max(TLP_MIN_NS);
+            // RFC 8985 §7.2: the ACK of a flight of at most one
+            // segment may be sitting out the peer's hold timer — allow
+            // for it, so a held ACK is never answered with a probe.
+            if self.bytes_in_flight() as usize <= self.mss {
+                pto += DELACK_NS;
+            }
+            self.tlp_deadline_ns = Some(self.now_ns.saturating_add(pto));
         }
         if pace_starved && self.pace_deadline_ns.is_none() {
             self.pace_deadline_ns = Some(
@@ -2841,8 +2988,7 @@ impl Tcb {
                 debug_assert!(false, "rtx_q index went stale during hole walk");
                 break;
             };
-            let window = self.rcv_window();
-            self.last_adv_wnd = window;
+            let window = self.advertise();
             let header = TcpHeader {
                 src_port: self.local_port,
                 dst_port: self.remote_port,

@@ -519,13 +519,28 @@ impl Network {
         moved
     }
 
-    /// Steps until no frames move (or `max_rounds` to bound livelock).
+    /// Steps until the wire is quiet (or `max_rounds` to bound
+    /// livelock): a step moved no frame *and* no attached stack went
+    /// into it holding an ACK. A held ACK is traffic that has not
+    /// happened yet — its peer keeps the unacknowledged tail (and the
+    /// pooled buffers behind it) until the hold timer releases it —
+    /// so on an idle wire the shared clock skips ahead to the earliest
+    /// such deadline instead of reporting quiet (idle time costs a
+    /// simulation nothing), and the released ACK gets its step to
+    /// cross. Without a shared clock to advance, the remaining rounds
+    /// are stepped as they are.
     pub fn run_until_quiet(&mut self, max_rounds: usize) -> usize {
         let mut total = 0;
+        let mut idle = false;
         for _ in 0..max_rounds {
+            let held = self.stacks.iter().filter_map(NetStack::held_ack_deadline).min();
+            if let (true, Some(deadline), Some(c)) = (idle, held, self.clock.as_ref()) {
+                c.advance_ns(deadline.saturating_sub(c.cycles_to_ns(c.now_cycles())));
+            }
             let moved = self.step();
             total += moved;
-            if moved == 0 {
+            idle = moved == 0;
+            if idle && held.is_none() {
                 break;
             }
         }

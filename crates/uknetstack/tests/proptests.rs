@@ -1203,11 +1203,12 @@ proptest! {
     }
 }
 
-// --- delayed ACK ≡ immediate ACK on delivery -------------------------
+// --- held ACK ≡ immediate ACK on delivery ----------------------------
 
-/// Runs one client→server transfer on a clocked two-node net with the
-/// delayed-ACK switch set as given; returns the bytes the server read.
-fn delack_transfer(delayed_ack: bool, data: &[u8]) -> Vec<u8> {
+/// Runs one client→server transfer on a two-node net — clocked (the
+/// ACK policy holds ACKs for a data segment to carry) or not (every
+/// poll acknowledges); returns the bytes the server read.
+fn delack_transfer(clocked: bool, data: &[u8]) -> Vec<u8> {
     use uknetdev::backend::VhostKind;
     use uknetdev::dev::{NetDev, NetDevConf};
     use uknetdev::VirtioNet;
@@ -1220,16 +1221,16 @@ fn delack_transfer(delayed_ack: bool, data: &[u8]) -> Vec<u8> {
         let tsc = Tsc::new(3_600_000_000);
         let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
         dev.configure(NetDevConf::default()).unwrap();
-        let mut cfg = StackConfig::node(n);
-        cfg.delayed_ack = delayed_ack;
-        NetStack::new(cfg, Box::new(dev))
+        NetStack::new(StackConfig::node(n), Box::new(dev))
     };
     let mut net = Network::new();
     net.attach(mk(1));
     net.attach(mk(2));
-    let clock = Tsc::new(1_000_000_000);
-    net.set_clock(&clock);
-    net.set_step_ns(1_000_000); // 1 ms per step: the delack cadence.
+    if clocked {
+        let clock = Tsc::new(1_000_000_000);
+        net.set_clock(&clock);
+        net.set_step_ns(1_000_000); // 1 ms per step: 40 steps per hold.
+    }
     let listener = net.stack(1).tcp_listen(80).unwrap();
     let client = net
         .stack(0)
@@ -1261,12 +1262,8 @@ fn delack_transfer(delayed_ack: bool, data: &[u8]) -> Vec<u8> {
             break;
         }
     }
-    // The final ACK may be parked on the delack timer (40 ms) — buy
-    // enough virtual time for it to fire before accounting for pools,
-    // since unacked tail data pins retransmit-queue buffers.
-    for _ in 0..64 {
-        net.step();
-    }
+    // The final ACK may still be held; `run_until_quiet` waits it
+    // out (the unacknowledged tail pins retransmit-queue buffers).
     net.run_until_quiet(64);
     assert_eq!(net.stack(0).pool_available(), Some(512), "client pool whole");
     assert_eq!(net.stack(1).pool_available(), Some(512), "server pool whole");
@@ -1276,22 +1273,210 @@ fn delack_transfer(delayed_ack: bool, data: &[u8]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Delayed ACKs change when acknowledgements travel, never what
+    /// Holding ACKs changes when acknowledgements travel, never what
     /// the application receives: for arbitrary payloads, delivery is
-    /// byte-identical with the switch on and off, and neither mode
-    /// leaks a buffer.
+    /// byte-identical on a clocked net (ACKs held) and an unclocked
+    /// one (ACKs immediate), and neither leaks a buffer.
     #[test]
-    fn delayed_ack_delivery_is_byte_identical(
+    fn held_ack_delivery_is_byte_identical(
         len in 1usize..60_000,
         seed in any::<u8>(),
     ) {
         let data: Vec<u8> = (0..len)
             .map(|i| ((i as u32).wrapping_mul(23).wrapping_add(seed as u32) % 251) as u8)
             .collect();
-        let with = delack_transfer(true, &data);
-        let without = delack_transfer(false, &data);
-        prop_assert_eq!(&with, &data, "delayed-ACK stream exact");
-        prop_assert_eq!(with, without, "identical delivery either way");
+        let held = delack_transfer(true, &data);
+        let immediate = delack_transfer(false, &data);
+        prop_assert_eq!(&held, &data, "held-ACK stream exact");
+        prop_assert_eq!(held, immediate, "identical delivery either way");
+    }
+}
+
+// --- ACK policy ≡ its reference --------------------------------------
+
+/// What the reference knows about a receiver: which chunks of the
+/// peer's stream arrived, what the application drained, and what the
+/// receiver's own segments last told the peer — all observable from
+/// outside the TCB.
+struct AckModel {
+    /// Stream offset of each chunk (one past the last at the end).
+    offsets: Vec<usize>,
+    have: Vec<bool>,
+    /// First chunk not yet received: `offsets[next]` is `rcv_nxt`.
+    next: usize,
+    /// In-order bytes the application has not read yet.
+    queued: usize,
+    /// Cumulative ACK and window of the receiver's last segment.
+    acked: usize,
+    adv_wnd: usize,
+    /// When the oldest unacknowledged byte arrived.
+    unacked_since: Option<u64>,
+    /// Something since the last ACK forbids holding the next one.
+    ack_now: bool,
+}
+
+impl AckModel {
+    const WND_UPDATE: usize = 2 * uknetstack::tcp::MSS; // < RCV_BUF_CAP / 2.
+
+    fn rcv_nxt(&self) -> usize {
+        self.offsets[self.next]
+    }
+
+    fn reassembly_queued(&self) -> bool {
+        self.have[self.next..].iter().any(|&h| h)
+    }
+
+    /// Rules (a)–(e) of the ACK policy, stated independently: may the
+    /// ACK of what has arrived wait for a segment to carry it?
+    fn may_hold(&self) -> bool {
+        let unacked = self.rcv_nxt() - self.acked;
+        unacked <= uknetstack::tcp::MSS // (a) at most one MSS, in bytes
+            && !self.reassembly_queued() // (b), and (d)'s owed SACK
+            && !self.ack_now // (b) dup/hole fill, (c), (d) D-SACK, (e)
+    }
+
+    /// A chunk arrives: duplicates, arrivals ahead of a hole and hole
+    /// fills all forbid holding (rule b).
+    fn arrive(&mut self, idx: usize, now: u64) {
+        self.ack_now |= idx != self.next || self.reassembly_queued();
+        if idx >= self.next {
+            self.have[idx] = true;
+        }
+        let before = self.rcv_nxt();
+        while self.next < self.have.len() && self.have[self.next] {
+            self.next += 1;
+        }
+        self.queued += self.rcv_nxt() - before;
+        if self.rcv_nxt() > self.acked {
+            self.unacked_since.get_or_insert(now);
+        }
+    }
+
+    /// The application reads `n` bytes: rule (c) compares the right
+    /// edge the peer was last told with the one it could be told now.
+    fn drain(&mut self, n: usize) {
+        self.queued -= n;
+        let cap = uknetstack::tcp::RCV_BUF_CAP;
+        let gain = (self.rcv_nxt() + cap - self.queued) - (self.acked + self.adv_wnd);
+        self.ack_now |= n > 0 && (self.adv_wnd == 0 || gain >= Self::WND_UPDATE);
+    }
+}
+
+proptest! {
+    /// The ACK decision against its reference, over arbitrary arrival
+    /// (in order, ahead of a hole, duplicated), drain, reply and
+    /// waiting schedules on a clocked TCB: after every event the TCB
+    /// holds an ACK exactly when the reference says it may, and in
+    /// particular never with the reassembly queue non-empty, never
+    /// with more than one MSS unacknowledged, and never past
+    /// `DELACK_NS` after the oldest unacknowledged byte arrived.
+    #[test]
+    fn ack_policy_matches_reference(
+        sizes in proptest::collection::vec(1usize..1461, 24..25),
+        ops in proptest::collection::vec((0u8..12, 0usize..4096), 1..80),
+        fin in any::<bool>(),
+    ) {
+        use uknetstack::tcp::{DELACK_NS, MSS, RCV_BUF_CAP};
+        let mut server = Tcb::listen(80);
+        let mut client = Tcb::connect(5000, 80, 1_000);
+        pump(&mut client, &mut server);
+        prop_assert_eq!(server.state, TcpState::Established);
+        server.set_clocked(true);
+        let base = server.rcv_nxt();
+        let peer_ack = server.snd_nxt();
+        let mut offsets = vec![0usize];
+        for s in &sizes {
+            offsets.push(offsets[offsets.len() - 1] + s);
+        }
+        let mut m = AckModel {
+            offsets,
+            have: vec![false; sizes.len()],
+            next: 0,
+            queued: 0,
+            acked: 0,
+            adv_wnd: RCV_BUF_CAP,
+            unacked_since: None,
+            ack_now: false,
+        };
+        let payload = [0x5Au8; MSS];
+        let mut now = 1_000_000u64;
+        let arrive = |server: &mut Tcb, m: &AckModel, idx: usize, fin: bool| {
+            let h = TcpHeader {
+                src_port: 5000,
+                dst_port: 80,
+                seq: base.wrapping_add(m.offsets[idx] as u32),
+                ack: peer_ack,
+                flags: TcpFlags { ack: true, psh: true, fin, ..TcpFlags::default() },
+                window: 65535,
+            };
+            let len = if fin { 0 } else { m.offsets[idx + 1] - m.offsets[idx] };
+            server.on_segment(&h, &payload[..len]);
+        };
+        for &(kind, arg) in &ops {
+            server.set_now(now);
+            let mut replied = false;
+            match kind {
+                // In-order arrival, ahead of a hole, or a duplicate.
+                0..=5 if m.next < sizes.len() => {
+                    let idx = match kind {
+                        0..=3 => m.next,
+                        4 => (m.next + 1 + arg % 2).min(sizes.len() - 1),
+                        _ => arg % (m.next + 1),
+                    };
+                    arrive(&mut server, &m, idx, false);
+                    m.arrive(idx, now);
+                }
+                6 | 7 => {
+                    let n = (arg * 8).min(m.queued);
+                    prop_assert_eq!(server.app_recv(n).len(), n);
+                    m.drain(n);
+                }
+                8 | 9 => {
+                    now += (1 + arg as u64 % 30) * 1_000_000;
+                    server.set_now(now);
+                    if server.ack_deadline().is_some_and(|d| d <= now) {
+                        // Rule (e): the stack's wheel would fire now.
+                        prop_assert!(server.on_delack_timeout());
+                        m.ack_now = true;
+                    }
+                }
+                10 => {
+                    prop_assert_eq!(server.app_send(&payload[..1 + arg % 200]), Ok(1 + arg % 200));
+                    replied = true;
+                }
+                _ => {}
+            }
+            let owed = m.rcv_nxt() > m.acked || m.ack_now;
+            let expect_hold = owed && m.may_hold() && !replied;
+            let out = server.poll_output();
+            if let Some(last) = out.iter().rev().find(|s| s.header.flags.ack) {
+                prop_assert_eq!(last.header.ack, base.wrapping_add(m.rcv_nxt() as u32));
+                m.acked = m.rcv_nxt();
+                m.adv_wnd = last.header.window as usize;
+                m.unacked_since = None;
+                m.ack_now = false;
+            }
+            prop_assert_eq!(
+                out.is_empty(),
+                !replied && (expect_hold || !owed),
+                "an ACK leaves exactly when one is owed and may not wait (op {}/{})", kind, arg
+            );
+            prop_assert_eq!(server.ack_deadline().is_some(), expect_hold, "op {}/{}", kind, arg);
+            if let Some(deadline) = server.ack_deadline() {
+                prop_assert!(!m.reassembly_queued(), "held over a hole");
+                prop_assert!(m.rcv_nxt() - m.acked <= MSS, "held with more than one MSS unacked");
+                let since = m.unacked_since.expect("a held ACK acknowledges something");
+                prop_assert!(deadline <= since + DELACK_NS, "held past DELACK_NS");
+                prop_assert!(deadline > now, "a due ACK was fired above");
+            }
+        }
+        if fin && !m.reassembly_queued() && m.next < sizes.len() {
+            // Rule (d): a FIN is acknowledged at once, whatever was held.
+            arrive(&mut server, &m, m.next, true);
+            let out = server.poll_output();
+            prop_assert!(out.iter().any(|s| s.header.flags.ack));
+            prop_assert_eq!(server.ack_deadline(), None);
+        }
     }
 }
 
