@@ -60,21 +60,17 @@ verify-churn:
 lint:
 	$(CARGO) run -q --release -p ukcheck -- --root $(CURDIR)
 
-## The dynamic counterpart of `lint`: the pool suites with the
-## `netbuf-sanitizer` feature on, so double-recycle, cross-pool
-## give-back, use-after-recycle and end-of-test leaks panic at the
-## faulting site instead of surfacing as downstream corruption. The
+## The dynamic counterpart of `lint`: every `uknetdev` and `uknetstack`
+## test target with the `netbuf-sanitizer` feature on, so double-recycle,
+## cross-pool give-back, use-after-recycle and end-of-test leaks panic
+## at the faulting site instead of surfacing as downstream corruption —
+## anywhere a test drives the datapath, not in a hand-picked few. The
 ## zero_alloc guard runs sanitized too — poisoning is a byte fill and
 ## provenance is `&'static Location`, so even the sanitized pool must
-## circulate without touching the heap. It runs on one thread: the
-## allocation counter is process-wide, and with the slower sanitized
-## tests libtest's own bookkeeping for a sibling test (thread spawn,
-## result line) lands inside a measured window about one run in two.
+## circulate without touching the heap.
 verify-sanitize:
 	$(CARGO) test -q -p uknetdev --features netbuf-sanitizer
-	$(CARGO) test -q -p uknetstack --features netbuf-sanitizer --lib
-	$(CARGO) test -q -p uknetstack --features netbuf-sanitizer --test zero_alloc -- --test-threads=1
-	$(CARGO) test -q -p uknetstack --features netbuf-sanitizer --test tcp_recovery
+	$(CARGO) test -q -p uknetstack --features netbuf-sanitizer
 
 ## The full sweep: every workspace crate's unit, integration and prop
 ## tests, the static invariant lint, the sanitized pool suites, plus

@@ -1,7 +1,9 @@
-//! Allocation statistics shared by all backends, plus a process-wide
-//! heap-allocation counter for asserting allocation-free hot paths.
+//! Allocation statistics shared by all backends, plus process-wide and
+//! per-thread heap-allocation counters for asserting allocation-free
+//! hot paths.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters every backend maintains; the basis of the memory-footprint
@@ -52,12 +54,32 @@ static HEAP_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of heap frees.
 static HEAP_FREES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// The calling thread's share of [`HEAP_ALLOCS`]: what
+    /// [`AllocCounter`] reads, so a measured window sees only the work
+    /// of the thread that opened it — not a test harness reporting a
+    /// sibling test on its own thread meanwhile.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The calling thread's share of [`HEAP_FREES`].
+    static THREAD_FREES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+}
+
+fn count_free() {
+    HEAP_FREES.fetch_add(1, Ordering::Relaxed);
+    THREAD_FREES.with(|c| c.set(c.get() + 1));
+}
+
 /// A counting wrapper around the system allocator.
 ///
 /// Install it as the binary's global allocator to make
-/// [`AllocCounter`] observe every heap allocation the process
-/// performs — reallocations count as allocations, frees are tracked
-/// separately:
+/// [`heap_alloc_count`] observe every heap allocation the process
+/// performs and [`AllocCounter`] every one the calling thread performs
+/// — reallocations count as allocations, frees are tracked separately:
 ///
 /// ```ignore
 /// #[global_allocator]
@@ -74,18 +96,20 @@ pub struct CountingAlloc;
 // SAFETY: a pure pass-through to `std::alloc::System` — every method
 // forwards its arguments unchanged, so `System`'s own `GlobalAlloc`
 // contract (layout validity, pointer provenance, no unwinding) is
-// upheld verbatim; the counter bumps are side-effect-free atomics.
+// upheld verbatim; the counter bumps are relaxed atomics and plain
+// thread-local integers (const-initialised, no destructor, so they are
+// reachable for a thread's whole life and never allocate themselves).
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract (non-zero
     // sized, valid layout); we forward it to `System` untouched.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     // SAFETY: same pass-through contract as `alloc` above.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 
@@ -95,15 +119,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // "allocation-free hot path" claims are concerned, paired with
     // a free of the old block so allocs/frees stay balanced.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        HEAP_FREES.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
+        count_free();
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: caller guarantees `ptr`/`layout` match the original
     // allocation (the `GlobalAlloc::dealloc` contract); forwarded.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        HEAP_FREES.fetch_add(1, Ordering::Relaxed);
+        count_free();
         System.dealloc(ptr, layout)
     }
 }
@@ -141,9 +165,11 @@ pub fn publish_alloc_stats(stats: &AllocStats) {
     ukstats::Gauge::register("ukalloc.meta_bytes").set(stats.meta_bytes as u64);
 }
 
-/// A scoped view over the global heap counters: snapshot at
+/// A scoped view over the calling thread's heap counters: snapshot at
 /// [`start`](AllocCounter::start), read the delta with
-/// [`allocs`](AllocCounter::allocs).
+/// [`allocs`](AllocCounter::allocs) on the same thread. Other threads'
+/// allocations do not show, so tests that libtest runs side by side can
+/// each assert an exact count.
 #[derive(Debug, Clone, Copy)]
 pub struct AllocCounter {
     start_allocs: u64,
@@ -151,22 +177,22 @@ pub struct AllocCounter {
 }
 
 impl AllocCounter {
-    /// Snapshots the counters.
+    /// Snapshots the calling thread's counters.
     pub fn start() -> Self {
         AllocCounter {
-            start_allocs: heap_alloc_count(),
-            start_frees: heap_free_count(),
+            start_allocs: THREAD_ALLOCS.get(),
+            start_frees: THREAD_FREES.get(),
         }
     }
 
-    /// Heap allocations since the snapshot.
+    /// Heap allocations this thread made since the snapshot.
     pub fn allocs(&self) -> u64 {
-        heap_alloc_count() - self.start_allocs
+        THREAD_ALLOCS.get() - self.start_allocs
     }
 
-    /// Heap frees since the snapshot.
+    /// Heap frees this thread made since the snapshot.
     pub fn frees(&self) -> u64 {
-        heap_free_count() - self.start_frees
+        THREAD_FREES.get() - self.start_frees
     }
 
     /// Runs `f` and returns its result plus the allocations it

@@ -3,10 +3,12 @@
 //! "In order to develop application-independent network drivers while
 //! using the application's or network stack's memory management we
 //! introduce a network packet buffer wrapper structure called
-//! `uk_netbuf`" (§3.1). The struct carries the metadata the driver needs
-//! (headroom, length) while the *allocation policy* stays with the
-//! application: performance-critical code uses a pre-allocated
-//! [`NetbufPool`], memory-frugal code allocates from the heap.
+//! `uk_netbuf`" (§3.1). The descriptor carries the metadata the driver
+//! needs (headroom, length) while the *allocation policy* stays with
+//! the application: performance-critical code uses a pre-allocated
+//! [`NetbufPool`], memory-frugal code allocates from the heap. Like
+//! `struct uk_netbuf *`, a [`Netbuf`] is passed around as one pointer:
+//! the descriptor and the bytes stay where they were allocated.
 //!
 //! # The headroom/ownership model
 //!
@@ -89,8 +91,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bytes::BytesMut;
-
 /// Monotonic source of pool identities (so a buffer can never be
 /// returned to a pool it did not come from).
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
@@ -128,10 +128,8 @@ struct SlotSan {
 /// (the transport header + payload — prepending more headers in front
 /// later does not move the region relative to the tail) and stores it
 /// at `field_off` within that region.
-/// Field widths are deliberately narrow (a checksum region is at most
-/// one frame) so the `Option<CsumRequest>` rides in one word of the
-/// [`Netbuf`] — the struct is moved through rings and staging vectors
-/// constantly, and its size is hot-path relevant.
+/// Field widths are narrow (a checksum region is at most one frame), so
+/// the `Option<CsumRequest>` takes one word of the descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsumRequest {
     /// Bytes covered, counted back from the end of the payload (the
@@ -182,11 +180,46 @@ pub struct TcpHold {
     pub sent_ns: u64,
 }
 
-/// A packet buffer with driver metadata.
+/// A packet buffer: an owning, pointer-sized **handle** to one
+/// heap-resident descriptor — `struct uk_netbuf *` with Rust ownership.
+///
+/// Three things make up a buffer, and only the first ever moves:
+///
+/// - the **handle** (`Netbuf`, one word): what rings, staging vectors,
+///   socket queues and fragment lists store and pass. A hop between
+///   layers copies eight bytes, whatever the descriptor grows to;
+/// - the **descriptor** (`Desc`, private): `uk_netbuf`'s metadata —
+///   data offset and length (`data`/`len`), pool slot and identity
+///   (`priv`), the pending [`CsumRequest`]/[`GsoRequest`]
+///   (`virtio_net_hdr`'s fields), the RX checksum mark, the
+///   [`TcpHold`] and the fragment list (`next`). Allocated once, with
+///   the buffer;
+/// - the **storage** (`buf`/`buflen`): headroom + payload + tailroom,
+///   one boxed slice owned by the descriptor.
+///
+/// Descriptor and storage are allocated when the buffer is built — by
+/// [`NetbufPool`] construction or [`Netbuf::alloc`] — and freed when the
+/// handle drops; nothing is allocated, freed or relocated per packet.
+/// Every accessor is a method on the handle itself (no `Deref` to the
+/// descriptor), so `nb.request_csum(nb.len(), 16)` borrows as it would
+/// on a plain struct.
 #[derive(Debug)]
 pub struct Netbuf {
+    desc: Box<Desc>,
+}
+
+// A fat descriptor must not creep back into the type every ring, queue
+// and stage stores by value (`Option` must stay free: the pool's slots
+// and every `pop` are `Option<Netbuf>`).
+const _: () = assert!(
+    size_of::<Netbuf>() == size_of::<usize>() && size_of::<Option<Netbuf>>() == size_of::<usize>()
+);
+
+/// The per-buffer descriptor behind a [`Netbuf`] handle.
+#[derive(Debug)]
+struct Desc {
     /// Backing storage (headroom + payload + tailroom).
-    data: BytesMut,
+    data: Box<[u8]>,
     /// Offset of the packet start (headroom in front).
     offset: usize,
     /// Payload length.
@@ -207,42 +240,44 @@ pub struct Netbuf {
     /// must route it back to the owning connection's retransmission
     /// queue, not the pool.
     tcp_hold: Option<TcpHold>,
-    /// Scatter-gather fragments owned by this (head) buffer.
+    /// Scatter-gather fragments owned by this (head) buffer — one word
+    /// per reserved slot.
     frags: Vec<Netbuf>,
 }
 
 impl Netbuf {
     /// Allocates a standalone (heap) netbuf with `cap` bytes of storage
-    /// and `headroom` reserved in front.
+    /// and `headroom` reserved in front: two allocations, descriptor
+    /// and storage.
     // ukcheck: allow(alloc) -- the explicit heap-buffer constructor: pools
     // call it at build time, and the memory-frugal path allocates here by
     // design (§3.1); the steady-state datapath only circulates pooled bufs
     pub fn alloc(cap: usize, headroom: usize) -> Self {
         assert!(headroom <= cap, "headroom exceeds capacity");
-        let mut data = BytesMut::with_capacity(cap);
-        data.resize(cap, 0);
         Netbuf {
-            data,
-            offset: headroom,
-            len: 0,
-            pool_slot: None,
-            pool_id: 0,
-            csum: None,
-            gso: None,
-            csum_verified: false,
-            tcp_hold: None,
-            frags: Vec::new(),
+            desc: Box::new(Desc {
+                data: vec![0u8; cap].into_boxed_slice(),
+                offset: headroom,
+                len: 0,
+                pool_slot: None,
+                pool_id: 0,
+                csum: None,
+                gso: None,
+                csum_verified: false,
+                tcp_hold: None,
+                frags: Vec::new(),
+            }),
         }
     }
 
     /// Current payload.
     pub fn payload(&self) -> &[u8] {
-        &self.data[self.offset..self.offset + self.len]
+        &self.desc.data[self.desc.offset..self.desc.offset + self.desc.len]
     }
 
     /// Mutable payload.
     pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.data[self.offset..self.offset + self.len]
+        &mut self.desc.data[self.desc.offset..self.desc.offset + self.desc.len]
     }
 
     /// Sets the payload, copying `bytes` in after the headroom.
@@ -252,11 +287,11 @@ impl Netbuf {
     /// Panics if `bytes` does not fit.
     pub fn set_payload(&mut self, bytes: &[u8]) {
         assert!(
-            self.offset + bytes.len() <= self.data.len(),
+            self.desc.offset + bytes.len() <= self.desc.data.len(),
             "payload too large"
         );
-        self.data[self.offset..self.offset + bytes.len()].copy_from_slice(bytes);
-        self.len = bytes.len();
+        self.desc.data[self.desc.offset..self.desc.offset + bytes.len()].copy_from_slice(bytes);
+        self.desc.len = bytes.len();
     }
 
     /// Appends `bytes` into the tailroom (payload body write).
@@ -265,13 +300,13 @@ impl Netbuf {
     ///
     /// Panics if the tailroom is too small.
     pub fn append(&mut self, bytes: &[u8]) {
-        let end = self.offset + self.len;
+        let end = self.desc.offset + self.desc.len;
         assert!(
-            end + bytes.len() <= self.data.len(),
+            end + bytes.len() <= self.desc.data.len(),
             "insufficient tailroom"
         );
-        self.data[end..end + bytes.len()].copy_from_slice(bytes);
-        self.len += bytes.len();
+        self.desc.data[end..end + bytes.len()].copy_from_slice(bytes);
+        self.desc.len += bytes.len();
     }
 
     /// Sets the payload length without copying (zero-copy fill).
@@ -280,34 +315,37 @@ impl Netbuf {
     ///
     /// Panics if `len` exceeds the space after the headroom.
     pub fn set_len(&mut self, len: usize) {
-        assert!(self.offset + len <= self.data.len(), "len too large");
-        self.len = len;
+        assert!(
+            self.desc.offset + len <= self.desc.data.len(),
+            "len too large"
+        );
+        self.desc.len = len;
     }
 
     /// Shrinks the payload to at most `len` bytes (drops the tail; used
     /// to discard Ethernet padding after decoding a length field).
     pub fn truncate(&mut self, len: usize) {
-        self.len = self.len.min(len);
+        self.desc.len = self.desc.len.min(len);
     }
 
     /// Payload length.
     pub fn len(&self) -> usize {
-        self.len
+        self.desc.len
     }
 
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.desc.len == 0
     }
 
     /// Remaining headroom in front of the payload.
     pub fn headroom(&self) -> usize {
-        self.offset
+        self.desc.offset
     }
 
     /// Remaining tailroom behind the payload.
     pub fn tailroom(&self) -> usize {
-        self.data.len() - self.offset - self.len
+        self.desc.data.len() - self.desc.offset - self.desc.len
     }
 
     /// Prepends `bytes` into the headroom (protocol header push).
@@ -328,11 +366,11 @@ impl Netbuf {
     ///
     /// Panics if the headroom is too small.
     pub fn push_header_uninit(&mut self, n: usize) -> &mut [u8] {
-        assert!(n <= self.offset, "insufficient headroom");
-        self.offset -= n;
-        self.len += n;
-        let off = self.offset;
-        &mut self.data[off..off + n]
+        assert!(n <= self.desc.offset, "insufficient headroom");
+        self.desc.offset -= n;
+        self.desc.len += n;
+        let off = self.desc.offset;
+        &mut self.desc.data[off..off + n]
     }
 
     /// Strips `n` bytes from the front (protocol header pull).
@@ -341,24 +379,24 @@ impl Netbuf {
     ///
     /// Panics if `n` exceeds the payload.
     pub fn pull_header(&mut self, n: usize) {
-        assert!(n <= self.len, "pull beyond payload");
-        self.offset += n;
-        self.len -= n;
+        assert!(n <= self.desc.len, "pull beyond payload");
+        self.desc.offset += n;
+        self.desc.len -= n;
     }
 
     /// Total storage capacity.
     pub fn capacity(&self) -> usize {
-        self.data.len()
+        self.desc.data.len()
     }
 
     /// Pool slot, if this buffer belongs to a pool.
     pub fn pool_slot(&self) -> Option<usize> {
-        self.pool_slot
+        self.desc.pool_slot
     }
 
     /// Whether this buffer came from a pool (and must be recycled).
     pub fn is_pooled(&self) -> bool {
-        self.pool_slot.is_some()
+        self.desc.pool_slot.is_some()
     }
 
     /// Resets to an empty buffer with `headroom` reserved. The caller
@@ -367,14 +405,17 @@ impl Netbuf {
     ///
     /// [`pop_frag`]: Netbuf::pop_frag
     pub fn reset(&mut self, headroom: usize) {
-        assert!(headroom <= self.data.len());
-        debug_assert!(self.frags.is_empty(), "reset with live chain fragments");
-        self.offset = headroom;
-        self.len = 0;
-        self.csum = None;
-        self.gso = None;
-        self.csum_verified = false;
-        self.tcp_hold = None;
+        assert!(headroom <= self.desc.data.len());
+        debug_assert!(
+            self.desc.frags.is_empty(),
+            "reset with live chain fragments"
+        );
+        self.desc.offset = headroom;
+        self.desc.len = 0;
+        self.desc.csum = None;
+        self.desc.gso = None;
+        self.desc.csum_verified = false;
+        self.desc.tcp_hold = None;
     }
 
     /// Attaches a checksum-offload request: the device must compute
@@ -388,7 +429,7 @@ impl Netbuf {
     pub fn request_csum(&mut self, region_len: usize, field_off: usize) {
         assert!(region_len <= self.chain_len(), "csum region beyond payload");
         assert!(field_off + 2 <= region_len, "csum field outside region");
-        self.csum = Some(CsumRequest {
+        self.desc.csum = Some(CsumRequest {
             region_len: region_len as u32,
             field_off: field_off as u16,
         });
@@ -396,13 +437,13 @@ impl Netbuf {
 
     /// The pending checksum-offload request, if any.
     pub fn csum_request(&self) -> Option<CsumRequest> {
-        self.csum
+        self.desc.csum
     }
 
     /// Takes the pending checksum-offload request (the device calls
     /// this when it completes the checksum).
     pub fn take_csum_request(&mut self) -> Option<CsumRequest> {
-        self.csum.take()
+        self.desc.csum.take()
     }
 
     /// Attaches a segmentation-offload request: the host side must cut
@@ -414,30 +455,30 @@ impl Netbuf {
     /// Panics if `mss` is zero.
     pub fn request_gso(&mut self, mss: u16) {
         assert!(mss > 0, "GSO with a zero mss");
-        self.gso = Some(GsoRequest { mss });
+        self.desc.gso = Some(GsoRequest { mss });
     }
 
     /// The pending segmentation-offload request, if any.
     pub fn gso_request(&self) -> Option<GsoRequest> {
-        self.gso
+        self.desc.gso
     }
 
     /// Takes the pending segmentation-offload request (whoever cuts
     /// the frame calls this).
     pub fn take_gso_request(&mut self) -> Option<GsoRequest> {
-        self.gso.take()
+        self.desc.gso.take()
     }
 
     /// Marks this received frame's checksums as validated by the
     /// wire/device (`VIRTIO_NET_F_GUEST_CSUM`): the stack may skip
     /// software verification.
     pub fn mark_csum_verified(&mut self) {
-        self.csum_verified = true;
+        self.desc.csum_verified = true;
     }
 
     /// Whether the wire/device validated this frame's checksums.
     pub fn csum_verified(&self) -> bool {
-        self.csum_verified
+        self.desc.csum_verified
     }
 
     /// Clears the checksum-validated mark. A wire model that mutates
@@ -445,14 +486,14 @@ impl Netbuf {
     /// mark so the receiver falls back to software verification and
     /// actually catches the damage.
     pub fn clear_csum_verified(&mut self) {
-        self.csum_verified = false;
+        self.desc.csum_verified = false;
     }
 
     /// Tags this frame's payload as unacknowledged TCP data (see
     /// [`TcpHold`]). Set by the stack when it emits a data frame;
     /// `sent_ns` stamps the transmission on the virtual clock.
     pub fn set_tcp_hold(&mut self, conn: u64, seq: u32, payload_len: u32, sent_ns: u64) {
-        self.tcp_hold = Some(TcpHold {
+        self.desc.tcp_hold = Some(TcpHold {
             conn,
             seq,
             payload_len,
@@ -462,13 +503,13 @@ impl Netbuf {
 
     /// The retransmission hold, if any.
     pub fn tcp_hold(&self) -> Option<TcpHold> {
-        self.tcp_hold
+        self.desc.tcp_hold
     }
 
     /// Takes the retransmission hold (the recycle interception calls
     /// this exactly once per returning frame).
     pub fn take_tcp_hold(&mut self) -> Option<TcpHold> {
-        self.tcp_hold.take()
+        self.desc.tcp_hold.take()
     }
 
     // --- Scatter-gather chains ---------------------------------------
@@ -480,35 +521,35 @@ impl Netbuf {
     ///
     /// Panics if `frag` itself has fragments (chains never nest).
     pub fn chain_append(&mut self, frag: Netbuf) {
-        assert!(frag.frags.is_empty(), "chain fragments never nest");
-        self.frags.push(frag);
+        assert!(frag.desc.frags.is_empty(), "chain fragments never nest");
+        self.desc.frags.push(frag);
     }
 
     /// Whether this buffer heads a chain.
     pub fn has_frags(&self) -> bool {
-        !self.frags.is_empty()
+        !self.desc.frags.is_empty()
     }
 
     /// Buffers in the chain (1 for an unchained buffer).
     pub fn frag_count(&self) -> usize {
-        1 + self.frags.len()
+        1 + self.desc.frags.len()
     }
 
     /// Total payload bytes across the whole chain.
     pub fn chain_len(&self) -> usize {
-        self.len + self.frags.iter().map(|f| f.len).sum::<usize>()
+        self.desc.len + self.desc.frags.iter().map(|f| f.desc.len).sum::<usize>()
     }
 
     /// The chain payload as its contiguous extents, head first.
     pub fn chain_segments(&self) -> impl Iterator<Item = &[u8]> {
-        std::iter::once(self.payload()).chain(self.frags.iter().map(|f| f.payload()))
+        std::iter::once(self.payload()).chain(self.desc.frags.iter().map(|f| f.payload()))
     }
 
     /// Pops the last fragment off the chain (recycling walks the chain
     /// with this until `None`, returning each buffer to its pool; the
     /// fragment list's capacity stays with the head for reuse).
     pub fn pop_frag(&mut self) -> Option<Netbuf> {
-        self.frags.pop()
+        self.desc.frags.pop()
     }
 
     /// Detaches every fragment into `out` in chain order, leaving the
@@ -519,7 +560,7 @@ impl Netbuf {
     /// flattened this way still builds chains allocation-free after
     /// recycling.
     pub fn take_frags_into(&mut self, out: &mut Vec<Netbuf>) {
-        out.extend(self.frags.drain(..));
+        out.append(&mut self.desc.frags);
     }
 
     /// Allocates a standalone (heap) netbuf holding exactly `bytes`,
@@ -537,19 +578,19 @@ impl Netbuf {
     /// allocates).
     pub fn reserve_frags(&mut self, n: usize) {
         // ukcheck: allow(alloc) -- called once per buffer at pool construction
-        self.frags.reserve(n);
+        self.desc.frags.reserve(n);
     }
 
     /// Overwrites the whole storage with the sanitizer poison pattern.
     #[cfg(feature = "netbuf-sanitizer")]
     fn poison(&mut self) {
-        self.data.fill(SANITIZER_POISON);
+        self.desc.data.fill(SANITIZER_POISON);
     }
 
     /// Whether the storage is still wall-to-wall poison.
     #[cfg(feature = "netbuf-sanitizer")]
     fn poison_intact(&self) -> bool {
-        self.data.iter().all(|&b| b == SANITIZER_POISON)
+        self.desc.data.iter().all(|&b| b == SANITIZER_POISON)
     }
 }
 
@@ -563,6 +604,15 @@ impl Netbuf {
 /// through rings and sockets, and recycled with [`give_back`] — the
 /// pool is the reason the datapath performs zero heap allocations per
 /// packet.
+///
+/// Construction is the only time the pool allocates: per buffer one
+/// descriptor, one storage slice and (for
+/// [`with_chain_capacity`](Self::with_chain_capacity)) one fragment
+/// list of `chain_frags` one-word handles, plus the slot table and the
+/// free list. A slot holds the buffer's handle while it is home and
+/// `None` while it is out, so [`take`](Self::take) and [`give_back`]
+/// move one word each; the descriptor and the storage never move, and
+/// the `netbuf-sanitizer` provenance stays in the pool, keyed by slot.
 ///
 /// [`give_back`]: NetbufPool::give_back
 #[derive(Debug)]
@@ -605,8 +655,8 @@ impl NetbufPool {
         let mut free = Vec::with_capacity(count);
         for slot in 0..count {
             let mut nb = Netbuf::alloc(cap, headroom);
-            nb.pool_slot = Some(slot);
-            nb.pool_id = id;
+            nb.desc.pool_slot = Some(slot);
+            nb.desc.pool_id = id;
             nb.reserve_frags(chain_frags);
             // Pool-resident storage is poison from birth, so the very
             // first take can already verify integrity.
@@ -663,7 +713,7 @@ impl NetbufPool {
 
     /// Whether `nb` was allocated by this pool.
     pub fn owns(&self, nb: &Netbuf) -> bool {
-        nb.pool_slot.is_some() && nb.pool_id == self.id
+        nb.desc.pool_slot.is_some() && nb.desc.pool_id == self.id
     }
 
     /// Returns a buffer to its slot. For a chain head, pop the
@@ -678,16 +728,16 @@ impl NetbufPool {
         // ukcheck: allow(panic) -- documented API contract: recycling a heap
         // buffer or a forged/duplicate slot is a caller bug the pool must
         // refuse loudly, not absorb.
-        let slot = nb.pool_slot.expect("netbuf is not pooled");
+        let slot = nb.desc.pool_slot.expect("netbuf is not pooled");
         #[cfg(feature = "netbuf-sanitizer")]
         {
-            if nb.pool_id != self.id {
+            if nb.desc.pool_id != self.id {
                 // ukcheck: allow(panic) -- the sanitizer exists to turn
                 // ownership violations into immediate loud failures
                 panic!(
                     "netbuf sanitizer: cross-pool give-back: buffer from pool {} \
                      (slot {slot}) returned to pool {}",
-                    nb.pool_id, self.id,
+                    nb.desc.pool_id, self.id,
                 );
             }
             if slot >= self.san.len() || !self.san[slot].live {
@@ -702,8 +752,11 @@ impl NetbufPool {
                 );
             }
         }
-        assert!(nb.pool_id == self.id, "netbuf belongs to another pool");
-        assert!(nb.frags.is_empty(), "give_back with live chain fragments");
+        assert!(nb.desc.pool_id == self.id, "netbuf belongs to another pool");
+        assert!(
+            nb.desc.frags.is_empty(),
+            "give_back with live chain fragments"
+        );
         assert!(self.bufs[slot].is_none(), "double give_back for slot {slot}");
         #[cfg(feature = "netbuf-sanitizer")]
         let nb = {
@@ -736,7 +789,7 @@ impl NetbufPool {
                     panic!(
                         "netbuf sanitizer: cross-pool give-back via chain: \
                          fragment from pool {} dropped into pool {}",
-                        frag.pool_id, self.id,
+                        frag.desc.pool_id, self.id,
                     );
                 }
             }
@@ -751,7 +804,7 @@ impl NetbufPool {
                 panic!(
                     "netbuf sanitizer: cross-pool give-back via chain: head \
                      from pool {} dropped into pool {}",
-                    nb.pool_id, self.id,
+                    nb.desc.pool_id, self.id,
                 );
             }
         }
@@ -1013,7 +1066,7 @@ mod tests {
         assert_eq!(out[1].payload(), b"two");
         // The head's reserved fragment capacity survives the detach
         // (steady-state chain building stays allocation-free).
-        assert!(head.frags.capacity() >= 4);
+        assert!(head.desc.frags.capacity() >= 4);
         for nb in out {
             pool.give_back(nb);
         }
@@ -1061,8 +1114,8 @@ mod tests {
         let slot = a.pool_slot().unwrap();
         // Forge a second buffer claiming the same slot.
         let mut forged = Netbuf::alloc(128, 0);
-        forged.pool_slot = Some(slot);
-        forged.pool_id = a.pool_id;
+        forged.desc.pool_slot = Some(slot);
+        forged.desc.pool_id = a.desc.pool_id;
         pool.give_back(a);
         pool.give_back(forged);
     }
@@ -1113,8 +1166,8 @@ mod tests {
         let a = pool.take().unwrap();
         let slot = a.pool_slot().unwrap();
         let mut forged = Netbuf::alloc(128, 0);
-        forged.pool_slot = Some(slot);
-        forged.pool_id = a.pool_id;
+        forged.desc.pool_slot = Some(slot);
+        forged.desc.pool_id = a.desc.pool_id;
         pool.give_back(a);
         pool.give_back(forged);
     }

@@ -410,6 +410,7 @@ impl NetDev for VirtioNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netbuf::NetbufPool;
     use std::cell::Cell;
     use std::rc::Rc;
 
@@ -440,6 +441,32 @@ mod tests {
         assert_eq!(dev.backend().tx_packets(), 16);
         let mut done = Vec::new();
         assert_eq!(dev.reclaim_tx(0, &mut done).unwrap(), 16);
+    }
+
+    /// A trip through the device moves the one-word handle from
+    /// container to container; descriptor and storage stay where the
+    /// pool built them.
+    #[test]
+    fn storage_stays_put_while_the_handle_travels() {
+        fn storage_addr(nb: &Netbuf) -> usize {
+            nb.payload().as_ptr() as usize - nb.headroom()
+        }
+        let (mut dev, _t) = mk(VhostKind::VhostUser);
+        let mut pool = NetbufPool::new(1, 2048, 64);
+        let mut nb = pool.take().unwrap();
+        let home = storage_addr(&nb);
+        nb.append(b"payload");
+        let mut batch = vec![nb];
+        assert_eq!(dev.tx_burst(0, &mut batch).unwrap().sent(), 1);
+        let mut done = Vec::new();
+        assert_eq!(dev.reclaim_tx(0, &mut done).unwrap(), 1);
+        let nb = done.pop().unwrap();
+        assert_eq!(storage_addr(&nb), home, "the ring moved the bytes");
+        assert_eq!(nb.payload(), b"payload");
+        pool.give_back(nb);
+        let again = pool.take().unwrap();
+        assert_eq!(storage_addr(&again), home, "recycling moved the bytes");
+        pool.give_back(again);
     }
 
     #[test]

@@ -98,6 +98,7 @@
 //! [`deliver_burst`]: NetStack::deliver_burst
 //! [`pump`]: NetStack::pump
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 
 use ukevent::{EventMask, ReadySource};
@@ -398,11 +399,26 @@ impl StackConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SocketHandle(pub usize);
 
+/// What a UDP socket's receive queue holds per datagram.
+type UdpQueued = (Endpoint, Netbuf);
+/// What `tcp_stage` holds per segment awaiting its next hop.
+type TcpStaged = (Ipv4Addr, Netbuf);
+/// What `gro_stage` holds per mergeable data segment.
+type GroStaged = (usize, TcpHeader, Netbuf);
+
+// The staging vectors and socket queues move their elements on every
+// push, drain and pop; the buffer rides in them as a one-word handle
+// and the rest is the key beside it. A fat descriptor must not creep
+// back in through any of them.
+const _: () = assert!(
+    size_of::<TcpStaged>() <= 16 && size_of::<GroStaged>() <= 48 && size_of::<UdpQueued>() <= 48
+);
+
 struct UdpSocket {
     port: u16,
     /// Received datagrams, held as the pooled buffers they arrived in
     /// (payload trimmed to the UDP body) — recycled on receive.
-    rx: VecDeque<(Endpoint, Netbuf)>,
+    rx: VecDeque<UdpQueued>,
     /// Monotonic count of datagrams ever enqueued (readiness progress).
     rx_total: u64,
 }
@@ -781,7 +797,7 @@ pub struct NetStack {
     /// Ethernet-ready frames staged for the next `tx_burst` (reused).
     tx_stage: Vec<Netbuf>,
     /// TCP segments staged during `flush_tcp`, pre-ARP (reused).
-    tcp_stage: Vec<(Ipv4Addr, Netbuf)>,
+    tcp_stage: Vec<TcpStaged>,
     /// RX burst scratch for `pump` (reused).
     rx_scratch: Vec<Netbuf>,
     /// Injection scratch for `deliver_frame` (reused).
@@ -808,7 +824,7 @@ pub struct NetStack {
     /// mergeable data segment of the burst being swept, in arrival
     /// order (flushed whenever ordering demands it and at the end of
     /// every burst; reused storage).
-    gro_stage: Vec<(usize, TcpHeader, Netbuf)>,
+    gro_stage: Vec<GroStaged>,
     /// The tail of the run being staged: a segment matching this flow
     /// at exactly this sequence number appends to the stage *without
     /// any demux-table lookup* — the GRO flow-match fast path (the
@@ -828,6 +844,14 @@ pub struct NetStack {
     /// (`pump` ticks every TCB when installed). No clock means no
     /// timer fires — the pre-loss-recovery behavior.
     clock: Option<ukplat::time::Tsc>,
+    /// The last `(cycles, ns)` pair [`now_ns`](Self::now_ns) converted.
+    /// The clock is read ~10× per request/response and moves only when
+    /// the wire or a timer wait advances it, so most reads repeat the
+    /// cycle count and skip the conversion's three divisions.
+    now_memo: Cell<(u64, u64)>,
+    /// The pool's low-water mark as last published to the
+    /// `pool_inflight_hiwater` gauge.
+    pool_low_water_seen: usize,
     /// Scratch for flattening returning held TX frames into their
     /// payload extents (reused).
     hold_scratch: Vec<Netbuf>,
@@ -891,6 +915,7 @@ impl NetStack {
             config,
             dev,
             arp: ArpCache::new(),
+            pool_low_water_seen: pool.as_ref().map_or(0, NetbufPool::low_water),
             pool,
             udp_socks: HashMap::new(),
             udp_ports: HashMap::new(),
@@ -934,6 +959,7 @@ impl NetStack {
             ustats: StackCounters::register(),
             trace: uktrace::TraceRing::new(TRACE_RING_CAP),
             clock: None,
+            now_memo: Cell::new((0, 0)),
             hold_scratch: Vec::with_capacity(MAX_BURST),
         }
     }
@@ -946,6 +972,9 @@ impl NetStack {
     /// retransmission queue and fast retransmit still work.
     pub fn set_clock(&mut self, tsc: &ukplat::time::Tsc) {
         self.clock = Some(tsc.clone());
+        // (0, 0) holds at every frequency; a pair converted at the old
+        // clock's does not.
+        self.now_memo.set((0, 0));
         self.set_trace_clock(tsc);
     }
 
@@ -1032,7 +1061,15 @@ impl NetStack {
 
     /// Current virtual time, when a clock is installed.
     fn now_ns(&self) -> Option<u64> {
-        self.clock.as_ref().map(|c| c.cycles_to_ns(c.now_cycles()))
+        let clock = self.clock.as_ref()?;
+        let cycles = clock.now_cycles();
+        let (memo_cycles, memo_ns) = self.now_memo.get();
+        if cycles == memo_cycles {
+            return Some(memo_ns);
+        }
+        let ns = clock.cycles_to_ns(cycles);
+        self.now_memo.set((cycles, ns));
+        Some(ns)
     }
 
     /// Resolves a generation-tagged handle to its live connection.
@@ -1912,9 +1949,8 @@ impl NetStack {
         let mut scratch = core::mem::take(&mut self.hold_scratch);
         scratch.clear();
         head.take_frags_into(&mut scratch);
-        scratch.insert(0, head);
         let mut seq = hold.seq;
-        for mut ext in scratch.drain(..) {
+        for mut ext in std::iter::once(head).chain(scratch.drain(..)) {
             let len = ext.len() as u32;
             ext.take_csum_request();
             ext.take_gso_request();
@@ -2224,13 +2260,16 @@ impl NetStack {
                 self.ustats.tcp_rack_reorder_window_ns.set(c.tcb.reo_wnd_ns());
             }
         }
-        self.ustats.tcp_retransmits.add(rtx_delta);
-        self.ustats.tcp_sack_rtx.add(sack_rtx_delta);
         // Most flushes move none of these; skip the atomic when so.
         for (counter, n) in [
+            (&self.ustats.tcp_retransmits, rtx_delta),
+            (&self.ustats.tcp_sack_rtx, sack_rtx_delta),
             (&self.ustats.tcp_pure_acks_tx, pure_acks),
             (&self.ustats.tcp_acks_piggybacked, piggybacked),
             (&self.ustats.tcp_window_updates_tx, wnd_updates),
+            (&self.ustats.csum_offloaded, offloaded),
+            (&self.ustats.tso_super_frames, supers),
+            (&self.ustats.tso_super_bytes, super_bytes),
         ] {
             if n > 0 {
                 counter.add(n);
@@ -2240,9 +2279,6 @@ impl NetStack {
         self.stats.csum_offloaded += offloaded;
         self.stats.tso_super_frames += supers;
         self.stats.tso_super_bytes += super_bytes;
-        self.ustats.csum_offloaded.add(offloaded);
-        self.ustats.tso_super_frames.add(supers);
-        self.ustats.tso_super_bytes.add(super_bytes);
         // Second pass: mirror every polled connection's timer wants
         // (RTO, held ACK, lifecycle) into the wheel.
         if let Some(n) = now {
@@ -2629,10 +2665,15 @@ impl NetStack {
         if let Some(t0) = sweep_start {
             self.ustats.pump_ns.record(t0.elapsed().as_nanos() as u64);
         }
+        // The high-water mark can only rise when the pool's low-water
+        // mark fell, which most sweeps do not cause.
         if let Some(p) = self.pool.as_ref() {
-            self.ustats
-                .pool_inflight_hiwater
-                .set_max((p.capacity() - p.low_water()) as u64);
+            if p.low_water() != self.pool_low_water_seen {
+                self.pool_low_water_seen = p.low_water();
+                self.ustats
+                    .pool_inflight_hiwater
+                    .set_max((p.capacity() - p.low_water()) as u64);
+            }
         }
         handled
     }

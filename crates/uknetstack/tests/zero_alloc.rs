@@ -1,7 +1,9 @@
 //! The zero-allocation guard for the pooled datapath.
 //!
 //! This binary installs [`ukalloc::stats::CountingAlloc`] as its global
-//! allocator, so every heap allocation the process performs is counted.
+//! allocator, so every heap allocation is counted, per thread: each
+//! test's measured window sees its own thread's allocations only,
+//! whatever libtest runs beside it.
 //! After warm-up (scratch vectors sized, ARP resolved, ring buffers and
 //! socket queues at steady capacity), a full TCP echo round-trip and a
 //! full UDP request/response round-trip through the in-process wire
@@ -9,8 +11,6 @@
 //! once into pooled netbufs, headers are prepended in the headroom, the
 //! wire hands buffers between pools, and readers copy into caller-owned
 //! storage via the `*_recv_into` paths.
-
-use std::sync::{Mutex, MutexGuard};
 
 use ukalloc::stats::{AllocCounter, CountingAlloc};
 use uknetdev::backend::VhostKind;
@@ -24,14 +24,29 @@ use ukplat::time::Tsc;
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-/// The allocation counters are process-global and libtest runs the
-/// tests in this binary on parallel threads, so each test holds this
-/// lock for its whole body — otherwise a sibling test's setup
-/// allocations would land inside another test's measured window.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+/// The property every window below leans on: another thread's
+/// allocations (libtest starting or reporting a sibling test) do not
+/// show in this thread's count.
+#[test]
+fn a_window_counts_its_own_thread_only() {
+    use std::sync::{Arc, Barrier};
+    let barrier = Arc::new(Barrier::new(2));
+    let other = std::thread::spawn({
+        let barrier = Arc::clone(&barrier);
+        move || {
+            barrier.wait();
+            drop(std::hint::black_box(vec![0u8; 64]));
+            barrier.wait();
+        }
+    });
+    let counter = AllocCounter::start();
+    barrier.wait();
+    // The other thread allocates and frees between the two waits.
+    barrier.wait();
+    assert_eq!((counter.allocs(), counter.frees()), (0, 0));
+    drop(std::hint::black_box(Box::new(1u8)));
+    assert_eq!((counter.allocs(), counter.frees()), (1, 1));
+    other.join().unwrap();
 }
 
 fn mk_stack(n: u8) -> NetStack {
@@ -43,7 +58,6 @@ fn mk_stack(n: u8) -> NetStack {
 
 #[test]
 fn tcp_echo_round_trip_is_allocation_free_in_steady_state() {
-    let _guard = serial();
     let mut net = Network::new();
     let ci = net.attach(mk_stack(1));
     let si = net.attach(mk_stack(2));
@@ -121,7 +135,6 @@ fn tcp_echo_round_trip_is_allocation_free_in_steady_state() {
 
 #[test]
 fn udp_round_trip_is_allocation_free_in_steady_state() {
-    let _guard = serial();
     let mut net = Network::new();
     let ci = net.attach(mk_stack(1));
     let si = net.attach(mk_stack(2));
@@ -168,7 +181,6 @@ fn udp_round_trip_is_allocation_free_in_steady_state() {
 
 #[test]
 fn tcp_echo_burst_of_32_is_allocation_free_in_steady_state() {
-    let _guard = serial();
     let mut net = Network::new();
     let ci = net.attach(mk_stack(1));
     let si = net.attach(mk_stack(2));
@@ -231,7 +243,6 @@ fn tcp_echo_burst_of_32_is_allocation_free_in_steady_state() {
 
 #[test]
 fn udp_burst_of_32_datagrams_is_allocation_free_in_steady_state() {
-    let _guard = serial();
     let mut net = Network::new();
     let ci = net.attach(mk_stack(1));
     let si = net.attach(mk_stack(2));
@@ -308,7 +319,6 @@ fn udp_burst_of_32_datagrams_is_allocation_free_in_steady_state() {
 
 #[test]
 fn bulk_1mb_tso_transfer_is_allocation_free_in_steady_state() {
-    let _guard = serial();
     let mut net = Network::new();
     let ci = net.attach(mk_stack(1));
     let si = net.attach(mk_stack(2));
@@ -417,7 +427,6 @@ fn bulk_1mb_tso_transfer_is_allocation_free_in_steady_state() {
 /// and not one heap allocation happens anywhere.
 #[test]
 fn recv_1mb_gro_netbuf_path_is_allocation_free_in_steady_state() {
-    let _guard = serial();
     let mut net = Network::new();
     let tsc = Tsc::new(3_600_000_000);
     let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
@@ -497,7 +506,6 @@ fn recv_1mb_gro_netbuf_path_is_allocation_free_in_steady_state() {
 /// the sanitized pool never touches the heap while circulating.
 #[test]
 fn pool_circulation_is_allocation_free_in_both_feature_modes() {
-    let _guard = serial();
     let mut pool = uknetdev::netbuf::NetbufPool::new(8, 2048, 64);
     let mut held = Vec::with_capacity(8);
     // Warm one cycle (nothing to size, but keep the shape uniform).
@@ -526,9 +534,34 @@ fn pool_circulation_is_allocation_free_in_both_feature_modes() {
     assert_eq!(pool.available(), 8, "every buffer came home");
 }
 
+/// What building buffers costs, as a formula: everything a buffer
+/// will ever need from the heap is taken when it is built. A pooled
+/// buffer is a descriptor, its storage and — when chains are reserved —
+/// one fragment list of one-word handles; the pool adds its slot table
+/// and free list (and the sanitizer its provenance table). The heap
+/// fallback is a descriptor plus storage.
+#[test]
+fn buffer_construction_allocates_by_formula() {
+    use uknetdev::netbuf::{Netbuf, NetbufPool};
+    let tables = 2 + u64::from(cfg!(feature = "netbuf-sanitizer"));
+    for (n, chain_frags, per_buf) in [(8u64, 0usize, 2u64), (8, 34, 3), (64, 4, 3)] {
+        let (_pool, allocs) = AllocCounter::measure(|| {
+            NetbufPool::with_chain_capacity(n as usize, 2048, 64, chain_frags)
+        });
+        assert_eq!(
+            allocs,
+            tables + n * per_buf,
+            "pool of {n} buffers reserving {chain_frags} fragments"
+        );
+    }
+    let (_nb, allocs) = AllocCounter::measure(|| Netbuf::alloc(2048, 64));
+    assert_eq!(allocs, 2, "heap fallback: descriptor + storage");
+    let (_nb, allocs) = AllocCounter::measure(|| Netbuf::from_slice(b"extent"));
+    assert_eq!(allocs, 2);
+}
+
 #[test]
 fn buffers_circulate_without_draining_the_pools() {
-    let _guard = serial();
     let mut net = Network::new();
     let ci = net.attach(mk_stack(1));
     let si = net.attach(mk_stack(2));
