@@ -6,7 +6,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify verify-trace-off verify-fault-matrix verify-churn verify-sanitize verify-workspace lint test bench bench-event bench-smoke bench-json perf perf-compare examples clean
+.PHONY: verify verify-trace-off verify-fault-matrix verify-churn verify-sanitize verify-workspace lint test bench bench-event perf perf-compare examples clean
 
 ## Tier-1: release build + root-crate tests (ROADMAP's check).
 verify:
@@ -73,10 +73,11 @@ verify-sanitize:
 	$(CARGO) test -q -p uknetstack --features netbuf-sanitizer
 
 ## The full sweep: every workspace crate's unit, integration and prop
-## tests, the static invariant lint, the sanitized pool suites, plus
-## bench/example compilation, the netpath smoke bench (which asserts
-## 0.000 allocs/frame on the pooled datapath) and the self-tests of
-## the `ukperf` benchmark (its own package, outside the workspace).
+## tests (the `zero_alloc` guard among them: 0 allocations per frame on
+## the datapath, over the config grid), the static invariant lint, the
+## sanitized pool suites, plus bench/example compilation and the
+## self-tests of the `ukperf` benchmark (its own package, outside the
+## workspace).
 verify-workspace:
 	$(CARGO) build --release --workspace --benches --examples
 	$(CARGO) test -q --workspace
@@ -85,7 +86,6 @@ verify-workspace:
 	$(MAKE) verify-trace-off
 	$(MAKE) verify-fault-matrix
 	$(MAKE) verify-churn
-	$(MAKE) bench-smoke
 	$(MAKE) -C benchmark check
 
 test:
@@ -99,55 +99,22 @@ bench:
 bench-event:
 	$(CARGO) bench -p ukbench --bench event
 
-## Cheap datapath smoke: runs the netpath bench in test mode (the
-## offline criterion stand-in keeps runs short) and prints the
-## allocs-per-frame figures — RTT matrix plus the bulk-transfer
-## matrix, whose pooled cells (including the 1 MB TSO transfers) are
-## asserted at 0.000 allocs/frame.
-bench-smoke:
-	$(CARGO) bench -p ukbench --bench netpath -- --test
-
-## Machine-readable perf trajectory: runs the netpath ablation
-## matrices — the PR 3 RTT cells (per-frame vs burst, checksum offload
-## on/off, pooled vs heap), the PR 4 bulk-throughput grid
-## (4KB/64KB/1MB × tso × rx_csum, bytes/s, allocs/frame), the PR 5
-## receive-path grid (64KB/1MB per-MSS ingest × gro on/off ×
-## netbuf-recv vs copy-recv, receiver-side bytes/s, allocs/frame), and
-## the PR 7 goodput-vs-loss grid (1MB per-MSS transfers × drop rate
-## {0, 1/64, 1/16, 1/8} × congestion control on/off, goodput with
-## recovery overhead included plus retransmit/RTO counts), and the
-## PR 8 connection-scale grid (1K/10K/100K established-idle
-## connections: establishment rate, resident bytes/conn, echo hot
-## path at scale, plus connect/close churn rate and accept rate under
-## a 10×-backlog SYN flood), and the PR 9 recovery grid (1MB per-MSS
-## transfers × wire {lossless, 1/8 drop, reorder, drop+reorder} ×
-## recovery {off, sack, sack+rack, sack+rack+pacing}, goodput plus
-## scoreboard/RACK/TLP/pacing counters, gated: sack never loses to
-## blind recovery on a lossy wire, sack+rack holds ≥ 32% of lossless
-## at 1/8 drop, reorder-only cells see zero false fast-retransmits,
-## lossless cells stay 0.000 allocs/frame) — and writes them to
-## BENCH_PR$(N).json (`make bench-json N=13`). Since PR 6 each cell also embeds the ukstats
-## counter deltas measured inside its timed window and the document
-## ends with a full registry snapshot; the human tables are suppressed
-## (leveled logging drops to Warn in --json mode).
-bench-json:
-	@test -n "$(N)" || { echo "usage: make bench-json N=<PR number>"; exit 2; }
-	$(CARGO) bench -p ukbench --bench netpath -- --test --json $(CURDIR)/BENCH_PR$(N).json
-
 ## `ukperf` (benchmark/, see its README): the end-to-end + per-layer
 ## benchmark every performance claim is made in. `perf` is one run of
 ## one workload (W=tcp-rr SEED=1 SECONDS=18; `make -C benchmark trace`
 ## for the per-layer form). `perf-compare` measures this build as a
-## set of RUNS runs per workload and compares it with a set measured
-## earlier, by default the one committed at the seed of the benchmark:
-##   make perf-compare BASE=benchmark/baseline/seed-a.json RUNS=10
+## set of RUNS runs per workload and compares it with BASE, a set
+## measured earlier on the tree to compare against (`ukperf set` there).
+## There is no default: the sets committed under benchmark/baseline/
+## are the PR 12 tree, which every later tree beats by more than any
+## regression worth catching.
 perf:
 	$(MAKE) -C benchmark run
 
-BASE ?= $(CURDIR)/benchmark/baseline/seed-a.json
 RUNS ?= 5
 SECONDS ?= 18
 perf-compare:
+	@test -n "$(BASE)" || { echo "usage: make perf-compare BASE=<set.json>  (measure it on the base tree: ukperf set --out <set.json> --runs $(RUNS) --seconds $(SECONDS))"; exit 2; }
 	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 		set --out $(CURDIR)/benchmark/out/set-head.json --runs $(RUNS) --seconds $(SECONDS)
 	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \

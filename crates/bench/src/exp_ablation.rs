@@ -5,13 +5,9 @@
 //!
 //! - `ablate-batch`: TX burst-size sweep — how much of Table 4's win is
 //!   batching alone (kick amortization under vhost-net);
-//! - `ablate-pools`: pre-allocated netbuf pools vs heap allocation on
-//!   the HTTP path (§5.3 "switching on memory pools in Unikraft's
-//!   networking stack");
 //! - `ablate-sched`: cooperative vs preemptive scheduler overhead for a
 //!   run-to-completion-style workload (§3.3's jitter argument).
 
-use ukalloc::AllocBackend;
 use uknetdev::backend::VhostKind;
 use uknetdev::dev::{NetDev, NetDevConf};
 use uknetdev::netbuf::NetbufPool;
@@ -58,38 +54,6 @@ pub fn ablate_batching() -> String {
         ));
     }
     out.push_str("take-away: kicks fall 1/burst; throughput rises until per-packet costs dominate\n");
-    out
-}
-
-/// Netbuf pools vs heap allocation on the HTTP serving path.
-pub fn ablate_pools() -> String {
-    use crate::netharness;
-    let mut out = String::new();
-    out.push_str("Ablation: pre-allocated netbuf pools vs heap buffers (HTTP path)\n");
-    // The harness always enables pools; compare against a pool-less
-    // stack by re-running with the config flag off.
-    let pooled = netharness::run_http_bench(
-        AllocBackend::Mimalloc,
-        VhostKind::VhostUser,
-        8,
-        4,
-        3_000,
-    );
-    let heap = netharness::run_http_bench_heap_bufs(
-        AllocBackend::Mimalloc,
-        VhostKind::VhostUser,
-        8,
-        4,
-        3_000,
-    );
-    out.push_str(&format!(
-        "{:<18} {:>12}\n{:<18} {:>12}\n",
-        "with pools",
-        fmt_rate(pooled.rate()),
-        "heap buffers",
-        fmt_rate(heap.rate())
-    ));
-    out.push_str("take-away: pools avoid per-frame allocation on the hot path\n");
     out
 }
 

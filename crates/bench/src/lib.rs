@@ -21,7 +21,7 @@ pub mod util;
 pub static ALL_EXPERIMENTS: &[&str] = &[
     "tab1", "tab2", "tab4", "fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
     "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
-    "fig20", "fig21", "fig22", "ablate-batch", "ablate-pools", "ablate-sched",
+    "fig20", "fig21", "fig22", "ablate-batch", "ablate-sched",
 ];
 
 /// Runs one experiment by id, returning its report text.
@@ -52,7 +52,6 @@ pub fn run_experiment(id: &str) -> Option<String> {
         "fig21" => exp_boot::fig21_page_table_boot(),
         "fig22" => exp_io::fig22_shfs_vs_vfs(),
         "ablate-batch" => exp_ablation::ablate_batching(),
-        "ablate-pools" => exp_ablation::ablate_pools(),
         "ablate-sched" => exp_ablation::ablate_scheduler(),
         _ => return None,
     };

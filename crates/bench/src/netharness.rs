@@ -73,41 +73,10 @@ pub fn run_http_bench(
     pipeline: usize,
     requests: u64,
 ) -> Throughput {
-    run_http_bench_cfg(alloc, backend, nconns, pipeline, requests, true)
-}
-
-/// Variant with netbuf pools disabled on the server (heap buffers per
-/// frame) — the pools ablation.
-pub fn run_http_bench_heap_bufs(
-    alloc: AllocBackend,
-    backend: VhostKind,
-    nconns: usize,
-    pipeline: usize,
-    requests: u64,
-) -> Throughput {
-    run_http_bench_cfg(alloc, backend, nconns, pipeline, requests, false)
-}
-
-fn run_http_bench_cfg(
-    alloc: AllocBackend,
-    backend: VhostKind,
-    nconns: usize,
-    pipeline: usize,
-    requests: u64,
-    server_pools: bool,
-) -> Throughput {
     let tsc = Tsc::new(ukplat::cost::CPU_FREQ_HZ);
     let mut net = Network::new();
     let ci = net.attach(mk_stack(1, backend, &tsc));
-    let mut server_stack = if server_pools {
-        mk_stack(2, backend, &tsc)
-    } else {
-        let mut dev = VirtioNet::new(backend, &tsc);
-        dev.configure(NetDevConf::default()).expect("configure");
-        let mut cfg = StackConfig::node(2);
-        cfg.use_pools = false;
-        NetStack::new(cfg, Box::new(dev))
-    };
+    let mut server_stack = mk_stack(2, backend, &tsc);
     let mut httpd = Httpd::new(&mut server_stack, 80, mk_alloc(alloc)).expect("httpd");
     let si = net.attach(server_stack);
 

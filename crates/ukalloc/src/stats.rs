@@ -143,19 +143,10 @@ pub fn heap_free_count() -> u64 {
     HEAP_FREES.load(Ordering::Relaxed)
 }
 
-/// Publishes the process-wide heap counters as `ukalloc.*` gauges in
-/// the global `ukstats` registry (a control-plane operation — call it
-/// before snapshotting, not on a hot path).
-pub fn publish_heap_stats() {
-    ukstats::Gauge::register("ukalloc.heap_allocs").set(heap_alloc_count());
-    ukstats::Gauge::register("ukalloc.heap_frees").set(heap_free_count());
-    ukstats::Gauge::register("ukalloc.heap_live")
-        .set(heap_alloc_count().saturating_sub(heap_free_count()));
-}
-
 /// Publishes one backend's [`AllocStats`] as `ukalloc.*` gauges
-/// (`cur_bytes`, `peak_bytes`, counts). Like [`publish_heap_stats`],
-/// control-plane only.
+/// (`cur_bytes`, `peak_bytes`, counts) in the global `ukstats`
+/// registry — a control-plane operation: call it before snapshotting,
+/// not on a hot path.
 pub fn publish_alloc_stats(stats: &AllocStats) {
     ukstats::Gauge::register("ukalloc.cur_bytes").set(stats.cur_bytes as u64);
     ukstats::Gauge::register("ukalloc.peak_bytes").set_max(stats.peak_bytes as u64);

@@ -98,11 +98,6 @@ impl HostBackend {
         }
     }
 
-    /// Replaces the wire model (tests use a slow wire).
-    pub fn set_wire(&mut self, wire: Wire) {
-        self.wire = wire;
-    }
-
     /// Whether the guest must kick (trap) to notify this backend.
     pub fn needs_kick(&self) -> bool {
         matches!(self.kind, VhostKind::VhostNet)

@@ -620,7 +620,6 @@ pub struct NetbufPool {
     id: u64,
     bufs: Vec<Option<Netbuf>>,
     free: Vec<usize>,
-    buf_cap: usize,
     headroom: usize,
     /// Fewest free buffers ever observed — the occupancy high-water
     /// mark is `capacity - low_water`. Plain integer math on the hot
@@ -669,7 +668,6 @@ impl NetbufPool {
             id,
             bufs,
             free,
-            buf_cap: cap,
             headroom,
             low_water: count,
             #[cfg(feature = "netbuf-sanitizer")]
@@ -818,11 +816,6 @@ impl NetbufPool {
     /// Total buffers in the pool.
     pub fn capacity(&self) -> usize {
         self.bufs.len()
-    }
-
-    /// Per-buffer storage size.
-    pub fn buf_capacity(&self) -> usize {
-        self.buf_cap
     }
 
     /// Fewest free buffers ever observed; `capacity() - low_water()` is

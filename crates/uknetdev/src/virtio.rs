@@ -90,10 +90,6 @@ pub struct VirtioNet {
     /// Whether `VIRTIO_NET_F_HOST_TSO4` is negotiated (tests flip this
     /// off to exercise the stack's software-segmentation fallback).
     tso: bool,
-    /// Whether `VIRTIO_NET_F_GUEST_TSO4`/`MRG_RXBUF` are negotiated
-    /// (tests flip this off to force the host-side MSS cut on
-    /// delivery).
-    guest_tso: bool,
     /// GSO super-frames accepted on TX.
     tso_frames: u64,
     ustats: DevCounters,
@@ -119,7 +115,6 @@ impl VirtioNet {
             txqs: Vec::new(),
             configured: false,
             tso: true,
-            guest_tso: true,
             tso_frames: 0,
             ustats: DevCounters::register(),
         }
@@ -129,13 +124,6 @@ impl VirtioNet {
     /// software-segmentation fallback path).
     pub fn set_tso(&mut self, on: bool) {
         self.tso = on;
-    }
-
-    /// Enables/disables big-receive feature negotiation
-    /// (`VIRTIO_NET_F_GUEST_TSO4`): off forces the host to cut MSS
-    /// frames on delivery to this device.
-    pub fn set_guest_tso(&mut self, on: bool) {
-        self.guest_tso = on;
     }
 
     /// GSO super-frames accepted on TX so far.
@@ -243,7 +231,7 @@ impl NetDev for VirtioNet {
             max_mtu: crate::MTU,
             tx_csum_offload: true,
             tso: self.tso,
-            guest_tso: self.guest_tso,
+            guest_tso: true,
             rx_csum_offload: true,
             max_ring_size: 1024,
         }

@@ -12,9 +12,10 @@
 //!
 //! The stack follows `uknetdev`'s §3.1 buffer-ownership model end to
 //! end. Every protocol codec has two serializers: `encode()` — the
-//! allocating reference form — and `encode_into(&mut Netbuf)`, which
-//! *prepends* the header into a pooled buffer's headroom in place
-//! (property-tested byte-identical to the reference). On transmit the
+//! allocating reference form — and one that *prepends* the header into
+//! a pooled buffer's headroom in place (`encode_into`; `emit` for TCP
+//! and UDP, which also says who completes the checksum — [`Csum`]),
+//! property-tested byte-identical to the reference. On transmit the
 //! payload is written once behind [`stack::TX_HEADROOM`] bytes of
 //! headroom and TCP/UDP/ICMP → IPv4 → Ethernet headers are pushed in
 //! front of it; the same buffer goes to `tx_burst`, is reclaimed on
@@ -24,10 +25,10 @@
 //! as netbufs (GRO-coalesced per burst), until a reader either copies
 //! them out (`udp_recv_into`/`tcp_recv_into`) or takes the buffers
 //! whole — the zero-copy receive path
-//! (`tcp_recv_netbuf`/`udp_recv_netbuf`, recycled by the caller).
-//! Steady-state packet processing performs zero heap allocations
-//! (asserted by the `zero_alloc` integration test and the `netpath`
-//! smoke bench).
+//! (`tcp_recv_burst_netbuf`/`udp_recv_netbuf`, recycled by the
+//! caller). Steady-state packet processing performs zero heap
+//! allocations (asserted by the `zero_alloc` integration test over a
+//! grid of `StackConfig` cells).
 //!
 //! Frames travel through a [`VirtioNet`](uknetdev::VirtioNet) device;
 //! [`testnet::Network`] wires multiple stacks together so clients and
@@ -74,8 +75,8 @@
 //! stacks holding very large mostly-idle connection populations,
 //! [`StackConfig::lean_tcbs`] trades the per-TCB queue preallocation
 //! for on-demand growth — idle connections then cost well under a
-//! kilobyte each (measured in the `netpath` bench's connection-scale
-//! grid at 100K concurrent connections).
+//! kilobyte each (their slab slot, size-asserted at compile time in
+//! `stack.rs`).
 //!
 //! [`NetbufPool`]: uknetdev::NetbufPool
 //! [`NetStack::set_clock`]: stack::NetStack::set_clock
@@ -166,6 +167,21 @@ impl fmt::Display for Endpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.addr, self.port)
     }
+}
+
+/// Who fills the checksum field of a TCP or UDP header written in place
+/// ([`tcp::TcpHeader::emit`], [`udp::UdpHeader::emit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Csum {
+    /// The emitter, in software, over the whole segment.
+    Software,
+    /// The device (`VIRTIO_NET_F_CSUM`): the field is seeded with the
+    /// folded pseudo-header sum and a `CsumRequest` rides the buffer.
+    Offload,
+    /// The host side, per cut frame (`VIRTIO_NET_F_HOST_TSO4`):
+    /// `Offload` for a TCP super-segment chain, plus a `GsoRequest` to
+    /// cut it into wire frames of `mss` payload bytes.
+    Gso { mss: u16 },
 }
 
 /// The Internet checksum (RFC 1071) over `data`, seeded with `initial`.

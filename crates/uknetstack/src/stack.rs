@@ -19,11 +19,11 @@
 //! - **TX** is one buffer from application to wire. Payload bytes are
 //!   written once into a pooled [`Netbuf`] behind [`TX_HEADROOM`]
 //!   bytes of headroom; TCP/UDP/ICMP, IPv4 and Ethernet each *prepend*
-//!   their header in place (`encode_into`). When the device advertises
-//!   `tx_csum_offload`, TCP/UDP headers are stamped with only the
-//!   partial pseudo-header sum (`encode_into_partial`) and the device
-//!   completes the checksum at `tx_burst` time. Senders *stage* frames
-//!   ([`udp_send_burst`], [`tcp_send_queued`]) and the whole batch
+//!   their header in place (`emit` / `encode_into`). When the device
+//!   advertises `tx_csum_offload`, TCP/UDP headers are stamped with
+//!   only the partial pseudo-header sum (`Csum::Offload`) and the
+//!   device completes the checksum at `tx_burst` time. Senders *stage*
+//!   frames ([`udp_send_burst`], [`tcp_send_queued`]) and the whole batch
 //!   crosses in one `tx_burst` sweep ([`flush_output`]); completions
 //!   are reclaimed by the wire harness as netbufs ([`harvest_tx`]) and
 //!   recycled into the pool ([`recycle`]).
@@ -58,8 +58,8 @@
 //!   TCP payload arrived in: headers are pulled in place and the
 //!   buffer moves into the connection's receive queue. Readers copy
 //!   out ([`tcp_recv_into`]) or — the zero-copy path — take the
-//!   buffers whole ([`tcp_recv_netbuf`] / [`tcp_recv_burst_netbuf`],
-//!   and [`udp_recv_netbuf`] for datagrams), consuming the payload in
+//!   buffers whole ([`tcp_recv_burst_netbuf`], and
+//!   [`udp_recv_netbuf`] for datagrams), consuming the payload in
 //!   place and handing each buffer back via [`recycle`]. Between the
 //!   wire's DMA copy and the application there is **no copy at all**.
 //! - **GRO coalescing** (`StackConfig::gro`). Consecutive in-order
@@ -91,7 +91,6 @@
 //! [`udp_recv_netbuf`]: NetStack::udp_recv_netbuf
 //! [`udp_send_burst`]: NetStack::udp_send_burst
 //! [`tcp_recv_into`]: NetStack::tcp_recv_into
-//! [`tcp_recv_netbuf`]: NetStack::tcp_recv_netbuf
 //! [`tcp_recv_burst_netbuf`]: NetStack::tcp_recv_burst_netbuf
 //! [`tcp_send_queued`]: NetStack::tcp_send_queued
 //! [`flush_output`]: NetStack::flush_output
@@ -118,7 +117,7 @@ use crate::tcp::{
 };
 use crate::timer::{TimerToken, TimerWheel};
 use crate::udp::{UdpHeader, UDP_HDR_LEN};
-use crate::{Endpoint, Ipv4Addr, Mac};
+use crate::{Csum, Endpoint, Ipv4Addr, Mac};
 
 /// Headroom reserved in every TX buffer: room for Ethernet + IPv4 +
 /// the largest transport header **including TCP options** (SACK blocks
@@ -262,6 +261,54 @@ fn conn_parts(h: usize) -> Option<(u32, u16)> {
     Some(((h & 0xffff_ffff) as u32, gen))
 }
 
+/// Mutable form of [`NetStack::conn`]. Takes the slab alone, so the
+/// caller can hold the connection and the stack's other fields (the
+/// pool, the counters) at once.
+fn conn_in(slots: &mut [ConnSlot], h: usize) -> Option<&mut TcpConn> {
+    let (slot, gen) = conn_parts(h)?;
+    let cs = slots.get_mut(slot as usize)?;
+    if cs.gen != gen {
+        return None;
+    }
+    cs.conn.as_mut()
+}
+
+/// Takes a TX buffer with [`TX_HEADROOM`] reserved for headers. Pool or
+/// heap is the application's choice (§3.1), made in `uknetdev` —
+/// [`NetbufPool`] or [`Netbuf::alloc`] — not by a stack flag: this stack
+/// chose the pool. An exhausted pool falls back to the heap — a fault
+/// path, not a mode: the frame still leaves, and the buffer is dropped
+/// instead of recycled when it comes home.
+#[cfg_attr(feature = "netbuf-sanitizer", track_caller)]
+fn take_or_alloc(pool: &mut NetbufPool) -> Netbuf {
+    pool.take().unwrap_or_else(|| Netbuf::alloc(BUF_CAP, TX_HEADROOM))
+}
+
+/// Sheds a connection's newest out-of-order extents back to the pool
+/// while it sits below [`LOW_POOL_BUFS`]; returns how many went.
+fn shed_ooo_under_pressure(tcb: &mut Tcb, pool: &mut NetbufPool) -> u64 {
+    let shed0 = tcb.ooo_shed();
+    while pool.available() < LOW_POOL_BUFS
+        && tcb.shed_newest_ooo(&mut |b| pool.give_back_chain(b))
+    {}
+    tcb.ooo_shed() - shed0
+}
+
+/// 1 if the emitter was told to leave the checksum to the device, else
+/// 0 — what `csum_offloaded` counts, for every TCP segment (data, ACK,
+/// SYN, RST) and UDP datagram the stack builds.
+fn offloaded(csum: Csum) -> u64 {
+    u64::from(csum != Csum::Software)
+}
+
+/// The one place `csum_offloaded` moves, struct and registry alike.
+fn count_csum(stats: &mut StackStats, ustats: &StackCounters, frames: u64) {
+    if frames > 0 {
+        stats.csum_offloaded += frames;
+        ustats.csum_offloaded.add(frames);
+    }
+}
+
 /// Packs a timer-wheel key: kind, then the same generation-tagged slab
 /// coordinates a handle carries.
 fn timer_key(kind: u64, slot: u32, gen: u16) -> u64 {
@@ -280,9 +327,7 @@ pub struct StackConfig {
     pub mac: Mac,
     /// Our IPv4 address.
     pub ip: Ipv4Addr,
-    /// Whether TX buffers come from a pre-allocated pool.
-    pub use_pools: bool,
-    /// Pool size (buffers) when pooling.
+    /// Buffers in the stack's pre-allocated netbuf pool.
     pub pool_size: usize,
     /// Whether to offload TCP/UDP transmit checksums to the device
     /// (effective only when the device advertises the capability;
@@ -302,15 +347,11 @@ pub struct StackConfig {
     /// Whether to trust the wire/device's checksum-validated mark on
     /// received frames (`VIRTIO_NET_F_GUEST_CSUM`) and skip software
     /// verification. Unmarked frames are always verified. Disable for
-    /// the software-verification ablation.
+    /// the software-verification ablation. Big receive follows it (the
+    /// spec ties `GUEST_TSO4` to `GUEST_CSUM`): on, a capable device
+    /// delivers a peer's super-segment whole as one buffer chain — one
+    /// demux, one ingest; off, the host cuts MSS frames.
     pub rx_csum_offload: bool,
-    /// Whether to accept oversized TCP frames delivered whole as
-    /// buffer chains (`VIRTIO_NET_F_GUEST_TSO4` + `MRG_RXBUF`): a
-    /// peer's super-segment crosses the wire as one chain — one demux,
-    /// one ingest — instead of being cut into MSS frames at the host
-    /// boundary. Effective only with `rx_csum_offload` on (the spec
-    /// ties `GUEST_TSO4` to `GUEST_CSUM`); without it the host cuts.
-    pub guest_tso: bool,
     /// Whether to GRO-coalesce received TCP segments: consecutive
     /// in-order data segments of one `rx_burst` to the same connection
     /// are merged into a single multi-part ingest with one coalesced
@@ -375,13 +416,11 @@ impl StackConfig {
         StackConfig {
             mac: Mac::node(n),
             ip: Ipv4Addr::new(10, 0, 0, n),
-            use_pools: true,
             pool_size: 512,
             tx_csum_offload: true,
             tso: true,
             gso_max_size: GSO_MAX_SIZE,
             rx_csum_offload: true,
-            guest_tso: true,
             gro: true,
             mss: MSS,
             congestion_control: true,
@@ -477,6 +516,11 @@ struct ConnSlot {
     gen: u16,
     conn: Option<TcpConn>,
 }
+
+// `lib.rs` promises an idle `lean_tcbs` connection costs well under a
+// kilobyte. Lean queues own no heap, so beside its flow-table and wheel
+// entries the slot (752 B today, 616 of them the `Tcb`) is all it holds.
+const _: () = assert!(size_of::<ConnSlot>() <= 768);
 
 /// Packets parked for one unresolved next-hop: IP-level packets with
 /// Ethernet headroom still reserved, tagged with their transport
@@ -749,7 +793,7 @@ pub struct NetStack {
     config: StackConfig,
     dev: Box<dyn NetDev>,
     arp: ArpCache,
-    pool: Option<NetbufPool>,
+    pool: NetbufPool,
     udp_socks: HashMap<usize, UdpSocket>,
     udp_ports: HashMap<u16, usize>,
     /// Connection slab: TCBs live inline in slots; a slot's generation
@@ -804,18 +848,18 @@ pub struct NetStack {
     inject_scratch: Vec<Netbuf>,
     /// Key scratch for `sync_readiness` (reused).
     sync_scratch: Vec<usize>,
-    /// Whether TCP/UDP TX checksums are completed by the device
-    /// (config wish ∧ device capability).
-    csum_offload: bool,
+    /// Who completes the checksum of an uncut TCP/UDP frame: the
+    /// device (config wish ∧ device capability) or the emitter.
+    tx_csum: Csum,
     /// Whether bulk TCP output leaves as GSO super-segments for the
-    /// device to cut (config wish ∧ device TSO ∧ `csum_offload`).
+    /// device to cut (config wish ∧ device TSO ∧ checksum offload).
     tso: bool,
     /// Whether software checksum verification is skipped for received
     /// frames the wire marked validated (config wish ∧ device
     /// capability).
     rx_csum_offload: bool,
     /// Whether peers' super-segments are delivered whole as chains
-    /// (config wish ∧ device capability ∧ `rx_csum_offload`).
+    /// (device capability ∧ `rx_csum_offload`).
     guest_tso: bool,
     /// Whether received TCP data segments are GRO-coalesced before
     /// ingest (stack-internal, config switch only).
@@ -895,7 +939,7 @@ impl NetStack {
         // super-frame's checksum was never materialized, so a stack
         // that insists on software verification must have the host
         // cut (and checksum) MSS frames instead.
-        let guest_tso = config.guest_tso && info.guest_tso && rx_csum_offload;
+        let guest_tso = info.guest_tso && rx_csum_offload;
         // Pooled buffers pre-reserve fragment-list capacity for the
         // largest super-segment chain, so chain building — GSO on TX,
         // big receive on RX — never grows a Vec on the hot path.
@@ -908,14 +952,13 @@ impl NetStack {
             // fragments so they recycle with the frame.
             4
         };
-        let pool = config.use_pools.then(|| {
-            NetbufPool::with_chain_capacity(config.pool_size, BUF_CAP, TX_HEADROOM, chain_frags)
-        });
+        let pool =
+            NetbufPool::with_chain_capacity(config.pool_size, BUF_CAP, TX_HEADROOM, chain_frags);
         NetStack {
             config,
             dev,
             arp: ArpCache::new(),
-            pool_low_water_seen: pool.as_ref().map_or(0, NetbufPool::low_water),
+            pool_low_water_seen: pool.low_water(),
             pool,
             udp_socks: HashMap::new(),
             udp_ports: HashMap::new(),
@@ -943,7 +986,7 @@ impl NetStack {
             rx_scratch: Vec::new(),
             inject_scratch: Vec::new(),
             sync_scratch: Vec::new(),
-            csum_offload,
+            tx_csum: if csum_offload { Csum::Offload } else { Csum::Software },
             tso,
             rx_csum_offload,
             guest_tso,
@@ -999,7 +1042,7 @@ impl NetStack {
     /// Whether TX transport checksums are being offloaded to the
     /// device (configuration wish ∧ device capability).
     pub fn csum_offload(&self) -> bool {
-        self.csum_offload
+        self.tx_csum == Csum::Offload
     }
 
     /// Whether bulk TCP output leaves as GSO super-segments for TSO
@@ -1044,10 +1087,10 @@ impl NetStack {
         self.stats
     }
 
-    /// Buffers currently available in the TX pool (diagnostics; `None`
-    /// when pooling is off).
+    /// Buffers currently available in the pool (diagnostics; always
+    /// `Some` — every stack is pooled).
     pub fn pool_available(&self) -> Option<usize> {
-        self.pool.as_ref().map(|p| p.available())
+        Some(self.pool.available())
     }
 
     /// Allocates a UDP socket handle (plain counter; connection and
@@ -1080,16 +1123,6 @@ impl NetStack {
             return None;
         }
         cs.conn.as_ref()
-    }
-
-    /// Mutable form of [`conn`](Self::conn).
-    fn conn_mut(&mut self, h: usize) -> Option<&mut TcpConn> {
-        let (slot, gen) = conn_parts(h)?;
-        let cs = self.conn_slots.get_mut(slot as usize)?;
-        if cs.gen != gen {
-            return None;
-        }
-        cs.conn.as_mut()
     }
 
     /// Live TCP connections in the slab (any state, TIME_WAIT
@@ -1205,12 +1238,7 @@ impl NetStack {
         if self.gro_cont.as_ref().is_some_and(|g| g.conn == h) {
             self.gro_cont = None;
         }
-        let mut pool = self.pool.take();
-        c.tcb.drain_all_buffers(|mut nb| match pool.as_mut() {
-            Some(p) => p.give_back_chain(nb),
-            None => while nb.pop_frag().is_some() {},
-        });
-        self.pool = pool;
+        c.tcb.drain_all_buffers(|nb| self.pool.give_back_chain(nb));
         self.conn_free.push(slot);
         uktrace::trace!(self.trace, tp::tcp_conn_reaped, h, _reason);
         self.sync_one(h);
@@ -1397,7 +1425,7 @@ impl NetStack {
     /// [`udp_send_to`](Self::udp_send_to) and
     /// [`udp_send_burst`](Self::udp_send_burst).
     fn stage_udp(&mut self, src_port: u16, data: &[u8], to: Endpoint) -> Result<()> {
-        let mut nb = self.take_buf();
+        let mut nb = take_or_alloc(&mut self.pool);
         if data.len() > nb.tailroom() {
             self.recycle(nb);
             return Err(Errno::Inval); // Larger than MTU-sized buffers.
@@ -1414,12 +1442,8 @@ impl NetStack {
             src_port,
             dst_port: to.port,
         };
-        if self.csum_offload {
-            hdr.encode_into_partial(&ip, &mut nb);
-            self.stats.csum_offloaded += 1;
-        } else {
-            hdr.encode_into(&ip, &mut nb);
-        }
+        hdr.emit(&ip, &mut nb, self.tx_csum);
+        count_csum(&mut self.stats, &self.ustats, offloaded(self.tx_csum));
         ip.encode_into(&mut nb);
         self.send_ipv4_nb(to.addr, IpProto::Udp, nb);
         Ok(())
@@ -1512,8 +1536,9 @@ impl NetStack {
     /// Takes the next queued datagram as the pooled buffer it arrived
     /// in (payload trimmed to the UDP body) — the zero-copy UDP
     /// receive path, same ownership contract as
-    /// [`tcp_recv_netbuf`](Self::tcp_recv_netbuf): the caller hands
-    /// the buffer back via [`recycle`](Self::recycle) when done.
+    /// [`tcp_recv_burst_netbuf`](Self::tcp_recv_burst_netbuf): the
+    /// caller hands the buffer back via [`recycle`](Self::recycle)
+    /// when done.
     pub fn udp_recv_netbuf(&mut self, sock: SocketHandle) -> Option<(Endpoint, Netbuf)> {
         let (from, nb) = self.udp_socks.get_mut(&sock.0)?.rx.pop_front()?;
         self.sync_one(sock.0);
@@ -1537,7 +1562,6 @@ impl NetStack {
         msgs: &mut Vec<(Endpoint, usize)>,
         max: usize,
     ) -> usize {
-        let mut pool = self.pool.take();
         let mut received = 0;
         let mut off = 0;
         if let Some(s) = self.udp_socks.get_mut(&sock.0) {
@@ -1559,14 +1583,9 @@ impl NetStack {
                 msgs.push((from, nb.len()));
                 off += nb.len();
                 received += 1;
-                if let Some(p) = pool.as_mut() {
-                    if p.owns(&nb) {
-                        p.give_back(nb);
-                    }
-                }
+                self.pool.give_back_chain(nb);
             }
         }
-        self.pool = pool;
         if received > 0 {
             self.sync_one(sock.0);
         }
@@ -1681,17 +1700,8 @@ impl NetStack {
     /// buffers into outgoing frames (chained into super-segments on
     /// the TSO path) without ever re-copying the payload.
     pub fn tcp_send_queued(&mut self, conn: SocketHandle, data: &[u8]) -> Result<usize> {
-        let mut pool = self.pool.take();
-        let r = match self.conn_mut(conn.0) {
-            Some(c) => c.tcb.app_send_with(data, || {
-                pool.as_mut()
-                    .and_then(|p| p.take())
-                    .unwrap_or_else(|| Netbuf::alloc(BUF_CAP, TX_HEADROOM))
-            }),
-            None => Err(Errno::BadF),
-        };
-        self.pool = pool;
-        let accepted = r?;
+        let c = conn_in(&mut self.conn_slots, conn.0).ok_or(Errno::BadF)?;
+        let accepted = c.tcb.app_send_with(data, || take_or_alloc(&mut self.pool))?;
         self.mark_dirty_handle(conn.0);
         self.sync_one(conn.0);
         Ok(accepted)
@@ -1720,28 +1730,16 @@ impl NetStack {
 
     /// Copies buffered received bytes into `out` — the allocation-free
     /// receive *copy* path (the zero-copy path is
-    /// [`tcp_recv_netbuf`](Self::tcp_recv_netbuf)). Drained queue
-    /// buffers recycle straight back to the pool. A drain that reopens
+    /// [`tcp_recv_burst_netbuf`](Self::tcp_recv_burst_netbuf)). Drained
+    /// queue buffers recycle straight back to the pool. A drain that reopens
     /// the receive window far enough stages a window-update ACK; output
     /// is flushed here only when some is actually pending, so an empty
     /// read costs no output poll and a held ACK stays held for the
     /// reply.
     pub fn tcp_recv_into(&mut self, conn: SocketHandle, out: &mut [u8]) -> Result<usize> {
-        let mut pool = self.pool.take();
-        let r = match self.conn_mut(conn.0) {
-            Some(c) => {
-                let n = c.tcb.app_recv_into_with(out, |nb| {
-                    if let Some(p) = pool.as_mut() {
-                        p.give_back_chain(nb);
-                    }
-                });
-                Ok((n, c.tcb.has_pending_control()))
-            }
-            None => Err(Errno::BadF),
-        };
-        self.pool = pool;
-        let (n, pending) = r?;
-        if pending {
+        let c = conn_in(&mut self.conn_slots, conn.0).ok_or(Errno::BadF)?;
+        let n = c.tcb.app_recv_into_with(out, |nb| self.pool.give_back_chain(nb));
+        if c.tcb.has_pending_control() {
             self.mark_dirty_handle(conn.0);
             self.flush_tcp()?;
         }
@@ -1751,41 +1749,28 @@ impl NetStack {
         Ok(n)
     }
 
-    /// Takes the next received buffer whole — the **zero-copy receive
-    /// path**: the pooled netbuf the peer's bytes arrived in (trimmed
-    /// to its TCP payload extent) moves straight to the application,
-    /// no copy anywhere between the wire and the caller.
+    /// Takes received buffers whole — the **zero-copy receive path**:
+    /// the pooled netbufs the peer's bytes arrived in (each trimmed to
+    /// its TCP payload extent) move straight to the application, no
+    /// copy anywhere between the wire and the caller. Drains up to
+    /// `max` queued payload buffers into `out` with one readiness sync
+    /// and at most one output flush for the whole batch; returns the
+    /// buffers taken.
     ///
-    /// **Ownership contract:** the caller owns the buffer and must
-    /// hand it back with [`recycle`](Self::recycle) once consumed —
+    /// **Ownership contract:** the caller owns the buffers and must
+    /// hand each back with [`recycle`](Self::recycle) once consumed —
     /// that returns it to the owning pool (buffers from other pools or
     /// the heap are simply dropped there). Holding buffers
     /// indefinitely pins pool capacity. A window-update ACK may be
     /// staged when the drain reopens the receive window far enough; it
     /// is flushed here only when output is actually pending.
-    pub fn tcp_recv_netbuf(&mut self, conn: SocketHandle) -> Option<Netbuf> {
-        let c = self.conn_mut(conn.0)?;
-        let nb = c.tcb.app_recv_netbuf()?;
-        if c.tcb.has_pending_control() {
-            self.mark_dirty_handle(conn.0);
-            let _ = self.flush_tcp();
-        }
-        self.sync_one(conn.0);
-        Some(nb)
-    }
-
-    /// Burst form of [`tcp_recv_netbuf`](Self::tcp_recv_netbuf):
-    /// drains up to `max` queued payload buffers into `out` with one
-    /// readiness sync and at most one output flush for the whole
-    /// batch. Returns the buffers taken; the ownership/recycle
-    /// contract is the same.
     pub fn tcp_recv_burst_netbuf(
         &mut self,
         conn: SocketHandle,
         out: &mut Vec<Netbuf>,
         max: usize,
     ) -> usize {
-        let Some(c) = self.conn_mut(conn.0) else {
+        let Some(c) = conn_in(&mut self.conn_slots, conn.0) else {
             return 0;
         };
         let mut taken = 0;
@@ -1875,7 +1860,7 @@ impl NetStack {
 
     /// Starts an orderly close.
     pub fn tcp_close(&mut self, conn: SocketHandle) -> Result<()> {
-        let c = self.conn_mut(conn.0).ok_or(Errno::BadF)?;
+        let c = conn_in(&mut self.conn_slots, conn.0).ok_or(Errno::BadF)?;
         c.tcb.app_close();
         self.mark_dirty_handle(conn.0);
         let r = self.flush_tcp();
@@ -1885,26 +1870,13 @@ impl NetStack {
 
     // --- Data path ----------------------------------------------------
 
-    /// Takes a TX buffer (pool or heap — the application's choice,
-    /// §3.1) with [`TX_HEADROOM`] reserved for headers.
-    fn take_buf(&mut self) -> Netbuf {
-        match self.pool.as_mut().and_then(|p| p.take()) {
-            Some(nb) => nb,
-            None => Netbuf::alloc(BUF_CAP, TX_HEADROOM),
-        }
-    }
-
     /// Takes an RX buffer (no headroom: the wire writes whole frames).
     /// The wire harness fills it and injects it with
     /// [`deliver_frame`](Self::deliver_frame).
     pub fn take_rx_buf(&mut self) -> Netbuf {
-        match self.pool.as_mut().and_then(|p| p.take()) {
-            Some(mut nb) => {
-                nb.reset(0);
-                nb
-            }
-            None => Netbuf::alloc(BUF_CAP, 0),
-        }
+        let mut nb = take_or_alloc(&mut self.pool);
+        nb.reset(0);
+        nb
     }
 
     /// Returns a finished buffer — or a whole scatter-gather chain —
@@ -1917,17 +1889,7 @@ impl NetStack {
             self.rtx_return_chain(hold, nb);
             return;
         }
-        self.recycle_plain(nb);
-    }
-
-    /// Pool return without retransmission interception.
-    fn recycle_plain(&mut self, mut nb: Netbuf) {
-        if let Some(pool) = self.pool.as_mut() {
-            pool.give_back_chain(nb);
-        } else {
-            // No pool: still unlink the chain so fragments drop flat.
-            while nb.pop_frag().is_some() {}
-        }
+        self.pool.give_back_chain(nb);
     }
 
     /// A TCP data frame came back from the wire (TX-complete harvest or
@@ -1954,12 +1916,12 @@ impl NetStack {
             let len = ext.len() as u32;
             ext.take_csum_request();
             ext.take_gso_request();
-            let back = match self.conn_mut(hold.conn as usize) {
+            let back = match conn_in(&mut self.conn_slots, hold.conn as usize) {
                 Some(c) => c.tcb.rtx_return(seq, hold.sent_ns, ext),
                 None => Some(ext),
             };
             if let Some(nb) = back {
-                self.recycle_plain(nb);
+                self.pool.give_back_chain(nb);
             }
             seq = seq.wrapping_add(len);
         }
@@ -2022,7 +1984,7 @@ impl NetStack {
             tha: Mac([0; 6]),
             tpa: dst,
         };
-        let mut anb = self.take_buf();
+        let mut anb = take_or_alloc(&mut self.pool);
         anb.append(&req.encode());
         self.stage_eth(Mac::BROADCAST, EtherType::Arp, anb);
         self.ustats.arp_requests_tx.inc();
@@ -2118,20 +2080,9 @@ impl NetStack {
     /// once per super-segment instead of once per MSS.
     fn flush_tcp(&mut self) -> Result<()> {
         let mut staged = std::mem::take(&mut self.tcp_stage);
-        // Both the TCB's buffer supplier and the frame finisher need
-        // the pool, so it lives in a local cell for the duration.
-        let pool = std::cell::RefCell::new(self.pool.take());
-        let take_buf = || {
-            pool.borrow_mut()
-                .as_mut()
-                .and_then(|p| p.take())
-                .unwrap_or_else(|| Netbuf::alloc(BUF_CAP, TX_HEADROOM))
-        };
         let src_ip = self.config.ip;
-        let offload = self.csum_offload;
         let tso = self.tso;
         let gso_max = self.config.gso_max_size;
-        let mut offloaded = 0u64;
         let mut supers = 0u64;
         let mut super_bytes = 0u64;
         let mut rtx_delta = 0u64;
@@ -2139,6 +2090,7 @@ impl NetStack {
         let mut pure_acks = 0u64;
         let mut piggybacked = 0u64;
         let mut wnd_updates = 0u64;
+        let mut csum_offloaded = 0u64;
         let now = self.now_ns();
         // Only dirty connections are polled — at 100 K idle
         // connections the flush touches none of them. The list is
@@ -2181,15 +2133,15 @@ impl NetStack {
             let sack_len = c.tcb.fill_sack_option(&mut sack_opt);
             let sack_on = c.tcb.sack_enabled();
             let mut sack_used = false;
-            c.tcb.poll_output_chain_with(max_seg, &take_buf, |header, chain| {
+            let take_buf = || take_or_alloc(&mut self.pool);
+            c.tcb.poll_output_chain_with(max_seg, take_buf, |header, mut nb| {
                 // Data rides in as the send queue's own buffers —
                 // chained for a super-segment, a single moved buffer
-                // otherwise; control segments get a fresh head.
-                let was_data = chain.is_some();
+                // otherwise; control segments get a fresh, empty head.
+                let plen = nb.chain_len();
+                let was_data = plen > 0;
                 let f = header.flags;
                 pure_acks += u64::from(!was_data && f.ack && !(f.syn || f.fin || f.rst));
-                let mut nb = chain.unwrap_or_else(&take_buf);
-                let plen = nb.chain_len();
                 // Options ride only on control segments: SACK-permitted
                 // on SYN / SYN-ACK, SACK blocks on the poll's first
                 // pure ACK.
@@ -2211,27 +2163,19 @@ impl NetStack {
                     payload_len: TCP_HDR_LEN + opts.len() + plen,
                     ttl: 64,
                 };
-                if plen > mss {
-                    // Super-segment: headers on the chain head, MSS
-                    // cutting offloaded to the device's host side.
-                    header.encode_into_gso(&ip, &mut nb, mss as u16);
-                    offloaded += 1;
+                // More than one MSS only ever leaves with TSO on: a
+                // super-segment, headers on the chain head, MSS cutting
+                // offloaded to the device's host side.
+                let csum = if plen > mss {
                     supers += 1;
                     super_bytes += plen as u64;
                     uktrace::trace!(self.trace, tp::tso_super_tx, plen, mss);
-                } else if !opts.is_empty() {
-                    if offload {
-                        header.encode_into_partial_opts(&ip, &mut nb, opts);
-                        offloaded += 1;
-                    } else {
-                        header.encode_into_opts(&ip, &mut nb, opts);
-                    }
-                } else if offload {
-                    header.encode_into_partial(&ip, &mut nb);
-                    offloaded += 1;
+                    Csum::Gso { mss: mss as u16 }
                 } else {
-                    header.encode_into(&ip, &mut nb);
-                }
+                    self.tx_csum
+                };
+                header.emit(&ip, &mut nb, opts, csum);
+                csum_offloaded += offloaded(csum);
                 uktrace::trace!(self.trace, tp::tcp_segment_tx, header.dst_port, header.seq);
                 ip.encode_into(&mut nb);
                 if was_data {
@@ -2267,7 +2211,6 @@ impl NetStack {
             (&self.ustats.tcp_pure_acks_tx, pure_acks),
             (&self.ustats.tcp_acks_piggybacked, piggybacked),
             (&self.ustats.tcp_window_updates_tx, wnd_updates),
-            (&self.ustats.csum_offloaded, offloaded),
             (&self.ustats.tso_super_frames, supers),
             (&self.ustats.tso_super_bytes, super_bytes),
         ] {
@@ -2275,10 +2218,9 @@ impl NetStack {
                 counter.add(n);
             }
         }
-        self.pool = pool.into_inner();
-        self.stats.csum_offloaded += offloaded;
         self.stats.tso_super_frames += supers;
         self.stats.tso_super_bytes += super_bytes;
+        count_csum(&mut self.stats, &self.ustats, csum_offloaded);
         // Second pass: mirror every polled connection's timer wants
         // (RTO, held ACK, lifecycle) into the wheel.
         if let Some(n) = now {
@@ -2593,7 +2535,7 @@ impl NetStack {
             flags,
             window: 0,
         };
-        let mut nb = self.take_buf();
+        let mut nb = take_or_alloc(&mut self.pool);
         let ip = Ipv4Header {
             src: self.config.ip,
             dst,
@@ -2601,11 +2543,8 @@ impl NetStack {
             payload_len: TCP_HDR_LEN,
             ttl: 64,
         };
-        if self.csum_offload {
-            header.encode_into_partial(&ip, &mut nb);
-        } else {
-            header.encode_into(&ip, &mut nb);
-        }
+        header.emit(&ip, &mut nb, &[], self.tx_csum);
+        count_csum(&mut self.stats, &self.ustats, offloaded(self.tx_csum));
         ip.encode_into(&mut nb);
         self.ustats.tcp_rst_tx.inc();
         uktrace::trace!(self.trace, tp::tcp_rst_tx, header.dst_port, header.seq);
@@ -2667,13 +2606,11 @@ impl NetStack {
         }
         // The high-water mark can only rise when the pool's low-water
         // mark fell, which most sweeps do not cause.
-        if let Some(p) = self.pool.as_ref() {
-            if p.low_water() != self.pool_low_water_seen {
-                self.pool_low_water_seen = p.low_water();
-                self.ustats
-                    .pool_inflight_hiwater
-                    .set_max((p.capacity() - p.low_water()) as u64);
-            }
+        if self.pool.low_water() != self.pool_low_water_seen {
+            self.pool_low_water_seen = self.pool.low_water();
+            self.ustats
+                .pool_inflight_hiwater
+                .set_max((self.pool.capacity() - self.pool.low_water()) as u64);
         }
         handled
     }
@@ -2768,7 +2705,7 @@ impl NetStack {
                 tha: arp.sha,
                 tpa: arp.spa,
             };
-            let mut nb = self.take_buf();
+            let mut nb = take_or_alloc(&mut self.pool);
             nb.append(&reply.encode());
             self.stage_eth(arp.sha, EtherType::Arp, nb);
         }
@@ -2838,7 +2775,7 @@ impl NetStack {
             // fresh pooled buffer, headers prepended in place. A
             // request too large for a reply buffer (an injected
             // over-MTU frame) is dropped, not echoed.
-            let mut nb = self.take_buf();
+            let mut nb = take_or_alloc(&mut self.pool);
             if payload.len() > nb.tailroom() {
                 self.recycle(nb);
                 return Err(Errno::Inval);
@@ -2863,7 +2800,7 @@ impl NetStack {
 
     /// Sends an ICMP echo request to `dst`.
     pub fn ping(&mut self, dst: Ipv4Addr, ident: u16, seq: u16) -> Result<()> {
-        let mut nb = self.take_buf();
+        let mut nb = take_or_alloc(&mut self.pool);
         nb.append(b"unikraft-rs ping");
         icmp::encode_echo_into(true, ident, seq, &mut nb);
         let hdr = Ipv4Header {
@@ -3008,13 +2945,8 @@ impl NetStack {
         let dup0 = c.tcb.dup_acks();
         let fr0 = c.tcb.fast_retransmits();
         let ooo0 = c.tcb.ooo_queued();
-        let mut pool = self.pool.take();
-        c.tcb.on_segment_bufs(&tcp, std::iter::once(nb), |b| {
-            if let Some(p) = pool.as_mut() {
-                p.give_back_chain(b);
-            }
-        });
-        self.pool = pool;
+        c.tcb
+            .on_segment_bufs(&tcp, std::iter::once(nb), |b| self.pool.give_back_chain(b));
         let dup = c.tcb.dup_acks() - dup0;
         if dup > 0 {
             self.ustats.dup_acks.add(dup);
@@ -3181,14 +3113,12 @@ impl NetStack {
                 }
                 let bytes = nb.len();
                 let now = self.now_ns();
-                let mut pool = self.pool.take();
                 let cs = &mut self.conn_slots[slot as usize];
                 let Some(c) = cs.conn.as_mut() else {
                     // The flow table named this slot, so it must be
                     // occupied; drop the segment rather than panic if
                     // the table and slab ever disagree.
                     debug_assert!(false, "flow table points at an empty connection slot");
-                    self.pool = pool;
                     self.recycle(nb);
                     return Err(Errno::BadF);
                 };
@@ -3204,34 +3134,19 @@ impl NetStack {
                 if let Some(ref opts) = opts {
                     c.tcb.process_options(&tcp, opts);
                 }
-                c.tcb.on_segment_bufs(&tcp, std::iter::once(nb), |b| {
-                    if let Some(p) = pool.as_mut() {
-                        p.give_back_chain(b);
-                    }
-                });
+                c.tcb
+                    .on_segment_bufs(&tcp, std::iter::once(nb), |b| self.pool.give_back_chain(b));
                 let dup = c.tcb.dup_acks() - dup0;
                 let fr = c.tcb.fast_retransmits() - fr0;
                 let ooo = c.tcb.ooo_queued() - ooo0;
                 let sp = c.tcb.spurious_rtx() - sp0;
-                let shed0 = c.tcb.ooo_shed();
-                while pool.as_ref().is_some_and(|p| p.available() < LOW_POOL_BUFS) {
-                    let mut give = |b: Netbuf| {
-                        if let Some(p) = pool.as_mut() {
-                            p.give_back_chain(b);
-                        }
-                    };
-                    if !c.tcb.shed_newest_ooo(&mut give) {
-                        break;
-                    }
-                }
-                let shed = c.tcb.ooo_shed() - shed0;
+                let shed = shed_ooo_under_pressure(&mut c.tcb, &mut self.pool);
                 let established =
                     state0 != TcpState::Established && c.tcb.state == TcpState::Established;
                 if !c.dirty {
                     c.dirty = true;
                     self.dirty.push(slot);
                 }
-                self.pool = pool;
                 if established {
                     uktrace::trace!(self.trace, tp::tcp_established, h, tcp.dst_port);
                     if state0 == TcpState::SynReceived {
@@ -3344,7 +3259,6 @@ impl NetStack {
             return;
         }
         let mut stage = std::mem::take(&mut self.gro_stage);
-        let mut pool = self.pool.take();
         let now = self.now_ns();
         while !stage.is_empty() {
             // The run at the stage front: adjacent entries, same
@@ -3398,9 +3312,7 @@ impl NetStack {
                     let ooo0 = c.tcb.ooo_queued();
                     c.tcb
                         .on_segment_bufs(&merged, stage.drain(..j).map(|(_, _, nb)| nb), |nb| {
-                            if let Some(p) = pool.as_mut() {
-                                p.give_back_chain(nb);
-                            }
+                            self.pool.give_back_chain(nb)
                         });
                     let dup = c.tcb.dup_acks() - dup0;
                     if dup > 0 {
@@ -3417,18 +3329,7 @@ impl NetStack {
                         self.ustats.tcp_ooo_queued.add(ooo);
                         uktrace::trace!(self.trace, tp::tcp_ooo_queue, conn, ooo);
                     }
-                    let shed0 = c.tcb.ooo_shed();
-                    while pool.as_ref().is_some_and(|p| p.available() < LOW_POOL_BUFS) {
-                        let mut give = |b: Netbuf| {
-                            if let Some(p) = pool.as_mut() {
-                                p.give_back_chain(b);
-                            }
-                        };
-                        if !c.tcb.shed_newest_ooo(&mut give) {
-                            break;
-                        }
-                    }
-                    let shed = c.tcb.ooo_shed() - shed0;
+                    let shed = shed_ooo_under_pressure(&mut c.tcb, &mut self.pool);
                     if shed > 0 {
                         self.ustats.tcp_ooo_shed.add(shed);
                         uktrace::trace!(self.trace, tp::tcp_ooo_shed, conn, shed);
@@ -3439,14 +3340,11 @@ impl NetStack {
                     }
                     uktrace::trace!(self.trace, tp::tcp_data_rx, conn, _run_bytes);
                 }
-                None => stage.drain(..j).for_each(|(_, _, nb)| {
-                    if let Some(p) = pool.as_mut() {
-                        p.give_back_chain(nb);
-                    }
-                }),
+                None => stage
+                    .drain(..j)
+                    .for_each(|(_, _, nb)| self.pool.give_back_chain(nb)),
             }
         }
-        self.pool = pool;
         self.gro_stage = stage;
     }
 }

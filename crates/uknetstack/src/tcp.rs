@@ -23,7 +23,7 @@
 //! a ring, and readers either copy out
 //! ([`app_recv_into_with`](Tcb::app_recv_into_with)) or take whole
 //! buffers ([`app_recv_netbuf`](Tcb::app_recv_netbuf) — the
-//! `tcp_recv_netbuf` substrate, the receiver's mirror of the zero-copy
+//! `tcp_recv_burst_netbuf` substrate, the receiver's mirror of the zero-copy
 //! send queue).
 //!
 //! # Loss recovery
@@ -80,8 +80,8 @@ use std::collections::VecDeque;
 use uknetdev::netbuf::Netbuf;
 use ukplat::{Errno, Result};
 
-use crate::inet_checksum;
 use crate::ipv4::Ipv4Header;
+use crate::{inet_checksum, Csum};
 
 /// TCP header length (no options).
 pub const TCP_HDR_LEN: usize = 20;
@@ -217,7 +217,7 @@ pub struct TcpHeader {
 impl TcpHeader {
     /// Serializes header + payload into a segment with a valid checksum.
     // ukcheck: allow(alloc) -- test/tooling codec; the datapath writes
-    // headers in place via `encode_into` on pooled buffers
+    // headers in place via `emit` on pooled buffers
     pub fn encode(&self, ip: &Ipv4Header, payload: &[u8]) -> Vec<u8> {
         let mut seg = Vec::with_capacity(TCP_HDR_LEN + payload.len());
         seg.extend_from_slice(&self.src_port.to_be_bytes());
@@ -235,109 +235,36 @@ impl TcpHeader {
         seg
     }
 
-    /// Prepends the 20-byte header into `nb`'s headroom; the payload
-    /// already in the buffer becomes the segment body without being
-    /// copied. The checksum is computed in place over the whole segment
-    /// with the pseudo-header seed — byte-identical to
-    /// [`encode`](Self::encode).
+    /// Prepends the header — 20 bytes plus `opts` — into `nb`'s headroom;
+    /// the payload already in the buffer becomes the segment body
+    /// without being copied. `opts` must be NOP-padded to a multiple of
+    /// 4 and counted in `ip.payload_len`; they ride uncut frames only
+    /// (SACK-permitted on SYNs, SACK blocks on pure ACKs — the GSO
+    /// cutter rejects a header with options). `csum` says who fills
+    /// the checksum field:
+    ///
+    /// - [`Csum::Software`]: computed here over the whole segment with
+    ///   the pseudo-header seed — without options, byte-identical to
+    ///   [`encode`](Self::encode).
+    /// - [`Csum::Offload`]: the field holds the *folded pseudo-header
+    ///   sum* (uncomplemented) and a
+    ///   [`CsumRequest`](uknetdev::netbuf::CsumRequest) spanning the
+    ///   segment has the device complete it on `tx_burst`. The wire
+    ///   frame is checksum-equivalent to the software one (the device
+    ///   emits a computed `0x0000` as the congruent `0xffff`, which the
+    ///   software path leaves raw; both verify identically).
+    /// - [`Csum::Gso`]: `Offload` for a scatter-gather super-segment —
+    ///   header on the *chain head*, request spanning the chain
+    ///   (`ip.payload_len` must too), plus a
+    ///   [`GsoRequest`](uknetdev::netbuf::GsoRequest) for the host
+    ///   side to cut per-`mss` wire frames and complete their
+    ///   checksums (`uknetdev::gso`).
     ///
     /// # Panics
     ///
-    /// Panics if `nb` has less than [`TCP_HDR_LEN`] bytes of headroom.
-    pub fn encode_into(&self, ip: &Ipv4Header, nb: &mut Netbuf) {
-        let hdr = nb.push_header_uninit(TCP_HDR_LEN);
-        hdr[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        hdr[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        hdr[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        hdr[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        hdr[12] = 5 << 4; // Data offset 5 words.
-        hdr[13] = self.flags.to_u8();
-        hdr[14..16].copy_from_slice(&self.window.to_be_bytes());
-        hdr[16..18].copy_from_slice(&[0, 0]); // Checksum placeholder.
-        hdr[18..20].copy_from_slice(&[0, 0]); // Urgent pointer.
-        let ck = inet_checksum(nb.payload(), ip.pseudo_header_sum());
-        nb.payload_mut()[16..18].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    /// The checksum-offload form of [`encode_into`](Self::encode_into):
-    /// prepends the header with the checksum field holding only the
-    /// *folded pseudo-header sum* (uncomplemented) and attaches a
-    /// [`CsumRequest`](uknetdev::netbuf::CsumRequest) to the netbuf, so
-    /// the device completes the sum over the whole segment on
-    /// `tx_burst` — the frame that reaches the wire is
-    /// checksum-equivalent to the software path's (the device emits a
-    /// computed `0x0000` as the congruent `0xffff`, which the software
-    /// TCP path leaves raw; both verify identically).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nb` has less than [`TCP_HDR_LEN`] bytes of headroom.
-    pub fn encode_into_partial(&self, ip: &Ipv4Header, nb: &mut Netbuf) {
-        self.push_partial_header(ip, nb);
-        nb.request_csum(nb.len(), 16);
-    }
-
-    /// The TSO form of [`encode_into_partial`](Self::encode_into_partial)
-    /// for a scatter-gather super-segment: prepends the header onto
-    /// the *chain head* with the partial pseudo-header sum stamped,
-    /// and attaches both a chain-spanning
-    /// [`CsumRequest`](uknetdev::netbuf::CsumRequest) and a
-    /// [`GsoRequest`](uknetdev::netbuf::GsoRequest) so the host side
-    /// cuts per-`mss` wire frames and completes their checksums
-    /// (`uknetdev::gso`). `ip.payload_len` must span the whole chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the head has less than [`TCP_HDR_LEN`] bytes of
-    /// headroom or `mss` is zero.
-    pub fn encode_into_gso(&self, ip: &Ipv4Header, nb: &mut Netbuf, mss: u16) {
-        self.push_partial_header(ip, nb);
-        nb.request_csum(nb.chain_len(), 16);
-        nb.request_gso(mss);
-    }
-
-    /// [`encode_into`](Self::encode_into) with TCP options: prepends a
-    /// `20 + opts.len()`-byte header (data offset raised accordingly)
-    /// and checksums the whole segment in software. `opts` must
-    /// already be NOP-padded to a multiple of 4 and `ip.payload_len`
-    /// must include the option bytes. The GSO cutter rejects options,
-    /// so only uncut frames — pure ACKs and handshake segments — ever
-    /// take this path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nb` lacks `20 + opts.len()` bytes of headroom or
-    /// `opts.len()` is not a multiple of 4.
-    pub fn encode_into_opts(&self, ip: &Ipv4Header, nb: &mut Netbuf, opts: &[u8]) {
-        let hlen = self.push_opts_header(nb, opts);
-        let hdr = &mut nb.payload_mut()[..hlen];
-        hdr[16..18].copy_from_slice(&[0, 0]); // Checksum placeholder.
-        let ck = inet_checksum(nb.payload(), ip.pseudo_header_sum());
-        nb.payload_mut()[16..18].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    /// The checksum-offload form of
-    /// [`encode_into_opts`](Self::encode_into_opts): the checksum
-    /// field holds the folded pseudo-header sum and a
-    /// [`CsumRequest`](uknetdev::netbuf::CsumRequest) spanning the
-    /// whole segment (header + options + payload) is attached for the
-    /// device to complete.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`encode_into_opts`](Self::encode_into_opts).
-    pub fn encode_into_partial_opts(&self, ip: &Ipv4Header, nb: &mut Netbuf, opts: &[u8]) {
-        let hlen = self.push_opts_header(nb, opts);
-        let partial = uknetdev::csum::fold_partial_sum(u64::from(ip.pseudo_header_sum()));
-        nb.payload_mut()[..hlen][16..18].copy_from_slice(&partial.to_be_bytes());
-        nb.request_csum(nb.len(), 16);
-    }
-
-    /// Shared prepend of the option-carrying encoders: full header
-    /// with `opts` in the option space and the data offset covering
-    /// them; the checksum field is left zero for the caller to fill.
-    /// Returns the header length.
-    fn push_opts_header(&self, nb: &mut Netbuf, opts: &[u8]) -> usize {
+    /// Panics if `nb` lacks `20 + opts.len()` bytes of headroom, if
+    /// `opts.len()` is not a multiple of 4, or on a zero `mss`.
+    pub fn emit(&self, ip: &Ipv4Header, nb: &mut Netbuf, opts: &[u8], csum: Csum) {
         assert_eq!(opts.len() % 4, 0, "options must be padded to 32-bit words");
         let hlen = TCP_HDR_LEN + opts.len();
         let hdr = nb.push_header_uninit(hlen);
@@ -345,30 +272,29 @@ impl TcpHeader {
         hdr[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         hdr[4..8].copy_from_slice(&self.seq.to_be_bytes());
         hdr[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        hdr[12] = ((hlen / 4) as u8) << 4;
+        hdr[12] = ((hlen / 4) as u8) << 4; // Data offset, in words.
         hdr[13] = self.flags.to_u8();
         hdr[14..16].copy_from_slice(&self.window.to_be_bytes());
-        hdr[16..18].copy_from_slice(&[0, 0]);
+        let seed = match csum {
+            Csum::Software => 0,
+            Csum::Offload | Csum::Gso { .. } => {
+                uknetdev::csum::fold_partial_sum(u64::from(ip.pseudo_header_sum()))
+            }
+        };
+        hdr[16..18].copy_from_slice(&seed.to_be_bytes());
         hdr[18..20].copy_from_slice(&[0, 0]); // Urgent pointer.
-        hdr[20..hlen].copy_from_slice(opts);
-        hlen
-    }
-
-    /// Shared header prepend of the offload encoders: every field
-    /// final except the checksum, which holds the folded pseudo-header
-    /// sum for a downstream completer.
-    fn push_partial_header(&self, ip: &Ipv4Header, nb: &mut Netbuf) {
-        let hdr = nb.push_header_uninit(TCP_HDR_LEN);
-        hdr[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        hdr[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        hdr[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        hdr[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        hdr[12] = 5 << 4; // Data offset 5 words.
-        hdr[13] = self.flags.to_u8();
-        hdr[14..16].copy_from_slice(&self.window.to_be_bytes());
-        let partial = uknetdev::csum::fold_partial_sum(u64::from(ip.pseudo_header_sum()));
-        hdr[16..18].copy_from_slice(&partial.to_be_bytes());
-        hdr[18..20].copy_from_slice(&[0, 0]); // Urgent pointer.
+        hdr[20..].copy_from_slice(opts);
+        match csum {
+            Csum::Software => {
+                let ck = inet_checksum(nb.payload(), ip.pseudo_header_sum());
+                nb.payload_mut()[16..18].copy_from_slice(&ck.to_be_bytes());
+            }
+            Csum::Offload => nb.request_csum(nb.len(), 16),
+            Csum::Gso { mss } => {
+                nb.request_csum(nb.chain_len(), 16);
+                nb.request_gso(mss);
+            }
+        }
     }
 
     /// Parses and verifies a segment; returns header + payload.
@@ -2364,7 +2290,7 @@ impl Tcb {
     }
 
     /// Takes the next received buffer whole — the zero-copy receive
-    /// path (`tcp_recv_netbuf`): the payload extent the peer's bytes
+    /// path (`tcp_recv_burst_netbuf`): the payload extent the peer's bytes
     /// arrived in moves straight to the application, which owns it and
     /// must hand it back to the stack's pool when done. Same
     /// window-update semantics as [`app_recv`](Self::app_recv).
@@ -2573,10 +2499,11 @@ impl Tcb {
     /// the last), then FIN once the queue drains, then — only if
     /// nothing else left — a coalesced pure ACK for ingested data.
     ///
-    /// `emit` receives each segment's payload as an owned buffer
-    /// chain (`None` for control segments): queued buffers move out
-    /// whole, headers get prepended into the head's headroom by the
-    /// caller — bulk data never takes a send-ring copy. With
+    /// `emit` receives each segment as an owned buffer chain: queued
+    /// buffers move out whole (a data segment carries at least one
+    /// byte), a control segment rides an empty buffer from `take_buf`,
+    /// and the caller prepends the headers into the head's headroom —
+    /// bulk data never takes a send-ring copy. With
     /// `max_seg` equal to the MSS this is software segmentation; with
     /// a GSO budget (e.g. 60 KB) each data `emit` hands out one
     /// super-segment, the sequence/window accounting done **once**
@@ -2617,7 +2544,7 @@ impl Tcb {
     pub fn poll_output_chain_with<T, F>(&mut self, max_seg: usize, mut take_buf: T, mut emit: F)
     where
         T: FnMut() -> Netbuf,
-        F: FnMut(TcpHeader, Option<Netbuf>),
+        F: FnMut(TcpHeader, Netbuf),
     {
         let mut emitted_ack = false;
         if self.wnd_update_due {
@@ -2628,7 +2555,7 @@ impl Tcb {
         }
         while let Some(h) = self.out.pop_front() {
             emitted_ack |= h.flags.ack;
-            emit(h, None);
+            emit(h, take_buf());
         }
         // Whether the pending ACK ends up riding payload is read off
         // these afterwards: every data emission below either advances
@@ -2646,7 +2573,7 @@ impl Tcb {
                 ack: true,
                 ..Default::default()
             });
-            emit(header, None);
+            emit(header, take_buf());
             emitted_ack = true;
         }
         // Pacing gate: during a loss episode (recovery or a backed-off
@@ -2716,7 +2643,7 @@ impl Tcb {
                 };
                 self.stat_retransmits += 1;
                 self.rtt_probe = None; // Karn.
-                emit(header, Some(nb));
+                emit(header, nb);
                 emitted_ack = true;
             }
             // If the front extent is not at `snd_una` (still in flight
@@ -2751,7 +2678,7 @@ impl Tcb {
                     };
                     self.stat_retransmits += 1;
                     self.rtt_probe = None; // Karn.
-                    emit(header, Some(nb));
+                    emit(header, nb);
                     emitted_ack = true;
                 }
             }
@@ -2788,7 +2715,7 @@ impl Tcb {
                     ..Default::default()
                 });
                 let chain = self.assemble_chain(n, &mut take_buf);
-                emit(header, Some(chain));
+                emit(header, chain);
                 emitted_ack = true;
                 self.snd_nxt = self.snd_nxt.wrapping_add(n as u32);
                 if pacing {
@@ -2813,7 +2740,7 @@ impl Tcb {
                         ..Default::default()
                     });
                     let chain = self.assemble_chain(1, &mut take_buf);
-                    emit(header, Some(chain));
+                    emit(header, chain);
                     emitted_ack = true;
                     self.snd_nxt = self.snd_nxt.wrapping_add(1);
                 }
@@ -2824,7 +2751,7 @@ impl Tcb {
                     ack: true,
                     ..Default::default()
                 });
-                emit(header, None);
+                emit(header, take_buf());
                 emitted_ack = true;
                 self.snd_nxt = self.snd_nxt.wrapping_add(1);
                 self.fin_sent = true;
@@ -2854,7 +2781,7 @@ impl Tcb {
                     ack: true,
                     ..Default::default()
                 });
-                emit(header, None);
+                emit(header, take_buf());
                 emitted_ack = true;
             }
         } else if self.ack_pending
@@ -2939,7 +2866,7 @@ impl Tcb {
     /// progress).
     fn hole_walk<F>(&mut self, emit: &mut F, pacing: bool, pace_starved: &mut bool) -> bool
     where
-        F: FnMut(TcpHeader, Option<Netbuf>),
+        F: FnMut(TcpHeader, Netbuf),
     {
         let Some(&(_, high)) = self.sacked.last() else {
             return false;
@@ -3013,7 +2940,7 @@ impl Tcb {
                 self.sack_rtx_mark = end;
             }
             budget = budget.saturating_sub(len);
-            emit(header, Some(nb));
+            emit(header, nb);
             emitted = true;
         }
         if pacing {
@@ -3043,10 +2970,8 @@ impl Tcb {
         self.poll_output_chain_with(
             max_seg,
             || Netbuf::alloc(cap, headroom),
-            |header, chain| {
-                let payload = chain
-                    .map(|nb| nb.chain_segments().flatten().copied().collect())
-                    .unwrap_or_default();
+            |header, nb| {
+                let payload = nb.chain_segments().flatten().copied().collect();
                 segs.push(OutSegment { header, payload });
             },
         );
@@ -3098,6 +3023,22 @@ mod tests {
         let (h2, p) = TcpHeader::decode(&ip(TCP_HDR_LEN + 3), &seg).unwrap();
         assert_eq!(h, h2);
         assert_eq!(p, b"abc");
+    }
+
+    const SYN: TcpHeader =
+        TcpHeader { src_port: 1, dst_port: 2, seq: 0, ack: 0, flags: TcpFlags::SYN, window: 0 };
+
+    #[test]
+    #[should_panic(expected = "padded to 32-bit words")]
+    fn emit_rejects_unpadded_options() {
+        SYN.emit(&ip(TCP_HDR_LEN + 3), &mut Netbuf::alloc(256, 64), &[1, 4, 2], Csum::Software);
+    }
+
+    #[test]
+    #[should_panic]
+    fn emit_rejects_short_headroom() {
+        let mut nb = Netbuf::alloc(256, TCP_HDR_LEN + 3);
+        SYN.emit(&ip(TCP_HDR_LEN + 4), &mut nb, &SACK_PERMITTED_OPT, Csum::Offload);
     }
 
     /// Drives two TCBs against each other until no segments remain.
@@ -3307,7 +3248,7 @@ mod tests {
             |_, chain| chains.push(chain),
         );
         assert_eq!(chains.len(), 1, "one super-segment");
-        let chain = chains.pop().unwrap().expect("data segment");
+        let chain = chains.pop().unwrap();
         assert_eq!(chain.chain_len(), 10_000);
         assert!(chain.frag_count() > 1, "payload spans a chain");
         assert_eq!(

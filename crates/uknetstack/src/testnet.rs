@@ -66,7 +66,7 @@ use crate::eth::{EthHeader, EtherType};
 use crate::ipv4::{IpProto, Ipv4Header};
 use crate::stack::NetStack;
 use crate::tcp::{TcpFlags, TcpHeader, TCP_HDR_LEN};
-use crate::{Endpoint, Ipv4Addr, Mac};
+use crate::{Csum, Endpoint, Ipv4Addr, Mac};
 
 /// A hub connecting multiple stacks.
 #[derive(Debug, Default)]
@@ -610,7 +610,7 @@ impl Network {
             flags,
             window: 65_535,
         }
-        .encode_into(&ip, &mut nb);
+        .emit(&ip, &mut nb, &[], Csum::Software);
         ip.encode_into(&mut nb);
         EthHeader {
             dst: victim_mac,
@@ -1343,7 +1343,7 @@ mod tests {
                 src_port: 5000,
                 dst_port: 7,
             }
-            .encode_into(&ip, &mut nb);
+            .emit(&ip, &mut nb, crate::Csum::Software);
             ip.encode_into(&mut nb);
             EthHeader {
                 dst: Mac::node(2),

@@ -3,8 +3,8 @@
 use uknetdev::netbuf::Netbuf;
 use ukplat::{Errno, Result};
 
-use crate::inet_checksum;
 use crate::ipv4::Ipv4Header;
+use crate::{inet_checksum, Csum};
 
 /// UDP header length.
 pub const UDP_HDR_LEN: usize = 8;
@@ -37,45 +37,39 @@ impl UdpHeader {
 
     /// Prepends the 8-byte header into `nb`'s headroom; the payload
     /// already in the buffer becomes the datagram body without being
-    /// copied. The checksum is computed in place over header + payload
-    /// with the pseudo-header seed — byte-identical to
-    /// [`encode`](Self::encode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nb` has less than [`UDP_HDR_LEN`] bytes of headroom.
-    pub fn encode_into(&self, ip: &Ipv4Header, nb: &mut Netbuf) {
-        let len = nb.len() as u16 + UDP_HDR_LEN as u16;
-        let hdr = nb.push_header_uninit(UDP_HDR_LEN);
-        hdr[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        hdr[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        hdr[4..6].copy_from_slice(&len.to_be_bytes());
-        hdr[6..8].copy_from_slice(&[0, 0]); // Checksum placeholder.
-        let ck = inet_checksum(nb.payload(), ip.pseudo_header_sum());
-        let ck = if ck == 0 { 0xffff } else { ck };
-        nb.payload_mut()[6..8].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    /// The checksum-offload form of [`encode_into`](Self::encode_into):
-    /// prepends the header with the checksum field holding only the
-    /// *folded pseudo-header sum* (uncomplemented) and attaches a
-    /// [`CsumRequest`](uknetdev::netbuf::CsumRequest) to the netbuf, so
-    /// the device completes the sum over the whole datagram on
+    /// copied. With [`Csum::Software`] the checksum is computed in
+    /// place over header + payload with the pseudo-header seed —
+    /// byte-identical to [`encode`](Self::encode). With
+    /// [`Csum::Offload`] the field holds only the *folded pseudo-header
+    /// sum* (uncomplemented) and a
+    /// [`CsumRequest`](uknetdev::netbuf::CsumRequest) rides the netbuf,
+    /// so the device completes the sum over the whole datagram on
     /// `tx_burst` — the frame that reaches the wire is byte-identical
     /// to the software path's.
     ///
     /// # Panics
     ///
-    /// Panics if `nb` has less than [`UDP_HDR_LEN`] bytes of headroom.
-    pub fn encode_into_partial(&self, ip: &Ipv4Header, nb: &mut Netbuf) {
+    /// Panics if `nb` has less than [`UDP_HDR_LEN`] bytes of headroom,
+    /// or on [`Csum::Gso`]: nothing cuts a datagram.
+    pub fn emit(&self, ip: &Ipv4Header, nb: &mut Netbuf, csum: Csum) {
         let len = nb.len() as u16 + UDP_HDR_LEN as u16;
+        let seed = match csum {
+            Csum::Software => 0,
+            Csum::Offload => uknetdev::csum::fold_partial_sum(u64::from(ip.pseudo_header_sum())),
+            Csum::Gso { .. } => panic!("UDP has no segmentation offload"),
+        };
         let hdr = nb.push_header_uninit(UDP_HDR_LEN);
         hdr[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         hdr[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         hdr[4..6].copy_from_slice(&len.to_be_bytes());
-        let partial = uknetdev::csum::fold_partial_sum(u64::from(ip.pseudo_header_sum()));
-        hdr[6..8].copy_from_slice(&partial.to_be_bytes());
-        nb.request_csum(nb.len(), 6);
+        hdr[6..8].copy_from_slice(&seed.to_be_bytes());
+        if csum == Csum::Software {
+            let ck = inet_checksum(nb.payload(), ip.pseudo_header_sum());
+            let ck = if ck == 0 { 0xffff } else { ck };
+            nb.payload_mut()[6..8].copy_from_slice(&ck.to_be_bytes());
+        } else {
+            nb.request_csum(nb.len(), 6);
+        }
     }
 
     /// Parses and verifies a datagram; returns header + payload.

@@ -10,7 +10,7 @@ use uknetstack::tcp::{
     TCP_MAX_OPT_LEN,
 };
 use uknetstack::udp::UdpHeader;
-use uknetstack::{inet_checksum, Ipv4Addr, Mac};
+use uknetstack::{inet_checksum, Csum, Ipv4Addr, Mac};
 
 fn arb_mac() -> impl Strategy<Value = Mac> {
     proptest::array::uniform6(any::<u8>()).prop_map(Mac)
@@ -189,18 +189,91 @@ proptest! {
     }
 }
 
-// --- encode_into ≡ encode (headroom path vs. reference codec) --------
+// --- in-place emitters ≡ encode (headroom path vs. reference codec) ---
 //
 // The zero-copy datapath prepends headers into a pooled netbuf's
-// headroom (`encode_into`); the `encode()` methods remain as the
-// reference serialization. For every protocol and any payload up to
-// MTU size, the two must produce byte-identical packets.
+// headroom (`encode_into`; `emit` for TCP and UDP, whose checksum the
+// device may complete); the `encode()` methods remain as the reference
+// serialization. For every protocol and any payload up to MTU size,
+// the two must produce byte-identical packets.
 
-/// A netbuf with the payload appended behind standard TX headroom.
+/// A netbuf with the payload appended behind the stack's TX headroom.
 fn nb_with_payload(payload: &[u8]) -> uknetdev::netbuf::Netbuf {
-    let mut nb = uknetdev::netbuf::Netbuf::alloc(2048, 64);
+    let mut nb = uknetdev::netbuf::Netbuf::alloc(2048, uknetstack::stack::TX_HEADROOM);
     nb.append(payload);
     nb
+}
+
+/// Finishes an emitted transport segment the way the stack does: IPv4
+/// and Ethernet headers prepended.
+fn push_ip_and_eth(ip: &Ipv4Header, nb: &mut uknetdev::netbuf::Netbuf) {
+    ip.encode_into(nb);
+    EthHeader {
+        dst: Mac::node(2),
+        src: Mac::node(1),
+        ethertype: EtherType::Ipv4,
+    }
+    .encode_into(nb);
+}
+
+/// Frames an emitted transport segment up, crosses a `VirtioNet` with it
+/// (`tx_burst` completes a pending `CsumRequest`, and in debug builds
+/// holds a frame without one to its claim of valid checksums) and
+/// returns the transport bytes that reached the wire.
+fn wire_segment(ip: &Ipv4Header, mut nb: uknetdev::netbuf::Netbuf) -> Vec<u8> {
+    use uknetdev::backend::VhostKind;
+    use uknetdev::dev::{NetDev, NetDevConf};
+    use uknetdev::VirtioNet;
+    use ukplat::time::Tsc;
+
+    push_ip_and_eth(ip, &mut nb);
+    let tsc = Tsc::new(3_600_000_000);
+    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
+    dev.configure(NetDevConf::default()).unwrap();
+    let mut burst = vec![nb];
+    dev.tx_burst(0, &mut burst).unwrap();
+    let mut done = Vec::new();
+    dev.reclaim_tx(0, &mut done).unwrap();
+    let frame = done.pop().expect("frame completed");
+    assert!(frame.csum_request().is_none(), "request serviced");
+    let (eh, ip_pkt) = EthHeader::decode(frame.payload()).unwrap();
+    assert_eq!(eh.ethertype, EtherType::Ipv4);
+    let (ih, segment) = Ipv4Header::decode(ip_pkt).unwrap();
+    assert_eq!(&ih, ip);
+    segment.to_vec()
+}
+
+/// A checksum arm an uncut frame can take.
+fn arb_csum() -> impl Strategy<Value = Csum> {
+    prop_oneof![Just(Csum::Software), Just(Csum::Offload)]
+}
+
+/// The option runs the stack emits, with what they must parse back to:
+/// none, SACK-permitted, or 1–4 SACK blocks behind a NOP-NOP pad.
+fn arb_tcp_opts() -> impl Strategy<Value = (Vec<u8>, TcpOptions)> {
+    let blocks = proptest::collection::vec((any::<u32>(), any::<u32>()), 1..MAX_SACK_BLOCKS + 1)
+        .prop_map(|blocks| {
+            let mut bytes = vec![1, 1, 5, 2 + 8 * blocks.len() as u8];
+            let mut parsed = TcpOptions::default();
+            for (i, &(start, end)) in blocks.iter().enumerate() {
+                bytes.extend_from_slice(&start.to_be_bytes());
+                bytes.extend_from_slice(&end.to_be_bytes());
+                parsed.sack_blocks[i] = (start, end);
+            }
+            parsed.sack_count = blocks.len();
+            (bytes, parsed)
+        });
+    prop_oneof![
+        Just((Vec::new(), TcpOptions::default())),
+        Just((
+            SACK_PERMITTED_OPT.to_vec(),
+            TcpOptions {
+                sack_permitted: true,
+                ..TcpOptions::default()
+            }
+        )),
+        blocks,
+    ]
 }
 
 proptest! {
@@ -241,13 +314,16 @@ proptest! {
         prop_assert_eq!(nb.payload(), &reference[..]);
     }
 
-    /// UDP: headroom path matches the reference datagram (checksum
-    /// included, zero-checksum substitution included).
+    /// UDP: on either checksum arm — computed in place, or seeded and
+    /// completed by the device at `tx_burst` — the datagram on the
+    /// wire is the reference datagram (checksum included,
+    /// zero-checksum substitution included).
     #[test]
-    fn udp_encode_into_matches_encode(
+    fn udp_emit_matches_encode(
         sp in 1u16..u16::MAX, dp in 1u16..u16::MAX,
         src in arb_ip(), dst in arb_ip(),
         payload in proptest::collection::vec(any::<u8>(), 0..1472),
+        csum in arb_csum(),
     ) {
         let h = UdpHeader { src_port: sp, dst_port: dp };
         let ip = Ipv4Header {
@@ -256,21 +332,31 @@ proptest! {
             payload_len: 8 + payload.len(),
             ttl: 64,
         };
-        let reference = h.encode(&ip, &payload);
         let mut nb = nb_with_payload(&payload);
-        h.encode_into(&ip, &mut nb);
-        prop_assert_eq!(nb.payload(), &reference[..]);
+        h.emit(&ip, &mut nb, csum);
+        prop_assert_eq!(nb.csum_request().is_some(), csum == Csum::Offload);
+        prop_assert_eq!(wire_segment(&ip, nb), h.encode(&ip, &payload));
     }
 
-    /// TCP: headroom path matches the reference segment.
+    /// TCP, every uncut arm: options ∈ {none, SACK-permitted, 1–4 SACK
+    /// blocks} × checksum ∈ {in place, completed by the device}. The
+    /// segment on the wire always passes the verifying decode with
+    /// header, options and payload intact; without options it is the
+    /// reference segment byte for byte (a device-completed checksum
+    /// of `0x0000` reads `0xffff` — congruent, and documented).
     #[test]
-    fn tcp_encode_into_matches_encode(
+    fn tcp_emit_matches_encode(
         sp in 1u16..u16::MAX, dp in 1u16..u16::MAX,
         seq in any::<u32>(), ack in any::<u32>(),
         flags_bits in any::<u8>(), window in any::<u16>(),
         src in arb_ip(), dst in arb_ip(),
         payload in proptest::collection::vec(any::<u8>(), 0..1460),
+        opts in arb_tcp_opts(),
+        csum in arb_csum(),
     ) {
+        let (opts, parsed) = opts;
+        // Options eat into the MSS; without them the payload fills it.
+        let payload = &payload[..payload.len().min(1460 - opts.len())];
         let h = TcpHeader {
             src_port: sp,
             dst_port: dp,
@@ -285,16 +371,89 @@ proptest! {
             },
             window,
         };
+        let doff = 20 + opts.len();
         let ip = Ipv4Header {
             src, dst,
             proto: IpProto::Tcp,
-            payload_len: 20 + payload.len(),
+            payload_len: doff + payload.len(),
             ttl: 64,
         };
-        let reference = h.encode(&ip, &payload);
-        let mut nb = nb_with_payload(&payload);
-        h.encode_into(&ip, &mut nb);
-        prop_assert_eq!(nb.payload(), &reference[..]);
+        let mut nb = nb_with_payload(payload);
+        h.emit(&ip, &mut nb, &opts, csum);
+        prop_assert_eq!(nb.csum_request().is_some(), csum == Csum::Offload);
+        prop_assert!(nb.gso_request().is_none());
+        let wire = wire_segment(&ip, nb);
+        let (h2, p2) = TcpHeader::decode(&ip, &wire).unwrap();
+        prop_assert_eq!(h2, h);
+        prop_assert_eq!(p2, payload);
+        prop_assert_eq!(wire.len() - p2.len(), doff, "data offset covers the options");
+        prop_assert_eq!(&wire[20..doff], &opts[..]);
+        prop_assert_eq!(TcpOptions::parse(&wire[20..doff]), parsed);
+        if opts.is_empty() {
+            let mut reference = h.encode(&ip, payload);
+            if csum == Csum::Offload && reference[16..18] == [0, 0] {
+                reference[16..18].copy_from_slice(&[0xff, 0xff]);
+            }
+            prop_assert_eq!(wire, reference);
+        }
+    }
+
+    /// TCP, the cut arm: `Csum::Gso` leaves one checksum request
+    /// spanning the whole chain and one segmentation request, and the
+    /// host-side cutter turns the super-segment into per-MSS frames
+    /// that each pass the verifying decodes and together carry the
+    /// stream in order (sequence numbers and PSH placement are held to
+    /// the software path's by
+    /// `tso_framing_is_byte_identical_to_software_segmentation`).
+    #[test]
+    fn tcp_emit_gso_is_cut_into_valid_frames(
+        seq in any::<u32>(), ack in any::<u32>(),
+        src in arb_ip(), dst in arb_ip(),
+        mss in 200u16..1461,
+        extents in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 1..1800), 2..6),
+    ) {
+        use uknetdev::netbuf::{CsumRequest, GsoRequest, Netbuf};
+
+        let h = TcpHeader {
+            src_port: 5000,
+            dst_port: 80,
+            seq,
+            ack,
+            flags: TcpFlags { ack: true, psh: true, ..Default::default() },
+            window: 4096,
+        };
+        let stream: Vec<u8> = extents.concat();
+        let mut nb = nb_with_payload(&extents[0]);
+        for extent in &extents[1..] {
+            nb.chain_append(Netbuf::from_slice(extent));
+        }
+        let ip = Ipv4Header {
+            src, dst,
+            proto: IpProto::Tcp,
+            payload_len: 20 + stream.len(),
+            ttl: 64,
+        };
+        h.emit(&ip, &mut nb, &[], Csum::Gso { mss });
+        prop_assert_eq!(
+            nb.csum_request(),
+            Some(CsumRequest { region_len: nb.chain_len() as u32, field_off: 16 })
+        );
+        prop_assert_eq!(nb.gso_request(), Some(GsoRequest { mss }));
+        push_ip_and_eth(&ip, &mut nb);
+
+        let mut frames = Vec::new();
+        let n = uknetdev::gso::cut_frame(&nb, mss, || Netbuf::alloc(2048, 0), &mut frames).unwrap();
+        prop_assert_eq!(n, stream.len().div_ceil(mss as usize));
+        let mut got = Vec::new();
+        for frame in &frames {
+            let (_, ip_pkt) = EthHeader::decode(frame.payload()).unwrap();
+            let (ih, segment) = Ipv4Header::decode(ip_pkt).unwrap();
+            let (_, body) = TcpHeader::decode(&ih, segment).unwrap();
+            prop_assert!(body.len() <= mss as usize);
+            got.extend_from_slice(body);
+        }
+        prop_assert_eq!(got, stream);
     }
 
     /// ICMP echo: headroom path matches the reference message.
@@ -352,60 +511,6 @@ proptest! {
         let off = offset.min(data.len());
         let slice = &data[off..];
         prop_assert_eq!(inet_checksum(slice, seed), naive_checksum(slice, seed));
-    }
-
-    /// Device-completed checksum offload produces wire frames the
-    /// software decoders accept, for any payload: `encode_into_partial`
-    /// stamps the folded pseudo-header sum, the virtio model completes
-    /// it at `tx_burst`, and the standard checksum-verifying decode
-    /// recovers the exact payload.
-    #[test]
-    fn offloaded_udp_checksum_completes_to_a_valid_datagram(
-        sp in 1u16..u16::MAX, dp in 1u16..u16::MAX,
-        payload in proptest::collection::vec(any::<u8>(), 0..1400),
-    ) {
-        use uknetdev::backend::VhostKind;
-        use uknetdev::dev::{NetDev, NetDevConf};
-        use uknetdev::VirtioNet;
-        use ukplat::time::Tsc;
-
-        let ip = Ipv4Header {
-            src: Ipv4Addr::new(10, 0, 0, 1),
-            dst: Ipv4Addr::new(10, 0, 0, 2),
-            proto: IpProto::Udp,
-            payload_len: 8 + payload.len(),
-            ttl: 64,
-        };
-        let h = UdpHeader { src_port: sp, dst_port: dp };
-        let mut nb = nb_with_payload(&payload);
-        h.encode_into_partial(&ip, &mut nb);
-        prop_assert!(nb.csum_request().is_some(), "request attached");
-        ip.encode_into(&mut nb);
-        EthHeader {
-            dst: Mac::node(2),
-            src: Mac::node(1),
-            ethertype: EtherType::Ipv4,
-        }
-        .encode_into(&mut nb);
-
-        // The device completes the checksum as the frame crosses.
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        let mut burst = vec![nb];
-        dev.tx_burst(0, &mut burst).unwrap();
-        let mut done = Vec::new();
-        dev.reclaim_tx(0, &mut done).unwrap();
-        let frame = done.pop().expect("frame completed");
-        prop_assert!(frame.csum_request().is_none(), "request serviced");
-
-        // The ordinary verifying decode path accepts the result.
-        let (eh, ip_pkt) = EthHeader::decode(frame.payload()).unwrap();
-        prop_assert_eq!(eh.ethertype, EtherType::Ipv4);
-        let (ih, dgram) = Ipv4Header::decode(ip_pkt).unwrap();
-        let (h2, p2) = UdpHeader::decode(&ih, dgram).unwrap();
-        prop_assert_eq!(h, h2);
-        prop_assert_eq!(p2, &payload[..]);
     }
 
     /// Burst UDP send/recv round-trips arbitrary datagram batches

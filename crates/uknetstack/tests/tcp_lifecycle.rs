@@ -70,13 +70,18 @@ fn counter(name: &str) -> u64 {
 /// machinery standing: half-open state stays bounded at the backlog,
 /// the overflow evicts oldest-first (visible in the counter), a
 /// legitimate client still connects and moves data byte-identically
-/// through the flood, and when the handshake timeout reaps the
-/// leftover half-opens every buffer and timer is reclaimed.
+/// through the flood, a fresh one is accepted right after it, and
+/// when the handshake timeout reaps the leftover half-opens every
+/// buffer and timer is reclaimed.
 #[test]
 fn syn_flood_10x_backlog_is_survived_and_reclaimed() {
     let mut net = clocked_net(10_000_000, |c| c.listen_backlog = 16); // 10 ms steps.
     let backlog = 16;
-    let (client, conn) = establish(&mut net, 8080);
+    let listener = net.stack(1).tcp_listen(8080).unwrap();
+    let server = Endpoint::new(net.stack(1).ip(), 8080);
+    let client = net.stack(0).tcp_connect(server).unwrap();
+    net.run_until_quiet(32);
+    let conn = net.stack(1).tcp_accept(listener).unwrap();
     let baseline_conns = net.stack(1).tcp_conn_count();
     let overflow0 = counter("netstack.tcp.syn_overflow");
 
@@ -126,12 +131,22 @@ fn syn_flood_10x_backlog_is_survived_and_reclaimed() {
         );
     }
 
+    // A fresh client gets through the full SYN queue: its SYN evicts
+    // the oldest embryo and its handshake completes.
+    let late = net.stack(0).tcp_connect(server).unwrap();
+    net.run_until_quiet(48);
+    assert_eq!(net.stack(0).tcp_state(late), Some(TcpState::Established));
+    assert!(
+        net.stack(1).tcp_accept(listener).is_some(),
+        "legitimate client accepted despite the flood"
+    );
+
     // The handshake timeout reaps the surviving half-opens; every
     // evicted and reaped embryo's buffers are already home.
     tick(&mut net, (HANDSHAKE_TIMEOUT_NS / 10_000_000) as usize + 8);
     assert_eq!(
         net.stack(1).tcp_conn_count(),
-        baseline_conns,
+        baseline_conns + 1,
         "all embryos reclaimed after the handshake timeout"
     );
     net.run_until_quiet(32);

@@ -489,34 +489,90 @@ fn sack_scoreboard_retransmits_only_the_holes() {
     );
 }
 
+/// The recovery verdict, on the deterministic clock: with NewReno on
+/// (the shipped configuration) and a lossy wire, with or without
+/// adjacent reordering on top, the scoreboard plus the time-based
+/// detector need fewer wire steps than blind recovery — dup-ACK
+/// threshold, go-back-N, RTO — and the scoreboard costs no wire time
+/// on top of the detector alone. The fault schedule is a modulo of the
+/// frame count, so any one cadence is chaotic under a change of a
+/// single frame; each verdict is taken over the sum of three.
+#[test]
+fn sack_and_rack_never_lose_to_blind_recovery_on_a_lossy_wire() {
+    let _registry = sharing_registry();
+    let steps = |sack: bool, rack: bool, drop_every: u64, reorder_every: u64| {
+        let mut net = clocked_net_cfg(5_000_000, |cfg| {
+            cfg.sack = sack;
+            cfg.rack = rack;
+        });
+        let (client, conn) = establish(&mut net, 9017);
+        net.set_drop_every(drop_every);
+        net.set_reorder_every(reorder_every);
+        let blob = patterned(300_000, 61);
+        let (got, steps) = bulk_send_counting(&mut net, client, conn, &blob, 20_000);
+        assert_eq!(
+            got, blob,
+            "byte-identical (sack={sack} rack={rack} drop={drop_every} reorder={reorder_every})"
+        );
+        net.set_drop_every(0);
+        net.set_reorder_every(0);
+        net.run_until_quiet(64);
+        assert_eq!(net.stack(0).pool_available(), Some(POOL));
+        assert_eq!(net.stack(1).pool_available(), Some(POOL));
+        steps
+    };
+    for reorder_every in [0, 3] {
+        let total = |sack, rack| -> usize {
+            [7, 8, 11]
+                .iter()
+                .map(|&drop_every| steps(sack, rack, drop_every, reorder_every))
+                .sum()
+        };
+        let (both, rack_only, blind) = (total(true, true), total(false, true), total(false, false));
+        let wire = format!("reorder_every={reorder_every}, summed over drop_every ∈ {{7, 8, 11}}");
+        assert!(
+            both < blind,
+            "sack+rack must beat blind recovery ({both} vs {blind} wire steps; {wire})"
+        );
+        assert!(
+            both <= rack_only,
+            "the scoreboard must not cost wire time ({both} vs {rack_only} wire steps; {wire})"
+        );
+    }
+}
+
 /// The RACK tentpole, part 1: a reorder-prone but lossless wire
 /// (duplicated ACKs + adjacent data reorder) must trigger *zero*
 /// retransmissions of any kind with RACK on — the reordering window
 /// waits half an SRTT, sees the cumulative ACK advance, and never
-/// declares loss.
+/// declares loss. The pacing gate armed on top changes nothing: no
+/// episode ever opens for it to meter.
 #[test]
 fn rack_reordering_window_suppresses_false_fast_retransmits() {
     let _registry = sharing_registry();
-    let mut net = clocked_net_cfg(5_000_000, |cfg| {
-        cfg.rack = true;
-    });
-    let (client, conn) = establish(&mut net, 9011);
-    // Duplicated ACKs + adjacent data reorder: classic dup-ACK
-    // noise with nothing actually lost.
-    net.set_dup_every(2);
-    net.set_reorder_every(3);
-    let blob = patterned(300_000, 41);
-    let got = bulk_send(&mut net, client, conn, &blob, 20_000);
-    assert_eq!(got, blob, "byte-identical through reorder noise");
-    assert!(net.faults_injected() > 0, "the wire really perturbed");
-    let (_, rtx, fast, _) = net.stack(0).tcp_loss_stats(client);
-    assert_eq!(fast, 0, "no false fast retransmit on a lossless reordering wire");
-    assert_eq!(rtx, 0, "no spurious data retransmission at all");
-    net.set_dup_every(0);
-    net.set_reorder_every(0);
-    net.run_until_quiet(64);
-    assert_eq!(net.stack(0).pool_available(), Some(POOL));
-    assert_eq!(net.stack(1).pool_available(), Some(POOL));
+    for pacing in [false, true] {
+        let mut net = clocked_net_cfg(5_000_000, |cfg| {
+            cfg.rack = true;
+            cfg.pacing = pacing;
+        });
+        let (client, conn) = establish(&mut net, 9011);
+        // Duplicated ACKs + adjacent data reorder: classic dup-ACK
+        // noise with nothing actually lost.
+        net.set_dup_every(2);
+        net.set_reorder_every(3);
+        let blob = patterned(300_000, 41);
+        let got = bulk_send(&mut net, client, conn, &blob, 20_000);
+        assert_eq!(got, blob, "byte-identical through reorder noise");
+        assert!(net.faults_injected() > 0, "the wire really perturbed");
+        let (_, rtx, fast, _) = net.stack(0).tcp_loss_stats(client);
+        assert_eq!(fast, 0, "no false fast retransmit on a lossless reordering wire");
+        assert_eq!(rtx, 0, "no spurious data retransmission at all (pacing={pacing})");
+        net.set_dup_every(0);
+        net.set_reorder_every(0);
+        net.run_until_quiet(64);
+        assert_eq!(net.stack(0).pool_available(), Some(POOL));
+        assert_eq!(net.stack(1).pool_available(), Some(POOL));
+    }
 }
 
 /// The RACK tentpole, part 2: on a wire that both drops and reorders,

@@ -11,12 +11,20 @@
 //! once into pooled netbufs, headers are prepended in the headroom, the
 //! wire hands buffers between pools, and readers copy into caller-owned
 //! storage via the `*_recv_into` paths.
+//!
+//! The TCP guards run over a grid of `StackConfig` cells — checksum
+//! offload on and off, segmentation offloaded or in software, GRO on
+//! and off, either receive form, the loss-recovery machinery armed in
+//! each combination on a lossless wire, ten thousand idle connections
+//! resident — because "0 allocations per frame" is a property of the
+//! datapath, not of the default configuration.
 
 use ukalloc::stats::{AllocCounter, CountingAlloc};
 use uknetdev::backend::VhostKind;
 use uknetdev::dev::{NetDev, NetDevConf};
 use uknetdev::VirtioNet;
-use uknetstack::stack::{NetStack, StackConfig};
+use uknetdev::netbuf::Netbuf;
+use uknetstack::stack::{NetStack, SocketHandle, StackConfig};
 use uknetstack::testnet::Network;
 use uknetstack::{Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
@@ -49,53 +57,256 @@ fn a_window_counts_its_own_thread_only() {
     other.join().unwrap();
 }
 
-fn mk_stack(n: u8) -> NetStack {
+fn mk_stack(n: u8, tune: impl FnOnce(&mut StackConfig)) -> NetStack {
     let tsc = Tsc::new(3_600_000_000);
     let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
     dev.configure(NetDevConf::default()).unwrap();
-    NetStack::new(StackConfig::node(n), Box::new(dev))
+    let mut cfg = StackConfig::node(n);
+    tune(&mut cfg);
+    NetStack::new(cfg, Box::new(dev))
+}
+
+/// `StackConfig::node` as it comes.
+fn defaults(_: &mut StackConfig) {}
+
+/// Every TCP/UDP header checksummed in place by the emitter.
+fn sw_csum(c: &mut StackConfig) {
+    c.tx_csum_offload = false;
+}
+
+const MB: usize = 1024 * 1024;
+
+/// How a bulk transfer's receiver drains its connection.
+#[derive(Debug, Clone, Copy)]
+enum Drain {
+    /// `tcp_recv_into`: copy out, buffers recycle inside the stack.
+    Copy,
+    /// `tcp_recv_burst_netbuf`: take the buffers whole, recycle each.
+    Netbuf,
+}
+
+/// A client (10.0.0.1) and a server (10.0.0.2) with one established
+/// TCP connection between them, plus the caller-owned scratch the
+/// transfers below read into.
+struct Pair {
+    net: Network,
+    ci: usize,
+    si: usize,
+    listener: SocketHandle,
+    client: SocketHandle,
+    server: SocketHandle,
+    buf: Vec<u8>,
+    bufs: Vec<Netbuf>,
+}
+
+impl Pair {
+    /// `step_ns` installs a virtual clock advancing that much per wire
+    /// step, which arms the loss-recovery machinery: every pump runs
+    /// the timer wheel and every data frame is filed into the
+    /// retransmission queue on recycle. The wire is lossless, so no
+    /// retransmission timer ever fires — but the whole armed path must
+    /// still stay allocation-free.
+    fn new(
+        port: u16,
+        tune_client: impl FnOnce(&mut StackConfig),
+        tune_server: impl FnOnce(&mut StackConfig),
+        step_ns: Option<u64>,
+    ) -> Pair {
+        let mut net = Network::new();
+        let ci = net.attach(mk_stack(1, tune_client));
+        let si = net.attach(mk_stack(2, tune_server));
+        if let Some(step_ns) = step_ns {
+            net.set_clock(&Tsc::new(1_000_000_000));
+            net.set_step_ns(step_ns);
+        }
+        let listener = net.stack(si).tcp_listen(port).unwrap();
+        let client = net
+            .stack(ci)
+            .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), port))
+            .unwrap();
+        net.run_until_quiet(32);
+        let server = net.stack(si).tcp_accept(listener).unwrap();
+        Pair {
+            net,
+            ci,
+            si,
+            listener,
+            client,
+            server,
+            buf: vec![0; 64 * 1024],
+            bufs: Vec::with_capacity(64),
+        }
+    }
+
+    /// `n` 512 B echoes in one turn. With one, every layer is crossed
+    /// once per packet. With 32, the burst path: requests queue on the
+    /// connection (`tcp_send_queued`), one `flush_output` emits them as
+    /// MSS-sized segments in one staged tx burst, and the wire moves
+    /// each hop's frames with one `deliver_burst` per step.
+    fn echo(&mut self, n: usize) {
+        let request = [0x42u8; 512];
+        let Pair { net, ci, si, client, server, buf, .. } = self;
+        for _ in 0..n {
+            assert_eq!(net.stack(*ci).tcp_send_queued(*client, &request).unwrap(), 512);
+        }
+        net.stack(*ci).flush_output().unwrap();
+        net.run_until_quiet(64);
+        let mut echoed = 0;
+        loop {
+            let k = net.stack(*si).tcp_recv_into(*server, buf).unwrap();
+            if k == 0 {
+                break;
+            }
+            assert_eq!(net.stack(*si).tcp_send_queued(*server, &buf[..k]).unwrap(), k);
+            echoed += k;
+        }
+        assert_eq!(echoed, n * 512, "every request arrived at the server");
+        net.stack(*si).flush_output().unwrap();
+        net.run_until_quiet(64);
+        let mut got = 0;
+        loop {
+            let k = net.stack(*ci).tcp_recv_into(*client, buf).unwrap();
+            if k == 0 {
+                break;
+            }
+            assert!(buf[..k].iter().all(|&b| b == 0x42));
+            got += k;
+        }
+        assert_eq!(got, n * 512, "every request echoed back");
+    }
+
+    /// One bulk transfer: the client streams `total` bytes through the
+    /// send buffer, the server drains as they arrive, keeping the
+    /// window open.
+    fn bulk(&mut self, total: usize, drain: Drain) {
+        static CHUNK: [u8; 64 * 1024] = [0x6b; 64 * 1024];
+        let Pair { net, ci, si, client, server, buf, bufs, .. } = self;
+        let mut sent = 0;
+        let mut got = 0;
+        while got < total {
+            if sent < total {
+                let want = CHUNK.len().min(total - sent);
+                sent += net
+                    .stack(*ci)
+                    .tcp_send_queued(*client, &CHUNK[..want])
+                    .unwrap_or(0);
+                net.stack(*ci).flush_output().unwrap();
+            }
+            net.step();
+            loop {
+                let n = match drain {
+                    Drain::Copy => net.stack(*si).tcp_recv_into(*server, buf).unwrap(),
+                    Drain::Netbuf => {
+                        net.stack(*si).tcp_recv_burst_netbuf(*server, bufs, 64);
+                        let mut n = 0;
+                        for nb in bufs.drain(..) {
+                            n += nb.payload().len();
+                            net.stack(*si).recycle(nb);
+                        }
+                        n
+                    }
+                };
+                if n == 0 {
+                    break;
+                }
+                got += n;
+            }
+        }
+        assert_eq!(got, total, "whole transfer arrived");
+    }
+
+}
+
+/// A client (10.0.0.1:5000) and a server (10.0.0.2:9) UDP socket, plus
+/// the caller-owned scratch the turns below read into.
+struct UdpPair {
+    net: Network,
+    ci: usize,
+    si: usize,
+    client: SocketHandle,
+    server: SocketHandle,
+    server_ep: Endpoint,
+    buf: Vec<u8>,
+    msgs: Vec<(Endpoint, usize)>,
+}
+
+impl UdpPair {
+    fn new(tune: fn(&mut StackConfig)) -> UdpPair {
+        let mut net = Network::new();
+        let ci = net.attach(mk_stack(1, tune));
+        let si = net.attach(mk_stack(2, tune));
+        UdpPair {
+            server: net.stack(si).udp_bind(9).unwrap(),
+            client: net.stack(ci).udp_bind(5000).unwrap(),
+            server_ep: Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 9),
+            net,
+            ci,
+            si,
+            buf: vec![0; 32 * 2048],
+            msgs: Vec::with_capacity(32),
+        }
+    }
+
+    /// One datagram to the server (`udp_send_to` / `udp_recv_into`),
+    /// and if `reply`, back again.
+    fn round_trip(&mut self, payload: &[u8], reply: bool) {
+        let UdpPair { net, ci, si, client, server, server_ep, buf, .. } = self;
+        net.stack(*ci).udp_send_to(*client, payload, *server_ep).unwrap();
+        net.run_until_quiet(16);
+        let (from, n) = net.stack(*si).udp_recv_into(*server, buf).unwrap();
+        assert_eq!(&buf[..n], payload);
+        if reply {
+            net.stack(*si).udp_send_to(*server, &buf[..n], from).unwrap();
+            net.run_until_quiet(16);
+            let (_, m) = net.stack(*ci).udp_recv_into(*client, buf).unwrap();
+            assert_eq!(&buf[..m], payload);
+        }
+    }
+
+    /// 32 datagrams per turn: one sendmmsg-style burst out, one
+    /// recvmmsg-style drain into a flat buffer, one burst of replies
+    /// sliced straight out of that buffer, one burst drain back.
+    fn burst_of_32(&mut self) {
+        static PAYLOADS: [[u8; 256]; 32] = [[0x5a; 256]; 32];
+        let UdpPair { net, ci, si, client, server, server_ep, buf, msgs } = self;
+        let burst = PAYLOADS.iter().map(|p| (&p[..], *server_ep));
+        assert_eq!(net.stack(*ci).udp_send_burst(*client, burst).unwrap(), 32);
+        net.run_until_quiet(16);
+        msgs.clear();
+        let n = net.stack(*si).udp_recv_burst_into(*server, buf, msgs, 32);
+        assert_eq!(n, 32, "whole batch received in one call");
+        let mut off = 0;
+        let replies = msgs.iter().map(|&(from, len)| {
+            off += len;
+            (&buf[off - len..off], from)
+        });
+        assert_eq!(net.stack(*si).udp_send_burst(*server, replies).unwrap(), 32);
+        net.run_until_quiet(16);
+        msgs.clear();
+        let m = net.stack(*ci).udp_recv_burst_into(*client, buf, msgs, 32);
+        assert_eq!(m, 32, "all replies received in one call");
+    }
+}
+
+/// Runs `round` `warm` times — scratch vectors, ring done-lists, send
+/// and receive queues and HashMap capacities all reach their
+/// steady-state sizes — then once more under the allocation counter.
+/// Every round asserts for itself that its traffic arrived.
+fn assert_alloc_free<T>(pair: &mut T, warm: usize, what: &str, mut round: impl FnMut(&mut T)) {
+    for _ in 0..warm {
+        round(pair);
+    }
+    let counter = AllocCounter::start();
+    round(pair);
+    assert_eq!(counter.allocs(), 0, "{what}: steady state must not touch the heap");
 }
 
 #[test]
 fn tcp_echo_round_trip_is_allocation_free_in_steady_state() {
-    let mut net = Network::new();
-    let ci = net.attach(mk_stack(1));
-    let si = net.attach(mk_stack(2));
-    // Arm the loss-recovery machinery: with a clock installed every
-    // pump runs the RTO scan and every data frame is filed into the
-    // retransmission queue on recycle. The wire is lossless, so no
-    // timer ever fires — but the whole armed path must still stay
-    // allocation-free. 1 µs steps keep virtual time far below the
-    // 200 ms RTO floor.
-    let clock = Tsc::new(1_000_000_000);
-    net.set_clock(&clock);
-    net.set_step_ns(1_000);
-    let listener = net.stack(si).tcp_listen(7).unwrap();
-    let client = net
-        .stack(ci)
-        .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 7))
-        .unwrap();
-    net.run_until_quiet(32);
-    let server = net.stack(si).tcp_accept(listener).unwrap();
-
-    let request = [0x42u8; 512];
-    let mut buf = [0u8; 2048];
-
-    let mut echo_round_trip = |net: &mut Network| {
-        assert_eq!(net.stack(ci).tcp_send(client, &request).unwrap(), 512);
-        net.run_until_quiet(32);
-        let n = net.stack(si).tcp_recv_into(server, &mut buf).unwrap();
-        assert_eq!(&buf[..n], &request[..]);
-        assert_eq!(net.stack(si).tcp_send(server, &buf[..n]).unwrap(), n);
-        net.run_until_quiet(32);
-        let m = net.stack(ci).tcp_recv_into(client, &mut buf).unwrap();
-        assert_eq!(&buf[..m], &request[..]);
-    };
-
-    // Warm up: scratch vectors, ring done-lists, recv/send rings and
-    // HashMap capacities all reach their steady-state sizes.
+    // 1 µs steps keep virtual time far below the 200 ms RTO floor.
+    let mut pair = Pair::new(7, defaults, defaults, Some(1_000));
     for _ in 0..4 {
-        echo_round_trip(&mut net);
+        pair.echo(1);
     }
 
     // Stats and tracing are ON in this build (default features): the
@@ -105,16 +316,9 @@ fn tcp_echo_round_trip_is_allocation_free_in_steady_state() {
     // Snapshotting and draining allocate, so both stay outside the
     // measured window.
     let base = ukstats::snapshot();
-    net.stack(si).trace_events();
+    pair.net.stack(pair.si).trace_events();
 
-    let counter = AllocCounter::start();
-    echo_round_trip(&mut net);
-    assert_eq!(
-        counter.allocs(),
-        0,
-        "steady-state TCP echo round-trip must not touch the heap \
-         (with stats + tracing enabled)"
-    );
+    assert_alloc_free(&mut pair, 0, "TCP echo, stats + tracing enabled", |p| p.echo(1));
 
     if ukstats::COMPILED_IN {
         let snap = ukstats::snapshot();
@@ -127,278 +331,73 @@ fn tcp_echo_round_trip_is_allocation_free_in_steady_state() {
     }
     if uktrace::COMPILED_IN {
         assert!(
-            !net.stack(si).trace_ring().is_empty(),
+            !pair.net.stack(pair.si).trace_ring().is_empty(),
             "the round-trip wrote trace records"
         );
     }
 }
 
 #[test]
+fn tcp_echo_and_burst_are_allocation_free_without_tx_csum_offload() {
+    let mut pair = Pair::new(7, sw_csum, sw_csum, None);
+    assert!(!pair.net.stack(pair.ci).csum_offload());
+    assert_alloc_free(&mut pair, 8, "TCP echo, software checksums", |p| p.echo(1));
+    assert_alloc_free(&mut pair, 4, "burst of 32 echoes, software checksums", |p| p.echo(32));
+    assert_eq!(pair.net.stack(pair.ci).stats().csum_offloaded, 0);
+}
+
+#[test]
 fn udp_round_trip_is_allocation_free_in_steady_state() {
-    let mut net = Network::new();
-    let ci = net.attach(mk_stack(1));
-    let si = net.attach(mk_stack(2));
-    let server_sock = net.stack(si).udp_bind(9).unwrap();
-    let client_sock = net.stack(ci).udp_bind(5000).unwrap();
-    let server_ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 9);
-
-    let payload = [0x5au8; 256];
-    let mut buf = [0u8; 2048];
-
-    let mut round_trip = |net: &mut Network| {
-        net.stack(ci)
-            .udp_send_to(client_sock, &payload, server_ep)
-            .unwrap();
-        net.run_until_quiet(16);
-        let (from, n) = net
-            .stack(si)
-            .udp_recv_into(server_sock, &mut buf)
-            .unwrap();
-        assert_eq!(&buf[..n], &payload[..]);
-        net.stack(si)
-            .udp_send_to(server_sock, &buf[..n], from)
-            .unwrap();
-        net.run_until_quiet(16);
-        let (_, m) = net
-            .stack(ci)
-            .udp_recv_into(client_sock, &mut buf)
-            .unwrap();
-        assert_eq!(&buf[..m], &payload[..]);
-    };
-
-    for _ in 0..4 {
-        round_trip(&mut net);
+    for tune in [defaults, sw_csum] {
+        let mut pair = UdpPair::new(tune);
+        assert_alloc_free(&mut pair, 4, "UDP round-trip", |p| p.round_trip(&[0x5a; 256], true));
     }
-
-    let counter = AllocCounter::start();
-    round_trip(&mut net);
-    assert_eq!(
-        counter.allocs(),
-        0,
-        "steady-state UDP round-trip must not touch the heap"
-    );
 }
 
 #[test]
 fn tcp_echo_burst_of_32_is_allocation_free_in_steady_state() {
-    let mut net = Network::new();
-    let ci = net.attach(mk_stack(1));
-    let si = net.attach(mk_stack(2));
-    let listener = net.stack(si).tcp_listen(7).unwrap();
-    let client = net
-        .stack(ci)
-        .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 7))
-        .unwrap();
-    net.run_until_quiet(32);
-    let server = net.stack(si).tcp_accept(listener).unwrap();
-
-    let request = [0x42u8; 512];
-    let mut buf = [0u8; 2048];
-
-    // 32 echoes per turn through the burst path: requests queue on the
-    // connection (`tcp_send_queued`), one `flush_output` emits them as
-    // MSS-sized segments in one staged tx burst, and the wire moves
-    // each hop's frames with one `deliver_burst` per step.
-    let mut echo_burst = |net: &mut Network| {
-        for _ in 0..32 {
-            assert_eq!(net.stack(ci).tcp_send_queued(client, &request).unwrap(), 512);
-        }
-        net.stack(ci).flush_output().unwrap();
-        net.run_until_quiet(64);
-        let mut echoed = 0;
-        loop {
-            let n = net.stack(si).tcp_recv_into(server, &mut buf).unwrap();
-            if n == 0 {
-                break;
-            }
-            assert_eq!(net.stack(si).tcp_send_queued(server, &buf[..n]).unwrap(), n);
-            echoed += n;
-        }
-        assert_eq!(echoed, 32 * 512, "whole burst arrived at the server");
-        net.stack(si).flush_output().unwrap();
-        net.run_until_quiet(64);
-        let mut got = 0;
-        loop {
-            let n = net.stack(ci).tcp_recv_into(client, &mut buf).unwrap();
-            if n == 0 {
-                break;
-            }
-            got += n;
-        }
-        assert_eq!(got, 32 * 512, "whole burst echoed back");
-    };
-
-    for _ in 0..4 {
-        echo_burst(&mut net);
-    }
-
-    let counter = AllocCounter::start();
-    echo_burst(&mut net);
-    assert_eq!(
-        counter.allocs(),
-        0,
-        "steady-state burst of 32 TCP echoes must not touch the heap"
-    );
+    let mut pair = Pair::new(7, defaults, defaults, None);
+    assert_alloc_free(&mut pair, 4, "burst of 32 TCP echoes", |p| p.echo(32));
 }
 
 #[test]
 fn udp_burst_of_32_datagrams_is_allocation_free_in_steady_state() {
-    let mut net = Network::new();
-    let ci = net.attach(mk_stack(1));
-    let si = net.attach(mk_stack(2));
-    let server_sock = net.stack(si).udp_bind(9).unwrap();
-    let client_sock = net.stack(ci).udp_bind(5000).unwrap();
-    let server_ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 9);
-
-    let payload = [0x5au8; 256];
-    let payloads = [payload; 32];
-    let mut rx_buf = vec![0u8; 32 * 2048];
-    let mut msgs: Vec<(Endpoint, usize)> = Vec::with_capacity(32);
-
-    // Resolve ARP first: an unresolved next-hop would park the first
-    // burst and the droppable-packet cap would evict half of it.
-    net.stack(ci)
-        .udp_send_to(client_sock, b"warm", server_ep)
-        .unwrap();
-    net.run_until_quiet(16);
-    let mut warm = [0u8; 64];
-    net.stack(si)
-        .udp_recv_into(server_sock, &mut warm)
-        .unwrap();
-    net.stack(si)
-        .udp_send_to(server_sock, b"warm", Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), 5000))
-        .unwrap();
-    net.run_until_quiet(16);
-    net.stack(ci)
-        .udp_recv_into(client_sock, &mut warm)
-        .unwrap();
-
-    // 32 datagrams per turn: one sendmmsg-style burst out, one
-    // recvmmsg-style drain into a flat buffer, one burst of replies
-    // sliced straight out of that buffer, one burst drain back.
-    let round_trip = |net: &mut Network, msgs: &mut Vec<(Endpoint, usize)>,
-                      rx_buf: &mut Vec<u8>| {
-        let sent = net
-            .stack(ci)
-            .udp_send_burst(client_sock, payloads.iter().map(|p| (&p[..], server_ep)))
-            .unwrap();
-        assert_eq!(sent, 32);
-        net.run_until_quiet(16);
-        msgs.clear();
-        let n = net
-            .stack(si)
-            .udp_recv_burst_into(server_sock, rx_buf, msgs, 32);
-        assert_eq!(n, 32, "whole batch received in one call");
-        let mut off = 0;
-        let replies = msgs.iter().map(|&(from, len)| {
-            let s = &rx_buf[off..off + len];
-            off += len;
-            (s, from)
-        });
-        assert_eq!(net.stack(si).udp_send_burst(server_sock, replies).unwrap(), 32);
-        net.run_until_quiet(16);
-        msgs.clear();
-        let m = net
-            .stack(ci)
-            .udp_recv_burst_into(client_sock, rx_buf, msgs, 32);
-        assert_eq!(m, 32, "all replies received in one call");
-    };
-
-    for _ in 0..4 {
-        round_trip(&mut net, &mut msgs, &mut rx_buf);
+    for tune in [defaults, sw_csum] {
+        let mut pair = UdpPair::new(tune);
+        // Resolve ARP first: an unresolved next-hop would park the first
+        // burst and the droppable-packet cap would evict half of it.
+        pair.round_trip(b"warm", true);
+        assert_alloc_free(&mut pair, 4, "burst of 32 UDP datagrams", |p| p.burst_of_32());
     }
-
-    let counter = AllocCounter::start();
-    round_trip(&mut net, &mut msgs, &mut rx_buf);
-    assert_eq!(
-        counter.allocs(),
-        0,
-        "steady-state burst of 32 UDP datagrams must not touch the heap"
-    );
 }
 
 #[test]
 fn bulk_1mb_tso_transfer_is_allocation_free_in_steady_state() {
-    let mut net = Network::new();
-    let ci = net.attach(mk_stack(1));
-    let si = net.attach(mk_stack(2));
     // Same arming as the echo guard: clock installed, RTO scan live,
     // every data frame filed for retransmission on recycle — and the
     // lossless bulk path still must not allocate.
-    let clock = Tsc::new(1_000_000_000);
-    net.set_clock(&clock);
-    net.set_step_ns(1_000);
-    assert!(net.stack(ci).tso(), "bulk path runs over TSO super-segments");
-    let listener = net.stack(si).tcp_listen(9000).unwrap();
-    let client = net
-        .stack(ci)
-        .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 9000))
-        .unwrap();
-    net.run_until_quiet(32);
-    let server = net.stack(si).tcp_accept(listener).unwrap();
-
-    const TOTAL: usize = 1024 * 1024;
-    let chunk = [0x6bu8; 64 * 1024];
-    let mut buf = vec![0u8; 64 * 1024];
-
-    // One bulk transfer: the client streams 1 MB through the send
-    // buffer (GSO super-segment chains on the wire), the server
-    // drains as it arrives, keeping the window open.
-    let transfer = |net: &mut Network, buf: &mut Vec<u8>| {
-        let mut sent = 0;
-        let mut got = 0;
-        while got < TOTAL {
-            if sent < TOTAL {
-                let want = chunk.len().min(TOTAL - sent);
-                let n = net
-                    .stack(ci)
-                    .tcp_send_queued(client, &chunk[..want])
-                    .unwrap_or(0);
-                sent += n;
-                net.stack(ci).flush_output().unwrap();
-            }
-            net.step();
-            loop {
-                let n = net.stack(si).tcp_recv_into(server, buf).unwrap();
-                if n == 0 {
-                    break;
-                }
-                got += n;
-            }
-        }
-        assert_eq!(got, TOTAL, "whole megabyte arrived");
-    };
-
+    let mut pair = Pair::new(9000, defaults, defaults, Some(1_000));
+    let ci = pair.ci;
+    assert!(pair.net.stack(ci).tso(), "bulk path runs over TSO super-segments");
     for _ in 0..2 {
-        transfer(&mut net, &mut buf);
+        pair.bulk(MB, Drain::Copy);
     }
-
-    let frames_before =
-        net.stack(ci).stats().tx_frames + net.stack(si).stats().tx_frames;
     // As in the echo guard: stats + tracing are enabled and must ride
     // along allocation-free (snapshot/drain allocate, so outside).
     let base = ukstats::snapshot();
-    net.stack(ci).trace_events();
-    let counter = AllocCounter::start();
-    transfer(&mut net, &mut buf);
-    let allocs = counter.allocs();
-    let frames =
-        net.stack(ci).stats().tx_frames + net.stack(si).stats().tx_frames - frames_before;
-    assert!(frames > 0);
-    assert_eq!(
-        allocs, 0,
-        "steady-state 1 MB pooled transfer must not touch the heap \
-         ({allocs} allocs over {frames} frames, stats + tracing enabled)"
-    );
+    pair.net.stack(ci).trace_events();
+    assert_alloc_free(&mut pair, 0, "1 MB over TSO, stats + tracing enabled", |p| {
+        p.bulk(MB, Drain::Copy)
+    });
     // And it really rode the fast path: super-segments, not per-MSS.
-    assert!(net.stack(ci).stats().tso_super_frames > 0);
+    assert!(pair.net.stack(ci).stats().tso_super_frames > 0);
     if ukstats::COMPILED_IN {
         let snap = ukstats::snapshot();
         let delta = |name: &str| {
             snap.counter(name).unwrap_or(0) - base.counter(name).unwrap_or(0)
         };
         assert!(delta("netstack.tso_super_frames") > 0, "registry saw the supers");
-        assert!(delta("netstack.tx_bytes") >= TOTAL as u64, "bytes were counted");
+        assert!(delta("netstack.tx_bytes") >= MB as u64, "bytes were counted");
         // `pump` times one sweep in 64 (every stack's first among
         // them), so the window may hold no sample of its own: the
         // histogram has samples, and fewer than there were sweeps.
@@ -411,90 +410,115 @@ fn bulk_1mb_tso_transfer_is_allocation_free_in_steady_state() {
     }
     if uktrace::COMPILED_IN {
         assert!(
-            !net.stack(ci).trace_ring().is_empty(),
+            !pair.net.stack(ci).trace_ring().is_empty(),
             "the transfer wrote trace records (tso_super_tx et al.)"
         );
     }
 }
 
-/// The receive-side guard: a 1 MB transfer from a **per-MSS sender**
+/// The bulk grid: segmentation offloaded (super-segment chains, big
+/// receive) or in software (per-MSS frames), receive checksums trusted
+/// or verified — with `rx_csum_offload` off the host side cuts the
+/// supers, so `(tso, !rx_csum)` is the TSO-cut-on-the-wire cell.
+#[test]
+fn bulk_1mb_is_allocation_free_across_the_offload_grid() {
+    for (tso, rx_csum) in [(true, true), (true, false), (false, true), (false, false)] {
+        let tune = |c: &mut StackConfig| {
+            c.tso = tso;
+            c.rx_csum_offload = rx_csum;
+        };
+        let mut pair = Pair::new(9000, tune, tune, None);
+        assert_eq!(pair.net.stack(pair.ci).tso(), tso);
+        assert_eq!(pair.net.stack(pair.si).accepts_super_frames(), rx_csum);
+        for _ in 0..3 {
+            pair.bulk(64 * 1024, Drain::Copy);
+        }
+        let what = format!("1 MB bulk, tso={tso} rx_csum_offload={rx_csum}");
+        assert_alloc_free(&mut pair, 3, &what, |p| p.bulk(MB, Drain::Copy));
+        let supers = pair.net.stack(pair.si).stats().rx_super_frames;
+        assert_eq!(supers > 0, tso && rx_csum, "{what}: big receive iff both offloads");
+    }
+}
+
+/// The receive-side grid: a 1 MB transfer from a **per-MSS sender**
 /// (TSO off — every wire frame is an MSS segment, the workload GRO
-/// exists for) drained through the zero-copy netbuf receive path must
-/// be allocation-free: frames coalesce in the reused GRO stage, the
+/// exists for), GRO on and off, drained through either receive form.
+/// On the zero-copy form frames coalesce in the reused GRO stage, the
 /// payload buffers move from the demux into the connection's receive
 /// queue and out to the application, and recycling returns each to
-/// the pool. Not one byte of payload is copied on the receive side
+/// the pool: not one byte of payload is copied on the receive side
 /// and not one heap allocation happens anywhere.
 #[test]
-fn recv_1mb_gro_netbuf_path_is_allocation_free_in_steady_state() {
-    let mut net = Network::new();
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    let mut cfg = StackConfig::node(1);
-    cfg.tso = false; // Per-MSS frames on the wire.
-    let ci = net.attach(NetStack::new(cfg, Box::new(dev)));
-    let si = net.attach(mk_stack(2));
-    assert!(net.stack(si).gro(), "receive path runs over GRO");
-    let listener = net.stack(si).tcp_listen(9100).unwrap();
-    let client = net
-        .stack(ci)
-        .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 9100))
-        .unwrap();
-    net.run_until_quiet(32);
-    let server = net.stack(si).tcp_accept(listener).unwrap();
-
-    const TOTAL: usize = 1024 * 1024;
-    let chunk = [0x2eu8; 64 * 1024];
-    let mut bufs: Vec<uknetdev::netbuf::Netbuf> = Vec::with_capacity(64);
-
-    // One bulk transfer, drained entirely through tcp_recv_burst_netbuf
-    // with every buffer recycled to the receiver's pool.
-    let transfer = |net: &mut Network, bufs: &mut Vec<uknetdev::netbuf::Netbuf>| {
-        let mut sent = 0;
-        let mut got = 0;
-        while got < TOTAL {
-            if sent < TOTAL {
-                let want = chunk.len().min(TOTAL - sent);
-                let n = net
-                    .stack(ci)
-                    .tcp_send_queued(client, &chunk[..want])
-                    .unwrap_or(0);
-                sent += n;
-                net.stack(ci).flush_output().unwrap();
-            }
-            net.step();
-            loop {
-                let n = net.stack(si).tcp_recv_burst_netbuf(server, bufs, 64);
-                if n == 0 {
-                    break;
-                }
-                for nb in bufs.drain(..) {
-                    got += nb.payload().len();
-                    net.stack(si).recycle(nb);
-                }
-            }
+fn recv_1mb_is_allocation_free_across_gro_and_receive_form() {
+    for gro in [true, false] {
+        for drain in [Drain::Netbuf, Drain::Copy] {
+            let per_mss = |c: &mut StackConfig| c.tso = false;
+            let mut pair = Pair::new(9100, per_mss, |c| c.gro = gro, None);
+            let si = pair.si;
+            assert_eq!(pair.net.stack(si).gro(), gro);
+            let what = format!("1 MB per-MSS receive, gro={gro} {drain:?}");
+            let frames_before = pair.net.stack(si).stats().rx_frames;
+            assert_alloc_free(&mut pair, 3, &what, |p| p.bulk(MB, drain));
+            let stats = pair.net.stack(si).stats();
+            let frames = stats.rx_frames - frames_before;
+            assert!(frames > 4 * 500, "{what}: per-MSS receive really happened ({frames} frames)");
+            // And it really rode (or really skipped) the coalescing path.
+            assert_eq!(stats.gro_runs > 0, gro, "{what}: GRO merged runs iff on");
         }
-        assert_eq!(got, TOTAL, "whole megabyte received as netbufs");
-    };
-
-    for _ in 0..2 {
-        transfer(&mut net, &mut bufs);
     }
+}
 
-    let frames_before = net.stack(si).stats().rx_frames;
-    let counter = AllocCounter::start();
-    transfer(&mut net, &mut bufs);
-    let allocs = counter.allocs();
-    let frames = net.stack(si).stats().rx_frames - frames_before;
-    assert!(frames > 500, "per-MSS receive really happened ({frames} frames)");
-    assert_eq!(
-        allocs, 0,
-        "steady-state 1 MB GRO + netbuf receive must not touch the heap \
-         ({allocs} allocs over {frames} frames)"
-    );
-    // And it really rode the receive fast path: coalesced runs.
-    assert!(net.stack(si).stats().gro_runs > 0, "GRO merged runs");
+/// The recovery grid on a lossless wire: whichever of the scoreboard,
+/// the reordering-window timer and the pacing gate is armed, a clocked
+/// 1 MB per-MSS transfer (the frame shape loss recovery acts on) that
+/// loses nothing allocates nothing. 5 ms of virtual time per step, as
+/// the lossy suites run: held ACKs and tail-loss probes come due
+/// mid-transfer.
+#[test]
+fn lossless_1mb_is_allocation_free_whatever_recovery_is_armed() {
+    for (sack, rack, pacing) in [(false, false, false), (true, true, false), (true, true, true)] {
+        let tune = |c: &mut StackConfig| {
+            c.tso = false;
+            c.sack = sack;
+            c.rack = rack;
+            c.pacing = pacing;
+        };
+        let mut pair = Pair::new(9200, tune, tune, Some(5_000_000));
+        for _ in 0..3 {
+            pair.bulk(64 * 1024, Drain::Copy);
+        }
+        let what = format!("lossless 1 MB, sack={sack} rack={rack} pacing={pacing}");
+        assert_alloc_free(&mut pair, 3, &what, |p| p.bulk(MB, Drain::Copy));
+        let (rto, rtx, fast, _) = pair.net.stack(pair.ci).tcp_loss_stats(pair.client);
+        assert_eq!((rto, rtx, fast), (0, 0, 0), "{what}: nothing was lost, nothing resent");
+    }
+}
+
+/// Scale: the echo hot path threads ten thousand established-idle
+/// `lean_tcbs` connections (forged handshakes from spoofed peers,
+/// completed through the wire capture) without allocating — the flow
+/// table, the slab and the wheel are all sized by the population, the
+/// per-packet work by none of them.
+#[test]
+fn tcp_echo_is_allocation_free_with_10k_idle_connections_resident() {
+    const IDLE: usize = 10_000;
+    let lean = |c: &mut StackConfig| {
+        c.lean_tcbs = true;
+        c.listen_backlog = 1024;
+    };
+    let mut pair = Pair::new(9300, defaults, lean, Some(1_000_000));
+    let mut resident = 0;
+    while resident < IDLE {
+        let wave = (IDLE - resident).min(512);
+        let done = pair.net.forge_established(pair.si, 9300, resident, wave, 64);
+        assert_eq!(done, wave, "every forged handshake completed");
+        while pair.net.stack(pair.si).tcp_accept(pair.listener).is_some() {
+            resident += 1;
+        }
+    }
+    assert_eq!(resident, IDLE);
+    assert_eq!(pair.net.stack(pair.si).tcp_conn_count(), IDLE + 1);
+    assert_alloc_free(&mut pair, 8, "TCP echo past 10K idle connections", |p| p.echo(1));
 }
 
 /// The pool-layer guard beneath all the round-trip guards above: raw
@@ -562,37 +586,22 @@ fn buffer_construction_allocates_by_formula() {
 
 #[test]
 fn buffers_circulate_without_draining_the_pools() {
-    let mut net = Network::new();
-    let ci = net.attach(mk_stack(1));
-    let si = net.attach(mk_stack(2));
-    let server_sock = net.stack(si).udp_bind(9).unwrap();
-    let client_sock = net.stack(ci).udp_bind(5000).unwrap();
-    let server_ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 9);
-    let mut buf = [0u8; 2048];
-
+    let mut pair = UdpPair::new(defaults);
     // Settle, then record pool levels.
-    net.stack(ci)
-        .udp_send_to(client_sock, b"warm", server_ep)
-        .unwrap();
-    net.run_until_quiet(16);
-    net.stack(si).udp_recv_into(server_sock, &mut buf).unwrap();
-    let ci_avail = net.stack(ci).pool_available().unwrap();
-    let si_avail = net.stack(si).pool_available().unwrap();
+    pair.round_trip(b"warm", false);
+    let ci_avail = pair.net.stack(pair.ci).pool_available().unwrap();
+    let si_avail = pair.net.stack(pair.si).pool_available().unwrap();
 
     for _ in 0..100 {
-        net.stack(ci)
-            .udp_send_to(client_sock, b"ping", server_ep)
-            .unwrap();
-        net.run_until_quiet(16);
-        net.stack(si).udp_recv_into(server_sock, &mut buf).unwrap();
+        pair.round_trip(b"ping", false);
     }
     assert_eq!(
-        net.stack(ci).pool_available(),
+        pair.net.stack(pair.ci).pool_available(),
         Some(ci_avail),
         "every TX buffer returned to the client pool"
     );
     assert_eq!(
-        net.stack(si).pool_available(),
+        pair.net.stack(pair.si).pool_available(),
         Some(si_avail),
         "every RX buffer returned to the server pool"
     );
