@@ -55,8 +55,10 @@ verify-churn:
 
 ## Repo-native invariant linter (crates/ukcheck): no-alloc hot path,
 ## panic-free datapath, SAFETY-commented unsafe, atomic-ordering
-## policy. Exits non-zero on any unescaped violation; every escape
-## must carry a written justification (see crates/ukcheck/README.md).
+## policy, and the non-test line budgets of `uknetstack`'s `stack.rs`
+## and `tcp.rs` (`size`). Exits non-zero on any unescaped violation;
+## every escape must carry a written justification (see
+## crates/ukcheck/README.md).
 lint:
 	$(CARGO) run -q --release -p ukcheck -- --root $(CURDIR)
 

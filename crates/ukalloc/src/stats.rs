@@ -143,19 +143,6 @@ pub fn heap_free_count() -> u64 {
     HEAP_FREES.load(Ordering::Relaxed)
 }
 
-/// Publishes one backend's [`AllocStats`] as `ukalloc.*` gauges
-/// (`cur_bytes`, `peak_bytes`, counts) in the global `ukstats`
-/// registry — a control-plane operation: call it before snapshotting,
-/// not on a hot path.
-pub fn publish_alloc_stats(stats: &AllocStats) {
-    ukstats::Gauge::register("ukalloc.cur_bytes").set(stats.cur_bytes as u64);
-    ukstats::Gauge::register("ukalloc.peak_bytes").set_max(stats.peak_bytes as u64);
-    ukstats::Gauge::register("ukalloc.alloc_count").set(stats.alloc_count);
-    ukstats::Gauge::register("ukalloc.free_count").set(stats.free_count);
-    ukstats::Gauge::register("ukalloc.failed_count").set(stats.failed_count);
-    ukstats::Gauge::register("ukalloc.meta_bytes").set(stats.meta_bytes as u64);
-}
-
 /// A scoped view over the calling thread's heap counters: snapshot at
 /// [`start`](AllocCounter::start), read the delta with
 /// [`allocs`](AllocCounter::allocs) on the same thread. Other threads'

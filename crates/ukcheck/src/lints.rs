@@ -30,6 +30,10 @@ pub enum Lint {
     /// justification) — escapes are part of the contract and are
     /// themselves linted.
     Escape,
+    /// A manifest-listed file grew past its non-test line budget. Not
+    /// escapable in place — the budget in `manifest.rs` is raised, with
+    /// a reason, in the PR that needs the room.
+    Size,
 }
 
 impl Lint {
@@ -40,6 +44,7 @@ impl Lint {
             Lint::Unsafe => "unsafe",
             Lint::Atomics => "atomics",
             Lint::Escape => "escape",
+            Lint::Size => "size",
         }
     }
 
@@ -251,6 +256,43 @@ pub fn check_source(file: &str, src: &str, hot: bool, relaxed_only: bool) -> Vec
 
     out.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.msg.cmp(&b.msg)));
     out
+}
+
+/// Lines of `src` outside `#[cfg(test)]`/`#[test]` items — what a
+/// file costs to read and maintain as shipped code. A test item's
+/// lines run from its first attribute to its closing brace.
+pub fn non_test_lines(src: &str) -> usize {
+    let toks = lex(src).toks;
+    let active = active_mask(&toks);
+    let mut test_lines = 0usize;
+    let mut i = 0usize;
+    while i < toks.len() {
+        if active[i] {
+            i += 1;
+            continue;
+        }
+        let first = toks[i].line;
+        while i < toks.len() && !active[i] {
+            i += 1;
+        }
+        test_lines += (toks[i - 1].line - first + 1) as usize;
+    }
+    src.lines().count() - test_lines
+}
+
+/// The size ratchet: `file` may hold at most `budget` non-test lines.
+pub fn check_size(file: &str, src: &str, budget: usize) -> Option<Violation> {
+    let lines = non_test_lines(src);
+    (lines > budget).then(|| Violation {
+        file: file.to_string(),
+        line: 1,
+        lint: Lint::Size,
+        msg: format!(
+            "{} lines over budget ({lines} non-test lines, budget {budget}): delete or \
+             split, or raise the budget in the same PR with a reason",
+            lines - budget
+        ),
+    })
 }
 
 /// Marks which tokens are "active" (not under a `#[test]`- or

@@ -33,6 +33,17 @@ pub const HOT_DIRS: &[&str] = &["crates/ukstats/src/", "crates/uktrace/src/"];
 /// is either a bug or needs a written justification.
 pub const RELAXED_ONLY_DIRS: &[&str] = &["crates/ukstats/src/", "crates/uktrace/src/"];
 
+/// Non-test line budgets (the `size` lint): the two files the datapath
+/// grew up in may shrink or split, not grow back. Each budget is the
+/// count at the PR that last set it, rounded up to the next 50; a PR
+/// that needs more raises it here and says why.
+pub const SIZE_BUDGETS: &[(&str, usize)] = &[
+    // PR 17 (one TCB seam) left 3114 lines, down from 3351.
+    ("crates/uknetstack/src/stack.rs", 3150),
+    // PR 17 (one TCB seam) left 2890 lines, down from 2991.
+    ("crates/uknetstack/src/tcp.rs", 2900),
+];
+
 /// Directory names the workspace walker never descends into.
 pub const SKIP_DIRS: &[&str] = &[
     "target",
@@ -49,6 +60,11 @@ pub const SKIP_DIRS: &[&str] = &[
 /// relative to the workspace root).
 pub fn is_hot(rel: &str) -> bool {
     HOT_FILES.contains(&rel) || HOT_DIRS.iter().any(|d| rel.starts_with(d))
+}
+
+/// The non-test line budget of `rel`, if it has one.
+pub fn size_budget(rel: &str) -> Option<usize> {
+    SIZE_BUDGETS.iter().find(|(f, _)| *f == rel).map(|&(_, b)| b)
 }
 
 /// Whether the Relaxed-only atomics policy applies to `rel`.

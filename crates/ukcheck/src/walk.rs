@@ -4,7 +4,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::lints::{check_source, Violation};
+use crate::lints::{check_size, check_source, Violation};
 use crate::manifest;
 
 /// Scans the workspace rooted at `root`: the root crate's `src/` and
@@ -42,6 +42,9 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
             manifest::is_hot(&rel),
             manifest::is_relaxed_only(&rel),
         ));
+        if let Some(budget) = manifest::size_budget(&rel) {
+            out.extend(check_size(&rel, &src, budget));
+        }
     }
     Ok(out)
 }

@@ -66,6 +66,20 @@ fn good_fixtures_pass_clean() {
 }
 
 #[test]
+fn size_lint_counts_non_test_lines_against_the_budget() {
+    let src = std::fs::read_to_string(fixture("good/test_code.rs")).expect("fixture");
+    // Five lines of shipped code and the blank one after them; the
+    // `#[cfg(test)]` module — attribute to closing brace — is free.
+    let lines = ukcheck::non_test_lines(&src);
+    assert_eq!(lines, 6);
+    assert!(ukcheck::check_size("f.rs", &src, lines).is_none(), "at budget is within budget");
+    let over = ukcheck::check_size("f.rs", &src, lines - 2).expect("two lines too many");
+    let text = over.to_string();
+    assert!(text.starts_with("f.rs:1: [size] 2 lines over budget"), "{text}");
+    assert!(text.contains("raise the budget in the same PR with a reason"), "{text}");
+}
+
+#[test]
 fn missing_file_is_a_usage_error_not_a_pass() {
     let (code, _) = run_hot("no/such/file.rs");
     assert_eq!(code, 2, "IO failures must be distinguishable from clean runs");

@@ -61,6 +61,11 @@
 //! `pump` instead of per-connection scans. Demux is a hashed
 //! open-addressing flow table ([`flow::FlowTable`]) over an inline
 //! TCB slab — no per-connection boxing, no per-lookup allocation.
+//! The stack and a TCB meet along one narrow seam: one
+//! [`tcp::TcbConfig`] in, the four [`tcp::TcbTimer`] deadlines mirrored
+//! onto the wheel, one ingest call per received segment, and one
+//! [`tcp::TcbStats`] read back and published under `netstack.tcp.*`
+//! (the crate README's "The TCB seam" lists every crossing).
 //!
 //! The accept path is bounded on both sides
 //! ([`StackConfig::listen_backlog`]): when the half-open SYN queue is

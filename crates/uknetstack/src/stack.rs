@@ -78,6 +78,17 @@
 //!   immediate duplicate ACK*; a FIN is processed only in sequence
 //!   position. See `tcp.rs` for the invariant.
 //!
+//! # The TCB seam
+//!
+//! Everything the stack does to a [`Tcb`] is written once: every
+//! received segment — direct, GRO-merged or big-receive — enters
+//! through `tcp_ingest`; the TCB's four [`TcbTimer`]s are mirrored onto
+//! the wheel by one loop each in `sync_conn_timers`, `dispatch_timer`
+//! and `reap_conn_slot`; what a crossing counted is read off
+//! [`TcbStats`] and published by the `tcb_stats_table!` rows; and a
+//! TCB's configuration is the one [`TcbConfig`] `tcb_config` builds.
+//! `crates/uknetstack/README.md` lists the calls that cross.
+//!
 //! In steady state the rx/tx hot path performs **zero heap
 //! allocations per packet** — per-frame, per-burst *and* per
 //! 1 MB bulk transfer in either direction, asserted by the
@@ -112,8 +123,8 @@ use crate::flow::{flow_key, FlowTable};
 use crate::icmp::{self, ICMP_ECHO_LEN};
 use crate::ipv4::{IpProto, Ipv4Header, IPV4_HDR_LEN};
 use crate::tcp::{
-    Tcb, TcpFlags, TcpHeader, TcpOptions, TcpState, MSS, SACK_PERMITTED_OPT, TCP_HDR_LEN,
-    TCP_MAX_OPT_LEN,
+    Tcb, TcbConfig, TcbStats, TcbTimer, TcpFlags, TcpHeader, TcpOptions, TcpState, MSS,
+    SACK_PERMITTED_OPT, TCP_HDR_LEN, TCP_MAX_OPT_LEN,
 };
 use crate::timer::{TimerToken, TimerWheel};
 use crate::udp::{UdpHeader, UDP_HDR_LEN};
@@ -235,6 +246,12 @@ const TK_LIFE: u64 = 2;
 const TK_RACK: u64 = 3;
 const TK_PACE: u64 = 4;
 
+/// The wheel key kind of each [`TcbTimer`], indexed like a connection's
+/// `timers` array by `kind as usize` — [`TcbTimer::ALL`] order, which is
+/// the order the timers are synced, armed and cancelled in (the
+/// lifecycle timer follows them).
+const TCB_TIMER_KEYS: [u64; 4] = [TK_RTO, TK_DELACK, TK_RACK, TK_PACE];
+
 // Reap-reason codes carried by the `tcp_conn_reaped` tracepoint.
 const REAP_CLOSED: u64 = 0;
 const REAP_HANDSHAKE: u64 = 1;
@@ -284,14 +301,14 @@ fn take_or_alloc(pool: &mut NetbufPool) -> Netbuf {
     pool.take().unwrap_or_else(|| Netbuf::alloc(BUF_CAP, TX_HEADROOM))
 }
 
-/// Sheds a connection's newest out-of-order extents back to the pool
-/// while it sits below [`LOW_POOL_BUFS`]; returns how many went.
-fn shed_ooo_under_pressure(tcb: &mut Tcb, pool: &mut NetbufPool) -> u64 {
-    let shed0 = tcb.ooo_shed();
-    while pool.available() < LOW_POOL_BUFS
-        && tcb.shed_newest_ooo(&mut |b| pool.give_back_chain(b))
-    {}
-    tcb.ooo_shed() - shed0
+/// Puts a connection on the dirty list (idempotent): the next flush
+/// polls its output and reconciles its wheel timers. Takes the list
+/// alone, like [`conn_in`], so callers can hold both.
+fn mark_dirty(c: &mut TcpConn, dirty: &mut Vec<u32>, slot: u32) {
+    if !c.dirty {
+        c.dirty = true;
+        dirty.push(slot);
+    }
 }
 
 /// 1 if the emitter was told to leave the checksum to the device, else
@@ -301,12 +318,18 @@ fn offloaded(csum: Csum) -> u64 {
     u64::from(csum != Csum::Software)
 }
 
-/// The one place `csum_offloaded` moves, struct and registry alike.
-fn count_csum(stats: &mut StackStats, ustats: &StackCounters, frames: u64) {
-    if frames > 0 {
-        stats.csum_offloaded += frames;
-        ustats.csum_offloaded.add(frames);
-    }
+/// Counts `n` events on one of the counters kept twice: the plain
+/// [`StackStats`] field that `stats()` reports (there with the `stats`
+/// feature compiled out) and the `netstack.*` registry slot of the same
+/// name move together, or — for zero — not at all.
+macro_rules! bump {
+    ($stack:ident, $counter:ident, $n:expr) => {{
+        let n = $n;
+        if n > 0 {
+            $stack.stats.$counter += n;
+            $stack.ustats.$counter.add(n);
+        }
+    }};
 }
 
 /// Packs a timer-wheel key: kind, then the same generation-tagged slab
@@ -484,22 +507,15 @@ struct TcpConn {
     tcb: Tcb,
     remote: Endpoint,
     local_port: u16,
-    /// Wheel mirror of the TCB's RTO/persist deadline.
-    rto_tok: TimerToken,
-    rto_armed_ns: Option<u64>,
-    /// Wheel mirror of the TCB's delayed-ACK deadline.
-    delack_tok: TimerToken,
-    delack_armed_ns: Option<u64>,
+    /// Wheel mirrors of the TCB's deadlines, one per [`TcbTimer`]
+    /// (indexed by `kind as usize`): the armed token and the deadline
+    /// it was armed for.
+    timers: [(TimerToken, Option<u64>); 4],
     /// The single lifecycle timer (kind says which one is armed).
     life_tok: TimerToken,
     life_kind: LifeKind,
-    /// Wheel mirror of the TCB's RACK deadline (reordering window or
-    /// tail-loss probe, whichever is nearer).
-    rack_tok: TimerToken,
-    rack_armed_ns: Option<u64>,
-    /// Wheel mirror of the TCB's pacing-gate deadline.
-    pace_tok: TimerToken,
-    pace_armed_ns: Option<u64>,
+    /// The TCB's counters as last published (`publish_tcb_stats`).
+    published: TcbStats,
     /// Last segment activity (keepalive idle reference).
     last_activity_ns: u64,
     /// Unanswered keepalive probes since the last activity.
@@ -519,7 +535,7 @@ struct ConnSlot {
 
 // `lib.rs` promises an idle `lean_tcbs` connection costs well under a
 // kilobyte. Lean queues own no heap, so beside its flow-table and wheel
-// entries the slot (752 B today, 616 of them the `Tcb`) is all it holds.
+// entries the slot (768 B today, 576 of them the `Tcb`) is all it holds.
 const _: () = assert!(size_of::<ConnSlot>() <= 768);
 
 /// Packets parked for one unresolved next-hop: IP-level packets with
@@ -675,37 +691,11 @@ struct StackCounters {
     demux_arp: ukstats::Counter,
     demux_icmp: ukstats::Counter,
     demux_miss: ukstats::Counter,
-    dup_acks: ukstats::Counter,
-    /// Retransmission-timeout fires across all connections.
-    tcp_rto_fires: ukstats::Counter,
-    /// Segments re-emitted (data, SYN, SYN-ACK, FIN retransmissions).
-    tcp_retransmits: ukstats::Counter,
-    /// Fast-retransmit triggers (3rd duplicate ACK).
-    tcp_fast_retransmits: ukstats::Counter,
-    /// Out-of-order extents filed into reassembly queues.
-    tcp_ooo_queued: ukstats::Counter,
-    /// Scoreboard-driven (SACK) hole retransmissions beyond the
-    /// cumulative-ACK front.
-    tcp_sack_rtx: ukstats::Counter,
-    /// Spurious retransmissions detected via D-SACK.
-    tcp_spurious_rtx: ukstats::Counter,
-    /// Tail-loss probes fired in place of a full RTO.
-    tcp_tlp_probes: ukstats::Counter,
-    /// Pacing-gate quantum releases during recovery episodes.
-    tcp_paced_releases: ukstats::Counter,
-    /// Out-of-order extents shed under netbuf-pool pressure.
-    tcp_ooo_shed: ukstats::Counter,
-    /// Pending ACKs that rode a data segment out instead of leaving
-    /// alone.
-    tcp_acks_piggybacked: ukstats::Counter,
+    /// Every connection's [`TcbStats`], summed.
+    tcb: TcbCounters,
     /// Payload-free ACK segments transmitted (handshake and FIN ACKs,
     /// duplicate ACKs, window updates, released held ACKs).
     tcp_pure_acks_tx: ukstats::Counter,
-    /// Held ACKs released by the wheel (no segment carried them within
-    /// `DELACK_NS`).
-    tcp_delack_fires: ukstats::Counter,
-    /// Window updates sent because a drain reopened the receive window.
-    tcp_window_updates_tx: ukstats::Counter,
     /// Last observed RACK reordering window (ns; most recently polled
     /// connection).
     tcp_rack_reorder_window_ns: ukstats::Gauge,
@@ -755,20 +745,8 @@ impl StackCounters {
             demux_arp: ukstats::Counter::register("netstack.demux_arp"),
             demux_icmp: ukstats::Counter::register("netstack.demux_icmp"),
             demux_miss: ukstats::Counter::register("netstack.demux_miss"),
-            dup_acks: ukstats::Counter::register("netstack.dup_acks"),
-            tcp_rto_fires: ukstats::Counter::register("netstack.tcp.rto_fires"),
-            tcp_retransmits: ukstats::Counter::register("netstack.tcp.retransmits"),
-            tcp_fast_retransmits: ukstats::Counter::register("netstack.tcp.fast_retransmits"),
-            tcp_ooo_queued: ukstats::Counter::register("netstack.tcp.ooo_queued"),
-            tcp_sack_rtx: ukstats::Counter::register("netstack.tcp.sack_rtx"),
-            tcp_spurious_rtx: ukstats::Counter::register("netstack.tcp.spurious_rtx"),
-            tcp_tlp_probes: ukstats::Counter::register("netstack.tcp.tlp_probes"),
-            tcp_paced_releases: ukstats::Counter::register("netstack.tcp.paced_releases"),
-            tcp_ooo_shed: ukstats::Counter::register("netstack.tcp.ooo_shed"),
-            tcp_acks_piggybacked: ukstats::Counter::register("netstack.tcp.acks_piggybacked"),
+            tcb: TcbCounters::register(),
             tcp_pure_acks_tx: ukstats::Counter::register("netstack.tcp.pure_acks_tx"),
-            tcp_delack_fires: ukstats::Counter::register("netstack.tcp.delack_fires"),
-            tcp_window_updates_tx: ukstats::Counter::register("netstack.tcp.window_updates_tx"),
             tcp_rack_reorder_window_ns: ukstats::Gauge::register(
                 "netstack.tcp.rack_reorder_window_ns",
             ),
@@ -786,6 +764,105 @@ impl StackCounters {
             arp_parked_hiwater: ukstats::Gauge::register("netstack.arp_parked_hiwater"),
         }
     }
+}
+
+/// What a [`tcb_stats_table`] row's tracepoint records beside the
+/// connection.
+#[cfg_attr(not(feature = "trace"), allow(dead_code))]
+enum TpArg {
+    /// How far the field moved.
+    Delta,
+    /// The field's new cumulative value.
+    Total,
+    /// The caller's context word: the segment's sequence number at
+    /// ingest, the clock at a timer fire.
+    Context,
+}
+
+/// The one counter hand-off, written as a table with one row per
+/// [`TcbStats`] field: `field => registry counter summing it over all
+/// connections, tracepoint fired when it moves(its second argument)`.
+/// Rows are published in table order. The table expands to
+/// straight-line code — walked at run time through accessor pointers it
+/// cost `tcp-rr` 8 %.
+macro_rules! tcb_stats_table {
+    ($($field:ident => $name:literal $(, $tp:ident($arg:ident))?;)*) => {
+        /// The table's registry counters, by [`TcbStats`] field.
+        struct TcbCounters {
+            $($field: ukstats::Counter,)*
+        }
+
+        impl TcbCounters {
+            fn register() -> Self {
+                TcbCounters { $($field: ukstats::Counter::register($name),)* }
+            }
+        }
+
+        /// Publishes what a connection's TCB counted since the stack
+        /// last looked — after every crossing: an ingest, a timer fire,
+        /// an output poll. `published` is the stack's copy of the
+        /// counters as of then; each field that moved past it adds to
+        /// its registry counter (once per crossing, however many
+        /// segments moved it) and fires its tracepoint for connection
+        /// `h`. Most crossings move nothing and pay the compare alone,
+        /// inline.
+        #[inline]
+        fn publish_tcb_stats(
+            counters: &TcbCounters,
+            trace: &mut uktrace::TraceRing,
+            h: usize,
+            context: u64,
+            published: &mut TcbStats,
+            stats: &TcbStats,
+        ) {
+            if published != stats {
+                publish_moved(counters, trace, h, context, published, stats);
+            }
+        }
+
+        #[inline(never)]
+        #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
+        fn publish_moved(
+            counters: &TcbCounters,
+            trace: &mut uktrace::TraceRing,
+            h: usize,
+            context: u64,
+            published: &mut TcbStats,
+            stats: &TcbStats,
+        ) {
+            $(
+                let delta = u64::from(stats.$field.wrapping_sub(published.$field));
+                if delta > 0 {
+                    counters.$field.add(delta);
+                    $(
+                        let arg = match TpArg::$arg {
+                            TpArg::Delta => delta,
+                            TpArg::Total => u64::from(stats.$field),
+                            TpArg::Context => context,
+                        };
+                        uktrace::trace!(trace, tp::$tp, h, arg);
+                    )?
+                }
+            )*
+            *published = *stats;
+        }
+    };
+}
+
+tcb_stats_table! {
+    dup_acks => "netstack.dup_acks", tcp_dup_ack(Context);
+    rto_fires => "netstack.tcp.rto_fires", tcp_rto_fire(Total);
+    retransmits => "netstack.tcp.retransmits", tcp_retransmit(Delta);
+    fast_retransmits => "netstack.tcp.fast_retransmits", tcp_fast_retransmit(Delta);
+    ooo_queued => "netstack.tcp.ooo_queued", tcp_ooo_queue(Delta);
+    sack_rtx => "netstack.tcp.sack_rtx", tcp_sack_rtx(Delta);
+    spurious_rtx => "netstack.tcp.spurious_rtx", tcp_spurious_rtx(Delta);
+    tlp_probes => "netstack.tcp.tlp_probes", tcp_tlp_probe(Delta);
+    paced_releases => "netstack.tcp.paced_releases", tcp_paced_release(Delta);
+    ooo_shed => "netstack.tcp.ooo_shed", tcp_ooo_shed(Delta);
+    delack_fires => "netstack.tcp.delack_fires", tcp_delack_fire(Context);
+    acks_piggybacked => "netstack.tcp.acks_piggybacked";
+    window_updates => "netstack.tcp.window_updates_tx";
 }
 
 /// The network stack.
@@ -1148,25 +1225,14 @@ impl NetStack {
         }
         self.conn_slots
             .iter()
-            .filter_map(|cs| cs.conn.as_ref()?.delack_armed_ns)
+            .filter_map(|cs| cs.conn.as_ref()?.timers[TcbTimer::DelAck as usize].1)
             .min()
     }
 
-    /// Puts a connection on the dirty list (idempotent): the next
-    /// flush polls its output and reconciles its wheel timers.
+    /// [`mark_dirty`] by handle (stale handles are ignored).
     fn mark_dirty_handle(&mut self, h: usize) {
-        let Some((slot, gen)) = conn_parts(h) else {
-            return;
-        };
-        if let Some(cs) = self.conn_slots.get_mut(slot as usize) {
-            if cs.gen == gen {
-                if let Some(c) = cs.conn.as_mut() {
-                    if !c.dirty {
-                        c.dirty = true;
-                        self.dirty.push(slot);
-                    }
-                }
-            }
+        if let Some(c) = conn_in(&mut self.conn_slots, h) {
+            mark_dirty(c, &mut self.dirty, (h & 0xffff_ffff) as u32);
         }
     }
 
@@ -1187,16 +1253,10 @@ impl NetStack {
             tcb,
             remote,
             local_port,
-            rto_tok: TimerToken::NONE,
-            rto_armed_ns: None,
-            delack_tok: TimerToken::NONE,
-            delack_armed_ns: None,
+            timers: [(TimerToken::NONE, None); 4],
             life_tok: TimerToken::NONE,
             life_kind: LifeKind::None,
-            rack_tok: TimerToken::NONE,
-            rack_armed_ns: None,
-            pace_tok: TimerToken::NONE,
-            pace_armed_ns: None,
+            published: TcbStats::default(),
             last_activity_ns: now,
             ka_probes: 0,
             dirty: false,
@@ -1225,11 +1285,11 @@ impl NetStack {
             return;
         };
         let h = conn_handle(slot, gen);
-        self.wheel.cancel(c.rto_tok);
-        self.held_acks -= usize::from(self.wheel.cancel(c.delack_tok));
+        for kind in TcbTimer::ALL {
+            let was_armed = self.wheel.cancel(c.timers[kind as usize].0);
+            self.held_acks -= usize::from(was_armed && kind == TcbTimer::DelAck);
+        }
         self.wheel.cancel(c.life_tok);
-        self.wheel.cancel(c.rack_tok);
-        self.wheel.cancel(c.pace_tok);
         self.flow.remove(flow_key(c.local_port, c.remote));
         if let Some(l) = self.listeners.get_mut(&c.local_port) {
             l.syn_queue.retain(|&s| s != slot);
@@ -1443,7 +1503,7 @@ impl NetStack {
             dst_port: to.port,
         };
         hdr.emit(&ip, &mut nb, self.tx_csum);
-        count_csum(&mut self.stats, &self.ustats, offloaded(self.tx_csum));
+        bump!(self, csum_offloaded, offloaded(self.tx_csum));
         ip.encode_into(&mut nb);
         self.send_ipv4_nb(to.addr, IpProto::Udp, nb);
         Ok(())
@@ -1626,23 +1686,28 @@ impl NetStack {
         r
     }
 
-    /// Applies the stack's configuration to a fresh TCB and stamps it
-    /// with the current virtual time, which it returns. Whatever needs
+    /// What every TCB of this stack is configured with. Whatever needs
     /// a timer to finish — the full lifecycle, held ACKs, RACK, pacing
     /// — is gated on a clock driving the wheel: without one TIME_WAIT
     /// would never be reaped, a held ACK never released, and the
     /// dup-ACK threshold and burst emission stay in force.
-    fn configure_tcb(&self, tcb: &mut Tcb) -> Option<u64> {
+    fn tcb_config(&self) -> TcbConfig {
         let clocked = self.clock.is_some();
-        if self.config.lean_tcbs {
-            tcb.shrink_queues();
+        TcbConfig {
+            mss: self.config.mss,
+            congestion_control: self.config.congestion_control,
+            sack: self.config.sack,
+            rack: self.config.rack && clocked,
+            pacing: self.config.pacing && clocked,
+            clocked,
+            lean: self.config.lean_tcbs,
         }
-        tcb.set_mss(self.config.mss);
-        tcb.set_congestion_control(self.config.congestion_control);
-        tcb.set_clocked(clocked);
-        tcb.set_sack(self.config.sack);
-        tcb.set_rack(self.config.rack && clocked);
-        tcb.set_pacing(self.config.pacing && clocked);
+    }
+
+    /// Applies [`tcb_config`](Self::tcb_config) to a fresh TCB and
+    /// stamps it with the current virtual time, which it returns.
+    fn configure_tcb(&self, tcb: &mut Tcb) -> Option<u64> {
+        tcb.configure(self.tcb_config());
         let now = self.now_ns();
         if let Some(n) = now {
             tcb.set_now(n);
@@ -1804,38 +1869,11 @@ impl NetStack {
         self.conn(conn.0).map(|c| c.tcb.window_closed()).unwrap_or(true)
     }
 
-    /// Loss-recovery counters for one connection — cumulative
-    /// `(rto_fires, retransmits, fast_retransmits, ooo_queued)`, for
-    /// tests and diagnostics. The stack-wide `netstack.tcp.*` counters
-    /// aggregate the same values across connections.
-    pub fn tcp_loss_stats(&self, conn: SocketHandle) -> (u64, u64, u64, u64) {
-        self.conn(conn.0)
-            .map(|c| {
-                (
-                    c.tcb.rto_fires(),
-                    c.tcb.retransmits(),
-                    c.tcb.fast_retransmits(),
-                    c.tcb.ooo_queued(),
-                )
-            })
-            .unwrap_or((0, 0, 0, 0))
-    }
-
-    /// Surgical-recovery counters for one connection — cumulative
-    /// `(sack_rtx, spurious_rtx, tlp_probes, paced_releases, ooo_shed)`,
-    /// the PR 9 companions to [`tcp_loss_stats`](Self::tcp_loss_stats).
-    pub fn tcp_recovery_stats(&self, conn: SocketHandle) -> (u64, u64, u64, u64, u64) {
-        self.conn(conn.0)
-            .map(|c| {
-                (
-                    c.tcb.sack_rtx(),
-                    c.tcb.spurious_rtx(),
-                    c.tcb.tlp_probes(),
-                    c.tcb.paced_releases(),
-                    c.tcb.ooo_shed(),
-                )
-            })
-            .unwrap_or((0, 0, 0, 0, 0))
+    /// One connection's cumulative event counters (tests and
+    /// diagnostics). The stack-wide `netstack.tcp.*` counters sum the
+    /// same fields over all connections.
+    pub fn tcp_stats(&self, conn: SocketHandle) -> Option<TcbStats> {
+        self.conn(conn.0).map(|c| *c.tcb.stats())
     }
 
     /// Current congestion window (bytes) for one connection.
@@ -1949,12 +1987,9 @@ impl NetStack {
             if st.stats.frames == 0 {
                 break; // Ring full; retried on the next flush.
             }
-            self.stats.tx_frames += st.stats.frames as u64;
-            self.stats.tx_bytes += st.stats.bytes as u64;
-            self.stats.tx_bursts += 1;
-            self.ustats.tx_frames.add(st.stats.frames as u64);
-            self.ustats.tx_bytes.add(st.stats.bytes as u64);
-            self.ustats.tx_bursts.inc();
+            bump!(self, tx_frames, st.stats.frames as u64);
+            bump!(self, tx_bytes, st.stats.bytes as u64);
+            bump!(self, tx_bursts, 1);
         }
         Ok(())
     }
@@ -2027,8 +2062,7 @@ impl NetStack {
                 self.ustats.arp_parked_hiwater.set_max(queued as u64);
                 uktrace::trace!(self.trace, tp::arp_parked, dst.0, queued);
                 if let Some((_, old)) = evicted {
-                    self.stats.dropped += 1;
-                    self.ustats.dropped.inc();
+                    bump!(self, dropped, 1);
                     self.ustats.arp_evicted.inc();
                     self.recycle(old);
                 }
@@ -2081,15 +2115,15 @@ impl NetStack {
     fn flush_tcp(&mut self) -> Result<()> {
         let mut staged = std::mem::take(&mut self.tcp_stage);
         let src_ip = self.config.ip;
-        let tso = self.tso;
-        let gso_max = self.config.gso_max_size;
+        let TcbConfig { mss, sack: sack_on, rack: rack_on, .. } = self.tcb_config();
+        // The GSO budget is floored to a multiple of the MSS so a
+        // super-segment boundary never forces a short wire frame
+        // mid-stream — the cut frames land on exactly the byte
+        // boundaries software segmentation would produce.
+        let max_seg = if self.tso { (self.config.gso_max_size / mss).max(1) * mss } else { mss };
         let mut supers = 0u64;
         let mut super_bytes = 0u64;
-        let mut rtx_delta = 0u64;
-        let mut sack_rtx_delta = 0u64;
         let mut pure_acks = 0u64;
-        let mut piggybacked = 0u64;
-        let mut wnd_updates = 0u64;
         let mut csum_offloaded = 0u64;
         let now = self.now_ns();
         // Only dirty connections are polled — at 100 K idle
@@ -2105,25 +2139,14 @@ impl NetStack {
             };
             let gen = cs.gen;
             let Some(c) = cs.conn.as_mut() else { continue };
-            if !c.dirty {
+            if !std::mem::take(&mut c.dirty) {
                 continue;
             }
-            c.dirty = false;
             let h = conn_handle(slot, gen);
             if let Some(n) = now {
                 c.tcb.set_now(n);
             }
             let dst = c.remote.addr;
-            let mss = c.tcb.mss();
-            // The GSO budget is floored to a multiple of the MSS so a
-            // super-segment boundary never forces a short wire frame
-            // mid-stream — the cut frames land on exactly the byte
-            // boundaries software segmentation would produce.
-            let max_seg = if tso { (gso_max / mss).max(1) * mss } else { mss };
-            let rtx0 = c.tcb.retransmits();
-            let sack_rtx0 = c.tcb.sack_rtx();
-            let piggy0 = c.tcb.acks_piggybacked();
-            let wnd0 = c.tcb.window_updates();
             // The receiver half's SACK report for this poll: D-SACK
             // plus the reassembly queue's extents, encoded once and
             // attached to the first *pure ACK* the poll emits (the GSO
@@ -2131,7 +2154,6 @@ impl NetStack {
             // owes the peer a SACK always emits a pure ACK).
             let mut sack_opt = [0u8; TCP_MAX_OPT_LEN];
             let sack_len = c.tcb.fill_sack_option(&mut sack_opt);
-            let sack_on = c.tcb.sack_enabled();
             let mut sack_used = false;
             let take_buf = || take_or_alloc(&mut self.pool);
             c.tcb.poll_output_chain_with(max_seg, take_buf, |header, mut nb| {
@@ -2187,40 +2209,19 @@ impl NetStack {
                 }
                 staged.push((dst, nb));
             });
-            let d = c.tcb.retransmits() - rtx0;
-            if d > 0 {
-                rtx_delta += d;
-                uktrace::trace!(self.trace, tp::tcp_retransmit, h, d);
-            }
-            let ds = c.tcb.sack_rtx() - sack_rtx0;
-            if ds > 0 {
-                sack_rtx_delta += ds;
-                uktrace::trace!(self.trace, tp::tcp_sack_rtx, h, ds);
-            }
-            piggybacked += c.tcb.acks_piggybacked() - piggy0;
-            wnd_updates += c.tcb.window_updates() - wnd0;
+            let (tcb, trace) = (&self.ustats.tcb, &mut self.trace);
+            publish_tcb_stats(tcb, trace, h, 0, &mut c.published, c.tcb.stats());
             self.ustats.tcp_cwnd.set(c.tcb.cwnd() as u64);
-            if c.tcb.rack_enabled() {
+            if rack_on {
                 self.ustats.tcp_rack_reorder_window_ns.set(c.tcb.reo_wnd_ns());
             }
         }
-        // Most flushes move none of these; skip the atomic when so.
-        for (counter, n) in [
-            (&self.ustats.tcp_retransmits, rtx_delta),
-            (&self.ustats.tcp_sack_rtx, sack_rtx_delta),
-            (&self.ustats.tcp_pure_acks_tx, pure_acks),
-            (&self.ustats.tcp_acks_piggybacked, piggybacked),
-            (&self.ustats.tcp_window_updates_tx, wnd_updates),
-            (&self.ustats.tso_super_frames, supers),
-            (&self.ustats.tso_super_bytes, super_bytes),
-        ] {
-            if n > 0 {
-                counter.add(n);
-            }
+        if pure_acks > 0 {
+            self.ustats.tcp_pure_acks_tx.add(pure_acks);
         }
-        self.stats.tso_super_frames += supers;
-        self.stats.tso_super_bytes += super_bytes;
-        count_csum(&mut self.stats, &self.ustats, csum_offloaded);
+        bump!(self, tso_super_frames, supers);
+        bump!(self, tso_super_bytes, super_bytes);
+        bump!(self, csum_offloaded, csum_offloaded);
         // Second pass: mirror every polled connection's timer wants
         // (RTO, held ACK, lifecycle) into the wheel.
         if let Some(n) = now {
@@ -2261,168 +2262,62 @@ impl NetStack {
     /// carries the timer kind, the slot, and the generation the timer
     /// was armed under — a reused slot simply ignores stale fires.
     fn dispatch_timer(&mut self, key: u64, now: u64) {
-        let kind = key >> 48;
+        let key_kind = key >> 48;
         let gen = ((key >> 32) & 0xffff) as u16;
         let slot = (key & 0xffff_ffff) as u32;
-        enum Act {
-            None,
-            Reap(u64),
+        let Some(cs) = self.conn_slots.get_mut(slot as usize) else {
+            return;
+        };
+        if cs.gen != gen {
+            return;
         }
-        let mut act = Act::None;
-        {
-            let Some(cs) = self.conn_slots.get_mut(slot as usize) else {
-                return;
-            };
-            if cs.gen != gen {
-                return;
+        let Some(c) = cs.conn.as_mut() else { return };
+        let h = conn_handle(slot, gen);
+        let mut reap = None;
+        let tcb_timer = TcbTimer::ALL.into_iter().find(|&k| TCB_TIMER_KEYS[k as usize] == key_kind);
+        if let Some(kind) = tcb_timer {
+            c.timers[kind as usize] = (TimerToken::NONE, None);
+            self.held_acks -= usize::from(kind == TcbTimer::DelAck);
+            c.tcb.on_timer(kind, now);
+            let (tcb, trace) = (&self.ustats.tcb, &mut self.trace);
+            publish_tcb_stats(tcb, trace, h, now, &mut c.published, c.tcb.stats());
+        } else if key_kind == TK_LIFE {
+            c.life_tok = TimerToken::NONE;
+            match c.life_kind {
+                LifeKind::Handshake => reap = Some(REAP_HANDSHAKE),
+                LifeKind::FinWait2 => reap = Some(REAP_FINWAIT2),
+                LifeKind::TimeWait => reap = Some(REAP_TIMEWAIT),
+                // While the application still owes a read, check again
+                // on the same cadence.
+                LifeKind::Reap if c.tcb.readable() == 0 => reap = Some(REAP_CLOSED),
+                LifeKind::Keepalive if now < c.last_activity_ns + KEEPALIVE_IDLE_NS => {
+                    c.ka_probes = 0;
+                }
+                LifeKind::Keepalive if c.ka_probes >= KEEPALIVE_PROBES => {
+                    self.ustats.tcp_keepalive_drops.inc();
+                    reap = Some(REAP_KEEPALIVE);
+                }
+                LifeKind::Keepalive => {
+                    c.ka_probes += 1;
+                    c.tcb.emit_keepalive_probe();
+                    uktrace::trace!(self.trace, tp::tcp_keepalive_probe, h, c.ka_probes as usize);
+                }
+                LifeKind::Reap | LifeKind::None => {}
             }
-            let Some(c) = cs.conn.as_mut() else { return };
-            match kind {
-                TK_RTO => {
-                    c.rto_tok = TimerToken::NONE;
-                    c.rto_armed_ns = None;
-                    if c.tcb.on_tick(now) {
-                        self.ustats.tcp_rto_fires.inc();
-                        uktrace::trace!(
-                            self.trace,
-                            tp::tcp_rto_fire,
-                            conn_handle(slot, gen),
-                            c.tcb.rto_fires()
-                        );
-                    }
-                    if !c.dirty {
-                        c.dirty = true;
-                        self.dirty.push(slot);
-                    }
-                }
-                TK_DELACK => {
-                    c.delack_tok = TimerToken::NONE;
-                    c.delack_armed_ns = None;
-                    self.held_acks -= 1;
-                    if c.tcb.on_delack_timeout() {
-                        self.ustats.tcp_delack_fires.inc();
-                        uktrace::trace!(
-                            self.trace,
-                            tp::tcp_delack_fire,
-                            conn_handle(slot, gen),
-                            now
-                        );
-                    }
-                    if !c.dirty {
-                        c.dirty = true;
-                        self.dirty.push(slot);
-                    }
-                }
-                TK_RACK => {
-                    c.rack_tok = TimerToken::NONE;
-                    c.rack_armed_ns = None;
-                    let fr0 = c.tcb.fast_retransmits();
-                    let tlp0 = c.tcb.tlp_probes();
-                    c.tcb.on_rack_timeout(now);
-                    let fr = c.tcb.fast_retransmits() - fr0;
-                    if fr > 0 {
-                        self.ustats.tcp_fast_retransmits.add(fr);
-                        uktrace::trace!(
-                            self.trace,
-                            tp::tcp_fast_retransmit,
-                            conn_handle(slot, gen),
-                            fr
-                        );
-                    }
-                    let tlp = c.tcb.tlp_probes() - tlp0;
-                    if tlp > 0 {
-                        self.ustats.tcp_tlp_probes.add(tlp);
-                        uktrace::trace!(
-                            self.trace,
-                            tp::tcp_tlp_probe,
-                            conn_handle(slot, gen),
-                            tlp
-                        );
-                    }
-                    if !c.dirty {
-                        c.dirty = true;
-                        self.dirty.push(slot);
-                    }
-                }
-                TK_PACE => {
-                    c.pace_tok = TimerToken::NONE;
-                    c.pace_armed_ns = None;
-                    let p0 = c.tcb.paced_releases();
-                    c.tcb.on_pace_timeout(now);
-                    let p = c.tcb.paced_releases() - p0;
-                    if p > 0 {
-                        self.ustats.tcp_paced_releases.add(p);
-                        uktrace::trace!(
-                            self.trace,
-                            tp::tcp_paced_release,
-                            conn_handle(slot, gen),
-                            p
-                        );
-                    }
-                    if !c.dirty {
-                        c.dirty = true;
-                        self.dirty.push(slot);
-                    }
-                }
-                TK_LIFE => {
-                    c.life_tok = TimerToken::NONE;
-                    match c.life_kind {
-                        LifeKind::Handshake => act = Act::Reap(REAP_HANDSHAKE),
-                        LifeKind::FinWait2 => act = Act::Reap(REAP_FINWAIT2),
-                        LifeKind::TimeWait => act = Act::Reap(REAP_TIMEWAIT),
-                        LifeKind::Reap => {
-                            if c.tcb.readable() == 0 {
-                                act = Act::Reap(REAP_CLOSED);
-                            } else if !c.dirty {
-                                // Application still owes a read; check
-                                // again on the same cadence.
-                                c.dirty = true;
-                                self.dirty.push(slot);
-                            }
-                        }
-                        LifeKind::Keepalive => {
-                            let idle = now.saturating_sub(c.last_activity_ns);
-                            if idle >= KEEPALIVE_IDLE_NS {
-                                if c.ka_probes >= KEEPALIVE_PROBES {
-                                    self.ustats.tcp_keepalive_drops.inc();
-                                    act = Act::Reap(REAP_KEEPALIVE);
-                                } else {
-                                    c.ka_probes += 1;
-                                    c.tcb.emit_keepalive_probe();
-                                    uktrace::trace!(
-                                        self.trace,
-                                        tp::tcp_keepalive_probe,
-                                        conn_handle(slot, gen),
-                                        c.ka_probes as usize
-                                    );
-                                    if !c.dirty {
-                                        c.dirty = true;
-                                        self.dirty.push(slot);
-                                    }
-                                }
-                            } else {
-                                c.ka_probes = 0;
-                                if !c.dirty {
-                                    c.dirty = true;
-                                    self.dirty.push(slot);
-                                }
-                            }
-                        }
-                        LifeKind::None => {}
-                    }
-                }
-                _ => {}
-            }
+        } else {
+            return;
         }
-        if let Act::Reap(reason) = act {
-            self.reap_conn_slot(slot, reason);
+        match reap {
+            Some(reason) => self.reap_conn_slot(slot, reason),
+            // The fire left output to poll or a timer to re-arm.
+            None => mark_dirty(c, &mut self.dirty, slot),
         }
     }
 
-    /// Mirrors one connection's timer wants into the wheel: the TCB's
-    /// RTO/persist deadline, its held-ACK deadline, and the
-    /// lifecycle deadline implied by its state. Re-arms only on
-    /// change, so steady-state data flow costs one compare per kind.
+    /// Mirrors one connection's timer wants into the wheel: each of
+    /// the TCB's [`TcbTimer`] deadlines, then the lifecycle deadline
+    /// implied by its state. Re-arms only on change, so steady-state
+    /// data flow costs one compare per kind.
     fn sync_conn_timers(&mut self, slot: u32, now: u64) {
         let keepalive = self.config.keepalive;
         let Some(cs) = self.conn_slots.get_mut(slot as usize) else {
@@ -2430,41 +2325,18 @@ impl NetStack {
         };
         let gen = cs.gen;
         let Some(c) = cs.conn.as_mut() else { return };
-        let want = c.tcb.rtx_deadline();
-        if want != c.rto_armed_ns || (want.is_some() && c.rto_tok.is_none()) {
-            self.wheel.cancel(c.rto_tok);
-            c.rto_tok = TimerToken::NONE;
-            c.rto_armed_ns = want;
-            if let Some(d) = want {
-                c.rto_tok = self.wheel.arm(d, timer_key(TK_RTO, slot, gen));
-            }
-        }
-        let want = c.tcb.ack_deadline();
-        if want != c.delack_armed_ns || (want.is_some() && c.delack_tok.is_none()) {
-            self.held_acks -= usize::from(self.wheel.cancel(c.delack_tok));
-            c.delack_tok = TimerToken::NONE;
-            c.delack_armed_ns = want;
-            if let Some(d) = want {
-                c.delack_tok = self.wheel.arm(d, timer_key(TK_DELACK, slot, gen));
-                self.held_acks += 1;
-            }
-        }
-        let want = c.tcb.rack_deadline();
-        if want != c.rack_armed_ns || (want.is_some() && c.rack_tok.is_none()) {
-            self.wheel.cancel(c.rack_tok);
-            c.rack_tok = TimerToken::NONE;
-            c.rack_armed_ns = want;
-            if let Some(d) = want {
-                c.rack_tok = self.wheel.arm(d, timer_key(TK_RACK, slot, gen));
-            }
-        }
-        let want = c.tcb.pace_deadline();
-        if want != c.pace_armed_ns || (want.is_some() && c.pace_tok.is_none()) {
-            self.wheel.cancel(c.pace_tok);
-            c.pace_tok = TimerToken::NONE;
-            c.pace_armed_ns = want;
-            if let Some(d) = want {
-                c.pace_tok = self.wheel.arm(d, timer_key(TK_PACE, slot, gen));
+        for kind in TcbTimer::ALL {
+            let want = c.tcb.deadline(kind);
+            let (tok, armed) = &mut c.timers[kind as usize];
+            if want != *armed || (want.is_some() && tok.is_none()) {
+                let was_armed = self.wheel.cancel(*tok);
+                let key = timer_key(TCB_TIMER_KEYS[kind as usize], slot, gen);
+                *tok = want.map_or(TimerToken::NONE, |d| self.wheel.arm(d, key));
+                *armed = want;
+                if kind == TcbTimer::DelAck {
+                    self.held_acks -= usize::from(was_armed);
+                    self.held_acks += usize::from(want.is_some());
+                }
             }
         }
         let (kind, deadline) = match c.tcb.state {
@@ -2544,7 +2416,7 @@ impl NetStack {
             ttl: 64,
         };
         header.emit(&ip, &mut nb, &[], self.tx_csum);
-        count_csum(&mut self.stats, &self.ustats, offloaded(self.tx_csum));
+        bump!(self, csum_offloaded, offloaded(self.tx_csum));
         ip.encode_into(&mut nb);
         self.ustats.tcp_rst_tx.inc();
         uktrace::trace!(self.trace, tp::tcp_rst_tx, header.dst_port, header.seq);
@@ -2577,15 +2449,13 @@ impl NetStack {
                 Err(_) => break,
             };
             if st.received > 0 {
-                self.stats.rx_bursts += 1;
-                self.ustats.rx_bursts.inc();
+                bump!(self, rx_bursts, 1);
             }
             for nb in frames.drain(..) {
                 if self.handle_frame(nb).is_ok() {
                     handled += 1;
                 } else {
-                    self.stats.dropped += 1;
-                    self.ustats.dropped.inc();
+                    bump!(self, dropped, 1);
                 }
             }
             if st.received == 0 && !st.more {
@@ -2635,8 +2505,7 @@ impl NetStack {
             drops: frames.len(),
         });
         while let Some(rest) = frames.pop() {
-            self.stats.dropped += 1;
-            self.ustats.dropped.inc();
+            bump!(self, dropped, 1);
             self.recycle(rest);
         }
         stats
@@ -2653,8 +2522,7 @@ impl NetStack {
     }
 
     fn handle_frame(&mut self, mut nb: Netbuf) -> Result<()> {
-        self.stats.rx_frames += 1;
-        self.ustats.rx_frames.inc();
+        bump!(self, rx_frames, 1);
         let eth = match EthHeader::decode(nb.payload()) {
             Ok((h, _)) => h,
             Err(e) => {
@@ -2750,8 +2618,7 @@ impl NetStack {
             return Err(Errno::Inval);
         }
         if trusted && matches!(ip.proto, IpProto::Tcp | IpProto::Udp) {
-            self.stats.rx_csum_skipped += 1;
-            self.ustats.rx_csum_skipped.inc();
+            bump!(self, rx_csum_skipped, 1);
         }
         nb.pull_header(IPV4_HDR_LEN);
         nb.truncate(body_len);
@@ -2898,6 +2765,84 @@ impl NetStack {
         Ok((tcp, ip.src, consumed))
     }
 
+    /// The one TCP ingest: delivers a segment to the connection in
+    /// `slot` — one RX buffer from the direct path, a GRO-merged run, or
+    /// a big-receive chain; the three entry shapes only parse and demux.
+    /// In order: a handshake-completing ACK is refused while the accept
+    /// backlog is full; the connection's clock and keepalive state are
+    /// stamped; options, then the segment, reach the TCB (payload
+    /// buffers move into its queues, the rest go back to the pool); the
+    /// newest out-of-order extents are shed while the pool sits below
+    /// [`LOW_POOL_BUFS`]; the connection is marked dirty; what the TCB
+    /// counted is published; and a handshake this segment completed
+    /// graduates the connection to its listener's accept backlog.
+    /// Returns the connection's handle.
+    fn tcp_ingest(
+        &mut self,
+        slot: u32,
+        tcp: &TcpHeader,
+        opts: Option<&TcpOptions>,
+        bufs: impl Iterator<Item = Netbuf>,
+    ) -> Result<usize> {
+        let now = self.now_ns();
+        let pool = &mut self.pool;
+        let cs = self.conn_slots.get_mut(slot as usize);
+        let Some((gen, c)) = cs.and_then(|cs| Some((cs.gen, cs.conn.as_mut()?))) else {
+            // The flow table (or the GRO stage) named this slot, so it
+            // must be occupied; drop the segment rather than panic if
+            // they ever disagree with the slab.
+            debug_assert!(false, "TCP segment demuxed to an empty connection slot");
+            bufs.for_each(|b| pool.give_back_chain(b));
+            return Err(Errno::BadF);
+        };
+        let h = conn_handle(slot, gen);
+        let prior = c.tcb.state;
+        let completes_handshake =
+            prior == TcpState::SynReceived && tcp.flags.ack && !tcp.flags.syn && !tcp.flags.rst;
+        if completes_handshake
+            && self
+                .listeners
+                .get(&tcp.dst_port)
+                .is_some_and(|l| l.backlog.len() >= self.config.listen_backlog)
+        {
+            // The connection stays half-open until the peer
+            // retransmits or the handshake timer reclaims it.
+            self.ustats.tcp_syn_overflow.inc();
+            bufs.for_each(|b| pool.give_back_chain(b));
+            return Err(Errno::NoMem);
+        }
+        if let Some(n) = now {
+            c.tcb.set_now(n);
+            c.last_activity_ns = n;
+            c.ka_probes = 0;
+        }
+        if let Some(opts) = opts {
+            c.tcb.process_options(tcp, opts);
+        }
+        c.tcb.on_segment_bufs(tcp, bufs, |b| pool.give_back_chain(b));
+        while pool.available() < LOW_POOL_BUFS
+            && c.tcb.shed_newest_ooo(&mut |b| pool.give_back_chain(b))
+        {}
+        mark_dirty(c, &mut self.dirty, slot);
+        let established = prior != TcpState::Established && c.tcb.state == TcpState::Established;
+        if established {
+            uktrace::trace!(self.trace, tp::tcp_established, h, tcp.dst_port);
+        }
+        let (tcb, trace, seq) = (&self.ustats.tcb, &mut self.trace, tcp.seq as u64);
+        publish_tcb_stats(tcb, trace, h, seq, &mut c.published, c.tcb.stats());
+        if established && prior == TcpState::SynReceived {
+            // Handshake complete: graduate from the SYN queue to the
+            // accept backlog.
+            if let Some(l) = self.listeners.get_mut(&tcp.dst_port) {
+                l.syn_queue.retain(|&s| s != slot);
+                l.backlog.push_back(SocketHandle(h));
+                l.accepted_total += 1;
+                self.sync_one(LISTENER_TAG | tcp.dst_port as usize);
+            }
+        }
+        Ok(h)
+    }
+
     /// Ingests a big-receive super-segment **zero-copy**: headers are
     /// stripped off the chain head in place and the whole chain moves
     /// into the connection's receive queue as *one* multi-part segment
@@ -2915,63 +2860,23 @@ impl NetStack {
             }
         };
         let remote = Endpoint::new(src, tcp.src_port);
-        let payload_len = nb.chain_len() - consumed;
         let Some(slot) = self.flow.get(flow_key(tcp.dst_port, remote)) else {
             self.ustats.demux_miss.inc();
             uktrace::trace!(self.trace, tp::demux_miss, 6u64, tcp.dst_port);
-            self.stage_rst(src, &tcp, payload_len);
+            self.stage_rst(src, &tcp, nb.chain_len() - consumed);
             self.recycle(nb);
             return Err(Errno::ConnRefused);
         };
-        let now = self.now_ns();
-        let cs = &mut self.conn_slots[slot as usize];
-        let gen = cs.gen;
-        // `_h` and `_bytes` are only read by tracepoints (unused when
-        // tracing is compiled out, hence the underscores).
-        let _h = conn_handle(slot, gen);
-        let Some(c) = cs.conn.as_mut() else {
-            self.ustats.demux_miss.inc();
-            uktrace::trace!(self.trace, tp::demux_miss, 6u64, tcp.dst_port);
-            self.recycle(nb);
-            return Err(Errno::ConnRefused);
-        };
+        let opts = tcp_options(&nb.payload()[IPV4_HDR_LEN..consumed]);
         nb.pull_header(consumed);
+        // `_h` and `_bytes` are only read by the tracepoint (unused
+        // when tracing is compiled out, hence the underscores).
         let _bytes = nb.chain_len();
-        if let Some(n) = now {
-            c.tcb.set_now(n);
-            c.last_activity_ns = n;
-            c.ka_probes = 0;
-        }
-        let dup0 = c.tcb.dup_acks();
-        let fr0 = c.tcb.fast_retransmits();
-        let ooo0 = c.tcb.ooo_queued();
-        c.tcb
-            .on_segment_bufs(&tcp, std::iter::once(nb), |b| self.pool.give_back_chain(b));
-        let dup = c.tcb.dup_acks() - dup0;
-        if dup > 0 {
-            self.ustats.dup_acks.add(dup);
-            uktrace::trace!(self.trace, tp::tcp_dup_ack, _h, tcp.seq);
-        }
-        let fr = c.tcb.fast_retransmits() - fr0;
-        if fr > 0 {
-            self.ustats.tcp_fast_retransmits.add(fr);
-            uktrace::trace!(self.trace, tp::tcp_fast_retransmit, _h, fr);
-        }
-        let ooo = c.tcb.ooo_queued() - ooo0;
-        if ooo > 0 {
-            self.ustats.tcp_ooo_queued.add(ooo);
-            uktrace::trace!(self.trace, tp::tcp_ooo_queue, _h, ooo);
-        }
-        if !c.dirty {
-            c.dirty = true;
-            self.dirty.push(slot);
-        }
+        let _h = self.tcp_ingest(slot, &tcp, opts.as_ref(), std::iter::once(nb))?;
         self.ustats.demux_tcp.inc();
         uktrace::trace!(self.trace, tp::tcp_super_rx, _h, _bytes);
-        self.stats.rx_super_frames += 1;
-        self.stats.rx_csum_skipped += 1;
-        self.ustats.rx_super_frames.inc();
-        self.ustats.rx_csum_skipped.inc();
+        bump!(self, rx_super_frames, 1);
+        bump!(self, rx_csum_skipped, 1);
         Ok(())
     }
 
@@ -2993,18 +2898,21 @@ impl NetStack {
             }
         };
         let payload_len = nb.len() - doff;
-        // GRO: a plain data segment (ACK set, no SYN/FIN/RST) joins
-        // the burst's staging area; consecutive ones merge into one
-        // ingest at flush. A segment continuing the staged run's flow
-        // at exactly the expected sequence number appends with *zero*
-        // demux-table lookups — the flow-match fast path that makes
-        // per-MSS receive cheap.
+        // GRO: a plain data segment (ACK set, no SYN/FIN/RST, no
+        // options — a merged run has one header and nowhere to keep a
+        // member's SACK blocks; Linux GRO's rule) joins the burst's
+        // staging area; consecutive ones merge into one ingest at
+        // flush. A segment continuing the staged run's flow at exactly
+        // the expected sequence number appends with *zero* demux-table
+        // lookups — the flow-match fast path that makes per-MSS receive
+        // cheap.
         let mergeable = self.gro
             && tcp.flags.ack
             && !tcp.flags.syn
             && !tcp.flags.fin
             && !tcp.flags.rst
-            && nb.len() > doff;
+            && doff == TCP_HDR_LEN
+            && payload_len > 0;
         if mergeable {
             if let Some(cont) = self.gro_cont.as_mut() {
                 let flow_match = cont.src_port == tcp.src_port
@@ -3029,219 +2937,112 @@ impl NetStack {
             }
         }
         let remote = Endpoint::new(ip.src, tcp.src_port);
-        let fkey = flow_key(tcp.dst_port, remote);
-        let mut hit = self.flow.get(fkey);
+        // The flow's slot, handle and state, if a live connection owns it.
+        let mut hit = self.flow.get(flow_key(tcp.dst_port, remote)).and_then(|slot| {
+            let cs = self.conn_slots.get(slot as usize)?;
+            Some((slot, conn_handle(slot, cs.gen), cs.conn.as_ref()?.tcb.state))
+        });
         // TIME_WAIT assassination (RFC 1122 §4.2.2.13): a fresh SYN
         // landing on a connection parked in TIME_WAIT reaps it on the
         // spot and falls through to the listener below — the port
         // recycles without waiting out the full 2MSL.
         if tcp.flags.syn && !tcp.flags.ack {
-            if let Some(slot) = hit {
-                let is_tw = self
-                    .conn_slots
-                    .get(slot as usize)
-                    .and_then(|cs| cs.conn.as_ref())
-                    .map(|c| c.tcb.state == TcpState::TimeWait)
-                    .unwrap_or(false);
-                if is_tw {
-                    self.reap_conn_slot(slot, REAP_TIMEWAIT);
-                    hit = None;
-                }
+            if let Some((slot, _, TcpState::TimeWait)) = hit {
+                self.reap_conn_slot(slot, REAP_TIMEWAIT);
+                hit = None;
             }
         }
-        if let Some(slot) = hit {
-            let state0 = self
-                .conn_slots
-                .get(slot as usize)
-                .and_then(|cs| cs.conn.as_ref())
-                .map(|c| c.tcb.state);
-            if let Some(state0) = state0 {
-                let gen = self.conn_slots[slot as usize].gen;
-                let h = conn_handle(slot, gen);
-                // TCP options (SACK-permitted on SYNs, SACK blocks on
-                // pure ACKs) live between the fixed header and the
-                // payload; capture them before the header is pulled.
-                let opts = if doff > TCP_HDR_LEN {
-                    Some(TcpOptions::parse(&nb.payload()[TCP_HDR_LEN..doff]))
-                } else {
-                    None
-                };
+        let to_listener =
+            tcp.flags.syn && !tcp.flags.ack && self.listeners.contains_key(&tcp.dst_port);
+        let slot = match hit {
+            // GRO staging is for flows in steady data transfer;
+            // anything mid-handshake or mid-teardown takes the direct
+            // path so state transitions apply immediately.
+            Some((_, h, TcpState::Established)) if mergeable => {
+                // Start (or interleave) a staged run for this flow.
                 nb.pull_header(doff);
-                // GRO staging is for flows in steady data transfer;
-                // anything mid-handshake or mid-teardown takes the
-                // direct path so state transitions apply immediately.
-                if mergeable && state0 == TcpState::Established {
-                    // Start (or interleave) a staged run for this flow.
-                    self.gro_cont = Some(GroCont {
-                        src: ip.src,
-                        src_port: tcp.src_port,
-                        dst_port: tcp.dst_port,
-                        conn: h,
-                        next_seq: tcp.seq.wrapping_add(nb.len() as u32),
-                    });
-                    self.gro_stage.push((h, tcp, nb));
-                    self.ustats.demux_tcp.inc();
-                    return Ok(());
-                }
-                // Control flags take the direct path — after flushing
-                // the stage, so nothing overtakes data already queued
-                // for this connection.
+                self.gro_cont = Some(GroCont {
+                    src: ip.src,
+                    src_port: tcp.src_port,
+                    dst_port: tcp.dst_port,
+                    conn: h,
+                    next_seq: tcp.seq.wrapping_add(nb.len() as u32),
+                });
+                self.gro_stage.push((h, tcp, nb));
+                self.ustats.demux_tcp.inc();
+                return Ok(());
+            }
+            Some((slot, ..)) => {
+                // The direct path — after flushing the stage, so
+                // nothing overtakes data already queued for this
+                // connection.
                 self.gro_flush();
-                if state0 == TcpState::SynReceived
-                    && tcp.flags.ack
-                    && !tcp.flags.syn
-                    && !tcp.flags.rst
-                {
-                    // The handshake-completing ACK would move this
-                    // connection onto the accept backlog; if that is
-                    // full, drop the ACK — the connection stays
-                    // half-open until the peer retransmits or the
-                    // handshake timer reclaims it.
-                    let full = self
-                        .listeners
-                        .get(&tcp.dst_port)
-                        .map(|l| l.backlog.len() >= self.config.listen_backlog)
-                        .unwrap_or(false);
-                    if full {
-                        self.ustats.tcp_syn_overflow.inc();
-                        self.recycle(nb);
-                        return Err(Errno::NoMem);
-                    }
-                }
                 if tcp.flags.fin {
                     uktrace::trace!(self.trace, tp::tcp_fin_rx, tcp.dst_port, tcp.seq);
                 }
-                let bytes = nb.len();
-                let now = self.now_ns();
-                let cs = &mut self.conn_slots[slot as usize];
-                let Some(c) = cs.conn.as_mut() else {
-                    // The flow table named this slot, so it must be
-                    // occupied; drop the segment rather than panic if
-                    // the table and slab ever disagree.
-                    debug_assert!(false, "flow table points at an empty connection slot");
-                    self.recycle(nb);
-                    return Err(Errno::BadF);
-                };
-                if let Some(n) = now {
-                    c.tcb.set_now(n);
-                    c.last_activity_ns = n;
-                    c.ka_probes = 0;
-                }
-                let dup0 = c.tcb.dup_acks();
-                let fr0 = c.tcb.fast_retransmits();
-                let ooo0 = c.tcb.ooo_queued();
-                let sp0 = c.tcb.spurious_rtx();
-                if let Some(ref opts) = opts {
-                    c.tcb.process_options(&tcp, opts);
-                }
-                c.tcb
-                    .on_segment_bufs(&tcp, std::iter::once(nb), |b| self.pool.give_back_chain(b));
-                let dup = c.tcb.dup_acks() - dup0;
-                let fr = c.tcb.fast_retransmits() - fr0;
-                let ooo = c.tcb.ooo_queued() - ooo0;
-                let sp = c.tcb.spurious_rtx() - sp0;
-                let shed = shed_ooo_under_pressure(&mut c.tcb, &mut self.pool);
-                let established =
-                    state0 != TcpState::Established && c.tcb.state == TcpState::Established;
-                if !c.dirty {
-                    c.dirty = true;
-                    self.dirty.push(slot);
-                }
-                if established {
-                    uktrace::trace!(self.trace, tp::tcp_established, h, tcp.dst_port);
-                    if state0 == TcpState::SynReceived {
-                        // Handshake complete: graduate from the SYN
-                        // queue to the accept backlog.
-                        if let Some(l) = self.listeners.get_mut(&tcp.dst_port) {
-                            if let Some(pos) = l.syn_queue.iter().position(|&s| s == slot) {
-                                l.syn_queue.remove(pos);
-                            }
-                            l.backlog.push_back(SocketHandle(h));
-                            l.accepted_total += 1;
-                            self.sync_one(LISTENER_TAG | tcp.dst_port as usize);
-                        }
-                    }
-                }
-                if dup > 0 {
-                    self.ustats.dup_acks.add(dup);
-                    uktrace::trace!(self.trace, tp::tcp_dup_ack, h, tcp.seq);
-                }
-                if fr > 0 {
-                    self.ustats.tcp_fast_retransmits.add(fr);
-                    uktrace::trace!(self.trace, tp::tcp_fast_retransmit, h, fr);
-                }
-                if ooo > 0 {
-                    self.ustats.tcp_ooo_queued.add(ooo);
-                    uktrace::trace!(self.trace, tp::tcp_ooo_queue, h, ooo);
-                }
-                if sp > 0 {
-                    self.ustats.tcp_spurious_rtx.add(sp);
-                    uktrace::trace!(self.trace, tp::tcp_spurious_rtx, h, sp);
-                }
-                if shed > 0 {
-                    self.ustats.tcp_ooo_shed.add(shed);
-                    uktrace::trace!(self.trace, tp::tcp_ooo_shed, h, shed);
-                }
-                if bytes > 0 && !tcp.flags.syn {
-                    uktrace::trace!(self.trace, tp::tcp_data_rx, h, bytes);
-                }
-                self.ustats.demux_tcp.inc();
-                return Ok(());
+                slot
             }
-        }
-        // No connection: a SYN to a listener spawns a half-open one on
-        // the listener's bounded SYN queue.
-        if tcp.flags.syn && !tcp.flags.ack {
-            if self.listeners.contains_key(&tcp.dst_port) {
-                uktrace::trace!(self.trace, tp::tcp_syn_rx, tcp.dst_port, tcp.src_port);
-                // At capacity the *oldest* half-open connection is
-                // evicted (its buffers pool-returned, its flow entry
-                // and timers dropped) — a SYN flood churns the queue
-                // but can neither grow it nor starve established
-                // connections.
-                let victim = self.listeners.get(&tcp.dst_port).and_then(|l| {
-                    if l.syn_queue.len() >= self.config.listen_backlog {
-                        l.syn_queue.front().copied()
-                    } else {
-                        None
-                    }
-                });
-                if let Some(v) = victim {
-                    self.ustats.tcp_syn_overflow.inc();
-                    uktrace::trace!(self.trace, tp::tcp_syn_evicted, tcp.dst_port, v as usize);
-                    self.reap_conn_slot(v, REAP_SYN_EVICTED);
-                }
-                let mut tcb = Tcb::listen(tcp.dst_port);
-                let now = self.configure_tcb(&mut tcb);
-                self.iss = self.iss.wrapping_add(64_000);
-                if doff > TCP_HDR_LEN {
-                    let opts = TcpOptions::parse(&nb.payload()[TCP_HDR_LEN..doff]);
-                    tcb.process_options(&tcp, &opts);
-                }
-                tcb.on_segment(&tcp, &nb.payload()[doff..]);
+            // No connection: a SYN to a listener spawns a half-open one
+            // on the listener's bounded SYN queue.
+            None if to_listener => self.spawn_half_open(&tcp, remote),
+            None => {
+                // Nothing claimed the segment: count the miss and
+                // answer with a RST (suppressed for incoming RSTs —
+                // including in-window RSTs aimed at a bare listener,
+                // which are simply dropped).
+                self.ustats.demux_miss.inc();
+                uktrace::trace!(self.trace, tp::demux_miss, 6u64, tcp.dst_port);
+                self.stage_rst(ip.src, &tcp, payload_len);
                 self.recycle(nb);
-                let h = self.alloc_conn(tcb, remote, tcp.dst_port, now.unwrap_or(0));
-                let slot = (h & 0xffff_ffff) as u32;
-                if let Some(l) = self.listeners.get_mut(&tcp.dst_port) {
-                    l.syn_queue.push_back(slot);
-                } else {
-                    // Guarded by contains_key above and alloc_conn does
-                    // not touch listeners; the half-open connection will
-                    // simply time out if this invariant ever breaks.
-                    debug_assert!(false, "listener vanished while spawning half-open conn");
-                }
-                self.ustats.demux_tcp.inc();
-                return Ok(());
+                return Err(Errno::ConnRefused);
             }
+        };
+        // TCP options (SACK-permitted on SYNs, SACK blocks on ACKs) live
+        // between the fixed header and the payload; capture them before
+        // the header is pulled.
+        let opts = tcp_options(&nb.payload()[..doff]);
+        nb.pull_header(doff);
+        let _h = self.tcp_ingest(slot, &tcp, opts.as_ref(), std::iter::once(nb))?;
+        if payload_len > 0 && !tcp.flags.syn {
+            uktrace::trace!(self.trace, tp::tcp_data_rx, _h, payload_len);
         }
-        // Nothing claimed the segment: count the miss and answer with
-        // a RST (suppressed for incoming RSTs — including in-window
-        // RSTs aimed at a bare listener, which are simply dropped).
-        self.ustats.demux_miss.inc();
-        uktrace::trace!(self.trace, tp::demux_miss, 6u64, tcp.dst_port);
-        self.stage_rst(ip.src, &tcp, payload_len);
-        self.recycle(nb);
-        Err(Errno::ConnRefused)
+        self.ustats.demux_tcp.inc();
+        Ok(())
+    }
+
+    /// Admits a SYN to the listener on its destination port: a fresh
+    /// half-open connection in `Listen`, on the listener's SYN queue,
+    /// for the caller to deliver the SYN to. Returns its slot.
+    fn spawn_half_open(&mut self, tcp: &TcpHeader, remote: Endpoint) -> u32 {
+        uktrace::trace!(self.trace, tp::tcp_syn_rx, tcp.dst_port, tcp.src_port);
+        // At capacity the *oldest* half-open connection is evicted (its
+        // buffers pool-returned, its flow entry and timers dropped) — a
+        // SYN flood churns the queue but can neither grow it nor starve
+        // established connections.
+        let victim = self.listeners.get(&tcp.dst_port).and_then(|l| {
+            (l.syn_queue.len() >= self.config.listen_backlog)
+                .then(|| l.syn_queue.front().copied())
+                .flatten()
+        });
+        if let Some(v) = victim {
+            self.ustats.tcp_syn_overflow.inc();
+            uktrace::trace!(self.trace, tp::tcp_syn_evicted, tcp.dst_port, v as usize);
+            self.reap_conn_slot(v, REAP_SYN_EVICTED);
+        }
+        let mut tcb = Tcb::listen(tcp.dst_port);
+        let now = self.configure_tcb(&mut tcb);
+        self.iss = self.iss.wrapping_add(64_000);
+        let h = self.alloc_conn(tcb, remote, tcp.dst_port, now.unwrap_or(0));
+        let slot = (h & 0xffff_ffff) as u32;
+        if let Some(l) = self.listeners.get_mut(&tcp.dst_port) {
+            l.syn_queue.push_back(slot);
+        } else {
+            // The caller checked the listener exists and neither the
+            // eviction nor `alloc_conn` touches it; the half-open
+            // connection simply times out if that ever breaks.
+            debug_assert!(false, "listener vanished while spawning half-open conn");
+        }
+        slot
     }
 
     /// Delivers everything staged for GRO, in arrival order: adjacent
@@ -3259,7 +3060,6 @@ impl NetStack {
             return;
         }
         let mut stage = std::mem::take(&mut self.gro_stage);
-        let now = self.now_ns();
         while !stage.is_empty() {
             // The run at the stage front: adjacent entries, same
             // connection, consecutive sequence numbers.
@@ -3271,14 +3071,9 @@ impl NetStack {
                 j += 1;
             }
             let last = stage[j - 1].1;
-            // Only read by the `tcp_data_rx` tracepoint (unused when
-            // tracing is compiled out, hence the underscore).
-            let _run_bytes = next_seq.wrapping_sub(first.seq);
             if j > 1 {
-                self.stats.gro_runs += 1;
-                self.stats.gro_merged_frames += j as u64;
-                self.ustats.gro_runs.inc();
-                self.ustats.gro_merged_frames.add(j as u64);
+                bump!(self, gro_runs, 1);
+                bump!(self, gro_merged_frames, j as u64);
                 uktrace::trace!(self.trace, tp::gro_merge, conn, j);
             }
             let merged = TcpHeader {
@@ -3293,60 +3088,28 @@ impl NetStack {
                 },
                 window: last.window,
             };
-            let target = match conn_parts(conn) {
-                Some((slot, gen)) => match self.conn_slots.get_mut(slot as usize) {
-                    Some(cs) if cs.gen == gen => cs.conn.as_mut().map(|c| (slot, c)),
-                    _ => None,
-                },
-                None => None,
-            };
-            match target {
-                Some((slot, c)) => {
-                    if let Some(n) = now {
-                        c.tcb.set_now(n);
-                        c.last_activity_ns = n;
-                        c.ka_probes = 0;
-                    }
-                    let dup0 = c.tcb.dup_acks();
-                    let fr0 = c.tcb.fast_retransmits();
-                    let ooo0 = c.tcb.ooo_queued();
-                    c.tcb
-                        .on_segment_bufs(&merged, stage.drain(..j).map(|(_, _, nb)| nb), |nb| {
-                            self.pool.give_back_chain(nb)
-                        });
-                    let dup = c.tcb.dup_acks() - dup0;
-                    if dup > 0 {
-                        self.ustats.dup_acks.add(dup);
-                        uktrace::trace!(self.trace, tp::tcp_dup_ack, conn, merged.seq);
-                    }
-                    let fr = c.tcb.fast_retransmits() - fr0;
-                    if fr > 0 {
-                        self.ustats.tcp_fast_retransmits.add(fr);
-                        uktrace::trace!(self.trace, tp::tcp_fast_retransmit, conn, fr);
-                    }
-                    let ooo = c.tcb.ooo_queued() - ooo0;
-                    if ooo > 0 {
-                        self.ustats.tcp_ooo_queued.add(ooo);
-                        uktrace::trace!(self.trace, tp::tcp_ooo_queue, conn, ooo);
-                    }
-                    let shed = shed_ooo_under_pressure(&mut c.tcb, &mut self.pool);
-                    if shed > 0 {
-                        self.ustats.tcp_ooo_shed.add(shed);
-                        uktrace::trace!(self.trace, tp::tcp_ooo_shed, conn, shed);
-                    }
-                    if !c.dirty {
-                        c.dirty = true;
-                        self.dirty.push(slot);
-                    }
+            let run = stage.drain(..j).map(|(_, _, nb)| nb);
+            // A connection reaped since it was staged leaves only
+            // buffers to return.
+            match conn_parts(conn).filter(|_| self.conn(conn).is_some()) {
+                Some((slot, _)) => {
+                    // Staged segments carry no options, and a staged
+                    // connection was `Established`: nothing to refuse.
+                    let _ = self.tcp_ingest(slot, &merged, None, run);
+                    let _run_bytes = next_seq.wrapping_sub(first.seq);
                     uktrace::trace!(self.trace, tp::tcp_data_rx, conn, _run_bytes);
                 }
-                None => stage
-                    .drain(..j)
-                    .for_each(|(_, _, nb)| self.pool.give_back_chain(nb)),
+                None => run.for_each(|nb| self.pool.give_back_chain(nb)),
             }
         }
         self.gro_stage = stage;
     }
+}
+
+/// Parses the options of the TCP header `hdr` (fixed part included), if
+/// it carries any.
+fn tcp_options(hdr: &[u8]) -> Option<TcpOptions> {
+    (hdr.len() > TCP_HDR_LEN).then(|| TcpOptions::parse(&hdr[TCP_HDR_LEN..]))
 }
 
 #[cfg(test)]

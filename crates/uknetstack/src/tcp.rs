@@ -45,14 +45,14 @@
 //! - **RTO timers on the virtual clock (RFC 6298).** SRTT/RTTVAR
 //!   estimation with Karn's rule (samples are invalidated by any
 //!   retransmission), exponential backoff, 200 ms floor / 60 s ceiling.
-//!   [`Tcb::on_tick`] fires the timer: data at `snd_una` is flagged for
+//!   [`Tcb::on_timer`] fires the timer: data at `snd_una` is flagged for
 //!   re-emission, a lost SYN/SYN-ACK/FIN is re-queued, and a closed
 //!   peer window with queued data turns the timer into a persist
 //!   (zero-window probe) timer.
 //! - **Fast retransmit / NewReno recovery (RFC 6582).** Three duplicate
 //!   ACKs retransmit the segment at `snd_una` without waiting for the
 //!   RTO; with congestion control enabled
-//!   ([`Tcb::set_congestion_control`], a `StackConfig` ablation) this
+//!   ([`TcbConfig::congestion_control`], a `StackConfig` ablation) this
 //!   also halves `ssthresh`, inflates `cwnd` per extra dup-ACK, and
 //!   NewReno partial ACKs retransmit the next hole until the recovery
 //!   point is crossed. `cwnd` (slow start / congestion avoidance)
@@ -74,6 +74,15 @@
 //! payload byte preceding it was accepted; a FIN riding dropped or
 //! queued-out-of-order data neither advances `rcv_nxt` nor changes
 //! state (the peer's FIN retransmission recovers it).
+//!
+//! # The owner's side
+//!
+//! A [`Tcb`] knows nothing of wheels, registries or pools. Its owner
+//! (`NetStack`, or a test) hands it one [`TcbConfig`] at creation,
+//! runs the four [`TcbTimer`]s it asks for ([`Tcb::deadline`] /
+//! [`Tcb::on_timer`]), and reads what happened off one [`TcbStats`]
+//! ([`Tcb::stats`]) — `crates/uknetstack/README.md`, "The TCB seam",
+//! lists every call that crosses.
 
 use std::collections::VecDeque;
 
@@ -123,7 +132,7 @@ const INITIAL_CWND_SEGS: usize = 10;
 /// Longest the ACK of in-order data is held for a data segment to
 /// carry it (RFC 1122 §4.2.3.2 caps the delay at 500 ms; 40 ms matches
 /// Linux's default quick timeout). Only a clocked TCB
-/// ([`Tcb::set_clocked`]) holds ACKs — see the ACK policy on
+/// ([`TcbConfig::clocked`]) holds ACKs — see the ACK policy on
 /// [`Tcb::poll_output_chain_with`].
 pub const DELACK_NS: u64 = 40_000_000;
 /// Most SACK blocks one option ever carries: 3 regular blocks
@@ -403,7 +412,7 @@ impl TcpOptions {
 /// TCP connection states (subset of RFC 793).
 ///
 /// `FinWait` merges FIN-WAIT-1 and CLOSING; with the connection
-/// lifecycle enabled ([`Tcb::set_clocked`], which the stack
+/// lifecycle enabled ([`TcbConfig::clocked`], which the stack
 /// switches on whenever a virtual clock is installed) an acknowledged
 /// FIN promotes to [`FinWait2`](Self::FinWait2) and the final FIN
 /// lands the TCB in [`TimeWait`](Self::TimeWait) for the stack's 2MSL
@@ -448,6 +457,115 @@ pub struct OutSegment {
     pub header: TcpHeader,
     /// Payload bytes.
     pub payload: Vec<u8>,
+}
+
+/// The timers a TCB asks its owner to run: [`Tcb::deadline`] says when
+/// each is due and [`Tcb::on_timer`] fires it. The stack mirrors the
+/// four deadlines onto its wheel in this order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TcbTimer {
+    /// Retransmission timeout, or the persist timer behind a closed
+    /// zero window.
+    Rto,
+    /// The hold on the ACK of in-order data (rule (e) of the ACK
+    /// policy).
+    DelAck,
+    /// RACK: the nearer of the reordering-window and tail-loss-probe
+    /// deadlines.
+    Rack,
+    /// The recovery pacing gate's next release.
+    Pace,
+}
+
+impl TcbTimer {
+    /// Every kind, in wheel order.
+    pub const ALL: [TcbTimer; 4] =
+        [TcbTimer::Rto, TcbTimer::DelAck, TcbTimer::Rack, TcbTimer::Pace];
+}
+
+/// A TCB's cumulative event counters, read whole through
+/// [`Tcb::stats`]. The stack publishes what moved since it last looked
+/// under `netstack.tcp.*` (the table in `stack.rs` names the counter
+/// and tracepoint of each field). Per connection they are `u32`s, as
+/// in `tcp_info`; the registry sums them in `u64`s.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TcbStats {
+    /// Immediate duplicate ACKs forced by dropped (old, out-of-order,
+    /// out-of-window) ingest data.
+    pub dup_acks: u32,
+    /// Retransmission-timeout fires.
+    pub rto_fires: u32,
+    /// Segments re-emitted: data, SYN, SYN-ACK and FIN retransmissions.
+    pub retransmits: u32,
+    /// Loss episodes opened short of a timeout (3rd duplicate ACK, an
+    /// expired RACK reordering window, or the scoreboard's verdict).
+    pub fast_retransmits: u32,
+    /// Extents filed into the reassembly queue.
+    pub ooo_queued: u32,
+    /// Scoreboard-driven retransmissions of holes beyond the first.
+    pub sack_rtx: u32,
+    /// Spurious retransmissions the peer reported via D-SACK.
+    pub spurious_rtx: u32,
+    /// Tail-loss probes fired in place of a full RTO.
+    pub tlp_probes: u32,
+    /// Pacing-gate releases during recovery episodes.
+    pub paced_releases: u32,
+    /// Reassembly-queue extents shed under pool pressure.
+    pub ooo_shed: u32,
+    /// Held ACKs that sat out their whole hold time.
+    pub delack_fires: u32,
+    /// ACKs that rode a data segment out instead of leaving alone.
+    pub acks_piggybacked: u32,
+    /// Window updates sent because a drain reopened the receive window
+    /// (rule (c) of the ACK policy).
+    pub window_updates: u32,
+}
+
+/// Everything the owner decides about a TCB, handed over once by
+/// [`Tcb::configure`] while its queues are still empty. The default is
+/// a raw TCB: full MSS, every mechanism off, no clock. The stack fills
+/// it from the `StackConfig` fields of the same names, which say what
+/// each mechanism buys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcbConfig {
+    /// Maximum segment size for software segmentation (and the cut
+    /// size a GSO super-segment requests); must not be zero.
+    pub mss: usize,
+    /// NewReno's congestion window bounds emission beside the peer
+    /// window. Fast retransmit and the RTO work either way.
+    pub congestion_control: bool,
+    /// This side generates and consumes SACK blocks — once the peer's
+    /// SYN also carried SACK-permitted.
+    pub sack: bool,
+    /// RACK's reordering window and the tail-loss probe replace the
+    /// 3-dup-ACK threshold. Needs `clocked`.
+    pub rack: bool,
+    /// Recovery-episode emission is metered through the pacing gate.
+    /// Needs `clocked`.
+    pub pacing: bool,
+    /// The owner runs this TCB's [`TcbTimer`]s, so what only a timer
+    /// can finish is on: an orderly close walks FIN_WAIT_2 and parks in
+    /// TIME_WAIT for the 2MSL reaper instead of jumping to `Closed`,
+    /// and the ACK of in-order data may be held for a data segment to
+    /// carry. An unclocked TCB acknowledges at every poll.
+    pub clocked: bool,
+    /// The queues start empty and grow on demand instead of
+    /// preallocated at their steady-state depth.
+    pub lean: bool,
+}
+
+impl Default for TcbConfig {
+    fn default() -> Self {
+        TcbConfig {
+            mss: MSS,
+            congestion_control: false,
+            sack: false,
+            rack: false,
+            pacing: false,
+            clocked: false,
+            lean: false,
+        }
+    }
 }
 
 /// A transmission control block.
@@ -502,10 +620,6 @@ pub struct Tcb {
     /// edge-triggered watchers re-trigger on new arrivals even while
     /// data is already pending).
     rx_total: u64,
-    /// Immediate duplicate ACKs forced by dropped (old / out-of-order /
-    /// out-of-window) ingest data — the loss signal observability
-    /// exports per connection.
-    dup_acks: u64,
     /// Control segments (no payload) ready to be emitted on the wire.
     /// Data segments are never queued here: their buffers move out of
     /// `send_q` at `poll_output_chain_with` time.
@@ -525,9 +639,10 @@ pub struct Tcb {
     /// Draining reopened the receive window far enough to tell the
     /// peer (rule c); the next poll emits the update.
     wnd_update_due: bool,
-    /// Maximum segment size for software segmentation (and the cut
-    /// size a GSO super-segment requests).
-    mss: usize,
+    /// What the owner decided ([`configure`](Self::configure)).
+    cfg: TcbConfig,
+    /// Cumulative event counters ([`stats`](Self::stats)).
+    stats: TcbStats,
     /// Whether the app asked to close after the send buffer drains.
     closing: bool,
     /// Peer closed its direction.
@@ -574,10 +689,6 @@ pub struct Tcb {
     in_recovery: bool,
     /// NewReno recovery point: `snd_nxt` when recovery was entered.
     recover: u32,
-    /// Whether the congestion window bounds emission (the
-    /// `StackConfig::congestion_control` ablation; raw TCBs default
-    /// off).
-    cc_enabled: bool,
     /// Congestion window (bytes).
     cwnd: usize,
     /// Slow-start threshold (bytes).
@@ -592,28 +703,9 @@ pub struct Tcb {
     ooo_q: VecDeque<(u32, Netbuf)>,
     /// Payload bytes across `ooo_q`.
     ooo_bytes: usize,
-    /// Cumulative RTO fires (observability).
-    stat_rto_fires: u64,
-    /// Cumulative data retransmissions emitted (observability).
-    stat_retransmits: u64,
-    /// Cumulative fast-retransmit triggers (observability).
-    stat_fast_retransmits: u64,
-    /// Cumulative extents queued out of order (observability).
-    stat_ooo_queued: u64,
-    /// Whether a virtual clock drives the owning stack's timer wheel.
-    /// Everything that needs a timer to finish is gated on it: the
-    /// full lifecycle (FIN_WAIT_2, TIME_WAIT — reaped after 2MSL) and
-    /// holding ACKs (released at the latest by the wheel). Raw and
-    /// clockless TCBs close straight to `Closed` and acknowledge at
-    /// every poll, so they need neither reaper nor timer.
-    clocked: bool,
     /// Deadline of the ACK being held (the stack mirrors this onto its
     /// timer wheel).
     ack_deadline_ns: Option<u64>,
-    /// Whether this side generates and consumes SACK information
-    /// (`StackConfig::sack`); the wire still needs the peer's
-    /// SACK-permitted handshake option before anything is emitted.
-    sack_enabled: bool,
     /// Peer announced SACK-permitted on its SYN/SYN-ACK.
     peer_sack_ok: bool,
     /// Start of the most recently queued out-of-order extent — the
@@ -630,10 +722,6 @@ pub struct Tcb {
     /// episode (reset when `snd_una` advances or the RTO fires) — the
     /// RACK-less guard against re-sending the same hole every ACK.
     sack_rtx_mark: u32,
-    /// Whether RACK-style time-based loss detection replaces the
-    /// 3-dup-ACK threshold (`StackConfig::rack`; needs the virtual
-    /// clock, the stack gates it on one being installed).
-    rack_enabled: bool,
     /// Armed reordering-window deadline: loss evidence arrived and
     /// the episode opens when it expires — unless cumulative progress
     /// cancels it first (reordering, not loss).
@@ -645,28 +733,10 @@ pub struct Tcb {
     /// A probe was already spent on this tail (one per episode; reset
     /// when `snd_una` advances).
     tlp_consumed: bool,
-    /// Whether recovery emission is metered through the pacing gate
-    /// (`StackConfig::pacing`; needs the virtual clock).
-    pacing_enabled: bool,
     /// Bytes the pacing gate still admits before the next release.
     pace_budget: usize,
     /// Armed pacing-gate release deadline.
     pace_deadline_ns: Option<u64>,
-    /// Cumulative scoreboard-driven hole retransmissions beyond the
-    /// first hole (observability).
-    stat_sack_rtx: u64,
-    /// Cumulative spurious retransmissions detected via D-SACK.
-    stat_spurious_rtx: u64,
-    /// Cumulative tail-loss probes fired.
-    stat_tlp_probes: u64,
-    /// Cumulative pacing-gate releases.
-    stat_paced_releases: u64,
-    /// Cumulative out-of-order extents shed under pool pressure.
-    stat_ooo_shed: u64,
-    /// Cumulative ACKs that left on a data segment instead of alone.
-    stat_acks_piggybacked: u64,
-    /// Cumulative window updates sent after a drain (rule c).
-    stat_window_updates: u64,
 }
 
 impl Tcb {
@@ -710,12 +780,12 @@ impl Tcb {
             recv_q_len: 0,
             flatten_scratch: Vec::new(),
             rx_total: 0,
-            dup_acks: 0,
             out: VecDeque::new(),
             ack_pending: false,
             ack_now: false,
             wnd_update_due: false,
-            mss: MSS,
+            cfg: TcbConfig::default(),
+            stats: TcbStats::default(),
             closing: false,
             peer_fin: false,
             fin_sent: false,
@@ -736,137 +806,62 @@ impl Tcb {
             dup_ack_rx: 0,
             in_recovery: false,
             recover: iss,
-            cc_enabled: false,
             cwnd: INITIAL_CWND_SEGS * MSS,
             ssthresh: SND_BUF_CAP,
             dup_ack_now: false,
             ooo_q: VecDeque::with_capacity(OOO_QUEUE_BUFS),
             ooo_bytes: 0,
-            stat_rto_fires: 0,
-            stat_retransmits: 0,
-            stat_fast_retransmits: 0,
-            stat_ooo_queued: 0,
-            clocked: false,
             ack_deadline_ns: None,
-            sack_enabled: false,
             peer_sack_ok: false,
             sack_recent: None,
             dsack_pending: None,
             sacked: Vec::with_capacity(MAX_SACKED_RANGES),
             sack_rtx_mark: iss,
-            rack_enabled: false,
             reo_deadline_ns: None,
             tlp_deadline_ns: None,
             tlp_pending: false,
             tlp_consumed: false,
-            pacing_enabled: false,
             pace_budget: 0,
             pace_deadline_ns: None,
-            stat_sack_rtx: 0,
-            stat_spurious_rtx: 0,
-            stat_tlp_probes: 0,
-            stat_paced_releases: 0,
-            stat_ooo_shed: 0,
-            stat_acks_piggybacked: 0,
-            stat_window_updates: 0,
         }
     }
 
-    /// Releases the steady-state queue preallocation while the queues
-    /// are still empty, letting them grow on demand instead. For
-    /// stacks holding very large numbers of mostly-idle connections
-    /// (`StackConfig::lean_tcbs`): an idle TCB then costs its struct
-    /// size alone, and an active one reaches the same steady-state
-    /// capacity after its first bursts — the zero-alloc invariant is a
-    /// steady-state property, so the warmup growth amortizes away.
-    // ukcheck: allow(alloc) -- empty VecDeque/Vec::new perform no heap
-    // allocation; this *releases* memory for lean idle TCBs
-    pub fn shrink_queues(&mut self) {
-        debug_assert!(self.send_q.is_empty() && self.recv_q.is_empty());
-        self.send_q = VecDeque::new();
-        self.recv_q = VecDeque::new();
-        self.rtx_q = VecDeque::new();
-        self.rtx_released = Vec::new();
-        self.ooo_q = VecDeque::new();
-        self.sacked = Vec::new();
-    }
-
-    /// Overrides the maximum segment size (defaults to [`MSS`]).
+    /// Hands the owner's decisions to a TCB, once, while its queues are
+    /// still empty (the stack's `configure_tcb` does it at creation and
+    /// is the one production caller). `lean` releases the queue
+    /// preallocation — the zero-alloc invariant is a steady-state
+    /// property, so the warm-up growth amortizes away.
     ///
     /// # Panics
     ///
-    /// Panics if `mss` is zero.
-    pub fn set_mss(&mut self, mss: usize) {
-        assert!(mss > 0, "zero mss");
-        self.mss = mss;
+    /// Panics if `cfg.mss` is zero.
+    // ukcheck: allow(alloc) -- empty VecDeque/Vec::new perform no heap
+    // allocation; this *releases* memory for lean idle TCBs
+    pub fn configure(&mut self, cfg: TcbConfig) {
+        assert!(cfg.mss > 0, "zero mss");
+        debug_assert!(self.send_q.is_empty() && self.recv_q.is_empty());
+        self.cfg = cfg;
         // The initial window is denominated in segments (IW10).
-        if self.cwnd == INITIAL_CWND_SEGS * MSS {
-            self.cwnd = INITIAL_CWND_SEGS * mss;
+        self.cwnd = INITIAL_CWND_SEGS * cfg.mss;
+        if cfg.lean {
+            self.send_q = VecDeque::new();
+            self.recv_q = VecDeque::new();
+            self.rtx_q = VecDeque::new();
+            self.rtx_released = Vec::new();
+            self.ooo_q = VecDeque::new();
+            self.sacked = Vec::new();
         }
     }
 
-    /// Enables/disables NewReno congestion control (the
-    /// `StackConfig::congestion_control` ablation). Off, emission is
-    /// bounded by the peer window alone — the pre-loss-recovery
-    /// behavior; fast retransmit and the RTO still work either way.
-    pub fn set_congestion_control(&mut self, enabled: bool) {
-        self.cc_enabled = enabled;
+    /// The cumulative event counters, as of now.
+    pub fn stats(&self) -> &TcbStats {
+        &self.stats
     }
 
-    /// Current congestion window in bytes (meaningful with the
-    /// ablation on; exported as the `netstack.tcp.cwnd` gauge).
+    /// Current congestion window in bytes (meaningful with congestion
+    /// control on; exported as the `netstack.tcp.cwnd` gauge).
     pub fn cwnd(&self) -> usize {
         self.cwnd
-    }
-
-    /// Enables/disables the SACK machinery (the `StackConfig::sack`
-    /// ablation): generating SACK options from the reassembly queue,
-    /// keeping the sender scoreboard, and the surgical hole-walk
-    /// retransmission. Off, every recovery path behaves exactly as
-    /// before this machinery existed.
-    pub fn set_sack(&mut self, enabled: bool) {
-        self.sack_enabled = enabled;
-        if !enabled {
-            self.sacked.clear();
-            self.dsack_pending = None;
-            self.sack_recent = None;
-        }
-    }
-
-    /// Whether the SACK ablation is on (the stack's emission path
-    /// checks this to decide whether SYN/SYN-ACK carry
-    /// SACK-permitted).
-    pub fn sack_enabled(&self) -> bool {
-        self.sack_enabled
-    }
-
-    /// Enables/disables RACK-style time-based loss detection and the
-    /// tail-loss probe (the `StackConfig::rack` ablation). Needs the
-    /// virtual clock: the stack only switches it on when one drives
-    /// its timer wheel, since with no timer the suppressed 3-dup-ACK
-    /// threshold would have no time-based replacement.
-    pub fn set_rack(&mut self, enabled: bool) {
-        self.rack_enabled = enabled;
-        if !enabled {
-            self.reo_deadline_ns = None;
-            self.tlp_deadline_ns = None;
-            self.tlp_pending = false;
-        }
-    }
-
-    /// Whether RACK-style loss detection is on.
-    pub fn rack_enabled(&self) -> bool {
-        self.rack_enabled
-    }
-
-    /// Enables/disables the recovery pacing gate (the
-    /// `StackConfig::pacing` ablation; clock-gated like RACK).
-    pub fn set_pacing(&mut self, enabled: bool) {
-        self.pacing_enabled = enabled;
-        if !enabled {
-            self.pace_deadline_ns = None;
-            self.pace_budget = 0;
-        }
     }
 
     /// The reordering window RACK currently applies before declaring
@@ -883,20 +878,46 @@ impl Tcb {
         &self.sacked
     }
 
-    /// The armed RACK deadline — the nearer of the reordering-window
-    /// and tail-loss-probe deadlines (the stack mirrors this onto its
-    /// timer wheel).
-    pub fn rack_deadline(&self) -> Option<u64> {
-        match (self.reo_deadline_ns, self.tlp_deadline_ns) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+    /// When `kind` is due, if it is armed. The owner mirrors the four
+    /// deadlines onto its timer wheel and calls
+    /// [`on_timer`](Self::on_timer) when one expires.
+    pub fn deadline(&self, kind: TcbTimer) -> Option<u64> {
+        match kind {
+            TcbTimer::Rto => self.rtx_deadline_ns,
+            TcbTimer::DelAck => self.ack_deadline_ns,
+            TcbTimer::Rack => match (self.reo_deadline_ns, self.tlp_deadline_ns) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            },
+            TcbTimer::Pace => self.pace_deadline_ns,
         }
     }
 
-    /// The armed pacing-gate deadline (mirrored onto the stack's
-    /// wheel like the RACK deadline).
-    pub fn pace_deadline(&self) -> Option<u64> {
-        self.pace_deadline_ns
+    /// The owner's timer for `kind` expired at `now_ns`. Whatever the
+    /// fire decided leaves at the next output poll; what it counted
+    /// shows in [`stats`](Self::stats) (`rto_fires`, `delack_fires`,
+    /// `fast_retransmits` or `tlp_probes`, `paced_releases`). A fire
+    /// that finds its deadline moved on or disarmed does nothing.
+    pub fn on_timer(&mut self, kind: TcbTimer, now_ns: u64) {
+        self.set_now(now_ns);
+        match kind {
+            TcbTimer::Rto => self.on_rto(now_ns),
+            // Rule (e) of the ACK policy: the held ACK leaves now.
+            TcbTimer::DelAck => {
+                if self.ack_deadline_ns.take().is_some() {
+                    self.ack_now = true;
+                    self.stats.delack_fires += 1;
+                }
+            }
+            TcbTimer::Rack => self.on_rack(now_ns),
+            TcbTimer::Pace => {
+                if self.pace_deadline_ns.is_some_and(|d| d <= now_ns) {
+                    self.pace_deadline_ns = None;
+                    self.pace_budget = self.pace_quantum();
+                    self.stats.paced_releases += 1;
+                }
+            }
+        }
     }
 
     /// RACK timer fired: settle whichever deadlines have passed. An
@@ -906,8 +927,7 @@ impl Tcb {
     /// expiry is what declares loss, so reordering that resolves
     /// within the window never triggers a retransmission). An expired
     /// PTO owes the wire a tail-loss probe.
-    pub fn on_rack_timeout(&mut self, now_ns: u64) {
-        self.set_now(now_ns);
+    fn on_rack(&mut self, now_ns: u64) {
         if self.reo_deadline_ns.is_some_and(|d| d <= now_ns) {
             self.reo_deadline_ns = None;
             if self.snd_una != self.snd_nxt
@@ -922,7 +942,7 @@ impl Tcb {
             if self.snd_una != self.snd_nxt && !self.in_recovery && !self.tlp_consumed {
                 self.tlp_pending = true;
                 self.tlp_consumed = true;
-                self.stat_tlp_probes += 1;
+                self.stats.tlp_probes += 1;
             }
         }
     }
@@ -934,15 +954,15 @@ impl Tcb {
     /// inside the episode retransmit the next hole directly; cwnd
     /// surgery on top only when NewReno is on.
     fn enter_fast_recovery(&mut self) {
-        self.stat_fast_retransmits += 1;
+        self.stats.fast_retransmits += 1;
         self.rtx_request = true;
         self.in_recovery = true;
         self.recover = self.snd_nxt;
         self.sack_rtx_mark = self.snd_una;
-        if self.cc_enabled {
+        if self.cfg.congestion_control {
             let flight = self.bytes_in_flight() as usize;
-            self.ssthresh = (flight / 2).max(2 * self.mss);
-            self.cwnd = self.ssthresh + 3 * self.mss;
+            self.ssthresh = (flight / 2).max(2 * self.cfg.mss);
+            self.cwnd = self.ssthresh + 3 * self.cfg.mss;
         }
     }
 
@@ -958,30 +978,20 @@ impl Tcb {
             .iter()
             .map(|&(s, e)| e.wrapping_sub(s) as usize)
             .sum();
-        self.sacked.len() >= 3 || sacked > 2 * self.mss
-    }
-
-    /// Pacing timer fired: release the next emission quantum.
-    pub fn on_pace_timeout(&mut self, now_ns: u64) {
-        self.set_now(now_ns);
-        if self.pace_deadline_ns.is_some_and(|d| d <= now_ns) {
-            self.pace_deadline_ns = None;
-            self.pace_budget = self.pace_quantum();
-            self.stat_paced_releases += 1;
-        }
+        self.sacked.len() >= 3 || sacked > 2 * self.cfg.mss
     }
 
     /// Whether the pacing gate currently meters emission: only during
     /// a loss episode (recovery or backed-off RTO) — the lossless
     /// path is byte-identical with pacing compiled in and armed.
     fn pacing_active(&self) -> bool {
-        self.pacing_enabled && (self.in_recovery || self.backoff > 0)
+        self.cfg.pacing && (self.in_recovery || self.backoff > 0)
     }
 
     /// Bytes one pacing release admits: an eighth of the effective
     /// window, floored at two segments so recovery always progresses.
     fn pace_quantum(&self) -> usize {
-        ((self.snd_wnd as usize).min(self.cwnd) / 8).max(2 * self.mss)
+        ((self.snd_wnd as usize).min(self.cwnd) / 8).max(2 * self.cfg.mss)
     }
 
     /// Sheds the newest (highest-sequence) reassembly-queue extent
@@ -994,43 +1004,9 @@ impl Tcb {
             return false;
         };
         self.ooo_bytes -= nb.len();
-        self.stat_ooo_shed += 1;
+        self.stats.ooo_shed += 1;
         recycle(nb);
         true
-    }
-
-    /// Tells the TCB that a virtual clock drives the owning stack's
-    /// timer wheel, which switches on what only a timer can finish: an
-    /// orderly close walks FIN_WAIT_2 and parks in TIME_WAIT (reaped
-    /// after 2MSL) instead of jumping straight to `Closed`, and the
-    /// ACK of in-order data may be held for a data segment to carry
-    /// (the stack mirrors [`ack_deadline`](Self::ack_deadline) onto
-    /// the wheel, which releases it at the latest). Raw TCBs leave it
-    /// off: no reaper, no timer, an ACK at every poll.
-    pub fn set_clocked(&mut self, clocked: bool) {
-        self.clocked = clocked;
-        if !clocked {
-            self.ack_deadline_ns = None;
-        }
-    }
-
-    /// The deadline of the ACK being held, if one is.
-    pub fn ack_deadline(&self) -> Option<u64> {
-        self.ack_deadline_ns
-    }
-
-    /// The hold timer fired (rule e): the held ACK leaves at the next
-    /// output poll. Returns whether an ACK was still being held.
-    pub fn on_delack_timeout(&mut self) -> bool {
-        let held = self.ack_deadline_ns.take().is_some();
-        self.ack_now |= held;
-        held
-    }
-
-    /// The armed retransmission/persist deadline (the stack mirrors
-    /// this onto its timer wheel).
-    pub fn rtx_deadline(&self) -> Option<u64> {
-        self.rtx_deadline_ns
     }
 
     /// Advances the TCB's notion of time without running the timer —
@@ -1061,71 +1037,6 @@ impl Tcb {
             },
             window,
         });
-    }
-
-    /// Cumulative retransmission-timeout fires.
-    pub fn rto_fires(&self) -> u64 {
-        self.stat_rto_fires
-    }
-
-    /// Cumulative retransmitted segments (data re-emissions plus
-    /// SYN/SYN-ACK/FIN re-emissions).
-    pub fn retransmits(&self) -> u64 {
-        self.stat_retransmits
-    }
-
-    /// Cumulative fast-retransmit triggers (3rd duplicate ACK).
-    pub fn fast_retransmits(&self) -> u64 {
-        self.stat_fast_retransmits
-    }
-
-    /// Cumulative extents filed into the reassembly queue.
-    pub fn ooo_queued(&self) -> u64 {
-        self.stat_ooo_queued
-    }
-
-    /// Cumulative scoreboard-driven retransmissions of holes beyond
-    /// the first (the surgical part of SACK recovery).
-    pub fn sack_rtx(&self) -> u64 {
-        self.stat_sack_rtx
-    }
-
-    /// Cumulative spurious retransmissions the peer reported via
-    /// D-SACK.
-    pub fn spurious_rtx(&self) -> u64 {
-        self.stat_spurious_rtx
-    }
-
-    /// Cumulative tail-loss probes fired.
-    pub fn tlp_probes(&self) -> u64 {
-        self.stat_tlp_probes
-    }
-
-    /// Cumulative pacing-gate releases.
-    pub fn paced_releases(&self) -> u64 {
-        self.stat_paced_releases
-    }
-
-    /// Cumulative reassembly-queue extents shed under pool pressure.
-    pub fn ooo_shed(&self) -> u64 {
-        self.stat_ooo_shed
-    }
-
-    /// Cumulative ACKs that rode a data segment out instead of
-    /// leaving as a pure ACK.
-    pub fn acks_piggybacked(&self) -> u64 {
-        self.stat_acks_piggybacked
-    }
-
-    /// Cumulative window updates sent because a drain reopened the
-    /// receive window (rule c of the ACK policy).
-    pub fn window_updates(&self) -> u64 {
-        self.stat_window_updates
-    }
-
-    /// The segment size software segmentation cuts to.
-    pub fn mss(&self) -> usize {
-        self.mss
     }
 
     /// The receive window to advertise: free space in the receive buffer.
@@ -1189,7 +1100,7 @@ impl Tcb {
         if h.flags.syn {
             self.peer_sack_ok = opts.sack_permitted;
         }
-        if !self.sack_enabled || !h.flags.ack || opts.sack_count == 0 {
+        if !self.cfg.sack || !h.flags.ack || opts.sack_count == 0 {
             return;
         }
         let mut advanced = false;
@@ -1203,7 +1114,7 @@ impl Tcb {
                 // retransmission was spurious. Karn already voided the
                 // RTT sample; the backoff the false loss inflicted is
                 // undone here.
-                self.stat_spurious_rtx += 1;
+                self.stats.spurious_rtx += 1;
                 if self.backoff > 0 {
                     self.backoff = 0;
                     self.rto_ns = self.computed_rto();
@@ -1218,7 +1129,7 @@ impl Tcb {
         }
         if advanced {
             let open = !self.in_recovery && self.snd_una != self.snd_nxt;
-            if self.rack_enabled {
+            if self.cfg.rack {
                 if open && self.reo_deadline_ns.is_none() {
                     self.reo_deadline_ns = Some(self.now_ns.saturating_add(self.reo_wnd_ns()));
                 }
@@ -1345,8 +1256,8 @@ impl Tcb {
                 if Self::seq_le(self.recover, h.ack) {
                     // Full ACK: the loss episode is over.
                     self.in_recovery = false;
-                    if self.cc_enabled {
-                        self.cwnd = self.ssthresh.max(2 * self.mss);
+                    if self.cfg.congestion_control {
+                        self.cwnd = self.ssthresh.max(2 * self.cfg.mss);
                     }
                 } else {
                     // NewReno partial ACK: the next hole starts at the
@@ -1356,20 +1267,20 @@ impl Tcb {
                     // instead of one per timeout), deflating by the
                     // bytes this ACK covered when cc is on.
                     self.rtx_request = true;
-                    if self.cc_enabled {
+                    if self.cfg.congestion_control {
                         self.cwnd =
-                            self.cwnd.saturating_sub(acked).max(2 * self.mss) + self.mss;
+                            self.cwnd.saturating_sub(acked).max(2 * self.cfg.mss) + self.cfg.mss;
                     }
                 }
             }
-            if self.cc_enabled && !self.in_recovery {
+            if self.cfg.congestion_control && !self.in_recovery {
                 if self.cwnd < self.ssthresh {
                     // Slow start: one MSS per ACK (bounded by bytes
                     // actually covered, so stretch ACKs don't over-open).
-                    self.cwnd += acked.min(self.mss);
+                    self.cwnd += acked.min(self.cfg.mss);
                 } else {
                     // Congestion avoidance: ~one MSS per RTT.
-                    self.cwnd += (self.mss * self.mss / self.cwnd.max(1)).max(1);
+                    self.cwnd += (self.cfg.mss * self.cfg.mss / self.cwnd.max(1)).max(1);
                 }
                 self.cwnd = self.cwnd.min(4 * SND_BUF_CAP);
             }
@@ -1388,30 +1299,29 @@ impl Tcb {
             // Duplicate ACK: the peer is missing the segment at
             // `snd_una`.
             self.dup_ack_rx += 1;
-            if self.rack_enabled {
+            if self.cfg.rack {
                 // RACK: a dup-ACK count is reordering-ambiguous, so it
                 // only *arms* the reordering window — expiry with the
-                // hole still open declares loss
-                // ([`on_rack_timeout`](Self::on_rack_timeout));
-                // cumulative progress before that cancels it silently.
+                // hole still open declares loss (`on_rack`); cumulative
+                // progress before that cancels it silently.
                 if !self.in_recovery && self.reo_deadline_ns.is_none() {
                     self.reo_deadline_ns =
                         Some(self.now_ns.saturating_add(self.reo_wnd_ns()));
                 }
-                if self.dup_ack_rx > 3 && self.cc_enabled && self.in_recovery {
-                    self.cwnd += self.mss;
+                if self.dup_ack_rx > 3 && self.cfg.congestion_control && self.in_recovery {
+                    self.cwnd += self.cfg.mss;
                 }
             } else if self.dup_ack_rx == 3 {
                 if self.in_recovery {
-                    self.stat_fast_retransmits += 1;
+                    self.stats.fast_retransmits += 1;
                     self.rtx_request = true;
                 } else {
                     self.enter_fast_recovery();
                 }
-            } else if self.dup_ack_rx > 3 && self.cc_enabled && self.in_recovery {
+            } else if self.dup_ack_rx > 3 && self.cfg.congestion_control && self.in_recovery {
                 // Each further dup-ACK means another segment left the
                 // network: inflate.
-                self.cwnd += self.mss;
+                self.cwnd += self.cfg.mss;
             }
         }
     }
@@ -1524,20 +1434,15 @@ impl Tcb {
         }
     }
 
-    /// Advances the TCB's clock and fires the retransmission/persist
-    /// timer if its deadline passed. Returns whether the timer fired
-    /// (the stack counts fires and polls output afterwards). No clock
-    /// installed on the stack means this is never called — lossless
-    /// setups keep their exact pre-timer behavior.
-    pub fn on_tick(&mut self, now_ns: u64) -> bool {
-        self.now_ns = now_ns;
-        let Some(deadline) = self.rtx_deadline_ns else {
-            return false;
-        };
-        if now_ns < deadline {
-            return false;
+    /// Fires the retransmission/persist timer if its deadline passed
+    /// (an ACK may have moved it on since the owner armed its mirror).
+    /// Unclocked owners never call this — lossless setups keep their
+    /// exact pre-timer behavior.
+    fn on_rto(&mut self, now_ns: u64) {
+        if self.rtx_deadline_ns.is_none_or(|d| now_ns < d) {
+            return;
         }
-        self.stat_rto_fires += 1;
+        self.stats.rto_fires += 1;
         self.backoff = self.backoff.saturating_add(1);
         self.rto_ns = (self.rto_ns * 2).min(RTO_MAX_NS);
         self.rtt_probe = None; // Karn: samples over retransmits lie.
@@ -1578,10 +1483,10 @@ impl Tcb {
                     // outstanding is eligible for retransmission
                     // again.
                     self.sacked.clear();
-                    if self.cc_enabled {
+                    if self.cfg.congestion_control {
                         let flight = self.bytes_in_flight() as usize;
-                        self.ssthresh = (flight / 2).max(2 * self.mss);
-                        self.cwnd = self.mss;
+                        self.ssthresh = (flight / 2).max(2 * self.cfg.mss);
+                        self.cwnd = self.cfg.mss;
                     }
                 } else if self.fin_sent && self.snd_una != self.snd_nxt && self.rtx_q.is_empty()
                 {
@@ -1609,14 +1514,13 @@ impl Tcb {
             }
         }
         self.rtx_deadline_ns = Some(now_ns.saturating_add(self.rto_ns));
-        true
     }
 
     /// Queues a control segment at an explicit (re)transmission
     /// sequence position — SYN / SYN-ACK / FIN retransmission.
     fn emit_at(&mut self, seq: u32, flags: TcpFlags) {
         let window = self.advertise();
-        self.stat_retransmits += 1;
+        self.stats.retransmits += 1;
         self.out.push_back(TcpHeader {
             src_port: self.local_port,
             dst_port: self.remote_port,
@@ -1738,7 +1642,7 @@ impl Tcb {
                 // With the lifecycle enabled, the ACK covering our FIN
                 // promotes FIN-WAIT-1 → FIN-WAIT-2 (a FIN riding the
                 // same segment then lands in TIME_WAIT below).
-                if self.clocked
+                if self.cfg.clocked
                     && self.state == TcpState::FinWait
                     && self.fin_sent
                     && self.snd_una == self.snd_nxt
@@ -1777,7 +1681,7 @@ impl Tcb {
                     // retransmitted peer FIN still finds us and our
                     // final ACK can be regenerated); without it, the
                     // legacy direct close.
-                    self.state = if self.clocked {
+                    self.state = if self.cfg.clocked {
                         TcpState::TimeWait
                     } else {
                         TcpState::Closed
@@ -1924,7 +1828,7 @@ impl Tcb {
             // cumulative position goes out).
             self.ack_pending = true;
             self.ack_now = true;
-            self.dup_acks += 1;
+            self.stats.dup_acks += 1;
             self.dup_ack_now = true;
         }
         seq
@@ -2002,7 +1906,7 @@ impl Tcb {
             }
         }
         self.ooo_bytes += nb.len();
-        self.stat_ooo_queued += 1;
+        self.stats.ooo_queued += 1;
         // RFC 2018 §4: the first SACK block must report the block
         // containing the most recently received extent.
         self.sack_recent = Some(seq);
@@ -2014,7 +1918,7 @@ impl Tcb {
     /// negotiated it; at most one pending report (the newest wins),
     /// emitted as the first block of exactly one SACK option.
     fn note_dsack(&mut self, seq: u32, end: u32) {
-        if self.sack_enabled && self.peer_sack_ok {
+        if self.cfg.sack && self.peer_sack_ok {
             self.dsack_pending = Some((seq, end));
         }
     }
@@ -2030,7 +1934,7 @@ impl Tcb {
     /// to the first pure ACK it emits (data frames can't carry
     /// options — the GSO cutter assumes a bare header).
     pub fn fill_sack_option(&mut self, buf: &mut [u8; TCP_MAX_OPT_LEN]) -> usize {
-        if !self.sack_enabled || !self.peer_sack_ok {
+        if !self.cfg.sack || !self.peer_sack_ok {
             self.dsack_pending = None;
             return 0;
         }
@@ -2317,7 +2221,7 @@ impl Tcb {
         let advertised = self.last_ack_sent.wrapping_add(u32::from(self.last_adv_wnd));
         let gain = edge.wrapping_sub(advertised) as usize;
         self.wnd_update_due =
-            self.last_adv_wnd == 0 || gain >= (RCV_BUF_CAP / 2).min(2 * self.mss);
+            self.last_adv_wnd == 0 || gain >= (RCV_BUF_CAP / 2).min(2 * self.cfg.mss);
     }
 
     /// Bytes available to read.
@@ -2338,11 +2242,6 @@ impl Tcb {
     /// Monotonic count of bytes ever received (readiness progress).
     pub fn rx_total(&self) -> u64 {
         self.rx_total
-    }
-
-    /// Immediate duplicate ACKs forced by dropped ingest data.
-    pub fn dup_acks(&self) -> u64 {
-        self.dup_acks
     }
 
     /// Whether the peer has closed and all data was read.
@@ -2408,7 +2307,7 @@ impl Tcb {
     ///   queued with its headroom grown past the consumed bytes.
     fn assemble_chain<T: FnMut() -> Netbuf>(&mut self, n: usize, take_buf: &mut T) -> Netbuf {
         debug_assert!(n > 0 && n <= self.send_q_len);
-        let single_frame = n <= self.mss;
+        let single_frame = n <= self.cfg.mss;
         let mut head: Option<Netbuf> = None;
         let link = |head: &mut Option<Netbuf>, nb: Netbuf| match head.as_mut() {
             None => *head = Some(nb),
@@ -2486,11 +2385,11 @@ impl Tcb {
     /// hold timer all raise `ack_now`; a FIN moves the state off
     /// `Established`.
     fn ack_may_wait(&self) -> bool {
-        self.clocked
+        self.cfg.clocked
             && !self.ack_now
             && self.state == TcpState::Established
             && self.ooo_q.is_empty()
-            && self.rcv_nxt.wrapping_sub(self.last_ack_sent) as usize <= self.mss
+            && self.rcv_nxt.wrapping_sub(self.last_ack_sent) as usize <= self.cfg.mss
     }
 
     /// Streams pending transmission through `emit`: queued control
@@ -2536,10 +2435,10 @@ impl Tcb {
     /// - (d) a FIN arrived, the connection is not `Established`, or a
     ///   SACK/D-SACK block is owed (those ride pure ACKs only);
     /// - (e) the hold timer fired
-    ///   ([`on_delack_timeout`](Self::on_delack_timeout)).
+    ///   ([`on_timer`](Self::on_timer) with [`TcbTimer::DelAck`]).
     ///
     /// Holding needs a timer to bound it, so only a clocked TCB
-    /// ([`set_clocked`](Self::set_clocked)) ever does; an unclocked
+    /// ([`TcbConfig::clocked`]) ever does; an unclocked
     /// one acknowledges at every poll.
     pub fn poll_output_chain_with<T, F>(&mut self, max_seg: usize, mut take_buf: T, mut emit: F)
     where
@@ -2549,7 +2448,7 @@ impl Tcb {
         let mut emitted_ack = false;
         if self.wnd_update_due {
             self.wnd_update_due = false;
-            self.stat_window_updates += 1;
+            self.stats.window_updates += 1;
             self.ack_pending = true;
             self.ack_now = true;
         }
@@ -2561,7 +2460,7 @@ impl Tcb {
         // these afterwards: every data emission below either advances
         // `snd_nxt` or counts a retransmission.
         let bare_ack = emitted_ack || self.dup_ack_now;
-        let (snd_nxt0, rtx0) = (self.snd_nxt, self.stat_retransmits);
+        let (snd_nxt0, rtx0) = (self.snd_nxt, self.stats.retransmits);
         // Owed duplicate ACK: emitted as a *pure* ACK (the peer's
         // dup-ACK counter ignores segments with payload) with the
         // final cumulative position of the sweep, before any data —
@@ -2614,7 +2513,7 @@ impl Tcb {
                 .rtx_q
                 .front()
                 .is_some_and(|&(seq, _, _)| seq == self.snd_una);
-            if self.sack_enabled && !self.sacked.is_empty() {
+            if self.cfg.sack && !self.sacked.is_empty() {
                 emitted_ack |= self.hole_walk(&mut emit, pacing, &mut pace_starved);
                 if front_home {
                     self.rtx_request = false;
@@ -2641,7 +2540,7 @@ impl Tcb {
                     },
                     window,
                 };
-                self.stat_retransmits += 1;
+                self.stats.retransmits += 1;
                 self.rtt_probe = None; // Karn.
                 emit(header, nb);
                 emitted_ack = true;
@@ -2676,7 +2575,7 @@ impl Tcb {
                         },
                         window,
                     };
-                    self.stat_retransmits += 1;
+                    self.stats.retransmits += 1;
                     self.rtt_probe = None; // Karn.
                     emit(header, nb);
                     emitted_ack = true;
@@ -2689,7 +2588,7 @@ impl Tcb {
                 // The peer's window and (when the ablation is on) the
                 // congestion window both bound what may be in flight;
                 // a TSO super-segment splits at the combined edge.
-                let wnd = if self.cc_enabled {
+                let wnd = if self.cfg.congestion_control {
                     (self.snd_wnd as usize).min(self.cwnd)
                 } else {
                     self.snd_wnd as usize
@@ -2786,9 +2685,9 @@ impl Tcb {
             }
         } else if self.ack_pending
             && !bare_ack
-            && (self.snd_nxt != snd_nxt0 || self.stat_retransmits != rtx0)
+            && (self.snd_nxt != snd_nxt0 || self.stats.retransmits != rtx0)
         {
-            self.stat_acks_piggybacked += 1;
+            self.stats.acks_piggybacked += 1;
         }
         if emitted_ack {
             // The cumulative position went out: nothing is held.
@@ -2817,7 +2716,7 @@ impl Tcb {
             self.reo_deadline_ns = None;
             self.tlp_deadline_ns = None;
             self.pace_deadline_ns = None;
-        } else if self.rack_enabled
+        } else if self.cfg.rack
             && !self.in_recovery
             && !self.tlp_consumed
             && self.tlp_deadline_ns.is_none()
@@ -2838,7 +2737,7 @@ impl Tcb {
             // RFC 8985 §7.2: the ACK of a flight of at most one
             // segment may be sitting out the peer's hold timer — allow
             // for it, so a held ACK is never answered with a probe.
-            if self.bytes_in_flight() as usize <= self.mss {
+            if self.bytes_in_flight() as usize <= self.cfg.mss {
                 pto += DELACK_NS;
             }
             self.tlp_deadline_ns = Some(self.now_ns.saturating_add(pto));
@@ -2873,8 +2772,8 @@ impl Tcb {
         };
         let mut budget = if pacing {
             self.pace_budget
-        } else if self.cc_enabled {
-            (self.snd_wnd as usize).min(self.cwnd).max(2 * self.mss)
+        } else if self.cfg.congestion_control {
+            (self.snd_wnd as usize).min(self.cwnd).max(2 * self.cfg.mss)
         } else {
             usize::MAX
         };
@@ -2894,7 +2793,7 @@ impl Tcb {
                 i += 1;
                 continue;
             }
-            let eligible = if self.rack_enabled {
+            let eligible = if self.cfg.rack {
                 self.now_ns.saturating_sub(sent) >= age_floor
             } else {
                 Self::seq_le(self.sack_rtx_mark, seq)
@@ -2928,15 +2827,15 @@ impl Tcb {
                 },
                 window,
             };
-            self.stat_retransmits += 1;
+            self.stats.retransmits += 1;
             if start != self.snd_una {
                 // A hole beyond the first: the retransmission classic
                 // go-back-N recovery would only reach a round trip
                 // later (or re-send everything in between).
-                self.stat_sack_rtx += 1;
+                self.stats.sack_rtx += 1;
             }
             self.rtt_probe = None; // Karn.
-            if !self.rack_enabled {
+            if !self.cfg.rack {
                 self.sack_rtx_mark = end;
             }
             budget = budget.saturating_sub(len);
@@ -2954,7 +2853,7 @@ impl Tcb {
     /// (tests, diagnostics): each segment's payload is collected into
     /// a `Vec`, segmented at the connection's MSS.
     pub fn poll_output(&mut self) -> Vec<OutSegment> {
-        let mss = self.mss;
+        let mss = self.cfg.mss;
         self.poll_output_seg(mss)
     }
 
@@ -3464,6 +3363,67 @@ mod tests {
         assert_eq!(nb2.payload(), b"second-segment");
         assert!(server.app_recv_netbuf().is_none());
         assert_eq!(server.readable(), 0);
+    }
+
+    /// A clocked connection driven until `kind` is armed on the TCB
+    /// it returns.
+    fn armed(kind: TcbTimer) -> Tcb {
+        let cfg = TcbConfig { clocked: true, rack: true, pacing: true, ..TcbConfig::default() };
+        let mut server = Tcb::listen(80);
+        let mut client = Tcb::connect(4000, 80, 1000);
+        server.configure(cfg);
+        client.configure(cfg);
+        pump(&mut client, &mut server);
+        // A flight nobody acknowledges arms the RTO and, ahead of it,
+        // RACK's tail-loss probe.
+        client.app_send(&[7; 20_000]).unwrap();
+        let flight = client.poll_output();
+        match kind {
+            TcbTimer::Rto | TcbTimer::Rack => client,
+            // One segment's ACK is held for a reply to carry.
+            TcbTimer::DelAck => {
+                server.on_segment(&flight[0].header, &flight[0].payload);
+                assert!(server.poll_output().is_empty(), "the ACK is held");
+                server
+            }
+            // Past a timeout the gate meters what follows: the first
+            // quantum leaves, the rest waits for the next release.
+            TcbTimer::Pace => {
+                let rto = client.deadline(TcbTimer::Rto).expect("RTO armed");
+                client.on_timer(TcbTimer::Rto, rto);
+                client.app_send(&[8; 20_000]).unwrap();
+                client.poll_output();
+                client
+            }
+        }
+    }
+
+    #[test]
+    fn every_timer_kind_arms_fires_counts_and_clears() {
+        for kind in TcbTimer::ALL {
+            let mut tcb = armed(kind);
+            let due = tcb.deadline(kind).unwrap_or_else(|| panic!("{kind:?} is armed"));
+            let before = *tcb.stats();
+            tcb.on_timer(kind, due);
+            let after = *tcb.stats();
+            let fired = match kind {
+                TcbTimer::Rto => after.rto_fires - before.rto_fires,
+                TcbTimer::DelAck => after.delack_fires - before.delack_fires,
+                TcbTimer::Rack => {
+                    (after.fast_retransmits + after.tlp_probes)
+                        - (before.fast_retransmits + before.tlp_probes)
+                }
+                TcbTimer::Pace => after.paced_releases - before.paced_releases,
+            };
+            assert_eq!(fired, 1, "{kind:?} counted its fire");
+            // Spent: disarmed — or, for the RTO, backed off to a later one.
+            assert!(
+                tcb.deadline(kind).is_none_or(|next| next > due),
+                "{kind:?} still due at {due}: {:?}",
+                tcb.deadline(kind)
+            );
+            assert_eq!(tcb.deadline(kind).is_some(), kind == TcbTimer::Rto);
+        }
     }
 
     #[test]

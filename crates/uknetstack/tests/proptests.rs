@@ -6,8 +6,8 @@ use uknetstack::arp::{ArpOp, ArpPacket};
 use uknetstack::eth::{EthHeader, EtherType};
 use uknetstack::ipv4::{IpProto, Ipv4Header};
 use uknetstack::tcp::{
-    Tcb, TcpFlags, TcpHeader, TcpOptions, TcpState, MAX_SACK_BLOCKS, SACK_PERMITTED_OPT,
-    TCP_MAX_OPT_LEN,
+    Tcb, TcbConfig, TcbTimer, TcpFlags, TcpHeader, TcpOptions, TcpState, MAX_SACK_BLOCKS,
+    SACK_PERMITTED_OPT, TCP_MAX_OPT_LEN,
 };
 use uknetstack::udp::UdpHeader;
 use uknetstack::{inet_checksum, Csum, Ipv4Addr, Mac};
@@ -999,7 +999,7 @@ fn sack_receiver(iss: u32) -> (Tcb, u32) {
     let mut client = Tcb::connect(5000, 80, iss);
     pump(&mut client, &mut server);
     assert_eq!(server.state, TcpState::Established);
-    server.set_sack(true);
+    server.configure(TcbConfig { sack: true, ..TcbConfig::default() });
     let syn = TcpHeader {
         src_port: 5000,
         dst_port: 80,
@@ -1113,7 +1113,7 @@ proptest! {
         let mut client = Tcb::connect(5000, 80, iss);
         pump(&mut client, &mut server);
         prop_assert_eq!(client.state, TcpState::Established);
-        client.set_sack(true);
+        client.configure(TcbConfig { sack: true, ..TcbConfig::default() });
         let synack = TcpHeader {
             src_port: 80,
             dst_port: 5000,
@@ -1133,7 +1133,7 @@ proptest! {
 
         let mut bits = vec![false; N as usize];
         let mut cum: u32 = 0; // Relative cumulative ACK.
-        let mut expect_spurious: u64 = 0;
+        let mut expect_spurious: u32 = 0;
         for (delta, blocks) in &ops {
             let new_cum = (cum + delta).min(N);
             let ack = base.wrapping_add(new_cum);
@@ -1193,7 +1193,7 @@ proptest! {
                 "scoreboard == bitmap maximal runs (cum={}, op={:?})",
                 cum, (delta, blocks)
             );
-            prop_assert_eq!(client.spurious_rtx(), expect_spurious, "D-SACK classification");
+            prop_assert_eq!(client.stats().spurious_rtx, expect_spurious, "D-SACK classification");
         }
     }
 }
@@ -1486,7 +1486,7 @@ proptest! {
         let mut client = Tcb::connect(5000, 80, 1_000);
         pump(&mut client, &mut server);
         prop_assert_eq!(server.state, TcpState::Established);
-        server.set_clocked(true);
+        server.configure(TcbConfig { clocked: true, ..TcbConfig::default() });
         let base = server.rcv_nxt();
         let peer_ack = server.snd_nxt();
         let mut offsets = vec![0usize];
@@ -1539,9 +1539,11 @@ proptest! {
                 8 | 9 => {
                     now += (1 + arg as u64 % 30) * 1_000_000;
                     server.set_now(now);
-                    if server.ack_deadline().is_some_and(|d| d <= now) {
+                    if server.deadline(TcbTimer::DelAck).is_some_and(|d| d <= now) {
                         // Rule (e): the stack's wheel would fire now.
-                        prop_assert!(server.on_delack_timeout());
+                        let fires = server.stats().delack_fires;
+                        server.on_timer(TcbTimer::DelAck, now);
+                        prop_assert_eq!(server.stats().delack_fires, fires + 1);
                         m.ack_now = true;
                     }
                 }
@@ -1566,8 +1568,8 @@ proptest! {
                 !replied && (expect_hold || !owed),
                 "an ACK leaves exactly when one is owed and may not wait (op {}/{})", kind, arg
             );
-            prop_assert_eq!(server.ack_deadline().is_some(), expect_hold, "op {}/{}", kind, arg);
-            if let Some(deadline) = server.ack_deadline() {
+            prop_assert_eq!(server.deadline(TcbTimer::DelAck).is_some(), expect_hold, "op {}/{}", kind, arg);
+            if let Some(deadline) = server.deadline(TcbTimer::DelAck) {
                 prop_assert!(!m.reassembly_queued(), "held over a hole");
                 prop_assert!(m.rcv_nxt() - m.acked <= MSS, "held with more than one MSS unacked");
                 let since = m.unacked_since.expect("a held ACK acknowledges something");
@@ -1580,7 +1582,7 @@ proptest! {
             arrive(&mut server, &m, m.next, true);
             let out = server.poll_output();
             prop_assert!(out.iter().any(|s| s.header.flags.ack));
-            prop_assert_eq!(server.ack_deadline(), None);
+            prop_assert_eq!(server.deadline(TcbTimer::DelAck), None);
         }
     }
 }

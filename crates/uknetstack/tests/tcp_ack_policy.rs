@@ -172,8 +172,8 @@ fn lone_segment_is_acked_once_at_the_hold_deadline() {
     assert_eq!(*when as u64, DELACK_NS / MS + 1, "released at the deadline");
     assert_eq!(wire.len(), 1);
     assert!(wire[0].from_server && wire[0].is_pure_ack(), "a pure ACK: {wire:?}");
-    let (rto, rtx, fast, _) = net.stack(CLIENT).tcp_loss_stats(client);
-    let (_, _, tlp, _, _) = net.stack(CLIENT).tcp_recovery_stats(client);
+    let s = net.stack(CLIENT).tcp_stats(client).unwrap();
+    let (rto, rtx, fast, tlp) = (s.rto_fires, s.retransmits, s.fast_retransmits, s.tlp_probes);
     assert_eq!((rto, rtx, fast, tlp), (0, 0, 0, 0), "the sender waited it out");
     #[cfg(feature = "trace")]
     {
@@ -260,7 +260,8 @@ fn drain_from_a_nonzero_window_sends_a_window_update() {
     assert!(wire[0].from_server && wire[0].is_pure_ack());
     assert_eq!(wire[0].h.window as usize, RCV_BUF_CAP, "the whole window is back");
     assert_eq!(wire[0].h.ack, acks[0].h.ack, "same cumulative position");
-    let (_, rtx, fast, _) = net.stack(CLIENT).tcp_loss_stats(client);
+    let s = net.stack(CLIENT).tcp_stats(client).unwrap();
+    let (rtx, fast) = (s.retransmits, s.fast_retransmits);
     assert_eq!((rtx, fast), (0, 0), "a window update is no duplicate ACK");
 }
 

@@ -21,6 +21,21 @@ use ukplat::time::Tsc;
 
 const POOL: usize = 512;
 
+/// The `ukstats` registry is process-global and libtest runs this
+/// binary's tests on parallel threads, every one of them parking
+/// connections and drawing RSTs. The tests that compare a registry
+/// delta with an exact count take this lock exclusively; every other
+/// test shares it.
+static REGISTRY: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+fn sharing_registry() -> std::sync::RwLockReadGuard<'static, ()> {
+    REGISTRY.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn owning_registry() -> std::sync::RwLockWriteGuard<'static, ()> {
+    REGISTRY.write().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn mk_stack(n: u8, tune: impl FnOnce(&mut StackConfig)) -> NetStack {
     let tsc = Tsc::new(3_600_000_000);
     let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
@@ -75,6 +90,7 @@ fn counter(name: &str) -> u64 {
 /// buffer and timer is reclaimed.
 #[test]
 fn syn_flood_10x_backlog_is_survived_and_reclaimed() {
+    let _registry = sharing_registry();
     let mut net = clocked_net(10_000_000, |c| c.listen_backlog = 16); // 10 ms steps.
     let backlog = 16;
     let listener = net.stack(1).tcp_listen(8080).unwrap();
@@ -159,6 +175,7 @@ fn syn_flood_10x_backlog_is_survived_and_reclaimed() {
 /// return to their pools.
 #[test]
 fn handshake_timeout_reclaims_half_open_connections() {
+    let _registry = sharing_registry();
     let mut net = clocked_net(50_000_000, |_| {}); // 50 ms steps.
     net.stack(1).tcp_listen(9090).unwrap();
     net.syn_flood(1, 9090, 0, 8, 8);
@@ -179,6 +196,7 @@ fn handshake_timeout_reclaims_half_open_connections() {
 /// nor triggers an RST battle.
 #[test]
 fn stray_segments_draw_rst_and_rst_to_listener_is_ignored() {
+    let _registry = owning_registry();
     let mut net = clocked_net(1_000_000, |_| {});
     let rst0 = counter("netstack.tcp.rst_tx");
     let (ep, mac) = Network::spoofed_peer(1);
@@ -227,6 +245,7 @@ fn stray_segments_draw_rst_and_rst_to_listener_is_ignored() {
 /// and a fresh connection to the same server port succeeds.
 #[test]
 fn time_wait_holds_2msl_then_recycles_the_port() {
+    let _registry = owning_registry();
     let mut net = clocked_net(10_000_000, |_| {}); // 10 ms steps.
     let (client, conn) = establish(&mut net, 8090);
     let tw0 = counter("netstack.tcp.timewait");
@@ -274,6 +293,7 @@ fn time_wait_holds_2msl_then_recycles_the_port() {
 /// all resources reclaimed.
 #[test]
 fn keepalive_reaps_a_dead_peer() {
+    let _registry = sharing_registry();
     let mut net = clocked_net(100_000_000, |c| c.keepalive = true); // 100 ms steps.
     let (client, _conn) = establish(&mut net, 8070);
     let drops0 = counter("netstack.tcp.keepalive_drops");
@@ -306,6 +326,7 @@ fn keepalive_reaps_a_dead_peer() {
 /// keepalive machinery only kills what is actually dead.
 #[test]
 fn keepalive_leaves_a_live_peer_alone() {
+    let _registry = sharing_registry();
     let mut net = clocked_net(100_000_000, |c| c.keepalive = true);
     let (client, conn) = establish(&mut net, 8071);
     let budget_ns = 2 * (KEEPALIVE_IDLE_NS + KEEPALIVE_PROBES as u64 * KEEPALIVE_INTVL_NS);
@@ -324,6 +345,7 @@ fn keepalive_leaves_a_live_peer_alone() {
 /// identical to state after one.
 #[test]
 fn connection_churn_recycles_every_resource() {
+    let _registry = sharing_registry();
     let mut net = clocked_net(10_000_000, |_| {}); // 10 ms steps.
     let listener = net.stack(1).tcp_listen(8060).unwrap();
     let server_ip = net.stack(1).ip();
@@ -358,6 +380,7 @@ fn connection_churn_recycles_every_resource() {
 /// reaped and the new handshake proceeds.
 #[test]
 fn new_syn_assassinates_time_wait() {
+    let _registry = sharing_registry();
     let mut net = clocked_net(1_000_000, |_| {});
     let (client, conn) = establish(&mut net, 8050);
     let local_port = {

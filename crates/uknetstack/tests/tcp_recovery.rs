@@ -11,9 +11,12 @@
 use uknetdev::backend::VhostKind;
 use uknetdev::dev::{NetDev, NetDevConf};
 use uknetdev::VirtioNet;
-use uknetstack::stack::{NetStack, SocketHandle, StackConfig};
+use uknetstack::eth::{EthHeader, EtherType};
+use uknetstack::ipv4::{IpProto, Ipv4Header};
+use uknetstack::stack::{NetStack, SocketHandle, StackConfig, LOW_POOL_BUFS};
+use uknetstack::tcp::{TcbStats, TcpFlags, TcpHeader, TCP_HDR_LEN};
 use uknetstack::testnet::Network;
-use uknetstack::{Endpoint, Ipv4Addr};
+use uknetstack::{Csum, Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
 
 const POOL: usize = 512;
@@ -179,13 +182,14 @@ fn bulk_1mb_completes_under_drop_every_7() {
     assert_eq!(got.len(), blob.len(), "every byte recovered");
     assert_eq!(got, blob, "stream byte-identical under 1/7 loss");
     assert!(net.faults_injected() > 50, "the wire really dropped");
-    let (rto, rtx, fast, ooo) = net.stack(0).tcp_loss_stats(client);
+    let s = net.stack(0).tcp_stats(client).unwrap();
+    let (rto, rtx, fast, ooo) = (s.rto_fires, s.retransmits, s.fast_retransmits, s.ooo_queued);
     assert!(rtx > 0, "losses were repaired by retransmission");
     assert!(
         fast > 0 || rto > 0,
         "recovery engaged (fast={fast}, rto={rto})"
     );
-    let (_, _, _, srv_ooo) = net.stack(1).tcp_loss_stats(conn);
+    let srv_ooo = net.stack(1).tcp_stats(conn).unwrap().ooo_queued;
     assert!(
         srv_ooo > 0 || ooo > 0,
         "segments behind the holes were reassembled, not discarded"
@@ -225,7 +229,7 @@ fn drop_bursts_force_rto_and_still_deliver_exactly() {
         );
     }
     assert!(net.faults_injected() > 20, "bursts really hit");
-    let (_, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+    let rtx = net.stack(0).tcp_stats(client).unwrap().retransmits;
     assert!(rtx > 0, "burst holes were retransmitted");
     net.set_drop_burst(0, 0);
     net.run_until_quiet(64);
@@ -257,7 +261,8 @@ fn dropped_fin_is_retransmitted_until_the_close_completes() {
         net.stack(1).tcp_peer_closed(conn),
         "the retransmitted FIN completed the close"
     );
-    let (rto, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+    let s = net.stack(0).tcp_stats(client).unwrap();
+    let (rto, rtx) = (s.rto_fires, s.retransmits);
     assert!(rto >= 1, "the RTO timer fired for the lost FIN");
     assert!(rtx >= 1, "the FIN was re-emitted");
 }
@@ -280,7 +285,7 @@ fn rto_backoff_doubling_is_observable_via_stats() {
     let mut seen = 0;
     for step in 0..160 {
         net.step();
-        let (rto, _, _, _) = net.stack(0).tcp_loss_stats(client);
+        let rto = u64::from(net.stack(0).tcp_stats(client).unwrap().rto_fires);
         if rto > seen {
             seen = rto;
             fire_steps.push(step as i64);
@@ -358,7 +363,7 @@ fn gro_staging_flushes_on_sequence_gaps_under_loss() {
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got.len(), blob.len(), "every byte recovered with GRO on");
     assert_eq!(got, blob, "no merge across a sequence hole");
-    let (_, _, _, ooo) = net.stack(1).tcp_loss_stats(conn);
+    let ooo = net.stack(1).tcp_stats(conn).unwrap().ooo_queued;
     assert!(ooo > 0, "gapped segments were queued out of order");
     assert!(net.stack(1).stats().gro_runs > 0, "GRO still engaged");
     net.set_drop_every(0);
@@ -399,7 +404,7 @@ fn loss_recovery_works_with_congestion_control_off() {
     let blob = patterned(300_000, 29);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "byte-identical with the ablation off");
-    let (_, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+    let rtx = net.stack(0).tcp_stats(client).unwrap().retransmits;
     assert!(rtx > 0, "recovery still ran");
     net.set_drop_every(0);
     net.run_until_quiet(64);
@@ -431,7 +436,7 @@ fn tso_super_segments_survive_loss_via_host_cut_retransmission() {
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "stream byte-identical: chained rtx extents work");
     assert!(net.stack(0).stats().tso_super_frames > 0, "sender used TSO");
-    let (_, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+    let rtx = net.stack(0).tcp_stats(client).unwrap().retransmits;
     assert!(rtx > 0, "cut-frame losses were retransmitted");
     net.set_drop_every(0);
     net.run_until_quiet(64);
@@ -464,8 +469,8 @@ fn sack_scoreboard_retransmits_only_the_holes() {
         let blob = patterned(300_000, 23);
         let (got, steps) = bulk_send_counting(&mut net, client, conn, &blob, 20_000);
         assert_eq!(got, blob, "byte-identical (sack={sack})");
-        let (sack_rtx, _, _, _, _) = net.stack(0).tcp_recovery_stats(client);
-        let (_, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+        let s = net.stack(0).tcp_stats(client).unwrap();
+        let (sack_rtx, rtx) = (s.sack_rtx, s.retransmits);
         assert!(rtx > 0, "losses were repaired (sack={sack})");
         net.set_drop_every(0);
         net.run_until_quiet(64);
@@ -564,7 +569,8 @@ fn rack_reordering_window_suppresses_false_fast_retransmits() {
         let got = bulk_send(&mut net, client, conn, &blob, 20_000);
         assert_eq!(got, blob, "byte-identical through reorder noise");
         assert!(net.faults_injected() > 0, "the wire really perturbed");
-        let (_, rtx, fast, _) = net.stack(0).tcp_loss_stats(client);
+        let s = net.stack(0).tcp_stats(client).unwrap();
+        let (rtx, fast) = (s.retransmits, s.fast_retransmits);
         assert_eq!(fast, 0, "no false fast retransmit on a lossless reordering wire");
         assert_eq!(rtx, 0, "no spurious data retransmission at all (pacing={pacing})");
         net.set_dup_every(0);
@@ -594,7 +600,7 @@ fn rack_converts_rto_stalls_into_fast_recoveries_under_reorder() {
         let blob = patterned(300_000, 59);
         let got = bulk_send(&mut net, client, conn, &blob, 20_000);
         assert_eq!(got, blob, "byte-identical (rack={rack})");
-        let (rto, _, _, _) = net.stack(0).tcp_loss_stats(client);
+        let rto = net.stack(0).tcp_stats(client).unwrap().rto_fires;
         net.set_drop_every(0);
         net.set_reorder_every(0);
         net.run_until_quiet(64);
@@ -641,8 +647,8 @@ fn tail_loss_probe_rescues_a_dropped_tail_without_rto() {
         }
     }
     assert_eq!(&got[..], b"the tail of the flight", "the tail arrived");
-    let (rto, _, _, _) = net.stack(0).tcp_loss_stats(client);
-    let (_, _, tlp, _, _) = net.stack(0).tcp_recovery_stats(client);
+    let s = net.stack(0).tcp_stats(client).unwrap();
+    let (rto, tlp) = (s.rto_fires, s.tlp_probes);
     assert_eq!(rto, 0, "rescued before the RTO (30 steps ≪ 200 ms floor × backoff)");
     assert!(tlp >= 1, "the probe fired");
     net.run_until_quiet(64);
@@ -665,7 +671,7 @@ fn paced_recovery_meters_the_retransmission_burst() {
     let blob = patterned(300_000, 43);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "byte-identical with paced recovery");
-    let (_, _, _, paced, _) = net.stack(0).tcp_recovery_stats(client);
+    let paced = net.stack(0).tcp_stats(client).unwrap().paced_releases;
     assert!(paced > 0, "the pacing gate released recovery emission");
     net.set_drop_every(0);
     net.run_until_quiet(64);
@@ -701,7 +707,7 @@ fn sustained_loss_cannot_exhaust_a_small_receiver_pool() {
     let blob = patterned(300_000, 47);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "stream complete despite shedding");
-    let (_, _, _, _, shed) = net.stack(1).tcp_recovery_stats(conn);
+    let shed = net.stack(1).tcp_stats(conn).unwrap().ooo_shed;
     assert!(shed > 0, "pool pressure shed out-of-order extents");
     net.set_drop_burst(0, 0);
     net.run_until_quiet(64);
@@ -725,11 +731,250 @@ fn corrupted_frames_are_dropped_by_checksum_and_recovered() {
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "corruption never reaches the stream");
     assert!(net.faults_injected() > 50, "the wire really corrupted");
-    let (_, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+    let rtx = net.stack(0).tcp_stats(client).unwrap().retransmits;
     assert!(rtx > 0, "checksum drops were recovered as losses");
     net.set_corrupt_every(0);
     net.set_dup_every(0);
     net.run_until_quiet(64);
     assert_eq!(net.stack(0).pool_available(), Some(POOL));
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
+}
+
+/// Where each side of a quiet connection stands, read off the captured
+/// wire: the sequence number `from` sends next, as `(client, server)`.
+fn next_seqs(wire: &[Vec<u8>], server_ip: Ipv4Addr) -> (u32, u32) {
+    let (mut client, mut server) = (0, 0);
+    for frame in wire {
+        let Ok((_, rest)) = EthHeader::decode(frame) else { continue };
+        let Ok((ip, seg)) = Ipv4Header::decode_trusted(rest) else { continue };
+        let Ok((h, payload)) = TcpHeader::decode_trusted(&ip, seg) else { continue };
+        let next = h
+            .seq
+            .wrapping_add(payload.len() as u32 + u32::from(h.flags.syn) + u32::from(h.flags.fin));
+        *(if ip.src == server_ip { &mut server } else { &mut client }) = next;
+    }
+    (client, server)
+}
+
+/// Forges one TCP segment from stack `from`'s address and hands it to
+/// stack `to`'s device, as the wire would. Several `parts` make a
+/// big-receive super-segment: headers and the first part in the chain
+/// head, a buffer of the receiver's pool per part, and the
+/// checksum-validated mark only the trusted wire gives a chain.
+fn deliver_forged(
+    net: &mut Network,
+    (from, to): (usize, usize),
+    h: TcpHeader,
+    opts: &[u8],
+    parts: &[&[u8]],
+) {
+    let (src, src_mac) = (net.stack(from).ip(), net.stack(from).mac());
+    let (dst, dst_mac) = (net.stack(to).ip(), net.stack(to).mac());
+    let mut nb = net.stack(to).take_rx_buf();
+    nb.reset(96);
+    nb.append(parts[0]);
+    for part in &parts[1..] {
+        let mut frag = net.stack(to).take_rx_buf();
+        frag.append(part);
+        nb.chain_append(frag);
+    }
+    let ip = Ipv4Header {
+        src,
+        dst,
+        proto: IpProto::Tcp,
+        payload_len: TCP_HDR_LEN + opts.len() + nb.chain_len(),
+        ttl: 64,
+    };
+    h.emit(&ip, &mut nb, opts, Csum::Software);
+    ip.encode_into(&mut nb);
+    EthHeader { dst: dst_mac, src: src_mac, ethertype: EtherType::Ipv4 }.encode_into(&mut nb);
+    if parts.len() > 1 {
+        nb.mark_csum_verified();
+    }
+    net.stack(to).deliver_frame(nb);
+}
+
+/// GRO must not eat TCP options. A data segment that carries a SACK
+/// option — here a D-SACK: the first block ends at the cumulative ACK,
+/// so the peer reports a retransmission it received twice — has to
+/// reach the TCB with the option parsed, whether or not the stack
+/// coalesces received data. A merged run has one header and nowhere to
+/// keep a member's blocks, so an optioned segment takes the direct
+/// path. With `gro` on the parent commit staged it and read 0.
+#[test]
+fn gro_leaves_an_optioned_data_segment_its_sack_blocks() {
+    let _registry = sharing_registry();
+    for gro in [true, false] {
+        let mut net = clocked_net_cfg(1_000, |cfg| cfg.gro = gro);
+        net.start_wire_capture();
+        let (client, conn) = establish(&mut net, 9016);
+        let mut buf = [0u8; 64];
+        net.stack(0).tcp_send(client, b"ping").unwrap();
+        net.run_until_quiet(8);
+        let n = net.stack(1).tcp_recv_into(conn, &mut buf).unwrap();
+        net.stack(1).tcp_send(conn, &buf[..n]).unwrap();
+        net.run_until_quiet(8);
+        assert_eq!(net.stack(0).tcp_recv_into(client, &mut buf).unwrap(), 4);
+        let server_ip = net.stack(1).ip();
+        let (client_next, server_next) = next_seqs(&net.take_wire_capture(), server_ip);
+        // Data in flight: sent, not yet carried across the wire.
+        net.stack(0).tcp_send(client, &[0x55; 100]).unwrap();
+        let mut sack = [1, 1, 5, 10, 0, 0, 0, 0, 0, 0, 0, 0];
+        sack[4..8].copy_from_slice(&client_next.wrapping_sub(4).to_be_bytes());
+        sack[8..12].copy_from_slice(&client_next.to_be_bytes());
+        let h = TcpHeader {
+            src_port: 9016,
+            dst_port: net.stack(1).tcp_peer(conn).unwrap().port,
+            seq: server_next,
+            ack: client_next,
+            flags: TcpFlags { ack: true, psh: true, ..Default::default() },
+            window: 65_535,
+        };
+        deliver_forged(&mut net, (1, 0), h, &sack, &[b"in order, with options"]);
+        net.stack(0).pump();
+        let stats = net.stack(0).tcp_stats(client).unwrap();
+        assert_eq!(stats.spurious_rtx, 1, "the D-SACK block reached the TCB (gro={gro})");
+        let n = net.stack(0).tcp_recv_into(client, &mut buf).unwrap();
+        assert_eq!(&buf[..n], b"in order, with options", "and so did the payload (gro={gro})");
+        net.run_until_quiet(64);
+        let mut sink = [0u8; 128];
+        assert_eq!(net.stack(1).tcp_recv_into(conn, &mut sink).unwrap(), 100, "the flight landed");
+        net.run_until_quiet(8);
+        assert_eq!(net.stack(0).pool_available(), Some(POOL));
+        assert_eq!(net.stack(1).pool_available(), Some(POOL));
+    }
+}
+
+/// One client→server stream with one hole — the wire drops the 25th
+/// frame of the first flight and nothing else — received as per-MSS
+/// frames with and without GRO, on a roomy pool and on one small
+/// enough that the segments queued behind the hole push it under
+/// [`LOW_POOL_BUFS`]. Returns what arrived and both ends' counters.
+fn stream_with_one_hole(gro: bool, pool: usize) -> (Vec<u8>, TcbStats, TcbStats) {
+    let mut net = Network::new();
+    // Window-limited flights (~45 MSS), so twenty segments follow the
+    // hole in the same burst.
+    net.attach(mk_stack_cfg(1, |cfg| cfg.congestion_control = false));
+    net.attach(mk_stack_cfg(2, |cfg| {
+        cfg.pool_size = pool;
+        cfg.congestion_control = false;
+        cfg.gro = gro;
+    }));
+    net.set_clock(&Tsc::new(1_000_000_000));
+    net.set_step_ns(1_000_000);
+    let (client, conn) = establish(&mut net, 9017);
+    let blob = patterned(200_000, 61);
+    let mut got = Vec::with_capacity(blob.len());
+    let mut sent = 0;
+    let mut buf = vec![0u8; 64 * 1024];
+    net.set_drop_every(25);
+    for _ in 0..20_000 {
+        if sent < blob.len() {
+            sent += net.stack(0).tcp_send_queued(client, &blob[sent..]).unwrap_or(0);
+            net.stack(0).flush_output().unwrap();
+        }
+        net.step();
+        if net.faults_injected() == 1 {
+            net.set_drop_every(0);
+        }
+        loop {
+            let n = net.stack(1).tcp_recv_into(conn, &mut buf).unwrap();
+            if n == 0 {
+                break;
+            }
+            got.extend_from_slice(&buf[..n]);
+        }
+        if got.len() == blob.len() {
+            break;
+        }
+    }
+    assert_eq!(got, blob, "byte-identical delivery (gro={gro}, pool={pool})");
+    assert_eq!(net.faults_injected(), 1, "one hole");
+    net.run_until_quiet(64);
+    assert_eq!(net.stack(0).pool_available(), Some(POOL), "sender pool whole");
+    assert_eq!(net.stack(1).pool_available(), Some(pool), "receiver pool whole");
+    let sender = net.stack(0).tcp_stats(client).unwrap();
+    let receiver = net.stack(1).tcp_stats(conn).unwrap();
+    (got, sender, receiver)
+}
+
+/// The three entry shapes of the one TCP ingest account alike. Per-MSS
+/// frames with and without GRO are the same conversation: the receiver
+/// queues the same extents behind the hole and the sender runs the
+/// same recovery, counter for counter. (`dup_acks` counts ingests that
+/// dropped or queued data, and GRO makes one ingest of a run, so it
+/// moves in both and further without GRO.) Under pool pressure every
+/// shape sheds — which extents differs with the grain of the ingest,
+/// so only delivery and the shed are compared there — and that
+/// includes the big-receive chain, which the parent commit never shed.
+/// Chains are exempt from the testnet's wire faults, so that arm
+/// forges its out-of-order super-segment.
+#[test]
+fn the_three_ingest_shapes_account_alike() {
+    let _registry = sharing_registry();
+    let (plain_bytes, plain_tx, plain_rx) = stream_with_one_hole(false, POOL);
+    let (gro_bytes, gro_tx, gro_rx) = stream_with_one_hole(true, POOL);
+    assert_eq!(plain_bytes, gro_bytes);
+    assert_eq!(plain_tx, gro_tx, "the sender cannot tell the shapes apart");
+    assert!(plain_rx.ooo_queued > 0, "segments queued behind the hole");
+    assert_eq!(plain_rx.ooo_queued, gro_rx.ooo_queued);
+    assert_eq!((plain_rx.ooo_shed, gro_rx.ooo_shed), (0, 0), "a roomy pool sheds nothing");
+    assert!(plain_rx.dup_acks >= gro_rx.dup_acks && gro_rx.dup_acks > 0);
+    const SMALL: usize = 56;
+    for gro in [false, true] {
+        let (_, _, rx) = stream_with_one_hole(gro, SMALL);
+        assert!(rx.ooo_shed > 0, "the queue behind the hole pinned the pool (gro={gro})");
+    }
+
+    // Big receive: 28 one-buffer parts land 1000 bytes ahead of the
+    // stream on a 40-buffer pool.
+    let mut net = Network::new();
+    net.attach(mk_stack(1, true, false));
+    net.attach(mk_stack_cfg(2, |cfg| {
+        cfg.tso = true;
+        cfg.pool_size = 40;
+    }));
+    assert!(net.stack(1).accepts_super_frames());
+    net.set_clock(&Tsc::new(1_000_000_000));
+    net.set_step_ns(1_000_000);
+    net.start_wire_capture();
+    let (client, conn) = establish(&mut net, 9018);
+    net.stack(0).tcp_send(client, b"ping").unwrap();
+    net.run_until_quiet(8);
+    let mut buf = vec![0u8; 64 * 1024];
+    assert_eq!(net.stack(1).tcp_recv_into(conn, &mut buf).unwrap(), 4);
+    let server_ip = net.stack(1).ip();
+    let (client_next, server_next) = next_seqs(&net.take_wire_capture(), server_ip);
+    let blob = patterned(29_000, 67);
+    let parts: Vec<&[u8]> = blob.chunks(1000).collect();
+    let client_port = net.stack(1).tcp_peer(conn).unwrap().port;
+    let seg = |offset: u32| TcpHeader {
+        src_port: client_port,
+        dst_port: 9018,
+        seq: client_next.wrapping_add(offset),
+        ack: server_next,
+        flags: TcpFlags { ack: true, psh: true, ..Default::default() },
+        window: 65_535,
+    };
+    let (ahead, hole, again) = (seg(1000), seg(0), seg(25_000));
+    deliver_forged(&mut net, (0, 1), ahead, &[], &parts[1..]);
+    net.stack(1).pump();
+    let rx = net.stack(1).tcp_stats(conn).unwrap();
+    assert_eq!((rx.ooo_queued, rx.dup_acks), (28, 1), "one ingest queued the whole chain");
+    let shed = LOW_POOL_BUFS - (40 - 28);
+    assert_eq!(rx.ooo_shed as usize, shed, "and shed the newest parts back over the low-water mark");
+    // The peer fills the hole, then resends what was shed.
+    deliver_forged(&mut net, (0, 1), hole, &[], &parts[..1]);
+    net.stack(1).pump();
+    let mut got = Vec::new();
+    let n = net.stack(1).tcp_recv_into(conn, &mut buf).unwrap();
+    got.extend_from_slice(&buf[..n]);
+    deliver_forged(&mut net, (0, 1), again, &[], &parts[25..]);
+    net.stack(1).pump();
+    let n = net.stack(1).tcp_recv_into(conn, &mut buf).unwrap();
+    got.extend_from_slice(&buf[..n]);
+    assert_eq!(got, blob, "byte-identical delivery (big receive)");
+    net.run_until_quiet(64);
+    assert_eq!(net.stack(0).pool_available(), Some(POOL));
+    assert_eq!(net.stack(1).pool_available(), Some(40));
 }

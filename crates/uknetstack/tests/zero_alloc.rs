@@ -489,7 +489,8 @@ fn lossless_1mb_is_allocation_free_whatever_recovery_is_armed() {
         }
         let what = format!("lossless 1 MB, sack={sack} rack={rack} pacing={pacing}");
         assert_alloc_free(&mut pair, 3, &what, |p| p.bulk(MB, Drain::Copy));
-        let (rto, rtx, fast, _) = pair.net.stack(pair.ci).tcp_loss_stats(pair.client);
+        let s = pair.net.stack(pair.ci).tcp_stats(pair.client).unwrap();
+        let (rto, rtx, fast) = (s.rto_fires, s.retransmits, s.fast_retransmits);
         assert_eq!((rto, rtx, fast), (0, 0, 0), "{what}: nothing was lost, nothing resent");
     }
 }
