@@ -23,6 +23,9 @@ pub const HOT_FILES: &[&str] = &[
     "crates/uknetdev/src/csum.rs",
     // TSO cutting runs per super-segment on the host path.
     "crates/uknetdev/src/gso.rs",
+    // Readiness cells: a watched socket publishes through one per
+    // request, and a rising edge must not allocate (PR 18).
+    "crates/ukevent/src/source.rs",
 ];
 
 /// Crate source directories that are hot in their entirety.
@@ -38,8 +41,8 @@ pub const RELAXED_ONLY_DIRS: &[&str] = &["crates/ukstats/src/", "crates/uktrace/
 /// count at the PR that last set it, rounded up to the next 50; a PR
 /// that needs more raises it here and says why.
 pub const SIZE_BUDGETS: &[(&str, usize)] = &[
-    // PR 17 (one TCB seam) left 3114 lines, down from 3351.
-    ("crates/uknetstack/src/stack.rs", 3150),
+    // PR 18 (a socket owns its readiness) left 3054 lines, down from 3114.
+    ("crates/uknetstack/src/stack.rs", 3100),
     // PR 17 (one TCB seam) left 2890 lines, down from 2991.
     ("crates/uknetstack/src/tcp.rs", 2900),
 ];

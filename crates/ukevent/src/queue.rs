@@ -1,7 +1,7 @@
 //! The epoll-like interest list and wait loop.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, RangeMut};
 use std::rc::Rc;
 
 use ukplat::{Errno, Result};
@@ -33,6 +33,11 @@ pub enum WaitOutcome {
     TimedOut,
 }
 
+/// `wait` times one ready-scan in this many for the `ukevent.wait_ns`
+/// histogram: on a short interest list the two clock reads cost more
+/// than the scan. `ukevent.waits` counts every wait.
+const WAIT_NS_SAMPLE_EVERY: u64 = 64;
+
 /// Pre-registered `ukstats` handles for the event plane. Counters are
 /// global (every queue aggregates into the same slots); registration
 /// happens once per queue construction and dedups by name.
@@ -48,7 +53,8 @@ struct EvCounters {
     edges: ukstats::Counter,
     /// Timed waits that expired with nothing ready.
     timeouts: ukstats::Counter,
-    /// `epoll_wait` latency: duration of the ready-scan inside `wait`.
+    /// `epoll_wait` latency: duration of the ready-scan inside `wait`
+    /// (one wait in [`WAIT_NS_SAMPLE_EVERY`] is timed).
     wait_ns: ukstats::Histogram,
     /// Park-to-wake latency: time between parking in `wait` and the
     /// readiness edge that released the queue's waiters.
@@ -77,8 +83,11 @@ pub(crate) struct QueueShared {
     /// Threads a readiness edge released; drained by `take_wakeups` and
     /// handed to the scheduler.
     wakeups: Vec<ThreadId>,
-    /// Set when any watched source published an edge; cleared by the
-    /// next ready-scan. Lets `wait` skip a full scan when idle.
+    /// Set when any watched source published an edge (or a `ctl_add` /
+    /// `ctl_mod` found its source already ready); cleared by the next
+    /// ready-scan. Reported by [`EventQueue::has_pending`] so an event
+    /// loop can tell "an edge arrived since I last looked" without
+    /// scanning; the scan itself never consults it.
     pending: bool,
     /// Total edges observed (for reports/benchmarks).
     edges_seen: u64,
@@ -122,6 +131,31 @@ struct Interest {
     disarmed: bool,
 }
 
+impl Interest {
+    /// What this entry reports to a ready-scan, consuming the edge (and
+    /// the one shot) it reports.
+    fn fire(&mut self) -> Option<EventMask> {
+        if self.disarmed {
+            return None;
+        }
+        let fired = self.source.current() & (self.mask.payload() | EventMask::ALWAYS);
+        if fired.is_empty() {
+            return None;
+        }
+        if self.mask.contains(EventMask::ET) {
+            let seq = self.source.edge_seq();
+            if seq <= self.last_seq {
+                return None; // Edge already consumed.
+            }
+            self.last_seq = seq;
+        }
+        if self.mask.contains(EventMask::ONESHOT) {
+            self.disarmed = true;
+        }
+        Some(fired)
+    }
+}
+
 /// An epoll instance: interest list, ready scan, parking wait.
 pub struct EventQueue {
     shared: Rc<RefCell<QueueShared>>,
@@ -134,6 +168,8 @@ pub struct EventQueue {
     /// tokens cannot starve higher ones (Linux rotates its ready list
     /// the same way).
     scan_from: u64,
+    /// Waits run (selects the ones whose scan is timed).
+    waits: u64,
     stats: EvCounters,
 }
 
@@ -169,6 +205,7 @@ impl EventQueue {
             interest: BTreeMap::new(),
             delivered: 0,
             scan_from: 0,
+            waits: 0,
             stats,
         }
     }
@@ -258,43 +295,21 @@ impl EventQueue {
     /// and `EPOLLHUP` are always reported, subscribed or not.
     pub fn poll_ready(&mut self, max_events: usize) -> Vec<Event> {
         self.shared.borrow_mut().pending = false;
+        let cap = max_events.max(1);
         let mut out = Vec::new();
-        // Rotated scan order: tokens >= cursor first, then the rest.
-        let tokens: Vec<u64> = self
-            .interest
-            .range(self.scan_from..)
-            .map(|(&t, _)| t)
-            .chain(self.interest.range(..self.scan_from).map(|(&t, _)| t))
-            .collect();
-        for token in tokens {
-            if out.len() >= max_events.max(1) {
-                break;
-            }
-            let entry = self.interest.get_mut(&token).expect("token just listed");
-            if entry.disarmed {
-                continue;
-            }
-            let level = entry.source.current();
-            let wanted = entry.mask.payload() | EventMask::ALWAYS;
-            let fired = level & wanted;
-            if fired.is_empty() {
-                continue;
-            }
-            if entry.mask.contains(EventMask::ET) {
-                let seq = entry.source.edge_seq();
-                if seq <= entry.last_seq {
-                    continue; // Edge already consumed.
+        let mut scan = |range: RangeMut<'_, u64, Interest>| {
+            for (&token, entry) in range {
+                if out.len() >= cap {
+                    break;
                 }
-                entry.last_seq = seq;
+                if let Some(events) = entry.fire() {
+                    out.push(Event { token, events });
+                }
             }
-            if entry.mask.contains(EventMask::ONESHOT) {
-                entry.disarmed = true;
-            }
-            out.push(Event {
-                token,
-                events: fired,
-            });
-        }
+        };
+        // Rotated scan order: tokens >= cursor first, then the rest.
+        scan(self.interest.range_mut(self.scan_from..));
+        scan(self.interest.range_mut(..self.scan_from));
         if let Some(last) = out.last() {
             self.scan_from = last.token.wrapping_add(1);
         }
@@ -307,22 +322,7 @@ impl EventQueue {
     /// block ([`uksched::StepResult::Block`]); a readiness edge releases
     /// it through [`take_wakeups`](Self::take_wakeups).
     pub fn wait(&mut self, max_events: usize, tid: ThreadId) -> WaitOutcome {
-        let scan_start = std::time::Instant::now();
-        self.stats.waits.inc();
-        let events = self.poll_ready(max_events);
-        self.stats
-            .wait_ns
-            .record(scan_start.elapsed().as_nanos() as u64);
-        if !events.is_empty() {
-            return WaitOutcome::Ready(events);
-        }
-        self.stats.parks.inc();
-        let mut shared = self.shared.borrow_mut();
-        shared.park_started = Some(std::time::Instant::now());
-        shared.waiters.wait(tid);
-        // An untimed wait supersedes any stale deadline for this thread.
-        shared.deadlines.retain(|(t, _)| *t != tid);
-        WaitOutcome::Parked
+        self.wait_inner(max_events, tid, None)
     }
 
     /// `epoll_wait(timeout)`: like [`wait`](Self::wait), but the park
@@ -340,29 +340,44 @@ impl EventQueue {
         now_ns: u64,
         deadline_ns: u64,
     ) -> WaitOutcome {
-        let scan_start = std::time::Instant::now();
+        self.wait_inner(max_events, tid, Some((now_ns, deadline_ns)))
+    }
+
+    /// Both waits: scan, then park unless `timed`'s `(now_ns,
+    /// deadline_ns)` says the deadline is due.
+    fn wait_inner(
+        &mut self,
+        max_events: usize,
+        tid: ThreadId,
+        timed: Option<(u64, u64)>,
+    ) -> WaitOutcome {
+        let scan_start = self
+            .waits
+            .is_multiple_of(WAIT_NS_SAMPLE_EVERY)
+            .then(std::time::Instant::now);
+        self.waits += 1;
         self.stats.waits.inc();
         let events = self.poll_ready(max_events);
-        self.stats
-            .wait_ns
-            .record(scan_start.elapsed().as_nanos() as u64);
+        if let Some(t0) = scan_start {
+            self.stats.wait_ns.record(t0.elapsed().as_nanos() as u64);
+        }
         if !events.is_empty() {
             return WaitOutcome::Ready(events);
         }
-        if deadline_ns <= now_ns {
-            self.stats.timeouts.inc();
-            let mut shared = self.shared.borrow_mut();
-            shared.deadlines.retain(|(t, _)| *t != tid);
-            return WaitOutcome::TimedOut;
+        let mut shared = self.shared.borrow_mut();
+        // This wait's deadline — or its having none — supersedes any
+        // the thread left behind.
+        shared.deadlines.retain(|(t, _)| *t != tid);
+        if let Some((now_ns, deadline_ns)) = timed {
+            if deadline_ns <= now_ns {
+                self.stats.timeouts.inc();
+                return WaitOutcome::TimedOut;
+            }
+            shared.deadlines.push((tid, deadline_ns));
         }
         self.stats.parks.inc();
-        let mut shared = self.shared.borrow_mut();
         shared.park_started = Some(std::time::Instant::now());
         shared.waiters.wait(tid);
-        match shared.deadlines.iter_mut().find(|(t, _)| *t == tid) {
-            Some(slot) => slot.1 = deadline_ns,
-            None => shared.deadlines.push((tid, deadline_ns)),
-        }
         WaitOutcome::Parked
     }
 

@@ -5,9 +5,13 @@
 //! current readiness here, and every [`EventQueue`](crate::EventQueue)
 //! holding the object in its interest list observes the change. Edge
 //! (`EPOLLET`) consumers additionally see a monotonically increasing
-//! *edge sequence* that is bumped whenever a bit rises 0→1, which is
-//! what makes edge-triggered one-shot delivery possible without the
-//! queue rescanning every object.
+//! *edge sequence* that is bumped whenever a bit rises 0→1: a queue's
+//! ready-scan still visits every entry of its interest list, but an
+//! edge-triggered entry is decided by one compare against the sequence
+//! it last delivered — no per-watcher "seen" state lives in the cell.
+//!
+//! Publishing is per-event work (a socket does it once per request), so
+//! this file is on `ukcheck`'s hot list: a rising edge must not allocate.
 
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
@@ -53,6 +57,8 @@ impl std::fmt::Debug for ReadySource {
 
 impl ReadySource {
     /// Creates a cell with no readiness.
+    // ukcheck: allow(alloc) -- minting a cell is control plane (once per
+    // watched socket); publishing through it never allocates
     pub fn new() -> Self {
         ReadySource {
             inner: Rc::new(RefCell::new(SourceInner {
@@ -119,6 +125,8 @@ impl ReadySource {
         self.set_level(current - events);
     }
 
+    // ukcheck: allow(alloc) -- `ctl_add` is control plane: the watcher
+    // list grows once per (cell, queue) pair
     pub(crate) fn subscribe(&self, queue: &Rc<RefCell<QueueShared>>) {
         let mut inner = self.inner.borrow_mut();
         // Prune dead queues while we're here.
@@ -140,14 +148,19 @@ impl ReadySource {
     }
 
     fn notify_watchers(&self) {
-        // Collect strong refs first: waking may re-enter user code that
-        // touches this source.
-        let watchers: Vec<Rc<RefCell<QueueShared>>> = {
-            let inner = self.inner.borrow();
-            inner.watchers.iter().filter_map(Weak::upgrade).collect()
-        };
-        for q in watchers {
-            q.borrow_mut().on_readiness();
+        // One watcher at a time, by index, with the cell's borrow
+        // released around the call: waking may re-enter user code that
+        // touches this source, its watcher list included.
+        let mut i = 0;
+        loop {
+            let watcher = match self.inner.borrow().watchers.get(i) {
+                Some(w) => w.upgrade(),
+                None => break,
+            };
+            i += 1;
+            if let Some(q) = watcher {
+                q.borrow_mut().on_readiness();
+            }
         }
     }
 }

@@ -30,8 +30,8 @@
 //! - **RX** walks the same buffers up the stack in bursts: the wire
 //!   injects a whole burst with one [`deliver_burst`], [`pump`] drains
 //!   `rx_burst` and demuxes every frame of the burst (next-hop MACs
-//!   memoized per burst) before running the transport/readiness sweep
-//!   *once per burst*. UDP payloads are queued on sockets *as netbufs*
+//!   memoized per burst) before running the transport sweep *once per
+//!   burst*. UDP payloads are queued on sockets *as netbufs*
 //!   — no per-datagram `Vec`. Readers copy out in batches
 //!   ([`udp_recv_burst_into`]) or singly
 //!   ([`udp_recv_into`]/[`tcp_recv_into`]) and buffers return to the
@@ -77,6 +77,12 @@
 //!   land exactly at `rcv_nxt` is dropped *and answered with an
 //!   immediate duplicate ACK*; a FIN is processed only in sequence
 //!   position. See `tcp.rs` for the invariant.
+//!
+//! # The socket seam
+//!
+//! A socket owns its readiness cell, and whatever changes the socket's
+//! state publishes through it there and then: `pump` walks no sockets.
+//! The README lists the publish sites and the handle layout.
 //!
 //! # The TCB seam
 //!
@@ -180,12 +186,19 @@ const ARP_REQUEST_RETRY_PUMPS: u64 = 8;
 /// frame.
 const ARP_MEMO_SIZE: usize = 8;
 
-/// Listener handles carry this tag. It sits far above both the UDP
-/// handle range (a small counter, < 2³²) and connection handles
-/// (`generation << 32 | slot`, generation ≤ 0xffff, so < 2⁴⁸) — the
-/// three handle spaces can never collide, and a garbage handle decodes
-/// to generation 0, which no live connection ever carries.
+/// A listener's handle is this tag over its port and a UDP socket's is
+/// [`UDP_TAG`] over its port — the key of the map the socket lives in.
+/// Both tags sit above connection handles (`generation << 32 | slot`,
+/// generation ≤ 0xffff, so < 2⁴⁸) — the three handle spaces can never
+/// collide, and a garbage handle decodes to generation 0, which no
+/// live connection ever carries.
 const LISTENER_TAG: usize = 1 << 48;
+const UDP_TAG: usize = 1 << 49;
+
+/// The port a listener or UDP handle names (`Some` for `tag | port`).
+fn tagged_port(h: usize, tag: usize) -> Option<u16> {
+    (h & !0xffff == tag).then_some(h as u16)
+}
 
 /// TCP maximum segment lifetime against the virtual clock (TIME_WAIT
 /// lingers 2×MSL before its port recycles). Deliberately compressed
@@ -308,6 +321,22 @@ fn mark_dirty(c: &mut TcpConn, dirty: &mut Vec<u32>, slot: u32) {
     if !c.dirty {
         c.dirty = true;
         dirty.push(slot);
+    }
+}
+
+/// Publishes a socket's readiness through its cell, if it was ever
+/// asked for one (`None` costs this branch; `level` is not computed) —
+/// called by whatever changed the socket's state, while it holds the
+/// socket. Rising bits are edges; `new_input` (input was queued just
+/// now) also re-triggers `EPOLLET` watchers while `IN` is already high,
+/// as Linux does on every arrival.
+fn publish(ready: &Option<ReadySource>, level: impl FnOnce() -> EventMask, new_input: bool) {
+    let Some(src) = ready else { return };
+    let level = level();
+    let had_in = src.current().contains(EventMask::IN);
+    src.set_level(level);
+    if new_input && had_in && level.contains(EventMask::IN) {
+        src.pulse();
     }
 }
 
@@ -477,12 +506,22 @@ const _: () = assert!(
 );
 
 struct UdpSocket {
-    port: u16,
     /// Received datagrams, held as the pooled buffers they arrived in
     /// (payload trimmed to the UDP body) — recycled on receive.
     rx: VecDeque<UdpQueued>,
-    /// Monotonic count of datagrams ever enqueued (readiness progress).
-    rx_total: u64,
+    /// The readiness cell, once [`NetStack::ready_source`] minted it.
+    ready: Option<ReadySource>,
+}
+
+impl UdpSocket {
+    /// The UDP row of [`NetStack::readiness`].
+    fn readiness(&self) -> EventMask {
+        if self.rx.is_empty() {
+            EventMask::OUT
+        } else {
+            EventMask::OUT | EventMask::IN
+        }
+    }
 }
 
 /// Which lifecycle timer (one per connection, multiplexed through
@@ -521,8 +560,34 @@ struct TcpConn {
     /// Unanswered keepalive probes since the last activity.
     ka_probes: u32,
     /// Whether this connection sits on the stack's dirty list (its
-    /// output and timers get reconciled by the next flush).
+    /// output, timers and readiness get reconciled by the next flush).
     dirty: bool,
+    /// Whether an ingest queued readable bytes since that flush: the
+    /// "new input" its readiness publish re-triggers `EPOLLET` on.
+    rx_fresh: bool,
+    /// The readiness cell, once [`NetStack::ready_source`] minted it
+    /// (the slot's next occupant starts without one).
+    ready: Option<ReadySource>,
+}
+
+impl TcpConn {
+    /// The connection row of [`NetStack::readiness`].
+    fn readiness(&self) -> EventMask {
+        let mut m = EventMask::EMPTY;
+        if self.tcb.readable() > 0 {
+            m |= EventMask::IN;
+        }
+        if self.tcb.peer_fin_seen() {
+            m |= EventMask::IN | EventMask::RDHUP;
+        }
+        if self.tcb.send_capacity() > 0 {
+            m |= EventMask::OUT;
+        }
+        if self.tcb.state == TcpState::Closed {
+            m |= EventMask::HUP;
+        }
+        m
+    }
 }
 
 /// One slab slot: the generation tag survives the connection, so a
@@ -551,12 +616,6 @@ struct ArpPendingQueue {
     pump_ticks: u64,
 }
 
-/// A readiness cell plus the last progress value published through it.
-struct SourceEntry {
-    src: ReadySource,
-    progress: u64,
-}
-
 /// The expected continuation of the GRO run currently being staged:
 /// the flow identity of its last segment and the sequence number the
 /// next in-order segment must carry.
@@ -574,8 +633,19 @@ struct TcpListener {
     syn_queue: VecDeque<u32>,
     /// Fully established connections awaiting `tcp_accept`.
     backlog: VecDeque<SocketHandle>,
-    /// Monotonic count of connections ever queued (readiness progress).
-    accepted_total: u64,
+    /// The readiness cell, once [`NetStack::ready_source`] minted it.
+    ready: Option<ReadySource>,
+}
+
+impl TcpListener {
+    /// The listener row of [`NetStack::readiness`].
+    fn readiness(&self) -> EventMask {
+        if self.backlog.is_empty() {
+            EventMask::EMPTY
+        } else {
+            EventMask::IN
+        }
+    }
 }
 
 /// Stack statistics.
@@ -871,8 +941,8 @@ pub struct NetStack {
     dev: Box<dyn NetDev>,
     arp: ArpCache,
     pool: NetbufPool,
-    udp_socks: HashMap<usize, UdpSocket>,
-    udp_ports: HashMap<u16, usize>,
+    /// UDP sockets by bound port (the handle is [`UDP_TAG`]` | port`).
+    udp_socks: HashMap<u16, UdpSocket>,
     /// Connection slab: TCBs live inline in slots; a slot's generation
     /// tag is baked into the connection handle, so a stale handle (a
     /// reaped connection whose slot was reused) fails the lookup
@@ -890,9 +960,10 @@ pub struct NetStack {
     /// the virtual clock, O(1) per arm/cancel/advance.
     wheel: TimerWheel,
     /// Connections touched since the last flush (slot list,
-    /// deduplicated by the per-connection `dirty` flag): the output
-    /// and timer-sync passes walk this instead of every connection, so
-    /// 100 K idle connections cost nothing per pump.
+    /// deduplicated by the per-connection `dirty` flag): the output,
+    /// readiness and timer-sync passes walk this instead of every
+    /// connection, so 100 K idle connections — watched by an event
+    /// queue or not — cost nothing per pump.
     dirty: Vec<u32>,
     /// Fired-timer scratch for `tcp_timer_tick` (reused).
     fired_scratch: Vec<(u64, u64)>,
@@ -902,8 +973,8 @@ pub struct NetStack {
     held_acks: usize,
     /// Sweeps `pump` has run (selects the ones it times).
     sweeps: u64,
+    /// Listeners by port (the handle is [`LISTENER_TAG`]` | port`).
     listeners: HashMap<u16, TcpListener>,
-    next_handle: usize,
     next_ephemeral: u16,
     iss: u32,
     stats: StackStats,
@@ -911,10 +982,6 @@ pub struct NetStack {
     arp_pending: HashMap<Ipv4Addr, ArpPendingQueue>,
     /// Echo replies received: (peer, ident, seq).
     ping_replies: Vec<(Ipv4Addr, u16, u16)>,
-    /// Readiness cells handed out to event queues, keyed by handle,
-    /// with the progress counter last published through each. Synced
-    /// after every socket-mutating operation and each `pump`.
-    sources: HashMap<usize, SourceEntry>,
     /// Ethernet-ready frames staged for the next `tx_burst` (reused).
     tx_stage: Vec<Netbuf>,
     /// TCP segments staged during `flush_tcp`, pre-ARP (reused).
@@ -923,8 +990,6 @@ pub struct NetStack {
     rx_scratch: Vec<Netbuf>,
     /// Injection scratch for `deliver_frame` (reused).
     inject_scratch: Vec<Netbuf>,
-    /// Key scratch for `sync_readiness` (reused).
-    sync_scratch: Vec<usize>,
     /// Who completes the checksum of an uncut TCP/UDP frame: the
     /// device (config wish ∧ device capability) or the emitter.
     tx_csum: Csum,
@@ -1038,7 +1103,6 @@ impl NetStack {
             pool_low_water_seen: pool.low_water(),
             pool,
             udp_socks: HashMap::new(),
-            udp_ports: HashMap::new(),
             conn_slots: Vec::new(),
             conn_free: Vec::new(),
             flow: FlowTable::new(),
@@ -1051,18 +1115,15 @@ impl NetStack {
             held_acks: 0,
             sweeps: 0,
             listeners: HashMap::new(),
-            next_handle: 1,
             next_ephemeral: 49152,
             iss: 1,
             stats: StackStats::default(),
             arp_pending: HashMap::new(),
             ping_replies: Vec::new(),
-            sources: HashMap::new(),
             tx_stage: Vec::new(),
             tcp_stage: Vec::new(),
             rx_scratch: Vec::new(),
             inject_scratch: Vec::new(),
-            sync_scratch: Vec::new(),
             tx_csum: if csum_offload { Csum::Offload } else { Csum::Software },
             tso,
             rx_csum_offload,
@@ -1170,15 +1231,6 @@ impl NetStack {
         Some(self.pool.available())
     }
 
-    /// Allocates a UDP socket handle (plain counter; connection and
-    /// listener handles live in disjoint ranges — see
-    /// [`LISTENER_TAG`]).
-    fn handle(&mut self) -> usize {
-        let h = self.next_handle;
-        self.next_handle += 1;
-        h
-    }
-
     /// Current virtual time, when a clock is installed.
     fn now_ns(&self) -> Option<u64> {
         let clock = self.clock.as_ref()?;
@@ -1260,6 +1312,8 @@ impl NetStack {
             last_activity_ns: now,
             ka_probes: 0,
             dirty: false,
+            rx_fresh: false,
+            ready: None,
         });
         let gen = cs.gen;
         self.flow.insert(flow_key(local_port, remote), slot);
@@ -1272,8 +1326,10 @@ impl NetStack {
     /// removes its flow entry, scrubs it from its listener's queues,
     /// returns **every** buffer it holds (send, receive, reassembly,
     /// staged control) to the pool, frees the slab slot and publishes
-    /// the final `EPOLLHUP`. In-flight TX frames tagged with the old
-    /// generation fall through to the pool on return — nothing leaks.
+    /// the final `EPOLLHUP` — the cell then drops with the connection,
+    /// so the slot's next occupant can never publish into this one's
+    /// watchers. In-flight TX frames tagged with the old generation
+    /// fall through to the pool on return — nothing leaks.
     // `_reason` feeds only the `tcp_conn_reaped` tracepoint (unused
     // when tracing is compiled out, hence the underscore).
     fn reap_conn_slot(&mut self, slot: u32, _reason: u64) {
@@ -1294,6 +1350,7 @@ impl NetStack {
         if let Some(l) = self.listeners.get_mut(&c.local_port) {
             l.syn_queue.retain(|&s| s != slot);
             l.backlog.retain(|s| s.0 != h);
+            publish(&l.ready, || l.readiness(), false);
         }
         if self.gro_cont.as_ref().is_some_and(|g| g.conn == h) {
             self.gro_cont = None;
@@ -1301,7 +1358,7 @@ impl NetStack {
         c.tcb.drain_all_buffers(|nb| self.pool.give_back_chain(nb));
         self.conn_free.push(slot);
         uktrace::trace!(self.trace, tp::tcp_conn_reaped, h, _reason);
-        self.sync_one(h);
+        publish(&c.ready, || EventMask::HUP, false);
     }
 
     // --- Readiness (ukevent integration) ------------------------------
@@ -1316,145 +1373,54 @@ impl NetStack {
     ///   the send buffer has room, `EPOLLHUP` when fully closed;
     /// - unknown/closed handles: `EPOLLHUP`.
     pub fn readiness(&self, sock: SocketHandle) -> EventMask {
-        if sock.0 & LISTENER_TAG != 0 {
-            let port = (sock.0 & 0xffff) as u16;
-            return match self.listeners.get(&port) {
-                Some(l) if !l.backlog.is_empty() => EventMask::IN,
-                Some(_) => EventMask::EMPTY,
-                None => EventMask::HUP,
-            };
-        }
-        if let Some(u) = self.udp_socks.get(&sock.0) {
-            let mut m = EventMask::OUT;
-            if !u.rx.is_empty() {
-                m |= EventMask::IN;
-            }
-            return m;
-        }
-        if let Some(c) = self.conn(sock.0) {
-            let mut m = EventMask::EMPTY;
-            if c.tcb.readable() > 0 {
-                m |= EventMask::IN;
-            }
-            if c.tcb.peer_fin_seen() {
-                m |= EventMask::IN | EventMask::RDHUP;
-            }
-            if c.tcb.send_capacity() > 0 {
-                m |= EventMask::OUT;
-            }
-            if c.tcb.state == TcpState::Closed {
-                m |= EventMask::HUP;
-            }
-            return m;
-        }
-        EventMask::HUP
+        let level = if let Some(port) = tagged_port(sock.0, LISTENER_TAG) {
+            self.listeners.get(&port).map(TcpListener::readiness)
+        } else if let Some(port) = tagged_port(sock.0, UDP_TAG) {
+            self.udp_socks.get(&port).map(UdpSocket::readiness)
+        } else {
+            self.conn(sock.0).map(TcpConn::readiness)
+        };
+        level.unwrap_or(EventMask::HUP)
     }
 
-    /// Returns the shared readiness cell for `sock`, creating it on
-    /// first use. Event queues register this cell (it implements
-    /// [`ukevent::Pollable`]); the stack publishes every state
-    /// transition — accept-queue non-empty, rx data, tx window opening,
-    /// FIN — through it as edges.
+    /// Returns the shared readiness cell for `sock` (event queues
+    /// register it: it implements [`ukevent::Pollable`]), minting it on
+    /// first use. It lives in the socket, and whatever changes the
+    /// socket's state — accept queue, rx data, tx window, FIN —
+    /// publishes the new level through it as edges; a reaped
+    /// connection's cell gets a final `EPOLLHUP`. A handle that resolves
+    /// to nothing gets a detached cell at `EPOLLHUP`: nothing is stored.
     pub fn ready_source(&mut self, sock: SocketHandle) -> ReadySource {
         let level = self.readiness(sock);
-        let progress = self.rx_progress(sock);
-        let entry = self.sources.entry(sock.0).or_insert_with(|| SourceEntry {
-            src: ReadySource::new(),
-            progress,
-        });
-        entry.progress = progress;
-        let src = entry.src.clone();
+        let cell = if let Some(port) = tagged_port(sock.0, LISTENER_TAG) {
+            self.listeners.get_mut(&port).map(|l| &mut l.ready)
+        } else if let Some(port) = tagged_port(sock.0, UDP_TAG) {
+            self.udp_socks.get_mut(&port).map(|u| &mut u.ready)
+        } else {
+            conn_in(&mut self.conn_slots, sock.0).map(|c| &mut c.ready)
+        };
+        let src = match cell {
+            Some(cell) => cell.get_or_insert_with(ReadySource::new).clone(),
+            None => ReadySource::new(),
+        };
         src.set_level(level);
         src
     }
 
-    /// Monotonic "input happened" counter for a socket: bytes ingested
-    /// on a connection, datagrams on a UDP socket, connections queued
-    /// on a listener. Lets the readiness sync distinguish *new* input
-    /// from *pending* input, which is what re-triggers `EPOLLET`
-    /// watchers while the readable level is already high.
-    fn rx_progress(&self, sock: SocketHandle) -> u64 {
-        if sock.0 & LISTENER_TAG != 0 {
-            return self
-                .listeners
-                .get(&((sock.0 & 0xffff) as u16))
-                .map(|l| l.accepted_total)
-                .unwrap_or(0);
+    /// The sweep `pump` used to end in, kept as a checker: every cell a
+    /// socket holds shows exactly the readiness the socket computes, so
+    /// every suite that pumps proves no publish site was missed.
+    #[cfg(debug_assertions)]
+    fn assert_readiness_published(&self) {
+        let conns = self.conn_slots.iter().filter_map(|cs| cs.conn.as_ref());
+        let cells = conns
+            .map(|c| (&c.ready, c.readiness()))
+            .chain(self.listeners.values().map(|l| (&l.ready, l.readiness())))
+            .chain(self.udp_socks.values().map(|u| (&u.ready, u.readiness())));
+        for (ready, level) in cells {
+            let published = ready.as_ref().map_or(level, ReadySource::current);
+            assert_eq!(published, level, "a socket's readiness changed without a publish");
         }
-        if let Some(u) = self.udp_socks.get(&sock.0) {
-            return u.rx_total;
-        }
-        self.conn(sock.0).map(|c| c.tcb.rx_total()).unwrap_or(0)
-    }
-
-    /// Number of live readiness cells the stack is publishing to (for
-    /// tests and reports; defunct sockets' cells are pruned).
-    pub fn watched_source_count(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Whether the socket behind a handle is gone for good: a removed
-    /// listener/UDP socket, or a fully closed connection with no
-    /// residual readable data. Its readiness can never change again.
-    fn socket_defunct(&self, sock: SocketHandle) -> bool {
-        if sock.0 & LISTENER_TAG != 0 {
-            return !self.listeners.contains_key(&((sock.0 & 0xffff) as u16));
-        }
-        if self.udp_socks.contains_key(&sock.0) {
-            return false;
-        }
-        match self.conn(sock.0) {
-            Some(c) => c.tcb.state == TcpState::Closed && c.tcb.readable() == 0,
-            None => true,
-        }
-    }
-
-    /// Publishes readiness for one watched socket (the one an operation
-    /// just touched), dropping its cell when the socket is defunct.
-    /// Per-socket operations use this so an event-loop turn stays O(N)
-    /// overall; the full sweep below runs only from `pump`, where any
-    /// number of sockets may have changed.
-    fn sync_one(&mut self, key: usize) {
-        if !self.sources.contains_key(&key) {
-            return;
-        }
-        let level = self.readiness(SocketHandle(key));
-        let progress = self.rx_progress(SocketHandle(key));
-        let Some(entry) = self.sources.get_mut(&key) else {
-            // Checked above; re-fetched only to scope the mutable borrow.
-            return;
-        };
-        let had_in = entry.src.current().contains(EventMask::IN);
-        let new_input = progress > entry.progress;
-        entry.progress = progress;
-        let src = entry.src.clone();
-        src.set_level(level);
-        // New input while already readable: no level transition, but
-        // Linux re-triggers EPOLLET consumers — pulse the edge counter.
-        if new_input && had_in && level.contains(EventMask::IN) {
-            src.pulse();
-        }
-        if self.socket_defunct(SocketHandle(key)) {
-            self.sources.remove(&key);
-        }
-    }
-
-    /// Recomputes and publishes readiness for every socket an event
-    /// queue is watching. The `ReadySource` cells detect rising edges
-    /// themselves, so calling this after every mutation is idempotent.
-    /// Sources for defunct sockets get a final `EPOLLHUP` level and are
-    /// dropped, bounding the table to live sockets.
-    fn sync_readiness(&mut self) {
-        if self.sources.is_empty() {
-            return;
-        }
-        let mut keys = std::mem::take(&mut self.sync_scratch);
-        keys.clear();
-        keys.extend(self.sources.keys().copied());
-        for key in keys.drain(..) {
-            self.sync_one(key);
-        }
-        self.sync_scratch = keys;
     }
 
     // --- UDP ----------------------------------------------------------
@@ -1463,20 +1429,27 @@ impl NetStack {
     // ukcheck: allow(alloc) -- socket creation is control plane; the
     // per-datagram path reuses the queue allocated here
     pub fn udp_bind(&mut self, port: u16) -> Result<SocketHandle> {
-        if self.udp_ports.contains_key(&port) {
+        if self.udp_socks.contains_key(&port) {
             return Err(Errno::AddrInUse);
         }
-        let h = self.handle();
-        self.udp_socks.insert(
-            h,
-            UdpSocket {
-                port,
-                rx: VecDeque::new(),
-                rx_total: 0,
-            },
-        );
-        self.udp_ports.insert(port, h);
-        Ok(SocketHandle(h))
+        self.udp_socks.insert(port, UdpSocket { rx: VecDeque::new(), ready: None });
+        Ok(SocketHandle(UDP_TAG | port as usize))
+    }
+
+    /// The port a live UDP socket is bound to.
+    fn udp_port(&self, sock: SocketHandle) -> Result<u16> {
+        tagged_port(sock.0, UDP_TAG)
+            .filter(|port| self.udp_socks.contains_key(port))
+            .ok_or(Errno::BadF)
+    }
+
+    /// Pops a UDP socket's next queued datagram and publishes the
+    /// readiness that leaves.
+    fn udp_pop(&mut self, sock: SocketHandle) -> Option<UdpQueued> {
+        let s = self.udp_socks.get_mut(&tagged_port(sock.0, UDP_TAG)?)?;
+        let dgram = s.rx.pop_front()?;
+        publish(&s.ready, || s.readiness(), false);
+        Some(dgram)
     }
 
     /// Builds and routes one datagram (payload written once, headers
@@ -1516,11 +1489,7 @@ impl NetStack {
     /// tailroom ([`BUF_CAP`] − [`TX_HEADROOM`] = 1952 bytes — already
     /// past the 1500-byte wire MTU) are rejected with `EINVAL`.
     pub fn udp_send_to(&mut self, sock: SocketHandle, data: &[u8], to: Endpoint) -> Result<()> {
-        let src_port = self
-            .udp_socks
-            .get(&sock.0)
-            .ok_or(Errno::BadF)?
-            .port;
+        let src_port = self.udp_port(sock)?;
         self.stage_udp(src_port, data, to)?;
         self.flush_tx()
     }
@@ -1536,11 +1505,7 @@ impl NetStack {
     where
         I: IntoIterator<Item = (&'a [u8], Endpoint)>,
     {
-        let src_port = self
-            .udp_socks
-            .get(&sock.0)
-            .ok_or(Errno::BadF)?
-            .port;
+        let src_port = self.udp_port(sock)?;
         let mut sent = 0;
         let mut first_err = None;
         for (data, to) in msgs {
@@ -1570,10 +1535,9 @@ impl NetStack {
     // ukcheck: allow(alloc) -- documented allocating convenience API;
     // zero-copy callers use `udp_recv_into` instead
     pub fn udp_recv_from(&mut self, sock: SocketHandle) -> Option<(Endpoint, Vec<u8>)> {
-        let (from, nb) = self.udp_socks.get_mut(&sock.0)?.rx.pop_front()?;
+        let (from, nb) = self.udp_pop(sock)?;
         let data = nb.payload().to_vec();
         self.recycle(nb);
-        self.sync_one(sock.0);
         Some((from, data))
     }
 
@@ -1585,11 +1549,10 @@ impl NetStack {
         sock: SocketHandle,
         out: &mut [u8],
     ) -> Option<(Endpoint, usize)> {
-        let (from, nb) = self.udp_socks.get_mut(&sock.0)?.rx.pop_front()?;
+        let (from, nb) = self.udp_pop(sock)?;
         let n = nb.len().min(out.len());
         out[..n].copy_from_slice(&nb.payload()[..n]);
         self.recycle(nb);
-        self.sync_one(sock.0);
         Some((from, n))
     }
 
@@ -1600,9 +1563,7 @@ impl NetStack {
     /// caller hands the buffer back via [`recycle`](Self::recycle)
     /// when done.
     pub fn udp_recv_netbuf(&mut self, sock: SocketHandle) -> Option<(Endpoint, Netbuf)> {
-        let (from, nb) = self.udp_socks.get_mut(&sock.0)?.rx.pop_front()?;
-        self.sync_one(sock.0);
-        Some((from, nb))
+        self.udp_pop(sock)
     }
 
     /// `recvmmsg`-style burst receive: drains up to `max` queued
@@ -1624,30 +1585,21 @@ impl NetStack {
     ) -> usize {
         let mut received = 0;
         let mut off = 0;
-        if let Some(s) = self.udp_socks.get_mut(&sock.0) {
+        let port = tagged_port(sock.0, UDP_TAG);
+        if let Some(s) = port.and_then(|p| self.udp_socks.get_mut(&p)) {
             while received < max {
-                let fits = match s.rx.front() {
-                    Some((_, nb)) => off + nb.len() <= buf.len(),
-                    None => false,
-                };
-                if !fits {
-                    break;
-                }
-                let Some((from, nb)) = s.rx.pop_front() else {
-                    // `fits` proved front() was Some; bail defensively
-                    // rather than panic if that invariant ever breaks.
-                    debug_assert!(false, "rx queue emptied between front() and pop_front()");
-                    break;
-                };
+                // Stops at an empty queue or a datagram that does not fit whole.
+                let fits = |(_, nb): &mut UdpQueued| off + nb.len() <= buf.len();
+                let Some((from, nb)) = s.rx.pop_front_if(fits) else { break };
                 buf[off..off + nb.len()].copy_from_slice(nb.payload());
                 msgs.push((from, nb.len()));
                 off += nb.len();
                 received += 1;
                 self.pool.give_back_chain(nb);
             }
-        }
-        if received > 0 {
-            self.sync_one(sock.0);
+            if received > 0 {
+                publish(&s.ready, || s.readiness(), false);
+            }
         }
         received
     }
@@ -1667,7 +1619,7 @@ impl NetStack {
             TcpListener {
                 syn_queue: VecDeque::with_capacity(self.config.listen_backlog),
                 backlog: VecDeque::with_capacity(self.config.listen_backlog),
-                accepted_total: 0,
+                ready: None,
             },
         );
         Ok(SocketHandle(port as usize | LISTENER_TAG))
@@ -1677,13 +1629,10 @@ impl NetStack {
     /// connections ever reach the accept backlog — half-open ones wait
     /// in the listener's SYN queue until their handshake completes.
     pub fn tcp_accept(&mut self, listener: SocketHandle) -> Option<SocketHandle> {
-        if listener.0 & LISTENER_TAG == 0 {
-            return None;
-        }
-        let port = (listener.0 & 0xffff) as u16;
-        let r = self.listeners.get_mut(&port)?.backlog.pop_front();
-        self.sync_one(listener.0);
-        r
+        let l = self.listeners.get_mut(&tagged_port(listener.0, LISTENER_TAG)?)?;
+        let conn = l.backlog.pop_front();
+        publish(&l.ready, || l.readiness(), false);
+        conn
     }
 
     /// What every TCB of this stack is configured with. Whatever needs
@@ -1767,8 +1716,8 @@ impl NetStack {
     pub fn tcp_send_queued(&mut self, conn: SocketHandle, data: &[u8]) -> Result<usize> {
         let c = conn_in(&mut self.conn_slots, conn.0).ok_or(Errno::BadF)?;
         let accepted = c.tcb.app_send_with(data, || take_or_alloc(&mut self.pool))?;
+        publish(&c.ready, || c.readiness(), false);
         self.mark_dirty_handle(conn.0);
-        self.sync_one(conn.0);
         Ok(accepted)
     }
 
@@ -1804,12 +1753,12 @@ impl NetStack {
     pub fn tcp_recv_into(&mut self, conn: SocketHandle, out: &mut [u8]) -> Result<usize> {
         let c = conn_in(&mut self.conn_slots, conn.0).ok_or(Errno::BadF)?;
         let n = c.tcb.app_recv_into_with(out, |nb| self.pool.give_back_chain(nb));
+        if n > 0 {
+            publish(&c.ready, || c.readiness(), false);
+        }
         if c.tcb.has_pending_control() {
             self.mark_dirty_handle(conn.0);
             self.flush_tcp()?;
-        }
-        if n > 0 {
-            self.sync_one(conn.0);
         }
         Ok(n)
     }
@@ -1818,9 +1767,9 @@ impl NetStack {
     /// the pooled netbufs the peer's bytes arrived in (each trimmed to
     /// its TCP payload extent) move straight to the application, no
     /// copy anywhere between the wire and the caller. Drains up to
-    /// `max` queued payload buffers into `out` with one readiness sync
-    /// and at most one output flush for the whole batch; returns the
-    /// buffers taken.
+    /// `max` queued payload buffers into `out` with one readiness
+    /// publish and at most one output flush for the whole batch;
+    /// returns the buffers taken.
     ///
     /// **Ownership contract:** the caller owns the buffers and must
     /// hand each back with [`recycle`](Self::recycle) once consumed —
@@ -1848,13 +1797,12 @@ impl NetStack {
                 None => break,
             }
         }
-        let pending = c.tcb.has_pending_control();
         if taken > 0 {
-            if pending {
+            publish(&c.ready, || c.readiness(), false);
+            if c.tcb.has_pending_control() {
                 self.mark_dirty_handle(conn.0);
                 let _ = self.flush_tcp();
             }
-            self.sync_one(conn.0);
         }
         taken
     }
@@ -1901,9 +1849,8 @@ impl NetStack {
         let c = conn_in(&mut self.conn_slots, conn.0).ok_or(Errno::BadF)?;
         c.tcb.app_close();
         self.mark_dirty_handle(conn.0);
-        let r = self.flush_tcp();
-        self.sync_one(conn.0);
-        r
+        // The flush publishes what the close did to readiness.
+        self.flush_tcp()
     }
 
     // --- Data path ----------------------------------------------------
@@ -2215,6 +2162,10 @@ impl NetStack {
             if rack_on {
                 self.ustats.tcp_rack_reorder_window_ns.set(c.tcb.reo_wnd_ns());
             }
+            // An ingest, a timer fire, a returning frame or a socket
+            // call dirtied it and the poll above ran: publish the result.
+            let fresh = std::mem::take(&mut c.rx_fresh);
+            publish(&c.ready, || c.readiness(), fresh);
         }
         if pure_acks > 0 {
             self.ustats.tcp_pure_acks_tx.add(pure_acks);
@@ -2431,9 +2382,10 @@ impl NetStack {
     /// and ACKs *staging*, not flushing — next-hop MACs come from the
     /// per-burst memo), and only after the ring runs dry does the
     /// stack run its transport sweep: who-has retries for parked
-    /// queues, one `flush_tcp` segmenting every connection, one staged
-    /// `tx_burst` push, one readiness sync. Per-packet overheads
-    /// become per-burst overheads.
+    /// queues, one `flush_tcp` over the connections the burst touched
+    /// (their output, their timers, their readiness), one staged
+    /// `tx_burst` push. Per-packet overheads become per-burst
+    /// overheads, and a socket nothing touched costs nothing.
     pub fn pump(&mut self) -> usize {
         let sweep_start = self
             .sweeps
@@ -2469,7 +2421,8 @@ impl NetStack {
         self.arp_retry_tick();
         self.tcp_timer_tick();
         let _ = self.flush_tcp();
-        self.sync_readiness();
+        #[cfg(debug_assertions)]
+        self.assert_readiness_published();
         self.ustats.pump_sweeps.inc();
         if let Some(t0) = sweep_start {
             self.ustats.pump_ns.record(t0.elapsed().as_nanos() as u64);
@@ -2702,38 +2655,22 @@ impl NetStack {
                 return Err(e);
             }
         };
-        let Some(&h) = self.udp_ports.get(&udp.dst_port) else {
+        let Some(sock) = self.udp_socks.get_mut(&udp.dst_port) else {
             self.ustats.demux_miss.inc();
             uktrace::trace!(self.trace, tp::demux_miss, 17u64, udp.dst_port);
             self.recycle(nb);
             return Err(Errno::ConnRefused);
         };
-        let queued = self.udp_socks.get(&h).map(|s| s.rx.len());
-        match queued {
-            None => {
-                self.recycle(nb);
-                return Err(Errno::BadF);
-            }
-            Some(n) if n >= UDP_RX_QUEUE_CAP => {
-                self.recycle(nb);
-                return Err(Errno::NoMem); // Queue full: drop (counted).
-            }
-            Some(_) => {}
+        if sock.rx.len() >= UDP_RX_QUEUE_CAP {
+            self.recycle(nb);
+            return Err(Errno::NoMem); // Queue full: drop (counted).
         }
         nb.pull_header(UDP_HDR_LEN);
         nb.truncate(body_len);
         self.ustats.demux_udp.inc();
         uktrace::trace!(self.trace, tp::udp_rx, udp.dst_port, body_len);
-        let Some(sock) = self.udp_socks.get_mut(&h) else {
-            // `queued` above proved the socket exists; drop the
-            // datagram instead of panicking if that ever regresses.
-            debug_assert!(false, "udp socket vanished between queue check and push");
-            self.recycle(nb);
-            return Err(Errno::BadF);
-        };
-        sock.rx
-            .push_back((Endpoint::new(ip.src, udp.src_port), nb));
-        sock.rx_total += 1;
+        sock.rx.push_back((Endpoint::new(ip.src, udp.src_port), nb));
+        publish(&sock.ready, || sock.readiness(), true);
         Ok(())
     }
 
@@ -2773,9 +2710,11 @@ impl NetStack {
     /// stamped; options, then the segment, reach the TCB (payload
     /// buffers move into its queues, the rest go back to the pool); the
     /// newest out-of-order extents are shed while the pool sits below
-    /// [`LOW_POOL_BUFS`]; the connection is marked dirty; what the TCB
-    /// counted is published; and a handshake this segment completed
-    /// graduates the connection to its listener's accept backlog.
+    /// [`LOW_POOL_BUFS`]; the connection is marked dirty (the flush
+    /// that follows publishes its readiness); what the TCB counted is
+    /// published; and a handshake this segment completed graduates the
+    /// connection to its listener's accept backlog, whose readiness is
+    /// published there.
     /// Returns the connection's handle.
     fn tcp_ingest(
         &mut self,
@@ -2819,7 +2758,9 @@ impl NetStack {
         if let Some(opts) = opts {
             c.tcb.process_options(tcp, opts);
         }
+        let readable = c.tcb.readable();
         c.tcb.on_segment_bufs(tcp, bufs, |b| pool.give_back_chain(b));
+        c.rx_fresh |= c.tcb.readable() > readable;
         while pool.available() < LOW_POOL_BUFS
             && c.tcb.shed_newest_ooo(&mut |b| pool.give_back_chain(b))
         {}
@@ -2836,8 +2777,7 @@ impl NetStack {
             if let Some(l) = self.listeners.get_mut(&tcp.dst_port) {
                 l.syn_queue.retain(|&s| s != slot);
                 l.backlog.push_back(SocketHandle(h));
-                l.accepted_total += 1;
-                self.sync_one(LISTENER_TAG | tcp.dst_port as usize);
+                publish(&l.ready, || l.readiness(), true);
             }
         }
         Ok(h)
@@ -3365,25 +3305,31 @@ mod tests {
         let conn = s
             .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 80))
             .unwrap();
-        assert_eq!(listener.0 & LISTENER_TAG, LISTENER_TAG);
-        assert!(udp.0 < 1 << 32, "UDP handles stay in the counter range");
-        assert_eq!(conn.0 & LISTENER_TAG, 0);
+        assert_eq!(listener.0, LISTENER_TAG | 80);
+        assert_eq!(udp.0, UDP_TAG | 9000);
+        assert_eq!(conn.0 >> 48, 0, "conn handles sit below both tags");
         assert!(conn.0 >> 32 > 0, "conn handles carry a generation tag");
         assert!(s.tcp_state(conn).is_some());
         assert_eq!(s.tcp_state(SocketHandle(99)), None, "garbage handle");
     }
 
     #[test]
-    fn source_for_unknown_handle_reports_hup_and_is_pruned() {
+    fn source_for_unknown_handle_is_a_detached_hup_cell() {
         let mut s = stack(1);
-        let src = s.ready_source(SocketHandle(4242));
-        assert!(src.current().contains(EventMask::HUP));
+        // Garbage, a listener that was never opened, a UDP port nobody
+        // bound: each resolves to nothing.
+        for h in [4242, LISTENER_TAG | 81, UDP_TAG | 9001] {
+            let src = s.ready_source(SocketHandle(h));
+            assert_eq!(src.current(), EventMask::HUP);
+            // Nothing retained: asking again mints a different cell.
+            assert!(!src.same_as(&s.ready_source(SocketHandle(h))));
+        }
+        // A live socket's cell is stored in the socket.
         let sock = s.udp_bind(9000).unwrap();
-        let _live = s.ready_source(sock);
-        assert_eq!(s.watched_source_count(), 2);
-        // Per-socket ops only sync their own cell; the full sweep in
-        // `pump` prunes defunct ones.
+        let live = s.ready_source(sock);
+        assert!(live.same_as(&s.ready_source(sock)));
+        assert_eq!(live.current(), EventMask::OUT);
         s.pump();
-        assert_eq!(s.watched_source_count(), 1, "only the live socket stays");
+        assert_eq!(live.current(), EventMask::OUT);
     }
 }

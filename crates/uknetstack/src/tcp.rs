@@ -616,10 +616,6 @@ pub struct Tcb {
     /// Scratch for flattening ingested chains (reused; capacity
     /// reaches steady state after the first big receive).
     flatten_scratch: Vec<Netbuf>,
-    /// Monotonic count of bytes ever ingested (readiness progress:
-    /// edge-triggered watchers re-trigger on new arrivals even while
-    /// data is already pending).
-    rx_total: u64,
     /// Control segments (no payload) ready to be emitted on the wire.
     /// Data segments are never queued here: their buffers move out of
     /// `send_q` at `poll_output_chain_with` time.
@@ -779,7 +775,6 @@ impl Tcb {
             recv_q: VecDeque::with_capacity(2 * OOO_QUEUE_BUFS),
             recv_q_len: 0,
             flatten_scratch: Vec::new(),
-            rx_total: 0,
             out: VecDeque::new(),
             ack_pending: false,
             ack_now: false,
@@ -1844,7 +1839,6 @@ impl Tcb {
     fn accept_in_order<R: FnMut(Netbuf)>(&mut self, nb: Netbuf, recycle: &mut R) {
         let len = nb.len();
         self.recv_q_len += len;
-        self.rx_total += len as u64;
         self.rcv_nxt = self.rcv_nxt.wrapping_add(len as u32);
         match self.recv_q.back_mut() {
             Some(tail) if len <= tail.tailroom() => {
@@ -2237,11 +2231,6 @@ impl Tcb {
     /// to carry it.
     pub fn has_pending_control(&self) -> bool {
         !self.out.is_empty() || self.dup_ack_now || self.wnd_update_due
-    }
-
-    /// Monotonic count of bytes ever received (readiness progress).
-    pub fn rx_total(&self) -> u64 {
-        self.rx_total
     }
 
     /// Whether the peer has closed and all data was read.

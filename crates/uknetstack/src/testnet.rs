@@ -882,30 +882,50 @@ mod tests {
     fn et_retriggers_on_new_data_while_level_high() {
         use ukevent::{EventMask, EventQueue};
         let mut net = two_node_net();
+        let server_ip = Ipv4Addr::new(10, 0, 0, 2);
         let listener = net.stack(1).tcp_listen(8100).unwrap();
-        let client = net
-            .stack(0)
-            .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 8100))
-            .unwrap();
+        let client = net.stack(0).tcp_connect(Endpoint::new(server_ip, 8100)).unwrap();
         net.run_until_quiet(32);
         let conn = net.stack(1).tcp_accept(listener).unwrap();
-        let src = net.stack(1).ready_source(conn);
-        let mut q = EventQueue::new();
-        q.ctl_add(1, &src, EventMask::IN | EventMask::ET).unwrap();
+        let udp = net.stack(1).udp_bind(8101).unwrap();
+        let udp_client = net.stack(0).udp_bind(5000).unwrap();
 
-        net.stack(0).tcp_send(client, b"first").unwrap();
-        net.run_until_quiet(32);
-        assert_eq!(q.poll_ready(4).len(), 1);
-        assert!(q.poll_ready(4).is_empty(), "edge consumed");
-        // More data lands while the first is still unread: the level
-        // never falls, but Linux ET re-triggers on each new arrival.
-        net.stack(0).tcp_send(client, b"second").unwrap();
-        net.run_until_quiet(32);
-        assert_eq!(
-            q.poll_ready(4).len(),
-            1,
-            "new arrival must re-trigger the edge watcher"
-        );
+        // One input of each socket kind: bytes on a connection, a
+        // datagram on a UDP socket, a connection on a listener.
+        type Input<'a> = &'a dyn Fn(&mut Network);
+        let inputs: [(&str, SocketHandle, Input); 3] = [
+            ("connection", conn, &|net| {
+                net.stack(0).tcp_send(client, b"data").unwrap();
+            }),
+            ("UDP socket", udp, &|net| {
+                let to = Endpoint::new(server_ip, 8101);
+                net.stack(0).udp_send_to(udp_client, b"datagram", to).unwrap();
+            }),
+            ("listener", listener, &|net| {
+                net.stack(0).tcp_connect(Endpoint::new(server_ip, 8100)).unwrap();
+            }),
+        ];
+        for (what, sock, input) in inputs {
+            let src = net.stack(1).ready_source(sock);
+            let mut q = EventQueue::new();
+            q.ctl_add(1, &src, EventMask::IN | EventMask::ET).unwrap();
+
+            input(&mut net);
+            net.run_until_quiet(32);
+            assert_eq!(q.poll_ready(4).len(), 1, "{what}: first input is an edge");
+            assert!(q.poll_ready(4).is_empty(), "{what}: edge consumed");
+            // More input lands while the first is still unread: the
+            // level never falls, but Linux ET re-triggers on each new
+            // arrival.
+            input(&mut net);
+            net.run_until_quiet(32);
+            assert_eq!(
+                q.poll_ready(4).len(),
+                1,
+                "{what}: new arrival must re-trigger the edge watcher"
+            );
+            assert!(q.poll_ready(4).is_empty(), "{what}: and only once");
+        }
     }
 
     #[test]

@@ -375,6 +375,52 @@ fn connection_churn_recycles_every_resource() {
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
 }
 
+/// A readiness cell lives and dies with its connection. The watcher of
+/// a reaped connection sees `EPOLLHUP` once; the slot's next occupant —
+/// new handle, new cell — moves data without the old cell ever
+/// stirring again.
+#[test]
+fn a_reused_slot_never_publishes_into_its_previous_watchers() {
+    use ukevent::{EventMask, EventQueue};
+    let _registry = sharing_registry();
+    let mut net = clocked_net(10_000_000, |_| {}); // 10 ms steps.
+    let listener = net.stack(1).tcp_listen(8070).unwrap();
+    let server_ep = Endpoint::new(net.stack(1).ip(), 8070);
+    let connect = |net: &mut Network| {
+        let client = net.stack(0).tcp_connect(server_ep).unwrap();
+        net.run_until_quiet(32);
+        (client, net.stack(1).tcp_accept(listener).unwrap())
+    };
+    let fired = |q: &mut EventQueue| -> Vec<EventMask> {
+        q.poll_ready(8).iter().map(|ev| ev.events).collect()
+    };
+
+    let (client, conn) = connect(&mut net);
+    let old = net.stack(1).ready_source(conn);
+    let mut q = EventQueue::new();
+    q.ctl_add(1, &old, EventMask::IN | EventMask::RDHUP | EventMask::ET).unwrap();
+    net.stack(0).tcp_close(client).unwrap();
+    net.run_until_quiet(32);
+    assert_eq!(fired(&mut q), [EventMask::IN | EventMask::RDHUP], "the peer's FIN");
+    net.stack(1).tcp_close(conn).unwrap();
+    net.run_until_quiet(32);
+    tick(&mut net, (2 * TCP_MSL_NS / 10_000_000) as usize + 4);
+    assert_eq!(net.stack(1).tcp_conn_count(), 0, "the watched connection was reaped");
+    assert_eq!(fired(&mut q), [EventMask::HUP], "its watcher is told once");
+    let hup_seq = old.edge_seq();
+
+    let (client, conn2) = connect(&mut net);
+    assert_eq!(conn2.0 as u32, conn.0 as u32, "the slot is reused");
+    assert_ne!(conn2, conn, "under a new generation");
+    let new = net.stack(1).ready_source(conn2);
+    assert!(!new.same_as(&old), "the new connection has a cell of its own");
+    net.stack(0).tcp_send(client, b"to the new occupant").unwrap();
+    net.run_until_quiet(32);
+    assert!(new.current().contains(EventMask::IN));
+    assert_eq!((old.current(), old.edge_seq()), (EventMask::HUP, hup_seq));
+    assert!(fired(&mut q).is_empty(), "the old watcher hears nothing of it");
+}
+
 /// A fresh SYN from the same four-tuple assassinates a lingering
 /// TIME_WAIT entry (RFC 1122 §4.2.2.13 shape): the old incarnation is
 /// reaped and the new handshake proceeds.

@@ -20,6 +20,7 @@
 //! datapath, not of the default configuration.
 
 use ukalloc::stats::{AllocCounter, CountingAlloc};
+use ukevent::{EventMask, EventQueue};
 use uknetdev::backend::VhostKind;
 use uknetdev::dev::{NetDev, NetDevConf};
 use uknetdev::VirtioNet;
@@ -337,6 +338,26 @@ fn tcp_echo_round_trip_is_allocation_free_in_steady_state() {
     }
 }
 
+/// The readiness seam: the server connection's cell sits on an event
+/// queue, so the request's arrival is a rising edge delivered to the
+/// queue, the server's read takes the level back down and the reply
+/// leaves through a watched socket — all without touching the heap.
+/// (`poll_ready` returns a `Vec`, so it stays outside the window.)
+#[test]
+fn tcp_echo_on_a_watched_connection_is_allocation_free() {
+    let mut pair = Pair::new(7, defaults, defaults, Some(1_000));
+    let src = pair.net.stack(pair.si).ready_source(pair.server);
+    let mut q = EventQueue::new();
+    q.ctl_add(1, &src, EventMask::IN | EventMask::RDHUP).unwrap();
+    for _ in 0..4 {
+        pair.echo(1);
+    }
+    let edges = q.edges_seen();
+    assert_alloc_free(&mut pair, 0, "TCP echo on a watched connection", |p| p.echo(1));
+    assert_eq!(q.edges_seen(), edges + 1, "the request's arrival was a rising edge");
+    assert!(q.poll_ready(4).is_empty(), "the server's read took the level back down");
+}
+
 #[test]
 fn tcp_echo_and_burst_are_allocation_free_without_tx_csum_offload() {
     let mut pair = Pair::new(7, sw_csum, sw_csum, None);
@@ -499,7 +520,10 @@ fn lossless_1mb_is_allocation_free_whatever_recovery_is_armed() {
 /// `lean_tcbs` connections (forged handshakes from spoofed peers,
 /// completed through the wire capture) without allocating — the flow
 /// table, the slab and the wheel are all sized by the population, the
-/// per-packet work by none of them.
+/// per-packet work by none of them. Every one of them is watched on
+/// one event queue, and that costs the echo nothing either: readiness
+/// is published by the socket something happened to, so only the
+/// active connection's token is ever reported and no idle cell moves.
 #[test]
 fn tcp_echo_is_allocation_free_with_10k_idle_connections_resident() {
     const IDLE: usize = 10_000;
@@ -508,18 +532,38 @@ fn tcp_echo_is_allocation_free_with_10k_idle_connections_resident() {
         c.listen_backlog = 1024;
     };
     let mut pair = Pair::new(9300, defaults, lean, Some(1_000_000));
-    let mut resident = 0;
-    while resident < IDLE {
-        let wave = (IDLE - resident).min(512);
-        let done = pair.net.forge_established(pair.si, 9300, resident, wave, 64);
+    let mut q = EventQueue::new();
+    let watch = EventMask::IN | EventMask::RDHUP | EventMask::ET;
+    let mut idle = Vec::with_capacity(IDLE);
+    while idle.len() < IDLE {
+        let wave = (IDLE - idle.len()).min(512);
+        let done = pair.net.forge_established(pair.si, 9300, idle.len(), wave, 64);
         assert_eq!(done, wave, "every forged handshake completed");
-        while pair.net.stack(pair.si).tcp_accept(pair.listener).is_some() {
-            resident += 1;
+        while let Some(h) = pair.net.stack(pair.si).tcp_accept(pair.listener) {
+            let src = pair.net.stack(pair.si).ready_source(h);
+            q.ctl_add(h.0 as u64, &src, watch).unwrap();
+            idle.push(src);
         }
     }
-    assert_eq!(resident, IDLE);
+    assert_eq!(idle.len(), IDLE);
     assert_eq!(pair.net.stack(pair.si).tcp_conn_count(), IDLE + 1);
+    let active = pair.net.stack(pair.si).ready_source(pair.server);
+    q.ctl_add(pair.server.0 as u64, &active, watch).unwrap();
     assert_alloc_free(&mut pair, 8, "TCP echo past 10K idle connections", |p| p.echo(1));
+
+    // One more request, stopped before the server reads it.
+    q.poll_ready(usize::MAX);
+    let idle_seqs: Vec<u64> = idle.iter().map(|src| src.edge_seq()).collect();
+    pair.net.stack(pair.ci).tcp_send(pair.client, &[0x42; 512]).unwrap();
+    pair.net.run_until_quiet(64);
+    let ready: Vec<u64> = q.poll_ready(usize::MAX).iter().map(|ev| ev.token).collect();
+    assert_eq!(ready, [pair.server.0 as u64], "only the active connection is reported");
+    let moved = idle.iter().zip(&idle_seqs).filter(|(src, &seq)| src.edge_seq() != seq);
+    assert_eq!(moved.count(), 0, "no idle connection's cell saw an edge");
+    let Pair { net, si, server, buf, .. } = &mut pair;
+    assert_eq!(net.stack(*si).tcp_recv_into(*server, buf).unwrap(), 512);
+    net.run_until_quiet(64);
+    assert_eq!(net.stack(*si).pool_available(), Some(512), "server pool whole");
 }
 
 /// The pool-layer guard beneath all the round-trip guards above: raw
