@@ -51,8 +51,6 @@ impl AllocStats {
 
 /// Process-wide count of heap allocations (see [`CountingAlloc`]).
 static HEAP_ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of heap frees.
-static HEAP_FREES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// The calling thread's share of [`HEAP_ALLOCS`]: what
@@ -60,7 +58,8 @@ thread_local! {
     /// of the thread that opened it — not a test harness reporting a
     /// sibling test on its own thread meanwhile.
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-    /// The calling thread's share of [`HEAP_FREES`].
+    /// Frees by the calling thread (nothing reads a process-wide
+    /// count, so none is kept).
     static THREAD_FREES: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -70,7 +69,6 @@ fn count_alloc() {
 }
 
 fn count_free() {
-    HEAP_FREES.fetch_add(1, Ordering::Relaxed);
     THREAD_FREES.with(|c| c.set(c.get() + 1));
 }
 
@@ -136,11 +134,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// global allocator).
 pub fn heap_alloc_count() -> u64 {
     HEAP_ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Heap frees observed so far.
-pub fn heap_free_count() -> u64 {
-    HEAP_FREES.load(Ordering::Relaxed)
 }
 
 /// A scoped view over the calling thread's heap counters: snapshot at

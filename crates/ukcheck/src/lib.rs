@@ -16,4 +16,4 @@ pub mod lints;
 pub mod manifest;
 pub mod walk;
 
-pub use lints::{check_size, check_source, non_test_lines, Lint, Violation};
+pub use lints::{check_shared_counter, check_size, check_source, non_test_lines, Lint, Violation};

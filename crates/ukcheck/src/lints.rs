@@ -30,6 +30,10 @@ pub enum Lint {
     /// justification) — escapes are part of the contract and are
     /// themselves linted.
     Escape,
+    /// A `ukstats::Counter` — a shared registry slot, one `lock` RMW
+    /// per add — in a manifest-listed single-writer owner, whose counts
+    /// belong in its `CounterSet`. Escaped by naming the second writer.
+    SharedCounter,
     /// A manifest-listed file grew past its non-test line budget. Not
     /// escapable in place — the budget in `manifest.rs` is raised, with
     /// a reason, in the PR that needs the room.
@@ -44,6 +48,7 @@ impl Lint {
             Lint::Unsafe => "unsafe",
             Lint::Atomics => "atomics",
             Lint::Escape => "escape",
+            Lint::SharedCounter => "shared-counter",
             Lint::Size => "size",
         }
     }
@@ -53,6 +58,7 @@ impl Lint {
             "alloc" => Lint::Alloc,
             "panic" => Lint::Panic,
             "atomics" => Lint::Atomics,
+            "shared-counter" => Lint::SharedCounter,
             _ => return None,
         })
     }
@@ -125,13 +131,8 @@ pub fn check_source(file: &str, src: &str, hot: bool, relaxed_only: bool) -> Vec
 
     let toks = &lexed.toks;
     let ranges = allow_ranges(toks, &allows);
-    let allowed = |line: u32, lint: Lint| -> bool {
-        ranges
-            .iter()
-            .any(|r| r.lint == lint && r.start <= line && line <= r.end)
-    };
     let push = |line: u32, lint: Lint, msg: String, out: &mut Vec<Violation>| {
-        if !allowed(line, lint) {
+        if !escaped(&ranges, line, lint) {
             out.push(Violation {
                 file: file.to_string(),
                 line,
@@ -255,6 +256,45 @@ pub fn check_source(file: &str, src: &str, hot: bool, relaxed_only: bool) -> Vec
     }
 
     out.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.msg.cmp(&b.msg)));
+    out
+}
+
+/// The single-writer pass, for the files of
+/// [`SINGLE_WRITER_FILES`](crate::manifest::SINGLE_WRITER_FILES): a
+/// `ukstats::Counter` field or a `Counter::register` call is a
+/// violation unless its escape names the second writer. (Malformed
+/// escapes are [`check_source`]'s to report.)
+pub fn check_shared_counter(file: &str, src: &str) -> Vec<Violation> {
+    let lexed = lex(src);
+    let toks = &lexed.toks;
+    let active = active_mask(toks);
+    let ranges = allow_ranges(toks, &parse_escapes(file, &lexed.comments).0);
+    let path_sep = |i: usize| {
+        matches!(toks.get(i), Some(t) if t.is_punct(':'))
+            && matches!(toks.get(i + 1), Some(t) if t.is_punct(':'))
+    };
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if !active[i] || toks[i].ident() != Some("Counter") {
+            continue;
+        }
+        let ident_at = |j: usize| toks.get(j).and_then(|t| t.ident());
+        let registers = path_sep(i + 1) && ident_at(i + 3) == Some("register");
+        let is_type =
+            i >= 3 && path_sep(i - 2) && ident_at(i - 3) == Some("ukstats") && !path_sep(i + 1);
+        let line = toks[i].line;
+        if (registers || is_type) && !escaped(&ranges, line, Lint::SharedCounter) {
+            out.push(Violation {
+                file: file.to_string(),
+                line,
+                lint: Lint::SharedCounter,
+                msg: "`ukstats::Counter` in a single-writer owner: a count with one writer \
+                      is a row of the owner's `CounterSet`; one that really has a second \
+                      writer says who — `ukcheck: allow(shared-counter) -- <the writer>`"
+                    .to_string(),
+            });
+        }
+    }
     out
 }
 
@@ -396,6 +436,11 @@ struct AllowRange {
     end: u32,
 }
 
+/// Whether an escape for `lint` covers `line`.
+fn escaped(ranges: &[AllowRange], line: u32, lint: Lint) -> bool {
+    ranges.iter().any(|r| r.lint == lint && r.start <= line && line <= r.end)
+}
+
 /// Resolves parsed escapes into line ranges:
 ///
 /// - a **trailing** escape (code on the same line) covers that line;
@@ -516,7 +561,8 @@ fn parse_escapes(
                     line: c.end_line,
                     lint: Lint::Escape,
                     msg: format!(
-                        "unknown lint `{name}` in escape (valid: alloc, panic, atomics; \
+                        "unknown lint `{name}` in escape (valid: alloc, panic, atomics, \
+                         shared-counter; \
                          `unsafe` is escaped by a `// SAFETY:` comment)"
                     ),
                 });
@@ -685,6 +731,21 @@ mod tests {
         assert_eq!(v[0].lint, Lint::Atomics);
         let good = "fn f() {\n    // ukcheck: allow(atomics) -- total order required for the epoch fence\n    X.load(Ordering::SeqCst);\n}";
         assert!(check_source("t.rs", good, false, false).is_empty());
+    }
+
+    #[test]
+    fn single_writer_owners_reject_shared_counters() {
+        let bad = "struct S { rx: ukstats::Counter }\n\
+                   fn new() -> S { S { rx: ukstats::Counter::register(\"s.rx\") } }";
+        let v = check_shared_counter("t.rs", bad);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|v| v.lint == Lint::SharedCounter));
+
+        let good = "struct S {\n    counts: ukstats::CounterSet,\n    \
+                    // ukcheck: allow(shared-counter) -- the wire thread also drops frames\n    \
+                    drops: ukstats::Counter,\n    lat: ukstats::Histogram,\n}";
+        assert!(check_shared_counter("t.rs", good).is_empty());
+        assert!(check_source("t.rs", good, true, true).is_empty(), "a well-formed escape");
     }
 
     #[test]

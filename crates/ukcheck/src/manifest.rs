@@ -36,13 +36,28 @@ pub const HOT_DIRS: &[&str] = &["crates/ukstats/src/", "crates/uktrace/src/"];
 /// is either a bug or needs a written justification.
 pub const RELAXED_ONLY_DIRS: &[&str] = &["crates/ukstats/src/", "crates/uktrace/src/"];
 
+/// The single-writer owners (the `shared-counter` lint): each of these
+/// structs is the only writer of its counts and keeps them in a
+/// `ukstats::CounterSet`, so a `ukstats::Counter` here is either a
+/// count stored the expensive way or one with a second writer, which
+/// its escape must name.
+pub const SINGLE_WRITER_FILES: &[&str] = &[
+    // `NetStack`: the accounting table.
+    "crates/uknetstack/src/stack.rs",
+    // `VirtioNet`: the device's burst counts.
+    "crates/uknetdev/src/virtio.rs",
+    // `QueueShared`: waits, parks, wakeups, edges, timeouts.
+    "crates/ukevent/src/queue.rs",
+];
+
 /// Non-test line budgets (the `size` lint): the two files the datapath
 /// grew up in may shrink or split, not grow back. Each budget is the
 /// count at the PR that last set it, rounded up to the next 50; a PR
 /// that needs more raises it here and says why.
 pub const SIZE_BUDGETS: &[(&str, usize)] = &[
-    // PR 18 (a socket owns its readiness) left 3054 lines, down from 3114.
-    ("crates/uknetstack/src/stack.rs", 3100),
+    // PR 19 (a count is written once, by its owner) left 3029 lines,
+    // down from 3054.
+    ("crates/uknetstack/src/stack.rs", 3050),
     // PR 17 (one TCB seam) left 2890 lines, down from 2991.
     ("crates/uknetstack/src/tcp.rs", 2900),
 ];

@@ -4,7 +4,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::lints::{check_size, check_source, Violation};
+use crate::lints::{check_shared_counter, check_size, check_source, Violation};
 use crate::manifest;
 
 /// Scans the workspace rooted at `root`: the root crate's `src/` and
@@ -42,6 +42,9 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
             manifest::is_hot(&rel),
             manifest::is_relaxed_only(&rel),
         ));
+        if manifest::SINGLE_WRITER_FILES.contains(&rel.as_str()) {
+            out.extend(check_shared_counter(&rel, &src));
+        }
         if let Some(budget) = manifest::size_budget(&rel) {
             out.extend(check_size(&rel, &src, budget));
         }
@@ -50,7 +53,7 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
 }
 
 /// Checks an explicit file list (the fixture-test entry point).
-/// `hot` applies the hot-path passes to every file.
+/// `hot` applies every manifest-scoped pass to every file.
 pub fn check_files(paths: &[PathBuf], hot: bool) -> Result<Vec<Violation>, String> {
     let mut out = Vec::new();
     for f in paths {
@@ -58,6 +61,9 @@ pub fn check_files(paths: &[PathBuf], hot: bool) -> Result<Vec<Violation>, Strin
             .map_err(|e| format!("reading {}: {e}", f.display()))?;
         let label = f.to_string_lossy().replace('\\', "/");
         out.extend(check_source(&label, &src, hot, hot));
+        if hot {
+            out.extend(check_shared_counter(&label, &src));
+        }
     }
     Ok(out)
 }

@@ -39,6 +39,7 @@ fn bad_fixtures_fail_with_the_expected_lint() {
         ("bad/unsafe_bare.rs", "[unsafe]", 1),
         ("bad/seqcst.rs", "[atomics]", 1),
         ("bad/escape_unjustified.rs", "[escape]", 1),
+        ("bad/shared_counter.rs", "[shared-counter]", 4),
     ];
     for (rel, tag, min) in cases {
         let (code, stdout) = run_hot(rel);

@@ -1,6 +1,11 @@
 // Known-good: every violation carries a justified escape, in each of
 // the three escape forms (trailing, standalone, fn-scoped).
 
+pub struct Wire {
+    // ukcheck: allow(shared-counter) -- every wire thread drops frames
+    drops: ukstats::Counter,
+}
+
 // ukcheck: allow(alloc) -- constructor runs once at stack bring-up
 pub fn new_table() -> Vec<u64> {
     Vec::with_capacity(64)

@@ -5,6 +5,7 @@ use std::collections::btree_map::{BTreeMap, RangeMut};
 use std::rc::Rc;
 
 use ukplat::{Errno, Result};
+use ukstats::CounterSet;
 use uksched::{ThreadId, WaitQueue};
 
 use crate::mask::EventMask;
@@ -38,40 +39,19 @@ pub enum WaitOutcome {
 /// than the scan. `ukevent.waits` counts every wait.
 const WAIT_NS_SAMPLE_EVERY: u64 = 64;
 
-/// Pre-registered `ukstats` handles for the event plane. Counters are
-/// global (every queue aggregates into the same slots); registration
-/// happens once per queue construction and dedups by name.
-#[derive(Clone, Copy)]
-struct EvCounters {
-    /// `wait` calls (ready and parked alike).
-    waits: ukstats::Counter,
-    /// `wait` calls that found nothing ready and parked the caller.
-    parks: ukstats::Counter,
-    /// Threads released by readiness edges.
-    wakeups: ukstats::Counter,
-    /// Rising edges observed from watched sources.
-    edges: ukstats::Counter,
-    /// Timed waits that expired with nothing ready.
-    timeouts: ukstats::Counter,
-    /// `epoll_wait` latency: duration of the ready-scan inside `wait`
-    /// (one wait in [`WAIT_NS_SAMPLE_EVERY`] is timed).
-    wait_ns: ukstats::Histogram,
-    /// Park-to-wake latency: time between parking in `wait` and the
-    /// readiness edge that released the queue's waiters.
-    park_to_wake_ns: ukstats::Histogram,
-}
-
-impl EvCounters {
-    fn register() -> Self {
-        EvCounters {
-            waits: ukstats::Counter::register("ukevent.waits"),
-            parks: ukstats::Counter::register("ukevent.parks"),
-            wakeups: ukstats::Counter::register("ukevent.wakeups"),
-            edges: ukstats::Counter::register("ukevent.edges"),
-            timeouts: ukstats::Counter::register("ukevent.timeouts"),
-            wait_ns: ukstats::Histogram::register("ukevent.wait_ns"),
-            park_to_wake_ns: ukstats::Histogram::register("ukevent.park_to_wake_ns"),
-        }
+ukstats::counter_rows! {
+    mod row {
+        /// `wait` calls (ready and parked alike); also selects the ones
+        /// whose scan is timed.
+        waits => "ukevent.waits";
+        /// `wait` calls that found nothing ready and parked the caller.
+        parks => "ukevent.parks";
+        /// Threads released by readiness edges.
+        wakeups => "ukevent.wakeups";
+        /// Rising edges observed from watched sources.
+        edges => "ukevent.edges";
+        /// Timed waits that expired with nothing ready.
+        timeouts => "ukevent.timeouts";
     }
 }
 
@@ -89,33 +69,34 @@ pub(crate) struct QueueShared {
     /// loop can tell "an edge arrived since I last looked" without
     /// scanning; the scan itself never consults it.
     pending: bool,
-    /// Total edges observed (for reports/benchmarks).
-    edges_seen: u64,
     /// When the current parked spell began (set by `wait`, consumed by
     /// the next waking edge).
     park_started: Option<std::time::Instant>,
     /// Absolute deadlines (virtual-clock ns) for threads parked via
     /// [`EventQueue::wait_until`]; expired by `fire_deadlines`.
     deadlines: Vec<(ThreadId, u64)>,
-    stats: EvCounters,
+    /// What the queue counted, one cell per [`row`]. It lives here, on
+    /// the side a readiness edge reaches, so the queue and its sources
+    /// write the same cells — one at a time, behind the `RefCell`.
+    counts: CounterSet,
+    /// Park-to-wake latency: time between parking in `wait` and the
+    /// readiness edge that released the queue's waiters.
+    park_to_wake_ns: ukstats::Histogram,
 }
 
 impl QueueShared {
     /// Called by a source on a rising edge.
     pub(crate) fn on_readiness(&mut self) {
         self.pending = true;
-        self.edges_seen += 1;
-        self.stats.edges.inc();
+        self.counts.add(row::edges, 1);
         let woken = self.waiters.wake_all();
         if !woken.is_empty() {
             // Readiness beat the timers: the woken threads' deadlines
             // are moot (re-armed on their next timed wait).
             self.deadlines.retain(|(t, _)| !woken.contains(t));
-            self.stats.wakeups.add(woken.len() as u64);
+            self.counts.add(row::wakeups, woken.len() as u64);
             if let Some(parked_at) = self.park_started.take() {
-                self.stats
-                    .park_to_wake_ns
-                    .record(parked_at.elapsed().as_nanos() as u64);
+                self.park_to_wake_ns.record(parked_at.elapsed().as_nanos() as u64);
             }
         }
         self.wakeups.extend(woken);
@@ -168,9 +149,9 @@ pub struct EventQueue {
     /// tokens cannot starve higher ones (Linux rotates its ready list
     /// the same way).
     scan_from: u64,
-    /// Waits run (selects the ones whose scan is timed).
-    waits: u64,
-    stats: EvCounters,
+    /// `epoll_wait` latency: duration of the ready-scan inside `wait`
+    /// (one wait in [`WAIT_NS_SAMPLE_EVERY`] is timed).
+    wait_ns: ukstats::Histogram,
 }
 
 impl Default for EventQueue {
@@ -191,22 +172,20 @@ impl std::fmt::Debug for EventQueue {
 impl EventQueue {
     /// Creates an empty queue (`epoll_create1`).
     pub fn new() -> Self {
-        let stats = EvCounters::register();
         EventQueue {
             shared: Rc::new(RefCell::new(QueueShared {
                 waiters: WaitQueue::new(),
                 wakeups: Vec::new(),
                 pending: false,
-                edges_seen: 0,
                 park_started: None,
                 deadlines: Vec::new(),
-                stats,
+                counts: CounterSet::new(row::NAMES),
+                park_to_wake_ns: ukstats::Histogram::register("ukevent.park_to_wake_ns"),
             })),
             interest: BTreeMap::new(),
             delivered: 0,
             scan_from: 0,
-            waits: 0,
-            stats,
+            wait_ns: ukstats::Histogram::register("ukevent.wait_ns"),
         }
     }
 
@@ -351,15 +330,15 @@ impl EventQueue {
         tid: ThreadId,
         timed: Option<(u64, u64)>,
     ) -> WaitOutcome {
-        let scan_start = self
-            .waits
-            .is_multiple_of(WAIT_NS_SAMPLE_EVERY)
-            .then(std::time::Instant::now);
-        self.waits += 1;
-        self.stats.waits.inc();
+        let scan_start = {
+            let shared = self.shared.borrow();
+            let waits = shared.counts.get(row::waits);
+            shared.counts.add(row::waits, 1);
+            waits.is_multiple_of(WAIT_NS_SAMPLE_EVERY).then(std::time::Instant::now)
+        };
         let events = self.poll_ready(max_events);
         if let Some(t0) = scan_start {
-            self.stats.wait_ns.record(t0.elapsed().as_nanos() as u64);
+            self.wait_ns.record(t0.elapsed().as_nanos() as u64);
         }
         if !events.is_empty() {
             return WaitOutcome::Ready(events);
@@ -370,12 +349,12 @@ impl EventQueue {
         shared.deadlines.retain(|(t, _)| *t != tid);
         if let Some((now_ns, deadline_ns)) = timed {
             if deadline_ns <= now_ns {
-                self.stats.timeouts.inc();
+                shared.counts.add(row::timeouts, 1);
                 return WaitOutcome::TimedOut;
             }
             shared.deadlines.push((tid, deadline_ns));
         }
-        self.stats.parks.inc();
+        shared.counts.add(row::parks, 1);
         shared.park_started = Some(std::time::Instant::now());
         shared.waiters.wait(tid);
         WaitOutcome::Parked
@@ -431,7 +410,7 @@ impl EventQueue {
 
     /// Rising edges observed from watched sources.
     pub fn edges_seen(&self) -> u64 {
-        self.shared.borrow().edges_seen
+        self.shared.borrow().counts.get(row::edges)
     }
 }
 

@@ -24,6 +24,7 @@
 use ukplat::cost;
 use ukplat::time::Tsc;
 use ukplat::{Errno, Result};
+use ukstats::CounterSet;
 
 use crate::backend::{HostBackend, VhostKind};
 use crate::csum::inet_checksum;
@@ -45,38 +46,18 @@ struct TxQueue {
     done: Vec<Netbuf>,
 }
 
-/// Global device-plane stats, pre-registered at construction so every
-/// hot-path touch is one relaxed atomic op (see `ukstats`).
-#[derive(Clone, Copy)]
-struct DevCounters {
-    tx_bursts: ukstats::Counter,
-    tx_frames: ukstats::Counter,
-    tx_bytes: ukstats::Counter,
-    rx_bursts: ukstats::Counter,
-    rx_frames: ukstats::Counter,
-    rx_ring_drops: ukstats::Counter,
-    csum_offload_hits: ukstats::Counter,
-    tso_super_frames: ukstats::Counter,
-    irq_fires: ukstats::Counter,
-    tx_burst_frames: ukstats::Histogram,
-    rx_burst_frames: ukstats::Histogram,
-}
-
-impl DevCounters {
-    fn register() -> Self {
-        DevCounters {
-            tx_bursts: ukstats::Counter::register("netdev.tx_bursts"),
-            tx_frames: ukstats::Counter::register("netdev.tx_frames"),
-            tx_bytes: ukstats::Counter::register("netdev.tx_bytes"),
-            rx_bursts: ukstats::Counter::register("netdev.rx_bursts"),
-            rx_frames: ukstats::Counter::register("netdev.rx_frames"),
-            rx_ring_drops: ukstats::Counter::register("netdev.rx_ring_drops"),
-            csum_offload_hits: ukstats::Counter::register("netdev.csum_offload_hits"),
-            tso_super_frames: ukstats::Counter::register("netdev.tso_super_frames"),
-            irq_fires: ukstats::Counter::register("netdev.irq_fires"),
-            tx_burst_frames: ukstats::Histogram::register("netdev.tx_burst_frames"),
-            rx_burst_frames: ukstats::Histogram::register("netdev.rx_burst_frames"),
-        }
+ukstats::counter_rows! {
+    mod row {
+        tx_bursts => "netdev.tx_bursts";
+        tx_frames => "netdev.tx_frames";
+        tx_bytes => "netdev.tx_bytes";
+        rx_bursts => "netdev.rx_bursts";
+        rx_frames => "netdev.rx_frames";
+        rx_ring_drops => "netdev.rx_ring_drops";
+        csum_offload_hits => "netdev.csum_offload_hits";
+        /// GSO super-frames accepted on TX.
+        tso_super_frames => "netdev.tso_super_frames";
+        irq_fires => "netdev.irq_fires";
     }
 }
 
@@ -90,9 +71,13 @@ pub struct VirtioNet {
     /// Whether `VIRTIO_NET_F_HOST_TSO4` is negotiated (tests flip this
     /// off to exercise the stack's software-segmentation fallback).
     tso: bool,
-    /// GSO super-frames accepted on TX.
-    tso_frames: u64,
-    ustats: DevCounters,
+    /// What the device counted, one cell per [`row`]; the device is the
+    /// cells' only writer.
+    counts: CounterSet,
+    /// Frames per burst, each way: distributions stay registry handles
+    /// (three relaxed RMWs a sample, one sample a burst).
+    tx_burst_frames: ukstats::Histogram,
+    rx_burst_frames: ukstats::Histogram,
 }
 
 impl std::fmt::Debug for VirtioNet {
@@ -115,8 +100,9 @@ impl VirtioNet {
             txqs: Vec::new(),
             configured: false,
             tso: true,
-            tso_frames: 0,
-            ustats: DevCounters::register(),
+            counts: CounterSet::new(row::NAMES),
+            tx_burst_frames: ukstats::Histogram::register("netdev.tx_burst_frames"),
+            rx_burst_frames: ukstats::Histogram::register("netdev.rx_burst_frames"),
         }
     }
 
@@ -128,7 +114,7 @@ impl VirtioNet {
 
     /// GSO super-frames accepted on TX so far.
     pub fn tso_frames(&self) -> u64 {
-        self.tso_frames
+        self.counts.get(row::tso_super_frames)
     }
 
     /// Host-side injection of received frames (the test/wire harness).
@@ -150,12 +136,12 @@ impl VirtioNet {
             stats.bytes += f.len();
             q.ring.push(f).expect("room checked");
         }
-        self.ustats.rx_ring_drops.add(stats.drops as u64);
+        self.counts.add(row::rx_ring_drops, stats.drops as u64);
         if injected > 0 && q.irq_armed {
             // One interrupt, then the line stays off until re-armed.
             q.irq_armed = false;
             q.irq_fires += 1;
-            self.ustats.irq_fires.inc();
+            self.counts.add(row::irq_fires, 1);
             self.tsc.advance(cost::IRQ_INJECT_CYCLES);
             if let Some(cb) = q.callback.as_mut() {
                 cb();
@@ -292,7 +278,6 @@ impl NetDev for VirtioNet {
         // nothing bounces back to the caller.
         let sent = pkts.len().min(MAX_BURST).min(q.ring.room());
         let mut bytes = 0;
-        let mut tso_frames = 0;
         for mut nb in pkts.drain(..sent) {
             if nb.gso_request().is_some() {
                 // VIRTIO_NET_F_HOST_TSO4: an oversized TCP frame whose
@@ -307,7 +292,7 @@ impl NetDev for VirtioNet {
                     nb.csum_request().is_some(),
                     "TSO requires checksum offload (VIRTIO_NET_F_CSUM)"
                 );
-                tso_frames += 1;
+                self.counts.add(row::tso_super_frames, 1);
             } else if let Some(req) = nb.take_csum_request() {
                 // VIRTIO_NET_F_CSUM: complete a partial transport
                 // checksum before the frame leaves the guest.
@@ -323,7 +308,7 @@ impl NetDev for VirtioNet {
                     ck => ck,
                 };
                 nb.payload_mut()[field..field + 2].copy_from_slice(&ck.to_be_bytes());
-                self.ustats.csum_offload_hits.inc();
+                self.counts.add(row::csum_offload_hits, 1);
             } else {
                 // No offload requested: the frame claims complete
                 // checksums — hold it to that in debug builds.
@@ -335,13 +320,11 @@ impl NetDev for VirtioNet {
             bytes += nb.chain_len();
             q.ring.push(nb).expect("room checked");
         }
-        self.tso_frames += tso_frames;
         if sent > 0 {
-            self.ustats.tx_bursts.inc();
-            self.ustats.tx_frames.add(sent as u64);
-            self.ustats.tx_bytes.add(bytes as u64);
-            self.ustats.tso_super_frames.add(tso_frames);
-            self.ustats.tx_burst_frames.record(sent as u64);
+            self.counts.add(row::tx_bursts, 1);
+            self.counts.add(row::tx_frames, sent as u64);
+            self.counts.add(row::tx_bytes, bytes as u64);
+            self.tx_burst_frames.record(sent as u64);
         }
         // Notify / drain the backend.
         if sent > 0 {
@@ -371,9 +354,9 @@ impl NetDev for VirtioNet {
         let q = self.rxqs.get_mut(queue as usize).ok_or(Errno::Inval)?;
         let received = q.ring.pop_burst(out, max.min(MAX_BURST));
         if received > 0 {
-            self.ustats.rx_bursts.inc();
-            self.ustats.rx_frames.add(received as u64);
-            self.ustats.rx_burst_frames.record(received as u64);
+            self.counts.add(row::rx_bursts, 1);
+            self.counts.add(row::rx_frames, received as u64);
+            self.rx_burst_frames.record(received as u64);
         }
         let more = !q.ring.is_empty();
         if !more && q.mode == QueueMode::Interrupt {

@@ -91,9 +91,16 @@
 //! through `tcp_ingest`; the TCB's four [`TcbTimer`]s are mirrored onto
 //! the wheel by one loop each in `sync_conn_timers`, `dispatch_timer`
 //! and `reap_conn_slot`; what a crossing counted is read off
-//! [`TcbStats`] and published by the `tcb_stats_table!` rows; and a
-//! TCB's configuration is the one [`TcbConfig`] `tcb_config` builds.
+//! [`TcbStats`] and added to the `tcb` rows of `stack_stats_table!`; and
+//! a TCB's configuration is the one [`TcbConfig`] `tcb_config` builds.
 //! `crates/uknetstack/README.md` lists the calls that cross.
+//!
+//! # Accounting
+//!
+//! A count is written once, by the stack, in its own
+//! [`ukstats::CounterSet`]: `stack_stats_table!` declares every row,
+//! [`NetStack::stats`] reads them back as [`StackStats`], and the
+//! registry sums the stacks on read (README, "Accounting").
 //!
 //! In steady state the rx/tx hot path performs **zero heap
 //! allocations per packet** — per-frame, per-burst *and* per
@@ -122,6 +129,7 @@ use uknetdev::dev::{BurstStats, NetDev};
 use uknetdev::netbuf::{Netbuf, NetbufPool, TcpHold};
 use uknetdev::MAX_BURST;
 use ukplat::{Errno, Result};
+use ukstats::CounterSet;
 
 use crate::arp::{ArpCache, ArpOp, ArpPacket};
 use crate::eth::{EthHeader, EtherType, ETH_HDR_LEN};
@@ -345,20 +353,6 @@ fn publish(ready: &Option<ReadySource>, level: impl FnOnce() -> EventMask, new_i
 /// SYN, RST) and UDP datagram the stack builds.
 fn offloaded(csum: Csum) -> u64 {
     u64::from(csum != Csum::Software)
-}
-
-/// Counts `n` events on one of the counters kept twice: the plain
-/// [`StackStats`] field that `stats()` reports (there with the `stats`
-/// feature compiled out) and the `netstack.*` registry slot of the same
-/// name move together, or — for zero — not at all.
-macro_rules! bump {
-    ($stack:ident, $counter:ident, $n:expr) => {{
-        let n = $n;
-        if n > 0 {
-            $stack.stats.$counter += n;
-            $stack.ustats.$counter.add(n);
-        }
-    }};
 }
 
 /// Packs a timer-wheel key: kind, then the same generation-tagged slab
@@ -648,44 +642,6 @@ impl TcpListener {
     }
 }
 
-/// Stack statistics.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StackStats {
-    /// Frames received and parsed.
-    pub rx_frames: u64,
-    /// Frames transmitted.
-    pub tx_frames: u64,
-    /// Payload bytes transmitted.
-    pub tx_bytes: u64,
-    /// RX bursts swept by `pump` (`rx_frames / rx_bursts` is the
-    /// per-burst amortization factor).
-    pub rx_bursts: u64,
-    /// TX bursts pushed into the device.
-    pub tx_bursts: u64,
-    /// Frames whose transport checksum was offloaded to the device.
-    pub csum_offloaded: u64,
-    /// GSO super-segments handed to the device for TSO cutting (each
-    /// counts once in `tx_frames` but covers many wire frames).
-    pub tso_super_frames: u64,
-    /// Payload bytes that left in GSO super-segments.
-    pub tso_super_bytes: u64,
-    /// Received frames whose software checksum verification was
-    /// skipped because the wire/device marked them validated.
-    pub rx_csum_skipped: u64,
-    /// Super-segments received whole as buffer chains (big receive);
-    /// each counts once in `rx_frames` but covers many MSS worth of
-    /// stream.
-    pub rx_super_frames: u64,
-    /// GRO runs delivered: groups of ≥ 2 consecutive in-order TCP
-    /// segments from one burst merged into a single multi-part ingest.
-    pub gro_runs: u64,
-    /// Frames that rode those runs (`gro_merged_frames / gro_runs` is
-    /// the receive-side coalescing factor).
-    pub gro_merged_frames: u64,
-    /// Frames dropped (parse errors, unknown ports, full queues).
-    pub dropped: u64,
-}
-
 /// Typed tracepoints of the stack datapath. Each fires into the owning
 /// stack's [`TraceRing`](uktrace::TraceRing) (drained via
 /// [`NetStack::trace_events`]); with the `trace` feature off every call
@@ -736,56 +692,16 @@ pub mod tp {
 /// Records a trace ring holds before overwriting the oldest.
 pub const TRACE_RING_CAP: usize = 1024;
 
-/// Pre-registered `ukstats` handles for the stack: every [`StackStats`]
-/// field mirrored into the global registry under `netstack.*`, plus the
-/// demux/ARP/pump observability the plain struct never carried.
-/// Registration (which may lock and allocate) happens once in
-/// [`NetStack::new`]; the hot path only ever does relaxed atomic adds
-/// on these resolved slots.
-struct StackCounters {
-    rx_frames: ukstats::Counter,
-    tx_frames: ukstats::Counter,
-    tx_bytes: ukstats::Counter,
-    rx_bursts: ukstats::Counter,
-    tx_bursts: ukstats::Counter,
-    csum_offloaded: ukstats::Counter,
-    tso_super_frames: ukstats::Counter,
-    tso_super_bytes: ukstats::Counter,
-    rx_csum_skipped: ukstats::Counter,
-    rx_super_frames: ukstats::Counter,
-    gro_runs: ukstats::Counter,
-    gro_merged_frames: ukstats::Counter,
-    dropped: ukstats::Counter,
-    demux_tcp: ukstats::Counter,
-    demux_udp: ukstats::Counter,
-    demux_arp: ukstats::Counter,
-    demux_icmp: ukstats::Counter,
-    demux_miss: ukstats::Counter,
-    /// Every connection's [`TcbStats`], summed.
-    tcb: TcbCounters,
-    /// Payload-free ACK segments transmitted (handshake and FIN ACKs,
-    /// duplicate ACKs, window updates, released held ACKs).
-    tcp_pure_acks_tx: ukstats::Counter,
+/// The stack's gauges and its one histogram — values with no single
+/// running sum, so they stay plain `ukstats` handles (one relaxed store
+/// each). Everything that counts is a row of `stack_stats_table!`.
+struct StackGauges {
     /// Last observed RACK reordering window (ns; most recently polled
     /// connection).
     tcp_rack_reorder_window_ns: ukstats::Gauge,
     /// Last observed congestion window (bytes; most recently polled
     /// connection).
     tcp_cwnd: ukstats::Gauge,
-    /// Connections that entered TIME_WAIT.
-    tcp_timewait: ukstats::Counter,
-    /// Connections reaped by keepalive dead-peer detection.
-    tcp_keepalive_drops: ukstats::Counter,
-    /// Listener overflow events: half-open connections evicted from a
-    /// full SYN queue plus handshake-completing ACKs dropped against a
-    /// full accept backlog.
-    tcp_syn_overflow: ukstats::Counter,
-    /// RST segments generated for segments that missed the demux.
-    tcp_rst_tx: ukstats::Counter,
-    arp_parked: ukstats::Counter,
-    arp_evicted: ukstats::Counter,
-    arp_requests_tx: ukstats::Counter,
-    pump_sweeps: ukstats::Counter,
     /// Wall-clock duration of one full `pump` sweep.
     pump_ns: ukstats::Histogram,
     /// Most pooled buffers ever in flight at once (pool high-water).
@@ -794,41 +710,13 @@ struct StackCounters {
     arp_parked_hiwater: ukstats::Gauge,
 }
 
-impl StackCounters {
+impl StackGauges {
     fn register() -> Self {
-        StackCounters {
-            rx_frames: ukstats::Counter::register("netstack.rx_frames"),
-            tx_frames: ukstats::Counter::register("netstack.tx_frames"),
-            tx_bytes: ukstats::Counter::register("netstack.tx_bytes"),
-            rx_bursts: ukstats::Counter::register("netstack.rx_bursts"),
-            tx_bursts: ukstats::Counter::register("netstack.tx_bursts"),
-            csum_offloaded: ukstats::Counter::register("netstack.csum_offloaded"),
-            tso_super_frames: ukstats::Counter::register("netstack.tso_super_frames"),
-            tso_super_bytes: ukstats::Counter::register("netstack.tso_super_bytes"),
-            rx_csum_skipped: ukstats::Counter::register("netstack.rx_csum_skipped"),
-            rx_super_frames: ukstats::Counter::register("netstack.rx_super_frames"),
-            gro_runs: ukstats::Counter::register("netstack.gro_runs"),
-            gro_merged_frames: ukstats::Counter::register("netstack.gro_merged_frames"),
-            dropped: ukstats::Counter::register("netstack.dropped"),
-            demux_tcp: ukstats::Counter::register("netstack.demux_tcp"),
-            demux_udp: ukstats::Counter::register("netstack.demux_udp"),
-            demux_arp: ukstats::Counter::register("netstack.demux_arp"),
-            demux_icmp: ukstats::Counter::register("netstack.demux_icmp"),
-            demux_miss: ukstats::Counter::register("netstack.demux_miss"),
-            tcb: TcbCounters::register(),
-            tcp_pure_acks_tx: ukstats::Counter::register("netstack.tcp.pure_acks_tx"),
+        StackGauges {
             tcp_rack_reorder_window_ns: ukstats::Gauge::register(
                 "netstack.tcp.rack_reorder_window_ns",
             ),
             tcp_cwnd: ukstats::Gauge::register("netstack.tcp.cwnd"),
-            tcp_timewait: ukstats::Counter::register("netstack.tcp.timewait"),
-            tcp_keepalive_drops: ukstats::Counter::register("netstack.tcp.keepalive_drops"),
-            tcp_syn_overflow: ukstats::Counter::register("netstack.tcp.syn_overflow"),
-            tcp_rst_tx: ukstats::Counter::register("netstack.tcp.rst_tx"),
-            arp_parked: ukstats::Counter::register("netstack.arp_parked"),
-            arp_evicted: ukstats::Counter::register("netstack.arp_evicted"),
-            arp_requests_tx: ukstats::Counter::register("netstack.arp_requests_tx"),
-            pump_sweeps: ukstats::Counter::register("netstack.pump_sweeps"),
             pump_ns: ukstats::Histogram::register("netstack.pump_ns"),
             pool_inflight_hiwater: ukstats::Gauge::register("netstack.pool_inflight_hiwater"),
             arp_parked_hiwater: ukstats::Gauge::register("netstack.arp_parked_hiwater"),
@@ -836,8 +724,8 @@ impl StackCounters {
     }
 }
 
-/// What a [`tcb_stats_table`] row's tracepoint records beside the
-/// connection.
+/// What a `stack_stats_table!` `tcb` row's tracepoint records beside
+/// the connection.
 #[cfg_attr(not(feature = "trace"), allow(dead_code))]
 enum TpArg {
     /// How far the field moved.
@@ -849,22 +737,51 @@ enum TpArg {
     Context,
 }
 
-/// The one counter hand-off, written as a table with one row per
-/// [`TcbStats`] field: `field => registry counter summing it over all
-/// connections, tracepoint fired when it moves(its second argument)`.
+/// The one accounting table: every count the stack keeps is a row,
+/// `field => "registry name"`, and lives once — in the cell of that
+/// index in the stack's [`CounterSet`], which is both the [`StackStats`]
+/// field [`NetStack::stats`] reports and this stack's share of the
+/// registry's total for the name. `stack` rows are counted where the
+/// event happens (`counts.add(row::field, n)`); `tcb` rows are the
+/// [`TcbStats`] fields, handed over by [`publish_tcb_stats`], with the
+/// tracepoint fired when the field moves (and its second argument).
 /// Rows are published in table order. The table expands to
 /// straight-line code — walked at run time through accessor pointers it
 /// cost `tcp-rr` 8 %.
-macro_rules! tcb_stats_table {
-    ($($field:ident => $name:literal $(, $tp:ident($arg:ident))?;)*) => {
-        /// The table's registry counters, by [`TcbStats`] field.
-        struct TcbCounters {
-            $($field: ukstats::Counter,)*
+macro_rules! stack_stats_table {
+    (
+        stack { $($(#[$doc:meta])* $field:ident => $name:literal;)* }
+        tcb { $($tfield:ident => $tname:literal $(, $tp:ident($arg:ident))?;)* }
+    ) => {
+        ukstats::counter_rows! {
+            mod row {
+                $($field => $name;)*
+                $($tfield => $tname;)*
+            }
         }
 
-        impl TcbCounters {
-            fn register() -> Self {
-                TcbCounters { $($field: ukstats::Counter::register($name),)* }
+        /// What one stack counted, row by row of the accounting table —
+        /// the stack's own view, whether or not the `stats` feature
+        /// links it into the registry. A name's registry total is the
+        /// sum of this field over every stack in the process.
+        #[derive(Debug, Default, Clone, Copy)]
+        pub struct StackStats {
+            $($(#[$doc])* pub $field: u64,)*
+            $(
+                #[doc = concat!(
+                    "[`TcbStats::", stringify!($tfield), "`], summed over every connection \
+                     this stack has had."
+                )]
+                pub $tfield: u64,
+            )*
+        }
+
+        impl StackStats {
+            fn read(counts: &CounterSet) -> Self {
+                StackStats {
+                    $($field: counts.get(row::$field),)*
+                    $($tfield: counts.get(row::$tfield),)*
+                }
             }
         }
 
@@ -872,13 +789,12 @@ macro_rules! tcb_stats_table {
         /// last looked — after every crossing: an ingest, a timer fire,
         /// an output poll. `published` is the stack's copy of the
         /// counters as of then; each field that moved past it adds to
-        /// its registry counter (once per crossing, however many
-        /// segments moved it) and fires its tracepoint for connection
-        /// `h`. Most crossings move nothing and pay the compare alone,
-        /// inline.
+        /// its row (once per crossing, however many segments moved it)
+        /// and fires its tracepoint for connection `h`. Most crossings
+        /// move nothing and pay the compare alone, inline.
         #[inline]
         fn publish_tcb_stats(
-            counters: &TcbCounters,
+            counts: &CounterSet,
             trace: &mut uktrace::TraceRing,
             h: usize,
             context: u64,
@@ -886,14 +802,14 @@ macro_rules! tcb_stats_table {
             stats: &TcbStats,
         ) {
             if published != stats {
-                publish_moved(counters, trace, h, context, published, stats);
+                publish_moved(counts, trace, h, context, published, stats);
             }
         }
 
         #[inline(never)]
         #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
         fn publish_moved(
-            counters: &TcbCounters,
+            counts: &CounterSet,
             trace: &mut uktrace::TraceRing,
             h: usize,
             context: u64,
@@ -901,13 +817,13 @@ macro_rules! tcb_stats_table {
             stats: &TcbStats,
         ) {
             $(
-                let delta = u64::from(stats.$field.wrapping_sub(published.$field));
+                let delta = u64::from(stats.$tfield.wrapping_sub(published.$tfield));
                 if delta > 0 {
-                    counters.$field.add(delta);
+                    counts.add(row::$tfield, delta);
                     $(
                         let arg = match TpArg::$arg {
                             TpArg::Delta => delta,
-                            TpArg::Total => u64::from(stats.$field),
+                            TpArg::Total => u64::from(stats.$tfield),
                             TpArg::Context => context,
                         };
                         uktrace::trace!(trace, tp::$tp, h, arg);
@@ -919,20 +835,88 @@ macro_rules! tcb_stats_table {
     };
 }
 
-tcb_stats_table! {
-    dup_acks => "netstack.dup_acks", tcp_dup_ack(Context);
-    rto_fires => "netstack.tcp.rto_fires", tcp_rto_fire(Total);
-    retransmits => "netstack.tcp.retransmits", tcp_retransmit(Delta);
-    fast_retransmits => "netstack.tcp.fast_retransmits", tcp_fast_retransmit(Delta);
-    ooo_queued => "netstack.tcp.ooo_queued", tcp_ooo_queue(Delta);
-    sack_rtx => "netstack.tcp.sack_rtx", tcp_sack_rtx(Delta);
-    spurious_rtx => "netstack.tcp.spurious_rtx", tcp_spurious_rtx(Delta);
-    tlp_probes => "netstack.tcp.tlp_probes", tcp_tlp_probe(Delta);
-    paced_releases => "netstack.tcp.paced_releases", tcp_paced_release(Delta);
-    ooo_shed => "netstack.tcp.ooo_shed", tcp_ooo_shed(Delta);
-    delack_fires => "netstack.tcp.delack_fires", tcp_delack_fire(Context);
-    acks_piggybacked => "netstack.tcp.acks_piggybacked";
-    window_updates => "netstack.tcp.window_updates_tx";
+stack_stats_table! {
+    stack {
+        /// Frames received and parsed.
+        rx_frames => "netstack.rx_frames";
+        /// Frames transmitted.
+        tx_frames => "netstack.tx_frames";
+        /// Payload bytes transmitted.
+        tx_bytes => "netstack.tx_bytes";
+        /// RX bursts swept by `pump` (`rx_frames / rx_bursts` is the
+        /// per-burst amortization factor).
+        rx_bursts => "netstack.rx_bursts";
+        /// TX bursts pushed into the device.
+        tx_bursts => "netstack.tx_bursts";
+        /// Frames whose transport checksum was offloaded to the device.
+        csum_offloaded => "netstack.csum_offloaded";
+        /// GSO super-segments handed to the device for TSO cutting (each
+        /// counts once in `tx_frames` but covers many wire frames).
+        tso_super_frames => "netstack.tso_super_frames";
+        /// Payload bytes that left in GSO super-segments.
+        tso_super_bytes => "netstack.tso_super_bytes";
+        /// Received frames whose software checksum verification was
+        /// skipped because the wire/device marked them validated.
+        rx_csum_skipped => "netstack.rx_csum_skipped";
+        /// Super-segments received whole as buffer chains (big receive);
+        /// each counts once in `rx_frames` but covers many MSS worth of
+        /// stream.
+        rx_super_frames => "netstack.rx_super_frames";
+        /// GRO runs delivered: groups of ≥ 2 consecutive in-order TCP
+        /// segments from one burst merged into a single multi-part ingest.
+        gro_runs => "netstack.gro_runs";
+        /// Frames that rode those runs (`gro_merged_frames / gro_runs` is
+        /// the receive-side coalescing factor).
+        gro_merged_frames => "netstack.gro_merged_frames";
+        /// Frames dropped (parse errors, unknown ports, full queues).
+        dropped => "netstack.dropped";
+        /// TCP segments that found their connection or listener.
+        demux_tcp => "netstack.demux_tcp";
+        /// UDP datagrams that found their socket.
+        demux_udp => "netstack.demux_udp";
+        /// ARP packets handled.
+        demux_arp => "netstack.demux_arp";
+        /// ICMP messages handled.
+        demux_icmp => "netstack.demux_icmp";
+        /// Segments and datagrams addressed to a port nothing owns.
+        demux_miss => "netstack.demux_miss";
+        /// Payload-free ACK segments transmitted (handshake and FIN ACKs,
+        /// duplicate ACKs, window updates, released held ACKs).
+        tcp_pure_acks_tx => "netstack.tcp.pure_acks_tx";
+        /// Connections that entered TIME_WAIT.
+        tcp_timewait => "netstack.tcp.timewait";
+        /// Connections reaped by keepalive dead-peer detection.
+        tcp_keepalive_drops => "netstack.tcp.keepalive_drops";
+        /// Listener overflow events: half-open connections evicted from a
+        /// full SYN queue plus handshake-completing ACKs dropped against a
+        /// full accept backlog.
+        tcp_syn_overflow => "netstack.tcp.syn_overflow";
+        /// RST segments generated for segments that missed the demux.
+        tcp_rst_tx => "netstack.tcp.rst_tx";
+        /// Packets parked behind an unresolved next-hop.
+        arp_parked => "netstack.arp_parked";
+        /// Parked packets evicted from a full parking queue.
+        arp_evicted => "netstack.arp_evicted";
+        /// Who-has requests broadcast.
+        arp_requests_tx => "netstack.arp_requests_tx";
+        /// Sweeps `pump` has run (also selects the ones it times).
+        pump_sweeps => "netstack.pump_sweeps";
+    }
+    tcb {
+        dup_acks => "netstack.dup_acks", tcp_dup_ack(Context);
+        rto_fires => "netstack.tcp.rto_fires", tcp_rto_fire(Total);
+        retransmits => "netstack.tcp.retransmits", tcp_retransmit(Delta);
+        fast_retransmits => "netstack.tcp.fast_retransmits", tcp_fast_retransmit(Delta);
+        ooo_queued => "netstack.tcp.ooo_queued", tcp_ooo_queue(Delta);
+        sack_rtx => "netstack.tcp.sack_rtx", tcp_sack_rtx(Delta);
+        spurious_rtx => "netstack.tcp.spurious_rtx", tcp_spurious_rtx(Delta);
+        tlp_probes => "netstack.tcp.tlp_probes", tcp_tlp_probe(Delta);
+        paced_releases => "netstack.tcp.paced_releases", tcp_paced_release(Delta);
+        ooo_shed => "netstack.tcp.ooo_shed", tcp_ooo_shed(Delta);
+        delack_fires => "netstack.tcp.delack_fires", tcp_delack_fire(Context);
+        acks_piggybacked => "netstack.tcp.acks_piggybacked";
+        window_updates => "netstack.tcp.window_updates_tx";
+    }
 }
 
 /// The network stack.
@@ -971,13 +955,10 @@ pub struct NetStack {
     /// [`held_ack_deadline`](Self::held_ack_deadline) checks before it
     /// scans.
     held_acks: usize,
-    /// Sweeps `pump` has run (selects the ones it times).
-    sweeps: u64,
     /// Listeners by port (the handle is [`LISTENER_TAG`]` | port`).
     listeners: HashMap<u16, TcpListener>,
     next_ephemeral: u16,
     iss: u32,
-    stats: StackStats,
     /// Packets waiting for ARP resolution, keyed by next-hop IP.
     arp_pending: HashMap<Ipv4Addr, ArpPendingQueue>,
     /// Echo replies received: (peer, ident, seq).
@@ -1022,8 +1003,11 @@ pub struct NetStack {
     arp_memo: Vec<(Ipv4Addr, Mac)>,
     /// Next-hops due a who-has re-broadcast this pump (reused).
     arp_retry_scratch: Vec<Ipv4Addr>,
-    /// Pre-registered global counter/gauge/histogram handles.
-    ustats: StackCounters,
+    /// Every count this stack keeps, one cell per row of
+    /// `stack_stats_table!`; the stack is the cells' only writer.
+    counts: CounterSet,
+    /// Pre-registered global gauge/histogram handles.
+    gauges: StackGauges,
     /// Tracepoint ring (a ZST no-op with the `trace` feature off).
     trace: uktrace::TraceRing,
     /// Virtual clock driving the per-connection retransmission timers
@@ -1048,7 +1032,7 @@ impl std::fmt::Debug for NetStack {
         f.debug_struct("NetStack")
             .field("ip", &self.config.ip)
             .field("conns", &(self.conn_slots.len() - self.conn_free.len()))
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -1113,11 +1097,9 @@ impl NetStack {
             dirty: Vec::new(),
             fired_scratch: Vec::with_capacity(WHEEL_PREALLOC),
             held_acks: 0,
-            sweeps: 0,
             listeners: HashMap::new(),
             next_ephemeral: 49152,
             iss: 1,
-            stats: StackStats::default(),
             arp_pending: HashMap::new(),
             ping_replies: Vec::new(),
             tx_stage: Vec::new(),
@@ -1137,7 +1119,8 @@ impl NetStack {
             gro_cont: None,
             arp_memo: Vec::with_capacity(ARP_MEMO_SIZE),
             arp_retry_scratch: Vec::new(),
-            ustats: StackCounters::register(),
+            counts: CounterSet::new(row::NAMES),
+            gauges: StackGauges::register(),
             trace: uktrace::TraceRing::new(TRACE_RING_CAP),
             clock: None,
             now_memo: Cell::new((0, 0)),
@@ -1220,9 +1203,10 @@ impl NetStack {
         self.config.mac
     }
 
-    /// Statistics snapshot.
+    /// What this stack has counted so far, every row of the accounting
+    /// table.
     pub fn stats(&self) -> StackStats {
-        self.stats
+        StackStats::read(&self.counts)
     }
 
     /// Buffers currently available in the pool (diagnostics; always
@@ -1476,7 +1460,7 @@ impl NetStack {
             dst_port: to.port,
         };
         hdr.emit(&ip, &mut nb, self.tx_csum);
-        bump!(self, csum_offloaded, offloaded(self.tx_csum));
+        self.counts.add(row::csum_offloaded, offloaded(self.tx_csum));
         ip.encode_into(&mut nb);
         self.send_ipv4_nb(to.addr, IpProto::Udp, nb);
         Ok(())
@@ -1934,9 +1918,9 @@ impl NetStack {
             if st.stats.frames == 0 {
                 break; // Ring full; retried on the next flush.
             }
-            bump!(self, tx_frames, st.stats.frames as u64);
-            bump!(self, tx_bytes, st.stats.bytes as u64);
-            bump!(self, tx_bursts, 1);
+            self.counts.add(row::tx_frames, st.stats.frames as u64);
+            self.counts.add(row::tx_bytes, st.stats.bytes as u64);
+            self.counts.add(row::tx_bursts, 1);
         }
         Ok(())
     }
@@ -1969,7 +1953,7 @@ impl NetStack {
         let mut anb = take_or_alloc(&mut self.pool);
         anb.append(&req.encode());
         self.stage_eth(Mac::BROADCAST, EtherType::Arp, anb);
-        self.ustats.arp_requests_tx.inc();
+        self.counts.add(row::arp_requests_tx, 1);
         uktrace::trace!(self.trace, tp::arp_request_tx, dst.0);
     }
 
@@ -2005,12 +1989,12 @@ impl NetStack {
                         pending.packets.len(),
                     )
                 };
-                self.ustats.arp_parked.inc();
-                self.ustats.arp_parked_hiwater.set_max(queued as u64);
+                self.counts.add(row::arp_parked, 1);
+                self.gauges.arp_parked_hiwater.set_max(queued as u64);
                 uktrace::trace!(self.trace, tp::arp_parked, dst.0, queued);
                 if let Some((_, old)) = evicted {
-                    bump!(self, dropped, 1);
-                    self.ustats.arp_evicted.inc();
+                    self.counts.add(row::dropped, 1);
+                    self.counts.add(row::arp_evicted, 1);
                     self.recycle(old);
                 }
                 if request_due {
@@ -2068,10 +2052,7 @@ impl NetStack {
         // mid-stream — the cut frames land on exactly the byte
         // boundaries software segmentation would produce.
         let max_seg = if self.tso { (self.config.gso_max_size / mss).max(1) * mss } else { mss };
-        let mut supers = 0u64;
-        let mut super_bytes = 0u64;
-        let mut pure_acks = 0u64;
-        let mut csum_offloaded = 0u64;
+        let counts = &self.counts;
         let now = self.now_ns();
         // Only dirty connections are polled — at 100 K idle
         // connections the flush touches none of them. The list is
@@ -2110,7 +2091,9 @@ impl NetStack {
                 let plen = nb.chain_len();
                 let was_data = plen > 0;
                 let f = header.flags;
-                pure_acks += u64::from(!was_data && f.ack && !(f.syn || f.fin || f.rst));
+                if !was_data && f.ack && !(f.syn || f.fin || f.rst) {
+                    counts.add(row::tcp_pure_acks_tx, 1);
+                }
                 // Options ride only on control segments: SACK-permitted
                 // on SYN / SYN-ACK, SACK blocks on the poll's first
                 // pure ACK.
@@ -2136,15 +2119,15 @@ impl NetStack {
                 // super-segment, headers on the chain head, MSS cutting
                 // offloaded to the device's host side.
                 let csum = if plen > mss {
-                    supers += 1;
-                    super_bytes += plen as u64;
+                    counts.add(row::tso_super_frames, 1);
+                    counts.add(row::tso_super_bytes, plen as u64);
                     uktrace::trace!(self.trace, tp::tso_super_tx, plen, mss);
                     Csum::Gso { mss: mss as u16 }
                 } else {
                     self.tx_csum
                 };
                 header.emit(&ip, &mut nb, opts, csum);
-                csum_offloaded += offloaded(csum);
+                counts.add(row::csum_offloaded, offloaded(csum));
                 uktrace::trace!(self.trace, tp::tcp_segment_tx, header.dst_port, header.seq);
                 ip.encode_into(&mut nb);
                 if was_data {
@@ -2156,23 +2139,16 @@ impl NetStack {
                 }
                 staged.push((dst, nb));
             });
-            let (tcb, trace) = (&self.ustats.tcb, &mut self.trace);
-            publish_tcb_stats(tcb, trace, h, 0, &mut c.published, c.tcb.stats());
-            self.ustats.tcp_cwnd.set(c.tcb.cwnd() as u64);
+            publish_tcb_stats(counts, &mut self.trace, h, 0, &mut c.published, c.tcb.stats());
+            self.gauges.tcp_cwnd.set(c.tcb.cwnd() as u64);
             if rack_on {
-                self.ustats.tcp_rack_reorder_window_ns.set(c.tcb.reo_wnd_ns());
+                self.gauges.tcp_rack_reorder_window_ns.set(c.tcb.reo_wnd_ns());
             }
             // An ingest, a timer fire, a returning frame or a socket
             // call dirtied it and the poll above ran: publish the result.
             let fresh = std::mem::take(&mut c.rx_fresh);
             publish(&c.ready, || c.readiness(), fresh);
         }
-        if pure_acks > 0 {
-            self.ustats.tcp_pure_acks_tx.add(pure_acks);
-        }
-        bump!(self, tso_super_frames, supers);
-        bump!(self, tso_super_bytes, super_bytes);
-        bump!(self, csum_offloaded, csum_offloaded);
         // Second pass: mirror every polled connection's timer wants
         // (RTO, held ACK, lifecycle) into the wheel.
         if let Some(n) = now {
@@ -2230,8 +2206,8 @@ impl NetStack {
             c.timers[kind as usize] = (TimerToken::NONE, None);
             self.held_acks -= usize::from(kind == TcbTimer::DelAck);
             c.tcb.on_timer(kind, now);
-            let (tcb, trace) = (&self.ustats.tcb, &mut self.trace);
-            publish_tcb_stats(tcb, trace, h, now, &mut c.published, c.tcb.stats());
+            let (counts, trace) = (&self.counts, &mut self.trace);
+            publish_tcb_stats(counts, trace, h, now, &mut c.published, c.tcb.stats());
         } else if key_kind == TK_LIFE {
             c.life_tok = TimerToken::NONE;
             match c.life_kind {
@@ -2245,7 +2221,7 @@ impl NetStack {
                     c.ka_probes = 0;
                 }
                 LifeKind::Keepalive if c.ka_probes >= KEEPALIVE_PROBES => {
-                    self.ustats.tcp_keepalive_drops.inc();
+                    self.counts.add(row::tcp_keepalive_drops, 1);
                     reap = Some(REAP_KEEPALIVE);
                 }
                 LifeKind::Keepalive => {
@@ -2310,7 +2286,7 @@ impl NetStack {
         };
         if kind != c.life_kind || (kind != LifeKind::None && c.life_tok.is_none()) {
             if kind == LifeKind::TimeWait && c.life_kind != LifeKind::TimeWait {
-                self.ustats.tcp_timewait.inc();
+                self.counts.add(row::tcp_timewait, 1);
                 uktrace::trace!(
                     self.trace,
                     tp::tcp_time_wait,
@@ -2367,9 +2343,9 @@ impl NetStack {
             ttl: 64,
         };
         header.emit(&ip, &mut nb, &[], self.tx_csum);
-        bump!(self, csum_offloaded, offloaded(self.tx_csum));
+        self.counts.add(row::csum_offloaded, offloaded(self.tx_csum));
         ip.encode_into(&mut nb);
-        self.ustats.tcp_rst_tx.inc();
+        self.counts.add(row::tcp_rst_tx, 1);
         uktrace::trace!(self.trace, tp::tcp_rst_tx, header.dst_port, header.seq);
         self.send_ipv4_nb(dst, IpProto::Tcp, nb);
     }
@@ -2388,10 +2364,10 @@ impl NetStack {
     /// overheads, and a socket nothing touched costs nothing.
     pub fn pump(&mut self) -> usize {
         let sweep_start = self
-            .sweeps
+            .counts
+            .get(row::pump_sweeps)
             .is_multiple_of(PUMP_NS_SAMPLE_EVERY)
             .then(std::time::Instant::now);
-        self.sweeps += 1;
         let mut handled = 0;
         let mut frames = std::mem::take(&mut self.rx_scratch);
         self.arp_memo.clear();
@@ -2401,13 +2377,13 @@ impl NetStack {
                 Err(_) => break,
             };
             if st.received > 0 {
-                bump!(self, rx_bursts, 1);
+                self.counts.add(row::rx_bursts, 1);
             }
             for nb in frames.drain(..) {
                 if self.handle_frame(nb).is_ok() {
                     handled += 1;
                 } else {
-                    bump!(self, dropped, 1);
+                    self.counts.add(row::dropped, 1);
                 }
             }
             if st.received == 0 && !st.more {
@@ -2423,16 +2399,15 @@ impl NetStack {
         let _ = self.flush_tcp();
         #[cfg(debug_assertions)]
         self.assert_readiness_published();
-        self.ustats.pump_sweeps.inc();
+        self.counts.add(row::pump_sweeps, 1);
         if let Some(t0) = sweep_start {
-            self.ustats.pump_ns.record(t0.elapsed().as_nanos() as u64);
+            self.gauges.pump_ns.record(t0.elapsed().as_nanos() as u64);
         }
         // The high-water mark can only rise when the pool's low-water
         // mark fell, which most sweeps do not cause.
         if self.pool.low_water() != self.pool_low_water_seen {
             self.pool_low_water_seen = self.pool.low_water();
-            self.ustats
-                .pool_inflight_hiwater
+            self.gauges.pool_inflight_hiwater
                 .set_max((self.pool.capacity() - self.pool.low_water()) as u64);
         }
         handled
@@ -2458,7 +2433,7 @@ impl NetStack {
             drops: frames.len(),
         });
         while let Some(rest) = frames.pop() {
-            bump!(self, dropped, 1);
+            self.counts.add(row::dropped, 1);
             self.recycle(rest);
         }
         stats
@@ -2475,7 +2450,7 @@ impl NetStack {
     }
 
     fn handle_frame(&mut self, mut nb: Netbuf) -> Result<()> {
-        bump!(self, rx_frames, 1);
+        self.counts.add(row::rx_frames, 1);
         let eth = match EthHeader::decode(nb.payload()) {
             Ok((h, _)) => h,
             Err(e) => {
@@ -2490,7 +2465,7 @@ impl NetStack {
         nb.pull_header(ETH_HDR_LEN);
         match eth.ethertype {
             EtherType::Arp => {
-                self.ustats.demux_arp.inc();
+                self.counts.add(row::demux_arp, 1);
                 let r = self.handle_arp(nb.payload());
                 self.recycle(nb);
                 r
@@ -2571,7 +2546,7 @@ impl NetStack {
             return Err(Errno::Inval);
         }
         if trusted && matches!(ip.proto, IpProto::Tcp | IpProto::Udp) {
-            bump!(self, rx_csum_skipped, 1);
+            self.counts.add(row::rx_csum_skipped, 1);
         }
         nb.pull_header(IPV4_HDR_LEN);
         nb.truncate(body_len);
@@ -2588,7 +2563,7 @@ impl NetStack {
 
     fn handle_icmp(&mut self, ip: &Ipv4Header, data: &[u8]) -> Result<()> {
         let (request, ident, seq, payload) = icmp::decode_echo(data)?;
-        self.ustats.demux_icmp.inc();
+        self.counts.add(row::demux_icmp, 1);
         if request {
             uktrace::trace!(self.trace, tp::icmp_echo_rx, ident, seq);
             // Answer pings like lwIP does: echo the payload into a
@@ -2656,7 +2631,7 @@ impl NetStack {
             }
         };
         let Some(sock) = self.udp_socks.get_mut(&udp.dst_port) else {
-            self.ustats.demux_miss.inc();
+            self.counts.add(row::demux_miss, 1);
             uktrace::trace!(self.trace, tp::demux_miss, 17u64, udp.dst_port);
             self.recycle(nb);
             return Err(Errno::ConnRefused);
@@ -2667,7 +2642,7 @@ impl NetStack {
         }
         nb.pull_header(UDP_HDR_LEN);
         nb.truncate(body_len);
-        self.ustats.demux_udp.inc();
+        self.counts.add(row::demux_udp, 1);
         uktrace::trace!(self.trace, tp::udp_rx, udp.dst_port, body_len);
         sock.rx.push_back((Endpoint::new(ip.src, udp.src_port), nb));
         publish(&sock.ready, || sock.readiness(), true);
@@ -2746,7 +2721,7 @@ impl NetStack {
         {
             // The connection stays half-open until the peer
             // retransmits or the handshake timer reclaims it.
-            self.ustats.tcp_syn_overflow.inc();
+            self.counts.add(row::tcp_syn_overflow, 1);
             bufs.for_each(|b| pool.give_back_chain(b));
             return Err(Errno::NoMem);
         }
@@ -2769,8 +2744,8 @@ impl NetStack {
         if established {
             uktrace::trace!(self.trace, tp::tcp_established, h, tcp.dst_port);
         }
-        let (tcb, trace, seq) = (&self.ustats.tcb, &mut self.trace, tcp.seq as u64);
-        publish_tcb_stats(tcb, trace, h, seq, &mut c.published, c.tcb.stats());
+        let seq = tcp.seq as u64;
+        publish_tcb_stats(&self.counts, &mut self.trace, h, seq, &mut c.published, c.tcb.stats());
         if established && prior == TcpState::SynReceived {
             // Handshake complete: graduate from the SYN queue to the
             // accept backlog.
@@ -2801,7 +2776,7 @@ impl NetStack {
         };
         let remote = Endpoint::new(src, tcp.src_port);
         let Some(slot) = self.flow.get(flow_key(tcp.dst_port, remote)) else {
-            self.ustats.demux_miss.inc();
+            self.counts.add(row::demux_miss, 1);
             uktrace::trace!(self.trace, tp::demux_miss, 6u64, tcp.dst_port);
             self.stage_rst(src, &tcp, nb.chain_len() - consumed);
             self.recycle(nb);
@@ -2813,10 +2788,10 @@ impl NetStack {
         // when tracing is compiled out, hence the underscores).
         let _bytes = nb.chain_len();
         let _h = self.tcp_ingest(slot, &tcp, opts.as_ref(), std::iter::once(nb))?;
-        self.ustats.demux_tcp.inc();
+        self.counts.add(row::demux_tcp, 1);
         uktrace::trace!(self.trace, tp::tcp_super_rx, _h, _bytes);
-        bump!(self, rx_super_frames, 1);
-        bump!(self, rx_csum_skipped, 1);
+        self.counts.add(row::rx_super_frames, 1);
+        self.counts.add(row::rx_csum_skipped, 1);
         Ok(())
     }
 
@@ -2863,7 +2838,7 @@ impl NetStack {
                     cont.next_seq = tcp.seq.wrapping_add(nb.len() as u32);
                     let conn = cont.conn;
                     self.gro_stage.push((conn, tcp, nb));
-                    self.ustats.demux_tcp.inc();
+                    self.counts.add(row::demux_tcp, 1);
                     return Ok(());
                 }
                 if flow_match {
@@ -2909,7 +2884,7 @@ impl NetStack {
                     next_seq: tcp.seq.wrapping_add(nb.len() as u32),
                 });
                 self.gro_stage.push((h, tcp, nb));
-                self.ustats.demux_tcp.inc();
+                self.counts.add(row::demux_tcp, 1);
                 return Ok(());
             }
             Some((slot, ..)) => {
@@ -2930,7 +2905,7 @@ impl NetStack {
                 // answer with a RST (suppressed for incoming RSTs —
                 // including in-window RSTs aimed at a bare listener,
                 // which are simply dropped).
-                self.ustats.demux_miss.inc();
+                self.counts.add(row::demux_miss, 1);
                 uktrace::trace!(self.trace, tp::demux_miss, 6u64, tcp.dst_port);
                 self.stage_rst(ip.src, &tcp, payload_len);
                 self.recycle(nb);
@@ -2946,7 +2921,7 @@ impl NetStack {
         if payload_len > 0 && !tcp.flags.syn {
             uktrace::trace!(self.trace, tp::tcp_data_rx, _h, payload_len);
         }
-        self.ustats.demux_tcp.inc();
+        self.counts.add(row::demux_tcp, 1);
         Ok(())
     }
 
@@ -2965,7 +2940,7 @@ impl NetStack {
                 .flatten()
         });
         if let Some(v) = victim {
-            self.ustats.tcp_syn_overflow.inc();
+            self.counts.add(row::tcp_syn_overflow, 1);
             uktrace::trace!(self.trace, tp::tcp_syn_evicted, tcp.dst_port, v as usize);
             self.reap_conn_slot(v, REAP_SYN_EVICTED);
         }
@@ -3012,8 +2987,8 @@ impl NetStack {
             }
             let last = stage[j - 1].1;
             if j > 1 {
-                bump!(self, gro_runs, 1);
-                bump!(self, gro_merged_frames, j as u64);
+                self.counts.add(row::gro_runs, 1);
+                self.counts.add(row::gro_merged_frames, j as u64);
                 uktrace::trace!(self.trace, tp::gro_merge, conn, j);
             }
             let merged = TcpHeader {

@@ -103,8 +103,15 @@ fn echo(net: &mut Network, client: SocketHandle, server: SocketHandle, msg: &[u8
     wire
 }
 
-fn counter_delta(base: &ukstats::Snapshot, name: &str) -> u64 {
-    ukstats::snapshot().counter(name).unwrap_or(0) - base.counter(name).unwrap_or(0)
+/// `(acks_piggybacked, delack_fires, tcp_pure_acks_tx)`, both ends
+/// together.
+fn ack_counts(net: &mut Network) -> (u64, u64, u64) {
+    let (c, s) = (net.stack(CLIENT).stats(), net.stack(SERVER).stats());
+    (
+        c.acks_piggybacked + s.acks_piggybacked,
+        c.delack_fires + s.delack_fires,
+        c.tcp_pure_acks_tx + s.tcp_pure_acks_tx,
+    )
 }
 
 /// The tentpole: a request/response exchange is two frames, the reply
@@ -114,7 +121,7 @@ fn counter_delta(base: &ukstats::Snapshot, name: &str) -> u64 {
 #[test]
 fn echo_round_trip_is_two_frames_and_no_pure_ack() {
     let (mut net, client, server) = connected(Some(1_000), true);
-    let base = ukstats::snapshot();
+    let base = ack_counts(&mut net);
     const ROUNDS: usize = 8;
     for i in 0..ROUNDS {
         let msg = [i as u8; 64];
@@ -131,12 +138,10 @@ fn echo_round_trip_is_two_frames_and_no_pure_ack() {
     let tail = step(&mut net);
     assert_eq!(tail.len(), 1, "{tail:?}");
     assert!(!tail[0].from_server && tail[0].is_pure_ack(), "{tail:?}");
-    if ukstats::COMPILED_IN {
-        // Tests in this binary share the registry, hence "at least".
-        assert!(counter_delta(&base, "netstack.tcp.acks_piggybacked") >= 2 * ROUNDS as u64 - 1);
-        assert!(counter_delta(&base, "netstack.tcp.delack_fires") >= 1);
-        assert!(counter_delta(&base, "netstack.tcp.pure_acks_tx") >= 1);
-    }
+    let now = ack_counts(&mut net);
+    assert_eq!(now.0 - base.0, 2 * ROUNDS as u64 - 1, "every ACK but the last rode data");
+    assert_eq!(now.1 - base.1, 1, "the last one sat out its hold");
+    assert_eq!(now.2 - base.2, 1, "and left alone");
 }
 
 /// Rule (e) and the sender's side of the bargain: a lone segment to a

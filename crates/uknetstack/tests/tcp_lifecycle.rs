@@ -77,10 +77,6 @@ fn tick(net: &mut Network, n: usize) {
     }
 }
 
-fn counter(name: &str) -> u64 {
-    ukstats::snapshot().counter(name).unwrap_or(0)
-}
-
 /// A SYN flood ten times the listener's backlog leaves the accept
 /// machinery standing: half-open state stays bounded at the backlog,
 /// the overflow evicts oldest-first (visible in the counter), a
@@ -99,7 +95,7 @@ fn syn_flood_10x_backlog_is_survived_and_reclaimed() {
     net.run_until_quiet(32);
     let conn = net.stack(1).tcp_accept(listener).unwrap();
     let baseline_conns = net.stack(1).tcp_conn_count();
-    let overflow0 = counter("netstack.tcp.syn_overflow");
+    let overflow0 = net.stack(1).stats().tcp_syn_overflow;
 
     // Flood from 160 distinct spoofed endpoints, interleaved with a
     // live transfer on the established connection.
@@ -139,13 +135,11 @@ fn syn_flood_10x_backlog_is_survived_and_reclaimed() {
         "half-open connections bounded by the backlog ({} conns)",
         net.stack(1).tcp_conn_count()
     );
-    if ukstats::COMPILED_IN {
-        let evicted = counter("netstack.tcp.syn_overflow") - overflow0;
-        assert!(
-            evicted >= (10 * backlog - backlog) as u64,
-            "overflow evicted the excess embryos ({evicted} evictions)"
-        );
-    }
+    let evicted = net.stack(1).stats().tcp_syn_overflow - overflow0;
+    assert!(
+        evicted >= (10 * backlog - backlog) as u64,
+        "overflow evicted the excess embryos ({evicted} evictions)"
+    );
 
     // A fresh client gets through the full SYN queue: its SYN evicts
     // the oldest embryo and its handshake completes.
@@ -198,7 +192,7 @@ fn handshake_timeout_reclaims_half_open_connections() {
 fn stray_segments_draw_rst_and_rst_to_listener_is_ignored() {
     let _registry = owning_registry();
     let mut net = clocked_net(1_000_000, |_| {});
-    let rst0 = counter("netstack.tcp.rst_tx");
+    let rst0 = net.stack(1).stats().tcp_rst_tx;
     let (ep, mac) = Network::spoofed_peer(1);
     net.inject_arp_reply(1, ep.addr, mac);
 
@@ -206,24 +200,16 @@ fn stray_segments_draw_rst_and_rst_to_listener_is_ignored() {
     let ack = TcpFlags { ack: true, ..TcpFlags::default() };
     net.inject_tcp(1, ep, mac, 7777, ack, 0x42, 0x43);
     net.run_until_quiet(8);
-    if ukstats::COMPILED_IN {
-        assert_eq!(counter("netstack.tcp.rst_tx") - rst0, 1, "demux miss answered with RST");
-    }
+    assert_eq!(net.stack(1).stats().tcp_rst_tx - rst0, 1, "demux miss answered with RST");
 
     // An RST at a listening port: dropped, never answered, and the
     // listener still accepts a real handshake afterwards.
     net.stack(1).tcp_listen(8088).unwrap();
-    let rst_before = counter("netstack.tcp.rst_tx");
+    let rst_before = net.stack(1).stats().tcp_rst_tx;
     let rst = TcpFlags { rst: true, ..TcpFlags::default() };
     net.inject_tcp(1, ep, mac, 8088, rst, 0x1000, 0);
     net.run_until_quiet(8);
-    if ukstats::COMPILED_IN {
-        assert_eq!(
-            counter("netstack.tcp.rst_tx"),
-            rst_before,
-            "no RST answers an RST"
-        );
-    }
+    assert_eq!(net.stack(1).stats().tcp_rst_tx, rst_before, "no RST answers an RST");
     assert_eq!(net.stack(1).tcp_conn_count(), 0, "the RST spawned no embryo");
     let server_ip = net.stack(1).ip();
     let client = net
@@ -248,7 +234,7 @@ fn time_wait_holds_2msl_then_recycles_the_port() {
     let _registry = owning_registry();
     let mut net = clocked_net(10_000_000, |_| {}); // 10 ms steps.
     let (client, conn) = establish(&mut net, 8090);
-    let tw0 = counter("netstack.tcp.timewait");
+    let tw0 = net.stack(0).stats().tcp_timewait;
 
     // Active close from the client, passive close from the server.
     net.stack(0).tcp_close(client).unwrap();
@@ -261,9 +247,7 @@ fn time_wait_holds_2msl_then_recycles_the_port() {
         Some(TcpState::TimeWait),
         "active closer holds TIME_WAIT"
     );
-    if ukstats::COMPILED_IN {
-        assert_eq!(counter("netstack.tcp.timewait") - tw0, 1);
-    }
+    assert_eq!(net.stack(0).stats().tcp_timewait - tw0, 1);
 
     // 2 MSL later the wheel reaps it; the passive side's Closed slot
     // is reclaimed too once its receive queue is drained.
@@ -296,7 +280,7 @@ fn keepalive_reaps_a_dead_peer() {
     let _registry = sharing_registry();
     let mut net = clocked_net(100_000_000, |c| c.keepalive = true); // 100 ms steps.
     let (client, _conn) = establish(&mut net, 8070);
-    let drops0 = counter("netstack.tcp.keepalive_drops");
+    let drops0 = net.stack(0).stats().tcp_keepalive_drops;
 
     // The wire goes dark: every frame in either direction is eaten.
     net.set_drop_every(1);
@@ -310,12 +294,10 @@ fn keepalive_reaps_a_dead_peer() {
     );
     assert_eq!(net.stack(0).tcp_conn_count(), 0);
     assert_eq!(net.stack(0).armed_timer_count(), 0);
-    if ukstats::COMPILED_IN {
-        assert!(
-            counter("netstack.tcp.keepalive_drops") - drops0 >= 1,
-            "the teardown is visible in the stats registry"
-        );
-    }
+    assert!(
+        net.stack(0).stats().tcp_keepalive_drops - drops0 >= 1,
+        "the teardown is visible in the prober's stats"
+    );
     net.set_drop_every(0);
     net.run_until_quiet(32);
     assert_eq!(net.stack(0).pool_available(), Some(POOL), "prober pool intact");

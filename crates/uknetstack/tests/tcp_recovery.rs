@@ -21,16 +21,6 @@ use ukplat::time::Tsc;
 
 const POOL: usize = 512;
 
-/// The `ukstats` registry is process-global and libtest runs this
-/// binary's tests on parallel threads, all of them firing RTOs. The one
-/// test that compares a registry delta with its own connection's count
-/// takes this lock exclusively; every other test shares it.
-static REGISTRY: std::sync::RwLock<()> = std::sync::RwLock::new(());
-
-fn sharing_registry() -> std::sync::RwLockReadGuard<'static, ()> {
-    REGISTRY.read().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 fn mk_stack(n: u8, tso: bool, cc: bool) -> NetStack {
     let tsc = Tsc::new(3_600_000_000);
     let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
@@ -173,7 +163,6 @@ fn bulk_send_counting(
 /// buffer back home afterwards.
 #[test]
 fn bulk_1mb_completes_under_drop_every_7() {
-    let _registry = sharing_registry();
     let mut net = clocked_net(false, true, 5_000_000); // 5 ms steps.
     let (client, conn) = establish(&mut net, 9001);
     net.set_drop_every(7);
@@ -204,7 +193,6 @@ fn bulk_1mb_completes_under_drop_every_7() {
 /// path; the stream still arrives byte-identical.
 #[test]
 fn drop_bursts_force_rto_and_still_deliver_exactly() {
-    let _registry = sharing_registry();
     // 50 ms steps: bursts can eat whole retransmit+ACK exchanges and
     // double the RTO toward its cap, so each round must buy enough
     // virtual time for deep backoffs to elapse within the round budget.
@@ -241,7 +229,6 @@ fn drop_bursts_force_rto_and_still_deliver_exactly() {
 /// any help from the application.
 #[test]
 fn dropped_fin_is_retransmitted_until_the_close_completes() {
-    let _registry = sharing_registry();
     let mut net = clocked_net(false, true, 50_000_000); // 50 ms steps.
     let (client, conn) = establish(&mut net, 9003);
     // Eat everything while the FIN goes out…
@@ -268,14 +255,14 @@ fn dropped_fin_is_retransmitted_until_the_close_completes() {
 }
 
 /// RTO backoff doubles deterministically on a black-holed wire, and
-/// the doubling is observable through the `netstack.tcp.rto_fires`
-/// counter in the global stats registry.
+/// the doubling is observable through the sender's `StackStats` — its
+/// own share of `netstack.tcp.rto_fires`, whatever the tests running
+/// beside this one fire.
 #[test]
 fn rto_backoff_doubling_is_observable_via_stats() {
-    let _registry = REGISTRY.write().unwrap_or_else(|poisoned| poisoned.into_inner());
     let mut net = clocked_net(false, true, 50_000_000); // 50 ms steps.
     let (client, _conn) = establish(&mut net, 9004);
-    let base = ukstats::snapshot();
+    let base = net.stack(0).stats().rto_fires;
     // Black-hole the wire, then send one segment into the void: the
     // initial RTO is 1 s (no RTT sample yet), so fires land ~1 s, ~3 s
     // and ~7 s after the send — gaps of 2 s then 4 s.
@@ -301,11 +288,7 @@ fn rto_backoff_doubling_is_observable_via_stats() {
         (gap2 - 2 * gap1).abs() <= 2,
         "backoff doubled: gaps {gap1} vs {gap2} steps"
     );
-    if ukstats::COMPILED_IN {
-        let before = base.counter("netstack.tcp.rto_fires").unwrap_or(0);
-        let after = ukstats::snapshot().counter("netstack.tcp.rto_fires").unwrap();
-        assert_eq!(after - before, seen, "fires visible in the registry");
-    }
+    assert_eq!(net.stack(0).stats().rto_fires - base, seen, "fires visible in the stack's stats");
     net.set_drop_every(0);
 }
 
@@ -313,7 +296,6 @@ fn rto_backoff_doubling_is_observable_via_stats() {
 /// through SYN retransmission.
 #[test]
 fn dropped_syn_is_retransmitted() {
-    let _registry = sharing_registry();
     let mut net = clocked_net(false, true, 50_000_000);
     // ARP first, so only the SYN is at risk.
     net.stack(0).ping(Ipv4Addr::new(10, 0, 0, 2), 1, 1).unwrap();
@@ -354,7 +336,6 @@ fn dropped_syn_is_retransmitted() {
 /// segments still reach the reassembly queue.
 #[test]
 fn gro_staging_flushes_on_sequence_gaps_under_loss() {
-    let _registry = sharing_registry();
     let mut net = clocked_net(false, true, 5_000_000);
     assert!(net.stack(1).gro(), "receiver coalesces");
     let (client, conn) = establish(&mut net, 9006);
@@ -377,7 +358,6 @@ fn gro_staging_flushes_on_sequence_gaps_under_loss() {
 /// past its initial value, and the cwnd gauge is live.
 #[test]
 fn bandwidth_delay_pipe_completes_with_congestion_control() {
-    let _registry = sharing_registry();
     let mut net = clocked_net(false, true, 2_000_000); // 2 ms steps.
     let (client, conn) = establish(&mut net, 9007);
     net.set_bandwidth_delay(4, 24); // 8 ms one-way, 24 frames/step.
@@ -397,7 +377,6 @@ fn bandwidth_delay_pipe_completes_with_congestion_control() {
 /// is a measurable policy, not a correctness crutch.
 #[test]
 fn loss_recovery_works_with_congestion_control_off() {
-    let _registry = sharing_registry();
     let mut net = clocked_net(false, false, 5_000_000);
     let (client, conn) = establish(&mut net, 9008);
     net.set_drop_every(9);
@@ -418,7 +397,6 @@ fn loss_recovery_works_with_congestion_control_off() {
 /// retransmit correctly through the recycle-back queue.
 #[test]
 fn tso_super_segments_survive_loss_via_host_cut_retransmission() {
-    let _registry = sharing_registry();
     let mut net = Network::new();
     net.attach(mk_stack(1, true, true));
     let tsc0 = Tsc::new(3_600_000_000);
@@ -456,7 +434,6 @@ fn tso_super_segments_survive_loss_via_host_cut_retransmission() {
 /// scoreboard never gets a second hole to walk.)
 #[test]
 fn sack_scoreboard_retransmits_only_the_holes() {
-    let _registry = sharing_registry();
     let run = |sack: bool| {
         let mut net = clocked_net_cfg(5_000_000, |cfg| {
             cfg.sack = sack;
@@ -504,7 +481,6 @@ fn sack_scoreboard_retransmits_only_the_holes() {
 /// single frame; each verdict is taken over the sum of three.
 #[test]
 fn sack_and_rack_never_lose_to_blind_recovery_on_a_lossy_wire() {
-    let _registry = sharing_registry();
     let steps = |sack: bool, rack: bool, drop_every: u64, reorder_every: u64| {
         let mut net = clocked_net_cfg(5_000_000, |cfg| {
             cfg.sack = sack;
@@ -554,7 +530,6 @@ fn sack_and_rack_never_lose_to_blind_recovery_on_a_lossy_wire() {
 /// episode ever opens for it to meter.
 #[test]
 fn rack_reordering_window_suppresses_false_fast_retransmits() {
-    let _registry = sharing_registry();
     for pacing in [false, true] {
         let mut net = clocked_net_cfg(5_000_000, |cfg| {
             cfg.rack = true;
@@ -588,7 +563,6 @@ fn rack_reordering_window_suppresses_false_fast_retransmits() {
 /// because reordered ACK noise resets its dup-ACK count.
 #[test]
 fn rack_converts_rto_stalls_into_fast_recoveries_under_reorder() {
-    let _registry = sharing_registry();
     let run = |rack: bool| {
         let mut net = clocked_net_cfg(5_000_000, |cfg| {
             cfg.rack = rack;
@@ -622,7 +596,6 @@ fn rack_converts_rto_stalls_into_fast_recoveries_under_reorder() {
 /// single RTO fire.
 #[test]
 fn tail_loss_probe_rescues_a_dropped_tail_without_rto() {
-    let _registry = sharing_registry();
     let mut net = clocked_net_cfg(5_000_000, |cfg| {
         cfg.rack = true;
     });
@@ -662,7 +635,6 @@ fn tail_loss_probe_rescues_a_dropped_tail_without_rto() {
 /// byte-identical.
 #[test]
 fn paced_recovery_meters_the_retransmission_burst() {
-    let _registry = sharing_registry();
     let mut net = clocked_net_cfg(5_000_000, |cfg| {
         cfg.pacing = true;
     });
@@ -687,7 +659,6 @@ fn paced_recovery_meters_the_retransmission_burst() {
 /// stream still completes.
 #[test]
 fn sustained_loss_cannot_exhaust_a_small_receiver_pool() {
-    let _registry = sharing_registry();
     const SMALL: usize = 48;
     let mut net = Network::new();
     // Window-limited flights (~45 MSS) so a drop burst early in a
@@ -722,7 +693,6 @@ fn sustained_loss_cannot_exhaust_a_small_receiver_pool() {
 /// and recovery delivers the stream byte-identical.
 #[test]
 fn corrupted_frames_are_dropped_by_checksum_and_recovered() {
-    let _registry = sharing_registry();
     let mut net = clocked_net_cfg(5_000_000, |_| {});
     let (client, conn) = establish(&mut net, 9015);
     net.set_corrupt_every(9);
@@ -803,7 +773,6 @@ fn deliver_forged(
 /// path. With `gro` on the parent commit staged it and read 0.
 #[test]
 fn gro_leaves_an_optioned_data_segment_its_sack_blocks() {
-    let _registry = sharing_registry();
     for gro in [true, false] {
         let mut net = clocked_net_cfg(1_000, |cfg| cfg.gro = gro);
         net.start_wire_capture();
@@ -911,7 +880,6 @@ fn stream_with_one_hole(gro: bool, pool: usize) -> (Vec<u8>, TcbStats, TcbStats)
 /// forges its out-of-order super-segment.
 #[test]
 fn the_three_ingest_shapes_account_alike() {
-    let _registry = sharing_registry();
     let (plain_bytes, plain_tx, plain_rx) = stream_with_one_hole(false, POOL);
     let (gro_bytes, gro_tx, gro_rx) = stream_with_one_hole(true, POOL);
     assert_eq!(plain_bytes, gro_bytes);

@@ -16,6 +16,13 @@ use uknetstack::testnet::Network;
 use uknetstack::{Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
 
+fn mk_stack(n: u8) -> NetStack {
+    let tsc = Tsc::new(3_600_000_000);
+    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
+    dev.configure(NetDevConf::default()).unwrap();
+    NetStack::new(StackConfig::node(n), Box::new(dev))
+}
+
 #[test]
 fn noop_ring_is_zero_sized_and_inert() {
     assert!(!uktrace::COMPILED_IN);
@@ -31,17 +38,24 @@ fn noop_ring_is_zero_sized_and_inert() {
     assert_eq!(ring.dropped(), 0);
 }
 
+/// `--no-default-features` reaches every crate that publishes into the
+/// registry (`uknetdev`, `ukevent`, `uksched` forward `stats`), so the
+/// off build is really off — and the stack still counts for itself.
+#[cfg(not(feature = "stats"))]
+#[test]
+fn stats_registry_is_compiled_out_and_the_stack_still_counts() {
+    assert!(!ukstats::COMPILED_IN);
+    let mut stack = mk_stack(1);
+    stack.pump();
+    assert_eq!(stack.stats().pump_sweeps, 1, "the owner's view needs no registry");
+    assert!(ukstats::snapshot().counters.is_empty());
+}
+
 #[test]
 fn datapath_runs_with_tracing_compiled_out_and_records_nothing() {
-    let mk = |n: u8| {
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        NetStack::new(StackConfig::node(n), Box::new(dev))
-    };
     let mut net = Network::new();
-    let ci = net.attach(mk(1));
-    let si = net.attach(mk(2));
+    let ci = net.attach(mk_stack(1));
+    let si = net.attach(mk_stack(2));
     let listener = net.stack(si).tcp_listen(7).unwrap();
     let client = net
         .stack(ci)

@@ -12,10 +12,17 @@
 //!   same name twice returns the same slot, so counters aggregate across
 //!   instances. Registration may take a lock and touch the heap — it is
 //!   *setup-time only*.
-//! * **Increments** ([`Counter::add`], [`Histogram::record`]) are relaxed
-//!   atomic RMWs on pre-resolved `&'static` slots: no lock, no allocation,
-//!   no lookup. The zero-alloc tier-1 tests run with stats enabled and
-//!   still assert 0.000 allocs/frame.
+//! * **Counts** come in two kinds. A [`Counter`] is a shared slot any
+//!   number of writers add to: one relaxed atomic RMW, a `lock` prefix
+//!   per add. A [`CounterSet`] is a struct's own list of counts with
+//!   exactly one writer: a plain load and store on the owner's cell,
+//!   which is at once the owner's view (`get`) and its share of the
+//!   name's total, merged on read — [`snapshot`] adds every live set to
+//!   the shared slot, and a dropped set folds into it, so a total never
+//!   goes backwards. [`Histogram::record`] and the gauges are relaxed
+//!   atomics on pre-resolved `&'static` slots. Nothing here locks,
+//!   allocates or looks a name up: the zero-alloc tier-1 tests run with
+//!   stats enabled and still assert 0.000 allocs/frame.
 //! * **Snapshots** ([`snapshot`]) walk the registry under the
 //!   registration lock and render to plain structs (and JSON via
 //!   [`Snapshot::to_json`]) — they allocate, and belong on the control
@@ -30,8 +37,14 @@
 //!
 //! Building with `--no-default-features` compiles every handle down to a
 //! zero-sized no-op: `add`/`record` become empty inline functions and the
-//! registry reports itself [`COMPILED_IN`]` == false`.
+//! registry reports itself [`COMPILED_IN`]` == false`. A [`CounterSet`]
+//! still counts — it is its owner's state — and only its link into the
+//! registry goes.
 
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 #[cfg(feature = "stats")]
 use std::sync::Mutex;
 
@@ -186,6 +199,9 @@ struct Index {
     counters: Vec<&'static str>,
     gauges: Vec<&'static str>,
     hists: Vec<&'static str>,
+    /// Every live [`CounterSet`]: its cells, and the counter slot each
+    /// cell's name resolved to.
+    sets: Vec<(Arc<[AtomicU64]>, Vec<usize>)>,
 }
 
 #[cfg(feature = "stats")]
@@ -193,12 +209,35 @@ static INDEX: Mutex<Index> = Mutex::new(Index {
     counters: Vec::new(), // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
     gauges: Vec::new(),   // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
     hists: Vec::new(),    // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
+    sets: Vec::new(),     // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
 });
+
+/// The slot of `name` among `names`, appended if new.
+///
+/// # Panics
+///
+/// Panics when `names` already holds `max` others: slots are static.
+#[cfg(feature = "stats")]
+fn slot_of(names: &mut Vec<&'static str>, name: &'static str, max: usize) -> usize {
+    names.iter().position(|n| *n == name).unwrap_or_else(|| {
+        assert!(names.len() < max, "ukstats: slots exhausted registering {name}");
+        names.push(name);
+        names.len() - 1
+    })
+}
+
+/// The registry index. A panic while holding the lock leaves it
+/// structurally valid (names and sets are only appended or removed
+/// whole), so a poisoned lock is recovered rather than cascaded into
+/// every later user.
+#[cfg(feature = "stats")]
+fn index() -> std::sync::MutexGuard<'static, Index> {
+    INDEX.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 #[cfg(feature = "stats")]
 mod imp {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     // `const` items with interior mutability are re-instantiated per array
     // element, which is exactly what static slot arrays need.
@@ -241,19 +280,7 @@ mod imp {
         ///
         /// Panics if more than [`MAX_COUNTERS`] distinct names register.
         pub fn register(name: &'static str) -> Counter {
-            // A panic while holding the lock leaves the index structurally
-            // valid (it only appends static names), so recover it
-            // rather than cascading the poison into every later user.
-            let mut idx = INDEX.lock().unwrap_or_else(|p| p.into_inner());
-            let i = match idx.counters.iter().position(|n| *n == name) {
-                Some(i) => i,
-                None => {
-                    assert!(idx.counters.len() < MAX_COUNTERS, "ukstats: counter slots exhausted");
-                    idx.counters.push(name);
-                    idx.counters.len() - 1
-                }
-            };
-            Counter { slot: &COUNTERS[i] }
+            Counter { slot: &COUNTERS[slot_of(&mut index().counters, name, MAX_COUNTERS)] }
         }
 
         /// Adds `n`: one relaxed atomic add, the whole hot path.
@@ -268,9 +295,35 @@ mod imp {
             self.add(1);
         }
 
-        /// Current value.
+        /// Current value of the shared slot alone — what live
+        /// [`CounterSet`]s hold for this name shows in
+        /// [`snapshot`] only.
         pub fn get(&self) -> u64 {
             self.slot.load(Relaxed)
+        }
+    }
+
+    /// Links a new set's cells into the registry, resolving each name to
+    /// its counter slot.
+    // ukcheck: allow(alloc) -- set construction is registration: once per
+    // owner, on the control plane
+    pub(super) fn link_set(names: &[&'static str], cells: &Arc<[AtomicU64]>) {
+        let mut idx = index();
+        let slots =
+            names.iter().map(|name| slot_of(&mut idx.counters, name, MAX_COUNTERS)).collect();
+        idx.sets.push((cells.clone(), slots));
+    }
+
+    /// Folds a dying set into the shared slots of its names and unlinks
+    /// it, under the lock [`snapshot`] takes: a snapshot sees the set's
+    /// counts in the set or in the slots, never both and never neither.
+    pub(super) fn fold_set(cells: &Arc<[AtomicU64]>) {
+        let mut idx = index();
+        if let Some(at) = idx.sets.iter().position(|(c, _)| Arc::ptr_eq(c, cells)) {
+            let (cells, slots) = idx.sets.swap_remove(at);
+            for (cell, slot) in cells.iter().zip(slots) {
+                COUNTERS[slot].fetch_add(cell.load(Relaxed), Relaxed);
+            }
         }
     }
 
@@ -287,19 +340,7 @@ mod imp {
         ///
         /// Panics if more than [`MAX_GAUGES`] distinct names register.
         pub fn register(name: &'static str) -> Gauge {
-            // A panic while holding the lock leaves the index structurally
-            // valid (it only appends static names), so recover it
-            // rather than cascading the poison into every later user.
-            let mut idx = INDEX.lock().unwrap_or_else(|p| p.into_inner());
-            let i = match idx.gauges.iter().position(|n| *n == name) {
-                Some(i) => i,
-                None => {
-                    assert!(idx.gauges.len() < MAX_GAUGES, "ukstats: gauge slots exhausted");
-                    idx.gauges.push(name);
-                    idx.gauges.len() - 1
-                }
-            };
-            Gauge { slot: &GAUGES[i] }
+            Gauge { slot: &GAUGES[slot_of(&mut index().gauges, name, MAX_GAUGES)] }
         }
 
         /// Stores `v`.
@@ -333,33 +374,25 @@ mod imp {
         ///
         /// Panics if more than [`MAX_HISTOGRAMS`] distinct names register.
         pub fn register(name: &'static str) -> Histogram {
-            // A panic while holding the lock leaves the index structurally
-            // valid (it only appends static names), so recover it
-            // rather than cascading the poison into every later user.
-            let mut idx = INDEX.lock().unwrap_or_else(|p| p.into_inner());
-            let i = match idx.hists.iter().position(|n| *n == name) {
-                Some(i) => i,
-                None => {
-                    assert!(
-                        idx.hists.len() < MAX_HISTOGRAMS,
-                        "ukstats: histogram slots exhausted"
-                    );
-                    idx.hists.push(name);
-                    idx.hists.len() - 1
-                }
-            };
-            Histogram { slot: &HISTS[i] }
+            Histogram { slot: &HISTS[slot_of(&mut index().hists, name, MAX_HISTOGRAMS)] }
         }
 
-        /// Records one sample: a handful of relaxed atomic RMWs, no
-        /// allocation, no lock.
+        /// Records one sample: three relaxed atomic RMWs — plus one for
+        /// each bound the sample moves, which a handful of samples per
+        /// run do — no allocation, no lock.
         #[inline]
         pub fn record(&self, v: u64) {
             self.slot.buckets[bucket_index(v)].fetch_add(1, Relaxed);
             self.slot.count.fetch_add(1, Relaxed);
             self.slot.sum.fetch_add(v, Relaxed);
-            self.slot.min.fetch_min(v, Relaxed);
-            self.slot.max.fetch_max(v, Relaxed);
+            // Exact under races: the update is still an atomic min/max,
+            // the load only skips the ones that could not move the bound.
+            if v < self.slot.min.load(Relaxed) {
+                self.slot.min.fetch_min(v, Relaxed);
+            }
+            if v > self.slot.max.load(Relaxed) {
+                self.slot.max.fetch_max(v, Relaxed);
+            }
         }
 
         /// Samples recorded.
@@ -411,18 +444,25 @@ mod imp {
     // ukcheck: allow(alloc) -- snapshotting copies the registry for
     // export/bench attribution; callers take it outside measured windows
     pub fn snapshot() -> Snapshot {
-        // See `register`: a poisoned index is still structurally valid.
-        let idx = INDEX.lock().unwrap_or_else(|p| p.into_inner());
+        let idx = index();
+        let mut counters: Vec<CounterSnap> = idx
+            .counters
+            .iter()
+            .enumerate()
+            .map(|(i, &name)| CounterSnap {
+                name,
+                value: COUNTERS[i].load(Relaxed),
+            })
+            .collect();
+        // The merge: a name's total is its shared slot plus what every
+        // live set holds for it.
+        for (cells, slots) in &idx.sets {
+            for (cell, &slot) in cells.iter().zip(slots) {
+                counters[slot].value += cell.load(Relaxed);
+            }
+        }
         Snapshot {
-            counters: idx
-                .counters
-                .iter()
-                .enumerate()
-                .map(|(i, &name)| CounterSnap {
-                    name,
-                    value: COUNTERS[i].load(Relaxed),
-                })
-                .collect(),
+            counters,
             gauges: idx
                 .gauges
                 .iter()
@@ -443,12 +483,15 @@ mod imp {
 
     /// Zeroes every registered value while keeping registrations. Meant
     /// for single-threaded harnesses (benches) — racing resets against
-    /// live increments only loses increments, never corrupts.
+    /// live increments only loses increments (or, in a [`CounterSet`]
+    /// cell, the reset), never corrupts.
     pub fn reset_all() {
-        // See `register`: a poisoned index is still structurally valid.
-        let idx = INDEX.lock().unwrap_or_else(|p| p.into_inner());
+        let idx = index();
         for i in 0..idx.counters.len() {
             COUNTERS[i].store(0, Relaxed);
+        }
+        for cell in idx.sets.iter().flat_map(|(cells, _)| cells.iter()) {
+            cell.store(0, Relaxed);
         }
         for i in 0..idx.gauges.len() {
             GAUGES[i].store(0, Relaxed);
@@ -535,6 +578,80 @@ mod imp {
 }
 
 pub use imp::{reset_all, snapshot, Counter, Gauge, Histogram};
+
+/// A fixed list of named counters with **exactly one writer**, the
+/// struct that owns the set (see the module doc for how the registry
+/// merges sets on read). "One writer" is enforced, not promised: the
+/// set is `Send` — an owner may move to another thread — but not `Sync`,
+/// so two threads cannot `add` to one set:
+///
+/// ```compile_fail
+/// fn shared_between_threads<T: Sync>() {}
+/// shared_between_threads::<ukstats::CounterSet>();
+/// ```
+///
+/// A count that really has several writers (two threads, or code with
+/// no owner to hold a set) is a [`Counter`].
+pub struct CounterSet {
+    /// Atomic so that a snapshot on another thread reads race-free;
+    /// shared so that it can.
+    cells: Arc<[AtomicU64]>,
+    _one_writer: PhantomData<Cell<()>>,
+}
+
+impl CounterSet {
+    /// A zeroed set with one cell per name, in order, linked into the
+    /// registry under those names (resolved once, here).
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than [`MAX_COUNTERS`] distinct names register.
+    // ukcheck: allow(alloc) -- construction is registration: once per
+    // owner, on the control plane
+    pub fn new(names: &'static [&'static str]) -> CounterSet {
+        let cells: Arc<[AtomicU64]> = names.iter().map(|_| AtomicU64::new(0)).collect();
+        #[cfg(feature = "stats")]
+        imp::link_set(names, &cells);
+        CounterSet { cells, _one_writer: PhantomData }
+    }
+
+    /// Adds `n` to cell `i`: exact with one writer, and a reader on
+    /// another thread sees the old value or the new one.
+    #[inline(always)]
+    pub fn add(&self, i: usize, n: u64) {
+        let cell = &self.cells[i];
+        cell.store(cell.load(Relaxed).wrapping_add(n), Relaxed);
+    }
+
+    /// Cell `i`: what this owner counted.
+    #[inline(always)]
+    pub fn get(&self, i: usize) -> u64 {
+        self.cells[i].load(Relaxed)
+    }
+}
+
+#[cfg(feature = "stats")]
+impl Drop for CounterSet {
+    fn drop(&mut self) {
+        imp::fold_set(&self.cells);
+    }
+}
+
+/// Declares a [`CounterSet`] owner's rows once, `field => "registry.name";`
+/// each, as a module of cell indices (`$rows::field`) beside the name
+/// list [`CounterSet::new`] takes (`$rows::NAMES`), in the same order.
+#[macro_export]
+macro_rules! counter_rows {
+    ($vis:vis mod $rows:ident { $($(#[$doc:meta])* $field:ident => $name:literal;)* }) => {
+        #[allow(non_upper_case_globals)]
+        $vis mod $rows {
+            #[allow(non_camel_case_types)]
+            enum Cell { $($field,)* }
+            $($(#[$doc])* pub const $field: usize = Cell::$field as usize;)*
+            pub const NAMES: &[&str] = &[$($name,)*];
+        }
+    };
+}
 
 #[cfg(test)]
 mod tests {
