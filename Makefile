@@ -41,15 +41,20 @@ verify-fault-matrix:
 	$(CARGO) test -q -p uknetstack --no-default-features --test tcp_recovery
 
 ## The connection-lifecycle properties in both feature modes: the
-## wire-level lifecycle suite (SYN-flood survival and reclamation,
-## handshake-timeout reaping, TIME_WAIT 2MSL + port recycling,
-## keepalive dead-peer teardown, RST discipline, churn leak-checks)
-## and the timer-wheel-vs-reference proptest run with the
-## observability features on (default) and compiled out — the control
-## plane must not depend on stats/tracing being present.
+## TCB's own timeouts on raw TCB pairs (`tcp::tests`: handshake,
+## FIN_WAIT_2, 2MSL, keepalive — no stack), the wire-level lifecycle
+## suite (SYN-flood survival and reclamation, handshake-timeout
+## reaping, TIME_WAIT 2MSL + port recycling, keepalive dead-peer
+## teardown, RST discipline, churn leak-checks, one lazily re-armed
+## wheel entry per connection) and the timer-wheel-vs-reference
+## proptest run with the observability features on (default) and
+## compiled out — the control plane must not depend on stats/tracing
+## being present.
 verify-churn:
+	$(CARGO) test -q -p uknetstack --lib tcp::tests
 	$(CARGO) test -q -p uknetstack --test tcp_lifecycle
 	$(CARGO) test -q -p uknetstack --test proptests timer_wheel_matches
+	$(CARGO) test -q -p uknetstack --no-default-features --lib tcp::tests
 	$(CARGO) test -q -p uknetstack --no-default-features --test tcp_lifecycle
 	$(CARGO) test -q -p uknetstack --no-default-features --test proptests timer_wheel_matches
 

@@ -43,6 +43,14 @@ fn mk_stack(n: u8, backend: VhostKind, tsc: &Tsc) -> NetStack {
     NetStack::new(StackConfig::node(n), Box::new(dev))
 }
 
+/// The wire, on the clock the devices' cost model advances: the time a
+/// run is charged is also the time its TCP timers see.
+fn mk_net(tsc: &Tsc) -> Network {
+    let mut net = Network::new();
+    net.set_clock(tsc);
+    net
+}
+
 fn mk_alloc(backend: AllocBackend) -> Box<dyn Allocator> {
     let mut a = backend.instantiate();
     a.init(1 << 26, 64 << 20).expect("allocator init");
@@ -74,7 +82,7 @@ pub fn run_http_bench(
     requests: u64,
 ) -> Throughput {
     let tsc = Tsc::new(ukplat::cost::CPU_FREQ_HZ);
-    let mut net = Network::new();
+    let mut net = mk_net(&tsc);
     let ci = net.attach(mk_stack(1, backend, &tsc));
     let mut server_stack = mk_stack(2, backend, &tsc);
     let mut httpd = Httpd::new(&mut server_stack, 80, mk_alloc(alloc)).expect("httpd");
@@ -118,7 +126,7 @@ pub fn run_resp_bench(
     requests: u64,
 ) -> Throughput {
     let tsc = Tsc::new(ukplat::cost::CPU_FREQ_HZ);
-    let mut net = Network::new();
+    let mut net = mk_net(&tsc);
     let ci = net.attach(mk_stack(1, backend, &tsc));
     let mut server_stack = mk_stack(2, backend, &tsc);
     let mut kv = KvStore::new(&mut server_stack, 6379, mk_alloc(alloc)).expect("kvstore");

@@ -273,7 +273,10 @@ impl Unikernel {
             let dev = dev_slot.borrow_mut().take().ok_or(Errno::Io)?;
             if nc.with_stack {
                 let t = Instant::now();
-                let stack = NetStack::new(StackConfig::node(nc.node), Box::new(dev));
+                // One clock for the image: the device's cost model
+                // moves it, the scheduler and the stack's timers read it.
+                let mut stack = NetStack::new(StackConfig::node(nc.node), Box::new(dev));
+                stack.set_clock(&self.tsc);
                 self.stack = Some(stack);
                 report.stages.push(BootStage {
                     name: "lwip".into(),

@@ -55,10 +55,11 @@ pub const SINGLE_WRITER_FILES: &[&str] = &[
 /// count at the PR that last set it, rounded up to the next 50; a PR
 /// that needs more raises it here and says why.
 pub const SIZE_BUDGETS: &[(&str, usize)] = &[
-    // PR 19 (a count is written once, by its owner) left 3029 lines,
-    // down from 3054.
-    ("crates/uknetstack/src/stack.rs", 3050),
-    // PR 17 (one TCB seam) left 2890 lines, down from 2991.
+    // PR 20 (one clock, one wheel entry per connection) left 2925
+    // lines, down from 3029.
+    ("crates/uknetstack/src/stack.rs", 2950),
+    // PR 20 left 2898 lines, up from 2879: the four protocol timeouts
+    // moved in from `stack.rs`, the unclocked arms moved out.
     ("crates/uknetstack/src/tcp.rs", 2900),
 ];
 

@@ -37,8 +37,9 @@
 //!
 //! # Connection lifecycle and the timer wheel
 //!
-//! With a virtual clock installed ([`NetStack::set_clock`]), every
-//! connection walks the full RFC 793 state machine:
+//! Every stack has a clock — its own from construction, a shared one
+//! after [`NetStack::set_clock`] — and every connection walks the full
+//! RFC 793 state machine on it:
 //!
 //! ```text
 //!            LISTEN ──SYN──▶ SYN_RECEIVED ──ACK──▶ ESTABLISHED
@@ -53,17 +54,19 @@
 //!
 //! Every time-driven transition — retransmission (RTO), zero-window
 //! persist probes, delayed ACKs, the SYN_RECEIVED handshake timeout,
-//! FIN_WAIT_2 orphan reaping, TIME_WAIT's 2MSL park, and keepalive
-//! probing with dead-peer teardown — is a deadline on one
-//! **hierarchical timer wheel** ([`timer::TimerWheel`]: 4 levels ×
-//! 64 slots at 1 ms ticks, O(1) arm/cancel, cascading advance,
-//! generation-tagged tokens, zero allocations once warm) driven from
-//! `pump` instead of per-connection scans. Demux is a hashed
+//! the FIN_WAIT_2 orphan timeout, TIME_WAIT's 2MSL park, and keepalive
+//! probing with dead-peer teardown — is a deadline the connection's
+//! TCB keeps ([`tcp::TcbTimer`]); the stack keeps **one** entry per
+//! connection, at or before the earliest of them, on a **hierarchical
+//! timer wheel** ([`timer::TimerWheel`]: 4 levels × 64 slots at 1 ms
+//! ticks, O(1) arm/cancel, cascading advance, generation-tagged
+//! tokens, zero allocations once warm) driven from `pump` instead of
+//! per-connection scans. Demux is a hashed
 //! open-addressing flow table ([`flow::FlowTable`]) over an inline
 //! TCB slab — no per-connection boxing, no per-lookup allocation.
 //! The stack and a TCB meet along one narrow seam: one
-//! [`tcp::TcbConfig`] in, the four [`tcp::TcbTimer`] deadlines mirrored
-//! onto the wheel, one ingest call per received segment, and one
+//! [`tcp::TcbConfig`] in, one deadline out and one wake-up back
+//! (`next_deadline` / `on_time`), one ingest call per received segment, and one
 //! [`tcp::TcbStats`] read back and published under `netstack.tcp.*`
 //! (the crate README's "The TCB seam" lists every crossing).
 //!

@@ -88,12 +88,17 @@
 //!
 //! Everything the stack does to a [`Tcb`] is written once: every
 //! received segment — direct, GRO-merged or big-receive — enters
-//! through `tcp_ingest`; the TCB's four [`TcbTimer`]s are mirrored onto
-//! the wheel by one loop each in `sync_conn_timers`, `dispatch_timer`
-//! and `reap_conn_slot`; what a crossing counted is read off
+//! through `tcp_ingest`; what a crossing counted is read off
 //! [`TcbStats`] and added to the `tcb` rows of `stack_stats_table!`; and
 //! a TCB's configuration is the one [`TcbConfig`] `tcb_config` builds.
 //! `crates/uknetstack/README.md` lists the calls that cross.
+//!
+//! # Time
+//!
+//! Every stack has a clock from construction ([`NetStack::set_clock`]
+//! replaces it). A connection's timeouts are all its TCB's; the stack
+//! keeps **one** wheel entry per connection, at or before the earliest
+//! ([`Tcb::next_deadline`]), re-armed lazily (README, "Time").
 //!
 //! # Accounting
 //!
@@ -136,6 +141,9 @@ use crate::eth::{EthHeader, EtherType, ETH_HDR_LEN};
 use crate::flow::{flow_key, FlowTable};
 use crate::icmp::{self, ICMP_ECHO_LEN};
 use crate::ipv4::{IpProto, Ipv4Header, IPV4_HDR_LEN};
+pub use crate::tcp::{
+    HANDSHAKE_TIMEOUT_NS, KEEPALIVE_IDLE_NS, KEEPALIVE_INTVL_NS, KEEPALIVE_PROBES, TCP_MSL_NS,
+};
 use crate::tcp::{
     Tcb, TcbConfig, TcbStats, TcbTimer, TcpFlags, TcpHeader, TcpOptions, TcpState, MSS,
     SACK_PERMITTED_OPT, TCP_HDR_LEN, TCP_MAX_OPT_LEN,
@@ -208,36 +216,11 @@ fn tagged_port(h: usize, tag: usize) -> Option<u16> {
     (h & !0xffff == tag).then_some(h as u16)
 }
 
-/// TCP maximum segment lifetime against the virtual clock (TIME_WAIT
-/// lingers 2×MSL before its port recycles). Deliberately compressed
-/// versus RFC 793's 2 minutes — with a virtual clock the constant is
-/// policy, and tests/benches drive hours of it in milliseconds.
-pub const TCP_MSL_NS: u64 = 500_000_000;
-
-/// A connection stuck in the handshake (SYN_SENT / SYN_RECEIVED) is
-/// reaped after this long: generous against SYN-retransmit backoff,
-/// finite against a peer that vanished mid-handshake.
-pub const HANDSHAKE_TIMEOUT_NS: u64 = 6_000_000_000;
-
-/// FIN_WAIT_2 orphan reaping: the peer acked our FIN but never sent
-/// its own (Linux's `tcp_fin_timeout` shape).
-pub const FINWAIT2_TIMEOUT_NS: u64 = 3_000_000_000;
-
-/// Keepalive: idle time on an established connection before the first
-/// probe is sent.
-pub const KEEPALIVE_IDLE_NS: u64 = 5_000_000_000;
-
-/// Keepalive: spacing between unanswered probes.
-pub const KEEPALIVE_INTVL_NS: u64 = 1_000_000_000;
-
-/// Keepalive: unanswered probes before the peer is declared dead and
-/// the connection torn down.
-pub const KEEPALIVE_PROBES: u32 = 3;
-
-/// A fully Closed connection lingers this long before its slot is
-/// reclaimed (and keeps being re-checked on the same cadence while
-/// the application still has readable data to drain).
-pub const CLOSED_LINGER_NS: u64 = 10_000_000;
+/// A connection closed by its peer or a reset lingers this long before
+/// its slot is reclaimed (and keeps being re-checked on the same
+/// cadence while the application still has readable data to drain) —
+/// the one deadline of a connection that is the stack's, not its TCB's.
+const CLOSED_LINGER_NS: u64 = 10_000_000;
 
 /// Netbuf-pool level below which the receive path sheds the newest
 /// out-of-order reassembly extents back to the pool. Sustained loss
@@ -248,30 +231,15 @@ pub const CLOSED_LINGER_NS: u64 = 10_000_000;
 /// would stall the whole stack.
 pub const LOW_POOL_BUFS: usize = 16;
 
-/// Wheel entries (and fired-timer slots) a stack starts with: every
-/// timer kind of a dozen connections. More connections grow the slab
-/// geometrically, as before.
+/// Wheel entries (and fired-timer slots) a stack starts with: one per
+/// connection, for this many connections. More connections grow the
+/// slab geometrically.
 const WHEEL_PREALLOC: usize = 64;
 
 /// `pump` times one sweep in this many for the `netstack.pump_ns`
 /// histogram; the two clock reads cost as much as the rest of an idle
 /// sweep. `netstack.pump_sweeps` counts every sweep.
 const PUMP_NS_SAMPLE_EVERY: u64 = 64;
-
-// Timer-key kinds (bits 63..48 of a wheel key; the low 48 bits carry
-// `generation << 32 | slot`, validated against the slab at dispatch so
-// a timer armed by a dead incarnation fires into nothing).
-const TK_RTO: u64 = 0;
-const TK_DELACK: u64 = 1;
-const TK_LIFE: u64 = 2;
-const TK_RACK: u64 = 3;
-const TK_PACE: u64 = 4;
-
-/// The wheel key kind of each [`TcbTimer`], indexed like a connection's
-/// `timers` array by `kind as usize` — [`TcbTimer::ALL`] order, which is
-/// the order the timers are synced, armed and cancelled in (the
-/// lifecycle timer follows them).
-const TCB_TIMER_KEYS: [u64; 4] = [TK_RTO, TK_DELACK, TK_RACK, TK_PACE];
 
 // Reap-reason codes carried by the `tcp_conn_reaped` tracepoint.
 const REAP_CLOSED: u64 = 0;
@@ -355,10 +323,11 @@ fn offloaded(csum: Csum) -> u64 {
     u64::from(csum != Csum::Software)
 }
 
-/// Packs a timer-wheel key: kind, then the same generation-tagged slab
-/// coordinates a handle carries.
-fn timer_key(kind: u64, slot: u32, gen: u16) -> u64 {
-    (kind << 48) | ((gen as u64) << 32) | slot as u64
+/// Packs a timer-wheel key: the generation-tagged slab coordinates a
+/// handle carries, validated against the slab at dispatch so an entry
+/// armed by a dead incarnation fires into nothing.
+fn timer_key(slot: u32, gen: u16) -> u64 {
+    ((gen as u64) << 32) | slot as u64
 }
 
 // All three header layers — options included — must fit the reserved
@@ -415,8 +384,7 @@ pub struct StackConfig {
     pub congestion_control: bool,
     /// Whether idle established connections probe the peer
     /// (keepalive) and tear down after unanswered probes — dead peers
-    /// stop pinning TCBs and pooled buffers. Effective only with a
-    /// virtual clock installed.
+    /// stop pinning TCBs and pooled buffers.
     pub keepalive: bool,
     /// Per-listener bound on both the half-open SYN queue and the
     /// accept backlog. When the SYN queue is full, the **oldest
@@ -436,15 +404,13 @@ pub struct StackConfig {
     /// RFC 8985): per-extent transmit timestamps plus a
     /// reordering-window timer replace the brittle 3-dup-ACK
     /// threshold, and a tail-loss probe rescues last-segment drops
-    /// without a full RTO. Effective only with a virtual clock
-    /// installed (the reordering window needs a timebase); without
-    /// one the classic dup-ACK threshold stays in force.
+    /// without a full RTO. Off, the classic dup-ACK threshold is in
+    /// force.
     pub rack: bool,
     /// Whether recovery-episode emission (retransmissions and
     /// post-RTO slow start) is paced: the `min(cwnd, snd_wnd)` budget
     /// is released in SRTT-spread quanta through a wheel timer
-    /// instead of as one burst. Effective only with a virtual clock
-    /// installed.
+    /// instead of as one burst.
     pub pacing: bool,
     /// Whether new TCBs start with empty send/receive/retransmit
     /// queues that grow on demand, instead of the steady-state
@@ -518,41 +484,24 @@ impl UdpSocket {
     }
 }
 
-/// Which lifecycle timer (one per connection, multiplexed through
-/// `TK_LIFE`) is armed for a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LifeKind {
-    /// No lifecycle timer.
-    None,
-    /// Handshake timeout (SYN_SENT / SYN_RECEIVED reclamation).
-    Handshake,
-    /// Keepalive probing on an idle established connection.
-    Keepalive,
-    /// FIN_WAIT_2 orphan reaping.
-    FinWait2,
-    /// 2MSL TIME_WAIT expiry (port recycling).
-    TimeWait,
-    /// Closed-slot reclamation (short linger for EPOLLHUP delivery).
-    Reap,
-}
-
 struct TcpConn {
     tcb: Tcb,
     remote: Endpoint,
     local_port: u16,
-    /// Wheel mirrors of the TCB's deadlines, one per [`TcbTimer`]
-    /// (indexed by `kind as usize`): the armed token and the deadline
-    /// it was armed for.
-    timers: [(TimerToken, Option<u64>); 4],
-    /// The single lifecycle timer (kind says which one is armed).
-    life_tok: TimerToken,
-    life_kind: LifeKind,
+    /// The connection's one wheel entry, and the deadline it is armed
+    /// for while it is: never later than the TCB's
+    /// [`next_deadline`](Tcb::next_deadline) as of the last flush,
+    /// often earlier ([`sync_timer`](Self::sync_timer)).
+    timer: TimerToken,
+    armed_at: u64,
+    /// The armed entry is the [`CLOSED_LINGER_NS`] wait of a closed
+    /// connection, not a deadline of its TCB.
+    lingering: bool,
+    /// Counted in the stack's `held_acks`: the TCB was holding an ACK
+    /// at the last flush.
+    holds_ack: bool,
     /// The TCB's counters as last published (`publish_tcb_stats`).
     published: TcbStats,
-    /// Last segment activity (keepalive idle reference).
-    last_activity_ns: u64,
-    /// Unanswered keepalive probes since the last activity.
-    ka_probes: u32,
     /// Whether this connection sits on the stack's dirty list (its
     /// output, timers and readiness get reconciled by the next flush).
     dirty: bool,
@@ -582,6 +531,49 @@ impl TcpConn {
         }
         m
     }
+
+    /// Brings the connection's wheel entry in line with what its TCB
+    /// now wants, after a flush polled it — lazily: a deadline that
+    /// moved *later* leaves the entry where it is (it fires, finds
+    /// nothing due, and is brought in line again), so a
+    /// request/response exchange, whose every deadline is later than
+    /// the last, touches the wheel not at all. Only an earlier deadline
+    /// re-arms, and only a TCB that wants nothing cancels.
+    fn sync_timer(
+        &mut self,
+        wheel: &mut TimerWheel,
+        counts: &CounterSet,
+        held_acks: &mut usize,
+        key: u64,
+        now: u64,
+    ) {
+        let holds_ack = self.tcb.deadline(TcbTimer::DelAck).is_some();
+        *held_acks = *held_acks + usize::from(holds_ack) - usize::from(self.holds_ack);
+        self.holds_ack = holds_ack;
+        let want = if self.tcb.state != TcpState::Closed {
+            self.tcb.next_deadline()
+        } else if self.lingering {
+            return;
+        } else {
+            // Closed by the peer or a reset: whatever was armed was for
+            // the connection's past. The linger starts now.
+            wheel.cancel(std::mem::take(&mut self.timer));
+            self.lingering = true;
+            Some(now + CLOSED_LINGER_NS)
+        };
+        match want {
+            Some(d) if self.timer.is_none() || d < self.armed_at => {
+                wheel.cancel(self.timer);
+                self.timer = wheel.arm(d, key);
+                self.armed_at = d;
+                counts.add(row::timer_arms, 1);
+            }
+            Some(_) => {}
+            None => {
+                wheel.cancel(std::mem::take(&mut self.timer));
+            }
+        }
+    }
 }
 
 /// One slab slot: the generation tag survives the connection, so a
@@ -593,9 +585,10 @@ struct ConnSlot {
 }
 
 // `lib.rs` promises an idle `lean_tcbs` connection costs well under a
-// kilobyte. Lean queues own no heap, so beside its flow-table and wheel
-// entries the slot (768 B today, 576 of them the `Tcb`) is all it holds.
-const _: () = assert!(size_of::<ConnSlot>() <= 768);
+// kilobyte. Lean queues own no heap, so beside its flow-table entry and
+// its one wheel entry the slot (720 B today, 608 of them the `Tcb`) is
+// all it holds.
+const _: () = assert!(size_of::<ConnSlot>() <= 720);
 
 /// Packets parked for one unresolved next-hop: IP-level packets with
 /// Ethernet headroom still reserved, tagged with their transport
@@ -676,9 +669,9 @@ pub mod tp {
         tcp_ooo_shed(conn, count),
         // TCP ACK policy: a held ACK sat out its whole hold time.
         tcp_delack_fire(conn, now_ns),
-        // TCP connection lifecycle (timer wheel).
+        // TCP connection lifecycle.
         tcp_rst_tx(dst_port, seq),
-        tcp_time_wait(conn, port),
+        tcp_time_wait(conn, count),
         tcp_conn_reaped(conn, reason),
         tcp_syn_evicted(port, slot),
         tcp_keepalive_probe(conn, probes),
@@ -883,10 +876,6 @@ stack_stats_table! {
         /// Payload-free ACK segments transmitted (handshake and FIN ACKs,
         /// duplicate ACKs, window updates, released held ACKs).
         tcp_pure_acks_tx => "netstack.tcp.pure_acks_tx";
-        /// Connections that entered TIME_WAIT.
-        tcp_timewait => "netstack.tcp.timewait";
-        /// Connections reaped by keepalive dead-peer detection.
-        tcp_keepalive_drops => "netstack.tcp.keepalive_drops";
         /// Listener overflow events: half-open connections evicted from a
         /// full SYN queue plus handshake-completing ACKs dropped against a
         /// full accept backlog.
@@ -901,6 +890,9 @@ stack_stats_table! {
         arp_requests_tx => "netstack.arp_requests_tx";
         /// Sweeps `pump` has run (also selects the ones it times).
         pump_sweeps => "netstack.pump_sweeps";
+        /// Timer-wheel entries armed: a connection's earliest deadline
+        /// moved ahead of the entry it had, or it had none.
+        timer_arms => "netstack.timer_arms";
     }
     tcb {
         dup_acks => "netstack.dup_acks", tcp_dup_ack(Context);
@@ -916,6 +908,9 @@ stack_stats_table! {
         delack_fires => "netstack.tcp.delack_fires", tcp_delack_fire(Context);
         acks_piggybacked => "netstack.tcp.acks_piggybacked";
         window_updates => "netstack.tcp.window_updates_tx";
+        timewait => "netstack.tcp.timewait", tcp_time_wait(Delta);
+        keepalive_probes => "netstack.tcp.keepalive_probes", tcp_keepalive_probe(Total);
+        keepalive_drops => "netstack.tcp.keepalive_drops";
     }
 }
 
@@ -938,10 +933,9 @@ pub struct NetStack {
     /// slab slot. Replaces the old `HashMap<(u16, Endpoint), usize>` —
     /// lookup cost and memory stay flat at 100 K–1 M flows.
     flow: FlowTable,
-    /// Hierarchical timer wheel driving every connection timer —
-    /// RTO/persist, delayed ACK and the lifecycle set (handshake
-    /// timeout, keepalive, FIN_WAIT_2 reaping, 2MSL TIME_WAIT) — off
-    /// the virtual clock, O(1) per arm/cancel/advance.
+    /// Hierarchical timer wheel: one entry per connection that is
+    /// waiting for anything, at or before its earliest deadline, off
+    /// the stack's clock; O(1) per arm/cancel/advance.
     wheel: TimerWheel,
     /// Connections touched since the last flush (slot list,
     /// deduplicated by the per-connection `dirty` flag): the output,
@@ -951,7 +945,7 @@ pub struct NetStack {
     dirty: Vec<u32>,
     /// Fired-timer scratch for `tcp_timer_tick` (reused).
     fired_scratch: Vec<(u64, u64)>,
-    /// Connections holding an ACK on the wheel right now — what
+    /// Connections holding an ACK as of their last flush — what
     /// [`held_ack_deadline`](Self::held_ack_deadline) checks before it
     /// scans.
     held_acks: usize,
@@ -1010,10 +1004,9 @@ pub struct NetStack {
     gauges: StackGauges,
     /// Tracepoint ring (a ZST no-op with the `trace` feature off).
     trace: uktrace::TraceRing,
-    /// Virtual clock driving the per-connection retransmission timers
-    /// (`pump` ticks every TCB when installed). No clock means no
-    /// timer fires — the pre-loss-recovery behavior.
-    clock: Option<ukplat::time::Tsc>,
+    /// The clock every TCB and the wheel read: private until
+    /// [`set_clock`](Self::set_clock) shares one.
+    clock: ukplat::time::Tsc,
     /// The last `(cycles, ns)` pair [`now_ns`](Self::now_ns) converted.
     /// The clock is read ~10× per request/response and moves only when
     /// the wire or a timer wait advances it, so most reads repeat the
@@ -1090,9 +1083,9 @@ impl NetStack {
             conn_slots: Vec::new(),
             conn_free: Vec::new(),
             flow: FlowTable::new(),
-            // Sized so the first timers a connection arms — the held
-            // ACK among them, armed and fired mid-transfer — find their
-            // wheel entry and fire slot already there.
+            // Sized so the first connections find their wheel entry and
+            // fire slot already there: an entry is armed and fired
+            // mid-transfer.
             wheel: TimerWheel::with_capacity(WHEEL_PREALLOC),
             dirty: Vec::new(),
             fired_scratch: Vec::with_capacity(WHEEL_PREALLOC),
@@ -1122,29 +1115,23 @@ impl NetStack {
             counts: CounterSet::new(row::NAMES),
             gauges: StackGauges::register(),
             trace: uktrace::TraceRing::new(TRACE_RING_CAP),
-            clock: None,
+            clock: ukplat::time::Tsc::default(),
             now_memo: Cell::new((0, 0)),
             hold_scratch: Vec::with_capacity(MAX_BURST),
         }
     }
 
-    /// Installs the virtual clock that drives TCP retransmission
-    /// timers: every `pump` ticks each connection's RTO/persist timer
-    /// against it. Also stamps trace records with the same clock.
-    /// Without a clock no timer ever fires (timer-less setups keep
-    /// their exact pre-timer behavior); the returning-frame
-    /// retransmission queue and fast retransmit still work.
+    /// Replaces the stack's clock — private since construction, so
+    /// time stood still — with a shared one: every connection, open
+    /// already or later, and the timer wheel read `tsc` from now on,
+    /// and trace records are stamped with it. Time a connection has
+    /// seen does not run backwards: hand over a clock that reads no
+    /// earlier than the one it replaces.
     pub fn set_clock(&mut self, tsc: &ukplat::time::Tsc) {
-        self.clock = Some(tsc.clone());
+        self.clock = tsc.clone();
         // (0, 0) holds at every frequency; a pair converted at the old
         // clock's does not.
         self.now_memo.set((0, 0));
-        self.set_trace_clock(tsc);
-    }
-
-    /// Stamps this stack's trace records with the platform's virtual
-    /// clock instead of the default per-ring sequence numbers.
-    pub fn set_trace_clock(&mut self, tsc: &ukplat::time::Tsc) {
         self.trace.set_clock(tsc);
     }
 
@@ -1215,17 +1202,16 @@ impl NetStack {
         Some(self.pool.available())
     }
 
-    /// Current virtual time, when a clock is installed.
-    fn now_ns(&self) -> Option<u64> {
-        let clock = self.clock.as_ref()?;
-        let cycles = clock.now_cycles();
+    /// Current time on the stack's clock.
+    fn now_ns(&self) -> u64 {
+        let cycles = self.clock.now_cycles();
         let (memo_cycles, memo_ns) = self.now_memo.get();
         if cycles == memo_cycles {
-            return Some(memo_ns);
+            return memo_ns;
         }
-        let ns = clock.cycles_to_ns(cycles);
+        let ns = self.clock.cycles_to_ns(cycles);
         self.now_memo.set((cycles, ns));
-        Some(ns)
+        ns
     }
 
     /// Resolves a generation-tagged handle to its live connection.
@@ -1244,7 +1230,8 @@ impl NetStack {
         self.conn_slots.len() - self.conn_free.len()
     }
 
-    /// Timers currently armed on the wheel (diagnostics).
+    /// Timers currently armed on the wheel (diagnostics): at most one
+    /// per connection.
     pub fn armed_timer_count(&self) -> usize {
         self.wheel.len()
     }
@@ -1261,7 +1248,7 @@ impl NetStack {
         }
         self.conn_slots
             .iter()
-            .filter_map(|cs| cs.conn.as_ref()?.timers[TcbTimer::DelAck as usize].1)
+            .filter_map(|cs| cs.conn.as_ref()?.tcb.deadline(TcbTimer::DelAck))
             .min()
     }
 
@@ -1275,7 +1262,7 @@ impl NetStack {
     /// Installs a connection into the slab + flow table, bumping the
     /// slot's generation, and marks it dirty (its first output — SYN
     /// or SYN-ACK — leaves with the next flush).
-    fn alloc_conn(&mut self, tcb: Tcb, remote: Endpoint, local_port: u16, now: u64) -> usize {
+    fn alloc_conn(&mut self, tcb: Tcb, remote: Endpoint, local_port: u16) -> usize {
         let slot = match self.conn_free.pop() {
             Some(s) => s,
             None => {
@@ -1289,12 +1276,11 @@ impl NetStack {
             tcb,
             remote,
             local_port,
-            timers: [(TimerToken::NONE, None); 4],
-            life_tok: TimerToken::NONE,
-            life_kind: LifeKind::None,
+            timer: TimerToken::NONE,
+            armed_at: 0,
+            lingering: false,
+            holds_ack: false,
             published: TcbStats::default(),
-            last_activity_ns: now,
-            ka_probes: 0,
             dirty: false,
             rx_fresh: false,
             ready: None,
@@ -1306,7 +1292,7 @@ impl NetStack {
         h
     }
 
-    /// Tears a connection down completely: cancels its wheel timers,
+    /// Tears a connection down completely: cancels its wheel entry,
     /// removes its flow entry, scrubs it from its listener's queues,
     /// returns **every** buffer it holds (send, receive, reassembly,
     /// staged control) to the pool, frees the slab slot and publishes
@@ -1325,11 +1311,8 @@ impl NetStack {
             return;
         };
         let h = conn_handle(slot, gen);
-        for kind in TcbTimer::ALL {
-            let was_armed = self.wheel.cancel(c.timers[kind as usize].0);
-            self.held_acks -= usize::from(was_armed && kind == TcbTimer::DelAck);
-        }
-        self.wheel.cancel(c.life_tok);
+        self.wheel.cancel(c.timer);
+        self.held_acks -= usize::from(c.holds_ack);
         self.flow.remove(flow_key(c.local_port, c.remote));
         if let Some(l) = self.listeners.get_mut(&c.local_port) {
             l.syn_queue.retain(|&s| s != slot);
@@ -1404,6 +1387,21 @@ impl NetStack {
         for (ready, level) in cells {
             let published = ready.as_ref().map_or(level, ReadySource::current);
             assert_eq!(published, level, "a socket's readiness changed without a publish");
+        }
+    }
+
+    /// The lazy re-arm's invariant, checked like the readiness one: the
+    /// wheel holds at most one entry per connection, and every
+    /// connection the last flush left clean has its earliest deadline
+    /// covered by an entry armed at or before it.
+    #[cfg(debug_assertions)]
+    fn assert_deadlines_armed(&self) {
+        assert!(self.wheel.len() <= self.tcp_conn_count(), "more wheel entries than connections");
+        let clean = |c: &&TcpConn| !c.dirty && c.tcb.state != TcpState::Closed;
+        for c in self.conn_slots.iter().filter_map(|cs| cs.conn.as_ref()).filter(clean) {
+            if let Some(d) = c.tcb.next_deadline() {
+                assert!(!c.timer.is_none() && c.armed_at <= d, "deadline {d} has no wheel entry");
+            }
         }
     }
 
@@ -1619,33 +1617,24 @@ impl NetStack {
         conn
     }
 
-    /// What every TCB of this stack is configured with. Whatever needs
-    /// a timer to finish — the full lifecycle, held ACKs, RACK, pacing
-    /// — is gated on a clock driving the wheel: without one TIME_WAIT
-    /// would never be reaped, a held ACK never released, and the
-    /// dup-ACK threshold and burst emission stay in force.
+    /// What every TCB of this stack is configured with.
     fn tcb_config(&self) -> TcbConfig {
-        let clocked = self.clock.is_some();
         TcbConfig {
             mss: self.config.mss,
             congestion_control: self.config.congestion_control,
             sack: self.config.sack,
-            rack: self.config.rack && clocked,
-            pacing: self.config.pacing && clocked,
-            clocked,
+            rack: self.config.rack,
+            pacing: self.config.pacing,
+            keepalive: self.config.keepalive,
             lean: self.config.lean_tcbs,
         }
     }
 
     /// Applies [`tcb_config`](Self::tcb_config) to a fresh TCB and
-    /// stamps it with the current virtual time, which it returns.
-    fn configure_tcb(&self, tcb: &mut Tcb) -> Option<u64> {
+    /// stamps it with the current time.
+    fn configure_tcb(&self, tcb: &mut Tcb) {
         tcb.configure(self.tcb_config());
-        let now = self.now_ns();
-        if let Some(n) = now {
-            tcb.set_now(n);
-        }
-        now
+        tcb.set_now(self.now_ns());
     }
 
     /// Starts an active connection; completes after network pumping.
@@ -1667,8 +1656,8 @@ impl NetStack {
         self.next_ephemeral = if local_port == 65535 { 49152 } else { local_port + 1 };
         self.iss = self.iss.wrapping_add(64_000);
         let mut tcb = Tcb::connect(local_port, to.port, self.iss);
-        let now = self.configure_tcb(&mut tcb);
-        let h = self.alloc_conn(tcb, to, local_port, now.unwrap_or(0));
+        self.configure_tcb(&mut tcb);
+        let h = self.alloc_conn(tcb, to, local_port);
         self.flush_tcp()?;
         Ok(SocketHandle(h))
     }
@@ -2071,9 +2060,7 @@ impl NetStack {
                 continue;
             }
             let h = conn_handle(slot, gen);
-            if let Some(n) = now {
-                c.tcb.set_now(n);
-            }
+            c.tcb.set_now(now);
             let dst = c.remote.addr;
             // The receiver half's SACK report for this poll: D-SACK
             // plus the reassembly queue's extents, encoded once and
@@ -2135,7 +2122,7 @@ impl NetStack {
                     // the payload into the retransmission queue instead
                     // of the pool (see `rtx_return_chain`), stamped
                     // with the transmit time RACK's loss logic keys on.
-                    nb.set_tcp_hold(h as u64, header.seq, plen as u32, now.unwrap_or(0));
+                    nb.set_tcp_hold(h as u64, header.seq, plen as u32, now);
                 }
                 staged.push((dst, nb));
             });
@@ -2145,19 +2132,11 @@ impl NetStack {
                 self.gauges.tcp_rack_reorder_window_ns.set(c.tcb.reo_wnd_ns());
             }
             // An ingest, a timer fire, a returning frame or a socket
-            // call dirtied it and the poll above ran: publish the result.
+            // call dirtied it and the poll above ran: publish the result
+            // and see to it that the wheel wakes it in time.
             let fresh = std::mem::take(&mut c.rx_fresh);
             publish(&c.ready, || c.readiness(), fresh);
-        }
-        // Second pass: mirror every polled connection's timer wants
-        // (RTO, held ACK, lifecycle) into the wheel.
-        if let Some(n) = now {
-            let mut i = 0;
-            while i < self.dirty.len() {
-                let slot = self.dirty[i];
-                i += 1;
-                self.sync_conn_timers(slot, n);
-            }
+            c.sync_timer(&mut self.wheel, counts, &mut self.held_acks, timer_key(slot, gen), now);
         }
         self.dirty.clear();
         for (dst, nb) in staged.drain(..) {
@@ -2167,15 +2146,11 @@ impl NetStack {
         self.flush_tx()
     }
 
-    /// Advances the hierarchical timer wheel to the virtual clock (a
-    /// no-op until [`set_clock`](Self::set_clock) arms one) and
-    /// dispatches every expired timer: RTO/persist fires, delayed-ACK
-    /// deadlines, and lifecycle events (handshake timeout, keepalive
-    /// probes, FIN-WAIT-2 orphan reaping, TIME_WAIT 2MSL expiry).
-    /// Cost is O(expired timers), not O(connections) — 100 K idle
-    /// connections cost the tick nothing.
+    /// Advances the timer wheel to the clock and wakes every
+    /// connection whose entry expired. Cost is O(expired entries), not
+    /// O(connections) — 100 K idle connections cost the tick nothing.
     fn tcp_timer_tick(&mut self) {
-        let Some(now) = self.now_ns() else { return };
+        let now = self.now_ns();
         let mut fired = std::mem::take(&mut self.fired_scratch);
         fired.clear();
         self.wheel.advance(now, |key, deadline| fired.push((key, deadline)));
@@ -2185,13 +2160,17 @@ impl NetStack {
         self.fired_scratch = fired;
     }
 
-    /// Routes one expired wheel timer to its connection. The key
-    /// carries the timer kind, the slot, and the generation the timer
-    /// was armed under — a reused slot simply ignores stale fires.
+    /// Wakes the connection an expired wheel entry belongs to (the key
+    /// carries the slot and the generation it was armed under — a
+    /// reused slot ignores stale fires): its TCB fires whatever is due.
+    /// When that is nothing — the entry outlived its deadline — the
+    /// entry is re-armed for the current one, and that is all. A
+    /// connection its protocol timeout just closed is reaped here, and
+    /// so is a lingering closed one nobody owes a read; after any other
+    /// fire the flush polls what it left and arms the next entry.
     fn dispatch_timer(&mut self, key: u64, now: u64) {
-        let key_kind = key >> 48;
-        let gen = ((key >> 32) & 0xffff) as u16;
-        let slot = (key & 0xffff_ffff) as u32;
+        let gen = (key >> 32) as u16;
+        let slot = key as u32;
         let Some(cs) = self.conn_slots.get_mut(slot as usize) else {
             return;
         };
@@ -2199,107 +2178,25 @@ impl NetStack {
             return;
         }
         let Some(c) = cs.conn.as_mut() else { return };
+        c.timer = TimerToken::NONE;
+        let lingered = std::mem::take(&mut c.lingering);
+        let fired = c.tcb.on_time(now);
         let h = conn_handle(slot, gen);
-        let mut reap = None;
-        let tcb_timer = TcbTimer::ALL.into_iter().find(|&k| TCB_TIMER_KEYS[k as usize] == key_kind);
-        if let Some(kind) = tcb_timer {
-            c.timers[kind as usize] = (TimerToken::NONE, None);
-            self.held_acks -= usize::from(kind == TcbTimer::DelAck);
-            c.tcb.on_timer(kind, now);
-            let (counts, trace) = (&self.counts, &mut self.trace);
-            publish_tcb_stats(counts, trace, h, now, &mut c.published, c.tcb.stats());
-        } else if key_kind == TK_LIFE {
-            c.life_tok = TimerToken::NONE;
-            match c.life_kind {
-                LifeKind::Handshake => reap = Some(REAP_HANDSHAKE),
-                LifeKind::FinWait2 => reap = Some(REAP_FINWAIT2),
-                LifeKind::TimeWait => reap = Some(REAP_TIMEWAIT),
-                // While the application still owes a read, check again
-                // on the same cadence.
-                LifeKind::Reap if c.tcb.readable() == 0 => reap = Some(REAP_CLOSED),
-                LifeKind::Keepalive if now < c.last_activity_ns + KEEPALIVE_IDLE_NS => {
-                    c.ka_probes = 0;
-                }
-                LifeKind::Keepalive if c.ka_probes >= KEEPALIVE_PROBES => {
-                    self.counts.add(row::tcp_keepalive_drops, 1);
-                    reap = Some(REAP_KEEPALIVE);
-                }
-                LifeKind::Keepalive => {
-                    c.ka_probes += 1;
-                    c.tcb.emit_keepalive_probe();
-                    uktrace::trace!(self.trace, tp::tcp_keepalive_probe, h, c.ka_probes as usize);
-                }
-                LifeKind::Reap | LifeKind::None => {}
-            }
-        } else {
-            return;
-        }
+        publish_tcb_stats(&self.counts, &mut self.trace, h, now, &mut c.published, c.tcb.stats());
+        let reap = match c.tcb.timed_out() {
+            Some(TcpState::SynSent | TcpState::SynReceived) => Some(REAP_HANDSHAKE),
+            Some(TcpState::FinWait2) => Some(REAP_FINWAIT2),
+            Some(TcpState::TimeWait) => Some(REAP_TIMEWAIT),
+            Some(_) => Some(REAP_KEEPALIVE),
+            // While the application still owes a read, the linger
+            // starts over.
+            None if lingered && c.tcb.readable() == 0 => Some(REAP_CLOSED),
+            None => None,
+        };
         match reap {
             Some(reason) => self.reap_conn_slot(slot, reason),
-            // The fire left output to poll or a timer to re-arm.
-            None => mark_dirty(c, &mut self.dirty, slot),
-        }
-    }
-
-    /// Mirrors one connection's timer wants into the wheel: each of
-    /// the TCB's [`TcbTimer`] deadlines, then the lifecycle deadline
-    /// implied by its state. Re-arms only on change, so steady-state
-    /// data flow costs one compare per kind.
-    fn sync_conn_timers(&mut self, slot: u32, now: u64) {
-        let keepalive = self.config.keepalive;
-        let Some(cs) = self.conn_slots.get_mut(slot as usize) else {
-            return;
-        };
-        let gen = cs.gen;
-        let Some(c) = cs.conn.as_mut() else { return };
-        for kind in TcbTimer::ALL {
-            let want = c.tcb.deadline(kind);
-            let (tok, armed) = &mut c.timers[kind as usize];
-            if want != *armed || (want.is_some() && tok.is_none()) {
-                let was_armed = self.wheel.cancel(*tok);
-                let key = timer_key(TCB_TIMER_KEYS[kind as usize], slot, gen);
-                *tok = want.map_or(TimerToken::NONE, |d| self.wheel.arm(d, key));
-                *armed = want;
-                if kind == TcbTimer::DelAck {
-                    self.held_acks -= usize::from(was_armed);
-                    self.held_acks += usize::from(want.is_some());
-                }
-            }
-        }
-        let (kind, deadline) = match c.tcb.state {
-            TcpState::SynSent | TcpState::SynReceived => {
-                (LifeKind::Handshake, now + HANDSHAKE_TIMEOUT_NS)
-            }
-            TcpState::Established | TcpState::CloseWait if keepalive => {
-                let idle_deadline = c.last_activity_ns + KEEPALIVE_IDLE_NS;
-                let d = if idle_deadline <= now {
-                    now + KEEPALIVE_INTVL_NS
-                } else {
-                    idle_deadline
-                };
-                (LifeKind::Keepalive, d)
-            }
-            TcpState::FinWait2 => (LifeKind::FinWait2, now + FINWAIT2_TIMEOUT_NS),
-            TcpState::TimeWait => (LifeKind::TimeWait, now + 2 * TCP_MSL_NS),
-            TcpState::Closed => (LifeKind::Reap, now + CLOSED_LINGER_NS),
-            _ => (LifeKind::None, 0),
-        };
-        if kind != c.life_kind || (kind != LifeKind::None && c.life_tok.is_none()) {
-            if kind == LifeKind::TimeWait && c.life_kind != LifeKind::TimeWait {
-                self.counts.add(row::tcp_timewait, 1);
-                uktrace::trace!(
-                    self.trace,
-                    tp::tcp_time_wait,
-                    conn_handle(slot, gen),
-                    c.local_port as usize
-                );
-            }
-            self.wheel.cancel(c.life_tok);
-            c.life_tok = TimerToken::NONE;
-            c.life_kind = kind;
-            if kind != LifeKind::None {
-                c.life_tok = self.wheel.arm(deadline, timer_key(TK_LIFE, slot, gen));
-            }
+            None if fired => mark_dirty(c, &mut self.dirty, slot),
+            None => c.sync_timer(&mut self.wheel, &self.counts, &mut self.held_acks, key, now),
         }
     }
 
@@ -2398,7 +2295,10 @@ impl NetStack {
         self.tcp_timer_tick();
         let _ = self.flush_tcp();
         #[cfg(debug_assertions)]
-        self.assert_readiness_published();
+        {
+            self.assert_readiness_published();
+            self.assert_deadlines_armed();
+        }
         self.counts.add(row::pump_sweeps, 1);
         if let Some(t0) = sweep_start {
             self.gauges.pump_ns.record(t0.elapsed().as_nanos() as u64);
@@ -2681,8 +2581,8 @@ impl NetStack {
     /// `slot` — one RX buffer from the direct path, a GRO-merged run, or
     /// a big-receive chain; the three entry shapes only parse and demux.
     /// In order: a handshake-completing ACK is refused while the accept
-    /// backlog is full; the connection's clock and keepalive state are
-    /// stamped; options, then the segment, reach the TCB (payload
+    /// backlog is full; the connection is told the time; options, then
+    /// the segment, reach the TCB (payload
     /// buffers move into its queues, the rest go back to the pool); the
     /// newest out-of-order extents are shed while the pool sits below
     /// [`LOW_POOL_BUFS`]; the connection is marked dirty (the flush
@@ -2725,11 +2625,7 @@ impl NetStack {
             bufs.for_each(|b| pool.give_back_chain(b));
             return Err(Errno::NoMem);
         }
-        if let Some(n) = now {
-            c.tcb.set_now(n);
-            c.last_activity_ns = n;
-            c.ka_probes = 0;
-        }
+        c.tcb.set_now(now);
         if let Some(opts) = opts {
             c.tcb.process_options(tcp, opts);
         }
@@ -2945,9 +2841,9 @@ impl NetStack {
             self.reap_conn_slot(v, REAP_SYN_EVICTED);
         }
         let mut tcb = Tcb::listen(tcp.dst_port);
-        let now = self.configure_tcb(&mut tcb);
+        self.configure_tcb(&mut tcb);
         self.iss = self.iss.wrapping_add(64_000);
-        let h = self.alloc_conn(tcb, remote, tcp.dst_port, now.unwrap_or(0));
+        let h = self.alloc_conn(tcb, remote, tcp.dst_port);
         let slot = (h & 0xffff_ffff) as u32;
         if let Some(l) = self.listeners.get_mut(&tcp.dst_port) {
             l.syn_queue.push_back(slot);

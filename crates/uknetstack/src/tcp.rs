@@ -79,10 +79,11 @@
 //!
 //! A [`Tcb`] knows nothing of wheels, registries or pools. Its owner
 //! (`NetStack`, or a test) hands it one [`TcbConfig`] at creation,
-//! runs the four [`TcbTimer`]s it asks for ([`Tcb::deadline`] /
-//! [`Tcb::on_timer`]), and reads what happened off one [`TcbStats`]
-//! ([`Tcb::stats`]) — `crates/uknetstack/README.md`, "The TCB seam",
-//! lists every call that crosses.
+//! tells it the time ([`Tcb::set_now`]), wakes it when its earliest
+//! deadline has passed ([`Tcb::next_deadline`] / [`Tcb::on_time`]; the
+//! five [`TcbTimer`]s behind them are the TCB's own business), and
+//! reads what happened off one [`TcbStats`] ([`Tcb::stats`]) —
+//! `crates/uknetstack/README.md`, "Time" and "The TCB seam".
 
 use std::collections::VecDeque;
 
@@ -131,10 +132,29 @@ const OOO_SEQ_HORIZON: u32 = 1 << 17;
 const INITIAL_CWND_SEGS: usize = 10;
 /// Longest the ACK of in-order data is held for a data segment to
 /// carry it (RFC 1122 §4.2.3.2 caps the delay at 500 ms; 40 ms matches
-/// Linux's default quick timeout). Only a clocked TCB
-/// ([`TcbConfig::clocked`]) holds ACKs — see the ACK policy on
+/// Linux's default quick timeout) — see the ACK policy on
 /// [`Tcb::poll_output_chain_with`].
 pub const DELACK_NS: u64 = 40_000_000;
+/// TCP maximum segment lifetime against the virtual clock (TIME_WAIT
+/// lingers 2×MSL before its port recycles). Deliberately compressed
+/// versus RFC 793's 2 minutes — with a virtual clock the constant is
+/// policy, and tests/benches drive hours of it in milliseconds.
+pub const TCP_MSL_NS: u64 = 500_000_000;
+/// A connection stuck in the handshake (SYN_SENT / SYN_RECEIVED) is
+/// closed after this long: generous against SYN-retransmit backoff,
+/// finite against a peer that vanished mid-handshake.
+pub const HANDSHAKE_TIMEOUT_NS: u64 = 6_000_000_000;
+/// FIN_WAIT_2 orphan timeout: the peer acked our FIN but never sent
+/// its own (Linux's `tcp_fin_timeout` shape).
+pub const FINWAIT2_TIMEOUT_NS: u64 = 3_000_000_000;
+/// Keepalive: idle time on an established connection before the first
+/// probe is sent.
+pub const KEEPALIVE_IDLE_NS: u64 = 5_000_000_000;
+/// Keepalive: spacing between unanswered probes.
+pub const KEEPALIVE_INTVL_NS: u64 = 1_000_000_000;
+/// Keepalive: unanswered probes before the peer is declared dead and
+/// the connection closed.
+pub const KEEPALIVE_PROBES: u32 = 3;
 /// Most SACK blocks one option ever carries: 3 regular blocks
 /// (RFC 2018 §3 with a NOP-NOP-prefixed option) plus one leading
 /// D-SACK block (RFC 2883 §4).
@@ -182,6 +202,14 @@ impl TcpFlags {
     pub const SYN: TcpFlags = TcpFlags {
         syn: true,
         ack: false,
+        fin: false,
+        rst: false,
+        psh: false,
+    };
+    /// A pure ACK.
+    const ACK: TcpFlags = TcpFlags {
+        syn: false,
+        ack: true,
         fin: false,
         rst: false,
         psh: false,
@@ -411,14 +439,10 @@ impl TcpOptions {
 
 /// TCP connection states (subset of RFC 793).
 ///
-/// `FinWait` merges FIN-WAIT-1 and CLOSING; with the connection
-/// lifecycle enabled ([`TcbConfig::clocked`], which the stack
-/// switches on whenever a virtual clock is installed) an acknowledged
-/// FIN promotes to [`FinWait2`](Self::FinWait2) and the final FIN
-/// lands the TCB in [`TimeWait`](Self::TimeWait) for the stack's 2MSL
-/// reaper instead of closing outright. Raw TCBs (no lifecycle) keep
-/// the pre-wheel behavior: FIN exchange ends in
-/// [`Closed`](Self::Closed) directly.
+/// `FinWait` merges FIN-WAIT-1 and CLOSING; an acknowledged FIN
+/// promotes to [`FinWait2`](Self::FinWait2) and the final FIN lands the
+/// TCB in [`TimeWait`](Self::TimeWait), which [`TcbTimer::Life`] ends
+/// in [`Closed`](Self::Closed) 2MSL later.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
     /// Passive open.
@@ -431,8 +455,8 @@ pub enum TcpState {
     Established,
     /// We sent FIN (FIN-WAIT-1 / CLOSING).
     FinWait,
-    /// Our FIN is acknowledged; awaiting the peer's (orphan-reaped by
-    /// the stack if it never comes).
+    /// Our FIN is acknowledged; awaiting the peer's (timed out if it
+    /// never comes).
     FinWait2,
     /// Peer sent FIN; we may still send.
     CloseWait,
@@ -459,9 +483,10 @@ pub struct OutSegment {
     pub payload: Vec<u8>,
 }
 
-/// The timers a TCB asks its owner to run: [`Tcb::deadline`] says when
-/// each is due and [`Tcb::on_timer`] fires it. The stack mirrors the
-/// four deadlines onto its wheel in this order.
+/// The timers a TCB runs: [`Tcb::deadline`] says when each is due and
+/// [`Tcb::on_timer`] fires it. An owner needs neither — it wakes the
+/// TCB at [`Tcb::next_deadline`] and [`Tcb::on_time`] fires whatever is
+/// due, in this order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcbTimer {
     /// Retransmission timeout, or the persist timer behind a closed
@@ -475,12 +500,18 @@ pub enum TcbTimer {
     Rack,
     /// The recovery pacing gate's next release.
     Pace,
+    /// The protocol timeout of the current state: the handshake
+    /// ([`HANDSHAKE_TIMEOUT_NS`]), FIN_WAIT_2 ([`FINWAIT2_TIMEOUT_NS`])
+    /// and TIME_WAIT (2 × [`TCP_MSL_NS`]) end in `Closed` when it
+    /// fires; with [`TcbConfig::keepalive`] an idle established
+    /// connection is probed and, unanswered, closed.
+    Life,
 }
 
 impl TcbTimer {
-    /// Every kind, in wheel order.
-    pub const ALL: [TcbTimer; 4] =
-        [TcbTimer::Rto, TcbTimer::DelAck, TcbTimer::Rack, TcbTimer::Pace];
+    /// Every kind, in firing order.
+    pub const ALL: [TcbTimer; 5] =
+        [TcbTimer::Rto, TcbTimer::DelAck, TcbTimer::Rack, TcbTimer::Pace, TcbTimer::Life];
 }
 
 /// A TCB's cumulative event counters, read whole through
@@ -519,13 +550,20 @@ pub struct TcbStats {
     /// Window updates sent because a drain reopened the receive window
     /// (rule (c) of the ACK policy).
     pub window_updates: u32,
+    /// Entries into TIME_WAIT (at most one per connection).
+    pub timewait: u32,
+    /// Keepalive probes sent.
+    pub keepalive_probes: u32,
+    /// Closes by keepalive dead-peer detection (at most one per
+    /// connection).
+    pub keepalive_drops: u32,
 }
 
 /// Everything the owner decides about a TCB, handed over once by
 /// [`Tcb::configure`] while its queues are still empty. The default is
-/// a raw TCB: full MSS, every mechanism off, no clock. The stack fills
-/// it from the `StackConfig` fields of the same names, which say what
-/// each mechanism buys.
+/// a raw TCB: full MSS, every mechanism off. The stack fills it from
+/// the `StackConfig` fields of the same names, which say what each
+/// mechanism buys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcbConfig {
     /// Maximum segment size for software segmentation (and the cut
@@ -538,17 +576,13 @@ pub struct TcbConfig {
     /// SYN also carried SACK-permitted.
     pub sack: bool,
     /// RACK's reordering window and the tail-loss probe replace the
-    /// 3-dup-ACK threshold. Needs `clocked`.
+    /// 3-dup-ACK threshold.
     pub rack: bool,
     /// Recovery-episode emission is metered through the pacing gate.
-    /// Needs `clocked`.
     pub pacing: bool,
-    /// The owner runs this TCB's [`TcbTimer`]s, so what only a timer
-    /// can finish is on: an orderly close walks FIN_WAIT_2 and parks in
-    /// TIME_WAIT for the 2MSL reaper instead of jumping to `Closed`,
-    /// and the ACK of in-order data may be held for a data segment to
-    /// carry. An unclocked TCB acknowledges at every poll.
-    pub clocked: bool,
+    /// An idle established connection probes its peer and closes when
+    /// [`KEEPALIVE_PROBES`] go unanswered.
+    pub keepalive: bool,
     /// The queues start empty and grow on demand instead of
     /// preallocated at their steady-state depth.
     pub lean: bool,
@@ -562,7 +596,7 @@ impl Default for TcbConfig {
             sack: false,
             rack: false,
             pacing: false,
-            clocked: false,
+            keepalive: false,
             lean: false,
         }
     }
@@ -733,6 +767,16 @@ pub struct Tcb {
     pace_budget: usize,
     /// Armed pacing-gate release deadline.
     pace_deadline_ns: Option<u64>,
+    /// Armed [`TcbTimer::Life`] deadline, and the state it was derived
+    /// in: the output poll re-derives it when the state has moved on.
+    life_deadline_ns: Option<u64>,
+    life_state: TcpState,
+    /// When the last segment arrived (the keepalive idle reference).
+    last_activity_ns: u64,
+    /// Keepalive probes sent since then.
+    ka_probes: u32,
+    /// The state [`TcbTimer::Life`] expired in, once it has.
+    timed_out: Option<TcpState>,
 }
 
 impl Tcb {
@@ -818,6 +862,11 @@ impl Tcb {
             tlp_consumed: false,
             pace_budget: 0,
             pace_deadline_ns: None,
+            life_deadline_ns: None,
+            life_state: TcpState::Closed,
+            last_activity_ns: 0,
+            ka_probes: 0,
+            timed_out: None,
         }
     }
 
@@ -873,9 +922,40 @@ impl Tcb {
         &self.sacked
     }
 
-    /// When `kind` is due, if it is armed. The owner mirrors the four
-    /// deadlines onto its timer wheel and calls
-    /// [`on_timer`](Self::on_timer) when one expires.
+    /// The earliest armed deadline, if any: when the owner must next
+    /// call [`on_time`](Self::on_time). It moves with every segment and
+    /// poll; an owner that wakes the TCB at a stale, earlier time loses
+    /// nothing (`on_time` then fires nothing).
+    pub fn next_deadline(&self) -> Option<u64> {
+        TcbTimer::ALL.into_iter().filter_map(|kind| self.deadline(kind)).min()
+    }
+
+    /// Fires every timer that is due at `now_ns`, in [`TcbTimer::ALL`]
+    /// order, and says whether any was. Whatever the fires decided
+    /// leaves at the next output poll — except a [`TcbTimer::Life`]
+    /// expiry, which closes the connection on the spot
+    /// ([`timed_out`](Self::timed_out)).
+    pub fn on_time(&mut self, now_ns: u64) -> bool {
+        self.set_now(now_ns);
+        let mut fired = false;
+        for kind in TcbTimer::ALL {
+            if self.deadline(kind).is_some_and(|d| d <= now_ns) {
+                self.on_timer(kind, now_ns);
+                fired = true;
+            }
+        }
+        fired
+    }
+
+    /// The state the connection was in when its protocol timeout closed
+    /// it: `SynSent`/`SynReceived` (handshake), `Established`/`CloseWait`
+    /// (keepalive found the peer dead), `FinWait2` or `TimeWait`. `None`
+    /// for a connection that is open or closed some other way.
+    pub fn timed_out(&self) -> Option<TcpState> {
+        self.timed_out
+    }
+
+    /// When `kind` is due, if it is armed.
     pub fn deadline(&self, kind: TcbTimer) -> Option<u64> {
         match kind {
             TcbTimer::Rto => self.rtx_deadline_ns,
@@ -885,14 +965,16 @@ impl Tcb {
                 (a, b) => a.or(b),
             },
             TcbTimer::Pace => self.pace_deadline_ns,
+            TcbTimer::Life => self.life_deadline_ns,
         }
     }
 
-    /// The owner's timer for `kind` expired at `now_ns`. Whatever the
-    /// fire decided leaves at the next output poll; what it counted
-    /// shows in [`stats`](Self::stats) (`rto_fires`, `delack_fires`,
-    /// `fast_retransmits` or `tlp_probes`, `paced_releases`). A fire
-    /// that finds its deadline moved on or disarmed does nothing.
+    /// The timer for `kind` expired at `now_ns`. Whatever the fire
+    /// decided leaves at the next output poll; what it counted shows in
+    /// [`stats`](Self::stats) (`rto_fires`, `delack_fires`,
+    /// `fast_retransmits` or `tlp_probes`, `paced_releases`,
+    /// `keepalive_probes` or `keepalive_drops`). A fire that finds its
+    /// deadline moved on or disarmed does nothing.
     pub fn on_timer(&mut self, kind: TcbTimer, now_ns: u64) {
         self.set_now(now_ns);
         match kind {
@@ -912,7 +994,73 @@ impl Tcb {
                     self.stats.paced_releases += 1;
                 }
             }
+            TcbTimer::Life => self.on_life(now_ns),
         }
+    }
+
+    /// Derives the [`TcbTimer::Life`] deadline of the state the
+    /// connection is in now, if it is not the state the armed one was
+    /// derived in: each timed state is given its whole timeout from the
+    /// poll that first sees it, and retransmissions within it do not
+    /// start it over.
+    fn arm_life(&mut self) {
+        if self.state == self.life_state {
+            return;
+        }
+        self.life_state = self.state;
+        self.life_deadline_ns = match self.state {
+            TcpState::SynSent | TcpState::SynReceived => Some(self.now_ns + HANDSHAKE_TIMEOUT_NS),
+            TcpState::FinWait2 => Some(self.now_ns + FINWAIT2_TIMEOUT_NS),
+            TcpState::TimeWait => {
+                self.stats.timewait += 1;
+                Some(self.now_ns + 2 * TCP_MSL_NS)
+            }
+            TcpState::Established | TcpState::CloseWait if self.cfg.keepalive => {
+                Some(self.last_activity_ns + KEEPALIVE_IDLE_NS)
+            }
+            _ => None,
+        };
+    }
+
+    /// [`TcbTimer::Life`] fired. A handshake, FIN_WAIT_2 or TIME_WAIT
+    /// that has lasted its whole timeout ends in `Closed`. Keepalive
+    /// (RFC 1122 §4.2.3.6) first looks at when the peer was last heard:
+    /// inside the idle time it waits out the rest; past it, it probes
+    /// every [`KEEPALIVE_INTVL_NS`] — any answer is a segment, which
+    /// starts the idle time over — and closes after
+    /// [`KEEPALIVE_PROBES`] unanswered ones.
+    fn on_life(&mut self, now_ns: u64) {
+        if self.life_deadline_ns.is_none_or(|d| now_ns < d) {
+            return;
+        }
+        if self.state != self.life_state {
+            // Armed for a state a segment has since moved the
+            // connection out of; the poll that follows has not run yet.
+            self.arm_life();
+            return;
+        }
+        if matches!(self.state, TcpState::Established | TcpState::CloseWait) {
+            let idle_until = self.last_activity_ns + KEEPALIVE_IDLE_NS;
+            if now_ns < idle_until {
+                self.life_deadline_ns = Some(idle_until);
+                return;
+            }
+            if self.ka_probes < KEEPALIVE_PROBES {
+                // A pure ACK one sequence number below `snd_nxt` is
+                // outside the peer's window, so a live peer must answer
+                // it at once.
+                self.ka_probes += 1;
+                self.stats.keepalive_probes += 1;
+                let probe = self.header_at(self.snd_nxt.wrapping_sub(1), TcpFlags::ACK);
+                self.out.push_back(probe);
+                self.life_deadline_ns = Some(now_ns + KEEPALIVE_INTVL_NS);
+                return;
+            }
+            self.stats.keepalive_drops += 1;
+        }
+        self.timed_out = Some(self.state);
+        self.state = TcpState::Closed;
+        self.life_deadline_ns = None;
     }
 
     /// RACK timer fired: settle whichever deadlines have passed. An
@@ -1014,26 +1162,6 @@ impl Tcb {
         }
     }
 
-    /// Queues a keepalive probe: a pure ACK one sequence number below
-    /// `snd_nxt`, which is outside the peer's acceptable window and so
-    /// forces an immediate ACK from a live peer (RFC 1122 §4.2.3.6).
-    /// The stack's keepalive timer drives this on idle connections and
-    /// tears the connection down when enough probes go unanswered.
-    pub fn emit_keepalive_probe(&mut self) {
-        let window = self.advertise();
-        self.out.push_back(TcpHeader {
-            src_port: self.local_port,
-            dst_port: self.remote_port,
-            seq: self.snd_nxt.wrapping_sub(1),
-            ack: self.rcv_nxt,
-            flags: TcpFlags {
-                ack: true,
-                ..Default::default()
-            },
-            window,
-        });
-    }
-
     /// The receive window to advertise: free space in the receive buffer.
     fn rcv_window(&self) -> u16 {
         (RCV_BUF_CAP - self.recv_q_len.min(RCV_BUF_CAP)) as u16
@@ -1049,17 +1177,22 @@ impl Tcb {
         window
     }
 
-    /// Builds the header for the next outgoing segment.
-    fn make_header(&mut self, flags: TcpFlags) -> TcpHeader {
+    /// Builds the header of a segment at sequence position `seq`.
+    fn header_at(&mut self, seq: u32, flags: TcpFlags) -> TcpHeader {
         let window = self.advertise();
         TcpHeader {
             src_port: self.local_port,
             dst_port: self.remote_port,
-            seq: self.snd_nxt,
+            seq,
             ack: self.rcv_nxt,
             flags,
             window,
         }
+    }
+
+    /// Builds the header for the next outgoing segment.
+    fn make_header(&mut self, flags: TcpFlags) -> TcpHeader {
+        self.header_at(self.snd_nxt, flags)
     }
 
     /// Queues a control (payload-free) segment.
@@ -1430,9 +1563,7 @@ impl Tcb {
     }
 
     /// Fires the retransmission/persist timer if its deadline passed
-    /// (an ACK may have moved it on since the owner armed its mirror).
-    /// Unclocked owners never call this — lossless setups keep their
-    /// exact pre-timer behavior.
+    /// (an ACK may have moved it on since the owner was told of it).
     fn on_rto(&mut self, now_ns: u64) {
         if self.rtx_deadline_ns.is_none_or(|d| now_ns < d) {
             return;
@@ -1445,11 +1576,7 @@ impl Tcb {
             TcpState::SynSent => self.emit_at(self.snd_una, TcpFlags::SYN),
             TcpState::SynReceived => self.emit_at(
                 self.snd_una,
-                TcpFlags {
-                    syn: true,
-                    ack: true,
-                    ..Default::default()
-                },
+                TcpFlags { syn: true, ..TcpFlags::ACK },
             ),
             _ => {
                 if self
@@ -1488,11 +1615,7 @@ impl Tcb {
                     // Only our FIN is unacknowledged: re-emit it.
                     self.emit_at(
                         self.snd_nxt.wrapping_sub(1),
-                        TcpFlags {
-                            fin: true,
-                            ack: true,
-                            ..Default::default()
-                        },
+                        TcpFlags { fin: true, ..TcpFlags::ACK },
                     );
                 } else if self.snd_una == self.snd_nxt
                     && self.send_q_len > 0
@@ -1514,16 +1637,29 @@ impl Tcb {
     /// Queues a control segment at an explicit (re)transmission
     /// sequence position — SYN / SYN-ACK / FIN retransmission.
     fn emit_at(&mut self, seq: u32, flags: TcpFlags) {
-        let window = self.advertise();
         self.stats.retransmits += 1;
-        self.out.push_back(TcpHeader {
-            src_port: self.local_port,
-            dst_port: self.remote_port,
-            seq,
-            ack: self.rcv_nxt,
-            flags,
-            window,
-        });
+        let header = self.header_at(seq, flags);
+        self.out.push_back(header);
+    }
+
+    /// Whether data may be re-emitted in this state: from the first
+    /// byte sent until our FIN is acknowledged.
+    fn can_retransmit(&self) -> bool {
+        matches!(
+            self.state,
+            TcpState::Established | TcpState::CloseWait | TcpState::FinWait | TcpState::LastAck
+        )
+    }
+
+    /// Re-emits the retransmission-queue extent `nb` at `start`: the
+    /// original frame's payload buffer (headers stripped, headroom
+    /// restored), moved back out without a copy; its next return
+    /// re-files it. Karn: an RTT sample over a retransmission would lie.
+    fn retransmit<F: FnMut(TcpHeader, Netbuf)>(&mut self, start: u32, nb: Netbuf, emit: &mut F) {
+        let header = self.header_at(start, TcpFlags { psh: true, ..TcpFlags::ACK });
+        self.stats.retransmits += 1;
+        self.rtt_probe = None;
+        emit(header, nb);
     }
 
     /// Handles an incoming segment (borrowed-payload convenience over
@@ -1571,6 +1707,8 @@ impl Tcb {
         R: FnMut(Netbuf),
     {
         let payload = payload.into_iter();
+        self.last_activity_ns = self.now_ns;
+        self.ka_probes = 0;
         if h.flags.rst {
             // A listener must survive RSTs: an RST aimed at a LISTEN
             // socket acknowledges nothing and resets nothing (RFC 793
@@ -1592,11 +1730,7 @@ impl Tcb {
                 if h.flags.syn {
                     self.remote_port = h.src_port;
                     self.rcv_nxt = h.seq.wrapping_add(1);
-                    self.emit(TcpFlags {
-                            syn: true,
-                            ack: true,
-                            ..Default::default()
-                        });
+                    self.emit(TcpFlags { syn: true, ..TcpFlags::ACK });
                     self.snd_nxt = self.snd_nxt.wrapping_add(1);
                     self.state = TcpState::SynReceived;
                 }
@@ -1606,10 +1740,7 @@ impl Tcb {
                 if h.flags.syn && h.flags.ack {
                     self.process_ack(h, 0);
                     self.rcv_nxt = h.seq.wrapping_add(1);
-                    self.emit(TcpFlags {
-                            ack: true,
-                            ..Default::default()
-                        });
+                    self.emit(TcpFlags::ACK);
                     self.state = TcpState::Established;
                 }
                 payload.for_each(recycle);
@@ -1634,13 +1765,10 @@ impl Tcb {
                 while let Some(nb) = self.rtx_released.pop() {
                     recycle(nb);
                 }
-                // With the lifecycle enabled, the ACK covering our FIN
-                // promotes FIN-WAIT-1 → FIN-WAIT-2 (a FIN riding the
-                // same segment then lands in TIME_WAIT below).
-                if self.cfg.clocked
-                    && self.state == TcpState::FinWait
-                    && self.fin_sent
-                    && self.snd_una == self.snd_nxt
+                // The ACK covering our FIN promotes FIN-WAIT-1 →
+                // FIN-WAIT-2 (a FIN riding the same segment then lands
+                // in TIME_WAIT below).
+                if self.state == TcpState::FinWait && self.fin_sent && self.snd_una == self.snd_nxt
                 {
                     self.state = TcpState::FinWait2;
                 }
@@ -1657,30 +1785,18 @@ impl Tcb {
                 } else if h.flags.fin && self.state == TcpState::Established {
                     self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
                     self.peer_fin = true;
-                    self.emit(TcpFlags {
-                            ack: true,
-                            ..Default::default()
-                        });
+                    self.emit(TcpFlags::ACK);
                     self.state = TcpState::CloseWait;
                 } else if h.flags.fin
                     && matches!(self.state, TcpState::FinWait | TcpState::FinWait2)
                 {
                     self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
                     self.peer_fin = true;
-                    self.emit(TcpFlags {
-                            ack: true,
-                            ..Default::default()
-                        });
-                    // Both FINs exchanged. With the lifecycle on, park
-                    // in TIME_WAIT for the stack's 2MSL reaper (a
-                    // retransmitted peer FIN still finds us and our
-                    // final ACK can be regenerated); without it, the
-                    // legacy direct close.
-                    self.state = if self.cfg.clocked {
-                        TcpState::TimeWait
-                    } else {
-                        TcpState::Closed
-                    };
+                    self.emit(TcpFlags::ACK);
+                    // Both FINs exchanged: park in TIME_WAIT for 2MSL
+                    // (a retransmitted peer FIN still finds us and our
+                    // final ACK can be regenerated).
+                    self.state = TcpState::TimeWait;
                 }
             }
             TcpState::TimeWait => {
@@ -1694,10 +1810,7 @@ impl Tcb {
                     recycle(nb);
                 }
                 if h.flags.fin || had_payload {
-                    self.emit(TcpFlags {
-                        ack: true,
-                        ..Default::default()
-                    });
+                    self.emit(TcpFlags::ACK);
                 }
             }
             TcpState::LastAck => {
@@ -1714,11 +1827,7 @@ impl Tcb {
             }
             TcpState::Closed => {
                 // Reply RST to anything but RST.
-                self.emit(TcpFlags {
-                        rst: true,
-                        ack: true,
-                        ..Default::default()
-                    });
+                self.emit(TcpFlags { rst: true, ..TcpFlags::ACK });
                 payload.for_each(recycle);
             }
         }
@@ -2033,10 +2142,10 @@ impl Tcb {
 
     /// Recycles **every** pooled buffer the TCB holds — send queue,
     /// receive queue, and the recovery queues — and clears the armed
-    /// deadlines. The stack's reapers (TIME_WAIT 2MSL, handshake
-    /// timeout, keepalive dead-peer, FIN-WAIT-2 orphan, SYN-queue
-    /// eviction) call this so a torn-down connection returns its
-    /// memory to the pools in full.
+    /// deadlines. The stack's reaper calls this — after a protocol
+    /// timeout, a closed connection's linger or a SYN-queue eviction —
+    /// so a torn-down connection returns its memory to the pools in
+    /// full.
     pub fn drain_all_buffers<R: FnMut(Netbuf)>(&mut self, mut recycle: R) {
         while let Some(nb) = self.send_q.pop_front() {
             recycle(nb);
@@ -2048,6 +2157,7 @@ impl Tcb {
         self.recv_q_len = 0;
         self.drain_recovery_queues(&mut recycle);
         self.ack_deadline_ns = None;
+        self.life_deadline_ns = None;
         self.ack_pending = false;
         self.ack_now = false;
         self.wnd_update_due = false;
@@ -2368,14 +2478,12 @@ impl Tcb {
 
     /// Whether the pending ACK may be held for a data segment to carry
     /// — the negation of rules (a)–(e) of the ACK policy (see
-    /// [`poll_output_chain_with`](Self::poll_output_chain_with)) and
-    /// of the clock gate. Duplicate, out-of-window and out-of-order
-    /// arrivals, hole fills, owed window updates and D-SACKs and the
-    /// hold timer all raise `ack_now`; a FIN moves the state off
-    /// `Established`.
+    /// [`poll_output_chain_with`](Self::poll_output_chain_with)).
+    /// Duplicate, out-of-window and out-of-order arrivals, hole fills,
+    /// owed window updates and D-SACKs and the hold timer all raise
+    /// `ack_now`; a FIN moves the state off `Established`.
     fn ack_may_wait(&self) -> bool {
-        self.cfg.clocked
-            && !self.ack_now
+        !self.ack_now
             && self.state == TcpState::Established
             && self.ooo_q.is_empty()
             && self.rcv_nxt.wrapping_sub(self.last_ack_sent) as usize <= self.cfg.mss
@@ -2425,10 +2533,6 @@ impl Tcb {
     ///   SACK/D-SACK block is owed (those ride pure ACKs only);
     /// - (e) the hold timer fired
     ///   ([`on_timer`](Self::on_timer) with [`TcbTimer::DelAck`]).
-    ///
-    /// Holding needs a timer to bound it, so only a clocked TCB
-    /// ([`TcbConfig::clocked`]) ever does; an unclocked
-    /// one acknowledges at every poll.
     pub fn poll_output_chain_with<T, F>(&mut self, max_seg: usize, mut take_buf: T, mut emit: F)
     where
         T: FnMut() -> Netbuf,
@@ -2457,10 +2561,7 @@ impl Tcb {
         // segments the sweep carried.
         if self.dup_ack_now && self.state != TcpState::Closed {
             self.dup_ack_now = false;
-            let header = self.make_header(TcpFlags {
-                ack: true,
-                ..Default::default()
-            });
+            let header = self.make_header(TcpFlags::ACK);
             emit(header, take_buf());
             emitted_ack = true;
         }
@@ -2485,19 +2586,8 @@ impl Tcb {
         // out before any new data — the peer is stalled on exactly
         // these bytes. With a populated scoreboard the hole-walk
         // re-emits every known hole surgically; without one, the
-        // legacy single extent at `snd_una`. Either way the extent
-        // *is* the original frame's payload buffer (headers stripped,
-        // headroom restored), moved back out of the retransmission
-        // queue without a copy; its next return re-files it.
-        if self.rtx_request
-            && matches!(
-                self.state,
-                TcpState::Established
-                    | TcpState::CloseWait
-                    | TcpState::FinWait
-                    | TcpState::LastAck
-            )
-        {
+        // single extent at `snd_una`.
+        if self.rtx_request && self.can_retransmit() {
             let front_home = self
                 .rtx_q
                 .front()
@@ -2516,22 +2606,7 @@ impl Tcb {
                     debug_assert!(false, "rtx_q emptied between front() and pop_front()");
                     return;
                 };
-                let window = self.advertise();
-                let header = TcpHeader {
-                    src_port: self.local_port,
-                    dst_port: self.remote_port,
-                    seq: start,
-                    ack: self.rcv_nxt,
-                    flags: TcpFlags {
-                        ack: true,
-                        psh: true,
-                        ..Default::default()
-                    },
-                    window,
-                };
-                self.stats.retransmits += 1;
-                self.rtt_probe = None; // Karn.
-                emit(header, nb);
+                self.retransmit(start, nb, &mut emit);
                 emitted_ack = true;
             }
             // If the front extent is not at `snd_una` (still in flight
@@ -2543,30 +2618,9 @@ impl Tcb {
         // recovery needs, without waiting out a full RTO.
         if self.tlp_pending {
             self.tlp_pending = false;
-            if matches!(
-                self.state,
-                TcpState::Established
-                    | TcpState::CloseWait
-                    | TcpState::FinWait
-                    | TcpState::LastAck
-            ) {
+            if self.can_retransmit() {
                 if let Some((start, _, nb)) = self.rtx_q.pop_back() {
-                    let window = self.advertise();
-                    let header = TcpHeader {
-                        src_port: self.local_port,
-                        dst_port: self.remote_port,
-                        seq: start,
-                        ack: self.rcv_nxt,
-                        flags: TcpFlags {
-                            ack: true,
-                            psh: true,
-                            ..Default::default()
-                        },
-                        window,
-                    };
-                    self.stats.retransmits += 1;
-                    self.rtt_probe = None; // Karn.
-                    emit(header, nb);
+                    self.retransmit(start, nb, &mut emit);
                     emitted_ack = true;
                 }
             }
@@ -2597,11 +2651,7 @@ impl Tcb {
                     n = n.min(self.pace_budget);
                 }
                 let last = n == self.send_q_len;
-                let header = self.make_header(TcpFlags {
-                    ack: true,
-                    psh: last,
-                    ..Default::default()
-                });
+                let header = self.make_header(TcpFlags { psh: last, ..TcpFlags::ACK });
                 let chain = self.assemble_chain(n, &mut take_buf);
                 emit(header, chain);
                 emitted_ack = true;
@@ -2622,11 +2672,7 @@ impl Tcb {
                     // the advertised edge and its ACK re-synchronizes
                     // the window; the byte rides the normal
                     // retransmission machinery if the probe is lost.
-                    let header = self.make_header(TcpFlags {
-                        ack: true,
-                        psh: true,
-                        ..Default::default()
-                    });
+                    let header = self.make_header(TcpFlags { psh: true, ..TcpFlags::ACK });
                     let chain = self.assemble_chain(1, &mut take_buf);
                     emit(header, chain);
                     emitted_ack = true;
@@ -2634,11 +2680,7 @@ impl Tcb {
                 }
             }
             if self.closing && self.send_q_len == 0 {
-                let header = self.make_header(TcpFlags {
-                    fin: true,
-                    ack: true,
-                    ..Default::default()
-                });
+                let header = self.make_header(TcpFlags { fin: true, ..TcpFlags::ACK });
                 emit(header, take_buf());
                 emitted_ack = true;
                 self.snd_nxt = self.snd_nxt.wrapping_add(1);
@@ -2665,10 +2707,7 @@ impl Tcb {
                     self.ack_deadline_ns = Some(self.now_ns.saturating_add(DELACK_NS));
                 }
             } else {
-                let header = self.make_header(TcpFlags {
-                    ack: true,
-                    ..Default::default()
-                });
+                let header = self.make_header(TcpFlags::ACK);
                 emit(header, take_buf());
                 emitted_ack = true;
             }
@@ -2709,13 +2748,7 @@ impl Tcb {
             && !self.in_recovery
             && !self.tlp_consumed
             && self.tlp_deadline_ns.is_none()
-            && matches!(
-                self.state,
-                TcpState::Established
-                    | TcpState::CloseWait
-                    | TcpState::FinWait
-                    | TcpState::LastAck
-            )
+            && self.can_retransmit()
         {
             let mut pto = if self.srtt_ns > 0 {
                 2 * self.srtt_ns
@@ -2737,6 +2770,7 @@ impl Tcb {
                     .saturating_add((self.srtt_ns / 8).max(PACE_INTERVAL_MIN_NS)),
             );
         }
+        self.arm_life();
     }
 
     /// The SACK scoreboard's surgical retransmission pass (see
@@ -2803,32 +2837,17 @@ impl Tcb {
                 debug_assert!(false, "rtx_q index went stale during hole walk");
                 break;
             };
-            let window = self.advertise();
-            let header = TcpHeader {
-                src_port: self.local_port,
-                dst_port: self.remote_port,
-                seq: start,
-                ack: self.rcv_nxt,
-                flags: TcpFlags {
-                    ack: true,
-                    psh: true,
-                    ..Default::default()
-                },
-                window,
-            };
-            self.stats.retransmits += 1;
             if start != self.snd_una {
                 // A hole beyond the first: the retransmission classic
                 // go-back-N recovery would only reach a round trip
                 // later (or re-send everything in between).
                 self.stats.sack_rtx += 1;
             }
-            self.rtt_probe = None; // Karn.
             if !self.cfg.rack {
                 self.sack_rtx_mark = end;
             }
             budget = budget.saturating_sub(len);
-            emit(header, nb);
+            self.retransmit(start, nb, emit);
             emitted = true;
         }
         if pacing {
@@ -2946,6 +2965,21 @@ mod tests {
         }
     }
 
+    /// [`pump`], then time: whenever both ends are quiet the clock jumps
+    /// to the earlier of their next deadlines and fires it, until
+    /// neither has a segment to send or a deadline to wait for.
+    fn settle(a: &mut Tcb, b: &mut Tcb) {
+        for _ in 0..64 {
+            pump(a, b);
+            let Some(now) = a.next_deadline().into_iter().chain(b.next_deadline()).min() else {
+                return;
+            };
+            a.on_time(now);
+            b.on_time(now);
+        }
+        panic!("still busy after 64 deadlines: {:?} / {:?}", a.next_deadline(), b.next_deadline());
+    }
+
     #[test]
     fn three_way_handshake() {
         let mut server = Tcb::listen(80);
@@ -2997,10 +3031,18 @@ mod tests {
         pump(&mut client, &mut server);
         assert_eq!(server.state, TcpState::CloseWait);
         assert!(server.peer_closed());
+        assert_eq!(client.state, TcpState::FinWait2, "our FIN is acknowledged");
         server.app_close();
         pump(&mut client, &mut server);
         assert_eq!(server.state, TcpState::Closed);
+        assert_eq!(client.state, TcpState::TimeWait, "the active closer lingers");
+        let entered = client.now_ns;
+        settle(&mut client, &mut server);
         assert_eq!(client.state, TcpState::Closed);
+        assert_eq!(client.timed_out(), Some(TcpState::TimeWait));
+        assert_eq!(client.now_ns, entered + 2 * TCP_MSL_NS, "after 2MSL, no sooner");
+        assert_eq!((client.stats().timewait, server.stats().timewait), (1, 0));
+        assert_eq!(server.timed_out(), None, "the passive closer was closed by an ACK");
     }
 
     #[test]
@@ -3354,14 +3396,19 @@ mod tests {
         assert_eq!(server.readable(), 0);
     }
 
-    /// A clocked connection driven until `kind` is armed on the TCB
-    /// it returns.
+    /// A connection driven until `kind` is armed on the TCB it
+    /// returns.
     fn armed(kind: TcbTimer) -> Tcb {
-        let cfg = TcbConfig { clocked: true, rack: true, pacing: true, ..TcbConfig::default() };
+        let cfg = TcbConfig { rack: true, pacing: true, ..TcbConfig::default() };
         let mut server = Tcb::listen(80);
         let mut client = Tcb::connect(4000, 80, 1000);
         server.configure(cfg);
         client.configure(cfg);
+        if kind == TcbTimer::Life {
+            // A SYN nobody answers: the handshake is on the clock.
+            client.poll_output();
+            return client;
+        }
         pump(&mut client, &mut server);
         // A flight nobody acknowledges arms the RTO and, ahead of it,
         // RACK's tail-loss probe.
@@ -3384,6 +3431,7 @@ mod tests {
                 client.poll_output();
                 client
             }
+            TcbTimer::Life => unreachable!("returned above"),
         }
     }
 
@@ -3403,6 +3451,7 @@ mod tests {
                         - (before.fast_retransmits + before.tlp_probes)
                 }
                 TcbTimer::Pace => after.paced_releases - before.paced_releases,
+                TcbTimer::Life => u32::from(tcb.timed_out() == Some(TcpState::SynSent)),
             };
             assert_eq!(fired, 1, "{kind:?} counted its fire");
             // Spent: disarmed — or, for the RTO, backed off to a later one.
@@ -3413,6 +3462,91 @@ mod tests {
             );
             assert_eq!(tcb.deadline(kind).is_some(), kind == TcbTimer::Rto);
         }
+    }
+
+    /// Jumps `tcb`'s clock to its next deadline and fires it; the
+    /// segments that leaves behind are returned, undelivered.
+    fn wait(tcb: &mut Tcb) -> Vec<OutSegment> {
+        let now = tcb.next_deadline().expect("a deadline to wait for");
+        tcb.on_time(now);
+        tcb.poll_output()
+    }
+
+    #[test]
+    fn unanswered_syn_is_retransmitted_then_times_out() {
+        let mut client = Tcb::connect(4000, 80, 1);
+        assert_eq!(client.poll_output().len(), 1, "the SYN");
+        let mut syns = 0;
+        while client.state == TcpState::SynSent {
+            syns += wait(&mut client).iter().filter(|s| s.header.flags.syn).count();
+        }
+        assert_eq!(syns, 2, "retransmitted after 1 s and 3 s; the third is not due by 6 s");
+        assert_eq!(client.state, TcpState::Closed);
+        assert_eq!(client.timed_out(), Some(TcpState::SynSent));
+        assert_eq!(client.now_ns, HANDSHAKE_TIMEOUT_NS);
+        assert!(client.poll_output().is_empty(), "a timed-out connection sends nothing");
+        assert_eq!(client.next_deadline(), None, "and waits for nothing");
+    }
+
+    #[test]
+    fn fin_wait_2_orphan_times_out() {
+        let mut server = Tcb::listen(80);
+        let mut client = Tcb::connect(4000, 80, 1);
+        pump(&mut client, &mut server);
+        client.app_close();
+        pump(&mut client, &mut server);
+        assert_eq!((client.state, server.state), (TcpState::FinWait2, TcpState::CloseWait));
+        // The server never closes its side.
+        settle(&mut client, &mut server);
+        assert_eq!(client.state, TcpState::Closed);
+        assert_eq!(client.timed_out(), Some(TcpState::FinWait2));
+        assert_eq!(client.now_ns, FINWAIT2_TIMEOUT_NS);
+        assert_eq!(server.state, TcpState::CloseWait, "nobody told the server");
+    }
+
+    #[test]
+    fn keepalive_probes_an_idle_peer_and_closes_on_a_dead_one() {
+        let mut server = Tcb::listen(80);
+        let mut client = Tcb::connect(4000, 80, 1);
+        client.configure(TcbConfig { keepalive: true, ..TcbConfig::default() });
+        pump(&mut client, &mut server);
+        assert_eq!(client.deadline(TcbTimer::Life), Some(KEEPALIVE_IDLE_NS));
+        assert_eq!(server.deadline(TcbTimer::Life), None, "keepalive is per side");
+
+        // A live peer: every probe is out of window, so it is answered
+        // at once, and the answer starts the idle time over.
+        for round in 1..=3u64 {
+            // (The wake a probe interval after an answered probe finds
+            // the idle time started over, and sends nothing.)
+            let probe = std::iter::repeat_with(|| wait(&mut client)).find(|out| !out.is_empty()).unwrap();
+            assert_eq!(client.now_ns, round * KEEPALIVE_IDLE_NS);
+            assert_eq!(probe.len(), 1, "{probe:?}");
+            assert_eq!(probe[0].header.seq, client.snd_nxt().wrapping_sub(1));
+            server.on_segment(&probe[0].header, &[]);
+            let answer = server.poll_output();
+            assert_eq!(answer.len(), 1, "{answer:?}");
+            client.on_segment(&answer[0].header, &[]);
+            assert!(client.poll_output().is_empty());
+        }
+        assert_eq!(client.state, TcpState::Established);
+        assert_eq!((client.stats().keepalive_probes, client.stats().keepalive_drops), (3, 0));
+
+        // A dead one: the probes leave a second apart and nothing comes
+        // back; the one after the last closes.
+        let idle_from = client.now_ns;
+        assert!(wait(&mut client).is_empty(), "idle since the last answer: nothing to send yet");
+        for _ in 0..KEEPALIVE_PROBES {
+            assert_eq!(wait(&mut client).len(), 1);
+        }
+        assert_eq!(client.state, TcpState::Established);
+        assert!(wait(&mut client).is_empty());
+        assert_eq!(client.state, TcpState::Closed);
+        assert_eq!(client.timed_out(), Some(TcpState::Established));
+        assert_eq!(
+            client.now_ns,
+            idle_from + KEEPALIVE_IDLE_NS + KEEPALIVE_PROBES as u64 * KEEPALIVE_INTVL_NS
+        );
+        assert_eq!((client.stats().keepalive_probes, client.stats().keepalive_drops), (6, 1));
     }
 
     #[test]

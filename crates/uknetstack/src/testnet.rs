@@ -54,10 +54,14 @@
 //! bandwidth-delay pipe: delivered frames sit in an in-flight line for
 //! a fixed number of steps (propagation delay) and at most a budget of
 //! frames drains per step (link rate), so congestion-control tests see
-//! queueing, RTT, and a real in-flight cap. [`Network::set_clock`]
-//! shares one virtual [`ukplat::time::Tsc`] across every attached
-//! stack and advances it per step ([`Network::set_step_ns`]), driving
-//! the stacks' retransmission timers deterministically.
+//! queueing, RTT, and a real in-flight cap.
+//!
+//! The wire owns the **clock** its stacks run on: one virtual
+//! [`ukplat::time::Tsc`], shared with every stack as it attaches,
+//! advanced per step ([`Network::set_step_ns`]) and skipped ahead over
+//! idle waits ([`Network::run_until_quiet`]), so every TCP timer runs —
+//! deterministically — in every test. [`Network::set_clock`] swaps in
+//! the caller's own (a device's, say, so the cost model moves it).
 
 use uknetdev::netbuf::Netbuf;
 
@@ -107,8 +111,8 @@ pub struct Network {
     delay_line: std::collections::VecDeque<(u64, usize, Netbuf)>,
     /// Steps taken (drives the delay line).
     step_no: u64,
-    /// Shared virtual clock, advanced per step when armed.
-    clock: Option<ukplat::time::Tsc>,
+    /// The clock every attached stack runs on, advanced per step.
+    clock: ukplat::time::Tsc,
     /// Nanoseconds the clock advances per step.
     step_ns: u64,
 }
@@ -127,8 +131,10 @@ impl Network {
         Self::default()
     }
 
-    /// Attaches a stack; returns its index.
-    pub fn attach(&mut self, stack: NetStack) -> usize {
+    /// Attaches a stack, putting it on the wire's clock; returns its
+    /// index.
+    pub fn attach(&mut self, mut stack: NetStack) -> usize {
+        stack.set_clock(&self.clock);
         self.stacks.push(stack);
         // Pre-sized for the deepest step backlogs the bulk workloads
         // reach: harvest and stage depth shifts between runs with the
@@ -237,18 +243,17 @@ impl Network {
         self.bw_per_step = per_step;
     }
 
-    /// Shares one virtual clock across every *currently attached*
-    /// stack (arming their retransmission timers) and keeps a handle
-    /// so [`step`](Self::step) can advance it. Pair with
-    /// [`set_step_ns`](Self::set_step_ns).
+    /// Replaces the wire's clock with `tsc`, for the stacks attached
+    /// already and those attached later alike ([`NetStack::set_clock`]
+    /// says what a stack does with it).
     pub fn set_clock(&mut self, tsc: &ukplat::time::Tsc) {
         for s in &mut self.stacks {
             s.set_clock(tsc);
         }
-        self.clock = Some(tsc.clone());
+        self.clock = tsc.clone();
     }
 
-    /// Nanoseconds the shared clock advances at the start of every
+    /// Nanoseconds the clock advances at the start of every
     /// [`step`](Self::step) (default 0 — the clock only moves when the
     /// test advances it by hand).
     pub fn set_step_ns(&mut self, ns: u64) {
@@ -509,9 +514,7 @@ impl Network {
     /// what arrived; returns frames moved (wire frames, i.e. a TSO
     /// super-segment counts once per cut frame).
     pub fn step(&mut self) -> usize {
-        if let Some(c) = self.clock.as_ref() {
-            c.advance_ns(self.step_ns);
-        }
+        self.clock.advance_ns(self.step_ns);
         let moved = self.transfer();
         for s in &mut self.stacks {
             s.pump();
@@ -524,18 +527,23 @@ impl Network {
     /// into it holding an ACK. A held ACK is traffic that has not
     /// happened yet — its peer keeps the unacknowledged tail (and the
     /// pooled buffers behind it) until the hold timer releases it —
-    /// so on an idle wire the shared clock skips ahead to the earliest
-    /// such deadline instead of reporting quiet (idle time costs a
+    /// so on an idle wire the clock skips ahead to the earliest such
+    /// deadline instead of reporting quiet (idle time costs a
     /// simulation nothing), and the released ACK gets its step to
-    /// cross. Without a shared clock to advance, the remaining rounds
-    /// are stepped as they are.
+    /// cross.
     pub fn run_until_quiet(&mut self, max_rounds: usize) -> usize {
         let mut total = 0;
         let mut idle = false;
         for _ in 0..max_rounds {
             let held = self.stacks.iter().filter_map(NetStack::held_ack_deadline).min();
-            if let (true, Some(deadline), Some(c)) = (idle, held, self.clock.as_ref()) {
-                c.advance_ns(deadline.saturating_sub(c.cycles_to_ns(c.now_cycles())));
+            if let (true, Some(deadline)) = (idle, held) {
+                // To the deadline, not a cycle short of it: the
+                // conversions floor, and a timer is not due early.
+                let now = |c: &ukplat::time::Tsc| c.cycles_to_ns(c.now_cycles());
+                while now(&self.clock) < deadline {
+                    let behind = self.clock.ns_to_cycles(deadline - now(&self.clock));
+                    self.clock.advance(behind.max(1));
+                }
             }
             let moved = self.step();
             total += moved;
@@ -1473,9 +1481,10 @@ mod tests {
         let got = net.stack(1).tcp_recv(conn, 1024).unwrap();
         assert_eq!(got, payload, "data accepted despite the early FIN");
         // The reordered FIN was dropped, not processed out of order:
-        // the connection is still Established (no clock is armed here,
-        // so the peer's FIN retransmission never fires — the sequence
-        // space staying intact is the property under test).
+        // the connection is still Established (the wire's clock stands
+        // still here, so the peer's FIN retransmission never comes due
+        // — the sequence space staying intact is the property under
+        // test).
         assert_eq!(
             net.stack(1).tcp_state(conn),
             Some(TcpState::Established),

@@ -1,9 +1,10 @@
 //! Hierarchical timer wheel — the connection-lifecycle substrate.
 //!
-//! One wheel per stack drives *every* TCP timer: retransmission,
-//! persist probes, delayed ACKs, the SYN-RECEIVED handshake timeout,
-//! TIME_WAIT's 2MSL expiry, FIN-WAIT-2 orphan reaping and keepalive
-//! probing. The design is the classic hashed hierarchical wheel
+//! One wheel per stack wakes every TCP connection that is waiting for
+//! anything — retransmission, persist probes, delayed ACKs, the
+//! handshake, FIN-WAIT-2 and TIME_WAIT timeouts, keepalive probing —
+//! through one entry per connection, armed at or before the earliest
+//! of its deadlines. The design is the classic hashed hierarchical wheel
 //! (Varghese & Lauck): `LEVELS` levels of `SLOTS` slots each, where
 //! level 0 resolves single ticks and each higher level covers
 //! `SLOTS`× the span below it. Arming, cancelling and advancing are

@@ -146,13 +146,17 @@ proptest! {
         pump(&mut client, &mut server);
         prop_assert_eq!(server.app_recv(usize::MAX), c2s);
         prop_assert_eq!(client.app_recv(usize::MAX), s2c);
-        // Orderly close still works afterwards.
+        // Orderly close still works afterwards: the passive closer is
+        // done when its FIN is acknowledged, the active one 2MSL later.
         client.app_close();
         pump(&mut client, &mut server);
         server.app_close();
         pump(&mut client, &mut server);
-        prop_assert_eq!(client.state, TcpState::Closed);
+        prop_assert_eq!(client.state, TcpState::TimeWait);
         prop_assert_eq!(server.state, TcpState::Closed);
+        settle(&mut client, &mut server);
+        prop_assert_eq!(client.state, TcpState::Closed);
+        prop_assert_eq!(client.timed_out(), Some(TcpState::TimeWait));
     }
 
     /// A TCB never panics on arbitrary incoming segments.
@@ -1310,10 +1314,11 @@ proptest! {
 
 // --- held ACK ≡ immediate ACK on delivery ----------------------------
 
-/// Runs one client→server transfer on a two-node net — clocked (the
-/// ACK policy holds ACKs for a data segment to carry) or not (every
-/// poll acknowledges); returns the bytes the server read.
-fn delack_transfer(clocked: bool, data: &[u8]) -> Vec<u8> {
+/// Runs one client→server transfer on a two-node net whose clock runs
+/// (1 ms a step: a held ACK is released 40 steps on) or stands still
+/// (a held ACK waits for `run_until_quiet`); returns the bytes the
+/// server read.
+fn delack_transfer(time_passes: bool, data: &[u8]) -> Vec<u8> {
     use uknetdev::backend::VhostKind;
     use uknetdev::dev::{NetDev, NetDevConf};
     use uknetdev::VirtioNet;
@@ -1331,7 +1336,7 @@ fn delack_transfer(clocked: bool, data: &[u8]) -> Vec<u8> {
     let mut net = Network::new();
     net.attach(mk(1));
     net.attach(mk(2));
-    if clocked {
+    if time_passes {
         let clock = Tsc::new(1_000_000_000);
         net.set_clock(&clock);
         net.set_step_ns(1_000_000); // 1 ms per step: 40 steps per hold.
@@ -1380,8 +1385,8 @@ proptest! {
 
     /// Holding ACKs changes when acknowledgements travel, never what
     /// the application receives: for arbitrary payloads, delivery is
-    /// byte-identical on a clocked net (ACKs held) and an unclocked
-    /// one (ACKs immediate), and neither leaks a buffer.
+    /// byte-identical whether the hold timer gets to fire mid-transfer
+    /// or time stands still until the end, and neither leaks a buffer.
     #[test]
     fn held_ack_delivery_is_byte_identical(
         len in 1usize..60_000,
@@ -1391,9 +1396,9 @@ proptest! {
             .map(|i| ((i as u32).wrapping_mul(23).wrapping_add(seed as u32) % 251) as u8)
             .collect();
         let held = delack_transfer(true, &data);
-        let immediate = delack_transfer(false, &data);
+        let frozen = delack_transfer(false, &data);
         prop_assert_eq!(&held, &data, "held-ACK stream exact");
-        prop_assert_eq!(held, immediate, "identical delivery either way");
+        prop_assert_eq!(held, frozen, "identical delivery either way");
     }
 }
 
@@ -1470,7 +1475,7 @@ impl AckModel {
 proptest! {
     /// The ACK decision against its reference, over arbitrary arrival
     /// (in order, ahead of a hole, duplicated), drain, reply and
-    /// waiting schedules on a clocked TCB: after every event the TCB
+    /// waiting schedules: after every event the TCB
     /// holds an ACK exactly when the reference says it may, and in
     /// particular never with the reassembly queue non-empty, never
     /// with more than one MSS unacknowledged, and never past
@@ -1486,7 +1491,6 @@ proptest! {
         let mut client = Tcb::connect(5000, 80, 1_000);
         pump(&mut client, &mut server);
         prop_assert_eq!(server.state, TcpState::Established);
-        server.configure(TcbConfig { clocked: true, ..TcbConfig::default() });
         let base = server.rcv_nxt();
         let peer_ack = server.snd_nxt();
         let mut offsets = vec![0usize];
@@ -1682,6 +1686,21 @@ proptest! {
         prop_assert_eq!(net.stack(1).pool_available(), Some(512), "server pool whole");
         prop_assert_eq!(net.stack(0).pool_available(), Some(512), "client pool whole");
     }
+}
+
+/// [`pump`], then time: whenever both TCBs are quiet the clock jumps to
+/// the earlier of their next deadlines and fires it, until neither has
+/// a segment to send or a deadline to wait for.
+fn settle(a: &mut Tcb, b: &mut Tcb) {
+    for _ in 0..64 {
+        pump(a, b);
+        let Some(now) = a.next_deadline().into_iter().chain(b.next_deadline()).min() else {
+            return;
+        };
+        a.on_time(now);
+        b.on_time(now);
+    }
+    panic!("still busy after 64 deadlines");
 }
 
 /// Drives two TCBs against each other until quiescent.

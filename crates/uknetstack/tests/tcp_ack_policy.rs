@@ -4,8 +4,9 @@
 //! Every scenario captures the wire and reads the conversation back
 //! frame by frame, so the assertions are about what a peer observes —
 //! which segment carried the ACK and on which step — not about the
-//! stack's own counters. All but the last run on a clocked net, where
-//! the policy is in force.
+//! stack's own counters. Every stack has a clock, so the policy is in
+//! force on all of them; the last tests leave the clock to its owner's
+//! default, or change it mid-way.
 
 use uknetdev::backend::VhostKind;
 use uknetdev::dev::{NetDev, NetDevConf};
@@ -32,9 +33,9 @@ fn mk_stack(n: u8, tso: bool) -> NetStack {
     NetStack::new(cfg, Box::new(dev))
 }
 
-/// Two connected stacks, optionally under a shared clock advancing
-/// `step_ns` per step, with the wire capture running from after the
-/// handshake.
+/// Two connected stacks — on a clock of the test's own advancing
+/// `step_ns` per step, or on the wire's — with the wire capture running
+/// from after the handshake.
 fn connected(clock_step_ns: Option<u64>, tso: bool) -> (Network, SocketHandle, SocketHandle) {
     let mut net = Network::new();
     net.attach(mk_stack(1, tso));
@@ -321,20 +322,79 @@ fn hole_touching_segments_and_fin_are_acked_at_once() {
     assert_eq!(wire[0].h.ack, hole.wrapping_add(201), "the FIN is acknowledged");
 }
 
-/// The clock gate: without a clock nothing could release a held ACK,
-/// so an unclocked stack acknowledges at the flush that ends the pump
-/// which saw the data.
+/// Nobody calls `set_clock`: the stacks were built by `NetStack::new`
+/// and attached to a `Network::new()`, whose clock they run on. The
+/// policy is the same one — the lone segment's ACK is held, not sent at
+/// the flush — and `run_until_quiet` skips that clock to the deadline.
 #[test]
-fn unclocked_stack_acks_at_flush() {
+fn a_stack_nobody_clocked_holds_its_ack_and_run_until_quiet_releases_it() {
     let (mut net, client, server) = connected(None, true);
     net.stack(CLIENT).tcp_send(client, &[3u8; 64]).unwrap();
     let data = step(&mut net);
     assert_eq!(data.len(), 1, "{data:?}");
-    let wire = step(&mut net);
-    assert_eq!(wire.len(), 1, "{wire:?}");
-    assert!(wire[0].from_server && wire[0].is_pure_ack(), "{wire:?}");
-    assert_eq!(wire[0].h.ack, data[0].h.seq.wrapping_add(64));
+    assert!(step(&mut net).is_empty(), "no ACK at the flush: it is held");
+    assert_eq!(net.stack(SERVER).held_ack_deadline(), Some(DELACK_NS), "from time 0");
+    // One idle round to notice, one to skip ahead and fire, one for
+    // the ACK to cross.
+    net.run_until_quiet(8);
+    let wire = net.take_wire_capture();
+    assert_eq!(wire.len(), 1, "one frame: the released ACK");
+    assert_eq!(net.stack(SERVER).stats().delack_fires, 1);
     assert_eq!(net.stack(SERVER).held_ack_deadline(), None);
+    let s = net.stack(CLIENT).tcp_stats(client).unwrap();
+    assert_eq!((s.retransmits, s.rto_fires, s.tlp_probes), (0, 0, 0), "40 ms is inside every timeout");
     let mut buf = [0u8; 64];
     assert_eq!(net.stack(SERVER).tcp_recv_into(server, &mut buf).unwrap(), 64);
+}
+
+/// Which clock a stack runs on does not depend on the order things were
+/// set up in: the one set last is the one its connections — open
+/// already or not — release a held ACK on, `DELACK_NS` after the
+/// segment arrived.
+#[test]
+fn the_clock_set_last_is_the_one_that_counts() {
+    #[derive(Debug, Clone, Copy)]
+    enum Order {
+        AttachThenSetClock,
+        SetClockThenAttach,
+        ConnectThenSetClock,
+    }
+    for order in [Order::AttachThenSetClock, Order::SetClockThenAttach, Order::ConnectThenSetClock] {
+        let clock = Tsc::new(1_000_000_000);
+        let mut net = Network::new();
+        if let Order::SetClockThenAttach = order {
+            net.set_clock(&clock);
+        }
+        net.attach(mk_stack(1, true));
+        net.attach(mk_stack(2, true));
+        if let Order::AttachThenSetClock = order {
+            net.set_clock(&clock);
+        }
+        let listener = net.stack(SERVER).tcp_listen(7).unwrap();
+        let client = net.stack(CLIENT).tcp_connect(Endpoint::new(SERVER_IP, 7)).unwrap();
+        net.run_until_quiet(32);
+        let server = net.stack(SERVER).tcp_accept(listener).unwrap();
+        if let Order::ConnectThenSetClock = order {
+            // Each stack on its own, as an embedder would.
+            net.stack(CLIENT).set_clock(&clock);
+            net.stack(SERVER).set_clock(&clock);
+        }
+        clock.advance_ns(7 * MS);
+        net.stack(CLIENT).tcp_send(client, &[5u8; 64]).unwrap();
+        net.step();
+        assert_eq!(
+            net.stack(SERVER).held_ack_deadline(),
+            Some(7 * MS + DELACK_NS),
+            "{order:?}: held on the test's clock"
+        );
+        clock.advance_ns(DELACK_NS - 1);
+        net.step();
+        assert_eq!(net.stack(SERVER).stats().delack_fires, 0, "{order:?}: not a nanosecond early");
+        clock.advance_ns(1);
+        net.step();
+        assert_eq!(net.stack(SERVER).stats().delack_fires, 1, "{order:?}: released at the deadline");
+        assert_eq!(net.stack(SERVER).held_ack_deadline(), None, "{order:?}");
+        let mut buf = [0u8; 64];
+        assert_eq!(net.stack(SERVER).tcp_recv_into(server, &mut buf).unwrap(), 64);
+    }
 }

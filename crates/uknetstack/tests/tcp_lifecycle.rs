@@ -1,7 +1,8 @@
-//! Wire-level connection-lifecycle robustness tests: the hierarchical
-//! timer wheel driving TIME_WAIT, handshake timeouts, keepalive and
-//! accept-queue hardening, proven through real stacks on the testnet
-//! wire with forged attacker traffic.
+//! Wire-level connection-lifecycle robustness tests: TIME_WAIT,
+//! handshake timeouts, keepalive and accept-queue hardening, and the
+//! one lazily re-armed wheel entry per connection that wakes them,
+//! proven through real stacks on the testnet wire with forged attacker
+//! traffic.
 //!
 //! Every test ends with a leak check: after the dust settles, every
 //! pooled buffer is back home and every reaped connection's slot and
@@ -14,7 +15,7 @@ use uknetstack::stack::{
     NetStack, SocketHandle, StackConfig, HANDSHAKE_TIMEOUT_NS, KEEPALIVE_IDLE_NS,
     KEEPALIVE_INTVL_NS, KEEPALIVE_PROBES, TCP_MSL_NS,
 };
-use uknetstack::tcp::{TcpFlags, TcpState};
+use uknetstack::tcp::{TcpFlags, TcpState, DELACK_NS};
 use uknetstack::testnet::Network;
 use uknetstack::Endpoint;
 use ukplat::time::Tsc;
@@ -234,7 +235,7 @@ fn time_wait_holds_2msl_then_recycles_the_port() {
     let _registry = owning_registry();
     let mut net = clocked_net(10_000_000, |_| {}); // 10 ms steps.
     let (client, conn) = establish(&mut net, 8090);
-    let tw0 = net.stack(0).stats().tcp_timewait;
+    let tw0 = net.stack(0).stats().timewait;
 
     // Active close from the client, passive close from the server.
     net.stack(0).tcp_close(client).unwrap();
@@ -247,7 +248,7 @@ fn time_wait_holds_2msl_then_recycles_the_port() {
         Some(TcpState::TimeWait),
         "active closer holds TIME_WAIT"
     );
-    assert_eq!(net.stack(0).stats().tcp_timewait - tw0, 1);
+    assert_eq!(net.stack(0).stats().timewait - tw0, 1);
 
     // 2 MSL later the wheel reaps it; the passive side's Closed slot
     // is reclaimed too once its receive queue is drained.
@@ -280,7 +281,7 @@ fn keepalive_reaps_a_dead_peer() {
     let _registry = sharing_registry();
     let mut net = clocked_net(100_000_000, |c| c.keepalive = true); // 100 ms steps.
     let (client, _conn) = establish(&mut net, 8070);
-    let drops0 = net.stack(0).stats().tcp_keepalive_drops;
+    let drops0 = net.stack(0).stats().keepalive_drops;
 
     // The wire goes dark: every frame in either direction is eaten.
     net.set_drop_every(1);
@@ -295,7 +296,7 @@ fn keepalive_reaps_a_dead_peer() {
     assert_eq!(net.stack(0).tcp_conn_count(), 0);
     assert_eq!(net.stack(0).armed_timer_count(), 0);
     assert!(
-        net.stack(0).stats().tcp_keepalive_drops - drops0 >= 1,
+        net.stack(0).stats().keepalive_drops - drops0 >= 1,
         "the teardown is visible in the prober's stats"
     );
     net.set_drop_every(0);
@@ -437,4 +438,121 @@ fn new_syn_assassinates_time_wait() {
     );
     net.run_until_quiet(16);
     assert_eq!(net.stack(0).tcp_conn_count(), 0);
+}
+
+/// One 64 B echo round trip, two steps.
+fn echo(net: &mut Network, client: SocketHandle, conn: SocketHandle, tag: u8) {
+    let mut buf = [0u8; 64];
+    net.stack(0).tcp_send(client, &[tag; 64]).unwrap();
+    net.step();
+    assert_eq!(net.stack(1).tcp_recv_into(conn, &mut buf).unwrap(), 64);
+    net.stack(1).tcp_send(conn, &buf).unwrap();
+    net.step();
+    assert_eq!(net.stack(0).tcp_recv_into(client, &mut buf).unwrap(), 64);
+    assert_eq!(buf, [tag; 64]);
+}
+
+/// A request/response exchange moves its deadlines (RTO, tail-loss
+/// probe, held ACK) four times per round trip, every time to a later
+/// one — so the connection's wheel entry, armed for an earlier one,
+/// stays where it is: no arm, no cancel.
+#[test]
+fn a_thousand_echoes_arm_nothing() {
+    let _registry = sharing_registry();
+    let mut net = clocked_net(1_000, |_| {}); // 1 µs steps: 2 ms in all.
+    let (client, conn) = establish(&mut net, 8040);
+    for i in 0..8 {
+        echo(&mut net, client, conn, i);
+    }
+    let arms = |net: &mut Network| [net.stack(0).stats().timer_arms, net.stack(1).stats().timer_arms];
+    let warm = arms(&mut net);
+    assert!(warm.iter().all(|&n| n > 0), "the first deadlines were armed: {warm:?}");
+    for i in 0..1_000 {
+        echo(&mut net, client, conn, i as u8);
+    }
+    assert_eq!(arms(&mut net), warm, "steady state leaves the wheel alone");
+    assert_eq!(net.stack(0).armed_timer_count(), 1);
+    assert_eq!(net.stack(1).armed_timer_count(), 1);
+}
+
+/// The other half of the lazy re-arm: the entry left behind fires
+/// after its deadline has moved on. The wake finds nothing due — no
+/// frame, no counter but the re-arm's — and the one entry it leaves is
+/// armed for the deadline the connection has now: the held ACK leaves
+/// at its own deadline, not a nanosecond off.
+#[test]
+fn a_stale_fire_does_nothing_but_rearm_at_the_new_minimum() {
+    let _registry = sharing_registry();
+    let mut net = Network::new();
+    net.attach(mk_stack(1, |_| {}));
+    net.attach(mk_stack(2, |_| {}));
+    let clock = Tsc::new(1_000_000_000); // 1 cycle = 1 ns; the test moves it.
+    net.set_clock(&clock);
+    let (client, conn) = establish(&mut net, 8041);
+    const MS: u64 = 1_000_000;
+
+    // The client holds the first reply's ACK until 40 ms: its entry is
+    // armed for that. The second request, at 10 ms, carries that ACK
+    // out; the second reply's is held until 50 ms.
+    echo(&mut net, client, conn, 1);
+    assert_eq!(net.stack(0).held_ack_deadline(), Some(DELACK_NS));
+    clock.advance_ns(10 * MS);
+    echo(&mut net, client, conn, 2);
+    assert_eq!(net.stack(0).held_ack_deadline(), Some(10 * MS + DELACK_NS));
+    assert_eq!(net.stack(0).armed_timer_count(), 1);
+
+    clock.advance_ns(31 * MS); // 41 ms: past the entry, short of the ACK.
+    let before = net.stack(0).stats();
+    net.stack(0).pump();
+    let mut after = net.stack(0).stats();
+    assert_eq!(after.timer_arms, before.timer_arms + 1, "the wake re-armed");
+    after.timer_arms -= 1;
+    after.pump_sweeps -= 1;
+    assert_eq!(format!("{after:?}"), format!("{before:?}"), "and did nothing else");
+    assert_eq!(net.stack(0).armed_timer_count(), 1);
+    assert_eq!(net.stack(0).held_ack_deadline(), Some(10 * MS + DELACK_NS), "still held");
+
+    clock.advance_ns(9 * MS - 1);
+    net.stack(0).pump();
+    assert_eq!(net.stack(0).stats().delack_fires, 0, "one nanosecond short");
+    clock.advance_ns(1);
+    net.stack(0).pump();
+    assert_eq!(net.stack(0).stats().delack_fires, 1, "released at its deadline");
+    assert_eq!(net.stack(0).stats().timer_arms, before.timer_arms + 1, "by the entry the wake armed");
+    net.run_until_quiet(16);
+    assert_eq!(net.stack(0).pool_available(), Some(POOL));
+    assert_eq!(net.stack(1).pool_available(), Some(POOL));
+}
+
+/// A thousand idle connections with keepalive on are a thousand
+/// deadlines and a thousand wheel entries — one each, never more —
+/// and when their (forged, silent) peers fail every probe, each entry's
+/// last fire takes its connection with it.
+#[test]
+fn a_thousand_keepalive_connections_hold_one_wheel_entry_each() {
+    let _registry = sharing_registry();
+    const CONNS: usize = 1_000;
+    let mut net = clocked_net(100_000_000, |c| {
+        c.keepalive = true;
+        c.lean_tcbs = true;
+        c.listen_backlog = 1_024;
+    });
+    let listener = net.stack(1).tcp_listen(8042).unwrap();
+    assert_eq!(net.forge_established(1, 8042, 0, CONNS, 64), CONNS);
+    while net.stack(1).tcp_accept(listener).is_some() {}
+    assert_eq!(net.stack(1).tcp_conn_count(), CONNS);
+    assert_eq!(net.stack(1).armed_timer_count(), CONNS, "one entry per connection");
+
+    let budget_ns = KEEPALIVE_IDLE_NS + (KEEPALIVE_PROBES as u64 + 2) * KEEPALIVE_INTVL_NS;
+    for _ in 0..budget_ns / 100_000_000 + 8 {
+        net.step();
+        assert!(net.stack(1).armed_timer_count() <= net.stack(1).tcp_conn_count());
+    }
+    let s = net.stack(1).stats();
+    assert_eq!(s.keepalive_probes, (CONNS * KEEPALIVE_PROBES as usize) as u64);
+    assert_eq!(s.keepalive_drops, CONNS as u64);
+    assert_eq!(net.stack(1).tcp_conn_count(), 0, "every dead peer's connection reaped");
+    assert_eq!(net.stack(1).armed_timer_count(), 0);
+    net.run_until_quiet(32);
+    assert_eq!(net.stack(1).pool_available(), Some(POOL), "no netbuf leaked");
 }

@@ -32,6 +32,14 @@ pub struct Tsc {
     freq_hz: u64,
 }
 
+/// A counter at zero, ticking at the platform's nominal frequency
+/// ([`crate::cost::CPU_FREQ_HZ`]).
+impl Default for Tsc {
+    fn default() -> Self {
+        Tsc::new(crate::cost::CPU_FREQ_HZ)
+    }
+}
+
 impl Tsc {
     /// Creates a counter ticking at `freq_hz` cycles per second.
     ///

@@ -13,7 +13,8 @@ use unikraft_rs::core::UnikernelBuilder;
 use unikraft_rs::netdev::backend::VhostKind;
 use unikraft_rs::netdev::dev::{NetDev, NetDevConf};
 use unikraft_rs::netdev::VirtioNet;
-use unikraft_rs::netstack::stack::{NetStack, StackConfig};
+use unikraft_rs::netstack::stack::{NetStack, StackConfig, TCP_MSL_NS};
+use unikraft_rs::netstack::tcp::TcpState;
 use unikraft_rs::netstack::testnet::Network;
 use unikraft_rs::netstack::{Endpoint, Ipv4Addr};
 use unikraft_rs::plat::time::Tsc;
@@ -143,4 +144,58 @@ fn two_unikernels_talk_to_each_other() {
     }
     let resp = net.stack(bi).tcp_recv(conn, 64 * 1024).unwrap();
     assert!(String::from_utf8_lossy(&resp).starts_with("HTTP/1.1 200 OK"));
+}
+
+/// A cable without a `Network` — which would put both ends on *its*
+/// clock: every frame `from` has transmitted lands in `to`'s RX ring.
+fn cable(from: &mut NetStack, to: &mut NetStack) {
+    let mut frames = Vec::new();
+    from.harvest_tx(&mut frames);
+    for nb in frames {
+        let mut rx = to.take_rx_buf();
+        rx.append(nb.payload());
+        to.deliver_frame(rx);
+        from.recycle(nb);
+    }
+}
+
+/// Boot hands its clock to the stack as well as to the device: the
+/// booted image's TCP has its timers. A connection it closed first
+/// waits in TIME_WAIT and is gone 2MSL of *boot-clock* time later.
+#[test]
+fn booted_unikernel_tcp_keeps_time_on_the_boot_clock() {
+    let mut uk = UnikernelBuilder::new("timewait-e2e")
+        .platform(VmmKind::Firecracker)
+        .allocator(AllocBackend::Tlsf)
+        .with_net(VhostKind::VhostUser, 2)
+        .build()
+        .unwrap();
+    uk.boot().unwrap();
+    let tsc = uk.tsc().clone();
+    let mut server = uk.take_stack().unwrap();
+    let mut client = client_stack(1);
+    let turns = |server: &mut NetStack, client: &mut NetStack| {
+        for _ in 0..8 {
+            cable(client, server);
+            server.pump();
+            cable(server, client);
+            client.pump();
+        }
+    };
+
+    let listener = server.tcp_listen(80).unwrap();
+    let conn = client.tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 80)).unwrap();
+    turns(&mut server, &mut client);
+    let accepted = server.tcp_accept(listener).expect("handshake completed");
+    server.tcp_close(accepted).unwrap();
+    turns(&mut server, &mut client);
+    client.tcp_close(conn).unwrap();
+    turns(&mut server, &mut client);
+    assert_eq!(server.tcp_state(accepted), Some(TcpState::TimeWait), "closed from both sides");
+    assert_eq!(server.armed_timer_count(), 1);
+
+    tsc.advance_ns(2 * TCP_MSL_NS);
+    server.pump();
+    assert_eq!(server.tcp_state(accepted), None, "2MSL on the boot clock reaped it");
+    assert_eq!((server.tcp_conn_count(), server.armed_timer_count()), (0, 0));
 }
