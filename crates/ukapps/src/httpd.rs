@@ -1,9 +1,10 @@
 //! An nginx-style HTTP/1.1 static file server — event-driven.
 //!
 //! Serves a static page over keep-alive connections, like the paper's
-//! wrk benchmark (Figure 13: "static 612B page"). Request and response
-//! buffers are allocated from a `ukalloc` backend per request, so the
-//! allocator choice shows up in throughput exactly as in Figure 15.
+//! wrk benchmark (Figure 13: "static 612B page"). Each request takes a
+//! request block and (for a file) a response block from a `ukalloc`
+//! backend and frees both, so the allocator choice shows up in
+//! throughput exactly as in Figure 15.
 //!
 //! Since the `ukevent` subsystem landed, the server is a single-loop
 //! event-driven design (the §4.1 epoll shape): one
@@ -13,13 +14,29 @@
 //! plus `EPOLLOUT` while a response is partially written — responses
 //! that do not fit the connection's send buffer (peer receive window
 //! closed) are queued and drained on writability instead of dropped.
+//!
+//! **What a request costs.** The request line is parsed where it
+//! landed in the connection's buffer (the path is a `&str` into it),
+//! the status line, headers and body are appended straight onto the
+//! connection's send [`Backlog`], the ready events land in a scratch
+//! the server keeps, and consumed request bytes leave the buffer once
+//! per readiness event. A 200, 404 or 400 therefore takes nothing from
+//! the host heap once a connection's buffers have their size; `/stats`
+//! (a JSON dump of the registry) and growing the shared blob source are
+//! cold and allocate. The `ukalloc` backend is charged its two
+//! `malloc`/`free` pairs per file request whatever the host heap did.
+//! Only connections with something to do are visited: the ones the
+//! queue reports, plus those a turn left resumable or finished.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use ukalloc::Allocator;
 use ukevent::{Event, EventMask, EventQueue};
 use uknetstack::stack::{NetStack, SocketHandle};
 use ukplat::{Errno, Result};
+
+use crate::{put_decimal, Backlog};
 
 /// The paper's standard test page size.
 pub const DEFAULT_PAGE_SIZE: usize = 612;
@@ -28,6 +45,14 @@ pub const DEFAULT_PAGE_SIZE: usize = 612;
 /// buffer).
 pub const BLOB_MAX: usize = 4 << 20;
 
+/// Longest header block accepted (nginx's `large_client_header_buffers`
+/// default): a peer that has sent this much without the blank line that
+/// ends a request gets a 400 and a close instead of more buffer.
+pub const MAX_HEADER: usize = 8 * 1024;
+
+/// Most ready events one turn of the loop takes.
+const MAX_EVENTS: usize = 64;
+
 /// The deterministic byte at position `i` of every blob body (clients
 /// verify transfers against this).
 pub fn blob_byte(i: usize) -> u8 {
@@ -35,6 +60,7 @@ pub fn blob_byte(i: usize) -> u8 {
 }
 
 /// Builds the standard 612-byte index page.
+// ukcheck: allow(alloc) -- builds the page once, at start-up
 pub fn default_page() -> Vec<u8> {
     let mut body = b"<html><head><title>unikraft-rs</title></head><body>".to_vec();
     while body.len() < DEFAULT_PAGE_SIZE - 14 {
@@ -51,7 +77,7 @@ struct Conn {
     buf: Vec<u8>,
     /// Response bytes accepted by us but not yet by the socket (the
     /// partial-write backlog).
-    out: Vec<u8>,
+    out: Backlog,
     /// An in-flight `/blob/<size>` body: `(size, offset)` into the
     /// server's shared blob source. The bytes go straight from that
     /// buffer into the connection's send queue (`tcp_send_queued`) —
@@ -63,15 +89,46 @@ struct Conn {
     closing: bool,
 }
 
+impl Conn {
+    // ukcheck: allow(alloc) -- accept: a new connection's buffers, empty
+    // until its first request and response size them
+    fn new(sock: SocketHandle) -> Self {
+        Conn {
+            sock,
+            buf: Vec::new(),
+            out: Backlog::default(),
+            blob: None,
+            closing: false,
+        }
+    }
+
+    /// Requests that queued up behind a streaming blob can be served.
+    fn resumable(&self) -> bool {
+        self.blob.is_none() && !self.closing && !self.buf.is_empty()
+    }
+
+    /// Nothing more is owed: close and forget.
+    fn finished(&self) -> bool {
+        self.closing && self.out.is_empty() && self.blob.is_none()
+    }
+}
+
 /// The HTTP server.
 pub struct Httpd {
     listener: SocketHandle,
     queue: EventQueue,
     conns: HashMap<u64, Conn>,
-    files: HashMap<String, Vec<u8>>,
+    files: HashMap<String, Rc<Vec<u8>>>,
     alloc: Box<dyn Allocator>,
     served: u64,
     errors: u64,
+    /// Where each turn's ready events land.
+    events: Vec<Event>,
+    /// Connections a turn left with work the queue will not report:
+    /// requests buffered behind a blob that has just drained, or
+    /// nothing more owed (to be closed). Pushed where that happens,
+    /// emptied at the end of every `poll`.
+    todo: Vec<u64>,
     /// Reusable landing area for one burst of received payload
     /// netbufs: socket reads take whole buffers via the zero-copy
     /// `tcp_recv_burst_netbuf` path, request bytes move into the
@@ -99,14 +156,17 @@ impl Httpd {
     /// Starts listening on `port` of `stack`, serving buffers from
     /// `alloc` (already initialized). The listener joins the server's
     /// event queue immediately.
+    // ukcheck: allow(alloc) -- constructor: the tables, the scratch
+    // vectors and the one page `/` and `/index.html` share
     pub fn new(stack: &mut NetStack, port: u16, alloc: Box<dyn Allocator>) -> Result<Self> {
         let listener = stack.tcp_listen(port)?;
         let mut queue = EventQueue::new();
         let src = stack.ready_source(listener);
         queue.ctl_add(listener.0 as u64, &src, EventMask::IN)?;
+        let page = Rc::new(default_page());
         let mut files = HashMap::new();
-        files.insert("/index.html".to_string(), default_page());
-        files.insert("/".to_string(), default_page());
+        files.insert("/index.html".to_string(), Rc::clone(&page));
+        files.insert("/".to_string(), page);
         Ok(Httpd {
             listener,
             queue,
@@ -115,14 +175,17 @@ impl Httpd {
             alloc,
             served: 0,
             errors: 0,
+            events: Vec::with_capacity(MAX_EVENTS),
+            todo: Vec::with_capacity(MAX_EVENTS),
             rx_bufs: Vec::new(),
             blob_src: Vec::new(),
         })
     }
 
     /// Adds (or replaces) a served file.
+    // ukcheck: allow(alloc) -- configuration, not the request path
     pub fn add_file(&mut self, path: impl Into<String>, contents: Vec<u8>) {
-        self.files.insert(path.into(), contents);
+        self.files.insert(path.into(), Rc::new(contents));
     }
 
     /// Requests served so far.
@@ -162,35 +225,37 @@ impl Httpd {
     /// queue between turns (see the scheduler integration tests).
     pub fn poll(&mut self, stack: &mut NetStack) -> u64 {
         let before = self.served;
-        let events = self.queue.poll_ready(64);
-        for ev in events {
+        let mut events = std::mem::take(&mut self.events);
+        self.queue.poll_ready_into(&mut events, MAX_EVENTS);
+        for &ev in &events {
             if ev.token == self.listener.0 as u64 {
                 self.accept_ready(stack);
             } else {
                 self.drive_conn(stack, ev);
             }
         }
+        self.events = events;
         // Requests that queued up behind a streaming blob response
-        // become serviceable the turn the blob drains.
-        let resume: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                c.blob.is_none() && !c.closing && find_header_end(&c.buf).is_some()
-            })
-            .map(|(t, _)| *t)
-            .collect();
-        for token in resume {
-            self.drive_conn(
-                stack,
-                Event {
-                    token,
-                    events: EventMask::IN,
-                },
-            );
+        // become serviceable the turn the blob drains. (Serving them
+        // can drain another blob: the list may grow under the walk.)
+        let mut next = 0;
+        while let Some(&token) = self.todo.get(next) {
+            next += 1;
+            if self.conns.get(&token).is_some_and(Conn::resumable) {
+                let events = EventMask::IN;
+                self.drive_conn(stack, Event { token, events });
+            }
         }
         let _ = stack.flush_output();
-        self.reap_closed(stack);
+        // Close and deregister connections whose work is done.
+        while let Some(token) = self.todo.pop() {
+            if self.conns.get(&token).is_some_and(Conn::finished) {
+                if let Some(conn) = self.conns.remove(&token) {
+                    let _ = stack.tcp_close(conn.sock);
+                    let _ = self.queue.ctl_del(token);
+                }
+            }
+        }
         self.served - before
     }
 
@@ -204,24 +269,10 @@ impl Httpd {
                 .ctl_add(token, &src, EventMask::IN | EventMask::RDHUP)
                 .is_ok()
             {
-                self.conns.insert(
-                    token,
-                    Conn {
-                        sock,
-                        buf: Vec::new(),
-                        out: Vec::new(),
-                        blob: None,
-                        closing: false,
-                    },
-                );
+                self.conns.insert(token, Conn::new(sock));
                 // The handshake-completing ACK may have carried data.
-                self.drive_conn(
-                    stack,
-                    Event {
-                        token,
-                        events: EventMask::IN,
-                    },
-                );
+                let events = EventMask::IN;
+                self.drive_conn(stack, Event { token, events });
             }
         }
     }
@@ -233,29 +284,42 @@ impl Httpd {
         };
         if ev.events.intersects(EventMask::IN | EventMask::RDHUP) {
             // Zero-copy request read: take the payload buffers whole,
-            // append their bytes to the request buffer, recycle.
+            // append their bytes to the request buffer, recycle. (A
+            // connection being closed is still read, so the stack's
+            // queue drains, but what it says no longer matters.)
             loop {
                 let n = stack.tcp_recv_burst_netbuf(conn.sock, &mut self.rx_bufs, 32);
                 if n == 0 {
                     break;
                 }
                 for nb in self.rx_bufs.drain(..) {
-                    conn.buf.extend_from_slice(nb.payload());
+                    if !conn.closing {
+                        conn.buf.extend_from_slice(nb.payload());
+                    }
                     stack.recycle(nb);
                 }
             }
             // Serve every complete request in the buffer (pipelining);
             // a streaming blob response pauses the loop so responses
             // stay ordered (poll resumes it once the blob drains).
-            while conn.blob.is_none() {
-                let Some(end) = find_header_end(&conn.buf) else {
+            let mut at = 0;
+            while conn.blob.is_none() && !conn.closing {
+                let rest = &conn.buf[at..];
+                let out = conn.out.tail();
+                let Some(end) = find_header_end(rest) else {
+                    if rest.len() >= MAX_HEADER {
+                        // No request ends in here, and none will be
+                        // waited for any longer.
+                        self.errors += 1;
+                        conn.closing = true;
+                        put_response(out, "400 Bad Request", b"header block too large");
+                    }
                     break;
                 };
                 let req_gp = self.alloc.malloc(end.max(64));
-                let request: Vec<u8> = conn.buf.drain(..end).collect();
-                let response = match parse_request(&request) {
+                match parse_request(&rest[..end]) {
                     Ok(path) => {
-                        if let Some(size) = parse_blob_path(&path) {
+                        if let Some(size) = parse_blob_path(path) {
                             if size <= BLOB_MAX {
                                 // Grow the shared source once; the body
                                 // then streams straight from it into
@@ -266,10 +330,10 @@ impl Httpd {
                                 }
                                 conn.blob = Some((size, 0));
                                 self.served += 1;
-                                render_header(200, "OK", size)
+                                put_head(out, "200 OK", "", size);
                             } else {
                                 self.errors += 1;
-                                render_response(404, "Not Found", b"blob too large")
+                                put_response(out, "404 Not Found", b"blob too large");
                             }
                         } else if path == "/stats" {
                             // The live observability plane: a JSON dump
@@ -277,21 +341,24 @@ impl Httpd {
                             // the same queued send path as every other
                             // response.
                             self.served += 1;
-                            render_json_response(ukstats::snapshot().to_json().as_bytes())
+                            // ukcheck: allow(alloc) -- cold /stats export: the
+                            // registry snapshot and its JSON text
+                            let body = ukstats::snapshot().to_json();
+                            put_head(out, "200 OK", "Content-Type: application/json\r\n", body.len());
+                            out.extend_from_slice(body.as_bytes());
                         } else {
-                            match self.files.get(&path) {
+                            match self.files.get(path) {
                                 Some(body) => {
                                     let resp_gp = self.alloc.malloc(body.len() + 128);
-                                    let r = render_response(200, "OK", body);
+                                    put_response(out, "200 OK", body);
                                     if let Some(gp) = resp_gp {
                                         self.alloc.free(gp);
                                     }
                                     self.served += 1;
-                                    r
                                 }
                                 None => {
                                     self.errors += 1;
-                                    render_response(404, "Not Found", b"not found")
+                                    put_response(out, "404 Not Found", b"not found");
                                 }
                             }
                         }
@@ -299,25 +366,31 @@ impl Httpd {
                     Err(_) => {
                         self.errors += 1;
                         conn.closing = true;
-                        render_response(400, "Bad Request", b"bad request")
+                        put_response(out, "400 Bad Request", b"bad request");
                     }
-                };
+                }
                 if let Some(gp) = req_gp {
                     self.alloc.free(gp);
                 }
-                conn.out.extend_from_slice(&response);
-                if conn.closing {
-                    break;
-                }
+                at += end;
             }
+            // Served requests leave the buffer in one move.
+            conn.buf.drain(..at);
         }
         // Always try to flush: an EPOLLOUT edge (tx window reopened)
         // lands here, and freshly queued responses go out immediately.
+        let had_blob = conn.blob.is_some();
         Self::flush_conn(&mut self.queue, stack, conn, &self.blob_src);
         // After the peer's FIN no bytes can complete a partial request,
         // so any non-request residue in `buf` is discardable garbage.
         if stack.tcp_peer_closed(conn.sock) && find_header_end(&conn.buf).is_none() {
             conn.closing = true;
+        }
+        // The queue reports neither "a blob drained with requests
+        // buffered behind it" nor "nothing more is owed": hand those to
+        // the end of this turn.
+        if had_blob && conn.resumable() || conn.finished() {
+            self.todo.push(ev.token);
         }
     }
 
@@ -329,7 +402,7 @@ impl Httpd {
     /// in-flight blob body streams directly from the shared source
     /// buffer into the send queue — the only copy the server makes.
     fn flush_conn(queue: &mut EventQueue, stack: &mut NetStack, conn: &mut Conn, blob: &[u8]) {
-        if !crate::flush_partial_queued(stack, conn.sock, &mut conn.out) {
+        if !conn.out.flush(stack, conn.sock, NetStack::tcp_send_queued) {
             // Connection is gone; nothing more can be delivered.
             conn.closing = true;
             conn.blob = None;
@@ -366,21 +439,6 @@ impl Httpd {
         }
         let _ = queue.ctl_mod(token, interest);
     }
-
-    /// Closes and deregisters connections whose work is done.
-    fn reap_closed(&mut self, stack: &mut NetStack) {
-        let done: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.closing && c.out.is_empty() && c.blob.is_none())
-            .map(|(t, _)| *t)
-            .collect();
-        for token in done {
-            let conn = self.conns.remove(&token).expect("token listed");
-            let _ = stack.tcp_close(conn.sock);
-            let _ = self.queue.ctl_del(token);
-        }
-    }
 }
 
 /// Index one past the `\r\n\r\n` terminating the header block.
@@ -393,17 +451,8 @@ fn parse_blob_path(path: &str) -> Option<usize> {
     path.strip_prefix("/blob/")?.parse().ok()
 }
 
-/// Renders just the response status line + headers for a body of
-/// `len` bytes that will be streamed separately.
-fn render_header(code: u16, reason: &str, len: usize) -> Vec<u8> {
-    format!(
-        "HTTP/1.1 {code} {reason}\r\nServer: unikraft-rs\r\nContent-Length: {len}\r\nConnection: keep-alive\r\n\r\n"
-    )
-    .into_bytes()
-}
-
-/// Parses the request line, returning the path.
-fn parse_request(req: &[u8]) -> Result<String> {
+/// Parses the request line where it lies, returning the path.
+fn parse_request(req: &[u8]) -> Result<&str> {
     let line_end = req
         .windows(2)
         .position(|w| w == b"\r\n")
@@ -419,28 +468,25 @@ fn parse_request(req: &[u8]) -> Result<String> {
     if !version.starts_with("HTTP/1.") {
         return Err(Errno::Inval);
     }
-    Ok(path.to_string())
+    Ok(path)
 }
 
-/// Renders a 200 response carrying a JSON body (the `/stats` plane).
-fn render_json_response(body: &[u8]) -> Vec<u8> {
-    let mut r = format!(
-        "HTTP/1.1 200 OK\r\nServer: unikraft-rs\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    r.extend_from_slice(body);
-    r
+/// Appends the status line and headers of a response whose body is
+/// `len` bytes (`extra` is zero or more whole header lines).
+fn put_head(out: &mut Vec<u8>, status: &str, extra: &str, len: usize) {
+    out.extend_from_slice(b"HTTP/1.1 ");
+    out.extend_from_slice(status.as_bytes());
+    out.extend_from_slice(b"\r\nServer: unikraft-rs\r\n");
+    out.extend_from_slice(extra.as_bytes());
+    out.extend_from_slice(b"Content-Length: ");
+    put_decimal(out, len as u64);
+    out.extend_from_slice(b"\r\nConnection: keep-alive\r\n\r\n");
 }
 
-fn render_response(code: u16, reason: &str, body: &[u8]) -> Vec<u8> {
-    let mut r = format!(
-        "HTTP/1.1 {code} {reason}\r\nServer: unikraft-rs\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    r.extend_from_slice(body);
-    r
+/// Appends a whole response.
+fn put_response(out: &mut Vec<u8>, status: &str, body: &[u8]) {
+    put_head(out, status, "", body.len());
+    out.extend_from_slice(body);
 }
 
 #[cfg(test)]
@@ -882,5 +928,45 @@ mod tests {
             "dead connection with unfinishable request must be reaped"
         );
         assert_eq!(httpd.event_queue_mut().len(), 1, "only the listener remains");
+    }
+
+    /// A header block that never ends is not buffered forever: at
+    /// `MAX_HEADER` bytes without a blank line the peer gets a 400 and
+    /// a close, and what it sends afterwards is dropped.
+    #[test]
+    fn endless_header_block_is_cut_off_with_400() {
+        let mut net = Network::new();
+        let ci = net.attach(mk_stack(1));
+        let mut ss = mk_stack(2);
+        let mut httpd = Httpd::new(&mut ss, 80, mk_alloc()).unwrap();
+        let si = net.attach(ss);
+        let conn = net
+            .stack(ci)
+            .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 80))
+            .unwrap();
+        for _ in 0..4 {
+            net.run_until_quiet(16);
+            httpd.poll(net.stack(si));
+        }
+        net.stack(ci).tcp_send(conn, b"GET / HTTP/1.1\r\n").unwrap();
+        let pad = [b"X-Pad: ".as_slice(), &[b'a'; 500], b"\r\n"].concat();
+        let mut sent = 0;
+        while sent < 2 * MAX_HEADER {
+            // A send after the server hung up may fail; that is the point.
+            sent += net.stack(ci).tcp_send(conn, &pad).unwrap_or(pad.len());
+            net.run_until_quiet(16);
+            httpd.poll(net.stack(si));
+            let buffered = httpd.conns.values().map(|c| c.buf.len()).max().unwrap_or(0);
+            assert!(buffered < MAX_HEADER + 2048, "buffered {buffered} B of an endless header");
+        }
+        for _ in 0..4 {
+            net.run_until_quiet(16);
+            httpd.poll(net.stack(si));
+        }
+        let resp = net.stack(ci).tcp_recv(conn, 4096).unwrap();
+        assert!(String::from_utf8_lossy(&resp).starts_with("HTTP/1.1 400"), "{resp:?}");
+        assert_eq!((httpd.errors(), httpd.served()), (1, 0));
+        assert_eq!(httpd.conn_count(), 0, "hung up");
+        assert_eq!(httpd.alloc_stats().cur_bytes, 0);
     }
 }

@@ -2,9 +2,28 @@
 //!
 //! Speaks enough RESP (REdis Serialization Protocol) for
 //! `redis-benchmark`-style GET/SET load with pipelining (the paper's
-//! Figure 12 runs 30 connections, 100k requests, pipelining 16). Values
-//! are stored in memory allocated from a `ukalloc` backend, so allocator
-//! choice affects SET throughput as in Figure 18.
+//! Figure 12 runs 30 connections, 100k requests, pipelining 16). Every
+//! SET takes a block from a `ukalloc` backend and frees its key's old
+//! one, so allocator choice affects SET throughput as in Figure 18.
+//!
+//! **What a command costs.** A command is read where it landed and
+//! answered where it leaves: each connection keeps one receive buffer
+//! and one send [`Backlog`]; `tcp_recv_into` appends to the first,
+//! [`resp::command`] borrows the command's words from it, the reply is
+//! written straight onto the second, and the unconsumed remainder moves
+//! down once per poll, not once per command. From the host heap, per
+//! command: GET, PING, DEL and a SET that keeps its value's length take
+//! nothing; a SET that changes the length takes one exact-sized value
+//! (no capacity is kept back, so resident memory is the bytes stored);
+//! the first SET of a key also copies the key. The `ukalloc` backend is
+//! charged one `malloc` per SET and one `free` per overwrite or DEL,
+//! whatever the host heap did.
+//!
+//! A peer that sends what can never be a command — a count above
+//! [`resp::MAX_ARGS`], a bulk above [`resp::MAX_BULK`], a line that is
+//! not RESP — gets `-ERR protocol` and is hung up on once that is
+//! flushed; a peer that closes is reaped once every command it sent has
+//! been answered.
 
 use std::collections::HashMap;
 
@@ -12,107 +31,41 @@ use ukalloc::{Allocator, GpAddr};
 use uknetstack::stack::{NetStack, SocketHandle};
 use ukplat::Result;
 
-/// A RESP value parsed from the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RespValue {
-    /// `+OK\r\n`
-    Simple(String),
-    /// `-ERR ...\r\n`
-    Error(String),
-    /// `$n\r\n...\r\n` (None = `$-1\r\n`, the nil bulk string).
-    Bulk(Option<Vec<u8>>),
-    /// `*n\r\n...`
-    Array(Vec<RespValue>),
-    /// `:n\r\n`
-    Integer(i64),
-}
-
-/// Serializes a RESP value.
-pub fn encode_resp(v: &RespValue, out: &mut Vec<u8>) {
-    match v {
-        RespValue::Simple(s) => {
-            out.push(b'+');
-            out.extend_from_slice(s.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        RespValue::Error(s) => {
-            out.push(b'-');
-            out.extend_from_slice(s.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        RespValue::Bulk(None) => out.extend_from_slice(b"$-1\r\n"),
-        RespValue::Bulk(Some(d)) => {
-            out.extend_from_slice(format!("${}\r\n", d.len()).as_bytes());
-            out.extend_from_slice(d);
-            out.extend_from_slice(b"\r\n");
-        }
-        RespValue::Array(items) => {
-            out.extend_from_slice(format!("*{}\r\n", items.len()).as_bytes());
-            for i in items {
-                encode_resp(i, out);
-            }
-        }
-        RespValue::Integer(n) => {
-            out.extend_from_slice(format!(":{n}\r\n").as_bytes());
-        }
-    }
-}
-
-/// Parses one RESP value; returns it plus the bytes consumed, or `None`
-/// if the buffer is incomplete.
-pub fn parse_resp(buf: &[u8]) -> Option<(RespValue, usize)> {
-    let line_end = buf.windows(2).position(|w| w == b"\r\n")?;
-    let line = std::str::from_utf8(&buf[1..line_end]).ok()?;
-    let consumed = line_end + 2;
-    match buf.first()? {
-        b'+' => Some((RespValue::Simple(line.to_string()), consumed)),
-        b'-' => Some((RespValue::Error(line.to_string()), consumed)),
-        b':' => Some((RespValue::Integer(line.parse().ok()?), consumed)),
-        b'$' => {
-            let n: i64 = line.parse().ok()?;
-            if n < 0 {
-                return Some((RespValue::Bulk(None), consumed));
-            }
-            let n = n as usize;
-            if buf.len() < consumed + n + 2 {
-                return None;
-            }
-            let data = buf[consumed..consumed + n].to_vec();
-            Some((RespValue::Bulk(Some(data)), consumed + n + 2))
-        }
-        b'*' => {
-            let n: usize = line.parse().ok()?;
-            let mut items = Vec::with_capacity(n);
-            let mut off = consumed;
-            for _ in 0..n {
-                let (v, used) = parse_resp(&buf[off..])?;
-                items.push(v);
-                off += used;
-            }
-            Some((RespValue::Array(items), off))
-        }
-        _ => None,
-    }
-}
+use crate::resp::{self, Cmd, Parse};
+use crate::{recv_append, Backlog};
 
 struct StoredValue {
-    bytes: Vec<u8>,
+    /// Exactly the value: no spare capacity.
+    bytes: Box<[u8]>,
     gp: GpAddr,
 }
 
 struct Conn {
     sock: SocketHandle,
+    /// Received bytes that do not yet form a whole command.
     buf: Vec<u8>,
-    /// Reply bytes the socket has not yet accepted (partial writes).
-    out: Vec<u8>,
-    /// Connection failed; dropped from the table at the end of `poll`.
-    dead: bool,
+    /// Replies the socket has not yet accepted (partial writes).
+    out: Backlog,
+    /// A protocol error was answered: close once `out` is flushed.
+    closing: bool,
 }
 
-/// The key-value server.
-pub struct KvStore {
-    listener: SocketHandle,
-    conns: Vec<Conn>,
+impl Conn {
+    // ukcheck: allow(alloc) -- accept: a new connection's buffers, empty
+    // until its first command and reply size them
+    fn new(sock: SocketHandle) -> Self {
+        Conn {
+            sock,
+            buf: Vec::new(),
+            out: Backlog::default(),
+            closing: false,
+        }
+    }
+}
+
+/// The keys, their values and what was done to them — everything a
+/// command touches besides the connection it arrived on.
+struct Store {
     data: HashMap<Vec<u8>, StoredValue>,
     alloc: Box<dyn Allocator>,
     gets: u64,
@@ -120,178 +73,185 @@ pub struct KvStore {
     errors: u64,
 }
 
+/// The key-value server.
+pub struct KvStore {
+    listener: SocketHandle,
+    conns: Vec<Conn>,
+    store: Store,
+}
+
 impl std::fmt::Debug for KvStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KvStore")
-            .field("keys", &self.data.len())
-            .field("gets", &self.gets)
-            .field("sets", &self.sets)
+            .field("keys", &self.store.data.len())
+            .field("gets", &self.store.gets)
+            .field("sets", &self.store.sets)
             .finish()
+    }
+}
+
+impl Store {
+    /// Runs one command, appending its reply to `out`.
+    fn exec(&mut self, cmd: &Cmd<'_>, out: &mut Vec<u8>) {
+        let [name, key, val] = cmd.words;
+        let is = |n: &[u8]| name.eq_ignore_ascii_case(n);
+        match cmd.argc {
+            0 => {
+                self.errors += 1;
+                resp::put_error(out, "ERR protocol");
+            }
+            1 if is(b"PING") => resp::put_simple(out, "PONG"),
+            2 if is(b"GET") => {
+                self.gets += 1;
+                match self.data.get(key) {
+                    Some(v) => resp::put_bulk(out, &v.bytes),
+                    None => resp::put_nil(out),
+                }
+            }
+            3 if is(b"SET") => {
+                self.sets += 1;
+                // Value storage comes from the ukalloc backend.
+                let Some(gp) = self.alloc.malloc(val.len().max(16)) else {
+                    resp::put_error(out, "OOM");
+                    return;
+                };
+                match self.data.get_mut(key) {
+                    Some(slot) => {
+                        self.alloc.free(std::mem::replace(&mut slot.gp, gp));
+                        if slot.bytes.len() == val.len() {
+                            slot.bytes.copy_from_slice(val);
+                        } else {
+                            // ukcheck: allow(alloc) -- a SET that changes the value's
+                            // length: one exact-sized block, so the store holds no slack
+                            slot.bytes = Box::from(val);
+                        }
+                    }
+                    None => {
+                        let key = key.to_vec(); // ukcheck: allow(alloc) -- first SET of a key copies the key in
+                        let bytes = Box::from(val); // ukcheck: allow(alloc) -- and its value, exact-sized
+                        self.data.insert(key, StoredValue { bytes, gp });
+                    }
+                }
+                resp::put_simple(out, "OK");
+            }
+            2 if is(b"DEL") => {
+                let removed = self.data.remove(key).map(|old| self.alloc.free(old.gp));
+                resp::put_int(out, i64::from(removed.is_some()));
+            }
+            _ => {
+                self.errors += 1;
+                resp::put_error(out, "ERR unknown command");
+            }
+        }
     }
 }
 
 impl KvStore {
     /// Starts listening on `port`.
+    // ukcheck: allow(alloc) -- constructor: the empty tables
     pub fn new(stack: &mut NetStack, port: u16, alloc: Box<dyn Allocator>) -> Result<Self> {
         let listener = stack.tcp_listen(port)?;
         Ok(KvStore {
             listener,
             conns: Vec::new(),
-            data: HashMap::new(),
-            alloc,
-            gets: 0,
-            sets: 0,
-            errors: 0,
+            store: Store {
+                data: HashMap::new(),
+                alloc,
+                gets: 0,
+                sets: 0,
+                errors: 0,
+            },
         })
     }
 
     /// GET operations served.
     pub fn gets(&self) -> u64 {
-        self.gets
+        self.store.gets
     }
 
     /// SET operations served.
     pub fn sets(&self) -> u64 {
-        self.sets
+        self.store.sets
     }
 
     /// Protocol errors.
     pub fn errors(&self) -> u64 {
-        self.errors
+        self.store.errors
     }
 
     /// Keys stored.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.store.data.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.store.data.is_empty()
     }
 
-    fn exec(&mut self, cmd: &RespValue) -> RespValue {
-        let items = match cmd {
-            RespValue::Array(items) if !items.is_empty() => items,
-            _ => {
-                self.errors += 1;
-                return RespValue::Error("ERR protocol".into());
-            }
-        };
-        let word = |v: &RespValue| -> Option<Vec<u8>> {
-            match v {
-                RespValue::Bulk(Some(d)) => Some(d.clone()),
-                RespValue::Simple(s) => Some(s.clone().into_bytes()),
-                _ => None,
-            }
-        };
-        let name = match word(&items[0]) {
-            Some(n) => n.to_ascii_uppercase(),
-            None => {
-                self.errors += 1;
-                return RespValue::Error("ERR protocol".into());
-            }
-        };
-        match (name.as_slice(), items.len()) {
-            (b"PING", 1) => RespValue::Simple("PONG".into()),
-            (b"GET", 2) => {
-                self.gets += 1;
-                match word(&items[1]).and_then(|k| self.data.get(&k)) {
-                    Some(v) => RespValue::Bulk(Some(v.bytes.clone())),
-                    None => RespValue::Bulk(None),
-                }
-            }
-            (b"SET", 3) => {
-                let (k, v) = match (word(&items[1]), word(&items[2])) {
-                    (Some(k), Some(v)) => (k, v),
-                    _ => {
-                        self.errors += 1;
-                        return RespValue::Error("ERR protocol".into());
-                    }
-                };
-                self.sets += 1;
-                // Value storage comes from the ukalloc backend.
-                let gp = match self.alloc.malloc(v.len().max(16)) {
-                    Some(gp) => gp,
-                    None => return RespValue::Error("OOM".into()),
-                };
-                if let Some(old) = self.data.insert(k, StoredValue { bytes: v, gp }) {
-                    self.alloc.free(old.gp);
-                }
-                RespValue::Simple("OK".into())
-            }
-            (b"DEL", 2) => {
-                let removed = word(&items[1])
-                    .and_then(|k| self.data.remove(&k))
-                    .map(|old| {
-                        self.alloc.free(old.gp);
-                        1
-                    })
-                    .unwrap_or(0);
-                RespValue::Integer(removed)
-            }
-            _ => {
-                self.errors += 1;
-                RespValue::Error("ERR unknown command".into())
-            }
-        }
+    /// Live connections.
+    pub fn conn_count(&self) -> usize {
+        self.conns.len()
     }
 
     /// Accepts connections and serves every complete pipelined command.
     /// Returns responses written this call.
     pub fn poll(&mut self, stack: &mut NetStack) -> u64 {
         while let Some(sock) = stack.tcp_accept(self.listener) {
-            self.conns.push(Conn {
-                sock,
-                buf: Vec::new(),
-                out: Vec::new(),
-                dead: false,
-            });
+            self.conns.push(Conn::new(sock));
         }
         let mut served = 0;
-        for i in 0..self.conns.len() {
-            if self.conns[i].dead {
-                continue;
-            }
-            if let Ok(data) = stack.tcp_recv(self.conns[i].sock, 256 * 1024) {
-                self.conns[i].buf.extend_from_slice(&data);
-            }
-            let mut out = Vec::new();
-            loop {
-                let parsed = parse_resp(&self.conns[i].buf);
-                match parsed {
-                    Some((cmd, used)) => {
-                        self.conns[i].buf.drain(..used);
-                        let reply = self.exec(&cmd);
-                        encode_resp(&reply, &mut out);
-                        served += 1;
+        let store = &mut self.store;
+        self.conns.retain_mut(|conn| {
+            // Read: append whatever arrived to the bytes left over.
+            let got = recv_append(stack, conn.sock, &mut conn.buf);
+            // Serve: a cursor walks the whole commands; replies go
+            // straight onto the backlog.
+            let mut at = 0;
+            while !conn.closing {
+                match resp::command(&conn.buf[at..]) {
+                    Parse::Complete(cmd, used) => {
+                        store.exec(&cmd, conn.out.tail());
+                        at += used;
                     }
-                    None => break,
+                    Parse::Incomplete => break,
+                    Parse::Malformed => {
+                        // Nothing after this can be framed: answer,
+                        // discard the rest, hang up once flushed.
+                        store.errors += 1;
+                        resp::put_error(conn.out.tail(), "ERR protocol");
+                        conn.closing = true;
+                        at = conn.buf.len();
+                    }
                 }
+                served += 1;
             }
-            // Queue replies behind any earlier partial write, then push
-            // as much as the socket's send buffer accepts.
-            self.conns[i].out.extend_from_slice(&out);
-            let sock = self.conns[i].sock;
-            if !crate::flush_partial(stack, sock, &mut self.conns[i].out) {
-                self.conns[i].dead = true;
+            // Compact: the partial command at the end moves down once.
+            conn.buf.drain(..at);
+            // Push as much as the socket's send buffer accepts; the
+            // rest stays queued behind any earlier partial write.
+            let alive = conn.out.flush(stack, conn.sock, NetStack::tcp_send);
+            // Done with a connection once nothing is owed to it: it
+            // failed, its protocol error is flushed, or the peer closed
+            // and every byte it sent has been read (a command the FIN
+            // cut short can never complete).
+            let done = !alive
+                || conn.out.is_empty()
+                    && (conn.closing || got == 0 && stack.tcp_peer_closed(conn.sock));
+            if done {
+                let _ = stack.tcp_close(conn.sock);
             }
-        }
-        self.conns.retain(|c| !c.dead);
+            !done
+        });
         served
     }
 }
 
 /// Builds a RESP command array from words.
+// ukcheck: allow(alloc) -- allocating convenience for clients and tests
 pub fn resp_command(words: &[&[u8]]) -> Vec<u8> {
-    let arr = RespValue::Array(
-        words
-            .iter()
-            .map(|w| RespValue::Bulk(Some(w.to_vec())))
-            .collect(),
-    );
     let mut out = Vec::new();
-    encode_resp(&arr, &mut out);
+    resp::put_command(&mut out, words);
     out
 }
 
@@ -320,83 +280,179 @@ mod tests {
         a
     }
 
-    #[test]
-    fn resp_roundtrip() {
-        let cmd = resp_command(&[b"SET", b"k", b"v"]);
-        let (v, used) = parse_resp(&cmd).unwrap();
-        assert_eq!(used, cmd.len());
-        match v {
-            RespValue::Array(items) => assert_eq!(items.len(), 3),
-            other => panic!("{other:?}"),
+    /// A client stack, a server stack with a `KvStore` on it, and one
+    /// established connection between them.
+    struct Rig {
+        net: Network,
+        ci: usize,
+        si: usize,
+        kv: KvStore,
+        conn: SocketHandle,
+        clock: Tsc,
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            let mut net = Network::new();
+            let clock = Tsc::new(3_600_000_000);
+            net.set_clock(&clock);
+            let ci = net.attach(mk_stack(1));
+            let mut ss = mk_stack(2);
+            let kv = KvStore::new(&mut ss, 6379, mk_alloc()).unwrap();
+            let si = net.attach(ss);
+            let conn = net
+                .stack(ci)
+                .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 6379))
+                .unwrap();
+            let mut rig = Rig { net, ci, si, kv, conn, clock };
+            rig.turns(4);
+            assert_eq!(rig.kv.conn_count(), 1);
+            rig
+        }
+
+        fn turns(&mut self, n: usize) {
+            for _ in 0..n {
+                self.net.run_until_quiet(16);
+                self.kv.poll(self.net.stack(self.si));
+            }
+            self.net.run_until_quiet(16);
+        }
+
+        /// Connections on the server's stack once a closed one's short
+        /// linger (10 ms) has run out.
+        fn server_conns_after_linger(&mut self) -> usize {
+            self.clock.advance_ns(50_000_000);
+            self.net.step();
+            self.net.stack(self.si).tcp_conn_count()
+        }
+
+        fn send(&mut self, bytes: &[u8]) {
+            self.net.stack(self.ci).tcp_send(self.conn, bytes).unwrap();
+        }
+
+        fn recv(&mut self) -> Vec<u8> {
+            self.net.stack(self.ci).tcp_recv(self.conn, 64 * 1024).unwrap()
         }
     }
 
-    #[test]
-    fn parse_incomplete_returns_none() {
-        let cmd = resp_command(&[b"GET", b"key"]);
-        assert!(parse_resp(&cmd[..cmd.len() - 3]).is_none());
+    fn exec(kv: &mut KvStore, words: &[&[u8]]) -> Vec<u8> {
+        let wire = resp_command(words);
+        let Parse::Complete(cmd, _) = resp::command(&wire) else {
+            panic!("a whole command");
+        };
+        let mut out = Vec::new();
+        kv.store.exec(&cmd, &mut out);
+        out
     }
 
     #[test]
     fn pipelined_get_set_over_network() {
-        let mut net = Network::new();
-        let ci = net.attach(mk_stack(1));
-        let mut ss = mk_stack(2);
-        let mut kv = KvStore::new(&mut ss, 6379, mk_alloc()).unwrap();
-        let si = net.attach(ss);
-        let conn = net
-            .stack(ci)
-            .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 6379))
-            .unwrap();
-        for _ in 0..4 {
-            net.run_until_quiet(16);
-            kv.poll(net.stack(si));
-        }
+        let mut rig = Rig::new();
         // Pipeline: SET a 1, SET b 2, GET a, GET missing.
         let mut pipeline = Vec::new();
         pipeline.extend(resp_command(&[b"SET", b"a", b"1"]));
         pipeline.extend(resp_command(&[b"SET", b"b", b"2"]));
-        pipeline.extend(resp_command(&[b"GET", b"a"]));
+        pipeline.extend(resp_command(&[b"get", b"a"]));
         pipeline.extend(resp_command(&[b"GET", b"missing"]));
-        net.stack(ci).tcp_send(conn, &pipeline).unwrap();
-        for _ in 0..6 {
-            net.run_until_quiet(16);
-            kv.poll(net.stack(si));
-        }
-        let resp = net.stack(ci).tcp_recv(conn, 64 * 1024).unwrap();
-        let text = String::from_utf8_lossy(&resp);
+        rig.send(&pipeline);
+        rig.turns(6);
+        let text = String::from_utf8(rig.recv()).unwrap();
         assert_eq!(text, "+OK\r\n+OK\r\n$1\r\n1\r\n$-1\r\n");
-        assert_eq!(kv.sets(), 2);
-        assert_eq!(kv.gets(), 2);
+        assert_eq!(rig.kv.sets(), 2);
+        assert_eq!(rig.kv.gets(), 2);
     }
 
     #[test]
     fn set_overwrite_frees_old_allocation() {
         let mut ss = mk_stack(2);
         let mut kv = KvStore::new(&mut ss, 6379, mk_alloc()).unwrap();
-        let set = |kv: &mut KvStore, v: &[u8]| {
-            let cmd = RespValue::Array(vec![
-                RespValue::Bulk(Some(b"SET".to_vec())),
-                RespValue::Bulk(Some(b"k".to_vec())),
-                RespValue::Bulk(Some(v.to_vec())),
-            ]);
-            kv.exec(&cmd)
-        };
-        set(&mut kv, b"first");
-        set(&mut kv, b"second");
+        for v in [&b"first"[..], b"second", b"third!"] {
+            assert_eq!(exec(&mut kv, &[b"SET", b"k", v]), b"+OK\r\n");
+            let mut want = Vec::new();
+            resp::put_bulk(&mut want, v);
+            assert_eq!(exec(&mut kv, &[b"GET", b"k"]), want);
+        }
         assert_eq!(kv.len(), 1);
-        let stats = kv.alloc.stats();
+        let stats = kv.store.alloc.stats();
         assert_eq!(stats.alloc_count - stats.free_count, 1, "one live value");
+        assert_eq!(exec(&mut kv, &[b"DEL", b"k"]), b":1\r\n");
+        assert_eq!(exec(&mut kv, &[b"DEL", b"k"]), b":0\r\n");
+        let stats = kv.store.alloc.stats();
+        assert_eq!(stats.alloc_count, stats.free_count, "DEL frees the value");
     }
 
     #[test]
-    fn unknown_command_is_error() {
+    fn unknown_and_empty_commands_are_errors() {
         let mut ss = mk_stack(2);
         let mut kv = KvStore::new(&mut ss, 6379, mk_alloc()).unwrap();
-        let cmd = RespValue::Array(vec![RespValue::Bulk(Some(b"FLUSHALL".to_vec()))]);
-        match kv.exec(&cmd) {
-            RespValue::Error(e) => assert!(e.contains("unknown")),
-            other => panic!("{other:?}"),
+        assert_eq!(exec(&mut kv, &[b"FLUSHALL"]), b"-ERR unknown command\r\n");
+        assert_eq!(exec(&mut kv, &[b"GET", b"a", b"b", b"c"]), b"-ERR unknown command\r\n");
+        assert_eq!(exec(&mut kv, &[]), b"-ERR protocol\r\n");
+        assert_eq!(exec(&mut kv, &[b"ping"]), b"+PONG\r\n");
+        assert_eq!(kv.errors(), 3);
+    }
+
+    /// Input that can never become a command is answered and hung up
+    /// on, not buffered: each of these wedged the connection (or, the
+    /// first, panicked the server) when "malformed" and "incomplete"
+    /// were one answer.
+    #[test]
+    fn hostile_input_gets_a_protocol_error_and_a_close() {
+        for bad in [
+            &b"*576460752303423488\r\n$3\r\nGET\r\n"[..],
+            b"hello world\r\n",
+            b"\xff\xfe\xfd\r\n",
+            b"*abc\r\n",
+            b"*1\r\n$1048577\r\n",
+        ] {
+            let mut rig = Rig::new();
+            // A good command first: it is answered before the hang-up.
+            let mut bytes = resp_command(&[b"PING"]);
+            bytes.extend_from_slice(bad);
+            bytes.extend(resp_command(&[b"PING"]));
+            rig.send(&bytes);
+            rig.turns(4);
+            let what = String::from_utf8_lossy(bad).into_owned();
+            assert_eq!(rig.recv(), b"+PONG\r\n-ERR protocol\r\n", "{what}");
+            assert_eq!(rig.kv.errors(), 1, "{what}");
+            assert_eq!(rig.kv.conn_count(), 0, "{what}: hung up");
+            assert!(rig.net.stack(rig.ci).tcp_peer_closed(rig.conn), "{what}: FIN sent");
         }
+    }
+
+    #[test]
+    fn a_closed_peer_is_reaped() {
+        let mut rig = Rig::new();
+        rig.send(&resp_command(&[b"SET", b"k", b"v"]));
+        rig.turns(4);
+        assert_eq!(rig.recv(), b"+OK\r\n");
+        rig.net.stack(rig.ci).tcp_close(rig.conn).unwrap();
+        rig.turns(8);
+        assert_eq!(rig.kv.conn_count(), 0, "the server let go of the connection");
+        // Both ends closed: the client's side sits out TIME_WAIT, the
+        // server's is gone.
+        assert_eq!(rig.server_conns_after_linger(), 0, "no CLOSE_WAIT left behind");
+    }
+
+    #[test]
+    fn a_pipeline_sent_with_the_fin_is_answered_in_full_first() {
+        let mut rig = Rig::new();
+        let mut pipeline = Vec::new();
+        let mut want = Vec::new();
+        for i in 0..16u8 {
+            pipeline.extend(resp_command(&[b"SET", &[b'k', i], &[i; 40]]));
+            pipeline.extend(resp_command(&[b"GET", &[b'k', i]]));
+            resp::put_simple(&mut want, "OK");
+            resp::put_bulk(&mut want, &[i; 40]);
+        }
+        // Half a command trails the pipeline: the FIN makes it garbage.
+        pipeline.extend_from_slice(b"*2\r\n$3\r\nGET\r\n$5\r\nab");
+        rig.send(&pipeline);
+        rig.net.stack(rig.ci).tcp_close(rig.conn).unwrap();
+        rig.turns(8);
+        assert_eq!(rig.recv(), want);
+        assert_eq!((rig.kv.sets(), rig.kv.gets()), (16, 16));
+        assert_eq!(rig.kv.conn_count(), 0);
+        assert_eq!(rig.server_conns_after_linger(), 0);
     }
 }

@@ -10,24 +10,64 @@ use uknetstack::stack::{NetStack, SocketHandle};
 use uknetstack::Endpoint;
 use ukplat::Result;
 
-use crate::kvstore::resp_command;
+use crate::resp::{self, Parse};
+use crate::{recv_append, Backlog};
 
-struct HttpConn {
+/// One client connection of either generator.
+struct Conn {
     sock: SocketHandle,
     established: bool,
     inflight: usize,
+    /// Reply bytes not yet forming a whole reply.
     buf: Vec<u8>,
     /// Request bytes the socket has not yet accepted (partial writes).
-    out: Vec<u8>,
+    out: Backlog,
     /// Connection failed; its in-flight budget was returned.
     dead: bool,
 }
 
+/// Opens `nconns` connections to `target`.
+fn connect_all(stack: &mut NetStack, target: Endpoint, nconns: usize) -> Result<Vec<Conn>> {
+    (0..nconns)
+        .map(|_| {
+            Ok(Conn {
+                sock: stack.tcp_connect(target)?,
+                established: false,
+                inflight: 0,
+                buf: Vec::new(),
+                out: Backlog::default(),
+                dead: false,
+            })
+        })
+        .collect()
+}
+
+impl Conn {
+    /// Whether the handshake is done (checked until it is).
+    fn ready(&mut self, stack: &NetStack) -> bool {
+        self.established = self.established
+            || matches!(
+                stack.tcp_state(self.sock),
+                Some(uknetstack::tcp::TcpState::Established)
+            );
+        self.established
+    }
+
+    /// The connection failed: its unanswered requests can never
+    /// complete, so they go back to the issue budget for the surviving
+    /// connections.
+    fn fail(&mut self, issued: &mut u64) {
+        self.dead = true;
+        *issued = issued.saturating_sub(self.inflight as u64);
+        self.inflight = 0;
+    }
+}
+
 /// wrk-like HTTP load generator.
 pub struct HttpLoadGen {
-    conns: Vec<HttpConn>,
-    target: Endpoint,
-    path: String,
+    conns: Vec<Conn>,
+    /// The request every connection repeats.
+    request: Vec<u8>,
     pipeline: usize,
     completed: u64,
     issued: u64,
@@ -55,22 +95,10 @@ impl HttpLoadGen {
         pipeline: usize,
         target_requests: u64,
     ) -> Result<Self> {
-        let mut conns = Vec::with_capacity(nconns);
-        for _ in 0..nconns {
-            let sock = stack.tcp_connect(target)?;
-            conns.push(HttpConn {
-                sock,
-                established: false,
-                inflight: 0,
-                buf: Vec::new(),
-                out: Vec::new(),
-                dead: false,
-            });
-        }
         Ok(HttpLoadGen {
-            conns,
-            target,
-            path: path.to_string(),
+            conns: connect_all(stack, target, nconns)?,
+            request: format!("GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\r\n")
+                .into_bytes(),
             pipeline: pipeline.max(1),
             completed: 0,
             issued: 0,
@@ -98,54 +126,33 @@ impl HttpLoadGen {
     /// steps. Returns responses completed this call.
     pub fn poll(&mut self, stack: &mut NetStack) -> u64 {
         let mut newly = 0;
-        let request = format!(
-            "GET {} HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\r\n",
-            self.path
-        );
         for c in &mut self.conns {
-            if c.dead {
+            if c.dead || !c.ready(stack) {
                 continue;
-            }
-            if !c.established {
-                if matches!(
-                    stack.tcp_state(c.sock),
-                    Some(uknetstack::tcp::TcpState::Established)
-                ) {
-                    c.established = true;
-                } else {
-                    continue;
-                }
             }
             // Keep the pipeline full. Requests are queued whole and
             // flushed with partial-write handling: a closed tx window
             // never truncates a request mid-line.
             while c.inflight < self.pipeline && self.issued < self.target_requests {
-                c.out.extend_from_slice(request.as_bytes());
+                c.out.tail().extend_from_slice(&self.request);
                 c.inflight += 1;
                 self.issued += 1;
             }
-            if !crate::flush_partial(stack, c.sock, &mut c.out) {
-                // The connection failed: its unanswered requests can
-                // never complete, so return them to the issue budget
-                // for the surviving connections.
-                c.dead = true;
-                self.issued = self.issued.saturating_sub(c.inflight as u64);
-                c.inflight = 0;
+            if !c.out.flush(stack, c.sock, NetStack::tcp_send) {
+                c.fail(&mut self.issued);
                 continue;
             }
             // Drain responses.
-            if let Ok(data) = stack.tcp_recv(c.sock, 256 * 1024) {
-                self.bytes_read += data.len() as u64;
-                c.buf.extend_from_slice(&data);
-            }
-            while let Some(len) = complete_response_len(&c.buf) {
-                c.buf.drain(..len);
+            self.bytes_read += recv_append(stack, c.sock, &mut c.buf) as u64;
+            let mut at = 0;
+            while let Some(len) = complete_response_len(&c.buf[at..]) {
+                at += len;
                 c.inflight = c.inflight.saturating_sub(1);
                 self.completed += 1;
                 newly += 1;
             }
+            c.buf.drain(..at);
         }
-        let _ = self.target;
         newly
     }
 }
@@ -168,17 +175,6 @@ fn complete_response_len(buf: &[u8]) -> Option<usize> {
     (buf.len() >= total).then_some(total)
 }
 
-struct RespConn {
-    sock: SocketHandle,
-    established: bool,
-    inflight: usize,
-    buf: Vec<u8>,
-    /// Command bytes the socket has not yet accepted (partial writes).
-    out: Vec<u8>,
-    /// Connection failed; its in-flight budget was returned.
-    dead: bool,
-}
-
 /// Which command mix a RESP run issues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RespOp {
@@ -190,7 +186,7 @@ pub enum RespOp {
 
 /// redis-benchmark-like RESP load generator.
 pub struct RespLoadGen {
-    conns: Vec<RespConn>,
+    conns: Vec<Conn>,
     op: RespOp,
     pipeline: usize,
     completed: u64,
@@ -221,20 +217,8 @@ impl RespLoadGen {
         keyspace: u64,
         target_requests: u64,
     ) -> Result<Self> {
-        let mut conns = Vec::with_capacity(nconns);
-        for _ in 0..nconns {
-            let sock = stack.tcp_connect(target)?;
-            conns.push(RespConn {
-                sock,
-                established: false,
-                inflight: 0,
-                buf: Vec::new(),
-                out: Vec::new(),
-                dead: false,
-            });
-        }
         Ok(RespLoadGen {
-            conns,
+            conns: connect_all(stack, target, nconns)?,
             op,
             pipeline: pipeline.max(1),
             completed: 0,
@@ -255,61 +239,50 @@ impl RespLoadGen {
         self.completed >= self.target_requests
     }
 
-    fn next_command(&mut self) -> Vec<u8> {
-        let key = format!("key:{:012}", self.key_cursor % self.keyspace);
-        self.key_cursor += 1;
-        match self.op {
-            RespOp::Get => resp_command(&[b"GET", key.as_bytes()]),
-            RespOp::Set => resp_command(&[b"SET", key.as_bytes(), b"xxxxxxxxxxxxxxxxxxxxxxxx"]),
-        }
-    }
-
     /// Sends commands and consumes replies; returns replies completed.
     pub fn poll(&mut self, stack: &mut NetStack) -> u64 {
         let mut newly = 0;
-        for i in 0..self.conns.len() {
-            if self.conns[i].dead {
+        for c in &mut self.conns {
+            if c.dead || !c.ready(stack) {
                 continue;
-            }
-            if !self.conns[i].established {
-                if matches!(
-                    stack.tcp_state(self.conns[i].sock),
-                    Some(uknetstack::tcp::TcpState::Established)
-                ) {
-                    self.conns[i].established = true;
-                } else {
-                    continue;
-                }
-            }
-            let mut burst = Vec::new();
-            while self.conns[i].inflight < self.pipeline
-                && self.issued < self.target_requests
-            {
-                burst.extend(self.next_command());
-                self.conns[i].inflight += 1;
-                self.issued += 1;
             }
             // Whole commands enter the backlog; the socket takes what
             // its send buffer admits, the rest waits for the window.
-            self.conns[i].out.extend_from_slice(&burst);
-            let sock = self.conns[i].sock;
-            if !crate::flush_partial(stack, sock, &mut self.conns[i].out) {
-                // Failed connection: hand its budget back (see
-                // HttpLoadGen::poll).
-                self.conns[i].dead = true;
-                self.issued = self.issued.saturating_sub(self.conns[i].inflight as u64);
-                self.conns[i].inflight = 0;
+            while c.inflight < self.pipeline && self.issued < self.target_requests {
+                let key = format!("key:{:012}", self.key_cursor % self.keyspace);
+                self.key_cursor += 1;
+                match self.op {
+                    RespOp::Get => resp::put_command(c.out.tail(), &[b"GET", key.as_bytes()]),
+                    RespOp::Set => resp::put_command(
+                        c.out.tail(),
+                        &[b"SET", key.as_bytes(), b"xxxxxxxxxxxxxxxxxxxxxxxx"],
+                    ),
+                }
+                c.inflight += 1;
+                self.issued += 1;
+            }
+            if !c.out.flush(stack, c.sock, NetStack::tcp_send) {
+                c.fail(&mut self.issued);
                 continue;
             }
-            if let Ok(data) = stack.tcp_recv(self.conns[i].sock, 256 * 1024) {
-                self.conns[i].buf.extend_from_slice(&data);
-            }
-            while let Some((_, used)) = crate::kvstore::parse_resp(&self.conns[i].buf) {
-                self.conns[i].buf.drain(..used);
-                self.conns[i].inflight = self.conns[i].inflight.saturating_sub(1);
+            recv_append(stack, c.sock, &mut c.buf);
+            let mut at = 0;
+            loop {
+                match resp::value_len(&c.buf[at..]) {
+                    Parse::Complete((), used) => at += used,
+                    Parse::Incomplete => break,
+                    Parse::Malformed => {
+                        // A reply stream that cannot be framed answers
+                        // nothing that is still in flight.
+                        c.fail(&mut self.issued);
+                        break;
+                    }
+                }
+                c.inflight = c.inflight.saturating_sub(1);
                 self.completed += 1;
                 newly += 1;
             }
+            c.buf.drain(..at);
         }
         newly
     }

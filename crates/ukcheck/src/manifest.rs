@@ -26,6 +26,11 @@ pub const HOT_FILES: &[&str] = &[
     // Readiness cells: a watched socket publishes through one per
     // request, and a rising edge must not allocate (PR 18).
     "crates/ukevent/src/source.rs",
+    // The apps: the request path runs once per command/request —
+    // parse where the bytes landed, reply onto the send backlog.
+    "crates/ukapps/src/resp.rs",
+    "crates/ukapps/src/kvstore.rs",
+    "crates/ukapps/src/httpd.rs",
 ];
 
 /// Crate source directories that are hot in their entirety.

@@ -14,6 +14,7 @@
 //! | [`EventQueue`] | `epoll` instance (`epoll_create1`) | interest list + ready scan |
 //! | [`EventQueue::ctl_add`] / [`ctl_mod`](EventQueue::ctl_mod) / [`ctl_del`](EventQueue::ctl_del) | `epoll_ctl(EPOLL_CTL_ADD/MOD/DEL)` | same EEXIST/ENOENT errors |
 //! | [`EventQueue::wait`] | `epoll_wait` | parks on a [`uksched::WaitQueue`] instead of spinning |
+//! | [`EventQueue::poll_ready_into`] | `epoll_wait(.., timeout = 0)` | fills the caller's event array; [`poll_ready`](EventQueue::poll_ready) is the same scan into a fresh `Vec` |
 //! | [`EventMask`] | `epoll_events` bits (`EPOLLIN`, `EPOLLOUT`, …) | includes `EPOLLET` / `EPOLLONESHOT` |
 //! | [`EventFd`] | `eventfd2` | counter semantics incl. `EFD_SEMAPHORE` |
 //! | [`ReadySource`] | the wait-queue head inside a `struct file` | producers publish edges here |
@@ -49,6 +50,14 @@
 //! assert_eq!(events[0].token, 7);
 //! assert!(events[0].events.contains(EventMask::IN));
 //! assert_eq!(efd.read().unwrap(), 3);
+//!
+//! // An event loop keeps its event array, as `epoll_wait`'s caller
+//! // does: no allocation per turn once it has held a full batch.
+//! let mut events = Vec::with_capacity(8);
+//! efd.write(1).unwrap();
+//! q.poll_ready_into(&mut events, 8);
+//! assert_eq!(events.len(), 1);
+//! assert_eq!(events[0].token, 7);
 //! ```
 
 pub mod eventfd;

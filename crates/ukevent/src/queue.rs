@@ -266,16 +266,29 @@ impl EventQueue {
     }
 
     /// Scans the interest list and returns up to `max_events` ready
-    /// events without blocking (`epoll_wait` with timeout 0).
+    /// events without blocking (`epoll_wait` with timeout 0) — the
+    /// allocating convenience form of
+    /// [`poll_ready_into`](Self::poll_ready_into).
+    pub fn poll_ready(&mut self, max_events: usize) -> Vec<Event> {
+        let mut out = Vec::new();
+        self.poll_ready_into(&mut out, max_events);
+        out
+    }
+
+    /// The ready-scan proper: clears `out`, then fills it with up to
+    /// `max_events` ready events. An event loop
+    /// keeps one `out` for its lifetime (`epoll_wait`'s caller-owned
+    /// `events` array), so a turn of the loop takes nothing from the
+    /// heap once that vector has held a full batch.
     ///
     /// Level-triggered entries report whenever their readiness
     /// intersects the mask; edge-triggered entries only report when the
     /// source's edge sequence advanced past the last delivery. `EPOLLERR`
     /// and `EPOLLHUP` are always reported, subscribed or not.
-    pub fn poll_ready(&mut self, max_events: usize) -> Vec<Event> {
+    pub fn poll_ready_into(&mut self, out: &mut Vec<Event>, max_events: usize) {
         self.shared.borrow_mut().pending = false;
         let cap = max_events.max(1);
-        let mut out = Vec::new();
+        out.clear();
         let mut scan = |range: RangeMut<'_, u64, Interest>| {
             for (&token, entry) in range {
                 if out.len() >= cap {
@@ -293,7 +306,6 @@ impl EventQueue {
             self.scan_from = last.token.wrapping_add(1);
         }
         self.delivered += out.len() as u64;
-        out
     }
 
     /// `epoll_wait`: returns ready events, or parks `tid` on the queue's
