@@ -6,7 +6,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify verify-trace-off verify-fault-matrix verify-churn verify-sanitize verify-workspace lint test bench bench-event perf perf-compare examples clean
+.PHONY: verify verify-trace-off verify-fault-matrix verify-churn verify-sanitize verify-workspace lint test bench perf perf-compare examples clean
 
 ## Tier-1: release build + root-crate tests (ROADMAP's check).
 verify:
@@ -59,9 +59,10 @@ verify-churn:
 	$(CARGO) test -q -p uknetstack --no-default-features --test proptests timer_wheel_matches
 
 ## Repo-native invariant linter (crates/ukcheck): no-alloc hot path,
-## panic-free datapath, SAFETY-commented unsafe, atomic-ordering
-## policy, and the non-test line budgets of `uknetstack`'s `stack.rs`
-## and `tcp.rs` (`size`). Exits non-zero on any unescaped violation;
+## panic-free datapath (every file under `uknetstack`'s `tcp/` among
+## them), SAFETY-commented unsafe, atomic-ordering policy, and the
+## non-test line budgets (`size`): `uknetstack`'s `stack.rs`, and 800
+## for each file under `tcp/`. Exits non-zero on any unescaped violation;
 ## every escape must carry a written justification (see
 ## crates/ukcheck/README.md).
 lint:
@@ -98,13 +99,10 @@ verify-workspace:
 test:
 	$(CARGO) test -q --workspace
 
-## All criterion benches (smoke harness — prints ns/iter).
+## The criterion benches `ukperf` has no probe for yet: boot, fs, sqldb,
+## syscall, udpkv (smoke harness — prints ns/iter).
 bench:
 	$(CARGO) bench
-
-## Just the ukevent readiness benches.
-bench-event:
-	$(CARGO) bench -p ukbench --bench event
 
 ## `ukperf` (benchmark/, see its README): the end-to-end + per-layer
 ## benchmark every performance claim is made in. `perf` is one run of

@@ -36,7 +36,7 @@ use ukevent::{Event, EventMask, EventQueue};
 use uknetstack::stack::{NetStack, SocketHandle};
 use ukplat::{Errno, Result};
 
-use crate::{put_decimal, Backlog};
+use crate::{put_decimal, recv_append, Backlog};
 
 /// The paper's standard test page size.
 pub const DEFAULT_PAGE_SIZE: usize = 612;
@@ -129,12 +129,6 @@ pub struct Httpd {
     /// nothing more owed (to be closed). Pushed where that happens,
     /// emptied at the end of every `poll`.
     todo: Vec<u64>,
-    /// Reusable landing area for one burst of received payload
-    /// netbufs: socket reads take whole buffers via the zero-copy
-    /// `tcp_recv_burst_netbuf` path, request bytes move into the
-    /// connection's buffer, and every netbuf recycles to the stack's
-    /// pool — no intermediate copy buffer.
-    rx_bufs: Vec<uknetdev::netbuf::Netbuf>,
     /// Shared deterministic source for `/blob/<size>` bodies, grown
     /// lazily to the largest size requested. Every blob response
     /// streams out of this one buffer — the large-transfer fast path
@@ -177,7 +171,6 @@ impl Httpd {
             errors: 0,
             events: Vec::with_capacity(MAX_EVENTS),
             todo: Vec::with_capacity(MAX_EVENTS),
-            rx_bufs: Vec::new(),
             blob_src: Vec::new(),
         })
     }
@@ -283,21 +276,13 @@ impl Httpd {
             return;
         };
         if ev.events.intersects(EventMask::IN | EventMask::RDHUP) {
-            // Zero-copy request read: take the payload buffers whole,
-            // append their bytes to the request buffer, recycle. (A
+            // Read: append whatever arrived to the bytes left over. (A
             // connection being closed is still read, so the stack's
             // queue drains, but what it says no longer matters.)
-            loop {
-                let n = stack.tcp_recv_burst_netbuf(conn.sock, &mut self.rx_bufs, 32);
-                if n == 0 {
-                    break;
-                }
-                for nb in self.rx_bufs.drain(..) {
-                    if !conn.closing {
-                        conn.buf.extend_from_slice(nb.payload());
-                    }
-                    stack.recycle(nb);
-                }
+            let had = conn.buf.len();
+            recv_append(stack, conn.sock, &mut conn.buf);
+            if conn.closing {
+                conn.buf.truncate(had);
             }
             // Serve every complete request in the buffer (pipelining);
             // a streaming blob response pauses the loop so responses

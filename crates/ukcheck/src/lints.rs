@@ -336,8 +336,9 @@ pub fn check_size(file: &str, src: &str, budget: usize) -> Option<Violation> {
 }
 
 /// Marks which tokens are "active" (not under a `#[test]`- or
-/// `#[cfg(test)]`-guarded item). Test code may unwrap and allocate
-/// freely — the invariants protect the image, not the test harness.
+/// `#[cfg(test)]`-guarded item, nor after an inner `#![cfg(test)]`).
+/// Test code may unwrap and allocate freely — the invariants protect
+/// the image, not the test harness.
 fn active_mask(toks: &[Tok]) -> Vec<bool> {
     let mut active = vec![true; toks.len()];
     let mut i = 0usize;
@@ -358,6 +359,19 @@ fn active_mask(toks: &[Tok]) -> Vec<bool> {
         let (attr_end, mentions_test) = scan_attr(toks, j);
         if !mentions_test {
             i = attr_end;
+            continue;
+        }
+        if toks[i + 1].is_punct('!') {
+            // `#![cfg(test)]` guards what encloses it: the rest of the
+            // file (an out-of-line `mod tests;`) or of the inline module.
+            let mut depth = 0i32;
+            let mut k = i;
+            while k < toks.len() && depth >= 0 {
+                active[k] = false;
+                depth += i32::from(toks[k].is_punct('{')) - i32::from(toks[k].is_punct('}'));
+                k += 1;
+            }
+            i = k;
             continue;
         }
         // Deactivate this attribute, any stacked attributes after it,

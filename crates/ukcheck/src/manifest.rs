@@ -9,8 +9,6 @@
 
 /// Files on which the hot-path passes (no-alloc, panic-free) run.
 pub const HOT_FILES: &[&str] = &[
-    // The TCP engine: segment ingest, emission, retransmission.
-    "crates/uknetstack/src/tcp.rs",
     // The per-pump sweep: demux, GRO, ARP, socket queues.
     "crates/uknetstack/src/stack.rs",
     // Flow-table lookups run once per demuxed segment.
@@ -33,8 +31,14 @@ pub const HOT_FILES: &[&str] = &[
     "crates/ukapps/src/httpd.rs",
 ];
 
-/// Crate source directories that are hot in their entirety.
-pub const HOT_DIRS: &[&str] = &["crates/ukstats/src/", "crates/uktrace/src/"];
+/// Source directories that are hot in their entirety.
+pub const HOT_DIRS: &[&str] = &[
+    // The TCP engine: segment ingest, emission, retransmission — every
+    // part of a `Tcb` and every file its `impl` is divided into.
+    "crates/uknetstack/src/tcp/",
+    "crates/ukstats/src/",
+    "crates/uktrace/src/",
+];
 
 /// Crates whose atomics must be `Relaxed`: their hot ops are
 /// fire-and-forget counter RMWs, and anything stronger on those paths
@@ -55,17 +59,19 @@ pub const SINGLE_WRITER_FILES: &[&str] = &[
     "crates/ukevent/src/queue.rs",
 ];
 
-/// Non-test line budgets (the `size` lint): the two files the datapath
-/// grew up in may shrink or split, not grow back. Each budget is the
-/// count at the PR that last set it, rounded up to the next 50; a PR
-/// that needs more raises it here and says why.
+/// Non-test line budgets (the `size` lint): the files the datapath
+/// grew up in may shrink or split, not grow back. An entry ending in
+/// `/` is a directory and holds **each** file under it to the budget.
+/// A file's budget is the count at the PR that last set it, rounded up
+/// to the next 50; a PR that needs more raises it here and says why.
 pub const SIZE_BUDGETS: &[(&str, usize)] = &[
     // PR 20 (one clock, one wheel entry per connection) left 2925
     // lines, down from 3029.
     ("crates/uknetstack/src/stack.rs", 2950),
-    // PR 20 left 2898 lines, up from 2879: the four protocol timeouts
-    // moved in from `stack.rs`, the unclocked arms moved out.
-    ("crates/uknetstack/src/tcp.rs", 2900),
+    // PR 22 split the 2898-line `tcp.rs` into parts and jobs, the
+    // largest 601 lines: a file that outgrows 800 wants splitting
+    // again, not a bigger number.
+    ("crates/uknetstack/src/tcp/", 800),
 ];
 
 /// Directory names the workspace walker never descends into.
@@ -86,9 +92,13 @@ pub fn is_hot(rel: &str) -> bool {
     HOT_FILES.contains(&rel) || HOT_DIRS.iter().any(|d| rel.starts_with(d))
 }
 
-/// The non-test line budget of `rel`, if it has one.
+/// The non-test line budget of `rel`, if it has one: its own entry, or
+/// that of a directory it lies under.
 pub fn size_budget(rel: &str) -> Option<usize> {
-    SIZE_BUDGETS.iter().find(|(f, _)| *f == rel).map(|&(_, b)| b)
+    SIZE_BUDGETS
+        .iter()
+        .find(|(f, _)| *f == rel || (f.ends_with('/') && rel.starts_with(f)))
+        .map(|&(_, b)| b)
 }
 
 /// Whether the Relaxed-only atomics policy applies to `rel`.

@@ -12,19 +12,26 @@ fn fixture(rel: &str) -> PathBuf {
         .join(rel)
 }
 
-/// Runs the built binary on one fixture as a hot-path file, returning
-/// (exit code, stdout).
-fn run_hot(rel: &str) -> (i32, String) {
+/// Runs the built binary with `args`, returning (exit code, stdout).
+fn run(args: &[&std::ffi::OsStr]) -> (i32, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_ukcheck"))
-        .arg("--files")
-        .arg(fixture(rel))
-        .arg("--hot")
+        .args(args)
         .output()
         .expect("spawn ukcheck");
     (
         out.status.code().expect("exit code"),
         String::from_utf8_lossy(&out.stdout).into_owned(),
     )
+}
+
+/// Scans one fixture as a hot-path file.
+fn run_hot(rel: &str) -> (i32, String) {
+    run(&["--files".as_ref(), fixture(rel).as_ref(), "--hot".as_ref()])
+}
+
+/// Scans a fixture workspace.
+fn run_root(rel: &str) -> (i32, String) {
+    run(&["--root".as_ref(), fixture(rel).as_ref()])
 }
 
 #[test]
@@ -78,6 +85,35 @@ fn size_lint_counts_non_test_lines_against_the_budget() {
     let text = over.to_string();
     assert!(text.starts_with("f.rs:1: [size] 2 lines over budget"), "{text}");
     assert!(text.contains("raise the budget in the same PR with a reason"), "{text}");
+}
+
+/// A `SIZE_BUDGETS` entry ending in `/` holds every file under the
+/// directory to the budget, and the same directory in `HOT_DIRS` makes
+/// each of them hot — except an out-of-line test module, which an inner
+/// `#![cfg(test)]` takes out of both.
+#[test]
+fn a_directory_budget_holds_each_file_under_it() {
+    assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/tcp/rto.rs"), Some(800));
+    assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/stack.rs"), Some(2950));
+    assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/tcp.rs"), None);
+    assert!(ukcheck::manifest::is_hot("crates/uknetstack/src/tcp/tests.rs"));
+
+    let (code, stdout) = run_root("good/size_prefix");
+    assert_eq!(code, 0, "within budget, tests exempt; output:\n{stdout}");
+    let tests = fixture("good/size_prefix/crates/uknetstack/src/tcp/tests.rs");
+    let src = std::fs::read_to_string(tests).expect("fixture");
+    assert_eq!(ukcheck::non_test_lines(&src), 3, "only the module doc is not test code");
+
+    let (code, stdout) = run_root("bad/size_prefix");
+    assert_eq!(code, 1, "output:\n{stdout}");
+    assert!(
+        stdout.contains(
+            "crates/uknetstack/src/tcp/over.rs:1: [size] 1 lines over budget \
+             (801 non-test lines, budget 800)"
+        ),
+        "{stdout}"
+    );
+    assert_eq!(stdout.matches('[').count(), 1, "nothing else fires:\n{stdout}");
 }
 
 #[test]

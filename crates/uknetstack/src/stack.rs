@@ -76,7 +76,7 @@
 //! - **In-order-only ingest, never silent.** A segment that does not
 //!   land exactly at `rcv_nxt` is dropped *and answered with an
 //!   immediate duplicate ACK*; a FIN is processed only in sequence
-//!   position. See `tcp.rs` for the invariant.
+//!   position. See `tcp/ingest.rs` for the invariant.
 //!
 //! # The socket seam
 //!
