@@ -59,10 +59,13 @@ verify-churn:
 	$(CARGO) test -q -p uknetstack --no-default-features --test proptests timer_wheel_matches
 
 ## Repo-native invariant linter (crates/ukcheck): no-alloc hot path,
-## panic-free datapath (every file under `uknetstack`'s `tcp/` among
-## them), SAFETY-commented unsafe, atomic-ordering policy, and the
-## non-test line budgets (`size`): `uknetstack`'s `stack.rs`, and 800
-## for each file under `tcp/`. Exits non-zero on any unescaped violation;
+## panic-free datapath (`uknetstack`'s `arp.rs` and every file under its
+## `stack/` and `tcp/` among them), SAFETY-commented unsafe,
+## atomic-ordering policy, no shared `ukstats::Counter` in a
+## single-writer owner (every file under `stack/` is one), the non-test
+## line budget (`size`): 800 for each file under `stack/` and `tcp/`,
+## and no `pub` item under either that nothing outside `uknetstack/src`
+## names (`unused-pub`). Exits non-zero on any unescaped violation;
 ## every escape must carry a written justification (see
 ## crates/ukcheck/README.md).
 lint:

@@ -7,10 +7,7 @@
 
 use ukalloc::{AllocBackend, Allocator};
 use uknetdev::backend::VhostKind;
-use uknetdev::dev::{NetDev, NetDevConf};
-use uknetdev::VirtioNet;
-use uknetstack::stack::{NetStack, StackConfig};
-use uknetstack::testnet::Network;
+use uknetstack::testnet::{node_on, Network};
 use uknetstack::{Endpoint, Ipv4Addr};
 use ukplat::time::{Stopwatch, Tsc};
 
@@ -35,12 +32,6 @@ impl Throughput {
         }
         self.requests as f64 * 1e9 / self.elapsed_ns as f64
     }
-}
-
-fn mk_stack(n: u8, backend: VhostKind, tsc: &Tsc) -> NetStack {
-    let mut dev = VirtioNet::new(backend, tsc);
-    dev.configure(NetDevConf::default()).expect("configure");
-    NetStack::new(StackConfig::node(n), Box::new(dev))
 }
 
 /// The wire, on the clock the devices' cost model advances: the time a
@@ -83,8 +74,8 @@ pub fn run_http_bench(
 ) -> Throughput {
     let tsc = Tsc::new(ukplat::cost::CPU_FREQ_HZ);
     let mut net = mk_net(&tsc);
-    let ci = net.attach(mk_stack(1, backend, &tsc));
-    let mut server_stack = mk_stack(2, backend, &tsc);
+    let ci = net.attach(node_on(1, backend, &tsc, |_| {}));
+    let mut server_stack = node_on(2, backend, &tsc, |_| {});
     let mut httpd = Httpd::new(&mut server_stack, 80, mk_alloc(alloc)).expect("httpd");
     let si = net.attach(server_stack);
 
@@ -127,8 +118,8 @@ pub fn run_resp_bench(
 ) -> Throughput {
     let tsc = Tsc::new(ukplat::cost::CPU_FREQ_HZ);
     let mut net = mk_net(&tsc);
-    let ci = net.attach(mk_stack(1, backend, &tsc));
-    let mut server_stack = mk_stack(2, backend, &tsc);
+    let ci = net.attach(node_on(1, backend, &tsc, |_| {}));
+    let mut server_stack = node_on(2, backend, &tsc, |_| {});
     let mut kv = KvStore::new(&mut server_stack, 6379, mk_alloc(alloc)).expect("kvstore");
     let si = net.attach(server_stack);
 

@@ -478,20 +478,9 @@ fn put_response(out: &mut Vec<u8>, status: &str, body: &[u8]) {
 mod tests {
     use super::*;
     use ukalloc::AllocBackend;
-    use uknetdev::backend::VhostKind;
-    use uknetdev::dev::{NetDev, NetDevConf};
-    use uknetdev::VirtioNet;
-    use uknetstack::stack::StackConfig;
-    use uknetstack::testnet::Network;
+    use uknetstack::testnet::{self, node, Network};
     use uknetstack::{Endpoint, Ipv4Addr};
-    use ukplat::time::Tsc;
-
-    fn mk_stack(n: u8) -> NetStack {
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        NetStack::new(StackConfig::node(n), Box::new(dev))
-    }
+    
 
     fn mk_alloc() -> Box<dyn Allocator> {
         let mut a = AllocBackend::Tlsf.instantiate();
@@ -517,8 +506,8 @@ mod tests {
     #[test]
     fn serves_request_over_real_stack() {
         let mut net = Network::new();
-        let client_idx = net.attach(mk_stack(1));
-        let mut server_stack = mk_stack(2);
+        let client_idx = net.attach(node(1, |_| {}));
+        let mut server_stack = node(2, |_| {});
         let mut httpd = Httpd::new(&mut server_stack, 80, mk_alloc()).unwrap();
         let server_idx = net.attach(server_stack);
 
@@ -535,7 +524,7 @@ mod tests {
             net.run_until_quiet(16);
             httpd.poll(net.stack(server_idx));
         }
-        let resp = net.stack(client_idx).tcp_recv(conn, 64 * 1024).unwrap();
+        let resp = testnet::tcp_recv(net.stack(client_idx), conn, 64 * 1024).unwrap();
         let text = String::from_utf8_lossy(&resp);
         assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
         assert!(text.contains("Content-Length: 612"));
@@ -547,8 +536,8 @@ mod tests {
     #[test]
     fn stats_endpoint_serves_live_registry_json() {
         let mut net = Network::new();
-        let ci = net.attach(mk_stack(1));
-        let mut ss = mk_stack(2);
+        let ci = net.attach(node(1, |_| {}));
+        let mut ss = node(2, |_| {});
         let mut httpd = Httpd::new(&mut ss, 80, mk_alloc()).unwrap();
         let si = net.attach(ss);
         let conn = net
@@ -566,7 +555,7 @@ mod tests {
             net.run_until_quiet(16);
             httpd.poll(net.stack(si));
         }
-        let resp = net.stack(ci).tcp_recv(conn, 256 * 1024).unwrap();
+        let resp = testnet::tcp_recv(net.stack(ci), conn, 256 * 1024).unwrap();
         let text = String::from_utf8_lossy(&resp);
         assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
         assert!(text.contains("Content-Type: application/json"));
@@ -590,8 +579,8 @@ mod tests {
     #[test]
     fn missing_file_is_404() {
         let mut net = Network::new();
-        let ci = net.attach(mk_stack(1));
-        let mut ss = mk_stack(2);
+        let ci = net.attach(node(1, |_| {}));
+        let mut ss = node(2, |_| {});
         let mut httpd = Httpd::new(&mut ss, 80, mk_alloc()).unwrap();
         let si = net.attach(ss);
         let conn = net
@@ -609,7 +598,7 @@ mod tests {
             net.run_until_quiet(16);
             httpd.poll(net.stack(si));
         }
-        let resp = net.stack(ci).tcp_recv(conn, 4096).unwrap();
+        let resp = testnet::tcp_recv(net.stack(ci), conn, 4096).unwrap();
         assert!(String::from_utf8_lossy(&resp).starts_with("HTTP/1.1 404"));
         assert_eq!(httpd.errors(), 1);
     }
@@ -617,9 +606,9 @@ mod tests {
     #[test]
     fn multiplexes_concurrent_connections_over_one_queue() {
         let mut net = Network::new();
-        let c1 = net.attach(mk_stack(1));
-        let c2 = net.attach(mk_stack(3));
-        let mut ss = mk_stack(2);
+        let c1 = net.attach(node(1, |_| {}));
+        let c2 = net.attach(node(3, |_| {}));
+        let mut ss = node(2, |_| {});
         let mut httpd = Httpd::new(&mut ss, 80, mk_alloc()).unwrap();
         let si = net.attach(ss);
         let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 80);
@@ -643,7 +632,7 @@ mod tests {
             httpd.poll(net.stack(si));
         }
         for (ci, conn) in [(c1, conn1), (c2, conn2)] {
-            let resp = net.stack(ci).tcp_recv(conn, 64 * 1024).unwrap();
+            let resp = testnet::tcp_recv(net.stack(ci), conn, 64 * 1024).unwrap();
             assert!(
                 String::from_utf8_lossy(&resp).starts_with("HTTP/1.1 200 OK"),
                 "client {ci} got a response"
@@ -655,8 +644,8 @@ mod tests {
     #[test]
     fn partial_write_survives_closed_tx_window() {
         let mut net = Network::new();
-        let ci = net.attach(mk_stack(1));
-        let mut ss = mk_stack(2);
+        let ci = net.attach(node(1, |_| {}));
+        let mut ss = node(2, |_| {});
         let mut httpd = Httpd::new(&mut ss, 80, mk_alloc()).unwrap();
         // A body larger than the peer's whole receive window (65535)
         // cannot be delivered in one go: the tx window must close.
@@ -682,7 +671,7 @@ mod tests {
         for _ in 0..600 {
             net.run_until_quiet(32);
             httpd.poll(net.stack(si));
-            if let Ok(chunk) = net.stack(ci).tcp_recv(conn, 16 * 1024) {
+            if let Ok(chunk) = testnet::tcp_recv(net.stack(ci), conn, 16 * 1024) {
                 received.extend_from_slice(&chunk);
             }
             let expected_len = big.len() + header_len(&received);
@@ -712,8 +701,8 @@ mod tests {
     #[test]
     fn blob_handler_streams_large_bodies_through_the_fast_path() {
         let mut net = Network::new();
-        let ci = net.attach(mk_stack(1));
-        let mut ss = mk_stack(2);
+        let ci = net.attach(node(1, |_| {}));
+        let mut ss = node(2, |_| {});
         let mut httpd = Httpd::new(&mut ss, 80, mk_alloc()).unwrap();
         let si = net.attach(ss);
         let conn = net
@@ -732,7 +721,7 @@ mod tests {
         for _ in 0..2000 {
             net.run_until_quiet(32);
             httpd.poll(net.stack(si));
-            if let Ok(chunk) = net.stack(ci).tcp_recv(conn, 64 * 1024) {
+            if let Ok(chunk) = testnet::tcp_recv(net.stack(ci), conn, 64 * 1024) {
                 received.extend_from_slice(&chunk);
             }
             if !received.is_empty() {
@@ -759,8 +748,8 @@ mod tests {
     #[test]
     fn requests_pipelined_behind_a_blob_are_served_in_order() {
         let mut net = Network::new();
-        let ci = net.attach(mk_stack(1));
-        let mut ss = mk_stack(2);
+        let ci = net.attach(node(1, |_| {}));
+        let mut ss = node(2, |_| {});
         let mut httpd = Httpd::new(&mut ss, 80, mk_alloc()).unwrap();
         let si = net.attach(ss);
         let conn = net
@@ -785,7 +774,7 @@ mod tests {
         for _ in 0..2000 {
             net.run_until_quiet(32);
             httpd.poll(net.stack(si));
-            if let Ok(chunk) = net.stack(ci).tcp_recv(conn, 64 * 1024) {
+            if let Ok(chunk) = testnet::tcp_recv(net.stack(ci), conn, 64 * 1024) {
                 received.extend_from_slice(&chunk);
             }
             if httpd.served() == 2 && net.stack(si).tcp_send_capacity(conn) > 0 {
@@ -815,8 +804,8 @@ mod tests {
         // write side (FIN) must still receive the entire promised
         // Content-Length body — a half-close is not an abort.
         let mut net = Network::new();
-        let ci = net.attach(mk_stack(1));
-        let mut ss = mk_stack(2);
+        let ci = net.attach(node(1, |_| {}));
+        let mut ss = node(2, |_| {});
         let mut httpd = Httpd::new(&mut ss, 80, mk_alloc()).unwrap();
         let si = net.attach(ss);
         let conn = net
@@ -836,7 +825,7 @@ mod tests {
         for _ in 0..2000 {
             net.run_until_quiet(32);
             httpd.poll(net.stack(si));
-            if let Ok(chunk) = net.stack(ci).tcp_recv(conn, 64 * 1024) {
+            if let Ok(chunk) = testnet::tcp_recv(net.stack(ci), conn, 64 * 1024) {
                 received.extend_from_slice(&chunk);
             }
             let hdr = header_len(&received);
@@ -860,8 +849,8 @@ mod tests {
     #[test]
     fn oversized_blob_requests_are_rejected() {
         let mut net = Network::new();
-        let ci = net.attach(mk_stack(1));
-        let mut ss = mk_stack(2);
+        let ci = net.attach(node(1, |_| {}));
+        let mut ss = node(2, |_| {});
         let mut httpd = Httpd::new(&mut ss, 80, mk_alloc()).unwrap();
         let si = net.attach(ss);
         let conn = net
@@ -879,7 +868,7 @@ mod tests {
             net.run_until_quiet(16);
             httpd.poll(net.stack(si));
         }
-        let resp = net.stack(ci).tcp_recv(conn, 4096).unwrap();
+        let resp = testnet::tcp_recv(net.stack(ci), conn, 4096).unwrap();
         assert!(String::from_utf8_lossy(&resp).starts_with("HTTP/1.1 404"));
         assert_eq!(httpd.errors(), 1);
     }
@@ -887,8 +876,8 @@ mod tests {
     #[test]
     fn partial_request_then_fin_is_reaped() {
         let mut net = Network::new();
-        let ci = net.attach(mk_stack(1));
-        let mut ss = mk_stack(2);
+        let ci = net.attach(node(1, |_| {}));
+        let mut ss = node(2, |_| {});
         let mut httpd = Httpd::new(&mut ss, 80, mk_alloc()).unwrap();
         let si = net.attach(ss);
         let conn = net
@@ -921,8 +910,8 @@ mod tests {
     #[test]
     fn endless_header_block_is_cut_off_with_400() {
         let mut net = Network::new();
-        let ci = net.attach(mk_stack(1));
-        let mut ss = mk_stack(2);
+        let ci = net.attach(node(1, |_| {}));
+        let mut ss = node(2, |_| {});
         let mut httpd = Httpd::new(&mut ss, 80, mk_alloc()).unwrap();
         let si = net.attach(ss);
         let conn = net
@@ -948,7 +937,7 @@ mod tests {
             net.run_until_quiet(16);
             httpd.poll(net.stack(si));
         }
-        let resp = net.stack(ci).tcp_recv(conn, 4096).unwrap();
+        let resp = testnet::tcp_recv(net.stack(ci), conn, 4096).unwrap();
         assert!(String::from_utf8_lossy(&resp).starts_with("HTTP/1.1 400"), "{resp:?}");
         assert_eq!((httpd.errors(), httpd.served()), (1, 0));
         assert_eq!(httpd.conn_count(), 0, "hung up");

@@ -259,20 +259,9 @@ pub fn resp_command(words: &[&[u8]]) -> Vec<u8> {
 mod tests {
     use super::*;
     use ukalloc::AllocBackend;
-    use uknetdev::backend::VhostKind;
-    use uknetdev::dev::{NetDev, NetDevConf};
-    use uknetdev::VirtioNet;
-    use uknetstack::stack::StackConfig;
-    use uknetstack::testnet::Network;
+    use uknetstack::testnet::{self, node, Network};
     use uknetstack::{Endpoint, Ipv4Addr};
     use ukplat::time::Tsc;
-
-    fn mk_stack(n: u8) -> NetStack {
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        NetStack::new(StackConfig::node(n), Box::new(dev))
-    }
 
     fn mk_alloc() -> Box<dyn Allocator> {
         let mut a = AllocBackend::Mimalloc.instantiate();
@@ -296,8 +285,8 @@ mod tests {
             let mut net = Network::new();
             let clock = Tsc::new(3_600_000_000);
             net.set_clock(&clock);
-            let ci = net.attach(mk_stack(1));
-            let mut ss = mk_stack(2);
+            let ci = net.attach(node(1, |_| {}));
+            let mut ss = node(2, |_| {});
             let kv = KvStore::new(&mut ss, 6379, mk_alloc()).unwrap();
             let si = net.attach(ss);
             let conn = net
@@ -331,7 +320,7 @@ mod tests {
         }
 
         fn recv(&mut self) -> Vec<u8> {
-            self.net.stack(self.ci).tcp_recv(self.conn, 64 * 1024).unwrap()
+            testnet::tcp_recv(self.net.stack(self.ci), self.conn, 64 * 1024).unwrap()
         }
     }
 
@@ -364,7 +353,7 @@ mod tests {
 
     #[test]
     fn set_overwrite_frees_old_allocation() {
-        let mut ss = mk_stack(2);
+        let mut ss = node(2, |_| {});
         let mut kv = KvStore::new(&mut ss, 6379, mk_alloc()).unwrap();
         for v in [&b"first"[..], b"second", b"third!"] {
             assert_eq!(exec(&mut kv, &[b"SET", b"k", v]), b"+OK\r\n");
@@ -383,7 +372,7 @@ mod tests {
 
     #[test]
     fn unknown_and_empty_commands_are_errors() {
-        let mut ss = mk_stack(2);
+        let mut ss = node(2, |_| {});
         let mut kv = KvStore::new(&mut ss, 6379, mk_alloc()).unwrap();
         assert_eq!(exec(&mut kv, &[b"FLUSHALL"]), b"-ERR unknown command\r\n");
         assert_eq!(exec(&mut kv, &[b"GET", b"a", b"b", b"c"]), b"-ERR unknown command\r\n");

@@ -361,26 +361,15 @@ mod tests {
 
     mod net_server {
         use super::*;
-        use uknetdev::backend::VhostKind;
-        use uknetdev::dev::{NetDev, NetDevConf};
-        use uknetdev::VirtioNet;
-        use uknetstack::stack::{NetStack, StackConfig};
-        use uknetstack::testnet::Network;
+        use uknetstack::testnet::{self, node, Network};
         use uknetstack::{Endpoint, Ipv4Addr};
-
-        fn mk_stack(n: u8) -> NetStack {
-            let tsc = Tsc::new(3_600_000_000);
-            let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-            dev.configure(NetDevConf::default()).unwrap();
-            NetStack::new(StackConfig::node(n), Box::new(dev))
-        }
 
         #[test]
         fn serves_get_set_over_real_packets_event_driven() {
             let t = tsc();
             let mut net = Network::new();
-            let ci = net.attach(mk_stack(1));
-            let mut ss = mk_stack(2);
+            let ci = net.attach(node(1, |_| {}));
+            let mut ss = node(2, |_| {});
             let mut kv = UdpKvNetServer::new(&mut ss, 9100, UdpKvMode::UnikraftLwip, &t).unwrap();
             let si = net.attach(ss);
 
@@ -394,7 +383,7 @@ mod tests {
             assert_eq!(kv.poll(net.stack(si)), 2, "both requests in one turn");
             net.run_until_quiet(16);
             let mut replies = Vec::new();
-            while let Some((_, data)) = net.stack(ci).udp_recv_from(csock) {
+            while let Some((_, data)) = testnet::udp_recv_from(net.stack(ci), csock) {
                 replies.push(data);
             }
             assert_eq!(replies, vec![b"O".to_vec(), b"V hello".to_vec()]);

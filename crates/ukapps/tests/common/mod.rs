@@ -4,20 +4,9 @@
 #![allow(dead_code)] // each suite uses its own part
 
 use ukalloc::{AllocBackend, Allocator};
-use uknetdev::backend::VhostKind;
-use uknetdev::dev::{NetDev, NetDevConf};
-use uknetdev::VirtioNet;
-use uknetstack::stack::{NetStack, SocketHandle, StackConfig};
-use uknetstack::testnet::Network;
+use uknetstack::stack::{NetStack, SocketHandle};
+use uknetstack::testnet::{node, Network};
 use uknetstack::{Endpoint, Ipv4Addr};
-use ukplat::time::Tsc;
-
-pub fn mk_stack(n: u8) -> NetStack {
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    NetStack::new(StackConfig::node(n), Box::new(dev))
-}
 
 pub fn mk_alloc() -> Box<dyn Allocator> {
     let mut a = AllocBackend::Tlsf.instantiate();
@@ -45,8 +34,8 @@ impl<S> Rig<S> {
         poll: fn(&mut S, &mut NetStack) -> u64,
     ) -> Self {
         let mut net = Network::new();
-        let ci = net.attach(mk_stack(1));
-        let mut ss = mk_stack(2);
+        let ci = net.attach(node(1, |_| {}));
+        let mut ss = node(2, |_| {});
         let server = serve(&mut ss);
         let si = net.attach(ss);
         let conn = net

@@ -16,4 +16,7 @@ pub mod lints;
 pub mod manifest;
 pub mod walk;
 
-pub use lints::{check_shared_counter, check_size, check_source, non_test_lines, Lint, Violation};
+pub use lints::{
+    check_shared_counter, check_size, check_source, check_unused_pub, non_test_lines, Lint,
+    Violation,
+};

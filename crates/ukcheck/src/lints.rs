@@ -9,7 +9,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::lexer::{lex, Comment, Tok};
+use crate::lexer::{lex, Comment, Tok, TokKind};
 
 /// Which invariant a violation belongs to. The lint's name doubles as
 /// the key accepted inside an allow-escape comment.
@@ -38,6 +38,12 @@ pub enum Lint {
     /// escapable in place — the budget in `manifest.rs` is raised, with
     /// a reason, in the PR that needs the room.
     Size,
+    /// A `pub` item in a narrow-API directory
+    /// ([`NARROW_API_DIRS`](crate::manifest::NARROW_API_DIRS)) whose
+    /// name no file outside the crate's own `src/` mentions: it is a
+    /// seam between the crate's files, not API — `pub(super)` or
+    /// `pub(crate)` says so. Escaped by saying why it must be `pub`.
+    UnusedPub,
 }
 
 impl Lint {
@@ -50,6 +56,7 @@ impl Lint {
             Lint::Escape => "escape",
             Lint::SharedCounter => "shared-counter",
             Lint::Size => "size",
+            Lint::UnusedPub => "unused-pub",
         }
     }
 
@@ -59,6 +66,7 @@ impl Lint {
             "panic" => Lint::Panic,
             "atomics" => Lint::Atomics,
             "shared-counter" => Lint::SharedCounter,
+            "unused-pub" => Lint::UnusedPub,
             _ => return None,
         })
     }
@@ -296,6 +304,66 @@ pub fn check_shared_counter(file: &str, src: &str) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// Item keywords a `pub` may introduce (`use` re-exports and struct
+/// fields are not items of their own).
+const ITEM_KEYWORDS: &[&str] =
+    &["fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod"];
+
+/// The narrow-API pass, for files under
+/// [`NARROW_API_DIRS`](crate::manifest::NARROW_API_DIRS): a plain `pub`
+/// item (not `pub(super)`/`pub(crate)`) whose name is not among
+/// `referenced` — every identifier in the files that count as outside —
+/// is a violation.
+pub fn check_unused_pub(file: &str, src: &str, referenced: &HashSet<String>) -> Vec<Violation> {
+    let lexed = lex(src);
+    let toks = &lexed.toks;
+    let active = active_mask(toks);
+    let ranges = allow_ranges(toks, &parse_escapes(file, &lexed.comments).0);
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if !active[i] || toks[i].ident() != Some("pub") {
+            continue;
+        }
+        // Past `const`/`unsafe`/`async`/`extern "C"` to the keyword that
+        // says what the item is; the name follows it.
+        let ident_at = |j: usize| toks.get(j).and_then(|t| t.ident());
+        let mut k = i + 1;
+        loop {
+            match ident_at(k) {
+                Some("unsafe" | "async") => k += 1,
+                Some("const") if ident_at(k + 1) == Some("fn") => k += 1,
+                // `extern "C"`: the ABI string rides along.
+                Some("extern") => {
+                    let abi = matches!(toks.get(k + 1), Some(t) if t.kind == TokKind::Str);
+                    k += 1 + usize::from(abi)
+                }
+                _ => break,
+            }
+        }
+        let Some(kw) = ident_at(k).filter(|kw| ITEM_KEYWORDS.contains(kw)) else { continue };
+        let Some(name) = ident_at(k + 1) else { continue };
+        let line = toks[i].line;
+        if !referenced.contains(name) && !escaped(&ranges, line, Lint::UnusedPub) {
+            out.push(Violation {
+                file: file.to_string(),
+                line,
+                lint: Lint::UnusedPub,
+                msg: format!(
+                    "`pub {kw} {name}` is named by no test, example, other crate or benchmark: \
+                     make it `pub(super)`/`pub(crate)`, or delete it"
+                ),
+            });
+        }
+    }
+    out
+}
+
+/// Every identifier in `src` (test code included): what a file that
+/// counts as "outside" contributes to `unused-pub`'s reference set.
+pub fn identifiers(src: &str, into: &mut HashSet<String>) {
+    into.extend(lex(src).toks.iter().filter_map(|t| t.ident()).map(str::to_string));
 }
 
 /// Lines of `src` outside `#[cfg(test)]`/`#[test]` items — what a
@@ -576,7 +644,7 @@ fn parse_escapes(
                     lint: Lint::Escape,
                     msg: format!(
                         "unknown lint `{name}` in escape (valid: alloc, panic, atomics, \
-                         shared-counter; \
+                         shared-counter, unused-pub; \
                          `unsafe` is escaped by a `// SAFETY:` comment)"
                     ),
                 });
@@ -760,6 +828,20 @@ mod tests {
                     drops: ukstats::Counter,\n    lat: ukstats::Histogram,\n}";
         assert!(check_shared_counter("t.rs", good).is_empty());
         assert!(check_source("t.rs", good, true, true).is_empty(), "a well-formed escape");
+    }
+
+    #[test]
+    fn unused_pub_reads_the_item_name_past_its_modifiers() {
+        let src = "pub const fn a() {}\npub unsafe extern \"C\" fn b() {}\npub const C: u8 = 0;\n\
+                   pub struct D { pub e: u8 }\npub(crate) fn f() {}\npub use g::*;\n\
+                   #[cfg(test)]\npub fn h() {}\n\
+                   // ukcheck: allow(unused-pub) -- returned by a public fn\npub enum I {}";
+        let named = |names: &[&str]| names.iter().map(|n| n.to_string()).collect();
+        let v = check_unused_pub("t.rs", src, &named(&["a", "D"]));
+        let lines: Vec<u32> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [2, 3], "b and C; fields, restricted, re-exports, tests, escapes pass: {v:?}");
+        assert!(v[0].msg.starts_with("`pub fn b`") && v[1].msg.starts_with("`pub const C`"));
+        assert!(check_unused_pub("t.rs", src, &named(&["a", "b", "C", "D"])).is_empty());
     }
 
     #[test]

@@ -4,7 +4,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::lints::{check_shared_counter, check_size, check_source, Violation};
+use std::collections::HashSet;
+
+use crate::lints::{
+    check_shared_counter, check_size, check_source, check_unused_pub, identifiers, Violation,
+};
 use crate::manifest;
 
 /// Scans the workspace rooted at `root`: the root crate's `src/` and
@@ -32,6 +36,8 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     }
     files.sort();
     let mut out = Vec::new();
+    // `unused-pub`'s reference set, scanned on first need.
+    let mut referenced: Option<HashSet<String>> = None;
     for f in files {
         let rel = rel_label(root, &f);
         let src = fs::read_to_string(&f)
@@ -42,8 +48,15 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
             manifest::is_hot(&rel),
             manifest::is_relaxed_only(&rel),
         ));
-        if manifest::SINGLE_WRITER_FILES.contains(&rel.as_str()) {
+        if manifest::is_single_writer(&rel) {
             out.extend(check_shared_counter(&rel, &src));
+        }
+        if manifest::is_narrow_api(&rel) {
+            let names = match &referenced {
+                Some(names) => names,
+                None => referenced.insert(identifiers_outside(root)?),
+            };
+            out.extend(check_unused_pub(&rel, &src, names));
         }
         if let Some(budget) = manifest::size_budget(&rel) {
             out.extend(check_size(&rel, &src, budget));
@@ -68,7 +81,28 @@ pub fn check_files(paths: &[PathBuf], hot: bool) -> Result<Vec<Violation>, Strin
     Ok(out)
 }
 
+/// Every identifier in the workspace's Rust files that lie outside
+/// [`NARROW_API_HOME`](manifest::NARROW_API_HOME) — the root crate,
+/// every crate under `crates/`, and `benchmark/`, their `tests/`,
+/// `benches/` and `examples/` included.
+fn identifiers_outside(root: &Path) -> Result<HashSet<String>, String> {
+    let mut files = Vec::new();
+    for top in ["src", "tests", "examples", "benches", "crates", "benchmark"] {
+        collect_rs_skipping(&root.join(top), manifest::REFERENCE_SKIP_DIRS, &mut files);
+    }
+    let mut names = HashSet::new();
+    for f in files.iter().filter(|f| !rel_label(root, f).starts_with(manifest::NARROW_API_HOME)) {
+        let src = fs::read_to_string(f).map_err(|e| format!("reading {}: {e}", f.display()))?;
+        identifiers(&src, &mut names);
+    }
+    Ok(names)
+}
+
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+    collect_rs_skipping(dir, manifest::SKIP_DIRS, out);
+}
+
+fn collect_rs_skipping(dir: &Path, skip: &[&str], out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -77,8 +111,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     for p in paths {
         if p.is_dir() {
             let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if !manifest::SKIP_DIRS.contains(&name) {
-                collect_rs(&p, out);
+            if !skip.contains(&name) {
+                collect_rs_skipping(&p, skip, out);
             }
         } else if p.extension().and_then(|e| e.to_str()) == Some("rs") {
             out.push(p);

@@ -94,9 +94,15 @@ fn size_lint_counts_non_test_lines_against_the_budget() {
 #[test]
 fn a_directory_budget_holds_each_file_under_it() {
     assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/tcp/rto.rs"), Some(800));
-    assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/stack.rs"), Some(2950));
+    assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/stack/ingest.rs"), Some(800));
+    assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/stack.rs"), None);
     assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/tcp.rs"), None);
     assert!(ukcheck::manifest::is_hot("crates/uknetstack/src/tcp/tests.rs"));
+    assert!(ukcheck::manifest::is_hot("crates/uknetstack/src/stack/gro.rs"));
+    assert!(ukcheck::manifest::is_hot("crates/uknetstack/src/arp.rs"));
+    assert!(ukcheck::manifest::is_single_writer("crates/uknetstack/src/stack/stats.rs"));
+    assert!(ukcheck::manifest::is_single_writer("crates/uknetdev/src/virtio.rs"));
+    assert!(!ukcheck::manifest::is_single_writer("crates/uknetstack/src/arp.rs"));
 
     let (code, stdout) = run_root("good/size_prefix");
     assert_eq!(code, 0, "within budget, tests exempt; output:\n{stdout}");
@@ -114,6 +120,23 @@ fn a_directory_budget_holds_each_file_under_it() {
         "{stdout}"
     );
     assert_eq!(stdout.matches('[').count(), 1, "nothing else fires:\n{stdout}");
+}
+
+/// `unused-pub`: under a narrow-API directory a plain `pub` item must be
+/// named by a file outside the crate's own `src/` — a test target or
+/// another crate counts, a sibling module does not.
+#[test]
+fn a_pub_item_nobody_outside_names_is_reported() {
+    let (code, stdout) = run_root("good/unused_pub");
+    assert_eq!(code, 0, "named outside, restricted, or escaped; output:\n{stdout}");
+
+    let (code, stdout) = run_root("bad/unused_pub");
+    assert_eq!(code, 1, "output:\n{stdout}");
+    let at = "crates/uknetstack/src/stack/part.rs";
+    assert!(stdout.contains(&format!("{at}:9: [unused-pub] `pub fn orphan`")), "{stdout}");
+    assert!(stdout.contains(&format!("{at}:13: [unused-pub] `pub const ORPHAN_CAP`")), "{stdout}");
+    assert!(stdout.contains("make it `pub(super)`/`pub(crate)`, or delete it"), "{stdout}");
+    assert_eq!(stdout.matches('[').count(), 2, "`used` passes, nothing else fires:\n{stdout}");
 }
 
 #[test]

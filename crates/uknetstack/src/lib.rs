@@ -84,7 +84,7 @@
 //! [`StackConfig::lean_tcbs`] trades the per-TCB queue preallocation
 //! for on-demand growth — idle connections then cost well under a
 //! kilobyte each (their slab slot, size-asserted at compile time in
-//! `stack.rs`).
+//! `stack/conns.rs`).
 //!
 //! [`NetbufPool`]: uknetdev::NetbufPool
 //! [`NetStack::set_clock`]: stack::NetStack::set_clock

@@ -38,7 +38,7 @@ impl Tcb {
     /// Ingest is in-order only, and never silent: dropped data forces
     /// an immediate duplicate ACK (`ack_pending`) so the peer learns
     /// our cumulative position instead of waiting forever.
-    pub fn on_segment_bufs<I, R>(&mut self, h: &TcpHeader, payload: I, mut recycle: R)
+    pub(crate) fn on_segment_bufs<I, R>(&mut self, h: &TcpHeader, payload: I, mut recycle: R)
     where
         I: IntoIterator<Item = Netbuf>,
         R: FnMut(Netbuf),
@@ -315,7 +315,7 @@ impl Tcb {
     /// Newest first because the peer must retransmit shed bytes
     /// anyway and the oldest extents are the ones an imminent hole
     /// fill will drain. Returns whether an extent was shed.
-    pub fn shed_newest_ooo<R: FnMut(Netbuf)>(&mut self, recycle: &mut R) -> bool {
+    pub(crate) fn shed_newest_ooo<R: FnMut(Netbuf)>(&mut self, recycle: &mut R) -> bool {
         let Some(nb) = self.reasm.shed_newest() else {
             return false;
         };
@@ -344,7 +344,7 @@ impl Tcb {
     /// its payload advances over the copied bytes and it stays at the
     /// queue front (split-and-retain). Same window-update semantics as
     /// [`app_recv`](Self::app_recv).
-    pub fn app_recv_into_with<R: FnMut(Netbuf)>(&mut self, out: &mut [u8], mut recycle: R) -> usize {
+    pub(crate) fn app_recv_into_with<R: FnMut(Netbuf)>(&mut self, out: &mut [u8], mut recycle: R) -> usize {
         let mut n = 0;
         while n < out.len() {
             let Some(front) = self.recv_q.front_mut() else {
@@ -374,7 +374,7 @@ impl Tcb {
     /// arrived in moves straight to the application, which owns it and
     /// must hand it back to the stack's pool when done. Same
     /// window-update semantics as [`app_recv`](Self::app_recv).
-    pub fn app_recv_netbuf(&mut self) -> Option<Netbuf> {
+    pub(crate) fn app_recv_netbuf(&mut self) -> Option<Netbuf> {
         let nb = self.recv_q.pop_front()?;
         self.recv_q_len -= nb.len();
         self.window_update_after_drain();
@@ -382,18 +382,18 @@ impl Tcb {
     }
 
     /// Bytes available to read.
-    pub fn readable(&self) -> usize {
+    pub(crate) fn readable(&self) -> usize {
         self.recv_q_len
     }
 
     /// Whether the peer has closed and all data was read.
-    pub fn peer_closed(&self) -> bool {
+    pub(crate) fn peer_closed(&self) -> bool {
         self.peer_fin && self.recv_q_len == 0
     }
 
     /// Whether the peer's FIN has arrived (data may remain buffered) —
     /// the `EPOLLRDHUP` condition.
-    pub fn peer_fin_seen(&self) -> bool {
+    pub(crate) fn peer_fin_seen(&self) -> bool {
         self.peer_fin
     }
 }

@@ -59,7 +59,7 @@ pub use self::{timers::TcbTimer, wire::*};
 /// Send-buffer capacity: bytes the application may queue beyond what the
 /// peer's receive window has admitted. `app_send` accepts partial writes
 /// against this cap, like a non-blocking `send(2)`.
-pub const SND_BUF_CAP: usize = 64 * 1024;
+pub(crate) const SND_BUF_CAP: usize = 64 * 1024;
 /// Storage/headroom shape of the buffers [`Tcb::app_send`] allocates
 /// when no pool-backed supplier is given (mirrors the stack's TX
 /// buffers).
@@ -83,7 +83,7 @@ pub const TCP_MSL_NS: u64 = 500_000_000;
 pub const HANDSHAKE_TIMEOUT_NS: u64 = 6_000_000_000;
 /// FIN_WAIT_2 orphan timeout: the peer acked our FIN but never sent
 /// its own (Linux's `tcp_fin_timeout` shape).
-pub const FINWAIT2_TIMEOUT_NS: u64 = 3_000_000_000;
+const FINWAIT2_TIMEOUT_NS: u64 = 3_000_000_000;
 /// Keepalive: idle time on an established connection before the first
 /// probe is sent.
 pub const KEEPALIVE_IDLE_NS: u64 = 5_000_000_000;
@@ -132,6 +132,8 @@ pub enum TcpState {
 /// payload as the send queue's own pooled buffers, moved into the
 /// outgoing frame chain without a copy.
 #[derive(Debug, Clone)]
+// ukcheck: allow(unused-pub) -- what the public `Tcb::poll_output` returns:
+// callers read its fields, none has to name the type
 pub struct OutSegment {
     /// Header to send.
     pub header: TcpHeader,
@@ -141,7 +143,7 @@ pub struct OutSegment {
 
 /// A TCB's cumulative event counters, read whole through
 /// [`Tcb::stats`]. The stack publishes what moved since it last looked
-/// under `netstack.tcp.*` (the table in `stack.rs` names the counter
+/// under `netstack.tcp.*` (the table in `stack/stats.rs` names the counter
 /// and tracepoint of each field). Per connection they are `u32`s, as
 /// in `tcp_info`; the registry sums them in `u64`s.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -560,7 +562,7 @@ impl Tcb {
     /// timeout, a closed connection's linger or a SYN-queue eviction —
     /// so a torn-down connection returns its memory to the pools in
     /// full.
-    pub fn drain_all_buffers<R: FnMut(Netbuf)>(&mut self, mut recycle: R) {
+    pub(crate) fn drain_all_buffers<R: FnMut(Netbuf)>(&mut self, mut recycle: R) {
         while let Some(nb) = self.send_q.pop_front() {
             recycle(nb);
         }
@@ -584,7 +586,7 @@ impl Tcb {
     }
 
     /// Bytes sent but not yet acknowledged.
-    pub fn bytes_in_flight(&self) -> u32 {
+    fn bytes_in_flight(&self) -> u32 {
         self.snd_nxt.wrapping_sub(self.snd_una)
     }
 
@@ -604,7 +606,7 @@ impl Tcb {
     }
 
     /// Whether the peer's advertised window admits no more data.
-    pub fn window_closed(&self) -> bool {
+    pub(crate) fn window_closed(&self) -> bool {
         self.bytes_in_flight() >= self.snd_wnd
     }
 
@@ -614,7 +616,8 @@ impl Tcb {
     }
 
     /// The remote port (0 while listening).
-    pub fn remote_port(&self) -> u16 {
+    #[cfg(test)]
+    pub(crate) fn remote_port(&self) -> u16 {
         self.remote_port
     }
 }

@@ -36,7 +36,7 @@ impl Tcb {
     /// buffers must be empty with enough headroom for all protocol
     /// headers, since the first buffer of every outgoing segment
     /// becomes the frame head.
-    pub fn app_send_with<T: FnMut() -> Netbuf>(
+    pub(crate) fn app_send_with<T: FnMut() -> Netbuf>(
         &mut self,
         data: &[u8],
         mut take_buf: T,
@@ -74,7 +74,7 @@ impl Tcb {
     }
 
     /// Free space in the send buffer (0 when not in a sendable state).
-    pub fn send_capacity(&self) -> usize {
+    pub(crate) fn send_capacity(&self) -> usize {
         match self.state {
             TcpState::Established | TcpState::CloseWait | TcpState::SynReceived => {
                 SND_BUF_CAP - self.send_q_len.min(SND_BUF_CAP)
@@ -89,7 +89,7 @@ impl Tcb {
     /// full output poll per read. A held ACK is not pending control:
     /// flushing on its account would send it ahead of the reply meant
     /// to carry it.
-    pub fn has_pending_control(&self) -> bool {
+    pub(crate) fn has_pending_control(&self) -> bool {
         !self.out.is_empty() || self.dup_ack_now || self.wnd_update_due
     }
 
@@ -264,7 +264,7 @@ impl Tcb {
     ///   SACK/D-SACK block is owed (those ride pure ACKs only);
     /// - (e) the hold timer fired
     ///   ([`on_timer`](Self::on_timer) with [`TcbTimer::DelAck`]).
-    pub fn poll_output_chain_with<T, F>(&mut self, max_seg: usize, mut take_buf: T, mut emit: F)
+    pub(crate) fn poll_output_chain_with<T, F>(&mut self, max_seg: usize, mut take_buf: T, mut emit: F)
     where
         T: FnMut() -> Netbuf,
         F: FnMut(TcpHeader, Netbuf),
@@ -508,7 +508,7 @@ impl Tcb {
     // ukcheck: allow(alloc) -- owned-segment convenience for tests and
     // diagnostics; the datapath uses `poll_output_chain_with` on
     // pooled buffers
-    pub fn poll_output_seg(&mut self, max_seg: usize) -> Vec<OutSegment> {
+    pub(super) fn poll_output_seg(&mut self, max_seg: usize) -> Vec<OutSegment> {
         let (cap, headroom) = SEND_BUF_SHAPE;
         let mut segs = Vec::new();
         self.poll_output_chain_with(

@@ -33,7 +33,7 @@ pub(super) struct Reassembly {
     /// [`OOO_QUEUE_BYTES`].
     ooo_q: VecDeque<(u32, Netbuf)>,
     /// Payload bytes across `ooo_q` (≤ [`OOO_QUEUE_BYTES`], so 32 bits:
-    /// the `Tcb` stays inside `stack.rs`'s slot-size budget).
+    /// the `Tcb` stays inside `stack/conns.rs`'s slot-size budget).
     ooo_bytes: u32,
     /// Start of the most recently queued out-of-order extent — the
     /// block RFC 2018 §4 requires first in the next SACK option.

@@ -28,7 +28,7 @@ impl Tcb {
     /// The reordering window RACK currently applies before declaring
     /// loss (exported as the `netstack.tcp.rack_reorder_window_ns`
     /// gauge).
-    pub fn reo_wnd_ns(&self) -> u64 {
+    pub(crate) fn reo_wnd_ns(&self) -> u64 {
         (self.rto.srtt() / 2).max(RACK_REO_WND_MIN_NS)
     }
 
@@ -106,7 +106,7 @@ impl Tcb {
     /// tagged with a [`TcpHold`](uknetdev::netbuf::TcpHold) comes back
     /// from the device; `sent_ns` is the hold's transmission stamp —
     /// the extent keeps it in the queue so RACK can judge freshness.
-    pub fn rtx_return(&mut self, seq: u32, sent_ns: u64, nb: Netbuf) -> Option<Netbuf> {
+    pub(crate) fn rtx_return(&mut self, seq: u32, sent_ns: u64, nb: Netbuf) -> Option<Netbuf> {
         let mut seq = seq;
         let mut nb = nb;
         if nb.is_empty() || self.state == TcpState::Closed {

@@ -34,7 +34,7 @@ pub(super) struct Rto {
     /// In-flight RTT measurement: when the flight being timed left
     /// (Karn's rule clears it on any retransmission) and the sequence
     /// number whose ACK completes it. Two fields, not one tuple: the
-    /// `Tcb` stays inside `stack.rs`'s slot-size budget.
+    /// `Tcb` stays inside `stack/conns.rs`'s slot-size budget.
     rtt_probe: Option<u64>,
     rtt_probe_end: u32,
 }

@@ -63,14 +63,61 @@
 //! deterministically — in every test. [`Network::set_clock`] swaps in
 //! the caller's own (a device's, say, so the cost model moves it).
 
+use uknetdev::backend::VhostKind;
+use uknetdev::dev::{NetDev, NetDevConf};
 use uknetdev::netbuf::Netbuf;
+use uknetdev::VirtioNet;
+use ukplat::time::Tsc;
+use ukplat::Result;
 
 use crate::arp::{ArpOp, ArpPacket};
 use crate::eth::{EthHeader, EtherType};
 use crate::ipv4::{IpProto, Ipv4Header};
-use crate::stack::NetStack;
+use crate::stack::{NetStack, SocketHandle, StackConfig};
 use crate::tcp::{TcpFlags, TcpHeader, TCP_HDR_LEN};
 use crate::{Csum, Endpoint, Ipv4Addr, Mac};
+
+/// Test node `n` (10.0.0.n): a stack over its own default-configured
+/// `VirtioNet` (vhost-user backend, a 3.6 GHz clock of its own), with
+/// [`StackConfig::node`] as `tune` left it — the one way tests, examples
+/// and harnesses build a node.
+pub fn node(n: u8, tune: impl FnOnce(&mut StackConfig)) -> NetStack {
+    node_on(n, VhostKind::VhostUser, &Tsc::new(3_600_000_000), tune)
+}
+
+/// [`node`] over a `backend` of the caller's choosing, its device cost
+/// model charging `tsc` (a harness that reads the time a run cost).
+pub fn node_on(
+    n: u8,
+    backend: VhostKind,
+    tsc: &Tsc,
+    tune: impl FnOnce(&mut StackConfig),
+) -> NetStack {
+    let mut dev = VirtioNet::new(backend, tsc);
+    dev.configure(NetDevConf::default()).expect("the default device configuration is valid");
+    let mut config = StackConfig::node(n);
+    tune(&mut config);
+    NetStack::new(config, Box::new(dev))
+}
+
+/// Reads up to `max` buffered bytes from a connection into a fresh
+/// `Vec` — a test's convenience over [`NetStack::tcp_recv_into`], which
+/// is what an application calls.
+pub fn tcp_recv(stack: &mut NetStack, conn: SocketHandle, max: usize) -> Result<Vec<u8>> {
+    let mut data = vec![0u8; max.min(stack.tcp_readable(conn))];
+    let n = stack.tcp_recv_into(conn, &mut data)?;
+    data.truncate(n);
+    Ok(data)
+}
+
+/// Receives a datagram, if one is queued, as a fresh `Vec` — a test's
+/// convenience over [`NetStack::udp_recv_netbuf`].
+pub fn udp_recv_from(stack: &mut NetStack, sock: SocketHandle) -> Option<(Endpoint, Vec<u8>)> {
+    let (from, nb) = stack.udp_recv_netbuf(sock)?;
+    let data = nb.payload().to_vec();
+    stack.recycle(nb);
+    Some((from, data))
+}
 
 /// A hub connecting multiple stacks.
 #[derive(Debug, Default)]
@@ -315,7 +362,7 @@ impl Network {
                     }
                     let staged_from = stage[i].len();
                     if let Some(gso) = nb.gso_request() {
-                        if self.stacks[i].accepts_super_frames() {
+                        if self.stacks[i].offloads().big_receive {
                             // Guest-to-guest fast path
                             // (`VIRTIO_NET_F_GUEST_TSO4`/`MRG_RXBUF`):
                             // the super-segment is never cut — it
@@ -775,34 +822,21 @@ mod tests {
     use uknetdev::VirtioNet;
     use ukplat::time::Tsc;
 
-    fn mk_stack(n: u8) -> NetStack {
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        NetStack::new(StackConfig::node(n), Box::new(dev))
-    }
-
     fn two_node_net() -> Network {
         let mut net = Network::new();
-        net.attach(mk_stack(1));
-        net.attach(mk_stack(2));
+        net.attach(node(1, |_| {}));
+        net.attach(node(2, |_| {}));
         net
     }
 
     #[test]
     fn forge_established_graduates_into_the_backlog() {
         let mut net = Network::new();
-        net.attach(mk_stack(1));
-        let victim = {
-            let tsc = Tsc::new(3_600_000_000);
-            let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-            dev.configure(NetDevConf::default()).unwrap();
-            let mut cfg = StackConfig::node(2);
+        net.attach(node(1, |_| {}));
+        let si = net.attach(node(2, |cfg| {
             cfg.listen_backlog = 128;
             cfg.lean_tcbs = true;
-            NetStack::new(cfg, Box::new(dev))
-        };
-        let si = net.attach(victim);
+        }));
         let clock = Tsc::new(1_000_000_000);
         net.set_clock(&clock);
         net.set_step_ns(1_000_000);
@@ -833,13 +867,13 @@ mod tests {
             .udp_send_to(client_sock, b"echo me", server_ep)
             .unwrap();
         net.run_until_quiet(16);
-        let (from, data) = net.stack(1).udp_recv_from(server_sock).unwrap();
+        let (from, data) = udp_recv_from(net.stack(1), server_sock).unwrap();
         assert_eq!(data, b"echo me");
         assert_eq!(from.addr, Ipv4Addr::new(10, 0, 0, 1));
         // Reply.
         net.stack(1).udp_send_to(server_sock, b"reply", from).unwrap();
         net.run_until_quiet(16);
-        let (_, data) = net.stack(0).udp_recv_from(client_sock).unwrap();
+        let (_, data) = udp_recv_from(net.stack(0), client_sock).unwrap();
         assert_eq!(data, b"reply");
     }
 
@@ -859,11 +893,11 @@ mod tests {
         // Request/response.
         net.stack(0).tcp_send(client, b"GET /\r\n").unwrap();
         net.run_until_quiet(32);
-        let req = net.stack(1).tcp_recv(server_conn, 1024).unwrap();
+        let req = tcp_recv(net.stack(1), server_conn, 1024).unwrap();
         assert_eq!(req, b"GET /\r\n");
         net.stack(1).tcp_send(server_conn, b"200 OK\r\n").unwrap();
         net.run_until_quiet(32);
-        let resp = net.stack(0).tcp_recv(client, 1024).unwrap();
+        let resp = tcp_recv(net.stack(0), client, 1024).unwrap();
         assert_eq!(resp, b"200 OK\r\n");
         // Teardown.
         net.stack(0).tcp_close(client).unwrap();
@@ -882,7 +916,7 @@ mod tests {
         let blob: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
         net.stack(0).tcp_send(client, &blob).unwrap();
         net.run_until_quiet(64);
-        let got = net.stack(1).tcp_recv(conn, usize::MAX).unwrap();
+        let got = tcp_recv(net.stack(1), conn, usize::MAX).unwrap();
         assert_eq!(got, blob);
     }
 
@@ -957,11 +991,11 @@ mod tests {
         assert!(net.stack(0).tcp_send_capacity(client) < crate::tcp::SND_BUF_CAP);
 
         // Server drains; the window update reopens the sender.
-        let got = net.stack(1).tcp_recv(conn, usize::MAX).unwrap();
+        let got = tcp_recv(net.stack(1), conn, usize::MAX).unwrap();
         assert_eq!(got.len(), crate::tcp::RCV_BUF_CAP);
         net.run_until_quiet(64);
         assert!(!net.stack(0).tcp_window_closed(client));
-        let rest = net.stack(1).tcp_recv(conn, usize::MAX).unwrap();
+        let rest = tcp_recv(net.stack(1), conn, usize::MAX).unwrap();
         assert_eq!(got.len() + rest.len(), accepted, "no byte lost");
     }
 
@@ -1046,15 +1080,10 @@ mod tests {
         // computes them in software; the wire traffic must be
         // indistinguishable and every checksum valid on receive.
         let mut net = Network::new();
-        let mut cfg = StackConfig::node(1);
-        cfg.tx_csum_offload = false;
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        let soft = net.attach(NetStack::new(cfg, Box::new(dev)));
-        let hard = net.attach(mk_stack(2));
-        assert!(!net.stack(soft).csum_offload());
-        assert!(net.stack(hard).csum_offload());
+        let soft = net.attach(node(1, |cfg| cfg.tx_csum_offload = false));
+        let hard = net.attach(node(2, |_| {}));
+        assert!(!net.stack(soft).offloads().tx_csum);
+        assert!(net.stack(hard).offloads().tx_csum);
 
         let listener = net.stack(hard).tcp_listen(80).unwrap();
         let client = net
@@ -1066,13 +1095,13 @@ mod tests {
         net.stack(soft).tcp_send(client, b"no-offload -> offload").unwrap();
         net.run_until_quiet(32);
         assert_eq!(
-            net.stack(hard).tcp_recv(conn, 1024).unwrap(),
+            tcp_recv(net.stack(hard), conn, 1024).unwrap(),
             b"no-offload -> offload"
         );
         net.stack(hard).tcp_send(conn, b"offload -> no-offload").unwrap();
         net.run_until_quiet(32);
         assert_eq!(
-            net.stack(soft).tcp_recv(client, 1024).unwrap(),
+            tcp_recv(net.stack(soft), client, 1024).unwrap(),
             b"offload -> no-offload"
         );
         assert_eq!(
@@ -1140,7 +1169,7 @@ mod tests {
     #[test]
     fn tso_bulk_transfer_moves_super_segments_and_stays_intact() {
         let mut net = two_node_net();
-        assert!(net.stack(0).tso(), "VirtioNet advertises TSO");
+        assert!(net.stack(0).offloads().tso, "VirtioNet advertises TSO");
         let (client, conn) = establish(&mut net, 0, 1, 9100);
         let blob: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
         let got = bulk_send(&mut net, 0, 1, client, conn, &blob);
@@ -1167,7 +1196,7 @@ mod tests {
         // And the receiver negotiated big receive: the supers arrived
         // whole as chains — one demux each — not as cut MSS frames.
         let rx = net.stack(1).stats();
-        assert!(net.stack(1).accepts_super_frames());
+        assert!(net.stack(1).offloads().big_receive);
         assert_eq!(
             rx.rx_super_frames, stats.tso_super_frames,
             "every super-segment was delivered whole (guest TSO)"
@@ -1186,14 +1215,9 @@ mod tests {
         // side must cut MSS frames — with valid checksums, since the
         // receiver verifies them in software.
         let mut net = Network::new();
-        net.attach(mk_stack(1));
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        let mut cfg = StackConfig::node(2);
-        cfg.rx_csum_offload = false;
-        let rx = net.attach(NetStack::new(cfg, Box::new(dev)));
-        assert!(!net.stack(rx).accepts_super_frames());
+        net.attach(node(1, |_| {}));
+        let rx = net.attach(node(2, |cfg| cfg.rx_csum_offload = false));
+        assert!(!net.stack(rx).offloads().big_receive);
 
         let (client, conn) = establish(&mut net, 0, rx, 9600);
         let blob: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
@@ -1239,15 +1263,10 @@ mod tests {
         // One node cuts on the device (TSO), the other segments in
         // software; streams in both directions must be intact.
         let mut net = Network::new();
-        let mut cfg = StackConfig::node(1);
-        cfg.tso = false;
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        let soft = net.attach(NetStack::new(cfg, Box::new(dev)));
-        let hard = net.attach(mk_stack(2));
-        assert!(!net.stack(soft).tso());
-        assert!(net.stack(hard).tso());
+        let soft = net.attach(node(1, |cfg| cfg.tso = false));
+        let hard = net.attach(node(2, |_| {}));
+        assert!(!net.stack(soft).offloads().tso);
+        assert!(net.stack(hard).offloads().tso);
 
         let (client, conn) = establish(&mut net, soft, hard, 9300);
         let blob: Vec<u8> = (0..80_000u32).map(|i| (i.wrapping_mul(7) % 256) as u8).collect();
@@ -1294,8 +1313,8 @@ mod tests {
         dev.configure(NetDevConf::default()).unwrap();
         let cfg = StackConfig::node(1); // tso wish is on…
         let soft = net.attach(NetStack::new(cfg, Box::new(dev)));
-        let hard = net.attach(mk_stack(2));
-        assert!(!net.stack(soft).tso(), "…but the device lacks the feature");
+        let hard = net.attach(node(2, |_| {}));
+        assert!(!net.stack(soft).offloads().tso, "…but the device lacks the feature");
 
         let (client, conn) = establish(&mut net, soft, hard, 9400);
         let blob = vec![0x5au8; 50_000];
@@ -1314,17 +1333,12 @@ mod tests {
         // payload and an oversized GSO budget the IPv4 16-bit total
         // length; both must clamp rather than panic or stall.
         let mut net = Network::new();
-        let mk = |n: u8| {
-            let tsc = Tsc::new(3_600_000_000);
-            let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-            dev.configure(NetDevConf::default()).unwrap();
-            let mut cfg = StackConfig::node(n);
+        let oversized = |cfg: &mut StackConfig| {
             cfg.mss = 5000;
             cfg.gso_max_size = 1_000_000;
-            NetStack::new(cfg, Box::new(dev))
         };
-        let ci = net.attach(mk(1));
-        let si = net.attach(mk(2));
+        let ci = net.attach(node(1, oversized));
+        let si = net.attach(node(2, oversized));
         let (client, conn) = establish(&mut net, ci, si, 9700);
         let blob: Vec<u8> = (0..150_000u32).map(|i| (i % 251) as u8).collect();
         let got = bulk_send(&mut net, ci, si, client, conn, &blob);
@@ -1339,7 +1353,7 @@ mod tests {
         net.stack(0).tcp_send(client, b"marked frames skip the csum pass").unwrap();
         net.run_until_quiet(32);
         assert_eq!(
-            net.stack(1).tcp_recv(conn, 1024).unwrap(),
+            tcp_recv(net.stack(1), conn, 1024).unwrap(),
             b"marked frames skip the csum pass"
         );
         assert!(
@@ -1396,7 +1410,7 @@ mod tests {
         net.stack(1).deliver_frame(nb);
         net.stack(1).pump();
         assert_eq!(net.stack(1).stats().dropped, dropped_before + 1);
-        assert!(net.stack(1).udp_recv_from(sock).is_none(), "nothing queued");
+        assert!(udp_recv_from(net.stack(1), sock).is_none(), "nothing queued");
 
         // Corrupt + marked: the mark short-circuits verification —
         // proof the skip is real (a real NIC would not mark it).
@@ -1404,28 +1418,23 @@ mod tests {
         net.stack(1).deliver_frame(nb);
         net.stack(1).pump();
         assert!(
-            net.stack(1).udp_recv_from(sock).is_some(),
+            udp_recv_from(net.stack(1), sock).is_some(),
             "marked frame skipped the software checksum pass"
         );
 
         // Corrupt + marked, but the receiver disabled RX offload: the
         // ablation switch restores full software verification.
         let mut net2 = Network::new();
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        let mut cfg = StackConfig::node(2);
-        cfg.rx_csum_offload = false;
-        net2.attach(mk_stack(1));
-        let rx = net2.attach(NetStack::new(cfg, Box::new(dev)));
-        assert!(!net2.stack(rx).rx_csum_offload());
+        net2.attach(node(1, |_| {}));
+        let rx = net2.attach(node(2, |cfg| cfg.rx_csum_offload = false));
+        assert!(!net2.stack(rx).offloads().rx_csum);
         let sock2 = net2.stack(rx).udp_bind(7).unwrap();
         let dropped_before = net2.stack(rx).stats().dropped;
         let nb = forge(true, true);
         net2.stack(rx).deliver_frame(nb);
         net2.stack(rx).pump();
         assert_eq!(net2.stack(rx).stats().dropped, dropped_before + 1);
-        assert!(net2.stack(rx).udp_recv_from(sock2).is_none());
+        assert!(udp_recv_from(net2.stack(rx), sock2).is_none());
     }
 
     /// A wire that duplicates frames: the receiver must drop every
@@ -1436,13 +1445,8 @@ mod tests {
     #[test]
     fn duplicated_wire_frames_leave_the_stream_exact_and_leak_nothing() {
         let mut net = Network::new();
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        let mut cfg = StackConfig::node(1);
-        cfg.tso = false; // Per-MSS frames on the wire.
-        let ci = net.attach(NetStack::new(cfg, Box::new(dev)));
-        let si = net.attach(mk_stack(2));
+        let ci = net.attach(node(1, |cfg| cfg.tso = false)); // Per-MSS frames on the wire.
+        let si = net.attach(node(2, |_| {}));
         net.set_dup_every(4);
         let (client, conn) = establish(&mut net, ci, si, 9800);
         let blob: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
@@ -1478,7 +1482,7 @@ mod tests {
         net.stack(0).tcp_close(client).unwrap(); // Data + FIN, one batch.
         net.run_until_quiet(32);
         assert!(net.faults_injected() > 0, "the wire really reordered");
-        let got = net.stack(1).tcp_recv(conn, 1024).unwrap();
+        let got = tcp_recv(net.stack(1), conn, 1024).unwrap();
         assert_eq!(got, payload, "data accepted despite the early FIN");
         // The reordered FIN was dropped, not processed out of order:
         // the connection is still Established (the wire's clock stands
@@ -1499,14 +1503,10 @@ mod tests {
     #[test]
     fn gro_coalesces_per_mss_bursts_and_netbuf_recv_drains_them() {
         let mut net = Network::new();
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        let mut cfg = StackConfig::node(1);
-        cfg.tso = false; // Per-MSS sender: the GRO target workload.
-        let ci = net.attach(NetStack::new(cfg, Box::new(dev)));
-        let si = net.attach(mk_stack(2));
-        assert!(net.stack(si).gro());
+        // Per-MSS sender: the GRO target workload.
+        let ci = net.attach(node(1, |cfg| cfg.tso = false));
+        let si = net.attach(node(2, |_| {}));
+        assert!(net.stack(si).offloads().gro);
         let (client, conn) = establish(&mut net, ci, si, 9950);
         let blob: Vec<u8> = (0..120_000u32).map(|i| (i.wrapping_mul(13) % 251) as u8).collect();
 
@@ -1574,7 +1574,7 @@ mod tests {
              ({pinned} pinned)"
         );
         // The stream is intact and every buffer comes back.
-        let got = net.stack(1).tcp_recv(conn, usize::MAX).unwrap();
+        let got = tcp_recv(net.stack(1), conn, usize::MAX).unwrap();
         assert_eq!(got.len(), 300 * 100);
         assert!(got.iter().all(|&b| b == 0x4d));
         net.run_until_quiet(16);
@@ -1597,7 +1597,7 @@ mod tests {
         // itself cannot be eaten.
         net.stack(0).udp_send_to(cs, b"warm", ep).unwrap();
         net.run_until_quiet(16);
-        net.stack(1).udp_recv_from(ss).unwrap();
+        udp_recv_from(net.stack(1), ss).unwrap();
 
         let base = ukstats::snapshot();
         net.set_drop_every(3);
@@ -1606,7 +1606,7 @@ mod tests {
             net.run_until_quiet(16);
         }
         let mut got = Vec::new();
-        while let Some((_, data)) = net.stack(1).udp_recv_from(ss) {
+        while let Some((_, data)) = udp_recv_from(net.stack(1), ss) {
             got.push(data[0]);
         }
         assert_eq!(got.len(), 20, "every 3rd of 30 datagrams was lost");
@@ -1630,7 +1630,7 @@ mod tests {
         net.set_drop_every(0);
         net.stack(0).udp_send_to(cs, b"clean", ep).unwrap();
         net.run_until_quiet(16);
-        assert_eq!(net.stack(1).udp_recv_from(ss).unwrap().1, b"clean");
+        assert_eq!(udp_recv_from(net.stack(1), ss).unwrap().1, b"clean");
     }
 
     #[test]
@@ -1649,9 +1649,9 @@ mod tests {
     #[test]
     fn three_stacks_share_the_wire() {
         let mut net = Network::new();
-        net.attach(mk_stack(1));
-        net.attach(mk_stack(2));
-        net.attach(mk_stack(3));
+        net.attach(node(1, |_| {}));
+        net.attach(node(2, |_| {}));
+        net.attach(node(3, |_| {}));
         let s2 = net.stack(1).udp_bind(1000).unwrap();
         let s3 = net.stack(2).udp_bind(1000).unwrap();
         let c = net.stack(0).udp_bind(2000).unwrap();
@@ -1662,7 +1662,7 @@ mod tests {
             .udp_send_to(c, b"to-3", Endpoint::new(Ipv4Addr::new(10, 0, 0, 3), 1000))
             .unwrap();
         net.run_until_quiet(16);
-        assert_eq!(net.stack(1).udp_recv_from(s2).unwrap().1, b"to-2");
-        assert_eq!(net.stack(2).udp_recv_from(s3).unwrap().1, b"to-3");
+        assert_eq!(udp_recv_from(net.stack(1), s2).unwrap().1, b"to-2");
+        assert_eq!(udp_recv_from(net.stack(2), s3).unwrap().1, b"to-3");
     }
 }

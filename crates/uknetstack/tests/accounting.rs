@@ -5,20 +5,9 @@
 //! One test, alone in its binary: the registry is process-global, and
 //! the deltas below are exact.
 
-use uknetdev::backend::VhostKind;
-use uknetdev::dev::{NetDev, NetDevConf};
-use uknetdev::VirtioNet;
-use uknetstack::stack::{NetStack, StackConfig, StackStats};
-use uknetstack::testnet::Network;
+use uknetstack::stack::StackStats;
+use uknetstack::testnet::{node, Network};
 use uknetstack::{Endpoint, Ipv4Addr};
-use ukplat::time::Tsc;
-
-fn mk_stack(n: u8) -> NetStack {
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    NetStack::new(StackConfig::node(n), Box::new(dev))
-}
 
 /// The rows compared below, as (registry name, per-stack field).
 const ROWS: [(&str, fn(&StackStats) -> u64); 6] = [
@@ -34,8 +23,8 @@ const ROWS: [(&str, fn(&StackStats) -> u64); 6] = [
 fn client_and_server_count_apart_and_sum_to_the_registry() {
     let base = ukstats::snapshot();
     let mut net = Network::new();
-    let ci = net.attach(mk_stack(1));
-    let si = net.attach(mk_stack(2));
+    let ci = net.attach(node(1, |_| {}));
+    let si = net.attach(node(2, |_| {}));
 
     // One request, one response.
     let listener = net.stack(si).tcp_listen(7).unwrap();

@@ -6,23 +6,9 @@
 //! One test, alone in its binary: the registry is process-global, and
 //! the deltas below are exact.
 
-use uknetdev::backend::VhostKind;
-use uknetdev::dev::{NetDev, NetDevConf};
-use uknetdev::VirtioNet;
-use uknetstack::stack::{NetStack, StackConfig};
 use uknetstack::tcp::TcpState;
-use uknetstack::testnet::Network;
+use uknetstack::testnet::{node, Network};
 use uknetstack::{Endpoint, Ipv4Addr};
-use ukplat::time::Tsc;
-
-fn mk_stack(n: u8, tx_csum_offload: bool) -> NetStack {
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    let mut cfg = StackConfig::node(n);
-    cfg.tx_csum_offload = tx_csum_offload;
-    NetStack::new(cfg, Box::new(dev))
-}
 
 fn registry() -> u64 {
     ukstats::snapshot().counter("netstack.csum_offloaded").unwrap_or(0)
@@ -33,8 +19,8 @@ fn registry() -> u64 {
 /// `(a, b)` counted for (datagram, SYN) and RST.
 fn datagram_then_rst(tx_csum_offload: bool) -> ((u64, u64), u64) {
     let mut net = Network::new();
-    let a = net.attach(mk_stack(1, tx_csum_offload));
-    let b = net.attach(mk_stack(2, tx_csum_offload));
+    let a = net.attach(node(1, |c| c.tx_csum_offload = tx_csum_offload));
+    let b = net.attach(node(2, |c| c.tx_csum_offload = tx_csum_offload));
     let sock = net.stack(a).udp_bind(5000).unwrap();
     let offloaded = |net: &mut Network, i| net.stack(i).stats().csum_offloaded;
 

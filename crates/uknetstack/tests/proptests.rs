@@ -526,21 +526,18 @@ proptest! {
             proptest::collection::vec(any::<u8>(), 0..900), 1..13),
         offload in any::<bool>(),
     ) {
-        use uknetdev::backend::VhostKind;
-        use uknetdev::dev::{NetDev, NetDevConf};
-        use uknetdev::VirtioNet;
-        use uknetstack::stack::{NetStack, StackConfig};
-        use uknetstack::testnet::Network;
+        
+        
+        
+        
+        use uknetstack::testnet::{node, Network};
         use uknetstack::Endpoint;
-        use ukplat::time::Tsc;
+        
 
         let mk = |n: u8| {
-            let tsc = Tsc::new(3_600_000_000);
-            let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-            dev.configure(NetDevConf::default()).unwrap();
-            let mut cfg = StackConfig::node(n);
-            cfg.tx_csum_offload = offload;
-            NetStack::new(cfg, Box::new(dev))
+            node(n, |cfg| {
+                cfg.tx_csum_offload = offload;
+            })
         };
         let mut net = Network::new();
         let ci = net.attach(mk(1));
@@ -584,30 +581,27 @@ proptest! {
 /// cutter must produce complete per-MSS frames with valid checksums,
 /// and those are what the capture compares against the software path.
 fn bulk_wire_frames(tso: bool, mss: usize, data: &[u8], drain: usize) -> Vec<Vec<u8>> {
-    use uknetdev::backend::VhostKind;
-    use uknetdev::dev::{NetDev, NetDevConf};
-    use uknetdev::VirtioNet;
-    use uknetstack::stack::{NetStack, StackConfig};
-    use uknetstack::testnet::Network;
+    
+    
+    
+    
+    use uknetstack::testnet::{node, Network};
     use uknetstack::Endpoint;
-    use ukplat::time::Tsc;
+    
 
     let mk = |n: u8| {
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        let mut cfg = StackConfig::node(n);
-        cfg.tso = tso;
-        cfg.mss = mss;
-        // Full software verification on receive: forces the host-side
-        // MSS cut (no big receive) and checks every cut checksum.
-        cfg.rx_csum_offload = false;
-        NetStack::new(cfg, Box::new(dev))
+        node(n, |cfg| {
+            cfg.tso = tso;
+            cfg.mss = mss;
+            // Full software verification on receive: forces the host-side
+            // MSS cut (no big receive) and checks every cut checksum.
+            cfg.rx_csum_offload = false;
+        })
     };
     let mut net = Network::new();
     let ci = net.attach(mk(1));
     let si = net.attach(mk(2));
-    assert_eq!(net.stack(ci).tso(), tso);
+    assert_eq!(net.stack(ci).offloads().tso, tso);
     let listener = net.stack(si).tcp_listen(80).unwrap();
     let client = net
         .stack(ci)
@@ -689,23 +683,20 @@ proptest! {
 /// them one at a time. `drain` bytes are read per step, so small
 /// values squeeze the receive window and vary the burst shapes.
 fn gro_transfer(gro: bool, mss: usize, data: &[u8], drain: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
-    use uknetdev::backend::VhostKind;
-    use uknetdev::dev::{NetDev, NetDevConf};
-    use uknetdev::VirtioNet;
-    use uknetstack::stack::{NetStack, StackConfig};
-    use uknetstack::testnet::Network;
+    
+    
+    
+    
+    use uknetstack::testnet::{node, Network};
     use uknetstack::Endpoint;
-    use ukplat::time::Tsc;
+    
 
     let mk = |n: u8, gro: bool| {
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        let mut cfg = StackConfig::node(n);
-        cfg.tso = false; // Per-MSS wire frames: the GRO target shape.
-        cfg.mss = mss;
-        cfg.gro = gro;
-        NetStack::new(cfg, Box::new(dev))
+        node(n, |cfg| {
+            cfg.tso = false; // Per-MSS wire frames: the GRO target shape.
+            cfg.mss = mss;
+            cfg.gro = gro;
+        })
     };
     let mut net = Network::new();
     let ci = net.attach(mk(1, gro));
@@ -813,28 +804,25 @@ fn fault_schedule_transfer(
     c2s: &[u8],
     s2c: &[u8],
 ) -> (Vec<u8>, Vec<u8>, u64) {
-    use uknetdev::backend::VhostKind;
-    use uknetdev::dev::{NetDev, NetDevConf};
-    use uknetdev::VirtioNet;
-    use uknetstack::stack::{NetStack, StackConfig};
-    use uknetstack::testnet::Network;
+    
+    
+    
+    
+    use uknetstack::testnet::{node, Network};
     use uknetstack::Endpoint;
     use ukplat::time::Tsc;
 
     let mk = |n: u8| {
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        let mut cfg = StackConfig::node(n);
-        cfg.tso = tso;
-        cfg.gro = gro;
-        cfg.sack = recovery.0;
-        cfg.rack = recovery.1;
-        cfg.pacing = recovery.2;
-        if tso {
-            cfg.rx_csum_offload = false; // Decline big receive: host cuts.
-        }
-        NetStack::new(cfg, Box::new(dev))
+        node(n, |cfg| {
+            cfg.tso = tso;
+            cfg.gro = gro;
+            cfg.sack = recovery.0;
+            cfg.rack = recovery.1;
+            cfg.pacing = recovery.2;
+            if tso {
+                cfg.rx_csum_offload = false; // Decline big receive: host cuts.
+            }
+        })
     };
     let mut net = Network::new();
     net.attach(mk(1));
@@ -1319,23 +1307,17 @@ proptest! {
 /// (a held ACK waits for `run_until_quiet`); returns the bytes the
 /// server read.
 fn delack_transfer(time_passes: bool, data: &[u8]) -> Vec<u8> {
-    use uknetdev::backend::VhostKind;
-    use uknetdev::dev::{NetDev, NetDevConf};
-    use uknetdev::VirtioNet;
-    use uknetstack::stack::{NetStack, StackConfig};
-    use uknetstack::testnet::Network;
+    
+    
+    
+    
+    use uknetstack::testnet::{node, Network};
     use uknetstack::Endpoint;
     use ukplat::time::Tsc;
 
-    let mk = |n: u8| {
-        let tsc = Tsc::new(3_600_000_000);
-        let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-        dev.configure(NetDevConf::default()).unwrap();
-        NetStack::new(StackConfig::node(n), Box::new(dev))
-    };
     let mut net = Network::new();
-    net.attach(mk(1));
-    net.attach(mk(2));
+    net.attach(node(1, |_| {}));
+    net.attach(node(2, |_| {}));
     if time_passes {
         let clock = Tsc::new(1_000_000_000);
         net.set_clock(&clock);
@@ -1609,21 +1591,18 @@ proptest! {
         backlog in 8usize..32,
         seed in any::<u8>(),
     ) {
-        use uknetdev::backend::VhostKind;
-        use uknetdev::dev::{NetDev, NetDevConf};
-        use uknetdev::VirtioNet;
-        use uknetstack::stack::{NetStack, StackConfig, HANDSHAKE_TIMEOUT_NS};
-        use uknetstack::testnet::Network;
+        
+        
+        
+        use uknetstack::stack::HANDSHAKE_TIMEOUT_NS;
+        use uknetstack::testnet::{node, Network};
         use uknetstack::Endpoint;
         use ukplat::time::Tsc;
 
         let mk = |n: u8| {
-            let tsc = Tsc::new(3_600_000_000);
-            let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-            dev.configure(NetDevConf::default()).unwrap();
-            let mut cfg = StackConfig::node(n);
-            cfg.listen_backlog = backlog;
-            NetStack::new(cfg, Box::new(dev))
+            node(n, |cfg| {
+                cfg.listen_backlog = backlog;
+            })
         };
         let mut net = Network::new();
         net.attach(mk(1));

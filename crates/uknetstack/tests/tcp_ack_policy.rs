@@ -8,14 +8,11 @@
 //! force on all of them; the last tests leave the clock to its owner's
 //! default, or change it mid-way.
 
-use uknetdev::backend::VhostKind;
-use uknetdev::dev::{NetDev, NetDevConf};
-use uknetdev::VirtioNet;
 use uknetstack::eth::EthHeader;
 use uknetstack::ipv4::Ipv4Header;
-use uknetstack::stack::{NetStack, SocketHandle, StackConfig};
+use uknetstack::stack::SocketHandle;
 use uknetstack::tcp::{TcpHeader, DELACK_NS, RCV_BUF_CAP};
-use uknetstack::testnet::Network;
+use uknetstack::testnet::{node, Network};
 use uknetstack::{Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
 
@@ -24,22 +21,13 @@ const SERVER: usize = 1;
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const MS: u64 = 1_000_000;
 
-fn mk_stack(n: u8, tso: bool) -> NetStack {
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    let mut cfg = StackConfig::node(n);
-    cfg.tso = tso;
-    NetStack::new(cfg, Box::new(dev))
-}
-
 /// Two connected stacks — on a clock of the test's own advancing
 /// `step_ns` per step, or on the wire's — with the wire capture running
 /// from after the handshake.
 fn connected(clock_step_ns: Option<u64>, tso: bool) -> (Network, SocketHandle, SocketHandle) {
     let mut net = Network::new();
-    net.attach(mk_stack(1, tso));
-    net.attach(mk_stack(2, tso));
+    net.attach(node(1, |c| c.tso = tso));
+    net.attach(node(2, |c| c.tso = tso));
     if let Some(step_ns) = clock_step_ns {
         net.set_clock(&Tsc::new(1_000_000_000)); // 1 cycle = 1 ns.
         net.set_step_ns(step_ns);
@@ -365,8 +353,8 @@ fn the_clock_set_last_is_the_one_that_counts() {
         if let Order::SetClockThenAttach = order {
             net.set_clock(&clock);
         }
-        net.attach(mk_stack(1, true));
-        net.attach(mk_stack(2, true));
+        net.attach(node(1, |_| {}));
+        net.attach(node(2, |_| {}));
         if let Order::AttachThenSetClock = order {
             net.set_clock(&clock);
         }

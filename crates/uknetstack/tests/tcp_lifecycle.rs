@@ -8,15 +8,12 @@
 //! pooled buffer is back home and every reaped connection's slot and
 //! timers are reclaimed. Robustness that leaks is not robustness.
 
-use uknetdev::backend::VhostKind;
-use uknetdev::dev::{NetDev, NetDevConf};
-use uknetdev::VirtioNet;
 use uknetstack::stack::{
-    NetStack, SocketHandle, StackConfig, HANDSHAKE_TIMEOUT_NS, KEEPALIVE_IDLE_NS,
+    SocketHandle, StackConfig, HANDSHAKE_TIMEOUT_NS, KEEPALIVE_IDLE_NS,
     KEEPALIVE_INTVL_NS, KEEPALIVE_PROBES, TCP_MSL_NS,
 };
 use uknetstack::tcp::{TcpFlags, TcpState, DELACK_NS};
-use uknetstack::testnet::Network;
+use uknetstack::testnet::{self, node, Network};
 use uknetstack::Endpoint;
 use ukplat::time::Tsc;
 
@@ -37,21 +34,12 @@ fn owning_registry() -> std::sync::RwLockWriteGuard<'static, ()> {
     REGISTRY.write().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn mk_stack(n: u8, tune: impl FnOnce(&mut StackConfig)) -> NetStack {
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    let mut cfg = StackConfig::node(n);
-    tune(&mut cfg);
-    NetStack::new(cfg, Box::new(dev))
-}
-
 /// A two-node net with a shared virtual clock advancing `step_ns` per
 /// step — the substrate every lifecycle timer in these tests runs on.
 fn clocked_net(step_ns: u64, tune: fn(&mut StackConfig)) -> Network {
     let mut net = Network::new();
-    net.attach(mk_stack(1, tune));
-    net.attach(mk_stack(2, tune));
+    net.attach(node(1, tune));
+    net.attach(node(2, tune));
     let tsc = Tsc::new(1_000_000_000); // 1 cycle = 1 ns.
     net.set_clock(&tsc);
     net.set_step_ns(step_ns);
@@ -319,7 +307,7 @@ fn keepalive_leaves_a_live_peer_alone() {
     // And the connection still carries data after the long idle.
     net.stack(0).tcp_send(client, b"still here").unwrap();
     net.run_until_quiet(32);
-    assert_eq!(net.stack(1).tcp_recv(conn, 64).unwrap(), b"still here");
+    assert_eq!(testnet::tcp_recv(net.stack(1), conn, 64).unwrap(), b"still here");
 }
 
 /// Connection churn: repeated connect/transfer/close cycles against
@@ -342,7 +330,7 @@ fn connection_churn_recycles_every_resource() {
         let msg = cycle.to_be_bytes();
         net.stack(0).tcp_send(client, &msg).unwrap();
         net.run_until_quiet(32);
-        assert_eq!(net.stack(1).tcp_recv(conn, 64).unwrap(), msg);
+        assert_eq!(testnet::tcp_recv(net.stack(1), conn, 64).unwrap(), msg);
         net.stack(0).tcp_close(client).unwrap();
         net.run_until_quiet(32);
         net.stack(1).tcp_close(conn).unwrap();
@@ -484,8 +472,8 @@ fn a_thousand_echoes_arm_nothing() {
 fn a_stale_fire_does_nothing_but_rearm_at_the_new_minimum() {
     let _registry = sharing_registry();
     let mut net = Network::new();
-    net.attach(mk_stack(1, |_| {}));
-    net.attach(mk_stack(2, |_| {}));
+    net.attach(node(1, |_| {}));
+    net.attach(node(2, |_| {}));
     let clock = Tsc::new(1_000_000_000); // 1 cycle = 1 ns; the test moves it.
     net.set_clock(&clock);
     let (client, conn) = establish(&mut net, 8041);

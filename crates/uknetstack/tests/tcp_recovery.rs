@@ -8,39 +8,30 @@
 //! byte-identical — and that the recovery showed up in the
 //! `netstack.tcp.*` loss counters, not by accident.
 
-use uknetdev::backend::VhostKind;
-use uknetdev::dev::{NetDev, NetDevConf};
-use uknetdev::VirtioNet;
 use uknetstack::eth::{EthHeader, EtherType};
 use uknetstack::ipv4::{IpProto, Ipv4Header};
 use uknetstack::stack::{NetStack, SocketHandle, StackConfig, LOW_POOL_BUFS};
 use uknetstack::tcp::{TcbStats, TcpFlags, TcpHeader, TCP_HDR_LEN};
-use uknetstack::testnet::Network;
+use uknetstack::testnet::{self, node, Network};
 use uknetstack::{Csum, Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
 
 const POOL: usize = 512;
 
 fn mk_stack(n: u8, tso: bool, cc: bool) -> NetStack {
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    let mut cfg = StackConfig::node(n);
-    cfg.tso = tso;
-    cfg.congestion_control = cc;
-    NetStack::new(cfg, Box::new(dev))
+    node(n, |cfg| {
+        cfg.tso = tso;
+        cfg.congestion_control = cc;
+    })
 }
 
 /// A stack with an arbitrary config tweak on top of the node defaults
 /// (per-MSS frames, cc on) — for the recovery-ablation tests.
 fn mk_stack_cfg(n: u8, f: impl FnOnce(&mut StackConfig)) -> NetStack {
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    let mut cfg = StackConfig::node(n);
-    cfg.tso = false;
-    f(&mut cfg);
-    NetStack::new(cfg, Box::new(dev))
+    node(n, |cfg| {
+        cfg.tso = false;
+        f(cfg);
+    })
 }
 
 /// A two-node clocked net where both stacks get the same config tweak.
@@ -327,7 +318,7 @@ fn dropped_syn_is_retransmitted() {
     let conn = net.stack(1).tcp_accept(listener).unwrap();
     net.stack(0).tcp_send(client, b"post-loss hello").unwrap();
     net.run_until_quiet(32);
-    assert_eq!(net.stack(1).tcp_recv(conn, 1024).unwrap(), b"post-loss hello");
+    assert_eq!(testnet::tcp_recv(net.stack(1), conn, 1024).unwrap(), b"post-loss hello");
 }
 
 /// The GRO gap regression: with coalescing on and a lossy wire, a
@@ -337,7 +328,7 @@ fn dropped_syn_is_retransmitted() {
 #[test]
 fn gro_staging_flushes_on_sequence_gaps_under_loss() {
     let mut net = clocked_net(false, true, 5_000_000);
-    assert!(net.stack(1).gro(), "receiver coalesces");
+    assert!(net.stack(1).offloads().gro, "receiver coalesces");
     let (client, conn) = establish(&mut net, 9006);
     net.set_drop_every(5);
     let blob = patterned(400_000, 13);
@@ -399,12 +390,8 @@ fn loss_recovery_works_with_congestion_control_off() {
 fn tso_super_segments_survive_loss_via_host_cut_retransmission() {
     let mut net = Network::new();
     net.attach(mk_stack(1, true, true));
-    let tsc0 = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc0);
-    dev.configure(NetDevConf::default()).unwrap();
-    let mut cfg = StackConfig::node(2);
-    cfg.rx_csum_offload = false; // Declines big receive: supers get cut.
-    let _ = net.attach(NetStack::new(cfg, Box::new(dev)));
+    // Declines big receive: supers get cut.
+    net.attach(node(2, |cfg| cfg.rx_csum_offload = false));
     let tsc = Tsc::new(1_000_000_000);
     net.set_clock(&tsc);
     net.set_step_ns(5_000_000);
@@ -902,7 +889,7 @@ fn the_three_ingest_shapes_account_alike() {
         cfg.tso = true;
         cfg.pool_size = 40;
     }));
-    assert!(net.stack(1).accepts_super_frames());
+    assert!(net.stack(1).offloads().big_receive);
     net.set_clock(&Tsc::new(1_000_000_000));
     net.set_step_ns(1_000_000);
     net.start_wire_capture();

@@ -8,20 +8,8 @@
 
 #![cfg(not(feature = "trace"))]
 
-use uknetdev::backend::VhostKind;
-use uknetdev::dev::{NetDev, NetDevConf};
-use uknetdev::VirtioNet;
-use uknetstack::stack::{NetStack, StackConfig};
-use uknetstack::testnet::Network;
+use uknetstack::testnet::{node, Network};
 use uknetstack::{Endpoint, Ipv4Addr};
-use ukplat::time::Tsc;
-
-fn mk_stack(n: u8) -> NetStack {
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    NetStack::new(StackConfig::node(n), Box::new(dev))
-}
 
 #[test]
 fn noop_ring_is_zero_sized_and_inert() {
@@ -45,7 +33,7 @@ fn noop_ring_is_zero_sized_and_inert() {
 #[test]
 fn stats_registry_is_compiled_out_and_the_stack_still_counts() {
     assert!(!ukstats::COMPILED_IN);
-    let mut stack = mk_stack(1);
+    let mut stack = node(1, |_| {});
     stack.pump();
     assert_eq!(stack.stats().pump_sweeps, 1, "the owner's view needs no registry");
     assert!(ukstats::snapshot().counters.is_empty());
@@ -54,8 +42,8 @@ fn stats_registry_is_compiled_out_and_the_stack_still_counts() {
 #[test]
 fn datapath_runs_with_tracing_compiled_out_and_records_nothing() {
     let mut net = Network::new();
-    let ci = net.attach(mk_stack(1));
-    let si = net.attach(mk_stack(2));
+    let ci = net.attach(node(1, |_| {}));
+    let si = net.attach(node(2, |_| {}));
     let listener = net.stack(si).tcp_listen(7).unwrap();
     let client = net
         .stack(ci)

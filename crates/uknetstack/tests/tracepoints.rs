@@ -9,20 +9,8 @@
 
 #![cfg(feature = "trace")]
 
-use uknetdev::backend::VhostKind;
-use uknetdev::dev::{NetDev, NetDevConf};
-use uknetdev::VirtioNet;
-use uknetstack::stack::{NetStack, StackConfig};
-use uknetstack::testnet::Network;
+use uknetstack::testnet::{node, Network};
 use uknetstack::{Endpoint, Ipv4Addr};
-use ukplat::time::Tsc;
-
-fn mk_stack(n: u8) -> NetStack {
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    NetStack::new(StackConfig::node(n), Box::new(dev))
-}
 
 /// Index of the first record named `name`, or a panic listing what did
 /// fire — so an ordering failure shows the whole trace.
@@ -36,8 +24,8 @@ fn first(names: &[&'static str], name: &str) -> usize {
 #[test]
 fn tcp_echo_fires_lifecycle_tracepoints_in_protocol_order() {
     let mut net = Network::new();
-    let ci = net.attach(mk_stack(1));
-    let si = net.attach(mk_stack(2));
+    let ci = net.attach(node(1, |_| {}));
+    let si = net.attach(node(2, |_| {}));
     let listener = net.stack(si).tcp_listen(7).unwrap();
     let client = net
         .stack(ci)
@@ -91,9 +79,9 @@ fn tcp_echo_fires_lifecycle_tracepoints_in_protocol_order() {
 fn bulk_scenarios_cover_the_fast_path_tracepoints() {
     // TSO on: the transfer leaves as super-segments and arrives whole.
     let mut net = Network::new();
-    let ci = net.attach(mk_stack(1));
-    let si = net.attach(mk_stack(2));
-    assert!(net.stack(ci).tso());
+    let ci = net.attach(node(1, |_| {}));
+    let si = net.attach(node(2, |_| {}));
+    assert!(net.stack(ci).offloads().tso);
     let listener = net.stack(si).tcp_listen(9000).unwrap();
     let client = net
         .stack(ci)
@@ -141,13 +129,8 @@ fn bulk_scenarios_cover_the_fast_path_tracepoints() {
 
     // TSO off: per-MSS frames coalesce in GRO on the receive side.
     let mut net = Network::new();
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    let mut cfg = StackConfig::node(1);
-    cfg.tso = false;
-    let ci = net.attach(NetStack::new(cfg, Box::new(dev)));
-    let si = net.attach(mk_stack(2));
+    let ci = net.attach(node(1, |cfg| cfg.tso = false));
+    let si = net.attach(node(2, |_| {}));
     let listener = net.stack(si).tcp_listen(9100).unwrap();
     let client = net
         .stack(ci)
@@ -186,8 +169,8 @@ fn ten_distinct_tracepoints_fire_across_echo_and_bulk() {
     use std::collections::BTreeSet;
     let mut seen: BTreeSet<&'static str> = BTreeSet::new();
     let mut net = Network::new();
-    let ci = net.attach(mk_stack(1));
-    let si = net.attach(mk_stack(2));
+    let ci = net.attach(node(1, |_| {}));
+    let si = net.attach(node(2, |_| {}));
 
     // UDP to an unbound port: a demux miss. Then bind and hit it.
     let client_sock = net.stack(ci).udp_bind(5000).unwrap();

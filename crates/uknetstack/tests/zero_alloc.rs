@@ -21,12 +21,9 @@
 
 use ukalloc::stats::{AllocCounter, CountingAlloc};
 use ukevent::{EventMask, EventQueue};
-use uknetdev::backend::VhostKind;
-use uknetdev::dev::{NetDev, NetDevConf};
-use uknetdev::VirtioNet;
 use uknetdev::netbuf::Netbuf;
-use uknetstack::stack::{NetStack, SocketHandle, StackConfig};
-use uknetstack::testnet::Network;
+use uknetstack::stack::{SocketHandle, StackConfig};
+use uknetstack::testnet::{node, Network};
 use uknetstack::{Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
 
@@ -56,15 +53,6 @@ fn a_window_counts_its_own_thread_only() {
     drop(std::hint::black_box(Box::new(1u8)));
     assert_eq!((counter.allocs(), counter.frees()), (1, 1));
     other.join().unwrap();
-}
-
-fn mk_stack(n: u8, tune: impl FnOnce(&mut StackConfig)) -> NetStack {
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    let mut cfg = StackConfig::node(n);
-    tune(&mut cfg);
-    NetStack::new(cfg, Box::new(dev))
 }
 
 /// `StackConfig::node` as it comes.
@@ -114,8 +102,8 @@ impl Pair {
         step_ns: Option<u64>,
     ) -> Pair {
         let mut net = Network::new();
-        let ci = net.attach(mk_stack(1, tune_client));
-        let si = net.attach(mk_stack(2, tune_server));
+        let ci = net.attach(node(1, tune_client));
+        let si = net.attach(node(2, tune_server));
         if let Some(step_ns) = step_ns {
             net.set_clock(&Tsc::new(1_000_000_000));
             net.set_step_ns(step_ns);
@@ -234,8 +222,8 @@ struct UdpPair {
 impl UdpPair {
     fn new(tune: fn(&mut StackConfig)) -> UdpPair {
         let mut net = Network::new();
-        let ci = net.attach(mk_stack(1, tune));
-        let si = net.attach(mk_stack(2, tune));
+        let ci = net.attach(node(1, tune));
+        let si = net.attach(node(2, tune));
         UdpPair {
             server: net.stack(si).udp_bind(9).unwrap(),
             client: net.stack(ci).udp_bind(5000).unwrap(),
@@ -366,7 +354,7 @@ fn tcp_echo_on_a_watched_connection_is_allocation_free() {
 #[test]
 fn tcp_echo_and_burst_are_allocation_free_without_tx_csum_offload() {
     let mut pair = Pair::new(7, sw_csum, sw_csum, None);
-    assert!(!pair.net.stack(pair.ci).csum_offload());
+    assert!(!pair.net.stack(pair.ci).offloads().tx_csum);
     assert_alloc_free(&mut pair, 8, "TCP echo, software checksums", |p| p.echo(1));
     assert_alloc_free(&mut pair, 4, "burst of 32 echoes, software checksums", |p| p.echo(32));
     assert_eq!(pair.net.stack(pair.ci).stats().csum_offloaded, 0);
@@ -404,7 +392,7 @@ fn bulk_1mb_tso_transfer_is_allocation_free_in_steady_state() {
     // lossless bulk path still must not allocate.
     let mut pair = Pair::new(9000, defaults, defaults, Some(1_000));
     let ci = pair.ci;
-    assert!(pair.net.stack(ci).tso(), "bulk path runs over TSO super-segments");
+    assert!(pair.net.stack(ci).offloads().tso, "bulk path runs over TSO super-segments");
     for _ in 0..2 {
         pair.bulk(MB, Drain::Copy);
     }
@@ -454,8 +442,8 @@ fn bulk_1mb_is_allocation_free_across_the_offload_grid() {
             c.rx_csum_offload = rx_csum;
         };
         let mut pair = Pair::new(9000, tune, tune, None);
-        assert_eq!(pair.net.stack(pair.ci).tso(), tso);
-        assert_eq!(pair.net.stack(pair.si).accepts_super_frames(), rx_csum);
+        assert_eq!(pair.net.stack(pair.ci).offloads().tso, tso);
+        assert_eq!(pair.net.stack(pair.si).offloads().big_receive, rx_csum);
         for _ in 0..3 {
             pair.bulk(64 * 1024, Drain::Copy);
         }
@@ -481,7 +469,7 @@ fn recv_1mb_is_allocation_free_across_gro_and_receive_form() {
             let per_mss = |c: &mut StackConfig| c.tso = false;
             let mut pair = Pair::new(9100, per_mss, |c| c.gro = gro, None);
             let si = pair.si;
-            assert_eq!(pair.net.stack(si).gro(), gro);
+            assert_eq!(pair.net.stack(si).offloads().gro, gro);
             let what = format!("1 MB per-MSS receive, gro={gro} {drain:?}");
             let frames_before = pair.net.stack(si).stats().rx_frames;
             assert_alloc_free(&mut pair, 3, &what, |p| p.bulk(MB, drain));
@@ -655,4 +643,55 @@ fn buffers_circulate_without_draining_the_pools() {
         Some(si_avail),
         "every RX buffer returned to the server pool"
     );
+}
+
+/// A peer spraying unsolicited echo replies at a stack that never
+/// calls `ping_replies()`: what it keeps stops at 64, the rest are
+/// counted drops, every buffer goes home, and once the cap is reached
+/// a reply costs the heap nothing — the list was sized at
+/// construction and never grows.
+#[test]
+fn ten_thousand_unsolicited_echo_replies_fill_a_capped_list_and_no_more() {
+    use uknetstack::eth::{EthHeader, EtherType};
+    use uknetstack::ipv4::{IpProto, Ipv4Header};
+    use uknetstack::{icmp, Mac};
+    const CAP: usize = 64;
+    const BURST: u16 = 50;
+    let mut s = node(1, defaults);
+    let level = s.pool_available();
+    let (mut kept, mut allocs_past_cap) = (0, 0);
+    for burst in 0..10_000 / BURST {
+        // The wire builds the frames, outside the measured window.
+        for i in 0..BURST {
+            let mut nb = s.take_rx_buf();
+            nb.reset(64);
+            nb.append(b"pong");
+            icmp::encode_echo_into(false, 7, burst * BURST + i, &mut nb);
+            let ip = Ipv4Header {
+                src: Ipv4Addr::new(10, 0, 0, 2),
+                dst: s.ip(),
+                proto: IpProto::Icmp,
+                payload_len: nb.len(),
+                ttl: 64,
+            };
+            ip.encode_into(&mut nb);
+            EthHeader { dst: s.mac(), src: Mac::node(2), ethertype: EtherType::Ipv4 }
+                .encode_into(&mut nb);
+            s.deliver_frame(nb);
+        }
+        let counter = AllocCounter::start();
+        kept += s.pump();
+        if kept == CAP {
+            allocs_past_cap += counter.allocs();
+        }
+    }
+    assert_eq!(kept, CAP, "pump handled the kept ones, dropped the rest");
+    assert_eq!(allocs_past_cap, 0, "a refused reply must not touch the heap");
+    assert_eq!(s.stats().demux_icmp, 10_000);
+    assert_eq!(s.stats().dropped, 10_000 - CAP as u64, "the newest are refused, and counted");
+    assert_eq!(s.pool_available(), level, "pool level restored");
+    let replies = s.ping_replies();
+    assert_eq!(replies.len(), CAP);
+    assert_eq!(replies[0], (Ipv4Addr::new(10, 0, 0, 2), 7, 0), "the oldest are the ones kept");
+    assert!(s.ping_replies().is_empty(), "drained");
 }

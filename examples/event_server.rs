@@ -21,32 +21,20 @@ use unikraft_rs::apps::udpkv::{UdpKvMode, UdpKvNetServer};
 use unikraft_rs::core::posix::EPOLL_CTL_ADD;
 use unikraft_rs::core::PosixEnv;
 use unikraft_rs::event::EventMask;
-use unikraft_rs::netdev::backend::VhostKind;
-use unikraft_rs::netdev::dev::{NetDev, NetDevConf};
-use unikraft_rs::netdev::VirtioNet;
-use unikraft_rs::netstack::stack::{NetStack, StackConfig};
-use unikraft_rs::netstack::testnet::Network;
+use unikraft_rs::netstack::testnet::{self, node, Network};
 use unikraft_rs::netstack::{Endpoint, Ipv4Addr};
 use unikraft_rs::plat::time::Tsc;
 
 const CLIENTS: usize = 4;
-
-fn mk_stack(n: u8) -> NetStack {
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    NetStack::new(StackConfig::node(n), Box::new(dev))
-}
-
 fn main() {
     let tsc = Tsc::new(3_600_000_000);
 
     // --- 1. Event-driven HTTP: one queue, many connections ------------
     let mut net = Network::new();
     let clients: Vec<usize> = (0..CLIENTS)
-        .map(|i| net.attach(mk_stack(10 + i as u8)))
+        .map(|i| net.attach(node(10 + i as u8, |_| {})))
         .collect();
-    let mut server_stack = mk_stack(2);
+    let mut server_stack = node(2, |_| {});
     let mut alloc = AllocBackend::Tlsf.instantiate();
     alloc.init(1 << 22, 8 << 20).unwrap();
     let mut httpd = Httpd::new(&mut server_stack, 80, alloc).expect("listen");
@@ -91,15 +79,13 @@ fn main() {
     }
     let mut ok = 0;
     for (&ci, &conn) in clients.iter().zip(&conns) {
-        let resp = net.stack(ci).tcp_recv(conn, 64 * 1024).unwrap();
+        let resp = testnet::tcp_recv(net.stack(ci), conn, 64 * 1024).unwrap();
         if resp.starts_with(b"HTTP/1.1 200 OK") {
             ok += 1;
         }
     }
-    let kv_reply = net
-        .stack(clients[0])
-        .udp_recv_from(kv_sock)
-        .and_then(|_| net.stack(clients[0]).udp_recv_from(kv_sock))
+    let kv_reply = testnet::udp_recv_from(net.stack(clients[0]), kv_sock)
+        .and_then(|_| testnet::udp_recv_from(net.stack(clients[0]), kv_sock))
         .map(|(_, d)| String::from_utf8_lossy(&d).into_owned())
         .unwrap_or_default();
     println!(

@@ -15,7 +15,7 @@ use unikraft_rs::netdev::dev::{NetDev, NetDevConf};
 use unikraft_rs::netdev::VirtioNet;
 use unikraft_rs::netstack::stack::{NetStack, StackConfig, TCP_MSL_NS};
 use unikraft_rs::netstack::tcp::TcpState;
-use unikraft_rs::netstack::testnet::Network;
+use unikraft_rs::netstack::testnet::{self, Network};
 use unikraft_rs::netstack::{Endpoint, Ipv4Addr};
 use unikraft_rs::plat::time::Tsc;
 use unikraft_rs::plat::vmm::VmmKind;
@@ -142,7 +142,7 @@ fn two_unikernels_talk_to_each_other() {
         net.run_until_quiet(16);
         httpd.poll(net.stack(ai));
     }
-    let resp = net.stack(bi).tcp_recv(conn, 64 * 1024).unwrap();
+    let resp = testnet::tcp_recv(net.stack(bi), conn, 64 * 1024).unwrap();
     assert!(String::from_utf8_lossy(&resp).starts_with("HTTP/1.1 200 OK"));
 }
 

@@ -11,21 +11,10 @@ use unikraft_rs::apps::httpd::Httpd;
 use unikraft_rs::core::posix::{EPOLL_CTL_ADD, EVENT_FD_BASE};
 use unikraft_rs::core::PosixEnv;
 use unikraft_rs::event::{EventMask, EventQueue, WaitOutcome};
-use unikraft_rs::netdev::backend::VhostKind;
-use unikraft_rs::netdev::dev::{NetDev, NetDevConf};
-use unikraft_rs::netdev::VirtioNet;
-use unikraft_rs::netstack::stack::{NetStack, StackConfig};
-use unikraft_rs::netstack::testnet::Network;
+use unikraft_rs::netstack::testnet::{self, node, Network};
 use unikraft_rs::netstack::{Endpoint, Ipv4Addr};
 use unikraft_rs::plat::time::Tsc;
 use unikraft_rs::sched::{CoopScheduler, Scheduler, StepResult, Thread};
-
-fn mk_stack(n: u8) -> NetStack {
-    let tsc = Tsc::new(3_600_000_000);
-    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
-    dev.configure(NetDevConf::default()).unwrap();
-    NetStack::new(StackConfig::node(n), Box::new(dev))
-}
 
 fn mk_alloc() -> Box<dyn unikraft_rs::alloc::Allocator> {
     let mut a = AllocBackend::Tlsf.instantiate();
@@ -41,9 +30,9 @@ fn httpd_serves_many_concurrent_connections_through_one_queue() {
     const CLIENTS: usize = 6;
     let mut net = Network::new();
     let client_idx: Vec<usize> = (0..CLIENTS)
-        .map(|i| net.attach(mk_stack(10 + i as u8)))
+        .map(|i| net.attach(node(10 + i as u8, |_| {})))
         .collect();
-    let mut server_stack = mk_stack(2);
+    let mut server_stack = node(2, |_| {});
     let mut httpd = Httpd::new(&mut server_stack, 80, mk_alloc()).unwrap();
     let si = net.attach(server_stack);
     let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 80);
@@ -73,7 +62,7 @@ fn httpd_serves_many_concurrent_connections_through_one_queue() {
     }
     assert_eq!(httpd.served(), CLIENTS as u64);
     for (&ci, &conn) in client_idx.iter().zip(&conns) {
-        let resp = net.stack(ci).tcp_recv(conn, 64 * 1024).unwrap();
+        let resp = testnet::tcp_recv(net.stack(ci), conn, 64 * 1024).unwrap();
         let text = String::from_utf8_lossy(&resp);
         assert!(
             text.starts_with("HTTP/1.1 200 OK"),
@@ -105,8 +94,8 @@ fn epoll_family_multiplexes_eventfd_and_socket_by_syscall_number() {
 
     // A real UDP socket on a real stack, observed through the fd table.
     let mut net = Network::new();
-    let ci = net.attach(mk_stack(1));
-    let mut ss = mk_stack(2);
+    let ci = net.attach(node(1, |_| {}));
+    let mut ss = node(2, |_| {});
     let sock = ss.udp_bind(7000).unwrap();
     let sock_src = ss.ready_source(sock);
     let si = net.attach(ss);
@@ -145,7 +134,7 @@ fn epoll_family_multiplexes_eventfd_and_socket_by_syscall_number() {
     assert_eq!(posix.syscall(232, &[epfd, evbuf, 16, 0]), 2);
 
     // Drain the socket; only the eventfd stays ready.
-    net.stack(si).udp_recv_from(sock).unwrap();
+    testnet::udp_recv_from(net.stack(si), sock).unwrap();
     assert_eq!(posix.syscall(232, &[epfd, evbuf, 16, 0]), 1);
     let events = PosixEnv::decode_epoll_events(&posix.read_buf(evbuf).unwrap());
     assert_eq!(events[0].1, efd);
