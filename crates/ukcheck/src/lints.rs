@@ -44,6 +44,12 @@ pub enum Lint {
     /// seam between the crate's files, not API — `pub(super)` or
     /// `pub(crate)` says so. Escaped by saying why it must be `pub`.
     UnusedPub,
+    /// The release profile is not the one the image is measured under:
+    /// `.cargo/config.toml` is missing or its `[profile.release]` is not
+    /// exactly [`RELEASE_PROFILE`](crate::manifest::RELEASE_PROFILE), or
+    /// a workspace `Cargo.toml` carries a `[profile.release…]` table of
+    /// its own. Not escapable — the config file is the one place.
+    BuildProfile,
 }
 
 impl Lint {
@@ -57,6 +63,7 @@ impl Lint {
             Lint::SharedCounter => "shared-counter",
             Lint::Size => "size",
             Lint::UnusedPub => "unused-pub",
+            Lint::BuildProfile => "build-profile",
         }
     }
 
@@ -401,6 +408,110 @@ pub fn check_size(file: &str, src: &str, budget: usize) -> Option<Violation> {
             lines - budget
         ),
     })
+}
+
+/// What one line of a TOML file says, as far as the `build-profile`
+/// pass reads TOML: table headers and `key = value` lines, comments
+/// stripped. (No multi-line values, no dotted keys — a profile written
+/// that way reads as missing, which is the report wanted.)
+enum TomlLine<'a> {
+    Table(&'a str),
+    Key(&'a str, &'a str),
+}
+
+fn toml_lines(src: &str) -> impl Iterator<Item = (u32, TomlLine<'_>)> {
+    src.lines().zip(1u32..).filter_map(|(raw, n)| {
+        let mut in_str = false;
+        let end = raw
+            .char_indices()
+            .find(|&(_, c)| {
+                in_str ^= c == '"';
+                c == '#' && !in_str
+            })
+            .map_or(raw.len(), |(i, _)| i);
+        let line = raw[..end].trim();
+        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            return Some((n, TomlLine::Table(name.trim_matches(['[', ']', ' ']))));
+        }
+        let (k, v) = line.split_once('=')?;
+        Some((n, TomlLine::Key(k.trim(), v.trim())))
+    })
+}
+
+fn is_release_profile(table: &str) -> bool {
+    table == "profile.release" || table.starts_with("profile.release.")
+}
+
+fn profile_violation(file: &str, line: u32, msg: String) -> Violation {
+    Violation { file: file.to_string(), line, lint: Lint::BuildProfile, msg }
+}
+
+/// The `build-profile` pass over `.cargo/config.toml` (`src` is `None`
+/// when the file is missing): its `[profile.release]` must hold exactly
+/// `expected` — each key once, with that value — and have no sub-table.
+pub fn check_profile_config(
+    file: &str,
+    src: Option<&str>,
+    expected: &[(&str, &str)],
+) -> Vec<Violation> {
+    let report = |line: u32, msg: String| profile_violation(file, line, msg);
+    let Some(src) = src else {
+        return vec![report(
+            1,
+            "missing: both build roots (the workspace and `benchmark/`) take the release \
+             profile from this file and from nowhere else"
+                .to_string(),
+        )];
+    };
+    let mut out = Vec::new();
+    let mut table = "";
+    let mut seen: Vec<&str> = Vec::new();
+    for (line, l) in toml_lines(src) {
+        match l {
+            TomlLine::Table(t) => {
+                table = t;
+                if t.starts_with("profile.release.") {
+                    out.push(report(line, format!("`[{t}]`: a setting beyond the release profile")));
+                }
+            }
+            TomlLine::Key(k, v) if table == "profile.release" => {
+                match expected.iter().find(|(ek, _)| *ek == k) {
+                    Some((_, ev)) => {
+                        if *ev != v || seen.contains(&k) {
+                            out.push(report(line, format!("`{k} = {v}`: want `{k} = {ev}`, once")));
+                        }
+                        seen.push(k);
+                    }
+                    None => out.push(report(line, format!("`{k}`: a setting beyond the release profile"))),
+                }
+            }
+            TomlLine::Key(..) => {}
+        }
+    }
+    for (k, v) in expected.iter().filter(|(k, _)| !seen.contains(k)) {
+        out.push(report(1, format!("`[profile.release]` lacks `{k} = {v}`")));
+    }
+    out
+}
+
+/// The `build-profile` pass over a workspace `Cargo.toml`: a
+/// `[profile.release…]` table there is a second place the profile is
+/// written, and cargo merges the two — the build is no longer the one
+/// the config file describes.
+pub fn check_manifest_profile(file: &str, src: &str) -> Vec<Violation> {
+    toml_lines(src)
+        .filter_map(|(line, l)| match l {
+            TomlLine::Table(t) if is_release_profile(t) => Some(profile_violation(
+                file,
+                line,
+                format!(
+                    "`[{t}]` in a manifest: the release profile lives in `.cargo/config.toml`, \
+                     the one file both build roots read"
+                ),
+            )),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Marks which tokens are "active" (not under a `#[test]`- or
@@ -842,6 +953,31 @@ mod tests {
         assert_eq!(lines, [2, 3], "b and C; fields, restricted, re-exports, tests, escapes pass: {v:?}");
         assert!(v[0].msg.starts_with("`pub fn b`") && v[1].msg.starts_with("`pub const C`"));
         assert!(check_unused_pub("t.rs", src, &named(&["a", "b", "C", "D"])).is_empty());
+    }
+
+    #[test]
+    fn build_profile_wants_exactly_the_listed_keys() {
+        let want = [("lto", "\"fat\""), ("codegen-units", "1")];
+        let lines = |src: &str| {
+            let v = check_profile_config("c.toml", Some(src), &want);
+            assert!(v.iter().all(|v| v.lint == Lint::BuildProfile));
+            v.iter().map(|v| v.line).collect::<Vec<_>>()
+        };
+        let good = "# why\n[profile.release]\nlto = \"fat\" # whole program\ncodegen-units = 1\n\n[build]\njobs = 2\n";
+        assert!(lines(good).is_empty(), "comments and other tables are not the profile's business");
+        assert_eq!(check_profile_config("c.toml", None, &want).len(), 1, "missing file");
+        assert_eq!(lines("[profile.release]\nlto = \"thin\"\ncodegen-units = 1\n"), [2], "wrong value");
+        assert_eq!(lines("[profile.release]\nlto = \"fat\"\n"), [1], "missing key");
+        assert_eq!(lines(&format!("{good}[profile.release]\nlto = \"fat\"\n")), [9], "twice");
+        assert_eq!(lines("[profile.release]\nlto = \"fat\"\ncodegen-units = 1\ndebug = 1\n"), [4], "extra");
+        assert_eq!(lines("[profile.dev]\nlto = \"fat\"\ncodegen-units = 1\n"), [1, 1], "wrong table");
+        let sub = "[profile.release]\nlto = \"fat\"\ncodegen-units = 1\n[profile.release.package.x]\nopt-level = 3\n";
+        assert_eq!(lines(sub), [4], "a sub-table is one more setting");
+
+        let dev = "[package]\nname = \"x\"\n[profile.dev.package.x]\nopt-level = 2\n";
+        assert!(check_manifest_profile("Cargo.toml", dev).is_empty(), "not the image's profile");
+        let v = check_manifest_profile("Cargo.toml", "[package]\n[profile.release]\ndebug = true\n");
+        assert_eq!(v.iter().map(|v| (v.line, v.lint)).collect::<Vec<_>>(), [(2, Lint::BuildProfile)]);
     }
 
     #[test]

@@ -22,6 +22,18 @@ pub const HOT_FILES: &[&str] = &[
     "crates/uknetdev/src/csum.rs",
     // TSO cutting runs per super-segment on the host path.
     "crates/uknetdev/src/gso.rs",
+    // The device model: every frame crosses it twice (TX burst, RX
+    // inject/burst). Under `panic = "abort"` a panic here kills the
+    // image, so the rule is checked where the frames go.
+    "crates/uknetdev/src/virtio.rs",
+    "crates/uknetdev/src/ring.rs",
+    "crates/uknetdev/src/backend.rs",
+    // The per-frame codecs: one header parsed and one emitted per
+    // frame, per layer.
+    "crates/uknetstack/src/eth.rs",
+    "crates/uknetstack/src/ipv4.rs",
+    "crates/uknetstack/src/udp.rs",
+    "crates/uknetstack/src/icmp.rs",
     // Readiness cells: a watched socket publishes through one per
     // request, and a rising edge must not allocate (PR 18).
     "crates/ukevent/src/source.rs",
@@ -93,6 +105,23 @@ pub const NARROW_API_DIRS: &[&str] =
 /// The source tree that does *not* count as outside for them: their
 /// crate's own.
 pub const NARROW_API_HOME: &str = "crates/uknetstack/src/";
+
+/// Where the release profile lives (the `build-profile` lint): the one
+/// file both build roots — the workspace and the standalone
+/// `benchmark/` package — read.
+pub const PROFILE_CONFIG: &str = ".cargo/config.toml";
+
+/// What its `[profile.release]` holds, exactly: the settings every
+/// `ukperf` number since PR 24 was measured under. A build without
+/// them is ≈ 20 % slower on `tcp-rr` and says nothing about it.
+pub const RELEASE_PROFILE: &[(&str, &str)] =
+    &[("lto", "\"fat\""), ("codegen-units", "1"), ("panic", "\"abort\"")];
+
+/// Directories whose packages' manifests (one level down) may not carry
+/// a `[profile.release…]` table of their own, and neither may the root
+/// manifest. `benchmark/Cargo.toml` is not linted: it changes only in a
+/// PR whose subject is the benchmark.
+pub const PROFILE_FREE_MANIFEST_DIRS: &[&str] = &["crates", "third_party"];
 
 /// Directory names the reference scan of `unused-pub` skips (it does
 /// read `tests/`, `benches/` and `examples/`, which the lint walk

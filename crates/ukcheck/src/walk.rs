@@ -7,7 +7,8 @@ use std::path::{Path, PathBuf};
 use std::collections::HashSet;
 
 use crate::lints::{
-    check_shared_counter, check_size, check_source, check_unused_pub, identifiers, Violation,
+    check_manifest_profile, check_profile_config, check_shared_counter, check_size, check_source,
+    check_unused_pub, identifiers, Violation,
 };
 use crate::manifest;
 
@@ -35,7 +36,7 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
         ));
     }
     files.sort();
-    let mut out = Vec::new();
+    let mut out = check_build_profile(root)?;
     // `unused-pub`'s reference set, scanned on first need.
     let mut referenced: Option<HashSet<String>> = None;
     for f in files {
@@ -61,6 +62,32 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
         if let Some(budget) = manifest::size_budget(&rel) {
             out.extend(check_size(&rel, &src, budget));
         }
+    }
+    Ok(out)
+}
+
+/// The `build-profile` pass, for a root that has a manifest (a root
+/// that builds nothing has no profile to pin): the config file holds
+/// the release profile, and neither the root manifest nor any package
+/// one level under [`manifest::PROFILE_FREE_MANIFEST_DIRS`] holds
+/// another.
+fn check_build_profile(root: &Path) -> Result<Vec<Violation>, String> {
+    let root_manifest = root.join("Cargo.toml");
+    if !root_manifest.is_file() {
+        return Ok(Vec::new());
+    }
+    let config = fs::read_to_string(root.join(manifest::PROFILE_CONFIG)).ok();
+    let mut out =
+        check_profile_config(manifest::PROFILE_CONFIG, config.as_deref(), manifest::RELEASE_PROFILE);
+    let mut manifests = vec![root_manifest];
+    for dir in manifest::PROFILE_FREE_MANIFEST_DIRS {
+        let Ok(entries) = fs::read_dir(root.join(dir)) else { continue };
+        manifests.extend(entries.filter_map(|e| e.ok().map(|e| e.path().join("Cargo.toml"))));
+    }
+    manifests.sort();
+    for m in manifests.iter().filter(|m| m.is_file()) {
+        let src = fs::read_to_string(m).map_err(|e| format!("reading {}: {e}", m.display()))?;
+        out.extend(check_manifest_profile(&rel_label(root, m), &src));
     }
     Ok(out)
 }

@@ -139,6 +139,27 @@ fn a_pub_item_nobody_outside_names_is_reported() {
     assert_eq!(stdout.matches('[').count(), 2, "`used` passes, nothing else fires:\n{stdout}");
 }
 
+/// `build-profile`: a root with a manifest keeps its release profile in
+/// `.cargo/config.toml` — exactly `RELEASE_PROFILE` — and in no
+/// `Cargo.toml`.
+#[test]
+fn the_release_profile_is_pinned_in_one_file() {
+    let (code, stdout) = run_root("good/build_profile");
+    assert_eq!(code, 0, "three keys, comments, another table, a dev profile; output:\n{stdout}");
+
+    let (code, stdout) = run_root("bad/build_profile");
+    assert_eq!(code, 1, "output:\n{stdout}");
+    for want in [
+        ".cargo/config.toml:4: [build-profile] `lto = \"thin\"`: want `lto = \"fat\"`, once",
+        ".cargo/config.toml:6: [build-profile] `debug`: a setting beyond the release profile",
+        ".cargo/config.toml:1: [build-profile] `[profile.release]` lacks `panic = \"abort\"`",
+        "crates/app/Cargo.toml:6: [build-profile] `[profile.release.package.app]` in a manifest",
+    ] {
+        assert!(stdout.contains(want), "missing `{want}` in:\n{stdout}");
+    }
+    assert!(stdout.contains("ukcheck: 4 violation(s)"), "nothing else fires:\n{stdout}");
+}
+
 #[test]
 fn missing_file_is_a_usage_error_not_a_pass() {
     let (code, _) = run_hot("no/such/file.rs");

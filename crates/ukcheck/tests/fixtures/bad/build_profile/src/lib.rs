@@ -1,0 +1,1 @@
+//! Shipped code, so the walker has something to scan.

@@ -25,6 +25,8 @@ impl DescRing {
     /// # Panics
     ///
     /// Panics if `capacity` is zero or not a power of two.
+    // ukcheck: allow(alloc) -- the ring's slots are allocated once, when
+    // the device is configured; push and pop never grow them
     pub fn new(capacity: usize) -> Self {
         assert!(
             capacity.is_power_of_two() && capacity > 0,
@@ -73,11 +75,12 @@ impl DescRing {
         Ok(())
     }
 
-    /// Enqueues as many of `bufs` as fit, draining them from the front of
-    /// the vector. Returns how many were enqueued — the `cnt` in/out
+    /// Enqueues up to `max` of `bufs` — as many as fit — draining them
+    /// from the front of the vector; what the ring could not take stays
+    /// with the caller. Returns how many were enqueued — the `cnt` in/out
     /// semantics of `uk_netdev_tx_burst`.
-    pub fn push_burst(&mut self, bufs: &mut Vec<Netbuf>) -> usize {
-        let n = bufs.len().min(self.room());
+    pub fn push_burst(&mut self, bufs: &mut Vec<Netbuf>, max: usize) -> usize {
+        let n = max.min(bufs.len()).min(self.room());
         for nb in bufs.drain(..n) {
             self.slots.push_back(nb);
         }
@@ -94,9 +97,11 @@ impl DescRing {
 
     /// Dequeues up to `max` buffers into `out`; returns the count.
     pub fn pop_burst(&mut self, out: &mut Vec<Netbuf>, max: usize) -> usize {
-        let n = max.min(self.slots.len());
-        for _ in 0..n {
-            out.push(self.slots.pop_front().expect("len checked"));
+        let mut n = 0;
+        while n < max {
+            let Some(nb) = self.slots.pop_front() else { break };
+            out.push(nb);
+            n += 1;
         }
         self.dequeued += n as u64;
         n
@@ -148,10 +153,30 @@ mod tests {
         let mut r = DescRing::new(4);
         r.push(buf(0)).unwrap();
         let mut batch: Vec<Netbuf> = (1..=5).map(buf).collect();
-        let n = r.push_burst(&mut batch);
+        let n = r.push_burst(&mut batch, usize::MAX);
         assert_eq!(n, 3, "only 3 slots were free");
         assert_eq!(batch.len(), 2, "unsent buffers stay with the caller");
         assert!(r.is_full());
+    }
+
+    /// The two bounds of a burst — the caller's `max` and the ring's
+    /// room — and neither end of it can fail: a full ring takes
+    /// nothing, an empty one gives nothing.
+    #[test]
+    fn a_burst_is_bounded_by_max_and_by_room_and_never_fails() {
+        let mut r = DescRing::new(4);
+        let mut batch: Vec<Netbuf> = (0..6).map(buf).collect();
+        assert_eq!(r.push_burst(&mut batch, 2), 2, "max below room");
+        assert_eq!(r.push_burst(&mut batch, 3), 2, "room below max");
+        assert_eq!(r.push_burst(&mut batch, 3), 0, "full: every buffer stays with the caller");
+        assert_eq!(batch.iter().map(|nb| nb.payload()[0]).collect::<Vec<_>>(), [4, 5]);
+        assert_eq!(r.total_enqueued(), 4);
+
+        let mut out = Vec::new();
+        assert_eq!(r.pop_burst(&mut out, 8), 4, "max above what is queued");
+        assert_eq!(out.iter().map(|nb| nb.payload()[0]).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(r.pop_burst(&mut out, 8), 0, "empty");
+        assert_eq!(r.total_dequeued(), 4);
     }
 
     #[test]

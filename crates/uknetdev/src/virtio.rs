@@ -92,6 +92,8 @@ impl std::fmt::Debug for VirtioNet {
 
 impl VirtioNet {
     /// Creates an unconfigured device over the given backend kind.
+    // ukcheck: allow(alloc) -- device construction: empty queue tables,
+    // filled once by `configure`
     pub fn new(kind: VhostKind, tsc: &Tsc) -> Self {
         VirtioNet {
             tsc: tsc.clone(),
@@ -127,15 +129,12 @@ impl VirtioNet {
         // Ring full: stop, like a real NIC dropping; buffers that do
         // not fit stay with the caller (which owns their memory).
         let injected = q.ring.room().min(frames.len());
-        let mut stats = BurstStats {
+        let stats = BurstStats {
             frames: injected,
-            bytes: 0,
+            bytes: frames[..injected].iter().map(Netbuf::len).sum(),
             drops: frames.len() - injected,
         };
-        for f in frames.drain(..injected) {
-            stats.bytes += f.len();
-            q.ring.push(f).expect("room checked");
-        }
+        q.ring.push_burst(frames, injected);
         self.counts.add(row::rx_ring_drops, stats.drops as u64);
         if injected > 0 && q.irq_armed {
             // One interrupt, then the line stays off until re-armed.
@@ -223,6 +222,8 @@ impl NetDev for VirtioNet {
         }
     }
 
+    // ukcheck: allow(alloc) -- one-time set-up: the rings and done-lists
+    // every burst then runs over are built here
     fn configure(&mut self, conf: NetDevConf) -> Result<()> {
         let info = self.info();
         if conf.nr_rx_queues == 0
@@ -273,12 +274,13 @@ impl NetDev for VirtioNet {
             return Err(Errno::Inval);
         }
         let q = self.txqs.get_mut(queue as usize).ok_or(Errno::Inval)?;
-        // Alloc-free enqueue: clamp to ring room up front and drain the
-        // caller's buffers straight into the ring — no staging vector,
-        // nothing bounces back to the caller.
+        // Alloc-free enqueue: clamp to ring room up front, service the
+        // offloads where the frames lie, then drain exactly that prefix
+        // straight into the ring — no staging vector, nothing bounces
+        // back to the caller, and no enqueue that can fail.
         let sent = pkts.len().min(MAX_BURST).min(q.ring.room());
         let mut bytes = 0;
-        for mut nb in pkts.drain(..sent) {
+        for nb in &mut pkts[..sent] {
             if nb.gso_request().is_some() {
                 // VIRTIO_NET_F_HOST_TSO4: an oversized TCP frame whose
                 // MSS cutting — and per-frame checksum completion —
@@ -318,8 +320,9 @@ impl NetDev for VirtioNet {
                 );
             }
             bytes += nb.chain_len();
-            q.ring.push(nb).expect("room checked");
         }
+        let pushed = q.ring.push_burst(pkts, sent);
+        debug_assert_eq!(pushed, sent, "the clamp above is the ring's own");
         if sent > 0 {
             self.counts.add(row::tx_bursts, 1);
             self.counts.add(row::tx_frames, sent as u64);
@@ -521,6 +524,51 @@ mod tests {
         let st = dev.inject_rx(0, &mut pkts(300, 64)).unwrap();
         assert_eq!(st.frames, 256, "default ring holds 256 descriptors");
         assert_eq!(st.drops, 44, "overflow counted as drops");
+    }
+
+    /// A TX ring with no room takes nothing, charges nothing and leaves
+    /// every frame with the caller; with one slot it takes one. (The
+    /// device drains its TX ring inside `tx_burst`, so only a test can
+    /// leave descriptors in it.)
+    #[test]
+    fn full_tx_ring_returns_the_frames_it_could_not_take() {
+        let tsc = Tsc::new(cost::CPU_FREQ_HZ);
+        let mut dev = VirtioNet::new(VhostKind::VhostNet, &tsc);
+        dev.configure(NetDevConf { ring_size: 4, ..Default::default() }).unwrap();
+        assert_eq!(dev.txqs[0].ring.push_burst(&mut pkts(4, 64), 4), 4);
+
+        let mut batch = pkts(3, 64);
+        let st = dev.tx_burst(0, &mut batch).unwrap();
+        assert_eq!((st.sent(), st.stats.bytes, st.more_room), (0, 0, false));
+        assert_eq!(batch.len(), 3, "every frame stays with the caller");
+        assert_eq!(dev.backend().kicks(), 0, "nothing enqueued, nothing to kick for");
+        assert_eq!(dev.counts.get(row::tx_bursts), 0);
+
+        dev.txqs[0].ring.pop().unwrap();
+        let st = dev.tx_burst(0, &mut batch).unwrap();
+        assert_eq!((st.sent(), st.stats.bytes), (1, 64));
+        assert_eq!(batch.len(), 2, "the two that did not fit");
+        assert_eq!(dev.counts.get(row::tx_frames), 1);
+    }
+
+    /// An RX ring that is already full drops a whole injection: the
+    /// frames stay with the host side, every one is counted, and an
+    /// armed interrupt does not fire for frames nobody can receive.
+    #[test]
+    fn full_rx_ring_counts_its_drops() {
+        let (mut dev, _t) = mk(VhostKind::VhostUser);
+        dev.set_queue_mode(0, QueueMode::Interrupt).unwrap();
+        dev.rx_burst(0, &mut Vec::new(), 1).unwrap(); // dry: arms the IRQ
+        assert_eq!(dev.inject_rx(0, &mut pkts(256, 64)).unwrap().drops, 0);
+        assert_eq!(dev.irq_fires(0), 1);
+        dev.rxqs[0].irq_armed = true;
+
+        let mut late = pkts(3, 64);
+        let st = dev.inject_rx(0, &mut late).unwrap();
+        assert_eq!((st.frames, st.bytes, st.drops), (0, 0, 3));
+        assert_eq!(late.len(), 3, "dropped frames stay with the host side");
+        assert_eq!(dev.counts.get(row::rx_ring_drops), 3);
+        assert_eq!(dev.irq_fires(0), 1, "no interrupt for a burst that was dropped whole");
     }
 
     #[test]

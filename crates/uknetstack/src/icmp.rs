@@ -27,6 +27,8 @@ pub struct IcmpEcho {
 
 impl IcmpEcho {
     /// Serializes with a correct ICMP checksum.
+    // ukcheck: allow(alloc) -- the owned reference codec the tests hold
+    // `encode_echo_into` to, byte for byte; no stack path calls it
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(ICMP_ECHO_LEN + self.payload.len());
         b.push(if self.request { 8 } else { 0 });
@@ -51,6 +53,8 @@ impl IcmpEcho {
     /// Parses and checksum-verifies an echo message into an owned
     /// value (copies the payload; the stack's hot path uses the
     /// borrowing [`decode_echo`] instead).
+    // ukcheck: allow(alloc) -- the owned form, for tests: the payload
+    // copy is what `decode_echo` exists to avoid
     pub fn decode(data: &[u8]) -> Result<IcmpEcho> {
         let (request, ident, seq, payload) = decode_echo(data)?;
         Ok(IcmpEcho {

@@ -21,6 +21,8 @@ pub struct UdpHeader {
 impl UdpHeader {
     /// Serializes header + payload into a datagram with a valid checksum
     /// computed over the given IPv4 pseudo header.
+    // ukcheck: allow(alloc) -- the owned reference codec the tests hold
+    // `emit` to, byte for byte; no stack path calls it
     pub fn encode(&self, ip: &Ipv4Header, payload: &[u8]) -> Vec<u8> {
         let len = (UDP_HDR_LEN + payload.len()) as u16;
         let mut dgram = Vec::with_capacity(len as usize);
@@ -49,14 +51,19 @@ impl UdpHeader {
     ///
     /// # Panics
     ///
-    /// Panics if `nb` has less than [`UDP_HDR_LEN`] bytes of headroom,
-    /// or on [`Csum::Gso`]: nothing cuts a datagram.
+    /// Panics if `nb` has less than [`UDP_HDR_LEN`] bytes of headroom.
+    /// [`Csum::Gso`] is a caller bug (nothing cuts a datagram, and the
+    /// stack's `Offloads::csum()` never yields it): a debug build says
+    /// so, a release build emits the datagram as [`Csum::Offload`] —
+    /// whole, with a checksum the device completes.
     pub fn emit(&self, ip: &Ipv4Header, nb: &mut Netbuf, csum: Csum) {
+        debug_assert!(!matches!(csum, Csum::Gso { .. }), "UDP has no segmentation offload");
         let len = nb.len() as u16 + UDP_HDR_LEN as u16;
         let seed = match csum {
             Csum::Software => 0,
-            Csum::Offload => uknetdev::csum::fold_partial_sum(u64::from(ip.pseudo_header_sum())),
-            Csum::Gso { .. } => panic!("UDP has no segmentation offload"),
+            Csum::Offload | Csum::Gso { .. } => {
+                uknetdev::csum::fold_partial_sum(u64::from(ip.pseudo_header_sum()))
+            }
         };
         let hdr = nb.push_header_uninit(UDP_HDR_LEN);
         hdr[0..2].copy_from_slice(&self.src_port.to_be_bytes());
@@ -151,6 +158,27 @@ mod tests {
         let mut dgram = h.encode(&ip, &[1, 2, 3, 4]);
         dgram[9] ^= 0x55;
         assert_eq!(UdpHeader::decode(&ip, &dgram).unwrap_err(), Errno::Io);
+    }
+
+    /// `Csum::Gso` on a datagram is a caller bug: a debug build names
+    /// it; a release-shaped build, where a panic is the end of the
+    /// image, emits the datagram whole with a device-completed checksum
+    /// — exactly what `Csum::Offload` emits.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "UDP has no segmentation offload"))]
+    fn gso_on_a_datagram_is_emitted_as_offload() {
+        let h = UdpHeader { src_port: 7, dst_port: 9 };
+        let ip = ip(UDP_HDR_LEN + 5);
+        let emit = |csum| {
+            let mut nb = Netbuf::alloc(256, UDP_HDR_LEN);
+            nb.append(b"hello");
+            h.emit(&ip, &mut nb, csum);
+            nb
+        };
+        let (gso, offload) = (emit(Csum::Gso { mss: 1460 }), emit(Csum::Offload));
+        assert_eq!(gso.payload(), offload.payload());
+        assert_eq!(gso.csum_request(), offload.csum_request());
+        assert!(gso.csum_request().is_some() && gso.gso_request().is_none());
     }
 
     #[test]
