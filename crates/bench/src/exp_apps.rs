@@ -10,19 +10,36 @@
 use std::time::Instant;
 
 use ukalloc::AllocBackend;
-use ukapps::loadgen::RespOp;
+use ukapps::httpd::Httpd;
+use ukapps::kvstore::KvStore;
+use ukapps::loadgen::{LoadGen, RespOp};
 use ukapps::sqldb::SqlDb;
 use ukbaselines::{EnvModel, ExecEnv, Workload};
 use uknetdev::backend::VhostKind;
 use ukplat::cost;
 
-use crate::netharness::{run_http_bench, run_resp_bench};
+use crate::netharness::{run_bench, Throughput};
 use crate::util::fmt_rate;
 
 /// Request counts tuned for harness runtime; raise for more precision.
 const RESP_REQUESTS: u64 = 20_000;
 const HTTP_REQUESTS: u64 = 6_000;
 const PER_ALLOC_REQUESTS: u64 = 5_000;
+
+/// The nginx/wrk scenario: 8 connections, 4 requests in flight on each.
+fn nginx(alloc: AllocBackend, backend: VhostKind, requests: u64) -> Throughput {
+    run_bench(alloc, backend, 80, Httpd::new, Httpd::poll, |s, to| {
+        LoadGen::http(s, to, "/index.html", 8, 4, requests)
+    })
+}
+
+/// The Redis/redis-benchmark scenario: 8 connections, pipelining 16,
+/// over 1 000 keys.
+fn redis(alloc: AllocBackend, backend: VhostKind, op: RespOp, requests: u64) -> Throughput {
+    run_bench(alloc, backend, 6379, KvStore::new, KvStore::poll, |s, to| {
+        LoadGen::resp(s, to, op, 8, 16, 1_000, requests)
+    })
+}
 
 fn env_rows(base_ns: f64, w: Workload) -> String {
     let mut rows: Vec<(String, f64)> = Vec::new();
@@ -48,14 +65,7 @@ pub fn fig12_redis_throughput() -> String {
         (RespOp::Get, Workload::RedisGet, "GET"),
         (RespOp::Set, Workload::RedisSet, "SET"),
     ] {
-        let t = run_resp_bench(
-            AllocBackend::Mimalloc,
-            VhostKind::VhostNet,
-            op,
-            8,
-            16,
-            RESP_REQUESTS,
-        );
+        let t = redis(AllocBackend::Mimalloc, VhostKind::VhostNet, op, RESP_REQUESTS);
         let base_ns = t.elapsed_ns as f64 / t.requests.max(1) as f64;
         out.push_str(&format!(
             "\n[{label}] Unikraft measured: {} ({} reqs, {:.0} ns/req)\n",
@@ -71,13 +81,7 @@ pub fn fig12_redis_throughput() -> String {
 
 /// Figure 13: nginx throughput across platforms.
 pub fn fig13_nginx_throughput() -> String {
-    let t = run_http_bench(
-        AllocBackend::Mimalloc,
-        VhostKind::VhostNet,
-        8,
-        4,
-        HTTP_REQUESTS,
-    );
+    let t = nginx(AllocBackend::Mimalloc, VhostKind::VhostNet, HTTP_REQUESTS);
     let base_ns = t.elapsed_ns as f64 / t.requests.max(1) as f64;
     let mut out = String::new();
     out.push_str("Figure 13: nginx throughput (wrk-style, static 612B page)\n");
@@ -102,7 +106,7 @@ pub fn fig15_nginx_per_allocator() -> String {
         AllocBackend::Buddy,
         AllocBackend::TinyAlloc,
     ] {
-        let t = run_http_bench(b, VhostKind::VhostUser, 8, 4, PER_ALLOC_REQUESTS);
+        let t = nginx(b, VhostKind::VhostUser, PER_ALLOC_REQUESTS);
         out.push_str(&format!("{:<14} {:>12}\n", b.name(), fmt_rate(t.rate())));
     }
     out.push_str("shape check: mimalloc/TLSF/buddy close; tinyalloc behind\n");
@@ -206,8 +210,8 @@ pub fn fig18_redis_per_allocator() -> String {
         AllocBackend::Buddy,
         AllocBackend::TinyAlloc,
     ] {
-        let g = run_resp_bench(b, VhostKind::VhostUser, RespOp::Get, 8, 16, PER_ALLOC_REQUESTS);
-        let s = run_resp_bench(b, VhostKind::VhostUser, RespOp::Set, 8, 16, PER_ALLOC_REQUESTS);
+        let g = redis(b, VhostKind::VhostUser, RespOp::Get, PER_ALLOC_REQUESTS);
+        let s = redis(b, VhostKind::VhostUser, RespOp::Set, PER_ALLOC_REQUESTS);
         out.push_str(&format!(
             "{:<14} {:>12} {:>12}\n",
             b.name(),

@@ -8,12 +8,10 @@
 use ukalloc::{AllocBackend, Allocator};
 use uknetdev::backend::VhostKind;
 use uknetstack::testnet::{node_on, Network};
-use uknetstack::{Endpoint, Ipv4Addr};
+use uknetstack::{Endpoint, Ipv4Addr, NetStack};
 use ukplat::time::{Stopwatch, Tsc};
 
-use ukapps::httpd::Httpd;
-use ukapps::kvstore::KvStore;
-use ukapps::loadgen::{HttpLoadGen, RespLoadGen, RespOp};
+use ukapps::loadgen::LoadGen;
 
 /// Throughput result.
 #[derive(Debug, Clone, Copy)]
@@ -32,14 +30,6 @@ impl Throughput {
         }
         self.requests as f64 * 1e9 / self.elapsed_ns as f64
     }
-}
-
-/// The wire, on the clock the devices' cost model advances: the time a
-/// run is charged is also the time its TCP timers see.
-fn mk_net(tsc: &Tsc) -> Network {
-    let mut net = Network::new();
-    net.set_clock(tsc);
-    net
 }
 
 fn mk_alloc(backend: AllocBackend) -> Box<dyn Allocator> {
@@ -64,76 +54,38 @@ fn mk_alloc(backend: AllocBackend) -> Box<dyn Allocator> {
     a
 }
 
-/// Runs the nginx/wrk scenario; returns throughput.
-pub fn run_http_bench(
+/// Runs one app server against a load generator until the generator's
+/// target completes (or a thousand turns pass with no reply); returns
+/// throughput. `start` puts the server on `port` of the server node,
+/// `poll` is one turn of its loop, and `load` opens the generator's
+/// connections from the client node to that port.
+pub fn run_bench<S>(
     alloc: AllocBackend,
     backend: VhostKind,
-    nconns: usize,
-    pipeline: usize,
-    requests: u64,
+    port: u16,
+    start: fn(&mut NetStack, u16, Box<dyn Allocator>) -> ukplat::Result<S>,
+    poll: fn(&mut S, &mut NetStack) -> u64,
+    load: impl FnOnce(&mut NetStack, Endpoint) -> ukplat::Result<LoadGen>,
 ) -> Throughput {
+    // The wire, on the clock the devices' cost model advances: the time
+    // a run is charged is also the time its TCP timers see.
     let tsc = Tsc::new(ukplat::cost::CPU_FREQ_HZ);
-    let mut net = mk_net(&tsc);
+    let mut net = Network::new();
+    net.set_clock(&tsc);
     let ci = net.attach(node_on(1, backend, &tsc, |_| {}));
     let mut server_stack = node_on(2, backend, &tsc, |_| {});
-    let mut httpd = Httpd::new(&mut server_stack, 80, mk_alloc(alloc)).expect("httpd");
+    let mut server = start(&mut server_stack, port, mk_alloc(alloc)).expect("server");
     let si = net.attach(server_stack);
 
-    let target = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 80);
-    let mut gen = HttpLoadGen::new(
-        net.stack(ci),
-        target,
-        "/index.html",
-        nconns,
-        pipeline,
-        requests,
-    )
-    .expect("loadgen");
+    let target = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), port);
+    let mut gen = load(net.stack(ci), target).expect("loadgen");
 
     let sw = Stopwatch::start(&tsc);
     let mut idle_rounds = 0;
     while !gen.done() && idle_rounds < 1_000 {
-        let mut progress = 0;
-        progress += gen.poll(net.stack(ci));
+        let mut progress = gen.poll(net.stack(ci));
         net.step();
-        httpd.poll(net.stack(si));
-        net.step();
-        progress += gen.poll(net.stack(ci));
-        idle_rounds = if progress == 0 { idle_rounds + 1 } else { 0 };
-    }
-    Throughput {
-        requests: gen.completed(),
-        elapsed_ns: sw.elapsed_ns(),
-    }
-}
-
-/// Runs the Redis/redis-benchmark scenario; returns throughput.
-pub fn run_resp_bench(
-    alloc: AllocBackend,
-    backend: VhostKind,
-    op: RespOp,
-    nconns: usize,
-    pipeline: usize,
-    requests: u64,
-) -> Throughput {
-    let tsc = Tsc::new(ukplat::cost::CPU_FREQ_HZ);
-    let mut net = mk_net(&tsc);
-    let ci = net.attach(node_on(1, backend, &tsc, |_| {}));
-    let mut server_stack = node_on(2, backend, &tsc, |_| {});
-    let mut kv = KvStore::new(&mut server_stack, 6379, mk_alloc(alloc)).expect("kvstore");
-    let si = net.attach(server_stack);
-
-    let target = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 6379);
-    let mut gen = RespLoadGen::new(net.stack(ci), target, op, nconns, pipeline, 1_000, requests)
-        .expect("loadgen");
-
-    let sw = Stopwatch::start(&tsc);
-    let mut idle_rounds = 0;
-    while !gen.done() && idle_rounds < 1_000 {
-        let mut progress = 0;
-        progress += gen.poll(net.stack(ci));
-        net.step();
-        kv.poll(net.stack(si));
+        poll(&mut server, net.stack(si));
         net.step();
         progress += gen.poll(net.stack(ci));
         idle_rounds = if progress == 0 { idle_rounds + 1 } else { 0 };
@@ -147,24 +99,24 @@ pub fn run_resp_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ukapps::httpd::Httpd;
+    use ukapps::kvstore::KvStore;
+    use ukapps::loadgen::RespOp;
 
     #[test]
     fn http_bench_completes_requests() {
-        let t = run_http_bench(AllocBackend::Tlsf, VhostKind::VhostUser, 4, 2, 200);
+        let t = run_bench(AllocBackend::Tlsf, VhostKind::VhostUser, 80, Httpd::new, Httpd::poll, |s, to| {
+            LoadGen::http(s, to, "/index.html", 4, 2, 200)
+        });
         assert_eq!(t.requests, 200);
         assert!(t.rate() > 0.0);
     }
 
     #[test]
     fn resp_bench_completes_requests() {
-        let t = run_resp_bench(
-            AllocBackend::Mimalloc,
-            VhostKind::VhostUser,
-            RespOp::Set,
-            4,
-            4,
-            200,
-        );
+        let t = run_bench(AllocBackend::Mimalloc, VhostKind::VhostUser, 6379, KvStore::new, KvStore::poll, |s, to| {
+            LoadGen::resp(s, to, RespOp::Set, 4, 4, 1_000, 200)
+        });
         assert_eq!(t.requests, 200);
     }
 }

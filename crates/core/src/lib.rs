@@ -6,13 +6,13 @@
 //! produces a [`Unikernel`] that boots through `ukboot`'s staged
 //! sequence and exposes the selected subsystems to the application.
 //!
-//! It also hosts [`ukdebug`], the debugging micro-library of §7
-//! (log levels, tracepoints, configurable assertions).
+//! It also hosts [`ukdebug`], the levelled logging of §7's debugging
+//! micro-library (the `log_*!` macros and their per-module filter).
 
 pub mod posix;
 pub mod ukdebug;
 pub mod unikernel;
 
 pub use posix::PosixEnv;
-pub use ukdebug::{LogLevel, Logger, TraceBuffer};
+pub use ukdebug::LogLevel;
 pub use unikernel::{Unikernel, UnikernelBuilder, UnikernelConfig};

@@ -1,11 +1,13 @@
-//! `ukdebug`: log levels, tracepoints and configurable assertions (§7).
+//! `ukdebug`: log levels (§7).
 //!
 //! "Unikraft comes with a ukdebug micro-library that enables printing of
 //! key messages at different (and configurable) levels of criticality…
 //! \[and\] a trace point system also available through ukdebug's menu
-//! options."
+//! options." The levelled messages are here: the `log_*!` macros and
+//! their process-wide, per-module filter. The trace points are
+//! `uktrace`'s typed tracepoints and `TraceRing`; assertions are Rust's
+//! own `assert!`/`debug_assert!`.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Mutex;
 
@@ -179,149 +181,9 @@ macro_rules! log_debug {
     };
 }
 
-/// The configurable logger.
-#[derive(Debug)]
-pub struct Logger {
-    level: LogLevel,
-    entries: Vec<(LogLevel, String)>,
-    /// Whether `UK_ASSERT`-style assertions are enabled.
-    assertions: bool,
-}
-
-impl Logger {
-    /// Creates a logger that keeps `Info` and above.
-    pub fn new() -> Self {
-        Self::with_level(LogLevel::Info)
-    }
-
-    /// Creates a logger with an explicit threshold.
-    pub fn with_level(level: LogLevel) -> Self {
-        Logger {
-            level,
-            entries: Vec::new(),
-            assertions: true,
-        }
-    }
-
-    /// Changes the threshold.
-    pub fn set_level(&mut self, level: LogLevel) {
-        self.level = level;
-    }
-
-    /// Enables/disables assertions (Kconfig switch).
-    pub fn set_assertions(&mut self, on: bool) {
-        self.assertions = on;
-    }
-
-    /// Logs a message if it passes the threshold.
-    pub fn log(&mut self, level: LogLevel, msg: impl Into<String>) {
-        if level <= self.level {
-            self.entries.push((level, msg.into()));
-        }
-    }
-
-    /// `UK_ASSERT`: panics on a violated condition when assertions are
-    /// enabled; records a critical log entry otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cond` is false and assertions are enabled.
-    pub fn uk_assert(&mut self, cond: bool, msg: &str) {
-        if !cond {
-            if self.assertions {
-                panic!("UK_ASSERT failed: {msg}");
-            }
-            self.entries.push((LogLevel::Crit, format!("assert: {msg}")));
-        }
-    }
-
-    /// Recorded entries.
-    pub fn entries(&self) -> &[(LogLevel, String)] {
-        &self.entries
-    }
-}
-
-impl Default for Logger {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A bounded tracepoint ring buffer.
-#[derive(Debug)]
-pub struct TraceBuffer {
-    ring: VecDeque<(u64, &'static str)>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl TraceBuffer {
-    /// Creates a buffer holding `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        TraceBuffer {
-            ring: VecDeque::with_capacity(capacity),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Records a tracepoint at `tsc` cycles.
-    pub fn trace(&mut self, tsc: u64, point: &'static str) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back((tsc, point));
-    }
-
-    /// Events currently buffered, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(u64, &'static str)> {
-        self.ring.iter()
-    }
-
-    /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn level_threshold_filters() {
-        let mut l = Logger::with_level(LogLevel::Warn);
-        l.log(LogLevel::Debug, "hidden");
-        l.log(LogLevel::Error, "shown");
-        assert_eq!(l.entries().len(), 1);
-        assert_eq!(l.entries()[0].1, "shown");
-    }
-
-    #[test]
-    #[should_panic(expected = "UK_ASSERT failed")]
-    fn assert_panics_when_enabled() {
-        let mut l = Logger::new();
-        l.uk_assert(false, "boom");
-    }
-
-    #[test]
-    fn assert_logs_when_disabled() {
-        let mut l = Logger::new();
-        l.set_assertions(false);
-        l.uk_assert(false, "soft");
-        assert_eq!(l.entries()[0].0, LogLevel::Crit);
-    }
 
     #[test]
     fn module_filter_longest_prefix_wins() {
@@ -355,16 +217,5 @@ mod tests {
         // The macros route through the same sink without panicking.
         crate::log_debug!("suppressed by default: {}", 42);
         crate::log_warn!("filter smoke test (expected in test output)");
-    }
-
-    #[test]
-    fn trace_ring_overwrites_oldest() {
-        let mut t = TraceBuffer::new(2);
-        t.trace(1, "a");
-        t.trace(2, "b");
-        t.trace(3, "c");
-        let pts: Vec<_> = t.events().map(|(_, p)| *p).collect();
-        assert_eq!(pts, ["b", "c"]);
-        assert_eq!(t.dropped(), 1);
     }
 }

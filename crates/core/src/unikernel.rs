@@ -20,7 +20,6 @@ use uksyscall::shim::{SyscallMode, SyscallShim};
 use uksyscall::UNIKRAFT_SUPPORTED;
 use ukvfs::{RamFs, Vfs};
 
-use crate::ukdebug::Logger;
 
 /// Network selection for a build.
 #[derive(Debug, Clone, Copy)]
@@ -181,7 +180,6 @@ pub struct Unikernel {
     raw_net: Option<VirtioNet>,
     sched: Option<Box<dyn Scheduler>>,
     shim: SyscallShim,
-    logger: Logger,
     report: Option<BootReport>,
 }
 
@@ -208,7 +206,6 @@ impl Unikernel {
             raw_net: None,
             sched: None,
             shim,
-            logger: Logger::new(),
             report: None,
         }
     }
@@ -377,11 +374,6 @@ impl Unikernel {
     /// The heap allocator id.
     pub fn heap_id(&self) -> Option<AllocId> {
         self.heap
-    }
-
-    /// The debug logger.
-    pub fn logger_mut(&mut self) -> &mut Logger {
-        &mut self.logger
     }
 
     /// The platform TSC.

@@ -5,19 +5,21 @@
 //! Figure 12 runs 30 connections, 100k requests, pipelining 16). Every
 //! SET takes a block from a `ukalloc` backend and frees its key's old
 //! one, so allocator choice affects SET throughput as in Figure 18.
+//! `KvStore` is the RESP protocol over the crate's one event-driven
+//! connection loop (the `serve` module, shared with `Httpd`).
 //!
 //! **What a command costs.** A command is read where it landed and
 //! answered where it leaves: each connection keeps one receive buffer
-//! and one send [`Backlog`]; `tcp_recv_into` appends to the first,
+//! and one send backlog; `tcp_recv_into` appends to the first,
 //! [`resp::command`] borrows the command's words from it, the reply is
 //! written straight onto the second, and the unconsumed remainder moves
-//! down once per poll, not once per command. From the host heap, per
-//! command: GET, PING, DEL and a SET that keeps its value's length take
-//! nothing; a SET that changes the length takes one exact-sized value
-//! (no capacity is kept back, so resident memory is the bytes stored);
-//! the first SET of a key also copies the key. The `ukalloc` backend is
-//! charged one `malloc` per SET and one `free` per overwrite or DEL,
-//! whatever the host heap did.
+//! down once per readiness event, not once per command. From the host
+//! heap, per command: GET, PING, DEL and a SET that keeps its value's
+//! length take nothing; a SET that changes the length takes one
+//! exact-sized value (no capacity is kept back, so resident memory is
+//! the bytes stored); the first SET of a key also copies the key. The
+//! `ukalloc` backend is charged one `malloc` per SET and one `free` per
+//! overwrite or DEL, whatever the host heap did.
 //!
 //! A peer that sends what can never be a command — a count above
 //! [`resp::MAX_ARGS`], a bulk above [`resp::MAX_BULK`], a line that is
@@ -28,39 +30,17 @@
 use std::collections::HashMap;
 
 use ukalloc::{Allocator, GpAddr};
-use uknetstack::stack::{NetStack, SocketHandle};
+use ukevent::EventQueue;
+use uknetstack::stack::NetStack;
 use ukplat::Result;
 
 use crate::resp::{self, Cmd, Parse};
-use crate::{recv_append, Backlog};
+use crate::serve::{Protocol, Served, Server};
 
 struct StoredValue {
     /// Exactly the value: no spare capacity.
     bytes: Box<[u8]>,
     gp: GpAddr,
-}
-
-struct Conn {
-    sock: SocketHandle,
-    /// Received bytes that do not yet form a whole command.
-    buf: Vec<u8>,
-    /// Replies the socket has not yet accepted (partial writes).
-    out: Backlog,
-    /// A protocol error was answered: close once `out` is flushed.
-    closing: bool,
-}
-
-impl Conn {
-    // ukcheck: allow(alloc) -- accept: a new connection's buffers, empty
-    // until its first command and reply size them
-    fn new(sock: SocketHandle) -> Self {
-        Conn {
-            sock,
-            buf: Vec::new(),
-            out: Backlog::default(),
-            closing: false,
-        }
-    }
 }
 
 /// The keys, their values and what was done to them — everything a
@@ -75,8 +55,7 @@ struct Store {
 
 /// The key-value server.
 pub struct KvStore {
-    listener: SocketHandle,
-    conns: Vec<Conn>,
+    server: Server,
     store: Store,
 }
 
@@ -146,21 +125,33 @@ impl Store {
     }
 }
 
+impl Protocol for Store {
+    fn serve(&mut self, input: &[u8], out: &mut Vec<u8>) -> Served {
+        match resp::command(input) {
+            Parse::Complete(cmd, used) => {
+                self.exec(&cmd, out);
+                Served { used, ..Served::MORE }
+            }
+            Parse::Incomplete => Served::MORE,
+            Parse::Malformed => {
+                // Nothing after this can be framed: answer, discard the
+                // rest, hang up once flushed.
+                self.errors += 1;
+                resp::put_error(out, "ERR protocol");
+                Served { used: input.len(), close: true, stream: 0 }
+            }
+        }
+    }
+}
+
 impl KvStore {
-    /// Starts listening on `port`.
-    // ukcheck: allow(alloc) -- constructor: the empty tables
+    /// Starts listening on `port`; the listener joins the server's
+    /// event queue immediately.
+    // ukcheck: allow(alloc) -- constructor: the empty table
     pub fn new(stack: &mut NetStack, port: u16, alloc: Box<dyn Allocator>) -> Result<Self> {
-        let listener = stack.tcp_listen(port)?;
         Ok(KvStore {
-            listener,
-            conns: Vec::new(),
-            store: Store {
-                data: HashMap::new(),
-                alloc,
-                gets: 0,
-                sets: 0,
-                errors: 0,
-            },
+            server: Server::new(stack, port)?,
+            store: Store { data: HashMap::new(), alloc, gets: 0, sets: 0, errors: 0 },
         })
     }
 
@@ -191,59 +182,20 @@ impl KvStore {
 
     /// Live connections.
     pub fn conn_count(&self) -> usize {
-        self.conns.len()
+        self.server.conn_count()
     }
 
-    /// Accepts connections and serves every complete pipelined command.
-    /// Returns responses written this call.
+    /// The server's event queue (scheduler glue parks/wakes through it).
+    pub fn event_queue_mut(&mut self) -> &mut EventQueue {
+        self.server.event_queue_mut()
+    }
+
+    /// One turn of the event loop: accepts, and answers every complete
+    /// pipelined command on the connections the queue reports, then
+    /// sends all their replies as one TX burst. Returns the commands
+    /// answered this call.
     pub fn poll(&mut self, stack: &mut NetStack) -> u64 {
-        while let Some(sock) = stack.tcp_accept(self.listener) {
-            self.conns.push(Conn::new(sock));
-        }
-        let mut served = 0;
-        let store = &mut self.store;
-        self.conns.retain_mut(|conn| {
-            // Read: append whatever arrived to the bytes left over.
-            let got = recv_append(stack, conn.sock, &mut conn.buf);
-            // Serve: a cursor walks the whole commands; replies go
-            // straight onto the backlog.
-            let mut at = 0;
-            while !conn.closing {
-                match resp::command(&conn.buf[at..]) {
-                    Parse::Complete(cmd, used) => {
-                        store.exec(&cmd, conn.out.tail());
-                        at += used;
-                    }
-                    Parse::Incomplete => break,
-                    Parse::Malformed => {
-                        // Nothing after this can be framed: answer,
-                        // discard the rest, hang up once flushed.
-                        store.errors += 1;
-                        resp::put_error(conn.out.tail(), "ERR protocol");
-                        conn.closing = true;
-                        at = conn.buf.len();
-                    }
-                }
-                served += 1;
-            }
-            // Compact: the partial command at the end moves down once.
-            conn.buf.drain(..at);
-            // Push as much as the socket's send buffer accepts; the
-            // rest stays queued behind any earlier partial write.
-            let alive = conn.out.flush(stack, conn.sock, NetStack::tcp_send);
-            // Done with a connection once nothing is owed to it: it
-            // failed, its protocol error is flushed, or the peer closed
-            // and every byte it sent has been read (a command the FIN
-            // cut short can never complete).
-            let done = !alive
-                || conn.out.is_empty()
-                    && (conn.closing || got == 0 && stack.tcp_peer_closed(conn.sock));
-            if done {
-                let _ = stack.tcp_close(conn.sock);
-            }
-            !done
-        });
-        served
+        self.server.poll(stack, &mut self.store)
     }
 }
 
@@ -258,70 +210,16 @@ pub fn resp_command(words: &[&[u8]]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::rig::{mk_alloc, Rig};
     use ukalloc::AllocBackend;
-    use uknetstack::testnet::{self, node, Network};
-    use uknetstack::{Endpoint, Ipv4Addr};
-    use ukplat::time::Tsc;
+    use uknetstack::testnet::node;
 
-    fn mk_alloc() -> Box<dyn Allocator> {
-        let mut a = AllocBackend::Mimalloc.instantiate();
-        a.init(1 << 22, 16 << 20).unwrap();
-        a
-    }
-
-    /// A client stack, a server stack with a `KvStore` on it, and one
-    /// established connection between them.
-    struct Rig {
-        net: Network,
-        ci: usize,
-        si: usize,
-        kv: KvStore,
-        conn: SocketHandle,
-        clock: Tsc,
-    }
-
-    impl Rig {
-        fn new() -> Self {
-            let mut net = Network::new();
-            let clock = Tsc::new(3_600_000_000);
-            net.set_clock(&clock);
-            let ci = net.attach(node(1, |_| {}));
-            let mut ss = node(2, |_| {});
-            let kv = KvStore::new(&mut ss, 6379, mk_alloc()).unwrap();
-            let si = net.attach(ss);
-            let conn = net
-                .stack(ci)
-                .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 6379))
-                .unwrap();
-            let mut rig = Rig { net, ci, si, kv, conn, clock };
-            rig.turns(4);
-            assert_eq!(rig.kv.conn_count(), 1);
-            rig
-        }
-
-        fn turns(&mut self, n: usize) {
-            for _ in 0..n {
-                self.net.run_until_quiet(16);
-                self.kv.poll(self.net.stack(self.si));
-            }
-            self.net.run_until_quiet(16);
-        }
-
-        /// Connections on the server's stack once a closed one's short
-        /// linger (10 ms) has run out.
-        fn server_conns_after_linger(&mut self) -> usize {
-            self.clock.advance_ns(50_000_000);
-            self.net.step();
-            self.net.stack(self.si).tcp_conn_count()
-        }
-
-        fn send(&mut self, bytes: &[u8]) {
-            self.net.stack(self.ci).tcp_send(self.conn, bytes).unwrap();
-        }
-
-        fn recv(&mut self) -> Vec<u8> {
-            testnet::tcp_recv(self.net.stack(self.ci), self.conn, 64 * 1024).unwrap()
-        }
+    /// A client connected to a `KvStore` on port 6379.
+    fn rig() -> Rig<KvStore> {
+        let start = |s: &mut NetStack| KvStore::new(s, 6379, mk_alloc(AllocBackend::Mimalloc)).unwrap();
+        let rig = Rig::new(6379, start, KvStore::poll);
+        assert_eq!(rig.server.conn_count(), 1);
+        rig
     }
 
     fn exec(kv: &mut KvStore, words: &[&[u8]]) -> Vec<u8> {
@@ -336,7 +234,7 @@ mod tests {
 
     #[test]
     fn pipelined_get_set_over_network() {
-        let mut rig = Rig::new();
+        let mut rig = rig();
         // Pipeline: SET a 1, SET b 2, GET a, GET missing.
         let mut pipeline = Vec::new();
         pipeline.extend(resp_command(&[b"SET", b"a", b"1"]));
@@ -347,14 +245,45 @@ mod tests {
         rig.turns(6);
         let text = String::from_utf8(rig.recv()).unwrap();
         assert_eq!(text, "+OK\r\n+OK\r\n$1\r\n1\r\n$-1\r\n");
-        assert_eq!(rig.kv.sets(), 2);
-        assert_eq!(rig.kv.gets(), 2);
+        assert_eq!(rig.server.sets(), 2);
+        assert_eq!(rig.server.gets(), 2);
+    }
+
+    /// One turn that answers pipelines on several connections hands the
+    /// device all their replies in one TX burst, not one per connection.
+    #[test]
+    fn one_turn_sends_every_connections_replies_as_one_burst() {
+        let mut rig = rig();
+        let mut conns = vec![rig.conn];
+        for _ in 0..3 {
+            conns.push(rig.net.stack(rig.ci).tcp_connect(rig.ep).unwrap());
+        }
+        rig.turns(4);
+        assert_eq!(rig.server.conn_count(), 4);
+        let (mut pipeline, mut want) = (Vec::new(), Vec::new());
+        for i in 0..4u8 {
+            pipeline.extend(resp_command(&[b"SET", &[b'k', i], &[i; 40]]));
+            pipeline.extend(resp_command(&[b"GET", &[b'k', i]]));
+            resp::put_simple(&mut want, "OK");
+            resp::put_bulk(&mut want, &[i; 40]);
+        }
+        for &conn in &conns {
+            rig.send_on(rig.ci, conn, &pipeline).unwrap();
+        }
+        rig.net.run_until_quiet(16);
+        let bursts = rig.server_stack().stats().tx_bursts;
+        assert_eq!(rig.poll(), 4 * 8, "every command answered in this turn");
+        assert_eq!(rig.server_stack().stats().tx_bursts - bursts, 1);
+        rig.net.run_until_quiet(16);
+        for &conn in &conns {
+            assert_eq!(rig.recv_on(rig.ci, conn, 64 * 1024), want);
+        }
     }
 
     #[test]
     fn set_overwrite_frees_old_allocation() {
         let mut ss = node(2, |_| {});
-        let mut kv = KvStore::new(&mut ss, 6379, mk_alloc()).unwrap();
+        let mut kv = KvStore::new(&mut ss, 6379, mk_alloc(AllocBackend::Mimalloc)).unwrap();
         for v in [&b"first"[..], b"second", b"third!"] {
             assert_eq!(exec(&mut kv, &[b"SET", b"k", v]), b"+OK\r\n");
             let mut want = Vec::new();
@@ -373,7 +302,7 @@ mod tests {
     #[test]
     fn unknown_and_empty_commands_are_errors() {
         let mut ss = node(2, |_| {});
-        let mut kv = KvStore::new(&mut ss, 6379, mk_alloc()).unwrap();
+        let mut kv = KvStore::new(&mut ss, 6379, mk_alloc(AllocBackend::Mimalloc)).unwrap();
         assert_eq!(exec(&mut kv, &[b"FLUSHALL"]), b"-ERR unknown command\r\n");
         assert_eq!(exec(&mut kv, &[b"GET", b"a", b"b", b"c"]), b"-ERR unknown command\r\n");
         assert_eq!(exec(&mut kv, &[]), b"-ERR protocol\r\n");
@@ -394,7 +323,7 @@ mod tests {
             b"*abc\r\n",
             b"*1\r\n$1048577\r\n",
         ] {
-            let mut rig = Rig::new();
+            let mut rig = rig();
             // A good command first: it is answered before the hang-up.
             let mut bytes = resp_command(&[b"PING"]);
             bytes.extend_from_slice(bad);
@@ -403,21 +332,21 @@ mod tests {
             rig.turns(4);
             let what = String::from_utf8_lossy(bad).into_owned();
             assert_eq!(rig.recv(), b"+PONG\r\n-ERR protocol\r\n", "{what}");
-            assert_eq!(rig.kv.errors(), 1, "{what}");
-            assert_eq!(rig.kv.conn_count(), 0, "{what}: hung up");
+            assert_eq!(rig.server.errors(), 1, "{what}");
+            assert_eq!(rig.server.conn_count(), 0, "{what}: hung up");
             assert!(rig.net.stack(rig.ci).tcp_peer_closed(rig.conn), "{what}: FIN sent");
         }
     }
 
     #[test]
     fn a_closed_peer_is_reaped() {
-        let mut rig = Rig::new();
+        let mut rig = rig();
         rig.send(&resp_command(&[b"SET", b"k", b"v"]));
         rig.turns(4);
         assert_eq!(rig.recv(), b"+OK\r\n");
         rig.net.stack(rig.ci).tcp_close(rig.conn).unwrap();
         rig.turns(8);
-        assert_eq!(rig.kv.conn_count(), 0, "the server let go of the connection");
+        assert_eq!(rig.server.conn_count(), 0, "the server let go of the connection");
         // Both ends closed: the client's side sits out TIME_WAIT, the
         // server's is gone.
         assert_eq!(rig.server_conns_after_linger(), 0, "no CLOSE_WAIT left behind");
@@ -425,7 +354,7 @@ mod tests {
 
     #[test]
     fn a_pipeline_sent_with_the_fin_is_answered_in_full_first() {
-        let mut rig = Rig::new();
+        let mut rig = rig();
         let mut pipeline = Vec::new();
         let mut want = Vec::new();
         for i in 0..16u8 {
@@ -440,8 +369,8 @@ mod tests {
         rig.net.stack(rig.ci).tcp_close(rig.conn).unwrap();
         rig.turns(8);
         assert_eq!(rig.recv(), want);
-        assert_eq!((rig.kv.sets(), rig.kv.gets()), (16, 16));
-        assert_eq!(rig.kv.conn_count(), 0);
+        assert_eq!((rig.server.sets(), rig.server.gets()), (16, 16));
+        assert_eq!(rig.server.conn_count(), 0);
         assert_eq!(rig.server_conns_after_linger(), 0);
     }
 }

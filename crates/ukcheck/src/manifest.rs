@@ -38,7 +38,9 @@ pub const HOT_FILES: &[&str] = &[
     // request, and a rising edge must not allocate (PR 18).
     "crates/ukevent/src/source.rs",
     // The apps: the request path runs once per command/request —
-    // parse where the bytes landed, reply onto the send backlog.
+    // the one connection loop both servers share, then parse where the
+    // bytes landed and reply onto the send backlog.
+    "crates/ukapps/src/serve.rs",
     "crates/ukapps/src/resp.rs",
     "crates/ukapps/src/kvstore.rs",
     "crates/ukapps/src/httpd.rs",
@@ -92,6 +94,14 @@ pub const SIZE_BUDGETS: &[(&str, usize)] = &[
     // largest 601 lines: a file that outgrows 800 wants splitting
     // again, not a bigger number.
     ("crates/uknetstack/src/tcp/", 800),
+    // `Httpd` and `KvStore` became two protocols over one connection
+    // loop (`serve.rs`, 317 lines) and the two load generators one:
+    // `httpd.rs` 476 → 267, `kvstore.rs` 257 → 209, `loadgen.rs`
+    // 290 → 233.
+    ("crates/ukapps/src/httpd.rs", 300),
+    ("crates/ukapps/src/kvstore.rs", 250),
+    ("crates/ukapps/src/serve.rs", 350),
+    ("crates/ukapps/src/loadgen.rs", 250),
 ];
 
 /// Directories whose `pub` items are an API somebody outside must be

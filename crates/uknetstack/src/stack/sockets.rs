@@ -508,7 +508,8 @@ impl NetStack {
     }
 
     /// Free send-buffer space on a connection (0 for closed handles).
-    pub fn tcp_send_capacity(&self, conn: SocketHandle) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tcp_send_capacity(&self, conn: SocketHandle) -> usize {
         self.conn(conn).map(|c| c.tcb.send_capacity()).unwrap_or(0)
     }
 

@@ -11,7 +11,7 @@
 
 use unikraft_rs::alloc::AllocBackend;
 use unikraft_rs::apps::httpd::Httpd;
-use unikraft_rs::apps::loadgen::HttpLoadGen;
+use unikraft_rs::apps::loadgen::LoadGen;
 use unikraft_rs::core::UnikernelBuilder;
 use unikraft_rs::netdev::backend::VhostKind;
 use unikraft_rs::netdev::dev::{NetDev, NetDevConf};
@@ -57,7 +57,7 @@ fn main() {
     let si = net.attach(server_stack);
 
     let target = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 80);
-    let mut wrk = HttpLoadGen::new(net.stack(ci), target, "/index.html", 8, 4, REQUESTS)
+    let mut wrk = LoadGen::http(net.stack(ci), target, "/index.html", 8, 4, REQUESTS)
         .expect("load generator");
 
     let sw = Stopwatch::start(uk.tsc());

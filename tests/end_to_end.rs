@@ -8,7 +8,7 @@
 use unikraft_rs::alloc::AllocBackend;
 use unikraft_rs::apps::httpd::Httpd;
 use unikraft_rs::apps::kvstore::KvStore;
-use unikraft_rs::apps::loadgen::{HttpLoadGen, RespLoadGen, RespOp};
+use unikraft_rs::apps::loadgen::{LoadGen, RespOp};
 use unikraft_rs::core::UnikernelBuilder;
 use unikraft_rs::netdev::backend::VhostKind;
 use unikraft_rs::netdev::dev::{NetDev, NetDevConf};
@@ -52,7 +52,7 @@ fn http_requests_flow_through_booted_unikernel() {
     let si = net.attach(server_stack);
 
     let target = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 80);
-    let mut wrk = HttpLoadGen::new(net.stack(ci), target, "/index.html", 6, 3, 300).unwrap();
+    let mut wrk = LoadGen::http(net.stack(ci), target, "/index.html", 6, 3, 300).unwrap();
     let mut idle = 0;
     while !wrk.done() && idle < 500 {
         let mut p = wrk.poll(net.stack(ci));
@@ -83,7 +83,7 @@ fn resp_pipeline_flows_through_booted_unikernel() {
     let target = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 6379);
     // SET phase.
     let mut setgen =
-        RespLoadGen::new(net.stack(ci), target, RespOp::Set, 4, 16, 100, 400).unwrap();
+        LoadGen::resp(net.stack(ci), target, RespOp::Set, 4, 16, 100, 400).unwrap();
     let mut idle = 0;
     while !setgen.done() && idle < 500 {
         let mut p = setgen.poll(net.stack(ci));
@@ -100,7 +100,7 @@ fn resp_pipeline_flows_through_booted_unikernel() {
     // GET phase on a fresh client node.
     let ci2 = net.attach(client_stack(3));
     let mut getgen =
-        RespLoadGen::new(net.stack(ci2), target, RespOp::Get, 4, 16, 100, 400).unwrap();
+        LoadGen::resp(net.stack(ci2), target, RespOp::Get, 4, 16, 100, 400).unwrap();
     let mut idle = 0;
     while !getgen.done() && idle < 500 {
         let mut p = getgen.poll(net.stack(ci2));

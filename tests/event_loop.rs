@@ -1,6 +1,7 @@
 //! Integration tests for the `ukevent` readiness subsystem: the
 //! event-driven `httpd` multiplexing many concurrent connections over
-//! one `EventQueue`, the epoll/eventfd family by syscall number, and a
+//! one `EventQueue`, `kvstore` parked on the same kind of queue until a
+//! command arrives, the epoll/eventfd family by syscall number, and a
 //! parked `epoll_wait` woken through the scheduler instead of spinning.
 
 use std::cell::RefCell;
@@ -8,13 +9,14 @@ use std::rc::Rc;
 
 use unikraft_rs::alloc::AllocBackend;
 use unikraft_rs::apps::httpd::Httpd;
+use unikraft_rs::apps::kvstore::{resp_command, KvStore};
 use unikraft_rs::core::posix::{EPOLL_CTL_ADD, EVENT_FD_BASE};
 use unikraft_rs::core::PosixEnv;
 use unikraft_rs::event::{EventMask, EventQueue, WaitOutcome};
 use unikraft_rs::netstack::testnet::{self, node, Network};
 use unikraft_rs::netstack::{Endpoint, Ipv4Addr};
 use unikraft_rs::plat::time::Tsc;
-use unikraft_rs::sched::{CoopScheduler, Scheduler, StepResult, Thread};
+use unikraft_rs::sched::{CoopScheduler, Scheduler, StepResult, Thread, ThreadId};
 
 fn mk_alloc() -> Box<dyn unikraft_rs::alloc::Allocator> {
     let mut a = AllocBackend::Tlsf.instantiate();
@@ -82,6 +84,43 @@ fn httpd_serves_many_concurrent_connections_through_one_queue() {
         httpd.poll(net.stack(si));
     }
     assert_eq!(httpd.served(), 2 * CLIENTS as u64);
+}
+
+/// `KvStore` runs the same loop: with nothing to do it parks on its
+/// queue's `epoll_wait`, a quiet wire leaves it parked, and a client's
+/// command is the readiness edge that wakes it.
+#[test]
+fn kvstore_parks_on_its_queue_until_a_command_arrives() {
+    let mut net = Network::new();
+    let ci = net.attach(node(1, |_| {}));
+    let mut server_stack = node(2, |_| {});
+    let mut kv = KvStore::new(&mut server_stack, 6379, mk_alloc()).unwrap();
+    let si = net.attach(server_stack);
+    let conn = net
+        .stack(ci)
+        .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 6379))
+        .unwrap();
+    for _ in 0..4 {
+        net.run_until_quiet(16);
+        kv.poll(net.stack(si));
+    }
+    assert_eq!(kv.conn_count(), 1);
+    assert_eq!(kv.event_queue_mut().len(), 2, "the listener and the connection");
+
+    let tid = ThreadId(1);
+    assert_eq!(kv.event_queue_mut().wait(8, tid), WaitOutcome::Parked);
+    net.run_until_quiet(16);
+    assert!(kv.event_queue_mut().take_wakeups().is_empty(), "nothing to do, still parked");
+
+    net.stack(ci)
+        .tcp_send(conn, &resp_command(&[b"SET", b"k", b"v"]))
+        .unwrap();
+    net.run_until_quiet(16);
+    assert_eq!(kv.event_queue_mut().take_wakeups(), vec![tid], "the command woke it");
+    assert_eq!(kv.poll(net.stack(si)), 1);
+    net.run_until_quiet(16);
+    assert_eq!(testnet::tcp_recv(net.stack(ci), conn, 64).unwrap(), b"+OK\r\n");
+    assert_eq!(kv.sets(), 1);
 }
 
 /// The epoll/eventfd family works end-to-end *by syscall number*
