@@ -74,8 +74,8 @@ pub struct VirtioNet {
     /// What the device counted, one cell per [`row`]; the device is the
     /// cells' only writer.
     counts: CounterSet,
-    /// Frames per burst, each way: distributions stay registry handles
-    /// (three relaxed RMWs a sample, one sample a burst).
+    /// Frames per burst, each way: the device's own histogram cells
+    /// (plain loads and stores, one sample a burst).
     tx_burst_frames: ukstats::Histogram,
     rx_burst_frames: ukstats::Histogram,
 }

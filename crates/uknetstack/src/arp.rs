@@ -111,10 +111,9 @@ pub(crate) const ARP_REQUEST_RETRY_EVERY: u64 = 8;
 /// makes progress.
 pub(crate) const ARP_REQUEST_RETRY_PUMPS: u64 = 8;
 
-/// Slots in the per-burst next-hop memo: resolved `(dst IP → MAC)`
-/// pairs are remembered across one burst sweep so a burst of replies
-/// to the same few peers does one ARP-table lookup per peer, not per
-/// frame.
+/// Slots in the next-hop memo: resolved `(dst IP → MAC)` pairs are
+/// remembered until the table next changes, so frames to the same few
+/// peers do one ARP-table lookup per peer, not per frame or per sweep.
 const ARP_MEMO_SIZE: usize = 8;
 
 /// Most mappings the table keeps (Linux's `gc_thresh3` default). What
@@ -152,7 +151,7 @@ pub(crate) struct Parked {
 
 /// The neighbour table and everything that waits on it: the `IP → MAC`
 /// mappings learned from ARP, the packets parked behind next hops not
-/// resolved yet, the per-burst memo in front of the table, and the
+/// resolved yet, the next-hop memo in front of the table, and the
 /// who-has retry cadences.
 ///
 /// Invariants, whatever the wire and the application do: at most
@@ -167,9 +166,9 @@ pub(crate) struct Neighbors {
     learned: VecDeque<Ipv4Addr>,
     /// Packets waiting for resolution, keyed by next-hop IP.
     pending: HashMap<Ipv4Addr, PendingQueue>,
-    /// Per-burst next-hop memo: `(dst IP, MAC)` pairs resolved during
-    /// the current burst sweep (cleared each `pump` and whenever the
-    /// table learns a mapping; reused storage).
+    /// Next-hop memo: `(dst IP, MAC)` pairs the table resolved, newest
+    /// first — cleared by every [`learn`](Self::learn), the only way a
+    /// mapping changes, so it is never stale (reused storage).
     memo: Vec<(Ipv4Addr, Mac)>,
     /// Next hops due a who-has re-broadcast this pump (reused).
     retry_due: Vec<Ipv4Addr>,
@@ -190,21 +189,20 @@ impl Neighbors {
         }
     }
 
-    /// Resolves a next-hop MAC through the per-burst memo first, then
-    /// the table (memoizing a hit). The memo is cleared at every `pump`
-    /// and whenever the table learns a mapping, so one burst's worth of
-    /// frames to the same few peers pays one table lookup per peer. (A
-    /// miss is counted by the stack, as the packet it parks:
-    /// `StackStats::arp_parked`.)
+    /// Resolves a next-hop MAC through the memo first, then the table
+    /// (memoizing a hit in place of the oldest pair once the memo is
+    /// full). The memo lives until the table learns a mapping, so frames
+    /// to the same few peers pay one table lookup per peer for as long
+    /// as their mappings stand. (A miss is counted by the stack, as the
+    /// packet it parks: `StackStats::arp_parked`.)
     #[inline]
     pub(crate) fn resolve(&mut self, dst: Ipv4Addr) -> Option<Mac> {
         if let Some(&(_, mac)) = self.memo.iter().find(|(ip, _)| *ip == dst) {
             return Some(mac);
         }
         let mac = *self.table.get(&dst)?;
-        if self.memo.len() < ARP_MEMO_SIZE {
-            self.memo.push((dst, mac));
-        }
+        self.memo.truncate(ARP_MEMO_SIZE - 1);
+        self.memo.insert(0, (dst, mac));
         Some(mac)
     }
 
@@ -266,12 +264,6 @@ impl Neighbors {
         waiting.into_iter().flat_map(|q| q.packets).map(|(_, nb)| nb)
     }
 
-    /// Starts a burst sweep: what the last one memoized is forgotten.
-    #[inline]
-    pub(crate) fn begin_burst(&mut self) {
-        self.memo.clear();
-    }
-
     /// The quiet-queue who-has retry (run once per `pump`): every
     /// pending next-hop ticks a per-burst counter and is due a
     /// re-broadcast every [`ARP_REQUEST_RETRY_PUMPS`] pumps —
@@ -315,6 +307,12 @@ impl Neighbors {
     pub(crate) fn parked_hops(&self) -> usize {
         self.pending.len()
     }
+
+    /// What the memo holds for `dst`, if anything.
+    #[cfg(test)]
+    pub(crate) fn memoized(&self, dst: Ipv4Addr) -> Option<Mac> {
+        self.memo.iter().find(|(ip, _)| *ip == dst).map(|&(_, mac)| mac)
+    }
 }
 
 #[cfg(test)]
@@ -353,6 +351,26 @@ mod tests {
         n.learn(ip, Mac::node(7), false).count();
         assert_eq!(n.resolve(ip), Some(Mac::node(7)));
         assert_eq!(n.len(), 1);
+    }
+
+    #[test]
+    fn a_full_memo_makes_room_and_every_hop_still_resolves() {
+        let mut n = Neighbors::new();
+        let hop = |h: u8| Ipv4Addr::new(10, 0, 2, h);
+        for h in 0..12 {
+            n.learn(hop(h), Mac::node(h), true).count();
+        }
+        // Twelve next hops through eight slots, in an order that keeps
+        // evicting what is about to be asked for.
+        for h in (0..12).chain((0..12).rev()).chain((0..12).step_by(5)) {
+            assert_eq!(n.resolve(hop(h)), Some(Mac::node(h)));
+            assert_eq!(n.memoized(hop(h)), Some(Mac::node(h)), "a hit is memoized, full or not");
+            assert!(n.memo.len() <= ARP_MEMO_SIZE);
+        }
+        // A learn that moves a memoized hop is what the next resolve sees.
+        n.learn(hop(10), Mac::node(99), false).count();
+        assert_eq!(n.memoized(hop(10)), None);
+        assert_eq!(n.resolve(hop(10)), Some(Mac::node(99)));
     }
 
     #[test]

@@ -326,6 +326,12 @@ impl ConnTable {
         self.slots.iter().filter_map(|cs| cs.conn.as_ref())
     }
 
+    /// Connections on the dirty list.
+    #[cfg(test)]
+    pub(super) fn dirty_len(&self) -> usize {
+        self.dirty.len()
+    }
+
     /// The connections the last flush left clean (not on the dirty
     /// list), for the end-of-`pump` checkers.
     #[cfg(debug_assertions)]

@@ -30,7 +30,7 @@
 //!
 //! | part | state | invariant |
 //! |---|---|---|
-//! | [`arp::Neighbors`](crate::arp) | neighbour table, packets parked per unresolved next hop, per-burst memo, who-has cadences | ≤ 1024 mappings, learned by RFC 826's merge rule; ≤ 64 parked per hop, non-TCP evicted first; every parked buffer leaves exactly once |
+//! | [`arp::Neighbors`](crate::arp) | neighbour table, packets parked per unresolved next hop, next-hop memo, who-has cadences | ≤ 1024 mappings, learned by RFC 826's merge rule; ≤ 64 parked per hop, non-TCP evicted first; every parked buffer leaves exactly once |
 //! | [`conns::ConnTable`](conns) | connection slab, free list, flow table, dirty list, held-ACK count; `ConnId` is the one handle/wheel-key/TX-hold packing | generation 0 never issued; a stale id resolves to nothing; flow table ⇔ occupied slots |
 //! | [`gro::Gro`](gro) | the GRO stage and the continuation it expects | a run is one connection's consecutive sequence space in arrival order; nothing overtakes staged data |
 //! | [`offload::Offloads`](offload) | which offloads are in force (a `Copy` value) | `tso ⇒ tx_csum`, `big_receive ⇒ rx_csum`; the only reader of a device capability |
@@ -314,7 +314,7 @@ pub struct NetStack {
     /// The last `(cycles, ns)` pair [`now_ns`](Self::now_ns) converted.
     /// The clock is read ~10× per request/response and moves only when
     /// the wire or a timer wait advances it, so most reads repeat the
-    /// cycle count and skip the conversion's three divisions.
+    /// cycle count and skip the conversion's four multiplies.
     now_memo: Cell<(u64, u64)>,
     /// The pool's low-water mark as last published to the
     /// `pool_inflight_hiwater` gauge.
@@ -491,7 +491,7 @@ impl NetStack {
     /// This is the per-burst sweep of the burst datapath: each
     /// `rx_burst` batch is fully decoded and demultiplexed (replies
     /// and ACKs *staging*, not flushing — next-hop MACs come from the
-    /// per-burst memo), and only after the ring runs dry does the
+    /// next-hop memo), and only after the ring runs dry does the
     /// stack run its transport sweep: who-has retries for parked
     /// queues, one `flush_tcp` over the connections the burst touched
     /// (their output, their timers, their readiness), one staged
@@ -505,7 +505,6 @@ impl NetStack {
             .then(std::time::Instant::now);
         let mut handled = 0;
         let mut frames = std::mem::take(&mut self.rx_scratch);
-        self.neigh.begin_burst();
         loop {
             let st = match self.dev.rx_burst(0, &mut frames, MAX_BURST) {
                 Ok(st) => st,

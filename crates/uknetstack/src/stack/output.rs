@@ -94,7 +94,11 @@ impl NetStack {
     /// retransmission queue keyed by sequence number. Extents the TCB
     /// no longer needs — already acknowledged, duplicate coverage,
     /// connection gone — fall through to the pool as usual, so nothing
-    /// leaks.
+    /// leaks. The connection is dirtied only when the return can change
+    /// its next poll ([`Tcb::return_needs_poll`]): a frame of a round
+    /// trip in progress costs the next flush nothing.
+    ///
+    /// [`Tcb::return_needs_poll`]: crate::tcp::Tcb::return_needs_poll
     fn rtx_return_chain(&mut self, hold: TcpHold, mut head: Netbuf) {
         head.take_csum_request();
         head.take_gso_request();
@@ -106,6 +110,9 @@ impl NetStack {
         self.hold_scratch.clear();
         head.take_frags_into(&mut self.hold_scratch);
         let id = ConnId::from_key(hold.conn);
+        let dirty = id
+            .and_then(|id| self.conns.get(id))
+            .is_some_and(|c| c.tcb.return_needs_poll());
         let mut seq = hold.seq;
         for mut ext in std::iter::once(head).chain(self.hold_scratch.drain(..)) {
             let len = ext.len() as u32;
@@ -120,7 +127,7 @@ impl NetStack {
             }
             seq = seq.wrapping_add(len);
         }
-        if let Some(id) = id {
+        if let (Some(id), true) = (id, dirty) {
             self.conns.mark_dirty(id);
         }
     }

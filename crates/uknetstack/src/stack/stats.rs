@@ -68,8 +68,9 @@ pub mod tp {
 pub const TRACE_RING_CAP: usize = 1024;
 
 /// The stack's gauges and its one histogram — values with no single
-/// running sum, so they stay plain `ukstats` handles (one relaxed store
-/// each). Everything that counts is a row of `stack_stats_table!`.
+/// running sum: registry handles for the gauges (one relaxed store
+/// each), the stack's own cells for the histogram (plain stores).
+/// Everything that counts is a row of `stack_stats_table!`.
 pub(super) struct StackGauges {
     /// Last observed RACK reordering window (ns; most recently polled
     /// connection).

@@ -315,3 +315,74 @@ fn sprayed_arp_cannot_grow_the_table_or_strand_a_parked_packet() {
     s.udp_send_to(sock, b"direct", peer).unwrap();
     assert_eq!(s.stats().tx_frames, sent + 2, "and the mapping was kept");
 }
+
+#[test]
+fn the_next_hop_memo_outlives_the_sweep_and_follows_a_moved_peer() {
+    let mut s = stack(1);
+    let peer = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 7);
+    // `mac` tells us that it is `peer`.
+    let told = |s: &mut NetStack, mac: Mac| {
+        let arp = ArpPacket { op: ArpOp::Reply, sha: mac, spa: peer.addr, tha: s.mac(), tpa: s.ip() };
+        let mut nb = Netbuf::alloc(BUF_CAP, TX_HEADROOM);
+        nb.append(&arp.encode());
+        EthHeader { dst: s.mac(), src: mac, ethertype: EtherType::Arp }.encode_into(&mut nb);
+        s.deliver_frame(nb);
+        s.pump();
+    };
+    // Where the last frame the stack sent went.
+    let sent_to = |s: &mut NetStack| {
+        let mut out = Vec::new();
+        s.harvest_tx(&mut out);
+        let dst = EthHeader::decode(out.last().unwrap().payload()).unwrap().0.dst;
+        out.into_iter().for_each(|nb| s.recycle(nb));
+        dst
+    };
+    let sock = s.udp_bind(5000).unwrap();
+    told(&mut s, Mac::node(2));
+    s.udp_send_to(sock, b"one", peer).unwrap();
+    assert_eq!(sent_to(&mut s), Mac::node(2));
+    for _ in 0..4 {
+        s.pump();
+    }
+    assert_eq!(s.neigh.memoized(peer.addr), Some(Mac::node(2)), "the sweeps left the memo alone");
+    told(&mut s, Mac::node(9));
+    s.udp_send_to(sock, b"two", peer).unwrap();
+    assert_eq!(sent_to(&mut s), Mac::node(9), "the moved peer, not the memo's old answer");
+}
+
+/// The frames of a round trip in progress come home changing nothing
+/// the next poll would do, so neither end's connection goes on the
+/// dirty list for them — the next `pump` owes them no flush pass.
+#[test]
+fn a_frame_coming_home_mid_round_trip_dirties_nothing() {
+    let mut net = testnet::Network::new();
+    net.attach(stack(1));
+    net.attach(stack(2));
+    let listener = net.stack(1).tcp_listen(80).unwrap();
+    let client = net.stack(0).tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 80)).unwrap();
+    net.run_until_quiet(32);
+    let conn = net.stack(1).tcp_accept(listener).unwrap();
+    let mut buf = [0u8; 16];
+    let mut echo = |net: &mut testnet::Network, check: bool| {
+        net.stack(0).tcp_send(client, b"ping").unwrap();
+        if check {
+            net.transfer();
+            assert_eq!(net.stack(0).conns.dirty_len(), 0, "the request came home: client clean");
+            net.stack(1).pump();
+        }
+        net.run_until_quiet(8);
+        assert_eq!(net.stack(1).tcp_recv_into(conn, &mut buf).unwrap(), 4);
+        net.stack(1).tcp_send(conn, b"pong").unwrap();
+        if check {
+            net.transfer();
+            assert_eq!(net.stack(1).conns.dirty_len(), 0, "the reply came home: server clean");
+            net.stack(0).pump();
+        }
+        net.run_until_quiet(8);
+        assert_eq!(net.stack(0).tcp_recv_into(client, &mut buf).unwrap(), 4);
+    };
+    echo(&mut net, false);
+    echo(&mut net, true);
+    net.run_until_quiet(8);
+    assert_eq!((net.stack(0).pool_available(), net.stack(1).pool_available()), (Some(512), Some(512)));
+}

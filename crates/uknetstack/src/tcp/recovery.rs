@@ -98,6 +98,18 @@ impl Tcb {
         }
     }
 
+    /// Whether a TX frame coming home can change what the next output
+    /// poll does — read before its extents go back with
+    /// [`rtx_return`](Self::rtx_return): a requested retransmission is
+    /// waiting for its front extent, a tail-loss probe is pending, or no
+    /// RTO backs the connection yet (the return arms one, and the
+    /// owner's timer must follow). Otherwise the frame only refills the
+    /// queue: output, deadlines and readiness stay as the last poll left
+    /// them (`send_capacity` reads the send queue only).
+    pub(crate) fn return_needs_poll(&self) -> bool {
+        self.rtx_request || self.tlp_pending || self.rtx_deadline_ns.is_none()
+    }
+
     /// Files a returning TX frame's payload extent back into the
     /// retransmission queue (sequence-sorted, overlap-trimmed against
     /// both neighbours and `snd_una`). Returns the buffer when its

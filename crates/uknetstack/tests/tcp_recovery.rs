@@ -933,3 +933,73 @@ fn the_three_ingest_shapes_account_alike() {
     assert_eq!(net.stack(0).pool_available(), Some(POOL));
     assert_eq!(net.stack(1).pool_available(), Some(40));
 }
+
+/// The one return a connection still waits on: a retransmission its
+/// recovery timer asked for while the frame it needs was still out. RACK's
+/// reordering window expires with the head of the flight sent but not
+/// yet reclaimed from the device, so the request stays pending; the frame
+/// comes home, and the very next `pump` retransmits it — no second timer
+/// fire, no RTO.
+#[test]
+fn a_retransmission_waiting_for_its_frame_leaves_on_the_next_pump() {
+    let mut net = Network::new();
+    net.attach(mk_stack_cfg(1, |_| {}));
+    net.attach(mk_stack_cfg(2, |_| {}));
+    let tsc = Tsc::new(1_000_000_000);
+    net.set_clock(&tsc);
+    net.set_step_ns(1_000_000);
+    net.start_wire_capture();
+    let (client, conn) = establish(&mut net, 9019);
+    // One echo seeds the RTT estimator.
+    let mut buf = [0u8; 128];
+    net.stack(0).tcp_send(client, b"ping").unwrap();
+    net.run_until_quiet(8);
+    let n = net.stack(1).tcp_recv_into(conn, &mut buf).unwrap();
+    net.stack(1).tcp_send(conn, &buf[..n]).unwrap();
+    net.run_until_quiet(8);
+    assert_eq!(net.stack(0).tcp_recv_into(client, &mut buf).unwrap(), 4);
+    let server_ip = net.stack(1).ip();
+    let (una, server_next) = next_seqs(&net.take_wire_capture(), server_ip);
+    net.stop_wire_capture();
+
+    // 100 bytes leave the client's stack; the frame stays in its device.
+    net.stack(0).tcp_send(client, &[0x55; 100]).unwrap();
+    // A duplicate ACK (no SACK blocks, a window that did not grow):
+    // loss evidence for the flight, which arms RACK's reordering window.
+    let h = TcpHeader {
+        src_port: 9019,
+        dst_port: net.stack(1).tcp_peer(conn).unwrap().port,
+        seq: server_next,
+        ack: una,
+        flags: TcpFlags { ack: true, ..Default::default() },
+        window: 1_000,
+    };
+    deliver_forged(&mut net, (1, 0), h, &[], &[&[]]);
+    net.stack(0).pump();
+    let armed = net.stack(0).tcp_stats(client).unwrap();
+    // The window (at most 20 ms after a ≤ 40 ms RTT) expires with the
+    // frame still out: loss is declared, and there is nothing to resend.
+    tsc.advance_ns(25_000_000);
+    net.stack(0).pump();
+    let fired = net.stack(0).tcp_stats(client).unwrap();
+    assert_eq!(fired.fast_retransmits, armed.fast_retransmits + 1, "RACK declared the head lost");
+    assert_eq!(fired.retransmits, armed.retransmits, "nothing was home to resend");
+    // The frame comes home — its copy eaten on the wire — and the next
+    // pump resends it.
+    net.set_drop_every(1);
+    net.transfer();
+    net.set_drop_every(0);
+    net.stack(0).pump();
+    let after = net.stack(0).tcp_stats(client).unwrap();
+    assert_eq!(after.retransmits, fired.retransmits + 1, "resent on the first pump after it came home");
+    assert_eq!(
+        (after.rto_fires, after.fast_retransmits, after.tlp_probes),
+        (fired.rto_fires, fired.fast_retransmits, fired.tlp_probes),
+        "without a second timer fire"
+    );
+    net.run_until_quiet(64);
+    assert_eq!(net.stack(1).tcp_recv_into(conn, &mut buf).unwrap(), 100, "the flight landed");
+    net.run_until_quiet(8);
+    assert_eq!(net.stack(0).pool_available(), Some(POOL));
+    assert_eq!(net.stack(1).pool_available(), Some(POOL));
+}

@@ -30,7 +30,13 @@ use std::time::Instant;
 pub struct Tsc {
     cycles: Rc<Cell<u64>>,
     freq_hz: u64,
+    /// ⌈10⁹ · 2⁶⁴ / `freq_hz`⌉: nanoseconds per cycle in 64.64 fixed
+    /// point, rounded up, so [`cycles_to_ns`](Self::cycles_to_ns)
+    /// multiplies where it would divide by the frequency.
+    ns_per_cycle: u128,
 }
+
+const NS_PER_SEC: u64 = 1_000_000_000;
 
 /// A counter at zero, ticking at the platform's nominal frequency
 /// ([`crate::cost::CPU_FREQ_HZ`]).
@@ -51,6 +57,7 @@ impl Tsc {
         Tsc {
             cycles: Rc::new(Cell::new(0)),
             freq_hz,
+            ns_per_cycle: (u128::from(NS_PER_SEC) << 64).div_ceil(u128::from(freq_hz)),
         }
     }
 
@@ -69,19 +76,41 @@ impl Tsc {
         self.advance(self.ns_to_cycles(ns));
     }
 
-    /// Converts a cycle count to nanoseconds at this counter's frequency.
+    /// Converts a cycle count to nanoseconds at this counter's
+    /// frequency: ⌊`cycles` · 10⁹ / `freq_hz`⌋, saturating at
+    /// `u64::MAX`.
+    ///
+    /// No divide: `cycles` times the reciprocal that [`Tsc::new`] rounded
+    /// up overshoots the exact quotient by `cycles` · (rounding) / 2⁶⁴ < 1,
+    /// so the high half of the product is the quotient or one more, and
+    /// one multiply-compare tells which (the fixed-point form of Lemire,
+    /// Kaser & Kurz, "Faster Remainder by Direct Computation", 2019).
+    /// Exact for every frequency and every input.
+    #[inline]
     pub fn cycles_to_ns(&self, cycles: u64) -> u64 {
-        // Split to avoid overflow for large cycle counts.
-        let secs = cycles / self.freq_hz;
-        let rem = cycles % self.freq_hz;
-        secs * 1_000_000_000 + rem * 1_000_000_000 / self.freq_hz
+        let c = u128::from(cycles);
+        let r = self.ns_per_cycle;
+        let est = c * (r >> 64) + ((c * (r as u64 as u128)) >> 64);
+        match u64::try_from(est) {
+            Ok(q) => {
+                let over = u128::from(q) * u128::from(self.freq_hz) > c * u128::from(NS_PER_SEC);
+                q - u64::from(over)
+            }
+            // The quotient is at least `est - 1 >= u64::MAX`.
+            Err(_) => u64::MAX,
+        }
     }
 
-    /// Converts nanoseconds to cycles at this counter's frequency.
+    /// Converts nanoseconds to cycles at this counter's frequency:
+    /// ⌊`ns` · `freq_hz` / 10⁹⌋, saturating at `u64::MAX`.
+    #[inline]
     pub fn ns_to_cycles(&self, ns: u64) -> u64 {
-        let secs = ns / 1_000_000_000;
-        let rem = ns % 1_000_000_000;
-        secs * self.freq_hz + rem * self.freq_hz / 1_000_000_000
+        let (secs, rem) = (ns / NS_PER_SEC, ns % NS_PER_SEC);
+        let f = self.freq_hz;
+        // ⌊rem · f / 10⁹⌋ with no product past 64 bits: rem < 10⁹ and
+        // f / 10⁹ < 1.85 · 10¹⁰.
+        let part = rem * (f / NS_PER_SEC) + rem * (f % NS_PER_SEC) / NS_PER_SEC;
+        secs.saturating_mul(f).saturating_add(part)
     }
 
     /// The counter frequency in Hz.
@@ -206,6 +235,53 @@ mod tests {
         tsc.advance(u64::MAX);
         tsc.advance(10);
         assert_eq!(tsc.now_cycles(), u64::MAX);
+    }
+
+    /// ⌊x · num / den⌋, saturated: what both conversions must return.
+    fn exact(x: u64, num: u64, den: u64) -> u64 {
+        let q = u128::from(x) * u128::from(num) / u128::from(den);
+        u64::try_from(q).unwrap_or(u64::MAX)
+    }
+
+    #[test]
+    fn conversions_saturate_at_u64_max() {
+        for (freq, to_ns, to_cycles) in [
+            (1_000, u64::MAX, 18_446_744_073_709),
+            (1_000_000_000, u64::MAX, u64::MAX),
+            (3_600_000_000, 5_124_095_576_030_431_004, u64::MAX),
+        ] {
+            let tsc = Tsc::new(freq);
+            assert_eq!(tsc.cycles_to_ns(u64::MAX), to_ns, "{freq} Hz");
+            assert_eq!(tsc.ns_to_cycles(u64::MAX), to_cycles, "{freq} Hz");
+            tsc.advance_ns(u64::MAX);
+            assert_eq!(tsc.now_cycles(), to_cycles, "{freq} Hz");
+            tsc.advance_ns(u64::MAX);
+            assert_eq!(tsc.now_cycles(), to_cycles.saturating_mul(2), "{freq} Hz");
+        }
+    }
+
+    /// The reciprocal against the divide it replaces, both ways, at the
+    /// edges of each frequency's quotient and over random inputs.
+    #[test]
+    fn reciprocal_conversion_matches_division() {
+        const PRIME: u64 = 18_446_744_073_709_551_557; // The largest below 2⁶⁴.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for d in [2, 3, 1_000_000_000, 3_600_000_000, PRIME, 1 << 40, u64::MAX] {
+            let tsc = Tsc::new(d);
+            let mut inputs = vec![0, 1, d - 1, d, 2 * (d / 2), 7 * (d / 7), u64::MAX];
+            inputs.extend([d.saturating_mul(2), d.saturating_mul(1_000), (u64::MAX / d) * d]);
+            inputs.extend((0..2_000).map(|i| next() >> (i % 64)));
+            for x in inputs {
+                assert_eq!(tsc.cycles_to_ns(x), exact(x, NS_PER_SEC, d), "{x} cycles at {d} Hz");
+                assert_eq!(tsc.ns_to_cycles(x), exact(x, d, NS_PER_SEC), "{x} ns at {d} Hz");
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! that substrate:
 //!
 //! * **Registration** happens at subsystem construction time
-//!   ([`Counter::register`], [`Gauge::register`],
-//!   [`Histogram::register`]). Slots are static atomics; registering the
-//!   same name twice returns the same slot, so counters aggregate across
-//!   instances. Registration may take a lock and touch the heap — it is
-//!   *setup-time only*.
+//!   ([`Counter::register`], [`Gauge::register`], [`CounterSet::new`],
+//!   [`Histogram::register`]). Counter and gauge slots are static
+//!   atomics; registering the same name twice returns the same slot, so
+//!   counters aggregate across instances. Registration may take a lock
+//!   and touch the heap — it is *setup-time only*.
 //! * **Counts** come in two kinds. A [`Counter`] is a shared slot any
 //!   number of writers add to: one relaxed atomic RMW, a `lock` prefix
 //!   per add. A [`CounterSet`] is a struct's own list of counts with
@@ -19,10 +19,17 @@
 //!   which is at once the owner's view (`get`) and its share of the
 //!   name's total, merged on read — [`snapshot`] adds every live set to
 //!   the shared slot, and a dropped set folds into it, so a total never
-//!   goes backwards. [`Histogram::record`] and the gauges are relaxed
-//!   atomics on pre-resolved `&'static` slots. Nothing here locks,
-//!   allocates or looks a name up: the zero-alloc tier-1 tests run with
-//!   stats enabled and still assert 0.000 allocs/frame.
+//!   goes backwards.
+//! * **Distributions** follow the one-writer rule too: a [`Histogram`]
+//!   is its owner's cells, and [`Histogram::record`] is plain loads and
+//!   stores on them — no `lock`-prefixed RMW. [`snapshot`] merges every
+//!   live histogram of a name with what the dropped ones folded into the
+//!   name's retired total: counts, sums and buckets add, the minimum is
+//!   the least minimum and the maximum the greatest. The gauges are
+//!   relaxed atomics on pre-resolved `&'static` slots. Nothing on the
+//!   recording side locks, allocates or looks a name up: the zero-alloc
+//!   tier-1 tests run with stats enabled and still assert 0.000
+//!   allocs/frame.
 //! * **Snapshots** ([`snapshot`]) walk the registry under the
 //!   registration lock and render to plain structs (and JSON via
 //!   [`Snapshot::to_json`]) — they allocate, and belong on the control
@@ -39,7 +46,7 @@
 //! zero-sized no-op: `add`/`record` become empty inline functions and the
 //! registry reports itself [`COMPILED_IN`]` == false`. A [`CounterSet`]
 //! still counts — it is its owner's state — and only its link into the
-//! registry goes.
+//! registry goes; a [`Histogram`] records nothing.
 
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -55,8 +62,6 @@ pub const COMPILED_IN: bool = cfg!(feature = "stats");
 pub const MAX_COUNTERS: usize = 256;
 /// Gauge slots available before [`Gauge::register`] panics.
 pub const MAX_GAUGES: usize = 64;
-/// Histogram slots available before [`Histogram::register`] panics.
-pub const MAX_HISTOGRAMS: usize = 32;
 
 const SUB_BUCKETS: usize = 8; // 3 bits of sub-bucket precision per octave.
 #[cfg_attr(not(feature = "stats"), allow(dead_code))]
@@ -87,6 +92,14 @@ fn bucket_bounds(idx: usize) -> (u64, u64) {
         let base = ((SUB_BUCKETS + idx % SUB_BUCKETS) as u64) << shift;
         (base, base + ((1u64 << shift) - 1))
     }
+}
+
+/// Adds `n` to a cell that has exactly one writer: a plain load and
+/// store, exact for that writer, and a reader on another thread sees
+/// the old value or the new one.
+#[inline(always)]
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Relaxed).wrapping_add(n), Relaxed);
 }
 
 /// One counter in a snapshot.
@@ -198,18 +211,23 @@ impl Snapshot {
 struct Index {
     counters: Vec<&'static str>,
     gauges: Vec<&'static str>,
-    hists: Vec<&'static str>,
+    /// Every histogram name, with what its dropped owners recorded.
+    hists: Vec<(&'static str, imp::HistTotal)>,
     /// Every live [`CounterSet`]: its cells, and the counter slot each
     /// cell's name resolved to.
     sets: Vec<(Arc<[AtomicU64]>, Vec<usize>)>,
+    /// Every live [`Histogram`]: its cells, and the slot of its name
+    /// in `hists`.
+    hist_cells: Vec<(Arc<imp::HistCells>, usize)>,
 }
 
 #[cfg(feature = "stats")]
 static INDEX: Mutex<Index> = Mutex::new(Index {
-    counters: Vec::new(), // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
-    gauges: Vec::new(),   // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
-    hists: Vec::new(),    // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
-    sets: Vec::new(),     // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
+    counters: Vec::new(),   // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
+    gauges: Vec::new(),     // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
+    hists: Vec::new(),      // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
+    sets: Vec::new(),       // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
+    hist_cells: Vec::new(), // ukcheck: allow(alloc) -- const-eval empty Vec, no heap
 });
 
 /// The slot of `name` among `names`, appended if new.
@@ -246,25 +264,6 @@ mod imp {
 
     static COUNTERS: [AtomicU64; MAX_COUNTERS] = [ZERO; MAX_COUNTERS];
     static GAUGES: [AtomicU64; MAX_GAUGES] = [ZERO; MAX_GAUGES];
-
-    pub(super) struct HistSlot {
-        pub(super) count: AtomicU64,
-        pub(super) sum: AtomicU64,
-        pub(super) min: AtomicU64,
-        pub(super) max: AtomicU64,
-        pub(super) buckets: [AtomicU64; NUM_BUCKETS],
-    }
-
-    #[allow(clippy::declare_interior_mutable_const)]
-    const EMPTY_HIST: HistSlot = HistSlot {
-        count: AtomicU64::new(0),
-        sum: AtomicU64::new(0),
-        min: AtomicU64::new(u64::MAX),
-        max: AtomicU64::new(0),
-        buckets: [ZERO; NUM_BUCKETS],
-    };
-
-    static HISTS: [HistSlot; MAX_HISTOGRAMS] = [EMPTY_HIST; MAX_HISTOGRAMS];
 
     /// A monotonically increasing counter. `Copy`: handles are meant to be
     /// resolved once at registration and embedded in the owning struct.
@@ -361,58 +360,78 @@ mod imp {
         }
     }
 
-    /// A log-bucketed latency histogram (HDR shape).
-    #[derive(Clone, Copy)]
-    pub struct Histogram {
-        slot: &'static HistSlot,
+    /// One owner's samples. Atomic so that a snapshot on another
+    /// thread reads race-free; only the owner writes.
+    pub(super) struct HistCells {
+        count: AtomicU64,
+        sum: AtomicU64,
+        min: AtomicU64,
+        max: AtomicU64,
+        buckets: [AtomicU64; NUM_BUCKETS],
     }
 
-    impl Histogram {
-        /// Registers (or re-resolves) the histogram named `name`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if more than [`MAX_HISTOGRAMS`] distinct names register.
-        pub fn register(name: &'static str) -> Histogram {
-            Histogram { slot: &HISTS[slot_of(&mut index().hists, name, MAX_HISTOGRAMS)] }
-        }
+    impl HistCells {
+        #[allow(clippy::declare_interior_mutable_const)]
+        const EMPTY: HistCells = HistCells {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+            buckets: [ZERO; NUM_BUCKETS],
+        };
 
-        /// Records one sample: three relaxed atomic RMWs — plus one for
-        /// each bound the sample moves, which a handful of samples per
-        /// run do — no allocation, no lock.
-        #[inline]
-        pub fn record(&self, v: u64) {
-            self.slot.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-            self.slot.count.fetch_add(1, Relaxed);
-            self.slot.sum.fetch_add(v, Relaxed);
-            // Exact under races: the update is still an atomic min/max,
-            // the load only skips the ones that could not move the bound.
-            if v < self.slot.min.load(Relaxed) {
-                self.slot.min.fetch_min(v, Relaxed);
-            }
-            if v > self.slot.max.load(Relaxed) {
-                self.slot.max.fetch_max(v, Relaxed);
+        fn clear(&self) {
+            self.count.store(0, Relaxed);
+            self.sum.store(0, Relaxed);
+            self.min.store(u64::MAX, Relaxed);
+            self.max.store(0, Relaxed);
+            for b in &self.buckets {
+                b.store(0, Relaxed);
             }
         }
+    }
 
-        /// Samples recorded.
-        pub fn count(&self) -> u64 {
-            self.slot.count.load(Relaxed)
+    /// Samples summed over owners: what a name's dropped owners left
+    /// (kept under the registry lock), or a merge being read.
+    #[derive(Clone)]
+    pub(super) struct HistTotal {
+        count: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+        buckets: [u64; NUM_BUCKETS],
+    }
+
+    impl HistTotal {
+        const EMPTY: HistTotal =
+            HistTotal { count: 0, sum: 0, min: u64::MAX, max: 0, buckets: [0; NUM_BUCKETS] };
+
+        /// Adds one owner's cells: counts, sums and buckets add, the
+        /// bounds widen.
+        fn add(&mut self, cells: &HistCells) {
+            self.count += cells.count.load(Relaxed);
+            self.sum = self.sum.wrapping_add(cells.sum.load(Relaxed));
+            self.min = self.min.min(cells.min.load(Relaxed));
+            self.max = self.max.max(cells.max.load(Relaxed));
+            for (total, b) in self.buckets.iter_mut().zip(&cells.buckets) {
+                *total += b.load(Relaxed);
+            }
         }
 
-        /// Inclusive bucket bounds containing the `q`-quantile
-        /// (`0.0 ..= 1.0`). The naive sorted-sample quantile
-        /// `sorted[max(1, ceil(q·n)) - 1]` is guaranteed to lie within.
-        /// Returns `None` when the histogram is empty.
-        pub fn quantile_bounds(&self, q: f64) -> Option<(u64, u64)> {
-            let count = self.count();
-            if count == 0 {
+        fn of(cells: &HistCells) -> HistTotal {
+            let mut t = HistTotal::EMPTY;
+            t.add(cells);
+            t
+        }
+
+        fn quantile_bounds(&self, q: f64) -> Option<(u64, u64)> {
+            if self.count == 0 {
                 return None;
             }
-            let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+            let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
             let mut cum = 0u64;
-            for (i, b) in self.slot.buckets.iter().enumerate() {
-                cum += b.load(Relaxed);
+            for (i, &b) in self.buckets.iter().enumerate() {
+                cum += b;
                 if cum >= rank {
                     return Some(bucket_bounds(i));
                 }
@@ -420,22 +439,107 @@ mod imp {
             Some(bucket_bounds(NUM_BUCKETS - 1))
         }
 
-        /// Upper bound of the bucket containing the `q`-quantile; 0 when
-        /// empty.
-        pub fn quantile(&self, q: f64) -> u64 {
+        fn quantile(&self, q: f64) -> u64 {
             self.quantile_bounds(q).map(|(_, hi)| hi).unwrap_or(0)
         }
 
         fn snap(&self, name: &'static str) -> HistSnap {
             HistSnap {
                 name,
-                count: self.count(),
-                sum: self.slot.sum.load(Relaxed),
-                min: self.slot.min.load(Relaxed),
-                max: self.slot.max.load(Relaxed),
+                count: self.count,
+                sum: self.sum,
+                min: self.min,
+                max: self.max,
                 p50: self.quantile(0.50),
                 p99: self.quantile(0.99),
                 p999: self.quantile(0.999),
+            }
+        }
+    }
+
+    /// A log-bucketed latency histogram (HDR shape) with **exactly one
+    /// writer**, the struct that owns it — [`CounterSet`]'s rule for a
+    /// distribution. The cells are the owner's (a few KiB of heap each),
+    /// linked into the registry under the histogram's name: a
+    /// [`snapshot`] merges every owner of the name, and a dropped owner
+    /// folds its samples into the name's retired total. The histogram is
+    /// `Send` but not `Sync`, so two threads cannot record into one:
+    ///
+    /// ```compile_fail
+    /// fn shared_between_threads<T: Sync>() {}
+    /// shared_between_threads::<ukstats::Histogram>();
+    /// ```
+    pub struct Histogram {
+        cells: Arc<HistCells>,
+        _one_writer: PhantomData<Cell<()>>,
+    }
+
+    impl Histogram {
+        /// Empty cells for a new owner, linked into the registry under
+        /// `name` (other owners of the name merge with it on read).
+        // ukcheck: allow(alloc) -- construction is registration: once per
+        // owner, on the control plane
+        pub fn register(name: &'static str) -> Histogram {
+            let cells = Arc::new(HistCells::EMPTY);
+            let mut idx = index();
+            let slot = match idx.hists.iter().position(|(n, _)| *n == name) {
+                Some(slot) => slot,
+                None => {
+                    idx.hists.push((name, HistTotal::EMPTY));
+                    idx.hists.len() - 1
+                }
+            };
+            idx.hist_cells.push((cells.clone(), slot));
+            Histogram { cells, _one_writer: PhantomData }
+        }
+
+        /// Records one sample: plain loads and stores on the owner's
+        /// cells, plus a store for each bound the sample moves (a handful
+        /// of samples per run do) — no RMW, no allocation, no lock.
+        #[inline]
+        pub fn record(&self, v: u64) {
+            let c = &*self.cells;
+            bump(&c.buckets[bucket_index(v)], 1);
+            bump(&c.count, 1);
+            bump(&c.sum, v);
+            if v < c.min.load(Relaxed) {
+                c.min.store(v, Relaxed);
+            }
+            if v > c.max.load(Relaxed) {
+                c.max.store(v, Relaxed);
+            }
+        }
+
+        /// Samples this owner recorded.
+        pub fn count(&self) -> u64 {
+            self.cells.count.load(Relaxed)
+        }
+
+        /// Inclusive bucket bounds containing the `q`-quantile
+        /// (`0.0 ..= 1.0`) of this owner's samples. The naive
+        /// sorted-sample quantile `sorted[max(1, ceil(q·n)) - 1]` is
+        /// guaranteed to lie within. Returns `None` when the histogram
+        /// is empty.
+        pub fn quantile_bounds(&self, q: f64) -> Option<(u64, u64)> {
+            HistTotal::of(&self.cells).quantile_bounds(q)
+        }
+
+        /// Upper bound of the bucket containing the `q`-quantile; 0 when
+        /// empty.
+        pub fn quantile(&self, q: f64) -> u64 {
+            HistTotal::of(&self.cells).quantile(q)
+        }
+    }
+
+    /// Folds the owner's samples into its name's retired total and
+    /// unlinks the cells, under the lock [`snapshot`] takes: a snapshot
+    /// sees them live or retired, never both and never neither.
+    impl Drop for Histogram {
+        fn drop(&mut self) {
+            let mut idx = index();
+            if let Some(at) = idx.hist_cells.iter().position(|(c, _)| Arc::ptr_eq(c, &self.cells)) {
+                let (cells, slot) = idx.hist_cells.swap_remove(at);
+                idx.hists[slot].1.add(&cells);
             }
         }
     }
@@ -461,6 +565,11 @@ mod imp {
                 counters[slot].value += cell.load(Relaxed);
             }
         }
+        // And a histogram's is its retired total plus every live owner.
+        let mut hists: Vec<HistTotal> = idx.hists.iter().map(|(_, t)| t.clone()).collect();
+        for (cells, slot) in &idx.hist_cells {
+            hists[*slot].add(cells);
+        }
         Snapshot {
             counters,
             gauges: idx
@@ -472,21 +581,17 @@ mod imp {
                     value: GAUGES[i].load(Relaxed),
                 })
                 .collect(),
-            hists: idx
-                .hists
-                .iter()
-                .enumerate()
-                .map(|(i, &name)| Histogram { slot: &HISTS[i] }.snap(name))
-                .collect(),
+            hists: idx.hists.iter().zip(&hists).map(|((name, _), t)| t.snap(name)).collect(),
         }
     }
 
-    /// Zeroes every registered value while keeping registrations. Meant
-    /// for single-threaded harnesses (benches) — racing resets against
-    /// live increments only loses increments (or, in a [`CounterSet`]
-    /// cell, the reset), never corrupts.
+    /// Zeroes every registered value — live cells and retired totals
+    /// alike — while keeping registrations. Meant for single-threaded
+    /// harnesses (benches) — racing resets against live increments only
+    /// loses increments (or, in an owner's cell, the reset), never
+    /// corrupts.
     pub fn reset_all() {
-        let idx = index();
+        let mut idx = index();
         for i in 0..idx.counters.len() {
             COUNTERS[i].store(0, Relaxed);
         }
@@ -496,15 +601,11 @@ mod imp {
         for i in 0..idx.gauges.len() {
             GAUGES[i].store(0, Relaxed);
         }
-        for i in 0..idx.hists.len() {
-            let h = &HISTS[i];
-            h.count.store(0, Relaxed);
-            h.sum.store(0, Relaxed);
-            h.min.store(u64::MAX, Relaxed);
-            h.max.store(0, Relaxed);
-            for b in h.buckets.iter() {
-                b.store(0, Relaxed);
-            }
+        for (_, total) in idx.hists.iter_mut() {
+            *total = HistTotal::EMPTY;
+        }
+        for (cells, _) in &idx.hist_cells {
+            cells.clear();
         }
     }
 }
@@ -512,6 +613,8 @@ mod imp {
 #[cfg(not(feature = "stats"))]
 mod imp {
     use super::Snapshot;
+    use std::cell::Cell;
+    use std::marker::PhantomData;
 
     /// No-op counter: the stats plane is compiled out.
     #[derive(Clone, Copy)]
@@ -547,13 +650,13 @@ mod imp {
         }
     }
 
-    /// No-op histogram: the stats plane is compiled out.
-    #[derive(Clone, Copy)]
-    pub struct Histogram;
+    /// No-op histogram: the stats plane is compiled out. Still one
+    /// writer's (not `Sync`), as with the plane in.
+    pub struct Histogram(PhantomData<Cell<()>>);
 
     impl Histogram {
         pub fn register(_name: &'static str) -> Histogram {
-            Histogram
+            Histogram(PhantomData)
         }
         #[inline(always)]
         pub fn record(&self, _v: u64) {}
@@ -619,8 +722,7 @@ impl CounterSet {
     /// another thread sees the old value or the new one.
     #[inline(always)]
     pub fn add(&self, i: usize, n: u64) {
-        let cell = &self.cells[i];
-        cell.store(cell.load(Relaxed).wrapping_add(n), Relaxed);
+        bump(&self.cells[i], n);
     }
 
     /// Cell `i`: what this owner counted.
@@ -712,6 +814,40 @@ mod tests {
             assert!(lo <= 500 && 500 <= hi + hi / 8, "p50 near 500: [{lo},{hi}]");
             let p999 = h.quantile(0.999);
             assert!(p999 >= 999, "p999 upper bound covers the tail");
+        }
+
+        #[test]
+        fn two_owners_of_one_name_merge_in_snapshot() {
+            let (a, b) = (Histogram::register("test.merge"), Histogram::register("test.merge"));
+            // What one owner holding every sample would report.
+            let both = Histogram::register("test.merge_reference");
+            for v in 1..=300u64 {
+                let h = if v % 3 == 0 { &a } else { &b };
+                h.record(v * 7);
+                both.record(v * 7);
+            }
+            a.record(5_000);
+            both.record(5_000);
+            assert_eq!((a.count(), b.count()), (101, 200), "each owner sees its own");
+            let snap = snapshot();
+            let (m, r) = (snap.hist("test.merge").unwrap(), snap.hist("test.merge_reference").unwrap());
+            assert_eq!((m.count, m.sum, m.min, m.max), (301, r.sum, 7, 5_000));
+            assert_eq!((m.p50, m.p99, m.p999), (r.p50, r.p99, r.p999));
+        }
+
+        #[test]
+        fn a_dropped_owner_stays_in_the_total() {
+            let a = Histogram::register("test.retire");
+            a.record(10);
+            a.record(30);
+            drop(a);
+            let h = snapshot().hist("test.retire").cloned().unwrap();
+            assert_eq!((h.count, h.sum, h.min, h.max), (2, 40, 10, 30));
+            let b = Histogram::register("test.retire");
+            b.record(20);
+            let h = snapshot().hist("test.retire").cloned().unwrap();
+            assert_eq!((h.count, h.sum, h.min, h.max), (3, 60, 10, 30));
+            assert_eq!(b.count(), 1, "a new owner starts empty");
         }
 
         #[test]

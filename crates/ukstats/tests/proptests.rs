@@ -20,33 +20,6 @@ fn naive_quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[(rank - 1) as usize]
 }
 
-/// Each proptest case needs a fresh histogram (samples from a previous
-/// case sharing the slot would break the rank math); the registry dedups
-/// by name, so hand out one name per case from a static pool.
-fn fresh_hist() -> Histogram {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static NAMES: [&str; 16] = [
-        "proptest.h0",
-        "proptest.h1",
-        "proptest.h2",
-        "proptest.h3",
-        "proptest.h4",
-        "proptest.h5",
-        "proptest.h6",
-        "proptest.h7",
-        "proptest.h8",
-        "proptest.h9",
-        "proptest.h10",
-        "proptest.h11",
-        "proptest.h12",
-        "proptest.h13",
-        "proptest.h14",
-        "proptest.h15",
-    ];
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    Histogram::register(NAMES[NEXT.fetch_add(1, Ordering::Relaxed) % NAMES.len()])
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -56,12 +29,8 @@ proptest! {
     fn quantiles_bracket_the_naive_reference(
         samples in proptest::collection::vec(0u64..1_000_000, 1..512),
     ) {
-        let h = fresh_hist();
-        // The 16-name pool outlasts the 8 configured cases; a reused
-        // slot would corrupt the rank math, so skip one defensively.
-        if h.count() != 0 {
-            return Ok(());
-        }
+        // Every registration is a fresh owner: no earlier case's samples.
+        let h = Histogram::register("proptest.quantiles");
         let mut sorted = samples.clone();
         sorted.sort_unstable();
         for &v in &samples {

@@ -15,7 +15,11 @@
 //!   tests pass with tracing **enabled**.
 //! * Timestamps come from the platform's virtual clock when one is
 //!   attached ([`TraceRing::set_clock`]); otherwise a per-ring sequence
-//!   number keeps records ordered.
+//!   number keeps records ordered. A clocked record holds the raw cycle
+//!   count while it sits in the ring — recording is a counter read, no
+//!   conversion — and [`TraceRing::drain`] (or the next `set_clock`)
+//!   converts it to virtual-clock nanoseconds, so a drained record's
+//!   `ts` is always nanoseconds or a sequence number, never cycles.
 //! * Building with `--no-default-features` compiles the whole plane out:
 //!   [`TraceRing`] becomes a zero-sized type, `trace!` expands to
 //!   nothing, and [`COMPILED_IN`] is `false`. `make verify-trace-off`
@@ -126,7 +130,7 @@ macro_rules! trace {
 #[cfg(feature = "tracepoints")]
 mod imp {
     use super::{TraceEvent, Tracepoint, MAX_ARGS};
-    use ukplat::time::{MonotonicClock, Tsc};
+    use ukplat::time::Tsc;
 
     static NULL_POINT: Tracepoint = Tracepoint {
         name: "",
@@ -143,11 +147,15 @@ mod imp {
         head: usize,
         /// Live records (≤ capacity).
         len: usize,
-        /// Monotonic fallback stamp when no clock is attached.
+        /// Records ever written: the stamp when no clock is attached.
         seq: u64,
         /// Records overwritten because the ring was full.
         dropped: u64,
-        clock: Option<MonotonicClock>,
+        /// The clock records are stamped with, in cycles.
+        clock: Option<Tsc>,
+        /// `seq` when `clock` was attached: records numbered from here
+        /// on hold cycles until [`settle`](Self::settle) converts them.
+        clock_from: u64,
     }
 
     impl TraceRing {
@@ -172,20 +180,39 @@ mod imp {
                 seq: 0,
                 dropped: 0,
                 clock: None,
+                clock_from: 0,
             }
         }
 
-        /// Stamps subsequent records with the platform's virtual clock.
+        /// Stamps subsequent records with the platform's virtual clock,
+        /// after converting the records a replaced clock stamped at that
+        /// clock's own frequency.
         pub fn set_clock(&mut self, tsc: &Tsc) {
-            self.clock = Some(MonotonicClock::new(tsc));
+            self.settle();
+            self.clock = Some(tsc.clone());
+        }
+
+        /// Converts the live records the attached clock stamped from
+        /// cycles to nanoseconds, newest back.
+        fn settle(&mut self) {
+            if let Some(clock) = &self.clock {
+                let cap = self.buf.len();
+                let raw = (self.seq - self.clock_from).min(self.len as u64) as usize;
+                for k in 1..=raw {
+                    let rec = &mut self.buf[(self.head + cap - k) % cap];
+                    rec.ts = clock.cycles_to_ns(rec.ts);
+                }
+            }
+            self.clock_from = self.seq;
         }
 
         /// Writes one record. Fixed-size stores into the preallocated
-        /// ring — the hot-path cost tracing adds.
+        /// ring — the hot-path cost tracing adds: no conversion, no
+        /// divide.
         #[inline]
         pub fn record(&mut self, point: &'static Tracepoint, args: &[u64]) {
             let ts = match &self.clock {
-                Some(c) => c.now_ns(),
+                Some(c) => c.now_cycles(),
                 None => self.seq,
             };
             self.seq += 1;
@@ -202,13 +229,19 @@ mod imp {
                 self.len += 1;
             }
             self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.buf.len();
+            self.head += 1;
+            if self.head == self.buf.len() {
+                self.head = 0;
+            }
         }
 
-        /// Removes and returns all buffered records, oldest first.
+        /// Removes and returns all buffered records, oldest first, each
+        /// stamped in virtual-clock nanoseconds (or its sequence number,
+        /// if no clock was attached when it was written).
         // ukcheck: allow(alloc) -- cold export path: tests and dumps
         // drain the ring outside any measured window
         pub fn drain(&mut self) -> Vec<TraceEvent> {
+            self.settle();
             let cap = self.buf.len();
             let start = (self.head + cap - self.len) % cap;
             let out = (0..self.len).map(|i| self.buf[(start + i) % cap]).collect();
@@ -349,6 +382,42 @@ mod tests {
             let ev = r.drain();
             assert_eq!(ev[0].ts, 0);
             assert_eq!(ev[1].ts, 250);
+        }
+
+        #[test]
+        fn a_small_ring_wraps_and_drains_its_cycle_stamps_in_ns() {
+            let tsc = ukplat::time::Tsc::new(3_600_000_000);
+            let mut r = TraceRing::new(3);
+            r.set_clock(&tsc);
+            for round in 0..2u64 {
+                let mut stamps = Vec::new();
+                for i in 0..7u64 {
+                    tsc.advance(1_234_567 * (i + 1)); // Not a whole ns.
+                    stamps.push(tsc.now_cycles());
+                    crate::trace!(r, tp::unit_fired, i);
+                }
+                assert_eq!(r.dropped(), 4 * (round + 1));
+                let ev = r.drain();
+                assert_eq!(ev.iter().map(|e| e.args[0]).collect::<Vec<_>>(), [4, 5, 6]);
+                let want: Vec<u64> = stamps[4..].iter().map(|&c| tsc.cycles_to_ns(c)).collect();
+                assert_eq!(ev.iter().map(|e| e.ts).collect::<Vec<_>>(), want);
+                assert!(r.is_empty());
+            }
+        }
+
+        #[test]
+        fn each_record_converts_at_the_clock_that_stamped_it() {
+            let (a, b) = (ukplat::time::Tsc::new(1_000), ukplat::time::Tsc::new(3_600_000_000));
+            a.advance(7); // 7 ms.
+            b.advance(36_000); // 10 us.
+            let mut r = TraceRing::new(8);
+            crate::trace!(r, tp::unit_bare);
+            r.set_clock(&a);
+            crate::trace!(r, tp::unit_bare);
+            r.set_clock(&b);
+            crate::trace!(r, tp::unit_bare);
+            let ts: Vec<u64> = r.drain().iter().map(|e| e.ts).collect();
+            assert_eq!(ts, [0, 7_000_000, 10_000]);
         }
 
         #[test]
