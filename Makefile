@@ -12,7 +12,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify verify-trace-off verify-fault-matrix verify-churn verify-sanitize verify-release verify-workspace lint image-size test bench perf perf-compare perf-pairs examples clean
+.PHONY: verify verify-trace-off verify-fault-matrix verify-churn verify-sanitize verify-release verify-workspace lint image-size test perf perf-compare perf-pairs examples clean
 
 ## Tier-1: release build + root-crate tests (ROADMAP's check).
 verify:
@@ -139,11 +139,10 @@ image-size:
 ## tests (the `zero_alloc` guard among them: 0 allocations per frame on
 ## the datapath, over the config grid), the static invariant lint, the
 ## sanitized pool suites, the datapath's gates on the optimised build
-## (`verify-release`), plus bench/example compilation and the
-## self-tests of the `ukperf` benchmark (its own package, outside the
-## workspace).
+## (`verify-release`), plus example compilation and the self-tests of
+## the `ukperf` benchmark (its own package, outside the workspace).
 verify-workspace:
-	$(CARGO) build --release --workspace --benches --examples
+	$(CARGO) build --release --workspace --examples
 	$(CARGO) test -q --workspace
 	$(MAKE) lint
 	$(MAKE) verify-sanitize
@@ -155,11 +154,6 @@ verify-workspace:
 
 test:
 	$(CARGO) test -q --workspace
-
-## The criterion benches `ukperf` has no probe for yet: boot, fs, sqldb,
-## syscall, udpkv (smoke harness — prints ns/iter).
-bench:
-	$(CARGO) bench
 
 ## `ukperf` (benchmark/, see its README): the end-to-end + per-layer
 ## benchmark every performance claim is made in. `perf` is one run of

@@ -9,12 +9,10 @@
 //!   run-to-completion-style workload (§3.3's jitter argument).
 
 use uknetdev::backend::VhostKind;
-use uknetdev::dev::{NetDev, NetDevConf};
-use uknetdev::netbuf::NetbufPool;
-use uknetdev::VirtioNet;
-use ukplat::time::{Stopwatch, Tsc};
+use ukplat::time::Tsc;
 use uksched::{CoopScheduler, PreemptScheduler, Scheduler, Thread};
 
+use crate::exp_io::tx_rate;
 use crate::util::fmt_rate;
 
 /// Burst-size sweep: one kick per burst means bigger bursts amortize
@@ -25,32 +23,12 @@ pub fn ablate_batching() -> String {
     out.push_str("Ablation: TX burst size vs throughput (vhost-net, 64B)\n");
     out.push_str(&format!("{:<12} {:>14} {:>12}\n", "burst", "throughput", "kicks"));
     for burst in [1usize, 2, 4, 8, 16, 32, 64] {
-        let tsc = Tsc::new(ukplat::cost::CPU_FREQ_HZ);
-        let mut dev = VirtioNet::new(VhostKind::VhostNet, &tsc);
-        dev.configure(NetDevConf::default()).expect("configure");
-        let mut pool = NetbufPool::new(2 * burst, 2048, 64);
-        let sw = Stopwatch::start(&tsc);
-        let mut sent = 0usize;
-        while sent < PACKETS {
-            let mut b = Vec::with_capacity(burst);
-            for _ in 0..burst {
-                let mut nb = pool.take().expect("pool sized");
-                nb.set_len(64);
-                b.push(nb);
-            }
-            sent += dev.tx_burst(0, &mut b).expect("tx").sent();
-            let mut done = Vec::new();
-            dev.reclaim_tx(0, &mut done).expect("reclaim");
-            for nb in done {
-                pool.give_back(nb);
-            }
-        }
-        let rate = sent as f64 * 1e9 / sw.elapsed_ns() as f64;
+        let (rate, kicks) = tx_rate(VhostKind::VhostNet, 64, burst, PACKETS);
         out.push_str(&format!(
             "{:<12} {:>14} {:>12}\n",
             burst,
             fmt_rate(rate),
-            dev.backend().kicks()
+            kicks
         ));
     }
     out.push_str("take-away: kicks fall 1/burst; throughput rises until per-packet costs dominate\n");

@@ -113,27 +113,33 @@ pub fn fig15_nginx_per_allocator() -> String {
     out
 }
 
+/// Wall-clock nanoseconds for `n` SQLite inserts into a fresh database
+/// on a fresh 256 MiB heap of `backend` (Figs. 16 and 17).
+fn sql_insert_ns(backend: AllocBackend, n: u64) -> u64 {
+    let mut a = backend.instantiate();
+    a.init(1 << 26, 256 << 20).expect("init");
+    let mut db = SqlDb::new(a);
+    let t = Instant::now();
+    db.insert_workload(n).expect("workload");
+    t.elapsed().as_nanos() as u64
+}
+
 /// Figure 16: SQLite execution speedup relative to mimalloc.
 pub fn fig16_sqlite_speedup() -> String {
-    let queries = [10u64, 100, 1_000, 10_000, 60_000, 100_000];
+    sqlite_speedup(&[10, 100, 1_000, 10_000, 60_000, 100_000])
+}
+
+fn sqlite_speedup(queries: &[u64]) -> String {
     let backends = [
         AllocBackend::Buddy,
         AllocBackend::TinyAlloc,
         AllocBackend::Tlsf,
     ];
-    let run_once = |b: AllocBackend, n: u64| -> u64 {
-        let mut a = b.instantiate();
-        a.init(1 << 26, 256 << 20).expect("init");
-        let mut db = SqlDb::new(a);
-        let t = Instant::now();
-        db.insert_workload(n).expect("workload");
-        t.elapsed().as_nanos() as u64
-    };
     // Median of several runs: the smallest query counts are dominated by
     // first-touch effects and need de-noising.
     let run = |b: AllocBackend, n: u64| -> u64 {
         let reps = if n <= 1_000 { 7 } else { 3 };
-        crate::util::median_ns(reps, || run_once(b, n))
+        crate::util::median_ns(reps, || sql_insert_ns(b, n))
     };
     let mut out = String::new();
     out.push_str("Figure 16: SQLite insert speedup relative to mimalloc (%)\n");
@@ -141,7 +147,7 @@ pub fn fig16_sqlite_speedup() -> String {
         "{:<10} {:>12} {:>12} {:>12}\n",
         "queries", "buddy", "tinyalloc", "TLSF"
     ));
-    for n in queries {
+    for &n in queries {
         let mi = run(AllocBackend::Mimalloc, n).max(1);
         let mut row = format!("{n:<10}");
         for b in backends {
@@ -160,12 +166,7 @@ pub fn fig16_sqlite_speedup() -> String {
 pub fn fig17_sqlite_insert_time() -> String {
     const N: u64 = 60_000;
     // The manually ported musl build: fully measured.
-    let mut a = AllocBackend::Tlsf.instantiate();
-    a.init(1 << 26, 256 << 20).expect("init");
-    let mut db = SqlDb::new(a);
-    let t = Instant::now();
-    db.insert_workload(N).expect("workload");
-    let musl_ns = t.elapsed().as_nanos() as u64;
+    let musl_ns = sql_insert_ns(AllocBackend::Tlsf, N);
 
     // Mechanical deltas per statement:
     // Linux native: the syscalls SQLite's VFS makes per insert
@@ -229,22 +230,19 @@ mod tests {
 
     #[test]
     fn fig16_small_scale_runs() {
-        // Exercise the speedup harness at tiny scale.
-        let out = fig16_sqlite_speedup_small();
-        assert!(out.contains("buddy"));
-    }
-
-    fn fig16_sqlite_speedup_small() -> String {
-        let run = |b: AllocBackend, n: u64| -> u64 {
-            let mut a = b.instantiate();
-            a.init(1 << 26, 64 << 20).unwrap();
-            let mut db = SqlDb::new(a);
-            let t = Instant::now();
-            db.insert_workload(n).unwrap();
-            t.elapsed().as_nanos() as u64
-        };
-        let mi = run(AllocBackend::Mimalloc, 50).max(1);
-        let bu = run(AllocBackend::Buddy, 50);
-        format!("buddy {:.1}%", (mi as f64 - bu as f64) / bu as f64 * 100.0)
+        // Fig. 16's own loop at one small query count: every backend's
+        // inserts take time, so each speedup is a finite number.
+        let out = sqlite_speedup(&[50]);
+        let row = out
+            .lines()
+            .find(|l| l.starts_with("50 "))
+            .expect("a row for 50 queries");
+        let speedups: Vec<f64> = row
+            .split_whitespace()
+            .skip(1)
+            .map(|s| s.trim_end_matches('%').parse().expect("a percentage"))
+            .collect();
+        assert_eq!(speedups.len(), 3, "{row}");
+        assert!(speedups.iter().all(|s| s.is_finite()), "{row}");
     }
 }

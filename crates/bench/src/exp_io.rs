@@ -4,7 +4,7 @@ use ukapps::udpkv::{UdpKvMode, UdpKvServer, BATCH};
 use ukapps::webcache::{CacheBackend, WebCache};
 use uknetdev::backend::{VhostKind, Wire};
 use uknetdev::dev::{NetDev, NetDevConf};
-use uknetdev::netbuf::NetbufPool;
+use uknetdev::netbuf::{Netbuf, NetbufPool};
 use uknetdev::VirtioNet;
 use ukplat::cost;
 use ukplat::time::{Stopwatch, Tsc};
@@ -12,7 +12,7 @@ use ukvfs::ninep::{NinePClient, NinePHost, VirtioP9Transport};
 use ukvfs::vfscore::FileSystem;
 use ukvfs::RamFs;
 
-use crate::util::{fmt_rate, time_mixed};
+use crate::util::fmt_rate;
 
 /// Table 4: specialized UDP key-value store throughput per mode.
 pub fn tab4_udp_kv() -> String {
@@ -37,13 +37,12 @@ pub fn tab4_udp_kv() -> String {
             server.handle(format!("S key{i:04} value-{i}").as_bytes());
         }
         let batches = REQUESTS / BATCH;
-        let timing = time_mixed(&tsc, || {
-            for _ in 0..batches {
-                let replies = server.serve_batch(&req_refs);
-                std::hint::black_box(&replies);
-            }
-        });
-        let rate = (batches * BATCH) as f64 * 1e9 / timing.total_ns() as f64;
+        let sw = Stopwatch::start(&tsc);
+        for _ in 0..batches {
+            let replies = server.serve_batch(&req_refs);
+            std::hint::black_box(&replies);
+        }
+        let rate = (batches * BATCH) as f64 * 1e9 / sw.elapsed_ns() as f64;
         let (setup, m) = mode.label();
         out.push_str(&format!(
             "{:<18} {:<10} {:>12} {:>6}\n",
@@ -55,6 +54,82 @@ pub fn tab4_udp_kv() -> String {
     }
     out.push_str("shape check: uknetdev ~ DPDK >> batch > single; lwip slowest guest\n");
     out
+}
+
+/// The TX path Fig. 19 and `ablate-batch` time: a configured
+/// `VirtioNet`, a pool of two bursts of buffers, and the two vectors the
+/// loop moves them through, all made before the clock starts.
+pub struct TxLoop {
+    tsc: Tsc,
+    dev: VirtioNet,
+    pool: NetbufPool,
+    frames: Vec<Netbuf>,
+    done: Vec<Netbuf>,
+    size: usize,
+    burst: usize,
+    kicks_before: u64,
+}
+
+impl TxLoop {
+    /// A rig that sends `size`-byte frames `burst` at a time. One burst
+    /// has already gone through, so the device's completion list has
+    /// its capacity and [`run`](Self::run) allocates nothing.
+    pub fn new(kind: VhostKind, size: usize, burst: usize) -> Self {
+        let tsc = Tsc::new(cost::CPU_FREQ_HZ);
+        let mut dev = VirtioNet::new(kind, &tsc);
+        dev.configure(NetDevConf::default()).expect("configure");
+        let mut tx = TxLoop {
+            tsc,
+            dev,
+            pool: NetbufPool::new(2 * burst, 2048, 64),
+            frames: Vec::with_capacity(burst),
+            done: Vec::with_capacity(burst),
+            size,
+            burst,
+            kicks_before: 0,
+        };
+        tx.run(burst);
+        tx.kicks_before = tx.dev.backend().kicks();
+        tx
+    }
+
+    /// Sends `packets` frames: take from the pool, `tx_burst`,
+    /// `reclaim_tx`, give back. Returns the frames the device took.
+    pub fn run(&mut self, packets: usize) -> usize {
+        let mut sent = 0;
+        while sent < packets {
+            while self.frames.len() < self.burst.min(packets - sent) {
+                let mut nb = self.pool.take().expect("pool holds two bursts");
+                nb.set_len(self.size);
+                self.frames.push(nb);
+            }
+            sent += self.dev.tx_burst(0, &mut self.frames).expect("tx").sent();
+            self.dev.reclaim_tx(0, &mut self.done).expect("reclaim");
+            for nb in self.done.drain(..) {
+                self.pool.give_back(nb);
+            }
+        }
+        sent
+    }
+
+    /// Guest kicks (VM exits) since [`new`](Self::new) returned.
+    pub fn kicks(&self) -> u64 {
+        self.dev.backend().kicks() - self.kicks_before
+    }
+
+    /// The buffer pool, for checking that every buffer came home.
+    pub fn pool(&self) -> &NetbufPool {
+        &self.pool
+    }
+}
+
+/// Times [`TxLoop::run`] over `packets` frames on real + virtual
+/// nanoseconds; returns packets/s and the kicks it took.
+pub(crate) fn tx_rate(kind: VhostKind, size: usize, burst: usize, packets: usize) -> (f64, u64) {
+    let mut tx = TxLoop::new(kind, size, burst);
+    let sw = Stopwatch::start(&tx.tsc);
+    let sent = tx.run(packets);
+    (sent as f64 * 1e9 / sw.elapsed_ns() as f64, tx.kicks())
 }
 
 /// Figure 19: TX throughput vs packet size, uknetdev vs DPDK-in-VM.
@@ -74,30 +149,7 @@ pub fn fig19_tx_throughput() -> String {
     ));
     for size in sizes {
         // Real driver path: netbuf pool + burst TX through VirtioNet.
-        let measure = |kind: VhostKind| -> f64 {
-            let tsc = Tsc::new(cost::CPU_FREQ_HZ);
-            let mut dev = VirtioNet::new(kind, &tsc);
-            dev.configure(NetDevConf::default()).expect("configure");
-            let mut pool = NetbufPool::new(2 * BATCH, 2048, 64);
-            let sw = Stopwatch::start(&tsc);
-            let mut sent = 0usize;
-            while sent < PACKETS {
-                let mut burst = Vec::with_capacity(BATCH);
-                for _ in 0..BATCH {
-                    let mut nb = pool.take().expect("pool sized for burst");
-                    nb.set_len(size);
-                    burst.push(nb);
-                }
-                let st = dev.tx_burst(0, &mut burst).expect("tx");
-                sent += st.sent();
-                let mut done = Vec::new();
-                dev.reclaim_tx(0, &mut done).expect("reclaim");
-                for nb in done {
-                    pool.give_back(nb);
-                }
-            }
-            sent as f64 * 1e9 / sw.elapsed_ns() as f64
-        };
+        let measure = |kind: VhostKind| tx_rate(kind, size, BATCH, PACKETS).0;
         // DPDK-in-a-Linux-VM model: guest PMD cost + backend per packet.
         let dpdk = |kind: VhostKind| -> f64 {
             let per_pkt = match kind {

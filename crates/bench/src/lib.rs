@@ -3,9 +3,12 @@
 //! One module per group of experiments; the `figures` binary dispatches
 //! experiment ids (`tab1`, `fig8`, … or `all`) to these functions, each
 //! of which regenerates the corresponding paper table/figure as text
-//! rows (and DOT files for the graph figures). Criterion benches under
-//! `benches/` reuse the same code for statistically rigorous timing of
-//! the hot paths.
+//! rows (and DOT files for the graph figures). They are the crate's
+//! only timing path: each routine times one loop on one clock
+//! (`ukplat::time::Stopwatch`, real + virtual nanoseconds, wherever the
+//! code charges a `Tsc`). A row is one run or a small median, not a
+//! statistic; the repetitions and noise bounds a performance claim
+//! needs are `ukperf`'s (`benchmark/`).
 
 pub mod exp_ablation;
 pub mod exp_apps;

@@ -1,37 +1,5 @@
 //! Shared harness utilities.
 
-use std::time::Instant;
-
-use ukplat::time::Tsc;
-
-/// Result of timing a run that mixes real computation and virtually
-/// charged host costs.
-#[derive(Debug, Clone, Copy)]
-pub struct Timing {
-    /// Real wall-clock nanoseconds.
-    pub real_ns: u64,
-    /// Virtual (charged) nanoseconds.
-    pub virtual_ns: u64,
-}
-
-impl Timing {
-    /// Combined time.
-    pub fn total_ns(&self) -> u64 {
-        self.real_ns + self.virtual_ns
-    }
-}
-
-/// Times `f`, capturing both real and virtual elapsed time.
-pub fn time_mixed(tsc: &Tsc, mut f: impl FnMut()) -> Timing {
-    let v0 = tsc.now_cycles();
-    let t0 = Instant::now();
-    f();
-    Timing {
-        real_ns: t0.elapsed().as_nanos() as u64,
-        virtual_ns: tsc.cycles_to_ns(tsc.now_cycles() - v0),
-    }
-}
-
 /// Runs `f` `iters` times, returning the median total nanoseconds.
 pub fn median_ns(iters: usize, mut f: impl FnMut() -> u64) -> u64 {
     let mut samples: Vec<u64> = (0..iters.max(1)).map(|_| f()).collect();
@@ -75,14 +43,6 @@ pub fn write_dot(name: &str, dot: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_mixed_captures_both_components() {
-        let tsc = Tsc::new(1_000_000_000);
-        let t = time_mixed(&tsc, || tsc.advance_ns(12_345));
-        assert_eq!(t.virtual_ns, 12_345);
-        assert!(t.total_ns() >= 12_345);
-    }
 
     #[test]
     fn median_is_stable() {

@@ -134,8 +134,7 @@ pub const RELEASE_PROFILE: &[(&str, &str)] =
 pub const PROFILE_FREE_MANIFEST_DIRS: &[&str] = &["crates", "third_party"];
 
 /// Directory names the reference scan of `unused-pub` skips (it does
-/// read `tests/`, `benches/` and `examples/`, which the lint walk
-/// does not).
+/// read `tests/` and `examples/`, which the lint walk does not).
 pub const REFERENCE_SKIP_DIRS: &[&str] = &["target", "third_party", "fixtures", "out", ".git"];
 
 /// Directory names the workspace walker never descends into.
@@ -143,7 +142,6 @@ pub const SKIP_DIRS: &[&str] = &[
     "target",
     "third_party", // vendored stand-ins, not this repo's code
     "tests",       // test harnesses may unwrap/allocate freely
-    "benches",
     "examples",
     "fixtures", // ukcheck's own known-bad corpus
     "out",

@@ -110,11 +110,11 @@ pub fn check_files(paths: &[PathBuf], hot: bool) -> Result<Vec<Violation>, Strin
 
 /// Every identifier in the workspace's Rust files that lie outside
 /// [`NARROW_API_HOME`](manifest::NARROW_API_HOME) — the root crate,
-/// every crate under `crates/`, and `benchmark/`, their `tests/`,
-/// `benches/` and `examples/` included.
+/// every crate under `crates/`, and `benchmark/`, their `tests/` and
+/// `examples/` included.
 fn identifiers_outside(root: &Path) -> Result<HashSet<String>, String> {
     let mut files = Vec::new();
-    for top in ["src", "tests", "examples", "benches", "crates", "benchmark"] {
+    for top in ["src", "tests", "examples", "crates", "benchmark"] {
         collect_rs_skipping(&root.join(top), manifest::REFERENCE_SKIP_DIRS, &mut files);
     }
     let mut names = HashSet::new();

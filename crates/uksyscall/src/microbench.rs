@@ -11,7 +11,7 @@ use std::time::Instant;
 
 /// A deliberately un-inlinable no-op function (the "function call" row).
 #[inline(never)]
-pub fn noop_function(x: u64) -> u64 {
+fn noop_function(x: u64) -> u64 {
     black_box(x)
 }
 
@@ -31,7 +31,7 @@ pub fn function_call_ns(iters: u64) -> f64 {
 ///
 /// Returns `None` on non-x86_64 or non-Linux hosts.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-pub fn raw_getpid() -> Option<i64> {
+fn raw_getpid() -> Option<i64> {
     let ret: i64;
     // SAFETY: SYS_getpid (39) takes no arguments, cannot fail, and only
     // clobbers the registers listed; issuing it has no side effects.
@@ -49,7 +49,7 @@ pub fn raw_getpid() -> Option<i64> {
 
 /// Fallback for other targets.
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-pub fn raw_getpid() -> Option<i64> {
+fn raw_getpid() -> Option<i64> {
     None
 }
 
