@@ -88,12 +88,16 @@ pub const SINGLE_WRITER_FILES: &[&str] = &[
 pub const SIZE_BUDGETS: &[(&str, usize)] = &[
     // PR 23 split the 2925-line `stack.rs` the same way, the largest
     // file 587 lines: the single-file ratchet (2950) became the
-    // directory rule.
-    ("crates/uknetstack/src/stack/", 800),
+    // directory rule. Deleting the `congestion_control`, `rack` and
+    // `pacing` switches and the paths behind them took both directories
+    // from 6357 to 6148 lines and left the largest file here, `mod.rs`,
+    // at 569: 800 → 600.
+    ("crates/uknetstack/src/stack/", 600),
     // PR 22 split the 2898-line `tcp.rs` into parts and jobs, the
-    // largest 601 lines: a file that outgrows 800 wants splitting
-    // again, not a bigger number.
-    ("crates/uknetstack/src/tcp/", 800),
+    // largest 601 lines: a file that outgrows its budget wants
+    // splitting again, not a bigger number. The switch deletion left
+    // the largest here, `mod.rs`, at 602: 800 → 650.
+    ("crates/uknetstack/src/tcp/", 650),
     // `Httpd` and `KvStore` became two protocols over one connection
     // loop (`serve.rs`, 317 lines) and the two load generators one:
     // `httpd.rs` 476 → 267, `kvstore.rs` 257 → 209, `loadgen.rs`

@@ -51,7 +51,7 @@
 //!
 //! Each module's own docs carry its prose; the crate README ("Inside
 //! `stack/`", "The socket seam", "The TCB seam", "Time", "Accounting")
-//! has the tables. `make lint` holds every file here to 800 non-test
+//! has the tables. `make lint` holds every file here to 600 non-test
 //! lines and to the no-alloc/no-panic rules.
 
 mod conns;
@@ -183,14 +183,11 @@ pub struct StackConfig {
     /// per-MSS (non-TSO) senders. Purely stack-internal (no device
     /// capability involved); disable for the ablation baseline.
     pub gro: bool,
-    /// Maximum segment size for this stack's TCP connections.
+    /// Maximum segment size for this stack's TCP connections. Every
+    /// connection recovers from loss one way: NewReno congestion
+    /// control (RFC 5681 / RFC 6582) with RACK-TLP loss detection
+    /// (RFC 8985), unpaced.
     pub mss: usize,
-    /// Whether TCP connections run NewReno congestion control (slow
-    /// start / congestion avoidance / fast recovery): the congestion
-    /// window bounds emission alongside the peer window. Disable for
-    /// the peer-window-only ablation — loss recovery (RTO, fast
-    /// retransmit, reassembly) works either way.
-    pub congestion_control: bool,
     /// Whether idle established connections probe the peer
     /// (keepalive) and tear down after unanswered probes — dead peers
     /// stop pinning TCBs and pooled buffers.
@@ -207,20 +204,9 @@ pub struct StackConfig {
     /// extents as SACK blocks on pure ACKs, and the sender keeps a
     /// scoreboard over the retransmission queue so a multi-hole loss
     /// episode retransmits *only the holes* (with D-SACK detection of
-    /// spurious retransmits). Disable for the go-back-N ablation.
+    /// spurious retransmits). Disable for the go-back-N ablation, or
+    /// to stand in for a peer that does not negotiate SACK.
     pub sack: bool,
-    /// Whether loss detection is time-based (RACK-TLP shape,
-    /// RFC 8985): per-extent transmit timestamps plus a
-    /// reordering-window timer replace the brittle 3-dup-ACK
-    /// threshold, and a tail-loss probe rescues last-segment drops
-    /// without a full RTO. Off, the classic dup-ACK threshold is in
-    /// force.
-    pub rack: bool,
-    /// Whether recovery-episode emission (retransmissions and
-    /// post-RTO slow start) is paced: the `min(cwnd, snd_wnd)` budget
-    /// is released in SRTT-spread quanta through a wheel timer
-    /// instead of as one burst.
-    pub pacing: bool,
     /// Whether new TCBs start with empty send/receive/retransmit
     /// queues that grow on demand, instead of the steady-state
     /// preallocation. For connection-scale workloads (tens of
@@ -244,12 +230,9 @@ impl StackConfig {
             rx_csum_offload: true,
             gro: true,
             mss: MSS,
-            congestion_control: true,
             keepalive: false,
             listen_backlog: 64,
             sack: true,
-            rack: true,
-            pacing: false,
             lean_tcbs: false,
         }
     }

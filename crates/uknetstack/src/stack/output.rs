@@ -227,7 +227,7 @@ impl NetStack {
     /// once per super-segment instead of once per MSS.
     pub(super) fn flush_tcp(&mut self) -> Result<()> {
         let mut staged = std::mem::take(&mut self.tcp_stage);
-        let TcbConfig { mss, sack: sack_on, rack: rack_on, .. } = self.tcb_config();
+        let TcbConfig { mss, sack: sack_on, .. } = self.tcb_config();
         // The GSO budget is floored to a multiple of the MSS so a
         // super-segment boundary never forces a short wire frame
         // mid-stream — the cut frames land on exactly the byte
@@ -302,9 +302,7 @@ impl NetStack {
             });
             publish_tcb_stats(counts, &mut self.trace, key, 0, &mut c.published, c.tcb.stats());
             self.gauges.tcp_cwnd.set(c.tcb.cwnd() as u64);
-            if rack_on {
-                self.gauges.tcp_rack_reorder_window_ns.set(c.tcb.reo_wnd_ns());
-            }
+            self.gauges.tcp_rack_reorder_window_ns.set(c.tcb.reo_wnd_ns());
             // An ingest, a timer fire, a returning frame or a socket
             // call dirtied it and the poll above ran: publish the result
             // and see to it that the wheel wakes it in time.

@@ -354,10 +354,7 @@ impl NetStack {
     pub(super) fn tcb_config(&self) -> TcbConfig {
         TcbConfig {
             mss: self.config.mss,
-            congestion_control: self.config.congestion_control,
             sack: self.config.sack,
-            rack: self.config.rack,
-            pacing: self.config.pacing,
             keepalive: self.config.keepalive,
             lean: self.config.lean_tcbs,
         }

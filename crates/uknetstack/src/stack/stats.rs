@@ -41,11 +41,10 @@ pub mod tp {
         tcp_retransmit(conn, count),
         tcp_fast_retransmit(conn, count),
         tcp_ooo_queue(conn, count),
-        // TCP surgical recovery (SACK scoreboard / RACK-TLP / pacing).
+        // TCP surgical recovery (SACK scoreboard / RACK-TLP).
         tcp_sack_rtx(conn, count),
         tcp_spurious_rtx(conn, count),
         tcp_tlp_probe(conn, count),
-        tcp_paced_release(conn, count),
         tcp_ooo_shed(conn, count),
         // TCP ACK policy: a held ACK sat out its whole hold time.
         tcp_delack_fire(conn, now_ns),
@@ -288,7 +287,6 @@ stack_stats_table! {
         sack_rtx => "netstack.tcp.sack_rtx", tcp_sack_rtx(Delta);
         spurious_rtx => "netstack.tcp.spurious_rtx", tcp_spurious_rtx(Delta);
         tlp_probes => "netstack.tcp.tlp_probes", tcp_tlp_probe(Delta);
-        paced_releases => "netstack.tcp.paced_releases", tcp_paced_release(Delta);
         ooo_shed => "netstack.tcp.ooo_shed", tcp_ooo_shed(Delta);
         delack_fires => "netstack.tcp.delack_fires", tcp_delack_fire(Context);
         acks_piggybacked => "netstack.tcp.acks_piggybacked";

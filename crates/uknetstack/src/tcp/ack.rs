@@ -1,9 +1,9 @@
 //! What a segment's acknowledgement, window and SACK blocks do to the
-//! sender half. Fast retransmit / NewReno recovery (RFC 6582): three
-//! duplicate ACKs retransmit the segment at `snd_una` without waiting
-//! for the RTO, and NewReno partial ACKs retransmit the next hole until
-//! the recovery point is crossed; with RACK the count only arms the
-//! reordering window (RFC 8985).
+//! sender half. Loss evidence — a duplicate ACK, new SACK coverage —
+//! only arms RACK's reordering window (RFC 8985); its expiry with the
+//! hole still open is what opens the episode (`recovery`'s `on_rack`).
+//! Inside one, NewReno partial ACKs retransmit the next hole until the
+//! recovery point is crossed (RFC 6582).
 
 use super::*;
 
@@ -11,21 +11,21 @@ impl Tcb {
     /// Processes a segment's parsed TCP options — called by the stack
     /// before [`on_segment_bufs`](Self::on_segment_bufs) whenever the
     /// data offset exceeded 20. SYN/SYN-ACK latch the peer's
-    /// SACK-permitted announcement; SACK blocks feed the sender
-    /// scoreboard: a D-SACK first block (at/below the cumulative ACK,
-    /// or re-reporting already-SACKed bytes — RFC 2883 §4) counts a
+    /// SACK-permitted announcement. Once SACK is in force (a peer that
+    /// never negotiated it has its blocks ignored), SACK blocks feed the
+    /// sender scoreboard: a D-SACK first block (at/below the cumulative
+    /// ACK, or re-reporting already-SACKed bytes — RFC 2883 §4) counts a
     /// spurious retransmission and undoes the RTO backoff it caused
     /// (the Eifel-style response: the network delivered twice, it
     /// didn't lose), every other valid block merges into the
     /// scoreboard. New scoreboard coverage is loss evidence: it arms
-    /// the RACK reordering window — or, without RACK, opens the episode
-    /// itself once the scoreboard says the segment at `snd_una` is
-    /// lost — and re-requests the hole-walk mid-episode.
+    /// the RACK reordering window and re-requests the hole-walk
+    /// mid-episode.
     pub fn process_options(&mut self, h: &TcpHeader, opts: &TcpOptions) {
         if h.flags.syn {
             self.peer_sack_ok = opts.sack_permitted;
         }
-        if !self.cfg.sack || !h.flags.ack || opts.sack_count == 0 {
+        if !self.sack_in_force() || !h.flags.ack || opts.sack_count == 0 {
             return;
         }
         let mut advanced = false;
@@ -50,14 +50,7 @@ impl Tcb {
             advanced |= self.scoreboard.merge(s, e);
         }
         if advanced {
-            let open = !self.in_recovery && self.snd_una != self.snd_nxt;
-            if self.cfg.rack {
-                self.arm_reo_window();
-            } else if open && self.scoreboard.says_lost(self.cfg.mss) {
-                // Without RACK's reordering window the scoreboard is
-                // the loss detector (RFC 6675 §5 step 4.1).
-                self.enter_fast_recovery();
-            }
+            self.arm_reo_window();
             if self.in_recovery {
                 // Fresh coverage mid-episode exposes newly confirmed
                 // holes below it: run the hole-walk again.
@@ -66,8 +59,8 @@ impl Tcb {
         }
     }
 
-    /// Loss evidence under RACK arms the reordering window, once, while
-    /// data is outstanding and no episode is open.
+    /// Loss evidence arms RACK's reordering window, once, while data is
+    /// outstanding and no episode is open.
     fn arm_reo_window(&mut self) {
         if !self.in_recovery && self.snd_una != self.snd_nxt && self.reo_deadline_ns.is_none() {
             self.reo_deadline_ns = Some(self.now_ns.saturating_add(self.reo_wnd_ns()));
@@ -124,20 +117,20 @@ impl Tcb {
                 if seq_le(self.recover, h.ack) {
                     // Full ACK: the loss episode is over.
                     self.in_recovery = false;
-                    self.cc.on_full_ack(&self.cfg);
+                    self.cc.on_full_ack();
                 } else {
                     // NewReno partial ACK: the next hole starts at the
                     // new `snd_una` — retransmit it immediately (this
                     // also paces go-back-N recovery of a multi-segment
                     // loss after an RTO: one hole per arriving ACK
                     // instead of one per timeout), deflating by the
-                    // bytes this ACK covered when cc is on.
+                    // bytes this ACK covered.
                     self.rtx_request = true;
-                    self.cc.on_partial_ack(&self.cfg, acked);
+                    self.cc.on_partial_ack(acked);
                 }
             }
             if !self.in_recovery {
-                self.cc.on_ack(&self.cfg, acked);
+                self.cc.on_ack(acked);
             }
             self.rtx_deadline_ns = if self.snd_una == self.snd_nxt {
                 None
@@ -152,24 +145,14 @@ impl Tcb {
             && self.snd_una != self.snd_nxt
         {
             // Duplicate ACK: the peer is missing the segment at
-            // `snd_una`.
+            // `snd_una`. A dup-ACK count is reordering-ambiguous, so it
+            // only *arms* the reordering window — expiry with the hole
+            // still open declares loss (`on_rack`); cumulative progress
+            // before that cancels it silently.
             self.dup_ack_rx += 1;
-            if self.cfg.rack {
-                // RACK: a dup-ACK count is reordering-ambiguous, so it
-                // only *arms* the reordering window — expiry with the
-                // hole still open declares loss (`on_rack`); cumulative
-                // progress before that cancels it silently.
-                self.arm_reo_window();
-            } else if self.dup_ack_rx == 3 {
-                if self.in_recovery {
-                    self.stats.fast_retransmits += 1;
-                    self.rtx_request = true;
-                } else {
-                    self.enter_fast_recovery();
-                }
-            }
+            self.arm_reo_window();
             if self.dup_ack_rx > 3 && self.in_recovery {
-                self.cc.on_dup_ack(&self.cfg);
+                self.cc.on_dup_ack();
             }
         }
     }

@@ -1,108 +1,94 @@
-//! NewReno's congestion window (RFC 5681 / RFC 6582), and the only
-//! reader of [`TcbConfig::congestion_control`] (a `StackConfig`
-//! ablation; off, every event is ignored and nothing is bounded — fast
-//! retransmit and the RTO work either way). A loss episode halves
-//! `ssthresh`, inflates `cwnd` per extra dup-ACK and deflates it per
-//! partial ACK; a timeout restarts from one segment. `cwnd` (slow start
-//! / congestion avoidance) bounds emission alongside the peer window
-//! and composes with the TSO super-segment budget (a super-segment
-//! splits at the `min(cwnd, snd_wnd)` edge exactly like at the window
-//! edge). Invariant, when on: `ssthresh >= 2·MSS`, every cut but the
+//! NewReno's congestion window (RFC 5681 / RFC 6582). A loss episode
+//! halves `ssthresh`, inflates `cwnd` per extra dup-ACK and deflates it
+//! per partial ACK; a timeout restarts from one segment. `cwnd` (slow
+//! start / congestion avoidance) bounds emission alongside the peer
+//! window and composes with the TSO super-segment budget (a
+//! super-segment splits at the `min(cwnd, snd_wnd)` edge exactly like at
+//! the window edge). Invariant: `ssthresh >= 2·MSS`, every cut but the
 //! timeout's leaves `cwnd >= 2·MSS`, growth stops at `4·SND_BUF_CAP`.
 
-use super::{TcbConfig, MSS, SND_BUF_CAP};
+use super::{MSS, SND_BUF_CAP};
 
 /// Initial congestion window, in segments (RFC 6928's IW10).
 const INITIAL_CWND_SEGS: usize = 10;
 
-/// One connection's congestion state; the switch and the MSS stay in
-/// the [`TcbConfig`], which every event is shown.
+/// One connection's congestion state.
 #[derive(Debug)]
 pub(super) struct NewReno {
     /// Congestion window (bytes).
     cwnd: usize,
     /// Slow-start threshold (bytes).
     ssthresh: usize,
+    /// The segment size every event counts in.
+    mss: usize,
 }
 
 impl NewReno {
     pub(super) fn new() -> Self {
-        NewReno { cwnd: INITIAL_CWND_SEGS * MSS, ssthresh: SND_BUF_CAP }
+        NewReno { cwnd: INITIAL_CWND_SEGS * MSS, ssthresh: SND_BUF_CAP, mss: MSS }
     }
 
     /// The owner's MSS is known (before any data moves).
-    pub(super) fn configure(&mut self, cfg: &TcbConfig) {
+    pub(super) fn configure(&mut self, mss: usize) {
+        self.mss = mss;
         // The initial window is denominated in segments (IW10).
-        self.cwnd = INITIAL_CWND_SEGS * cfg.mss;
+        self.cwnd = INITIAL_CWND_SEGS * mss;
     }
 
-    /// The congestion window in bytes, whether or not it is in force.
+    /// The congestion window in bytes.
     pub(super) fn cwnd(&self) -> usize {
         self.cwnd
     }
 
     /// What may be in flight against a peer window of `snd_wnd`.
-    pub(super) fn window(&self, cfg: &TcbConfig, snd_wnd: usize) -> usize {
-        if cfg.congestion_control { snd_wnd.min(self.cwnd) } else { snd_wnd }
+    pub(super) fn window(&self, snd_wnd: usize) -> usize {
+        snd_wnd.min(self.cwnd)
     }
 
     /// Bytes one hole-walk may re-emit.
-    pub(super) fn hole_budget(&self, cfg: &TcbConfig, snd_wnd: usize) -> usize {
-        if cfg.congestion_control { snd_wnd.min(self.cwnd).max(2 * cfg.mss) } else { usize::MAX }
+    pub(super) fn hole_budget(&self, snd_wnd: usize) -> usize {
+        self.window(snd_wnd).max(2 * self.mss)
     }
 
     /// A loss episode opened short of a timeout, `flight` bytes out:
     /// halve, plus the three segments the evidence says have left.
-    pub(super) fn on_loss(&mut self, cfg: &TcbConfig, flight: usize) {
-        if cfg.congestion_control {
-            self.ssthresh = (flight / 2).max(2 * cfg.mss);
-            self.cwnd = self.ssthresh + 3 * cfg.mss;
-        }
+    pub(super) fn on_loss(&mut self, flight: usize) {
+        self.ssthresh = (flight / 2).max(2 * self.mss);
+        self.cwnd = self.ssthresh + 3 * self.mss;
     }
 
     /// The timer fired on data: a full loss event — restart slow start.
-    pub(super) fn on_rto(&mut self, cfg: &TcbConfig, flight: usize) {
-        if cfg.congestion_control {
-            self.ssthresh = (flight / 2).max(2 * cfg.mss);
-            self.cwnd = cfg.mss;
-        }
+    pub(super) fn on_rto(&mut self, flight: usize) {
+        self.ssthresh = (flight / 2).max(2 * self.mss);
+        self.cwnd = self.mss;
     }
 
     /// Each further dup-ACK in the episode means another segment left
     /// the network: inflate.
-    pub(super) fn on_dup_ack(&mut self, cfg: &TcbConfig) {
-        if cfg.congestion_control {
-            self.cwnd += cfg.mss;
-        }
+    pub(super) fn on_dup_ack(&mut self) {
+        self.cwnd += self.mss;
     }
 
     /// The full ACK that ends the episode: deflate to `ssthresh`.
-    pub(super) fn on_full_ack(&mut self, cfg: &TcbConfig) {
-        if cfg.congestion_control {
-            self.cwnd = self.ssthresh.max(2 * cfg.mss);
-        }
+    pub(super) fn on_full_ack(&mut self) {
+        self.cwnd = self.ssthresh.max(2 * self.mss);
     }
 
     /// A partial ACK inside the episode: deflate by the bytes it
     /// covered, plus the segment its retransmission puts back.
-    pub(super) fn on_partial_ack(&mut self, cfg: &TcbConfig, acked: usize) {
-        if cfg.congestion_control {
-            self.cwnd = self.cwnd.saturating_sub(acked).max(2 * cfg.mss) + cfg.mss;
-        }
+    pub(super) fn on_partial_ack(&mut self, acked: usize) {
+        self.cwnd = self.cwnd.saturating_sub(acked).max(2 * self.mss) + self.mss;
     }
 
     /// `acked` new bytes were acknowledged outside an episode: grow.
-    pub(super) fn on_ack(&mut self, cfg: &TcbConfig, acked: usize) {
-        if !cfg.congestion_control {
-            return;
-        }
+    pub(super) fn on_ack(&mut self, acked: usize) {
         if self.cwnd < self.ssthresh {
             // Slow start: one MSS per ACK (bounded by bytes
             // actually covered, so stretch ACKs don't over-open).
-            self.cwnd += acked.min(cfg.mss);
+            self.cwnd += acked.min(self.mss);
         } else {
             // Congestion avoidance: ~one MSS per RTT.
-            self.cwnd += (cfg.mss * cfg.mss / self.cwnd.max(1)).max(1);
+            self.cwnd += (self.mss * self.mss / self.cwnd.max(1)).max(1);
         }
         self.cwnd = self.cwnd.min(4 * SND_BUF_CAP);
     }
@@ -140,20 +126,20 @@ mod tests {
         ]
     }
 
-    fn drive(cc: &mut NewReno, cfg: &TcbConfig, ev: &Ev) {
+    fn drive(cc: &mut NewReno, ev: &Ev) {
         match *ev {
-            Ev::Ack(n) => cc.on_ack(cfg, n),
-            Ev::Acks(n) => (0..n).for_each(|_| cc.on_ack(cfg, cfg.mss)),
-            Ev::Loss(f) => cc.on_loss(cfg, f),
-            Ev::Rto(f) => cc.on_rto(cfg, f),
-            Ev::DupAck => cc.on_dup_ack(cfg),
-            Ev::FullAck => cc.on_full_ack(cfg),
-            Ev::PartialAck(n) => cc.on_partial_ack(cfg, n),
+            Ev::Ack(n) => cc.on_ack(n),
+            Ev::Acks(n) => (0..n).for_each(|_| cc.on_ack(cc.mss)),
+            Ev::Loss(f) => cc.on_loss(f),
+            Ev::Rto(f) => cc.on_rto(f),
+            Ev::DupAck => cc.on_dup_ack(),
+            Ev::FullAck => cc.on_full_ack(),
+            Ev::PartialAck(n) => cc.on_partial_ack(n),
         }
     }
 
     proptest! {
-        /// On, under any event sequence: `ssthresh` holds its 2·MSS
+        /// Under any event sequence: `ssthresh` holds its 2·MSS
         /// floor and so does `cwnd` wherever it is cut (a timeout
         /// restarts it from one MSS, growth only adds); growth stops at
         /// 4·`SND_BUF_CAP`, which only episode inflation — one MSS per
@@ -164,14 +150,13 @@ mod tests {
             mss in 300usize..MSS + 1,
             evs in proptest::collection::vec(arb_ev(), 1..60),
         ) {
-            let cfg = TcbConfig { mss, congestion_control: true, ..TcbConfig::default() };
             let mut cc = NewReno::new();
-            cc.configure(&cfg);
+            cc.configure(mss);
             prop_assert_eq!(cc.cwnd(), INITIAL_CWND_SEGS * mss);
             let mut inflated = 0;
             for ev in &evs {
                 let before = cc.cwnd;
-                drive(&mut cc, &cfg, ev);
+                drive(&mut cc, ev);
                 match ev {
                     Ev::Ack(_) | Ev::Acks(_) | Ev::DupAck => {
                         prop_assert!(cc.cwnd >= before.min(4 * SND_BUF_CAP))
@@ -183,29 +168,8 @@ mod tests {
                 inflated = if inflating { inflated + mss } else { 0 };
                 prop_assert!(cc.ssthresh >= 2 * mss, "{cc:?} after {ev:?}");
                 prop_assert!(cc.cwnd <= 4 * SND_BUF_CAP + inflated, "{cc:?} after {ev:?}");
-                prop_assert_eq!(cc.window(&cfg, 65_535), cc.cwnd.min(65_535));
-                prop_assert!(cc.hole_budget(&cfg, 0) >= 2 * mss);
-            }
-        }
-
-        /// Off, it bounds nothing and every event leaves it alone:
-        /// `cwnd()` keeps reading the initial window, as the parent's
-        /// did (the `netstack.tcp.cwnd` gauge and the pacing quantum
-        /// read it either way).
-        #[test]
-        fn disabled_it_bounds_nothing(
-            mss in 300usize..MSS + 1,
-            evs in proptest::collection::vec(arb_ev(), 1..40),
-            wnd in 0usize..65_536,
-        ) {
-            let cfg = TcbConfig { mss, ..TcbConfig::default() };
-            let mut cc = NewReno::new();
-            cc.configure(&cfg);
-            for ev in &evs {
-                drive(&mut cc, &cfg, ev);
-                prop_assert_eq!(cc.cwnd(), INITIAL_CWND_SEGS * mss);
-                prop_assert_eq!(cc.window(&cfg, wnd), wnd);
-                prop_assert_eq!(cc.hole_budget(&cfg, wnd), usize::MAX);
+                prop_assert_eq!(cc.window(65_535), cc.cwnd.min(65_535));
+                prop_assert!(cc.hole_budget(0) >= 2 * mss);
             }
         }
     }

@@ -209,7 +209,7 @@ impl Tcb {
                     // back as a D-SACK so the peer can tell a spurious
                     // retransmission from a lost ACK.
                     dropped = true;
-                    self.reasm.note_dsack(self.reports_sack(), seq, end);
+                    self.reasm.note_dsack(self.sack_in_force(), seq, end);
                     recycle(nb);
                 } else if seq_lt(seq, self.rcv_nxt) {
                     // Spans `rcv_nxt`: trim the already-received front,
@@ -225,7 +225,7 @@ impl Tcb {
                     // signal — count it as dropped so the duplicate
                     // ACK goes out.
                     dropped = true;
-                    let report = self.reports_sack();
+                    let report = self.sack_in_force();
                     if self.reasm.insert(seq, nb, self.rcv_nxt, report, recycle) {
                         self.stats.ooo_queued += 1;
                     }
@@ -295,19 +295,13 @@ impl Tcb {
         }
     }
 
-    /// Whether this side reports SACK and D-SACK blocks: the machinery
-    /// is on and the peer negotiated it.
-    fn reports_sack(&self) -> bool {
-        self.cfg.sack && self.peer_sack_ok
-    }
-
     /// The SACK option for the next pure ACK (`Reassembly`'s
     /// `fill_sack_option`); the stack calls this once per output poll
     /// and attaches the bytes to the first pure ACK it emits (data
     /// frames can't carry options — the GSO cutter assumes a bare
     /// header).
     pub fn fill_sack_option(&mut self, buf: &mut [u8; TCP_MAX_OPT_LEN]) -> usize {
-        self.reasm.fill_sack_option(self.reports_sack(), buf)
+        self.reasm.fill_sack_option(self.sack_in_force(), buf)
     }
 
     /// Sheds the newest (highest-sequence) reassembly-queue extent

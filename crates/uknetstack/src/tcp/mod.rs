@@ -12,8 +12,8 @@
 //! |---|---|---|---|
 //! | `wire` | none: the `TcpFlags` / `TcpHeader` / `TcpOptions` codec | `emit` ≡ `encode`, byte for byte; a malformed option ends the walk, not the segment | RFC 793, RFC 2018 |
 //! | `rto::Rto` | SRTT, RTTVAR, the timeout, its back-off, the flight being timed | timeout ∈ [`RTO_MIN_NS`, `RTO_MAX_NS`]; no sample across a retransmission | RFC 6298, Karn |
-//! | `cc::NewReno` | `cwnd`, `ssthresh` | 2·MSS floors, growth stops at 4·`SND_BUF_CAP`; the only reader of `congestion_control` | RFC 5681, RFC 6582 |
-//! | `scoreboard::Scoreboard` | SACKed ranges, the hole-walk mark | sorted, disjoint, ≤ `MAX_SACKED_RANGES` | RFC 2018, RFC 6675 |
+//! | `cc::NewReno` | `cwnd`, `ssthresh`, the MSS they count in | 2·MSS floors, growth stops at 4·`SND_BUF_CAP` | RFC 5681, RFC 6582 |
+//! | `scoreboard::Scoreboard` | SACKed ranges | sorted, disjoint, ≤ `MAX_SACKED_RANGES` | RFC 2018, RFC 6675 |
 //! | `reasm::Reassembly` | out-of-order extents, the SACK / D-SACK report owed | sorted, overlap-trimmed, ≤ `OOO_QUEUE_BUFS` / `OOO_QUEUE_BYTES` | RFC 2018, RFC 2883 |
 //!
 //! What is left is `Tcb`'s own — sequence space, the send, receive and
@@ -31,7 +31,7 @@
 //! (`NetStack`, or a test) hands it one [`TcbConfig`] at creation,
 //! tells it the time ([`Tcb::set_now`]), wakes it when its earliest
 //! deadline has passed ([`Tcb::next_deadline`] / [`Tcb::on_time`]; the
-//! five [`TcbTimer`]s behind them are the TCB's own business), and
+//! four [`TcbTimer`]s behind them are the TCB's own business), and
 //! reads what happened off one [`TcbStats`] ([`Tcb::stats`]) —
 //! `crates/uknetstack/README.md`, "Time" and "The TCB seam".
 
@@ -155,8 +155,8 @@ pub struct TcbStats {
     pub rto_fires: u32,
     /// Segments re-emitted: data, SYN, SYN-ACK and FIN retransmissions.
     pub retransmits: u32,
-    /// Loss episodes opened short of a timeout (3rd duplicate ACK, an
-    /// expired RACK reordering window, or the scoreboard's verdict).
+    /// Loss episodes opened short of a timeout (an expired RACK
+    /// reordering window).
     pub fast_retransmits: u32,
     /// Extents filed into the reassembly queue.
     pub ooo_queued: u32,
@@ -166,8 +166,6 @@ pub struct TcbStats {
     pub spurious_rtx: u32,
     /// Tail-loss probes fired in place of a full RTO.
     pub tlp_probes: u32,
-    /// Pacing-gate releases during recovery episodes.
-    pub paced_releases: u32,
     /// Reassembly-queue extents shed under pool pressure.
     pub ooo_shed: u32,
     /// Held ACKs that sat out their whole hold time.
@@ -187,26 +185,20 @@ pub struct TcbStats {
 }
 
 /// Everything the owner decides about a TCB, handed over once by
-/// [`Tcb::configure`] while its queues are still empty. The default is
-/// a raw TCB: full MSS, every mechanism off. The stack fills it from
+/// [`Tcb::configure`] while its queues are still empty. Loss recovery
+/// is not among it: every TCB runs NewReno (RFC 5681 / RFC 6582) with
+/// RACK-TLP (RFC 8985), unpaced. The default is a raw TCB: full MSS,
+/// no SACK, no keepalive, queues preallocated. The stack fills it from
 /// the `StackConfig` fields of the same names, which say what each
-/// mechanism buys.
+/// buys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcbConfig {
     /// Maximum segment size for software segmentation (and the cut
     /// size a GSO super-segment requests); must not be zero.
     pub mss: usize,
-    /// NewReno's congestion window bounds emission beside the peer
-    /// window. Fast retransmit and the RTO work either way.
-    pub congestion_control: bool,
     /// This side generates and consumes SACK blocks — once the peer's
     /// SYN also carried SACK-permitted.
     pub sack: bool,
-    /// RACK's reordering window and the tail-loss probe replace the
-    /// 3-dup-ACK threshold.
-    pub rack: bool,
-    /// Recovery-episode emission is metered through the pacing gate.
-    pub pacing: bool,
     /// An idle established connection probes its peer and closes when
     /// [`KEEPALIVE_PROBES`] go unanswered.
     pub keepalive: bool,
@@ -217,15 +209,7 @@ pub struct TcbConfig {
 
 impl Default for TcbConfig {
     fn default() -> Self {
-        TcbConfig {
-            mss: MSS,
-            congestion_control: false,
-            sack: false,
-            rack: false,
-            pacing: false,
-            keepalive: false,
-            lean: false,
-        }
+        TcbConfig { mss: MSS, sack: false, keepalive: false, lean: false }
     }
 }
 
@@ -365,10 +349,6 @@ pub struct Tcb {
     /// A probe was already spent on this tail (one per episode; reset
     /// when `snd_una` advances).
     tlp_consumed: bool,
-    /// Bytes the pacing gate still admits before the next release.
-    pace_budget: usize,
-    /// Armed pacing-gate release deadline.
-    pace_deadline_ns: Option<u64>,
     /// Armed [`TcbTimer::Life`] deadline, and the state it was derived
     /// in: the output poll re-derives it when the state has moved on.
     life_deadline_ns: Option<u64>,
@@ -458,13 +438,11 @@ impl Tcb {
             reasm: Reassembly::new(false),
             ack_deadline_ns: None,
             peer_sack_ok: false,
-            scoreboard: Scoreboard::new(iss, false),
+            scoreboard: Scoreboard::new(false),
             reo_deadline_ns: None,
             tlp_deadline_ns: None,
             tlp_pending: false,
             tlp_consumed: false,
-            pace_budget: 0,
-            pace_deadline_ns: None,
             life_deadline_ns: None,
             life_state: TcpState::Closed,
             last_activity_ns: 0,
@@ -488,14 +466,14 @@ impl Tcb {
         assert!(cfg.mss > 0, "zero mss");
         debug_assert!(self.send_q.is_empty() && self.recv_q.is_empty());
         self.cfg = cfg;
-        self.cc.configure(&cfg);
+        self.cc.configure(cfg.mss);
         if cfg.lean {
             self.send_q = VecDeque::new();
             self.recv_q = VecDeque::new();
             self.rtx_q = VecDeque::new();
             self.rtx_released = Vec::new();
             self.reasm = Reassembly::new(true);
-            self.scoreboard = Scoreboard::new(self.snd_una, true);
+            self.scoreboard = Scoreboard::new(true);
         }
     }
 
@@ -504,8 +482,8 @@ impl Tcb {
         &self.stats
     }
 
-    /// Current congestion window in bytes (meaningful with congestion
-    /// control on; exported as the `netstack.tcp.cwnd` gauge).
+    /// Current congestion window in bytes (exported as the
+    /// `netstack.tcp.cwnd` gauge).
     pub fn cwnd(&self) -> usize {
         self.cc.cwnd()
     }
@@ -608,6 +586,13 @@ impl Tcb {
     /// Whether the peer's advertised window admits no more data.
     pub(crate) fn window_closed(&self) -> bool {
         self.bytes_in_flight() >= self.snd_wnd
+    }
+
+    /// Whether SACK is in force: this side is configured for it and the
+    /// peer's SYN carried SACK-permitted. The receiver reports blocks,
+    /// and the sender reads and walks them, only then.
+    fn sack_in_force(&self) -> bool {
+        self.cfg.sack && self.peer_sack_ok
     }
 
     /// The local port.

@@ -12,10 +12,6 @@ use ukplat::{Errno, Result};
 
 use super::*;
 
-/// Pacing-gate release interval floor (the interval is `srtt / 8` —
-/// eight sub-bursts per RTT — floored to stay schedulable).
-const PACE_INTERVAL_MIN_NS: u64 = 1_000_000;
-
 impl Tcb {
     /// Queues application data for transmission, accepting at most the
     /// free send-buffer space — a partial write, like non-blocking
@@ -110,19 +106,6 @@ impl Tcb {
         let gain = edge.wrapping_sub(advertised) as usize;
         self.wnd_update_due =
             self.last_adv_wnd == 0 || gain >= (RCV_BUF_CAP / 2).min(2 * self.cfg.mss);
-    }
-
-    /// Whether the pacing gate currently meters emission: only during
-    /// a loss episode (recovery or backed-off RTO) — the lossless
-    /// path is byte-identical with pacing compiled in and armed.
-    fn pacing_active(&self) -> bool {
-        self.cfg.pacing && (self.in_recovery || self.rto.backed_off())
-    }
-
-    /// Bytes one pacing release admits: an eighth of the effective
-    /// window, floored at two segments so recovery always progresses.
-    pub(super) fn pace_quantum(&self) -> usize {
-        ((self.snd_wnd as usize).min(self.cc.cwnd()) / 8).max(2 * self.cfg.mss)
     }
 
     /// Assembles the next `n` bytes of the send queue into an outgoing
@@ -296,22 +279,6 @@ impl Tcb {
             emit(header, take_buf());
             emitted_ack = true;
         }
-        // Pacing gate: during a loss episode (recovery or a backed-off
-        // RTO) the budget meters how many bytes one poll may emit —
-        // retransmissions and post-RTO slow-start data alike — and the
-        // timer wheel releases the next quantum over the SRTT instead
-        // of the whole window leaving as one burst. Outside an episode
-        // the gate is inert: the lossless path is byte-identical with
-        // pacing compiled in and armed.
-        let pacing = self.pacing_active();
-        let mut pace_starved = false;
-        if !pacing {
-            self.pace_deadline_ns = None;
-            self.pace_budget = 0;
-        } else if self.pace_budget == 0 && self.pace_deadline_ns.is_none() {
-            // Fresh episode: the first quantum is free.
-            self.pace_budget = self.pace_quantum();
-        }
         // Retransmission first: a requested re-emission (RTO fire,
         // fast retransmit, NewReno partial ACK, SACK evidence) goes
         // out before any new data — the peer is stalled on exactly
@@ -323,8 +290,8 @@ impl Tcb {
                 .rtx_q
                 .front()
                 .is_some_and(|&(seq, _, _)| seq == self.snd_una);
-            if self.cfg.sack && !self.scoreboard.ranges().is_empty() {
-                emitted_ack |= self.hole_walk(&mut emit, pacing, &mut pace_starved);
+            if self.sack_in_force() && !self.scoreboard.ranges().is_empty() {
+                emitted_ack |= self.hole_walk(&mut emit);
                 if front_home {
                     self.rtx_request = false;
                 }
@@ -359,33 +326,21 @@ impl Tcb {
         if matches!(self.state, TcpState::Established | TcpState::CloseWait) {
             while self.send_q_len > 0 {
                 let in_flight = self.bytes_in_flight();
-                // The peer's window and (when the ablation is on) the
-                // congestion window both bound what may be in flight;
-                // a TSO super-segment splits at the combined edge.
-                let wnd = self.cc.window(&self.cfg, self.snd_wnd as usize);
+                // The peer's window and the congestion window both
+                // bound what may be in flight; a TSO super-segment
+                // splits at the combined edge.
+                let wnd = self.cc.window(self.snd_wnd as usize);
                 let window_room = wnd.saturating_sub(in_flight as usize);
                 if window_room == 0 {
                     break; // Tx window closed; data stays queued.
                 }
-                if pacing && self.pace_budget == 0 {
-                    // Quantum spent: the rest of this window leaves on
-                    // the next pacing release, not in this burst.
-                    pace_starved = true;
-                    break;
-                }
-                let mut n = self.send_q_len.min(max_seg).min(window_room);
-                if pacing {
-                    n = n.min(self.pace_budget);
-                }
+                let n = self.send_q_len.min(max_seg).min(window_room);
                 let last = n == self.send_q_len;
                 let header = self.make_header(TcpFlags { psh: last, ..TcpFlags::ACK });
                 let chain = self.assemble_chain(n, &mut take_buf);
                 emit(header, chain);
                 emitted_ack = true;
                 self.snd_nxt = self.snd_nxt.wrapping_add(n as u32);
-                if pacing {
-                    self.pace_budget -= n;
-                }
                 // Time this flight for the RFC 6298 estimator.
                 self.rto.probe(self.snd_nxt, self.now_ns);
             }
@@ -468,9 +423,7 @@ impl Tcb {
         if self.state == TcpState::Closed || self.snd_una == self.snd_nxt {
             self.reo_deadline_ns = None;
             self.tlp_deadline_ns = None;
-            self.pace_deadline_ns = None;
-        } else if self.cfg.rack
-            && !self.in_recovery
+        } else if !self.in_recovery
             && !self.tlp_consumed
             && self.tlp_deadline_ns.is_none()
             && self.can_retransmit()
@@ -483,12 +436,6 @@ impl Tcb {
                 pto += DELACK_NS;
             }
             self.tlp_deadline_ns = Some(self.now_ns.saturating_add(pto));
-        }
-        if pace_starved && self.pace_deadline_ns.is_none() {
-            self.pace_deadline_ns = Some(
-                self.now_ns
-                    .saturating_add((self.rto.srtt() / 8).max(PACE_INTERVAL_MIN_NS)),
-            );
         }
         self.arm_life();
     }

@@ -13,8 +13,8 @@
 //! for re-emission, a lost SYN/SYN-ACK/FIN is re-queued, and a closed
 //! peer window with queued data turns the timer into a persist —
 //! zero-window probe — timer), a loss episode opened short of a timeout
-//! (`enter_fast_recovery`, by `ack` or by RACK's `on_rack`, RFC 8985)
-//! and, inside one, the scoreboard's `hole_walk` (RFC 6675).
+//! (`enter_fast_recovery`, by RACK's `on_rack`, RFC 8985) and, inside
+//! one, the scoreboard's `hole_walk` (RFC 6675).
 
 use super::*;
 
@@ -34,11 +34,10 @@ impl Tcb {
 
     /// RACK timer fired: settle whichever deadlines have passed. An
     /// expired reordering window with the hole still open is loss —
-    /// enter fast retransmit exactly as the 3rd duplicate ACK would
-    /// have (the dup-ACK count merely *arms* the window with RACK on;
-    /// expiry is what declares loss, so reordering that resolves
-    /// within the window never triggers a retransmission). An expired
-    /// PTO owes the wire a tail-loss probe.
+    /// open the episode (duplicate ACKs and SACK coverage merely *arm*
+    /// the window; expiry is what declares loss, so reordering that
+    /// resolves within the window never triggers a retransmission). An
+    /// expired PTO owes the wire a tail-loss probe.
     pub(super) fn on_rack(&mut self, now_ns: u64) {
         if self.reo_deadline_ns.is_some_and(|d| d <= now_ns) {
             self.reo_deadline_ns = None;
@@ -59,19 +58,16 @@ impl Tcb {
         }
     }
 
-    /// Opens a loss episode short of a timeout — the 3rd duplicate ACK,
-    /// an expired reordering window, or the scoreboard's own verdict
-    /// (`Scoreboard::says_lost`): the hole at
-    /// `snd_una` is retransmitted at the next poll and partial ACKs
-    /// inside the episode retransmit the next hole directly; cwnd
-    /// surgery on top only when NewReno is on.
-    pub(super) fn enter_fast_recovery(&mut self) {
+    /// Opens a loss episode short of a timeout (an expired reordering
+    /// window): the hole at `snd_una` is retransmitted at the next poll,
+    /// partial ACKs inside the episode retransmit the next hole
+    /// directly, and NewReno halves the window.
+    fn enter_fast_recovery(&mut self) {
         self.stats.fast_retransmits += 1;
         self.rtx_request = true;
         self.in_recovery = true;
         self.recover = self.snd_nxt;
-        self.scoreboard.mark_walked(self.snd_una);
-        self.cc.on_loss(&self.cfg, self.bytes_in_flight() as usize);
+        self.cc.on_loss(self.bytes_in_flight() as usize);
     }
 
     /// Pops retransmission-queue extents fully covered by `snd_una`
@@ -195,15 +191,12 @@ impl Tcb {
                     // Timeout: retransmit the oldest hole and open (or
                     // refresh) a loss episode up to `snd_nxt`, so the
                     // partial ACKs that follow walk the remaining holes
-                    // one per ACK instead of one per timeout. With cc
-                    // on this is a full loss event — restart slow
-                    // start. The RTO supersedes any armed RACK
-                    // deadlines, and the hole-walk mark resets so the
-                    // front hole is eligible again.
+                    // one per ACK instead of one per timeout. This is
+                    // a full loss event — restart slow start. The RTO
+                    // supersedes any armed RACK deadlines.
                     self.rtx_request = true;
                     self.in_recovery = true;
                     self.recover = self.snd_nxt;
-                    self.scoreboard.mark_walked(self.snd_una);
                     self.reo_deadline_ns = None;
                     self.tlp_deadline_ns = None;
                     // Reneging safeguard (RFC 6675 §5.1): a receiver
@@ -213,7 +206,7 @@ impl Tcb {
                     // outstanding is eligible for retransmission
                     // again.
                     self.scoreboard.clear();
-                    self.cc.on_rto(&self.cfg, self.bytes_in_flight() as usize);
+                    self.cc.on_rto(self.bytes_in_flight() as usize);
                 } else if self.fin_sent && self.snd_una != self.snd_nxt && self.rtx_q.is_empty()
                 {
                     // Only our FIN is unacknowledged: re-emit it.
@@ -272,25 +265,19 @@ impl Tcb {
     /// extents below the highest SACKed byte that the scoreboard does
     /// not cover — the holes. Returns whether anything was emitted.
     ///
-    /// Guards against re-sending a hole every ACK: with RACK on, an
-    /// extent is eligible only once its last transmission is at least
-    /// `srtt + reo_wnd` old (a just-retransmitted extent gets its
-    /// round trip); with RACK off, the episode mark admits each hole
-    /// once per episode. The pacing/cwnd budget caps the walk's total
-    /// bytes, but the first eligible extent always goes (forward
-    /// progress).
-    pub(super) fn hole_walk<F>(&mut self, emit: &mut F, pacing: bool, pace_starved: &mut bool) -> bool
+    /// Guards against re-sending a hole every ACK: an extent is
+    /// eligible only once its last transmission is at least
+    /// `srtt + reo_wnd` old (a just-retransmitted extent gets its round
+    /// trip). The cwnd budget caps the walk's total bytes, but the first
+    /// eligible extent always goes (forward progress).
+    pub(super) fn hole_walk<F>(&mut self, emit: &mut F) -> bool
     where
         F: FnMut(TcpHeader, Netbuf),
     {
         let Some(&(_, high)) = self.scoreboard.ranges().last() else {
             return false;
         };
-        let mut budget = if pacing {
-            self.pace_budget
-        } else {
-            self.cc.hole_budget(&self.cfg, self.snd_wnd as usize)
-        };
+        let mut budget = self.cc.hole_budget(self.snd_wnd as usize);
         let age_floor = self.rto.srtt() + self.reo_wnd_ns();
         let mut emitted = false;
         let mut i = 0;
@@ -303,23 +290,11 @@ impl Tcb {
                 // (the tail is the probe's and the RTO's business).
                 break;
             }
-            if self.scoreboard.covers(seq, end) {
-                i += 1;
-                continue;
-            }
-            let eligible = if self.cfg.rack {
-                self.now_ns.saturating_sub(sent) >= age_floor
-            } else {
-                self.scoreboard.unwalked(seq)
-            };
-            if !eligible {
+            if self.scoreboard.covers(seq, end) || self.now_ns.saturating_sub(sent) < age_floor {
                 i += 1;
                 continue;
             }
             if emitted && len > budget {
-                if pacing {
-                    *pace_starved = true;
-                }
                 break;
             }
             let Some((start, _, nb)) = self.rtx_q.remove(i) else {
@@ -334,15 +309,9 @@ impl Tcb {
                 // later (or re-send everything in between).
                 self.stats.sack_rtx += 1;
             }
-            if !self.cfg.rack {
-                self.scoreboard.mark_walked(end);
-            }
             budget = budget.saturating_sub(len);
             self.retransmit(start, nb, emit);
             emitted = true;
-        }
-        if pacing {
-            self.pace_budget = budget;
         }
         emitted
     }
@@ -363,7 +332,5 @@ impl Tcb {
         self.reo_deadline_ns = None;
         self.tlp_deadline_ns = None;
         self.tlp_pending = false;
-        self.pace_deadline_ns = None;
-        self.pace_budget = 0;
     }
 }

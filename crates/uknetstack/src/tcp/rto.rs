@@ -54,11 +54,6 @@ impl Rto {
         self.srtt_ns
     }
 
-    /// Whether a timeout has fired since the last forward progress.
-    pub(super) fn backed_off(&self) -> bool {
-        self.backoff > 0
-    }
-
     /// The tail-loss probe's timeout.
     pub(super) fn pto_ns(&self) -> u64 {
         let pto = if self.srtt_ns > 0 { 2 * self.srtt_ns } else { RTO_INITIAL_NS / 2 };
@@ -180,16 +175,16 @@ mod tests {
                         now += wait;
                         una = una.wrapping_add(len.min(nxt.wrapping_sub(una)));
                         rto.on_ack(una, now);
-                        prop_assert!(!rto.backed_off());
+                        prop_assert_eq!(rto.backoff, 0);
                     }
                     Op::Timeout => {
                         rto.on_timeout();
-                        prop_assert!(rto.backed_off() && rto.timeout_ns() >= before);
+                        prop_assert!(rto.backoff > 0 && rto.timeout_ns() >= before);
                     }
                     Op::Retransmit => rto.void_probe(),
                     Op::Progress => {
                         rto.on_progress();
-                        prop_assert!(!rto.backed_off());
+                        prop_assert_eq!(rto.backoff, 0);
                     }
                 }
                 prop_assert!((RTO_MIN_NS..=RTO_MAX_NS).contains(&rto.timeout_ns()), "{rto:?}");

@@ -1,5 +1,5 @@
 //! The sender's SACK scoreboard (RFC 2018 / RFC 6675): what the peer
-//! says it holds above `snd_una`, and the hole-walk's mark. Invariant:
+//! says it holds above `snd_una`. Invariant:
 //! the ranges are sorted, disjoint and non-touching, and at most
 //! [`MAX_SACKED_RANGES`]. Which blocks are usable is `ack`'s
 //! `process_options`; the walk is `recovery`'s `hole_walk`.
@@ -19,19 +19,15 @@ pub(super) struct Scoreboard {
     /// above `snd_una`, merged from the peer's SACK blocks. The
     /// hole-walk retransmits only `rtx_q` extents *not* covered here.
     sacked: Vec<(u32, u32)>,
-    /// Highest sequence end the hole-walk has retransmitted this
-    /// episode (reset when `snd_una` advances or the RTO fires) — the
-    /// RACK-less guard against re-sending the same hole every ACK.
-    sack_rtx_mark: u32,
 }
 
 impl Scoreboard {
     // ukcheck: allow(alloc) -- moved out of `Tcb::new`/`configure` with
     // the allocation: pre-sized once per TCB so recovery never grows
     // it, or (`lean`) empty, which touches no heap
-    pub(super) fn new(iss: u32, lean: bool) -> Self {
+    pub(super) fn new(lean: bool) -> Self {
         let sacked = if lean { Vec::new() } else { Vec::with_capacity(MAX_SACKED_RANGES) };
-        Scoreboard { sacked, sack_rtx_mark: iss }
+        Scoreboard { sacked }
     }
 
     /// The ranges, ascending.
@@ -84,7 +80,7 @@ impl Scoreboard {
     }
 
     /// Cumulative progress to `snd_una`: retire the ranges the ACK
-    /// overtook and restart the hole-walk mark.
+    /// overtook.
     pub(super) fn retire_below(&mut self, snd_una: u32) {
         self.sacked.retain(|&(_, e)| seq_lt(snd_una, e));
         if let Some(first) = self.sacked.first_mut() {
@@ -92,39 +88,11 @@ impl Scoreboard {
                 first.0 = snd_una;
             }
         }
-        self.sack_rtx_mark = snd_una;
     }
 
     /// Forgets every range (a timeout distrusts them).
     pub(super) fn clear(&mut self) {
         self.sacked.clear();
-    }
-
-    /// RFC 6675 §4's `IsLost(snd_una)`: the segment at `snd_una` is
-    /// lost once three discontiguous ranges, or more than two segments'
-    /// worth of bytes, are SACKed above it. The byte form of the
-    /// 3-dup-ACK rule — it still works when the peer answers a whole
-    /// flight with one ACK, as this stack's receiver does (one ACK per
-    /// poll, and fewer still since ACKs ride replies).
-    pub(super) fn says_lost(&self, mss: usize) -> bool {
-        let sacked: usize = self
-            .sacked
-            .iter()
-            .map(|&(s, e)| e.wrapping_sub(s) as usize)
-            .sum();
-        self.sacked.len() >= 3 || sacked > 2 * mss
-    }
-
-    /// Whether the extent at `seq` is still owed its one
-    /// retransmission this episode.
-    pub(super) fn unwalked(&self, seq: u32) -> bool {
-        seq_le(self.sack_rtx_mark, seq)
-    }
-
-    /// The walk re-emitted everything it will below `seq` — or, with
-    /// `seq` at `snd_una`, an episode opens and every hole is owed.
-    pub(super) fn mark_walked(&mut self, seq: u32) {
-        self.sack_rtx_mark = seq;
     }
 }
 
@@ -176,8 +144,7 @@ mod tests {
         /// is the naive bitmap's maximal runs above `snd_una`: sorted,
         /// disjoint, never more than `MAX_SACKED_RANGES` (a block that
         /// would be the 33rd range is dropped, and only that), and
-        /// `covers`, `says_lost` and `merge`'s verdict agree with the
-        /// bitmap too.
+        /// `covers` and `merge`'s verdict agree with the bitmap too.
         #[test]
         fn matches_the_bitmap_reference_across_the_wrap(
             below_wrap in 0u32..2920,
@@ -185,7 +152,7 @@ mod tests {
             probe in (0u32..N, 1u32..3000),
         ) {
             let base = u32::MAX - below_wrap;
-            let mut sb = Scoreboard::new(base, false);
+            let mut sb = Scoreboard::new(false);
             let mut bits = vec![false; N as usize];
             let mut una = 0u32; // Relative to `base`.
             for op in &ops {
@@ -209,7 +176,6 @@ mod tests {
                         una = (una + delta).min(N);
                         bits[..una as usize].fill(false);
                         sb.retire_below(base.wrapping_add(una));
-                        prop_assert!(sb.unwalked(base.wrapping_add(una)));
                     }
                     Op::Clear => {
                         bits.fill(false);
@@ -221,8 +187,6 @@ mod tests {
                 prop_assert!(sb.ranges().len() <= MAX_SACKED_RANGES);
                 prop_assert!(sb.ranges().iter().all(|&(s, e)| seq_lt(s, e)));
                 prop_assert!(sb.ranges().windows(2).all(|w| seq_lt(w[0].1, w[1].0)));
-                let set = bits.iter().filter(|&&b| b).count();
-                prop_assert_eq!(sb.says_lost(1460), expect.len() >= 3 || set > 2920);
                 let (ps, pe) = (probe.0, (probe.0 + probe.1).min(N));
                 prop_assert_eq!(
                     sb.covers(base.wrapping_add(ps), base.wrapping_add(pe)),
@@ -230,18 +194,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The hole-walk mark admits each hole once per episode.
-    #[test]
-    fn the_mark_admits_each_hole_once_per_episode() {
-        let mut sb = Scoreboard::new(u32::MAX - 10, false);
-        sb.mark_walked(u32::MAX - 10);
-        assert!(sb.unwalked(u32::MAX - 10));
-        sb.mark_walked(1450); // Across the wrap.
-        assert!(!sb.unwalked(u32::MAX - 10) && !sb.unwalked(1449));
-        assert!(sb.unwalked(1450), "the next hole is still owed");
-        sb.retire_below(100);
-        assert!(sb.unwalked(100), "progress restarts the walk");
     }
 }

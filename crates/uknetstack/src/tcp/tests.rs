@@ -506,11 +506,8 @@ fn recv_netbuf_hands_out_ingested_buffers_in_order() {
 /// A connection driven until `kind` is armed on the TCB it
 /// returns.
 fn armed(kind: TcbTimer) -> Tcb {
-    let cfg = TcbConfig { rack: true, pacing: true, ..TcbConfig::default() };
     let mut server = Tcb::listen(80);
     let mut client = Tcb::connect(4000, 80, 1000);
-    server.configure(cfg);
-    client.configure(cfg);
     if kind == TcbTimer::Life {
         // A SYN nobody answers: the handshake is on the clock.
         client.poll_output();
@@ -528,15 +525,6 @@ fn armed(kind: TcbTimer) -> Tcb {
             server.on_segment(&flight[0].header, &flight[0].payload);
             assert!(server.poll_output().is_empty(), "the ACK is held");
             server
-        }
-        // Past a timeout the gate meters what follows: the first
-        // quantum leaves, the rest waits for the next release.
-        TcbTimer::Pace => {
-            let rto = client.deadline(TcbTimer::Rto).expect("RTO armed");
-            client.on_timer(TcbTimer::Rto, rto);
-            client.app_send(&[8; 20_000]).unwrap();
-            client.poll_output();
-            client
         }
         TcbTimer::Life => unreachable!("returned above"),
     }
@@ -557,7 +545,6 @@ fn every_timer_kind_arms_fires_counts_and_clears() {
                 (after.fast_retransmits + after.tlp_probes)
                     - (before.fast_retransmits + before.tlp_probes)
             }
-            TcbTimer::Pace => after.paced_releases - before.paced_releases,
             TcbTimer::Life => u32::from(tcb.timed_out() == Some(TcpState::SynSent)),
         };
         assert_eq!(fired, 1, "{kind:?} counted its fire");
@@ -569,6 +556,44 @@ fn every_timer_kind_arms_fires_counts_and_clears() {
         );
         assert_eq!(tcb.deadline(kind).is_some(), kind == TcbTimer::Rto);
     }
+}
+
+/// SACK blocks count only once both ends have negotiated SACK. A sender
+/// configured for it, whose peer's SYN-ACK carried no SACK-permitted,
+/// ignores the blocks a forged ACK brings: a block above the cumulative
+/// ACK stays off the scoreboard, and a D-SACK-shaped one neither counts
+/// a spurious retransmission nor undoes the RTO's back-off.
+#[test]
+fn sack_blocks_from_a_peer_that_never_negotiated_sack_are_ignored() {
+    let mut server = Tcb::listen(80);
+    let mut client = Tcb::connect(4000, 80, 1000);
+    client.configure(TcbConfig { sack: true, ..TcbConfig::default() });
+    pump(&mut client, &mut server); // Raw TCBs carry no options.
+    client.app_send(&[9; 2 * MSS]).unwrap();
+    assert_eq!(client.poll_output().len(), 2, "a flight of two segments");
+    let una = client.snd_una();
+    let rto = client.deadline(TcbTimer::Rto).expect("RTO armed");
+    client.on_timer(TcbTimer::Rto, rto);
+    let timeout = client.rto.timeout_ns();
+    let ack = TcpHeader {
+        src_port: 80,
+        dst_port: 4000,
+        seq: client.rcv_nxt(),
+        ack: una,
+        flags: TcpFlags::ACK,
+        window: 65_535,
+    };
+    let above = (una.wrapping_add(MSS as u32), una.wrapping_add(2 * MSS as u32));
+    for block in [above, (una.wrapping_sub(4), una)] {
+        let mut opts = TcpOptions::default();
+        opts.sack_blocks[0] = block;
+        opts.sack_count = 1;
+        client.process_options(&ack, &opts);
+        client.on_segment(&ack, &[]);
+    }
+    assert_eq!(client.sacked_ranges(), &[], "no block reached the scoreboard");
+    assert_eq!(client.stats().spurious_rtx, 0, "no D-SACK was counted");
+    assert_eq!(client.rto.timeout_ns(), timeout, "the back-off stands");
 }
 
 /// Jumps `tcb`'s clock to its next deadline and fires it; the

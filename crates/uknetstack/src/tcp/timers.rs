@@ -1,4 +1,4 @@
-//! The five deadlines a TCB keeps ([`TcbTimer`]): reporting them,
+//! The four deadlines a TCB keeps ([`TcbTimer`]): reporting them,
 //! firing them, and [`TcbTimer::Life`] — the protocol timeout of the
 //! state the connection is in — whole. What an RTO or RACK fire *does*
 //! is `recovery`'s; the output poll is what arms.
@@ -20,8 +20,6 @@ pub enum TcbTimer {
     /// RACK: the nearer of the reordering-window and tail-loss-probe
     /// deadlines.
     Rack,
-    /// The recovery pacing gate's next release.
-    Pace,
     /// The protocol timeout of the current state: the handshake
     /// ([`HANDSHAKE_TIMEOUT_NS`]), FIN_WAIT_2 ([`FINWAIT2_TIMEOUT_NS`])
     /// and TIME_WAIT (2 × [`TCP_MSL_NS`]) end in `Closed` when it
@@ -32,8 +30,8 @@ pub enum TcbTimer {
 
 impl TcbTimer {
     /// Every kind, in firing order.
-    pub const ALL: [TcbTimer; 5] =
-        [TcbTimer::Rto, TcbTimer::DelAck, TcbTimer::Rack, TcbTimer::Pace, TcbTimer::Life];
+    pub const ALL: [TcbTimer; 4] =
+        [TcbTimer::Rto, TcbTimer::DelAck, TcbTimer::Rack, TcbTimer::Life];
 }
 
 impl Tcb {
@@ -79,7 +77,6 @@ impl Tcb {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             },
-            TcbTimer::Pace => self.pace_deadline_ns,
             TcbTimer::Life => self.life_deadline_ns,
         }
     }
@@ -87,8 +84,8 @@ impl Tcb {
     /// The timer for `kind` expired at `now_ns`. Whatever the fire
     /// decided leaves at the next output poll; what it counted shows in
     /// [`stats`](Self::stats) (`rto_fires`, `delack_fires`,
-    /// `fast_retransmits` or `tlp_probes`, `paced_releases`,
-    /// `keepalive_probes` or `keepalive_drops`). A fire that finds its
+    /// `fast_retransmits` or `tlp_probes`, `keepalive_probes` or
+    /// `keepalive_drops`). A fire that finds its
     /// deadline moved on or disarmed does nothing.
     pub fn on_timer(&mut self, kind: TcbTimer, now_ns: u64) {
         self.set_now(now_ns);
@@ -102,13 +99,6 @@ impl Tcb {
                 }
             }
             TcbTimer::Rack => self.on_rack(now_ns),
-            TcbTimer::Pace => {
-                if self.pace_deadline_ns.is_some_and(|d| d <= now_ns) {
-                    self.pace_deadline_ns = None;
-                    self.pace_budget = self.pace_quantum();
-                    self.stats.paced_releases += 1;
-                }
-            }
             TcbTimer::Life => self.on_life(now_ns),
         }
     }

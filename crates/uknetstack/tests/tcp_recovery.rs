@@ -11,22 +11,19 @@
 use uknetstack::eth::{EthHeader, EtherType};
 use uknetstack::ipv4::{IpProto, Ipv4Header};
 use uknetstack::stack::{NetStack, SocketHandle, StackConfig, LOW_POOL_BUFS};
-use uknetstack::tcp::{TcbStats, TcpFlags, TcpHeader, TCP_HDR_LEN};
+use uknetstack::tcp::{TcbStats, TcpFlags, TcpHeader, RCV_BUF_CAP, TCP_HDR_LEN};
 use uknetstack::testnet::{self, node, Network};
 use uknetstack::{Csum, Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
 
 const POOL: usize = 512;
 
-fn mk_stack(n: u8, tso: bool, cc: bool) -> NetStack {
-    node(n, |cfg| {
-        cfg.tso = tso;
-        cfg.congestion_control = cc;
-    })
+fn mk_stack(n: u8, tso: bool) -> NetStack {
+    node(n, |cfg| cfg.tso = tso)
 }
 
 /// A stack with an arbitrary config tweak on top of the node defaults
-/// (per-MSS frames, cc on) — for the recovery-ablation tests.
+/// (per-MSS frames) — for the recovery-ablation tests.
 fn mk_stack_cfg(n: u8, f: impl FnOnce(&mut StackConfig)) -> NetStack {
     node(n, |cfg| {
         cfg.tso = false;
@@ -48,10 +45,10 @@ fn clocked_net_cfg(step_ns: u64, f: impl Fn(&mut StackConfig)) -> Network {
 /// A two-node net with a shared virtual clock advancing `step_ns` per
 /// step. `tso = false` keeps data on per-MSS plain wire frames — the
 /// shape the fault injector acts on.
-fn clocked_net(tso: bool, cc: bool, step_ns: u64) -> Network {
+fn clocked_net(tso: bool, step_ns: u64) -> Network {
     let mut net = Network::new();
-    net.attach(mk_stack(1, tso, cc));
-    net.attach(mk_stack(2, tso, cc));
+    net.attach(mk_stack(1, tso));
+    net.attach(mk_stack(2, tso));
     let tsc = Tsc::new(1_000_000_000); // 1 cycle = 1 ns.
     net.set_clock(&tsc);
     net.set_step_ns(step_ns);
@@ -110,6 +107,22 @@ fn patterned(len: usize, mul: u32) -> Vec<u8> {
     (0..len as u32).map(|i| (i.wrapping_mul(mul) % 251) as u8).collect()
 }
 
+/// Runs clean bulk transfers until the client's congestion window has
+/// opened to the peer's whole receive window, so the flights that
+/// follow are window-limited (~45 MSS) from the first one. Slow start
+/// adds one MSS per ACK and the receiver ACKs once per poll, so that
+/// takes ≈ 35 round trips from the initial ten segments.
+fn open_cwnd(net: &mut Network, client: SocketHandle, conn: SocketHandle) {
+    let warm = patterned(64 * 1024, 3);
+    for _ in 0..64 {
+        if net.stack(0).tcp_cwnd(client) >= RCV_BUF_CAP {
+            return;
+        }
+        assert_eq!(bulk_send(net, client, conn, &warm, 2_000), warm, "warm-up clean");
+    }
+    panic!("cwnd still {} after the warm-up", net.stack(0).tcp_cwnd(client));
+}
+
 /// Like [`bulk_send`], but also reports how many wire steps the
 /// transfer took — the goodput measure the ablation tests compare.
 fn bulk_send_counting(
@@ -154,7 +167,7 @@ fn bulk_send_counting(
 /// buffer back home afterwards.
 #[test]
 fn bulk_1mb_completes_under_drop_every_7() {
-    let mut net = clocked_net(false, true, 5_000_000); // 5 ms steps.
+    let mut net = clocked_net(false, 5_000_000); // 5 ms steps.
     let (client, conn) = establish(&mut net, 9001);
     net.set_drop_every(7);
     let blob = patterned(1 << 20, 31);
@@ -187,7 +200,7 @@ fn drop_bursts_force_rto_and_still_deliver_exactly() {
     // 50 ms steps: bursts can eat whole retransmit+ACK exchanges and
     // double the RTO toward its cap, so each round must buy enough
     // virtual time for deep backoffs to elapse within the round budget.
-    let mut net = clocked_net(false, true, 50_000_000);
+    let mut net = clocked_net(false, 50_000_000);
     let (client, conn) = establish(&mut net, 9002);
     net.set_drop_burst(40, 8); // 8 consecutive frames, every 40th.
     let blob = patterned(300_000, 17);
@@ -220,7 +233,7 @@ fn drop_bursts_force_rto_and_still_deliver_exactly() {
 /// any help from the application.
 #[test]
 fn dropped_fin_is_retransmitted_until_the_close_completes() {
-    let mut net = clocked_net(false, true, 50_000_000); // 50 ms steps.
+    let mut net = clocked_net(false, 50_000_000); // 50 ms steps.
     let (client, conn) = establish(&mut net, 9003);
     // Eat everything while the FIN goes out…
     net.set_drop_every(1);
@@ -251,7 +264,7 @@ fn dropped_fin_is_retransmitted_until_the_close_completes() {
 /// beside this one fire.
 #[test]
 fn rto_backoff_doubling_is_observable_via_stats() {
-    let mut net = clocked_net(false, true, 50_000_000); // 50 ms steps.
+    let mut net = clocked_net(false, 50_000_000); // 50 ms steps.
     let (client, _conn) = establish(&mut net, 9004);
     let base = net.stack(0).stats().rto_fires;
     // Black-hole the wire, then send one segment into the void: the
@@ -287,7 +300,7 @@ fn rto_backoff_doubling_is_observable_via_stats() {
 /// through SYN retransmission.
 #[test]
 fn dropped_syn_is_retransmitted() {
-    let mut net = clocked_net(false, true, 50_000_000);
+    let mut net = clocked_net(false, 50_000_000);
     // ARP first, so only the SYN is at risk.
     net.stack(0).ping(Ipv4Addr::new(10, 0, 0, 2), 1, 1).unwrap();
     net.run_until_quiet(16);
@@ -327,7 +340,7 @@ fn dropped_syn_is_retransmitted() {
 /// segments still reach the reassembly queue.
 #[test]
 fn gro_staging_flushes_on_sequence_gaps_under_loss() {
-    let mut net = clocked_net(false, true, 5_000_000);
+    let mut net = clocked_net(false, 5_000_000);
     assert!(net.stack(1).offloads().gro, "receiver coalesces");
     let (client, conn) = establish(&mut net, 9006);
     net.set_drop_every(5);
@@ -344,12 +357,12 @@ fn gro_staging_flushes_on_sequence_gaps_under_loss() {
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
 }
 
-/// A bandwidth-delay pipe (latency + per-step link budget) with
-/// NewReno on: the transfer completes, the congestion window grew
+/// A bandwidth-delay pipe (latency + per-step link budget) under
+/// NewReno: the transfer completes, the congestion window grew
 /// past its initial value, and the cwnd gauge is live.
 #[test]
 fn bandwidth_delay_pipe_completes_with_congestion_control() {
-    let mut net = clocked_net(false, true, 2_000_000); // 2 ms steps.
+    let mut net = clocked_net(false, 2_000_000); // 2 ms steps.
     let (client, conn) = establish(&mut net, 9007);
     net.set_bandwidth_delay(4, 24); // 8 ms one-way, 24 frames/step.
     let blob = patterned(400_000, 7);
@@ -363,25 +376,6 @@ fn bandwidth_delay_pipe_completes_with_congestion_control() {
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
 }
 
-/// The ablation switch: the same lossy transfer completes with
-/// congestion control off (pure window-limited recovery), so NewReno
-/// is a measurable policy, not a correctness crutch.
-#[test]
-fn loss_recovery_works_with_congestion_control_off() {
-    let mut net = clocked_net(false, false, 5_000_000);
-    let (client, conn) = establish(&mut net, 9008);
-    net.set_drop_every(9);
-    let blob = patterned(300_000, 29);
-    let got = bulk_send(&mut net, client, conn, &blob, 20_000);
-    assert_eq!(got, blob, "byte-identical with the ablation off");
-    let rtx = net.stack(0).tcp_stats(client).unwrap().retransmits;
-    assert!(rtx > 0, "recovery still ran");
-    net.set_drop_every(0);
-    net.run_until_quiet(64);
-    assert_eq!(net.stack(0).pool_available(), Some(POOL));
-    assert_eq!(net.stack(1).pool_available(), Some(POOL));
-}
-
 /// TSO sender over a lossy wire: super-segments are host-cut into
 /// plain frames (the receiver declines big receive), the fault
 /// injector eats some, and the sender's chained extents still
@@ -389,7 +383,7 @@ fn loss_recovery_works_with_congestion_control_off() {
 #[test]
 fn tso_super_segments_survive_loss_via_host_cut_retransmission() {
     let mut net = Network::new();
-    net.attach(mk_stack(1, true, true));
+    net.attach(mk_stack(1, true));
     // Declines big receive: supers get cut.
     net.attach(node(2, |cfg| cfg.rx_csum_offload = false));
     let tsc = Tsc::new(1_000_000_000);
@@ -413,21 +407,12 @@ fn tso_super_segments_survive_loss_via_host_cut_retransmission() {
 /// with the scoreboard on and once with it off. With SACK the sender
 /// retransmits *only the holes* (the `sack_rtx` counter proves the
 /// hole-walk ran past the first hole) and the transfer needs no more
-/// wire time than blind go-back-N recovery. Congestion control is off
-/// so flights stay window-limited (~45 MSS): a 1-in-8 drop then
-/// leaves several holes per window, which is the multi-hole episode
-/// the scoreboard exists for. (With NewReno on, cwnd collapses after
-/// every drop and recovery degenerates to single-segment RTOs — the
-/// scoreboard never gets a second hole to walk.)
+/// wire time than go-back-N recovery, which walks the holes one
+/// partial ACK at a time.
 #[test]
 fn sack_scoreboard_retransmits_only_the_holes() {
     let run = |sack: bool| {
-        let mut net = clocked_net_cfg(5_000_000, |cfg| {
-            cfg.sack = sack;
-            cfg.rack = false; // Isolate the scoreboard dimension.
-            cfg.pacing = false;
-            cfg.congestion_control = false;
-        });
+        let mut net = clocked_net_cfg(5_000_000, |cfg| cfg.sack = sack);
         let (client, conn) = establish(&mut net, 9010);
         net.set_drop_every(8);
         let blob = patterned(300_000, 23);
@@ -458,21 +443,16 @@ fn sack_scoreboard_retransmits_only_the_holes() {
     );
 }
 
-/// The recovery verdict, on the deterministic clock: with NewReno on
-/// (the shipped configuration) and a lossy wire, with or without
-/// adjacent reordering on top, the scoreboard plus the time-based
-/// detector need fewer wire steps than blind recovery — dup-ACK
-/// threshold, go-back-N, RTO — and the scoreboard costs no wire time
-/// on top of the detector alone. The fault schedule is a modulo of the
-/// frame count, so any one cadence is chaotic under a change of a
-/// single frame; each verdict is taken over the sum of three.
+/// The recovery verdict, on the deterministic clock: on a lossy wire,
+/// with or without adjacent reordering on top, the scoreboard costs no
+/// wire time on top of RACK's time-based detector alone. The fault
+/// schedule is a modulo of the frame count, so any one cadence is
+/// chaotic under a change of a single frame; each verdict is taken over
+/// the sum of three.
 #[test]
-fn sack_and_rack_never_lose_to_blind_recovery_on_a_lossy_wire() {
-    let steps = |sack: bool, rack: bool, drop_every: u64, reorder_every: u64| {
-        let mut net = clocked_net_cfg(5_000_000, |cfg| {
-            cfg.sack = sack;
-            cfg.rack = rack;
-        });
+fn sack_never_loses_to_rack_alone_on_a_lossy_wire() {
+    let steps = |sack: bool, drop_every: u64, reorder_every: u64| {
+        let mut net = clocked_net_cfg(5_000_000, |cfg| cfg.sack = sack);
         let (client, conn) = establish(&mut net, 9017);
         net.set_drop_every(drop_every);
         net.set_reorder_every(reorder_every);
@@ -480,7 +460,7 @@ fn sack_and_rack_never_lose_to_blind_recovery_on_a_lossy_wire() {
         let (got, steps) = bulk_send_counting(&mut net, client, conn, &blob, 20_000);
         assert_eq!(
             got, blob,
-            "byte-identical (sack={sack} rack={rack} drop={drop_every} reorder={reorder_every})"
+            "byte-identical (sack={sack} drop={drop_every} reorder={reorder_every})"
         );
         net.set_drop_every(0);
         net.set_reorder_every(0);
@@ -490,18 +470,11 @@ fn sack_and_rack_never_lose_to_blind_recovery_on_a_lossy_wire() {
         steps
     };
     for reorder_every in [0, 3] {
-        let total = |sack, rack| -> usize {
-            [7, 8, 11]
-                .iter()
-                .map(|&drop_every| steps(sack, rack, drop_every, reorder_every))
-                .sum()
+        let total = |sack| -> usize {
+            [7, 8, 11].iter().map(|&drop_every| steps(sack, drop_every, reorder_every)).sum()
         };
-        let (both, rack_only, blind) = (total(true, true), total(false, true), total(false, false));
+        let (both, rack_only) = (total(true), total(false));
         let wire = format!("reorder_every={reorder_every}, summed over drop_every ∈ {{7, 8, 11}}");
-        assert!(
-            both < blind,
-            "sack+rack must beat blind recovery ({both} vs {blind} wire steps; {wire})"
-        );
         assert!(
             both <= rack_only,
             "the scoreboard must not cost wire time ({both} vs {rack_only} wire steps; {wire})"
@@ -513,68 +486,55 @@ fn sack_and_rack_never_lose_to_blind_recovery_on_a_lossy_wire() {
 /// (duplicated ACKs + adjacent data reorder) must trigger *zero*
 /// retransmissions of any kind with RACK on — the reordering window
 /// waits half an SRTT, sees the cumulative ACK advance, and never
-/// declares loss. The pacing gate armed on top changes nothing: no
-/// episode ever opens for it to meter.
+/// declares loss.
 #[test]
 fn rack_reordering_window_suppresses_false_fast_retransmits() {
-    for pacing in [false, true] {
-        let mut net = clocked_net_cfg(5_000_000, |cfg| {
-            cfg.rack = true;
-            cfg.pacing = pacing;
-        });
-        let (client, conn) = establish(&mut net, 9011);
-        // Duplicated ACKs + adjacent data reorder: classic dup-ACK
-        // noise with nothing actually lost.
-        net.set_dup_every(2);
-        net.set_reorder_every(3);
-        let blob = patterned(300_000, 41);
-        let got = bulk_send(&mut net, client, conn, &blob, 20_000);
-        assert_eq!(got, blob, "byte-identical through reorder noise");
-        assert!(net.faults_injected() > 0, "the wire really perturbed");
-        let s = net.stack(0).tcp_stats(client).unwrap();
-        let (rtx, fast) = (s.retransmits, s.fast_retransmits);
-        assert_eq!(fast, 0, "no false fast retransmit on a lossless reordering wire");
-        assert_eq!(rtx, 0, "no spurious data retransmission at all (pacing={pacing})");
-        net.set_dup_every(0);
-        net.set_reorder_every(0);
-        net.run_until_quiet(64);
-        assert_eq!(net.stack(0).pool_available(), Some(POOL));
-        assert_eq!(net.stack(1).pool_available(), Some(POOL));
-    }
+    let mut net = clocked_net_cfg(5_000_000, |_| {});
+    let (client, conn) = establish(&mut net, 9011);
+    // Duplicated ACKs + adjacent data reorder: classic dup-ACK noise
+    // with nothing actually lost.
+    net.set_dup_every(2);
+    net.set_reorder_every(3);
+    let blob = patterned(300_000, 41);
+    let got = bulk_send(&mut net, client, conn, &blob, 20_000);
+    assert_eq!(got, blob, "byte-identical through reorder noise");
+    assert!(net.faults_injected() > 0, "the wire really perturbed");
+    let s = net.stack(0).tcp_stats(client).unwrap();
+    let (rtx, fast) = (s.retransmits, s.fast_retransmits);
+    assert_eq!(fast, 0, "no false fast retransmit on a lossless reordering wire");
+    assert_eq!(rtx, 0, "no spurious data retransmission at all");
+    net.set_dup_every(0);
+    net.set_reorder_every(0);
+    net.run_until_quiet(64);
+    assert_eq!(net.stack(0).pool_available(), Some(POOL));
+    assert_eq!(net.stack(1).pool_available(), Some(POOL));
 }
 
 /// The RACK tentpole, part 2: on a wire that both drops and reorders,
 /// the time-based reordering window converts timeout recoveries into
-/// timely fast recoveries — far fewer RTO fires than the legacy
-/// 3-dup-ACK threshold, which keeps stalling until the 200 ms floor
-/// because reordered ACK noise resets its dup-ACK count.
+/// timely fast recoveries. On this exact schedule the 3-dup-ACK
+/// threshold the stack ran before RACK was its only detector took 15
+/// RTO fires to 17 fast retransmits — reordered ACK noise kept
+/// resetting its dup-ACK count, so it stalled until the 200 ms floor.
+/// RACK took 2 to 53, and that is the bound.
 #[test]
 fn rack_converts_rto_stalls_into_fast_recoveries_under_reorder() {
-    let run = |rack: bool| {
-        let mut net = clocked_net_cfg(5_000_000, |cfg| {
-            cfg.rack = rack;
-            cfg.congestion_control = false; // Window-limited flights.
-        });
-        let (client, conn) = establish(&mut net, 9016);
-        net.set_drop_every(8);
-        net.set_reorder_every(3);
-        let blob = patterned(300_000, 59);
-        let got = bulk_send(&mut net, client, conn, &blob, 20_000);
-        assert_eq!(got, blob, "byte-identical (rack={rack})");
-        let rto = net.stack(0).tcp_stats(client).unwrap().rto_fires;
-        net.set_drop_every(0);
-        net.set_reorder_every(0);
-        net.run_until_quiet(64);
-        assert_eq!(net.stack(0).pool_available(), Some(POOL));
-        assert_eq!(net.stack(1).pool_available(), Some(POOL));
-        rto
-    };
-    let rto_rack = run(true);
-    let rto_legacy = run(false);
-    assert!(
-        rto_rack < rto_legacy,
-        "RACK recovers before the RTO floor ({rto_rack} vs {rto_legacy} RTO fires)"
-    );
+    let mut net = clocked_net_cfg(5_000_000, |_| {});
+    let (client, conn) = establish(&mut net, 9016);
+    net.set_drop_every(8);
+    net.set_reorder_every(3);
+    let blob = patterned(300_000, 59);
+    let got = bulk_send(&mut net, client, conn, &blob, 20_000);
+    assert_eq!(got, blob, "byte-identical");
+    let s = net.stack(0).tcp_stats(client).unwrap();
+    let (rto, fast) = (s.rto_fires, s.fast_retransmits);
+    assert!(rto <= 2, "RACK recovers before the RTO floor ({rto} RTO fires, {fast} fast)");
+    assert!(fast > 10 * rto, "fast recoveries, not timeouts ({rto} RTO fires, {fast} fast)");
+    net.set_drop_every(0);
+    net.set_reorder_every(0);
+    net.run_until_quiet(64);
+    assert_eq!(net.stack(0).pool_available(), Some(POOL));
+    assert_eq!(net.stack(1).pool_available(), Some(POOL));
 }
 
 /// The tail-loss probe: the last segment of a flight is dropped, so
@@ -583,9 +543,7 @@ fn rack_converts_rto_stalls_into_fast_recoveries_under_reorder() {
 /// single RTO fire.
 #[test]
 fn tail_loss_probe_rescues_a_dropped_tail_without_rto() {
-    let mut net = clocked_net_cfg(5_000_000, |cfg| {
-        cfg.rack = true;
-    });
+    let mut net = clocked_net_cfg(5_000_000, |_| {});
     let (client, conn) = establish(&mut net, 9012);
     // Warm up: a clean transfer seeds the RTT estimator.
     let warm = patterned(64_000, 19);
@@ -616,28 +574,6 @@ fn tail_loss_probe_rescues_a_dropped_tail_without_rto() {
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
 }
 
-/// The pacing gate: with `pacing` on, recovery emission is metered
-/// over the SRTT instead of leaving as one burst — the release
-/// counter proves the gate engaged, and the stream still completes
-/// byte-identical.
-#[test]
-fn paced_recovery_meters_the_retransmission_burst() {
-    let mut net = clocked_net_cfg(5_000_000, |cfg| {
-        cfg.pacing = true;
-    });
-    let (client, conn) = establish(&mut net, 9013);
-    net.set_drop_every(8);
-    let blob = patterned(300_000, 43);
-    let got = bulk_send(&mut net, client, conn, &blob, 20_000);
-    assert_eq!(got, blob, "byte-identical with paced recovery");
-    let paced = net.stack(0).tcp_stats(client).unwrap().paced_releases;
-    assert!(paced > 0, "the pacing gate released recovery emission");
-    net.set_drop_every(0);
-    net.run_until_quiet(64);
-    assert_eq!(net.stack(0).pool_available(), Some(POOL));
-    assert_eq!(net.stack(1).pool_available(), Some(POOL));
-}
-
 /// The pool-pressure guard: a receiver with a deliberately small
 /// buffer pool rides out sustained loss (out-of-order extents pin
 /// pool buffers) by shedding its newest reassembly extents instead of
@@ -648,20 +584,18 @@ fn paced_recovery_meters_the_retransmission_burst() {
 fn sustained_loss_cannot_exhaust_a_small_receiver_pool() {
     const SMALL: usize = 48;
     let mut net = Network::new();
-    // Window-limited flights (~45 MSS) so a drop burst early in a
-    // flight strands most of a window out of order at the receiver —
-    // enough pinned extents to push a 48-buffer pool under the
-    // low-water mark.
-    net.attach(mk_stack_cfg(1, |cfg| cfg.congestion_control = false));
-    net.attach(mk_stack_cfg(2, |cfg| {
-        cfg.pool_size = SMALL;
-        cfg.congestion_control = false;
-    }));
+    net.attach(mk_stack_cfg(1, |_| {}));
+    net.attach(mk_stack_cfg(2, |cfg| cfg.pool_size = SMALL));
     let tsc = Tsc::new(1_000_000_000);
     net.set_clock(&tsc);
     net.set_step_ns(50_000_000); // Deep backoffs must elapse in-budget.
     let (client, conn) = establish(&mut net, 9014);
-    net.set_drop_burst(30, 6); // Recurring multi-hole episodes.
+    // Window-limited flights (~45 MSS) so a drop burst early in a
+    // flight strands most of a window out of order at the receiver —
+    // enough pinned extents to push a 48-buffer pool under the
+    // low-water mark.
+    open_cwnd(&mut net, client, conn);
+    net.set_drop_burst(90, 2); // Recurring multi-hole episodes.
     let blob = patterned(300_000, 47);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "stream complete despite shedding");
@@ -808,17 +742,17 @@ fn gro_leaves_an_optioned_data_segment_its_sack_blocks() {
 /// [`LOW_POOL_BUFS`]. Returns what arrived and both ends' counters.
 fn stream_with_one_hole(gro: bool, pool: usize) -> (Vec<u8>, TcbStats, TcbStats) {
     let mut net = Network::new();
-    // Window-limited flights (~45 MSS), so twenty segments follow the
-    // hole in the same burst.
-    net.attach(mk_stack_cfg(1, |cfg| cfg.congestion_control = false));
+    net.attach(mk_stack_cfg(1, |_| {}));
     net.attach(mk_stack_cfg(2, |cfg| {
         cfg.pool_size = pool;
-        cfg.congestion_control = false;
         cfg.gro = gro;
     }));
     net.set_clock(&Tsc::new(1_000_000_000));
     net.set_step_ns(1_000_000);
     let (client, conn) = establish(&mut net, 9017);
+    // Window-limited flights (~45 MSS), so twenty segments follow the
+    // hole in the same burst.
+    open_cwnd(&mut net, client, conn);
     let blob = patterned(200_000, 61);
     let mut got = Vec::with_capacity(blob.len());
     let mut sent = 0;
@@ -884,7 +818,7 @@ fn the_three_ingest_shapes_account_alike() {
     // Big receive: 28 one-buffer parts land 1000 bytes ahead of the
     // stream on a 40-buffer pool.
     let mut net = Network::new();
-    net.attach(mk_stack(1, true, false));
+    net.attach(mk_stack(1, true));
     net.attach(mk_stack_cfg(2, |cfg| {
         cfg.tso = true;
         cfg.pool_size = 40;
