@@ -183,17 +183,28 @@ perf-compare:
 ## rules): `ukperf` built at BASE (any revision, exported into a
 ## throwaway directory) and from this working tree; pair i runs both on
 ## workload W for SECONDS with seed FIRST_SEED+i, the order flipped
-## every pair. Prints each pair, then both sides' median and quartiles
-## (Python's `statistics.quantiles`, as `ukperf compare` computes them),
-## the ratio of the medians and the pairs the change won. Every run must
-## be correct with 0 failed operations. Building `benchmark/` rewrites
-## its stale `Cargo.lock`; the recipe puts the file back as it was.
+## every pair, and reads the end-to-end metric M (default `ops_per_s`)
+## off each run's result line. Prints each pair, then both sides'
+## median and quartiles (Python's `statistics.quantiles`, as `ukperf
+## compare` computes them), the ratio of the medians and the pairs the
+## change won — which way is a win comes from the metric's `better` in
+## `BENCHMARK.json`, so `M=peak_rss_mib` counts lower as a win. Every
+## run must be correct with 0 failed operations. Building `benchmark/`
+## rewrites its stale `Cargo.lock`; the recipe puts the file back as it
+## was.
 W ?= tcp-rr
 N ?= 10
+M ?= ops_per_s
 FIRST_SEED ?= 101
+# awk: a value as the pairs print it (whole numbers past 1e5, else six
+# significant digits).
+PAIRS_FMT = function f(x) { return (x >= 1e5 || x <= -1e5) ? sprintf("%.0f", x) : sprintf("%.6g", x) }
 perf-pairs:
-	@test -n "$(BASE)" || { echo "usage: make perf-pairs BASE=<rev> [W=tcp-rr] [N=10] [SECONDS=18] [FIRST_SEED=101]"; exit 2; }
-	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	@test -n "$(BASE)" || { echo "usage: make perf-pairs BASE=<rev> [W=tcp-rr] [M=ops_per_s] [N=10] [SECONDS=18] [FIRST_SEED=101]"; exit 2; }
+	@set -e; \
+	better=$$(awk -v m='"$(M)"' '/"name":/ { hit = index($$0, m) > 0 } hit && /"better":/ { sub(/.*"better": *"/, ""); sub(/".*/, ""); print; exit }' BENCHMARK.json); \
+	case "$$better" in higher) lower=0 ;; lower) lower=1 ;; *) echo "perf-pairs: BENCHMARK.json has no metric M=$(M)" >&2; exit 2 ;; esac; \
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	mkdir "$$dir/src"; git archive "$(BASE)" | tar -x -C "$$dir/src"; \
 	(cd "$$dir/src" && $(CARGO) build -q --release --offline --manifest-path benchmark/Cargo.toml --target-dir "$$dir/base"); \
 	cp benchmark/Cargo.lock "$$dir/Cargo.lock"; \
@@ -202,26 +213,29 @@ perf-pairs:
 	run() { \
 		"$$dir/$$1/release/ukperf" --workload $(W) --seed $$2 --seconds $(SECONDS) | tail -n 1 > "$$dir/last"; \
 		grep -q '"correct":true,.*"failed":0,' "$$dir/last" || { echo "$$1, seed $$2, not correct:" >&2; cat "$$dir/last" >&2; exit 1; }; \
-		sed -n 's/.*"ops_per_s":{"value":\([^,}]*\).*/\1/p' "$$dir/last"; \
+		v=$$(sed -n 's/.*"$(M)":{"value":\([^,}]*\).*/\1/p' "$$dir/last"); \
+		test -n "$$v" || { echo "$$1, seed $$2: no $(M) in the result line" >&2; exit 1; }; \
+		echo "$$v"; \
 	}; \
-	echo "ukperf ops_per_s, $(W), $(SECONDS) s runs: $(BASE) (base) vs this working tree (change)"; \
+	echo "ukperf $(M) ($$better is better), $(W), $(SECONDS) s runs: $(BASE) (base) vs this working tree (change)"; \
 	printf '%-6s %14s %14s %8s\n' seed base change ratio; \
 	i=0; while [ $$i -lt $(N) ]; do \
 		seed=$$(($(FIRST_SEED) + i)); \
 		if [ $$((i % 2)) -eq 0 ]; then b=$$(run base $$seed); c=$$(run change $$seed); \
 		else c=$$(run change $$seed); b=$$(run base $$seed); fi; \
 		echo "$$b $$c" >> "$$dir/pairs"; \
-		awk -v s=$$seed -v b=$$b -v c=$$c 'BEGIN { printf "%-6d %14.0f %14.0f %8.3f\n", s, b, c, c / b }'; \
+		awk -v s=$$seed -v b=$$b -v c=$$c '$(PAIRS_FMT) BEGIN { printf "%-6d %14s %14s %8.3f\n", s, f(b), f(c), c / b }'; \
 		i=$$((i + 1)); \
 	done; \
 	quartiles() { sort -g | awk '{ x[NR] = $$1 } \
 		function q(p, m, j) { m = p * (NR + 1); j = int(m); if (j < 1) return x[1]; if (j >= NR) return x[NR]; return x[j] + (m - j) * (x[j + 1] - x[j]) } \
-		END { printf "%.0f %.0f %.0f\n", q(0.25), q(0.5), q(0.75) }'; }; \
+		END { printf "%.17g %.17g %.17g\n", q(0.25), q(0.5), q(0.75) }'; }; \
 	set -- $$(cut -d' ' -f1 "$$dir/pairs" | quartiles) $$(cut -d' ' -f2 "$$dir/pairs" | quartiles); \
-	printf 'base    median %.0f [q1 %.0f, q3 %.0f], IQR %.0f\n' $$2 $$1 $$3 $$(($$3 - $$1)); \
-	printf 'change  median %.0f [q1 %.0f, q3 %.0f], IQR %.0f\n' $$5 $$4 $$6 $$(($$6 - $$4)); \
-	awk -v bm=$$2 -v cm=$$5 -v iqr=$$(($$3 - $$1)) '$$2 > $$1 { won++ } \
-		END { printf "change/base %.3f (median), won %d/%d, |delta median| %.0f vs base IQR %.0f\n", cm / bm, won, NR, (cm > bm ? cm - bm : bm - cm), iqr }' "$$dir/pairs"
+	awk -v b1=$$1 -v bm=$$2 -v b3=$$3 -v c1=$$4 -v cm=$$5 -v c3=$$6 -v lower=$$lower '$(PAIRS_FMT) \
+		{ if (lower ? $$2 < $$1 : $$2 > $$1) won++ } \
+		END { printf "base    median %s [q1 %s, q3 %s], IQR %s\n", f(bm), f(b1), f(b3), f(b3 - b1); \
+			printf "change  median %s [q1 %s, q3 %s], IQR %s\n", f(cm), f(c1), f(c3), f(c3 - c1); \
+			printf "change/base %.3f (median), won %d/%d, |delta median| %s vs base IQR %s\n", cm / bm, won, NR, f(cm > bm ? cm - bm : bm - cm), f(b3 - b1) }' "$$dir/pairs"
 
 examples:
 	$(CARGO) build --release --examples

@@ -5,8 +5,9 @@
 //! introduce a network packet buffer wrapper structure called
 //! `uk_netbuf`" (§3.1). The descriptor carries the metadata the driver
 //! needs (headroom, length) while the *allocation policy* stays with
-//! the application: performance-critical code uses a pre-allocated
-//! [`NetbufPool`], memory-frugal code allocates from the heap. Like
+//! the application: performance-critical code uses a [`NetbufPool`]
+//! (buffers built once, then recycled), memory-frugal code allocates
+//! from the heap. Like
 //! `struct uk_netbuf *`, a [`Netbuf`] is passed around as one pointer:
 //! the descriptor and the bytes stay where they were allocated.
 //!
@@ -94,6 +95,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Monotonic source of pool identities (so a buffer can never be
 /// returned to a pool it did not come from).
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Buffers a [`NetbufPool`] builds at construction (or all of them, if
+/// it holds fewer): one full receive burst and one full transmit burst.
+pub const INITIAL_BUFS: usize = 2 * crate::MAX_BURST;
 
 /// The byte pattern the `netbuf-sanitizer` feature writes over a
 /// buffer's entire storage on give-back. A pool-resident buffer must
@@ -197,9 +202,10 @@ pub struct TcpHold {
 /// - the **storage** (`buf`/`buflen`): headroom + payload + tailroom,
 ///   one boxed slice owned by the descriptor.
 ///
-/// Descriptor and storage are allocated when the buffer is built — by
-/// [`NetbufPool`] construction or [`Netbuf::alloc`] — and freed when the
-/// handle drops; nothing is allocated, freed or relocated per packet.
+/// Descriptor and storage are allocated when the buffer is built — by a
+/// [`NetbufPool`] (at construction or when it grows) or by
+/// [`Netbuf::alloc`] — and freed when the handle drops; nothing is
+/// allocated, freed or relocated per packet.
 /// Every accessor is a method on the handle itself (no `Deref` to the
 /// descriptor), so `nb.request_csum(nb.len(), 16)` borrows as it would
 /// on a plain struct.
@@ -250,7 +256,7 @@ impl Netbuf {
     /// and `headroom` reserved in front: two allocations, descriptor
     /// and storage.
     // ukcheck: allow(alloc) -- the explicit heap-buffer constructor: pools
-    // call it at build time, and the memory-frugal path allocates here by
+    // call it when they build a buffer, and the memory-frugal path allocates here by
     // design (§3.1); the steady-state datapath only circulates pooled bufs
     pub fn alloc(cap: usize, headroom: usize) -> Self {
         assert!(headroom <= cap, "headroom exceeds capacity");
@@ -574,10 +580,10 @@ impl Netbuf {
     }
 
     /// Pre-reserves capacity for `n` chain fragments (pools call this
-    /// once at construction so steady-state chain building never
-    /// allocates).
+    /// once, when they build the buffer, so steady-state chain building
+    /// never allocates).
     pub fn reserve_frags(&mut self, n: usize) {
-        // ukcheck: allow(alloc) -- called once per buffer at pool construction
+        // ukcheck: allow(alloc) -- called once per buffer, when a pool builds it
         self.desc.frags.reserve(n);
     }
 
@@ -594,33 +600,55 @@ impl Netbuf {
     }
 }
 
-/// A fixed pool of pre-allocated netbufs.
+/// A pool of up to `count` netbufs, built on demand and kept for good.
 ///
 /// "Performance critical workloads can make use of pre-allocated network
 /// buffer pools, while memory efficient applications can reduce memory
-/// footprint by allocating buffers from the standard heap" (§3.1).
+/// footprint by allocating buffers from the standard heap" (§3.1). The
+/// pool takes both halves of that trade: buffers are built only when
+/// the traffic needs them (footprint), and once built they are never
+/// freed (speed).
 ///
 /// In steady state buffers only *circulate*: taken for TX/RX, handed
 /// through rings and sockets, and recycled with [`give_back`] — the
 /// pool is the reason the datapath performs zero heap allocations per
 /// packet.
 ///
-/// Construction is the only time the pool allocates: per buffer one
-/// descriptor, one storage slice and (for
+/// Construction builds [`INITIAL_BUFS`] (or `count`, if fewer): one
+/// full receive burst and one full transmit burst. When
+/// [`take`](Self::take) finds no built buffer free, the pool doubles
+/// the built set, never past `count`; it never shrinks. So the pool
+/// allocates at construction and in the few doublings a traffic mix's
+/// in-flight peak asks for, during warm-up, and not again. Building a
+/// buffer costs one descriptor, one storage slice and (for
 /// [`with_chain_capacity`](Self::with_chain_capacity)) one fragment
-/// list of `chain_frags` one-word handles, plus the slot table and the
-/// free list. A slot holds the buffer's handle while it is home and
-/// `None` while it is out, so [`take`](Self::take) and [`give_back`]
-/// move one word each; the descriptor and the storage never move, and
-/// the `netbuf-sanitizer` provenance stays in the pool, keyed by slot.
+/// list of `chain_frags` one-word handles; the slot table and the free
+/// list are sized for `count` at construction. A slot holds the
+/// buffer's handle while it is home and `None` while it is out, so
+/// [`take`](Self::take) and [`give_back`] move one word each; the
+/// descriptor and the storage never move, and the `netbuf-sanitizer`
+/// provenance stays in the pool, keyed by slot.
+///
+/// The counts read as if every buffer were built: [`capacity`] is
+/// `count`, and [`available`] counts the free buffers plus those not
+/// built yet.
 ///
 /// [`give_back`]: NetbufPool::give_back
+/// [`capacity`]: NetbufPool::capacity
+/// [`available`]: NetbufPool::available
 #[derive(Debug)]
 pub struct NetbufPool {
     id: u64,
+    /// One slot per built buffer, in build order; grows by doubling.
     bufs: Vec<Option<Netbuf>>,
     free: Vec<usize>,
+    /// The most buffers the pool may build ([`capacity`](Self::capacity)).
+    count: usize,
+    /// Storage bytes of each buffer.
+    cap: usize,
     headroom: usize,
+    /// Fragment-list slots each buffer reserves.
+    chain_frags: usize,
     /// Fewest free buffers ever observed — the occupancy high-water
     /// mark is `capacity - low_water`. Plain integer math on the hot
     /// path; exported through the stats plane by the pool's owner.
@@ -632,56 +660,80 @@ pub struct NetbufPool {
 }
 
 impl NetbufPool {
-    /// Pre-allocates `count` buffers of `cap` bytes with `headroom`.
+    /// A pool of up to `count` buffers of `cap` bytes with `headroom`.
     pub fn new(count: usize, cap: usize, headroom: usize) -> Self {
         Self::with_chain_capacity(count, cap, headroom, 0)
     }
 
-    /// Like [`new`](Self::new), but every buffer pre-reserves room for
-    /// `chain_frags` scatter-gather fragments, so chain heads built
-    /// from this pool never grow their fragment list on the hot path
-    /// (the capacity survives recycling).
-    // ukcheck: allow(alloc) -- pool construction is the one-time
-    // pre-allocation that makes the per-frame path allocation-free
+    /// Like [`new`](Self::new), but every buffer reserves room for
+    /// `chain_frags` scatter-gather fragments when it is built, so
+    /// chain heads from this pool never grow their fragment list on
+    /// the hot path (the capacity survives recycling).
+    // ukcheck: allow(alloc) -- pool construction: the slot table and free
+    // list for `count`, and the first `INITIAL_BUFS` buffers
     pub fn with_chain_capacity(
         count: usize,
         cap: usize,
         headroom: usize,
         chain_frags: usize,
     ) -> Self {
-        let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
-        let mut bufs = Vec::with_capacity(count);
-        let mut free = Vec::with_capacity(count);
-        for slot in 0..count {
-            let mut nb = Netbuf::alloc(cap, headroom);
+        let mut pool = NetbufPool {
+            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
+            bufs: Vec::with_capacity(count),
+            free: Vec::with_capacity(count),
+            count,
+            cap,
+            headroom,
+            chain_frags,
+            low_water: count,
+            #[cfg(feature = "netbuf-sanitizer")]
+            san: Vec::with_capacity(count),
+        };
+        pool.build(INITIAL_BUFS.min(count));
+        pool
+    }
+
+    /// Builds `n` more buffers into fresh slots and frees them. The
+    /// tables were sized for `count` at construction, so this allocates
+    /// the buffers and nothing else.
+    // ukcheck: allow(alloc) -- building buffers: at construction, and in
+    // the doublings of `take` that the in-flight peak asks for in warm-up
+    #[cold]
+    #[inline(never)]
+    fn build(&mut self, n: usize) {
+        for slot in self.bufs.len()..self.bufs.len() + n {
+            let mut nb = Netbuf::alloc(self.cap, self.headroom);
             nb.desc.pool_slot = Some(slot);
-            nb.desc.pool_id = id;
-            nb.reserve_frags(chain_frags);
+            nb.desc.pool_id = self.id;
+            nb.reserve_frags(self.chain_frags);
             // Pool-resident storage is poison from birth, so the very
             // first take can already verify integrity.
             #[cfg(feature = "netbuf-sanitizer")]
-            nb.poison();
-            bufs.push(Some(nb));
-            free.push(slot);
-        }
-        NetbufPool {
-            id,
-            bufs,
-            free,
-            headroom,
-            low_water: count,
-            #[cfg(feature = "netbuf-sanitizer")]
-            san: vec![SlotSan::default(); count],
+            {
+                nb.poison();
+                self.san.push(SlotSan::default());
+            }
+            self.bufs.push(Some(nb));
+            self.free.push(slot);
         }
     }
 
-    /// Takes a buffer from the pool, or `None` if exhausted.
+    /// Takes a buffer from the pool, or `None` if all `count` are out.
+    /// With every built buffer out and fewer than `count` built, the
+    /// built set doubles first (up to `count`).
     // ukcheck: allow(panic) -- the only panic inside is the sanitizer's
     // use-after-recycle report, compiled out of the default build
     #[cfg_attr(feature = "netbuf-sanitizer", track_caller)]
     pub fn take(&mut self) -> Option<Netbuf> {
-        let slot = self.free.pop()?;
-        self.low_water = self.low_water.min(self.free.len());
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let built = self.bufs.len();
+                self.build(built.min(self.count - built));
+                self.free.pop()?
+            }
+        };
+        self.low_water = self.low_water.min(self.available());
         let Some(mut nb) = self.bufs[slot].take() else {
             // The free list named a slot whose buffer is gone — the
             // pool's own bookkeeping is corrupt. Surface it in debug
@@ -808,14 +860,15 @@ impl NetbufPool {
         }
     }
 
-    /// Buffers currently available.
+    /// Buffers a `take` can still hand out: the free ones and the ones
+    /// not built yet.
     pub fn available(&self) -> usize {
-        self.free.len()
+        self.free.len() + (self.count - self.bufs.len())
     }
 
-    /// Total buffers in the pool.
+    /// The most buffers the pool holds, built or not.
     pub fn capacity(&self) -> usize {
-        self.bufs.len()
+        self.count
     }
 
     /// Fewest free buffers ever observed; `capacity() - low_water()` is
@@ -1146,6 +1199,110 @@ mod tests {
         }
         assert_eq!(pool.sanitize_live_count(), 0);
         pool.sanitize_assert_all_returned();
+    }
+
+    /// One step of a pool workout against the counting model below.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// `n` takes in a row.
+        Take(usize),
+        /// Give back the out buffer picked by the index.
+        GiveBack(usize),
+        /// Give back the out buffer picked by the index as the head of
+        /// a chain of up to `k` further out buffers.
+        GiveBackChain(usize, usize),
+    }
+
+    fn op() -> impl proptest::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (1usize..160).prop_map(Op::Take),
+            (0usize..1024).prop_map(Op::GiveBack),
+            (0usize..1024, 0usize..5).prop_map(|(i, k)| Op::GiveBackChain(i, k)),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The pool against a counting model: `out` buffers are held by
+        /// the test, and whatever the sequence, the pool reads as if all
+        /// `count` buffers were built, while it builds two bursts at
+        /// construction and doubles only when every built buffer is out
+        /// — never more than twice the peak in flight.
+        #[test]
+        fn demand_built_pool_matches_a_counting_model(
+            count in 0usize..601,
+            chain_frags in 0usize..40,
+            ops in proptest::collection::vec(op(), 0..200),
+        ) {
+            let mut pool = NetbufPool::with_chain_capacity(count, 64, 16, chain_frags);
+            let mut out: Vec<Netbuf> = Vec::new();
+            let mut live = vec![false; count];
+            let (mut peak, mut built) = (0, pool.bufs.len());
+            assert_eq!(built, count.min(INITIAL_BUFS), "construction builds two bursts");
+            let mut last_given: Option<usize> = None;
+            for op in ops {
+                match op {
+                    Op::Take(n) => {
+                        for _ in 0..n {
+                            let was_out = out.len();
+                            let nb = pool.take();
+                            assert_eq!(nb.is_none(), was_out == count, "None exactly when all are out");
+                            if pool.bufs.len() != built {
+                                assert_eq!(
+                                    (was_out, pool.bufs.len()),
+                                    (built, (2 * built).min(count)),
+                                    "growth only with every built buffer out, by doubling"
+                                );
+                                built = pool.bufs.len();
+                            }
+                            let Some(nb) = nb else { break };
+                            let slot = nb.pool_slot().unwrap();
+                            assert!(!live[slot], "slot {slot} live twice");
+                            live[slot] = true;
+                            if let Some(given) = last_given.take() {
+                                assert_eq!(slot, given, "LIFO: the last slot given back is taken first");
+                            }
+                            assert!(nb.desc.frags.capacity() >= chain_frags, "fragment list reserved");
+                            out.push(nb);
+                            peak = peak.max(out.len());
+                        }
+                    }
+                    Op::GiveBack(i) if !out.is_empty() => {
+                        let nb = out.swap_remove(i % out.len());
+                        let slot = nb.pool_slot().unwrap();
+                        live[slot] = false;
+                        pool.give_back(nb);
+                        last_given = Some(slot);
+                    }
+                    Op::GiveBackChain(i, k) if !out.is_empty() => {
+                        let mut head = out.swap_remove(i % out.len());
+                        for _ in 0..k.min(out.len()) {
+                            let frag = out.pop().unwrap();
+                            live[frag.pool_slot().unwrap()] = false;
+                            head.chain_append(frag);
+                        }
+                        let slot = head.pool_slot().unwrap();
+                        live[slot] = false;
+                        pool.give_back_chain(head);
+                        last_given = Some(slot);
+                    }
+                    Op::GiveBack(_) | Op::GiveBackChain(..) => {}
+                }
+                assert_eq!(pool.capacity(), count);
+                assert_eq!(pool.available(), count - out.len());
+                assert_eq!(pool.low_water(), count - peak);
+                assert_eq!(pool.bufs.len(), built, "a give-back neither builds nor frees");
+                assert!(built <= count.min(INITIAL_BUFS).max(2 * peak), "built {built}, peak {peak}");
+                #[cfg(feature = "netbuf-sanitizer")]
+                assert_eq!(pool.sanitize_live_count(), out.len());
+            }
+            for nb in out {
+                pool.give_back(nb);
+            }
+            assert_eq!(pool.available(), count);
+            #[cfg(feature = "netbuf-sanitizer")]
+            pool.sanitize_assert_all_returned();
+        }
     }
 
     /// Seeded double-recycle through the *forged-slot* route: the slot

@@ -130,9 +130,10 @@ const PUMP_NS_SAMPLE_EVERY: u64 = 64;
 /// Takes a TX buffer with [`TX_HEADROOM`] reserved for headers. Pool or
 /// heap is the application's choice (§3.1), made in `uknetdev` —
 /// [`NetbufPool`] or [`Netbuf::alloc`] — not by a stack flag: this stack
-/// chose the pool. An exhausted pool falls back to the heap — a fault
-/// path, not a mode: the frame still leaves, and the buffer is dropped
-/// instead of recycled when it comes home.
+/// chose the pool. The pool builds buffers on demand up to
+/// `pool_size`; only with all `pool_size` out does this fall back to
+/// the heap — a fault path, not a mode: the frame still leaves, and the
+/// buffer is dropped instead of recycled when it comes home.
 #[cfg_attr(feature = "netbuf-sanitizer", track_caller)]
 #[inline]
 fn take_or_alloc(pool: &mut NetbufPool) -> Netbuf {
@@ -151,7 +152,10 @@ pub struct StackConfig {
     pub mac: Mac,
     /// Our IPv4 address.
     pub ip: Ipv4Addr,
-    /// Buffers in the stack's pre-allocated netbuf pool.
+    /// The most buffers the stack's netbuf pool may hold. The pool
+    /// builds two bursts' worth at construction and doubles when the
+    /// traffic has every built buffer in flight, up to this cap
+    /// ([`NetbufPool`]); it never frees one.
     pub pool_size: usize,
     /// Whether to offload TCP/UDP transmit checksums to the device
     /// (effective only when the device advertises the capability;

@@ -31,7 +31,7 @@ pub mod tp {
         tcp_established(conn),
         tcp_data_rx(conn, bytes),
         tcp_super_rx(conn, bytes),
-        tcp_dup_ack(conn, seq),
+        tcp_dup_ack(conn, count),
         tcp_fin_rx(local_port, seq),
         tcp_segment_tx(dst_port, seq),
         tso_super_tx(bytes, mss),
@@ -279,7 +279,7 @@ stack_stats_table! {
         timer_arms => "netstack.timer_arms";
     }
     tcb {
-        dup_acks => "netstack.dup_acks", tcp_dup_ack(Context);
+        dup_acks => "netstack.dup_acks", tcp_dup_ack(Total);
         rto_fires => "netstack.tcp.rto_fires", tcp_rto_fire(Total);
         retransmits => "netstack.tcp.retransmits", tcp_retransmit(Delta);
         fast_retransmits => "netstack.tcp.fast_retransmits", tcp_fast_retransmit(Delta);

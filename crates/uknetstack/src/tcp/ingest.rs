@@ -266,10 +266,10 @@ impl Tcb {
             // comes. Emit at most one immediate dup-ACK per poll
             // cycle: a burst carrying N gapped segments answers with
             // one dup-ACK, not N (`ack_pending` still guarantees the
-            // cumulative position goes out).
+            // cumulative position goes out). `stats.dup_acks` counts
+            // the one sent, at the emission.
             self.ack_pending = true;
             self.ack_now = true;
-            self.stats.dup_acks += 1;
             self.dup_ack_now = true;
         }
         seq

@@ -148,8 +148,9 @@ pub struct OutSegment {
 /// in `tcp_info`; the registry sums them in `u64`s.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TcbStats {
-    /// Immediate duplicate ACKs forced by dropped (old, out-of-order,
-    /// out-of-window) ingest data.
+    /// Immediate duplicate ACKs sent for dropped (old, out-of-order,
+    /// out-of-window) ingest data: at most one per output poll, however
+    /// many such segments the sweep before it carried.
     pub dup_acks: u32,
     /// Retransmission-timeout fires.
     pub rto_fires: u32,

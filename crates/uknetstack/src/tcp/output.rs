@@ -275,6 +275,7 @@ impl Tcb {
         // segments the sweep carried.
         if self.dup_ack_now && self.state != TcpState::Closed {
             self.dup_ack_now = false;
+            self.stats.dup_acks += 1;
             let header = self.make_header(TcpFlags::ACK);
             emit(header, take_buf());
             emitted_ack = true;

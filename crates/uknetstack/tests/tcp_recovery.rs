@@ -735,6 +735,43 @@ fn gro_leaves_an_optioned_data_segment_its_sack_blocks() {
     }
 }
 
+/// `dup_acks` counts duplicate ACKs *sent*. One sweep carrying three
+/// gapped segments — three separate holes, so GRO cannot make one
+/// ingest of them — queues all three and answers them with one pure
+/// ACK, and the count reads 1. The parent commit counted one per
+/// gapped segment.
+#[test]
+fn one_sweep_of_gapped_segments_counts_one_dup_ack() {
+    let mut net = clocked_net_cfg(1_000, |_| {});
+    net.start_wire_capture();
+    let (client, conn) = establish(&mut net, 9019);
+    net.stack(0).tcp_send(client, b"ping").unwrap();
+    net.run_until_quiet(8);
+    let mut buf = [0u8; 64];
+    assert_eq!(net.stack(1).tcp_recv_into(conn, &mut buf).unwrap(), 4);
+    let server_ip = net.stack(1).ip();
+    let (client_next, server_next) = next_seqs(&net.take_wire_capture(), server_ip);
+    let client_port = net.stack(1).tcp_peer(conn).unwrap().port;
+    let (before, acks_before) =
+        (net.stack(1).tcp_stats(conn).unwrap(), net.stack(1).stats().tcp_pure_acks_tx);
+    for offset in [1000u32, 3000, 5000] {
+        let h = TcpHeader {
+            src_port: client_port,
+            dst_port: 9019,
+            seq: client_next.wrapping_add(offset),
+            ack: server_next,
+            flags: TcpFlags { ack: true, psh: true, ..Default::default() },
+            window: 65_535,
+        };
+        deliver_forged(&mut net, (0, 1), h, &[], &[&[0x77; 500]]);
+    }
+    net.stack(1).pump();
+    let rx = net.stack(1).tcp_stats(conn).unwrap();
+    assert_eq!(rx.ooo_queued - before.ooo_queued, 3, "three holes, three extents queued");
+    assert_eq!(rx.dup_acks - before.dup_acks, 1, "one dup-ACK sent for the sweep");
+    assert_eq!(net.stack(1).stats().tcp_pure_acks_tx - acks_before, 1, "and one pure ACK left");
+}
+
 /// One client→server stream with one hole — the wire drops the 25th
 /// frame of the first flight and nothing else — received as per-MSS
 /// frames with and without GRO, on a roomy pool and on one small
@@ -791,9 +828,10 @@ fn stream_with_one_hole(gro: bool, pool: usize) -> (Vec<u8>, TcbStats, TcbStats)
 /// The three entry shapes of the one TCP ingest account alike. Per-MSS
 /// frames with and without GRO are the same conversation: the receiver
 /// queues the same extents behind the hole and the sender runs the
-/// same recovery, counter for counter. (`dup_acks` counts ingests that
-/// dropped or queued data, and GRO makes one ingest of a run, so it
-/// moves in both and further without GRO.) Under pool pressure every
+/// same recovery, counter for counter. (`dup_acks` counts duplicate
+/// ACKs sent, at most one per output poll, so it reads the same in
+/// both: GRO changes how many ingests a sweep makes, not how many
+/// polls.) Under pool pressure every
 /// shape sheds — which extents differs with the grain of the ingest,
 /// so only delivery and the shed are compared there — and that
 /// includes the big-receive chain, which the parent commit never shed.
@@ -808,7 +846,8 @@ fn the_three_ingest_shapes_account_alike() {
     assert!(plain_rx.ooo_queued > 0, "segments queued behind the hole");
     assert_eq!(plain_rx.ooo_queued, gro_rx.ooo_queued);
     assert_eq!((plain_rx.ooo_shed, gro_rx.ooo_shed), (0, 0), "a roomy pool sheds nothing");
-    assert!(plain_rx.dup_acks >= gro_rx.dup_acks && gro_rx.dup_acks > 0);
+    assert_eq!(plain_rx.dup_acks, gro_rx.dup_acks, "one dup-ACK per poll, whatever the grain");
+    assert!(gro_rx.dup_acks > 0);
     const SMALL: usize = 56;
     for gro in [false, true] {
         let (_, _, rx) = stream_with_one_hole(gro, SMALL);

@@ -72,6 +72,9 @@ enum Drain {
     Copy,
     /// `tcp_recv_burst_netbuf`: take the buffers whole, recycle each.
     Netbuf,
+    /// `tcp_recv_burst_netbuf`, every buffer held until the whole
+    /// transfer has arrived, then all recycled.
+    Hold,
 }
 
 /// A client (10.0.0.1) and a server (10.0.0.2) with one established
@@ -123,7 +126,7 @@ impl Pair {
             client,
             server,
             buf: vec![0; 64 * 1024],
-            bufs: Vec::with_capacity(64),
+            bufs: Vec::with_capacity(512),
         }
     }
 
@@ -166,12 +169,14 @@ impl Pair {
 
     /// One bulk transfer: the client streams `total` bytes through the
     /// send buffer, the server drains as they arrive, keeping the
-    /// window open.
-    fn bulk(&mut self, total: usize, drain: Drain) {
+    /// window open. Returns the fewest buffers the server's pool had
+    /// available after a step.
+    fn bulk(&mut self, total: usize, drain: Drain) -> usize {
         static CHUNK: [u8; 64 * 1024] = [0x6b; 64 * 1024];
         let Pair { net, ci, si, client, server, buf, bufs, .. } = self;
         let mut sent = 0;
         let mut got = 0;
+        let mut low = usize::MAX;
         while got < total {
             if sent < total {
                 let want = CHUNK.len().min(total - sent);
@@ -194,16 +199,25 @@ impl Pair {
                         }
                         n
                     }
+                    Drain::Hold => {
+                        let from = bufs.len();
+                        net.stack(*si).tcp_recv_burst_netbuf(*server, bufs, 64);
+                        bufs[from..].iter().map(Netbuf::len).sum()
+                    }
                 };
                 if n == 0 {
                     break;
                 }
                 got += n;
             }
+            low = low.min(net.stack(*si).pool_available().unwrap());
         }
         assert_eq!(got, total, "whole transfer arrived");
+        for nb in bufs.drain(..) {
+            net.stack(*si).recycle(nb);
+        }
+        low
     }
-
 }
 
 /// A client (10.0.0.1:5000) and a server (10.0.0.2:9) UDP socket, plus
@@ -281,7 +295,12 @@ impl UdpPair {
 /// and receive queues and HashMap capacities all reach their
 /// steady-state sizes — then once more under the allocation counter.
 /// Every round asserts for itself that its traffic arrived.
-fn assert_alloc_free<T>(pair: &mut T, warm: usize, what: &str, mut round: impl FnMut(&mut T)) {
+fn assert_alloc_free<T, R>(
+    pair: &mut T,
+    warm: usize,
+    what: &str,
+    mut round: impl FnMut(&mut T) -> R,
+) {
     for _ in 0..warm {
         round(pair);
     }
@@ -596,27 +615,64 @@ fn pool_circulation_is_allocation_free_in_both_feature_modes() {
 /// What building buffers costs, as a formula: everything a buffer
 /// will ever need from the heap is taken when it is built. A pooled
 /// buffer is a descriptor, its storage and — when chains are reserved —
-/// one fragment list of one-word handles; the pool adds its slot table
-/// and free list (and the sanitizer its provenance table). The heap
-/// fallback is a descriptor plus storage.
+/// one fragment list of one-word handles. A pool of `n` builds
+/// min(`n`, `INITIAL_BUFS`) of them at construction, plus its slot
+/// table and free list sized for all `n` (and the sanitizer its
+/// provenance table); the first take with every built buffer out builds
+/// as many again, up to `n`, and nothing else. The heap fallback is a
+/// descriptor plus storage.
 #[test]
 fn buffer_construction_allocates_by_formula() {
-    use uknetdev::netbuf::{Netbuf, NetbufPool};
+    use uknetdev::netbuf::{Netbuf, NetbufPool, INITIAL_BUFS};
     let tables = 2 + u64::from(cfg!(feature = "netbuf-sanitizer"));
-    for (n, chain_frags, per_buf) in [(8u64, 0usize, 2u64), (8, 34, 3), (64, 4, 3)] {
-        let (_pool, allocs) = AllocCounter::measure(|| {
+    let initial = INITIAL_BUFS as u64;
+    for (n, chain_frags, per_buf) in [(8u64, 0usize, 2u64), (8, 34, 3), (64, 4, 3), (300, 34, 3)] {
+        let (mut pool, allocs) = AllocCounter::measure(|| {
             NetbufPool::with_chain_capacity(n as usize, 2048, 64, chain_frags)
         });
+        let built = n.min(initial);
         assert_eq!(
             allocs,
-            tables + n * per_buf,
+            tables + built * per_buf,
             "pool of {n} buffers reserving {chain_frags} fragments"
         );
+        let mut held: Vec<Netbuf> = (0..built).map(|_| pool.take().unwrap()).collect();
+        let (next, allocs) = AllocCounter::measure(|| pool.take());
+        let grown = built.min(n - built);
+        assert_eq!(allocs, grown * per_buf, "pool of {n}: take {} doubles", built + 1);
+        held.extend(next);
+        for nb in held {
+            pool.give_back(nb);
+        }
     }
     let (_nb, allocs) = AllocCounter::measure(|| Netbuf::alloc(2048, 64));
     assert_eq!(allocs, 2, "heap fallback: descriptor + storage");
     let (_nb, allocs) = AllocCounter::measure(|| Netbuf::from_slice(b"extent"));
     assert_eq!(allocs, 2);
+}
+
+/// A stack's pool builds `INITIAL_BUFS` buffers and doubles only when
+/// the traffic has all of them in flight. Growth is a warm-up event: a
+/// receiver that holds a 256 KiB stream's buffers — past
+/// `INITIAL_BUFS` in flight — pays one doubling the first time (each
+/// buffer a descriptor, its storage and a fragment list), and nothing
+/// when the same traffic comes again. The warm-up streams the same
+/// 256 KiB with every buffer recycled at once, so the queues are sized
+/// and the held round differs only in what it holds.
+#[test]
+fn pool_growth_is_a_warm_up_event() {
+    use uknetdev::netbuf::INITIAL_BUFS;
+    let per_mss = |c: &mut StackConfig| c.tso = false;
+    let mut pair = Pair::new(9400, per_mss, defaults, None);
+    for _ in 0..3 {
+        pair.bulk(256 * 1024, Drain::Netbuf);
+    }
+    let (low, allocs) = AllocCounter::measure(|| pair.bulk(256 * 1024, Drain::Hold));
+    assert!(512 - low > INITIAL_BUFS, "the server held {} buffers", 512 - low);
+    assert_eq!(allocs, INITIAL_BUFS as u64 * 3, "one doubling of the server's pool, nothing else");
+    let (again, allocs) = AllocCounter::measure(|| pair.bulk(256 * 1024, Drain::Hold));
+    assert!(512 - again > INITIAL_BUFS, "the server held {} buffers again", 512 - again);
+    assert_eq!(allocs, 0, "a grown pool allocates nothing");
 }
 
 #[test]
