@@ -180,18 +180,26 @@ perf-compare:
 		compare $(abspath $(BASE)) $(CURDIR)/benchmark/out/set-head.json
 
 ## Alternated pairs, the way a performance claim is made (ROADMAP, house
-## rules): `ukperf` built at BASE (any revision, exported into a
-## throwaway directory) and from this working tree; pair i runs both on
-## workload W for SECONDS with seed FIRST_SEED+i, the order flipped
-## every pair, and reads the end-to-end metric M (default `ops_per_s`)
-## off each run's result line. Prints each pair, then both sides'
-## median and quartiles (Python's `statistics.quantiles`, as `ukperf
-## compare` computes them), the ratio of the medians and the pairs the
-## change won — which way is a win comes from the metric's `better` in
-## `BENCHMARK.json`, so `M=peak_rss_mib` counts lower as a win. Every
-## run must be correct with 0 failed operations. Building `benchmark/`
-## rewrites its stale `Cargo.lock`; the recipe puts the file back as it
-## was.
+## rules): `ukperf` built at BASE (any revision) and at this working
+## tree, each exported with `git archive` in turn into one throwaway
+## source directory and built into its own target directory. Both
+## builds see the same source path, and neither is the checkout: the
+## path goes into the binary, and an A/A run of the checkout's build
+## against an export of the same source read 0.854×, 0/10 on a 2-core
+## VM. Built this
+## way, an A/A pair is byte-identical (the recipe says so). A dirty
+## tree is exported as `git stash create` names it (tracked and staged
+## files; the recipe refuses to run while an untracked file would be
+## left out), a clean one as HEAD. Pair i
+## runs both on workload W for SECONDS with seed FIRST_SEED+i, the order
+## flipped every pair, and reads the end-to-end metric M (default
+## `ops_per_s`) off each run's result line. Prints each pair, then both
+## sides' median and quartiles (Python's `statistics.quantiles`, as
+## `ukperf compare` computes them), the ratio of the medians and the
+## pairs the change won — which way is a win comes from the metric's
+## `better` in `BENCHMARK.json`, so `M=peak_rss_mib` counts lower as a
+## win. Every run must be correct with 0 failed operations. Nothing is
+## built in the checkout, so its `benchmark/Cargo.lock` is left alone.
 W ?= tcp-rr
 N ?= 10
 M ?= ops_per_s
@@ -204,25 +212,28 @@ perf-pairs:
 	@set -e; \
 	better=$$(awk -v m='"$(M)"' '/"name":/ { hit = index($$0, m) > 0 } hit && /"better":/ { sub(/.*"better": *"/, ""); sub(/".*/, ""); print; exit }' BENCHMARK.json); \
 	case "$$better" in higher) lower=0 ;; lower) lower=1 ;; *) echo "perf-pairs: BENCHMARK.json has no metric M=$(M)" >&2; exit 2 ;; esac; \
+	untracked=$$(git ls-files --others --exclude-standard); \
+	test -z "$$untracked" || { echo "perf-pairs: the change's export would leave out these untracked files (git add them):" >&2; echo "$$untracked" >&2; exit 2; }; \
+	change=$$(git stash create); change=$${change:-HEAD}; \
 	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	mkdir "$$dir/src"; git archive "$(BASE)" | tar -x -C "$$dir/src"; \
-	(cd "$$dir/src" && $(CARGO) build -q --release --offline --manifest-path benchmark/Cargo.toml --target-dir "$$dir/base"); \
-	cp benchmark/Cargo.lock "$$dir/Cargo.lock"; \
-	$(CARGO) build -q --release --offline --manifest-path benchmark/Cargo.toml --target-dir "$$dir/change"; \
-	cp "$$dir/Cargo.lock" benchmark/Cargo.lock; \
+	for side in "a $(BASE)" "b $$change"; do \
+		set -- $$side; rm -rf "$$dir/src"; mkdir "$$dir/src"; git archive "$$2" | tar -x -C "$$dir/src"; \
+		(cd "$$dir/src" && $(CARGO) build -q --release --offline --manifest-path benchmark/Cargo.toml --target-dir "$$dir/target-$$1"); \
+	done; \
 	run() { \
-		"$$dir/$$1/release/ukperf" --workload $(W) --seed $$2 --seconds $(SECONDS) | tail -n 1 > "$$dir/last"; \
+		"$$dir/target-$$1/release/ukperf" --workload $(W) --seed $$2 --seconds $(SECONDS) | tail -n 1 > "$$dir/last"; \
 		grep -q '"correct":true,.*"failed":0,' "$$dir/last" || { echo "$$1, seed $$2, not correct:" >&2; cat "$$dir/last" >&2; exit 1; }; \
 		v=$$(sed -n 's/.*"$(M)":{"value":\([^,}]*\).*/\1/p' "$$dir/last"); \
 		test -n "$$v" || { echo "$$1, seed $$2: no $(M) in the result line" >&2; exit 1; }; \
 		echo "$$v"; \
 	}; \
-	echo "ukperf $(M) ($$better is better), $(W), $(SECONDS) s runs: $(BASE) (base) vs this working tree (change)"; \
+	echo "ukperf $(M) ($$better is better), $(W), $(SECONDS) s runs: $(BASE) (base) vs $$change (change), both exported"; \
+	if cmp -s "$$dir/target-a/release/ukperf" "$$dir/target-b/release/ukperf"; then echo "(the two builds are byte-identical)"; fi; \
 	printf '%-6s %14s %14s %8s\n' seed base change ratio; \
 	i=0; while [ $$i -lt $(N) ]; do \
 		seed=$$(($(FIRST_SEED) + i)); \
-		if [ $$((i % 2)) -eq 0 ]; then b=$$(run base $$seed); c=$$(run change $$seed); \
-		else c=$$(run change $$seed); b=$$(run base $$seed); fi; \
+		if [ $$((i % 2)) -eq 0 ]; then b=$$(run a $$seed); c=$$(run b $$seed); \
+		else c=$$(run b $$seed); b=$$(run a $$seed); fi; \
 		echo "$$b $$c" >> "$$dir/pairs"; \
 		awk -v s=$$seed -v b=$$b -v c=$$c '$(PAIRS_FMT) BEGIN { printf "%-6d %14s %14s %8.3f\n", s, f(b), f(c), c / b }'; \
 		i=$$((i + 1)); \

@@ -8,7 +8,7 @@
 use ukplat::{Errno, Result};
 
 use crate::stats::AllocStats;
-use crate::{align_up, Allocator, GpAddr, MIN_ALIGN};
+use crate::{align_region, align_up, Allocator, GpAddr, MIN_ALIGN};
 
 /// The bump allocator state.
 #[derive(Debug, Default)]
@@ -41,11 +41,12 @@ impl Allocator for BootAlloc {
         if self.initialized {
             return Err(Errno::Busy);
         }
-        if len == 0 {
+        let Some((base, len)) = align_region(base, len, MIN_ALIGN).filter(|&(_, len)| len > 0)
+        else {
             return Err(Errno::Inval);
-        }
+        };
         // The whole point: O(1) init.
-        self.base = align_up(base, MIN_ALIGN as u64);
+        self.base = base;
         self.end = base + len as u64;
         self.top = self.base;
         self.initialized = true;
@@ -72,6 +73,10 @@ impl Allocator for BootAlloc {
     fn free(&mut self, _ptr: GpAddr) {
         // Region allocator: free is a no-op by design.
         self.stats.free_count += 1;
+    }
+
+    fn region(&self) -> (GpAddr, usize) {
+        (self.base, (self.end - self.base) as usize)
     }
 
     fn available(&self) -> usize {

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use ukplat::{Errno, Result};
 
 use crate::stats::AllocStats;
-use crate::{align_up, Allocator, GpAddr, MIN_ALIGN};
+use crate::{align_region, Allocator, GpAddr, MIN_ALIGN};
 
 /// Smallest block the buddy allocator hands out.
 const MIN_BLOCK: usize = 32;
@@ -107,10 +107,11 @@ impl Allocator for BuddyAlloc {
         if self.initialized {
             return Err(Errno::Busy);
         }
-        if len < MIN_BLOCK * 2 {
+        let Some((base, len)) =
+            align_region(base, len, MIN_BLOCK).filter(|&(_, len)| len >= MIN_BLOCK * 2)
+        else {
             return Err(Errno::Inval);
-        }
-        let base = align_up(base, MIN_BLOCK as u64);
+        };
         self.base = base;
         self.len = len;
         self.free_lists = vec![Vec::new(); MAX_ORDER as usize + 1];
@@ -195,6 +196,10 @@ impl Allocator for BuddyAlloc {
             }
         }
         self.push_free(addr, order);
+    }
+
+    fn region(&self) -> (GpAddr, usize) {
+        (self.base, self.len)
     }
 
     fn available(&self) -> usize {

@@ -18,13 +18,18 @@
 //! - [`oscar`]: a guarded wrapper adding canaries and a quarantine, in the
 //!   spirit of the Oscar secure allocator.
 //!
-//! The allocators manage address ranges, not host memory: an allocation
-//! returns a guest-physical address and all bookkeeping (free lists,
-//! bitmaps, headers, coalescing) is real data-structure work, which is what
-//! the paper's Figures 14–18 measure.
+//! A backend manages an address range: an allocation returns a
+//! guest-physical address inside the range it was initialised over
+//! ([`Allocator::region`]), and all bookkeeping (free lists, bitmaps,
+//! headers, coalescing) is real data-structure work, which is what the
+//! paper's Figures 14–18 measure. A backend alone keeps no bytes at
+//! those addresses; [`Heap`] pairs one with a host allocation of its
+//! region's length, so its blocks hold what an application writes there
+//! (`ukapps`' key-value store keeps every key and value in one).
 
 pub mod bootalloc;
 pub mod buddy;
+pub mod heap;
 pub mod mimalloc;
 pub mod oscar;
 pub mod registry;
@@ -34,6 +39,7 @@ pub mod tlsf;
 
 pub use bootalloc::BootAlloc;
 pub use buddy::BuddyAlloc;
+pub use heap::Heap;
 pub use mimalloc::Mimalloc;
 pub use oscar::OscarAlloc;
 pub use registry::AllocRegistry;
@@ -119,7 +125,17 @@ pub trait Allocator {
     /// Called exactly once by `ukboot` with the heap region. The allocator
     /// must be ready to serve requests when this returns; its cost is what
     /// Figure 14 measures per backend.
+    ///
+    /// A backend may round `base` up to its own alignment; the bytes it
+    /// skips come off the end, so every block it ever hands out lies
+    /// inside `[base, base + len)` — and inside [`region`](Self::region),
+    /// which says exactly what is left.
     fn init(&mut self, base: GpAddr, len: usize) -> Result<()>;
+
+    /// The range `[base, base + len)` the allocator manages: the part of
+    /// `init`'s range left after alignment. Every block lies inside it;
+    /// `(0, 0)` before `init`.
+    fn region(&self) -> (GpAddr, usize);
 
     /// Allocates `size` bytes at [`MIN_ALIGN`] alignment.
     fn malloc(&mut self, size: usize) -> Option<GpAddr>;
@@ -181,6 +197,16 @@ pub fn uk_posix_memalign(a: &mut dyn Allocator, align: usize, size: usize) -> Re
 pub(crate) fn align_up(v: u64, align: u64) -> u64 {
     debug_assert!(align.is_power_of_two());
     (v + align - 1) & !(align - 1)
+}
+
+/// `[base, base + len)` with `base` rounded up to `align` (a power of
+/// two): the aligned base and what is left of `len` once the skipped
+/// bytes come off it, so the range never reaches past the original end.
+/// `None` if the rounding would eat the whole range.
+pub(crate) fn align_region(base: GpAddr, len: usize, align: usize) -> Option<(GpAddr, usize)> {
+    let aligned = base.checked_add(align as u64 - 1)? & !(align as u64 - 1);
+    let slack = usize::try_from(aligned - base).ok()?;
+    Some((aligned, len.checked_sub(slack)?))
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use ukplat::{Errno, Result};
 
 use crate::stats::AllocStats;
-use crate::{align_up, Allocator, GpAddr, MIN_ALIGN};
+use crate::{align_region, align_up, Allocator, GpAddr, MIN_ALIGN};
 
 /// Segment size (mimalloc uses 4 MiB segments).
 const SEGMENT: usize = 4 * 1024 * 1024;
@@ -200,7 +200,7 @@ impl Mimalloc {
             }
         }
         // Carve downward from the top.
-        let aligned_top = (self.large_top - size as u64) & !(align as u64 - 1);
+        let aligned_top = self.large_top.checked_sub(size as u64)? & !(align as u64 - 1);
         if aligned_top < self.seg_bump.max(self.page_bump) {
             return None;
         }
@@ -223,10 +223,10 @@ impl Allocator for Mimalloc {
         if self.initialized {
             return Err(Errno::Busy);
         }
-        if len < 2 * PAGE {
+        let Some((base, len)) = align_region(base, len, PAGE).filter(|&(_, len)| len >= 2 * PAGE)
+        else {
             return Err(Errno::Inval);
-        }
-        let base = align_up(base, PAGE as u64);
+        };
         self.base = base;
         self.end = base + len as u64;
         self.seg_bump = base;
@@ -303,6 +303,10 @@ impl Allocator for Mimalloc {
 
     fn free(&mut self, ptr: GpAddr) {
         self.free_inner(ptr, true);
+    }
+
+    fn region(&self) -> (GpAddr, usize) {
+        (self.base, (self.end - self.base) as usize)
     }
 
     fn available(&self) -> usize {
@@ -462,6 +466,16 @@ mod tests {
             }
         }
         assert!(m.stats().failed_count > 0);
+    }
+
+    /// A large request bigger than the address of the heap's top is a
+    /// failed allocation, not an underflow.
+    #[test]
+    fn a_request_past_the_bottom_of_the_address_space_fails() {
+        let mut m = Mimalloc::new();
+        m.init(0, 4 * PAGE).unwrap();
+        assert_eq!(m.malloc(1 << 30), None);
+        assert_eq!(m.stats().failed_count, 1);
     }
 
     #[test]

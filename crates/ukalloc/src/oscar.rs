@@ -97,12 +97,22 @@ impl Allocator for OscarAlloc {
         }
     }
 
+    fn region(&self) -> (GpAddr, usize) {
+        self.inner.region()
+    }
+
     fn available(&self) -> usize {
         self.inner.available()
     }
 
+    /// The inner TLSF's counts, with a quarantined block counted as
+    /// freed (its caller freed it; only its reuse waits), so `live()` is
+    /// the blocks the application holds. `cur_bytes` still includes the
+    /// quarantine: those bytes are not yet free.
     fn stats(&self) -> AllocStats {
-        self.inner.stats()
+        let mut s = self.inner.stats();
+        s.free_count += self.quarantine.len() as u64;
+        s
     }
 }
 

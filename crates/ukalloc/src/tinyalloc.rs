@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use ukplat::{Errno, Result};
 
 use crate::stats::AllocStats;
-use crate::{align_up, Allocator, GpAddr, MIN_ALIGN};
+use crate::{align_region, align_up, Allocator, GpAddr, MIN_ALIGN};
 
 /// Smallest usable split remainder.
 const MIN_SPLIT: usize = 32;
@@ -124,10 +124,11 @@ impl Allocator for TinyAlloc {
         if self.initialized {
             return Err(Errno::Busy);
         }
-        if len < MIN_SPLIT * 2 {
+        let Some((base, len)) =
+            align_region(base, len, MIN_ALIGN).filter(|&(_, len)| len >= MIN_SPLIT * 2)
+        else {
             return Err(Errno::Inval);
-        }
-        let base = align_up(base, MIN_ALIGN as u64);
+        };
         self.base = base;
         self.end = base + len as u64;
         self.top = base;
@@ -180,6 +181,10 @@ impl Allocator for TinyAlloc {
             .unwrap_or_else(|| panic!("tinyalloc: free of unallocated address {ptr:#x}"));
         self.stats.on_free(size);
         self.insert_free(ptr, size);
+    }
+
+    fn region(&self) -> (GpAddr, usize) {
+        (self.base, (self.end - self.base) as usize)
     }
 
     fn available(&self) -> usize {

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use ukplat::{Errno, Result};
 
 use crate::stats::AllocStats;
-use crate::{align_up, Allocator, GpAddr, MIN_ALIGN};
+use crate::{align_region, align_up, Allocator, GpAddr, MIN_ALIGN};
 
 /// log2 of the number of second-level subdivisions.
 const SL_LOG2: u32 = 4;
@@ -196,12 +196,13 @@ impl Allocator for TlsfAlloc {
         if self.initialized {
             return Err(Errno::Busy);
         }
-        if len < MIN_BLOCK * 2 {
+        let Some((base, len)) =
+            align_region(base, len, MIN_ALIGN).filter(|&(_, len)| len >= MIN_BLOCK * 2)
+        else {
             return Err(Errno::Inval);
-        }
-        let base = align_up(base, MIN_ALIGN as u64);
+        };
         self.base = base;
-        self.len = len - (base - self.base.min(base)) as usize;
+        self.len = len;
         self.buckets = vec![Vec::new(); FL_COUNT * SL_COUNT];
         self.sl_bitmaps = vec![0; FL_COUNT];
         // TLSF init is O(1): the whole heap becomes a single free block.
@@ -313,6 +314,10 @@ impl Allocator for TlsfAlloc {
             a.prev_phys = Some(addr);
         }
         self.insert_free(addr, size, prev_phys);
+    }
+
+    fn region(&self) -> (GpAddr, usize) {
+        (self.base, self.len)
     }
 
     fn available(&self) -> usize {

@@ -84,8 +84,9 @@ fn run_trace(backend: AllocBackend, ops: &[Op]) {
 }
 
 fn check_bounds(a: &dyn Allocator, p: u64, size: usize) {
+    assert_eq!(a.region(), (HEAP_BASE, HEAP_LEN), "{}: an aligned base loses nothing", a.name());
     assert!(
-        p >= HEAP_BASE && p + size as u64 <= HEAP_BASE + HEAP_LEN as u64 + (4 << 20),
+        p >= HEAP_BASE && p + size as u64 <= HEAP_BASE + HEAP_LEN as u64,
         "{}: {p:#x}+{size} outside region",
         a.name()
     );
@@ -111,6 +112,75 @@ macro_rules! alloc_props {
             }
         }
     };
+}
+
+/// Runs `ops` on `backend` initialised over `[base, base + len)` with
+/// an unaligned `base`: every block must lie inside that range and
+/// inside what `region()` reports, which must itself lie inside it.
+fn run_unaligned(backend: AllocBackend, base: u64, len: usize, ops: &[Op]) {
+    let mut a = backend.instantiate();
+    a.init(base, len).unwrap();
+    let (rbase, rlen) = a.region();
+    let end = base + len as u64;
+    let name = a.name();
+    assert!(
+        rbase >= base && rbase + rlen as u64 <= end,
+        "{name}: region {rbase:#x}+{rlen} outside {base:#x}+{len}"
+    );
+    let inside = |p: u64, size: usize| {
+        let past = (p + size as u64).saturating_sub(end);
+        assert!(
+            p >= base && past == 0,
+            "{name}: {p:#x}+{size} outside init's {base:#x}+{len}, {past} B past its end"
+        );
+        assert!(
+            p >= rbase && p + size as u64 <= rbase + rlen as u64,
+            "{name}: {p:#x}+{size} outside region {rbase:#x}+{rlen}"
+        );
+    };
+    let mut live = Vec::new();
+    for op in ops {
+        let (got, size) = match *op {
+            Op::Alloc(size) => (a.malloc(size), size),
+            Op::AllocAligned { align_log2, size } => (a.memalign(1 << align_log2, size), size),
+            Op::FreeIdx(i) => {
+                if !live.is_empty() {
+                    a.free(live.swap_remove(i % live.len()));
+                }
+                continue;
+            }
+        };
+        if let Some(p) = got {
+            inside(p, size);
+            live.push(p);
+        }
+    }
+    // Then take everything left, in ever smaller blocks down to the
+    // backends' granules, so the last blocks reach the region's end.
+    for size in [1 << 16, 1 << 12, 1 << 8, 64, 32, 16] {
+        while let Some(p) = a.malloc(size) {
+            inside(p, size);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `init` may round `base` up, but the blocks never run past the end
+    /// of the range it was given: the region shrinks by what alignment
+    /// skipped. Small regions and large requests, so every run reaches
+    /// the end of its region.
+    #[test]
+    fn every_block_lies_inside_the_region_whatever_the_base(
+        offset in 1u64..65_536,
+        len in (192usize * 1024)..(448 * 1024),
+        ops in proptest::collection::vec(op_strategy(), 1..300),
+    ) {
+        for backend in AllocBackend::all() {
+            run_unaligned(backend, HEAP_BASE + offset, len, &ops);
+        }
+    }
 }
 
 alloc_props!(buddy_trace_invariants, AllocBackend::Buddy);

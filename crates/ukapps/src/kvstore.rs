@@ -3,23 +3,27 @@
 //! Speaks enough RESP (REdis Serialization Protocol) for
 //! `redis-benchmark`-style GET/SET load with pipelining (the paper's
 //! Figure 12 runs 30 connections, 100k requests, pipelining 16). Every
-//! SET takes a block from a `ukalloc` backend and frees its key's old
-//! one, so allocator choice affects SET throughput as in Figure 18.
-//! `KvStore` is the RESP protocol over the crate's one event-driven
-//! connection loop (the `serve` module, shared with `Httpd`).
+//! key and value lives in a block of the `ukalloc` backend the store is
+//! built with (the `kvindex` module: the blocks and the flat index that
+//! finds them), so allocator choice decides both what a SET costs and
+//! where the stored bytes sit, as in Figure 18. `KvStore` is the RESP
+//! protocol over the crate's one event-driven connection loop (the
+//! `serve` module, shared with `Httpd`).
 //!
 //! **What a command costs.** A command is read where it landed and
 //! answered where it leaves: each connection keeps one receive buffer
 //! and one send backlog; `tcp_recv_into` appends to the first,
 //! [`resp::command`] borrows the command's words from it, the reply is
 //! written straight onto the second, and the unconsumed remainder moves
-//! down once per readiness event, not once per command. From the host
-//! heap, per command: GET, PING, DEL and a SET that keeps its value's
-//! length take nothing; a SET that changes the length takes one
-//! exact-sized value (no capacity is kept back, so resident memory is
-//! the bytes stored); the first SET of a key also copies the key. The
-//! `ukalloc` backend is charged one `malloc` per SET and one `free` per
-//! overwrite or DEL, whatever the host heap did.
+//! down once per readiness event, not once per command. No command
+//! takes anything from the host heap: a SET writes its key and value
+//! into one new backend block (`8 + key + value` bytes, the size the
+//! backend is charged) and frees the block it replaces, a DEL frees one,
+//! and a GET replies from the block in place. The one exception is a SET
+//! of a new key that takes the index past 7/8 load: the index doubles.
+//! The backend is charged one `malloc` per SET and one `free` per
+//! overwrite or DEL; a SET it has no block for is answered `-OOM` and
+//! changes nothing.
 //!
 //! A peer that sends what can never be a command — a count above
 //! [`resp::MAX_ARGS`], a bulk above [`resp::MAX_BULK`], a line that is
@@ -27,27 +31,19 @@
 //! flushed; a peer that closes is reaped once every command it sent has
 //! been answered.
 
-use std::collections::HashMap;
-
-use ukalloc::{Allocator, GpAddr};
+use ukalloc::{AllocStats, Allocator};
 use ukevent::EventQueue;
 use uknetstack::stack::NetStack;
 use ukplat::Result;
 
+use crate::kvindex::Table;
 use crate::resp::{self, Cmd, Parse};
 use crate::serve::{Protocol, Served, Server};
-
-struct StoredValue {
-    /// Exactly the value: no spare capacity.
-    bytes: Box<[u8]>,
-    gp: GpAddr,
-}
 
 /// The keys, their values and what was done to them — everything a
 /// command touches besides the connection it arrived on.
 struct Store {
-    data: HashMap<Vec<u8>, StoredValue>,
-    alloc: Box<dyn Allocator>,
+    table: Table,
     gets: u64,
     sets: u64,
     errors: u64,
@@ -62,7 +58,7 @@ pub struct KvStore {
 impl std::fmt::Debug for KvStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KvStore")
-            .field("keys", &self.store.data.len())
+            .field("keys", &self.store.table.len())
             .field("gets", &self.store.gets)
             .field("sets", &self.store.sets)
             .finish()
@@ -82,41 +78,20 @@ impl Store {
             1 if is(b"PING") => resp::put_simple(out, "PONG"),
             2 if is(b"GET") => {
                 self.gets += 1;
-                match self.data.get(key) {
-                    Some(v) => resp::put_bulk(out, &v.bytes),
+                match self.table.get(key) {
+                    Some(v) => resp::put_bulk(out, v),
                     None => resp::put_nil(out),
                 }
             }
             3 if is(b"SET") => {
                 self.sets += 1;
-                // Value storage comes from the ukalloc backend.
-                let Some(gp) = self.alloc.malloc(val.len().max(16)) else {
+                if self.table.set(key, val) {
+                    resp::put_simple(out, "OK");
+                } else {
                     resp::put_error(out, "OOM");
-                    return;
-                };
-                match self.data.get_mut(key) {
-                    Some(slot) => {
-                        self.alloc.free(std::mem::replace(&mut slot.gp, gp));
-                        if slot.bytes.len() == val.len() {
-                            slot.bytes.copy_from_slice(val);
-                        } else {
-                            // ukcheck: allow(alloc) -- a SET that changes the value's
-                            // length: one exact-sized block, so the store holds no slack
-                            slot.bytes = Box::from(val);
-                        }
-                    }
-                    None => {
-                        let key = key.to_vec(); // ukcheck: allow(alloc) -- first SET of a key copies the key in
-                        let bytes = Box::from(val); // ukcheck: allow(alloc) -- and its value, exact-sized
-                        self.data.insert(key, StoredValue { bytes, gp });
-                    }
                 }
-                resp::put_simple(out, "OK");
             }
-            2 if is(b"DEL") => {
-                let removed = self.data.remove(key).map(|old| self.alloc.free(old.gp));
-                resp::put_int(out, i64::from(removed.is_some()));
-            }
+            2 if is(b"DEL") => resp::put_int(out, i64::from(self.table.del(key))),
             _ => {
                 self.errors += 1;
                 resp::put_error(out, "ERR unknown command");
@@ -146,12 +121,14 @@ impl Protocol for Store {
 
 impl KvStore {
     /// Starts listening on `port`; the listener joins the server's
-    /// event queue immediately.
-    // ukcheck: allow(alloc) -- constructor: the empty table
+    /// event queue immediately. Keys and values are stored in `alloc`,
+    /// an initialised backend, whose whole region is backed by one
+    /// host allocation made here (pages are committed as blocks are
+    /// written).
     pub fn new(stack: &mut NetStack, port: u16, alloc: Box<dyn Allocator>) -> Result<Self> {
         Ok(KvStore {
             server: Server::new(stack, port)?,
-            store: Store { data: HashMap::new(), alloc, gets: 0, sets: 0, errors: 0 },
+            store: Store { table: Table::new(alloc), gets: 0, sets: 0, errors: 0 },
         })
     }
 
@@ -172,12 +149,17 @@ impl KvStore {
 
     /// Keys stored.
     pub fn len(&self) -> usize {
-        self.store.data.len()
+        self.store.table.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.store.data.is_empty()
+        self.store.table.len() == 0
+    }
+
+    /// The backend's statistics: one live block per key.
+    pub fn alloc_stats(&self) -> AllocStats {
+        self.store.table.stats()
     }
 
     /// Live connections.
@@ -291,11 +273,11 @@ mod tests {
             assert_eq!(exec(&mut kv, &[b"GET", b"k"]), want);
         }
         assert_eq!(kv.len(), 1);
-        let stats = kv.store.alloc.stats();
+        let stats = kv.alloc_stats();
         assert_eq!(stats.alloc_count - stats.free_count, 1, "one live value");
         assert_eq!(exec(&mut kv, &[b"DEL", b"k"]), b":1\r\n");
         assert_eq!(exec(&mut kv, &[b"DEL", b"k"]), b":0\r\n");
-        let stats = kv.store.alloc.stats();
+        let stats = kv.alloc_stats();
         assert_eq!(stats.alloc_count, stats.free_count, "DEL frees the value");
     }
 

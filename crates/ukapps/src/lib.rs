@@ -28,17 +28,18 @@
 //! the connection's send backlog (both kept for the connection's life),
 //! and every turn's output sent as one TX burst.
 //!
-//! **The request path and the heap.** Serving a GET, a PING, a DEL, a
-//! same-length SET or any HTTP 200/404/400 takes nothing from the host
-//! heap in steady state; a SET that changes its value's length takes
-//! exactly the new value, and a new key is copied once
-//! (`tests/zero_alloc.rs` counts this, and `make lint` holds the four
-//! files on that path — `serve.rs`, `resp.rs`, `kvstore.rs`, `httpd.rs`
-//! — to it). The `ukalloc` backend each server is constructed with is
-//! separate: it is charged per SET and per HTTP request, the allocator
-//! axis of Figures 15 and 18.
+//! **The request path and the heap.** Serving any RESP command or any
+//! HTTP 200/404/400 takes nothing from the host heap in steady state; the
+//! one exception is the SET of a new key that doubles the store's key
+//! index (`tests/zero_alloc.rs` counts this, and `make lint` holds the
+//! files on that path — `serve.rs`, `resp.rs`, `kvstore.rs`,
+//! `kvindex.rs`, `httpd.rs` — to it). The `ukalloc` backend each server
+//! is constructed with is charged per SET and per HTTP request, the
+//! allocator axis of Figures 15 and 18; `KvStore` also keeps every key
+//! and value in that backend's blocks ([`ukalloc::Heap`]).
 
 pub mod httpd;
+mod kvindex;
 pub mod kvstore;
 pub mod loadgen;
 pub mod resp;

@@ -8,8 +8,9 @@ use uknetstack::stack::{NetStack, SocketHandle};
 use uknetstack::testnet::{node, Network};
 use uknetstack::{Endpoint, Ipv4Addr};
 
-pub fn mk_alloc() -> Box<dyn Allocator> {
-    let mut a = AllocBackend::Tlsf.instantiate();
+/// An initialised `backend` over a 16 MiB region.
+pub fn mk_alloc(backend: AllocBackend) -> Box<dyn Allocator> {
+    let mut a = backend.instantiate();
     a.init(1 << 22, 16 << 20).unwrap();
     a
 }

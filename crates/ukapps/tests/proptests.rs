@@ -2,10 +2,12 @@
 
 mod common;
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use common::{mk_alloc, Rig};
-use ukalloc::AllocBackend;
+use ukalloc::{AllocBackend, AllocStats, Allocator};
 use ukapps::kvstore::{resp_command, KvStore};
 use ukapps::resp::{self, Parse};
 use ukapps::sqldb::{parse, SqlDb, Statement, Value};
@@ -64,7 +66,7 @@ proptest! {
         commands in proptest::collection::vec((0u8..8, 0u8..4, proptest::collection::vec(any::<u8>(), 0..48)), 1..7)
     ) {
         let pipeline: Vec<u8> = commands.into_iter().flat_map(pipeline_command).collect();
-        let mut rig = Rig::new(6379, |s| KvStore::new(s, 6379, mk_alloc()).unwrap(), KvStore::poll);
+        let mut rig = Rig::new(6379, |s| KvStore::new(s, 6379, mk_alloc(AllocBackend::Tlsf)).unwrap(), KvStore::poll);
         let mut wipe = Vec::new();
         for key in b'0'..b'4' {
             wipe.extend(resp_command(&[b"DEL", &[b'k', key]]));
@@ -82,6 +84,144 @@ proptest! {
             prop_assert_eq!(&split, &whole, "cut at {} of {}", cut, pipeline.len());
         }
         prop_assert_eq!(rig.server.conn_count(), 1, "a valid pipeline never costs the connection");
+    }
+}
+
+/// A backend that reports a region half as long as the one it allocates
+/// in, so every block it places in the upper half lies outside what the
+/// store's heap backs: the store must answer `-OOM`, not panic or write
+/// past the region.
+struct Overhang(Box<dyn Allocator>);
+
+impl Allocator for Overhang {
+    fn name(&self) -> &'static str {
+        "overhang"
+    }
+    fn init(&mut self, base: u64, len: usize) -> ukplat::Result<()> {
+        self.0.init(base, len)
+    }
+    fn region(&self) -> (u64, usize) {
+        let (base, len) = self.0.region();
+        (base, len / 2)
+    }
+    fn malloc(&mut self, size: usize) -> Option<u64> {
+        self.0.malloc(size)
+    }
+    fn memalign(&mut self, align: usize, size: usize) -> Option<u64> {
+        self.0.memalign(align, size)
+    }
+    fn free(&mut self, ptr: u64) {
+        self.0.free(ptr)
+    }
+    fn available(&self) -> usize {
+        self.0.available()
+    }
+    fn stats(&self) -> AllocStats {
+        self.0.stats()
+    }
+}
+
+/// `inner` over `len` bytes, half of which it owns up to.
+fn overhang(inner: AllocBackend, len: usize) -> Box<dyn Allocator> {
+    let mut a = Overhang(inner.instantiate());
+    a.init(1 << 22, len).unwrap();
+    Box::new(a)
+}
+
+/// Every backend the store can be built on, and two that place blocks
+/// past the region they report; whether a SET may be refused.
+fn store_backends() -> Vec<(Box<dyn Allocator>, bool)> {
+    let mut all: Vec<_> = AllocBackend::all().into_iter().map(|b| (mk_alloc(b), false)).collect();
+    all.push((overhang(AllocBackend::Mimalloc, 128 * 1024), true));
+    all.push((overhang(AllocBackend::BootAlloc, 4096), true));
+    all
+}
+
+/// Runs `ops` — (SET/GET/DEL, key, value) — against a `KvStore` on
+/// `alloc` and against a map, 16 commands a pipeline. Each reply must be
+/// the map's answer (a refused SET, where allowed, changes neither), and
+/// after each pipeline the key count and the backend's live blocks must
+/// both equal the map's size. Returns the SETs refused.
+fn run_against_model(
+    alloc: Box<dyn Allocator>,
+    may_refuse: bool,
+    ops: &[(u8, u8, Vec<u8>)],
+) -> usize {
+    let name = alloc.name();
+    let mut rig = Rig::new(6379, |s| KvStore::new(s, 6379, alloc).unwrap(), KvStore::poll);
+    let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+    let mut refused = 0;
+    for chunk in ops.chunks(16) {
+        let keys: Vec<[u8; 2]> = chunk.iter().map(|&(_, k, _)| [b'k', b'a' + k]).collect();
+        let mut pipeline = Vec::new();
+        for ((op, _, val), key) in chunk.iter().zip(&keys) {
+            pipeline.extend(match op {
+                0 => resp_command(&[b"SET", key, val]),
+                1 => resp_command(&[b"GET", key]),
+                _ => resp_command(&[b"DEL", key]),
+            });
+        }
+        let mut replies = rig.exchange(&pipeline);
+        for ((op, _, val), key) in chunk.iter().zip(&keys) {
+            let Parse::Complete((), n) = resp::value_len(replies) else {
+                panic!("{name}: a reply for every command");
+            };
+            let (reply, rest) = replies.split_at(n);
+            replies = rest;
+            let mut want = Vec::new();
+            match op {
+                0 if may_refuse && reply == b"-OOM\r\n" => {
+                    refused += 1;
+                    continue;
+                }
+                0 => {
+                    model.insert(key.to_vec(), val.clone());
+                    resp::put_simple(&mut want, "OK");
+                }
+                1 => match model.get(&key[..]) {
+                    Some(v) => resp::put_bulk(&mut want, v),
+                    None => resp::put_nil(&mut want),
+                },
+                _ => resp::put_int(&mut want, i64::from(model.remove(&key[..]).is_some())),
+            }
+            let what = ["SET", "GET", "DEL"][usize::from(*op).min(2)];
+            assert_eq!(reply, want, "{name}: {what} {}", key[1] as char);
+        }
+        assert!(replies.is_empty(), "{name}: one reply per command");
+        assert_eq!(rig.server.len(), model.len(), "{name}: keys");
+        let live = rig.server.alloc_stats().live();
+        assert_eq!(live, model.len() as u64, "{name}: one live block per key");
+    }
+    refused
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `KvStore` is a map, on every backend: random SET/GET/DEL runs over
+    /// twelve keys — so the index stays at 16 slots, its chains wrap and
+    /// deletes shift them back — answer as a `HashMap` does.
+    #[test]
+    fn kvstore_matches_a_map_on_every_backend(
+        ops in proptest::collection::vec((0u8..3, 0u8..12, proptest::collection::vec(any::<u8>(), 0..80)), 1..160)
+    ) {
+        for (alloc, may_refuse) in store_backends() {
+            run_against_model(alloc, may_refuse, &ops);
+        }
+    }
+}
+
+/// A block the backend places outside the region it reports is refused
+/// with `-OOM` — the SET changes nothing, the block is given back — and
+/// the store goes on answering.
+#[test]
+fn a_block_outside_the_region_is_an_oom_reply() {
+    let sets: Vec<_> = (0..120u8).map(|i| (0, i % 12, vec![i; 40 + usize::from(i) % 24])).collect();
+    let gets: Vec<_> = (0..12u8).map(|k| (1, k, Vec::new())).collect();
+    for (inner, len) in [(AllocBackend::BootAlloc, 4096), (AllocBackend::Mimalloc, 128 * 1024)] {
+        let ops: Vec<_> = sets.iter().chain(&gets).cloned().collect();
+        let refused = run_against_model(overhang(inner, len), true, &ops);
+        assert!(refused > 0, "{}: some blocks landed past the region", inner.name());
     }
 }
 

@@ -9,18 +9,21 @@
 //! own zero (guarded in its crate) included.
 //!
 //! After warm-up (buffers, backlog and scratch vectors at their sizes):
-//! a `KvStore` turn serving a 16-command GET pipeline takes nothing, a
-//! SET that keeps its value's length takes nothing, a SET that changes
-//! it takes exactly the new value, and an `Httpd` keep-alive `GET /`
-//! turn — `poll_ready_into` and all — takes nothing.
+//! a `KvStore` turn serving a 16-command GET pipeline takes nothing, no
+//! SET or DEL takes anything (keys and values live in the `ukalloc`
+//! backend's region) except the one insert that doubles the key index,
+//! and an `Httpd` keep-alive `GET /` turn — `poll_ready_into` and all —
+//! takes nothing.
 
 mod common;
 
 use common::{mk_alloc, Rig};
 use ukalloc::stats::{AllocCounter, CountingAlloc};
+use ukalloc::AllocBackend;
 use ukapps::httpd::{default_page, Httpd};
 use ukapps::kvstore::KvStore;
 use ukapps::resp;
+use uknetstack::stack::NetStack;
 
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
@@ -31,10 +34,12 @@ fn key(i: u8) -> [u8; 6] {
     [b'k', b'e', b'y', b':', b'a' + i, b'!']
 }
 
-/// A `KvStore` with `KEYS` keys of 100-byte values, every buffer
-/// warmed by a few rounds of the traffic the tests measure.
+/// A `KvStore` on the headline backend (mimalloc) with `KEYS` keys of
+/// 100-byte values, every buffer warmed by a few rounds of the traffic
+/// the tests measure.
 fn kv_rig() -> Rig<KvStore> {
-    let mut rig = Rig::new(6379, |s| KvStore::new(s, 6379, mk_alloc()).unwrap(), KvStore::poll);
+    let start = |s: &mut NetStack| KvStore::new(s, 6379, mk_alloc(AllocBackend::Mimalloc)).unwrap();
+    let mut rig = Rig::new(6379, start, KvStore::poll);
     for round in 0..4u8 {
         let mut sets = Vec::new();
         for i in 0..KEYS {
@@ -77,39 +82,56 @@ fn a_get_pipeline_is_served_without_touching_the_heap() {
     assert_eq!(rig.server.gets(), 5 * u64::from(KEYS));
 }
 
+fn command(words: &[&[u8]]) -> Vec<u8> {
+    let mut cmd = Vec::new();
+    resp::put_command(&mut cmd, words);
+    cmd
+}
+
 #[test]
-fn a_set_costs_the_heap_its_value_only_when_the_length_changes() {
+fn no_set_or_del_takes_the_host_heap() {
     let mut rig = kv_rig();
-    let set = |v: &[u8]| {
-        let mut cmd = Vec::new();
-        resp::put_command(&mut cmd, &[b"SET", &key(0), v]);
-        cmd
-    };
-    let (same, shorter, longer) = (set(&[9; 100]), set(&[8; 40]), set(&[7; 101]));
+    let set = |i: u8, v: &[u8]| command(&[b"SET", &key(i), v]);
+    let (same, shorter, longer) = (set(0, &[9; 100]), set(0, &[8; 40]), set(0, &[7; 101]));
     // The `ukalloc` backend's own bookkeeping meets these sizes once
     // before anything is counted.
     for warm in [&shorter, &longer, &same] {
         assert_eq!(rig.exchange(warm), b"+OK\r\n");
     }
 
-    let (allocs, len) = allocs_to_answer(&mut rig, &same);
-    assert_eq!((allocs, &rig.reply[..len]), (0, &b"+OK\r\n"[..]), "same length: in place");
-    let (allocs, _) = allocs_to_answer(&mut rig, &shorter);
-    assert_eq!(allocs, 1, "shorter: one exact-sized value");
-    let (allocs, _) = allocs_to_answer(&mut rig, &longer);
-    assert_eq!(allocs, 1, "longer: one exact-sized value");
-
-    let mut get = Vec::new();
-    resp::put_command(&mut get, &[b"GET", &key(0)]);
+    let del = command(&[b"DEL", &key(0)]);
+    for (what, request, reply) in [
+        ("same length", &same, &b"+OK\r\n"[..]),
+        ("shorter", &shorter, b"+OK\r\n"),
+        ("longer", &longer, b"+OK\r\n"),
+        ("DEL", &del, b":1\r\n"),
+        ("a deleted key SET again", &longer, b"+OK\r\n"),
+    ] {
+        let (allocs, len) = allocs_to_answer(&mut rig, request);
+        assert_eq!((allocs, &rig.reply[..len]), (0, reply), "{what}");
+    }
     let mut want = Vec::new();
     resp::put_bulk(&mut want, &[7; 101]);
-    assert_eq!(rig.exchange(&get), want);
-    assert_eq!(rig.server.len(), KEYS as usize, "overwrites, not inserts");
+    assert_eq!(rig.exchange(&command(&[b"GET", &key(0)])), want);
+    assert_eq!(rig.server.len(), KEYS as usize);
+
+    // New keys: the index (32 slots once the warm-up's 16 keys are in)
+    // doubles when an insert would take it past 7/8 load — on the 29th
+    // key, and only there.
+    let mut grew = Vec::new();
+    for i in KEYS..40 {
+        let (allocs, len) = allocs_to_answer(&mut rig, &set(i, &[i; 100]));
+        assert_eq!(&rig.reply[..len], b"+OK\r\n");
+        if allocs != 0 {
+            grew.push((rig.server.len(), allocs));
+        }
+    }
+    assert_eq!(grew, [(29, 1)], "(keys after the insert, allocations)");
 }
 
 #[test]
 fn a_keep_alive_get_is_served_without_touching_the_heap() {
-    let mut rig = Rig::new(80, |s| Httpd::new(s, 80, mk_alloc()).unwrap(), Httpd::poll);
+    let mut rig = Rig::new(80, |s| Httpd::new(s, 80, mk_alloc(AllocBackend::Tlsf)).unwrap(), Httpd::poll);
     let request = b"GET / HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\r\n";
     for _ in 0..4 {
         assert!(rig.exchange(request).ends_with(&default_page()));

@@ -44,6 +44,11 @@ pub const HOT_FILES: &[&str] = &[
     "crates/ukapps/src/resp.rs",
     "crates/ukapps/src/kvstore.rs",
     "crates/ukapps/src/httpd.rs",
+    // The store's memory: every GET probes the key index and reads its
+    // entry's block, every SET writes one, through the heap's checked
+    // views.
+    "crates/ukapps/src/kvindex.rs",
+    "crates/ukalloc/src/heap.rs",
 ];
 
 /// Source directories that are hot in their entirety.
@@ -103,9 +108,16 @@ pub const SIZE_BUDGETS: &[(&str, usize)] = &[
     // `httpd.rs` 476 → 267, `kvstore.rs` 257 → 209, `loadgen.rs`
     // 290 → 233.
     ("crates/ukapps/src/httpd.rs", 300),
-    ("crates/ukapps/src/kvstore.rs", 250),
     ("crates/ukapps/src/serve.rs", 350),
     ("crates/ukapps/src/loadgen.rs", 250),
+    // The store's keys and values moved into the `ukalloc` backend's
+    // region: the protocol (`kvstore.rs`, 209 → 191) and where the
+    // bytes live (`kvindex.rs`, 220: the entry layout and the flat
+    // index) are two files, and the heap that backs a region is one
+    // more (`heap.rs`, 96).
+    ("crates/ukapps/src/kvstore.rs", 200),
+    ("crates/ukapps/src/kvindex.rs", 250),
+    ("crates/ukalloc/src/heap.rs", 100),
 ];
 
 /// Directories whose `pub` items are an API somebody outside must be
