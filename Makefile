@@ -77,8 +77,10 @@ verify-churn:
 ## atomic-ordering policy, no shared `ukstats::Counter` in a
 ## single-writer owner (every file under `stack/` is one), the non-test
 ## line budget (`size`): 600 for each file under `stack/`, 650 under `tcp/`,
-## no `pub` item under either that nothing outside `uknetstack/src`
-## names (`unused-pub`), and the release profile (`build-profile`):
+## no `pub` item in any library crate's `src/` that nothing outside that
+## `src/` names (`unused-pub`; crates that build a binary are exempt), no
+## `[dependencies]` entry of a `crates/*` manifest that nothing in its
+## `src/` names (`unused-dep`), and the release profile (`build-profile`):
 ## `.cargo/config.toml` exists, its `[profile.release]` is exactly the
 ## keys `ukcheck`'s manifest lists, and no `Cargo.toml` of the root,
 ## `crates/*` or `third_party/*` carries a `[profile.release…]` table —

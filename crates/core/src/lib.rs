@@ -10,9 +10,10 @@
 //! micro-library (the `log_*!` macros and their per-module filter).
 
 pub mod posix;
+// ukcheck: allow(unused-pub) -- the exported `log_*!` macros expand to
+// `$crate::ukdebug::log_at`
 pub mod ukdebug;
 pub mod unikernel;
 
 pub use posix::PosixEnv;
-pub use ukdebug::LogLevel;
 pub use unikernel::{Unikernel, UnikernelBuilder, UnikernelConfig};

@@ -32,9 +32,9 @@ pub const EVENT_FD_BASE: u64 = 0x1000;
 /// `EPOLL_CTL_ADD`.
 pub const EPOLL_CTL_ADD: u64 = 1;
 /// `EPOLL_CTL_DEL`.
-pub const EPOLL_CTL_DEL: u64 = 2;
+pub(crate) const EPOLL_CTL_DEL: u64 = 2;
 /// `EPOLL_CTL_MOD`.
-pub const EPOLL_CTL_MOD: u64 = 3;
+pub(crate) const EPOLL_CTL_MOD: u64 = 3;
 
 /// The fd table behind the epoll/eventfd syscalls.
 #[derive(Default)]
@@ -94,7 +94,7 @@ impl PosixEnv {
     }
 
     /// Builds a POSIX environment over an existing VFS.
-    pub fn with_vfs(tsc: &Tsc, vfs: Vfs) -> Self {
+    pub(crate) fn with_vfs(tsc: &Tsc, vfs: Vfs) -> Self {
         let vfs = Rc::new(RefCell::new(vfs));
         let buffers: Rc<RefCell<HashMap<u64, Vec<u8>>>> =
             Rc::new(RefCell::new(HashMap::new()));
@@ -443,17 +443,6 @@ impl PosixEnv {
         fd
     }
 
-    /// Runs `f` against the epoll instance behind `epfd` (tests, and
-    /// scheduler glue that needs `wait`/`take_wakeups`).
-    pub fn with_event_queue<R>(
-        &mut self,
-        epfd: u64,
-        f: impl FnOnce(&mut EventQueue) -> R,
-    ) -> Option<R> {
-        let mut t = self.events.borrow_mut();
-        t.epolls.get_mut(&epfd).map(f)
-    }
-
     /// Decodes an `epoll_wait` result buffer back into (events, token)
     /// pairs — the inverse of the packed 12-byte record serialization.
     pub fn decode_epoll_events(buf: &[u8]) -> Vec<(EventMask, u64)> {
@@ -599,9 +588,6 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].1, efd, "token is the fd");
         assert!(events[0].0.contains(EventMask::IN));
-        // The live queue is reachable for scheduler glue and stats.
-        let delivered = p.with_event_queue(epfd, |q| q.delivered()).unwrap();
-        assert_eq!(delivered, 1);
         // DEL then wait is quiet again.
         assert_eq!(p.syscall(233, &[epfd, EPOLL_CTL_DEL, efd, 0]), 0);
         assert_eq!(p.syscall(232, &[epfd, evbuf, 8, 0]), 0);

@@ -20,21 +20,19 @@ use uksyscall::shim::{SyscallMode, SyscallShim};
 use uksyscall::UNIKRAFT_SUPPORTED;
 use ukvfs::{RamFs, Vfs};
 
-
 /// Network selection for a build.
 #[derive(Debug, Clone, Copy)]
+// ukcheck: allow(unused-pub) -- the type of the public `UnikernelConfig::net`
 pub struct NetConfig {
     /// Host backend for the virtio NIC.
     pub backend: VhostKind,
     /// Node number (determines MAC 02:…:n and IP 10.0.0.n).
     pub node: u8,
-    /// Whether to run the full stack (lwip path) or leave the raw
-    /// `uknetdev` device to the application (scenario ➆).
-    pub with_stack: bool,
 }
 
 /// The resolved configuration of a unikernel build.
 #[derive(Debug, Clone)]
+// ukcheck: allow(unused-pub) -- what the public `Unikernel::config` returns
 pub struct UnikernelConfig {
     /// Image/application name.
     pub name: String,
@@ -50,10 +48,6 @@ pub struct UnikernelConfig {
     pub sched: SchedPolicy,
     /// Optional network device/stack.
     pub net: Option<NetConfig>,
-    /// Files embedded into the ramfs root.
-    pub rootfs_files: Vec<(String, Vec<u8>)>,
-    /// Whether to mount a VFS at all (specialized images may skip it).
-    pub with_vfs: bool,
 }
 
 /// Builder for [`Unikernel`].
@@ -89,8 +83,6 @@ impl UnikernelBuilder {
                 allocator: AllocBackend::BootAlloc,
                 sched: SchedPolicy::None,
                 net: None,
-                rootfs_files: Vec::new(),
-                with_vfs: true,
             },
         }
     }
@@ -125,35 +117,9 @@ impl UnikernelBuilder {
         self
     }
 
-    /// Attaches a virtio NIC (+ the lwip-path stack unless raw).
+    /// Attaches a virtio NIC and the lwip-path stack over it.
     pub fn with_net(mut self, backend: VhostKind, node: u8) -> Self {
-        self.config.net = Some(NetConfig {
-            backend,
-            node,
-            with_stack: true,
-        });
-        self
-    }
-
-    /// Attaches a raw `uknetdev` NIC without a stack (scenario ➆).
-    pub fn with_raw_net(mut self, backend: VhostKind, node: u8) -> Self {
-        self.config.net = Some(NetConfig {
-            backend,
-            node,
-            with_stack: false,
-        });
-        self
-    }
-
-    /// Embeds a file into the ramfs image.
-    pub fn with_file(mut self, path: impl Into<String>, data: Vec<u8>) -> Self {
-        self.config.rootfs_files.push((path.into(), data));
-        self
-    }
-
-    /// Drops the VFS layer entirely (SHFS-style specialization).
-    pub fn without_vfs(mut self) -> Self {
-        self.config.with_vfs = false;
+        self.config.net = Some(NetConfig { backend, node });
         self
     }
 
@@ -162,14 +128,13 @@ impl UnikernelBuilder {
         if self.config.ram_bytes < 4 * 1024 * 1024 {
             return Err(Errno::NoMem);
         }
-        if !self.config.rootfs_files.is_empty() && !self.config.with_vfs {
-            return Err(Errno::Inval); // Files need a filesystem.
-        }
         Ok(Unikernel::new(self.config))
     }
 }
 
 /// A composed, bootable unikernel instance.
+// ukcheck: allow(unused-pub) -- what the public `UnikernelBuilder::build`
+// returns
 pub struct Unikernel {
     config: UnikernelConfig,
     tsc: Tsc,
@@ -177,7 +142,6 @@ pub struct Unikernel {
     heap: Option<AllocId>,
     vfs: Option<Vfs>,
     stack: Option<NetStack>,
-    raw_net: Option<VirtioNet>,
     sched: Option<Box<dyn Scheduler>>,
     shim: SyscallShim,
     report: Option<BootReport>,
@@ -203,7 +167,6 @@ impl Unikernel {
             heap: None,
             vfs: None,
             stack: None,
-            raw_net: None,
             sched: None,
             shim,
             report: None,
@@ -249,39 +212,29 @@ impl Unikernel {
 
         let mut report = seq.run()?;
 
-        // Stage: rootfs — mount the VFS and populate the ramfs.
-        if cfg.with_vfs {
-            let t = Instant::now();
-            let mut ramfs = RamFs::new();
-            for (path, data) in &cfg.rootfs_files {
-                ramfs.add_file(path.trim_start_matches('/'), data)?;
-            }
-            let mut vfs = Vfs::new();
-            vfs.mount("/", Box::new(ramfs))?;
-            self.vfs = Some(vfs);
-            report.stages.push(BootStage {
-                name: "rootfs".into(),
-                ns: t.elapsed().as_nanos() as u64,
-            });
-        }
+        // Stage: rootfs — mount the VFS over an empty ramfs.
+        let t = Instant::now();
+        let mut vfs = Vfs::new();
+        vfs.mount("/", Box::new(RamFs::new()))?;
+        self.vfs = Some(vfs);
+        report.stages.push(BootStage {
+            name: "rootfs".into(),
+            ns: t.elapsed().as_nanos() as u64,
+        });
 
         // Stage: lwip — bring up the stack over the probed device.
         if let Some(nc) = net_cfg {
             let dev = dev_slot.borrow_mut().take().ok_or(Errno::Io)?;
-            if nc.with_stack {
-                let t = Instant::now();
-                // One clock for the image: the device's cost model
-                // moves it, the scheduler and the stack's timers read it.
-                let mut stack = NetStack::new(StackConfig::node(nc.node), Box::new(dev));
-                stack.set_clock(&self.tsc);
-                self.stack = Some(stack);
-                report.stages.push(BootStage {
-                    name: "lwip".into(),
-                    ns: t.elapsed().as_nanos() as u64,
-                });
-            } else {
-                self.raw_net = Some(dev);
-            }
+            let t = Instant::now();
+            // One clock for the image: the device's cost model moves it,
+            // the scheduler and the stack's timers read it.
+            let mut stack = NetStack::new(StackConfig::node(nc.node), Box::new(dev));
+            stack.set_clock(&self.tsc);
+            self.stack = Some(stack);
+            report.stages.push(BootStage {
+                name: "lwip".into(),
+                ns: t.elapsed().as_nanos() as u64,
+            });
         }
 
         // Stage: sched — instantiate the selected scheduler.
@@ -349,11 +302,6 @@ impl Unikernel {
     /// Takes the network stack out (to attach it to a testnet hub).
     pub fn take_stack(&mut self) -> Option<NetStack> {
         self.stack.take()
-    }
-
-    /// The raw `uknetdev` device for stack-less builds.
-    pub fn raw_net_mut(&mut self) -> Option<&mut VirtioNet> {
-        self.raw_net.as_mut()
     }
 
     /// The scheduler, if configured.
@@ -444,7 +392,6 @@ mod tests {
             .allocator(AllocBackend::Tlsf)
             .scheduler(SchedPolicy::Coop)
             .with_net(VhostKind::VhostNet, 1)
-            .with_file("/index.html", b"<html>x</html>".to_vec())
             .build()
             .unwrap();
         let r = uk.boot().unwrap();
@@ -452,31 +399,7 @@ mod tests {
         assert!(r.stage_ns("lwip").is_some());
         assert!(r.stage_ns("sched").is_some());
         assert!(uk.stack_mut().is_some());
-        // The embedded file is readable through the VFS.
-        let vfs = uk.vfs_mut().unwrap();
-        let fd = vfs.open("/index.html").unwrap();
-        assert_eq!(vfs.read(fd, 64).unwrap(), b"<html>x</html>");
-    }
-
-    #[test]
-    fn raw_net_build_skips_the_stack() {
-        let mut uk = UnikernelBuilder::new("udpkv")
-            .with_raw_net(VhostKind::VhostUser, 1)
-            .build()
-            .unwrap();
-        uk.boot().unwrap();
-        assert!(uk.raw_net_mut().is_some());
-        assert!(uk.stack_mut().is_none());
-    }
-
-    #[test]
-    fn files_without_vfs_rejected() {
-        let e = UnikernelBuilder::new("bad")
-            .without_vfs()
-            .with_file("/x", vec![1])
-            .build()
-            .unwrap_err();
-        assert_eq!(e, Errno::Inval);
+        assert!(uk.vfs_mut().is_some());
     }
 
     #[test]

@@ -27,27 +27,27 @@
 //! region's length, so its blocks hold what an application writes there
 //! (`ukapps`' key-value store keeps every key and value in one).
 
-pub mod bootalloc;
+pub(crate) mod bootalloc;
 pub mod buddy;
 pub mod heap;
-pub mod mimalloc;
-pub mod oscar;
+pub(crate) mod mimalloc;
+pub(crate) mod oscar;
 pub mod registry;
 pub mod stats;
-pub mod tinyalloc;
-pub mod tlsf;
+pub(crate) mod tinyalloc;
+pub(crate) mod tlsf;
 
 pub use bootalloc::BootAlloc;
 pub use buddy::BuddyAlloc;
 pub use heap::Heap;
 pub use mimalloc::Mimalloc;
-pub use oscar::OscarAlloc;
+use oscar::OscarAlloc;
 pub use registry::AllocRegistry;
 pub use stats::AllocStats;
 pub use tinyalloc::TinyAlloc;
 pub use tlsf::TlsfAlloc;
 
-use ukplat::{Errno, Result};
+use ukplat::Result;
 
 /// Minimum alignment every backend guarantees (like `max_align_t`).
 pub const MIN_ALIGN: usize = 16;
@@ -164,35 +164,6 @@ pub trait Allocator {
     }
 }
 
-/// `uk_calloc` equivalent: allocate and conceptually zero `n * size` bytes.
-///
-/// Returns `None` on multiplication overflow, matching POSIX `calloc`.
-pub fn uk_calloc(a: &mut dyn Allocator, n: usize, size: usize) -> Option<GpAddr> {
-    let total = n.checked_mul(size)?;
-    a.malloc(total)
-}
-
-/// `uk_realloc` equivalent over the handle-based interface.
-///
-/// Since backends track sizes internally, the reproduction models realloc
-/// as malloc-new + free-old, which is also Unikraft's fallback path for
-/// backends without a native realloc.
-pub fn uk_realloc(a: &mut dyn Allocator, ptr: Option<GpAddr>, size: usize) -> Option<GpAddr> {
-    let newp = a.malloc(size)?;
-    if let Some(old) = ptr {
-        a.free(old);
-    }
-    Some(newp)
-}
-
-/// `uk_posix_memalign` equivalent returning `Errno` like the POSIX call.
-pub fn uk_posix_memalign(a: &mut dyn Allocator, align: usize, size: usize) -> Result<GpAddr> {
-    if !align.is_power_of_two() || align < std::mem::size_of::<usize>() {
-        return Err(Errno::Inval);
-    }
-    a.memalign(align.max(MIN_ALIGN), size).ok_or(Errno::NoMem)
-}
-
 /// Rounds `v` up to the next multiple of `align` (power of two).
 pub(crate) fn align_up(v: u64, align: u64) -> u64 {
     debug_assert!(align.is_power_of_two());
@@ -230,36 +201,6 @@ mod tests {
         for b in AllocBackend::all() {
             exercise(b);
         }
-    }
-
-    #[test]
-    fn calloc_overflow_returns_none() {
-        let mut a = AllocBackend::Tlsf.instantiate();
-        a.init(0, 1024 * 1024).unwrap();
-        assert!(uk_calloc(a.as_mut(), usize::MAX, 2).is_none());
-        assert!(uk_calloc(a.as_mut(), 4, 16).is_some());
-    }
-
-    #[test]
-    fn posix_memalign_validates_alignment() {
-        let mut a = AllocBackend::Tlsf.instantiate();
-        a.init(0, 1024 * 1024).unwrap();
-        assert_eq!(
-            uk_posix_memalign(a.as_mut(), 3, 64).unwrap_err(),
-            Errno::Inval
-        );
-        let p = uk_posix_memalign(a.as_mut(), 256, 64).unwrap();
-        assert_eq!(p % 256, 0);
-    }
-
-    #[test]
-    fn realloc_moves_allocation() {
-        let mut a = AllocBackend::Buddy.instantiate();
-        a.init(1 << 20, 1024 * 1024).unwrap();
-        let p = a.malloc(64).unwrap();
-        let q = uk_realloc(a.as_mut(), Some(p), 128).unwrap();
-        assert!(q >= (1 << 20));
-        a.free(q);
     }
 
     #[test]

@@ -46,6 +46,11 @@ fn class_of(size: usize) -> usize {
 }
 
 /// Block size for a class (inverse of `class_of`, rounded up).
+/// The bytes a large request takes: rounded up to [`MIN_ALIGN`].
+fn large_block(size: usize) -> usize {
+    align_up(size as u64, MIN_ALIGN as u64) as usize
+}
+
 fn class_size(class: usize) -> usize {
     if class < 4 {
         (class + 1) * 16
@@ -180,7 +185,7 @@ impl Mimalloc {
     }
 
     fn alloc_large(&mut self, size: usize, align: usize) -> Option<GpAddr> {
-        let size = align_up(size as u64, MIN_ALIGN as u64) as usize;
+        let size = large_block(size);
         // First-fit over the large free list.
         for i in 0..self.large_free.len() {
             let (addr, bsize) = self.large_free[i];
@@ -246,14 +251,15 @@ impl Allocator for Mimalloc {
 
     fn malloc(&mut self, size: usize) -> Option<GpAddr> {
         let size = size.max(1);
-        let r = if size <= SMALL_MAX {
-            self.alloc_small(size)
+        // The stats charge the block handed out: what `free` takes off.
+        let (r, block) = if size <= SMALL_MAX {
+            (self.alloc_small(size), class_size(class_of(size)))
         } else {
-            self.alloc_large(size, MIN_ALIGN)
+            (self.alloc_large(size, MIN_ALIGN), large_block(size))
         };
         match r {
             Some(p) => {
-                self.stats.on_alloc(size);
+                self.stats.on_alloc(block);
                 Some(p)
             }
             None => {
@@ -278,7 +284,7 @@ impl Allocator for Mimalloc {
                     let r = self.alloc_small(need);
                     if let Some(p) = r {
                         if p % align as u64 == 0 {
-                            self.stats.on_alloc(need);
+                            self.stats.on_alloc(class_size(class));
                             return Some(p);
                         }
                         // Block not aligned (class size not a multiple);
@@ -291,7 +297,7 @@ impl Allocator for Mimalloc {
         let r = self.alloc_large(size, align);
         match r {
             Some(p) => {
-                self.stats.on_alloc(size);
+                self.stats.on_alloc(large_block(size));
                 Some(p)
             }
             None => {

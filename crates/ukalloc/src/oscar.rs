@@ -25,7 +25,7 @@ const QUARANTINE_BLOCKS: usize = 64;
 
 /// The guarded allocator state.
 #[derive(Debug)]
-pub struct OscarAlloc {
+pub(crate) struct OscarAlloc {
     inner: TlsfAlloc,
     canaries: HashMap<GpAddr, u64>,
     quarantine: VecDeque<GpAddr>,
@@ -47,11 +47,6 @@ impl OscarAlloc {
             quarantine: VecDeque::new(),
             next_canary: 0xdead_0001,
         }
-    }
-
-    /// Number of blocks currently quarantined.
-    pub fn quarantined(&self) -> usize {
-        self.quarantine.len()
     }
 
     fn stamp(&mut self, ptr: GpAddr) {
@@ -146,7 +141,7 @@ mod tests {
         for p in ptrs {
             o.free(p);
         }
-        assert!(o.quarantined() <= QUARANTINE_BLOCKS);
+        assert!(o.quarantine.len() <= QUARANTINE_BLOCKS);
     }
 
     #[test]

@@ -68,17 +68,6 @@ impl AllocRegistry {
         Ok(id)
     }
 
-    /// Registers an externally constructed allocator (e.g. a GC-fronted
-    /// one) that is already initialized.
-    pub fn register_custom(&mut self, a: Box<dyn Allocator>) -> AllocId {
-        let id = AllocId(self.allocators.len());
-        self.allocators.push(a);
-        if self.default_id.is_none() {
-            self.default_id = Some(id);
-        }
-        id
-    }
-
     /// The default allocator id (what plain `malloc` uses).
     pub fn default_id(&self) -> Option<AllocId> {
         self.default_id
@@ -131,12 +120,6 @@ impl AllocRegistry {
     pub fn malloc_default(&mut self, size: usize) -> Option<GpAddr> {
         let id = self.default_id?;
         self.malloc(id, size)
-    }
-
-    /// Default-allocator `free`.
-    pub fn free_default(&mut self, ptr: GpAddr) {
-        let id = self.default_id.expect("no default allocator");
-        self.free(id, ptr);
     }
 
     /// Stats for one allocator.
@@ -196,7 +179,7 @@ mod tests {
         let mut r = AllocRegistry::new();
         r.register(AllocBackend::Tlsf, 0, 1 << 20).unwrap();
         let p = r.malloc_default(128).unwrap();
-        r.free_default(p);
+        r.free(r.default_id().unwrap(), p);
         let s = r.total_stats();
         assert_eq!(s.alloc_count, 1);
         assert_eq!(s.free_count, 1);

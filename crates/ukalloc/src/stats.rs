@@ -26,20 +26,20 @@ pub struct AllocStats {
 
 impl AllocStats {
     /// Records a successful allocation of `bytes`.
-    pub fn on_alloc(&mut self, bytes: usize) {
+    pub(crate) fn on_alloc(&mut self, bytes: usize) {
         self.cur_bytes += bytes;
         self.peak_bytes = self.peak_bytes.max(self.cur_bytes);
         self.alloc_count += 1;
     }
 
     /// Records a free of `bytes`.
-    pub fn on_free(&mut self, bytes: usize) {
+    pub(crate) fn on_free(&mut self, bytes: usize) {
         self.cur_bytes = self.cur_bytes.saturating_sub(bytes);
         self.free_count += 1;
     }
 
     /// Records a failed allocation.
-    pub fn on_fail(&mut self) {
+    pub(crate) fn on_fail(&mut self) {
         self.failed_count += 1;
     }
 

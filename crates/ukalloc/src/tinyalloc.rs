@@ -71,7 +71,9 @@ impl TinyAlloc {
         }
     }
 
-    fn take_first_fit(&mut self, size: usize, align: usize) -> Option<GpAddr> {
+    /// The first free block that fits `size` at `align`: its address and
+    /// the bytes taken (`size`, plus a remainder too small to split off).
+    fn take_first_fit(&mut self, size: usize, align: usize) -> Option<(GpAddr, usize)> {
         for i in 0..self.free.len() {
             let (addr, bsize) = self.free[i];
             let aligned = align_up(addr, align as u64);
@@ -82,19 +84,20 @@ impl TinyAlloc {
                     self.insert_free(addr, pad);
                 }
                 let rem = bsize - pad - size;
-                if rem >= MIN_SPLIT {
+                let taken = if rem >= MIN_SPLIT {
                     self.insert_free(aligned + size as u64, rem);
-                    self.used.insert(aligned, size);
+                    size
                 } else {
-                    self.used.insert(aligned, size + rem);
-                }
-                return Some(aligned);
+                    size + rem
+                };
+                self.used.insert(aligned, taken);
+                return Some((aligned, taken));
             }
         }
         None
     }
 
-    fn bump(&mut self, size: usize, align: usize) -> Option<GpAddr> {
+    fn bump(&mut self, size: usize, align: usize) -> Option<(GpAddr, usize)> {
         let aligned = align_up(self.top, align as u64);
         let end = aligned.checked_add(size as u64)?;
         if end > self.end {
@@ -111,7 +114,7 @@ impl TinyAlloc {
         }
         self.top = end;
         self.used.insert(aligned, size);
-        Some(aligned)
+        Some((aligned, size))
     }
 }
 
@@ -145,8 +148,9 @@ impl Allocator for TinyAlloc {
             .take_first_fit(size, MIN_ALIGN)
             .or_else(|| self.bump(size, MIN_ALIGN));
         match r {
-            Some(p) => {
-                self.stats.on_alloc(size);
+            // The stats charge the block taken: what `free` takes off.
+            Some((p, taken)) => {
+                self.stats.on_alloc(taken);
                 Some(p)
             }
             None => {
@@ -163,8 +167,9 @@ impl Allocator for TinyAlloc {
             .take_first_fit(size, align)
             .or_else(|| self.bump(size, align));
         match r {
-            Some(p) => {
-                self.stats.on_alloc(size);
+            // The stats charge the block taken: what `free` takes off.
+            Some((p, taken)) => {
+                self.stats.on_alloc(taken);
                 Some(p)
             }
             None => {

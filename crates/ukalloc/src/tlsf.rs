@@ -150,7 +150,9 @@ impl TlsfAlloc {
 
     /// Splits `size` bytes off the front of a free block just popped from
     /// its bucket, returning the remainder (if any) to the free structure.
-    fn split_and_take(&mut self, addr: GpAddr, blk: Block, size: usize) {
+    /// Returns the size of the block taken: `size`, or all of `blk` when
+    /// the remainder is too small to stand alone.
+    fn split_and_take(&mut self, addr: GpAddr, blk: Block, size: usize) -> usize {
         let remainder = blk.size - size;
         if remainder >= MIN_BLOCK {
             let rem_addr = addr + size as u64;
@@ -169,6 +171,7 @@ impl TlsfAlloc {
                 },
             );
             self.insert_free(rem_addr, remainder, Some(addr));
+            size
         } else {
             self.blocks.insert(
                 addr,
@@ -179,6 +182,7 @@ impl TlsfAlloc {
                     gen: 0,
                 },
             );
+            blk.size
         }
     }
 
@@ -216,8 +220,9 @@ impl Allocator for TlsfAlloc {
         let need = round_request(align_up(size.max(1) as u64, MIN_ALIGN as u64) as usize);
         match self.find_block(need) {
             Some((addr, blk)) => {
-                self.split_and_take(addr, blk, need);
-                self.stats.on_alloc(need);
+                // The stats charge the block taken: what `free` takes off.
+                let taken = self.split_and_take(addr, blk, need);
+                self.stats.on_alloc(taken);
                 Some(addr)
             }
             None => {
@@ -249,7 +254,7 @@ impl Allocator for TlsfAlloc {
         let pad = (aligned - addr) as usize;
         debug_assert!(pad == 0 || pad >= MIN_BLOCK);
         debug_assert!(pad + need <= blk.size);
-        if pad > 0 {
+        let taken = if pad > 0 {
             // Split off the pad as its own free block, then take `need`
             // from the rest.
             let rest = Block {
@@ -264,16 +269,17 @@ impl Allocator for TlsfAlloc {
                 a.prev_phys = Some(aligned);
             }
             self.insert_free(addr, pad, blk.prev_phys);
-            self.split_and_take(aligned, rest, need);
+            let taken = self.split_and_take(aligned, rest, need);
             // `split_and_take` wrote prev_phys from `rest`; ensure the
             // taken block points back at the pad block.
             if let Some(b) = self.blocks.get_mut(&aligned) {
                 b.prev_phys = Some(addr);
             }
+            taken
         } else {
-            self.split_and_take(addr, blk, need);
-        }
-        self.stats.on_alloc(need);
+            self.split_and_take(addr, blk, need)
+        };
+        self.stats.on_alloc(taken);
         Some(aligned)
     }
 

@@ -29,20 +29,20 @@ use crate::put_decimal;
 use crate::serve::{Protocol, Served, Server};
 
 /// The paper's standard test page size.
-pub const DEFAULT_PAGE_SIZE: usize = 612;
+pub(crate) const DEFAULT_PAGE_SIZE: usize = 612;
 
 /// Largest body `/blob/<size>` serves (bounds the shared source
 /// buffer).
-pub const BLOB_MAX: usize = 4 << 20;
+pub(crate) const BLOB_MAX: usize = 4 << 20;
 
 /// Longest header block accepted (nginx's `large_client_header_buffers`
 /// default): a peer that has sent this much without the blank line that
 /// ends a request gets a 400 and a close instead of more buffer.
-pub const MAX_HEADER: usize = 8 * 1024;
+pub(crate) const MAX_HEADER: usize = 8 * 1024;
 
 /// The deterministic byte at position `i` of every blob body (clients
 /// verify transfers against this).
-pub fn blob_byte(i: usize) -> u8 {
+pub(crate) fn blob_byte(i: usize) -> u8 {
     ((i as u32).wrapping_mul(131).wrapping_add(7) % 251) as u8
 }
 

@@ -23,11 +23,11 @@ pub const MAX_ARGS: usize = 64;
 
 /// Longest bulk string accepted: what a connection may be made to
 /// buffer for a single word.
-pub const MAX_BULK: usize = 1 << 20;
+pub(crate) const MAX_BULK: usize = 1 << 20;
 
 /// Longest `+simple`, `-error` or `:integer` line (without its CRLF):
 /// these are status words, not payloads.
-pub const MAX_LINE: usize = 512;
+pub(crate) const MAX_LINE: usize = 512;
 
 /// A length line has at most this many digits (`usize::MAX` has 20), so
 /// a run of leading zeros cannot be streamed forever.
@@ -63,11 +63,12 @@ impl<T> From<Step<T>> for Parse<T> {
 }
 
 /// How many leading words of a command [`Cmd`] keeps.
-pub const CMD_WORDS: usize = 3;
+pub(crate) const CMD_WORDS: usize = 3;
 
 /// One command: how many words it has and the first [`CMD_WORDS`] of
 /// them, borrowed from the buffer they arrived in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// ukcheck: allow(unused-pub) -- what the public `command` returns
 pub struct Cmd<'a> {
     /// Words in the command, kept or not.
     pub argc: usize,
@@ -236,7 +237,7 @@ pub fn put_simple(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Appends `-<msg>\r\n`.
-pub fn put_error(out: &mut Vec<u8>, msg: &str) {
+pub(crate) fn put_error(out: &mut Vec<u8>, msg: &str) {
     out.push(b'-');
     out.extend_from_slice(msg.as_bytes());
     out.extend_from_slice(b"\r\n");

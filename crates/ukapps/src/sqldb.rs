@@ -288,14 +288,12 @@ struct Table {
 pub struct SqlDb {
     tables: HashMap<String, Table>,
     alloc: Box<dyn Allocator>,
-    statements: u64,
 }
 
 impl std::fmt::Debug for SqlDb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SqlDb")
             .field("tables", &self.tables.len())
-            .field("statements", &self.statements)
             .finish()
     }
 }
@@ -306,13 +304,11 @@ impl SqlDb {
         SqlDb {
             tables: HashMap::new(),
             alloc,
-            statements: 0,
         }
     }
 
     /// Executes one statement; returns result rows (SELECT) or empty.
     pub fn execute(&mut self, sql: &str) -> Result<Vec<Vec<Value>>> {
-        self.statements += 1;
         match parse(sql)? {
             Statement::CreateTable { name, columns } => {
                 if self.tables.contains_key(&name) {
@@ -407,11 +403,6 @@ impl SqlDb {
                 Ok(Vec::new())
             }
         }
-    }
-
-    /// Statements executed.
-    pub fn statements(&self) -> u64 {
-        self.statements
     }
 
     /// Rows stored in a table.

@@ -81,7 +81,7 @@ impl UdpKvMode {
     /// Host/guest cycles charged for a batch of `n` packets of `bytes`
     /// total, covering the I/O path (the request handling itself is real
     /// computation done by [`UdpKvServer`]).
-    pub fn io_cycles(self, n: usize, bytes: usize) -> u64 {
+    pub(crate) fn io_cycles(self, n: usize, bytes: usize) -> u64 {
         let n64 = n as u64;
         let per_pkt_copy = cost::copy_cost_cycles(bytes / n.max(1));
         match self {

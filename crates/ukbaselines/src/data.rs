@@ -78,29 +78,9 @@ pub fn min_memory_mb(env: ExecEnv, app: AppId) -> Option<u32> {
     Some(v)
 }
 
-/// §5.1's guest boot-time comparisons, nanoseconds (guest only, without
-/// VMM): "MirageOS (1-2ms on Solo5), OSv (4-5ms on Firecracker…), Rump
-/// (14-15ms on Solo5), Hermitux (30-32ms on uHyve), Lupine (70ms on
-/// Firecracker, 18ms without KML), and Alpine Linux (around 330ms)".
-pub fn guest_boot_ns(env: ExecEnv) -> Option<u64> {
-    use ExecEnv::*;
-    let ms = match env {
-        MirageSolo5 => 1.5,
-        OsvKvm => 4.5,
-        RumpKvm => 14.5,
-        HermituxUhyve => 31.0,
-        LupineKvm | LupineFirecracker => 70.0,
-        LinuxKvm | LinuxFirecracker => 330.0,
-        // Unikraft's own boot is *measured*, not modelled (ukboot).
-        UnikraftKvm => return None,
-        LinuxNative | DockerNative => 0.0,
-    };
-    Some((ms * 1e6) as u64)
-}
-
 /// Figure 12: Redis throughput in requests/s (GET, SET), 30 conns,
 /// 100k requests, pipelining 16.
-pub fn redis_throughput(env: ExecEnv) -> Option<(f64, f64)> {
+pub(crate) fn redis_throughput(env: ExecEnv) -> Option<(f64, f64)> {
     use ExecEnv::*;
     let v = match env {
         HermituxUhyve => (370_000.0, 240_000.0),
@@ -120,7 +100,7 @@ pub fn redis_throughput(env: ExecEnv) -> Option<(f64, f64)> {
 
 /// Figure 13: nginx (Mirage: HTTP-reply) throughput in requests/s,
 /// wrk, 1 minute, 14 threads, 30 conns, static 612 B page.
-pub fn nginx_throughput(env: ExecEnv) -> Option<f64> {
+pub(crate) fn nginx_throughput(env: ExecEnv) -> Option<f64> {
     use ExecEnv::*;
     let v = match env {
         MirageSolo5 => 25_900.0,
@@ -188,23 +168,6 @@ mod tests {
             if let Some(t) = nginx_throughput(env) {
                 assert!(uk >= t, "{env:?}");
             }
-        }
-    }
-
-    #[test]
-    fn boot_comparisons_ordered() {
-        // Mirage < OSv < Rump < HermiTux < Lupine < Linux.
-        let seq = [
-            ExecEnv::MirageSolo5,
-            ExecEnv::OsvKvm,
-            ExecEnv::RumpKvm,
-            ExecEnv::HermituxUhyve,
-            ExecEnv::LupineKvm,
-            ExecEnv::LinuxKvm,
-        ];
-        let times: Vec<u64> = seq.iter().map(|e| guest_boot_ns(*e).unwrap()).collect();
-        for w in times.windows(2) {
-            assert!(w[0] < w[1]);
         }
     }
 }

@@ -1,7 +1,5 @@
 //! Execution environments and their cost structure.
 
-use uksyscall::shim::SyscallMode;
-
 use crate::data;
 
 /// The applications the comparison figures use.
@@ -89,34 +87,6 @@ impl ExecEnv {
             ExecEnv::MirageSolo5 => "Mirage Solo5",
         }
     }
-
-    /// How syscalls are dispatched in this environment — the mechanical
-    /// part of the model (Table 1 costs apply per syscall).
-    pub fn syscall_mode(self) -> SyscallMode {
-        match self {
-            // Unikernels: single protection domain, function calls —
-            // except HermiTux/OSv-style binary compat, which traps and
-            // translates.
-            ExecEnv::UnikraftKvm | ExecEnv::MirageSolo5 => SyscallMode::UnikraftNative,
-            ExecEnv::OsvKvm | ExecEnv::RumpKvm | ExecEnv::HermituxUhyve => {
-                SyscallMode::UnikraftBinCompat
-            }
-            // Lupine runs the app in kernel mode (KML): syscalls are
-            // calls, but the kernel around them is stock Linux.
-            ExecEnv::LupineKvm | ExecEnv::LupineFirecracker => SyscallMode::UnikraftNative,
-            // Linux everywhere else: full trap with mitigations.
-            ExecEnv::LinuxNative
-            | ExecEnv::LinuxKvm
-            | ExecEnv::LinuxFirecracker
-            | ExecEnv::DockerNative => SyscallMode::LinuxTrap,
-        }
-    }
-
-    /// Whether this environment runs under a hypervisor (guest I/O pays
-    /// the virtio/vhost path).
-    pub fn is_virtualized(self) -> bool {
-        !matches!(self, ExecEnv::LinuxNative | ExecEnv::DockerNative)
-    }
 }
 
 /// The full model for one environment.
@@ -167,11 +137,6 @@ impl EnvModel {
     pub fn min_memory_mb(&self, app: AppId) -> Option<u32> {
         data::min_memory_mb(self.env, app)
     }
-
-    /// Guest boot time (None for Unikraft: measure it with `ukboot`).
-    pub fn guest_boot_ns(&self) -> Option<u64> {
-        data::guest_boot_ns(self.env)
-    }
 }
 
 #[cfg(test)]
@@ -203,27 +168,6 @@ mod tests {
     fn hermitux_cannot_run_nginx() {
         let m = EnvModel::new(ExecEnv::HermituxUhyve);
         assert!(m.request_overhead_ns(Workload::NginxRequest).is_none());
-    }
-
-    #[test]
-    fn syscall_modes_partition_sensibly() {
-        assert_eq!(
-            ExecEnv::UnikraftKvm.syscall_mode(),
-            SyscallMode::UnikraftNative
-        );
-        assert_eq!(ExecEnv::LinuxKvm.syscall_mode(), SyscallMode::LinuxTrap);
-        assert_eq!(
-            ExecEnv::HermituxUhyve.syscall_mode(),
-            SyscallMode::UnikraftBinCompat
-        );
-    }
-
-    #[test]
-    fn virtualization_flag() {
-        assert!(!ExecEnv::LinuxNative.is_virtualized());
-        assert!(!ExecEnv::DockerNative.is_virtualized());
-        assert!(ExecEnv::LinuxKvm.is_virtualized());
-        assert!(ExecEnv::UnikraftKvm.is_virtualized());
     }
 
     #[test]

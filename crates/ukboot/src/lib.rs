@@ -15,10 +15,8 @@
 //! All boot-stage work in this crate is *real computation* timed with
 //! `Instant`; only the VMM-side portion comes from `ukplat::vmm` models.
 
-pub mod ctors;
 pub mod paging;
 pub mod sequence;
 
-pub use ctors::{CtorPriority, CtorTable};
 pub use paging::{PageTables, PagingMode, PAGE_2M, PAGE_4K};
 pub use sequence::{BootConfig, BootReport, BootSequence, BootStage};

@@ -45,8 +45,6 @@ pub enum PagingMode {
 pub struct PageTables {
     /// All tables; index 0 is the PML4.
     tables: Vec<Box<[u64; 512]>>,
-    /// Bytes of RAM mapped.
-    mapped: u64,
     /// Number of leaf entries written.
     entries_written: u64,
 }
@@ -62,7 +60,6 @@ impl PageTables {
     pub fn new() -> Self {
         PageTables {
             tables: vec![Box::new([0u64; 512])],
-            mapped: 0,
             entries_written: 0,
         }
     }
@@ -100,7 +97,6 @@ impl PageTables {
             let va = p * page_size;
             self.map_one(va, va, page_size)?;
         }
-        self.mapped = self.mapped.max(pages * page_size);
         Ok(())
     }
 
@@ -171,11 +167,6 @@ impl PageTables {
     /// Leaf + intermediate entries written so far.
     pub fn entries_written(&self) -> u64 {
         self.entries_written
-    }
-
-    /// Bytes of RAM covered by the identity mapping.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.mapped
     }
 
     /// Builds the *static* prebuilt table for `ram` bytes (image build

@@ -1,45 +1,17 @@
 //! The Kconfig-style configuration menu.
 
-use std::collections::HashMap;
-
 use crate::registry::LibRegistry;
-
-/// Target platform choices (one binary per selected platform, §3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TargetPlat {
-    /// QEMU/KVM.
-    Kvm,
-    /// Xen PV.
-    Xen,
-    /// Linux user-space debug target (§7 "Debugging").
-    LinuxU,
-}
-
-impl TargetPlat {
-    /// The platform micro-library implementing this target.
-    pub fn lib(self) -> &'static str {
-        match self {
-            TargetPlat::Kvm => "plat-kvm",
-            TargetPlat::Xen => "plat-xen",
-            TargetPlat::LinuxU => "plat-linuxu",
-        }
-    }
-}
 
 /// A build configuration: the outcome of a `make menuconfig` session.
 #[derive(Debug, Clone)]
 pub struct BuildConfig {
     /// Application root library (e.g. "app-nginx").
     pub app: &'static str,
-    /// Platforms to produce binaries for.
-    pub platforms: Vec<TargetPlat>,
     /// Extra libraries selected beyond the app's defaults.
     pub extra_libs: Vec<&'static str>,
     /// Libraries explicitly deselected (specialization by removal —
     /// e.g. dropping "lwip" and "uksched" for the UDP appliance of §6.4).
     pub removed_libs: Vec<&'static str>,
-    /// Per-library option strings (Kconfig values).
-    pub options: HashMap<String, String>,
 }
 
 impl BuildConfig {
@@ -47,10 +19,8 @@ impl BuildConfig {
     pub fn new(app: &'static str) -> Self {
         BuildConfig {
             app,
-            platforms: vec![TargetPlat::Kvm],
             extra_libs: Vec::new(),
             removed_libs: Vec::new(),
-            options: HashMap::new(),
         }
     }
 
@@ -66,30 +36,15 @@ impl BuildConfig {
         self
     }
 
-    /// Sets a Kconfig option.
-    pub fn with_option(mut self, key: &str, value: &str) -> Self {
-        self.options.insert(key.to_string(), value.to_string());
-        self
-    }
-
-    /// Targets an additional platform.
-    pub fn for_platform(mut self, p: TargetPlat) -> Self {
-        if !self.platforms.contains(&p) {
-            self.platforms.push(p);
-        }
-        self
-    }
-
-    /// Resolves the final library set: app closure + extras − removals.
+    /// Resolves the final library set: app closure + extras + the KVM
+    /// platform library − removals.
     ///
     /// Removal is *subtractive specialization*: the removed library and
     /// any dependency no longer reachable from the roots disappear.
     pub fn resolve(&self, registry: &LibRegistry) -> Result<Vec<&'static str>, String> {
         let mut roots: Vec<&str> = vec![self.app];
         roots.extend(self.extra_libs.iter().copied());
-        for p in &self.platforms {
-            roots.push(p.lib());
-        }
+        roots.push("plat-kvm");
         let full = registry.closure(&roots)?;
         if self.removed_libs.is_empty() {
             return Ok(full);
@@ -155,21 +110,6 @@ mod tests {
             "dep only reachable through removed libs is dropped"
         );
         assert!(libs.contains(&"uknetdev"));
-    }
-
-    #[test]
-    fn multi_platform_adds_both_plat_libs() {
-        let r = LibRegistry::standard();
-        let c = BuildConfig::new("app-helloworld").for_platform(TargetPlat::Xen);
-        let libs = c.resolve(&r).unwrap();
-        assert!(libs.contains(&"plat-kvm"));
-        assert!(libs.contains(&"plat-xen"));
-    }
-
-    #[test]
-    fn options_are_stored() {
-        let c = BuildConfig::new("app-redis").with_option("CONFIG_LWIP_POOLS", "y");
-        assert_eq!(c.options["CONFIG_LWIP_POOLS"], "y");
     }
 
     #[test]

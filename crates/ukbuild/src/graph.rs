@@ -14,7 +14,7 @@ use crate::registry::LibRegistry;
 
 /// The Linux kernel component dependency edges of Figure 1:
 /// `(from, to, number_of_cross_component_calls)`.
-pub static LINUX_COMPONENT_EDGES: &[(&str, &str, u32)] = &[
+pub(crate) static LINUX_COMPONENT_EDGES: &[(&str, &str, u32)] = &[
     ("fs", "time", 90),
     ("fs", "mm", 277),
     ("fs", "sched", 111),

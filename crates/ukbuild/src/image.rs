@@ -74,6 +74,7 @@ impl LinkPass {
 
 /// The result of linking an image.
 #[derive(Debug, Clone)]
+// ukcheck: allow(unused-pub) -- what the public `link_image` returns
 pub struct ImageReport {
     /// Application name.
     pub app: &'static str,

@@ -21,6 +21,6 @@ pub mod image;
 pub mod registry;
 
 pub use config::BuildConfig;
-pub use graph::{DepGraph, LINUX_COMPONENT_EDGES};
+pub use graph::DepGraph;
 pub use image::{ImageReport, LinkPass};
 pub use registry::{Layer, LibRegistry, MicroLib};

@@ -29,6 +29,7 @@ pub enum Layer {
 
 /// Metadata for one micro-library.
 #[derive(Debug, Clone)]
+// ukcheck: allow(unused-pub) -- what the public `LibRegistry::get` returns
 pub struct MicroLib {
     /// Library name (matches the paper's figures, e.g. "lwip").
     pub name: &'static str,
@@ -188,7 +189,7 @@ impl LibRegistry {
     /// This is the build system pulling in dependencies automatically
     /// ("unless, of course, a micro-library has a dependency on another,
     /// in which case the build system also builds the dependency").
-    pub fn closure(&self, roots: &[&str]) -> Result<Vec<&'static str>, String> {
+    pub(crate) fn closure(&self, roots: &[&str]) -> Result<Vec<&'static str>, String> {
         let mut seen: Vec<&'static str> = Vec::new();
         let mut stack: Vec<&str> = roots.to_vec();
         while let Some(name) = stack.pop() {

@@ -38,12 +38,16 @@ pub enum Lint {
     /// escapable in place — the budget in `manifest.rs` is raised, with
     /// a reason, in the PR that needs the room.
     Size,
-    /// A `pub` item in a narrow-API directory
-    /// ([`NARROW_API_DIRS`](crate::manifest::NARROW_API_DIRS)) whose
-    /// name no file outside the crate's own `src/` mentions: it is a
-    /// seam between the crate's files, not API — `pub(super)` or
-    /// `pub(crate)` says so. Escaped by saying why it must be `pub`.
+    /// A `pub` item in a library crate's `src/` (see
+    /// [`CRATES_DIR`](crate::manifest::CRATES_DIR)) whose name no file
+    /// outside that `src/` mentions: it is a seam between the crate's
+    /// files, not API — `pub(super)` or `pub(crate)` says so. Escaped by
+    /// naming the public item that exposes it.
     UnusedPub,
+    /// A `[dependencies]` entry of a `crates/*` manifest that no file in
+    /// the crate's `src/` names: an edge that links a library in for
+    /// nothing. Not escapable — delete the line.
+    UnusedDep,
     /// The release profile is not the one the image is measured under:
     /// `.cargo/config.toml` is missing or its `[profile.release]` is not
     /// exactly [`RELEASE_PROFILE`](crate::manifest::RELEASE_PROFILE), or
@@ -63,6 +67,7 @@ impl Lint {
             Lint::SharedCounter => "shared-counter",
             Lint::Size => "size",
             Lint::UnusedPub => "unused-pub",
+            Lint::UnusedDep => "unused-dep",
             Lint::BuildProfile => "build-profile",
         }
     }
@@ -318,8 +323,7 @@ pub fn check_shared_counter(file: &str, src: &str) -> Vec<Violation> {
 const ITEM_KEYWORDS: &[&str] =
     &["fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod"];
 
-/// The narrow-API pass, for files under
-/// [`NARROW_API_DIRS`](crate::manifest::NARROW_API_DIRS): a plain `pub`
+/// The narrow-API pass, for files in a library crate's `src/`: a plain `pub`
 /// item (not `pub(super)`/`pub(crate)`) whose name is not among
 /// `referenced` — every identifier in the files that count as outside —
 /// is a violation.
@@ -367,10 +371,13 @@ pub fn check_unused_pub(file: &str, src: &str, referenced: &HashSet<String>) -> 
     out
 }
 
-/// Every identifier in `src` (test code included): what a file that
-/// counts as "outside" contributes to `unused-pub`'s reference set.
-pub fn identifiers(src: &str, into: &mut HashSet<String>) {
-    into.extend(lex(src).toks.iter().filter_map(|t| t.ident()).map(str::to_string));
+/// Counts every identifier in `src` (test code included) into `into`:
+/// what a file contributes to the reference sets of `unused-pub` and
+/// `unused-dep`.
+pub fn count_identifiers(src: &str, into: &mut HashMap<String, usize>) {
+    for name in lex(src).toks.iter().filter_map(|t| t.ident()) {
+        *into.entry(name.to_string()).or_default() += 1;
+    }
 }
 
 /// Lines of `src` outside `#[cfg(test)]`/`#[test]` items — what a
@@ -512,6 +519,38 @@ pub fn check_manifest_profile(file: &str, src: &str) -> Vec<Violation> {
             _ => None,
         })
         .collect()
+}
+
+/// The `unused-dep` pass over a `crates/*` manifest: each entry of its
+/// `[dependencies]` table (or a `[dependencies.<name>]` table) must be
+/// named — `-` read as `_` — by a file in the crate's `src/`, whose
+/// identifiers `named` counts.
+pub fn check_unused_deps(file: &str, src: &str, named: &HashMap<String, usize>) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut table = "";
+    for (line, l) in toml_lines(src) {
+        let dep = match l {
+            TomlLine::Table(t) => {
+                table = t;
+                t.strip_prefix("dependencies.")
+            }
+            TomlLine::Key(k, _) if table == "dependencies" => Some(k),
+            TomlLine::Key(..) => None,
+        };
+        let Some(dep) = dep else { continue };
+        if !named.contains_key(&dep.replace('-', "_")) {
+            out.push(Violation {
+                file: file.to_string(),
+                line,
+                lint: Lint::UnusedDep,
+                msg: format!(
+                    "dependency `{dep}` is named by no file in this crate's `src/`: delete \
+                     the edge"
+                ),
+            });
+        }
+    }
+    out
 }
 
 /// Marks which tokens are "active" (not under a `#[test]`- or

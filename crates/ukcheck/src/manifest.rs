@@ -120,17 +120,16 @@ pub const SIZE_BUDGETS: &[(&str, usize)] = &[
     ("crates/ukalloc/src/heap.rs", 100),
 ];
 
-/// Directories whose `pub` items are an API somebody outside must be
-/// using (the `unused-pub` lint): a monolith split into files needs
-/// `pub(super)` seams, and a seam nobody outside the crate names should
-/// say so rather than read as public API. Tests, examples, other crates
-/// and `benchmark/` are where the references are looked for.
-pub const NARROW_API_DIRS: &[&str] =
-    &["crates/uknetstack/src/stack/", "crates/uknetstack/src/tcp/"];
-
-/// The source tree that does *not* count as outside for them: their
-/// crate's own.
-pub const NARROW_API_HOME: &str = "crates/uknetstack/src/";
+/// Where the workspace's crates live, one directory each. Every
+/// `crates/<c>/src/` of a library crate is a narrow API (the
+/// `unused-pub` lint): a `pub` item there must be named by something
+/// outside it — another crate, the crate's own `tests/`, the root
+/// crate's `src/`, `tests/` and `examples/`, or `benchmark/`. A crate
+/// that builds a binary (`src/main.rs` or `src/bin/`) is exempt: its
+/// library exists for that binary. Every `crates/<c>/Cargo.toml` is
+/// also held to the `unused-dep` lint: each `[dependencies]` entry is
+/// named by a file in that crate's `src/`.
+pub const CRATES_DIR: &str = "crates";
 
 /// Where the release profile lives (the `build-profile` lint): the one
 /// file both build roots — the workspace and the standalone
@@ -149,8 +148,9 @@ pub const RELEASE_PROFILE: &[(&str, &str)] =
 /// PR whose subject is the benchmark.
 pub const PROFILE_FREE_MANIFEST_DIRS: &[&str] = &["crates", "third_party"];
 
-/// Directory names the reference scan of `unused-pub` skips (it does
-/// read `tests/` and `examples/`, which the lint walk does not).
+/// Directory names the reference scan of `unused-pub` and `unused-dep`
+/// skips (it does read `tests/` and `examples/`, which the lint walk
+/// does not).
 pub const REFERENCE_SKIP_DIRS: &[&str] = &["target", "third_party", "fixtures", "out", ".git"];
 
 /// Directory names the workspace walker never descends into.
@@ -184,9 +184,12 @@ pub fn is_single_writer(rel: &str) -> bool {
     SINGLE_WRITER_FILES.iter().any(|f| *f == rel || (f.ends_with('/') && rel.starts_with(f)))
 }
 
-/// Whether the `unused-pub` lint applies to `rel`.
-pub fn is_narrow_api(rel: &str) -> bool {
-    NARROW_API_DIRS.iter().any(|d| rel.starts_with(d))
+/// The `crates/<c>/src/` tree `rel` lies in, if it lies in one.
+pub fn crate_src(rel: &str) -> Option<&str> {
+    let rest = rel.strip_prefix(CRATES_DIR)?.strip_prefix('/')?;
+    let name = rest.split('/').next()?;
+    let len = CRATES_DIR.len() + 1 + name.len() + "/src/".len();
+    rel.get(..len).filter(|home| home.ends_with("/src/") && !name.is_empty())
 }
 
 /// Whether the Relaxed-only atomics policy applies to `rel`.

@@ -1,33 +1,26 @@
 //! The workspace walker: finds the `.rs` files ukcheck scans and runs
 //! the passes over them.
 
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use std::collections::HashSet;
-
 use crate::lints::{
     check_manifest_profile, check_profile_config, check_shared_counter, check_size, check_source,
-    check_unused_pub, identifiers, Violation,
+    check_unused_deps, check_unused_pub, count_identifiers, Violation,
 };
 use crate::manifest;
 
 /// Scans the workspace rooted at `root`: the root crate's `src/` and
-/// every `crates/*/src/` tree, skipping [`manifest::SKIP_DIRS`].
+/// every `crates/*/src/` tree, skipping [`manifest::SKIP_DIRS`], and
+/// every `crates/*/Cargo.toml`.
 /// Returns violations sorted by path and line, or an IO error message.
 pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     let mut files = Vec::new();
     collect_rs(&root.join("src"), &mut files);
-    let crates_dir = root.join("crates");
-    if let Ok(entries) = fs::read_dir(&crates_dir) {
-        let mut dirs: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir())
-            .collect();
-        dirs.sort();
-        for d in dirs {
-            collect_rs(&d.join("src"), &mut files);
-        }
+    let crates = crate_dirs(root);
+    for d in &crates {
+        collect_rs(&d.join("src"), &mut files);
     }
     if files.is_empty() {
         return Err(format!(
@@ -37,8 +30,24 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     }
     files.sort();
     let mut out = check_build_profile(root)?;
-    // `unused-pub`'s reference set, scanned on first need.
-    let mut referenced: Option<HashSet<String>> = None;
+    let refs = References::scan(root)?;
+    // `unused-pub`'s reference set for each library crate: the names
+    // mentioned outside its `src/`.
+    let mut outside: HashMap<String, HashSet<String>> = HashMap::new();
+    for d in &crates {
+        let home = format!("{}/src/", rel_label(root, d));
+        let src = d.join("src");
+        let has_binary = src.join("main.rs").is_file() || src.join("bin").is_dir();
+        if !has_binary {
+            outside.insert(home.clone(), refs.outside(&home));
+        }
+        let manifest_path = d.join("Cargo.toml");
+        if let Ok(toml) = fs::read_to_string(&manifest_path) {
+            let empty = HashMap::new();
+            let named = refs.by_src.get(&home).unwrap_or(&empty);
+            out.extend(check_unused_deps(&rel_label(root, &manifest_path), &toml, named));
+        }
+    }
     for f in files {
         let rel = rel_label(root, &f);
         let src = fs::read_to_string(&f)
@@ -52,11 +61,7 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
         if manifest::is_single_writer(&rel) {
             out.extend(check_shared_counter(&rel, &src));
         }
-        if manifest::is_narrow_api(&rel) {
-            let names = match &referenced {
-                Some(names) => names,
-                None => referenced.insert(identifiers_outside(root)?),
-            };
+        if let Some(names) = manifest::crate_src(&rel).and_then(|home| outside.get(home)) {
             out.extend(check_unused_pub(&rel, &src, names));
         }
         if let Some(budget) = manifest::size_budget(&rel) {
@@ -64,6 +69,17 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
         }
     }
     Ok(out)
+}
+
+/// The package directories under [`manifest::CRATES_DIR`], sorted.
+fn crate_dirs(root: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = fs::read_dir(root.join(manifest::CRATES_DIR)) else {
+        return Vec::new();
+    };
+    let mut dirs: Vec<PathBuf> =
+        entries.filter_map(|e| e.ok().map(|e| e.path())).filter(|p| p.is_dir()).collect();
+    dirs.sort();
+    dirs
 }
 
 /// The `build-profile` pass, for a root that has a manifest (a root
@@ -108,21 +124,51 @@ pub fn check_files(paths: &[PathBuf], hot: bool) -> Result<Vec<Violation>, Strin
     Ok(out)
 }
 
-/// Every identifier in the workspace's Rust files that lie outside
-/// [`NARROW_API_HOME`](manifest::NARROW_API_HOME) — the root crate,
-/// every crate under `crates/`, and `benchmark/`, their `tests/` and
-/// `examples/` included.
-fn identifiers_outside(root: &Path) -> Result<HashSet<String>, String> {
-    let mut files = Vec::new();
-    for top in ["src", "tests", "examples", "crates", "benchmark"] {
-        collect_rs_skipping(&root.join(top), manifest::REFERENCE_SKIP_DIRS, &mut files);
+/// Identifier counts from one scan of every Rust file the reference
+/// passes read — the root crate's `src/`, `tests/` and `examples/`,
+/// every crate under `crates/` (its `tests/` and `examples/` too) and
+/// `benchmark/` — in total and per `crates/<c>/src/` tree.
+struct References {
+    total: HashMap<String, usize>,
+    by_src: HashMap<String, HashMap<String, usize>>,
+}
+
+impl References {
+    fn scan(root: &Path) -> Result<Self, String> {
+        let mut files = Vec::new();
+        for top in ["src", "tests", "examples", manifest::CRATES_DIR, "benchmark"] {
+            collect_rs_skipping(&root.join(top), manifest::REFERENCE_SKIP_DIRS, &mut files);
+        }
+        let mut refs = References { total: HashMap::new(), by_src: HashMap::new() };
+        for f in &files {
+            let src =
+                fs::read_to_string(f).map_err(|e| format!("reading {}: {e}", f.display()))?;
+            let mut counts = HashMap::new();
+            count_identifiers(&src, &mut counts);
+            let rel = rel_label(root, f);
+            if let Some(home) = manifest::crate_src(&rel) {
+                let own = refs.by_src.entry(home.to_string()).or_default();
+                for (name, n) in &counts {
+                    *own.entry(name.clone()).or_default() += n;
+                }
+            }
+            for (name, n) in counts {
+                *refs.total.entry(name).or_default() += n;
+            }
+        }
+        Ok(refs)
     }
-    let mut names = HashSet::new();
-    for f in files.iter().filter(|f| !rel_label(root, f).starts_with(manifest::NARROW_API_HOME)) {
-        let src = fs::read_to_string(f).map_err(|e| format!("reading {}: {e}", f.display()))?;
-        identifiers(&src, &mut names);
+
+    /// The names mentioned outside `home`: more often in the whole scan
+    /// than in `home` itself.
+    fn outside(&self, home: &str) -> HashSet<String> {
+        let own = self.by_src.get(home);
+        self.total
+            .iter()
+            .filter(|&(name, &n)| n > own.and_then(|o| o.get(name)).copied().unwrap_or(0))
+            .map(|(name, _)| name.clone())
+            .collect()
     }
-    Ok(names)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {

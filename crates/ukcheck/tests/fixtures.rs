@@ -122,21 +122,39 @@ fn a_directory_budget_holds_each_file_under_it() {
     assert_eq!(stdout.matches('[').count(), 1, "nothing else fires:\n{stdout}");
 }
 
-/// `unused-pub`: under a narrow-API directory a plain `pub` item must be
-/// named by a file outside the crate's own `src/` — a test target or
-/// another crate counts, a sibling module does not.
+/// `unused-pub`: in every library crate's `src/` a plain `pub` item must
+/// be named by a file outside that `src/` — another crate or the crate's
+/// own `tests/` counts, a sibling module does not — and a crate that
+/// builds a binary is exempt.
 #[test]
 fn a_pub_item_nobody_outside_names_is_reported() {
     let (code, stdout) = run_root("good/unused_pub");
-    assert_eq!(code, 0, "named outside, restricted, or escaped; output:\n{stdout}");
+    assert_eq!(
+        code, 0,
+        "named outside or by the crate's own tests, restricted, escaped, or in a binary's \
+         library; output:\n{stdout}"
+    );
 
     let (code, stdout) = run_root("bad/unused_pub");
     assert_eq!(code, 1, "output:\n{stdout}");
     let at = "crates/uknetstack/src/stack/part.rs";
     assert!(stdout.contains(&format!("{at}:9: [unused-pub] `pub fn orphan`")), "{stdout}");
     assert!(stdout.contains(&format!("{at}:13: [unused-pub] `pub const ORPHAN_CAP`")), "{stdout}");
+    assert!(stdout.contains("crates/ukvfs/src/lib.rs:3: [unused-pub] `pub fn unmount`"), "{stdout}");
     assert!(stdout.contains("make it `pub(super)`/`pub(crate)`, or delete it"), "{stdout}");
-    assert_eq!(stdout.matches('[').count(), 2, "`used` passes, nothing else fires:\n{stdout}");
+    assert_eq!(stdout.matches('[').count(), 3, "`used` passes, nothing else fires:\n{stdout}");
+}
+
+/// `unused-dep`: each `[dependencies]` entry of a `crates/*` manifest,
+/// in either table form, is named by a file in that crate's `src/`.
+#[test]
+fn a_dependency_nothing_names_is_reported() {
+    let (code, stdout) = run_root("bad/unused_dep");
+    assert_eq!(code, 1, "output:\n{stdout}");
+    let at = "crates/app/Cargo.toml";
+    assert!(stdout.contains(&format!("{at}:11: [unused-dep] dependency `uklock`")), "{stdout}");
+    assert!(stdout.contains(&format!("{at}:13: [unused-dep] dependency `ukvfs`")), "{stdout}");
+    assert_eq!(stdout.matches('[').count(), 2, "named ones and dev-dependencies pass:\n{stdout}");
 }
 
 /// `build-profile`: a root with a manifest keeps its release profile in

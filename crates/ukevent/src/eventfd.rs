@@ -19,9 +19,9 @@ use crate::source::{Pollable, ReadySource};
 
 /// `EFD_SEMAPHORE`: reads decrement by one instead of resetting.
 pub const EFD_SEMAPHORE: u32 = 0x1;
-/// `EFD_NONBLOCK`: accepted and recorded; all our reads/writes are
+/// `EFD_NONBLOCK`: accepted; all our reads/writes are
 /// already non-blocking (they return `EAGAIN` instead of sleeping).
-pub const EFD_NONBLOCK: u32 = 0x800;
+pub(crate) const EFD_NONBLOCK: u32 = 0x800;
 
 const MAX_COUNTER: u64 = u64::MAX - 1;
 
@@ -30,7 +30,6 @@ const MAX_COUNTER: u64 = u64::MAX - 1;
 pub struct EventFd {
     counter: u64,
     semaphore: bool,
-    nonblock: bool,
     source: ReadySource,
 }
 
@@ -44,7 +43,6 @@ impl EventFd {
         let efd = EventFd {
             counter: initval,
             semaphore: flags & EFD_SEMAPHORE != 0,
-            nonblock: flags & EFD_NONBLOCK != 0,
             source: ReadySource::new(),
         };
         efd.publish();
@@ -85,16 +83,6 @@ impl EventFd {
     /// reports).
     pub fn value(&self) -> u64 {
         self.counter
-    }
-
-    /// Whether `EFD_SEMAPHORE` was given.
-    pub fn is_semaphore(&self) -> bool {
-        self.semaphore
-    }
-
-    /// Whether `EFD_NONBLOCK` was given.
-    pub fn is_nonblock(&self) -> bool {
-        self.nonblock
     }
 
     fn publish(&self) {

@@ -60,12 +60,12 @@
 //! assert_eq!(events[0].token, 7);
 //! ```
 
-pub mod eventfd;
+pub(crate) mod eventfd;
 pub mod mask;
 pub mod queue;
 pub mod source;
 
-pub use eventfd::{EventFd, EFD_NONBLOCK, EFD_SEMAPHORE};
+pub use eventfd::{EventFd, EFD_SEMAPHORE};
 pub use mask::EventMask;
 pub use queue::{Event, EventQueue, WaitOutcome};
 pub use source::{Pollable, ReadySource};

@@ -63,12 +63,6 @@ pub(crate) struct QueueShared {
     /// Threads a readiness edge released; drained by `take_wakeups` and
     /// handed to the scheduler.
     wakeups: Vec<ThreadId>,
-    /// Set when any watched source published an edge (or a `ctl_add` /
-    /// `ctl_mod` found its source already ready); cleared by the next
-    /// ready-scan. Reported by [`EventQueue::has_pending`] so an event
-    /// loop can tell "an edge arrived since I last looked" without
-    /// scanning; the scan itself never consults it.
-    pending: bool,
     /// When the current parked spell began (set by `wait`, consumed by
     /// the next waking edge).
     park_started: Option<std::time::Instant>,
@@ -87,7 +81,6 @@ pub(crate) struct QueueShared {
 impl QueueShared {
     /// Called by a source on a rising edge.
     pub(crate) fn on_readiness(&mut self) {
-        self.pending = true;
         self.counts.add(row::edges, 1);
         let woken = self.waiters.wake_all();
         if !woken.is_empty() {
@@ -176,7 +169,6 @@ impl EventQueue {
             shared: Rc::new(RefCell::new(QueueShared {
                 waiters: WaitQueue::new(),
                 wakeups: Vec::new(),
-                pending: false,
                 park_started: None,
                 deadlines: Vec::new(),
                 counts: CounterSet::new(row::NAMES),
@@ -202,11 +194,6 @@ impl EventQueue {
         let last_seq = source.edge_seq().saturating_sub(u64::from(
             !source.current().payload().is_empty(),
         ));
-        if !source.current().intersects(mask.payload() | EventMask::ALWAYS) {
-            // Nothing ready right now; nothing pending from this source.
-        } else {
-            self.shared.borrow_mut().pending = true;
-        }
         self.interest.insert(
             token,
             Interest {
@@ -225,13 +212,6 @@ impl EventQueue {
         let entry = self.interest.get_mut(&token).ok_or(Errno::NoEnt)?;
         entry.mask = mask;
         entry.disarmed = false;
-        if entry
-            .source
-            .current()
-            .intersects(mask.payload() | EventMask::ALWAYS)
-        {
-            self.shared.borrow_mut().pending = true;
-        }
         Ok(())
     }
 
@@ -248,11 +228,6 @@ impl EventQueue {
             entry.source.unsubscribe(&self.shared);
         }
         Ok(())
-    }
-
-    /// Whether `token` is registered.
-    pub fn watches(&self, token: u64) -> bool {
-        self.interest.contains_key(&token)
     }
 
     /// Number of interest-list entries.
@@ -286,7 +261,6 @@ impl EventQueue {
     /// source's edge sequence advanced past the last delivery. `EPOLLERR`
     /// and `EPOLLHUP` are always reported, subscribed or not.
     pub fn poll_ready_into(&mut self, out: &mut Vec<Event>, max_events: usize) {
-        self.shared.borrow_mut().pending = false;
         let cap = max_events.max(1);
         out.clear();
         let mut scan = |range: RangeMut<'_, u64, Interest>| {
@@ -405,11 +379,6 @@ impl EventQueue {
         std::mem::take(&mut self.shared.borrow_mut().wakeups)
     }
 
-    /// Whether an edge arrived since the last ready-scan.
-    pub fn has_pending(&self) -> bool {
-        self.shared.borrow().pending
-    }
-
     /// Parked thread count.
     pub fn waiter_count(&self) -> usize {
         self.shared.borrow().waiters.len()
@@ -505,7 +474,7 @@ mod tests {
         assert_eq!(q.ctl_mod(2, EventMask::IN).unwrap_err(), Errno::NoEnt);
         assert_eq!(q.ctl_del(2).unwrap_err(), Errno::NoEnt);
         q.ctl_del(1).unwrap();
-        assert!(!q.watches(1));
+        assert!(q.is_empty());
     }
 
     #[test]

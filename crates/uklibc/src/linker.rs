@@ -25,6 +25,7 @@ pub struct AppArchive {
 
 /// Outcome of linking an archive against a libc profile.
 #[derive(Debug, Clone)]
+// ukcheck: allow(unused-pub) -- what the public `link` returns
 pub struct LinkOutcome {
     /// Whether every symbol resolved.
     pub success: bool,

@@ -30,14 +30,14 @@ impl LibcKind {
 }
 
 /// ANSI C basics every libc provides.
-pub static ANSI_C: &[&str] = &[
+pub(crate) static ANSI_C: &[&str] = &[
     "memcpy", "memset", "memmove", "memcmp", "strlen", "strcmp", "strncmp", "strcpy", "strncpy",
     "strchr", "strstr", "strtol", "atoi", "qsort", "bsearch", "snprintf", "sprintf", "sscanf",
     "malloc", "calloc", "realloc", "free", "abort", "exit", "rand", "srand",
 ];
 
 /// POSIX file and process interfaces.
-pub static POSIX_IO: &[&str] = &[
+pub(crate) static POSIX_IO: &[&str] = &[
     "open", "close", "read", "write", "lseek", "stat", "fstat", "unlink", "mkdir", "rename",
     "fcntl", "ioctl", "dup", "dup2", "pipe", "poll", "select", "access", "getcwd", "chdir",
     "fsync", "ftruncate", "readdir", "opendir", "closedir", "mmap", "munmap", "getenv",
@@ -45,14 +45,14 @@ pub static POSIX_IO: &[&str] = &[
 ];
 
 /// POSIX sockets.
-pub static POSIX_NET: &[&str] = &[
+pub(crate) static POSIX_NET: &[&str] = &[
     "socket", "bind", "listen", "accept", "connect", "send", "recv", "sendto", "recvfrom",
     "sendmsg", "recvmsg", "setsockopt", "getsockopt", "getaddrinfo", "freeaddrinfo",
     "inet_ntop", "inet_pton", "htons", "ntohs", "shutdown",
 ];
 
 /// POSIX threads.
-pub static PTHREAD: &[&str] = &[
+pub(crate) static PTHREAD: &[&str] = &[
     "pthread_create", "pthread_join", "pthread_detach", "pthread_self",
     "pthread_mutex_init", "pthread_mutex_lock", "pthread_mutex_unlock",
     "pthread_cond_init", "pthread_cond_wait", "pthread_cond_signal",
@@ -61,7 +61,7 @@ pub static PTHREAD: &[&str] = &[
 
 /// glibc-specific symbols: fortify `_chk` interfaces plus the 64-bit file
 /// operations the paper's authors implemented by hand (§4).
-pub static GLIBC_EXT: &[&str] = &[
+pub(crate) static GLIBC_EXT: &[&str] = &[
     "__printf_chk", "__fprintf_chk", "__snprintf_chk", "__sprintf_chk", "__memcpy_chk",
     "__memset_chk", "__strcpy_chk", "__strncpy_chk", "__strcat_chk", "__vfprintf_chk",
     "__read_chk", "__poll_chk", "__realpath_chk", "__explicit_bzero_chk",
@@ -75,7 +75,6 @@ pub static GLIBC_EXT: &[&str] = &[
 pub struct LibcProfile {
     kind: LibcKind,
     symbols: HashSet<&'static str>,
-    compat_layer: bool,
 }
 
 impl LibcProfile {
@@ -108,11 +107,7 @@ impl LibcProfile {
                 }));
             }
         }
-        LibcProfile {
-            kind,
-            symbols,
-            compat_layer: false,
-        }
+        LibcProfile { kind, symbols }
     }
 
     /// Enables the glibc compatibility layer (Table 2's second column):
@@ -126,7 +121,6 @@ impl LibcProfile {
             self.symbols.extend(PTHREAD);
             self.symbols.extend(["poll", "select", "mmap", "munmap"]);
         }
-        self.compat_layer = true;
         self
     }
 
@@ -135,19 +129,9 @@ impl LibcProfile {
         self.kind
     }
 
-    /// Whether the compat layer is active.
-    pub fn has_compat_layer(&self) -> bool {
-        self.compat_layer
-    }
-
     /// Whether `symbol` resolves against this profile.
-    pub fn provides(&self, symbol: &str) -> bool {
+    pub(crate) fn provides(&self, symbol: &str) -> bool {
         self.symbols.contains(symbol)
-    }
-
-    /// Number of provided symbols.
-    pub fn symbol_count(&self) -> usize {
-        self.symbols.len()
     }
 }
 
@@ -178,7 +162,6 @@ mod tests {
         let p = LibcProfile::new(LibcKind::Musl).with_compat_layer();
         assert!(p.provides("__printf_chk"));
         assert!(p.provides("pread64"));
-        assert!(p.has_compat_layer());
     }
 
     #[test]
@@ -194,8 +177,8 @@ mod tests {
     #[test]
     fn profiles_grow_monotonically() {
         for kind in [LibcKind::NoLibc, LibcKind::Musl, LibcKind::Newlib] {
-            let base = LibcProfile::new(kind).symbol_count();
-            let compat = LibcProfile::new(kind).with_compat_layer().symbol_count();
+            let base = LibcProfile::new(kind).symbols.len();
+            let compat = LibcProfile::new(kind).with_compat_layer().symbols.len();
             assert!(compat > base);
         }
     }

@@ -1,46 +1,33 @@
 //! Synchronization micro-library (`uklock`).
 //!
 //! §3.3 of the paper: `uklock` provides mutexes and semaphores whose
-//! implementation is selected by the unikernel configuration along two
-//! dimensions — threading and multi-core. In the simplest case (no
-//! threading, single core) the primitives compile out entirely; our
+//! implementation is selected by the unikernel configuration. In the
+//! simplest case (no threading) the primitives compile out entirely; our
 //! [`LockConfig`] reproduces that selection and the primitives record
 //! whether they actually perform work.
 
 pub mod mutex;
-pub mod rwlock;
 pub mod semaphore;
 
 pub use mutex::Mutex;
-pub use rwlock::RwLock;
 pub use semaphore::Semaphore;
 
-/// Build-time lock configuration (threading x multi-core).
+/// Build-time lock configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockConfig {
     /// Whether the image contains a scheduler / more than one thread.
     pub threading: bool,
-    /// Whether more than one vCPU is configured (paper: not yet supported
-    /// upstream; we model it for completeness).
-    pub multicore: bool,
 }
 
 impl LockConfig {
-    /// Single-threaded, single-core: everything compiles out.
-    pub const BARE: LockConfig = LockConfig { threading: false, multicore: false };
-    /// Threaded, single core: counting state, no atomics needed.
-    pub const THREADED: LockConfig = LockConfig { threading: true, multicore: false };
-    /// Threaded, multi-core: full spinlock-backed primitives.
-    pub const SMP: LockConfig = LockConfig { threading: true, multicore: true };
+    /// Single-threaded: everything compiles out.
+    pub const BARE: LockConfig = LockConfig { threading: false };
+    /// Threaded: counting state, no atomics needed.
+    pub const THREADED: LockConfig = LockConfig { threading: true };
 
     /// Whether mutual exclusion state is needed at all.
-    pub fn needs_state(&self) -> bool {
+    pub(crate) fn needs_state(&self) -> bool {
         self.threading
-    }
-
-    /// Whether atomic spin loops are needed.
-    pub fn needs_spin(&self) -> bool {
-        self.multicore
     }
 }
 
@@ -57,18 +44,10 @@ mod tests {
     #[test]
     fn bare_config_compiles_out() {
         assert!(!LockConfig::BARE.needs_state());
-        assert!(!LockConfig::BARE.needs_spin());
     }
 
     #[test]
-    fn smp_needs_everything() {
-        assert!(LockConfig::SMP.needs_state());
-        assert!(LockConfig::SMP.needs_spin());
-    }
-
-    #[test]
-    fn threaded_single_core_skips_spin() {
+    fn threaded_keeps_state() {
         assert!(LockConfig::THREADED.needs_state());
-        assert!(!LockConfig::THREADED.needs_spin());
     }
 }

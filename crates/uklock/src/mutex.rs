@@ -25,8 +25,6 @@ pub enum Acquire {
 struct MutexInner {
     owner: Option<u64>,
     waiters: VecDeque<u64>,
-    contended: u64,
-    acquisitions: u64,
 }
 
 /// A FIFO mutex over scheduler context ids.
@@ -68,36 +66,15 @@ impl Mutex {
         match inner.owner {
             None => {
                 inner.owner = Some(ctx);
-                inner.acquisitions += 1;
                 Acquire::Acquired
             }
-            Some(owner) if owner == ctx => {
-                // Non-recursive: relocking is a bug in Unikraft too, but we
-                // surface it as contention rather than deadlocking the sim.
-                inner.contended += 1;
-                inner.waiters.push_back(ctx);
-                Acquire::MustWait
-            }
+            // Non-recursive: relocking by the owner is a bug in Unikraft
+            // too, but we queue it like any contender rather than
+            // deadlocking the sim.
             Some(_) => {
-                inner.contended += 1;
                 inner.waiters.push_back(ctx);
                 Acquire::MustWait
             }
-        }
-    }
-
-    /// Non-blocking attempt; never queues the caller.
-    pub fn try_lock(&self, ctx: u64) -> bool {
-        if !self.config.needs_state() {
-            return true;
-        }
-        let mut inner = self.inner.borrow_mut();
-        if inner.owner.is_none() {
-            inner.owner = Some(ctx);
-            inner.acquisitions += 1;
-            true
-        } else {
-            false
         }
     }
 
@@ -121,7 +98,6 @@ impl Mutex {
         match inner.waiters.pop_front() {
             Some(next) => {
                 inner.owner = Some(next);
-                inner.acquisitions += 1;
                 Some(next)
             }
             None => {
@@ -137,16 +113,6 @@ impl Mutex {
             return None;
         }
         self.inner.borrow().owner
-    }
-
-    /// Number of lock attempts that had to wait.
-    pub fn contended_count(&self) -> u64 {
-        self.inner.borrow().contended
-    }
-
-    /// Number of successful acquisitions (including hand-offs).
-    pub fn acquisition_count(&self) -> u64 {
-        self.inner.borrow().acquisitions
     }
 }
 
@@ -173,16 +139,6 @@ mod tests {
         assert_eq!(m.owner(), Some(2));
         assert_eq!(m.unlock(2), Some(3));
         assert_eq!(m.unlock(3), None);
-        assert_eq!(m.contended_count(), 2);
-        assert_eq!(m.acquisition_count(), 3);
-    }
-
-    #[test]
-    fn try_lock_never_queues() {
-        let m = Mutex::new(LockConfig::THREADED);
-        assert!(m.try_lock(1));
-        assert!(!m.try_lock(2));
-        assert_eq!(m.contended_count(), 0);
     }
 
     #[test]

@@ -73,12 +73,12 @@ impl Wire {
 
 /// The host side of a virtio-net device.
 #[derive(Debug)]
+// ukcheck: allow(unused-pub) -- what the public `VirtioNet::backend` returns
 pub struct HostBackend {
     kind: VhostKind,
     tsc: Tsc,
     wire: Wire,
     /// Packets that reached the wire.
-    tx_packets: u64,
     /// Bytes that reached the wire.
     tx_bytes: u64,
     /// Kicks (VM exits) performed.
@@ -92,14 +92,13 @@ impl HostBackend {
             kind,
             tsc: tsc.clone(),
             wire: Wire::default(),
-            tx_packets: 0,
             tx_bytes: 0,
             kicks: 0,
         }
     }
 
     /// Whether the guest must kick (trap) to notify this backend.
-    pub fn needs_kick(&self) -> bool {
+    pub(crate) fn needs_kick(&self) -> bool {
         matches!(self.kind, VhostKind::VhostNet)
     }
 
@@ -110,7 +109,7 @@ impl HostBackend {
 
     /// Processes a burst the guest queued: charges host CPU and wire time
     /// and counts the packets out. Returns the number processed.
-    pub fn process_tx(&mut self, pkts: &[Netbuf]) -> usize {
+    pub(crate) fn process_tx(&mut self, pkts: &[Netbuf]) -> usize {
         if pkts.is_empty() {
             return 0;
         }
@@ -130,7 +129,6 @@ impl HostBackend {
                 }
             }
             wire_ns += self.wire.frame_ns(len);
-            self.tx_packets += 1;
             self.tx_bytes += len as u64;
         }
         // The backend pipeline overlaps CPU work and wire time: the burst
@@ -141,14 +139,9 @@ impl HostBackend {
     }
 
     /// Records a guest kick (VM exit).
-    pub fn kick(&mut self) {
+    pub(crate) fn kick(&mut self) {
         self.kicks += 1;
         self.tsc.advance(cost::VMEXIT_CYCLES);
-    }
-
-    /// Packets transmitted to the wire so far.
-    pub fn tx_packets(&self) -> u64 {
-        self.tx_packets
     }
 
     /// Bytes transmitted so far.
@@ -210,7 +203,6 @@ mod tests {
         let mut b = HostBackend::new(VhostKind::VhostUser, &t);
         let pkts: Vec<_> = (0..10).map(|_| pkt(100)).collect();
         b.process_tx(&pkts);
-        assert_eq!(b.tx_packets(), 10);
         assert_eq!(b.tx_bytes(), 1000);
     }
 

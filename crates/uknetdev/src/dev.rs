@@ -98,6 +98,7 @@ impl BurstStats {
 /// is still room ("the function returns flags that indicate if there
 /// is still room on the queue").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// ukcheck: allow(unused-pub) -- what the public `NetDev::tx_burst` returns
 pub struct TxStatus {
     /// Frames/bytes enqueued this call (the in/out `cnt` parameter);
     /// `drops` stays 0 — frames that do not fit remain with the
@@ -116,6 +117,7 @@ impl TxStatus {
 
 /// Result of an RX burst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// ukcheck: allow(unused-pub) -- what the public `NetDev::rx_burst` returns
 pub struct RxStatus {
     /// Packets received into the caller's array.
     pub received: usize,

@@ -35,19 +35,18 @@ pub mod dev;
 pub mod gso;
 pub mod netbuf;
 pub mod ring;
-pub mod virtio;
+pub(crate) mod virtio;
 
-pub use backend::{HostBackend, VhostKind, Wire};
+pub use backend::{VhostKind, Wire};
 pub use dev::{BurstStats, NetDev, NetDevConf, NetDevInfo, QueueMode};
 pub use netbuf::{GsoRequest, Netbuf, NetbufPool, TcpHold};
-pub use ring::DescRing;
 pub use virtio::VirtioNet;
 
 /// Maximum burst the API moves per call (matches common driver limits).
 pub const MAX_BURST: usize = 64;
 
 /// Default Ethernet MTU used by examples and benches.
-pub const MTU: usize = 1500;
+pub(crate) const MTU: usize = 1500;
 
 #[cfg(test)]
 mod tests {

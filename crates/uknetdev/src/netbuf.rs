@@ -106,7 +106,7 @@ pub const INITIAL_BUFS: usize = 2 * crate::MAX_BURST;
 /// means someone wrote through a stale handle while the pool owned
 /// the bytes.
 #[cfg(feature = "netbuf-sanitizer")]
-pub const SANITIZER_POISON: u8 = 0xA5;
+pub(crate) const SANITIZER_POISON: u8 = 0xA5;
 
 /// Per-slot provenance the sanitizer tracks alongside the pool.
 ///
@@ -395,16 +395,6 @@ impl Netbuf {
         self.desc.data.len()
     }
 
-    /// Pool slot, if this buffer belongs to a pool.
-    pub fn pool_slot(&self) -> Option<usize> {
-        self.desc.pool_slot
-    }
-
-    /// Whether this buffer came from a pool (and must be recycled).
-    pub fn is_pooled(&self) -> bool {
-        self.desc.pool_slot.is_some()
-    }
-
     /// Resets to an empty buffer with `headroom` reserved. The caller
     /// must have popped any chain fragments first ([`pop_frag`]) —
     /// resetting cannot return them to their pool.
@@ -507,11 +497,6 @@ impl Netbuf {
         });
     }
 
-    /// The retransmission hold, if any.
-    pub fn tcp_hold(&self) -> Option<TcpHold> {
-        self.desc.tcp_hold
-    }
-
     /// Takes the retransmission hold (the recycle interception calls
     /// this exactly once per returning frame).
     pub fn take_tcp_hold(&mut self) -> Option<TcpHold> {
@@ -554,7 +539,7 @@ impl Netbuf {
     /// Pops the last fragment off the chain (recycling walks the chain
     /// with this until `None`, returning each buffer to its pool; the
     /// fragment list's capacity stays with the head for reuse).
-    pub fn pop_frag(&mut self) -> Option<Netbuf> {
+    pub(crate) fn pop_frag(&mut self) -> Option<Netbuf> {
         self.desc.frags.pop()
     }
 
@@ -582,7 +567,7 @@ impl Netbuf {
     /// Pre-reserves capacity for `n` chain fragments (pools call this
     /// once, when they build the buffer, so steady-state chain building
     /// never allocates).
-    pub fn reserve_frags(&mut self, n: usize) {
+    pub(crate) fn reserve_frags(&mut self, n: usize) {
         // ukcheck: allow(alloc) -- called once per buffer, when a pool builds it
         self.desc.frags.reserve(n);
     }
@@ -762,7 +747,7 @@ impl NetbufPool {
     }
 
     /// Whether `nb` was allocated by this pool.
-    pub fn owns(&self, nb: &Netbuf) -> bool {
+    pub(crate) fn owns(&self, nb: &Netbuf) -> bool {
         nb.desc.pool_slot.is_some() && nb.desc.pool_id == self.id
     }
 
@@ -833,7 +818,7 @@ impl NetbufPool {
                 self.give_back(frag);
             } else {
                 #[cfg(feature = "netbuf-sanitizer")]
-                if frag.is_pooled() {
+                if frag.desc.pool_slot.is_some() {
                     // ukcheck: allow(panic) -- the sanitizer exists to turn
                     // ownership violations into immediate loud failures
                     panic!(
@@ -848,7 +833,7 @@ impl NetbufPool {
             self.give_back(nb);
         } else {
             #[cfg(feature = "netbuf-sanitizer")]
-            if nb.is_pooled() {
+            if nb.desc.pool_slot.is_some() {
                 // ukcheck: allow(panic) -- the sanitizer exists to turn
                 // ownership violations into immediate loud failures
                 panic!(
@@ -1157,7 +1142,7 @@ mod tests {
     fn double_give_back_panics() {
         let mut pool = NetbufPool::new(2, 128, 0);
         let a = pool.take().unwrap();
-        let slot = a.pool_slot().unwrap();
+        let slot = a.desc.pool_slot.unwrap();
         // Forge a second buffer claiming the same slot.
         let mut forged = Netbuf::alloc(128, 0);
         forged.desc.pool_slot = Some(slot);
@@ -1256,7 +1241,7 @@ mod tests {
                                 built = pool.bufs.len();
                             }
                             let Some(nb) = nb else { break };
-                            let slot = nb.pool_slot().unwrap();
+                            let slot = nb.desc.pool_slot.unwrap();
                             assert!(!live[slot], "slot {slot} live twice");
                             live[slot] = true;
                             if let Some(given) = last_given.take() {
@@ -1269,7 +1254,7 @@ mod tests {
                     }
                     Op::GiveBack(i) if !out.is_empty() => {
                         let nb = out.swap_remove(i % out.len());
-                        let slot = nb.pool_slot().unwrap();
+                        let slot = nb.desc.pool_slot.unwrap();
                         live[slot] = false;
                         pool.give_back(nb);
                         last_given = Some(slot);
@@ -1278,10 +1263,10 @@ mod tests {
                         let mut head = out.swap_remove(i % out.len());
                         for _ in 0..k.min(out.len()) {
                             let frag = out.pop().unwrap();
-                            live[frag.pool_slot().unwrap()] = false;
+                            live[frag.desc.pool_slot.unwrap()] = false;
                             head.chain_append(frag);
                         }
-                        let slot = head.pool_slot().unwrap();
+                        let slot = head.desc.pool_slot.unwrap();
                         live[slot] = false;
                         pool.give_back_chain(head);
                         last_given = Some(slot);
@@ -1314,7 +1299,7 @@ mod tests {
     fn sanitizer_names_double_recycle() {
         let mut pool = NetbufPool::new(2, 128, 0);
         let a = pool.take().unwrap();
-        let slot = a.pool_slot().unwrap();
+        let slot = a.desc.pool_slot.unwrap();
         let mut forged = Netbuf::alloc(128, 0);
         forged.desc.pool_slot = Some(slot);
         forged.desc.pool_id = a.desc.pool_id;

@@ -38,7 +38,6 @@ struct RxQueue {
     mode: QueueMode,
     irq_armed: bool,
     callback: Option<Box<dyn FnMut()>>,
-    irq_fires: u64,
 }
 
 struct TxQueue {
@@ -139,7 +138,6 @@ impl VirtioNet {
         if injected > 0 && q.irq_armed {
             // One interrupt, then the line stays off until re-armed.
             q.irq_armed = false;
-            q.irq_fires += 1;
             self.counts.add(row::irq_fires, 1);
             self.tsc.advance(cost::IRQ_INJECT_CYCLES);
             if let Some(cb) = q.callback.as_mut() {
@@ -152,22 +150,6 @@ impl VirtioNet {
     /// Direct access to backend statistics.
     pub fn backend(&self) -> &HostBackend {
         &self.backend
-    }
-
-    /// Interrupt deliveries on an RX queue.
-    pub fn irq_fires(&self, queue: u16) -> u64 {
-        self.rxqs
-            .get(queue as usize)
-            .map(|q| q.irq_fires)
-            .unwrap_or(0)
-    }
-
-    /// Whether an RX queue's interrupt line is currently armed.
-    pub fn irq_armed(&self, queue: u16) -> bool {
-        self.rxqs
-            .get(queue as usize)
-            .map(|q| q.irq_armed)
-            .unwrap_or(false)
     }
 }
 
@@ -241,7 +223,6 @@ impl NetDev for VirtioNet {
                 mode: QueueMode::Polling,
                 irq_armed: false,
                 callback: None,
-                irq_fires: 0,
             })
             .collect();
         self.txqs = (0..conf.nr_tx_queues)
@@ -412,7 +393,7 @@ mod tests {
         let st = dev.tx_burst(0, &mut batch).unwrap();
         assert_eq!(st.sent(), 16);
         assert!(batch.is_empty());
-        assert_eq!(dev.backend().tx_packets(), 16);
+        assert_eq!(dev.backend().tx_bytes(), 16 * 64);
         let mut done = Vec::new();
         assert_eq!(dev.reclaim_tx(0, &mut done).unwrap(), 16);
     }
@@ -496,18 +477,18 @@ mod tests {
         // Drain the empty queue → arms the IRQ.
         let mut out = Vec::new();
         dev.rx_burst(0, &mut out, 16).unwrap();
-        assert!(dev.irq_armed(0));
+        assert!(dev.rxqs[0].irq_armed);
         // First injection fires the callback once and disarms.
         dev.inject_rx(0, &mut pkts(2, 64)).unwrap();
         assert_eq!(fired.get(), 1);
-        assert!(!dev.irq_armed(0));
+        assert!(!dev.rxqs[0].irq_armed);
         // Further injections while not re-armed do NOT fire (storm-free).
         dev.inject_rx(0, &mut pkts(2, 64)).unwrap();
         assert_eq!(fired.get(), 1);
         // Draining dry re-arms.
         dev.rx_burst(0, &mut out, 16).unwrap();
-        assert!(dev.irq_armed(0));
-        assert_eq!(dev.irq_fires(0), 1);
+        assert!(dev.rxqs[0].irq_armed);
+        assert_eq!(dev.counts.get(row::irq_fires), 1);
     }
 
     #[test]
@@ -515,7 +496,7 @@ mod tests {
         let (mut dev, _t) = mk(VhostKind::VhostUser);
         let mut out = Vec::new();
         dev.rx_burst(0, &mut out, 16).unwrap();
-        assert!(!dev.irq_armed(0));
+        assert!(!dev.rxqs[0].irq_armed);
     }
 
     #[test]
@@ -544,7 +525,7 @@ mod tests {
         assert_eq!(dev.backend().kicks(), 0, "nothing enqueued, nothing to kick for");
         assert_eq!(dev.counts.get(row::tx_bursts), 0);
 
-        dev.txqs[0].ring.pop().unwrap();
+        assert_eq!(dev.txqs[0].ring.pop_burst(&mut Vec::new(), 1), 1);
         let st = dev.tx_burst(0, &mut batch).unwrap();
         assert_eq!((st.sent(), st.stats.bytes), (1, 64));
         assert_eq!(batch.len(), 2, "the two that did not fit");
@@ -560,7 +541,7 @@ mod tests {
         dev.set_queue_mode(0, QueueMode::Interrupt).unwrap();
         dev.rx_burst(0, &mut Vec::new(), 1).unwrap(); // dry: arms the IRQ
         assert_eq!(dev.inject_rx(0, &mut pkts(256, 64)).unwrap().drops, 0);
-        assert_eq!(dev.irq_fires(0), 1);
+        assert_eq!(dev.counts.get(row::irq_fires), 1);
         dev.rxqs[0].irq_armed = true;
 
         let mut late = pkts(3, 64);
@@ -568,7 +549,11 @@ mod tests {
         assert_eq!((st.frames, st.bytes, st.drops), (0, 0, 3));
         assert_eq!(late.len(), 3, "dropped frames stay with the host side");
         assert_eq!(dev.counts.get(row::rx_ring_drops), 3);
-        assert_eq!(dev.irq_fires(0), 1, "no interrupt for a burst that was dropped whole");
+        assert_eq!(
+            dev.counts.get(row::irq_fires),
+            1,
+            "no interrupt for a burst that was dropped whole"
+        );
     }
 
     #[test]
@@ -625,8 +610,8 @@ mod tests {
         let mut out = Vec::new();
         dev.rx_burst(0, &mut out, 8).unwrap();
         dev.rx_burst(1, &mut out, 8).unwrap();
-        assert!(dev.irq_armed(0));
-        assert!(!dev.irq_armed(1));
+        assert!(dev.rxqs[0].irq_armed);
+        assert!(!dev.rxqs[1].irq_armed);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::ipv4::IpProto;
 use crate::{Ipv4Addr, Mac};
 
 /// ARP packet length for Ethernet/IPv4.
-pub const ARP_LEN: usize = 28;
+pub(crate) const ARP_LEN: usize = 28;
 
 /// ARP operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

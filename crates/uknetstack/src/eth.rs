@@ -6,7 +6,7 @@ use ukplat::{Errno, Result};
 use crate::Mac;
 
 /// Ethernet header length.
-pub const ETH_HDR_LEN: usize = 14;
+pub(crate) const ETH_HDR_LEN: usize = 14;
 
 /// EtherType values we speak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -10,7 +10,7 @@ use ukplat::{Errno, Result};
 use crate::inet_checksum;
 
 /// ICMP header length for echo messages.
-pub const ICMP_ECHO_LEN: usize = 8;
+pub(crate) const ICMP_ECHO_LEN: usize = 8;
 
 /// An ICMP echo message (request or reply).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,13 +64,12 @@ impl IcmpEcho {
             payload: payload.to_vec(),
         })
     }
-
 }
 
 /// Parses and checksum-verifies an echo message without copying:
 /// returns `(request, ident, seq, payload)` with the payload borrowed
 /// from `data`.
-pub fn decode_echo(data: &[u8]) -> Result<(bool, u16, u16, &[u8])> {
+pub(crate) fn decode_echo(data: &[u8]) -> Result<(bool, u16, u16, &[u8])> {
     if data.len() < ICMP_ECHO_LEN {
         return Err(Errno::Inval);
     }

@@ -6,7 +6,7 @@ use ukplat::{Errno, Result};
 use crate::{inet_checksum, Ipv4Addr};
 
 /// IPv4 header length (no options).
-pub const IPV4_HDR_LEN: usize = 20;
+pub(crate) const IPV4_HDR_LEN: usize = 20;
 
 /// Transport protocols we carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +120,7 @@ impl Ipv4Header {
     }
 
     /// The pseudo-header checksum seed for UDP/TCP.
-    pub fn pseudo_header_sum(&self) -> u32 {
+    pub(crate) fn pseudo_header_sum(&self) -> u32 {
         let s = self.src.octets();
         let d = self.dst.octets();
         let mut sum = 0u32;

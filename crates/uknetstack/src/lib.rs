@@ -113,7 +113,7 @@ pub struct Mac(pub [u8; 6]);
 
 impl Mac {
     /// The broadcast address.
-    pub const BROADCAST: Mac = Mac([0xff; 6]);
+    pub(crate) const BROADCAST: Mac = Mac([0xff; 6]);
 
     /// Deterministic MAC for test node `n`.
     pub fn node(n: u8) -> Mac {
@@ -143,7 +143,7 @@ impl Ipv4Addr {
     }
 
     /// Byte representation (network order).
-    pub fn octets(self) -> [u8; 4] {
+    pub(crate) fn octets(self) -> [u8; 4] {
         self.0.to_be_bytes()
     }
 }

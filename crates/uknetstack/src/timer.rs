@@ -43,12 +43,12 @@
 
 /// Slots per level. 64 keeps cascade work tiny and slot indexing a
 /// mask.
-pub const SLOTS: usize = 64;
+pub(crate) const SLOTS: usize = 64;
 /// Hierarchy depth. With a 1 ms tick, 4 levels span 64⁴ ms ≈ 4.7 h;
 /// deadlines beyond that clamp to the furthest slot and re-clamp on
 /// cascade, so arbitrarily far deadlines still fire (just with extra
 /// cascades).
-pub const LEVELS: usize = 4;
+pub(crate) const LEVELS: usize = 4;
 /// Default tick granularity: 1 ms in virtual-clock nanoseconds.
 pub const DEFAULT_TICK_NS: u64 = 1_000_000;
 
@@ -69,7 +69,7 @@ pub struct TimerToken {
 impl TimerToken {
     /// A token that never matches an armed entry (useful as a "no
     /// timer" default before the first arm).
-    pub const NONE: TimerToken = TimerToken { idx: NIL, gen: 0 };
+    pub(crate) const NONE: TimerToken = TimerToken { idx: NIL, gen: 0 };
 
     /// True if this is the [`NONE`](Self::NONE) sentinel.
     pub fn is_none(self) -> bool {
@@ -125,7 +125,7 @@ impl TimerWheel {
     /// A wheel with a custom tick granularity (ns per tick).
     // ukcheck: allow(alloc) -- one-time construction of the slot heads;
     // the entry slab starts empty and is sized via `reserve`
-    pub fn with_tick(tick_ns: u64) -> Self {
+    pub(crate) fn with_tick(tick_ns: u64) -> Self {
         assert!(tick_ns > 0, "tick must be positive");
         TimerWheel {
             heads: vec![NIL; LEVELS * SLOTS + 1],
@@ -186,12 +186,6 @@ impl TimerWheel {
     /// The wheel's notion of "now", rounded down to its tick.
     pub fn now_ns(&self) -> u64 {
         self.current_tick * self.tick_ns
-    }
-
-    /// Slab capacity (armed + free entries) — tests assert steady
-    /// state keeps this flat.
-    pub fn slab_capacity(&self) -> usize {
-        self.entries.len()
     }
 
     fn alloc_entry(&mut self) -> u32 {
@@ -522,11 +516,11 @@ mod tests {
                 tokens.push(w.arm(now + (1 + (round + i) % 50) * MS, i));
             }
             if round == 100 {
-                warm_cap = w.slab_capacity();
+                warm_cap = w.entries.len();
             }
         }
         assert_eq!(
-            w.slab_capacity(),
+            w.entries.len(),
             warm_cap,
             "steady state must not grow the slab after warm-up"
         );

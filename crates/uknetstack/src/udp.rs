@@ -7,7 +7,7 @@ use crate::ipv4::Ipv4Header;
 use crate::{inet_checksum, Csum};
 
 /// UDP header length.
-pub const UDP_HDR_LEN: usize = 8;
+pub(crate) const UDP_HDR_LEN: usize = 8;
 
 /// A parsed UDP header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

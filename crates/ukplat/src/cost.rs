@@ -30,13 +30,9 @@ pub const LINUX_SYSCALL_NOMIT_CYCLES: u64 = 154;
 /// modern Intel hardware; used for every para-virtual device notification.
 pub const VMEXIT_CYCLES: u64 = 1_200;
 
-/// Extra cost charged per page of data copied between guest and host by a
-/// kernel backend (vhost-net copies packets; virtio-9p copies buffers).
-pub const HOST_COPY_CYCLES_PER_4K: u64 = 700;
-
 /// Per-byte cost (in picocycles-ish granularity we fold into per-64B) for
 /// host-side copies; expressed per 64-byte cache line.
-pub const HOST_COPY_CYCLES_PER_64B: u64 = 11;
+pub(crate) const HOST_COPY_CYCLES_PER_64B: u64 = 11;
 
 /// Cost of an interrupt injection into the guest.
 pub const IRQ_INJECT_CYCLES: u64 = 2_000;
@@ -69,24 +65,11 @@ pub const LINUX_GUEST_FILE_REQ_CYCLES: u64 = 22_000;
 
 /// Context switch between cooperative threads (register save/restore and
 /// stack switch; Unikraft's is a handful of instructions).
-pub const CTX_SWITCH_COOP_CYCLES: u64 = 60;
+pub(crate) const CTX_SWITCH_COOP_CYCLES: u64 = 60;
 
 /// Context switch under the preemptive scheduler (adds timer IRQ handling
 /// and preemption bookkeeping).
-pub const CTX_SWITCH_PREEMPT_CYCLES: u64 = 400;
-
-/// Per-page cost of populating a page-table entry at boot (write + TLB
-/// considerations). The *mechanism* in `ukboot::paging` does real work per
-/// entry; this constant is only used by baseline models.
-pub const PT_ENTRY_WRITE_CYCLES: u64 = 12;
-
-/// KPTI: extra TLB/CR3 switch cost per syscall entry+exit; the difference
-/// between the two Linux rows of paper Table 1.
-pub const KPTI_EXTRA_CYCLES: u64 = LINUX_SYSCALL_CYCLES - LINUX_SYSCALL_NOMIT_CYCLES;
-
-/// Docker (container, native kernel): syscalls cost the same as native
-/// Linux, but seccomp + overlayfs add a small per-syscall filter cost.
-pub const SECCOMP_FILTER_CYCLES: u64 = 60;
+pub(crate) const CTX_SWITCH_PREEMPT_CYCLES: u64 = 400;
 
 /// Converts a cycle count at [`CPU_FREQ_HZ`] to nanoseconds (f64 helper for
 /// report printing).
@@ -113,11 +96,6 @@ mod tests {
         assert!((ns - 23.33).abs() < 0.1, "got {ns}");
         let ns = cycles_to_ns_f64(FUNCTION_CALL_CYCLES);
         assert!((ns - 1.11).abs() < 0.01, "got {ns}");
-    }
-
-    #[test]
-    fn kpti_delta_is_positive() {
-        assert_eq!(KPTI_EXTRA_CYCLES, 68);
     }
 
     #[test]

@@ -3,23 +3,20 @@
 //! `uknetdev` queues can run in interrupt mode: the driver enables the
 //! queue's interrupt line when it runs dry, and the device raises the line
 //! when new work arrives (§3.1 of the paper). This module provides the
-//! line-level mechanics: registration, masking, raising and dispatch.
+//! line-level mechanics: registration, unmasking and raising.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Number of interrupt lines our platforms expose.
-pub const NLINES: usize = 64;
+pub(crate) const NLINES: usize = 64;
 
 /// An interrupt handler. Returns `true` if it handled work.
-pub type IrqHandler = Box<dyn Fn() -> bool>;
+pub(crate) type IrqHandler = Box<dyn Fn() -> bool>;
 
 struct Line {
     handler: Option<IrqHandler>,
     enabled: bool,
-    pending: bool,
-    /// Statistics: how many times this line fired.
-    fired: u64,
 }
 
 impl std::fmt::Debug for Line {
@@ -27,8 +24,6 @@ impl std::fmt::Debug for Line {
         f.debug_struct("Line")
             .field("has_handler", &self.handler.is_some())
             .field("enabled", &self.enabled)
-            .field("pending", &self.pending)
-            .field("fired", &self.fired)
             .finish()
     }
 }
@@ -38,6 +33,7 @@ impl std::fmt::Debug for Line {
 /// Cloning yields a handle to the same controller (devices and the boot
 /// code share it).
 #[derive(Debug, Clone)]
+// ukcheck: allow(unused-pub) -- what the public `Platform::irq` returns
 pub struct IrqController {
     lines: Rc<RefCell<Vec<Line>>>,
 }
@@ -49,8 +45,6 @@ impl IrqController {
             .map(|_| Line {
                 handler: None,
                 enabled: false,
-                pending: false,
-                fired: 0,
             })
             .collect();
         IrqController {
@@ -77,71 +71,21 @@ impl IrqController {
         self.lines.borrow_mut()[line].enabled = true;
     }
 
-    /// Masks `line`; raises while masked are latched as pending.
-    pub fn disable(&self, line: usize) {
-        self.lines.borrow_mut()[line].enabled = false;
-    }
-
-    /// Whether `line` is currently unmasked.
-    pub fn is_enabled(&self, line: usize) -> bool {
-        self.lines.borrow()[line].enabled
-    }
-
     /// Raises `line`. If unmasked and a handler is registered, the handler
-    /// runs immediately (simulating injection); otherwise the interrupt is
-    /// latched and delivered on the next [`IrqController::enable`] +
-    /// [`IrqController::dispatch_pending`].
+    /// runs immediately (simulating injection).
     ///
     /// Returns `true` if a handler ran.
     pub fn raise(&self, line: usize) -> bool {
         // Take the handler decision under the borrow, then run the handler
         // outside it so handlers can re-enter the controller.
         let run = {
-            let mut lines = self.lines.borrow_mut();
-            let l = &mut lines[line];
-            if l.enabled && l.handler.is_some() {
-                l.fired += 1;
-                true
-            } else {
-                l.pending = true;
-                false
-            }
+            let l = &self.lines.borrow()[line];
+            l.enabled && l.handler.is_some()
         };
         if run {
             self.run_handler(line);
         }
         run
-    }
-
-    /// Delivers any latched interrupts on unmasked lines.
-    ///
-    /// Returns the number of handlers that ran.
-    pub fn dispatch_pending(&self) -> usize {
-        let mut ran = 0;
-        let n = self.lines.borrow().len();
-        for line in 0..n {
-            let fire = {
-                let mut lines = self.lines.borrow_mut();
-                let l = &mut lines[line];
-                if l.pending && l.enabled && l.handler.is_some() {
-                    l.pending = false;
-                    l.fired += 1;
-                    true
-                } else {
-                    false
-                }
-            };
-            if fire {
-                self.run_handler(line);
-                ran += 1;
-            }
-        }
-        ran
-    }
-
-    /// How many times `line` fired so far.
-    pub fn fired_count(&self, line: usize) -> u64 {
-        self.lines.borrow()[line].fired
     }
 
     fn run_handler(&self, line: usize) {
@@ -177,39 +121,6 @@ mod tests {
         }));
         assert!(ctl.raise(1));
         assert_eq!(hits.get(), 1);
-        assert_eq!(ctl.fired_count(1), 1);
-    }
-
-    #[test]
-    fn masked_line_latches_pending() {
-        let ctl = IrqController::new(4);
-        let hits = Rc::new(Cell::new(0));
-        let h = hits.clone();
-        ctl.register(0, Box::new(move || {
-            h.set(h.get() + 1);
-            true
-        }));
-        ctl.disable(0);
-        assert!(!ctl.raise(0));
-        assert_eq!(hits.get(), 0);
-        ctl.enable(0);
-        assert_eq!(ctl.dispatch_pending(), 1);
-        assert_eq!(hits.get(), 1);
-    }
-
-    #[test]
-    fn raise_without_handler_is_pending() {
-        let ctl = IrqController::new(2);
-        assert!(!ctl.raise(1));
-        // Registering later and dispatching delivers it.
-        let hits = Rc::new(Cell::new(0));
-        let h = hits.clone();
-        ctl.register(1, Box::new(move || {
-            h.set(h.get() + 1);
-            true
-        }));
-        assert_eq!(ctl.dispatch_pending(), 1);
-        assert_eq!(hits.get(), 1);
     }
 
     #[test]
@@ -225,11 +136,11 @@ mod tests {
         let ctl = IrqController::new(4);
         let c2 = ctl.clone();
         ctl.register(2, Box::new(move || {
-            // Re-entering to mask ourselves must not deadlock.
-            c2.disable(2);
+            // Re-entering the controller must not deadlock.
+            c2.enable(2);
             true
         }));
         assert!(ctl.raise(2));
-        assert!(!ctl.is_enabled(2));
+        assert!(ctl.raise(2));
     }
 }

@@ -3,9 +3,8 @@
 //! Unikraft's `plat` layer provides only the raw mechanisms a scheduler
 //! needs — context save/restore and a timer — while scheduling *policy*
 //! lives in `uksched` micro-libraries. This module models the mechanism
-//! side: a logical CPU with a current context, a context-switch primitive
-//! that charges its real-world cost, and a one-shot timer used by the
-//! preemptive scheduler.
+//! side: a logical CPU with a current context and a context-switch
+//! primitive that charges its real-world cost.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -14,17 +13,12 @@ use crate::cost;
 use crate::time::Tsc;
 
 /// Identifier of a thread context known to the platform.
-pub type CtxId = u64;
-
-/// A one-shot timer deadline in virtual nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerDeadline(pub u64);
+pub(crate) type CtxId = u64;
 
 #[derive(Debug)]
 struct LcpuInner {
     current: CtxId,
     switches: u64,
-    timer: Option<TimerDeadline>,
 }
 
 /// A logical CPU.
@@ -47,7 +41,6 @@ impl Lcpu {
             inner: Rc::new(RefCell::new(LcpuInner {
                 current: 0,
                 switches: 0,
-                timer: None,
             })),
         }
     }
@@ -82,30 +75,6 @@ impl Lcpu {
     /// Number of context switches performed so far.
     pub fn switch_count(&self) -> u64 {
         self.inner.borrow().switches
-    }
-
-    /// Arms the one-shot preemption timer for `deadline`.
-    pub fn arm_timer(&self, deadline: TimerDeadline) {
-        self.inner.borrow_mut().timer = Some(deadline);
-    }
-
-    /// Disarms the timer.
-    pub fn disarm_timer(&self) {
-        self.inner.borrow_mut().timer = None;
-    }
-
-    /// Checks whether the armed timer has expired at the current virtual
-    /// time; if so, disarms it and returns `true`.
-    pub fn timer_fired(&self) -> bool {
-        let now_ns = self.tsc.cycles_to_ns(self.tsc.now_cycles());
-        let mut inner = self.inner.borrow_mut();
-        match inner.timer {
-            Some(TimerDeadline(d)) if now_ns >= d => {
-                inner.timer = None;
-                true
-            }
-            _ => false,
-        }
     }
 }
 
@@ -145,27 +114,5 @@ mod tests {
         cpu.switch_to(1, true);
         assert_eq!(t.now_cycles(), cost::CTX_SWITCH_PREEMPT_CYCLES);
         assert!(cost::CTX_SWITCH_PREEMPT_CYCLES > cost::CTX_SWITCH_COOP_CYCLES);
-    }
-
-    #[test]
-    fn timer_fires_once() {
-        let t = tsc();
-        let cpu = Lcpu::new(0, &t);
-        cpu.arm_timer(TimerDeadline(100));
-        assert!(!cpu.timer_fired());
-        t.advance_ns(150);
-        assert!(cpu.timer_fired());
-        // One-shot: does not fire again.
-        assert!(!cpu.timer_fired());
-    }
-
-    #[test]
-    fn disarm_cancels() {
-        let t = tsc();
-        let cpu = Lcpu::new(0, &t);
-        cpu.arm_timer(TimerDeadline(10));
-        cpu.disarm_timer();
-        t.advance_ns(100);
-        assert!(!cpu.timer_fired());
     }
 }

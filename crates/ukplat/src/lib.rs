@@ -16,7 +16,7 @@
 //! use ukplat::Platform;
 //!
 //! let plat = Platform::new(VmmKind::Firecracker);
-//! assert!(plat.vmm().attach_overhead_ns() < 10_000_000);
+//! assert!(plat.vmm().setup_ns(0, 0, 0) < 10_000_000);
 //! ```
 
 pub mod cost;
@@ -219,14 +219,6 @@ impl Platform {
         &self.irq
     }
 
-    /// Charges one hypervisor trap (VM exit + entry) to the virtual TSC.
-    ///
-    /// This is the cost every para-virtual device notification ("kick")
-    /// pays when the backend lives in the host kernel.
-    pub fn trap(&self) {
-        self.tsc.advance(cost::VMEXIT_CYCLES);
-    }
-
     /// Total guest RAM in bytes.
     pub fn ram_bytes(&self) -> u64 {
         self.regions.total_ram()
@@ -250,14 +242,6 @@ mod tests {
         let s = format!("{}", Errno::NoMem);
         assert!(s.contains("ENOMEM"));
         assert!(s.contains("12"));
-    }
-
-    #[test]
-    fn platform_trap_advances_tsc() {
-        let plat = Platform::new(VmmKind::Qemu);
-        let before = plat.tsc().now_cycles();
-        plat.trap();
-        assert_eq!(plat.tsc().now_cycles() - before, cost::VMEXIT_CYCLES);
     }
 
     #[test]

@@ -5,10 +5,8 @@
 //! table: kernel image, initrd, usable heap, MMIO holes. `ukboot` consumes
 //! this table to place the heap and the page tables.
 
-use serde::Serialize;
-
 /// What a region of guest-physical memory is used for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionKind {
     /// The loaded unikernel image (text + data + bss).
     KernelImage,
@@ -25,7 +23,9 @@ pub enum RegionKind {
 }
 
 /// One contiguous region of guest-physical memory.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
+// ukcheck: allow(unused-pub) -- what the public `MemRegionTable::largest_free`
+// returns
 pub struct MemRegion {
     /// First byte of the region (guest-physical).
     pub base: u64,
@@ -48,7 +48,8 @@ impl MemRegion {
 }
 
 /// The full memory map of a guest.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
+// ukcheck: allow(unused-pub) -- what the public `Platform::regions` returns
 pub struct MemRegionTable {
     regions: Vec<MemRegion>,
 }
@@ -62,7 +63,7 @@ impl MemRegionTable {
     ///
     /// Panics if `ram_bytes` is smaller than 4 MiB — Unikraft itself needs
     /// 2–6 MiB to run real applications (paper Fig 11).
-    pub fn standard_layout(ram_bytes: u64) -> Self {
+    pub(crate) fn standard_layout(ram_bytes: u64) -> Self {
         const MIB: u64 = 1024 * 1024;
         assert!(ram_bytes >= 4 * MIB, "guests need at least 4 MiB RAM");
         let image_base = MIB;
@@ -106,7 +107,7 @@ impl MemRegionTable {
     }
 
     /// Total bytes of RAM (everything but MMIO holes).
-    pub fn total_ram(&self) -> u64 {
+    pub(crate) fn total_ram(&self) -> u64 {
         self.regions
             .iter()
             .filter(|r| r.kind != RegionKind::Mmio)
@@ -126,15 +127,6 @@ impl MemRegionTable {
             .iter()
             .filter(|r| r.kind == RegionKind::Free)
             .max_by_key(|r| r.len)
-    }
-
-    /// Sum of bytes usable as heap.
-    pub fn free_bytes(&self) -> u64 {
-        self.regions
-            .iter()
-            .filter(|r| r.kind == RegionKind::Free)
-            .map(|r| r.len)
-            .sum()
     }
 
     /// Splits `len` bytes off the front of the largest free region, marking
@@ -165,7 +157,7 @@ mod tests {
     fn standard_layout_partitions_ram() {
         let t = MemRegionTable::standard_layout(64 * MIB);
         assert_eq!(t.total_ram(), 64 * MIB);
-        assert!(t.free_bytes() > 60 * MIB);
+        assert!(t.largest_free().unwrap().len > 60 * MIB);
     }
 
     #[test]
@@ -188,10 +180,10 @@ mod tests {
     #[test]
     fn carve_splits_free_region() {
         let mut t = MemRegionTable::standard_layout(32 * MIB);
-        let before = t.free_bytes();
+        let before = t.largest_free().unwrap().len;
         let initrd = t.carve(2 * MIB, RegionKind::Initrd).unwrap();
         assert_eq!(initrd.len, 2 * MIB);
-        assert_eq!(t.free_bytes(), before - 2 * MIB);
+        assert_eq!(t.largest_free().unwrap().len, before - 2 * MIB);
         // Still contiguous.
         let regs: Vec<_> = t.iter().collect();
         for w in regs.windows(2) {

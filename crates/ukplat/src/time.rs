@@ -113,11 +113,6 @@ impl Tsc {
         secs.saturating_mul(f).saturating_add(part)
     }
 
-    /// The counter frequency in Hz.
-    pub fn freq_hz(&self) -> u64 {
-        self.freq_hz
-    }
-
     /// Resets the counter to zero. Used between benchmark iterations.
     pub fn reset(&self) {
         self.cycles.set(0);
@@ -146,7 +141,7 @@ impl Stopwatch {
     }
 
     /// Nanoseconds of real wall-clock time since start.
-    pub fn real_ns(&self) -> u64 {
+    pub(crate) fn real_ns(&self) -> u64 {
         self.start_real.elapsed().as_nanos() as u64
     }
 
@@ -159,27 +154,6 @@ impl Stopwatch {
     /// Combined real + virtual nanoseconds since start.
     pub fn elapsed_ns(&self) -> u64 {
         self.real_ns() + self.virtual_ns()
-    }
-}
-
-/// Monotonic clock exposed to guests (`clock_gettime` backing).
-///
-/// Reads cost one TSC sample; under para-virtual clocks (kvm-clock,
-/// Xen shared info page) no trap is required, which is why reads are cheap.
-#[derive(Debug, Clone)]
-pub struct MonotonicClock {
-    tsc: Tsc,
-}
-
-impl MonotonicClock {
-    /// Creates a clock over the platform TSC.
-    pub fn new(tsc: &Tsc) -> Self {
-        MonotonicClock { tsc: tsc.clone() }
-    }
-
-    /// Current monotonic time in nanoseconds (virtual).
-    pub fn now_ns(&self) -> u64 {
-        self.tsc.cycles_to_ns(self.tsc.now_cycles())
     }
 }
 
@@ -291,15 +265,6 @@ mod tests {
         tsc.advance(500);
         assert_eq!(sw.virtual_ns(), 500);
         assert!(sw.elapsed_ns() >= 500);
-    }
-
-    #[test]
-    fn monotonic_clock_follows_tsc() {
-        let tsc = Tsc::new(1_000_000_000);
-        let clk = MonotonicClock::new(&tsc);
-        assert_eq!(clk.now_ns(), 0);
-        tsc.advance_ns(42);
-        assert_eq!(clk.now_ns(), 42);
     }
 
     #[test]

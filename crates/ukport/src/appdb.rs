@@ -155,6 +155,8 @@ static MODERN: &[u32] = &[
 
 /// An application and the syscalls it needs to run.
 #[derive(Debug, Clone)]
+// ukcheck: allow(unused-pub) -- the rows of the public `TOP30_APPS`, and what
+// `coverage` takes
 pub struct AppRequirements {
     /// Debian package name.
     pub name: &'static str,

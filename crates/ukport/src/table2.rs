@@ -12,6 +12,7 @@ use uklibc::profile::{LibcKind, LibcProfile};
 
 /// Outcome row for Table 2.
 #[derive(Debug, Clone)]
+// ukcheck: allow(unused-pub) -- what the public `generate_table2` returns
 pub struct Table2Row {
     /// Library name.
     pub name: &'static str,
@@ -59,7 +60,7 @@ fn archive(
 
 /// The 24 library archives of Table 2, with sizes and glue LoC from the
 /// paper and symbol imports that reproduce its ✓/✗ pattern.
-pub fn table2_archives() -> Vec<AppArchive> {
+pub(crate) fn table2_archives() -> Vec<AppArchive> {
     vec![
         archive("lib-axtls", 0.364, 0.436, 0, &[ANSI, POSIX_FILE, GLIBC_FORTIFY]),
         archive("lib-bzip2", 0.324, 0.388, 0, &[ANSI, POSIX_FILE, GLIBC_FILE64]),

@@ -37,14 +37,6 @@ impl CoopScheduler {
         }
     }
 
-    /// Creates a scheduler for a specific vCPU (the paper: "each CPU core
-    /// can run a different scheduler").
-    pub fn on_cpu(cpu: u32, tsc: &Tsc) -> Self {
-        let mut s = Self::new(tsc);
-        s.lcpu = Lcpu::new(cpu, tsc);
-        s
-    }
-
     /// Wakes sleepers whose deadline has passed.
     fn wake_sleepers(&mut self) {
         let now = self.tsc.cycles_to_ns(self.tsc.now_cycles());
@@ -123,7 +115,6 @@ impl CoopScheduler {
                 break;
             }
             let r = (t.step)();
-            t.steps_run += 1;
             self.steps += 1;
             ran += 1;
             match r {

@@ -19,10 +19,10 @@
 //! of real green threads without machine context switching; every switch
 //! still pays the platform's context-switch cost on the virtual TSC.
 
-pub mod coop;
+pub(crate) mod coop;
 pub mod preempt;
 pub mod thread;
-pub mod waitq;
+pub(crate) mod waitq;
 
 pub use coop::CoopScheduler;
 pub use preempt::PreemptScheduler;

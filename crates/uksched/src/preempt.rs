@@ -15,7 +15,7 @@ use crate::thread::{StepResult, Thread, ThreadId, ThreadState};
 use crate::Scheduler;
 
 /// Default quantum, in thread steps.
-pub const DEFAULT_QUANTUM: u64 = 8;
+pub(crate) const DEFAULT_QUANTUM: u64 = 8;
 
 /// The preemptive scheduler over one logical CPU.
 #[derive(Debug)]
@@ -27,7 +27,6 @@ pub struct PreemptScheduler {
     next_id: u64,
     steps: u64,
     quantum: u64,
-    preemptions: u64,
 }
 
 impl PreemptScheduler {
@@ -37,7 +36,7 @@ impl PreemptScheduler {
     }
 
     /// Creates a scheduler with a custom quantum (steps).
-    pub fn with_quantum(tsc: &Tsc, quantum: u64) -> Self {
+    pub(crate) fn with_quantum(tsc: &Tsc, quantum: u64) -> Self {
         PreemptScheduler {
             lcpu: Lcpu::new(0, tsc),
             tsc: tsc.clone(),
@@ -46,13 +45,7 @@ impl PreemptScheduler {
             next_id: 1,
             steps: 0,
             quantum: quantum.max(1),
-            preemptions: 0,
         }
-    }
-
-    /// Number of forced preemptions so far.
-    pub fn preemptions(&self) -> u64 {
-        self.preemptions
     }
 
     fn wake_sleepers(&mut self) {
@@ -125,11 +118,9 @@ impl PreemptScheduler {
                 // Timer interrupt: forced preemption.
                 t.state = ThreadState::Ready;
                 self.runq.push_back(id);
-                self.preemptions += 1;
                 break;
             }
             let r = (t.step)();
-            t.steps_run += 1;
             self.steps += 1;
             ran += 1;
             match r {
@@ -259,7 +250,6 @@ mod tests {
         let log = log.borrow();
         let meek_pos = log.iter().position(|&n| n == "meek").unwrap();
         assert!(meek_pos < log.len() - 1, "meek preempted the hog: {log:?}");
-        assert!(s.preemptions() >= 1);
     }
 
     #[test]

@@ -24,6 +24,7 @@ pub enum StepResult {
 
 /// Lifecycle state of a thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// ukcheck: allow(unused-pub) -- what the public `Thread::state` returns
 pub enum ThreadState {
     /// In the run queue.
     Ready,
@@ -42,7 +43,6 @@ pub struct Thread {
     pub(crate) name: String,
     pub(crate) step: Box<dyn FnMut() -> StepResult>,
     pub(crate) state: ThreadState,
-    pub(crate) steps_run: u64,
 }
 
 impl fmt::Debug for Thread {
@@ -50,7 +50,6 @@ impl fmt::Debug for Thread {
         f.debug_struct("Thread")
             .field("name", &self.name)
             .field("state", &self.state)
-            .field("steps_run", &self.steps_run)
             .finish()
     }
 }
@@ -62,7 +61,6 @@ impl Thread {
             name: name.into(),
             step: Box::new(step),
             state: ThreadState::Ready,
-            steps_run: 0,
         }
     }
 
@@ -87,11 +85,6 @@ impl Thread {
     /// Current state.
     pub fn state(&self) -> ThreadState {
         self.state
-    }
-
-    /// Steps executed so far.
-    pub fn steps_run(&self) -> u64 {
-        self.steps_run
     }
 }
 

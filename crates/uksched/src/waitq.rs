@@ -43,15 +43,6 @@ impl WaitQueue {
         }
     }
 
-    /// Removes and returns the first waiter.
-    pub fn wake_one(&mut self) -> Option<ThreadId> {
-        let woken = self.waiters.pop_front();
-        if woken.is_some() {
-            counters().1.inc();
-        }
-        woken
-    }
-
     /// Drains all waiters.
     pub fn wake_all(&mut self) -> Vec<ThreadId> {
         let woken: Vec<ThreadId> = self.waiters.drain(..).collect();
@@ -90,9 +81,8 @@ mod tests {
         let mut q = WaitQueue::new();
         q.wait(ThreadId(1));
         q.wait(ThreadId(2));
-        assert_eq!(q.wake_one(), Some(ThreadId(1)));
-        assert_eq!(q.wake_one(), Some(ThreadId(2)));
-        assert_eq!(q.wake_one(), None);
+        assert_eq!(q.wake_all(), [ThreadId(1), ThreadId(2)]);
+        assert!(q.wake_all().is_empty());
     }
 
     #[test]
@@ -121,6 +111,6 @@ mod tests {
         q.wait(ThreadId(2));
         assert!(q.remove(ThreadId(1)));
         assert!(!q.remove(ThreadId(9)));
-        assert_eq!(q.wake_one(), Some(ThreadId(2)));
+        assert_eq!(q.wake_all(), [ThreadId(2)]);
     }
 }

@@ -59,9 +59,11 @@ use std::sync::Mutex;
 pub const COMPILED_IN: bool = cfg!(feature = "stats");
 
 /// Counter slots available before [`Counter::register`] panics.
-pub const MAX_COUNTERS: usize = 256;
+#[cfg(feature = "stats")]
+const MAX_COUNTERS: usize = 256;
 /// Gauge slots available before [`Gauge::register`] panics.
-pub const MAX_GAUGES: usize = 64;
+#[cfg(feature = "stats")]
+const MAX_GAUGES: usize = 64;
 
 const SUB_BUCKETS: usize = 8; // 3 bits of sub-bucket precision per octave.
 #[cfg_attr(not(feature = "stats"), allow(dead_code))]
@@ -104,6 +106,7 @@ fn bump(cell: &AtomicU64, n: u64) {
 
 /// One counter in a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// ukcheck: allow(unused-pub) -- the rows of the public `Snapshot::counters`
 pub struct CounterSnap {
     pub name: &'static str,
     pub value: u64,
@@ -111,6 +114,7 @@ pub struct CounterSnap {
 
 /// One gauge in a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// ukcheck: allow(unused-pub) -- the rows of the public `Snapshot::gauges`
 pub struct GaugeSnap {
     pub name: &'static str,
     pub value: u64,
@@ -118,6 +122,8 @@ pub struct GaugeSnap {
 
 /// One histogram in a snapshot: totals plus the three headline quantiles.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// ukcheck: allow(unused-pub) -- the rows of the public `Snapshot::hists`, and
+// what `Snapshot::hist` returns
 pub struct HistSnap {
     pub name: &'static str,
     pub count: u64,
@@ -151,22 +157,6 @@ impl Snapshot {
     /// Looks up a histogram by name.
     pub fn hist(&self, name: &str) -> Option<&HistSnap> {
         self.hists.iter().find(|h| h.name == name)
-    }
-
-    /// Counter deltas relative to an earlier snapshot, dropping zeros.
-    /// This is how the bench harness attributes global counters to one
-    /// ablation cell.
-    // ukcheck: allow(alloc) -- snapshot diffing runs in the bench
-    // harness between measured windows, never on the packet path
-    pub fn counters_since(&self, base: &Snapshot) -> Vec<CounterSnap> {
-        self.counters
-            .iter()
-            .map(|c| CounterSnap {
-                name: c.name,
-                value: c.value - base.counter(c.name).unwrap_or(0),
-            })
-            .filter(|c| c.value != 0)
-            .collect()
     }
 
     /// Renders the snapshot as a JSON object (hand-rolled — the registry
@@ -708,7 +698,7 @@ impl CounterSet {
     ///
     /// # Panics
     ///
-    /// Panics if more than [`MAX_COUNTERS`] distinct names register.
+    /// Panics if more than `MAX_COUNTERS` (256) distinct names register.
     // ukcheck: allow(alloc) -- construction is registration: once per
     // owner, on the control plane
     pub fn new(names: &'static [&'static str]) -> CounterSet {
@@ -860,16 +850,6 @@ mod tests {
             assert!(json.contains("\"test.json_counter\":"));
             assert!(json.contains("\"test.json_hist\":{\"count\":"));
             assert!(json.starts_with('{') && json.ends_with('}'));
-        }
-
-        #[test]
-        fn counters_since_reports_deltas_only() {
-            let c = Counter::register("test.delta");
-            let base = snapshot();
-            c.add(7);
-            let now = snapshot();
-            let d = now.counters_since(&base);
-            assert!(d.iter().any(|s| s.name == "test.delta" && s.value == 7));
         }
     }
 }

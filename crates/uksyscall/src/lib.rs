@@ -18,12 +18,11 @@
 //! is charged (84 cycles); Linux modes charge the full trap with or
 //! without KPTI-era mitigations (222 / 154 cycles).
 
-pub mod bincompat;
 pub mod microbench;
 pub mod nr;
 pub mod shim;
 
-pub use nr::{syscall_name, syscall_nr, UNIKRAFT_RS_SUPPORTED, UNIKRAFT_SUPPORTED};
+pub use nr::{syscall_name, syscall_nr, UNIKRAFT_SUPPORTED};
 pub use shim::{SyscallMode, SyscallShim};
 
 #[cfg(test)]

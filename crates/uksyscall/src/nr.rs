@@ -8,7 +8,7 @@ use std::sync::LazyLock;
 
 /// x86_64 syscall numbers for the names that appear in our application
 /// requirement database and micro-libraries.
-pub static SYSCALL_TABLE: &[(u32, &str)] = &[
+pub(crate) static SYSCALL_TABLE: &[(u32, &str)] = &[
     (0, "read"),
     (1, "write"),
     (2, "open"),
@@ -246,22 +246,6 @@ pub static UNIKRAFT_SUPPORTED: LazyLock<Vec<u32>> = LazyLock::new(|| {
     v
 });
 
-/// The syscalls *this* reproduction implements: the paper's Figure 5 set
-/// plus the epoll/eventfd family that §4.1 listed as work in progress —
-/// `ukevent` now provides `eventfd` (284) and `eventfd2` (290), and the
-/// epoll numbers (213/232/233/291) that were already in the Figure 5 set
-/// are backed by real `EventQueue` handlers in `core::posix`.
-pub static UNIKRAFT_RS_SUPPORTED: LazyLock<Vec<u32>> = LazyLock::new(|| {
-    let mut v = UNIKRAFT_SUPPORTED.clone();
-    for nr in [284, 290] {
-        if !v.contains(&nr) {
-            v.push(nr);
-        }
-    }
-    v.sort_unstable();
-    v
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,34 +277,11 @@ mod tests {
 
     #[test]
     fn epoll_wait_supported_eventfd_not() {
-        // History (§4.1): the paper's Figure 5 snapshot listed
-        // epoll/eventfd as work in progress — eventfd (284) was absent
-        // while the epoll family largely existed. The `ukevent` crate
-        // has since closed the gap: this repo's own coverage includes
-        // the whole epoll family *and* both eventfd entry points.
+        // The paper's Figure 5 snapshot listed epoll/eventfd as work in
+        // progress (§4.1): eventfd (284) was absent while the epoll
+        // family largely existed.
         assert!(UNIKRAFT_SUPPORTED.contains(&232));
         assert!(!UNIKRAFT_SUPPORTED.contains(&284));
-        for nr in [213, 232, 233, 291, 284, 290] {
-            assert!(
-                UNIKRAFT_RS_SUPPORTED.contains(&nr),
-                "syscall {nr} should be supported with ukevent"
-            );
-        }
-        assert_eq!(
-            UNIKRAFT_RS_SUPPORTED.len(),
-            UNIKRAFT_SUPPORTED.len() + 2,
-            "exactly eventfd + eventfd2 were added"
-        );
-    }
-
-    #[test]
-    fn rs_supported_is_sorted_superset() {
-        for w in UNIKRAFT_RS_SUPPORTED.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-        for nr in UNIKRAFT_SUPPORTED.iter() {
-            assert!(UNIKRAFT_RS_SUPPORTED.contains(nr));
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub enum SyscallMode {
 
 impl SyscallMode {
     /// The per-syscall entry/exit overhead in cycles (Table 1).
-    pub fn overhead_cycles(self) -> u64 {
+    pub(crate) fn overhead_cycles(self) -> u64 {
         match self {
             SyscallMode::UnikraftNative => cost::FUNCTION_CALL_CYCLES,
             SyscallMode::UnikraftBinCompat => cost::UNIKRAFT_SYSCALL_CYCLES,
@@ -70,7 +70,7 @@ impl SyscallMode {
 
 /// A syscall handler: raw args in, Linux-convention result out
 /// (negative errno on failure).
-pub type Handler = Box<dyn FnMut(&[u64]) -> i64>;
+pub(crate) type Handler = Box<dyn FnMut(&[u64]) -> i64>;
 
 /// The syscall shim: dispatch table, cost accounting, ENOSYS stubbing.
 pub struct SyscallShim {

@@ -38,6 +38,8 @@ pub const MAX_ARGS: usize = 2;
 /// A tracepoint definition: declared once as a `pub static` (see
 /// [`tracepoints!`]), referenced by every record that fires it.
 #[derive(Debug)]
+// ukcheck: allow(unused-pub) -- the exported `tracepoints!` macro declares
+// statics of it, and the public `TraceEvent::point` refers to one
 pub struct Tracepoint {
     /// Symbolic name, e.g. `"tcp_syn_tx"`.
     pub name: &'static str,

@@ -20,4 +20,4 @@ pub mod vfscore;
 pub use ninep::{NinePClient, NinePHost};
 pub use ramfs::RamFs;
 pub use shfs::Shfs;
-pub use vfscore::{Fd, FileSystem, Ino, Vfs};
+pub use vfscore::{Fd, FileSystem, Vfs};

@@ -29,7 +29,7 @@ impl Default for RamFs {
 
 impl RamFs {
     /// Root inode number.
-    pub const ROOT: Ino = 1;
+    pub(crate) const ROOT: Ino = 1;
 
     /// Creates an empty filesystem with a root directory.
     pub fn new() -> Self {
@@ -85,17 +85,6 @@ impl RamFs {
         self.next_ino += 1;
         self.nodes.insert(ino, node);
         ino
-    }
-
-    /// Total bytes stored in files.
-    pub fn used_bytes(&self) -> usize {
-        self.nodes
-            .values()
-            .map(|n| match n {
-                Node::File(d) => d.len(),
-                Node::Dir(_) => 0,
-            })
-            .sum()
     }
 }
 
@@ -295,13 +284,5 @@ mod tests {
         let ino2 = fs.create("f").unwrap();
         assert_eq!(ino, ino2);
         assert_eq!(fs.size(ino).unwrap(), 0);
-    }
-
-    #[test]
-    fn used_bytes_tracks_files() {
-        let mut fs = RamFs::new();
-        fs.add_file("a", &[0; 100]).unwrap();
-        fs.add_file("b", &[0; 50]).unwrap();
-        assert_eq!(fs.used_bytes(), 150);
     }
 }

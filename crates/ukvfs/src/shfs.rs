@@ -11,10 +11,11 @@
 use ukplat::{Errno, Result};
 
 /// Default number of hash buckets (MiniCache uses a power of two).
-pub const DEFAULT_BUCKETS: usize = 4096;
+pub(crate) const DEFAULT_BUCKETS: usize = 4096;
 
 /// A direct file handle: bucket + index, no fd table behind it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// ukcheck: allow(unused-pub) -- what the public `Shfs::open` returns
 pub struct ShfsHandle {
     bucket: u32,
     index: u32,
@@ -32,8 +33,6 @@ struct Entry {
 pub struct Shfs {
     buckets: Vec<Vec<Entry>>,
     files: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl Shfs {
@@ -48,8 +47,6 @@ impl Shfs {
         Shfs {
             buckets: (0..n).map(|_| Vec::new()).collect(),
             files: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -92,17 +89,11 @@ impl Shfs {
             .iter()
             .position(|e| e.hash == hash && e.name == name)
         {
-            Some(i) => {
-                self.hits += 1;
-                Ok(ShfsHandle {
-                    bucket: b as u32,
-                    index: i as u32,
-                })
-            }
-            None => {
-                self.misses += 1;
-                Err(Errno::NoEnt)
-            }
+            Some(i) => Ok(ShfsHandle {
+                bucket: b as u32,
+                index: i as u32,
+            }),
+            None => Err(Errno::NoEnt),
         }
     }
 
@@ -139,11 +130,6 @@ impl Shfs {
     pub fn is_empty(&self) -> bool {
         self.files == 0
     }
-
-    /// (hits, misses) of `open` probes.
-    pub fn probe_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 impl Default for Shfs {
@@ -166,10 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn missing_file_is_enoent_and_counted() {
+    fn missing_file_is_enoent() {
         let mut fs = Shfs::new();
         assert_eq!(fs.open("nope").unwrap_err(), Errno::NoEnt);
-        assert_eq!(fs.probe_stats(), (0, 1));
     }
 
     #[test]

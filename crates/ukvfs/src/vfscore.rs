@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use ukplat::{Errno, Result};
 
 /// Inode number within a filesystem.
-pub type Ino = u64;
+pub(crate) type Ino = u64;
 
 /// A file descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,6 +18,7 @@ pub struct Fd(pub usize);
 
 /// Kind of a directory entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// ukcheck: allow(unused-pub) -- what the public `FileSystem::lookup` returns
 pub enum NodeKind {
     /// Regular file.
     File,
@@ -76,8 +77,6 @@ pub struct Vfs {
     dcache: HashMap<String, (usize, Ino, NodeKind)>,
     fds: Vec<Option<OpenFile>>,
     max_fds: usize,
-    dcache_hits: u64,
-    dcache_misses: u64,
 }
 
 impl std::fmt::Debug for Vfs {
@@ -104,8 +103,6 @@ impl Vfs {
             dcache: HashMap::new(),
             fds: Vec::new(),
             max_fds: 1024,
-            dcache_hits: 0,
-            dcache_misses: 0,
         }
     }
 
@@ -157,10 +154,8 @@ impl Vfs {
     /// Figure 22's specialization removes.
     fn walk(&mut self, path: &str) -> Result<(usize, Ino, NodeKind)> {
         if let Some(&hit) = self.dcache.get(path) {
-            self.dcache_hits += 1;
             return Ok(hit);
         }
-        self.dcache_misses += 1;
         let (mi, rel) = self.resolve_mount(path)?;
         // Walk intermediate components so each lands in the dcache,
         // mirroring a real dentry-by-dentry walk.
@@ -292,11 +287,6 @@ impl Vfs {
         self.mounts[mi].fs.readdir(rel)
     }
 
-    /// Dentry-cache hit/miss counters.
-    pub fn dcache_stats(&self) -> (u64, u64) {
-        (self.dcache_hits, self.dcache_misses)
-    }
-
     /// Open descriptors.
     pub fn open_fds(&self) -> usize {
         self.fds.iter().filter(|s| s.is_some()).count()
@@ -341,19 +331,6 @@ mod tests {
         v.close(fd).unwrap();
         let fd = v.open("/a/b/c.txt").unwrap();
         assert_eq!(v.read(fd, 10).unwrap(), b"deep");
-    }
-
-    #[test]
-    fn dentry_cache_hits_on_reopen() {
-        let mut v = vfs_with_root();
-        let fd = v.create("/f").unwrap();
-        v.close(fd).unwrap();
-        let fd = v.open("/f").unwrap();
-        v.close(fd).unwrap();
-        let fd = v.open("/f").unwrap();
-        v.close(fd).unwrap();
-        let (hits, _) = v.dcache_stats();
-        assert!(hits >= 1, "second open must hit the dcache");
     }
 
     #[test]

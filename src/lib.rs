@@ -7,7 +7,7 @@
 //! one roof so examples and downstream users can depend on a single crate:
 //!
 //! - [`plat`] — platform layer: virtual TSC, VMM models, memory map, IRQs
-//! - [`lock`] — `uklock`: mutexes, semaphores, rwlocks with compile-out
+//! - [`lock`] — `uklock`: mutexes and semaphores with compile-out
 //! - [`alloc`] — `ukalloc`: allocation API + buddy/TLSF/tinyalloc/
 //!   mimalloc/bootalloc backends
 //! - [`boot`] — `ukboot`: staged boot, static/dynamic page tables
@@ -17,7 +17,6 @@
 //! - [`event`] — `ukevent`: epoll/eventfd readiness subsystem
 //! - [`stats`] — `ukstats`: lock-free counter/gauge/histogram registry
 //! - [`trace`] — `uktrace`: zero-alloc typed tracepoints + ring buffers
-//! - [`blockdev`] — `ukblockdev`: block devices, ramdisk
 //! - [`vfs`] — vfscore + ramfs + 9pfs + SHFS
 //! - [`syscall`] — syscall shim layer
 //! - [`libc`] — libc profiles + glibc compat layer + link model
@@ -48,7 +47,6 @@
 
 pub use ukalloc as alloc;
 pub use ukbaselines as baselines;
-pub use ukblockdev as blockdev;
 pub use ukboot as boot;
 pub use ukbuild as build;
 pub use ukcore as core;
