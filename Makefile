@@ -193,14 +193,18 @@ perf-compare:
 ## tree is exported as `git stash create` names it (tracked and staged
 ## files; the recipe refuses to run while an untracked file would be
 ## left out), a clean one as HEAD. Pair i
-## runs both on workload W for SECONDS with seed FIRST_SEED+i, the order
+## runs both on each workload of W (a space-separated list; both builds
+## serve every workload) for SECONDS with seed FIRST_SEED+i, the order
 ## flipped every pair, and reads the end-to-end metric M (default
-## `ops_per_s`) off each run's result line. Prints each pair, then both
-## sides' median and quartiles (Python's `statistics.quantiles`, as
-## `ukperf compare` computes them), the ratio of the medians and the
-## pairs the change won — which way is a win comes from the metric's
-## `better` in `BENCHMARK.json`, so `M=peak_rss_mib` counts lower as a
-## win. Every run must be correct with 0 failed operations. Nothing is
+## `ops_per_s`) off each run's result line. Prints, per workload, each
+## pair, then both sides' median and quartiles (Python's
+## `statistics.quantiles`, as `ukperf compare` computes them), the ratio
+## of the medians and the pairs the change won — which way is a win
+## comes from the metric's `better` in `BENCHMARK.json`, so
+## `M=peak_rss_mib` counts lower as a win — and a verdict: `claim: met`
+## when the change won at least 9 pairs in 10 and its median is further
+## from the base's than the base's quartiles are apart, else `claim: not
+## met`. Every run must be correct with 0 failed operations. Nothing is
 ## built in the checkout, so its `benchmark/Cargo.lock` is left alone.
 W ?= tcp-rr
 N ?= 10
@@ -210,7 +214,7 @@ FIRST_SEED ?= 101
 # significant digits).
 PAIRS_FMT = function f(x) { return (x >= 1e5 || x <= -1e5) ? sprintf("%.0f", x) : sprintf("%.6g", x) }
 perf-pairs:
-	@test -n "$(BASE)" || { echo "usage: make perf-pairs BASE=<rev> [W=tcp-rr] [M=ops_per_s] [N=10] [SECONDS=18] [FIRST_SEED=101]"; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make perf-pairs BASE=<rev> [W='tcp-rr ...'] [M=ops_per_s] [N=10] [SECONDS=18] [FIRST_SEED=101]"; exit 2; }
 	@set -e; \
 	better=$$(awk -v m='"$(M)"' '/"name":/ { hit = index($$0, m) > 0 } hit && /"better":/ { sub(/.*"better": *"/, ""); sub(/".*/, ""); print; exit }' BENCHMARK.json); \
 	case "$$better" in higher) lower=0 ;; lower) lower=1 ;; *) echo "perf-pairs: BENCHMARK.json has no metric M=$(M)" >&2; exit 2 ;; esac; \
@@ -223,32 +227,37 @@ perf-pairs:
 		(cd "$$dir/src" && $(CARGO) build -q --release --offline --manifest-path benchmark/Cargo.toml --target-dir "$$dir/target-$$1"); \
 	done; \
 	run() { \
-		"$$dir/target-$$1/release/ukperf" --workload $(W) --seed $$2 --seconds $(SECONDS) | tail -n 1 > "$$dir/last"; \
-		grep -q '"correct":true,.*"failed":0,' "$$dir/last" || { echo "$$1, seed $$2, not correct:" >&2; cat "$$dir/last" >&2; exit 1; }; \
+		"$$dir/target-$$1/release/ukperf" --workload $$3 --seed $$2 --seconds $(SECONDS) | tail -n 1 > "$$dir/last"; \
+		grep -q '"correct":true,.*"failed":0,' "$$dir/last" || { echo "$$1, $$3, seed $$2, not correct:" >&2; cat "$$dir/last" >&2; exit 1; }; \
 		v=$$(sed -n 's/.*"$(M)":{"value":\([^,}]*\).*/\1/p' "$$dir/last"); \
-		test -n "$$v" || { echo "$$1, seed $$2: no $(M) in the result line" >&2; exit 1; }; \
+		test -n "$$v" || { echo "$$1, $$3, seed $$2: no $(M) in the result line" >&2; exit 1; }; \
 		echo "$$v"; \
 	}; \
-	echo "ukperf $(M) ($$better is better), $(W), $(SECONDS) s runs: $(BASE) (base) vs $$change (change), both exported"; \
-	if cmp -s "$$dir/target-a/release/ukperf" "$$dir/target-b/release/ukperf"; then echo "(the two builds are byte-identical)"; fi; \
-	printf '%-6s %14s %14s %8s\n' seed base change ratio; \
-	i=0; while [ $$i -lt $(N) ]; do \
-		seed=$$(($(FIRST_SEED) + i)); \
-		if [ $$((i % 2)) -eq 0 ]; then b=$$(run a $$seed); c=$$(run b $$seed); \
-		else c=$$(run b $$seed); b=$$(run a $$seed); fi; \
-		echo "$$b $$c" >> "$$dir/pairs"; \
-		awk -v s=$$seed -v b=$$b -v c=$$c '$(PAIRS_FMT) BEGIN { printf "%-6d %14s %14s %8.3f\n", s, f(b), f(c), c / b }'; \
-		i=$$((i + 1)); \
-	done; \
 	quartiles() { sort -g | awk '{ x[NR] = $$1 } \
 		function q(p, m, j) { m = p * (NR + 1); j = int(m); if (j < 1) return x[1]; if (j >= NR) return x[NR]; return x[j] + (m - j) * (x[j + 1] - x[j]) } \
 		END { printf "%.17g %.17g %.17g\n", q(0.25), q(0.5), q(0.75) }'; }; \
-	set -- $$(cut -d' ' -f1 "$$dir/pairs" | quartiles) $$(cut -d' ' -f2 "$$dir/pairs" | quartiles); \
-	awk -v b1=$$1 -v bm=$$2 -v b3=$$3 -v c1=$$4 -v cm=$$5 -v c3=$$6 -v lower=$$lower '$(PAIRS_FMT) \
-		{ if (lower ? $$2 < $$1 : $$2 > $$1) won++ } \
-		END { printf "base    median %s [q1 %s, q3 %s], IQR %s\n", f(bm), f(b1), f(b3), f(b3 - b1); \
-			printf "change  median %s [q1 %s, q3 %s], IQR %s\n", f(cm), f(c1), f(c3), f(c3 - c1); \
-			printf "change/base %.3f (median), won %d/%d, |delta median| %s vs base IQR %s\n", cm / bm, won, NR, f(cm > bm ? cm - bm : bm - cm), f(b3 - b1) }' "$$dir/pairs"
+	same=; if cmp -s "$$dir/target-a/release/ukperf" "$$dir/target-b/release/ukperf"; then same=" (the two builds are byte-identical)"; fi; \
+	for w in $(W); do \
+		echo "ukperf $(M) ($$better is better), $$w, $(SECONDS) s runs: $(BASE) (base) vs $$change (change), both exported$$same"; \
+		printf '%-6s %14s %14s %8s\n' seed base change ratio; \
+		: > "$$dir/pairs"; \
+		i=0; while [ $$i -lt $(N) ]; do \
+			seed=$$(($(FIRST_SEED) + i)); \
+			if [ $$((i % 2)) -eq 0 ]; then b=$$(run a $$seed $$w); c=$$(run b $$seed $$w); \
+			else c=$$(run b $$seed $$w); b=$$(run a $$seed $$w); fi; \
+			echo "$$b $$c" >> "$$dir/pairs"; \
+			awk -v s=$$seed -v b=$$b -v c=$$c '$(PAIRS_FMT) BEGIN { printf "%-6d %14s %14s %8.3f\n", s, f(b), f(c), c / b }'; \
+			i=$$((i + 1)); \
+		done; \
+		set -- $$(cut -d' ' -f1 "$$dir/pairs" | quartiles) $$(cut -d' ' -f2 "$$dir/pairs" | quartiles); \
+		awk -v b1=$$1 -v bm=$$2 -v b3=$$3 -v c1=$$4 -v cm=$$5 -v c3=$$6 -v lower=$$lower '$(PAIRS_FMT) \
+			{ if (lower ? $$2 < $$1 : $$2 > $$1) won++ } \
+			END { d = cm > bm ? cm - bm : bm - cm; \
+				printf "base    median %s [q1 %s, q3 %s], IQR %s\n", f(bm), f(b1), f(b3), f(b3 - b1); \
+				printf "change  median %s [q1 %s, q3 %s], IQR %s\n", f(cm), f(c1), f(c3), f(c3 - c1); \
+				printf "change/base %.3f (median), won %d/%d, |delta median| %s vs base IQR %s\n", cm / bm, won, NR, f(d), f(b3 - b1); \
+				printf "claim: %s\n\n", (10 * won >= 9 * NR && d > b3 - b1) ? "met" : "not met" }' "$$dir/pairs"; \
+	done
 
 examples:
 	$(CARGO) build --release --examples

@@ -96,10 +96,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// returned to a pool it did not come from).
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Buffers a [`NetbufPool`] builds at construction (or all of them, if
-/// it holds fewer): one full receive burst and one full transmit burst.
-pub const INITIAL_BUFS: usize = 2 * crate::MAX_BURST;
-
 /// The byte pattern the `netbuf-sanitizer` feature writes over a
 /// buffer's entire storage on give-back. A pool-resident buffer must
 /// stay wall-to-wall poison until its next `take`; any other content
@@ -203,7 +199,7 @@ pub struct TcpHold {
 ///   one boxed slice owned by the descriptor.
 ///
 /// Descriptor and storage are allocated when the buffer is built — by a
-/// [`NetbufPool`] (at construction or when it grows) or by
+/// [`NetbufPool`] (when a `take` grows it) or by
 /// [`Netbuf::alloc`] — and freed when the handle drops; nothing is
 /// allocated, freed or relocated per packet.
 /// Every accessor is a method on the handle itself (no `Deref` to the
@@ -599,16 +595,16 @@ impl Netbuf {
 /// pool is the reason the datapath performs zero heap allocations per
 /// packet.
 ///
-/// Construction builds [`INITIAL_BUFS`] (or `count`, if fewer): one
-/// full receive burst and one full transmit burst. When
-/// [`take`](Self::take) finds no built buffer free, the pool doubles
-/// the built set, never past `count`; it never shrinks. So the pool
-/// allocates at construction and in the few doublings a traffic mix's
-/// in-flight peak asks for, during warm-up, and not again. Building a
+/// Construction builds no buffer: it sizes the slot table and the free
+/// list for `count`, and nothing else. When [`take`](Self::take) finds
+/// no built buffer free, the pool builds one if it has none yet and
+/// otherwise doubles the built set, never past `count`; it never
+/// shrinks. So the pool holds only what the traffic has taken — at
+/// most twice its in-flight peak — and allocates in the few growths
+/// that peak asks for, during warm-up, and not again. Building a
 /// buffer costs one descriptor, one storage slice and (for
 /// [`with_chain_capacity`](Self::with_chain_capacity)) one fragment
-/// list of `chain_frags` one-word handles; the slot table and the free
-/// list are sized for `count` at construction. A slot holds the
+/// list of `chain_frags` one-word handles. A slot holds the
 /// buffer's handle while it is home and `None` while it is out, so
 /// [`take`](Self::take) and [`give_back`] move one word each; the
 /// descriptor and the storage never move, and the `netbuf-sanitizer`
@@ -655,14 +651,14 @@ impl NetbufPool {
     /// chain heads from this pool never grow their fragment list on
     /// the hot path (the capacity survives recycling).
     // ukcheck: allow(alloc) -- pool construction: the slot table and free
-    // list for `count`, and the first `INITIAL_BUFS` buffers
+    // list for `count`; no buffer is built until the first `take`
     pub fn with_chain_capacity(
         count: usize,
         cap: usize,
         headroom: usize,
         chain_frags: usize,
     ) -> Self {
-        let mut pool = NetbufPool {
+        NetbufPool {
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             bufs: Vec::with_capacity(count),
             free: Vec::with_capacity(count),
@@ -673,16 +669,14 @@ impl NetbufPool {
             low_water: count,
             #[cfg(feature = "netbuf-sanitizer")]
             san: Vec::with_capacity(count),
-        };
-        pool.build(INITIAL_BUFS.min(count));
-        pool
+        }
     }
 
     /// Builds `n` more buffers into fresh slots and frees them. The
     /// tables were sized for `count` at construction, so this allocates
     /// the buffers and nothing else.
-    // ukcheck: allow(alloc) -- building buffers: at construction, and in
-    // the doublings of `take` that the in-flight peak asks for in warm-up
+    // ukcheck: allow(alloc) -- building buffers: the growths of `take`
+    // that the in-flight peak asks for in warm-up
     #[cold]
     #[inline(never)]
     fn build(&mut self, n: usize) {
@@ -705,7 +699,8 @@ impl NetbufPool {
 
     /// Takes a buffer from the pool, or `None` if all `count` are out.
     /// With every built buffer out and fewer than `count` built, the
-    /// built set doubles first (up to `count`).
+    /// pool grows first: the first take builds one buffer, each later
+    /// growth doubles the built set (up to `count`).
     // ukcheck: allow(panic) -- the only panic inside is the sanitizer's
     // use-after-recycle report, compiled out of the default build
     #[cfg_attr(feature = "netbuf-sanitizer", track_caller)]
@@ -714,7 +709,7 @@ impl NetbufPool {
             Some(slot) => slot,
             None => {
                 let built = self.bufs.len();
-                self.build(built.min(self.count - built));
+                self.build(built.max(1).min(self.count - built));
                 self.free.pop()?
             }
         };
@@ -854,6 +849,12 @@ impl NetbufPool {
     /// The most buffers the pool holds, built or not.
     pub fn capacity(&self) -> usize {
         self.count
+    }
+
+    /// Buffers built so far, out or home: what the traffic has asked
+    /// the pool for, at most twice its in-flight peak.
+    pub fn built(&self) -> usize {
+        self.bufs.len()
     }
 
     /// Fewest free buffers ever observed; `capacity() - low_water()` is
@@ -1210,9 +1211,10 @@ mod tests {
     proptest::proptest! {
         /// The pool against a counting model: `out` buffers are held by
         /// the test, and whatever the sequence, the pool reads as if all
-        /// `count` buffers were built, while it builds two bursts at
-        /// construction and doubles only when every built buffer is out
-        /// — never more than twice the peak in flight.
+        /// `count` buffers were built, while it builds none at
+        /// construction and grows only when every built buffer is out —
+        /// 0 → 1, then by doubling — never more than twice the peak in
+        /// flight.
         #[test]
         fn demand_built_pool_matches_a_counting_model(
             count in 0usize..601,
@@ -1222,8 +1224,8 @@ mod tests {
             let mut pool = NetbufPool::with_chain_capacity(count, 64, 16, chain_frags);
             let mut out: Vec<Netbuf> = Vec::new();
             let mut live = vec![false; count];
-            let (mut peak, mut built) = (0, pool.bufs.len());
-            assert_eq!(built, count.min(INITIAL_BUFS), "construction builds two bursts");
+            let (mut peak, mut built) = (0, pool.built());
+            assert_eq!(built, 0, "construction builds no buffer");
             let mut last_given: Option<usize> = None;
             for op in ops {
                 match op {
@@ -1232,13 +1234,13 @@ mod tests {
                             let was_out = out.len();
                             let nb = pool.take();
                             assert_eq!(nb.is_none(), was_out == count, "None exactly when all are out");
-                            if pool.bufs.len() != built {
+                            if pool.built() != built {
                                 assert_eq!(
-                                    (was_out, pool.bufs.len()),
-                                    (built, (2 * built).min(count)),
-                                    "growth only with every built buffer out, by doubling"
+                                    (was_out, pool.built()),
+                                    (built, (2 * built).max(1).min(count)),
+                                    "growth only with every built buffer out: 0 → 1, then doubling"
                                 );
-                                built = pool.bufs.len();
+                                built = pool.built();
                             }
                             let Some(nb) = nb else { break };
                             let slot = nb.desc.pool_slot.unwrap();
@@ -1276,8 +1278,8 @@ mod tests {
                 assert_eq!(pool.capacity(), count);
                 assert_eq!(pool.available(), count - out.len());
                 assert_eq!(pool.low_water(), count - peak);
-                assert_eq!(pool.bufs.len(), built, "a give-back neither builds nor frees");
-                assert!(built <= count.min(INITIAL_BUFS).max(2 * peak), "built {built}, peak {peak}");
+                assert_eq!(pool.built(), built, "a give-back neither builds nor frees");
+                assert!(built <= 2 * peak, "built {built}, peak {peak}");
                 #[cfg(feature = "netbuf-sanitizer")]
                 assert_eq!(pool.sanitize_live_count(), out.len());
             }

@@ -153,9 +153,9 @@ pub struct StackConfig {
     /// Our IPv4 address.
     pub ip: Ipv4Addr,
     /// The most buffers the stack's netbuf pool may hold. The pool
-    /// builds two bursts' worth at construction and doubles when the
-    /// traffic has every built buffer in flight, up to this cap
-    /// ([`NetbufPool`]); it never frees one.
+    /// builds none at construction; when the traffic has every built
+    /// buffer in flight it builds the first one, then doubles, up to
+    /// this cap ([`NetbufPool`]); it never frees one.
     pub pool_size: usize,
     /// Whether to offload TCP/UDP transmit checksums to the device
     /// (effective only when the device advertises the capability;
@@ -428,6 +428,12 @@ impl NetStack {
         Some(self.pool.available())
     }
 
+    /// Buffers the pool has built so far — what the traffic has asked
+    /// for, at most twice its in-flight peak.
+    pub fn pool_built(&self) -> usize {
+        self.pool.built()
+    }
+
     /// Current time on the stack's clock.
     #[inline]
     fn now_ns(&self) -> u64 {
@@ -528,11 +534,13 @@ impl NetStack {
             self.gauges.pump_ns.record(t0.elapsed().as_nanos() as u64);
         }
         // The high-water mark can only rise when the pool's low-water
-        // mark fell, which most sweeps do not cause.
+        // mark fell, which most sweeps do not cause; every growth of the
+        // pool's built set lowers it too.
         if self.pool.low_water() != self.pool_low_water_seen {
             self.pool_low_water_seen = self.pool.low_water();
             self.gauges.pool_inflight_hiwater
                 .set_max((self.pool.capacity() - self.pool.low_water()) as u64);
+            self.gauges.pool_built.set_max(self.pool.built() as u64);
         }
         handled
     }

@@ -81,6 +81,8 @@ pub(super) struct StackGauges {
     pub(super) pump_ns: ukstats::Histogram,
     /// Most pooled buffers ever in flight at once (pool high-water).
     pub(super) pool_inflight_hiwater: ukstats::Gauge,
+    /// Most buffers one pool has built (pools never free one).
+    pub(super) pool_built: ukstats::Gauge,
     /// Most packets ever parked behind one unresolved next-hop.
     pub(super) arp_parked_hiwater: ukstats::Gauge,
 }
@@ -94,6 +96,7 @@ impl StackGauges {
             tcp_cwnd: ukstats::Gauge::register("netstack.tcp.cwnd"),
             pump_ns: ukstats::Histogram::register("netstack.pump_ns"),
             pool_inflight_hiwater: ukstats::Gauge::register("netstack.pool_inflight_hiwater"),
+            pool_built: ukstats::Gauge::register("netstack.pool_built"),
             arp_parked_hiwater: ukstats::Gauge::register("netstack.arp_parked_hiwater"),
         }
     }

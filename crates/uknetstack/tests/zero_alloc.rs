@@ -615,32 +615,35 @@ fn pool_circulation_is_allocation_free_in_both_feature_modes() {
 /// What building buffers costs, as a formula: everything a buffer
 /// will ever need from the heap is taken when it is built. A pooled
 /// buffer is a descriptor, its storage and — when chains are reserved —
-/// one fragment list of one-word handles. A pool of `n` builds
-/// min(`n`, `INITIAL_BUFS`) of them at construction, plus its slot
-/// table and free list sized for all `n` (and the sanitizer its
-/// provenance table); the first take with every built buffer out builds
-/// as many again, up to `n`, and nothing else. The heap fallback is a
-/// descriptor plus storage.
+/// one fragment list of one-word handles. A pool of `n` allocates its
+/// slot table and free list sized for all `n` (and the sanitizer its
+/// provenance table) at construction, and no buffer. A take with every
+/// built buffer out builds one buffer when none is built and otherwise
+/// as many again as are built, up to `n`; every other take allocates
+/// nothing. The heap fallback is a descriptor plus storage.
 #[test]
 fn buffer_construction_allocates_by_formula() {
-    use uknetdev::netbuf::{Netbuf, NetbufPool, INITIAL_BUFS};
+    use uknetdev::netbuf::{Netbuf, NetbufPool};
     let tables = 2 + u64::from(cfg!(feature = "netbuf-sanitizer"));
-    let initial = INITIAL_BUFS as u64;
     for (n, chain_frags, per_buf) in [(8u64, 0usize, 2u64), (8, 34, 3), (64, 4, 3), (300, 34, 3)] {
         let (mut pool, allocs) = AllocCounter::measure(|| {
             NetbufPool::with_chain_capacity(n as usize, 2048, 64, chain_frags)
         });
-        let built = n.min(initial);
-        assert_eq!(
-            allocs,
-            tables + built * per_buf,
-            "pool of {n} buffers reserving {chain_frags} fragments"
-        );
-        let mut held: Vec<Netbuf> = (0..built).map(|_| pool.take().unwrap()).collect();
-        let (next, allocs) = AllocCounter::measure(|| pool.take());
-        let grown = built.min(n - built);
-        assert_eq!(allocs, grown * per_buf, "pool of {n}: take {} doubles", built + 1);
-        held.extend(next);
+        assert_eq!(allocs, tables, "pool of {n} buffers reserving {chain_frags} fragments");
+        assert_eq!(pool.built(), 0, "pool of {n}: construction builds no buffer");
+        let mut held: Vec<Netbuf> = Vec::new();
+        let mut built = 0u64;
+        for _ in 0..n {
+            let out = held.len() as u64;
+            let grown = if out == built { built.max(1).min(n - built) } else { 0 };
+            let (next, allocs) = AllocCounter::measure(|| pool.take());
+            assert_eq!(allocs, grown * per_buf, "pool of {n}: take {}", out + 1);
+            built += grown;
+            assert_eq!(pool.built() as u64, built, "pool of {n}: take {}", out + 1);
+            held.extend(next);
+        }
+        let (none, allocs) = AllocCounter::measure(|| pool.take());
+        assert!(none.is_none() && allocs == 0, "pool of {n}: all {n} out");
         for nb in held {
             pool.give_back(nb);
         }
@@ -651,28 +654,31 @@ fn buffer_construction_allocates_by_formula() {
     assert_eq!(allocs, 2);
 }
 
-/// A stack's pool builds `INITIAL_BUFS` buffers and doubles only when
-/// the traffic has all of them in flight. Growth is a warm-up event: a
-/// receiver that holds a 256 KiB stream's buffers — past
-/// `INITIAL_BUFS` in flight — pays one doubling the first time (each
-/// buffer a descriptor, its storage and a fragment list), and nothing
-/// when the same traffic comes again. The warm-up streams the same
-/// 256 KiB with every buffer recycled at once, so the queues are sized
-/// and the held round differs only in what it holds.
+/// A stack's pool builds a buffer only when the traffic has every
+/// built one in flight. Growth is a warm-up event: a receiver that
+/// holds a 256 KiB stream's buffers — more in flight than the warm-up
+/// left built — pays for the buffers built during that round the first
+/// time (each a descriptor, its storage and a fragment list), and
+/// nothing when the same traffic comes again. The warm-up streams the
+/// same 256 KiB with every buffer recycled at once, so the queues are
+/// sized and the held round differs only in what it holds.
 #[test]
 fn pool_growth_is_a_warm_up_event() {
-    use uknetdev::netbuf::INITIAL_BUFS;
     let per_mss = |c: &mut StackConfig| c.tso = false;
     let mut pair = Pair::new(9400, per_mss, defaults, None);
     for _ in 0..3 {
         pair.bulk(256 * 1024, Drain::Netbuf);
     }
+    let warm = pair.net.stack(pair.si).pool_built();
     let (low, allocs) = AllocCounter::measure(|| pair.bulk(256 * 1024, Drain::Hold));
-    assert!(512 - low > INITIAL_BUFS, "the server held {} buffers", 512 - low);
-    assert_eq!(allocs, INITIAL_BUFS as u64 * 3, "one doubling of the server's pool, nothing else");
+    let (held, grown) = (512 - low, pair.net.stack(pair.si).pool_built());
+    assert!(held > warm, "the server held {held} buffers, {warm} were built");
+    assert!(grown <= 2 * held, "{grown} built for {held} in flight");
+    assert_eq!(allocs, (grown - warm) as u64 * 3, "the server's pool grew, nothing else allocated");
     let (again, allocs) = AllocCounter::measure(|| pair.bulk(256 * 1024, Drain::Hold));
-    assert!(512 - again > INITIAL_BUFS, "the server held {} buffers again", 512 - again);
+    assert!(512 - again > warm, "the server held {} buffers again", 512 - again);
     assert_eq!(allocs, 0, "a grown pool allocates nothing");
+    assert_eq!(pair.net.stack(pair.si).pool_built(), grown);
 }
 
 #[test]
