@@ -76,7 +76,7 @@ verify-churn:
 ## the image), SAFETY-commented unsafe,
 ## atomic-ordering policy, no shared `ukstats::Counter` in a
 ## single-writer owner (every file under `stack/` is one), the non-test
-## line budget (`size`): 600 for each file under `stack/`, 650 under `tcp/`,
+## line budget (`size`): 600 for each file under `stack/` and `tcp/`,
 ## no `pub` item in any library crate's `src/` that nothing outside that
 ## `src/` names (`unused-pub`; crates that build a binary are exempt), no
 ## `[dependencies]` entry of a `crates/*` manifest that nothing in its

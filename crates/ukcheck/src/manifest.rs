@@ -101,8 +101,10 @@ pub const SIZE_BUDGETS: &[(&str, usize)] = &[
     // PR 22 split the 2898-line `tcp.rs` into parts and jobs, the
     // largest 601 lines: a file that outgrows its budget wants
     // splitting again, not a bigger number. The switch deletion left
-    // the largest here, `mod.rs`, at 602: 800 → 650.
-    ("crates/uknetstack/src/tcp/", 650),
+    // the largest here, `mod.rs`, at 602: 800 → 650. One way to build
+    // a TCB (every queue starts empty) took `mod.rs` under 600, the
+    // largest file here: 650 → 600.
+    ("crates/uknetstack/src/tcp/", 600),
     // `Httpd` and `KvStore` became two protocols over one connection
     // loop (`serve.rs`, 317 lines) and the two load generators one:
     // `httpd.rs` 476 → 267, `kvstore.rs` 257 → 209, `loadgen.rs`

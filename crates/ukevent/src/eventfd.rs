@@ -45,7 +45,7 @@ impl EventFd {
             semaphore: flags & EFD_SEMAPHORE != 0,
             source: ReadySource::new(),
         };
-        efd.publish();
+        efd.publish(false);
         Ok(efd)
     }
 
@@ -59,7 +59,7 @@ impl EventFd {
             return Err(Errno::Again);
         }
         self.counter += value;
-        self.publish();
+        self.publish(true);
         Ok(())
     }
 
@@ -75,7 +75,7 @@ impl EventFd {
         } else {
             std::mem::take(&mut self.counter)
         };
-        self.publish();
+        self.publish(false);
         Ok(v)
     }
 
@@ -85,7 +85,9 @@ impl EventFd {
         self.counter
     }
 
-    fn publish(&self) {
+    /// Publishes the counter's readiness; `new_input` for a write, which
+    /// wakes edge-triggered waiters even while `IN` is already high.
+    fn publish(&self, new_input: bool) {
         let mut m = EventMask::EMPTY;
         if self.counter > 0 {
             m |= EventMask::IN;
@@ -93,7 +95,7 @@ impl EventFd {
         if self.counter < MAX_COUNTER {
             m |= EventMask::OUT;
         }
-        self.source.set_level(m);
+        self.source.publish(m, new_input);
     }
 }
 
@@ -149,6 +151,22 @@ mod tests {
         assert!(e.poll_events().contains(EventMask::IN));
         e.read().unwrap();
         assert!(!e.poll_events().contains(EventMask::IN));
+    }
+
+    /// Every write wakes an `EPOLLET` waiter, not only the one that
+    /// made the counter non-zero (Linux's `eventfd_write` wakes on each).
+    #[test]
+    fn every_write_is_an_edge_for_edge_triggered_waiters() {
+        let mut e = EventFd::new(0, 0).unwrap();
+        let mut q = crate::EventQueue::new();
+        q.ctl_add(1, &e, EventMask::IN | EventMask::ET).unwrap();
+        e.write(1).unwrap();
+        assert_eq!(q.poll_ready(4).len(), 1, "first write");
+        e.write(1).unwrap();
+        assert_eq!(q.poll_ready(4).len(), 1, "second write, counter still readable");
+        assert_eq!(q.poll_ready(4).len(), 0, "no write, no edge");
+        assert_eq!(e.read().unwrap(), 2);
+        assert_eq!(q.poll_ready(4).len(), 0, "a read is not input");
     }
 
     #[test]

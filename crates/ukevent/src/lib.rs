@@ -25,9 +25,10 @@
 //! A [`ReadySource`] is a small shared cell holding the current
 //! level-triggered readiness of one file-like object. The producing
 //! subsystem (a TCP connection in `uknetstack`, an [`EventFd`] counter)
-//! updates it with [`ReadySource::set_level`]; the cell detects rising
-//! edges, bumps an edge sequence number (consumed by `EPOLLET`
-//! subscribers) and wakes every [`EventQueue`] watching it. A parked
+//! updates it with [`ReadySource::publish`]; the cell detects rising
+//! edges — and new input while `IN` is already high — bumps an edge
+//! sequence number (consumed by `EPOLLET` subscribers) and wakes every
+//! [`EventQueue`] watching it. A parked
 //! `epoll_wait` caller is woken through the queue's
 //! [`uksched::WaitQueue`] — wakeups are collected with
 //! [`EventQueue::take_wakeups`] and handed to the scheduler, which is

@@ -103,20 +103,26 @@ impl ReadySource {
         }
     }
 
+    /// Publishes the owner's readiness `level`, as
+    /// [`set_level`](Self::set_level) does. `new_input` says input was
+    /// queued just now: while `IN` was already high, that is an edge
+    /// too — Linux re-triggers `EPOLLET` waiters on every arrival, not
+    /// only on empty→non-empty transitions.
+    pub fn publish(&self, level: EventMask, new_input: bool) {
+        let had_in = self.current().contains(EventMask::IN);
+        self.set_level(level);
+        if new_input && had_in && level.contains(EventMask::IN) {
+            // No bit rose, but the input is fresh: bump the sequence and
+            // wake watchers anyway.
+            self.inner.borrow_mut().edge_seq += 1;
+            self.notify_watchers();
+        }
+    }
+
     /// Sets bits (rising edges wake watchers), leaving other bits alone.
     pub fn raise(&self, events: EventMask) {
         let current = self.current();
         self.set_level(current | events);
-    }
-
-    /// Signals fresh activity without a level transition: bumps the edge
-    /// sequence and wakes watchers even though the bits are unchanged.
-    /// Producers call this when *more* data arrives while the readable
-    /// level is already high — Linux re-triggers `EPOLLET` consumers on
-    /// every new arrival, not only on empty→non-empty transitions.
-    pub fn pulse(&self) {
-        self.inner.borrow_mut().edge_seq += 1;
-        self.notify_watchers();
     }
 
     /// Clears bits without waking anyone.

@@ -79,17 +79,14 @@
 //! and the client's retransmission finishes the handshake once the
 //! application drains `tcp_accept`. Segments matching no flow draw a
 //! correctly-sequenced RST (never RST-on-RST); in-window RSTs to a
-//! LISTEN socket are dropped rather than wedging the listener. For
-//! stacks holding very large mostly-idle connection populations,
-//! [`StackConfig::lean_tcbs`] trades the per-TCB queue preallocation
-//! for on-demand growth — idle connections then cost well under a
-//! kilobyte each (their slab slot, size-asserted at compile time in
-//! `stack/conns.rs`).
+//! LISTEN socket are dropped rather than wedging the listener. A TCB's
+//! queues start empty and grow with its traffic, so an idle
+//! connection costs well under a kilobyte (its slab slot,
+//! size-asserted at compile time in `stack/conns.rs`).
 //!
 //! [`NetbufPool`]: uknetdev::NetbufPool
 //! [`NetStack::set_clock`]: stack::NetStack::set_clock
 //! [`StackConfig::listen_backlog`]: stack::StackConfig::listen_backlog
-//! [`StackConfig::lean_tcbs`]: stack::StackConfig::lean_tcbs
 
 pub mod arp;
 pub mod eth;

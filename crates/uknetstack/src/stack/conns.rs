@@ -131,10 +131,10 @@ struct ConnSlot {
     conn: Option<TcpConn>,
 }
 
-// `lib.rs` promises an idle `lean_tcbs` connection costs well under a
-// kilobyte. Lean queues own no heap, so beside its flow-table entry and
-// its one wheel entry the slot (720 B today, 608 of them the `Tcb`) is
-// all it holds.
+// `lib.rs` promises an idle connection costs well under a kilobyte. A
+// TCB's queues start empty and own no heap, so beside its flow-table
+// entry and its one wheel entry the slot (720 B today, 608 of them the
+// `Tcb`) is all it holds.
 const _: () = assert!(size_of::<ConnSlot>() <= 720);
 
 /// Every connection of one stack (see the module docs).

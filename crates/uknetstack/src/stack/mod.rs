@@ -101,12 +101,10 @@ pub const TX_HEADROOM: usize = 96;
 // stated in it; `uknetstack::stack::BUF_CAP` stays a path that resolves
 pub const BUF_CAP: usize = 2048;
 
-/// Default ceiling on one GSO super-segment's TCP payload (Linux's
-/// classic `GSO_MAX_SIZE` neighborhood; comfortably under the 16-bit
-/// IPv4 total-length limit with headers included).
-// ukcheck: allow(unused-pub) -- the default of the public
-// `StackConfig::gso_max_size`, for whoever sets that field by hand
-pub const GSO_MAX_SIZE: usize = 61440;
+/// Ceiling on one GSO super-segment's TCP payload (Linux's classic
+/// `GSO_MAX_SIZE` neighborhood; comfortably under the 16-bit IPv4
+/// total-length limit with headers included).
+const GSO_MAX_SIZE: usize = 61440;
 
 /// Netbuf-pool level below which the receive path sheds the newest
 /// out-of-order reassembly extents back to the pool. Sustained loss
@@ -144,6 +142,10 @@ fn take_or_alloc(pool: &mut NetbufPool) -> Netbuf {
 // headroom.
 const _: () =
     assert!(TX_HEADROOM >= ETH_HDR_LEN + IPV4_HDR_LEN + TCP_HDR_LEN + TCP_MAX_OPT_LEN);
+// Headers + super-segment payload must fit the u16 IPv4 total length,
+// or the frame would be unparseable on arrival — a deterministic parse
+// failure retransmission must not paper over.
+const _: () = assert!(IPV4_HDR_LEN + TCP_HDR_LEN + GSO_MAX_SIZE <= 65_535);
 
 /// Interface configuration.
 #[derive(Debug, Clone, Copy)]
@@ -170,8 +172,6 @@ pub struct StackConfig {
     /// per-MSS segmentation. Disable for the software-segmentation
     /// ablation.
     pub tso: bool,
-    /// Ceiling on one super-segment's payload when `tso` is on.
-    pub gso_max_size: usize,
     /// Whether to trust the wire/device's checksum-validated mark on
     /// received frames (`VIRTIO_NET_F_GUEST_CSUM`) and skip software
     /// verification. Unmarked frames are always verified. Disable for
@@ -211,14 +211,6 @@ pub struct StackConfig {
     /// spurious retransmits). Disable for the go-back-N ablation, or
     /// to stand in for a peer that does not negotiate SACK.
     pub sack: bool,
-    /// Whether new TCBs start with empty send/receive/retransmit
-    /// queues that grow on demand, instead of the steady-state
-    /// preallocation. For connection-scale workloads (tens of
-    /// thousands of mostly-idle connections) this shrinks an idle
-    /// connection to its struct size; active connections grow to the
-    /// same steady-state capacity after their first bursts, so the
-    /// zero-alloc hot-path property still holds once warm.
-    pub lean_tcbs: bool,
 }
 
 impl StackConfig {
@@ -230,14 +222,12 @@ impl StackConfig {
             pool_size: 512,
             tx_csum_offload: true,
             tso: true,
-            gso_max_size: GSO_MAX_SIZE,
             rx_csum_offload: true,
             gro: true,
             mss: MSS,
             keepalive: false,
             listen_backlog: 64,
             sack: true,
-            lean_tcbs: false,
         }
     }
 }
@@ -321,23 +311,17 @@ impl std::fmt::Debug for NetStack {
 impl NetStack {
     /// Creates a stack over a configured device. Out-of-range tuning
     /// knobs are clamped to safe values: the MSS to what one wire
-    /// frame and one pooled buffer can carry, the GSO budget to what
-    /// the IPv4 16-bit total-length field admits.
+    /// frame and one pooled buffer can carry, the listen backlog to
+    /// 1..=4096.
     // ukcheck: allow(alloc) -- one-time stack construction: maps, the
     // pool, scratch vectors and the trace ring are all built here (and
     // in the parts' own `new`s, each with its own escape) so the
     // per-frame pump never allocates (the zero_alloc suite enforces it)
     pub fn new(mut config: StackConfig, dev: Box<dyn NetDev>) -> Self {
         config.mss = config.mss.clamp(1, MSS);
-        // Headers + super-segment payload must fit the u16 IPv4 total
-        // length, or the frame would be unparseable on arrival — a
-        // deterministic parse failure retransmission must not paper
-        // over.
-        const GSO_HARD_MAX: usize = 65_535 - IPV4_HDR_LEN - TCP_HDR_LEN;
-        config.gso_max_size = config.gso_max_size.clamp(config.mss, GSO_HARD_MAX);
         config.listen_backlog = config.listen_backlog.clamp(1, 4096);
         let offloads = Offloads::resolve(&config, &dev.info());
-        let chain_frags = offloads.chain_frags(config.gso_max_size);
+        let chain_frags = offloads.chain_frags();
         let pool =
             NetbufPool::with_chain_capacity(config.pool_size, BUF_CAP, TX_HEADROOM, chain_frags);
         NetStack {

@@ -16,7 +16,7 @@
 
 use uknetdev::dev::NetDevInfo;
 
-use super::{StackConfig, BUF_CAP};
+use super::{StackConfig, BUF_CAP, GSO_MAX_SIZE};
 use crate::Csum;
 
 /// The offloads in force on one stack (see the module docs for the
@@ -74,11 +74,11 @@ impl Offloads {
     }
 
     /// Fragment-list capacity pooled buffers pre-reserve, for a largest
-    /// super-segment of `gso_max_size` bytes: chain building — GSO on
+    /// super-segment of [`GSO_MAX_SIZE`] bytes: chain building — GSO on
     /// TX, big receive on RX — never grows a `Vec` on the hot path.
-    pub(super) fn chain_frags(self, gso_max_size: usize) -> usize {
+    pub(super) fn chain_frags(self) -> usize {
         if self.tso || self.big_receive {
-            gso_max_size.div_ceil(BUF_CAP) + 2
+            GSO_MAX_SIZE.div_ceil(BUF_CAP) + 2
         } else {
             // Even with both offloads down the sw-seg path builds
             // small chains: a sub-MSS frame coalesced from several
@@ -128,7 +128,7 @@ mod tests {
             assert_eq!(o, expect, "{w:#010b}");
             assert_eq!(o.csum() == Csum::Offload, o.tx_csum);
             let deep = o.tso || o.big_receive;
-            assert_eq!(o.chain_frags(61_440), if deep { 32 } else { 4 });
+            assert_eq!(o.chain_frags(), if deep { 32 } else { 4 });
         }
     }
 }

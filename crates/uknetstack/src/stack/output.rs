@@ -38,7 +38,7 @@ use super::sockets::publish;
 use super::stats::{publish_tcb_stats, row};
 #[cfg_attr(not(feature = "trace"), allow(unused_imports))]
 use super::tp;
-use super::{take_or_alloc, NetStack, StackConfig};
+use super::{take_or_alloc, NetStack, StackConfig, GSO_MAX_SIZE};
 use crate::arp::{ArpOp, ArpPacket};
 use crate::eth::{EthHeader, EtherType};
 use crate::ipv4::{IpProto, Ipv4Header};
@@ -219,7 +219,7 @@ impl NetStack {
     /// TCP/IP headers prepended in place) — no intermediate `Vec`s.
     ///
     /// With TSO on, a connection's whole sendable window leaves as
-    /// *one* frame per `gso_max_size` bytes: the payload streams into
+    /// *one* frame per [`GSO_MAX_SIZE`] bytes: the payload streams into
     /// a scatter-gather chain, the headers describe the super-segment,
     /// and a [`GsoRequest`](uknetdev::netbuf::GsoRequest) tells the
     /// host side to cut the per-MSS wire frames — the per-segment
@@ -233,7 +233,7 @@ impl NetStack {
         // mid-stream — the cut frames land on exactly the byte
         // boundaries software segmentation would produce.
         let tso = self.offloads.tso;
-        let max_seg = if tso { (self.config.gso_max_size / mss).max(1) * mss } else { mss };
+        let max_seg = if tso { (GSO_MAX_SIZE / mss).max(1) * mss } else { mss };
         let tx_csum = self.offloads.csum();
         let counts = &self.counts;
         let now = self.now_ns();

@@ -51,9 +51,8 @@ fn tagged_port(h: usize, tag: usize) -> Option<u16> {
 /// Publishes a socket's readiness through its cell, if it was ever
 /// asked for one (`None` costs this branch; `level` is not computed) —
 /// called by whatever changed the socket's state, while it holds the
-/// socket. Rising bits are edges; `new_input` (input was queued just
-/// now) also re-triggers `EPOLLET` watchers while `IN` is already high,
-/// as Linux does on every arrival.
+/// socket. `new_input`: input was queued just now
+/// ([`ReadySource::publish`]).
 #[inline]
 pub(super) fn publish(
     ready: &Option<ReadySource>,
@@ -61,12 +60,7 @@ pub(super) fn publish(
     new_input: bool,
 ) {
     let Some(src) = ready else { return };
-    let level = level();
-    let had_in = src.current().contains(EventMask::IN);
-    src.set_level(level);
-    if new_input && had_in && level.contains(EventMask::IN) {
-        src.pulse();
-    }
+    src.publish(level(), new_input);
 }
 
 /// What a UDP socket's receive queue holds per datagram.
@@ -356,7 +350,6 @@ impl NetStack {
             mss: self.config.mss,
             sack: self.config.sack,
             keepalive: self.config.keepalive,
-            lean: self.config.lean_tcbs,
         }
     }
 

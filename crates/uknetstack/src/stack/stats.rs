@@ -293,7 +293,7 @@ stack_stats_table! {
         ooo_shed => "netstack.tcp.ooo_shed", tcp_ooo_shed(Delta);
         delack_fires => "netstack.tcp.delack_fires", tcp_delack_fire(Context);
         acks_piggybacked => "netstack.tcp.acks_piggybacked";
-        window_updates => "netstack.tcp.window_updates_tx";
+        window_updates_tx => "netstack.tcp.window_updates_tx";
         timewait => "netstack.tcp.timewait", tcp_time_wait(Delta);
         keepalive_probes => "netstack.tcp.keepalive_probes", tcp_keepalive_probe(Total);
         keepalive_drops => "netstack.tcp.keepalive_drops";

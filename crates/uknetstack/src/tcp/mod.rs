@@ -52,7 +52,7 @@ use std::collections::VecDeque;
 
 use uknetdev::netbuf::Netbuf;
 
-use self::reasm::{Reassembly, OOO_QUEUE_BUFS};
+use self::reasm::Reassembly;
 use self::{cc::NewReno, rto::Rto, scoreboard::Scoreboard};
 pub use self::{timers::TcbTimer, wire::*};
 
@@ -175,7 +175,7 @@ pub struct TcbStats {
     pub acks_piggybacked: u32,
     /// Window updates sent because a drain reopened the receive window
     /// (rule (c) of the ACK policy).
-    pub window_updates: u32,
+    pub window_updates_tx: u32,
     /// Entries into TIME_WAIT (at most one per connection).
     pub timewait: u32,
     /// Keepalive probes sent.
@@ -186,12 +186,11 @@ pub struct TcbStats {
 }
 
 /// Everything the owner decides about a TCB, handed over once by
-/// [`Tcb::configure`] while its queues are still empty. Loss recovery
-/// is not among it: every TCB runs NewReno (RFC 5681 / RFC 6582) with
-/// RACK-TLP (RFC 8985), unpaced. The default is a raw TCB: full MSS,
-/// no SACK, no keepalive, queues preallocated. The stack fills it from
-/// the `StackConfig` fields of the same names, which say what each
-/// buys.
+/// [`Tcb::configure`]. Loss recovery is not among it: every TCB runs
+/// NewReno (RFC 5681 / RFC 6582) with RACK-TLP (RFC 8985), unpaced.
+/// The default is a raw TCB: full MSS, no SACK, no keepalive. The
+/// stack fills it from the `StackConfig` fields of the same names,
+/// which say what each buys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcbConfig {
     /// Maximum segment size for software segmentation (and the cut
@@ -203,14 +202,11 @@ pub struct TcbConfig {
     /// An idle established connection probes its peer and closes when
     /// [`KEEPALIVE_PROBES`] go unanswered.
     pub keepalive: bool,
-    /// The queues start empty and grow on demand instead of
-    /// preallocated at their steady-state depth.
-    pub lean: bool,
 }
 
 impl Default for TcbConfig {
     fn default() -> Self {
-        TcbConfig { mss: MSS, sack: false, keepalive: false, lean: false }
+        TcbConfig { mss: MSS, sack: false, keepalive: false }
     }
 }
 
@@ -386,9 +382,8 @@ impl Tcb {
         tcb
     }
 
-    // ukcheck: allow(alloc) -- one-time TCB construction: queues are
-    // pre-sized for steady-state bulk depth precisely so the segment
-    // path never grows them (the zero_alloc suite enforces it)
+    // ukcheck: allow(alloc) -- every queue starts empty, which touches
+    // no heap: a TCB holds only what its traffic has grown
     fn new(state: TcpState, local_port: u16, remote_port: u16, iss: u32) -> Self {
         Tcb {
             state,
@@ -401,15 +396,9 @@ impl Tcb {
             snd_wl1: 0,
             last_adv_wnd: RCV_BUF_CAP as u16,
             last_ack_sent: 0,
-            // Pre-sized for their steady-state bulk depth (the
-            // zero-alloc tier-1 invariant): a full send buffer is ~32
-            // pool-sized extents; the receive queue holds at most a
-            // receive window of per-MSS frames (~46) plus a reassembly
-            // drain burst. Recovery timing shifts queue depth between
-            // runs, so lazy growth would allocate mid-measurement.
-            send_q: VecDeque::with_capacity(OOO_QUEUE_BUFS),
+            send_q: VecDeque::new(),
             send_q_len: 0,
-            recv_q: VecDeque::with_capacity(2 * OOO_QUEUE_BUFS),
+            recv_q: VecDeque::new(),
             recv_q_len: 0,
             flatten_scratch: Vec::new(),
             out: VecDeque::new(),
@@ -421,11 +410,8 @@ impl Tcb {
             closing: false,
             peer_fin: false,
             fin_sent: false,
-            // Pre-sized so steady-state loss recovery never touches
-            // the heap (the zero-alloc tier-1 invariant): a full send
-            // buffer is at most SND_BUF_CAP/MSS ≈ 45 in-flight extents.
-            rtx_q: VecDeque::with_capacity(OOO_QUEUE_BUFS),
-            rtx_released: Vec::with_capacity(OOO_QUEUE_BUFS),
+            rtx_q: VecDeque::new(),
+            rtx_released: Vec::new(),
             rtx_request: false,
             now_ns: 0,
             rto: Rto::new(),
@@ -436,10 +422,10 @@ impl Tcb {
             recover: iss,
             cc: NewReno::new(),
             dup_ack_now: false,
-            reasm: Reassembly::new(false),
+            reasm: Reassembly::new(),
             ack_deadline_ns: None,
             peer_sack_ok: false,
-            scoreboard: Scoreboard::new(false),
+            scoreboard: Scoreboard::new(),
             reo_deadline_ns: None,
             tlp_deadline_ns: None,
             tlp_pending: false,
@@ -452,30 +438,16 @@ impl Tcb {
         }
     }
 
-    /// Hands the owner's decisions to a TCB, once, while its queues are
-    /// still empty (the stack's `configure_tcb` does it at creation and
-    /// is the one production caller). `lean` releases the queue
-    /// preallocation — the zero-alloc invariant is a steady-state
-    /// property, so the warm-up growth amortizes away.
+    /// Hands the owner's decisions to a TCB, once, at creation (the
+    /// stack's `configure_tcb` is the one production caller).
     ///
     /// # Panics
     ///
     /// Panics if `cfg.mss` is zero.
-    // ukcheck: allow(alloc) -- empty VecDeque/Vec::new perform no heap
-    // allocation; this *releases* memory for lean idle TCBs
     pub fn configure(&mut self, cfg: TcbConfig) {
         assert!(cfg.mss > 0, "zero mss");
-        debug_assert!(self.send_q.is_empty() && self.recv_q.is_empty());
         self.cfg = cfg;
         self.cc.configure(cfg.mss);
-        if cfg.lean {
-            self.send_q = VecDeque::new();
-            self.recv_q = VecDeque::new();
-            self.rtx_q = VecDeque::new();
-            self.rtx_released = Vec::new();
-            self.reasm = Reassembly::new(true);
-            self.scoreboard = Scoreboard::new(true);
-        }
     }
 
     /// The cumulative event counters, as of now.

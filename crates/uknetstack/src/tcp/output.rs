@@ -255,7 +255,7 @@ impl Tcb {
         let mut emitted_ack = false;
         if self.wnd_update_due {
             self.wnd_update_due = false;
-            self.stats.window_updates += 1;
+            self.stats.window_updates_tx += 1;
             self.ack_pending = true;
             self.ack_now = true;
         }

@@ -17,7 +17,7 @@ use super::{seq_le, seq_lt, MAX_SACK_BLOCKS, RCV_BUF_CAP, TCP_MAX_OPT_LEN};
 /// Reassembly-queue budget, in buffers: each queued out-of-order
 /// extent pins a pool buffer, so the queue is capped independently of
 /// byte count.
-pub(super) const OOO_QUEUE_BUFS: usize = 64;
+const OOO_QUEUE_BUFS: usize = 64;
 /// Reassembly-queue budget, in payload bytes (one receive window).
 const OOO_QUEUE_BYTES: usize = RCV_BUF_CAP;
 /// How far ahead of `rcv_nxt` an out-of-order extent may start and
@@ -44,12 +44,10 @@ pub(super) struct Reassembly {
 }
 
 impl Reassembly {
-    // ukcheck: allow(alloc) -- moved out of `Tcb::new`/`configure` with
-    // the allocation: pre-sized once per TCB so a loss episode never
-    // grows it, or (`lean`) empty, which touches no heap
-    pub(super) fn new(lean: bool) -> Self {
-        let ooo_q = if lean { VecDeque::new() } else { VecDeque::with_capacity(OOO_QUEUE_BUFS) };
-        Reassembly { ooo_q, ooo_bytes: 0, sack_recent: None, dsack_pending: None }
+    // ukcheck: allow(alloc) -- the queue starts empty, which touches no
+    // heap: it grows with the first out-of-order extent
+    pub(super) fn new() -> Self {
+        Reassembly { ooo_q: VecDeque::new(), ooo_bytes: 0, sack_recent: None, dsack_pending: None }
     }
 
     /// Whether no extent is waiting for a hole to fill.
@@ -285,7 +283,7 @@ mod tests {
                 let bytes: Vec<u8> = (0..len as u32).map(|i| seq.wrapping_add(i) as u8).collect();
                 Netbuf::from_slice(&bytes)
             };
-            let mut q = Reassembly::new(true);
+            let mut q = Reassembly::new();
             let mut recycled = 0usize;
             for &(ahead, len) in &arrivals {
                 let held = q.ooo_q.len();

@@ -8,8 +8,8 @@ use super::{seq_le, seq_lt};
 
 /// Scoreboard capacity: disjoint SACKed ranges tracked per
 /// connection. A 64 KB send buffer is ≤ 45 MSS segments, so ≤ 23
-/// alternating holes; 32 ranges cover every reachable episode and the
-/// `Vec` never reallocates in steady state.
+/// alternating holes; 32 ranges cover every reachable episode, so
+/// the `Vec` stops growing at this depth.
 const MAX_SACKED_RANGES: usize = 32;
 
 /// One connection's scoreboard.
@@ -22,12 +22,10 @@ pub(super) struct Scoreboard {
 }
 
 impl Scoreboard {
-    // ukcheck: allow(alloc) -- moved out of `Tcb::new`/`configure` with
-    // the allocation: pre-sized once per TCB so recovery never grows
-    // it, or (`lean`) empty, which touches no heap
-    pub(super) fn new(lean: bool) -> Self {
-        let sacked = if lean { Vec::new() } else { Vec::with_capacity(MAX_SACKED_RANGES) };
-        Scoreboard { sacked }
+    // ukcheck: allow(alloc) -- the scoreboard starts empty, which
+    // touches no heap: it grows with the first SACK block
+    pub(super) fn new() -> Self {
+        Scoreboard { sacked: Vec::new() }
     }
 
     /// The ranges, ascending.
@@ -152,7 +150,7 @@ mod tests {
             probe in (0u32..N, 1u32..3000),
         ) {
             let base = u32::MAX - below_wrap;
-            let mut sb = Scoreboard::new(false);
+            let mut sb = Scoreboard::new();
             let mut bits = vec![false; N as usize];
             let mut una = 0u32; // Relative to `base`.
             for op in &ops {

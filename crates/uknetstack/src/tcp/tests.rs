@@ -330,6 +330,44 @@ fn recv_ring_wraparound_keeps_stream_exact() {
     assert_eq!(rcvd_log, sent_log, "stream exact through ring wraps");
 }
 
+/// Moves `len` bytes client → server over a raw TCB pair whose client
+/// starts at sequence number `iss`, writing what `app_send` accepts and
+/// settling between writes. Returns what the server read and both
+/// ends' counters.
+fn stream_from(iss: u32, len: usize) -> (Vec<u8>, TcbStats, TcbStats) {
+    let mut server = Tcb::listen(80);
+    let mut client = Tcb::connect(4000, 80, iss);
+    settle(&mut client, &mut server);
+    let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+    let (mut sent, mut got) = (0, Vec::with_capacity(len));
+    while got.len() < len {
+        sent += client.app_send(&data[sent..]).unwrap();
+        settle(&mut client, &mut server);
+        got.extend(server.app_recv(usize::MAX));
+    }
+    let end = iss.wrapping_add(1 + len as u32);
+    assert_eq!((client.snd_una(), server.rcv_nxt()), (end, end), "iss {iss}: all acknowledged");
+    (got, *client.stats(), *server.stats())
+}
+
+/// A stream whose sequence numbers cross 2³² three segments in moves
+/// the same bytes with the same events as one that starts at 1: every
+/// comparison on both sides is modular. The wire is clean — a raw
+/// TCB's data cannot be retransmitted (no owner returns its TX holds).
+#[test]
+fn a_stream_across_the_sequence_wrap_matches_one_below_it() {
+    const LEN: usize = 256 * 1024;
+    let wrap_iss = u32::MAX - 3 * MSS as u32;
+    assert!(wrap_iss.checked_add(1 + LEN as u32).is_none(), "the stream crosses 2^32");
+    let (low_data, low_client, low_server) = stream_from(1, LEN);
+    let (wrap_data, wrap_client, wrap_server) = stream_from(wrap_iss, LEN);
+    let expected: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    assert!(low_data == expected, "the stream below the wrap arrives intact");
+    assert!(wrap_data == low_data, "byte-identical delivery across the wrap");
+    assert_eq!(wrap_client, low_client, "client counters");
+    assert_eq!(wrap_server, low_server, "server counters");
+}
+
 #[test]
 fn acks_coalesce_across_an_ingest_burst() {
     let mut server = Tcb::listen(80);

@@ -835,7 +835,6 @@ mod tests {
         net.attach(node(1, |_| {}));
         let si = net.attach(node(2, |cfg| {
             cfg.listen_backlog = 128;
-            cfg.lean_tcbs = true;
         }));
         let clock = Tsc::new(1_000_000_000);
         net.set_clock(&clock);
@@ -1330,13 +1329,9 @@ mod tests {
     #[test]
     fn out_of_range_tuning_knobs_are_clamped_safe() {
         // An oversized MSS would overflow a pooled buffer's usable
-        // payload and an oversized GSO budget the IPv4 16-bit total
-        // length; both must clamp rather than panic or stall.
+        // payload; it must clamp rather than panic or stall.
         let mut net = Network::new();
-        let oversized = |cfg: &mut StackConfig| {
-            cfg.mss = 5000;
-            cfg.gso_max_size = 1_000_000;
-        };
+        let oversized = |cfg: &mut StackConfig| cfg.mss = 5000;
         let ci = net.attach(node(1, oversized));
         let si = net.attach(node(2, oversized));
         let (client, conn) = establish(&mut net, ci, si, 9700);

@@ -522,7 +522,6 @@ fn a_thousand_keepalive_connections_hold_one_wheel_entry_each() {
     const CONNS: usize = 1_000;
     let mut net = clocked_net(100_000_000, |c| {
         c.keepalive = true;
-        c.lean_tcbs = true;
         c.listen_backlog = 1_024;
     });
     let listener = net.stack(1).tcp_listen(8042).unwrap();

@@ -23,6 +23,7 @@ use ukalloc::stats::{AllocCounter, CountingAlloc};
 use ukevent::{EventMask, EventQueue};
 use uknetdev::netbuf::Netbuf;
 use uknetstack::stack::{SocketHandle, StackConfig};
+use uknetstack::tcp::{Tcb, TcbConfig};
 use uknetstack::testnet::{node, Network};
 use uknetstack::{Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
@@ -53,6 +54,23 @@ fn a_window_counts_its_own_thread_only() {
     drop(std::hint::black_box(Box::new(1u8)));
     assert_eq!((counter.allocs(), counter.frees()), (1, 1));
     other.join().unwrap();
+}
+
+/// A TCB owns no heap until its traffic needs it: every queue starts
+/// empty, so a listener is built without one allocation, and a
+/// connecting TCB with exactly one — the queue entry of the SYN it
+/// owes the peer.
+#[test]
+fn a_tcb_owns_no_heap_until_its_traffic_needs_it() {
+    let counter = AllocCounter::start();
+    let mut listener = Tcb::listen(80);
+    listener.configure(TcbConfig::default());
+    assert_eq!(counter.allocs(), 0, "a listening TCB");
+
+    let counter = AllocCounter::start();
+    let mut client = Tcb::connect(49_152, 80, 1);
+    client.configure(TcbConfig::default());
+    assert_eq!(counter.allocs(), 1, "a connecting TCB: its SYN, nothing else");
 }
 
 /// `StackConfig::node` as it comes.
@@ -526,7 +544,7 @@ fn lossless_1mb_is_allocation_free_whatever_recovery_is_armed() {
 }
 
 /// Scale: the echo hot path threads ten thousand established-idle
-/// `lean_tcbs` connections (forged handshakes from spoofed peers,
+/// connections (forged handshakes from spoofed peers,
 /// completed through the wire capture) without allocating — the flow
 /// table, the slab and the wheel are all sized by the population, the
 /// per-packet work by none of them. Every one of them is watched on
@@ -536,11 +554,8 @@ fn lossless_1mb_is_allocation_free_whatever_recovery_is_armed() {
 #[test]
 fn tcp_echo_is_allocation_free_with_10k_idle_connections_resident() {
     const IDLE: usize = 10_000;
-    let lean = |c: &mut StackConfig| {
-        c.lean_tcbs = true;
-        c.listen_backlog = 1024;
-    };
-    let mut pair = Pair::new(9300, defaults, lean, Some(1_000_000));
+    let backlog = |c: &mut StackConfig| c.listen_backlog = 1024;
+    let mut pair = Pair::new(9300, defaults, backlog, Some(1_000_000));
     let mut q = EventQueue::new();
     let watch = EventMask::IN | EventMask::RDHUP | EventMask::ET;
     let mut idle = Vec::with_capacity(IDLE);
