@@ -30,8 +30,9 @@ verify-trace-off:
 	$(CARGO) test -q -p uktrace --no-default-features
 
 ## The loss-tolerance property in both feature modes: the
-## fault-schedule proptest (arbitrary drop × dup × reorder × corrupt ×
-## burst schedules crossed with the {tso, gro, sack} grid must deliver
+## fault-schedule proptest (it draws a `FaultPlan`, an arbitrary drop ×
+## dup × reorder × corrupt × burst schedule, and crosses it with the
+## {tso, gro, sack} grid: every cell must deliver
 ## byte-identical TCP streams in both directions), its exhaustive slice
 ## (all eight cells of that grid under one composed schedule), the
 ## SACK conformance proptests (receiver block generation vs an RFC 2018
@@ -77,6 +78,7 @@ verify-churn:
 ## atomic-ordering policy, no shared `ukstats::Counter` in a
 ## single-writer owner (every file under `stack/` is one), the non-test
 ## line budget (`size`): 600 for each file under `stack/` and `tcp/`,
+## 400 for each under `testnet/` (the in-process wire),
 ## no `pub` item in any library crate's `src/` that nothing outside that
 ## `src/` names (`unused-pub`; crates that build a binary are exempt), no
 ## `[dependencies]` entry of a `crates/*` manifest that nothing in its

@@ -95,6 +95,7 @@ fn size_lint_counts_non_test_lines_against_the_budget() {
 fn a_directory_budget_holds_each_file_under_it() {
     assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/tcp/rto.rs"), Some(600));
     assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/stack/ingest.rs"), Some(600));
+    assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/testnet/forge.rs"), Some(400));
     assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/stack.rs"), None);
     assert_eq!(ukcheck::manifest::size_budget("crates/uknetstack/src/tcp.rs"), None);
     assert!(ukcheck::manifest::is_hot("crates/uknetstack/src/tcp/tests.rs"));

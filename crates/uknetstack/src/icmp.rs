@@ -42,14 +42,6 @@ impl IcmpEcho {
         b
     }
 
-    /// Prepends this message's header over its payload via the
-    /// headroom path: appends the payload, then calls
-    /// [`encode_echo_into`]. Byte-identical to [`encode`](Self::encode).
-    pub fn encode_into(&self, nb: &mut Netbuf) {
-        nb.append(&self.payload);
-        encode_echo_into(self.request, self.ident, self.seq, nb);
-    }
-
     /// Parses and checksum-verifies an echo message into an owned
     /// value (copies the payload; the stack's hot path uses the
     /// borrowing [`decode_echo`] instead).
@@ -148,18 +140,5 @@ mod tests {
         assert_eq!(rep.ident, 9);
         assert_eq!(rep.seq, 3);
         assert_eq!(rep.payload, b"abc");
-    }
-
-    #[test]
-    fn encode_into_matches_encode() {
-        let e = IcmpEcho {
-            request: true,
-            ident: 0x0102,
-            seq: 42,
-            payload: b"payload bytes".to_vec(),
-        };
-        let mut nb = Netbuf::alloc(256, ICMP_ECHO_LEN);
-        e.encode_into(&mut nb);
-        assert_eq!(nb.payload(), &e.encode()[..]);
     }
 }

@@ -5,12 +5,16 @@
 //! window and composes with the TSO super-segment budget (a
 //! super-segment splits at the `min(cwnd, snd_wnd)` edge exactly like at
 //! the window edge). Invariant: `ssthresh >= 2·MSS`, every cut but the
-//! timeout's leaves `cwnd >= 2·MSS`, growth stops at `4·SND_BUF_CAP`.
+//! timeout's leaves `cwnd >= 2·MSS`, and `cwnd` never passes
+//! `4·SND_BUF_CAP` — neither by growth nor by an episode's inflation.
 
 use super::{MSS, SND_BUF_CAP};
 
 /// Initial congestion window, in segments (RFC 6928's IW10).
 const INITIAL_CWND_SEGS: usize = 10;
+
+/// The most `cwnd` may reach.
+const CWND_CAP: usize = 4 * SND_BUF_CAP;
 
 /// One connection's congestion state.
 #[derive(Debug)]
@@ -66,7 +70,7 @@ impl NewReno {
     /// Each further dup-ACK in the episode means another segment left
     /// the network: inflate.
     pub(super) fn on_dup_ack(&mut self) {
-        self.cwnd += self.mss;
+        self.cwnd = (self.cwnd + self.mss).min(CWND_CAP);
     }
 
     /// The full ACK that ends the episode: deflate to `ssthresh`.
@@ -77,7 +81,7 @@ impl NewReno {
     /// A partial ACK inside the episode: deflate by the bytes it
     /// covered, plus the segment its retransmission puts back.
     pub(super) fn on_partial_ack(&mut self, acked: usize) {
-        self.cwnd = self.cwnd.saturating_sub(acked).max(2 * self.mss) + self.mss;
+        self.cwnd = (self.cwnd.saturating_sub(acked).max(2 * self.mss) + self.mss).min(CWND_CAP);
     }
 
     /// `acked` new bytes were acknowledged outside an episode: grow.
@@ -90,7 +94,7 @@ impl NewReno {
             // Congestion avoidance: ~one MSS per RTT.
             self.cwnd += (self.mss * self.mss / self.cwnd.max(1)).max(1);
         }
-        self.cwnd = self.cwnd.min(4 * SND_BUF_CAP);
+        self.cwnd = self.cwnd.min(CWND_CAP);
     }
 }
 
@@ -141,10 +145,8 @@ mod tests {
     proptest! {
         /// Under any event sequence: `ssthresh` holds its 2·MSS
         /// floor and so does `cwnd` wherever it is cut (a timeout
-        /// restarts it from one MSS, growth only adds); growth stops at
-        /// 4·`SND_BUF_CAP`, which only episode inflation — one MSS per
-        /// duplicate or partial ACK, so bounded by the flight that
-        /// produced them — can exceed.
+        /// restarts it from one MSS, growth only adds), and `cwnd`
+        /// stays at or under 4·`SND_BUF_CAP` after every event.
         #[test]
         fn window_keeps_its_floor_and_ceiling(
             mss in 300usize..MSS + 1,
@@ -153,24 +155,38 @@ mod tests {
             let mut cc = NewReno::new();
             cc.configure(mss);
             prop_assert_eq!(cc.cwnd(), INITIAL_CWND_SEGS * mss);
-            let mut inflated = 0;
             for ev in &evs {
                 let before = cc.cwnd;
                 drive(&mut cc, ev);
                 match ev {
                     Ev::Ack(_) | Ev::Acks(_) | Ev::DupAck => {
-                        prop_assert!(cc.cwnd >= before.min(4 * SND_BUF_CAP))
+                        prop_assert!(cc.cwnd >= before.min(CWND_CAP))
                     }
                     Ev::Rto(_) => prop_assert_eq!(cc.cwnd, mss),
                     _ => prop_assert!(cc.cwnd >= 2 * mss, "{cc:?} after {ev:?}"),
                 }
-                let inflating = matches!(ev, Ev::DupAck | Ev::PartialAck(_));
-                inflated = if inflating { inflated + mss } else { 0 };
                 prop_assert!(cc.ssthresh >= 2 * mss, "{cc:?} after {ev:?}");
-                prop_assert!(cc.cwnd <= 4 * SND_BUF_CAP + inflated, "{cc:?} after {ev:?}");
+                prop_assert!(cc.cwnd <= CWND_CAP, "{cc:?} after {ev:?}");
                 prop_assert_eq!(cc.window(65_535), cc.cwnd.min(65_535));
                 prop_assert!(cc.hole_budget(0) >= 2 * mss);
             }
         }
+    }
+
+    /// A loss episode's inflation stops at the ceiling too: ten
+    /// thousand duplicate ACKs, then partial ACKs that cover nothing,
+    /// leave `cwnd` at 4·`SND_BUF_CAP`, not one MSS per ACK past it.
+    #[test]
+    fn dup_ack_inflation_stops_at_the_ceiling() {
+        let mut cc = NewReno::new();
+        cc.on_loss(60_000);
+        for _ in 0..10_000 {
+            cc.on_dup_ack();
+        }
+        assert_eq!(cc.cwnd(), CWND_CAP);
+        for _ in 0..100 {
+            cc.on_partial_ack(0);
+        }
+        assert_eq!(cc.cwnd(), CWND_CAP);
     }
 }

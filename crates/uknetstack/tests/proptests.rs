@@ -9,6 +9,7 @@ use uknetstack::tcp::{
     Tcb, TcbConfig, TcbTimer, TcpFlags, TcpHeader, TcpOptions, TcpState, MAX_SACK_BLOCKS, MSS,
     SACK_PERMITTED_OPT, TCP_MAX_OPT_LEN,
 };
+use uknetstack::testnet::FaultPlan;
 use uknetstack::udp::UdpHeader;
 use uknetstack::{inet_checksum, Csum, Ipv4Addr, Mac};
 
@@ -783,7 +784,7 @@ proptest! {
 // --- fault-schedule recovery: the loss-tolerance property ------------
 
 /// Runs one bidirectional TCP transfer over a two-node net with the
-/// given fault schedule armed and a shared virtual clock driving the
+/// given fault plan armed and a shared virtual clock driving the
 /// retransmission timers; returns `(server's received stream, client's
 /// received stream, faults injected)`.
 ///
@@ -791,16 +792,11 @@ proptest! {
 /// `tso = on` both stacks run `rx_csum_offload = false`: that declines
 /// big receive, the host-side GSO cutter turns every super-segment
 /// into plain per-MSS frames, and the schedule applies to those.
-#[allow(clippy::too_many_arguments)]
 fn fault_schedule_transfer(
     tso: bool,
     gro: bool,
     sack: bool,
-    drop_every: u64,
-    dup_every: u64,
-    reorder_every: u64,
-    corrupt_every: u64,
-    burst: (u64, u64),
+    plan: FaultPlan,
     c2s: &[u8],
     s2c: &[u8],
 ) -> (Vec<u8>, Vec<u8>, u64) {
@@ -837,11 +833,7 @@ fn fault_schedule_transfer(
     net.run_until_quiet(32);
     let conn = net.stack(1).tcp_accept(listener).unwrap();
 
-    net.set_drop_every(drop_every);
-    net.set_dup_every(dup_every);
-    net.set_reorder_every(reorder_every);
-    net.set_corrupt_every(corrupt_every);
-    net.set_drop_burst(burst.0, burst.1);
+    net.set_plan(plan);
 
     let mut buf = vec![0u8; 64 * 1024];
     let mut got_s: Vec<u8> = Vec::with_capacity(c2s.len());
@@ -884,11 +876,7 @@ fn fault_schedule_transfer(
     let faults = net.faults_injected();
     // Heal the wire and let straggling ACKs settle, then account for
     // every pooled buffer: recovery queues must not leak under faults.
-    net.set_drop_every(0);
-    net.set_dup_every(0);
-    net.set_reorder_every(0);
-    net.set_corrupt_every(0);
-    net.set_drop_burst(0, 0);
+    net.set_plan(FaultPlan::default());
     net.run_until_quiet(64);
     assert_eq!(
         net.stack(0).pool_available(),
@@ -903,6 +891,26 @@ fn fault_schedule_transfer(
     (got_s, got_c, faults)
 }
 
+/// Any fault plan the wire's per-frame faults can compose: each cadence
+/// off or in its range, the pipe left ideal.
+fn fault_plan() -> impl Strategy<Value = FaultPlan> {
+    (
+        prop_oneof![Just(0u64), 6u64..16],
+        prop_oneof![Just(0u64), 4u64..12],
+        prop_oneof![Just(0u64), 4u64..12],
+        prop_oneof![Just(0u64), 6u64..14],
+        prop_oneof![Just((0u64, 0u64)), (48u64..96, 2u64..7)],
+    )
+        .prop_map(|(drop, dup, reorder, corrupt, burst)| FaultPlan {
+            drop,
+            dup,
+            reorder,
+            corrupt,
+            burst,
+            pipe: (0, 0),
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -913,11 +921,7 @@ proptest! {
     /// returns every pooled buffer afterwards.
     #[test]
     fn any_fault_schedule_delivers_byte_identical_streams(
-        drop_every in prop_oneof![Just(0u64), 6u64..16],
-        dup_every in prop_oneof![Just(0u64), 4u64..12],
-        reorder_every in prop_oneof![Just(0u64), 4u64..12],
-        corrupt_every in prop_oneof![Just(0u64), 6u64..14],
-        burst in prop_oneof![Just((0u64, 0u64)), (48u64..96, 2u64..7)],
+        plan in fault_plan(),
         tso in any::<bool>(),
         gro in any::<bool>(),
         sack in any::<bool>(),
@@ -931,35 +935,18 @@ proptest! {
         let s2c: Vec<u8> = (0..len_s)
             .map(|i| ((i as u32).wrapping_mul(29).wrapping_add(seed as u32) % 251) as u8)
             .collect();
-        let (got_s, got_c, faults) = fault_schedule_transfer(
-            tso, gro, sack,
-            drop_every, dup_every, reorder_every, corrupt_every, burst,
-            &c2s, &s2c,
-        );
-        prop_assert_eq!(
-            got_s.len(),
-            c2s.len(),
-            "client→server complete (drop={}, dup={}, reorder={}, corrupt={}, burst={:?}, tso={}, gro={}, sack={})",
-            drop_every, dup_every, reorder_every, corrupt_every, burst, tso, gro, sack
-        );
+        let case = format!("{plan:?}, tso={tso}, gro={gro}, sack={sack}, {len_c}/{len_s} B");
+        let (got_s, got_c, faults) = fault_schedule_transfer(tso, gro, sack, plan, &c2s, &s2c);
+        prop_assert_eq!(got_s.len(), c2s.len(), "client→server complete ({})", case);
         prop_assert_eq!(got_s, c2s, "client→server byte-identical");
-        prop_assert_eq!(
-            got_c.len(),
-            s2c.len(),
-            "server→client complete (drop={}, dup={}, reorder={}, corrupt={}, burst={:?}, tso={}, gro={}, sack={})",
-            drop_every, dup_every, reorder_every, corrupt_every, burst, tso, gro, sack
-        );
+        prop_assert_eq!(got_c.len(), s2c.len(), "server→client complete ({})", case);
         prop_assert_eq!(got_c, s2c, "server→client byte-identical");
         // Drop and dup cadences fire deterministically once enough
         // frames flow; reorder needs two frames staged at its tick,
         // corruption only touches IPv4 frames, and bursts have long
         // cadences, so none of those are guaranteed to land.
-        if drop_every > 0 || dup_every > 0 {
-            prop_assert!(
-                faults > 0,
-                "the schedule really perturbed the wire (drop={}, dup={}, reorder={}, corrupt={}, burst={:?}, tso={}, gro={}, len_c={}, len_s={})",
-                drop_every, dup_every, reorder_every, corrupt_every, burst, tso, gro, len_c, len_s
-            );
+        if plan.drop > 0 || plan.dup > 0 {
+            prop_assert!(faults > 0, "the plan really perturbed the wire ({})", case);
         }
     }
 }
@@ -972,12 +959,20 @@ proptest! {
 /// (`fault_schedule_transfer` asserts the pools).
 #[test]
 fn every_recovery_cell_survives_one_composed_fault_schedule() {
+    const COMPOSED: FaultPlan = FaultPlan {
+        drop: 11,
+        dup: 7,
+        reorder: 5,
+        corrupt: 9,
+        burst: (64, 3),
+        pipe: (0, 0),
+    };
     let c2s: Vec<u8> = (0..40_000u32).map(|i| (i.wrapping_mul(13) % 251) as u8).collect();
     let s2c: Vec<u8> = (0..36_000u32).map(|i| (i.wrapping_mul(29) % 251) as u8).collect();
     for cell in 0..8u8 {
         let (tso, gro, sack) = (cell & 1 != 0, cell & 2 != 0, cell & 4 != 0);
         let (got_s, got_c, faults) =
-            fault_schedule_transfer(tso, gro, sack, 11, 7, 5, 9, (64, 3), &c2s, &s2c);
+            fault_schedule_transfer(tso, gro, sack, COMPOSED, &c2s, &s2c);
         let what = format!("tso={tso} gro={gro} sack={sack}");
         let (s, c) = (got_s.len(), got_c.len());
         assert!(got_s == c2s, "client→server byte-identical ({what}): {s} of {} bytes", c2s.len());

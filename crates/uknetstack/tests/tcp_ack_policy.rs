@@ -12,7 +12,7 @@ use uknetstack::eth::EthHeader;
 use uknetstack::ipv4::Ipv4Header;
 use uknetstack::stack::SocketHandle;
 use uknetstack::tcp::{TcpHeader, DELACK_NS, RCV_BUF_CAP};
-use uknetstack::testnet::{node, Network};
+use uknetstack::testnet::{node, FaultPlan, Network};
 use uknetstack::{Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
 
@@ -266,12 +266,12 @@ fn drain_from_a_nonzero_window_sends_a_window_update() {
 fn hole_touching_segments_and_fin_are_acked_at_once() {
     let (mut net, client, server) = connected(Some(MS), false);
     // The first segment is lost on the wire…
-    net.set_drop_every(1);
+    net.set_plan(FaultPlan { drop: 1, ..FaultPlan::default() });
     net.stack(CLIENT).tcp_send(client, &[1u8; 100]).unwrap();
     let lost = step(&mut net);
     assert_eq!(lost.len(), 1, "{lost:?}");
     let hole = lost[0].h.seq;
-    net.set_drop_every(0);
+    net.set_plan(FaultPlan::default());
     // …so the second arrives ahead of the hole: a duplicate ACK at
     // once (rule b, reassembly queue non-empty).
     net.stack(CLIENT).tcp_send(client, &[2u8; 100]).unwrap();

@@ -13,7 +13,7 @@ use uknetstack::stack::{
     KEEPALIVE_INTVL_NS, KEEPALIVE_PROBES, TCP_MSL_NS,
 };
 use uknetstack::tcp::{TcpFlags, TcpState, DELACK_NS};
-use uknetstack::testnet::{self, node, Network};
+use uknetstack::testnet::{self, node, FaultPlan, Network};
 use uknetstack::Endpoint;
 use ukplat::time::Tsc;
 
@@ -272,7 +272,7 @@ fn keepalive_reaps_a_dead_peer() {
     let drops0 = net.stack(0).stats().keepalive_drops;
 
     // The wire goes dark: every frame in either direction is eaten.
-    net.set_drop_every(1);
+    net.set_plan(FaultPlan { drop: 1, ..FaultPlan::default() });
     let budget_ns = KEEPALIVE_IDLE_NS + (KEEPALIVE_PROBES as u64 + 2) * KEEPALIVE_INTVL_NS;
     tick(&mut net, (budget_ns / 100_000_000) as usize + 8);
 
@@ -287,7 +287,7 @@ fn keepalive_reaps_a_dead_peer() {
         net.stack(0).stats().keepalive_drops - drops0 >= 1,
         "the teardown is visible in the prober's stats"
     );
-    net.set_drop_every(0);
+    net.set_plan(FaultPlan::default());
     net.run_until_quiet(32);
     assert_eq!(net.stack(0).pool_available(), Some(POOL), "prober pool intact");
     assert_eq!(net.stack(1).pool_available(), Some(POOL));

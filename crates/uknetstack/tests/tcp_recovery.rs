@@ -12,7 +12,7 @@ use uknetstack::eth::{EthHeader, EtherType};
 use uknetstack::ipv4::{IpProto, Ipv4Header};
 use uknetstack::stack::{NetStack, SocketHandle, StackConfig, LOW_POOL_BUFS};
 use uknetstack::tcp::{TcbStats, TcpFlags, TcpHeader, RCV_BUF_CAP, TCP_HDR_LEN};
-use uknetstack::testnet::{self, node, Network};
+use uknetstack::testnet::{self, node, FaultPlan, Network};
 use uknetstack::{Csum, Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
 
@@ -169,7 +169,7 @@ fn bulk_send_counting(
 fn bulk_1mb_completes_under_drop_every_7() {
     let mut net = clocked_net(false, 5_000_000); // 5 ms steps.
     let (client, conn) = establish(&mut net, 9001);
-    net.set_drop_every(7);
+    net.set_plan(FaultPlan { drop: 7, ..FaultPlan::default() });
     let blob = patterned(1 << 20, 31);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got.len(), blob.len(), "every byte recovered");
@@ -187,7 +187,7 @@ fn bulk_1mb_completes_under_drop_every_7() {
         srv_ooo > 0 || ooo > 0,
         "segments behind the holes were reassembled, not discarded"
     );
-    net.set_drop_every(0);
+    net.set_plan(FaultPlan::default());
     net.run_until_quiet(64);
     assert_eq!(net.stack(0).pool_available(), Some(POOL), "client pool whole");
     assert_eq!(net.stack(1).pool_available(), Some(POOL), "server pool whole");
@@ -202,7 +202,8 @@ fn drop_bursts_force_rto_and_still_deliver_exactly() {
     // virtual time for deep backoffs to elapse within the round budget.
     let mut net = clocked_net(false, 50_000_000);
     let (client, conn) = establish(&mut net, 9002);
-    net.set_drop_burst(40, 8); // 8 consecutive frames, every 40th.
+    // 8 consecutive frames, every 40th.
+    net.set_plan(FaultPlan { burst: (40, 8), ..FaultPlan::default() });
     let blob = patterned(300_000, 17);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     if got != blob {
@@ -223,7 +224,7 @@ fn drop_bursts_force_rto_and_still_deliver_exactly() {
     assert!(net.faults_injected() > 20, "bursts really hit");
     let rtx = net.stack(0).tcp_stats(client).unwrap().retransmits;
     assert!(rtx > 0, "burst holes were retransmitted");
-    net.set_drop_burst(0, 0);
+    net.set_plan(FaultPlan::default());
     net.run_until_quiet(64);
     assert_eq!(net.stack(0).pool_available(), Some(POOL));
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
@@ -236,12 +237,12 @@ fn dropped_fin_is_retransmitted_until_the_close_completes() {
     let mut net = clocked_net(false, 50_000_000); // 50 ms steps.
     let (client, conn) = establish(&mut net, 9003);
     // Eat everything while the FIN goes out…
-    net.set_drop_every(1);
+    net.set_plan(FaultPlan { drop: 1, ..FaultPlan::default() });
     net.stack(0).tcp_close(client).unwrap();
     net.step();
     assert!(!net.stack(1).tcp_peer_closed(conn), "the FIN was eaten");
     // …then heal the wire and let the retransmission timer work.
-    net.set_drop_every(0);
+    net.set_plan(FaultPlan::default());
     for _ in 0..40 {
         net.step();
         if net.stack(1).tcp_peer_closed(conn) {
@@ -270,7 +271,7 @@ fn rto_backoff_doubling_is_observable_via_stats() {
     // Black-hole the wire, then send one segment into the void: the
     // initial RTO is 1 s (no RTT sample yet), so fires land ~1 s, ~3 s
     // and ~7 s after the send — gaps of 2 s then 4 s.
-    net.set_drop_every(1);
+    net.set_plan(FaultPlan { drop: 1, ..FaultPlan::default() });
     net.stack(0).tcp_send(client, b"into the void").unwrap();
     let mut fire_steps = Vec::new();
     let mut seen = 0;
@@ -293,7 +294,7 @@ fn rto_backoff_doubling_is_observable_via_stats() {
         "backoff doubled: gaps {gap1} vs {gap2} steps"
     );
     assert_eq!(net.stack(0).stats().rto_fires - base, seen, "fires visible in the stack's stats");
-    net.set_drop_every(0);
+    net.set_plan(FaultPlan::default());
 }
 
 /// A dropped SYN does not wedge the connect: the handshake completes
@@ -305,13 +306,13 @@ fn dropped_syn_is_retransmitted() {
     net.stack(0).ping(Ipv4Addr::new(10, 0, 0, 2), 1, 1).unwrap();
     net.run_until_quiet(16);
     let listener = net.stack(1).tcp_listen(9005).unwrap();
-    net.set_drop_every(1);
+    net.set_plan(FaultPlan { drop: 1, ..FaultPlan::default() });
     let client = net
         .stack(0)
         .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 9005))
         .unwrap();
     net.step();
-    net.set_drop_every(0);
+    net.set_plan(FaultPlan::default());
     // `run_until_quiet` would stop at the first idle step; the wire
     // stays idle until the 1 s initial RTO fires (20 × 50 ms steps).
     for _ in 0..40 {
@@ -343,7 +344,7 @@ fn gro_staging_flushes_on_sequence_gaps_under_loss() {
     let mut net = clocked_net(false, 5_000_000);
     assert!(net.stack(1).offloads().gro, "receiver coalesces");
     let (client, conn) = establish(&mut net, 9006);
-    net.set_drop_every(5);
+    net.set_plan(FaultPlan { drop: 5, ..FaultPlan::default() });
     let blob = patterned(400_000, 13);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got.len(), blob.len(), "every byte recovered with GRO on");
@@ -351,7 +352,7 @@ fn gro_staging_flushes_on_sequence_gaps_under_loss() {
     let ooo = net.stack(1).tcp_stats(conn).unwrap().ooo_queued;
     assert!(ooo > 0, "gapped segments were queued out of order");
     assert!(net.stack(1).stats().gro_runs > 0, "GRO still engaged");
-    net.set_drop_every(0);
+    net.set_plan(FaultPlan::default());
     net.run_until_quiet(64);
     assert_eq!(net.stack(0).pool_available(), Some(POOL));
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
@@ -364,13 +365,14 @@ fn gro_staging_flushes_on_sequence_gaps_under_loss() {
 fn bandwidth_delay_pipe_completes_with_congestion_control() {
     let mut net = clocked_net(false, 2_000_000); // 2 ms steps.
     let (client, conn) = establish(&mut net, 9007);
-    net.set_bandwidth_delay(4, 24); // 8 ms one-way, 24 frames/step.
+    // 8 ms one-way, 24 frames/step.
+    net.set_plan(FaultPlan { pipe: (4, 24), ..FaultPlan::default() });
     let blob = patterned(400_000, 7);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "stream intact through the pipe");
     let cwnd = net.stack(0).tcp_cwnd(client);
     assert!(cwnd > 0, "cwnd gauge live");
-    net.set_bandwidth_delay(0, 0);
+    net.set_plan(FaultPlan::default());
     net.run_until_quiet(128);
     assert_eq!(net.stack(0).pool_available(), Some(POOL));
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
@@ -390,14 +392,14 @@ fn tso_super_segments_survive_loss_via_host_cut_retransmission() {
     net.set_clock(&tsc);
     net.set_step_ns(5_000_000);
     let (client, conn) = establish(&mut net, 9009);
-    net.set_drop_every(11);
+    net.set_plan(FaultPlan { drop: 11, ..FaultPlan::default() });
     let blob = patterned(500_000, 37);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "stream byte-identical: chained rtx extents work");
     assert!(net.stack(0).stats().tso_super_frames > 0, "sender used TSO");
     let rtx = net.stack(0).tcp_stats(client).unwrap().retransmits;
     assert!(rtx > 0, "cut-frame losses were retransmitted");
-    net.set_drop_every(0);
+    net.set_plan(FaultPlan::default());
     net.run_until_quiet(64);
     assert_eq!(net.stack(0).pool_available(), Some(POOL));
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
@@ -414,14 +416,14 @@ fn sack_scoreboard_retransmits_only_the_holes() {
     let run = |sack: bool| {
         let mut net = clocked_net_cfg(5_000_000, |cfg| cfg.sack = sack);
         let (client, conn) = establish(&mut net, 9010);
-        net.set_drop_every(8);
+        net.set_plan(FaultPlan { drop: 8, ..FaultPlan::default() });
         let blob = patterned(300_000, 23);
         let (got, steps) = bulk_send_counting(&mut net, client, conn, &blob, 20_000);
         assert_eq!(got, blob, "byte-identical (sack={sack})");
         let s = net.stack(0).tcp_stats(client).unwrap();
         let (sack_rtx, rtx) = (s.sack_rtx, s.retransmits);
         assert!(rtx > 0, "losses were repaired (sack={sack})");
-        net.set_drop_every(0);
+        net.set_plan(FaultPlan::default());
         net.run_until_quiet(64);
         assert_eq!(net.stack(0).pool_available(), Some(POOL));
         assert_eq!(net.stack(1).pool_available(), Some(POOL));
@@ -454,16 +456,15 @@ fn sack_never_loses_to_rack_alone_on_a_lossy_wire() {
     let steps = |sack: bool, drop_every: u64, reorder_every: u64| {
         let mut net = clocked_net_cfg(5_000_000, |cfg| cfg.sack = sack);
         let (client, conn) = establish(&mut net, 9017);
-        net.set_drop_every(drop_every);
-        net.set_reorder_every(reorder_every);
+        let plan = FaultPlan { drop: drop_every, reorder: reorder_every, ..FaultPlan::default() };
+        net.set_plan(plan);
         let blob = patterned(300_000, 61);
         let (got, steps) = bulk_send_counting(&mut net, client, conn, &blob, 20_000);
         assert_eq!(
             got, blob,
             "byte-identical (sack={sack} drop={drop_every} reorder={reorder_every})"
         );
-        net.set_drop_every(0);
-        net.set_reorder_every(0);
+        net.set_plan(FaultPlan::default());
         net.run_until_quiet(64);
         assert_eq!(net.stack(0).pool_available(), Some(POOL));
         assert_eq!(net.stack(1).pool_available(), Some(POOL));
@@ -493,8 +494,7 @@ fn rack_reordering_window_suppresses_false_fast_retransmits() {
     let (client, conn) = establish(&mut net, 9011);
     // Duplicated ACKs + adjacent data reorder: classic dup-ACK noise
     // with nothing actually lost.
-    net.set_dup_every(2);
-    net.set_reorder_every(3);
+    net.set_plan(FaultPlan { dup: 2, reorder: 3, ..FaultPlan::default() });
     let blob = patterned(300_000, 41);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "byte-identical through reorder noise");
@@ -503,8 +503,7 @@ fn rack_reordering_window_suppresses_false_fast_retransmits() {
     let (rtx, fast) = (s.retransmits, s.fast_retransmits);
     assert_eq!(fast, 0, "no false fast retransmit on a lossless reordering wire");
     assert_eq!(rtx, 0, "no spurious data retransmission at all");
-    net.set_dup_every(0);
-    net.set_reorder_every(0);
+    net.set_plan(FaultPlan::default());
     net.run_until_quiet(64);
     assert_eq!(net.stack(0).pool_available(), Some(POOL));
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
@@ -521,8 +520,7 @@ fn rack_reordering_window_suppresses_false_fast_retransmits() {
 fn rack_converts_rto_stalls_into_fast_recoveries_under_reorder() {
     let mut net = clocked_net_cfg(5_000_000, |_| {});
     let (client, conn) = establish(&mut net, 9016);
-    net.set_drop_every(8);
-    net.set_reorder_every(3);
+    net.set_plan(FaultPlan { drop: 8, reorder: 3, ..FaultPlan::default() });
     let blob = patterned(300_000, 59);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "byte-identical");
@@ -530,8 +528,7 @@ fn rack_converts_rto_stalls_into_fast_recoveries_under_reorder() {
     let (rto, fast) = (s.rto_fires, s.fast_retransmits);
     assert!(rto <= 2, "RACK recovers before the RTO floor ({rto} RTO fires, {fast} fast)");
     assert!(fast > 10 * rto, "fast recoveries, not timeouts ({rto} RTO fires, {fast} fast)");
-    net.set_drop_every(0);
-    net.set_reorder_every(0);
+    net.set_plan(FaultPlan::default());
     net.run_until_quiet(64);
     assert_eq!(net.stack(0).pool_available(), Some(POOL));
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
@@ -550,10 +547,10 @@ fn tail_loss_probe_rescues_a_dropped_tail_without_rto() {
     let got = bulk_send(&mut net, client, conn, &warm, 2_000);
     assert_eq!(got, warm, "warmup clean");
     // Drop exactly the flight's tail: one small segment, eaten whole.
-    net.set_drop_every(1);
+    net.set_plan(FaultPlan { drop: 1, ..FaultPlan::default() });
     net.stack(0).tcp_send(client, b"the tail of the flight").unwrap();
     net.step();
-    net.set_drop_every(0);
+    net.set_plan(FaultPlan::default());
     let mut buf = [0u8; 64];
     let mut got = Vec::new();
     for _ in 0..30 {
@@ -595,13 +592,14 @@ fn sustained_loss_cannot_exhaust_a_small_receiver_pool() {
     // enough pinned extents to push a 48-buffer pool under the
     // low-water mark.
     open_cwnd(&mut net, client, conn);
-    net.set_drop_burst(90, 2); // Recurring multi-hole episodes.
+    // Recurring multi-hole episodes.
+    net.set_plan(FaultPlan { burst: (90, 2), ..FaultPlan::default() });
     let blob = patterned(300_000, 47);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "stream complete despite shedding");
     let shed = net.stack(1).tcp_stats(conn).unwrap().ooo_shed;
     assert!(shed > 0, "pool pressure shed out-of-order extents");
-    net.set_drop_burst(0, 0);
+    net.set_plan(FaultPlan::default());
     net.run_until_quiet(64);
     assert_eq!(net.stack(0).pool_available(), Some(POOL), "client pool whole");
     assert_eq!(net.stack(1).pool_available(), Some(SMALL), "small pool whole");
@@ -616,16 +614,15 @@ fn sustained_loss_cannot_exhaust_a_small_receiver_pool() {
 fn corrupted_frames_are_dropped_by_checksum_and_recovered() {
     let mut net = clocked_net_cfg(5_000_000, |_| {});
     let (client, conn) = establish(&mut net, 9015);
-    net.set_corrupt_every(9);
-    net.set_dup_every(6); // Collides with corruption every 18 ticks.
+    // Collides with corruption every 18 ticks.
+    net.set_plan(FaultPlan { corrupt: 9, dup: 6, ..FaultPlan::default() });
     let blob = patterned(300_000, 53);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "corruption never reaches the stream");
     assert!(net.faults_injected() > 50, "the wire really corrupted");
     let rtx = net.stack(0).tcp_stats(client).unwrap().retransmits;
     assert!(rtx > 0, "checksum drops were recovered as losses");
-    net.set_corrupt_every(0);
-    net.set_dup_every(0);
+    net.set_plan(FaultPlan::default());
     net.run_until_quiet(64);
     assert_eq!(net.stack(0).pool_available(), Some(POOL));
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
@@ -794,7 +791,7 @@ fn stream_with_one_hole(gro: bool, pool: usize) -> (Vec<u8>, TcbStats, TcbStats)
     let mut got = Vec::with_capacity(blob.len());
     let mut sent = 0;
     let mut buf = vec![0u8; 64 * 1024];
-    net.set_drop_every(25);
+    net.set_plan(FaultPlan { drop: 25, ..FaultPlan::default() });
     for _ in 0..20_000 {
         if sent < blob.len() {
             sent += net.stack(0).tcp_send_queued(client, &blob[sent..]).unwrap_or(0);
@@ -802,7 +799,7 @@ fn stream_with_one_hole(gro: bool, pool: usize) -> (Vec<u8>, TcbStats, TcbStats)
         }
         net.step();
         if net.faults_injected() == 1 {
-            net.set_drop_every(0);
+            net.set_plan(FaultPlan::default());
         }
         loop {
             let n = net.stack(1).tcp_recv_into(conn, &mut buf).unwrap();
@@ -959,9 +956,9 @@ fn a_retransmission_waiting_for_its_frame_leaves_on_the_next_pump() {
     assert_eq!(fired.retransmits, armed.retransmits, "nothing was home to resend");
     // The frame comes home — its copy eaten on the wire — and the next
     // pump resends it.
-    net.set_drop_every(1);
+    net.set_plan(FaultPlan { drop: 1, ..FaultPlan::default() });
     net.transfer();
-    net.set_drop_every(0);
+    net.set_plan(FaultPlan::default());
     net.stack(0).pump();
     let after = net.stack(0).tcp_stats(client).unwrap();
     assert_eq!(after.retransmits, fired.retransmits + 1, "resent on the first pump after it came home");
