@@ -86,12 +86,20 @@ verify-churn:
 ## `.cargo/config.toml` exists, its `[profile.release]` is exactly the
 ## keys `ukcheck`'s manifest lists, and no `Cargo.toml` of the root,
 ## `crates/*` or `third_party/*` carries a `[profile.release…]` table —
-## a moved or shadowed profile costs ≈ 20 % on `tcp-rr` without a word.
+## a moved or shadowed profile costs ≈ 20 % on `tcp-rr` without a word;
+## the same file's `[target.x86_64-unknown-linux-gnu]` holds the one
+## `rustflags` line (`+crt-static`: every binary carries its libc), and
+## no other table holds one.
 ## Exits non-zero on any unescaped violation;
 ## every escape must carry a written justification (see
-## crates/ukcheck/README.md).
+## crates/ukcheck/README.md). Then rustdoc and clippy, warnings denied:
+## a doc link to a private or missing item, or any clippy warning of
+## the workspace's crates and their tests, fails the target (a lint
+## that does not apply carries `allow(..., reason = "...")` on the item).
 lint:
 	$(CARGO) run -q --release -p ukcheck -- --root $(CURDIR)
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc -q --workspace --no-deps --offline
+	$(CARGO) clippy -q --workspace --all-targets --offline -- -D warnings
 
 ## The dynamic counterpart of `lint`: every `uknetdev` and `uknetstack`
 ## test target with the `netbuf-sanitizer` feature on, so double-recycle,
@@ -121,25 +129,56 @@ verify-release:
 	$(CARGO) test -q --release --offline -p ukapps --test zero_alloc
 
 ## Fig. 8, measured beside modelled: two example images and `ukperf`
-## built twice into a throwaway target directory — under the profile,
-## and with cargo's own overrides putting its defaults back — then
-## stripped and sized. `crates/ukbuild/src/image.rs` quotes the table
-## next to `LTO_FACTOR`. (Building `benchmark/` rewrites its stale
-## `Cargo.lock`: `git checkout benchmark/Cargo.lock` afterwards.)
+## built three times into a throwaway target directory — with cargo's
+## defaults (its own overrides put back no LTO, 16 codegen units and
+## unwinding; an empty `RUSTFLAGS` drops the config's `+crt-static`, so
+## the libc is the shared one), under the profile with the shared libc,
+## and as this tree builds them (the profile, the static libc) — then
+## stripped and sized. Beside each ELF stands its run-time closure:
+## the ELF plus every object the loader maps for it — its `PT_INTERP`
+## and its `DT_NEEDED` libraries, resolved through `ldconfig`'s cache
+## and followed to their own — or none for a static image. That is what
+## the program needs on disk to run; `ratio` is each closure over the
+## cargo-defaults one. `crates/ukbuild/src/image.rs`
+## quotes the table next to `LTO_FACTOR`. (Building `benchmark/`
+## rewrites its stale `Cargo.lock`: `git checkout benchmark/Cargo.lock`
+## afterwards.)
+IMAGES = examples/webserver examples/event_server ukperf
 image-size:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	build() { \
 		out="$$dir/$$1"; shift; \
 		env "$$@" $(CARGO) build -q --release --offline --target-dir "$$out" --example webserver --example event_server; \
 		env "$$@" $(CARGO) build -q --release --offline --target-dir "$$out" --manifest-path benchmark/Cargo.toml; \
-		for b in examples/webserver examples/event_server ukperf; do strip "$$out/release/$$b"; done; \
+		for b in $(IMAGES); do strip "$$out/release/$$b"; done; \
 	}; \
-	build lto; \
-	build plain CARGO_PROFILE_RELEASE_LTO=off CARGO_PROFILE_RELEASE_CODEGEN_UNITS=16 CARGO_PROFILE_RELEASE_PANIC=unwind; \
-	printf '%-24s %12s %12s %7s\n' image 'defaults (B)' 'profile (B)' ratio; \
-	for b in examples/webserver examples/event_server ukperf; do \
-		p=$$(stat -c %s "$$dir/plain/release/$$b"); l=$$(stat -c %s "$$dir/lto/release/$$b"); \
-		printf '%-24s %12d %12d %7s\n' "$$b" "$$p" "$$l" "$$(awk "BEGIN { printf \"%.2f\", $$l / $$p }")"; \
+	build defaults RUSTFLAGS= CARGO_PROFILE_RELEASE_LTO=off CARGO_PROFILE_RELEASE_CODEGEN_UNITS=16 CARGO_PROFILE_RELEASE_PANIC=unwind; \
+	build shared RUSTFLAGS=; \
+	build static; \
+	needs() { \
+		readelf -lW "$$1" | sed -n 's/.*interpreter: \(.*\)]$$/\1/p'; \
+		readelf -dW "$$1" | sed -n 's/.*(NEEDED).*\[\(.*\)\]$$/\1/p'; \
+	}; \
+	closure() { \
+		bytes=$$(stat -c %s "$$1"); objs=; todo=$$(needs "$$1"); \
+		while [ -n "$$todo" ]; do \
+			set -- $$todo; n=$$1; shift; todo="$$*"; \
+			case "$$n" in /*) p=$$n ;; *) p=$$(ldconfig -p | awk -v n="$$n" '$$1 == n && /x86-64/ { print $$NF; exit }') ;; esac; \
+			test -n "$$p" || { echo "image-size: $$n: not in ldconfig's cache" >&2; exit 1; }; \
+			p=$$(readlink -f "$$p"); \
+			case " $$objs " in *" $$p "*) continue ;; esac; \
+			objs="$$objs $$p"; bytes=$$((bytes + $$(stat -c %s "$$p"))); todo="$$todo $$(needs "$$p")"; \
+		done; \
+		echo "$$bytes"; for o in $$objs; do basename "$$o"; done; \
+	}; \
+	printf '%-24s %-22s %10s %12s %6s  %s\n' image build 'ELF (B)' 'closure (B)' ratio 'objects the loader maps'; \
+	for b in $(IMAGES); do \
+		base=; \
+		for v in "defaults:cargo defaults, shared" "shared:profile, shared libc" "static:profile, static libc"; do \
+			elf="$$dir/$${v%%:*}/release/$$b"; set -- $$(closure "$$elf"); c=$$1; shift; base=$${base:-$$c}; \
+			printf '%-24s %-22s %10d %12d %6s  %s\n' "$$b" "$${v#*:}" "$$(stat -c %s "$$elf")" "$$c" \
+				"$$(awk "BEGIN { printf \"%.2f\", $$c / $$base }")" "$${*:-(none)}"; \
+		done; \
 	done
 
 ## The full sweep: every workspace crate's unit, integration and prop

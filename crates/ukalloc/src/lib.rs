@@ -9,13 +9,13 @@
 //!
 //! - [`buddy`]: binary-buddy allocator (Mini-OS heritage) — slow to
 //!   initialize (touches every page), O(log n) alloc/free with coalescing;
-//! - [`tlsf`]: Two-Level Segregated Fits — O(1) real-time allocator;
-//! - [`tinyalloc`]: small block-table allocator with compaction;
-//! - [`mimalloc`]: free-list-sharded allocator in the style of Microsoft's
+//! - `tlsf`: Two-Level Segregated Fits — O(1) real-time allocator;
+//! - `tinyalloc`: small block-table allocator with compaction;
+//! - `mimalloc`: free-list-sharded allocator in the style of Microsoft's
 //!   mimalloc (segments → pages → sharded free lists);
-//! - [`bootalloc`]: region (bump) allocator for fast boots — `free` is a
+//! - `bootalloc`: region (bump) allocator for fast boots — `free` is a
 //!   no-op;
-//! - [`oscar`]: a guarded wrapper adding canaries and a quarantine, in the
+//! - `oscar`: a guarded wrapper adding canaries and a quarantine, in the
 //!   spirit of the Oscar secure allocator.
 //!
 //! A backend manages an address range: an allocation returns a

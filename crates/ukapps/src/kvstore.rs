@@ -26,7 +26,7 @@
 //! changes nothing.
 //!
 //! A peer that sends what can never be a command — a count above
-//! [`resp::MAX_ARGS`], a bulk above [`resp::MAX_BULK`], a line that is
+//! [`resp::MAX_ARGS`], a bulk above `resp::MAX_BULK`, a line that is
 //! not RESP — gets `-ERR protocol` and is hung up on once that is
 //! flushed; a peer that closes is reaped once every command it sent has
 //! been answered.

@@ -65,7 +65,7 @@ impl<T> From<Step<T>> for Parse<T> {
 /// How many leading words of a command [`Cmd`] keeps.
 pub(crate) const CMD_WORDS: usize = 3;
 
-/// One command: how many words it has and the first [`CMD_WORDS`] of
+/// One command: how many words it has and the first `CMD_WORDS` of
 /// them, borrowed from the buffer they arrived in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 // ukcheck: allow(unused-pub) -- what the public `command` returns
@@ -174,7 +174,7 @@ fn command_step(buf: &[u8]) -> Step<Cmd<'_>> {
 
 /// Parses one command — `*argc` followed by `argc` words, each a bulk
 /// or a simple string — off the head of `buf`. Anything else (no `*`,
-/// a count above [`MAX_ARGS`], a word above [`MAX_BULK`], a nested
+/// a count above [`MAX_ARGS`], a word above `MAX_BULK`, a nested
 /// array, integer or nil in a word position, a line that is not a
 /// number where one belongs) is [`Parse::Malformed`].
 pub fn command(buf: &[u8]) -> Parse<Cmd<'_>> {
@@ -209,7 +209,7 @@ fn value_step(buf: &[u8]) -> Step<()> {
 
 /// Measures one value of any type (a reply, say) at the head of `buf`:
 /// `Complete((), len)` once all `len` bytes of it are there. Arrays are
-/// held to [`MAX_ARGS`] elements and bulks to [`MAX_BULK`] bytes like a
+/// held to [`MAX_ARGS`] elements and bulks to `MAX_BULK` bytes like a
 /// command's.
 pub fn value_len(buf: &[u8]) -> Parse<()> {
     value_step(buf).into()

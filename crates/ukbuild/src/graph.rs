@@ -2,7 +2,7 @@
 //!
 //! Figures 1–3 of the paper contrast the Linux kernel's densely
 //! inter-dependent components with Unikraft's sparse micro-library
-//! graphs. [`LINUX_COMPONENT_EDGES`] embeds the Figure 1 dataset (the
+//! graphs. `LINUX_COMPONENT_EDGES` embeds the Figure 1 dataset (the
 //! cscope cross-component call counts); [`DepGraph::from_config`]
 //! generates the Unikraft graphs from the *real* dependency resolution
 //! of our build system.

@@ -18,23 +18,39 @@
 //! # Measured beside modelled
 //!
 //! This repository's own release binaries *are* linked as one program
-//! (`.cargo/config.toml`: fat LTO, one codegen unit, abort on panic),
-//! and `make image-size` builds three of them with and without that
-//! profile (cargo's defaults: no LTO, 16 codegen units, unwinding).
-//! Stripped sizes, x86-64 Linux ELF, PR 24:
+//! (`.cargo/config.toml`: fat LTO, one codegen unit, abort on panic, and
+//! glibc's `libc.a` linked in — a `static-pie` with no loader and no
+//! shared object), and `make image-size` builds three of them three
+//! ways: with cargo's defaults (no LTO, 16 codegen units, unwinding, the
+//! shared libc), with the profile and the shared libc, and as the tree
+//! builds them. Beside each stripped ELF stands its run-time closure:
+//! the ELF plus every object the loader maps for it
+//! (`ld-linux-x86-64.so.2`, `libc.so.6` and `libgcc_s.so.1`, 2 266 544 B
+//! together, for each dynamic image; none for a static one). x86-64
+//! Linux, glibc 2.36; `ratio` is each closure over the defaults' one:
 //!
-//! | image                   | defaults (B) | profile (B) | ratio |
-//! |-------------------------|-------------:|------------:|------:|
-//! | `examples/webserver`    |    1 028 408 |     773 296 |  0.75 |
-//! | `examples/event_server` |      993 584 |     736 992 |  0.74 |
-//! | `ukperf` (`benchmark/`) |    1 279 000 |   1 046 672 |  0.82 |
+//! | image                   | build                 | ELF (B)   | closure (B) | ratio |
+//! |-------------------------|-----------------------|----------:|------------:|------:|
+//! | `examples/webserver`    | cargo defaults        |   887 720 |   3 154 264 |  1.00 |
+//! |                         | profile, shared libc  |   636 784 |   2 903 328 |  0.92 |
+//! |                         | profile, static libc  | 1 469 472 |   1 469 472 |  0.47 |
+//! | `examples/event_server` | cargo defaults        |   869 912 |   3 136 456 |  1.00 |
+//! |                         | profile, shared libc  |   609 152 |   2 875 696 |  0.92 |
+//! |                         | profile, static libc  | 1 441 760 |   1 441 760 |  0.46 |
+//! | `ukperf` (`benchmark/`) | cargo defaults        | 1 154 168 |   3 420 712 |  1.00 |
+//! |                         | profile, shared libc  |   921 688 |   3 188 232 |  0.93 |
+//! |                         | profile, static libc  | 1 768 256 |   1 768 256 |  0.52 |
 //!
-//! (`ukperf` unstripped: 1 534 384 → 1 171 856 B, 0.76.) So our
-//! measured ratio — LTO, one codegen unit and no unwind tables
-//! together — is 0.74–0.82 against the model's 0.88 for LTO alone: the
-//! same direction, more of it, on Rust images that carry `std` where
-//! the paper's carry a libc. That they are also "≈ 1 MB" is what they
-//! happen to link, not a calibration.
+//! So the profile alone — LTO, one codegen unit and no unwind tables
+//! together — takes the ELF to 0.70–0.80 of the defaults' size against
+//! the model's 0.88 for LTO alone: the same direction, more of it. But
+//! a dynamic ELF is the smaller part of what it needs to run. Linked
+//! statically, our images carry both `std` and the libc — 0.83–0.85 MB
+//! more ELF, the glibc objects `std`'s runtime reaches (`sscanf` through
+//! `pthread_getattr_np`, `gettext` through `strerror_r`, the `dl*`
+//! code) — and need nothing else: 0.46–0.52 of the defaults' closure,
+//! and only the pages the program touches are resident. That they are
+//! also "≈ 1.5 MB" is what they happen to link, not a calibration.
 
 use crate::config::BuildConfig;
 use crate::registry::LibRegistry;

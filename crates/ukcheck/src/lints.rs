@@ -239,15 +239,13 @@ pub fn check_source(file: &str, src: &str, hot: bool, relaxed_only: bool) -> Vec
         }
 
         // --- workspace-wide passes ---------------------------------
-        if id == "unsafe" {
-            if !has_safety_comment(t.line, &safety_lines, &comment_lines) {
-                out.push(Violation {
-                    file: file.to_string(),
-                    line: t.line,
-                    lint: Lint::Unsafe,
-                    msg: "`unsafe` without an adjacent `// SAFETY:` comment".to_string(),
-                });
-            }
+        if id == "unsafe" && !has_safety_comment(t.line, &safety_lines, &comment_lines) {
+            out.push(Violation {
+                file: file.to_string(),
+                line: t.line,
+                lint: Lint::Unsafe,
+                msg: "`unsafe` without an adjacent `// SAFETY:` comment".to_string(),
+            });
         }
         if id == "SeqCst" {
             push(
@@ -455,11 +453,14 @@ fn profile_violation(file: &str, line: u32, msg: String) -> Violation {
 
 /// The `build-profile` pass over `.cargo/config.toml` (`src` is `None`
 /// when the file is missing): its `[profile.release]` must hold exactly
-/// `expected` — each key once, with that value — and have no sub-table.
+/// `expected` — each key once, with that value — and have no sub-table,
+/// and `rustflags = <value>` must stand once in `[<table>]` of
+/// `rustflags`, and in no other table.
 pub fn check_profile_config(
     file: &str,
     src: Option<&str>,
     expected: &[(&str, &str)],
+    rustflags: (&str, &str),
 ) -> Vec<Violation> {
     let report = |line: u32, msg: String| profile_violation(file, line, msg);
     let Some(src) = src else {
@@ -470,9 +471,11 @@ pub fn check_profile_config(
                 .to_string(),
         )];
     };
+    let (flags_table, flags) = rustflags;
     let mut out = Vec::new();
     let mut table = "";
     let mut seen: Vec<&str> = Vec::new();
+    let mut flags_seen = false;
     for (line, l) in toml_lines(src) {
         match l {
             TomlLine::Table(t) => {
@@ -481,6 +484,16 @@ pub fn check_profile_config(
                     out.push(report(line, format!("`[{t}]`: a setting beyond the release profile")));
                 }
             }
+            TomlLine::Key("rustflags", v) if table == flags_table => {
+                if v != flags || flags_seen {
+                    out.push(report(line, format!("`rustflags = {v}`: want `rustflags = {flags}`, once")));
+                }
+                flags_seen = true;
+            }
+            TomlLine::Key("rustflags", _) if table != "profile.release" => out.push(report(
+                line,
+                format!("`rustflags` in `[{table}]`: the image's flags live in `[{flags_table}]` only"),
+            )),
             TomlLine::Key(k, v) if table == "profile.release" => {
                 match expected.iter().find(|(ek, _)| *ek == k) {
                     Some((_, ev)) => {
@@ -497,6 +510,9 @@ pub fn check_profile_config(
     }
     for (k, v) in expected.iter().filter(|(k, _)| !seen.contains(k)) {
         out.push(report(1, format!("`[profile.release]` lacks `{k} = {v}`")));
+    }
+    if !flags_seen {
+        out.push(report(1, format!("`[{flags_table}]` lacks `rustflags = {flags}`")));
     }
     out
 }
@@ -997,14 +1013,16 @@ mod tests {
     #[test]
     fn build_profile_wants_exactly_the_listed_keys() {
         let want = [("lto", "\"fat\""), ("codegen-units", "1")];
+        let flags = ("target.t", "[\"-C\", \"x=y\"]");
         let lines = |src: &str| {
-            let v = check_profile_config("c.toml", Some(src), &want);
+            let src = format!("{src}[target.t]\nrustflags = [\"-C\", \"x=y\"] # why\n");
+            let v = check_profile_config("c.toml", Some(&src), &want, flags);
             assert!(v.iter().all(|v| v.lint == Lint::BuildProfile));
             v.iter().map(|v| v.line).collect::<Vec<_>>()
         };
         let good = "# why\n[profile.release]\nlto = \"fat\" # whole program\ncodegen-units = 1\n\n[build]\njobs = 2\n";
         assert!(lines(good).is_empty(), "comments and other tables are not the profile's business");
-        assert_eq!(check_profile_config("c.toml", None, &want).len(), 1, "missing file");
+        assert_eq!(check_profile_config("c.toml", None, &want, flags).len(), 1, "missing file");
         assert_eq!(lines("[profile.release]\nlto = \"thin\"\ncodegen-units = 1\n"), [2], "wrong value");
         assert_eq!(lines("[profile.release]\nlto = \"fat\"\n"), [1], "missing key");
         assert_eq!(lines(&format!("{good}[profile.release]\nlto = \"fat\"\n")), [9], "twice");
@@ -1012,6 +1030,15 @@ mod tests {
         assert_eq!(lines("[profile.dev]\nlto = \"fat\"\ncodegen-units = 1\n"), [1, 1], "wrong table");
         let sub = "[profile.release]\nlto = \"fat\"\ncodegen-units = 1\n[profile.release.package.x]\nopt-level = 3\n";
         assert_eq!(lines(sub), [4], "a sub-table is one more setting");
+
+        let build = "[build]\nrustflags = [\"-C\", \"x=y\"]\n";
+        assert_eq!(lines(&format!("{good}{build}")), [9], "[build] rustflags are a second place");
+        let other = "[target.u]\nrustflags = []\n";
+        assert_eq!(lines(&format!("{good}{other}")), [9], "cargo joins a second target's flags");
+        assert_eq!(lines(&format!("{good}[target.t]\nrustflags = []\n")), [9, 11], "wrong, then twice");
+        let bare = check_profile_config("c.toml", Some(good), &want, flags);
+        assert_eq!(bare.iter().map(|v| v.line).collect::<Vec<_>>(), [1], "missing flags");
+        assert!(bare[0].msg.contains("`[target.t]` lacks `rustflags"), "{}", bare[0].msg);
 
         let dev = "[package]\nname = \"x\"\n[profile.dev.package.x]\nopt-level = 2\n";
         assert!(check_manifest_profile("Cargo.toml", dev).is_empty(), "not the image's profile");

@@ -149,6 +149,14 @@ pub const PROFILE_CONFIG: &str = ".cargo/config.toml";
 pub const RELEASE_PROFILE: &[(&str, &str)] =
     &[("lto", "\"fat\""), ("codegen-units", "1"), ("panic", "\"abort\"")];
 
+/// The one `rustflags` line it holds, and the table it sits in: every
+/// binary links glibc statically, a `static-pie` with no loader and no
+/// shared libc (≈ 0.8 MiB of every workload's resident set). Any other
+/// `rustflags` — `[build]`'s, or a second target table's, which cargo
+/// joins to this one — is a second place the image's flags are written.
+pub const STATIC_RUSTFLAGS: (&str, &str) =
+    ("target.x86_64-unknown-linux-gnu", "[\"-C\", \"target-feature=+crt-static\"]");
+
 /// Directories whose packages' manifests (one level down) may not carry
 /// a `[profile.release…]` table of their own, and neither may the root
 /// manifest. `benchmark/Cargo.toml` is not linted: it changes only in a

@@ -84,7 +84,7 @@ fn crate_dirs(root: &Path) -> Vec<PathBuf> {
 
 /// The `build-profile` pass, for a root that has a manifest (a root
 /// that builds nothing has no profile to pin): the config file holds
-/// the release profile, and neither the root manifest nor any package
+/// the release profile and the static-libc rustflags, and neither the root manifest nor any package
 /// one level under [`manifest::PROFILE_FREE_MANIFEST_DIRS`] holds
 /// another.
 fn check_build_profile(root: &Path) -> Result<Vec<Violation>, String> {
@@ -93,8 +93,12 @@ fn check_build_profile(root: &Path) -> Result<Vec<Violation>, String> {
         return Ok(Vec::new());
     }
     let config = fs::read_to_string(root.join(manifest::PROFILE_CONFIG)).ok();
-    let mut out =
-        check_profile_config(manifest::PROFILE_CONFIG, config.as_deref(), manifest::RELEASE_PROFILE);
+    let mut out = check_profile_config(
+        manifest::PROFILE_CONFIG,
+        config.as_deref(),
+        manifest::RELEASE_PROFILE,
+        manifest::STATIC_RUSTFLAGS,
+    );
     let mut manifests = vec![root_manifest];
     for dir in manifest::PROFILE_FREE_MANIFEST_DIRS {
         let Ok(entries) = fs::read_dir(root.join(dir)) else { continue };

@@ -159,24 +159,36 @@ fn a_dependency_nothing_names_is_reported() {
 }
 
 /// `build-profile`: a root with a manifest keeps its release profile in
-/// `.cargo/config.toml` — exactly `RELEASE_PROFILE` — and in no
+/// `.cargo/config.toml` — exactly `RELEASE_PROFILE`, and the one
+/// `STATIC_RUSTFLAGS` line in its target table — and in no
 /// `Cargo.toml`.
 #[test]
 fn the_release_profile_is_pinned_in_one_file() {
     let (code, stdout) = run_root("good/build_profile");
-    assert_eq!(code, 0, "three keys, comments, another table, a dev profile; output:\n{stdout}");
+    assert_eq!(
+        code, 0,
+        "three keys, the rustflags line, comments, another table, a dev profile; output:\n{stdout}"
+    );
 
     let (code, stdout) = run_root("bad/build_profile");
     assert_eq!(code, 1, "output:\n{stdout}");
+    let flags = r#"["-C", "target-feature=+crt-static"]"#;
     for want in [
-        ".cargo/config.toml:4: [build-profile] `lto = \"thin\"`: want `lto = \"fat\"`, once",
-        ".cargo/config.toml:6: [build-profile] `debug`: a setting beyond the release profile",
-        ".cargo/config.toml:1: [build-profile] `[profile.release]` lacks `panic = \"abort\"`",
-        "crates/app/Cargo.toml:6: [build-profile] `[profile.release.package.app]` in a manifest",
+        ".cargo/config.toml:5: [build-profile] `lto = \"thin\"`: want `lto = \"fat\"`, once".to_string(),
+        ".cargo/config.toml:7: [build-profile] `debug`: a setting beyond the release profile".to_string(),
+        ".cargo/config.toml:1: [build-profile] `[profile.release]` lacks `panic = \"abort\"`".to_string(),
+        ".cargo/config.toml:10: [build-profile] `rustflags` in `[build]`: the image's flags live in \
+         `[target.x86_64-unknown-linux-gnu]` only"
+            .to_string(),
+        format!(
+            ".cargo/config.toml:1: [build-profile] `[target.x86_64-unknown-linux-gnu]` lacks \
+             `rustflags = {flags}`"
+        ),
+        "crates/app/Cargo.toml:6: [build-profile] `[profile.release.package.app]` in a manifest".to_string(),
     ] {
-        assert!(stdout.contains(want), "missing `{want}` in:\n{stdout}");
+        assert!(stdout.contains(&want), "missing `{want}` in:\n{stdout}");
     }
-    assert!(stdout.contains("ukcheck: 4 violation(s)"), "nothing else fires:\n{stdout}");
+    assert!(stdout.contains("ukcheck: 6 violation(s)"), "nothing else fires:\n{stdout}");
 }
 
 #[test]

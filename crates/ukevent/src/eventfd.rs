@@ -55,7 +55,7 @@ impl EventFd {
         if value == u64::MAX {
             return Err(Errno::Inval);
         }
-        if self.counter.checked_add(value).map_or(true, |s| s > MAX_COUNTER) {
+        if self.counter.checked_add(value).is_none_or(|s| s > MAX_COUNTER) {
             return Err(Errno::Again);
         }
         self.counter += value;

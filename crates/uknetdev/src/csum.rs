@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn matches_naive_across_alignments() {
-        let data = vec![0xabu8; 96];
+        let data = [0xabu8; 96];
         for off in 0..33 {
             assert_eq!(
                 inet_checksum(&data[off..], 7),

@@ -197,7 +197,7 @@ mod tests {
         hdr[23] = 6;
         hdr[26..30].copy_from_slice(&[10, 0, 0, 1]);
         hdr[30..34].copy_from_slice(&[10, 0, 0, 2]);
-        let ip_ck = inet_checksum(&hdr[14..34].to_vec(), 0);
+        let ip_ck = inet_checksum(&hdr[14..34], 0);
         hdr[24..26].copy_from_slice(&ip_ck.to_be_bytes());
         // TCP: ports 1→2, seq 1000, ack set, PSH|ACK, window 512.
         hdr[34..36].copy_from_slice(&1u16.to_be_bytes());

@@ -392,10 +392,8 @@ impl Netbuf {
     }
 
     /// Resets to an empty buffer with `headroom` reserved. The caller
-    /// must have popped any chain fragments first ([`pop_frag`]) —
+    /// must have popped any chain fragments first (`pop_frag`) —
     /// resetting cannot return them to their pool.
-    ///
-    /// [`pop_frag`]: Netbuf::pop_frag
     pub fn reset(&mut self, headroom: usize) {
         assert!(headroom <= self.desc.data.len());
         debug_assert!(

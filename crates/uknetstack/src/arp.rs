@@ -1,8 +1,8 @@
-//! ARP: the request/reply codec, and [`Neighbors`] — the neighbour
+//! ARP: the request/reply codec, and `Neighbors` — the neighbour
 //! table with the packets parked behind it.
 //!
 //! [`NetStack`](crate::stack::NetStack) resolves every frame's next hop
-//! here, so the file is on `ukcheck`'s hot list: [`Neighbors::resolve`]
+//! here, so the file is on `ukcheck`'s hot list: `Neighbors::resolve`
 //! is the per-frame call and allocates nothing; parking and learning
 //! run when a neighbour is new.
 

@@ -61,7 +61,7 @@ impl EthHeader {
     ///
     /// # Panics
     ///
-    /// Panics if `nb` has less than [`ETH_HDR_LEN`] bytes of headroom.
+    /// Panics if `nb` has less than `ETH_HDR_LEN` bytes of headroom.
     pub fn encode_into(&self, nb: &mut Netbuf) {
         let b = nb.push_header_uninit(ETH_HDR_LEN);
         b[0..6].copy_from_slice(&self.dst.0);

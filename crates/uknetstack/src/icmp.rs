@@ -44,7 +44,7 @@ impl IcmpEcho {
 
     /// Parses and checksum-verifies an echo message into an owned
     /// value (copies the payload; the stack's hot path uses the
-    /// borrowing [`decode_echo`] instead).
+    /// borrowing `decode_echo` instead).
     // ukcheck: allow(alloc) -- the owned form, for tests: the payload
     // copy is what `decode_echo` exists to avoid
     pub fn decode(data: &[u8]) -> Result<IcmpEcho> {
@@ -88,7 +88,7 @@ pub(crate) fn decode_echo(data: &[u8]) -> Result<(bool, u16, u16, &[u8])> {
 ///
 /// # Panics
 ///
-/// Panics if `nb` has less than [`ICMP_ECHO_LEN`] bytes of headroom.
+/// Panics if `nb` has less than `ICMP_ECHO_LEN` bytes of headroom.
 pub fn encode_echo_into(request: bool, ident: u16, seq: u16, nb: &mut Netbuf) {
     let hdr = nb.push_header_uninit(ICMP_ECHO_LEN);
     hdr[0] = if request { 8 } else { 0 };

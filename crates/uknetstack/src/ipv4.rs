@@ -75,7 +75,7 @@ impl Ipv4Header {
     ///
     /// # Panics
     ///
-    /// Panics if `nb` has less than [`IPV4_HDR_LEN`] bytes of headroom.
+    /// Panics if `nb` has less than `IPV4_HDR_LEN` bytes of headroom.
     pub fn encode_into(&self, nb: &mut Netbuf) {
         let hdr = self.encode();
         nb.push_header(&hdr);

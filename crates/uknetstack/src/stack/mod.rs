@@ -26,14 +26,15 @@
 //! The stack is made of **parts** — each a type that owns a piece of
 //! state and the invariant over it, its fields private to its module, so
 //! `NetStack` reaches it through methods only and the invariant has one
-//! file it can be broken in and one module's tests that hold it:
+//! file it can be broken in and one module's tests that hold it. A
+//! private part or job is named in plain text, not linked:
 //!
 //! | part | state | invariant |
 //! |---|---|---|
 //! | [`arp::Neighbors`](crate::arp) | neighbour table, packets parked per unresolved next hop, next-hop memo, who-has cadences | ≤ 1024 mappings, learned by RFC 826's merge rule; ≤ 64 parked per hop, non-TCP evicted first; every parked buffer leaves exactly once |
-//! | [`conns::ConnTable`](conns) | connection slab, free list, flow table, dirty list, held-ACK count; `ConnId` is the one handle/wheel-key/TX-hold packing | generation 0 never issued; a stale id resolves to nothing; flow table ⇔ occupied slots |
-//! | [`gro::Gro`](gro) | the GRO stage and the continuation it expects | a run is one connection's consecutive sequence space in arrival order; nothing overtakes staged data |
-//! | [`offload::Offloads`](offload) | which offloads are in force (a `Copy` value) | `tso ⇒ tx_csum`, `big_receive ⇒ rx_csum`; the only reader of a device capability |
+//! | `conns::ConnTable` | connection slab, free list, flow table, dirty list, held-ACK count; `ConnId` is the one handle/wheel-key/TX-hold packing | generation 0 never issued; a stale id resolves to nothing; flow table ⇔ occupied slots |
+//! | `gro::Gro` | the GRO stage and the continuation it expects | a run is one connection's consecutive sequence space in arrival order; nothing overtakes staged data |
+//! | `offload::Offloads` | which offloads are in force (a `Copy` value) | `tso ⇒ tx_csum`, `big_receive ⇒ rx_csum`; the only reader of a device capability |
 //!
 //! What is left is `NetStack`'s own — the device, the pool, the wheel,
 //! the socket maps, the staging vectors, the clock — declared here with
@@ -43,11 +44,11 @@
 //!
 //! | job | entry points |
 //! |---|---|
-//! | [`sockets`] | handle tags, `UdpSocket`, `TcpListener`, `publish`; `udp_*`, `tcp_*`, `ping`; `readiness`, `ready_source` |
-//! | [`ingest`] | `handle_frame` → `handle_arp` / `handle_ipv4` → `handle_icmp` / `handle_udp` / `handle_tcp_nb` / `handle_super_frame`; `tcp_ingest`, `tcp_miss`, `spawn_half_open`, `gro_flush` |
-//! | [`output`] | `ip_to`, `stage_udp`, `stage_rst`, `flush_tcp`, `send_ipv4_nb`, `stage_eth`, `flush_tx`; `recycle` / `rtx_return_chain` |
-//! | [`timers`] | `tcp_timer_tick`, `dispatch_timer`, `TcpConn::sync_timer`, `reap_conn` |
-//! | [`stats`] | `tp`, `stack_stats_table!` (`row`, [`StackStats`], `publish_tcb_stats`), `StackGauges` |
+//! | `sockets` | handle tags, `UdpSocket`, `TcpListener`, `publish`; `udp_*`, `tcp_*`, `ping`; `readiness`, `ready_source` |
+//! | `ingest` | `handle_frame` → `handle_arp` / `handle_ipv4` → `handle_icmp` / `handle_udp` / `handle_tcp_nb` / `handle_super_frame`; `tcp_ingest`, `tcp_miss`, `spawn_half_open`, `gro_flush` |
+//! | `output` | `ip_to`, `stage_udp`, `stage_rst`, `flush_tcp`, `send_ipv4_nb`, `stage_eth`, `flush_tx`; `recycle` / `rtx_return_chain` |
+//! | `timers` | `tcp_timer_tick`, `dispatch_timer`, `TcpConn::sync_timer`, `reap_conn` |
+//! | `stats` | `tp`, `stack_stats_table!` (`row`, [`StackStats`], `publish_tcb_stats`), `StackGauges` |
 //!
 //! Each module's own docs carry its prose; the crate README ("Inside
 //! `stack/`", "The socket seam", "The TCB seam", "Time", "Accounting")
@@ -482,11 +483,7 @@ impl NetStack {
             .then(std::time::Instant::now);
         let mut handled = 0;
         let mut frames = std::mem::take(&mut self.rx_scratch);
-        loop {
-            let st = match self.dev.rx_burst(0, &mut frames, MAX_BURST) {
-                Ok(st) => st,
-                Err(_) => break,
-            };
+        while let Ok(st) = self.dev.rx_burst(0, &mut frames, MAX_BURST) {
             if st.received > 0 {
                 self.counts.add(row::rx_bursts, 1);
             }
@@ -557,7 +554,7 @@ impl NetStack {
 
     /// Injects one frame into this stack's device RX ring (the wire
     /// side) — single-frame convenience over
-    /// [`deliver_burst`](Self::deliver_burst).
+    /// `deliver_burst`.
     pub fn deliver_frame(&mut self, nb: Netbuf) {
         let mut scratch = std::mem::take(&mut self.inject_scratch);
         scratch.push(nb);

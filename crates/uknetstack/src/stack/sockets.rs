@@ -206,7 +206,7 @@ impl NetStack {
     /// buffer and UDP/IP/Ethernet headers are prepended in place.
     ///
     /// The stack does not fragment: payloads beyond a packet buffer's
-    /// tailroom ([`BUF_CAP`] − [`TX_HEADROOM`] = 1952 bytes — already
+    /// tailroom (`BUF_CAP` − `TX_HEADROOM` = 1952 bytes — already
     /// past the 1500-byte wire MTU) are rejected with `EINVAL`.
     pub fn udp_send_to(&mut self, sock: SocketHandle, data: &[u8], to: Endpoint) -> Result<()> {
         let src_port = self.udp_port(sock)?;
@@ -556,7 +556,7 @@ impl NetStack {
     }
 
     /// Drains echo replies received so far: (peer, ident, seq) — at most
-    /// [`PING_REPLIES_CAP`] of them; replies heard while that many wait
+    /// `PING_REPLIES_CAP` of them; replies heard while that many wait
     /// here are dropped.
     // ukcheck: allow(alloc) -- diagnostics: the caller's copy; the
     // stack's own storage stays as `new` sized it

@@ -9,7 +9,7 @@ use super::*;
 
 impl Tcb {
     /// Processes a segment's parsed TCP options — called by the stack
-    /// before [`on_segment_bufs`](Self::on_segment_bufs) whenever the
+    /// before `on_segment_bufs` whenever the
     /// data offset exceeded 20. SYN/SYN-ACK latch the peer's
     /// SACK-permitted announcement. Once SACK is in force (a peer that
     /// never negotiated it has its blocks ignored), SACK blocks feed the

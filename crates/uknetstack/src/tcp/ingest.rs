@@ -18,7 +18,7 @@ use super::*;
 
 impl Tcb {
     /// Handles an incoming segment (borrowed-payload convenience over
-    /// [`on_segment_bufs`](Self::on_segment_bufs); accepted payload is
+    /// `on_segment_bufs`; accepted payload is
     /// copied into a heap netbuf — tests and diagnostics only, the
     /// stack's hot path hands the RX buffer itself over).
     pub fn on_segment(&mut self, h: &TcpHeader, payload: &[u8]) {

@@ -70,7 +70,7 @@ pub const RCV_BUF_CAP: usize = 65_535;
 /// Longest the ACK of in-order data is held for a data segment to
 /// carry it (RFC 1122 §4.2.3.2 caps the delay at 500 ms; 40 ms matches
 /// Linux's default quick timeout) — see the ACK policy on
-/// [`Tcb::poll_output_chain_with`].
+/// `Tcb::poll_output_chain_with`.
 pub const DELACK_NS: u64 = 40_000_000;
 /// TCP maximum segment lifetime against the virtual clock (TIME_WAIT
 /// lingers 2×MSL before its port recycles). Deliberately compressed
@@ -128,7 +128,7 @@ pub enum TcpState {
 /// An outgoing segment (flags + payload), produced by the TCB.
 ///
 /// This owned form exists for tests and diagnostics; the stack's hot
-/// path uses [`Tcb::poll_output_chain_with`], which hands out the
+/// path uses `Tcb::poll_output_chain_with`, which hands out the
 /// payload as the send queue's own pooled buffers, moved into the
 /// outgoing frame chain without a copy.
 #[derive(Debug, Clone)]

@@ -19,7 +19,7 @@ impl Tcb {
     /// is full (tx window closed and backlog at capacity).
     ///
     /// Buffers come from the heap; the stack's pooled path is
-    /// [`app_send_with`](Self::app_send_with).
+    /// `app_send_with`.
     pub fn app_send(&mut self, data: &[u8]) -> Result<usize> {
         let (cap, headroom) = SEND_BUF_SHAPE;
         self.app_send_with(data, || Netbuf::alloc(cap, headroom))
@@ -150,7 +150,7 @@ impl Tcb {
                         link(&mut head, b);
                     }
                 } else {
-                    let h = head.get_or_insert_with(|| take_buf());
+                    let h = head.get_or_insert_with(&mut *take_buf);
                     if let Some(front) = self.send_q.front_mut() {
                         h.append(&front.payload()[..take]);
                         front.pull_header(take);
@@ -442,7 +442,7 @@ impl Tcb {
     }
 
     /// Owned-segment convenience over
-    /// [`poll_output_chain_with`](Self::poll_output_chain_with)
+    /// `poll_output_chain_with`
     /// (tests, diagnostics): each segment's payload is collected into
     /// a `Vec`, segmented at the connection's MSS.
     pub fn poll_output(&mut self) -> Vec<OutSegment> {

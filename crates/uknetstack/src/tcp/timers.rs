@@ -21,7 +21,7 @@ pub enum TcbTimer {
     /// deadlines.
     Rack,
     /// The protocol timeout of the current state: the handshake
-    /// ([`HANDSHAKE_TIMEOUT_NS`]), FIN_WAIT_2 ([`FINWAIT2_TIMEOUT_NS`])
+    /// ([`HANDSHAKE_TIMEOUT_NS`]), FIN_WAIT_2 (`FINWAIT2_TIMEOUT_NS`)
     /// and TIME_WAIT (2 × [`TCP_MSL_NS`]) end in `Closed` when it
     /// fires; with [`keepalive`](super::TcbConfig::keepalive) an idle
     /// established connection is probed and, unanswered, closed.

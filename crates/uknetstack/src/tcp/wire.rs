@@ -251,7 +251,7 @@ impl TcpOptions {
                     }
                     if kind == 4 && len == 2 {
                         out.sack_permitted = true;
-                    } else if kind == 5 && len >= 10 && (len - 2) % 8 == 0 {
+                    } else if kind == 5 && len >= 10 && (len - 2).is_multiple_of(8) {
                         let nblocks = (len - 2) / 8;
                         for b in 0..nblocks.min(MAX_SACK_BLOCKS) {
                             let o = i + 2 + b * 8;

@@ -46,6 +46,7 @@ impl Network {
     /// exercises the demux and state machine, not the verification
     /// pass. This is the raw material for SYN floods, stray-segment
     /// RST tests, and handshake-timeout reclamation.
+    #[allow(clippy::too_many_arguments, reason = "one per header field a forged segment sets")]
     pub fn inject_tcp(
         &mut self,
         dst: usize,

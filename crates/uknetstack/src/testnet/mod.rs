@@ -311,26 +311,25 @@ impl Network {
                         log.push(nb.chain_segments().flatten().copied().collect());
                     }
                 }
-                for i in 0..self.stacks.len() {
-                    if i == src || (dst != self.stacks[i].mac() && dst != Mac::BROADCAST) {
+                for (i, (rx, staged)) in self.stacks.iter_mut().zip(stage.iter_mut()).enumerate() {
+                    if i == src || (dst != rx.mac() && dst != Mac::BROADCAST) {
                         continue;
                     }
-                    let staged_from = stage[i].len();
-                    match dma(&mut self.stacks[i], &nb, &mut stage[i]) {
+                    let staged_from = staged.len();
+                    match dma(rx, &nb, staged) {
                         Some(n) => moved += n,
                         None => continue, // Malformed: dropped.
                     }
                     if let Some(log) = self.wire_log.as_mut() {
-                        for rx in &stage[i][staged_from..] {
+                        for frame in &staged[staged_from..] {
                             // A chain logs as one flattened frame.
-                            log.push(rx.chain_segments().flatten().copied().collect());
+                            log.push(frame.chain_segments().flatten().copied().collect());
                         }
                     }
                     // The plan's per-frame faults act on what this
                     // delivery staged.
                     if self.faults.armed() {
-                        let rx = &mut self.stacks[i];
-                        self.faults.apply(&mut stage[i], staged_from, rx, &mut moved);
+                        self.faults.apply(staged, staged_from, rx, &mut moved);
                     }
                 }
                 self.stacks[src].recycle(nb);

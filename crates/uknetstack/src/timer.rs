@@ -71,7 +71,7 @@ impl TimerToken {
     /// timer" default before the first arm).
     pub(crate) const NONE: TimerToken = TimerToken { idx: NIL, gen: 0 };
 
-    /// True if this is the [`NONE`](Self::NONE) sentinel.
+    /// True if this is the `NONE` sentinel.
     pub fn is_none(self) -> bool {
         self.idx == NIL
     }
@@ -191,7 +191,7 @@ impl TimerWheel {
     fn alloc_entry(&mut self) -> u32 {
         if self.free_head == NIL {
             // Grow geometrically so a warm wheel stops allocating.
-            let grow = (self.entries.len().max(8)).min(64 * 1024);
+            let grow = self.entries.len().clamp(8, 64 * 1024);
             // ukcheck: allow(alloc) -- cold slab-exhausted branch only;
             // geometric growth means a warm wheel never re-enters it
             self.reserve(grow);
@@ -446,7 +446,7 @@ mod tests {
     #[test]
     fn stale_token_after_fire_cancels_nothing() {
         let mut w = TimerWheel::new();
-        let t = w.arm(1 * MS, 1);
+        let t = w.arm(MS, 1);
         assert_eq!(collect_fires(&mut w, 2 * MS), vec![1]);
         // The slab slot is reused by a new timer; the old token must
         // not cancel it.

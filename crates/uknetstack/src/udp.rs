@@ -51,7 +51,7 @@ impl UdpHeader {
     ///
     /// # Panics
     ///
-    /// Panics if `nb` has less than [`UDP_HDR_LEN`] bytes of headroom.
+    /// Panics if `nb` has less than `UDP_HDR_LEN` bytes of headroom.
     /// [`Csum::Gso`] is a caller bug (nothing cuts a datagram, and the
     /// stack's `Offloads::csum()` never yields it): a debug build says
     /// so, a release build emits the datagram as [`Csum::Offload`] —

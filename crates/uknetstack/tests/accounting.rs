@@ -9,8 +9,11 @@ use uknetstack::stack::StackStats;
 use uknetstack::testnet::{node, Network};
 use uknetstack::{Endpoint, Ipv4Addr};
 
-/// The rows compared below, as (registry name, per-stack field).
-const ROWS: [(&str, fn(&StackStats) -> u64); 6] = [
+/// One row compared below: (registry name, per-stack field).
+type Row = (&'static str, fn(&StackStats) -> u64);
+
+/// The rows compared below.
+const ROWS: [Row; 6] = [
     ("netstack.tx_frames", |s| s.tx_frames),
     ("netstack.rx_frames", |s| s.rx_frames),
     ("netstack.demux_tcp", |s| s.demux_tcp),

@@ -117,13 +117,13 @@ fn bulk_scenarios_cover_the_fast_path_tracepoints() {
     let tx_names: Vec<&'static str> =
         net.stack(ci).trace_events().iter().map(|e| e.name()).collect();
     assert!(
-        tx_names.iter().any(|n| *n == "tso_super_tx"),
+        tx_names.contains(&"tso_super_tx"),
         "bulk TX left as super-segments: {tx_names:?}"
     );
     let rx_names: Vec<&'static str> =
         net.stack(si).trace_events().iter().map(|e| e.name()).collect();
     assert!(
-        rx_names.iter().any(|n| *n == "tcp_super_rx"),
+        rx_names.contains(&"tcp_super_rx"),
         "bulk RX arrived as chains: {rx_names:?}"
     );
 
@@ -159,7 +159,7 @@ fn bulk_scenarios_cover_the_fast_path_tracepoints() {
     let gro_names: Vec<&'static str> =
         net.stack(si).trace_events().iter().map(|e| e.name()).collect();
     assert!(
-        gro_names.iter().any(|n| *n == "gro_merge"),
+        gro_names.contains(&"gro_merge"),
         "per-MSS bulk coalesced in GRO: {gro_names:?}"
     );
 }

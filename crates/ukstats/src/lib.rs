@@ -267,7 +267,7 @@ mod imp {
         ///
         /// # Panics
         ///
-        /// Panics if more than [`MAX_COUNTERS`] distinct names register.
+        /// Panics if more than `MAX_COUNTERS` distinct names register.
         pub fn register(name: &'static str) -> Counter {
             Counter { slot: &COUNTERS[slot_of(&mut index().counters, name, MAX_COUNTERS)] }
         }
@@ -327,7 +327,7 @@ mod imp {
         ///
         /// # Panics
         ///
-        /// Panics if more than [`MAX_GAUGES`] distinct names register.
+        /// Panics if more than `MAX_GAUGES` distinct names register.
         pub fn register(name: &'static str) -> Gauge {
             Gauge { slot: &GAUGES[slot_of(&mut index().gauges, name, MAX_GAUGES)] }
         }
@@ -582,14 +582,14 @@ mod imp {
     /// corrupts.
     pub fn reset_all() {
         let mut idx = index();
-        for i in 0..idx.counters.len() {
-            COUNTERS[i].store(0, Relaxed);
+        for counter in &COUNTERS[..idx.counters.len()] {
+            counter.store(0, Relaxed);
         }
         for cell in idx.sets.iter().flat_map(|(cells, _)| cells.iter()) {
             cell.store(0, Relaxed);
         }
-        for i in 0..idx.gauges.len() {
-            GAUGES[i].store(0, Relaxed);
+        for gauge in &GAUGES[..idx.gauges.len()] {
+            gauge.store(0, Relaxed);
         }
         for (_, total) in idx.hists.iter_mut() {
             *total = HistTotal::EMPTY;

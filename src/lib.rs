@@ -23,9 +23,9 @@
 //! - [`build`] — Kconfig-like build system, dependency graphs and the
 //!   DCE/LTO link *model* of the paper's images (Fig. 8). This
 //!   repository's own release binaries are really linked as one program
-//!   — fat LTO, one codegen unit, abort on panic, in
-//!   `.cargo/config.toml` — and `make image-size` measures what that
-//!   does to them, beside the model
+//!   — fat LTO, one codegen unit, abort on panic and glibc's `libc.a`
+//!   linked in, in `.cargo/config.toml` — and `make image-size`
+//!   measures what that does to them, beside the model
 //! - [`port`] — application-compatibility analysis (Figs 5–7, Table 2)
 //! - [`baselines`] — Linux/OSv/Rump/HermiTux/Lupine/Mirage models
 //! - [`core`] — the `Unikernel` builder tying everything together
