@@ -12,7 +12,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify verify-trace-off verify-fault-matrix verify-churn verify-sanitize verify-release verify-workspace lint image-size test perf perf-compare perf-pairs examples clean
+.PHONY: verify verify-trace-off verify-fault-matrix verify-churn verify-sanitize verify-release verify-hot-text verify-workspace lint image-size hot-text test perf perf-compare perf-pairs examples clean
 
 ## Tier-1: release build + root-crate tests (ROADMAP's check).
 verify:
@@ -139,8 +139,13 @@ verify-release:
 ## and its `DT_NEEDED` libraries, resolved through `ldconfig`'s cache
 ## and followed to their own — or none for a static image. That is what
 ## the program needs on disk to run; `ratio` is each closure over the
-## cargo-defaults one. `crates/ukbuild/src/image.rs`
-## quotes the table next to `LTO_FACTOR`. (Building `benchmark/`
+## cargo-defaults one. Every build is laid out by `hot.ld` (see
+## `hot-text` below): `.text.hot` is the code the workloads run, `.text`
+## the rest. Last, `hot-text size` splits both sections of the images
+## as this tree builds them — before `strip`, it reads `.symtab` — by
+## where the code comes from: our crates, `std`, `core`/`alloc`, glibc.
+## `crates/ukbuild/src/image.rs` quotes the tables next to
+## `LTO_FACTOR`. (Building `benchmark/`
 ## rewrites its stale `Cargo.lock`: `git checkout benchmark/Cargo.lock`
 ## afterwards.)
 IMAGES = examples/webserver examples/event_server ukperf
@@ -150,7 +155,8 @@ image-size:
 		out="$$dir/$$1"; shift; \
 		env "$$@" $(CARGO) build -q --release --offline --target-dir "$$out" --example webserver --example event_server; \
 		env "$$@" $(CARGO) build -q --release --offline --target-dir "$$out" --manifest-path benchmark/Cargo.toml; \
-		for b in $(IMAGES); do strip "$$out/release/$$b"; done; \
+		mkdir -p "$$out/sym"; \
+		for b in $(IMAGES); do cp "$$out/release/$$b" "$$out/sym/"; strip "$$out/release/$$b"; done; \
 	}; \
 	build defaults RUSTFLAGS= CARGO_PROFILE_RELEASE_LTO=off CARGO_PROFILE_RELEASE_CODEGEN_UNITS=16 CARGO_PROFILE_RELEASE_PANIC=unwind; \
 	build shared RUSTFLAGS=; \
@@ -171,15 +177,68 @@ image-size:
 		done; \
 		echo "$$bytes"; for o in $$objs; do basename "$$o"; done; \
 	}; \
-	printf '%-24s %-22s %10s %12s %6s  %s\n' image build 'ELF (B)' 'closure (B)' ratio 'objects the loader maps'; \
+	secsize() { h=$$(readelf -SW "$$1" | awk -v n="$$2" '{ for (i = 1; i < NF; i++) if ($$i == n) { print $$(i + 4); exit } }'); echo $$((0x$${h:-0})); }; \
+	printf '%-24s %-22s %10s %10s %10s %12s %6s  %s\n' image build 'ELF (B)' '.text.hot' '.text' 'closure (B)' ratio 'objects the loader maps'; \
 	for b in $(IMAGES); do \
 		base=; \
 		for v in "defaults:cargo defaults, shared" "shared:profile, shared libc" "static:profile, static libc"; do \
 			elf="$$dir/$${v%%:*}/release/$$b"; set -- $$(closure "$$elf"); c=$$1; shift; base=$${base:-$$c}; \
-			printf '%-24s %-22s %10d %12d %6s  %s\n' "$$b" "$${v#*:}" "$$(stat -c %s "$$elf")" "$$c" \
+			printf '%-24s %-22s %10d %10d %10d %12d %6s  %s\n' "$$b" "$${v#*:}" "$$(stat -c %s "$$elf")" \
+				"$$(secsize "$$elf" .text.hot)" "$$(secsize "$$elf" .text)" "$$c" \
 				"$$(awk "BEGIN { printf \"%.2f\", $$c / $$base }")" "$${*:-(none)}"; \
 		done; \
+	done; \
+	echo; echo "code of the images as this tree builds them (unstripped), by origin, in bytes of function symbols:"; \
+	$(HOT_TEXT) size $(HOT_LIBS) $(foreach b,$(IMAGES),"$$dir/static/sym/$(notdir $(b))")
+
+## `.text.hot`: every image that links `ukplat` is laid out by
+## `crates/ukplat/link/hot.ld` (its `build.rs` passes the fragment to
+## the linker), which packs the functions the workloads execute into one
+## `.text.hot` ahead of the code they never run. Each page fault in
+## `.text` maps a 64 KiB window around it, so code a run never executes
+## is resident beside code it does; packed, `tcp-rr`'s `peak_rss_mib`
+## falls ≈ 0.6 MiB. `hot-text` (crates/ukbuild, `tools/hot_text.rs`) is
+## a `ptrace` tracer that puts an `int3` on every function entry of an
+## unstripped image and records the first hit of each.
+##
+## `hot-text` rewrites `hot.ld`: it builds `ukperf` and the two example
+## images, traces the six workloads (seeds 2–7, 2 s each; seed 1, the
+## benchmark's, is left for `verify-hot-text`), `webserver` and
+## `event_server`, and writes the union, most-shared first. Two rounds:
+## the second builds with the script the first wrote and traces again,
+## so what one run missed another catches.
+## `verify-hot-text` builds `ukperf`, traces each workload for 1 s and
+## prints the bytes of the functions it ran and the share of them inside
+## `.text.hot`; below 98 % on any workload it fails, so a stale `hot.ld`
+## cannot give the resident set back unnoticed.
+## Both build into `target/ukperf` (building `benchmark/` rewrites its
+## stale `Cargo.lock`: `git checkout benchmark/Cargo.lock` afterwards).
+HOT_TEXT = $(CARGO) run -q --release --offline -p ukbuild --bin hot-text --
+HOT_LIBS = $(foreach f,libc.a libm.a,--lib "$$(cc -print-file-name=$(f))")
+HOT_UKPERF = target/ukperf/release/ukperf
+WORKLOADS = http-wrk redis-pipe tcp-rr tcp-bulk tcp-lossy conn-churn
+hot-text:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; traces=; \
+	for r in 1 2; do \
+		$(CARGO) build -q --release --offline --example webserver --example event_server; \
+		$(CARGO) build -q --release --offline --manifest-path benchmark/Cargo.toml --target-dir $(CURDIR)/target/ukperf; \
+		seed=2; for w in $(WORKLOADS); do \
+			$(HOT_TEXT) trace $(HOT_LIBS) "$$dir/$$r-$$w" -- $(HOT_UKPERF) --workload $$w --seed $$seed --seconds 2; \
+			traces="$$traces $$dir/$$r-$$w"; seed=$$((seed + 1)); \
+		done; \
+		for e in webserver event_server; do \
+			$(HOT_TEXT) trace $(HOT_LIBS) "$$dir/$$r-$$e" -- target/release/examples/$$e; traces="$$traces $$dir/$$r-$$e"; \
+		done; \
+		$(HOT_TEXT) script crates/ukplat/link/hot.ld $$traces; \
 	done
+
+verify-hot-text:
+	@set -e; \
+	$(CARGO) build -q --release --offline --manifest-path benchmark/Cargo.toml --target-dir $(CURDIR)/target/ukperf; \
+	fail=0; for w in $(WORKLOADS); do \
+		$(HOT_TEXT) cover --min 98 --label $$w -- $(HOT_UKPERF) --workload $$w --seconds 1 || fail=1; \
+	done; \
+	test $$fail -eq 0 || { echo "verify-hot-text: a workload runs code outside .text.hot: make hot-text" >&2; exit 1; }
 
 ## The full sweep: every workspace crate's unit, integration and prop
 ## tests (the `zero_alloc` guard among them: 0 allocations per frame on
@@ -196,6 +255,7 @@ verify-workspace:
 	$(MAKE) verify-trace-off
 	$(MAKE) verify-fault-matrix
 	$(MAKE) verify-churn
+	$(MAKE) verify-hot-text
 	$(MAKE) -C benchmark check
 
 test:

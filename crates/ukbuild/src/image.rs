@@ -26,20 +26,22 @@
 //! builds them. Beside each stripped ELF stands its run-time closure:
 //! the ELF plus every object the loader maps for it
 //! (`ld-linux-x86-64.so.2`, `libc.so.6` and `libgcc_s.so.1`, 2 266 544 B
-//! together, for each dynamic image; none for a static one). x86-64
-//! Linux, glibc 2.36; `ratio` is each closure over the defaults' one:
+//! together, for each dynamic image; none for a static one), and the
+//! split of its code into `.text.hot` (the functions the workloads run,
+//! see below) and `.text`. x86-64 Linux, glibc 2.36; `ratio` is each
+//! closure over the defaults' one:
 //!
-//! | image                   | build                 | ELF (B)   | closure (B) | ratio |
-//! |-------------------------|-----------------------|----------:|------------:|------:|
-//! | `examples/webserver`    | cargo defaults        |   887 720 |   3 154 264 |  1.00 |
-//! |                         | profile, shared libc  |   636 784 |   2 903 328 |  0.92 |
-//! |                         | profile, static libc  | 1 469 472 |   1 469 472 |  0.47 |
-//! | `examples/event_server` | cargo defaults        |   869 912 |   3 136 456 |  1.00 |
-//! |                         | profile, shared libc  |   609 152 |   2 875 696 |  0.92 |
-//! |                         | profile, static libc  | 1 441 760 |   1 441 760 |  0.46 |
-//! | `ukperf` (`benchmark/`) | cargo defaults        | 1 154 168 |   3 420 712 |  1.00 |
-//! |                         | profile, shared libc  |   921 688 |   3 188 232 |  0.93 |
-//! |                         | profile, static libc  | 1 768 256 |   1 768 256 |  0.52 |
+//! | image                   | build                 | ELF (B)   | `.text.hot` | `.text` | closure (B) | ratio |
+//! |-------------------------|-----------------------|----------:|--------:|--------:|------------:|------:|
+//! | `examples/webserver`    | cargo defaults        |   887 800 | 174 370 | 437 559 |   3 154 344 |  1.00 |
+//! |                         | profile, shared libc  |   636 872 | 245 696 | 262 743 |   2 903 416 |  0.92 |
+//! |                         | profile, static libc  | 1 469 576 | 414 640 | 696 296 |   1 469 576 |  0.47 |
+//! | `examples/event_server` | cargo defaults        |   871 304 | 177 012 | 423 623 |   3 137 848 |  1.00 |
+//! |                         | profile, shared libc  |   609 064 | 236 050 | 250 807 |   2 875 608 |  0.92 |
+//! |                         | profile, static libc  | 1 441 736 | 404 994 | 684 392 |   1 441 736 |  0.46 |
+//! | `ukperf` (`benchmark/`) | cargo defaults        | 1 153 432 | 249 110 | 567 383 |   3 419 976 |  1.00 |
+//! |                         | profile, shared libc  |   921 744 | 364 677 | 387 383 |   3 188 288 |  0.93 |
+//! |                         | profile, static libc  | 1 768 424 | 533 653 | 832 648 |   1 768 424 |  0.52 |
 //!
 //! So the profile alone — LTO, one codegen unit and no unwind tables
 //! together — takes the ELF to 0.70–0.80 of the defaults' size against
@@ -48,9 +50,39 @@
 //! statically, our images carry both `std` and the libc — 0.83–0.85 MB
 //! more ELF, the glibc objects `std`'s runtime reaches (`sscanf` through
 //! `pthread_getattr_np`, `gettext` through `strerror_r`, the `dl*`
-//! code) — and need nothing else: 0.46–0.52 of the defaults' closure,
-//! and only the pages the program touches are resident. That they are
-//! also "≈ 1.5 MB" is what they happen to link, not a calibration.
+//! code) — and need nothing else: 0.46–0.52 of the defaults' closure.
+//! That they are also "≈ 1.5 MB" is what they happen to link, not a
+//! calibration.
+//!
+//! Linked is not resident, but unused is not absent either. A page
+//! fault in the code does not map one page: the kernel maps the 64 KiB
+//! window around it (fault-around), as far as the page cache holds the
+//! file. In a probe, touching 8 pages 128 KiB apart in a mapped file
+//! made 512 kB resident. Laid out in link order, a `tcp-rr` run of the
+//! static `ukperf` executed 339 KB of code (354 of ≈ 2 350 functions)
+//! but held 1.21–1.28 MB of its 1.34 MB code mapping resident. So every
+//! image that links `ukplat` is laid out by `crates/ukplat/link/hot.ld`,
+//! which packs the functions the workloads run into one `.text.hot`
+//! ahead of the rest (`make hot-text` writes it from traces; see
+//! `ukplat`'s `build.rs` and [`crate::hot`]). The same run then holds
+//! 632–636 kB of code resident; `tcp-rr`'s `peak_rss_mib` fell from
+//! 2.05 to 1.40 MiB, and every workload's by 0.5–0.7 MiB. By origin
+//! (`hot-text size`, function symbols of the unstripped static images;
+//! "other" is `libgcc`'s unwinder, `compiler_builtins`' C-named
+//! intrinsics and the start-up code):
+//!
+//! | image          | section     |   bytes |    ours |     std | core/alloc |   glibc |  other |
+//! |----------------|-------------|--------:|--------:|--------:|-----------:|--------:|-------:|
+//! | `webserver`    | `.text.hot` | 414 640 | 155 008 |  39 099 |     48 289 | 163 732 |  3 562 |
+//! |                | `.text`     | 696 296 |  30 342 | 144 750 |     82 797 | 364 319 | 65 010 |
+//! | `event_server` | `.text.hot` | 404 994 | 159 885 |  40 324 |     32 518 | 163 732 |  3 562 |
+//! |                | `.text`     | 684 392 |  18 647 | 145 681 |     81 924 | 364 319 | 65 010 |
+//! | `ukperf`       | `.text.hot` | 533 653 | 271 113 |  24 524 |     65 288 | 163 732 |  3 585 |
+//! |                | `.text`     | 832 648 |  99 594 | 173 616 |    108 750 | 375 275 | 65 321 |
+//!
+//! The glibc code in `.text.hot` is whole archive members (a linker
+//! script names C code by object, not by function): 164 KB of members
+//! for what the traces saw glibc run.
 
 use crate::config::BuildConfig;
 use crate::registry::LibRegistry;

@@ -13,12 +13,20 @@
 //! - [`image`] — the link step: sum selected sizes, apply Dead Code
 //!   Elimination and Link-Time Optimization passes (Figure 8);
 //! - [`graph`] — dependency-graph extraction and DOT export (Figures 2
-//!   and 3), plus the Linux kernel component graph dataset (Figure 1).
+//!   and 3), plus the Linux kernel component graph dataset (Figure 1);
+//! - [`elf`], [`archive`], [`trace`] and [`hot`] — the measured side of
+//!   the link: a minimal ELF and `ar` reader, a `ptrace` function-entry
+//!   tracer, and the `.text.hot` linker-script fragment built from its
+//!   traces (the `hot-text` tool, `tools/hot_text.rs`).
 
+pub mod archive;
 pub mod config;
+pub mod elf;
 pub mod graph;
+pub mod hot;
 pub mod image;
 pub mod registry;
+pub mod trace;
 
 pub use config::BuildConfig;
 pub use graph::DepGraph;

@@ -1,0 +1,231 @@
+//! `hot-text`: traces which functions an image runs and writes the
+//! `.text.hot` linker-script fragment from those traces
+//! (`crates/ukplat/link/hot.ld`, see `ukplat`'s `build.rs`).
+//!
+//! ```text
+//! hot-text trace  [--lib A.a]… OUT -- PROGRAM [ARGS…]   patterns for what PROGRAM runs
+//! hot-text script OUT TRACE…                            the fragment, most-shared first
+//! hot-text cover  [--min PCT] [--label L] -- PROGRAM [ARGS…]
+//!                                                       bytes run, and the share in .text.hot
+//! hot-text size   [--lib A.a]… ELF…                     .text.hot / .text bytes by origin
+//! ```
+//!
+//! `--lib` names a static library whose members a pattern may name
+//! (`libc.a`: `cc -print-file-name=libc.a`). `make hot-text`,
+//! `make verify-hot-text` and `make image-size` drive it.
+
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+
+use ukbuild::archive::Archive;
+use ukbuild::elf::Elf;
+use ukbuild::hot::{self, Origin};
+use ukbuild::trace;
+
+const USAGE: &str = "usage: hot-text trace [--lib A.a]... OUT -- PROGRAM [ARGS...]\n       \
+                     hot-text script OUT TRACE...\n       \
+                     hot-text cover [--min PCT] [--label L] -- PROGRAM [ARGS...]\n       \
+                     hot-text size [--lib A.a]... ELF...";
+
+/// The options before `--` (`--name value` pairs and plain words) and
+/// the command after it.
+struct Args {
+    opts: Vec<(String, String)>,
+    words: Vec<String>,
+    command: Vec<String>,
+}
+
+fn parse(args: &[String]) -> Result<Args, String> {
+    let split = args.iter().position(|a| a == "--").unwrap_or(args.len());
+    let (head, tail) = args.split_at(split);
+    let mut a = Args {
+        opts: Vec::new(),
+        words: Vec::new(),
+        command: tail.iter().skip(1).cloned().collect(),
+    };
+    let mut it = head.iter();
+    while let Some(w) = it.next() {
+        if let Some(name) = w.strip_prefix("--") {
+            let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
+            a.opts.push((name.to_string(), v.clone()));
+        } else {
+            a.words.push(w.clone());
+        }
+    }
+    Ok(a)
+}
+
+impl Args {
+    fn all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
+        self.opts.iter().filter(move |(n, _)| n == name).map(|(_, v)| v.as_str())
+    }
+
+    fn one<'a>(&'a self, name: &'a str) -> Option<&'a str> {
+        self.all(name).last()
+    }
+
+    /// The `--lib` archives. A GNU ld script standing in
+    /// for an archive (`libm.a`: `GROUP ( …/libm-2.36.a … )`) stands for
+    /// the archives it names.
+    fn libs(&self) -> Result<Vec<Archive>, String> {
+        let mut out = Vec::new();
+        for p in self.all("lib") {
+            let bytes = std::fs::read(p).map_err(|e| format!("{p}: {e}"))?;
+            if bytes.starts_with(b"/*")
+                || bytes.starts_with(b"GROUP")
+                || bytes.starts_with(b"INPUT")
+            {
+                let text = String::from_utf8_lossy(&bytes);
+                for word in text.split(|c: char| c.is_whitespace() || c == '(' || c == ')') {
+                    if word.ends_with(".a") && Path::new(word).is_file() {
+                        out.push(Archive::read(Path::new(word))?);
+                    }
+                }
+            } else {
+                out.push(Archive::read(Path::new(p))?);
+            }
+        }
+        Ok(out)
+    }
+
+    fn program(&self) -> Result<(PathBuf, Elf), String> {
+        let exe = PathBuf::from(self.command.first().ok_or("no PROGRAM after `--`")?);
+        let elf = Elf::read(&exe)?;
+        if elf.functions().is_empty() {
+            return Err(format!("{}: no function symbols (stripped?)", exe.display()));
+        }
+        Ok((exe, elf))
+    }
+
+    fn run(&self, exe: &Path, elf: &Elf) -> Result<trace::Trace, String> {
+        let t = trace::first_hits(elf, exe, &self.command[1..])?;
+        if t.status != 0 {
+            return Err(format!(
+                "{} {:?} exited with status {}",
+                exe.display(),
+                &self.command[1..],
+                t.status
+            ));
+        }
+        Ok(t)
+    }
+}
+
+fn write(path: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))
+}
+
+fn cmd_trace(a: &Args) -> Result<(), String> {
+    let [out] = a.words.as_slice() else { return Err(USAGE.to_string()) };
+    let (exe, elf) = a.program()?;
+    let t = a.run(&exe, &elf)?;
+    let bytes: u64 = t.hits.iter().map(|&h| elf.functions()[h].size).sum();
+    let patterns = hot::trace_patterns(&elf, &t.hits, &a.libs()?);
+    let mut text = patterns.join("\n");
+    text.push('\n');
+    write(out, &text)?;
+    println!("{out}: {} functions, {bytes} bytes run, {} patterns", t.hits.len(), patterns.len());
+    Ok(())
+}
+
+fn cmd_script(a: &Args) -> Result<(), String> {
+    let [out, traces @ ..] = a.words.as_slice() else { return Err(USAGE.to_string()) };
+    if traces.is_empty() {
+        return Err(USAGE.to_string());
+    }
+    let lists = traces
+        .iter()
+        .map(|p| {
+            let t = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
+            Ok(t.lines().filter(|l| !l.is_empty()).map(str::to_string).collect())
+        })
+        .collect::<Result<Vec<Vec<String>>, String>>()?;
+    let script = hot::script(&lists);
+    write(out, &script)?;
+    let patterns: HashSet<&String> = lists.iter().flatten().collect();
+    println!("{out}: {} patterns from {} traces", patterns.len(), lists.len());
+    Ok(())
+}
+
+fn cmd_cover(a: &Args) -> Result<bool, String> {
+    let min: f64 = a.one("min").unwrap_or("0").parse().map_err(|_| "--min: not a number")?;
+    let (exe, elf) = a.program()?;
+    let label = a.one("label").map_or_else(|| exe.display().to_string(), str::to_string);
+    let t = a.run(&exe, &elf)?;
+    let (c, missed) = hot::coverage(&elf, &t.hits);
+    let ok = c.hot_pct() >= min;
+    println!(
+        "{label:<12} {:>5} functions {:>8} B run, {:>8} B in .text.hot: {:6.2} % {}",
+        c.functions,
+        c.bytes,
+        c.hot_bytes,
+        c.hot_pct(),
+        if ok { "ok" } else { "BELOW" }
+    );
+    if !ok {
+        for f in missed.iter().take(10) {
+            println!("    outside .text.hot: {:>6} B {}", f.size, f.name);
+        }
+    }
+    Ok(ok)
+}
+
+fn cmd_size(a: &Args) -> Result<(), String> {
+    let libs = a.libs()?;
+    print!("{:<24} {:<10} {:>9}", "image", "section", "bytes");
+    for o in Origin::ALL {
+        print!(" {:>10}", o.label());
+    }
+    println!(" {:>10}", "padding");
+    for path in &a.words {
+        let elf = Elf::read(Path::new(path))?;
+        if elf.functions().is_empty() {
+            return Err(format!("{path}: no function symbols (stripped?)"));
+        }
+        let origins = hot::origins(&elf, &libs);
+        let name =
+            Path::new(path).file_name().map_or(path.clone(), |n| n.to_string_lossy().into_owned());
+        for sec in [".text.hot", ".text"] {
+            let Some(s) = elf.section(sec) else {
+                println!("{name:<24} {sec:<10} {:>9}", "(none)");
+                continue;
+            };
+            let mut by = [0u64; Origin::ALL.len()];
+            for (f, o) in &origins {
+                if s.contains(f.addr) {
+                    by[*o as usize] += f.size;
+                }
+            }
+            print!("{name:<24} {sec:<10} {:>9}", s.size);
+            for b in by {
+                print!(" {b:>10}");
+            }
+            println!(" {:>10}", s.size.saturating_sub(by.iter().sum()));
+        }
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((sub, rest)) = argv.split_first() else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    };
+    let result = parse(rest).and_then(|a| match sub.as_str() {
+        "trace" => cmd_trace(&a).map(|()| true),
+        "script" => cmd_script(&a).map(|()| true),
+        "cover" => cmd_cover(&a),
+        "size" => cmd_size(&a).map(|()| true),
+        _ => Err(USAGE.to_string()),
+    });
+    match result {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("hot-text: {e}");
+            ExitCode::from(2)
+        }
+    }
+}

@@ -1,0 +1,71 @@
+//! The image is laid out by `crates/ukplat/link/hot.ld`: every binary
+//! that links `ukplat` — this test binary too — gets the fragment from
+//! `ukplat`'s `build.rs`, which packs the functions the workloads run
+//! into a `.text.hot` ahead of `.text`. If the script stops reaching
+//! the link, the section is gone and the code the traffic runs is
+//! spread over all of `.text` again (≈ 0.6 MiB more resident on
+//! `tcp-rr`); these checks fail instead.
+
+use std::path::Path;
+
+use ukbuild::elf::{Elf, PF_X, PT_LOAD};
+
+// Links the platform layer, as every image does, whether or not a test
+// calls into it: its `build.rs` is what brings `hot.ld` to the link.
+extern crate ukplat;
+
+#[test]
+fn text_hot_leads_the_code_segment() {
+    let elf = Elf::read(Path::new("/proc/self/exe")).expect("reading /proc/self/exe");
+    let hot = elf
+        .section(".text.hot")
+        .expect("no .text.hot: does ukplat's build.rs still pass link/hot.ld to the linker?");
+    let text = elf.section(".text").expect("no .text");
+    assert!(hot.size > 0, ".text.hot is empty: does any pattern of hot.ld match this image?");
+    assert!(
+        hot.addr + hot.size <= text.addr,
+        ".text.hot ({:#x}+{:#x}) does not lie before .text ({:#x})",
+        hot.addr,
+        hot.size,
+        text.addr
+    );
+    let rx = elf
+        .segments()
+        .iter()
+        .find(|s| s.kind == PT_LOAD && s.flags & PF_X != 0 && s.covers(text))
+        .expect("no executable PT_LOAD maps .text");
+    assert!(rx.covers(hot), ".text.hot and .text are not in one executable segment");
+    let first = elf
+        .sections()
+        .iter()
+        .filter(|s| s.is_exec() && s.size > 0 && rx.covers(s))
+        .min_by_key(|s| s.addr)
+        .expect("code in the segment");
+    assert_eq!(first.name, ".text.hot", "the executable segment does not open with .text.hot");
+}
+
+#[test]
+fn hot_ld_holds_no_build_path_and_no_hash() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/ukplat/link/hot.ld");
+    let script = std::fs::read_to_string(path).expect("reading hot.ld");
+    // Without its comments, the script names sections and file
+    // patterns only: no `/` of an absolute (or any) path.
+    let mut bare = String::new();
+    let mut rest = script.as_str();
+    while let Some(at) = rest.find("/*") {
+        bare.push_str(&rest[..at]);
+        rest = rest[at..].split_once("*/").map_or("", |(_, after)| after);
+    }
+    bare.push_str(rest);
+    assert!(!bare.contains('/'), "hot.ld names a path");
+    // A legacy symbol's `17h<16 hex digits>E` changes with the source
+    // path the tree is built at: a pattern stops before it.
+    let b = bare.as_bytes();
+    let hashed = (0..b.len().saturating_sub(19)).any(|i| {
+        &b[i..i + 3] == b"17h"
+            && b[i + 3..i + 19].iter().all(u8::is_ascii_hexdigit)
+            && b[i + 19] == b'E'
+    });
+    assert!(!hashed, "hot.ld names a symbol with its path-dependent hash");
+    assert!(bare.contains(".text.hot") && bare.trim_end().ends_with("INSERT BEFORE .text;"));
+}
