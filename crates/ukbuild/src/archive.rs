@@ -25,6 +25,9 @@ pub struct Archive {
     /// Every function in the members' own symbol tables → its member,
     /// or `None` where two members define one name.
     by_function: HashMap<String, Option<String>>,
+    /// Each member's `.text` and `.text.*` bytes, each section rounded
+    /// up to its alignment: what `*lib.a:member(.text .text.*)` places.
+    code: HashMap<String, u64>,
 }
 
 impl Archive {
@@ -73,6 +76,13 @@ impl Archive {
                     };
                     if let Ok(elf) = Elf::parse(body) {
                         ar.add_functions(member.clone(), &elf);
+                        let code = elf
+                            .sections()
+                            .iter()
+                            .filter(|s| s.name == ".text" || s.name.starts_with(".text."))
+                            .map(|s| s.size.next_multiple_of(s.align.max(1)))
+                            .sum();
+                        ar.code.insert(member.clone(), code);
                     }
                     names_at.insert(at, member);
                 }
@@ -119,9 +129,10 @@ impl Archive {
     }
 
     /// The file pattern of a linker script that names `function`'s
-    /// member: `*libc.a:malloc.o`.
-    pub(crate) fn file_pattern(&self, function: &str) -> Option<String> {
-        self.member_of(function).map(|m| format!("*{}:{m}", self.name))
+    /// member, `*libc.a:malloc.o`, and the member's code bytes.
+    pub(crate) fn file_pattern(&self, function: &str) -> Option<(String, u64)> {
+        self.member_of(function)
+            .map(|m| (format!("*{}:{m}", self.name), self.code.get(m).copied().unwrap_or(0)))
     }
 }
 
@@ -177,7 +188,7 @@ mod tests {
         assert_eq!(ar.member_of("gamma"), Some("memmove-avx-unaligned-erms.o"));
         assert_eq!(ar.member_of("delta"), None);
         assert_eq!(
-            ar.file_pattern("gamma").as_deref(),
+            ar.file_pattern("gamma").map(|(p, _)| p).as_deref(),
             Some("*libx.a:memmove-avx-unaligned-erms.o")
         );
     }
@@ -188,7 +199,10 @@ mod tests {
         // index, so it is found in the member's own symbol table.
         let exe = std::fs::read("/proc/self/exe").unwrap();
         let ar = Archive::parse("libx.a".to_string(), &sample(&exe)).unwrap();
-        assert_eq!(ar.file_pattern("main").as_deref(), Some("*libx.a:a.o"));
+        let (pattern, code) = ar.file_pattern("main").unwrap();
+        assert_eq!(pattern, "*libx.a:a.o");
+        let text = Elf::parse(&exe).unwrap().section(".text").unwrap().size;
+        assert!(code >= text, "the member's code bytes ({code}) hold its .text ({text})");
         assert_eq!(ar.member_of("alpha"), Some("a.o"));
     }
 

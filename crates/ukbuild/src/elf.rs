@@ -33,6 +33,8 @@ pub struct Section {
     pub size: u64,
     /// `sh_flags`.
     pub flags: u64,
+    /// `sh_addralign`.
+    pub align: u64,
 }
 
 impl Section {
@@ -59,6 +61,9 @@ pub struct Segment {
     pub vaddr: u64,
     /// Size in memory.
     pub memsz: u64,
+    /// `p_align`: the loader places the segment at an address
+    /// congruent to `vaddr` modulo this.
+    pub align: u64,
 }
 
 impl Segment {
@@ -86,6 +91,7 @@ pub struct Function {
 #[derive(Debug)]
 pub struct Elf {
     kind: u16,
+    entry: u64,
     sections: Vec<Section>,
     segments: Vec<Segment>,
     functions: Vec<Function>,
@@ -152,6 +158,7 @@ impl Elf {
             return Err("not a 64-bit little-endian ELF".to_string());
         }
         let kind = u16_at(b, 16)?;
+        let e_entry = u64_at(b, 24)?;
         let offset = |at| u64_at(b, at).and_then(|o| usize::try_from(o).map_err(|_| truncated()));
         let (phoff, shoff) = (offset(32)?, offset(40)?);
         let (phentsize, phnum) = (u16_at(b, 54)? as usize, u16_at(b, 56)? as usize);
@@ -166,6 +173,7 @@ impl Elf {
                 flags: u32_at(b, p + 4)?,
                 vaddr: u64_at(b, p + 16)?,
                 memsz: u64_at(b, p + 40)?,
+                align: u64_at(b, p + 48)?,
             });
         }
 
@@ -179,6 +187,7 @@ impl Elf {
             offset: u64,
             size: u64,
             link: u32,
+            align: u64,
             entsize: u64,
         }
         let mut raw = Vec::with_capacity(shnum);
@@ -192,6 +201,7 @@ impl Elf {
                 offset: u64_at(b, s + 24)?,
                 size: u64_at(b, s + 32)?,
                 link: u32_at(b, s + 40)?,
+                align: u64_at(b, s + 48)?,
                 entsize: u64_at(b, s + 56)?,
             });
         }
@@ -206,6 +216,7 @@ impl Elf {
                 addr: r.addr,
                 size: r.size,
                 flags: r.flags,
+                align: r.align,
             });
         }
 
@@ -232,12 +243,17 @@ impl Elf {
             }
         }
         functions.sort_by(|a, b| a.addr.cmp(&b.addr).then(a.local.cmp(&b.local)));
-        Ok(Elf { kind, sections, segments, functions })
+        Ok(Elf { kind, entry: e_entry, sections, segments, functions })
     }
 
     /// Whether the image is position-independent (loaded at a bias).
     pub(crate) fn is_pie(&self) -> bool {
         self.kind == ET_DYN
+    }
+
+    /// The entry point, `e_entry`: the start-up code's `_start`.
+    pub fn entry(&self) -> u64 {
+        self.entry
     }
 
     /// Every section header, in file order.

@@ -26,31 +26,36 @@
 //! builds them. Beside each stripped ELF stands its run-time closure:
 //! the ELF plus every object the loader maps for it
 //! (`ld-linux-x86-64.so.2`, `libc.so.6` and `libgcc_s.so.1`, 2 266 544 B
-//! together, for each dynamic image; none for a static one), and the
+//! together, for each dynamic image; none for a static one), the
 //! split of its code into `.text.hot` (the functions the workloads run,
-//! see below) and `.text`. x86-64 Linux, glibc 2.36; `ratio` is each
+//! see below) and `.text`, its relocation bytes and its segment
+//! alignment. x86-64 Linux, glibc 2.36; `ratio` is each
 //! closure over the defaults' one:
 //!
-//! | image                   | build                 | ELF (B)   | `.text.hot` | `.text` | closure (B) | ratio |
-//! |-------------------------|-----------------------|----------:|--------:|--------:|------------:|------:|
-//! | `examples/webserver`    | cargo defaults        |   887 800 | 174 370 | 437 559 |   3 154 344 |  1.00 |
-//! |                         | profile, shared libc  |   636 872 | 245 696 | 262 743 |   2 903 416 |  0.92 |
-//! |                         | profile, static libc  | 1 469 576 | 414 640 | 696 296 |   1 469 576 |  0.47 |
-//! | `examples/event_server` | cargo defaults        |   871 304 | 177 012 | 423 623 |   3 137 848 |  1.00 |
-//! |                         | profile, shared libc  |   609 064 | 236 050 | 250 807 |   2 875 608 |  0.92 |
-//! |                         | profile, static libc  | 1 441 736 | 404 994 | 684 392 |   1 441 736 |  0.46 |
-//! | `ukperf` (`benchmark/`) | cargo defaults        | 1 153 432 | 249 110 | 567 383 |   3 419 976 |  1.00 |
-//! |                         | profile, shared libc  |   921 744 | 364 677 | 387 383 |   3 188 288 |  0.93 |
-//! |                         | profile, static libc  | 1 768 424 | 533 653 | 832 648 |   1 768 424 |  0.52 |
+//! | image                   | build                 | ELF (B)   | `.text.hot` | `.text` | relocs | align | closure (B) | ratio |
+//! |-------------------------|-----------------------|----------:|--------:|--------:|-------:|------:|------------:|------:|
+//! | `examples/webserver`    | cargo defaults        |   925 416 | 212 180 | 437 367 | 40 008 | 4 KiB |   3 191 960 |  1.00 |
+//! |                         | profile, shared libc  |   676 872 | 285 876 | 262 551 | 20 280 | 4 KiB |   2 943 416 |  0.92 |
+//! |                         | profile, static libc  | 1 468 616 | 464 580 | 696 104 |  1 232 | 64 KiB |  1 468 616 |  0.46 |
+//! | `examples/event_server` | cargo defaults        |   911 848 | 217 748 | 423 431 | 40 248 | 4 KiB |   3 178 392 |  1.00 |
+//! |                         | profile, shared libc  |   664 248 | 291 438 | 250 615 | 18 888 | 4 KiB |   2 930 792 |  0.92 |
+//! |                         | profile, static libc  | 1 455 944 | 468 830 | 684 136 |  1 208 | 64 KiB |  1 455 944 |  0.46 |
+//! | `ukperf` (`benchmark/`) | cargo defaults        | 1 206 856 | 302 724 | 567 191 | 50 712 | 4 KiB |   3 473 400 |  1.00 |
+//! |                         | profile, shared libc  |   928 896 | 372 020 | 387 191 | 24 768 | 4 KiB |   3 195 440 |  0.92 |
+//! |                         | profile, static libc  | 1 732 424 | 553 012 | 832 392 |  1 280 | 64 KiB |  1 732 424 |  0.50 |
+//!
+//! (`relocs` is `.rela.dyn` + `.relr.dyn`; `align` the `PT_LOAD`s'
+//! `p_align`. The first two builds drop the config's link flags with
+//! its `+crt-static`.)
 //!
 //! So the profile alone — LTO, one codegen unit and no unwind tables
 //! together — takes the ELF to 0.70–0.80 of the defaults' size against
 //! the model's 0.88 for LTO alone: the same direction, more of it. But
 //! a dynamic ELF is the smaller part of what it needs to run. Linked
-//! statically, our images carry both `std` and the libc — 0.83–0.85 MB
+//! statically, our images carry both `std` and the libc — 0.79–0.80 MB
 //! more ELF, the glibc objects `std`'s runtime reaches (`sscanf` through
 //! `pthread_getattr_np`, `gettext` through `strerror_r`, the `dl*`
-//! code) — and need nothing else: 0.46–0.52 of the defaults' closure.
+//! code) — and need nothing else: 0.46–0.50 of the defaults' closure.
 //! That they are also "≈ 1.5 MB" is what they happen to link, not a
 //! calibration.
 //!
@@ -64,21 +69,33 @@
 //! image that links `ukplat` is laid out by `crates/ukplat/link/hot.ld`,
 //! which packs the functions the workloads run into one `.text.hot`
 //! ahead of the rest (`make hot-text` writes it from traces; see
-//! `ukplat`'s `build.rs` and [`crate::hot`]). The same run then holds
-//! 632–636 kB of code resident; `tcp-rr`'s `peak_rss_mib` fell from
-//! 2.05 to 1.40 MiB, and every workload's by 0.5–0.7 MiB. By origin
+//! `ukplat`'s `build.rs` and [`crate::hot`]). The same run then held
+//! 556–636 kB of code resident, depending on the run: with 4 KiB
+//! `p_align` the kernel loaded the image at any 4 KiB-aligned base, and
+//! where the windows fell in it changed with every run. Linked with
+//! 64 KiB segments (`.cargo/config.toml`), the base is 64 KiB-aligned
+//! and the windows fall at fixed offsets; `.text.hot` opens with the
+//! start-up code, and its functions are grouped by the workloads that
+//! run them and laid out to touch the fewest windows. A `tcp-rr` run
+//! now holds 416 kB of code resident (seven windows, the first a half,
+//! for 339 KB executed) and 192 kB of the read-only segment, where
+//! RELR relocations replaced 56 kB of `.rela.dyn`; its `peak_rss_mib`
+//! went 2.05 → 1.40 → 1.07 MiB over the two steps. By origin
 //! (`hot-text size`, function symbols of the unstripped static images;
 //! "other" is `libgcc`'s unwinder, `compiler_builtins`' C-named
 //! intrinsics and the start-up code):
 //!
-//! | image          | section     |   bytes |    ours |     std | core/alloc |   glibc |  other |
-//! |----------------|-------------|--------:|--------:|--------:|-----------:|--------:|-------:|
-//! | `webserver`    | `.text.hot` | 414 640 | 155 008 |  39 099 |     48 289 | 163 732 |  3 562 |
-//! |                | `.text`     | 696 296 |  30 342 | 144 750 |     82 797 | 364 319 | 65 010 |
-//! | `event_server` | `.text.hot` | 404 994 | 159 885 |  40 324 |     32 518 | 163 732 |  3 562 |
-//! |                | `.text`     | 684 392 |  18 647 | 145 681 |     81 924 | 364 319 | 65 010 |
-//! | `ukperf`       | `.text.hot` | 533 653 | 271 113 |  24 524 |     65 288 | 163 732 |  3 585 |
-//! |                | `.text`     | 832 648 |  99 594 | 173 616 |    108 750 | 375 275 | 65 321 |
+//! | image          | section     |   bytes |    ours |     std | core/alloc |   glibc |  other | padding |
+//! |----------------|-------------|--------:|--------:|--------:|-----------:|--------:|-------:|--------:|
+//! | `webserver`    | `.text.hot` | 464 580 | 155 008 |  39 099 |     48 289 | 163 732 |  3 596 |  54 856 |
+//! |                | `.text`     | 696 104 |  30 342 | 144 750 |     82 797 | 364 319 | 64 976 |   8 920 |
+//! | `event_server` | `.text.hot` | 468 830 | 159 885 |  40 324 |     32 518 | 163 732 |  3 596 |  68 775 |
+//! |                | `.text`     | 684 136 |  18 647 | 145 681 |     81 924 | 364 319 | 64 976 |   8 589 |
+//! | `ukperf`       | `.text.hot` | 553 012 | 271 113 |  24 524 |     65 288 | 163 732 |  3 619 |  24 736 |
+//! |                | `.text`     | 832 392 |  99 594 | 173 616 |    108 750 | 375 275 | 65 287 |   9 870 |
+//!
+//! `.text.hot`'s padding is mostly the one `. = ALIGN(0x10000)` of
+//! `hot.ld`: address space, not residency.
 //!
 //! The glibc code in `.text.hot` is whole archive members (a linker
 //! script names C code by object, not by function): 164 KB of members

@@ -3,16 +3,21 @@
 //! (`crates/ukplat/link/hot.ld`, see `ukplat`'s `build.rs`).
 //!
 //! ```text
-//! hot-text trace  [--lib A.a]… OUT -- PROGRAM [ARGS…]   patterns for what PROGRAM runs
-//! hot-text script OUT TRACE…                            the fragment, most-shared first
-//! hot-text cover  [--min PCT] [--label L] -- PROGRAM [ARGS…]
-//!                                                       bytes run, and the share in .text.hot
+//! hot-text trace  [--lib A.a]… OUT -- PROGRAM [ARGS…]   patterns (and their bytes) for what PROGRAM runs
+//! hot-text script OUT TRACE…                            the fragment, grouped by who ran what
+//! hot-text cover  [--min PCT] [--max-extra N] [--label L] -- PROGRAM [ARGS…]
+//!                                                       bytes run, the share in .text.hot,
+//!                                                       the 64 KiB windows they touch
 //! hot-text size   [--lib A.a]… ELF…                     .text.hot / .text bytes by origin
 //! ```
 //!
 //! `--lib` names a static library whose members a pattern may name
-//! (`libc.a`: `cc -print-file-name=libc.a`). `make hot-text`,
-//! `make verify-hot-text` and `make image-size` drive it.
+//! (`libc.a`: `cc -print-file-name=libc.a`). A trace's file name is the
+//! source it ran: `script` merges traces of one name (one per round,
+//! in different directories). `cover` fails below `--min` percent in
+//! `.text.hot`, or above `--max-extra` windows more than ⌈bytes /
+//! 64 KiB⌉. `make hot-text`, `make verify-hot-text` and
+//! `make image-size` drive it.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -25,7 +30,7 @@ use ukbuild::trace;
 
 const USAGE: &str = "usage: hot-text trace [--lib A.a]... OUT -- PROGRAM [ARGS...]\n       \
                      hot-text script OUT TRACE...\n       \
-                     hot-text cover [--min PCT] [--label L] -- PROGRAM [ARGS...]\n       \
+                     hot-text cover [--min PCT] [--max-extra N] [--label L] -- PROGRAM [ARGS...]\n       \
                      hot-text size [--lib A.a]... ELF...";
 
 /// The options before `--` (`--name value` pairs and plain words) and
@@ -121,11 +126,14 @@ fn cmd_trace(a: &Args) -> Result<(), String> {
     let (exe, elf) = a.program()?;
     let t = a.run(&exe, &elf)?;
     let bytes: u64 = t.hits.iter().map(|&h| elf.functions()[h].size).sum();
-    let patterns = hot::trace_patterns(&elf, &t.hits, &a.libs()?);
-    let mut text = patterns.join("\n");
-    text.push('\n');
-    write(out, &text)?;
-    println!("{out}: {} functions, {bytes} bytes run, {} patterns", t.hits.len(), patterns.len());
+    let image = exe.file_name().map_or(String::new(), |n| n.to_string_lossy().into_owned());
+    let trace = hot::Trace::new(&image, &elf, &t.hits, &a.libs()?);
+    write(out, &trace.to_text())?;
+    println!(
+        "{out}: {} functions, {bytes} bytes run, {} patterns",
+        t.hits.len(),
+        trace.patterns.len()
+    );
     Ok(())
 }
 
@@ -134,36 +142,47 @@ fn cmd_script(a: &Args) -> Result<(), String> {
     if traces.is_empty() {
         return Err(USAGE.to_string());
     }
-    let lists = traces
+    let traces = traces
         .iter()
         .map(|p| {
-            let t = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
-            Ok(t.lines().filter(|l| !l.is_empty()).map(str::to_string).collect())
+            let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
+            let source =
+                Path::new(p).file_name().map_or(p.clone(), |n| n.to_string_lossy().into_owned());
+            Ok((source, hot::Trace::parse(&text).map_err(|e| format!("{p}: {e}"))?))
         })
-        .collect::<Result<Vec<Vec<String>>, String>>()?;
-    let script = hot::script(&lists);
+        .collect::<Result<Vec<_>, String>>()?;
+    let script = hot::script(&traces)?;
     write(out, &script)?;
-    let patterns: HashSet<&String> = lists.iter().flatten().collect();
-    println!("{out}: {} patterns from {} traces", patterns.len(), lists.len());
+    let patterns: HashSet<&String> =
+        traces.iter().flat_map(|(_, t)| t.patterns.iter().map(|(_, p)| p)).collect();
+    println!("{out}: {} patterns from {} traces", patterns.len(), traces.len());
     Ok(())
 }
 
 fn cmd_cover(a: &Args) -> Result<bool, String> {
     let min: f64 = a.one("min").unwrap_or("0").parse().map_err(|_| "--min: not a number")?;
+    let extra: Option<u64> =
+        a.one("max-extra").map(str::parse).transpose().map_err(|_| "--max-extra: not a number")?;
     let (exe, elf) = a.program()?;
     let label = a.one("label").map_or_else(|| exe.display().to_string(), str::to_string);
     let t = a.run(&exe, &elf)?;
     let (c, missed) = hot::coverage(&elf, &t.hits);
-    let ok = c.hot_pct() >= min;
+    let packed = c.hot_pct() >= min;
+    let tight = extra.is_none_or(|n| c.windows <= c.floor() + n);
     println!(
-        "{label:<12} {:>5} functions {:>8} B run, {:>8} B in .text.hot: {:6.2} % {}",
+        "{label:<12} {:>5} functions {:>8} B run, {:>8} B in .text.hot: {:6.2} % {}; \
+         {:>2} windows of 64 KiB, floor {:>2} {}",
         c.functions,
         c.bytes,
         c.hot_bytes,
         c.hot_pct(),
-        if ok { "ok" } else { "BELOW" }
+        if packed { "ok" } else { "BELOW" },
+        c.windows,
+        c.floor(),
+        if tight { "ok" } else { "ABOVE" }
     );
-    if !ok {
+    let ok = packed && tight;
+    if !packed {
         for f in missed.iter().take(10) {
             println!("    outside .text.hot: {:>6} B {}", f.size, f.name);
         }

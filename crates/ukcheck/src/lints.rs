@@ -1047,6 +1047,28 @@ mod tests {
     }
 
     #[test]
+    fn build_profile_wants_every_image_flag() {
+        let pinned = crate::manifest::STATIC_RUSTFLAGS;
+        let (table, flags) = pinned;
+        let want = [("lto", "\"fat\"")];
+        let check = |v: &str| {
+            let src = format!("[profile.release]\nlto = \"fat\"\n[{table}]\nrustflags = {v}\n");
+            check_profile_config("c.toml", Some(&src), &want, pinned)
+        };
+        assert!(check(flags).is_empty());
+        for dropped in [
+            "\"-C\", \"target-feature=+crt-static\"",
+            "\"-C\", \"link-arg=-Wl,-z,max-page-size=65536\"",
+            "\"-C\", \"link-arg=-Wl,-z,pack-relative-relocs\"",
+        ] {
+            let v = flags.replace(&format!("{dropped}, "), "").replace(&format!(", {dropped}"), "");
+            assert_ne!(v, flags, "{dropped} is not in the pinned flags");
+            let out = check(&v);
+            assert_eq!(out.iter().map(|v| v.line).collect::<Vec<_>>(), [4], "without {dropped}");
+        }
+    }
+
+    #[test]
     fn relaxed_only_crates_reject_acquire() {
         let src = "fn f() { X.load(Ordering::Acquire); }";
         assert!(check_source("t.rs", src, false, false).is_empty());

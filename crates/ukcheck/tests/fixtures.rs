@@ -172,7 +172,7 @@ fn the_release_profile_is_pinned_in_one_file() {
 
     let (code, stdout) = run_root("bad/build_profile");
     assert_eq!(code, 1, "output:\n{stdout}");
-    let flags = r#"["-C", "target-feature=+crt-static"]"#;
+    let flags = r#"["-C", "target-feature=+crt-static", "-C", "link-arg=-Wl,-z,max-page-size=65536", "-C", "link-arg=-Wl,-z,pack-relative-relocs"]"#;
     for want in [
         ".cargo/config.toml:5: [build-profile] `lto = \"thin\"`: want `lto = \"fat\"`, once".to_string(),
         ".cargo/config.toml:7: [build-profile] `debug`: a setting beyond the release profile".to_string(),

@@ -14,6 +14,10 @@ use ukbuild::elf::{Elf, PF_X, PT_LOAD};
 // calls into it: its `build.rs` is what brings `hot.ld` to the link.
 extern crate ukplat;
 
+/// `.text.hot` opens the code: only `.init` and `.fini` (32 B of
+/// stubs LLD puts there) come before it in the executable segment, no
+/// byte of `.text` lies before its end, and the start-up code
+/// (`_start`, the entry point) lies inside it.
 #[test]
 fn text_hot_leads_the_code_segment() {
     let elf = Elf::read(Path::new("/proc/self/exe")).expect("reading /proc/self/exe");
@@ -29,19 +33,27 @@ fn text_hot_leads_the_code_segment() {
         hot.size,
         text.addr
     );
+    assert!(
+        hot.contains(elf.entry()),
+        "_start ({:#x}) lies outside .text.hot: does hot.ld open with the start-up object?",
+        elf.entry()
+    );
     let rx = elf
         .segments()
         .iter()
         .find(|s| s.kind == PT_LOAD && s.flags & PF_X != 0 && s.covers(text))
         .expect("no executable PT_LOAD maps .text");
     assert!(rx.covers(hot), ".text.hot and .text are not in one executable segment");
-    let first = elf
+    let before: Vec<&str> = elf
         .sections()
         .iter()
-        .filter(|s| s.is_exec() && s.size > 0 && rx.covers(s))
-        .min_by_key(|s| s.addr)
-        .expect("code in the segment");
-    assert_eq!(first.name, ".text.hot", "the executable segment does not open with .text.hot");
+        .filter(|s| s.is_exec() && s.size > 0 && rx.covers(s) && s.addr < hot.addr)
+        .map(|s| s.name.as_str())
+        .collect();
+    assert!(
+        before.iter().all(|n| *n == ".init" || *n == ".fini"),
+        "code ahead of .text.hot other than .init/.fini: {before:?}"
+    );
 }
 
 #[test]

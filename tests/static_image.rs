@@ -4,7 +4,16 @@
 //! is built with the same flags. A `RUSTFLAGS` in the environment
 //! replaces the config's rustflags without a word — the build then
 //! loads `libc.so.6` through `ld-linux` again and every workload's
-//! resident set grows by ≈ 0.8 MiB — so these two checks fail instead.
+//! resident set grows by ≈ 0.8 MiB — so the first two checks fail
+//! instead. The last two check the link flags beside `+crt-static`:
+//! segments aligned to the 64 KiB fault-around window, so the resident
+//! set does not depend on where ASLR puts the image, and relative
+//! relocations packed as RELR.
+
+use std::path::Path;
+
+use ukbuild::elf::{Elf, PT_LOAD};
+use ukbuild::hot::WINDOW;
 
 #[test]
 #[allow(clippy::assertions_on_constants, reason = "the constant is what the build was told")]
@@ -25,4 +34,47 @@ fn no_shared_object_is_mapped() {
         .filter(|path| path.ends_with(".so") || path.contains(".so."))
         .collect();
     assert!(shared.is_empty(), "a static image maps no shared object, this one maps {shared:?}");
+}
+
+#[test]
+fn segments_are_aligned_to_the_fault_around_window() {
+    let exe = Path::new("/proc/self/exe");
+    let elf = Elf::read(exe).expect("reading /proc/self/exe");
+    let loads: Vec<_> = elf.segments().iter().filter(|s| s.kind == PT_LOAD).collect();
+    for s in &loads {
+        assert!(
+            s.align >= WINDOW,
+            "PT_LOAD at {:#x} has p_align {:#x}: was the image linked with -z max-page-size=65536?",
+            s.vaddr,
+            s.align
+        );
+    }
+    // The base the kernel chose: the mapping of the lowest segment's
+    // page, less that page's link-time address.
+    let path = exe.canonicalize().expect("resolving /proc/self/exe");
+    let maps = std::fs::read_to_string("/proc/self/maps").expect("reading /proc/self/maps");
+    let start = maps
+        .lines()
+        .filter_map(|l| {
+            let f: Vec<&str> = l.split_whitespace().collect();
+            (f.len() >= 6 && Path::new(f[5]) == path)
+                .then(|| u64::from_str_radix(f[0].split('-').next()?, 16).ok())
+                .flatten()
+        })
+        .min()
+        .expect("the image is not in /proc/self/maps");
+    let low = loads.iter().map(|s| s.vaddr).min().expect("a PT_LOAD") & !0xfff;
+    let base = start - low;
+    assert_eq!(base % WINDOW, 0, "loaded at {base:#x}, not a multiple of 64 KiB");
+}
+
+#[test]
+fn relative_relocations_are_packed() {
+    let elf = Elf::read(Path::new("/proc/self/exe")).expect("reading /proc/self/exe");
+    assert!(
+        elf.section(".relr.dyn").is_some(),
+        "no .relr.dyn: was the image linked with -z pack-relative-relocs?"
+    );
+    let rela = elf.section(".rela.dyn").map_or(0, |s| s.size);
+    assert!(rela < 1024, ".rela.dyn holds {rela} B: relative relocations are not packed");
 }
