@@ -222,7 +222,8 @@ image-size:
 ## prints the bytes of the functions it ran, the share of them inside
 ## `.text.hot`, and the 64 KiB windows they touch beside ⌈bytes /
 ## 64 KiB⌉. It fails below 99.9 % on any workload (what runs outside is
-## a stale `hot.ld`), or above ⌈bytes / 64 KiB⌉ + 2 windows: http-wrk,
+## a stale `hot.ld`), or above ⌈bytes / 64 KiB⌉ + 2 windows
+## (`hot::MAX_EXTRA_WINDOWS`): http-wrk,
 ## redis-pipe and conn-churn sit at + 2, the others at + 1, because a
 ## linker script names C code by object and every monomorph of a
 ## generic function by one glob, so more is placed than is run.
@@ -252,7 +253,7 @@ verify-hot-text:
 	@set -e; \
 	$(CARGO) build -q --release --offline --manifest-path benchmark/Cargo.toml --target-dir $(CURDIR)/target/ukperf; \
 	fail=0; for w in $(WORKLOADS); do \
-		$(HOT_TEXT) cover --min 99.9 --max-extra 2 --label $$w -- $(HOT_UKPERF) --workload $$w --seconds 1 || fail=1; \
+		$(HOT_TEXT) cover --min 99.9 --label $$w -- $(HOT_UKPERF) --workload $$w --seconds 1 || fail=1; \
 	done; \
 	test $$fail -eq 0 || { echo "verify-hot-text: a workload runs code outside .text.hot, or over more windows than it needs: make hot-text" >&2; exit 1; }
 

@@ -5,7 +5,7 @@
 //! ```text
 //! hot-text trace  [--lib A.a]… OUT -- PROGRAM [ARGS…]   patterns (and their bytes) for what PROGRAM runs
 //! hot-text script OUT TRACE…                            the fragment, grouped by who ran what
-//! hot-text cover  [--min PCT] [--max-extra N] [--label L] -- PROGRAM [ARGS…]
+//! hot-text cover  [--min PCT] [--label L] -- PROGRAM [ARGS…]
 //!                                                       bytes run, the share in .text.hot,
 //!                                                       the 64 KiB windows they touch
 //! hot-text size   [--lib A.a]… ELF…                     .text.hot / .text bytes by origin
@@ -15,8 +15,8 @@
 //! (`libc.a`: `cc -print-file-name=libc.a`). A trace's file name is the
 //! source it ran: `script` merges traces of one name (one per round,
 //! in different directories). `cover` fails below `--min` percent in
-//! `.text.hot`, or above `--max-extra` windows more than ⌈bytes /
-//! 64 KiB⌉. `make hot-text`, `make verify-hot-text` and
+//! `.text.hot`, or above `hot::MAX_EXTRA_WINDOWS` (2) windows more than
+//! ⌈bytes / 64 KiB⌉. `make hot-text`, `make verify-hot-text` and
 //! `make image-size` drive it.
 
 use std::collections::HashSet;
@@ -30,7 +30,7 @@ use ukbuild::trace;
 
 const USAGE: &str = "usage: hot-text trace [--lib A.a]... OUT -- PROGRAM [ARGS...]\n       \
                      hot-text script OUT TRACE...\n       \
-                     hot-text cover [--min PCT] [--max-extra N] [--label L] -- PROGRAM [ARGS...]\n       \
+                     hot-text cover [--min PCT] [--label L] -- PROGRAM [ARGS...]\n       \
                      hot-text size [--lib A.a]... ELF...";
 
 /// The options before `--` (`--name value` pairs and plain words) and
@@ -161,14 +161,12 @@ fn cmd_script(a: &Args) -> Result<(), String> {
 
 fn cmd_cover(a: &Args) -> Result<bool, String> {
     let min: f64 = a.one("min").unwrap_or("0").parse().map_err(|_| "--min: not a number")?;
-    let extra: Option<u64> =
-        a.one("max-extra").map(str::parse).transpose().map_err(|_| "--max-extra: not a number")?;
     let (exe, elf) = a.program()?;
     let label = a.one("label").map_or_else(|| exe.display().to_string(), str::to_string);
     let t = a.run(&exe, &elf)?;
     let (c, missed) = hot::coverage(&elf, &t.hits);
     let packed = c.hot_pct() >= min;
-    let tight = extra.is_none_or(|n| c.windows <= c.floor() + n);
+    let tight = c.tight();
     println!(
         "{label:<12} {:>5} functions {:>8} B run, {:>8} B in .text.hot: {:6.2} % {}; \
          {:>2} windows of 64 KiB, floor {:>2} {}",
