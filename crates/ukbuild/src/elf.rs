@@ -75,7 +75,8 @@ impl Segment {
 
 /// A function symbol of `.symtab` that lies in a code section.
 #[derive(Debug, Clone)]
-// ukcheck: allow(unused-pub) -- what the public `Elf::functions` returns
+// ukcheck: allow(unused-pub) -- what the public `Elf::functions` and
+// `Elf::unsized_functions` return
 pub struct Function {
     /// The symbol name, as stored (mangled).
     pub name: String,
@@ -95,6 +96,7 @@ pub struct Elf {
     sections: Vec<Section>,
     segments: Vec<Segment>,
     functions: Vec<Function>,
+    unsized_functions: Vec<Function>,
 }
 
 /// The `N` bytes at `at`; an offset past the end (or past `usize`, as a
@@ -220,7 +222,7 @@ impl Elf {
             });
         }
 
-        let mut functions = Vec::new();
+        let (mut functions, mut unsized_functions) = (Vec::new(), Vec::new());
         if let Some(sym) = raw.iter().find(|r| r.kind == SHT_SYMTAB) {
             let strtab = raw.get(sym.link as usize).ok_or_else(truncated)?;
             let strtab = slice(b, strtab.offset, strtab.size)?;
@@ -231,10 +233,11 @@ impl Elf {
                 let shndx = u16_at(e, 6)? as usize;
                 let size = u64_at(e, 16)?;
                 let in_code = sections.get(shndx).is_some_and(Section::is_exec);
-                if !matches!(info & 0xf, STT_FUNC | STT_GNU_IFUNC) || size == 0 || !in_code {
+                if !matches!(info & 0xf, STT_FUNC | STT_GNU_IFUNC) || !in_code {
                     continue;
                 }
-                functions.push(Function {
+                let list = if size == 0 { &mut unsized_functions } else { &mut functions };
+                list.push(Function {
                     name: str_at(strtab, u32_at(e, 0)? as usize)?,
                     addr: u64_at(e, 8)?,
                     size,
@@ -242,8 +245,10 @@ impl Elf {
                 });
             }
         }
-        functions.sort_by(|a, b| a.addr.cmp(&b.addr).then(a.local.cmp(&b.local)));
-        Ok(Elf { kind, entry: e_entry, sections, segments, functions })
+        for list in [&mut functions, &mut unsized_functions] {
+            list.sort_by(|a, b| a.addr.cmp(&b.addr).then(a.local.cmp(&b.local)));
+        }
+        Ok(Elf { kind, entry: e_entry, sections, segments, functions, unsized_functions })
     }
 
     /// Whether the image is position-independent (loaded at a bias).
@@ -276,6 +281,15 @@ impl Elf {
     /// address, several names — are all listed.
     pub fn functions(&self) -> &[Function] {
         &self.functions
+    }
+
+    /// The function symbols in code sections whose size is 0 (hand
+    /// written start-up stubs: `_init`, crtbegin's, some of libc's
+    /// assembly), by address. No trace can attribute the bytes they
+    /// run, so `functions` leaves them out; they are listed here so a
+    /// layout check can still place them.
+    pub fn unsized_functions(&self) -> &[Function] {
+        &self.unsized_functions
     }
 }
 

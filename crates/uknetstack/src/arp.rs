@@ -100,15 +100,11 @@ pub(crate) const ARP_PENDING_CAP: usize = 16;
 /// is dropped regardless of protocol.
 pub(crate) const ARP_PENDING_HARD_CAP: usize = 64;
 
-/// A who-has request is (re-)broadcast on the 1st, 9th, 17th, …
-/// packet parked for a next-hop: self-healing if a request frame was
-/// lost to RX-ring overflow, without the old request-per-packet storm.
-pub(crate) const ARP_REQUEST_RETRY_EVERY: u64 = 8;
-
-/// A who-has request is also re-broadcast every this-many `pump`
-/// bursts while packets stay parked: a queue that went quiet after
-/// parking (no new sends to trip the per-packet cadence above) still
-/// makes progress.
+/// A who-has request is broadcast by the packet that opens a next
+/// hop's queue, and re-broadcast every this-many `pump` bursts while
+/// packets stay parked: self-healing if a request frame was lost to
+/// RX-ring overflow, whether or not the application keeps sending, and
+/// without a request-per-packet storm.
 pub(crate) const ARP_REQUEST_RETRY_PUMPS: u64 = 8;
 
 /// Slots in the next-hop memo: resolved `(dst IP → MAC)` pairs are
@@ -130,10 +126,8 @@ pub(crate) const ARP_TABLE_CAP: usize = 1024;
 #[derive(Default)]
 struct PendingQueue {
     packets: Vec<(IpProto, Netbuf)>,
-    /// Packets ever parked here (drives the who-has retry cadence).
-    parked_total: u64,
-    /// Pump bursts survived while parked (drives the quiet-queue
-    /// who-has retry — see [`ARP_REQUEST_RETRY_PUMPS`]).
+    /// Pump bursts survived while parked (drives the who-has retry —
+    /// see [`ARP_REQUEST_RETRY_PUMPS`]).
     pump_ticks: u64,
 }
 
@@ -142,8 +136,8 @@ pub(crate) struct Parked {
     /// The packet that lost its place to this one, for the caller to
     /// count and recycle.
     pub(crate) evicted: Option<Netbuf>,
-    /// Whether this packet is the 1st, 9th, 17th, … parked for its
-    /// next hop: the caller broadcasts a who-has.
+    /// Whether this packet opened its next hop's queue: the caller
+    /// broadcasts a who-has.
     pub(crate) request_due: bool,
     /// Packets now parked for the next hop.
     pub(crate) queued: usize,
@@ -152,7 +146,7 @@ pub(crate) struct Parked {
 /// The neighbour table and everything that waits on it: the `IP → MAC`
 /// mappings learned from ARP, the packets parked behind next hops not
 /// resolved yet, the next-hop memo in front of the table, and the
-/// who-has retry cadences.
+/// who-has retry cadence.
 ///
 /// Invariants, whatever the wire and the application do: at most
 /// [`ARP_TABLE_CAP`] mappings; at most [`ARP_PENDING_HARD_CAP`] packets
@@ -209,12 +203,11 @@ impl Neighbors {
     /// Parks an IP-level packet behind unresolved next hop `dst`.
     /// Parking is bounded (soft cap evicting droppable traffic first,
     /// hard cap evicting anything) so an unreachable next-hop cannot pin
-    /// the buffer pool, and a who-has is due every
-    /// [`ARP_REQUEST_RETRY_EVERY`] parked packets.
+    /// the buffer pool, and a who-has is due for the packet that opens
+    /// the queue (later ones are [`tick`](Self::tick)'s).
     pub(crate) fn park(&mut self, dst: Ipv4Addr, proto: IpProto, nb: Netbuf) -> Parked {
         let pending = self.pending.entry(dst).or_default();
         pending.packets.push((proto, nb));
-        pending.parked_total += 1;
         let evicted = if pending.packets.len() > ARP_PENDING_HARD_CAP {
             Some(pending.packets.remove(0))
         } else if pending.packets.len() > ARP_PENDING_CAP {
@@ -228,7 +221,7 @@ impl Neighbors {
         };
         Parked {
             evicted: evicted.map(|(_, nb)| nb),
-            request_due: pending.parked_total % ARP_REQUEST_RETRY_EVERY == 1,
+            request_due: pending.packets.len() == 1,
             queued: pending.packets.len(),
         }
     }
@@ -264,13 +257,13 @@ impl Neighbors {
         waiting.into_iter().flat_map(|q| q.packets).map(|(_, nb)| nb)
     }
 
-    /// The quiet-queue who-has retry (run once per `pump`): every
-    /// pending next-hop ticks a per-burst counter and is due a
-    /// re-broadcast every [`ARP_REQUEST_RETRY_PUMPS`] pumps —
-    /// [`next_retry`](Self::next_retry) hands the due ones out. The
-    /// per-parked-packet cadence of [`park`](Self::park) only fires
-    /// while *new* packets keep parking; this one keeps parked packets
-    /// making progress after the application goes quiet.
+    /// The who-has retry (run once per `pump`): every pending next-hop
+    /// ticks a per-burst counter and is due a re-broadcast every
+    /// [`ARP_REQUEST_RETRY_PUMPS`] pumps —
+    /// [`next_retry`](Self::next_retry) hands the due ones out. It is
+    /// the one retry: [`park`](Self::park) asks for a who-has only when
+    /// a packet opens a queue, so parked packets make progress whether
+    /// or not the application keeps sending.
     #[inline]
     pub(crate) fn tick(&mut self) {
         for (dst, pending) in self.pending.iter_mut() {
@@ -421,9 +414,9 @@ mod tests {
         /// Under any park / learn / tick sequence over three next hops:
         /// a hop's queue never exceeds the hard cap, nor the soft cap
         /// while it holds anything droppable; nothing but a full hard
-        /// cap evicts a TCP segment; the who-has is due on the 1st, 9th,
-        /// 17th, … packet parked for a hop and every 8th tick it spends
-        /// unresolved; and every buffer parked leaves exactly once —
+        /// cap evicts a TCP segment; the who-has is due on the packet that
+        /// opens a hop's queue and every 8th tick it spends unresolved;
+        /// and every buffer parked leaves exactly once —
         /// evicted, released, or still parked.
         #[test]
         fn parking_is_bounded_and_every_buffer_leaves_once(
@@ -454,7 +447,7 @@ mod tests {
                         if before.len() < ARP_PENDING_HARD_CAP {
                             prop_assert_eq!(tcp_of(&now), tcp_of(&before) + usize::from(tcp));
                         }
-                        prop_assert_eq!(p.request_due, since[h as usize] % 8 == 1);
+                        prop_assert_eq!(p.request_due, since[h as usize] == 1);
                     }
                     Op::Learn { hop: h, to_us } => {
                         let waiting = n.parked(hop(h)).len();

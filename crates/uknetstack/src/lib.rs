@@ -57,11 +57,10 @@
 //! the FIN_WAIT_2 orphan timeout, TIME_WAIT's 2MSL park, and keepalive
 //! probing with dead-peer teardown — is a deadline the connection's
 //! TCB keeps ([`tcp::TcbTimer`]); the stack keeps **one** entry per
-//! connection, at or before the earliest of them, on a **hierarchical
-//! timer wheel** ([`timer::TimerWheel`]: 4 levels × 64 slots at 1 ms
-//! ticks, O(1) arm/cancel, cascading advance, generation-tagged
-//! tokens, zero allocations once warm) driven from `pump` instead of
-//! per-connection scans. Demux is a hashed
+//! connection, at or before the earliest of them, on a **timer
+//! queue** ([`timer::TimerWheel`]: a binary min-heap by 1 ms deadline
+//! tick, cancel in place, generation-tagged tokens, zero allocations
+//! once warm) driven from `pump` instead of per-connection scans. Demux is a hashed
 //! open-addressing flow table ([`flow::FlowTable`]) over an inline
 //! TCB slab — no per-connection boxing, no per-lookup allocation.
 //! The stack and a TCB meet along one narrow seam: one

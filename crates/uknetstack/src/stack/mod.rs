@@ -116,9 +116,9 @@ const GSO_MAX_SIZE: usize = 61440;
 /// would stall the whole stack.
 pub const LOW_POOL_BUFS: usize = 16;
 
-/// Wheel entries (and fired-timer slots) a stack starts with: one per
+/// Timer entries (and fired-timer slots) a stack starts with: one per
 /// connection, for this many connections. More connections grow the
-/// slab geometrically.
+/// queue geometrically.
 const WHEEL_PREALLOC: usize = 64;
 
 /// `pump` times one sweep in this many for the `netstack.pump_ns`
@@ -252,9 +252,9 @@ pub struct NetStack {
     conns: ConnTable,
     /// The GRO stage of the burst being swept.
     gro: Gro,
-    /// Hierarchical timer wheel: one entry per connection that is
-    /// waiting for anything, at or before its earliest deadline, off
-    /// the stack's clock; O(1) per arm/cancel/advance.
+    /// The timer queue, a min-heap by deadline tick: one entry per
+    /// connection that is waiting for anything, at or before its
+    /// earliest deadline, off the stack's clock.
     wheel: TimerWheel,
     /// Fired-timer scratch for `tcp_timer_tick`: the keys of the
     /// entries one advance expired (reused).

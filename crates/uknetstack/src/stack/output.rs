@@ -180,8 +180,9 @@ impl NetStack {
     /// unresolved ones park under the pending ARP request. Parking is
     /// bounded (soft cap evicting droppable traffic first, hard cap
     /// evicting anything) so an unreachable next-hop cannot pin the
-    /// buffer pool, and the who-has broadcast is re-issued every
-    /// `ARP_REQUEST_RETRY_EVERY` parked packets ([`Neighbors::park`]).
+    /// buffer pool, and the packet that opens a next hop's queue
+    /// broadcasts the who-has ([`Neighbors::park`]; `arp_retry_tick`
+    /// re-broadcasts it).
     ///
     /// [`Neighbors::park`]: crate::arp::Neighbors::park
     pub(super) fn send_ipv4_nb(&mut self, dst: Ipv4Addr, proto: IpProto, nb: Netbuf) {

@@ -8,8 +8,7 @@ use ukplat::Errno;
 use super::sockets::{LISTENER_TAG, UDP_TAG};
 use super::*;
 use crate::arp::{
-    ArpOp, ArpPacket, ARP_PENDING_CAP, ARP_PENDING_HARD_CAP, ARP_REQUEST_RETRY_EVERY,
-    ARP_REQUEST_RETRY_PUMPS, ARP_TABLE_CAP,
+    ArpOp, ArpPacket, ARP_PENDING_CAP, ARP_PENDING_HARD_CAP, ARP_REQUEST_RETRY_PUMPS, ARP_TABLE_CAP,
 };
 use crate::eth::{EthHeader, EtherType};
 use crate::ipv4::{IpProto, Ipv4Header};
@@ -58,19 +57,14 @@ fn unresolved_arp_parking_is_capped_and_buffers_recycled() {
         64 - ARP_PENDING_CAP as u64,
         "evicted packets are counted as drops"
     );
-    // Who-has re-broadcast on a fixed cadence, not per packet.
-    let requests = 64u64.div_ceil(ARP_REQUEST_RETRY_EVERY);
-    assert_eq!(s.stats().tx_frames, requests, "bounded retry cadence");
+    // One who-has, from the packet that opened the queue: sends do
+    // not re-broadcast it (pumps do).
+    assert_eq!(s.stats().tx_frames, 1, "one request, not one per packet");
     // Pool accounting: the capped parked packets plus the ARP
-    // request frames (in the device done-list until the wire
-    // harvests them) are the only outstanding buffers.
-    let outstanding =
-        s.config.pool_size - s.pool_available().unwrap();
-    assert_eq!(
-        outstanding,
-        ARP_PENDING_CAP + requests as usize,
-        "no buffer leak"
-    );
+    // request frame (in the device done-list until the wire
+    // harvests it) are the only outstanding buffers.
+    let outstanding = s.config.pool_size - s.pool_available().unwrap();
+    assert_eq!(outstanding, ARP_PENDING_CAP + 1, "no buffer leak");
 }
 
 #[test]
@@ -116,9 +110,8 @@ fn quiet_queue_arp_retry_fires_on_pump_cadence() {
     s.udp_send_to(sock, b"hello?", Endpoint::new(Ipv4Addr::new(10, 0, 0, 99), 7))
         .unwrap();
     assert_eq!(s.stats().tx_frames, 1);
-    // The application goes quiet: no new packets ever park, so the
-    // per-parked-packet cadence can never fire again — but pumping
-    // must still retry on the per-burst counter.
+    // The application goes quiet: no new packet parks, but pumping
+    // retries on the per-burst counter.
     for _ in 0..ARP_REQUEST_RETRY_PUMPS * 2 {
         s.pump();
     }

@@ -1200,17 +1200,17 @@ proptest! {
     }
 }
 
-// --- timer wheel ≡ naive sorted-list reference -----------------------
+// --- timer queue ≡ naive sorted-list reference -----------------------
 //
-// The hierarchical wheel's contract: a timer armed for deadline `d`
-// fires on the first advance where the wheel's tick reaches
-// `floor(d / tick)`; arms in the past fire on the very next advance;
-// cancel is exact and idempotent, stale tokens cancel nothing. The
-// reference below is the obvious O(n) list every one of those words
-// maps onto directly — the wheel must be indistinguishable from it
-// under arbitrary interleavings of arm/cancel/advance, including
-// clock jumps crossing cascade boundaries and jumps beyond the whole
-// hierarchy span.
+// The timer queue's contract: a timer armed for deadline `d` fires on
+// the first advance where the queue's tick reaches `floor(d / tick)`,
+// and one advance fires its timers in non-decreasing deadline tick;
+// arms in the past fire on the very next advance; cancel is exact and
+// idempotent, stale tokens cancel nothing. The reference below is the
+// obvious O(n) list every one of those words maps onto directly — the
+// queue must be indistinguishable from it under arbitrary
+// interleavings of arm/cancel/advance, including clock jumps of
+// minutes and of hours.
 
 #[derive(Debug, Clone)]
 enum WheelOp {
@@ -1227,8 +1227,8 @@ fn arb_wheel_op() -> impl Strategy<Value = WheelOp> {
         4 => (-50i64..500).prop_map(|delta_ms| WheelOp::Arm { delta_ms }),
         2 => (0usize..4096).prop_map(|pick| WheelOp::Cancel { pick }),
         3 => prop_oneof![
-            // Ordinary ticks, level-crossing jumps, and rare jumps
-            // beyond the wheel's full span (64^4 ticks ≈ 4.7 h).
+            // Ordinary ticks, jumps of seconds to minutes, and rare
+            // jumps of hours (17 M–20 M ticks).
             8 => 0u64..150,
             3 => 1_000u64..600_000,
             1 => 17_000_000u64..20_000_000,
@@ -1238,10 +1238,11 @@ fn arb_wheel_op() -> impl Strategy<Value = WheelOp> {
 }
 
 proptest! {
-    /// The wheel is observationally identical to the naive reference:
-    /// same fired keys (as a set — intra-advance order is
-    /// unspecified), same cancel outcomes, same armed count, at every
-    /// step of any operation sequence.
+    /// The queue is observationally identical to the naive reference:
+    /// same fired keys (as a set; among equal ticks the order is
+    /// unspecified), fired in non-decreasing deadline tick, same cancel
+    /// outcomes, same armed count, at every step of any operation
+    /// sequence.
     #[test]
     fn timer_wheel_matches_naive_reference(
         ops in proptest::collection::vec(arb_wheel_op(), 1..80),
@@ -1283,7 +1284,15 @@ proptest! {
                 WheelOp::Advance { delta_ms } => {
                     now += delta_ms * 1_000_000;
                     let mut fired = Vec::new();
-                    wheel.advance(now, |key, _| fired.push(key));
+                    let mut ticks = Vec::new();
+                    wheel.advance(now, |key, deadline| {
+                        fired.push(key);
+                        ticks.push(deadline / DEFAULT_TICK_NS);
+                    });
+                    prop_assert!(
+                        ticks.windows(2).all(|w| w[0] <= w[1]),
+                        "one advance fired out of deadline order: {:?}", ticks
+                    );
                     let tick = now / DEFAULT_TICK_NS;
                     let mut expected: Vec<u64> = model
                         .iter()
@@ -1301,7 +1310,12 @@ proptest! {
         // Drain everything: advance past the furthest deadline.
         let horizon = now + 30_000_000_000_000; // +8.3 h: beyond any arm.
         let mut fired = Vec::new();
-        wheel.advance(horizon, |key, _| fired.push(key));
+        let mut ticks = Vec::new();
+        wheel.advance(horizon, |key, deadline| {
+            fired.push(key);
+            ticks.push(deadline / DEFAULT_TICK_NS);
+        });
+        prop_assert!(ticks.windows(2).all(|w| w[0] <= w[1]), "final drain out of deadline order");
         let mut expected: Vec<u64> = model.iter().map(|&(id, _)| id).collect();
         fired.sort_unstable();
         expected.sort_unstable();

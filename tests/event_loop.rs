@@ -180,8 +180,8 @@ fn epoll_family_multiplexes_eventfd_and_socket_by_syscall_number() {
 }
 
 /// `epoll_wait(timeout)` end to end: the thread parks with a deadline,
-/// the queue's earliest deadline arms a hierarchical timer-wheel slot,
-/// and advancing the virtual clock fires the wheel → expires the park
+/// the queue's earliest deadline arms an entry on the stack's timer
+/// queue, and advancing the virtual clock fires it → expires the park
 /// → wakes the thread through the scheduler — which then observes
 /// `TimedOut` (epoll's "0 ready events") because no readiness arrived.
 #[test]

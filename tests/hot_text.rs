@@ -81,3 +81,24 @@ fn hot_ld_holds_no_build_path_and_no_hash() {
     assert!(!hashed, "hot.ld names a symbol with its path-dependent hash");
     assert!(bare.contains(".text.hot") && bare.trim_end().ends_with("INSERT BEFORE .text;"));
 }
+
+/// Code no trace can see stays where the layout put it: a function
+/// symbol of size 0 (a hand-written stub such as `_init`, crtbegin's,
+/// or some of libc's assembly) gets no bytes from `hot-text`'s traces,
+/// so only `hot.ld`'s whole-object patterns place it. Each one lies in
+/// `.init`, `.fini` or `.text.hot`; one linked into `.text` would fault
+/// a cold window in at start-up with no trace to show it.
+#[test]
+fn no_unsized_code_outside_text_hot() {
+    let elf = Elf::read(Path::new("/proc/self/exe")).expect("reading /proc/self/exe");
+    let homes: Vec<_> =
+        [".init", ".fini", ".text.hot"].iter().filter_map(|n| elf.section(n)).collect();
+    let stubs = elf.unsized_functions();
+    assert!(stubs.iter().any(|f| f.name == "_init"), "no size-0 `_init`: is .symtab read?");
+    let outside: Vec<String> = stubs
+        .iter()
+        .filter(|f| !homes.iter().any(|s| s.contains(f.addr)))
+        .map(|f| format!("{} at {:#x}", f.name, f.addr))
+        .collect();
+    assert!(outside.is_empty(), "size-0 code outside .init/.fini/.text.hot: {outside:?}");
+}
