@@ -55,16 +55,19 @@ verify-fault-matrix:
 ## FIN_WAIT_2, 2MSL, keepalive — no stack), the wire-level lifecycle
 ## suite (SYN-flood survival and reclamation, handshake-timeout
 ## reaping, TIME_WAIT 2MSL + port recycling, keepalive dead-peer
-## teardown, RST discipline, churn leak-checks, one lazily re-armed
-## wheel entry per connection) and the timer-wheel-vs-reference
-## proptest run with the observability features on (default) and
-## compiled out — the control plane must not depend on stats/tracing
-## being present.
+## teardown, RST discipline, churn leak-checks, one timer queue entry
+## per connection at its exact deadline), the connection table's
+## reference proptest (slab, flow table and timer queue) and the
+## `TimerWheel`-vs-reference proptest run with the observability
+## features on (default) and compiled out — the control plane must not
+## depend on stats/tracing being present.
 verify-churn:
 	$(CARGO) test -q -p uknetstack --lib tcp::tests
+	$(CARGO) test -q -p uknetstack --lib stack::conns
 	$(CARGO) test -q -p uknetstack --test tcp_lifecycle
 	$(CARGO) test -q -p uknetstack --test proptests timer_wheel_matches
 	$(CARGO) test -q -p uknetstack --no-default-features --lib tcp::tests
+	$(CARGO) test -q -p uknetstack --no-default-features --lib stack::conns
 	$(CARGO) test -q -p uknetstack --no-default-features --test tcp_lifecycle
 	$(CARGO) test -q -p uknetstack --no-default-features --test proptests timer_wheel_matches
 

@@ -35,7 +35,7 @@
 //! servers exchange real packets in-process — the wire moves netbufs
 //! between pools too, one DMA-style copy per hop.
 //!
-//! # Connection lifecycle and the timer wheel
+//! # Connection lifecycle and the timer queue
 //!
 //! Every stack has a clock — its own from construction, a shared one
 //! after [`NetStack::set_clock`] — and every connection walks the full
@@ -56,11 +56,11 @@
 //! persist probes, delayed ACKs, the SYN_RECEIVED handshake timeout,
 //! the FIN_WAIT_2 orphan timeout, TIME_WAIT's 2MSL park, and keepalive
 //! probing with dead-peer teardown — is a deadline the connection's
-//! TCB keeps ([`tcp::TcbTimer`]); the stack keeps **one** entry per
-//! connection, at or before the earliest of them, on a **timer
-//! queue** ([`timer::TimerWheel`]: a binary min-heap by 1 ms deadline
-//! tick, cancel in place, generation-tagged tokens, zero allocations
-//! once warm) driven from `pump` instead of per-connection scans. Demux is a hashed
+//! TCB keeps ([`tcp::TcbTimer`]); the stack's connection table is its
+//! **timer queue**: one entry per waiting connection, keyed by its
+//! slab slot at the exact earliest of them (a binary min-heap in
+//! `timer.rs`, re-keyed in place, zero allocations once warm), popped
+//! from `pump` instead of per-connection scans. Demux is a hashed
 //! open-addressing flow table ([`flow::FlowTable`]) over an inline
 //! TCB slab — no per-connection boxing, no per-lookup allocation.
 //! The stack and a TCB meet along one narrow seam: one

@@ -1,26 +1,31 @@
 //! The connection table: the slab every TCB lives in, the flow table
-//! that finds a segment's connection, and the list of connections the
-//! next flush owes a visit.
+//! that finds a segment's connection, the list of connections the next
+//! flush owes a visit, and the timer queue that wakes them.
 //!
 //! A connection is named by a [`ConnId`] — its slab slot and the
 //! generation the slot had when the connection moved in. The same 48
-//! bits are the [`SocketHandle`] the application holds, the key its
-//! wheel entry carries and the tag on its data frames in flight, so a
-//! handle, a timer or a frame that outlives the connection resolves to
-//! nothing instead of reaching the slot's next occupant.
+//! bits are the [`SocketHandle`] the application holds and the tag on
+//! its data frames in flight, so a handle or a frame that outlives the
+//! connection resolves to nothing instead of reaching the slot's next
+//! occupant. The timer queue is keyed by the slot alone: a connection
+//! leaves it when it leaves the slab, so a slot on the queue is always
+//! its current occupant's.
 //!
 //! Invariants (`table_matches_a_map_reference_across_the_generation_wrap`):
 //! generation 0 is never issued, so no garbage handle names a
 //! connection; an id minted for a reaped incarnation never resolves
-//! again; and the flow table holds exactly the occupied slots.
+//! again, and its slot's timer never wakes the next occupant; the flow
+//! table holds exactly the occupied slots; and the queue pops due
+//! connections earliest deadline first.
 
 use ukevent::{EventMask, ReadySource};
 use ukstats::CounterSet;
 
+use super::stats::row;
 use super::SocketHandle;
 use crate::flow::{flow_key, FlowTable};
 use crate::tcp::{Tcb, TcbStats, TcbTimer, TcpState};
-use crate::timer::{TimerToken, TimerWheel};
+use crate::timer::DeadlineHeap;
 use crate::Endpoint;
 
 /// One incarnation of one slab slot.
@@ -33,7 +38,7 @@ pub(super) struct ConnId {
 impl ConnId {
     /// The id as one word, `generation << 32 | slot` (generation ≤
     /// 0xffff, so < 2⁴⁸ — below the listener and UDP handle tags): what
-    /// a wheel entry, a held TX frame and a tracepoint carry.
+    /// a held TX frame and a tracepoint carry.
     #[inline]
     pub(super) fn key(self) -> u64 {
         (u64::from(self.gen) << 32) | u64::from(self.slot)
@@ -73,15 +78,10 @@ pub(super) struct TcpConn {
     pub(super) tcb: Tcb,
     pub(super) remote: Endpoint,
     pub(super) local_port: u16,
-    /// The connection's one wheel entry, and the deadline it is armed
-    /// for while it is: never later than the TCB's
-    /// [`next_deadline`](Tcb::next_deadline) as of the last flush,
-    /// often earlier ([`sync_timer`](Self::sync_timer)).
-    pub(super) timer: TimerToken,
-    pub(super) armed_at: u64,
-    /// The armed entry is the `CLOSED_LINGER_NS` wait of a closed
-    /// connection, not a deadline of its TCB.
-    pub(super) lingering: bool,
+    /// Once the connection is closed: when its slot is reclaimed, the
+    /// end of its `CLOSED_LINGER_NS` wait — the one deadline that is
+    /// the stack's, not its TCB's (`TcpConn::wake_at`).
+    pub(super) linger_until: Option<u64>,
     /// Counted in the table's `held_acks`: the TCB was holding an ACK
     /// at the last flush.
     holds_ack: bool,
@@ -133,9 +133,9 @@ struct ConnSlot {
 
 // `lib.rs` promises an idle connection costs well under a kilobyte. A
 // TCB's queues start empty and own no heap, so beside its flow-table
-// entry and its one wheel entry the slot (720 B today, 608 of them the
-// `Tcb`) is all it holds.
-const _: () = assert!(size_of::<ConnSlot>() <= 720);
+// entry and its place on the timer queue the slot (688 B today, 608 of
+// them the `Tcb`) is all it holds.
+const _: () = assert!(size_of::<ConnSlot>() <= 688);
 
 /// Every connection of one stack (see the module docs).
 pub(super) struct ConnTable {
@@ -160,6 +160,10 @@ pub(super) struct ConnTable {
     /// [`held_ack_deadline`](Self::held_ack_deadline) checks before it
     /// scans.
     held_acks: usize,
+    /// The timer queue: the slot of every connection that waits for
+    /// anything, at the exact deadline it wanted at its last visit
+    /// ([`sync_timer`](Self::sync_timer)).
+    timers: DeadlineHeap,
 }
 
 impl ConnTable {
@@ -174,6 +178,7 @@ impl ConnTable {
             flow: FlowTable::new(),
             dirty: Vec::new(),
             held_acks: 0,
+            timers: DeadlineHeap::default(),
         }
     }
 
@@ -226,9 +231,7 @@ impl ConnTable {
             tcb,
             remote,
             local_port,
-            timer: TimerToken::NONE,
-            armed_at: 0,
-            lingering: false,
+            linger_until: None,
             holds_ack: false,
             published: TcbStats::default(),
             dirty: false,
@@ -241,8 +244,8 @@ impl ConnTable {
         id
     }
 
-    /// Takes a connection out of the slab and the flow table and frees
-    /// its slot; what it still holds — buffers, its wheel entry, its
+    /// Takes a connection out of the slab, the flow table and the timer
+    /// queue and frees its slot; what it still holds — buffers, its
     /// readiness cell — is the caller's to wind down.
     pub(super) fn remove(&mut self, id: ConnId) -> Option<TcpConn> {
         let cs = self.slots.get_mut(id.slot as usize)?;
@@ -252,13 +255,14 @@ impl ConnTable {
         let c = cs.conn.take()?;
         self.held_acks -= usize::from(c.holds_ack);
         self.flow.remove(flow_key(c.local_port, c.remote));
+        self.timers.remove(id.slot);
         self.free.push(id.slot);
         Some(c)
     }
 
     /// Puts a connection on the dirty list (idempotent; stale ids are
     /// ignored): the next flush polls its output and reconciles its
-    /// wheel entry and readiness.
+    /// timer and readiness.
     #[inline]
     pub(super) fn mark_dirty(&mut self, id: ConnId) {
         if let Some(c) = self.get_mut(id) {
@@ -292,24 +296,40 @@ impl ConnTable {
         cs.conn.as_mut().map(|c| (id, c))
     }
 
-    /// Ends a visit to connection `id` — a flush polled it, or its
-    /// wheel entry fired with nothing due: recounts it among the ACK
-    /// holders and brings its wheel entry in line with what its TCB now
-    /// wants ([`TcpConn::sync_timer`]).
+    /// Ends a flush's visit to connection `id`: recounts it among the
+    /// ACK holders and queues it at the deadline it now wants
+    /// (`TcpConn::wake_at`) — re-keyed in place when that moved, taken
+    /// off the queue when it wants none.
     #[inline]
-    pub(super) fn sync_timer(
-        &mut self,
-        id: ConnId,
-        wheel: &mut TimerWheel,
-        counts: &CounterSet,
-        now: u64,
-    ) {
+    pub(super) fn sync_timer(&mut self, id: ConnId, counts: &CounterSet, now: u64) {
         let cs = self.slots.get_mut(id.slot as usize).filter(|cs| cs.gen == id.gen);
         let Some(c) = cs.and_then(|cs| cs.conn.as_mut()) else { return };
         let holds_ack = c.tcb.deadline(TcbTimer::DelAck).is_some();
         self.held_acks = self.held_acks + usize::from(holds_ack) - usize::from(c.holds_ack);
         c.holds_ack = holds_ack;
-        c.sync_timer(wheel, counts, id.key(), now);
+        match c.wake_at(now) {
+            Some(d) if self.timers.due(id.slot) != Some(d) => {
+                self.timers.set(id.slot, d);
+                counts.add(row::timer_arms, 1);
+            }
+            Some(_) => {}
+            None => {
+                self.timers.remove(id.slot);
+            }
+        }
+    }
+
+    /// Takes the connection with the earliest deadline off the timer
+    /// queue if that deadline is due at `now`.
+    #[inline]
+    pub(super) fn pop_due(&mut self, now: u64) -> Option<ConnId> {
+        let slot = self.timers.pop_due(now)?;
+        Some(ConnId { slot, gen: self.slots.get(slot as usize)?.gen })
+    }
+
+    /// Connections on the timer queue: at most one entry each.
+    pub(super) fn armed(&self) -> usize {
+        self.timers.len()
     }
 
     /// The earliest deadline among the ACKs connections are holding for
@@ -332,11 +352,23 @@ impl ConnTable {
         self.dirty.len()
     }
 
-    /// The connections the last flush left clean (not on the dirty
-    /// list), for the end-of-`pump` checkers.
+    /// The timer queue's invariant, checked at the end of every debug
+    /// `pump`: a free slot is not queued, and every connection the last
+    /// flush left clean is queued at exactly the deadline it wants —
+    /// its TCB's [`next_deadline`](Tcb::next_deadline) while it is
+    /// open, the end of its linger once it is closed.
     #[cfg(debug_assertions)]
-    pub(super) fn clean(&self) -> impl Iterator<Item = &TcpConn> {
-        self.iter().filter(|c| !c.dirty)
+    pub(super) fn assert_deadlines_armed(&self) {
+        for (slot, cs) in self.slots.iter().enumerate() {
+            let want = match &cs.conn {
+                Some(c) if c.dirty => continue,
+                Some(c) if c.tcb.state == TcpState::Closed => c.linger_until,
+                Some(c) => c.tcb.next_deadline(),
+                None => None,
+            };
+            let due = self.timers.due(slot as u32);
+            assert_eq!(due, want, "slot {slot} is queued for {due:?} but wants {want:?}");
+        }
     }
 }
 
@@ -353,14 +385,23 @@ mod tests {
         Remove(usize),
         Stale(usize),
         Lookup(u16),
+        /// Queue a live connection at `now + delta` (re-keying it if it
+        /// is queued already).
+        Wake(usize, u64),
+        /// Move the clock by `delta` and pop everything due.
+        Pop(u64),
     }
 
     fn arb_op() -> impl Strategy<Value = Op> {
-        (0u32..8, 0u16..12, 0usize..64).prop_map(|(kind, port, pick)| match kind {
-            0..=2 => Op::Insert(port),
-            3..=4 => Op::Remove(pick),
-            5 => Op::Stale(pick),
-            _ => Op::Lookup(port),
+        (0u32..11, 0u16..12, 0usize..64, 0u64..40).prop_map(|(kind, port, pick, delta)| {
+            match kind {
+                0..=2 => Op::Insert(port),
+                3..=4 => Op::Remove(pick),
+                5 => Op::Stale(pick),
+                6 => Op::Lookup(port),
+                7..=8 => Op::Wake(pick, delta),
+                _ => Op::Pop(delta),
+            }
         })
     }
 
@@ -369,13 +410,15 @@ mod tests {
     }
 
     proptest! {
-        /// Under any insert / remove / lookup sequence, with every
-        /// slot's generation seeded two short of the wrap so each case
-        /// crosses it: the table agrees with a plain map from flow to
-        /// id; generation 0 is never issued (and no key carrying it
-        /// parses); an id that was removed resolves to nothing ever
-        /// after, whoever lives in its slot now; and `len()` is the
-        /// number of flows.
+        /// Under any insert / remove / lookup / wake / pop sequence,
+        /// with every slot's generation seeded two short of the wrap so
+        /// each case crosses it: the table agrees with a plain map from
+        /// flow to id; generation 0 is never issued (and no key
+        /// carrying it parses); an id that was removed resolves to
+        /// nothing ever after, whoever lives in its slot now, and never
+        /// pops off the timer queue; pops come earliest deadline first,
+        /// each exactly once and only when due; `len()` is the number
+        /// of flows and `armed()` the number of queued connections.
         #[test]
         fn table_matches_a_map_reference_across_the_generation_wrap(
             ops in proptest::collection::vec(arb_op(), 1..120),
@@ -393,6 +436,9 @@ mod tests {
             }
             let mut live: HashMap<u16, ConnId> = HashMap::new();
             let mut dead: Vec<ConnId> = Vec::new();
+            // The queue's model: each queued id's deadline, by key.
+            let mut queued: HashMap<u64, u64> = HashMap::new();
+            let mut now = 0;
             for op in &ops {
                 match *op {
                     Op::Insert(port) if !live.contains_key(&port) => {
@@ -411,6 +457,7 @@ mod tests {
                         let id = live.remove(&port).expect("picked from the map");
                         let c = t.remove(id).expect("a live id removes");
                         prop_assert_eq!(c.remote, remote(port));
+                        queued.remove(&id.key());
                         dead.push(id);
                     }
                     Op::Stale(pick) => {
@@ -423,7 +470,27 @@ mod tests {
                         let owner = t.lookup(flow_key(80, remote(port)));
                         prop_assert_eq!(owner, live.get(&port).copied());
                     }
+                    Op::Wake(pick, delta) => {
+                        let Some(&id) = live.values().nth(pick % live.len().max(1)) else {
+                            continue;
+                        };
+                        t.timers.set(id.slot, now + delta);
+                        queued.insert(id.key(), now + delta);
+                    }
+                    Op::Pop(delta) => {
+                        now += delta;
+                        let mut last = 0;
+                        while let Some(id) = t.pop_due(now) {
+                            let due = queued.remove(&id.key());
+                            prop_assert!(due.is_some(), "{:?} popped unqueued", id);
+                            let due = due.unwrap_or(0);
+                            prop_assert!(last <= due && due <= now, "popped {} after {}", due, last);
+                            last = due;
+                        }
+                        prop_assert!(queued.values().all(|&d| d > now), "a due id stayed queued");
+                    }
                 }
+                prop_assert_eq!(t.armed(), queued.len());
                 prop_assert_eq!(t.len(), live.len());
                 prop_assert_eq!(t.flow.len(), live.len());
                 prop_assert_eq!(t.iter().count(), live.len());

@@ -32,12 +32,12 @@
 //! | part | state | invariant |
 //! |---|---|---|
 //! | [`arp::Neighbors`](crate::arp) | neighbour table, packets parked per unresolved next hop, next-hop memo, who-has cadences | ≤ 1024 mappings, learned by RFC 826's merge rule; ≤ 64 parked per hop, non-TCP evicted first; every parked buffer leaves exactly once |
-//! | `conns::ConnTable` | connection slab, free list, flow table, dirty list, held-ACK count; `ConnId` is the one handle/wheel-key/TX-hold packing | generation 0 never issued; a stale id resolves to nothing; flow table ⇔ occupied slots |
+//! | `conns::ConnTable` | connection slab, free list, flow table, dirty list, held-ACK count, timer queue (a `DeadlineHeap` of slots); `ConnId` is the one handle/TX-hold packing | generation 0 never issued; a stale id resolves to nothing; flow table ⇔ occupied slots; every clean connection queued at exactly its next deadline, a free slot never |
 //! | `gro::Gro` | the GRO stage and the continuation it expects | a run is one connection's consecutive sequence space in arrival order; nothing overtakes staged data |
 //! | `offload::Offloads` | which offloads are in force (a `Copy` value) | `tso ⇒ tx_csum`, `big_receive ⇒ rx_csum`; the only reader of a device capability |
 //!
-//! What is left is `NetStack`'s own — the device, the pool, the wheel,
-//! the socket maps, the staging vectors, the clock — declared here with
+//! What is left is `NetStack`'s own — the device, the pool, the socket
+//! maps, the staging vectors, the clock — declared here with
 //! construction, [`pump`](NetStack::pump) and the wire-side calls
 //! (`take_rx_buf`, `deliver_burst`, `harvest_tx`), and its `impl`
 //! divided by **job**:
@@ -47,7 +47,7 @@
 //! | `sockets` | handle tags, `UdpSocket`, `TcpListener`, `publish`; `udp_*`, `tcp_*`, `ping`; `readiness`, `ready_source` |
 //! | `ingest` | `handle_frame` → `handle_arp` / `handle_ipv4` → `handle_icmp` / `handle_udp` / `handle_tcp_nb` / `handle_super_frame`; `tcp_ingest`, `tcp_miss`, `spawn_half_open`, `gro_flush` |
 //! | `output` | `ip_to`, `stage_udp`, `stage_rst`, `flush_tcp`, `send_ipv4_nb`, `stage_eth`, `flush_tx`; `recycle` / `rtx_return_chain` |
-//! | `timers` | `tcp_timer_tick`, `dispatch_timer`, `TcpConn::sync_timer`, `reap_conn` |
+//! | `timers` | `tcp_timer_tick`, `dispatch_timer`, `TcpConn::wake_at`, `reap_conn` |
 //! | `stats` | `tp`, `stack_stats_table!` (`row`, [`StackStats`], `publish_tcb_stats`), `StackGauges` |
 //!
 //! Each module's own docs carry its prose; the crate README ("Inside
@@ -88,7 +88,6 @@ pub use crate::tcp::{
     HANDSHAKE_TIMEOUT_NS, KEEPALIVE_IDLE_NS, KEEPALIVE_INTVL_NS, KEEPALIVE_PROBES, TCP_MSL_NS,
 };
 use crate::tcp::{MSS, TCP_HDR_LEN, TCP_MAX_OPT_LEN};
-use crate::timer::TimerWheel;
 use crate::{Ipv4Addr, Mac};
 
 /// Headroom reserved in every TX buffer: room for Ethernet + IPv4 +
@@ -115,11 +114,6 @@ const GSO_MAX_SIZE: usize = 61440;
 /// by the peer — degrades goodput gracefully where a starved pool
 /// would stall the whole stack.
 pub const LOW_POOL_BUFS: usize = 16;
-
-/// Timer entries (and fired-timer slots) a stack starts with: one per
-/// connection, for this many connections. More connections grow the
-/// queue geometrically.
-const WHEEL_PREALLOC: usize = 64;
 
 /// `pump` times one sweep in this many for the `netstack.pump_ns`
 /// histogram; the two clock reads cost as much as the rest of an idle
@@ -248,17 +242,10 @@ pub struct NetStack {
     pool: NetbufPool,
     /// The neighbour table and the packets parked behind it.
     neigh: Neighbors,
-    /// Every TCP connection: slab, flow table, dirty list.
+    /// Every TCP connection: slab, flow table, dirty list, timer queue.
     conns: ConnTable,
     /// The GRO stage of the burst being swept.
     gro: Gro,
-    /// The timer queue, a min-heap by deadline tick: one entry per
-    /// connection that is waiting for anything, at or before its
-    /// earliest deadline, off the stack's clock.
-    wheel: TimerWheel,
-    /// Fired-timer scratch for `tcp_timer_tick`: the keys of the
-    /// entries one advance expired (reused).
-    fired_scratch: Vec<u64>,
     /// UDP sockets by bound port (the handle is `UDP_TAG | port`).
     udp_socks: HashMap<u16, UdpSocket>,
     /// Listeners by port (the handle is `LISTENER_TAG | port`).
@@ -286,7 +273,7 @@ pub struct NetStack {
     gauges: StackGauges,
     /// Tracepoint ring (a ZST no-op with the `trace` feature off).
     trace: uktrace::TraceRing,
-    /// The clock every TCB and the wheel read: private until
+    /// The clock every TCB and the timer queue read: private until
     /// [`set_clock`](Self::set_clock) shares one.
     clock: ukplat::time::Tsc,
     /// The last `(cycles, ns)` pair [`now_ns`](Self::now_ns) converted.
@@ -334,11 +321,6 @@ impl NetStack {
             neigh: Neighbors::new(),
             conns: ConnTable::new(),
             gro: Gro::new(),
-            // Sized so the first connections find their wheel entry and
-            // fire slot already there: an entry is armed and fired
-            // mid-transfer.
-            wheel: TimerWheel::with_capacity(WHEEL_PREALLOC),
-            fired_scratch: Vec::with_capacity(WHEEL_PREALLOC),
             udp_socks: HashMap::new(),
             listeners: HashMap::new(),
             next_ephemeral: 49152,
@@ -359,7 +341,7 @@ impl NetStack {
 
     /// Replaces the stack's clock — private since construction, so
     /// time stood still — with a shared one: every connection, open
-    /// already or later, and the timer wheel read `tsc` from now on,
+    /// already or later, and the timer queue read `tsc` from now on,
     /// and trace records are stamped with it. Time a connection has
     /// seen does not run backwards: hand over a clock that reads no
     /// earlier than the one it replaces.
@@ -438,17 +420,17 @@ impl NetStack {
         self.conns.len()
     }
 
-    /// Timers currently armed on the wheel (diagnostics): at most one
-    /// per connection.
+    /// Connections on the timer queue (diagnostics): at most one entry
+    /// per connection, none for one that waits for nothing.
     pub fn armed_timer_count(&self) -> usize {
-        self.wheel.len()
+        self.conns.armed()
     }
 
     /// The earliest deadline among the ACKs this stack is holding for
     /// a data segment to carry, if it holds any. A wire with no frame
     /// in flight is not quiet while this is `Some`: the peer still has
     /// unacknowledged bytes (and the buffers behind them) that only
-    /// the wheel will release — [`testnet`](crate::testnet) waits it
+    /// the timer queue will release — [`testnet`](crate::testnet) waits it
     /// out so leak checks do not mistake that tail for a leak.
     pub fn held_ack_deadline(&self) -> Option<u64> {
         self.conns.held_ack_deadline()
@@ -508,7 +490,7 @@ impl NetStack {
         #[cfg(debug_assertions)]
         {
             self.assert_readiness_published();
-            self.assert_deadlines_armed();
+            self.conns.assert_deadlines_armed();
         }
         self.counts.add(row::pump_sweeps, 1);
         if let Some(t0) = sweep_start {

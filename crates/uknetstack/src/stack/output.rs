@@ -306,10 +306,10 @@ impl NetStack {
             self.gauges.tcp_rack_reorder_window_ns.set(c.tcb.reo_wnd_ns());
             // An ingest, a timer fire, a returning frame or a socket
             // call dirtied it and the poll above ran: publish the result
-            // and see to it that the wheel wakes it in time.
+            // and queue it at the deadline it now wants.
             let fresh = std::mem::take(&mut c.rx_fresh);
             publish(&c.ready, || c.readiness(), fresh);
-            self.conns.sync_timer(id, &mut self.wheel, counts, now);
+            self.conns.sync_timer(id, counts, now);
         }
         for (dst, nb) in staged.drain(..) {
             self.send_ipv4_nb(dst, IpProto::Tcp, nb);

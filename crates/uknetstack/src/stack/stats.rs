@@ -277,8 +277,8 @@ stack_stats_table! {
         arp_requests_tx => "netstack.arp_requests_tx";
         /// Sweeps `pump` has run (also selects the ones it times).
         pump_sweeps => "netstack.pump_sweeps";
-        /// Timer-wheel entries armed: a connection's earliest deadline
-        /// moved ahead of the entry it had, or it had none.
+        /// Timer queue keys set: a connection's deadline set or moved
+        /// (`ConnTable::sync_timer`).
         timer_arms => "netstack.timer_arms";
     }
     tcb {

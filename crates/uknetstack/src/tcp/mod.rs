@@ -27,7 +27,7 @@
 //!
 //! # The owner's side
 //!
-//! A [`Tcb`] knows nothing of wheels, registries or pools. Its owner
+//! A [`Tcb`] knows nothing of timer queues, registries or pools. Its owner
 //! (`NetStack`, or a test) hands it one [`TcbConfig`] at creation,
 //! tells it the time ([`Tcb::set_now`]), wakes it when its earliest
 //! deadline has passed ([`Tcb::next_deadline`] / [`Tcb::on_time`]; the
@@ -328,8 +328,8 @@ pub struct Tcb {
     /// Out-of-order extents waiting for a hole to fill, and the
     /// SACK/D-SACK report the next pure ACK owes the peer.
     reasm: Reassembly,
-    /// Deadline of the ACK being held (the stack mirrors this onto its
-    /// timer wheel).
+    /// Deadline of the ACK being held (the stack's timer queue wakes the
+    /// connection at it when it is the earliest).
     ack_deadline_ns: Option<u64>,
     /// Peer announced SACK-permitted on its SYN/SYN-ACK.
     peer_sack_ok: bool,

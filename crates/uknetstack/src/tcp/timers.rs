@@ -44,20 +44,16 @@ impl Tcb {
     }
 
     /// Fires every timer that is due at `now_ns`, in [`TcbTimer::ALL`]
-    /// order, and says whether any was. Whatever the fires decided
-    /// leaves at the next output poll — except a [`TcbTimer::Life`]
-    /// expiry, which closes the connection on the spot
-    /// ([`timed_out`](Self::timed_out)).
-    pub fn on_time(&mut self, now_ns: u64) -> bool {
+    /// order. Whatever the fires decided leaves at the next output poll
+    /// — except a [`TcbTimer::Life`] expiry, which closes the
+    /// connection on the spot ([`timed_out`](Self::timed_out)).
+    pub fn on_time(&mut self, now_ns: u64) {
         self.set_now(now_ns);
-        let mut fired = false;
         for kind in TcbTimer::ALL {
             if self.deadline(kind).is_some_and(|d| d <= now_ns) {
                 self.on_timer(kind, now_ns);
-                fired = true;
             }
         }
-        fired
     }
 
     /// The state the connection was in when its protocol timeout closed

@@ -1,41 +1,140 @@
 //! The stack's timer queue — the connection-lifecycle substrate.
 //!
-//! One queue per stack wakes every TCP connection that is waiting for
-//! anything (retransmission, persist probes, delayed ACKs, the
-//! handshake, FIN-WAIT-2 and TIME_WAIT timeouts, keepalive probing)
-//! through one entry per connection, armed at or before the earliest
-//! of its deadlines. A stack holds one entry per open connection, a
-//! few dozen at most, so the queue is an indexed binary min-heap keyed
-//! by deadline tick, as lwIP keeps its timeouts in one deadline-ordered
-//! list: arm and cancel cost O(log n), and advance O(log n) per entry
-//! it fires, however far the clock jumps.
+//! `DeadlineHeap` is an indexed binary min-heap of `u32` ids ordered by
+//! a `u64` due time, as lwIP keeps its timeouts in one deadline-ordered
+//! list. A per-id vector holds each id's due time and heap position, so
+//! `set` queues an id or re-keys it in place with one sift, up or down,
+//! and `remove` takes it from mid-heap: O(log n) each, and `pop_due`
+//! O(log n) per id it pops, however far the clock jumps. The stack's
+//! connection table queues its slab slots on one, each at its
+//! connection's exact next deadline on the stack's clock
+//! ([`ukplat::time::Tsc`]). Nothing allocates once the vectors reach
+//! the queued count's high-water mark.
 //!
-//! Entries live in a slab; the heap holds the armed entries' slab
-//! indices and each entry its own heap position, so a cancel removes
-//! it in place. Freed slots are reused before the slab grows: once the
-//! vectors reach the armed count's high-water mark (or the capacity
-//! [`TimerWheel::with_capacity`] gave them) nothing allocates.
-//!
-//! [`arm`](TimerWheel::arm) returns a [`TimerToken`], slab index +
-//! generation. Each slot reuse bumps the generation, so a stale token
-//! (already fired or cancelled) and `NONE` cancel nothing, and cancel
-//! is idempotent.
-//!
-//! Deadlines are nanoseconds on the stack's virtual clock
-//! ([`ukplat::time::Tsc`]). An entry armed for `d` fires, in
-//! deadline-tick order, on the first [`advance`](TimerWheel::advance)
-//! with `now_ns ≥ floor(d / DEFAULT_TICK_NS) · DEFAULT_TICK_NS`; one
-//! armed in the past fires on the next advance even if the clock did
-//! not move, and time never runs backwards. Callers that need exact
-//! sub-tick deadlines (the RTO path does) re-check the true deadline
-//! on fire and re-arm for the remainder.
+//! [`TimerWheel`] is the standalone timer API over the same heap: a
+//! slab of entries (key, deadline, generation) ordered by deadline
+//! tick. [`arm`](TimerWheel::arm) returns a [`TimerToken`]: slab index
+//! and generation. Each slot reuse bumps the generation, so a stale
+//! token cancels nothing. An entry armed for `d` fires on the first
+//! [`advance`](TimerWheel::advance) with `now_ns ≥ floor(d /
+//! DEFAULT_TICK_NS) · DEFAULT_TICK_NS`, earliest tick first; one armed
+//! in the past fires on the next advance, and time never runs
+//! backwards.
 
 /// Tick granularity: 1 ms in virtual-clock nanoseconds.
 pub const DEFAULT_TICK_NS: u64 = 1_000_000;
 
-/// No slab index: the `NONE` token's index, and a free entry's heap
-/// position.
+/// No heap position: an id that is not queued.
 const NIL: u32 = u32::MAX;
+
+/// An indexed min-heap of ids by due time. See the module docs.
+#[derive(Debug, Default)]
+pub(crate) struct DeadlineHeap {
+    /// Per id: its due time and its index in `heap` (`NIL` while it is
+    /// not queued).
+    at: Vec<(u64, u32)>,
+    /// The queued ids, a binary min-heap on their due time.
+    heap: Vec<u32>,
+}
+
+impl DeadlineHeap {
+    /// Ids queued.
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// When `id` is due, if it is queued.
+    pub(crate) fn due(&self, id: u32) -> Option<u64> {
+        self.at.get(id as usize).filter(|&&(_, pos)| pos != NIL).map(|&(due, _)| due)
+    }
+
+    /// Queues `id` for `due`, or re-keys it in place if it is queued
+    /// already. Allocates only when `id` lies past every id seen so far
+    /// or the queue outgrows its high-water mark.
+    pub(crate) fn set(&mut self, id: u32, due: u64) {
+        let i = id as usize;
+        if i >= self.at.len() {
+            self.grow(i + 1);
+        }
+        self.at[i].0 = due;
+        let pos = match self.at[i].1 {
+            NIL => {
+                self.heap.push(id);
+                self.heap.len() - 1
+            }
+            pos => pos as usize,
+        };
+        self.fix(pos, id);
+    }
+
+    /// Makes room for ids below `len`; cold, so `set` stays inlinable.
+    #[cold]
+    fn grow(&mut self, len: usize) {
+        self.at.resize(len, (0, NIL));
+    }
+
+    /// Takes `id` off the queue, returning its due time (`None`, and
+    /// nothing changes, when it was not queued).
+    pub(crate) fn remove(&mut self, id: u32) -> Option<u64> {
+        let (due, pos) = *self.at.get(id as usize).filter(|&&(_, pos)| pos != NIL)?;
+        self.at[id as usize].1 = NIL;
+        let last = self.heap.pop()?;
+        if (pos as usize) < self.heap.len() {
+            self.fix(pos as usize, last);
+        }
+        Some(due)
+    }
+
+    /// Takes the earliest id off the queue if it is due at `now`.
+    pub(crate) fn pop_due(&mut self, now: u64) -> Option<u32> {
+        let &root = self.heap.first()?;
+        (self.at[root as usize].0 <= now).then(|| {
+            self.remove(root);
+            root
+        })
+    }
+
+    fn due_at(&self, pos: usize) -> u64 {
+        self.at[self.heap[pos] as usize].0
+    }
+
+    /// Puts `id` at heap position `pos`, or wherever above or below it
+    /// its due time belongs: up for a new or earlier one, down for a
+    /// later one.
+    fn fix(&mut self, mut pos: usize, id: u32) {
+        let due = self.at[id as usize].0;
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.due_at(parent) <= due {
+                break;
+            }
+            self.place(pos, self.heap[parent]);
+            pos = parent;
+        }
+        let len = self.heap.len();
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && self.due_at(child + 1) < self.due_at(child) {
+                child += 1;
+            }
+            if self.due_at(child) >= due {
+                break;
+            }
+            self.place(pos, self.heap[child]);
+            pos = child;
+        }
+        self.place(pos, id);
+    }
+
+    /// Puts `id` at heap position `pos`.
+    fn place(&mut self, pos: usize, id: u32) {
+        self.heap[pos] = id;
+        self.at[id as usize].1 = pos as u32;
+    }
+}
 
 /// Handle to an armed timer; survives slab reuse via a generation tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,44 +143,22 @@ pub struct TimerToken {
     gen: u32,
 }
 
-impl TimerToken {
-    /// A token that never matches an armed entry (useful as a "no
-    /// timer" default before the first arm).
-    pub(crate) const NONE: TimerToken = TimerToken { idx: NIL, gen: 0 };
-
-    /// True if this is the `NONE` sentinel.
-    pub fn is_none(self) -> bool {
-        self.idx == NIL
-    }
-}
-
-impl Default for TimerToken {
-    fn default() -> Self {
-        TimerToken::NONE
-    }
-}
-
 #[derive(Debug)]
 struct Entry {
     /// Caller's payload, handed back verbatim on fire.
     key: u64,
-    /// Absolute deadline in ticks: the heap's order.
-    deadline_tick: u64,
     /// Exact deadline in ns (for `fire` callbacks that want it).
     deadline_ns: u64,
     gen: u32,
-    /// This entry's index in `heap`, or `NIL` while the slot is free.
-    pos: u32,
 }
 
-/// The stack's timer queue: an indexed min-heap by deadline tick. See
-/// the module docs for the design.
+/// A standalone timer queue: a token slab over a `DeadlineHeap` by
+/// deadline tick. See the module docs for the design.
 #[derive(Debug)]
 pub struct TimerWheel {
     entries: Vec<Entry>,
-    /// Slab indices of the armed entries, a binary min-heap on
-    /// `deadline_tick`.
-    heap: Vec<u32>,
+    /// The armed entries' slab indices, by deadline tick.
+    heap: DeadlineHeap,
     /// Free slab slots, reused before the slab grows.
     free: Vec<u32>,
     /// The latest tick an advance reached.
@@ -101,7 +178,7 @@ impl TimerWheel {
     pub fn with_capacity(cap: usize) -> Self {
         TimerWheel {
             entries: Vec::with_capacity(cap),
-            heap: Vec::with_capacity(cap),
+            heap: DeadlineHeap { at: Vec::with_capacity(cap), heap: Vec::with_capacity(cap) },
             free: Vec::with_capacity(cap),
             current_tick: 0,
         }
@@ -114,7 +191,7 @@ impl TimerWheel {
 
     /// True when no timer is armed.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.len() == 0
     }
 
     /// The queue's notion of "now", rounded down to its tick.
@@ -126,32 +203,21 @@ impl TimerWheel {
     /// handed back verbatim when the timer fires. Allocates only when
     /// the slab is exhausted.
     pub fn arm(&mut self, deadline_ns: u64, key: u64) -> TimerToken {
-        let idx = match self.free.pop() {
-            Some(idx) => idx,
-            None => {
-                let e = Entry { key, deadline_tick: 0, deadline_ns, gen: 1, pos: NIL };
-                self.entries.push(e);
-                (self.entries.len() - 1) as u32
-            }
-        };
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(Entry { key, deadline_ns, gen: 1 });
+            (self.entries.len() - 1) as u32
+        });
         let e = &mut self.entries[idx as usize];
-        (e.key, e.deadline_tick, e.deadline_ns) = (key, deadline_ns / DEFAULT_TICK_NS, deadline_ns);
-        let gen = e.gen;
-        self.heap.push(idx);
-        self.sift_up(self.heap.len() - 1);
-        TimerToken { idx, gen }
+        (e.key, e.deadline_ns) = (key, deadline_ns);
+        self.heap.set(idx, deadline_ns / DEFAULT_TICK_NS);
+        TimerToken { idx, gen: e.gen }
     }
 
     /// Cancels an armed timer. Returns `true` if the token was live;
-    /// stale tokens (already fired, cancelled, or `NONE`) are no-ops.
+    /// stale tokens (already fired or cancelled) are no-ops.
     pub fn cancel(&mut self, token: TimerToken) -> bool {
-        match self.entries.get(token.idx as usize) {
-            Some(e) if e.gen == token.gen && e.pos != NIL => {
-                self.remove(e.pos as usize);
-                true
-            }
-            _ => false,
-        }
+        let live = self.entries.get(token.idx as usize).is_some_and(|e| e.gen == token.gen);
+        live && self.heap.remove(token.idx).map(|_| self.release(token.idx)).is_some()
     }
 
     /// Advances the queue to `now_ns`, invoking `fire(key,
@@ -161,78 +227,18 @@ impl TimerWheel {
     /// fires only what was armed at or before the current tick.
     pub fn advance(&mut self, now_ns: u64, mut fire: impl FnMut(u64, u64)) {
         self.current_tick = self.current_tick.max(now_ns / DEFAULT_TICK_NS);
-        while let Some(&root) = self.heap.first() {
-            if self.entries[root as usize].deadline_tick > self.current_tick {
-                break;
-            }
-            let (key, deadline_ns) = self.remove(0);
+        while let Some(idx) = self.heap.pop_due(self.current_tick) {
+            let (key, deadline_ns) = self.release(idx);
             fire(key, deadline_ns);
         }
     }
 
-    /// Takes the entry at heap position `pos` out of the heap (the
-    /// entry moved into its place sifts up or down, whichever it
-    /// needs), frees its slot, bumping the generation, and returns its
-    /// key and deadline.
-    fn remove(&mut self, pos: usize) -> (u64, u64) {
-        let idx = self.heap.swap_remove(pos);
-        if pos < self.heap.len() {
-            if pos > 0 && self.tick_at(pos) < self.tick_at((pos - 1) / 2) {
-                self.sift_up(pos);
-            } else {
-                self.sift_down(pos);
-            }
-        }
+    /// Frees slab slot `idx` (off the heap already); returns its key and deadline.
+    fn release(&mut self, idx: u32) -> (u64, u64) {
         let e = &mut self.entries[idx as usize];
         e.gen = e.gen.wrapping_add(1).max(1);
-        e.pos = NIL;
         self.free.push(idx);
         (e.key, e.deadline_ns)
-    }
-
-    fn tick_at(&self, pos: usize) -> u64 {
-        self.entries[self.heap[pos] as usize].deadline_tick
-    }
-
-    /// Puts slab entry `idx` at heap position `pos`.
-    fn place(&mut self, pos: usize, idx: u32) {
-        self.heap[pos] = idx;
-        self.entries[idx as usize].pos = pos as u32;
-    }
-
-    fn sift_up(&mut self, mut pos: usize) {
-        let idx = self.heap[pos];
-        let tick = self.tick_at(pos);
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            if self.tick_at(parent) <= tick {
-                break;
-            }
-            self.place(pos, self.heap[parent]);
-            pos = parent;
-        }
-        self.place(pos, idx);
-    }
-
-    fn sift_down(&mut self, mut pos: usize) {
-        let idx = self.heap[pos];
-        let tick = self.tick_at(pos);
-        let len = self.heap.len();
-        loop {
-            let mut child = 2 * pos + 1;
-            if child >= len {
-                break;
-            }
-            if child + 1 < len && self.tick_at(child + 1) < self.tick_at(child) {
-                child += 1;
-            }
-            if self.tick_at(child) >= tick {
-                break;
-            }
-            self.place(pos, self.heap[child]);
-            pos = child;
-        }
-        self.place(pos, idx);
     }
 }
 
@@ -289,7 +295,6 @@ mod tests {
         let t = w.arm(10 * MS, 1);
         assert!(w.cancel(t));
         assert!(!w.cancel(t));
-        assert!(!w.cancel(TimerToken::NONE));
         assert!(collect_fires(&mut w, 20 * MS).is_empty());
     }
 
@@ -354,12 +359,16 @@ mod tests {
         assert_eq!(fired, expect);
     }
 
+    fn capacities(w: &TimerWheel) -> [usize; 4] {
+        [w.entries.capacity(), w.heap.at.capacity(), w.heap.heap.capacity(), w.free.capacity()]
+    }
+
     #[test]
     fn steady_state_rearm_is_slab_flat() {
         let mut w = TimerWheel::new();
         let mut now = 0;
         let mut tokens: Vec<TimerToken> = Vec::new();
-        let mut warm = (0, 0, 0);
+        let mut warm = [0; 4];
         for round in 0..1000u64 {
             now += 3 * MS;
             // Cancel half, let the rest ride until they fire, re-arm
@@ -374,14 +383,10 @@ mod tests {
                 tokens.push(w.arm(now + (1 + (round + i) % 50) * MS, i));
             }
             if round == 100 {
-                warm = (w.entries.capacity(), w.heap.capacity(), w.free.capacity());
+                warm = capacities(&w);
             }
         }
-        assert_eq!(
-            (w.entries.capacity(), w.heap.capacity(), w.free.capacity()),
-            warm,
-            "steady state must not grow the queue after warm-up"
-        );
+        assert_eq!(capacities(&w), warm, "steady state must not grow the queue after warm-up");
     }
 
     #[test]
@@ -391,5 +396,73 @@ mod tests {
         let mut w = TimerWheel::new();
         w.arm(MS + MS / 2, 1);
         assert_eq!(collect_fires(&mut w, MS), vec![1]);
+    }
+
+    /// Drains `h` at `now`, checking the heap's shape after every pop.
+    fn drain(h: &mut DeadlineHeap, now: u64) -> Vec<(u64, u32)> {
+        let mut out = Vec::new();
+        while let Some(id) = h.pop_due(now) {
+            out.push((h.at[id as usize].0, id));
+            assert_eq!(h.due(id), None, "a popped id is off the queue");
+            assert_shape(h);
+        }
+        out
+    }
+
+    /// Every parent is due no later than its children, and every
+    /// queued id knows its position.
+    fn assert_shape(h: &DeadlineHeap) {
+        for (pos, &id) in h.heap.iter().enumerate() {
+            assert_eq!(h.at[id as usize].1 as usize, pos, "id {id} lost its position");
+            if pos > 0 {
+                assert!(h.due_at((pos - 1) / 2) <= h.due_at(pos), "heap order broken at {pos}");
+            }
+        }
+    }
+
+    #[test]
+    fn rekeying_mid_heap_ids_earlier_and_later_keeps_deadline_order() {
+        let mut h = DeadlineHeap::default();
+        let mut want: Vec<Option<u64>> = vec![None; 40];
+        // Queued out of order, ids sparse (slab slots need not be dense).
+        for id in (0..40u32).filter(|id| id % 5 != 4) {
+            let due = u64::from((id * 37) % 41) * 10;
+            h.set(id, due);
+            want[id as usize] = Some(due);
+            assert_shape(&h);
+        }
+        for i in 0..8 {
+            // An id with a parent and children.
+            let id = h.heap[1 + i];
+            assert!(2 * (1 + i) + 1 < h.len(), "id {id} sits mid-heap");
+            // Alternately far earlier (sifts up) and far later (down).
+            let due = if i % 2 == 0 { i as u64 } else { 1_000 + i as u64 };
+            h.set(id, due);
+            want[id as usize] = Some(due);
+            assert_shape(&h);
+            assert_eq!(h.due(id), Some(due));
+        }
+        // Re-keying to the same due time is a no-op; so is removing an
+        // id that is not queued.
+        h.set(17, want[17].unwrap_or(0));
+        assert_eq!(h.remove(4), None);
+        assert_eq!(h.remove(99), None);
+        assert_eq!(h.remove(22), want[22].take());
+        assert_shape(&h);
+        assert_eq!(h.len(), want.iter().flatten().count());
+        let mut expect: Vec<(u64, u32)> =
+            (0..40u32).filter_map(|id| want[id as usize].map(|d| (d, id))).collect();
+        expect.sort_unstable();
+        let early: Vec<(u64, u32)> = expect.iter().copied().filter(|&(d, _)| d <= 200).collect();
+        let got = drain(&mut h, 200);
+        let dues = |v: &[(u64, u32)]| v.iter().map(|p| p.0).collect::<Vec<_>>();
+        assert_eq!(dues(&got), dues(&early));
+        assert_eq!(h.len(), expect.len() - early.len(), "nothing due later popped");
+        let rest = drain(&mut h, u64::MAX);
+        assert!(dues(&rest).is_sorted() && dues(&rest).first() > dues(&got).last());
+        let mut all: Vec<(u64, u32)> = got.into_iter().chain(rest).collect();
+        all.sort_unstable();
+        assert_eq!(all, expect);
+        assert_eq!(h.len(), 0);
     }
 }

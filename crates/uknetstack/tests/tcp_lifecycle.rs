@@ -1,8 +1,8 @@
 //! Wire-level connection-lifecycle robustness tests: TIME_WAIT,
 //! handshake timeouts, keepalive and accept-queue hardening, and the
-//! one lazily re-armed wheel entry per connection that wakes them,
-//! proven through real stacks on the testnet wire with forged attacker
-//! traffic.
+//! one timer queue entry per connection that wakes them, keyed at its
+//! exact deadline, proven through real stacks on the testnet wire with
+//! forged attacker traffic.
 //!
 //! Every test ends with a leak check: after the dust settles, every
 //! pooled buffer is back home and every reaped connection's slot and
@@ -154,7 +154,7 @@ fn syn_flood_10x_backlog_is_survived_and_reclaimed() {
 }
 
 /// Forged SYNs that never complete are reaped by the SYN-RECEIVED
-/// handshake timer: connection slots, wheel timers and netbufs all
+/// handshake timer: connection slots, timer queue entries and netbufs all
 /// return to their pools.
 #[test]
 fn handshake_timeout_reclaims_half_open_connections() {
@@ -238,7 +238,7 @@ fn time_wait_holds_2msl_then_recycles_the_port() {
     );
     assert_eq!(net.stack(0).stats().timewait - tw0, 1);
 
-    // 2 MSL later the wheel reaps it; the passive side's Closed slot
+    // 2 MSL later the timer queue reaps it; the passive side's Closed slot
     // is reclaimed too once its receive queue is drained.
     tick(&mut net, (2 * TCP_MSL_NS / 10_000_000) as usize + 4);
     assert_eq!(net.stack(0).tcp_state(client), None, "TIME_WAIT expired");
@@ -440,12 +440,13 @@ fn echo(net: &mut Network, client: SocketHandle, conn: SocketHandle, tag: u8) {
     assert_eq!(buf, [tag; 64]);
 }
 
-/// A request/response exchange moves its deadlines (RTO, tail-loss
-/// probe, held ACK) four times per round trip, every time to a later
-/// one — so the connection's wheel entry, armed for an earlier one,
-/// stays where it is: no arm, no cancel.
+/// A request/response exchange moves its connection's deadline (RTO,
+/// tail-loss probe, held ACK) twice per round trip on each side, every
+/// time to a later one: the connection's one queue entry is re-keyed in
+/// place each time — two arms per echo per side, and never a second
+/// entry.
 #[test]
-fn a_thousand_echoes_arm_nothing() {
+fn a_thousand_echoes_re_key_one_entry_twice_per_side() {
     let _registry = sharing_registry();
     let mut net = clocked_net(1_000, |_| {}); // 1 µs steps: 2 ms in all.
     let (client, conn) = establish(&mut net, 8040);
@@ -457,19 +458,19 @@ fn a_thousand_echoes_arm_nothing() {
     assert!(warm.iter().all(|&n| n > 0), "the first deadlines were armed: {warm:?}");
     for i in 0..1_000 {
         echo(&mut net, client, conn, i as u8);
+        assert_eq!(net.stack(0).armed_timer_count(), 1);
+        assert_eq!(net.stack(1).armed_timer_count(), 1);
     }
-    assert_eq!(arms(&mut net), warm, "steady state leaves the wheel alone");
-    assert_eq!(net.stack(0).armed_timer_count(), 1);
-    assert_eq!(net.stack(1).armed_timer_count(), 1);
+    assert_eq!(arms(&mut net), warm.map(|n| n + 2_000), "two re-keys per echo per side");
 }
 
-/// The other half of the lazy re-arm: the entry left behind fires
-/// after its deadline has moved on. The wake finds nothing due — no
-/// frame, no counter but the re-arm's — and the one entry it leaves is
-/// armed for the deadline the connection has now: the held ACK leaves
-/// at its own deadline, not a nanosecond off.
+/// A deadline that moved later wakes nothing at the earlier one: the
+/// queue holds the connection at exactly the deadline it has now, so a
+/// pump between the two changes nothing but the sweep count, and the
+/// held ACK leaves at its own deadline, not a nanosecond off. Idle
+/// after it, the connection waits for nothing and leaves the queue.
 #[test]
-fn a_stale_fire_does_nothing_but_rearm_at_the_new_minimum() {
+fn a_moved_deadline_wakes_nothing_early() {
     let _registry = sharing_registry();
     let mut net = Network::new();
     net.attach(node(1, |_| {}));
@@ -479,9 +480,9 @@ fn a_stale_fire_does_nothing_but_rearm_at_the_new_minimum() {
     let (client, conn) = establish(&mut net, 8041);
     const MS: u64 = 1_000_000;
 
-    // The client holds the first reply's ACK until 40 ms: its entry is
-    // armed for that. The second request, at 10 ms, carries that ACK
-    // out; the second reply's is held until 50 ms.
+    // The client holds the first reply's ACK until 40 ms. The second
+    // request, at 10 ms, carries that ACK out; the second reply's is
+    // held until 50 ms.
     echo(&mut net, client, conn, 1);
     assert_eq!(net.stack(0).held_ack_deadline(), Some(DELACK_NS));
     clock.advance_ns(10 * MS);
@@ -489,14 +490,12 @@ fn a_stale_fire_does_nothing_but_rearm_at_the_new_minimum() {
     assert_eq!(net.stack(0).held_ack_deadline(), Some(10 * MS + DELACK_NS));
     assert_eq!(net.stack(0).armed_timer_count(), 1);
 
-    clock.advance_ns(31 * MS); // 41 ms: past the entry, short of the ACK.
+    clock.advance_ns(31 * MS); // 41 ms: past the first hold, short of the second.
     let before = net.stack(0).stats();
     net.stack(0).pump();
     let mut after = net.stack(0).stats();
-    assert_eq!(after.timer_arms, before.timer_arms + 1, "the wake re-armed");
-    after.timer_arms -= 1;
     after.pump_sweeps -= 1;
-    assert_eq!(format!("{after:?}"), format!("{before:?}"), "and did nothing else");
+    assert_eq!(format!("{after:?}"), format!("{before:?}"), "the pump did nothing");
     assert_eq!(net.stack(0).armed_timer_count(), 1);
     assert_eq!(net.stack(0).held_ack_deadline(), Some(10 * MS + DELACK_NS), "still held");
 
@@ -506,18 +505,19 @@ fn a_stale_fire_does_nothing_but_rearm_at_the_new_minimum() {
     clock.advance_ns(1);
     net.stack(0).pump();
     assert_eq!(net.stack(0).stats().delack_fires, 1, "released at its deadline");
-    assert_eq!(net.stack(0).stats().timer_arms, before.timer_arms + 1, "by the entry the wake armed");
+    assert_eq!(net.stack(0).armed_timer_count(), 0, "the idle connection waits for nothing");
+    assert_eq!(net.stack(0).stats().timer_arms, before.timer_arms, "and arms nothing");
     net.run_until_quiet(16);
     assert_eq!(net.stack(0).pool_available(), Some(POOL));
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
 }
 
 /// A thousand idle connections with keepalive on are a thousand
-/// deadlines and a thousand wheel entries — one each, never more —
+/// deadlines and a thousand timer queue entries — one each, never more —
 /// and when their (forged, silent) peers fail every probe, each entry's
 /// last fire takes its connection with it.
 #[test]
-fn a_thousand_keepalive_connections_hold_one_wheel_entry_each() {
+fn a_thousand_keepalive_connections_hold_one_queue_entry_each() {
     let _registry = sharing_registry();
     const CONNS: usize = 1_000;
     let mut net = clocked_net(100_000_000, |c| {

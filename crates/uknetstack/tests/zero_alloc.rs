@@ -112,7 +112,7 @@ struct Pair {
 impl Pair {
     /// `step_ns` installs a virtual clock advancing that much per wire
     /// step, which arms the loss-recovery machinery: every pump runs
-    /// the timer wheel and every data frame is filed into the
+    /// the timer queue and every data frame is filed into the
     /// retransmission queue on recycle. The wire is lossless, so no
     /// retransmission timer ever fires — but the whole armed path must
     /// still stay allocation-free.
@@ -546,7 +546,7 @@ fn lossless_1mb_is_allocation_free_whatever_recovery_is_armed() {
 /// Scale: the echo hot path threads ten thousand established-idle
 /// connections (forged handshakes from spoofed peers,
 /// completed through the wire capture) without allocating — the flow
-/// table, the slab and the wheel are all sized by the population, the
+/// table, the slab and the timer queue are all sized by the population, the
 /// per-packet work by none of them. Every one of them is watched on
 /// one event queue, and that costs the echo nothing either: readiness
 /// is published by the socket something happened to, so only the

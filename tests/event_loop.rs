@@ -180,8 +180,9 @@ fn epoll_family_multiplexes_eventfd_and_socket_by_syscall_number() {
 }
 
 /// `epoll_wait(timeout)` end to end: the thread parks with a deadline,
-/// the queue's earliest deadline arms an entry on the stack's timer
-/// queue, and advancing the virtual clock fires it → expires the park
+/// the queue's earliest deadline arms a `TimerWheel` entry (the
+/// standalone timer API over the heap a stack queues its connections
+/// on), and advancing the virtual clock fires it → expires the park
 /// → wakes the thread through the scheduler — which then observes
 /// `TimedOut` (epoll's "0 ready events") because no readiness arrived.
 #[test]
