@@ -148,6 +148,7 @@ verify-release:
 ## the config's link flags (64 KiB segments, RELR), so they show
 ## what those flags change. Every build is laid out by `hot.ld` (see
 ## `hot-text` below): `.text.hot` is the code the workloads run, `.text`
+## the rest; `.rodata.hot` the read-only sections they read, `.rodata`
 ## the rest. Last, `hot-text size` splits both sections of the images
 ## as this tree builds them — before `strip`, it reads `.symtab` — by
 ## where the code comes from: our crates, `std`, `core`/`alloc`, glibc.
@@ -186,13 +187,14 @@ image-size:
 	}; \
 	secsize() { h=$$(readelf -SW "$$1" | awk -v n="$$2" '{ for (i = 1; i < NF; i++) if ($$i == n) { print $$(i + 4); exit } }'); echo $$((0x$${h:-0})); }; \
 	align() { readelf -lW "$$1" | awk '$$1 == "LOAD" { print $$NF }' | sort -u | paste -sd/; }; \
-	printf '%-24s %-22s %10s %10s %10s %8s %8s %12s %6s  %s\n' image build 'ELF (B)' '.text.hot' '.text' 'relocs' 'align' 'closure (B)' ratio 'objects the loader maps'; \
+	printf '%-24s %-22s %10s %10s %10s %11s %10s %8s %8s %12s %6s  %s\n' image build 'ELF (B)' '.text.hot' '.text' '.rodata.hot' '.rodata' 'relocs' 'align' 'closure (B)' ratio 'objects the loader maps'; \
 	for b in $(IMAGES); do \
 		base=; \
 		for v in "defaults:cargo defaults, shared" "shared:profile, shared libc" "static:profile, static libc"; do \
 			elf="$$dir/$${v%%:*}/release/$$b"; set -- $$(closure "$$elf"); c=$$1; shift; base=$${base:-$$c}; \
-			printf '%-24s %-22s %10d %10d %10d %8d %8s %12d %6s  %s\n' "$$b" "$${v#*:}" "$$(stat -c %s "$$elf")" \
+			printf '%-24s %-22s %10d %10d %10d %11d %10d %8d %8s %12d %6s  %s\n' "$$b" "$${v#*:}" "$$(stat -c %s "$$elf")" \
 				"$$(secsize "$$elf" .text.hot)" "$$(secsize "$$elf" .text)" \
+				"$$(secsize "$$elf" .rodata.hot)" "$$(secsize "$$elf" .rodata)" \
 				"$$(( $$(secsize "$$elf" .rela.dyn) + $$(secsize "$$elf" .relr.dyn) ))" "$$(align "$$elf")" "$$c" \
 				"$$(awk "BEGIN { printf \"%.2f\", $$c / $$base }")" "$${*:-(none)}"; \
 		done; \
@@ -200,44 +202,82 @@ image-size:
 	echo; echo "code of the images as this tree builds them (unstripped), by origin, in bytes of function symbols:"; \
 	$(HOT_TEXT) size $(HOT_LIBS) $(foreach b,$(IMAGES),"$$dir/static/sym/$(notdir $(b))")
 
-## `.text.hot`: every image that links `ukplat` is laid out by
-## `crates/ukplat/link/hot.ld` (its `build.rs` passes the fragment to
-## the linker), which packs the functions the workloads execute into one
-## `.text.hot` ahead of the code they never run, the start-up code
-## (`_start`, `crtbegin`'s, and the PLT of glibc's IFUNCs) first. Each page fault in
-## the code maps the 64 KiB window around it, aligned in virtual
-## address; the image's base is 64 KiB-aligned (`.cargo/config.toml`),
-## so the windows fall at the same offsets of the image in every run.
-## Code a run never executes is resident when it shares a window with
-## code it does. `hot-text` (crates/ukbuild, `tools/hot_text.rs`) is a
-## `ptrace` tracer that puts an `int3` on every function entry of an
-## unstripped image and records the first hit of each.
+## `.text.hot` and `.rodata.hot`: every image that links `ukplat` is
+## laid out by `crates/ukplat/link/hot.ld` (its `build.rs` passes the
+## fragment to the linker), which packs the functions the workloads
+## execute into one `.text.hot` ahead of the code they never run, the
+## start-up code (`_start`, `crtbegin`'s, and the PLT of glibc's IFUNCs)
+## first, and the read-only input sections they read into one
+## `.rodata.hot` right after the ELF headers and relocation tables.
+## Each page fault in a file mapping maps the 64 KiB window around it,
+## aligned in virtual address; the image's base is 64 KiB-aligned
+## (`.cargo/config.toml`), so the windows fall at the same offsets of
+## the image in every run. Code a run never executes, or a constant it
+## never reads, is resident when it shares a window with one it does.
+## `hot-text` (crates/ukbuild, `tools/hot_text.rs`) is a `ptrace` tracer
+## that puts an `int3` on every function entry of an unstripped image
+## and records the first hit of each, and reads the image's present
+## pages from `/proc/<pid>/pagemap` at the tracee's exit stop.
 ##
-## `hot-text` rewrites `hot.ld`: it builds `ukperf` and the two example
-## images, traces the six workloads (seeds 2–7, 2 s each; seed 1, the
-## benchmark's, is left for `verify-hot-text`), `webserver` and
-## `event_server`, and writes the union, grouped by the set of traces
-## that ran each function and laid out to touch the fewest windows
-## (`hot::script`). Two rounds: the second builds with the script the
-## first wrote and traces again, so what one run missed another
-## catches; a trace's file name is its source, so the rounds merge.
+## `hot-text` rewrites `hot.ld`. First the read-only probe: it links
+## `ukperf` and the two example images into `target/hot-probe` with
+## `hot-text probe-script`'s linker script in place of `hot.ld`
+## (`UKPLAT_HOT_LD`), which gives every read-only input section a
+## 64 KiB window of its own, and with `-Wl,-Map` (through
+## `CARGO_TARGET_X86_64_UNKNOWN_LINUX_GNU_RUSTFLAGS`, which cargo adds
+## to the config's `rustflags` rather than replacing them); each image's
+## map is kept beside it. `hot-text probe` runs each workload and
+## example on its probe image: a window present at exit names the
+## section it holds. Then two rounds of code traces: each builds
+## `ukperf` and the two example images, traces the six workloads
+## (seeds 2–7, 2 s each; seed 1, the benchmark's, is left for
+## `verify-hot-text`), `webserver` and `event_server`, and writes the
+## union (`hot::script`): the sections read, smallest first, and the
+## functions run, grouped by the set of traces that ran each and laid
+## out to touch the fewest windows. The second round builds with the
+## script the first wrote and traces again, so what one run missed
+## another catches; a trace's file name is its source, so the rounds
+## merge.
 ## `verify-hot-text` builds `ukperf`, traces each workload for 1 s and
 ## prints the bytes of the functions it ran, the share of them inside
-## `.text.hot`, and the 64 KiB windows they touch beside ⌈bytes /
-## 64 KiB⌉. It fails below 99.9 % on any workload (what runs outside is
-## a stale `hot.ld`), or above ⌈bytes / 64 KiB⌉ + 2 windows
-## (`hot::MAX_EXTRA_WINDOWS`): http-wrk,
-## redis-pipe and conn-churn sit at + 2, the others at + 1, because a
-## linker script names C code by object and every monomorph of a
-## generic function by one glob, so more is placed than is run.
+## `.text.hot`, the 64 KiB windows they touch beside ⌈bytes /
+## 64 KiB⌉, and the windows of the read-only segment resident at exit.
+## It fails below 99.9 % on any workload (what runs outside is a stale
+## `hot.ld`), above ⌈bytes / 64 KiB⌉ + 2 code windows
+## (`hot::MAX_EXTRA_WINDOWS`): http-wrk, redis-pipe and conn-churn sit
+## at + 2, the others at + 1, because a linker script names C code by
+## object and every monomorph of a generic function by one glob, so
+## more is placed than is run), or above one read-only window
+## (`rodata::MAX_WINDOWS`: a constant read outside `.rodata.hot`).
 ## Both build into `target/ukperf` (building `benchmark/` rewrites its
 ## stale `Cargo.lock`: `git checkout benchmark/Cargo.lock` afterwards).
 HOT_TEXT = $(CARGO) run -q --release --offline -p ukbuild --bin hot-text --
 HOT_LIBS = $(foreach f,libc.a libm.a,--lib "$$(cc -print-file-name=$(f))")
 HOT_UKPERF = target/ukperf/release/ukperf
+HOT_PROBE = $(CURDIR)/target/hot-probe
 WORKLOADS = http-wrk redis-pipe tcp-rr tcp-bulk tcp-lossy conn-churn
 hot-text:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; traces=; \
+	mkdir -p $(HOT_PROBE) "$$dir/ro"; \
+	$(HOT_TEXT) probe-script "$$dir/probe.ld"; \
+	cmp -s "$$dir/probe.ld" $(HOT_PROBE)/probe.ld || cp "$$dir/probe.ld" $(HOT_PROBE)/probe.ld; \
+	probe_build() { \
+		image=$$1; shift; rm -f $(HOT_PROBE)/last.map; \
+		UKPLAT_HOT_LD=$(HOT_PROBE)/probe.ld \
+		CARGO_TARGET_X86_64_UNKNOWN_LINUX_GNU_RUSTFLAGS="-C link-arg=-Wl,-Map=$(HOT_PROBE)/last.map" \
+			$(CARGO) build -q --release --offline --target-dir $(HOT_PROBE) "$$@"; \
+		if [ -f $(HOT_PROBE)/last.map ]; then mv $(HOT_PROBE)/last.map $(HOT_PROBE)/$$image.map; fi; \
+	}; \
+	probe_build ukperf --manifest-path benchmark/Cargo.toml; \
+	probe_build webserver --example webserver; \
+	probe_build event_server --example event_server; \
+	seed=2; for w in $(WORKLOADS); do \
+		$(HOT_TEXT) probe --map $(HOT_PROBE)/ukperf.map "$$dir/ro/$$w" -- $(HOT_PROBE)/release/ukperf --workload $$w --seed $$seed --seconds 2; \
+		traces="$$traces $$dir/ro/$$w"; seed=$$((seed + 1)); \
+	done; \
+	for e in webserver event_server; do \
+		$(HOT_TEXT) probe --map $(HOT_PROBE)/$$e.map "$$dir/ro/$$e" -- $(HOT_PROBE)/release/examples/$$e; traces="$$traces $$dir/ro/$$e"; \
+	done; \
 	for r in 1 2; do \
 		mkdir "$$dir/$$r"; \
 		$(CARGO) build -q --release --offline --example webserver --example event_server; \
@@ -258,7 +298,7 @@ verify-hot-text:
 	fail=0; for w in $(WORKLOADS); do \
 		$(HOT_TEXT) cover --min 99.9 --label $$w -- $(HOT_UKPERF) --workload $$w --seconds 1 || fail=1; \
 	done; \
-	test $$fail -eq 0 || { echo "verify-hot-text: a workload runs code outside .text.hot, or over more windows than it needs: make hot-text" >&2; exit 1; }
+	test $$fail -eq 0 || { echo "verify-hot-text: a workload runs code outside .text.hot, over more windows than it needs, or reads constants outside .rodata.hot: make hot-text" >&2; exit 1; }
 
 ## The full sweep: every workspace crate's unit, integration and prop
 ## tests (the `zero_alloc` guard among them: 0 allocations per frame on

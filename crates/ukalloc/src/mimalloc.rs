@@ -28,6 +28,8 @@ const SEGMENT: usize = 4 * 1024 * 1024;
 const PAGE: usize = 64 * 1024;
 /// Largest size served from sharded pages.
 const SMALL_MAX: usize = 16 * 1024;
+/// A directory slot with no page.
+const NO_PAGE: u32 = u32::MAX;
 
 /// Size classes: 16, 32, 48, 64, then two classes per power of two
 /// (96/128, 192/256, ...) — coarser than mimalloc's bins, which
@@ -110,9 +112,12 @@ pub struct Mimalloc {
     current: Vec<Option<usize>>,
     /// Non-full pages per class (excluding current).
     partial: Vec<Vec<usize>>,
-    /// Page directory: page base → page index.
-    directory: HashMap<GpAddr, usize>,
-    /// Large allocations: addr → size.
+    /// Page directory: for each 64 KiB of the region, from `base`, the
+    /// index of the page there, or [`NO_PAGE`]. A block's page is one
+    /// shift and one load away (1 024 entries for a 64 MiB region).
+    directory: Vec<u32>,
+    /// Large allocations: addr → size. Looked up only for a block
+    /// whose directory slot holds no page.
     large_used: HashMap<GpAddr, usize>,
     /// Address-ordered large free list.
     large_free: Vec<(GpAddr, usize)>,
@@ -165,7 +170,7 @@ impl Mimalloc {
         };
         let idx = self.pages.len();
         self.pages.push(page);
-        self.directory.insert(base, idx);
+        self.directory[((base - self.base) / PAGE as u64) as usize] = idx as u32;
         Some(idx)
     }
 
@@ -240,6 +245,7 @@ impl Allocator for Mimalloc {
         self.page_bump = base;
         self.page_bump_end = base;
         self.large_top = self.end;
+        self.directory = vec![NO_PAGE; len.div_ceil(PAGE)];
         let n = Self::nclasses();
         self.current = vec![None; n];
         self.partial = vec![Vec::new(); n];
@@ -337,18 +343,22 @@ impl Allocator for Mimalloc {
 
 impl Mimalloc {
     fn free_inner(&mut self, ptr: GpAddr, count: bool) {
-        if let Some(size) = self.large_used.remove(&ptr) {
+        let pi = match ptr.checked_sub(self.base) {
+            Some(off) if ptr < self.end => self.directory[(off / PAGE as u64) as usize],
+            _ => NO_PAGE,
+        };
+        if pi == NO_PAGE {
+            let size = self
+                .large_used
+                .remove(&ptr)
+                .unwrap_or_else(|| panic!("mimalloc: free of unallocated address {ptr:#x}"));
             if count {
                 self.stats.on_free(size);
             }
             self.large_free.push((ptr, size));
             return;
         }
-        let page_base = ptr & !(PAGE as u64 - 1);
-        let pi = *self
-            .directory
-            .get(&page_base)
-            .unwrap_or_else(|| panic!("mimalloc: free of unallocated address {ptr:#x}"));
+        let pi = pi as usize;
         let page = &mut self.pages[pi];
         let off = ptr - page.base;
         assert_eq!(
@@ -437,6 +447,38 @@ mod tests {
         m.free(q);
         let r = m.malloc(1 << 20).unwrap();
         assert!(r >= m.base);
+    }
+
+    #[test]
+    fn a_freed_large_block_is_reused_and_its_bytes_come_back() {
+        let mut m = mk(16 << 20);
+        let before = m.available();
+        let p = m.malloc(100_000).unwrap();
+        assert!(p >= m.end - (1 << 20), "large blocks are carved from the top");
+        m.free(p);
+        assert_eq!(m.stats().free_count, 1);
+        assert_eq!(m.available(), before);
+        assert_eq!(m.malloc(100_000), Some(p), "first fit takes the freed block back");
+    }
+
+    #[test]
+    fn a_block_in_the_regions_last_page_frees() {
+        // Four pages and no large block: the pages fill the region.
+        let mut m = mk(4 * PAGE);
+        let last = m.end - PAGE as u64;
+        let mut blocks = Vec::new();
+        let p = loop {
+            let p = m.malloc(1024).expect("the region has a last page");
+            if p >= last {
+                break p;
+            }
+            blocks.push(p);
+        };
+        m.free(p);
+        assert_eq!(m.malloc(1024), Some(p), "the last page's shard reuses the block");
+        blocks.into_iter().for_each(|b| m.free(b));
+        m.free(p);
+        assert_eq!(m.stats().free_count, m.stats().alloc_count);
     }
 
     #[test]

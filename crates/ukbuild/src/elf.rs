@@ -15,6 +15,8 @@ pub(crate) const ET_DYN: u16 = 3;
 pub const PT_LOAD: u32 = 1;
 /// `p_flags` bit: the segment is executable.
 pub const PF_X: u32 = 1;
+/// `p_flags` bit: the segment is writable.
+pub const PF_W: u32 = 2;
 const SHT_SYMTAB: u32 = 2;
 const SHF_EXECINSTR: u64 = 4;
 const STT_FUNC: u8 = 2;

@@ -37,7 +37,7 @@ use crate::elf::{Elf, Function};
 
 /// The start of a glob that matches every hash of a legacy symbol:
 /// `name` up to and including its `17h` hash prefix.
-fn legacy_prefix(name: &str) -> Option<&str> {
+pub(crate) fn legacy_prefix(name: &str) -> Option<&str> {
     if !name.starts_with("_ZN") {
         return None;
     }
@@ -102,22 +102,30 @@ const MAX_EXTRA_WINDOWS: u64 = 2;
 /// `.init` and `.fini` (32 B) right before the section.
 const STUBS: &[&str] = &["*rcrt1.o(.text .text.*)", "*crtbegin*.o(.text .text.*)", "*(.iplt)"];
 
-/// One traced run, as `hot-text trace` writes it and `hot-text script`
-/// reads it: a `# <image> <start>` line, then `<bytes>\t<pattern>`
-/// lines.
+/// One traced run, as `hot-text trace` (or `hot-text probe`) writes it
+/// and `hot-text script` reads it: a `# <image> <start>` line (`# <image>
+/// .rodata <start>` for a probe's), then `<bytes>\t<pattern>` lines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// The image's file name: the traces of one image share a layout.
     pub image: String,
+    /// Whether the patterns are read-only sections a probe saw read
+    /// ([`crate::rodata::reads`]), not functions a run entered.
+    pub rodata: bool,
     /// Where the traced patterns begin in that image: the first
     /// function of `.text.hot` past the stubs (of `.text`, in an image
-    /// without one).
+    /// without one); for a probe's, the end of what LLD puts ahead of
+    /// `.rodata.hot` (the ELF headers, notes and relocation tables).
     pub start: u64,
     /// The patterns the run needs, in first-hit order, each once, with
-    /// the bytes it places: every function of the image it matches, or
-    /// all the code of the archive member it names.
+    /// the bytes it places: every function (or read-only input
+    /// section) of the image it matches, or all the code of the archive
+    /// member it names.
     pub patterns: Vec<(u64, String)>,
 }
+
+/// The header word of a probe's trace.
+const RODATA: &str = ".rodata";
 
 impl Trace {
     /// The trace of a run of `elf` (called `image`) that entered `hits`
@@ -157,12 +165,13 @@ impl Trace {
                 .find(|f| s.contains(f.addr) && f.addr != elf.entry())
                 .map_or(s.addr, |f| f.addr)
         });
-        Trace { image: image.to_string(), start, patterns }
+        Trace { image: image.to_string(), rodata: false, start, patterns }
     }
 
     /// The file form.
     pub fn to_text(&self) -> String {
-        let mut s = format!("# {} {:#x}\n", self.image, self.start);
+        let kind = if self.rodata { format!(" {RODATA}") } else { String::new() };
+        let mut s = format!("# {}{kind} {:#x}\n", self.image, self.start);
         for (b, p) in &self.patterns {
             s.push_str(&format!("{b}\t{p}\n"));
         }
@@ -175,6 +184,10 @@ impl Trace {
         let head =
             lines.next().and_then(|l| l.strip_prefix("# ")).ok_or("no `# <image> <start>` line")?;
         let (image, start) = head.split_once(' ').ok_or("no start on the `#` line")?;
+        let (rodata, start) = match start.strip_prefix(RODATA) {
+            Some(rest) => (true, rest.trim_start()),
+            None => (false, start),
+        };
         let start = start
             .strip_prefix("0x")
             .and_then(|h| u64::from_str_radix(h, 16).ok())
@@ -186,7 +199,7 @@ impl Trace {
                 Ok((b.parse().map_err(|_| format!("`{b}`: not a byte count"))?, p.to_string()))
             })
             .collect::<Result<_, String>>()?;
-        Ok(Trace { image: image.to_string(), start, patterns })
+        Ok(Trace { image: image.to_string(), rodata, start, patterns })
     }
 }
 
@@ -349,10 +362,15 @@ impl Model<'_> {
     }
 }
 
-/// The linker-script fragment for a set of traces, each named by the
-/// source it ran (a workload, an example). Several traces of one source
-/// (one per round) count as one: the union of their patterns, laid out
-/// from the last one's start.
+/// The linker-script fragment for a set of traces, code traces and
+/// read-only probes' ([`Trace::rodata`]), each named by the source it
+/// ran (a workload, an example). Several traces of one source (one per
+/// round) count as one: the union of their patterns, laid out from the
+/// last one's start.
+///
+/// The `.rodata.hot` block (`rodata::block`) comes first, when there
+/// are probes' traces, so that the fragment still ends in the
+/// `.text.hot` block's `INSERT BEFORE .text;`.
 ///
 /// The patterns are grouped by the set of sources that ran them, each
 /// group in first-hit order, and no group is split. After the stubs
@@ -375,8 +393,9 @@ impl Model<'_> {
 /// ⌈bytes / 64 KiB⌉. Step 2 alone, from the order of least bytes
 /// first, models 63 windows over the six workloads and two examples
 /// where both steps model 60.) The header comment gives the windows so
-/// modelled.
+/// modelled, of the code and of the read-only data.
 pub fn script(traces: &[(String, Trace)]) -> Result<String, String> {
+    let (reads, traces): (Vec<_>, Vec<_>) = traces.iter().partition(|(_, t)| t.rodata);
     let mut names: Vec<&str> = Vec::new();
     let mut image: Vec<usize> = Vec::new();
     let mut images: Vec<&str> = Vec::new();
@@ -437,14 +456,26 @@ pub fn script(traces: &[(String, Trace)]) -> Result<String, String> {
         "/* The functions the traced workloads run, packed ahead of the code\n   \
          they never run: the start-up stubs, then the patterns grouped by\n   \
          the traces that ran them, in the order that touches the fewest\n   \
-         64 KiB fault-around windows. Written by `make hot-text`\n   \
+         64 KiB fault-around windows. Ahead of them, the read-only input\n   \
+         sections the probed runs read, packed after the ELF headers into\n   \
+         the window those already fault in. Written by `make hot-text`\n   \
          (`hot-text script`, crates/ukbuild); not edited by hand.\n   \
          Modelled windows:",
     );
     let summary: Vec<String> =
         model.names.iter().zip(&windows).map(|(n, w)| format!(" {n} {w}")).collect();
     s.push_str(&summary.join(","));
-    s.push_str(" */\nSECTIONS\n{\n  .text.hot :\n  {\n");
+    let rodata = (!reads.is_empty()).then(|| crate::rodata::block(&reads));
+    if let Some((_, ro)) = &rodata {
+        s.push_str("\n   Modelled read-only windows:");
+        let summary: Vec<String> = ro.iter().map(|(n, w)| format!(" {n} {w}")).collect();
+        s.push_str(&summary.join(","));
+    }
+    s.push_str(" */\n");
+    if let Some((block, _)) = &rodata {
+        s.push_str(block);
+    }
+    s.push_str("SECTIONS\n{\n  .text.hot :\n  {\n");
     for stub in STUBS {
         s.push_str(&format!("    {stub}\n"));
     }
@@ -675,7 +706,7 @@ mod tests {
 
     fn trace(image: &str, start: u64, patterns: &[(u64, &str)]) -> Trace {
         let patterns = patterns.iter().map(|&(b, p)| (b, p.to_string())).collect();
-        Trace { image: image.to_string(), start, patterns }
+        Trace { image: image.to_string(), rodata: false, start, patterns }
     }
 
     /// The lines of a script that name a pattern, stubs and comments
@@ -750,7 +781,10 @@ mod tests {
             0x58220,
             &[(48, "*libc.a:memcpy.o(.text .text.*)"), (16, "*(.text.x)")],
         );
-        assert_eq!(Trace::parse(&t.to_text()), Ok(t));
+        assert_eq!(Trace::parse(&t.to_text()), Ok(t.clone()));
+        let probe = Trace { rodata: true, ..t };
+        assert!(probe.to_text().starts_with("# ukperf .rodata 0x58220\n"));
+        assert_eq!(Trace::parse(&probe.to_text()), Ok(probe));
         assert!(Trace::parse("16\t*(.text.x)\n").is_err(), "no header");
         assert!(Trace::parse("# ukperf 0x10\nx\t*(.text.x)\n").is_err(), "no byte count");
     }

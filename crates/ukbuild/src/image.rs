@@ -28,21 +28,22 @@
 //! (`ld-linux-x86-64.so.2`, `libc.so.6` and `libgcc_s.so.1`, 2 266 544 B
 //! together, for each dynamic image; none for a static one), the
 //! split of its code into `.text.hot` (the functions the workloads run,
-//! see below) and `.text`, its relocation bytes and its segment
-//! alignment. x86-64 Linux, glibc 2.36; `ratio` is each
-//! closure over the defaults' one:
+//! see below) and `.text`, and of its constants into `.rodata.hot` (the
+//! read-only sections the workloads read) and `.rodata`, its relocation
+//! bytes and its segment alignment. x86-64 Linux, glibc 2.36; `ratio`
+//! is each closure over the defaults' one:
 //!
-//! | image                   | build                 | ELF (B)   | `.text.hot` | `.text` | relocs | align | closure (B) | ratio |
-//! |-------------------------|-----------------------|----------:|--------:|--------:|-------:|------:|------------:|------:|
-//! | `examples/webserver`    | cargo defaults        |   925 416 | 212 180 | 437 367 | 40 008 | 4 KiB |   3 191 960 |  1.00 |
-//! |                         | profile, shared libc  |   676 872 | 285 876 | 262 551 | 20 280 | 4 KiB |   2 943 416 |  0.92 |
-//! |                         | profile, static libc  | 1 468 616 | 464 580 | 696 104 |  1 232 | 64 KiB |  1 468 616 |  0.46 |
-//! | `examples/event_server` | cargo defaults        |   911 848 | 217 748 | 423 431 | 40 248 | 4 KiB |   3 178 392 |  1.00 |
-//! |                         | profile, shared libc  |   664 248 | 291 438 | 250 615 | 18 888 | 4 KiB |   2 930 792 |  0.92 |
-//! |                         | profile, static libc  | 1 455 944 | 468 830 | 684 136 |  1 208 | 64 KiB |  1 455 944 |  0.46 |
-//! | `ukperf` (`benchmark/`) | cargo defaults        | 1 206 856 | 302 724 | 567 191 | 50 712 | 4 KiB |   3 473 400 |  1.00 |
-//! |                         | profile, shared libc  |   928 896 | 372 020 | 387 191 | 24 768 | 4 KiB |   3 195 440 |  0.92 |
-//! |                         | profile, static libc  | 1 732 424 | 553 012 | 832 392 |  1 280 | 64 KiB |  1 732 424 |  0.50 |
+//! | image                   | build                 | ELF (B)   | `.text.hot` | `.text` | `.rodata.hot` | `.rodata` | relocs | align | closure (B) | ratio |
+//! |-------------------------|-----------------------|----------:|--------:|--------:|--------:|-------:|-------:|------:|------------:|------:|
+//! | `examples/webserver`    | cargo defaults        |   923 248 | 213 524 | 435 239 |  28 324 | 10 192 | 39 864 | 4 KiB |   3 189 792 |  1.00 |
+//! |                         | profile, shared libc  |   676 672 | 286 260 | 262 551 |  25 721 | 12 192 | 20 064 | 4 KiB |   2 943 216 |  0.92 |
+//! |                         | profile, static libc  | 1 468 408 | 464 724 | 696 104 |  94 316 | 60 884 |  1 224 | 64 KiB |  1 468 408 |  0.46 |
+//! | `examples/event_server` | cargo defaults        |   909 856 | 218 884 | 421 479 |  26 637 | 10 584 | 40 104 | 4 KiB |   3 176 400 |  1.00 |
+//! |                         | profile, shared libc  |   664 000 | 291 822 | 250 615 |  23 982 | 11 744 | 18 624 | 4 KiB |   2 930 544 |  0.92 |
+//! |                         | profile, static libc  | 1 390 168 | 403 374 | 684 136 |  92 556 | 60 436 |  1 208 | 64 KiB |  1 390 168 |  0.44 |
+//! | `ukperf` (`benchmark/`) | cargo defaults        | 1 205 232 | 303 364 | 565 623 |  38 848 | 22 224 | 50 616 | 4 KiB |   3 471 776 |  1.00 |
+//! |                         | profile, shared libc  |   929 040 | 372 564 | 387 527 |  34 512 | 24 256 | 24 552 | 4 KiB |   3 195 584 |  0.92 |
+//! |                         | profile, static libc  | 1 732 632 | 553 220 | 832 712 | 103 244 | 73 652 |  1 280 | 64 KiB |  1 732 632 |  0.50 |
 //!
 //! (`relocs` is `.rela.dyn` + `.relr.dyn`; `align` the `PT_LOAD`s'
 //! `p_align`. The first two builds drop the config's link flags with
@@ -55,7 +56,7 @@
 //! statically, our images carry both `std` and the libc — 0.79–0.80 MB
 //! more ELF, the glibc objects `std`'s runtime reaches (`sscanf` through
 //! `pthread_getattr_np`, `gettext` through `strerror_r`, the `dl*`
-//! code) — and need nothing else: 0.46–0.50 of the defaults' closure.
+//! code) — and need nothing else: 0.44–0.50 of the defaults' closure.
 //! That they are also "≈ 1.5 MB" is what they happen to link, not a
 //! calibration.
 //!
@@ -78,21 +79,26 @@
 //! start-up code, and its functions are grouped by the workloads that
 //! run them and laid out to touch the fewest windows. A `tcp-rr` run
 //! now holds 416 kB of code resident (seven windows, the first a half,
-//! for 339 KB executed) and 192 kB of the read-only segment, where
-//! RELR relocations replaced 56 kB of `.rela.dyn`; its `peak_rss_mib`
-//! went 2.05 → 1.40 → 1.07 MiB over the two steps. By origin
+//! for 339 KB executed), where RELR relocations replaced 56 kB of
+//! `.rela.dyn`; its `peak_rss_mib` went 2.05 → 1.40 → 1.07 MiB over the
+//! two steps. It still held 192 kB of the 288 kB read-only segment,
+//! three windows for the constants it read: `hot.ld` now also packs the
+//! read-only sections the workloads read into a `.rodata.hot` right
+//! after the ELF headers and relocation tables ([`crate::rodata`]), and
+//! a run holds 64 kB of the segment, one window (`peak_rss_mib`
+//! 1.08 → 0.95 MiB). By origin
 //! (`hot-text size`, function symbols of the unstripped static images;
 //! "other" is `libgcc`'s unwinder, `compiler_builtins`' C-named
 //! intrinsics and the start-up code):
 //!
 //! | image          | section     |   bytes |    ours |     std | core/alloc |   glibc |  other | padding |
 //! |----------------|-------------|--------:|--------:|--------:|-----------:|--------:|-------:|--------:|
-//! | `webserver`    | `.text.hot` | 464 580 | 155 008 |  39 099 |     48 289 | 163 732 |  3 596 |  54 856 |
-//! |                | `.text`     | 696 104 |  30 342 | 144 750 |     82 797 | 364 319 | 64 976 |   8 920 |
-//! | `event_server` | `.text.hot` | 468 830 | 159 885 |  40 324 |     32 518 | 163 732 |  3 596 |  68 775 |
+//! | `webserver`    | `.text.hot` | 464 724 | 151 523 |  39 093 |     48 213 | 163 732 |  3 596 |  58 567 |
+//! |                | `.text`     | 696 104 |  30 339 | 144 750 |     82 797 | 364 319 | 64 976 |   8 923 |
+//! | `event_server` | `.text.hot` | 403 374 | 156 321 |  40 318 |     32 617 | 163 732 |  3 596 |   6 790 |
 //! |                | `.text`     | 684 136 |  18 647 | 145 681 |     81 924 | 364 319 | 64 976 |   8 589 |
-//! | `ukperf`       | `.text.hot` | 553 012 | 271 113 |  24 524 |     65 288 | 163 732 |  3 619 |  24 736 |
-//! |                | `.text`     | 832 392 |  99 594 | 173 616 |    108 750 | 375 275 | 65 287 |   9 870 |
+//! | `ukperf`       | `.text.hot` | 553 220 | 268 253 |  23 815 |     65 228 | 163 732 |  3 619 |  28 573 |
+//! |                | `.text`     | 832 712 |  99 917 | 173 616 |    108 750 | 375 275 | 65 287 |   9 867 |
 //!
 //! `.text.hot`'s padding is mostly the one `. = ALIGN(0x10000)` of
 //! `hot.ld`: address space, not residency.

@@ -25,7 +25,9 @@ pub mod elf;
 pub mod graph;
 pub mod hot;
 pub mod image;
+pub mod linkmap;
 pub mod registry;
+pub mod rodata;
 pub mod trace;
 
 pub use config::BuildConfig;

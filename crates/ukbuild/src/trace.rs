@@ -9,6 +9,13 @@
 //! tracer may write a tracee's read-only pages there); only the
 //! `ptrace` requests and `waitpid` go through `extern "C"` to glibc.
 //! x86-64 Linux only.
+//!
+//! The same run also reports which pages of the image are resident when
+//! it ends: at the `PTRACE_O_TRACEEXIT` stop the address space is still
+//! whole, and the present bits of `/proc/<pid>/pagemap` say which pages
+//! a fault (the program's own reads, or the kernel's on its behalf)
+//! mapped. Present bits need no privilege (no PFN is read), and nothing
+//! under `/proc` is written but the tracee's own memory.
 
 use std::collections::{HashMap, HashSet};
 use std::ffi::{c_int, c_long, c_void};
@@ -32,7 +39,13 @@ const PTRACE_GETREGS: c_int = 12;
 const PTRACE_SETREGS: c_int = 13;
 const PTRACE_SETOPTIONS: c_int = 0x4200;
 const PTRACE_O_TRACECLONE: c_long = 8;
+const PTRACE_O_TRACEEXIT: c_long = 0x40;
 const PTRACE_O_EXITKILL: c_long = 0x10_0000;
+const PTRACE_EVENT_EXIT: c_int = 6;
+/// `/proc/<pid>/pagemap`: one 8-byte entry per 4 KiB page, bit 63 set
+/// when the page is present.
+const PAGE: u64 = 4096;
+const PM_PRESENT: u64 = 1 << 63;
 const WALL: c_int = 0x4000_0000;
 const SIGTRAP: c_int = 5;
 const SIGSTOP: c_int = 19;
@@ -50,6 +63,9 @@ pub struct Trace {
     /// Indices into the image's [`Elf::functions`] (one per address,
     /// the first alias), in the order they first ran.
     pub hits: Vec<usize>,
+    /// The image's pages present when the program exited, by link-time
+    /// address (the load bias taken off), ascending.
+    pub resident: Vec<u64>,
     /// The program's exit status (128 + signal if a signal ended it).
     pub status: i32,
 }
@@ -120,9 +136,42 @@ fn load_bias(pid: c_int, elf: &Elf, exe: &Path) -> Result<u64, String> {
     Ok(start - (low & !0xfff))
 }
 
+/// The pages of the image at `exe` that `pid` has present, by link-time
+/// address: every mapping of the file, less `bias`.
+fn resident_pages(pid: c_int, exe: &Path, bias: u64) -> Result<Vec<u64>, String> {
+    let maps = std::fs::read_to_string(format!("/proc/{pid}/maps"))
+        .map_err(|e| format!("/proc/{pid}/maps: {e}"))?;
+    let pagemap = File::open(format!("/proc/{pid}/pagemap"))
+        .map_err(|e| format!("/proc/{pid}/pagemap: {e}"))?;
+    let exe = exe.canonicalize().map_err(|e| format!("{}: {e}", exe.display()))?;
+    let mut pages = Vec::new();
+    for l in maps.lines() {
+        let f: Vec<&str> = l.split_whitespace().collect();
+        if f.len() < 6 || Path::new(f[5]) != exe {
+            continue;
+        }
+        let range = f[0].split_once('-').and_then(|(a, b)| {
+            Some((u64::from_str_radix(a, 16).ok()?, u64::from_str_radix(b, 16).ok()?))
+        });
+        let Some((lo, hi)) = range else { continue };
+        let mut entries = vec![0u8; ((hi - lo) / PAGE * 8) as usize];
+        pagemap
+            .read_exact_at(&mut entries, lo / PAGE * 8)
+            .map_err(|e| format!("/proc/{pid}/pagemap at {lo:#x}: {e}"))?;
+        for (i, e) in entries.chunks_exact(8).enumerate() {
+            let word = u64::from_le_bytes(e.try_into().expect("an 8-byte chunk"));
+            if word & PM_PRESENT != 0 {
+                pages.push(lo + i as u64 * PAGE - bias);
+            }
+        }
+    }
+    pages.sort_unstable();
+    Ok(pages)
+}
+
 /// Runs `exe args…` (stdout discarded) under the tracer and returns the
 /// functions of `elf` — the image at `exe` — it entered, in first-hit
-/// order.
+/// order, and the image's pages resident when it exited.
 pub fn first_hits(elf: &Elf, exe: &Path, args: &[String]) -> Result<Trace, String> {
     let mut cmd = Command::new(exe);
     cmd.args(args).stdout(Stdio::null());
@@ -145,7 +194,12 @@ pub fn first_hits(elf: &Elf, exe: &Path, args: &[String]) -> Result<Trace, Strin
     if status & 0xff != 0x7f {
         return Err(format!("{}: ended before it could be traced", exe.display()));
     }
-    request(PTRACE_SETOPTIONS, pid, 0, PTRACE_O_EXITKILL | PTRACE_O_TRACECLONE)?;
+    request(
+        PTRACE_SETOPTIONS,
+        pid,
+        0,
+        PTRACE_O_EXITKILL | PTRACE_O_TRACECLONE | PTRACE_O_TRACEEXIT,
+    )?;
 
     let bias = load_bias(pid, elf, exe)?;
     let mem = File::options()
@@ -167,6 +221,7 @@ pub fn first_hits(elf: &Elf, exe: &Path, args: &[String]) -> Result<Trace, Strin
     }
     let mut fired = HashSet::new();
     let mut hits = Vec::new();
+    let mut resident = Vec::new();
     request(PTRACE_CONT, pid, 0, 0)?;
     loop {
         let (tid, status) = wait_any()?;
@@ -175,14 +230,16 @@ pub fn first_hits(elf: &Elf, exe: &Path, args: &[String]) -> Result<Trace, Strin
             if tid == pid {
                 let code =
                     if status & 0x7f == 0 { (status >> 8) & 0xff } else { 128 + (status & 0x7f) };
-                return Ok(Trace { hits, status: code });
+                return Ok(Trace { hits, resident, status: code });
             }
             continue; // another thread ended
         }
         let sig = (status >> 8) & 0xff;
         let event = status >> 16;
         let mut deliver = 0;
-        if sig == SIGTRAP && event == 0 {
+        if sig == SIGTRAP && event == PTRACE_EVENT_EXIT && tid == pid {
+            resident = resident_pages(pid, exe, bias)?;
+        } else if sig == SIGTRAP && event == 0 {
             let mut r = Regs([0; 27]);
             regs(PTRACE_GETREGS, tid, &mut r)?;
             let at = r.0[RIP].wrapping_sub(1);

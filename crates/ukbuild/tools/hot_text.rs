@@ -1,22 +1,30 @@
-//! `hot-text`: traces which functions an image runs and writes the
+//! `hot-text`: traces which functions an image runs and which of its
+//! read-only sections it reads, and writes the `.rodata.hot` and
 //! `.text.hot` linker-script fragment from those traces
 //! (`crates/ukplat/link/hot.ld`, see `ukplat`'s `build.rs`).
 //!
 //! ```text
 //! hot-text trace  [--lib A.a]… OUT -- PROGRAM [ARGS…]   patterns (and their bytes) for what PROGRAM runs
-//! hot-text script OUT TRACE…                            the fragment, grouped by who ran what
+//! hot-text probe-script OUT                             the linker script of a read-only probe image
+//! hot-text probe  --map MAP OUT -- PROBE [ARGS…]        patterns (and their bytes) for what PROBE reads
+//! hot-text script OUT TRACE…                            the fragment, grouped by who ran (read) what
 //! hot-text cover  [--min PCT] [--label L] -- PROGRAM [ARGS…]
 //!                                                       bytes run, the share in .text.hot,
-//!                                                       the 64 KiB windows they touch
+//!                                                       the 64 KiB windows they touch,
+//!                                                       the read-only windows resident
 //! hot-text size   [--lib A.a]… ELF…                     .text.hot / .text bytes by origin
 //! ```
 //!
 //! `--lib` names a static library whose members a pattern may name
-//! (`libc.a`: `cc -print-file-name=libc.a`). A trace's file name is the
-//! source it ran: `script` merges traces of one name (one per round,
-//! in different directories). `cover` fails below `--min` percent in
-//! `.text.hot`, or above `hot::MAX_EXTRA_WINDOWS` (2) windows more than
-//! ⌈bytes / 64 KiB⌉. `make hot-text`, `make verify-hot-text` and
+//! (`libc.a`: `cc -print-file-name=libc.a`). A probe image is one linked
+//! with `probe-script`'s script in place of `hot.ld` (`UKPLAT_HOT_LD`)
+//! and `-Wl,-Map=MAP`. A trace's file name is the source it ran:
+//! `script` merges traces of one name (one per round, in different
+//! directories) and tells a probe's reads from a code trace by its
+//! header. `cover` fails below `--min` percent in `.text.hot`, above
+//! `hot::MAX_EXTRA_WINDOWS` (2) windows more than ⌈bytes / 64 KiB⌉, or
+//! above `rodata::MAX_WINDOWS` (1) resident windows of the read-only
+//! segment at exit. `make hot-text`, `make verify-hot-text` and
 //! `make image-size` drive it.
 
 use std::collections::HashSet;
@@ -26,9 +34,11 @@ use std::process::ExitCode;
 use ukbuild::archive::Archive;
 use ukbuild::elf::Elf;
 use ukbuild::hot::{self, Origin};
-use ukbuild::trace;
+use ukbuild::{linkmap, rodata, trace};
 
 const USAGE: &str = "usage: hot-text trace [--lib A.a]... OUT -- PROGRAM [ARGS...]\n       \
+                     hot-text probe-script OUT\n       \
+                     hot-text probe --map MAP OUT -- PROBE [ARGS...]\n       \
                      hot-text script OUT TRACE...\n       \
                      hot-text cover [--min PCT] [--label L] -- PROGRAM [ARGS...]\n       \
                      hot-text size [--lib A.a]... ELF...";
@@ -137,6 +147,36 @@ fn cmd_trace(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
+fn cmd_probe_script(a: &Args) -> Result<(), String> {
+    let [out] = a.words.as_slice() else { return Err(USAGE.to_string()) };
+    write(out, &rodata::probe_script())
+}
+
+fn cmd_probe(a: &Args) -> Result<(), String> {
+    let [out] = a.words.as_slice() else { return Err(USAGE.to_string()) };
+    let map_path = a.one("map").ok_or("probe needs --map MAP")?;
+    let map = std::fs::read_to_string(map_path).map_err(|e| format!("{map_path}: {e}"))?;
+    let map = linkmap::input_sections(&map).map_err(|e| format!("{map_path}: {e}"))?;
+    let (exe, elf) = a.program()?;
+    let t = a.run(&exe, &elf)?;
+    let image = exe.file_name().map_or(String::new(), |n| n.to_string_lossy().into_owned());
+    let windows = rodata::resident_windows(&elf, &t.resident);
+    let (reads, outside) = rodata::reads(&image, &map, &windows);
+    write(out, &reads.to_text())?;
+    let bytes: u64 = reads.patterns.iter().map(|(b, _)| b).sum();
+    println!("{out}: {} read-only patterns read, {bytes} B", reads.patterns.len());
+    for w in outside {
+        let at = w * hot::WINDOW;
+        let sec = elf
+            .sections()
+            .iter()
+            .find(|s| s.size > 0 && s.addr < at + hot::WINDOW && at < s.addr + s.size);
+        let name = sec.map_or("?", |s| s.name.as_str());
+        println!("    read outside any probed section: the window at {at:#x} ({name})");
+    }
+    Ok(())
+}
+
 fn cmd_script(a: &Args) -> Result<(), String> {
     let [out, traces @ ..] = a.words.as_slice() else { return Err(USAGE.to_string()) };
     if traces.is_empty() {
@@ -153,9 +193,13 @@ fn cmd_script(a: &Args) -> Result<(), String> {
         .collect::<Result<Vec<_>, String>>()?;
     let script = hot::script(&traces)?;
     write(out, &script)?;
-    let patterns: HashSet<&String> =
-        traces.iter().flat_map(|(_, t)| t.patterns.iter().map(|(_, p)| p)).collect();
-    println!("{out}: {} patterns from {} traces", patterns.len(), traces.len());
+    for rodata in [false, true] {
+        let of_kind = traces.iter().filter(|(_, t)| t.rodata == rodata);
+        let patterns: HashSet<&String> =
+            of_kind.clone().flat_map(|(_, t)| t.patterns.iter().map(|(_, p)| p)).collect();
+        let kind = if rodata { "read-only" } else { "code" };
+        println!("{out}: {} {kind} patterns from {} traces", patterns.len(), of_kind.count());
+    }
     Ok(())
 }
 
@@ -167,9 +211,11 @@ fn cmd_cover(a: &Args) -> Result<bool, String> {
     let (c, missed) = hot::coverage(&elf, &t.hits);
     let packed = c.hot_pct() >= min;
     let tight = c.tight();
+    let ro = rodata::resident_windows(&elf, &t.resident).len();
+    let ro_ok = ro <= rodata::MAX_WINDOWS;
     println!(
         "{label:<12} {:>5} functions {:>8} B run, {:>8} B in .text.hot: {:6.2} % {}; \
-         {:>2} windows of 64 KiB, floor {:>2} {}",
+         {:>2} windows of 64 KiB, floor {:>2} {}; read-only {ro} {}",
         c.functions,
         c.bytes,
         c.hot_bytes,
@@ -177,15 +223,15 @@ fn cmd_cover(a: &Args) -> Result<bool, String> {
         if packed { "ok" } else { "BELOW" },
         c.windows,
         c.floor(),
-        if tight { "ok" } else { "ABOVE" }
+        if tight { "ok" } else { "ABOVE" },
+        if ro_ok { "ok" } else { "ABOVE" }
     );
-    let ok = packed && tight;
     if !packed {
         for f in missed.iter().take(10) {
             println!("    outside .text.hot: {:>6} B {}", f.size, f.name);
         }
     }
-    Ok(ok)
+    Ok(packed && tight && ro_ok)
 }
 
 fn cmd_size(a: &Args) -> Result<(), String> {
@@ -233,6 +279,8 @@ fn main() -> ExitCode {
     let result = parse(rest).and_then(|a| match sub.as_str() {
         "trace" => cmd_trace(&a).map(|()| true),
         "script" => cmd_script(&a).map(|()| true),
+        "probe-script" => cmd_probe_script(&a).map(|()| true),
+        "probe" => cmd_probe(&a).map(|()| true),
         "cover" => cmd_cover(&a),
         "size" => cmd_size(&a).map(|()| true),
         _ => Err(USAGE.to_string()),

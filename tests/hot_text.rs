@@ -1,14 +1,16 @@
 //! The image is laid out by `crates/ukplat/link/hot.ld`: every binary
 //! that links `ukplat` — this test binary too — gets the fragment from
 //! `ukplat`'s `build.rs`, which packs the functions the workloads run
-//! into a `.text.hot` ahead of `.text`. If the script stops reaching
-//! the link, the section is gone and the code the traffic runs is
-//! spread over all of `.text` again (≈ 0.6 MiB more resident on
-//! `tcp-rr`); these checks fail instead.
+//! into a `.text.hot` ahead of `.text`, and the read-only sections they
+//! read into a `.rodata.hot` right after the ELF headers. If the script
+//! stops reaching the link, the sections are gone and the code the
+//! traffic runs is spread over all of `.text` again (≈ 0.6 MiB more
+//! resident on `tcp-rr`), the constants over all of the read-only
+//! segment (≈ 0.12 MiB more); these checks fail instead.
 
 use std::path::Path;
 
-use ukbuild::elf::{Elf, PF_X, PT_LOAD};
+use ukbuild::elf::{Elf, PF_W, PF_X, PT_LOAD};
 
 // Links the platform layer, as every image does, whether or not a test
 // calls into it: its `build.rs` is what brings `hot.ld` to the link.
@@ -79,7 +81,51 @@ fn hot_ld_holds_no_build_path_and_no_hash() {
             && b[i + 19] == b'E'
     });
     assert!(!hashed, "hot.ld names a symbol with its path-dependent hash");
-    assert!(bare.contains(".text.hot") && bare.trim_end().ends_with("INSERT BEFORE .text;"));
+    // rustc's anonymous constants, `.Lanon.<hash>.<n>`, carry a hash
+    // of the build path too: the script names them as one class.
+    let anon = bare
+        .match_indices(".Lanon.")
+        .any(|(i, m)| bare[i + m.len()..].starts_with(|c: char| c.is_ascii_hexdigit()));
+    assert!(!anon, "hot.ld names an anonymous constant by its path-dependent hash");
+    assert!(bare.trim_end().ends_with("INSERT BEFORE .text;"));
+    let rodata = bare.find(".rodata.hot").expect("hot.ld has no .rodata.hot block");
+    let text = bare.find(".text.hot").expect("hot.ld has no .text.hot block");
+    assert!(rodata < text, "the .rodata.hot block does not come before the .text.hot block");
+}
+
+/// `.rodata.hot` opens the read-only segment: it follows the ELF
+/// headers and relocation tables (`.relr.dyn` last) and comes before
+/// every other read-only section, so the constants a run reads share
+/// the one 64 KiB window the headers fault in.
+#[test]
+fn rodata_hot_opens_the_read_only_segment() {
+    let elf = Elf::read(Path::new("/proc/self/exe")).expect("reading /proc/self/exe");
+    let hot = elf
+        .section(".rodata.hot")
+        .expect("no .rodata.hot: does ukplat's build.rs still pass link/hot.ld to the linker?");
+    assert!(hot.size > 0, ".rodata.hot is empty: does any pattern of hot.ld match this image?");
+    let ro = elf
+        .segments()
+        .iter()
+        .find(|s| s.kind == PT_LOAD && s.flags & (PF_W | PF_X) == 0)
+        .expect("no read-only PT_LOAD");
+    assert!(ro.covers(hot), ".rodata.hot lies outside the read-only segment");
+    for name in [".gcc_except_table", ".rodata", ".eh_frame_hdr"] {
+        let s = elf.section(name).unwrap_or_else(|| panic!("no {name}"));
+        assert!(
+            hot.addr < s.addr,
+            ".rodata.hot ({:#x}) starts after {name} ({:#x})",
+            hot.addr,
+            s.addr
+        );
+    }
+    let before = elf
+        .sections()
+        .iter()
+        .filter(|s| s.addr > 0 && s.size > 0 && s.addr < hot.addr)
+        .max_by_key(|s| s.addr)
+        .map(|s| s.name.as_str());
+    assert_eq!(before, Some(".relr.dyn"), "what comes right before .rodata.hot");
 }
 
 /// Code no trace can see stays where the layout put it: a function
