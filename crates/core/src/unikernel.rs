@@ -15,7 +15,7 @@ use uknetstack::stack::{NetStack, StackConfig};
 use ukplat::time::Tsc;
 use ukplat::vmm::VmmKind;
 use ukplat::{Errno, Result};
-use uksched::{CoopScheduler, PreemptScheduler, SchedPolicy, Scheduler};
+use uksched::{SchedPolicy, Scheduler};
 use uksyscall::shim::{SyscallMode, SyscallShim};
 use uksyscall::UNIKRAFT_SUPPORTED;
 use ukvfs::{RamFs, Vfs};
@@ -142,7 +142,7 @@ pub struct Unikernel {
     heap: Option<AllocId>,
     vfs: Option<Vfs>,
     stack: Option<NetStack>,
-    sched: Option<Box<dyn Scheduler>>,
+    sched: Option<Scheduler>,
     shim: SyscallShim,
     report: Option<BootReport>,
 }
@@ -238,13 +238,9 @@ impl Unikernel {
         }
 
         // Stage: sched — instantiate the selected scheduler.
-        if cfg.sched != SchedPolicy::None {
-            let t = Instant::now();
-            self.sched = Some(match cfg.sched {
-                SchedPolicy::Coop => Box::new(CoopScheduler::new(&self.tsc)),
-                SchedPolicy::Preempt => Box::new(PreemptScheduler::new(&self.tsc)),
-                SchedPolicy::None => unreachable!(),
-            });
+        let t = Instant::now();
+        self.sched = Scheduler::new(&self.tsc, cfg.sched);
+        if self.sched.is_some() {
             report.stages.push(BootStage {
                 name: "sched".into(),
                 ns: t.elapsed().as_nanos() as u64,
@@ -305,7 +301,7 @@ impl Unikernel {
     }
 
     /// The scheduler, if configured.
-    pub fn sched_mut(&mut self) -> Option<&mut Box<dyn Scheduler>> {
+    pub fn sched_mut(&mut self) -> Option<&mut Scheduler> {
         self.sched.as_mut()
     }
 

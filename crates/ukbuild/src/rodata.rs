@@ -223,9 +223,19 @@ pub(crate) fn block(reads: &[&(String, Trace)]) -> (String, Vec<(String, u64)>) 
     for p in order {
         s.push_str(&format!("    {p}\n"));
     }
-    s.push_str("  }\n}\nINSERT BEFORE .gcc_except_table;\n");
+    s.push_str(RODATA_HOT_END);
     (s, windows)
 }
+
+/// How the `.rodata.hot` block ends. rustc's gdb pretty-printer section
+/// (debug builds only) gets a place of its own right after
+/// `.rodata.hot`: left to the linker's orphan placement it lands ahead
+/// of `.rodata.hot` whenever the first object that holds it comes
+/// before the first `.gcc_except_table`, which moves with the crate
+/// graph's codegen-unit hashes.
+const RODATA_HOT_END: &str = "  }\n  \
+    /* debug builds: rustc's pretty-printer section, not left an orphan */\n  \
+    .debug_gdb_scripts : { *(.debug_gdb_scripts) }\n}\nINSERT BEFORE .gcc_except_table;\n";
 
 #[cfg(test)]
 mod tests {

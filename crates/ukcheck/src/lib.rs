@@ -14,6 +14,7 @@
 pub mod lexer;
 pub mod lints;
 pub mod manifest;
+mod reach;
 pub mod walk;
 
 pub use lints::{

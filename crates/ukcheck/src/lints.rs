@@ -48,6 +48,10 @@ pub enum Lint {
     /// the crate's `src/` names: an edge that links a library in for
     /// nothing. Not escapable — delete the line.
     UnusedDep,
+    /// A library crate under `crates/` that the workspace builds but no
+    /// binary, `benchmark/` or example links: only tests keep it alive.
+    /// Not escapable — delete the crate or give it a user.
+    UnreachedCrate,
     /// The release profile is not the one the image is measured under:
     /// `.cargo/config.toml` is missing or its `[profile.release]` is not
     /// exactly [`RELEASE_PROFILE`](crate::manifest::RELEASE_PROFILE), or
@@ -68,6 +72,7 @@ impl Lint {
             Lint::Size => "size",
             Lint::UnusedPub => "unused-pub",
             Lint::UnusedDep => "unused-dep",
+            Lint::UnreachedCrate => "unreached-crate",
             Lint::BuildProfile => "build-profile",
         }
     }
@@ -419,28 +424,33 @@ pub fn check_size(file: &str, src: &str, budget: usize) -> Option<Violation> {
 /// pass reads TOML: table headers and `key = value` lines, comments
 /// stripped. (No multi-line values, no dotted keys — a profile written
 /// that way reads as missing, which is the report wanted.)
-enum TomlLine<'a> {
+pub(crate) enum TomlLine<'a> {
     Table(&'a str),
     Key(&'a str, &'a str),
 }
 
-fn toml_lines(src: &str) -> impl Iterator<Item = (u32, TomlLine<'_>)> {
+pub(crate) fn toml_lines(src: &str) -> impl Iterator<Item = (u32, TomlLine<'_>)> {
     src.lines().zip(1u32..).filter_map(|(raw, n)| {
-        let mut in_str = false;
-        let end = raw
-            .char_indices()
-            .find(|&(_, c)| {
-                in_str ^= c == '"';
-                c == '#' && !in_str
-            })
-            .map_or(raw.len(), |(i, _)| i);
-        let line = raw[..end].trim();
+        let line = strip_toml_comment(raw).trim();
         if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
             return Some((n, TomlLine::Table(name.trim_matches(['[', ']', ' ']))));
         }
         let (k, v) = line.split_once('=')?;
         Some((n, TomlLine::Key(k.trim(), v.trim())))
     })
+}
+
+/// `raw` up to its `#` comment, if it has one outside a string.
+pub(crate) fn strip_toml_comment(raw: &str) -> &str {
+    let mut in_str = false;
+    let end = raw
+        .char_indices()
+        .find(|&(_, c)| {
+            in_str ^= c == '"';
+            c == '#' && !in_str
+        })
+        .map_or(raw.len(), |(i, _)| i);
+    &raw[..end]
 }
 
 fn is_release_profile(table: &str) -> bool {

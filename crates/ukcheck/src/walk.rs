@@ -10,6 +10,7 @@ use crate::lints::{
     check_unused_deps, check_unused_pub, count_identifiers, Violation,
 };
 use crate::manifest;
+use crate::reach::check_unreached_crates;
 
 /// Scans the workspace rooted at `root`: the root crate's `src/` and
 /// every `crates/*/src/` tree, skipping [`manifest::SKIP_DIRS`], and
@@ -30,6 +31,7 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     }
     files.sort();
     let mut out = check_build_profile(root)?;
+    out.extend(check_unreached_crates(root)?);
     let refs = References::scan(root)?;
     // `unused-pub`'s reference set for each library crate: the names
     // mentioned outside its `src/`.
@@ -140,7 +142,7 @@ struct References {
 impl References {
     fn scan(root: &Path) -> Result<Self, String> {
         let mut files = Vec::new();
-        for top in ["src", "tests", "examples", manifest::CRATES_DIR, "benchmark"] {
+        for top in ["src", "tests", "examples", manifest::CRATES_DIR, manifest::BENCHMARK_DIR] {
             collect_rs_skipping(&root.join(top), manifest::REFERENCE_SKIP_DIRS, &mut files);
         }
         let mut refs = References { total: HashMap::new(), by_src: HashMap::new() };
@@ -179,7 +181,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     collect_rs_skipping(dir, manifest::SKIP_DIRS, out);
 }
 
-fn collect_rs_skipping(dir: &Path, skip: &[&str], out: &mut Vec<PathBuf>) {
+pub(crate) fn collect_rs_skipping(dir: &Path, skip: &[&str], out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };

@@ -158,6 +158,32 @@ fn a_dependency_nothing_names_is_reported() {
     assert_eq!(stdout.matches('[').count(), 2, "named ones and dev-dependencies pass:\n{stdout}");
 }
 
+/// `unreached-crate`: every library crate among the root's `[workspace]
+/// members` under `crates/` is reached through `[dependencies]` from a
+/// package that builds a binary (`src/main.rs`, `src/bin/`, `[[bin]]`),
+/// from `benchmark/`, or from an example through a facade alias; tests,
+/// dev-dependencies and a non-facade path do not count.
+#[test]
+fn a_library_crate_nothing_runs_is_reported() {
+    let (code, stdout) = run_root("good/unreached_crate");
+    assert_eq!(
+        code, 0,
+        "three binary forms, transitive and table-form edges, benchmark/, facade aliases in a \
+         `use` and in a path; output:\n{stdout}"
+    );
+
+    let (code, stdout) = run_root("bad/unreached_crate");
+    assert_eq!(code, 1, "output:\n{stdout}");
+    for name in ["lock", "only", "orphan"] {
+        let want = format!(
+            "crates/{name}/Cargo.toml:1: [unreached-crate] library crate `{name}` is reached by \
+             no binary"
+        );
+        assert!(stdout.contains(&want), "missing `{want}` in:\n{stdout}");
+    }
+    assert!(stdout.contains("ukcheck: 3 violation(s)"), "nothing else fires:\n{stdout}");
+}
+
 /// `build-profile`: a root with a manifest keeps its release profile in
 /// `.cargo/config.toml` — exactly `RELEASE_PROFILE`, and the one
 /// `STATIC_RUSTFLAGS` line in its target table — and in no

@@ -4,32 +4,34 @@
 //! this enables building lightweight single-threaded unikernels or
 //! run-to-completion unikernels, avoiding the jitter caused by a scheduler
 //! within the guest". The platform provides only context switching and
-//! timers ([`ukplat::lcpu`]); the *policy* lives here as interchangeable
-//! micro-libraries:
+//! timers ([`ukplat::lcpu`]); the *policy* lives here. There is one
+//! [`Scheduler`], and the [`SchedPolicy`] a build selects decides what it
+//! is:
 //!
-//! - [`coop::CoopScheduler`] — cooperative round-robin (`ukschedcoop`);
-//! - [`preempt::PreemptScheduler`] — quantum-based preemptive scheduler;
-//! - [`SchedPolicy::None`] — no scheduler at all: a single
-//!   run-to-completion context, the configuration the paper's specialized
-//!   VNF and UDP-server images use (§6.4).
+//! - [`SchedPolicy::Coop`] — cooperative round-robin (`ukschedcoop`): a
+//!   thread runs until it yields, blocks, sleeps or exits;
+//! - [`SchedPolicy::Preempt`] — the same run queue with a quantum
+//!   (`ukschedpreempt`): a thread that keeps running is descheduled after
+//!   8 steps, and every switch pays the preemptive context-switch cost;
+//! - [`SchedPolicy::None`] — no scheduler at all ([`Scheduler::new`]
+//!   builds none): a single run-to-completion context, the configuration
+//!   the paper's specialized VNF and UDP-server images use (§6.4).
 //!
 //! Threads are step-based state machines: the scheduler repeatedly invokes
 //! the current thread's step function, which reports whether it yielded,
 //! blocked, slept, kept running, or exited. This models the control flow
 //! of real green threads without machine context switching; every switch
 //! still pays the platform's context-switch cost on the virtual TSC.
+//! Everything a run does is deterministic: sleepers that come due together
+//! wake earliest deadline first and, on a tie, in spawn order.
 
-pub(crate) mod coop;
-pub mod preempt;
+mod scheduler;
 pub mod thread;
 pub(crate) mod waitq;
 
-pub use coop::CoopScheduler;
-pub use preempt::PreemptScheduler;
+pub use scheduler::Scheduler;
 pub use thread::{StepResult, Thread, ThreadId, ThreadState};
 pub use waitq::WaitQueue;
-
-use ukplat::Result;
 
 /// Which scheduler micro-library a build selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,31 +53,6 @@ impl SchedPolicy {
             SchedPolicy::Preempt => "ukschedpreempt",
         }
     }
-}
-
-/// The `uksched` API every scheduler implements.
-pub trait Scheduler {
-    /// Adds a thread to the run queue, returning its id.
-    fn spawn(&mut self, thread: Thread) -> ThreadId;
-
-    /// Wakes a blocked thread.
-    fn wake(&mut self, id: ThreadId) -> Result<()>;
-
-    /// Runs until every thread has exited or everything is blocked.
-    /// Returns the number of thread steps executed.
-    fn run_to_idle(&mut self) -> u64;
-
-    /// Executes at most `n` thread steps; returns how many ran.
-    fn run_steps(&mut self, n: u64) -> u64;
-
-    /// Number of threads not yet exited.
-    fn alive(&self) -> usize;
-
-    /// Total context switches performed.
-    fn context_switches(&self) -> u64;
-
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
 }
 
 #[cfg(test)]

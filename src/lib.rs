@@ -7,11 +7,11 @@
 //! one roof so examples and downstream users can depend on a single crate:
 //!
 //! - [`plat`] — platform layer: virtual TSC, VMM models, memory map, IRQs
-//! - [`lock`] — `uklock`: mutexes and semaphores with compile-out
 //! - [`alloc`] — `ukalloc`: allocation API + buddy/TLSF/tinyalloc/
 //!   mimalloc/bootalloc backends
 //! - [`boot`] — `ukboot`: staged boot, static/dynamic page tables
-//! - [`sched`] — `uksched`: cooperative/preemptive/no-op schedulers
+//! - [`sched`] — `uksched`: one scheduler, cooperative or preemptive (or
+//!   none at all)
 //! - [`netdev`] — `uknetdev`: netbufs, burst TX/RX, virtio-net model
 //! - [`netstack`] — lwIP-analog network stack + sockets
 //! - [`event`] — `ukevent`: epoll/eventfd readiness subsystem
@@ -52,7 +52,6 @@ pub use ukbuild as build;
 pub use ukcore as core;
 pub use ukevent as event;
 pub use uklibc as libc;
-pub use uklock as lock;
 pub use uknetdev as netdev;
 pub use uknetstack as netstack;
 pub use ukplat as plat;

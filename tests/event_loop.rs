@@ -16,7 +16,7 @@ use unikraft_rs::event::{EventMask, EventQueue, WaitOutcome};
 use unikraft_rs::netstack::testnet::{self, node, Network};
 use unikraft_rs::netstack::{Endpoint, Ipv4Addr};
 use unikraft_rs::plat::time::Tsc;
-use unikraft_rs::sched::{CoopScheduler, Scheduler, StepResult, Thread, ThreadId};
+use unikraft_rs::sched::{SchedPolicy, Scheduler, StepResult, Thread, ThreadId};
 
 fn mk_alloc() -> Box<dyn unikraft_rs::alloc::Allocator> {
     let mut a = AllocBackend::Tlsf.instantiate();
@@ -180,15 +180,13 @@ fn epoll_family_multiplexes_eventfd_and_socket_by_syscall_number() {
 }
 
 /// `epoll_wait(timeout)` end to end: the thread parks with a deadline,
-/// the queue's earliest deadline arms a `TimerWheel` entry (the
-/// standalone timer API over the heap a stack queues its connections
-/// on), and advancing the virtual clock fires it → expires the park
-/// → wakes the thread through the scheduler — which then observes
-/// `TimedOut` (epoll's "0 ready events") because no readiness arrived.
+/// the virtual clock advances in 1 ms ticks until it reaches the
+/// queue's earliest deadline, and firing the queue's deadlines there
+/// expires the park → wakes the thread through the scheduler — which
+/// then observes `TimedOut` (epoll's "0 ready events") because no
+/// readiness arrived.
 #[test]
-fn timed_epoll_wait_expires_through_the_timer_wheel() {
-    use unikraft_rs::netstack::timer::TimerWheel;
-
+fn timed_epoll_wait_expires_at_the_queue_deadline() {
     let queue = Rc::new(RefCell::new(EventQueue::new()));
     let efd = Rc::new(RefCell::new(
         unikraft_rs::event::EventFd::new(0, 0).unwrap(),
@@ -199,7 +197,7 @@ fn timed_epoll_wait_expires_through_the_timer_wheel() {
         .unwrap();
 
     let tsc = Tsc::new(3_600_000_000);
-    let mut sched = CoopScheduler::new(&tsc);
+    let mut sched = Scheduler::new(&tsc, SchedPolicy::Coop).expect("a cooperative scheduler");
     let now = Rc::new(RefCell::new(0u64)); // Virtual-clock ns.
     let outcome: Rc<RefCell<Option<&'static str>>> = Rc::new(RefCell::new(None));
     const TIMEOUT_NS: u64 = 5_000_000; // epoll_wait(…, 5 ms).
@@ -234,26 +232,14 @@ fn timed_epoll_wait_expires_through_the_timer_wheel() {
     assert_eq!(sched.run_to_idle(), 1, "parked after one step");
     assert_eq!(queue.borrow().waiter_count(), 1);
 
-    // The queue's earliest deadline becomes a wheel timer.
-    let mut wheel = TimerWheel::new();
+    // Advance the virtual clock in 1 ms ticks until it reaches the
+    // queue's earliest deadline; nothing expires before it.
     let deadline = queue.borrow().next_deadline().expect("deadline armed");
     assert_eq!(deadline, TIMEOUT_NS);
-    wheel.arm(deadline, 0xE9);
-
-    // Advance the virtual clock in coarse ticks; the wheel, not the
-    // caller, decides when the deadline is due.
-    let mut fired = false;
-    for step in 1..=10u64 {
-        *now.borrow_mut() = step * 1_000_000;
-        wheel.advance(*now.borrow(), |key, _| {
-            assert_eq!(key, 0xE9);
-            fired = true;
-        });
-        if fired {
-            break;
-        }
+    while *now.borrow() < deadline {
+        assert_eq!(queue.borrow_mut().fire_deadlines(*now.borrow()), 0);
+        *now.borrow_mut() += 1_000_000;
     }
-    assert!(fired, "wheel fired within the timeout horizon");
     assert_eq!(queue.borrow_mut().fire_deadlines(*now.borrow()), 1);
     let woken = queue.borrow_mut().take_wakeups();
     assert_eq!(woken, vec![tid]);
@@ -280,7 +266,7 @@ fn parked_wait_is_woken_by_readiness_not_spinning() {
         .unwrap();
 
     let tsc = Tsc::new(3_600_000_000);
-    let mut sched = CoopScheduler::new(&tsc);
+    let mut sched = Scheduler::new(&tsc, SchedPolicy::Coop).expect("a cooperative scheduler");
     let observed: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
 
     // The server thread: wait → park; on wake, consume and exit.
@@ -309,9 +295,10 @@ fn parked_wait_is_woken_by_readiness_not_spinning() {
     let tid = sched.spawn(server);
     *tid_holder.borrow_mut() = Some(tid);
 
-    // Run until everything is blocked: the thread parks (1 step), and
-    // crucially does not spin while nothing is ready.
-    let steps_idle = sched.run_to_idle();
+    // Offer the thread a thousand steps: it parks (1 step) and crucially
+    // does not spin while nothing is ready — a spinning wait would take
+    // them all.
+    let steps_idle = sched.run_steps(1_000);
     assert_eq!(steps_idle, 1, "parked after a single step, no busy-poll");
     assert_eq!(queue.borrow().waiter_count(), 1);
     assert!(observed.borrow().is_empty());
