@@ -5,7 +5,11 @@
 //! function the tracer saw run is looked up here: a global one in the
 //! archive's symbol index, a C `static` one (no index entry) in the
 //! symbol tables of the members themselves, where its name must be
-//! unique to count.
+//! unique to count. A function a member defines under several names
+//! (glibc's `pthread_getattr_np` and `__pthread_getattr_np`) brings them
+//! all when the member is linked, so an image that defines one name
+//! without the others (a `#[no_mangle]` function that stands in for the
+//! member's) took it from somewhere else.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -13,6 +17,9 @@ use std::path::Path;
 use crate::elf::Elf;
 
 const MAGIC: &[u8] = b"!<arch>\n";
+
+/// Whether an image defines a function, by name.
+pub(crate) type Present<'a> = &'a dyn Fn(&str) -> bool;
 const HEADER: usize = 60;
 
 /// An archive's members and the functions each defines.
@@ -25,6 +32,8 @@ pub struct Archive {
     /// Every function in the members' own symbol tables → its member,
     /// or `None` where two members define one name.
     by_function: HashMap<String, Option<String>>,
+    /// Each member's functions: name and address (section and offset).
+    functions: HashMap<String, Vec<(String, u64)>>,
     /// Each member's `.text` and `.text.*` bytes, each section rounded
     /// up to its alignment: what `*lib.a:member(.text .text.*)` places.
     code: HashMap<String, u64>,
@@ -107,6 +116,8 @@ impl Archive {
 
     /// Records the functions of one member object.
     fn add_functions(&mut self, member: String, object: &Elf) {
+        let names = self.functions.entry(member.clone()).or_default();
+        names.extend(object.functions().iter().map(|f| (f.name.clone(), f.addr)));
         for f in object.functions() {
             self.by_function
                 .entry(f.name.clone())
@@ -128,11 +139,39 @@ impl Archive {
             .map(String::as_str)
     }
 
+    /// The member that defines `function`, if the image holds it: the
+    /// member gives the function no other name, or `present` (whether
+    /// the image defines a name) says yes to one of them.
+    pub(crate) fn linked_member(&self, function: &str, present: Present) -> Option<&str> {
+        let m = self.member_of(function)?;
+        let defined = self.functions.get(m).map_or(&[][..], Vec::as_slice);
+        let Some(&(_, at)) = defined.iter().find(|(n, _)| n == function) else { return Some(m) };
+        let mut aliases = defined.iter().filter(|(n, a)| *a == at && n != function).peekable();
+        (aliases.peek().is_none() || aliases.any(|(n, _)| present(n))).then_some(m)
+    }
+
     /// The file pattern of a linker script that names `function`'s
-    /// member, `*libc.a:malloc.o`, and the member's code bytes.
-    pub(crate) fn file_pattern(&self, function: &str) -> Option<(String, u64)> {
-        self.member_of(function)
+    /// member, `*libc.a:malloc.o`, and the member's code bytes, if the
+    /// image holds the member ([`Archive::linked_member`]).
+    pub(crate) fn file_pattern(&self, function: &str, present: Present) -> Option<(String, u64)> {
+        self.linked_member(function, present)
             .map(|m| (format!("*{}:{m}", self.name), self.code.get(m).copied().unwrap_or(0)))
+    }
+
+    /// An archive of `members`, each a name, its one function's names
+    /// and its code bytes, with every name in the index.
+    #[cfg(test)]
+    pub(crate) fn of(name: &str, members: &[(&str, &[&str], u64)]) -> Archive {
+        let mut ar = Archive { name: name.to_string(), ..Archive::default() };
+        for &(m, functions, code) in members {
+            for f in functions {
+                ar.by_symbol.insert(f.to_string(), m.to_string());
+            }
+            let named = functions.iter().map(|f| (f.to_string(), 0)).collect();
+            ar.functions.insert(m.to_string(), named);
+            ar.code.insert(m.to_string(), code);
+        }
+        ar
     }
 }
 
@@ -188,7 +227,7 @@ mod tests {
         assert_eq!(ar.member_of("gamma"), Some("memmove-avx-unaligned-erms.o"));
         assert_eq!(ar.member_of("delta"), None);
         assert_eq!(
-            ar.file_pattern("gamma").map(|(p, _)| p).as_deref(),
+            ar.file_pattern("gamma", &|_| true).map(|(p, _)| p).as_deref(),
             Some("*libx.a:memmove-avx-unaligned-erms.o")
         );
     }
@@ -199,7 +238,7 @@ mod tests {
         // index, so it is found in the member's own symbol table.
         let exe = std::fs::read("/proc/self/exe").unwrap();
         let ar = Archive::parse("libx.a".to_string(), &sample(&exe)).unwrap();
-        let (pattern, code) = ar.file_pattern("main").unwrap();
+        let (pattern, code) = ar.file_pattern("main", &|_| true).unwrap();
         assert_eq!(pattern, "*libx.a:a.o");
         let text = Elf::parse(&exe).unwrap().section(".text").unwrap().size;
         assert!(code >= text, "the member's code bytes ({code}) hold its .text ({text})");

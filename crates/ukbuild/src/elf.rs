@@ -11,6 +11,7 @@ use std::path::Path;
 
 /// `e_type` of a position-independent image (`static-pie` included).
 pub(crate) const ET_DYN: u16 = 3;
+const ET_REL: u16 = 1;
 /// `p_type` of a loadable segment.
 pub const PT_LOAD: u32 = 1;
 /// `p_flags` bit: the segment is executable.
@@ -82,7 +83,10 @@ impl Segment {
 pub struct Function {
     /// The symbol name, as stored (mangled).
     pub name: String,
-    /// Entry address (before any load bias).
+    /// Entry address (before any load bias). In a relocatable object,
+    /// whose sections all sit at 0, the section index in the high 32
+    /// bits and the offset in it in the low, so that two functions share
+    /// an address only when they are one function under two names.
     pub addr: u64,
     /// `st_size` in bytes.
     pub size: u64,
@@ -241,7 +245,7 @@ impl Elf {
                 let list = if size == 0 { &mut unsized_functions } else { &mut functions };
                 list.push(Function {
                     name: str_at(strtab, u32_at(e, 0)? as usize)?,
-                    addr: u64_at(e, 8)?,
+                    addr: u64_at(e, 8)? | if kind == ET_REL { (shndx as u64) << 32 } else { 0 },
                     size,
                     local: info >> 4 == STB_LOCAL,
                 });

@@ -35,28 +35,31 @@
 //!
 //! | image                   | build                 | ELF (B)   | `.text.hot` | `.text` | `.rodata.hot` | `.rodata` | relocs | align | closure (B) | ratio |
 //! |-------------------------|-----------------------|----------:|--------:|--------:|--------:|-------:|-------:|------:|------------:|------:|
-//! | `examples/webserver`    | cargo defaults        |   923 248 | 213 524 | 435 239 |  28 324 | 10 192 | 39 864 | 4 KiB |   3 189 792 |  1.00 |
-//! |                         | profile, shared libc  |   676 672 | 286 260 | 262 551 |  25 721 | 12 192 | 20 064 | 4 KiB |   2 943 216 |  0.92 |
-//! |                         | profile, static libc  | 1 468 408 | 464 724 | 696 104 |  94 316 | 60 884 |  1 224 | 64 KiB |  1 468 408 |  0.46 |
-//! | `examples/event_server` | cargo defaults        |   909 856 | 218 884 | 421 479 |  26 637 | 10 584 | 40 104 | 4 KiB |   3 176 400 |  1.00 |
-//! |                         | profile, shared libc  |   664 000 | 291 822 | 250 615 |  23 982 | 11 744 | 18 624 | 4 KiB |   2 930 544 |  0.92 |
-//! |                         | profile, static libc  | 1 390 168 | 403 374 | 684 136 |  92 556 | 60 436 |  1 208 | 64 KiB |  1 390 168 |  0.44 |
-//! | `ukperf` (`benchmark/`) | cargo defaults        | 1 205 232 | 303 364 | 565 623 |  38 848 | 22 224 | 50 616 | 4 KiB |   3 471 776 |  1.00 |
-//! |                         | profile, shared libc  |   929 040 | 372 564 | 387 527 |  34 512 | 24 256 | 24 552 | 4 KiB |   3 195 584 |  0.92 |
-//! |                         | profile, static libc  | 1 732 632 | 553 220 | 832 712 | 103 244 | 73 652 |  1 280 | 64 KiB |  1 732 632 |  0.50 |
+//! | `examples/webserver`    | cargo defaults        |   915 240 | 216 868 | 427 591 |  28 188 | 10 160 | 39 264 | 4 KiB |   3 181 784 |  1.00 |
+//! |                         | profile, shared libc  |   671 344 | 287 892 | 257 415 |  25 641 | 12 160 | 19 728 | 4 KiB |   2 937 888 |  0.92 |
+//! |                         | profile, static libc  | 1 336 888 | 407 508 | 630 312 |  35 705 | 116 148 | 1 200 | 64 KiB |  1 336 888 |  0.42 |
+//! | `examples/event_server` | cargo defaults        |   909 688 | 218 756 | 421 239 |  26 685 | 10 584 | 40 272 | 4 KiB |   3 176 232 |  1.00 |
+//! |                         | profile, shared libc  |   664 096 | 291 246 | 250 615 |  24 022 | 11 744 | 18 792 | 4 KiB |   2 930 640 |  0.92 |
+//! |                         | profile, static libc  | 1 329 656 | 409 966 | 623 528 |  34 070 | 115 732 | 1 184 | 64 KiB |  1 329 656 |  0.42 |
+//! | `ukperf` (`benchmark/`) | cargo defaults        | 1 205 320 | 303 060 | 565 639 |  38 904 | 22 224 | 50 784 | 4 KiB |   3 471 864 |  1.00 |
+//! |                         | profile, shared libc  |   929 128 | 371 972 | 387 527 |  34 568 | 24 256 | 24 720 | 4 KiB |   3 195 672 |  0.92 |
+//! |                         | profile, static libc  | 1 606 520 | 494 340 | 772 104 |  44 760 | 128 916 | 1 264 | 64 KiB |  1 606 520 |  0.46 |
 //!
 //! (`relocs` is `.rela.dyn` + `.relr.dyn`; `align` the `PT_LOAD`s'
 //! `p_align`. The first two builds drop the config's link flags with
-//! its `+crt-static`.)
+//! its `+crt-static`. Before `ukplat` answered std's stack query itself,
+//! the static builds read 1 462 968, 1 390 168 and 1 732 632 B: glibc's
+//! scanf chain, ≈ 120 KB of code in each.)
 //!
 //! So the profile alone — LTO, one codegen unit and no unwind tables
 //! together — takes the ELF to 0.70–0.80 of the defaults' size against
 //! the model's 0.88 for LTO alone: the same direction, more of it. But
 //! a dynamic ELF is the smaller part of what it needs to run. Linked
-//! statically, our images carry both `std` and the libc — 0.79–0.80 MB
-//! more ELF, the glibc objects `std`'s runtime reaches (`sscanf` through
-//! `pthread_getattr_np`, `gettext` through `strerror_r`, the `dl*`
-//! code) — and need nothing else: 0.44–0.50 of the defaults' closure.
+//! statically, our images carry both `std` and the libc — 0.67–0.68 MB
+//! more ELF, the glibc objects `std`'s runtime reaches (`gettext`
+//! through `strerror_r`, the `dl*` code; not `sscanf`, which glibc's
+//! `pthread_getattr_np` brought until `ukplat` defined its own) — and
+//! need nothing else: 0.42–0.46 of the defaults' closure.
 //! That they are also "≈ 1.5 MB" is what they happen to link, not a
 //! calibration.
 //!
@@ -86,26 +89,31 @@
 //! read-only sections the workloads read into a `.rodata.hot` right
 //! after the ELF headers and relocation tables ([`crate::rodata`]), and
 //! a run holds 64 kB of the segment, one window (`peak_rss_mib`
-//! 1.08 → 0.95 MiB). By origin
+//! 1.08 → 0.95 MiB). With glibc's scanf chain gone (`ukplat` answers
+//! std's start-up stack query itself) it holds 360 kB of code where it
+//! held 420 (`peak_rss_mib` 0.996 → 0.943 MiB, median of ten pairs). By
+//! origin
 //! (`hot-text size`, function symbols of the unstripped static images;
 //! "other" is `libgcc`'s unwinder, `compiler_builtins`' C-named
 //! intrinsics and the start-up code):
 //!
 //! | image          | section     |   bytes |    ours |     std | core/alloc |   glibc |  other | padding |
 //! |----------------|-------------|--------:|--------:|--------:|-----------:|--------:|-------:|--------:|
-//! | `webserver`    | `.text.hot` | 464 724 | 151 523 |  39 093 |     48 213 | 163 732 |  3 596 |  58 567 |
-//! |                | `.text`     | 696 104 |  30 339 | 144 750 |     82 797 | 364 319 | 64 976 |   8 923 |
-//! | `event_server` | `.text.hot` | 403 374 | 156 321 |  40 318 |     32 617 | 163 732 |  3 596 |   6 790 |
-//! |                | `.text`     | 684 136 |  18 647 | 145 681 |     81 924 | 364 319 | 64 976 |   8 589 |
-//! | `ukperf`       | `.text.hot` | 553 220 | 268 253 |  23 815 |     65 228 | 163 732 |  3 619 |  28 573 |
-//! |                | `.text`     | 832 712 |  99 917 | 173 616 |    108 750 | 375 275 | 65 287 |   9 867 |
+//! | `webserver`    | `.text.hot` | 407 508 | 152 851 |  35 068 |     47 587 | 110 426 |  2 947 |  58 629 |
+//! |                | `.text`     | 630 312 |  25 445 | 144 750 |     82 681 | 318 945 | 49 564 |   8 927 |
+//! | `event_server` | `.text.hot` | 409 966 | 157 546 |  40 318 |     32 617 | 110 426 |  2 947 |  66 112 |
+//! |                | `.text`     | 623 528 |  18 647 | 145 681 |     81 924 | 318 945 | 49 564 |   8 767 |
+//! | `ukperf`       | `.text.hot` | 494 340 | 269 478 |  23 815 |     65 228 | 110 426 |  2 970 |  22 423 |
+//! |                | `.text`     | 772 104 |  99 917 | 173 616 |    108 750 | 329 901 | 49 875 |  10 045 |
 //!
 //! `.text.hot`'s padding is mostly the one `. = ALIGN(0x10000)` of
 //! `hot.ld`: address space, not residency.
 //!
 //! The glibc code in `.text.hot` is whole archive members (a linker
-//! script names C code by object, not by function): 164 KB of members
-//! for what the traces saw glibc run.
+//! script names C code by object, not by function): 110 KB of members
+//! for what the traces saw glibc run, 164 KB while start-up's stack
+//! query ran glibc's `sscanf`. `ukperf`'s 1 225 B `pthread_getattr_np`
+//! (`ukplat`'s) counts as ours.
 
 use crate::config::BuildConfig;
 use crate::registry::LibRegistry;

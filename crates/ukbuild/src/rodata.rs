@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::elf::{Elf, PF_W, PF_X, PT_LOAD};
+use crate::elf::{Elf, Segment, PF_W, PF_X, PT_LOAD};
 use crate::hot::{legacy_prefix, Trace, WINDOW};
 use crate::linkmap::Placed;
 
@@ -163,11 +163,28 @@ pub fn reads(image: &str, map: &[Placed], windows: &BTreeSet<u64>) -> (Trace, Ve
 /// resident: the one that holds the ELF headers and `.rodata.hot`.
 pub const MAX_WINDOWS: usize = 1;
 
+/// `elf`'s read-only `PT_LOAD`: neither writable nor executable, the one
+/// that holds the ELF headers.
+fn read_only(elf: &Elf) -> Option<&Segment> {
+    elf.segments().iter().find(|s| s.kind == PT_LOAD && s.flags & (PF_W | PF_X) == 0)
+}
+
+/// The bytes from the end of `elf`'s `.rodata.hot` to the end of the
+/// read-only window a run keeps resident (the read-only segment's first,
+/// [`MAX_WINDOWS`]): the constants a change may add to what the runs
+/// read before they spill into a second window. Negative when
+/// `.rodata.hot` already runs past it; `None` without a `.rodata.hot`.
+pub fn headroom(elf: &Elf) -> Option<i64> {
+    let hot = elf.section(".rodata.hot")?;
+    let end = (read_only(elf)?.vaddr / WINDOW + MAX_WINDOWS as u64) * WINDOW;
+    Some(end as i64 - (hot.addr + hot.size) as i64)
+}
+
 /// The 64 KiB windows of `elf`'s read-only `PT_LOAD` (neither writable
 /// nor executable: the one that holds the ELF headers) that the pages
 /// in `resident` (by link-time address) lie in.
 pub fn resident_windows(elf: &Elf, resident: &[u64]) -> BTreeSet<u64> {
-    let ro = elf.segments().iter().find(|s| s.kind == PT_LOAD && s.flags & (PF_W | PF_X) == 0);
+    let ro = read_only(elf);
     resident
         .iter()
         .filter(|&&p| ro.is_some_and(|s| p >= s.vaddr && p < s.vaddr + s.memsz))
@@ -183,12 +200,13 @@ pub fn resident_windows(elf: &Elf, resident: &[u64]) -> BTreeSet<u64> {
 /// Every pattern any source read goes in, smallest first: the block
 /// follows the ELF headers and relocation tables in the first window,
 /// so the largest sections go last and a section of which runs read
-/// only the head (glibc's `C-ctype.o`, 56.7 KB, which start-up's
-/// `sscanf` reads through `isspace`) may run past the window's end. The
-/// model counts, for each source, the windows in which the sections it
-/// read begin, from its image's start, each pattern at the largest
-/// size any image gave it: the first window, and one more for each
-/// window past it in which a section it read begins.
+/// only the head may run past the window's end. (glibc's `C-ctype.o`,
+/// 56.7 KB, did: start-up's `sscanf` read its head through `isspace`
+/// until `ukplat` answered std's stack query itself; no run reads it
+/// now.) The model counts, for each source, the windows in which the
+/// sections it read begin, from its image's start, each pattern at the
+/// largest size any image gave it: the first window, and one more for
+/// each window past it in which a section it read begins.
 pub(crate) fn block(reads: &[&(String, Trace)]) -> (String, Vec<(String, u64)>) {
     let mut size: BTreeMap<&str, u64> = BTreeMap::new();
     for (_, r) in reads.iter().copied() {

@@ -11,7 +11,9 @@
 //! hot-text cover  [--min PCT] [--label L] -- PROGRAM [ARGS…]
 //!                                                       bytes run, the share in .text.hot,
 //!                                                       the 64 KiB windows they touch,
-//!                                                       the read-only windows resident
+//!                                                       the read-only windows resident,
+//!                                                       the bytes left in the one
+//!                                                       .rodata.hot shares
 //! hot-text size   [--lib A.a]… ELF…                     .text.hot / .text bytes by origin
 //! ```
 //!
@@ -213,9 +215,14 @@ fn cmd_cover(a: &Args) -> Result<bool, String> {
     let tight = c.tight();
     let ro = rodata::resident_windows(&elf, &t.resident).len();
     let ro_ok = ro <= rodata::MAX_WINDOWS;
+    let left = match rodata::headroom(&elf) {
+        Some(b) if b >= 0 => format!("{b} B left in its window"),
+        Some(b) => format!("{} B past its window", -b),
+        None => "no .rodata.hot".to_string(),
+    };
     println!(
         "{label:<12} {:>5} functions {:>8} B run, {:>8} B in .text.hot: {:6.2} % {}; \
-         {:>2} windows of 64 KiB, floor {:>2} {}; read-only {ro} {}",
+         {:>2} windows of 64 KiB, floor {:>2} {}; read-only {ro} {} ({left})",
         c.functions,
         c.bytes,
         c.hot_bytes,

@@ -135,6 +135,10 @@ pub const SIZE_BUDGETS: &[(&str, usize)] = &[
     // scheduler whose policy sets the quantum (`scheduler.rs`, 228), and
     // the crate's `src/` went from 654 lines to 449.
     ("crates/uksched/src/", 250),
+    // The image's own `pthread_getattr_np` (std's start-up stack query,
+    // answered without glibc's scanf chain): 246 lines, most of them
+    // the maps parser and its contract.
+    ("crates/ukplat/src/stack.rs", 250),
 ];
 
 /// Where the workspace's crates live, one directory each. Every

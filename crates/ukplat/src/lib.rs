@@ -9,6 +9,19 @@
 //! cycle counter ([`time::Tsc`]) using constants calibrated from the paper
 //! (see [`cost`]).
 //!
+//! # The image's own stack query
+//!
+//! The crate also defines one C function for the image it is linked
+//! into: `pthread_getattr_np` (module `stack`). std's runtime calls it
+//! once per thread, before `main` for the main thread, to place the
+//! guard page its stack-overflow handler recognises. glibc's version
+//! reads `/proc/self/maps` with `sscanf`, and that one call linked
+//! glibc's whole scanf chain into every image: ≈ 145 KB of ELF, and the
+//! `C-ctype.o` tables every run read at start-up. A Unikraft image holds
+//! only the micro-libraries its application uses (paper §3), so the
+//! platform layer answers the query itself, with the same bottom, size
+//! and guard glibc 2.36 gives, from the maps parsed by hand.
+//!
 //! # Examples
 //!
 //! ```
@@ -23,6 +36,7 @@ pub mod cost;
 pub mod irq;
 pub mod lcpu;
 pub mod memregion;
+mod stack;
 pub mod time;
 pub mod vmm;
 

@@ -8,12 +8,18 @@
 //! instead. The last two check the link flags beside `+crt-static`:
 //! segments aligned to the 64 KiB fault-around window, so the resident
 //! set does not depend on where ASLR puts the image, and relative
-//! relocations packed as RELR.
+//! relocations packed as RELR. The last one checks what the static link
+//! leaves out: glibc's scanf, which its `pthread_getattr_np` would bring.
 
+use std::collections::HashSet;
 use std::path::Path;
 
 use ukbuild::elf::{Elf, PT_LOAD};
 use ukbuild::hot::WINDOW;
+
+// Links the platform layer, as every image does: its
+// `pthread_getattr_np` is the one std's runtime calls.
+extern crate ukplat;
 
 #[test]
 #[allow(clippy::assertions_on_constants, reason = "the constant is what the build was told")]
@@ -82,4 +88,21 @@ fn relative_relocations_are_packed() {
     );
     let rela = elf.section(".rela.dyn").map_or(0, |s| s.size);
     assert!(rela < 1024, ".rela.dyn holds {rela} B: relative relocations are not packed");
+}
+
+#[test]
+fn the_stack_query_brings_no_scanf() {
+    let elf = Elf::read(Path::new("/proc/self/exe")).expect("reading /proc/self/exe");
+    let names: HashSet<&str> =
+        elf.functions().iter().chain(elf.unsized_functions()).map(|f| f.name.as_str()).collect();
+    assert!(names.contains("pthread_getattr_np"), "std's runtime calls pthread_getattr_np");
+    // glibc's member defines the function under both names: without the
+    // second, the image took it from `ukplat`.
+    assert!(
+        !names.contains("__pthread_getattr_np"),
+        "glibc's pthread_getattr_np.o is linked: is `ukplat`'s `stack.rs` still in the image?"
+    );
+    for scanf in ["__vfscanf_internal", "__isoc99_sscanf"] {
+        assert!(!names.contains(scanf), "the image links glibc's {scanf}");
+    }
 }
